@@ -33,12 +33,14 @@ import (
 // ErrClosed is returned by every call after Close.
 var ErrClosed = errors.New("client: closed")
 
+// dialTimeout bounds each connection attempt.
+const dialTimeout = 5 * time.Second
+
 // Option configures a Client.
 type Option func(*options)
 
 type options struct {
 	conns       int
-	dialTimeout time.Duration
 	followers   []string
 	traceSample int
 }
@@ -50,11 +52,6 @@ func WithConns(n int) Option {
 			o.conns = n
 		}
 	}
-}
-
-// WithDialTimeout bounds each connection attempt (default 5s).
-func WithDialTimeout(d time.Duration) Option {
-	return func(o *options) { o.dialTimeout = d }
 }
 
 // WithFollowerReads adds replica servers to the pool. FollowerGet and
@@ -103,7 +100,7 @@ type tracerBox struct{ t obs.Tracer }
 // Dial connects n pooled connections to addr and performs the Hello
 // handshake (learning the serving engine's name for tracer spans).
 func Dial(addr string, opts ...Option) (*Client, error) {
-	o := options{conns: 2, dialTimeout: 5 * time.Second}
+	o := options{conns: 2}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -114,7 +111,7 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 	c.trc.Store(&tracerBox{})
 	c.clock = &remoteClock{c: c}
 	for i := 0; i < o.conns; i++ {
-		cn, err := dialConn(addr, o.dialTimeout)
+		cn, err := dialConn(addr, dialTimeout)
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -122,7 +119,7 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 		c.conns = append(c.conns, cn)
 	}
 	for _, addr := range o.followers {
-		cn, err := dialConn(addr, o.dialTimeout)
+		cn, err := dialConn(addr, dialTimeout)
 		if err != nil {
 			c.Close()
 			return nil, err

@@ -68,9 +68,6 @@ func (cn *netConn) fail(err error) {
 	})
 }
 
-// err returns the terminal error (only valid after dead is closed).
-func (cn *netConn) err() error { return cn.termErr }
-
 // register allocates a request id for w.
 func (cn *netConn) register(w *waiter) uint64 {
 	cn.mu.Lock()

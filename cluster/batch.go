@@ -2,12 +2,9 @@ package cluster
 
 import (
 	"bytes"
-	"errors"
 	"sort"
-	"time"
 
 	"rhtm"
-	"rhtm/obs"
 	"rhtm/store"
 	"rhtm/wal"
 )
@@ -177,133 +174,27 @@ func opsInOrder(keys []batchKey) []int {
 	return out
 }
 
-// batchCross runs a multi-System batch under 2PC. Each participant's
-// prepare transaction executes the group's reads and installs one intent
-// per key carrying the key's net effect; reads need no later validation
-// because the intent pins the key from prepare to decision.
+// batchCross runs a multi-System batch under 2PC: the shared twoPhase round,
+// retried on prepare conflicts (a batch has no closure to re-run, so the
+// retry loop lives here rather than in a caller).
 func (cl *Client) batchCross(byNode map[int][]batchKey, participants []int, ops []BatchOp, results []BatchResult) error {
-	c := cl.c
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
-		c.crossTxns.Add(1)
-		txid := c.nextTxID.Add(1)
-
-		var prepared []int
-		var conflict bool
-		var hard error
-		var prepStart time.Time
-		if c.prepareHist != nil || cl.sink != nil {
-			prepStart = time.Now()
+	keysOf := func(nodeID int) [][]byte {
+		keys := make([][]byte, len(byNode[nodeID]))
+		for i := range byNode[nodeID] {
+			keys[i] = byNode[nodeID][i].key
 		}
-		for _, nodeID := range participants {
-			err := cl.prepareBatch(nodeID, txid, byNode[nodeID], ops, results)
-			if err == nil {
-				prepared = append(prepared, nodeID)
-				continue
-			}
-			if err == errConflict {
-				c.prepareConflicts.Add(1)
-				conflict = true
-			} else {
-				hard = err
-			}
-			break
+		return keys
+	}
+	prepare := func(nodeID int, txid uint64) error {
+		return cl.prepareBatch(nodeID, txid, byNode[nodeID], ops, results)
+	}
+	decision := func() []wal.Op { return batchDecisionOps(byNode, participants, ops) }
+	for attempt := 0; attempt < cl.c.cfg.MaxAttempts; attempt++ {
+		committed, err := cl.twoPhase(participants, keysOf, prepare, decision)
+		if committed || err != nil {
+			return err
 		}
-		if c.prepareHist != nil || cl.sink != nil {
-			d := time.Since(prepStart)
-			c.prepareHist.Observe(uint64(d)) // nil instrument is a no-op
-			if cl.sink != nil {
-				cl.sink.Stage(obs.Stage2PCPrepare, d)
-			}
-		}
-
-		commit := !conflict && hard == nil
-		keysOf := func(nodeID int) [][]byte {
-			keys := make([][]byte, len(byNode[nodeID]))
-			for i := range byNode[nodeID] {
-				keys[i] = byNode[nodeID][i].key
-			}
-			return keys
-		}
-		var decisionOps []wal.Op
-		if c.wal != nil && commit {
-			decisionOps = batchDecisionOps(byNode, participants, ops)
-		}
-		unlockDrain := func() {}
-		if c.wal != nil && commit && len(decisionOps) > 0 {
-			// Durable commit point, under the checkpoint drain lock until
-			// the resolution mark (see commitCross).
-			c.walMu.RLock()
-			unlockDrain = c.walMu.RUnlock
-			var syncStart time.Time
-			if cl.sink != nil {
-				syncStart = time.Now()
-			}
-			err := c.wal.Coord.Commit(txid, wal.FlagCross, decisionOps)
-			if cl.sink != nil {
-				// Durable-commit-point wait, as in commitCross.
-				cl.sink.Stage(obs.StageWALSync, time.Since(syncStart))
-			}
-			if err != nil {
-				unlockDrain()
-				if errors.Is(err, wal.ErrFenced) {
-					// Aborted by omission under an epoch fence: release the
-					// prepared intents so the deposed primary's memory stays
-					// consistent (see commitCross).
-					c.decide(txid, false, participants)
-					for _, nodeID := range prepared {
-						_ = cl.finish(nodeID, txid, keysOf(nodeID), false)
-					}
-					c.crossAborts.Add(1)
-				}
-				return err
-			}
-		}
-		c.decide(txid, commit, participants)
-		if !commit {
-			unlockDrain()
-			for _, nodeID := range prepared {
-				if err := cl.finish(nodeID, txid, keysOf(nodeID), false); err != nil && hard == nil {
-					hard = err
-				}
-			}
-			c.crossAborts.Add(1)
-			if hard != nil {
-				return hard
-			}
-			cl.backoff(attempt)
-			continue
-		}
-		var finStart time.Time
-		if c.finishHist != nil || cl.sink != nil {
-			finStart = time.Now()
-		}
-		for _, nodeID := range participants {
-			if err := cl.finish(nodeID, txid, keysOf(nodeID), true); err != nil {
-				if errors.Is(err, wal.ErrFenced) {
-					// Durably decided: committed regardless; keep
-					// discharging intents (see commitCross).
-					continue
-				}
-				unlockDrain()
-				return err
-			}
-		}
-		if c.finishHist != nil || cl.sink != nil {
-			d := time.Since(finStart)
-			c.finishHist.Observe(uint64(d)) // nil instrument is a no-op
-			if cl.sink != nil {
-				cl.sink.Stage(obs.Stage2PCFinish, d)
-			}
-		}
-		if c.wal != nil && len(decisionOps) > 0 {
-			if err := c.wal.Coord.Mark(txid, 0); err != nil && !errors.Is(err, wal.ErrFenced) {
-				unlockDrain()
-				return err
-			}
-		}
-		unlockDrain()
-		c.crossCommits.Add(1)
-		return nil
+		cl.backoff(attempt)
 	}
 	return ErrContention
 }
@@ -343,7 +234,10 @@ func batchDecisionOps(byNode map[int][]batchKey, participants []int, ops []Batch
 // the key's operations in batch order against an overlay (filling Get and
 // Delete results), and installs one intent recording the net effect —
 // IntentPut/IntentDelete when the key was written, IntentRead to pin a key
-// the batch only read.
+// the batch only read. It stays apart from Client.prepare because it executes
+// the reads in place: a batch pays no read-through pass before its prepare
+// and no revalidation in it, which is the saving BENCHMARK.json's stack-a
+// ops_per_kacc row (merged batches over 2 Systems) measures.
 func (cl *Client) prepareBatch(nodeID int, txid uint64, keys []batchKey, ops []BatchOp, results []BatchResult) error {
 	n := cl.c.nodes[nodeID]
 	return cl.threads[nodeID].Atomic(func(tx rhtm.Tx) error {

@@ -11,6 +11,7 @@ import (
 	"rhtm"
 	"rhtm/containers"
 	"rhtm/store"
+	"rhtm/wal"
 )
 
 // smallConfig builds a test cluster: small Systems, RH1 by default.
@@ -221,59 +222,195 @@ func TestCrossReadValidation(t *testing.T) {
 	}
 }
 
-// TestPrepareConflictAborts: a foreign intent on one participant must abort
-// the whole transaction (bounded by MaxAttempts), leaving the other
-// participant untouched; releasing the intent lets it commit.
-func TestPrepareConflictAborts(t *testing.T) {
-	cfg := smallConfig(4)
-	cfg.MaxAttempts = 4
-	c := MustNew(cfg)
-	keyA, keyB := crossPair(t, c)
-	// Park a foreign intent on keyB's System.
-	nb := c.Node(c.Router().SystemFor(keyB))
-	setup := containers.SetupTx(nb.System())
-	if err := nb.Store().PrepareIntent(setup, keyB, 999, store.IntentPut, []byte("parked"), 0); err != nil {
-		t.Fatal(err)
-	}
+// crossWrite commits keyA→"a", keyB→"b" as one cross-System transaction
+// through one of the two entry points of the shared 2PC round.
+type crossWrite func(cl *Client, keyA, keyB []byte) error
 
-	cl := c.NewClient()
-	err := cl.Txn(func(tx *Txn) error {
-		tx.Put(keyA, []byte("a"))
-		tx.Put(keyB, []byte("b"))
-		return nil
-	})
-	if !errors.Is(err, ErrContention) {
-		t.Fatalf("err = %v, want ErrContention", err)
-	}
-	if _, ok := c.Peek(keyA); ok {
-		t.Fatal("aborted transaction leaked a write to keyA")
-	}
-	st := c.Stats()
-	if st.CrossAborts == 0 || st.PrepareConflicts == 0 {
-		t.Fatalf("stats = %+v, want recorded aborts and prepare conflicts", st)
-	}
-	for _, d := range c.Decisions() {
-		if d.Commit {
-			t.Fatalf("conflicted transaction logged a commit decision: %+v", d)
+var crossEntryPoints = []struct {
+	name  string
+	write crossWrite
+}{
+	{"Txn", func(cl *Client, keyA, keyB []byte) error {
+		return cl.Txn(func(tx *Txn) error {
+			tx.Put(keyA, []byte("a"))
+			tx.Put(keyB, []byte("b"))
+			return nil
+		})
+	}},
+	{"Batch", func(cl *Client, keyA, keyB []byte) error {
+		_, err := cl.Batch([]BatchOp{
+			{Kind: BatchPut, Key: keyA, Value: []byte("a")},
+			{Kind: BatchPut, Key: keyB, Value: []byte("b")},
+		})
+		return err
+	}},
+}
+
+// attachMemWAL binds c to fresh in-memory streams, returning the
+// coordinator decision log's device.
+func attachMemWAL(t *testing.T, c *Cluster) *wal.MemDevice {
+	t.Helper()
+	stg := wal.NewMemStorage()
+	open := func(name string, startRevs map[int]uint64) *wal.Writer {
+		dev, err := stg.Device(name)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return wal.NewWriter(dev, 1, startRevs, wal.Options{})
 	}
+	ws := &WALSet{Coord: open("coord", nil)}
+	for i := 0; i < c.NumSystems(); i++ {
+		st := c.Node(i).Store()
+		rev := st.Events().Rev(containers.SetupTx(st.System()))
+		ws.Data = append(ws.Data, open(fmt.Sprintf("sys-%d", i), map[int]uint64{0: rev + 1}))
+	}
+	c.AttachWAL(ws)
+	dev, _ := stg.Device("coord")
+	return dev.(*wal.MemDevice)
+}
 
-	// Release the parked intent; the same transaction now goes through.
-	if err := nb.Store().DiscardIntent(setup, keyB, 999); err != nil {
-		t.Fatal(err)
+// TestTwoPhaseRound drives the single 2PC driver (Client.twoPhase) through
+// both of its entry points — a buffered Txn commit and a Batch — over the
+// ways a round can end: a refused prepare, the coordinator log fenced before
+// the durable decision, the data streams fenced after it, and a clean commit. keyLo lives on the lower-numbered participant, so it has
+// always prepared (its intent is installed) when the round is decided.
+func TestTwoPhaseRound(t *testing.T) {
+	type rig struct {
+		c            *Cluster
+		coord        *wal.MemDevice
+		keyLo, keyHi []byte
 	}
-	if err := cl.Txn(func(tx *Txn) error {
-		tx.Put(keyA, []byte("a"))
-		tx.Put(keyB, []byte("b"))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	parked := func(r *rig) (*Node, rhtm.Tx) {
+		n := r.c.Node(r.c.Router().SystemFor(r.keyHi))
+		return n, containers.SetupTx(n.System())
 	}
-	if v, _ := c.Peek(keyB); !bytes.Equal(v, []byte("b")) {
-		t.Fatalf("keyB = %q after release", v)
+	cases := []struct {
+		name string
+		wal  bool
+		arm  func(t *testing.T, r *rig)
+		// wantErr is matched with errors.Is (nil: the write must commit);
+		// aborts and commits are the expected counter movements.
+		wantErr         error
+		aborts, commits uint64
+		// decisions / marks: commit-decision groups and resolution marks
+		// expected on the coordinator device (wal rows only).
+		decisions, marks int
+		after            func(t *testing.T, r *rig, write crossWrite, cl *Client)
+	}{
+		{
+			// A foreign intent on the second participant refuses its prepare:
+			// every bounded round aborts, the first participant's intent is
+			// discharged each time, and nothing commits or is decided.
+			name: "prepare conflict",
+			arm: func(t *testing.T, r *rig) {
+				n, tx := parked(r)
+				if err := n.Store().PrepareIntent(tx, r.keyHi, 999, store.IntentPut, []byte("parked"), 0); err != nil {
+					t.Fatal(err)
+				}
+			},
+			wantErr: ErrContention, aborts: 3,
+			after: func(t *testing.T, r *rig, write crossWrite, cl *Client) {
+				if got := r.c.Stats().PrepareConflicts; got != 3 {
+					t.Errorf("PrepareConflicts = %d, want one per round (3)", got)
+				}
+				for _, d := range r.c.Decisions() {
+					if d.Commit {
+						t.Errorf("conflicted transaction logged a commit decision: %+v", d)
+					}
+				}
+				// Releasing the parked intent lets the same write through.
+				n, tx := parked(r)
+				if err := n.Store().DiscardIntent(tx, r.keyHi, 999); err != nil {
+					t.Fatal(err)
+				}
+				if err := write(cl, r.keyLo, r.keyHi); err != nil {
+					t.Fatalf("after release: %v", err)
+				}
+				if v, _ := r.c.Peek(r.keyHi); !bytes.Equal(v, []byte("b")) {
+					t.Errorf("keyHi = %q after release", v)
+				}
+			},
+		},
+		{
+			// The durable commit point is refused: aborted by omission, and
+			// in memory too — no decision frame, no intent left behind.
+			name: "coordinator fenced before the decision", wal: true,
+			arm:     func(t *testing.T, r *rig) { r.c.WAL().Coord.Fence() },
+			wantErr: wal.ErrFenced, aborts: 1,
+		},
+		{
+			// The decision is durable, so the transaction IS committed and
+			// every intent is still discharged; but the applies never
+			// reached the data streams, so the decision must stay unmarked
+			// — in doubt — for the failover to resolve forward.
+			name: "data writers fenced after the decision", wal: true,
+			arm: func(t *testing.T, r *rig) {
+				for _, w := range r.c.WAL().Data {
+					w.Fence()
+				}
+			},
+			commits: 1, decisions: 1, marks: 0,
+		},
+		{
+			name: "clean commit", wal: true,
+			arm:     func(t *testing.T, r *rig) {},
+			commits: 1, decisions: 1, marks: 1,
+		},
 	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		for _, entry := range crossEntryPoints {
+			write := entry.write
+			t.Run(tc.name+"/"+entry.name, func(t *testing.T) {
+				cfg := smallConfig(4)
+				cfg.MaxAttempts = 3
+				r := &rig{c: MustNew(cfg)}
+				r.keyLo, r.keyHi = crossPair(t, r.c)
+				if r.c.Router().SystemFor(r.keyLo) > r.c.Router().SystemFor(r.keyHi) {
+					r.keyLo, r.keyHi = r.keyHi, r.keyLo
+				}
+				if tc.wal {
+					r.coord = attachMemWAL(t, r.c)
+				}
+				tc.arm(t, r)
+				cl := r.c.NewClient()
+				err := write(cl, r.keyLo, r.keyHi)
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("err = %v, want %v", err, tc.wantErr)
+				}
+				_, wrote := r.c.Peek(r.keyLo)
+				if committed := tc.wantErr == nil; wrote != committed {
+					t.Fatalf("keyLo written = %v, want %v", wrote, committed)
+				}
+				st := r.c.Stats()
+				if st.CrossAborts != tc.aborts || st.CrossCommits != tc.commits {
+					t.Errorf("aborts/commits = %d/%d, want %d/%d",
+						st.CrossAborts, st.CrossCommits, tc.aborts, tc.commits)
+				}
+				if tc.after != nil {
+					tc.after(t, r, write, cl)
+				}
+				for i := 0; i < r.c.NumSystems(); i++ {
+					n := r.c.Node(i)
+					if got := n.Store().PendingIntents(containers.SetupTx(n.System())); got != 0 {
+						t.Errorf("System %d: %d pending intents left behind", i, got)
+					}
+				}
+				if tc.wal {
+					data, err := r.coord.Contents()
+					if err != nil {
+						t.Fatal(err)
+					}
+					sr := wal.Scan(data)
+					if len(sr.Txns) != tc.decisions || len(sr.Marks) != tc.marks {
+						t.Errorf("coordinator device holds %d decisions, %d marks; want %d, %d",
+							len(sr.Txns), len(sr.Marks), tc.decisions, tc.marks)
+					}
+				}
+				if err := r.c.Validate(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }
 
@@ -418,44 +555,6 @@ func TestBatchLocalAndCross(t *testing.T) {
 	}
 	if v, _ := c.Peek(keyB); !bytes.Equal(v, []byte("two")) {
 		t.Fatalf("keyB = %q", v)
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBatchConflictAborts: a foreign intent on one participant aborts the
-// whole cross-System batch all-or-nothing (bounded by MaxAttempts), leaving
-// every other participant untouched.
-func TestBatchConflictAborts(t *testing.T) {
-	cfg := smallConfig(4)
-	cfg.MaxAttempts = 4
-	c := MustNew(cfg)
-	keyA, keyB := crossPair(t, c)
-	nb := c.Node(c.Router().SystemFor(keyB))
-	setup := containers.SetupTx(nb.System())
-	if err := nb.Store().PrepareIntent(setup, keyB, 999, store.IntentPut, []byte("parked"), 0); err != nil {
-		t.Fatal(err)
-	}
-	cl := c.NewClient()
-	_, err := cl.Batch([]BatchOp{
-		{Kind: BatchPut, Key: keyA, Value: []byte("a")},
-		{Kind: BatchPut, Key: keyB, Value: []byte("b")},
-	})
-	if !errors.Is(err, ErrContention) {
-		t.Fatalf("err = %v, want ErrContention", err)
-	}
-	if _, ok := c.Peek(keyA); ok {
-		t.Fatal("aborted batch leaked a write to keyA")
-	}
-	if err := nb.Store().DiscardIntent(setup, keyB, 999); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Batch([]BatchOp{
-		{Kind: BatchPut, Key: keyA, Value: []byte("a")},
-		{Kind: BatchPut, Key: keyB, Value: []byte("b")},
-	}); err != nil {
-		t.Fatal(err)
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)

@@ -117,16 +117,6 @@ func (cl *Client) Get(key []byte) ([]byte, bool, error) {
 	return rec.val, rec.ok, err
 }
 
-// GetRev is Get with the key's revision — the owning System's monotonic
-// commit version, the token conditional writes are guarded by.
-func (cl *Client) GetRev(key []byte) ([]byte, uint64, bool, error) {
-	rec, err := cl.readCommitted(key)
-	if err == nil {
-		cl.c.localTxns.Add(1)
-	}
-	return rec.val, rec.rev, rec.ok, err
-}
-
 // readCommitted is Get without the local-transaction counter bump: Txn
 // read-throughs use it so the harness's local-vs-cross traffic split counts
 // client-level operations, not the reads a cross-System transaction issues
@@ -633,8 +623,30 @@ func (cl *Client) commitLocal(nodeID int, keys []txnKey, t *Txn) (bool, error) {
 	}
 }
 
-// commitCross runs two-phase commit over the participant Systems.
+// commitCross runs one two-phase-commit round over a buffered transaction's
+// participant Systems.
 func (cl *Client) commitCross(byNode map[int][]txnKey, participants []int, t *Txn) (bool, error) {
+	return cl.twoPhase(participants,
+		func(nodeID int) [][]byte {
+			keys := make([][]byte, len(byNode[nodeID]))
+			for i := range byNode[nodeID] {
+				keys[i] = byNode[nodeID][i].key
+			}
+			return keys
+		},
+		func(nodeID int, txid uint64) error { return cl.prepare(nodeID, txid, byNode[nodeID], t) },
+		func() []wal.Op { return crossDecisionOps(byNode, participants) })
+}
+
+// twoPhase is the one two-phase-commit round: prepare → durable decision →
+// finish → resolution mark. Every crash window and both fence arms of
+// DESIGN.md §6/§9 live here and nowhere else; Txn commits and Batches differ
+// only in what they hand it — keysOf lists a participant's intent keys,
+// prepare runs its phase-1 engine transaction, decision serializes the write
+// set for the coordinator log. committed=false with a nil error means a
+// prepare conflict aborted the round and the caller may retry.
+func (cl *Client) twoPhase(participants []int, keysOf func(nodeID int) [][]byte,
+	prepare func(nodeID int, txid uint64) error, decision func() []wal.Op) (bool, error) {
 	c := cl.c
 	c.crossTxns.Add(1)
 	txid := c.nextTxID.Add(1)
@@ -650,7 +662,7 @@ func (cl *Client) commitCross(byNode map[int][]txnKey, participants []int, t *Tx
 		prepStart = time.Now()
 	}
 	for _, nodeID := range participants {
-		err := cl.prepare(nodeID, txid, byNode[nodeID], t)
+		err := prepare(nodeID, txid)
 		if err == nil {
 			prepared = append(prepared, nodeID)
 			continue
@@ -680,18 +692,11 @@ func (cl *Client) commitCross(byNode map[int][]txnKey, participants []int, t *Tx
 	// before any apply runs — the *durable* commit point — and the region
 	// from decision to resolution mark holds the checkpoint drain lock.
 	commit := !conflict && hard == nil
-	keysOf := func(nodeID int) [][]byte {
-		keys := make([][]byte, len(byNode[nodeID]))
-		for i := range byNode[nodeID] {
-			keys[i] = byNode[nodeID][i].key
-		}
-		return keys
-	}
 	var decisionOps []wal.Op
 	if c.wal != nil && commit {
-		decisionOps = crossDecisionOps(byNode, participants)
+		decisionOps = decision()
 	}
-	if c.wal != nil && commit && len(decisionOps) > 0 {
+	if len(decisionOps) > 0 {
 		c.walMu.RLock()
 		defer c.walMu.RUnlock()
 		var syncStart time.Time
@@ -734,13 +739,16 @@ func (cl *Client) commitCross(byNode map[int][]txnKey, participants []int, t *Tx
 	if c.finishHist != nil || cl.sink != nil {
 		finStart = time.Now()
 	}
+	resolved := true
 	for _, nodeID := range participants {
 		if err := cl.finish(nodeID, txid, keysOf(nodeID), true); err != nil {
 			if errors.Is(err, wal.ErrFenced) {
 				// The decision is already durably logged — the transaction
-				// IS committed; a failover resolves it forward from the
-				// decision record. Keep discharging the remaining intents
-				// (the fence only refused the redundant data-stream frame).
+				// IS committed. Keep discharging the remaining intents, but
+				// this participant's applies never reached its stream, so
+				// the decision must stay in doubt: the failover resolves it
+				// forward from the decision record.
+				resolved = false
 				continue
 			}
 			return false, err
@@ -753,7 +761,7 @@ func (cl *Client) commitCross(byNode map[int][]txnKey, participants []int, t *Tx
 			cl.sink.Stage(obs.Stage2PCFinish, d)
 		}
 	}
-	if c.wal != nil && len(decisionOps) > 0 {
+	if len(decisionOps) > 0 && resolved {
 		if err := c.wal.Coord.Mark(txid, 0); err != nil && !errors.Is(err, wal.ErrFenced) {
 			// A missing resolution mark only costs recovery a redundant
 			// redo; a fenced mark is not a commit failure.
@@ -904,68 +912,4 @@ func (cl *Client) finish(nodeID int, txid uint64, keys [][]byte, commit bool) er
 		cl.lastRev = maxRev
 	}
 	return cl.logApply(nodeID, txid, recs)
-}
-
-// --- convenience multi-key operations ---
-
-// ReadMulti returns an atomic snapshot of the given keys (nil marks an
-// absent key). Spanning Systems, the snapshot is guaranteed by read
-// validation under 2PC; on one System it is one engine transaction.
-func (cl *Client) ReadMulti(keys [][]byte) ([][]byte, error) {
-	var out [][]byte
-	err := cl.Txn(func(t *Txn) error {
-		out = make([][]byte, len(keys))
-		for i, k := range keys {
-			v, ok, err := t.Get(k)
-			if err != nil {
-				return err
-			}
-			if ok {
-				out[i] = v
-			} else {
-				out[i] = nil
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Update atomically transforms the given keys: fn receives their current
-// values (nil for absent) and returns the new ones — nil deletes, non-nil
-// stores. Returning a nil slice makes the transaction read-only; a non-nil
-// error from fn aborts it unchanged and is returned as-is.
-func (cl *Client) Update(keys [][]byte, fn func(vals [][]byte) ([][]byte, error)) error {
-	return cl.Txn(func(t *Txn) error {
-		vals := make([][]byte, len(keys))
-		for i, k := range keys {
-			v, ok, err := t.Get(k)
-			if err != nil {
-				return err
-			}
-			if ok {
-				vals[i] = v
-			}
-		}
-		newVals, err := fn(vals)
-		if err != nil {
-			return err
-		}
-		if newVals == nil {
-			return nil
-		}
-		for i, k := range keys {
-			if newVals[i] == nil {
-				if vals[i] != nil {
-					t.Delete(k)
-				}
-			} else {
-				t.Put(k, newVals[i])
-			}
-		}
-		return nil
-	})
 }

@@ -53,7 +53,9 @@ type DBFactory func(t *testing.T) (db kv.DB, clock *kv.ManualClock, validate fun
 //   - the observability sections (obs.go): DB.Metrics sampled concurrently
 //     with a write workload must stay race-free and monotone and agree
 //     with ground truth at quiescence, and the tracer must emit exactly
-//     one span per closure attempt with the contracted outcome sequence;
+//     one span per closure attempt with the contracted outcome sequence
+//     (with WithRecovery also on a durable rig whose log writers are
+//     fenced: the refused commit must be an error span, not a commit);
 //   - with WithRecovery, the crash-injection section (recovery.go): a
 //     clean-stop recovery diffed against a map oracle, then fuzzed crash
 //     offsets under a concurrent transfer workload — post-recovery state
@@ -77,6 +79,7 @@ func RunDB(t *testing.T, name string, factory DBFactory, opts ...BatteryOption) 
 	t.Run(name+"/DBTrace", func(t *testing.T) { testDBTrace(t, factory) })
 	t.Run(name+"/DBIndex", func(t *testing.T) { testDBIndex(t, factory) })
 	if bo.recovery != nil {
+		t.Run(name+"/DBTrace/Fenced", func(t *testing.T) { testDBTraceFenced(t, bo.recovery) })
 		t.Run(name+"/DBRecovery", func(t *testing.T) { testDBRecovery(t, bo.recovery) })
 	}
 	if bo.repl != nil {

@@ -6,8 +6,10 @@ import (
 	"sync"
 	"testing"
 
+	"rhtm/cluster"
 	"rhtm/kv"
 	"rhtm/obs"
+	"rhtm/wal"
 )
 
 // The observability sections of the battery. DBMetrics drives a concurrent
@@ -275,5 +277,48 @@ func testDBTrace(t *testing.T, factory DBFactory) {
 	}
 	if got := rec.Spans(); len(got) != 0 {
 		t.Fatalf("detached tracer still received %d spans", len(got))
+	}
+}
+
+// testDBTraceFenced pins the span/result agreement on a durable DB whose
+// log refuses the commit: a fenced writer turns the Update into
+// kv.ErrFenced, and the attempt's span must say so — one error span, never
+// a commit — on every backend, wherever its log publish happens.
+func testDBTraceFenced(t *testing.T, rf RecoveryFactory) {
+	rig := rf(t)
+	ts, ok := rig.DB.(tracerSetter)
+	if !ok {
+		t.Fatalf("%T does not support SetTracer", rig.DB)
+	}
+	if err := rig.DB.Put([]byte("fenced"), []byte("before")); err != nil {
+		t.Fatalf("Put before the fence: %v", err)
+	}
+	rec := obs.NewRecordingTracer(0)
+	ts.SetTracer(rec)
+	// Fence every log writer of the DB, as a promotion elsewhere would.
+	switch db := rig.DB.(type) {
+	case interface{ WAL() *wal.Writer }:
+		db.WAL().Fence()
+	case interface{ Cluster() *cluster.Cluster }:
+		ws := db.Cluster().WAL()
+		for _, w := range ws.Data {
+			w.Fence()
+		}
+		ws.Coord.Fence()
+	default:
+		t.Fatalf("%T exposes no log writer to fence", rig.DB)
+	}
+	err := rig.DB.Update(func(tx kv.Txn) error {
+		return tx.Put([]byte("fenced"), []byte("after"))
+	})
+	if !errors.Is(err, kv.ErrFenced) {
+		t.Fatalf("Update on a fenced DB: %v, want ErrFenced", err)
+	}
+	spans := rec.Spans()
+	if len(spans) != 1 {
+		t.Fatalf("got %d spans, want 1: %+v", len(spans), spans)
+	}
+	if sp := spans[0]; sp.Outcome != obs.OutcomeError || sp.CommitRev != 0 || sp.Err != err.Error() {
+		t.Fatalf("span %+v for an Update that returned %v", sp, err)
 	}
 }

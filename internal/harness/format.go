@@ -29,15 +29,10 @@ type JSONResult struct {
 	Counters map[string]int64 `json:"counters,omitempty"`
 }
 
-// WriteResultsJSON emits one JSON line per result (JSONL: trivially
+// WriteResultsJSONCounters emits one JSON line per result (JSONL: trivially
 // appendable and `jq`-able), tagged with the experiment id so a whole
-// rhbench invocation lands in one trajectory file.
-func WriteResultsJSON(w io.Writer, experiment string, results []Result) error {
-	return WriteResultsJSONCounters(w, experiment, results, false)
-}
-
-// WriteResultsJSONCounters is WriteResultsJSON with the structured counter
-// map optionally embedded per row (rhbench -metrics).
+// rhbench invocation lands in one trajectory file; counters optionally
+// embeds the structured counter map per row (rhbench -metrics).
 func WriteResultsJSONCounters(w io.Writer, experiment string, results []Result, counters bool) error {
 	enc := json.NewEncoder(w)
 	for _, r := range results {

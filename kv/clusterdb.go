@@ -1,11 +1,7 @@
 package kv
 
 import (
-	"context"
-	"errors"
-	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rhtm"
@@ -25,31 +21,15 @@ import (
 // Systems is one 2PC commit — and Watch fans in every System's commit log,
 // merged by revision.
 //
-// ClusterDB is safe for concurrent use by any number of goroutines:
-// cluster clients are not, so it multiplexes callers over a session pool of
-// at most maxSessions clients, exactly as Local does with engine threads —
-// excess callers queue for a free session. Each client registers one
-// engine thread per System (permanently), so the bound is what keeps a
-// concurrency burst within every System's thread limit.
+// ClusterDB is safe for concurrent use by any number of goroutines: cluster
+// clients are not, so it multiplexes callers over the core's bounded session
+// pool, one client per session. Each client registers one engine thread per
+// System (permanently), so the pool's bound is what keeps a concurrency
+// burst within every System's thread limit.
 type ClusterDB struct {
-	c     *cluster.Cluster
-	clock Clock
+	core[*clusterSession]
 
-	reg *obs.Registry
-	met kvMetrics
-	trc atomic.Pointer[tracerBox]
-
-	// sampler/flight: DB-level tracing hooks; see Local's field comment.
-	sampler *obs.Sampler
-	flight  *obs.Flight
-	traceID atomic.Uint64
-
-	leaseSeq atomic.Uint64
-	hub      *watchHub
-
-	// sessions holds maxSessions slots, pre-filled with nil placeholders;
-	// a nil slot lazily becomes a registered client on first use.
-	sessions chan *cluster.Client
+	c *cluster.Cluster
 
 	// frMu serializes the follower-read clock threads (one lazily-registered
 	// engine thread per System — see clockRev in repl.go).
@@ -59,30 +39,21 @@ type ClusterDB struct {
 
 // NewCluster builds a DB over c. Call during single-threaded setup.
 func NewCluster(c *cluster.Cluster, opts ...Option) *ClusterDB {
-	o := applyOptions(opts)
-	db := &ClusterDB{c: c, clock: o.clock, sessions: make(chan *cluster.Client, maxSessions)}
-	for i := 0; i < maxSessions; i++ {
-		db.sessions <- nil
-	}
-	db.hub = newWatchHub(func() []logSource {
-		// One dedicated thread per System drains that System's ring.
-		var sources []logSource
-		for i := 0; i < c.NumSystems(); i++ {
-			n := c.Node(i)
-			sources = append(sources, logSource{
-				log: n.Store().Events(),
-				run: n.Engine().NewThread().Atomic,
-			})
-		}
-		return sources
-	})
-	db.reg = o.metrics
-	db.met = newKVMetrics(db.reg)
-	db.hub.lost = db.met.watchLost
-	registerWatchDepth(db.reg, db.hub)
-	db.trc.Store(&tracerBox{o.tracer})
-	db.sampler = obs.NewSampler(o.traceSample)
-	db.flight = o.flight
+	db := &ClusterDB{c: c}
+	db.init(applyOptions(opts), db,
+		func() *clusterSession { return &clusterSession{c: c, cl: c.NewClient()} },
+		func() []logSource {
+			// One dedicated thread per System drains that System's ring.
+			var sources []logSource
+			for i := 0; i < c.NumSystems(); i++ {
+				n := c.Node(i)
+				sources = append(sources, logSource{
+					log: n.Store().Events(),
+					run: n.Engine().NewThread().Atomic,
+				})
+			}
+			return sources
+		})
 	// 2PC phase timings flow from the cluster's commit path into the DB's
 	// registry; nil instruments (WithMetrics(nil)) disable the timing.
 	c.SetMetrics(db.met.prepare2PC, db.met.finish2PC)
@@ -92,13 +63,32 @@ func NewCluster(c *cluster.Cluster, opts ...Option) *ClusterDB {
 // Cluster returns the underlying cluster (diagnostics, stats).
 func (db *ClusterDB) Cluster() *cluster.Cluster { return db.c }
 
-// SetTracer installs (or, with nil, removes) the per-transaction tracer;
-// see Local.SetTracer for the contract.
-func (db *ClusterDB) SetTracer(t obs.Tracer) { db.trc.Store(&tracerBox{t}) }
+// clusterSession is one pooled cluster client.
+type clusterSession struct {
+	c  *cluster.Cluster
+	cl *cluster.Client
+}
 
-func (db *ClusterDB) tracer() obs.Tracer { return db.trc.Load().t }
+// bind implements session: the client reports its 2pc_prepare, wal_sync
+// (the coordinator decision sync) and 2pc_finish stages to sink.
+func (s *clusterSession) bind(sink obs.StageRecorder) { s.cl.SetStageSink(sink) }
 
-func (db *ClusterDB) metrics() *kvMetrics { return &db.met }
+func (s *clusterSession) engineName() string { return s.c.Node(0).Engine().Name() }
+
+// attempt implements session via the cluster's optimistic buffered
+// transaction (local commit when one System owns the footprint, two-phase
+// commit when several do). The cluster retries its own commit conflicts
+// inside Client.Txn.
+func (s *clusterSession) attempt(fn func(tx Txn) error) (Revision, error) {
+	err := s.cl.Txn(func(t *cluster.Txn) error {
+		return fn(&clusterTxn{t: t})
+	})
+	return s.cl.LastCommitRev(), err
+}
+
+// publish implements session: the cluster's commit path logs to its WAL
+// streams itself, before Client.Txn returns.
+func (s *clusterSession) publish() error { return nil }
 
 // Metrics implements DB: the registry's host-side instruments plus the
 // live engine taxonomy summed over every System and the 2PC protocol
@@ -111,9 +101,9 @@ func (db *ClusterDB) Metrics() obs.Snapshot {
 		es.Add(db.c.Node(i).Engine().Live())
 	}
 	mergeEngineStats(&snap, es)
-	cl := db.getClient()
-	ss, err := cl.StoreStats()
-	db.putClient(cl)
+	s := db.claim(nil)
+	ss, err := s.cl.StoreStats()
+	db.release(s)
 	if err == nil {
 		mergeStoreStats(&snap, ss)
 	}
@@ -121,39 +111,14 @@ func (db *ClusterDB) Metrics() obs.Snapshot {
 	return snap
 }
 
-// getClient claims a session, registering its client on first use; it
-// blocks while all maxSessions sessions are in flight.
-func (db *ClusterDB) getClient() *cluster.Client {
-	cl := <-db.sessions
-	if cl == nil {
-		cl = db.c.NewClient()
-	}
-	return cl
-}
-
-func (db *ClusterDB) putClient(cl *cluster.Client) {
-	db.sessions <- cl
-}
-
-// mapErr translates cluster/store sentinels to the kv surface.
-func mapErr(err error) error {
-	if err == nil {
-		return nil
-	}
-	if errors.Is(err, cluster.ErrContention) {
-		return fmt.Errorf("kv: %v: %w", err, ErrConflict)
-	}
-	return err
-}
-
 // Get implements DB.
 func (db *ClusterDB) Get(key []byte) ([]byte, error) {
 	if reservedKey(key) {
 		return nil, ErrReservedKey
 	}
-	cl := db.getClient()
-	defer db.putClient(cl)
-	v, ok, err := cl.Get(key)
+	s := db.claim(nil)
+	defer db.release(s)
+	v, ok, err := s.cl.Get(key)
 	if err != nil {
 		return nil, mapErr(err)
 	}
@@ -161,11 +126,6 @@ func (db *ClusterDB) Get(key []byte) ([]byte, error) {
 		return nil, ErrNotFound
 	}
 	return v, nil
-}
-
-// GetRev implements DB.
-func (db *ClusterDB) GetRev(key []byte) ([]byte, Revision, error) {
-	return getRev(db, key)
 }
 
 // Put implements DB.
@@ -178,18 +138,13 @@ func (db *ClusterDB) Put(key, value []byte, opts ...PutOption) error {
 			return tx.Put(key, value, opts...)
 		})
 	}
-	cl := db.getClient()
-	defer db.putClient(cl)
-	err := mapErr(cl.Put(key, value))
+	s := db.claim(nil)
+	defer db.release(s)
+	err := mapErr(s.cl.Put(key, value))
 	if err == nil {
 		db.hub.wake()
 	}
 	return err
-}
-
-// PutIf implements DB.
-func (db *ClusterDB) PutIf(key, value []byte, rev Revision, opts ...PutOption) error {
-	return putIf(db, key, value, rev, opts)
 }
 
 // Delete implements DB.
@@ -197,9 +152,9 @@ func (db *ClusterDB) Delete(key []byte) error {
 	if reservedKey(key) {
 		return ErrReservedKey
 	}
-	cl := db.getClient()
-	defer db.putClient(cl)
-	ok, err := cl.Delete(key)
+	s := db.claim(nil)
+	defer db.release(s)
+	ok, err := s.cl.Delete(key)
 	if err != nil {
 		return mapErr(err)
 	}
@@ -210,124 +165,24 @@ func (db *ClusterDB) Delete(key []byte) error {
 	return nil
 }
 
-// DeleteIf implements DB.
-func (db *ClusterDB) DeleteIf(key []byte, rev Revision) error {
-	return deleteIf(db, key, rev)
-}
-
-// Update implements DB via the cluster's optimistic buffered transaction.
-// The cluster retries its own commit conflicts inside Client.Txn, so the
-// loop here serves closures that request a retry with ErrConflict.
-func (db *ClusterDB) Update(fn func(tx Txn) error) error {
-	_, err := db.UpdateRev(fn)
-	return err
-}
-
-// UpdateRev is Update paired with the highest revision the committed
-// closure's writes were stamped with — 0 for a read-only closure; see
-// Local.UpdateRev.
-func (db *ClusterDB) UpdateRev(fn func(tx Txn) error) (Revision, error) {
-	if db.sampler.Sample() {
-		t := db.flight.NewTrace(db.traceID.Add(1), "update")
-		rev, err := db.updateRevT(t, fn)
-		t.Finish(err)
-		return rev, err
-	}
-	return db.updateRevT(nil, fn)
-}
-
-// updateRevT is the UpdateRev core; see Local.updateRevT for the sink
-// contract. On a cluster the engine stage covers the whole buffered
-// transaction — commit machinery included — and the finer 2pc_prepare /
-// wal_sync / 2pc_finish stages come from the client's stage sink, wired
-// for the duration of the call (clients are single-session, so the field
-// cannot race with another request).
-func (db *ClusterDB) updateRevT(sink obs.TraceSink, fn func(tx Txn) error) (Revision, error) {
-	cl := db.getClient()
-	defer db.putClient(cl)
-	trc := db.tracer()
-	if sink != nil {
-		cl.SetStageSink(sink)
-		defer cl.SetStageSink(nil)
-	}
-	var engStart time.Time
-	if sink != nil {
-		engStart = time.Now()
-	}
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		var start time.Time
-		if trc != nil || sink != nil {
-			start = time.Now()
-		}
-		err := cl.Txn(func(t *cluster.Txn) error {
-			return fn(&clusterTxn{t: t})
-		})
-		if trc != nil || sink != nil {
-			sp := attemptSpan(db.c.Node(0).Engine().Name(), attempt,
-				mapErr(err), cl.LastCommitRev(), time.Since(start), db.clock.Now())
-			if trc != nil {
-				trc.TxnAttempt(sp)
-			}
-			if sink != nil {
-				sink.Attempt(sp)
-			}
-		}
-		if errors.Is(err, ErrConflict) {
-			backoff(attempt)
-			continue
-		}
-		if sink != nil {
-			sink.Stage(obs.StageEngine, time.Since(engStart))
-		}
-		if err != nil {
-			return 0, mapErr(err)
-		}
-		if sink != nil {
-			sink.SetCommitRev(cl.LastCommitRev())
-		}
-		db.hub.wake()
-		return cl.LastCommitRev(), nil
-	}
-	return 0, errRetriesExhausted()
-}
-
-// Batch implements DB natively: per-System grouped prepares and a single
-// 2PC decision, instead of one buffered-transaction read per key. Batches
-// carrying lease attachments fall back to the closure path, where the
-// lease records ride the same transaction.
-func (db *ClusterDB) Batch(ops []Op) ([]OpResult, error) {
-	if db.sampler.Sample() {
-		t := db.flight.NewTrace(db.traceID.Add(1), "batch")
-		res, err := db.BatchTraced(t, ops)
-		t.Finish(err)
-		return res, err
-	}
-	return db.BatchTraced(nil, ops)
-}
-
-// BatchTraced is Batch reporting through sink (nil: exactly Batch, minus
-// the DB-level sampling). The engine stage covers the whole grouped
-// prepare/decide sweep; 2PC phase and WAL stages come from the client's
-// stage sink, as in updateRevT.
+// BatchTraced shadows the core's closure-transaction batch with the native
+// one: per-System grouped prepares and a single 2PC decision, instead of one
+// buffered-transaction read per key (BENCHMARK.json's stack-a row is the
+// merged-batch load that justifies it). Batches carrying lease attachments
+// take the core's path, where the lease records ride the same transaction.
+// The engine stage covers the whole grouped prepare/decide sweep; 2PC phase
+// and WAL stages come from the client's stage sink.
 func (db *ClusterDB) BatchTraced(sink obs.TraceSink, ops []Op) ([]OpResult, error) {
 	for _, op := range ops {
 		if reservedKey(op.Key) {
 			return nil, ErrReservedKey
 		}
 		if op.Lease != 0 {
-			results := make([]OpResult, len(ops))
-			if _, err := db.updateRevT(sink, batchBody(ops, results)); err != nil {
-				return nil, err
-			}
-			return results, nil
+			return db.core.BatchTraced(sink, ops)
 		}
 	}
-	cl := db.getClient()
-	defer db.putClient(cl)
-	if sink != nil {
-		cl.SetStageSink(sink)
-		defer cl.SetStageSink(nil)
-	}
+	s := db.claim(sink)
+	defer db.release(s)
 	cops := make([]cluster.BatchOp, len(ops))
 	for i, op := range ops {
 		switch op.Kind {
@@ -343,7 +198,7 @@ func (db *ClusterDB) BatchTraced(sink obs.TraceSink, ops []Op) ([]OpResult, erro
 	if sink != nil {
 		engStart = time.Now()
 	}
-	cres, err := cl.Batch(cops)
+	cres, err := s.cl.Batch(cops)
 	if sink != nil {
 		sink.Stage(obs.StageEngine, time.Since(engStart))
 	}
@@ -372,58 +227,23 @@ func (db *ClusterDB) BatchTraced(sink obs.TraceSink, ops []Op) ([]OpResult, erro
 	}
 	if wrote {
 		if sink != nil {
-			sink.SetCommitRev(cl.LastCommitRev())
+			sink.SetCommitRev(s.cl.LastCommitRev())
 		}
 		db.hub.wake()
 	}
 	return results, nil
 }
 
-// Scan implements DB with the cluster's validated snapshot scan, clamped to
-// the user keyspace.
-func (db *ClusterDB) Scan(start, end []byte, limit int) Iterator {
-	start, end, empty := clampUserRange(start, end)
-	if empty {
-		return emptyIter()
-	}
-	entries, err := db.rawScan(start, end, limit)
-	if err != nil {
-		return errIter(err)
-	}
-	return &entriesIter{entries: entries}
-}
-
-// rawScan implements backend: an unclamped validated snapshot scan.
+// rawScan shadows the core's closure-transaction scan with the cluster's
+// validated snapshot scan (no read set, no commit validation).
 func (db *ClusterDB) rawScan(start, end []byte, limit int) ([]Entry, error) {
-	cl := db.getClient()
-	defer db.putClient(cl)
-	entries, err := cl.ScanSnapshot(start, end, limit)
+	s := db.claim(nil)
+	defer db.release(s)
+	entries, err := s.cl.ScanSnapshot(start, end, limit)
 	if err != nil {
 		return nil, mapErr(err)
 	}
 	return clusterEntries(entries), nil
-}
-
-// Grant implements DB.
-func (db *ClusterDB) Grant(ttl uint64) (LeaseID, error) {
-	return grant(db, &db.leaseSeq, ttl)
-}
-
-// KeepAlive implements DB.
-func (db *ClusterDB) KeepAlive(id LeaseID) error { return keepAlive(db, id) }
-
-// Revoke implements DB.
-func (db *ClusterDB) Revoke(id LeaseID) error { return revoke(db, id) }
-
-// ExpireLeases implements DB.
-func (db *ClusterDB) ExpireLeases() (int, error) { return expireLeases(db) }
-
-// Clock implements DB.
-func (db *ClusterDB) Clock() Clock { return db.clock }
-
-// Watch implements DB.
-func (db *ClusterDB) Watch(ctx context.Context, prefix []byte, fromRev Revision) (<-chan Event, error) {
-	return db.hub.watch(ctx, prefix, fromRev)
 }
 
 // clusterEntries converts the cluster's entry type.
@@ -538,9 +358,3 @@ func (t *clusterTxn) scanRaw(start, end []byte, limit int) Iterator {
 	}
 	return &entriesIter{entries: clusterEntries(entries)}
 }
-
-// WaitWatchIdle blocks until the watch hub's poller has stopped; call it
-// after cancelling every Watch before taking engine snapshots or running
-// raw-memory validation (the hub's per-System threads are then guaranteed
-// outside Atomic).
-func (db *ClusterDB) WaitWatchIdle() { db.hub.waitIdle() }

@@ -87,7 +87,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"runtime"
 	"time"
@@ -438,17 +437,6 @@ type coordTxn interface {
 	scanRaw(start, end []byte, limit int) Iterator
 }
 
-// backend is the internal DB surface the shared coordination helpers
-// (conditional writes, leases) run against.
-type backend interface {
-	DB
-	// rawScan snapshots [start, end) without the user-keyspace clamp.
-	rawScan(start, end []byte, limit int) ([]Entry, error)
-	// metrics exposes the backend's pre-resolved instruments; with
-	// WithMetrics(nil) every instrument is the nil no-op.
-	metrics() *kvMetrics
-}
-
 // txnPut is the one Put implementation both backends' Txn.Put delegate to:
 // it enforces the reserved namespace and maintains the lease record's key
 // list atomically with the write.
@@ -463,62 +451,8 @@ func txnPut(ct coordTxn, key, value []byte, opts []PutOption) error {
 	return leaseAttach(ct, key, value, o.lease)
 }
 
-// getRev is the shared GetRev implementation: one closure transaction
-// pairing the value with the revision it was committed at.
-func getRev(db DB, key []byte) ([]byte, Revision, error) {
-	var val []byte
-	var rev Revision
-	err := db.Update(func(tx Txn) error {
-		var err error
-		if val, err = tx.Get(key); err != nil {
-			return err
-		}
-		rev, err = tx.Revision(key)
-		return err
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return val, rev, nil
-}
-
-// putIf is the shared PutIf implementation: both backends run it through
-// their Update path, so conditional-write semantics cannot drift.
-func putIf(db DB, key, value []byte, rev Revision, opts []PutOption) error {
-	return db.Update(func(tx Txn) error {
-		cur, err := tx.Revision(key)
-		if err != nil {
-			return err
-		}
-		if cur != rev {
-			return fmt.Errorf("kv: key %q at revision %d, guard %d: %w",
-				key, cur, rev, ErrRevisionMismatch)
-		}
-		return tx.Put(key, value, opts...)
-	})
-}
-
-// deleteIf is the shared DeleteIf implementation.
-func deleteIf(db DB, key []byte, rev Revision) error {
-	return db.Update(func(tx Txn) error {
-		cur, err := tx.Revision(key)
-		if err != nil {
-			return err
-		}
-		if cur == 0 {
-			return ErrNotFound
-		}
-		if cur != rev {
-			return fmt.Errorf("kv: key %q at revision %d, guard %d: %w",
-				key, cur, rev, ErrRevisionMismatch)
-		}
-		return tx.Delete(key)
-	})
-}
-
 // execOp applies one batch op through a Txn, mapping ErrNotFound into the
-// per-op result and returning only hard errors. Both implementations run
-// their Batch through this, so batch semantics cannot drift between them.
+// per-op result and returning only hard errors.
 func execOp(tx Txn, op Op) (OpResult, error) {
 	switch op.Kind {
 	case OpGet:
@@ -539,26 +473,6 @@ func execOp(tx Txn, op Op) (OpResult, error) {
 		}
 		return OpResult{}, err
 	}
-}
-
-// batchViaUpdate is the shared Batch implementation: one Update transaction
-// executing every op in order.
-func batchViaUpdate(db DB, ops []Op) ([]OpResult, error) {
-	results := make([]OpResult, len(ops))
-	err := db.Update(func(tx Txn) error {
-		for i, op := range ops {
-			r, err := execOp(tx, op)
-			if err != nil {
-				return err
-			}
-			results[i] = r
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
 }
 
 // entriesIter is a buffered Iterator over pre-collected entries, used for

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync/atomic"
 )
 
 // Leases, shared by both backends. A lease is one record in the reserved
@@ -133,46 +132,46 @@ func leaseAttach(ct coordTxn, key, value []byte, id LeaseID) error {
 	return ct.putRaw(key, value, id)
 }
 
-// grant mints a fresh lease: ids come from the DB's host-side sequence
+// Grant implements DB: ids come from the DB's host-side sequence
 // (uniqueness needs no transaction), the record is one transactional put.
-func grant(db backend, seq *atomic.Uint64, ttl uint64) (LeaseID, error) {
-	id := seq.Add(1)
-	lr := leaseRecord{deadline: db.Clock().Now() + ttl, ttl: ttl}
+func (db *core[S]) Grant(ttl uint64) (LeaseID, error) {
+	id := db.leaseSeq.Add(1)
+	lr := leaseRecord{deadline: db.clock.Now() + ttl, ttl: ttl}
 	err := db.Update(func(tx Txn) error {
 		return tx.(coordTxn).putRaw(leaseKey(id), lr.encode(), 0)
 	})
 	if err != nil {
 		return 0, err
 	}
-	db.metrics().leaseGrants.Inc()
+	db.met.leaseGrants.Inc()
 	return id, nil
 }
 
-// keepAlive pushes the lease deadline to now + granted ttl.
-func keepAlive(db backend, id LeaseID) error {
+// KeepAlive implements DB: the lease deadline moves to now + granted ttl.
+func (db *core[S]) KeepAlive(id LeaseID) error {
 	err := db.Update(func(tx Txn) error {
 		ct := tx.(coordTxn)
 		lr, err := getLease(ct, id)
 		if err != nil {
 			return err
 		}
-		lr.deadline = db.Clock().Now() + lr.ttl
+		lr.deadline = db.clock.Now() + lr.ttl
 		return ct.putRaw(leaseKey(id), lr.encode(), 0)
 	})
 	if err == nil {
-		db.metrics().leaseKeepAlives.Inc()
+		db.met.leaseKeepAlives.Inc()
 	}
 	return err
 }
 
-// revoke deletes the lease record and every key still stamped with the
-// lease, as one transaction.
-func revoke(db backend, id LeaseID) error {
+// Revoke implements DB: the lease record and every key still stamped with
+// the lease are deleted as one transaction.
+func (db *core[S]) Revoke(id LeaseID) error {
 	err := db.Update(func(tx Txn) error {
 		return revokeInTxn(tx.(coordTxn), id)
 	})
 	if err == nil {
-		db.metrics().leaseRevokes.Inc()
+		db.met.leaseRevokes.Inc()
 	}
 	return err
 }
@@ -197,17 +196,17 @@ func revokeInTxn(ct coordTxn, id LeaseID) error {
 	return ct.deleteRaw(leaseKey(id))
 }
 
-// expireLeases scans the lease records, then revokes each one past its
-// deadline in its own transaction — the deadline is re-checked inside, so
-// concurrent pumps (or a racing KeepAlive) never double-expire or kill a
-// refreshed lease. The listing scan is a snapshot: leases granted after it
-// are caught by the next pump.
-func expireLeases(db backend) (int, error) {
-	entries, err := db.rawScan(leaseKeyPrefix, leaseKeyPrefixEnd, 0)
+// ExpireLeases implements DB: it scans the lease records, then revokes each
+// one past its deadline in its own transaction — the deadline is re-checked
+// inside, so concurrent pumps (or a racing KeepAlive) never double-expire or
+// kill a refreshed lease. The listing scan is a snapshot: leases granted
+// after it are caught by the next pump.
+func (db *core[S]) ExpireLeases() (int, error) {
+	entries, err := db.be.rawScan(leaseKeyPrefix, leaseKeyPrefixEnd, 0)
 	if err != nil {
 		return 0, err
 	}
-	now := db.Clock().Now()
+	now := db.clock.Now()
 	expired := 0
 	for _, e := range entries {
 		lr, err := decodeLease(e.Value)
@@ -240,7 +239,7 @@ func expireLeases(db backend) (int, error) {
 		}
 		if did {
 			expired++
-			db.metrics().leaseExpired.Inc()
+			db.met.leaseExpired.Inc()
 		}
 	}
 	return expired, nil

@@ -1,9 +1,6 @@
 package kv
 
 import (
-	"context"
-	"errors"
-	"sync/atomic"
 	"time"
 
 	"rhtm"
@@ -49,9 +46,7 @@ type dbOptions struct {
 	syncEvery   int
 	metrics     *obs.Registry
 	metricsSet  bool // distinguishes WithMetrics(nil) from the default
-	tracer      obs.Tracer
 	traceSample int
-	flight      *obs.Flight
 }
 
 // WithClock injects the virtual-time source lease deadlines are measured
@@ -72,11 +67,6 @@ func applyOptions(opts []Option) dbOptions {
 	if !o.metricsSet {
 		o.metrics = obs.NewRegistry()
 	}
-	if o.traceSample > 0 && o.flight == nil {
-		// Sampling without an explicit recorder still retains traces: a
-		// default-depth flight backs the DB's Flight() accessor.
-		o.flight = obs.NewFlight(0)
-	}
 	return o
 }
 
@@ -89,82 +79,88 @@ func applyOptions(opts []Option) dbOptions {
 // comment).
 //
 // Local is safe for concurrent use by any number of goroutines: engine
-// threads are not, so Local multiplexes callers over an internal session
-// pool of at most maxSessions threads — excess callers queue for a free
-// session. The bound is what keeps a concurrency burst from registering
-// more engine threads than the System's MaxThreads allows (thread
-// registrations are permanent).
+// threads are not, so Local multiplexes callers over the core's bounded
+// session pool, one engine thread per session.
 type Local struct {
-	eng   rhtm.Engine
-	st    Storer
-	clock Clock
+	core[*localSession]
 
-	reg *obs.Registry
-	met kvMetrics
-	trc atomic.Pointer[tracerBox]
-
-	// sampler/flight are the DB-level tracing hooks (WithTraceSampling,
-	// WithFlight): a sampled Update or Batch opens its own trace. The
-	// network server bypasses them and passes its traces down through
-	// UpdateRevTraced/BatchTraced instead.
-	sampler *obs.Sampler
-	flight  *obs.Flight
-	traceID atomic.Uint64
-
-	leaseSeq atomic.Uint64
-	hub      *watchHub
+	eng rhtm.Engine
+	st  Storer
 
 	// wal, when non-nil, is the durability hook: committed transactions'
 	// captured redo operations are published to the group-commit writer
 	// before the operation returns (see OpenLocal and wal.go).
 	wal *localWAL
-
-	// sessions holds maxSessions slots, pre-filled with nil placeholders;
-	// a nil slot lazily becomes a registered engine thread on first use.
-	sessions chan rhtm.Thread
 }
-
-// maxSessions bounds the engine threads (cluster: clients) a DB registers;
-// it is well under the engines' default 64-thread limit so direct engine
-// users can coexist with a DB on the same System.
-const maxSessions = 32
 
 // NewLocal builds a DB over an engine and a store on the same System. Call
 // during single-threaded setup.
 func NewLocal(eng rhtm.Engine, st Storer, opts ...Option) *Local {
-	o := applyOptions(opts)
-	db := &Local{eng: eng, st: st, clock: o.clock, sessions: make(chan rhtm.Thread, maxSessions)}
-	for i := 0; i < maxSessions; i++ {
-		db.sessions <- nil
-	}
-	db.hub = newWatchHub(func() []logSource {
-		// One dedicated thread serves every ring: they share the System.
-		th := eng.NewThread()
-		var sources []logSource
-		for _, l := range st.EventLogs() {
-			sources = append(sources, logSource{log: l, run: th.Atomic})
-		}
-		return sources
-	})
-	db.reg = o.metrics
-	db.met = newKVMetrics(db.reg)
-	db.hub.lost = db.met.watchLost
-	registerWatchDepth(db.reg, db.hub)
-	db.trc.Store(&tracerBox{o.tracer})
-	db.sampler = obs.NewSampler(o.traceSample)
-	db.flight = o.flight
+	db := &Local{eng: eng, st: st}
+	db.init(applyOptions(opts), db,
+		func() *localSession {
+			return &localSession{db: db, th: eng.NewThread(), lt: localTxn{st: st}}
+		},
+		func() []logSource {
+			// One dedicated thread serves every ring: they share the System.
+			th := eng.NewThread()
+			var sources []logSource
+			for _, l := range st.EventLogs() {
+				sources = append(sources, logSource{log: l, run: th.Atomic})
+			}
+			return sources
+		})
 	return db
 }
 
-// SetTracer installs (or, with nil, removes) the per-transaction tracer:
-// every Update/Batch attempt from then on emits one obs.Span, committed
-// or not. Safe to call while transactions run; attempts in flight may
-// still report to the previous tracer.
-func (db *Local) SetTracer(t obs.Tracer) { db.trc.Store(&tracerBox{t}) }
+// localSession is one pooled engine thread with the transaction adapter
+// (and its redo capture) it reuses across attempts.
+type localSession struct {
+	db   *Local
+	th   rhtm.Thread
+	lt   localTxn
+	sink obs.StageRecorder
+}
 
-func (db *Local) tracer() obs.Tracer { return db.trc.Load().t }
+func (s *localSession) bind(sink obs.StageRecorder) { s.sink = sink }
 
-func (db *Local) metrics() *kvMetrics { return &db.met }
+func (s *localSession) engineName() string { return s.db.eng.Name() }
+
+// attempt implements session. The engine retries its own conflicts inside
+// Atomic. With a WAL attached, the closure's writes are captured per
+// execution (a fresh capture every re-execution, so aborted executions log
+// nothing) for publish to log after the engine commit.
+func (s *localSession) attempt(fn func(tx Txn) error) (Revision, error) {
+	err := s.th.Atomic(func(tx rhtm.Tx) error {
+		// The body re-executes on engine aborts: reset the capture
+		// state so only the committed execution's writes survive.
+		s.lt.tx = tx
+		s.lt.maxRev = 0
+		s.lt.capture = s.db.wal != nil
+		s.lt.recs = s.lt.recs[:0]
+		return fn(&s.lt)
+	})
+	return s.lt.maxRev, err
+}
+
+// publish implements session: the committed attempt's captured operations
+// go to the group-commit writer. wal_sync is only a stage when there is a
+// durable wait to time: read-only closures and volatile DBs skip the stamp
+// entirely.
+func (s *localSession) publish() error {
+	if s.db.wal == nil || len(s.lt.recs) == 0 {
+		return nil
+	}
+	var syncStart time.Time
+	if s.sink != nil {
+		syncStart = time.Now()
+	}
+	err := s.db.wal.w.Commit(s.db.wal.seq.Add(1), 0, s.lt.recs)
+	if s.sink != nil {
+		s.sink.Stage(obs.StageWALSync, time.Since(syncStart))
+	}
+	return err
+}
 
 // Metrics implements DB: the registry's host-side instruments plus the
 // engine's live commit/abort taxonomy and the store's occupancy counters
@@ -172,129 +168,17 @@ func (db *Local) metrics() *kvMetrics { return &db.met }
 func (db *Local) Metrics() obs.Snapshot {
 	snap := db.reg.Snapshot()
 	mergeEngineStats(&snap, db.eng.Live())
-	th := db.getThread()
+	s := db.claim(nil)
 	var ss store.Stats
-	err := th.Atomic(func(tx rhtm.Tx) error {
+	err := s.th.Atomic(func(tx rhtm.Tx) error {
 		ss = db.st.Stats(tx)
 		return nil
 	})
-	db.putThread(th)
+	db.release(s)
 	if err == nil {
 		mergeStoreStats(&snap, ss)
 	}
 	return snap
-}
-
-// getThread claims a session, registering its engine thread on first use;
-// it blocks while all maxSessions sessions are in flight.
-func (db *Local) getThread() rhtm.Thread {
-	th := <-db.sessions
-	if th == nil {
-		th = db.eng.NewThread()
-	}
-	return th
-}
-
-func (db *Local) putThread(th rhtm.Thread) {
-	db.sessions <- th
-}
-
-// Update implements DB. The engine retries its own conflicts inside
-// Atomic, so the explicit loop here only serves closures that request a
-// retry by returning ErrConflict. With a WAL attached, the closure's
-// writes are captured per attempt (a fresh capture every re-execution, so
-// aborted attempts log nothing) and published after the engine commit.
-func (db *Local) Update(fn func(tx Txn) error) error {
-	_, err := db.UpdateRev(fn)
-	return err
-}
-
-// UpdateRev is Update paired with the highest revision the committed
-// closure's writes were stamped with — 0 for a read-only closure. Front
-// ends (the network server) use it to report the commit revision over the
-// wire without a second transaction.
-func (db *Local) UpdateRev(fn func(tx Txn) error) (Revision, error) {
-	if db.sampler.Sample() {
-		t := db.flight.NewTrace(db.traceID.Add(1), "update")
-		rev, err := db.updateRevT(t, fn)
-		t.Finish(err)
-		return rev, err
-	}
-	return db.updateRevT(nil, fn)
-}
-
-// updateRevT is the UpdateRev core. sink, when non-nil, receives the
-// request's trace events: one engine stage spanning every closure attempt
-// (retries and backoff included), one span per attempt, the WAL
-// group-commit wait, and the commit revision. A nil sink pays one
-// predicted branch per site — no stamps, no allocations.
-func (db *Local) updateRevT(sink obs.TraceSink, fn func(tx Txn) error) (Revision, error) {
-	th := db.getThread()
-	defer db.putThread(th)
-	trc := db.tracer()
-	var ops []wal.Op
-	lt := &localTxn{st: db.st}
-	var engStart time.Time
-	if sink != nil {
-		engStart = time.Now()
-	}
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		var start time.Time
-		if trc != nil || sink != nil {
-			start = time.Now()
-		}
-		err := th.Atomic(func(tx rhtm.Tx) error {
-			// The body re-executes on engine aborts: reset the capture
-			// state so only the committed attempt's writes survive.
-			lt.tx = tx
-			lt.maxRev = 0
-			if db.wal != nil {
-				ops = ops[:0]
-				lt.recs = &ops
-			}
-			return fn(lt)
-		})
-		if trc != nil || sink != nil {
-			sp := attemptSpan(db.eng.Name(), attempt, err,
-				lt.maxRev, time.Since(start), db.clock.Now())
-			if trc != nil {
-				trc.TxnAttempt(sp)
-			}
-			if sink != nil {
-				sink.Attempt(sp)
-			}
-		}
-		if errors.Is(err, ErrConflict) {
-			backoff(attempt)
-			continue
-		}
-		if sink != nil {
-			sink.Stage(obs.StageEngine, time.Since(engStart))
-		}
-		if err != nil {
-			return 0, err
-		}
-		// wal_sync is only a stage when there is a durable wait to time:
-		// read-only closures and volatile DBs skip the stamp entirely.
-		var syncStart time.Time
-		traceSync := sink != nil && db.wal != nil && len(ops) > 0
-		if traceSync {
-			syncStart = time.Now()
-		}
-		werr := db.walCommit(ops)
-		if traceSync {
-			sink.Stage(obs.StageWALSync, time.Since(syncStart))
-		}
-		if werr != nil {
-			return 0, werr
-		}
-		if sink != nil {
-			sink.SetCommitRev(lt.maxRev)
-		}
-		db.hub.wake()
-		return lt.maxRev, nil
-	}
-	return 0, errRetriesExhausted()
 }
 
 // Get implements DB.
@@ -302,11 +186,11 @@ func (db *Local) Get(key []byte) ([]byte, error) {
 	if reservedKey(key) {
 		return nil, ErrReservedKey
 	}
-	th := db.getThread()
-	defer db.putThread(th)
+	s := db.claim(nil)
+	defer db.release(s)
 	var val []byte
 	var ok bool
-	if err := th.Atomic(func(tx rhtm.Tx) error {
+	if err := s.th.Atomic(func(tx rhtm.Tx) error {
 		val, ok = db.st.Get(tx, key)
 		return nil
 	}); err != nil {
@@ -318,13 +202,9 @@ func (db *Local) Get(key []byte) ([]byte, error) {
 	return val, nil
 }
 
-// GetRev implements DB.
-func (db *Local) GetRev(key []byte) ([]byte, Revision, error) {
-	return getRev(db, key)
-}
-
 // Put implements DB. Lease-attached puts run as closure transactions (the
-// lease record rides along); plain puts take the direct path.
+// lease record rides along); plain puts take the direct path: one attempt,
+// no retry loop, no span.
 func (db *Local) Put(key, value []byte, opts ...PutOption) error {
 	if reservedKey(key) {
 		return ErrReservedKey
@@ -334,154 +214,55 @@ func (db *Local) Put(key, value []byte, opts ...PutOption) error {
 			return tx.Put(key, value, opts...)
 		})
 	}
-	th := db.getThread()
-	defer db.putThread(th)
-	var rev uint64
-	err := th.Atomic(func(tx rhtm.Tx) error {
-		var err error
-		rev, err = db.st.PutStamped(tx, key, value, 0)
-		return err
-	})
-	if err == nil {
-		if db.wal != nil {
-			if werr := db.walCommit([]wal.Op{{
-				Part: db.st.PartitionOf(key), Kind: wal.OpPut,
-				Key: copyBytes(key), Value: copyBytes(value), Rev: rev,
-			}}); werr != nil {
-				return werr
-			}
-		}
-		db.hub.wake()
-	}
-	return err
-}
-
-// PutIf implements DB.
-func (db *Local) PutIf(key, value []byte, rev Revision, opts ...PutOption) error {
-	return putIf(db, key, value, rev, opts)
-}
-
-// Delete implements DB.
-func (db *Local) Delete(key []byte) error {
-	if reservedKey(key) {
-		return ErrReservedKey
-	}
-	th := db.getThread()
-	defer db.putThread(th)
-	var ok bool
-	var rev uint64
-	if err := th.Atomic(func(tx rhtm.Tx) error {
-		rev, ok = db.st.DeleteStamped(tx, key)
-		return nil
-	}); err != nil {
+	s := db.claim(nil)
+	defer db.release(s)
+	if _, err := s.attempt(func(Txn) error { return s.lt.putRaw(key, value, 0) }); err != nil {
 		return err
 	}
-	if !ok {
-		return ErrNotFound
-	}
-	if db.wal != nil {
-		if err := db.walCommit([]wal.Op{{
-			Part: db.st.PartitionOf(key), Kind: wal.OpDelete,
-			Key: copyBytes(key), Rev: rev,
-		}}); err != nil {
-			return err
-		}
+	if err := s.publish(); err != nil {
+		return err
 	}
 	db.hub.wake()
 	return nil
 }
 
-// DeleteIf implements DB.
-func (db *Local) DeleteIf(key []byte, rev Revision) error {
-	return deleteIf(db, key, rev)
-}
-
-// Batch implements DB: one engine transaction executes every op in order.
-func (db *Local) Batch(ops []Op) ([]OpResult, error) {
-	if db.sampler.Sample() {
-		t := db.flight.NewTrace(db.traceID.Add(1), "batch")
-		res, err := db.BatchTraced(t, ops)
-		t.Finish(err)
-		return res, err
+// Delete implements DB, on the same direct path as Put.
+func (db *Local) Delete(key []byte) error {
+	if reservedKey(key) {
+		return ErrReservedKey
 	}
-	return db.BatchTraced(nil, ops)
-}
-
-// Scan implements DB: the prefix is collected inside one engine
-// transaction, so it is a committed snapshot by construction. Reserved
-// system keys are outside the user keyspace and never yielded.
-func (db *Local) Scan(start, end []byte, limit int) Iterator {
-	start, end, empty := clampUserRange(start, end)
-	if empty {
-		return emptyIter()
+	s := db.claim(nil)
+	defer db.release(s)
+	var found bool
+	if _, err := s.attempt(func(Txn) error {
+		// ErrNotFound is deleteRaw's only failure; deleting an absent key
+		// still commits (read-only) and is reported afterwards.
+		found = s.lt.deleteRaw(key) == nil
+		return nil
+	}); err != nil {
+		return err
 	}
-	entries, err := db.rawScan(start, end, limit)
-	if err != nil {
-		return errIter(err)
+	if !found {
+		return ErrNotFound
 	}
-	return &entriesIter{entries: entries}
-}
-
-// rawScan implements backend: an unclamped snapshot scan.
-func (db *Local) rawScan(start, end []byte, limit int) ([]Entry, error) {
-	var entries []Entry
-	err := db.Update(func(tx Txn) error {
-		entries = entries[:0]
-		it := tx.(*localTxn).scanRaw(start, end, limit)
-		for it.Next() {
-			entries = append(entries, Entry{Key: it.Key(), Value: it.Value()})
-		}
-		return it.Err()
-	})
-	if err != nil {
-		return nil, err
+	if err := s.publish(); err != nil {
+		return err
 	}
-	return entries, nil
+	db.hub.wake()
+	return nil
 }
 
-// Grant implements DB.
-func (db *Local) Grant(ttl uint64) (LeaseID, error) {
-	return grant(db, &db.leaseSeq, ttl)
-}
-
-// KeepAlive implements DB.
-func (db *Local) KeepAlive(id LeaseID) error { return keepAlive(db, id) }
-
-// Revoke implements DB.
-func (db *Local) Revoke(id LeaseID) error { return revoke(db, id) }
-
-// ExpireLeases implements DB.
-func (db *Local) ExpireLeases() (int, error) { return expireLeases(db) }
-
-// Clock implements DB.
-func (db *Local) Clock() Clock { return db.clock }
-
-// Watch implements DB.
-func (db *Local) Watch(ctx context.Context, prefix []byte, fromRev Revision) (<-chan Event, error) {
-	return db.hub.watch(ctx, prefix, fromRev)
-}
-
-// errRetriesExhausted builds the ErrConflict-wrapping failure Update
-// returns after maxAttempts.
-func errRetriesExhausted() error {
-	return &retriesError{}
-}
-
-type retriesError struct{}
-
-func (*retriesError) Error() string { return "kv: update exhausted retries: " + ErrConflict.Error() }
-func (*retriesError) Unwrap() error { return ErrConflict }
-
-// localTxn adapts one live engine transaction to the Txn interface. recs,
-// when non-nil, captures the attempt's writes (with the revisions the
-// store stamped) for WAL publication after the engine commit; the capture
-// is reset by the Update loop on every re-execution, so only the committed
-// attempt's operations are ever logged.
+// localTxn adapts one live engine transaction to the Txn interface. With
+// capture set, recs collects the attempt's writes (with the revisions the
+// store stamped) for WAL publication after the engine commit; the session
+// resets it on every re-execution, so only the committed attempt's
+// operations are ever logged.
 type localTxn struct {
-	tx     rhtm.Tx
-	st     Storer
-	recs   *[]wal.Op
-	maxRev uint64 // highest revision this attempt's writes were stamped with
+	tx      rhtm.Tx
+	st      Storer
+	capture bool
+	recs    []wal.Op
+	maxRev  uint64 // highest revision this attempt's writes were stamped with
 }
 
 // Get implements Txn.
@@ -544,8 +325,8 @@ func (t *localTxn) putRaw(key, value []byte, lease LeaseID) error {
 	if rev > t.maxRev {
 		t.maxRev = rev
 	}
-	if t.recs != nil {
-		*t.recs = append(*t.recs, wal.Op{
+	if t.capture {
+		t.recs = append(t.recs, wal.Op{
 			Part: t.st.PartitionOf(key), Kind: wal.OpPut,
 			Key: copyBytes(key), Value: copyBytes(value), Rev: rev, Lease: lease,
 		})
@@ -561,8 +342,8 @@ func (t *localTxn) deleteRaw(key []byte) error {
 	if rev > t.maxRev {
 		t.maxRev = rev
 	}
-	if t.recs != nil {
-		*t.recs = append(*t.recs, wal.Op{
+	if t.capture {
+		t.recs = append(t.recs, wal.Op{
 			Part: t.st.PartitionOf(key), Kind: wal.OpDelete,
 			Key: copyBytes(key), Rev: rev,
 		})
@@ -646,9 +427,3 @@ func (it *localIter) fill() {
 func (it *localIter) Key() []byte   { return it.cur.Key }
 func (it *localIter) Value() []byte { return it.cur.Value }
 func (it *localIter) Err() error    { return nil }
-
-// WaitWatchIdle blocks until the watch hub's poller has stopped; call it
-// after cancelling every Watch before taking engine snapshots or running
-// raw-memory validation (the hub's dedicated engine thread is then
-// guaranteed outside Atomic).
-func (db *Local) WaitWatchIdle() { db.hub.waitIdle() }

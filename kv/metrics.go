@@ -31,12 +31,6 @@ func WithMetrics(reg *obs.Registry) Option {
 	return func(o *dbOptions) { o.metrics, o.metricsSet = reg, true }
 }
 
-// WithTracer installs a per-transaction tracer at construction; see
-// SetTracer for the contract.
-func WithTracer(t obs.Tracer) Option {
-	return func(o *dbOptions) { o.tracer = t }
-}
-
 // kvMetrics holds the kv layer's pre-resolved instruments. Resolving at
 // construction (rather than by name at use) is what keeps the hot path
 // allocation-free; a nil registry yields nil instruments throughout and

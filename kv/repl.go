@@ -87,12 +87,12 @@ func (db *Local) followerRead(key []byte, floor Revision) ([]byte, Revision, Rev
 	if reservedKey(key) {
 		return nil, 0, 0, ErrReservedKey
 	}
-	th := db.getThread()
-	defer db.putThread(th)
+	s := db.claim(nil)
+	defer db.release(s)
 	var val []byte
 	var rev, wm uint64
 	var ok bool
-	if err := th.Atomic(func(tx rhtm.Tx) error {
+	if err := s.th.Atomic(func(tx rhtm.Tx) error {
 		val, rev, _, ok = db.st.Read(tx, key)
 		wm = db.st.EventLogs()[db.st.PartitionOf(key)].Rev(tx)
 		return nil
@@ -221,11 +221,11 @@ func (db *Local) Promote(dev wal.Device, s PromoteState) error {
 	if db.wal != nil {
 		return fmt.Errorf("kv: promote: DB already owns a log")
 	}
-	th := db.getThread()
-	defer db.putThread(th)
+	ses := db.claim(nil)
+	defer db.release(ses)
 	startRevs := map[int]uint64{}
 	var maxLease uint64
-	if err := th.Atomic(func(tx rhtm.Tx) error {
+	if err := ses.th.Atomic(func(tx rhtm.Tx) error {
 		// The body re-executes on engine aborts: rebuild from scratch.
 		maxLease = 0
 		for i, l := range db.st.EventLogs() {

@@ -1,9 +1,5 @@
 package kv
 
-import (
-	"rhtm/obs"
-)
-
 // Request tracing for the kv layer. A DB built WithTraceSampling(n) opens
 // one obs.Trace for every n-th Update or Batch: the trace collects the
 // typed stages of DESIGN.md §14 — engine (all closure attempts, with one
@@ -23,58 +19,4 @@ import (
 // obs.Sampler). n <= 0 — the default — disables sampling entirely.
 func WithTraceSampling(n int) Option {
 	return func(o *dbOptions) { o.traceSample = n }
-}
-
-// WithFlight injects the flight recorder sampled traces are retained in.
-// The default — option absent with sampling enabled — is a fresh
-// obs.NewFlight(0); without sampling there is no recorder at all.
-func WithFlight(f *obs.Flight) Option {
-	return func(o *dbOptions) { o.flight = f }
-}
-
-// Flight returns the DB's flight recorder (nil when tracing is disabled).
-func (db *Local) Flight() *obs.Flight { return db.flight }
-
-// Flight returns the DB's flight recorder (nil when tracing is disabled).
-func (db *ClusterDB) Flight() *obs.Flight { return db.flight }
-
-// UpdateRevTraced is UpdateRev reporting through sink instead of the DB's
-// own sampler (nil: exactly UpdateRev, minus the DB-level sampling). The
-// caller owns the trace's lifecycle — typically the server's dispatch
-// path, which opens the trace from the wire frame and finishes it when
-// the response is written.
-func (db *Local) UpdateRevTraced(sink obs.TraceSink, fn func(tx Txn) error) (Revision, error) {
-	return db.updateRevT(sink, fn)
-}
-
-// UpdateRevTraced is UpdateRev reporting through sink; see
-// Local.UpdateRevTraced.
-func (db *ClusterDB) UpdateRevTraced(sink obs.TraceSink, fn func(tx Txn) error) (Revision, error) {
-	return db.updateRevT(sink, fn)
-}
-
-// BatchTraced is Batch reporting through sink (nil: exactly Batch, minus
-// the DB-level sampling); one engine transaction executes every op, so
-// the batch's stages are the transaction's.
-func (db *Local) BatchTraced(sink obs.TraceSink, ops []Op) ([]OpResult, error) {
-	results := make([]OpResult, len(ops))
-	if _, err := db.updateRevT(sink, batchBody(ops, results)); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// batchBody is batchViaUpdate's closure, split out so the traced batch
-// paths can run it under an explicit sink.
-func batchBody(ops []Op, results []OpResult) func(tx Txn) error {
-	return func(tx Txn) error {
-		for i, op := range ops {
-			r, err := execOp(tx, op)
-			if err != nil {
-				return err
-			}
-			results[i] = r
-		}
-		return nil
-	}
 }

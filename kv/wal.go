@@ -58,14 +58,6 @@ func copyBytes(b []byte) []byte {
 	return append([]byte(nil), b...)
 }
 
-// walCommit publishes one committed transaction's captured operations.
-func (db *Local) walCommit(ops []wal.Op) error {
-	if db.wal == nil || len(ops) == 0 {
-		return nil
-	}
-	return db.wal.w.Commit(db.wal.seq.Add(1), 0, ops)
-}
-
 // OpenLocal is NewLocal over a durable device: it recovers st from the
 // device's committed prefix, then returns a DB that logs every committed
 // transaction to it. The store must be freshly constructed (empty) or
@@ -103,14 +95,14 @@ func (db *Local) Checkpoint() error {
 	if db.wal == nil {
 		return ErrNoWAL
 	}
-	// The session thread is claimed before the writer freezes so a full
-	// pool of committers blocked in walCommit cannot deadlock against the
+	// The session is claimed before the writer freezes so a full pool of
+	// committers blocked in publish cannot deadlock against the
 	// checkpoint's own need for a thread.
-	th := db.getThread()
-	defer db.putThread(th)
+	s := db.claim(nil)
+	defer db.release(s)
 	return db.wal.w.Checkpoint(func() ([]wal.Op, error) {
 		var ops []wal.Op
-		err := th.Atomic(func(tx rhtm.Tx) error {
+		err := s.th.Atomic(func(tx rhtm.Tx) error {
 			ops = ops[:0] // the body re-executes on engine aborts
 			db.st.ScanMeta(tx, func(k, v []byte, rev, lease uint64) bool {
 				ops = append(ops, wal.Op{
@@ -352,7 +344,7 @@ func (db *ClusterDB) Checkpoint() error {
 	if db.c.WAL() == nil {
 		return ErrNoWAL
 	}
-	cl := db.getClient()
-	defer db.putClient(cl)
-	return cl.CheckpointWAL()
+	s := db.claim(nil)
+	defer db.release(s)
+	return s.cl.CheckpointWAL()
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"io"
 	"time"
 
 	"rhtm/obs"
@@ -39,14 +38,6 @@ func (s *Server) health() wire.Health {
 		h.Replicas = s.opts.replicas()
 	}
 	return h
-}
-
-// writeFlightDump JSON-encodes the recorder's dump to w (Close's
-// post-mortem path).
-func writeFlightDump(w io.Writer, f *obs.Flight) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(f.Dump())
 }
 
 // handleAdmin serves the three admin kinds; m is known to be one of them.

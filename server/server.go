@@ -21,7 +21,6 @@ package server
 
 import (
 	"errors"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -36,7 +35,8 @@ import (
 // a server that was already shut down.
 var ErrServerClosed = errors.New("server: closed")
 
-// Defaults for the tunables; see the corresponding options.
+// The tunables: the batch window and the write timeout are defaults an
+// option overrides, the batch cap and the drain bound are fixed.
 const (
 	// DefaultBatchWindow is how long the batcher waits for stragglers
 	// after the first op of a batch arrives. Small on purpose: the window
@@ -67,13 +67,8 @@ type options struct {
 	reg          *obs.Registry
 	engine       string
 	batchWindow  time.Duration
-	batchMax     int
-	drain        time.Duration
 	writeTimeout time.Duration
-	maxInflight  int
-	flight       *obs.Flight
 	replicas     func() []wire.ReplicaHealth
-	closeDump    io.Writer
 }
 
 // WithMetrics registers the server's instruments (server.* names; see
@@ -98,21 +93,6 @@ func WithBatchWindow(d time.Duration) Option {
 	return func(o *options) { o.batchWindow = d }
 }
 
-// WithBatchMax caps the ops merged into one kv.DB.Batch.
-func WithBatchMax(n int) Option {
-	return func(o *options) {
-		if n > 0 {
-			o.batchMax = n
-		}
-	}
-}
-
-// WithDrainTimeout bounds how long Close waits for in-flight responses to
-// drain before cutting connections.
-func WithDrainTimeout(d time.Duration) Option {
-	return func(o *options) { o.drain = d }
-}
-
 // WithWriteTimeout sets the rolling deadline each outbound frame write
 // gets before the connection is declared stalled and degrades to
 // discarding responses.
@@ -124,30 +104,11 @@ func WithWriteTimeout(d time.Duration) Option {
 	}
 }
 
-// WithFlight injects the flight recorder traced requests are retained in.
-// Wire the same Flight into repl.Group.SetFlight and traces gain their
-// replica_apply stage. The default is a fresh recorder of default depth —
-// KindTraceDump always has something to serve.
-func WithFlight(f *obs.Flight) Option {
-	return func(o *options) {
-		if f != nil {
-			o.flight = f
-		}
-	}
-}
-
 // WithReplicaStatus injects the per-replica watermark source KindHealth
 // reports (typically a thin adapter over repl.Group.Status). Nil — the
 // default — reports no replicas.
 func WithReplicaStatus(fn func() []wire.ReplicaHealth) Option {
 	return func(o *options) { o.replicas = fn }
-}
-
-// WithCloseDump makes Close write the flight recorder's final dump,
-// JSON-encoded, to w — the post-mortem slow-op log for a server that is
-// going away along with its in-memory traces.
-func WithCloseDump(w io.Writer) Option {
-	return func(o *options) { o.closeDump = w }
 }
 
 // Server serves one kv.DB to many connections.
@@ -177,26 +138,22 @@ func New(db kv.DB, opts ...Option) *Server {
 	o := options{
 		engine:       "net",
 		batchWindow:  DefaultBatchWindow,
-		batchMax:     DefaultBatchMax,
-		drain:        DefaultDrainTimeout,
 		writeTimeout: DefaultWriteTimeout,
-		maxInflight:  defaultMaxInflight,
 	}
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.flight == nil {
-		o.flight = obs.NewFlight(0)
-	}
 	s := &Server{
-		db:     db,
-		opts:   o,
-		met:    newServerMetrics(o.reg),
-		flight: o.flight,
+		db:   db,
+		opts: o,
+		met:  newServerMetrics(o.reg),
+		// A recorder of default depth: KindTraceDump always has something
+		// to serve.
+		flight: obs.NewFlight(0),
 		start:  time.Now(),
 		conns:  make(map[*conn]struct{}),
 	}
-	s.batch = newBatcher(db, o.batchWindow, o.batchMax, &s.met)
+	s.batch = newBatcher(db, o.batchWindow, DefaultBatchMax, &s.met)
 	return s
 }
 
@@ -277,13 +234,6 @@ func (s *Server) Close() error {
 	s.connWG.Wait()
 	s.batch.close()
 	s.wg.Wait()
-	if s.opts.closeDump != nil {
-		// The final flight-recorder dump: every in-flight request has
-		// drained, so this is the complete slow-op log of the run.
-		if err := writeFlightDump(s.opts.closeDump, s.flight); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

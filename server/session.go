@@ -77,7 +77,7 @@ func newConn(s *Server, nc net.Conn) *conn {
 		out:        make(chan wire.Msg, 256),
 		writerDone: make(chan struct{}),
 		flush:      make(chan struct{}, 1),
-		sem:        make(chan struct{}, s.opts.maxInflight),
+		sem:        make(chan struct{}, defaultMaxInflight),
 		ctx:        ctx,
 		cancel:     cancel,
 		watches:    make(map[uint64]*watchReg),
@@ -121,7 +121,7 @@ func (c *conn) readLoop() {
 // close the queue so the writer flushes and exits.
 func (c *conn) teardown() {
 	c.cancel()
-	hard := time.Now().Add(c.srv.opts.drain)
+	hard := time.Now().Add(DefaultDrainTimeout)
 	c.hardWriteDeadline.Store(hard.UnixNano())
 	c.cc.SetWriteDeadline(hard)
 	c.pending.Wait()
@@ -326,12 +326,8 @@ func (c *conn) sendT(tr *obs.Trace, err error, m wire.Msg) {
 	c.send(m)
 }
 
-// reply sends OK carrying rev, or the mapped error.
-func (c *conn) reply(id, rev uint64, err error) {
-	c.replyT(nil, id, rev, err)
-}
-
-// replyT is reply with trace finishing (see sendT).
+// replyT sends OK carrying rev, or the mapped error, finishing the trace
+// (see sendT).
 func (c *conn) replyT(tr *obs.Trace, id, rev uint64, err error) {
 	if err != nil {
 		c.sendT(tr, err, errMsg(id, err))
