@@ -37,24 +37,23 @@
 //	              scan — quantifying what the secondary index buys
 //	batch         YCSB-A with single-key ops grouped into kv.DB.Batch
 //	              transactions, swept over -batchsizes (amortization experiment)
-//	cluster-ycsb-a/b/c/d/e/f
-//	              share-nothing multi-System cluster running the YCSB mix,
-//	              swept over -systems × -cross (cross-System txn fraction)
-//	cluster-bank  cluster bank transfers with the conserved-total invariant
+//	bank          two-account transfers; the run fails unless the total
+//	              balance is conserved
+//	cluster-<mix> any of the mixes above (ycsb-a..f, bank, session-cache,
+//	              lock-service, ...) on the share-nothing multi-System
+//	              cluster, swept over -systems × -cross (cross-System txn
+//	              fraction); lease records route like data keys, so the
+//	              coordination mixes' revokes ride 2PC
 //	session-cache lease-TTL'd session cache: zipfian gets, miss = login
 //	              (lease grant + leased put), virtual-time expiry churn
 //	lock-service  lease-based mutual exclusion: create-only CAS acquires,
 //	              guarded releases, crash-expiry reclaims, an exact
 //	              virtual-time mutual-exclusion audit, and a watch stream
 //	              counting the release/expiry deletes
-//	cluster-session-cache, cluster-lock-service
-//	              the same scenarios on the share-nothing cluster (lease
-//	              records route like data keys, so revokes ride 2PC)
 //	recovery      write-ahead-log recovery: log size vs cold-open replay
 //	              time, with and without a midpoint checkpoint
-//	net-ycsb-a/b/c/d/e/f
-//	              the YCSB mix served over loopback TCP through the
-//	              network client, swept over -conns connection-pool sizes
+//	net-<mix>     any mix served over loopback TCP through the network
+//	              client, swept over -conns connection-pool sizes
 //	              (-pipeline toggles many-in-flight vs closed loop)
 //	repl          YCSB-B (95%% reads) with -replicas WAL-shipping followers
 //	              serving the reads at a revision watermark (-staleness
@@ -82,8 +81,8 @@
 //
 // -wal attaches a write-ahead log (in-memory simulated device) to any KV
 // experiment: every committed transaction is group-committed to the log
-// before the operation returns, and the run notes report the log counters
-// (transactions per sync is the group-commit amortization). -syncevery N
+// before the operation returns, and the run's counters carry the log's
+// (wal.txns per wal.syncs is the group-commit amortization). -syncevery N
 // relaxes the barrier to every N transactions. The recovery experiment
 // measures the other half: cold-open replay time against log size.
 //
@@ -108,17 +107,17 @@
 //
 // -json FILE appends one machine-readable JSON line per measured point
 // (engine, workload, threads, ops, ops/kacc, ops/kinterval, abort ratio,
-// notes) to FILE — the format of the BENCH_*.json trajectory files; "-"
-// writes to stdout. CI's bench-smoke step archives one as an artifact.
-// -metrics additionally embeds each run's structured counter map (the
-// flattened obs snapshot: engine.*, store.*, wal.*, cluster.*, plus the
-// workload's harness.* counters) in every JSON row.
+// and the run's structured counter map — the flattened obs snapshot:
+// engine.*, store.*, wal.*, cluster.*, plus the workload's harness.*
+// counters) to FILE — the format of the BENCH_*.json trajectory files; "-"
+// writes to stdout. CI's bench-smoke step archives one as an artifact. The
+// terminal output prints a digest of the same counters under each series.
 //
 // -trace-sample N traces every N-th Update/Batch end to end (DESIGN.md
 // §14): the flight recorder's per-stage latency quantiles (engine,
 // wal_sync, the 2PC phases, replica apply — and on -net runs the client's
 // net stage) join the counter map under trace.* / client.trace.*, so a
-// -json -metrics row carries the full stage breakdown per point.
+// -json row carries the full stage breakdown per point.
 //
 // The default scale matches the paper (100K-node tree, threads 1..20,
 // 1s per point), which takes a while on a small machine; use -quick for a
@@ -172,11 +171,11 @@ func main() {
 		staleF  = flag.Int("staleness", 0, "bounded-staleness floor for follower reads in the repl experiment (0 = any staleness)")
 		traceN  = flag.Int("trace-sample", 0, "trace every N-th Update/Batch end to end (0 = off); stage quantiles land in the -json counters as trace.*")
 		jsonOut = flag.String("json", "", "append machine-readable JSON result lines to this file (\"-\" = stdout)")
-		metrics = flag.Bool("metrics", false, "embed each run's structured counters (flattened obs snapshot) in the -json rows")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: rhbench [flags] <fig1|fig2a|fig2b|fig2c|tab1|tab2|fig3a|fig3b|fig3c|ext-clock|ext-capacity|ext-hybrids|ycsb-a..f|ycsb-e-index|table-query|index-lookup|batch|session-cache|lock-service|recovery|cluster-ycsb-a..f|cluster-bank|cluster-session-cache|cluster-lock-service|net-ycsb-a..f|repl|all>")
+		fmt.Fprintf(os.Stderr, "usage: rhbench [flags] <fig1|fig2a|fig2b|fig2c|tab1|tab2|fig3a|fig3b|fig3c|ext-clock|ext-capacity|ext-hybrids|%s|cluster-<mix>|net-<mix>|index-lookup|batch|recovery|repl|all>\n",
+			strings.Join(harness.MixStems(), "|"))
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
@@ -192,45 +191,16 @@ func main() {
 		sc.Duration = 0
 		sc.OpsPerThread = *ops
 	}
-	var err error
-	sc.Threads, err = parseThreads(*threads)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if *dist != harness.DistUniform && *dist != harness.DistZipfian {
-		fmt.Fprintf(os.Stderr, "rhbench: -dist must be %s or %s, got %q\n",
-			harness.DistUniform, harness.DistZipfian, *dist)
-		os.Exit(2)
-	}
-	if *theta <= 0 || *theta >= 1 {
-		fmt.Fprintf(os.Stderr, "rhbench: -theta must be in (0,1), got %g\n", *theta)
-		os.Exit(2)
-	}
-	if *records <= 0 || *vbytes <= 0 || *shards <= 0 {
-		fmt.Fprintln(os.Stderr, "rhbench: -records, -vbytes and -shards must be positive")
-		os.Exit(2)
-	}
-	if *scanMax <= 0 {
-		fmt.Fprintln(os.Stderr, "rhbench: -scanmax must be positive")
-		os.Exit(2)
-	}
-	if *tablesF <= 0 || *idxSel <= 0 {
-		fmt.Fprintln(os.Stderr, "rhbench: -tables and -idxsel must be positive")
-		os.Exit(2)
-	}
-	if *ttl <= 0 || *pump <= 0 {
-		fmt.Fprintln(os.Stderr, "rhbench: -ttl and -pumpevery must be positive")
-		os.Exit(2)
-	}
-	if *syncEv > 1 && !*useWAL {
-		fmt.Fprintln(os.Stderr, "rhbench: -syncevery needs -wal")
-		os.Exit(2)
-	}
-	if *traceN < 0 {
-		fmt.Fprintln(os.Stderr, "rhbench: -trace-sample must be non-negative")
-		os.Exit(2)
-	}
+	set := map[string]bool{} // the flags given explicitly
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	sc.Threads = mustInts(*threads, "thread count", 1, 1<<20)
+	need(*theta > 0 && *theta < 1, "-theta must be in (0,1), got %g", *theta)
+	need(*records > 0 && *vbytes > 0 && *shards > 0, "-records, -vbytes and -shards must be positive")
+	need(*scanMax > 0, "-scanmax must be positive")
+	need(*tablesF > 0 && *idxSel > 0, "-tables and -idxsel must be positive")
+	need(*ttl > 0 && *pump > 0, "-ttl and -pumpevery must be positive")
+	need(*ckeys > 0, "-crosskeys must be positive, got %d", *ckeys)
+	need(*staleF >= 0, "-staleness must be non-negative")
 	spec := harness.KVSpec{
 		Records:     *records,
 		ValueBytes:  *vbytes,
@@ -246,59 +216,26 @@ func main() {
 		SyncEvery:   *syncEv,
 		TraceSample: *traceN,
 	}
-	systemsList, err := parseInts(*systems, "system count", 1, 1<<20)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	g := grids{
+		systems:   mustInts(*systems, "system count", 1, 1<<20),
+		cross:     mustInts(*crossPc, "percentage", 0, 100),
+		batches:   mustInts(*batches, "batch size", 1, 1<<16),
+		conns:     mustInts(*connsF, "connection count", 1, 1<<12),
+		replicas:  mustInts(*replsF, "replica count", 0, 64),
+		pipeline:  *pipe,
+		staleness: *staleF,
 	}
-	crossList, err := parsePercents(*crossPc)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	// The cluster experiments run the same spec on the cluster backend, under
+	// balanced load (the scaling claims need it) unless -dist says otherwise;
+	// the flag's own default stays zipfian for the store, as YCSB specifies.
+	cspec := spec
+	cspec.Backend, cspec.CrossKeys = harness.BackendCluster, *ckeys
+	if !set["dist"] {
+		cspec.Dist = harness.DistUniform
 	}
-	batchList, err := parseInts(*batches, "batch size", 1, 1<<16)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	connsList, err := parseInts(*connsF, "connection count", 1, 1<<12)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	replList, err := parseInts(*replsF, "replica count", 0, 64)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if *staleF < 0 {
-		fmt.Fprintln(os.Stderr, "rhbench: -staleness must be non-negative")
-		os.Exit(2)
-	}
-	cspec := harness.KVSpec{
-		Records:     *records,
-		ValueBytes:  *vbytes,
-		Backend:     harness.BackendCluster,
-		Dist:        harness.DistUniform, // scaling claims need balanced load
-		Theta:       *theta,
-		CrossKeys:   *ckeys,
-		ScanMax:     *scanMax,
-		TTL:         *ttl,
-		PumpEvery:   *pump,
-		WAL:         *useWAL,
-		SyncEvery:   *syncEv,
-		TraceSample: *traceN,
-	}
-	// An explicit -dist overrides the cluster default (the flag's own
-	// default stays zipfian for the ycsb-* experiments, as YCSB specifies).
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "dist" {
-			cspec.Dist = *dist
-		}
-	})
 	if *useNet {
-		spec.Net, spec.Conns, spec.Pipeline = true, connsList[0], *pipe
-		cspec.Net, cspec.Conns, cspec.Pipeline = true, connsList[0], *pipe
+		spec.Net, spec.Conns, spec.Pipeline = true, g.conns[0], *pipe
+		cspec.Net, cspec.Conns, cspec.Pipeline = true, g.conns[0], *pipe
 	}
 	recoveryOps := []int{2_000, 10_000, 40_000}
 	if *quick {
@@ -308,104 +245,71 @@ func main() {
 		// Explicit -threads / -ops survive -quick, so a pinned point (the
 		// connection-scaling trajectory rows) can use the quick sizes with
 		// its own sweep.
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "threads":
-				q.Threads = sc.Threads
-			case "ops":
-				q.OpsPerThread = *ops
-			}
-		})
+		if set["threads"] {
+			q.Threads = sc.Threads
+		}
+		if set["ops"] {
+			q.OpsPerThread = *ops
+		}
 		sc = q
-		spec.Records = 512
 		spec.Shards = 4
-		cspec.Records = 512
 		// An explicit -records also survives -quick (the index-lookup gate
 		// point runs at full table scale under the quick harness sizes).
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "records" {
-				spec.Records, cspec.Records = *records, *records
-			}
-		})
-		systemsList = []int{1, 4}
-		crossList = []int{0, 20}
-		batchList = []int{1, 16}
+		if !set["records"] {
+			spec.Records, cspec.Records = 512, 512
+		}
+		g.systems, g.cross, g.batches = []int{1, 4}, []int{0, 20}, []int{1, 16}
 		// An explicit -conns survives -quick (the bench gate pins the
 		// deterministic 1-connection closed-loop point).
-		connsSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "conns" {
-				connsSet = true
-			}
-		})
-		if !connsSet {
-			connsList = []int{1, 4}
+		if !set["conns"] {
+			g.conns = []int{1, 4}
 		}
 		recoveryOps = []int{500, 2_000}
 	}
-	sweep := clusterSweep{systems: systemsList, cross: crossList, spec: cspec}
-	nets := netSweep{conns: connsList, pipeline: *pipe}
 
 	exp := flag.Arg(0)
-	em := &emitter{out: os.Stdout, exp: exp, metrics: *metrics}
+	em := &emitter{out: os.Stdout, exp: exp}
 	if *jsonOut == "-" {
 		em.json = os.Stdout
 	} else if *jsonOut != "" {
 		f, err := os.OpenFile(*jsonOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rhbench:", err)
-			os.Exit(2)
-		}
+		need(err == nil, "%v", err)
 		defer f.Close()
 		em.json = f
 	}
-	if strings.HasPrefix(exp, "cluster-") || exp == "all" {
-		// Reject bad cluster specs here with a clean message; inside the
-		// sweep they would surface as a MustRunCluster panic.
-		probe := cspec
-		probe.Mix = "a"
-		switch {
-		case exp == "cluster-bank":
-			probe.Mix = "bank"
-		case exp == "cluster-session-cache":
-			probe.Mix = "session"
-		case exp == "cluster-lock-service":
-			probe.Mix = "lock"
-		case strings.HasPrefix(exp, "cluster-ycsb-"):
-			probe.Mix = strings.TrimPrefix(exp, "cluster-ycsb-")
-		}
-		if *ckeys <= 0 {
-			fmt.Fprintf(os.Stderr, "rhbench: -crosskeys must be positive, got %d\n", *ckeys)
-			os.Exit(2)
-		}
-		if err := probe.Check(); err != nil {
-			fmt.Fprintln(os.Stderr, "rhbench:", err)
-			os.Exit(2)
-		}
-	}
+	exps := []string{exp}
 	if exp == "all" {
-		for _, e := range []string{"fig1", "fig2a", "fig2b", "fig2c", "tab1", "tab2",
+		exps = []string{"fig1", "fig2a", "fig2b", "fig2c", "tab1", "tab2",
 			"fig3a", "fig3b", "fig3c", "ext-clock", "ext-capacity", "ext-hybrids",
 			"ycsb-a", "ycsb-b", "ycsb-c", "ycsb-d", "ycsb-e", "ycsb-f",
 			"ycsb-e-index", "table-query", "index-lookup", "batch",
 			"session-cache", "lock-service", "recovery", "cluster-ycsb-a",
-			"net-ycsb-a", "repl"} {
-			em.exp = e
-			runExperiment(e, em, sc, *capLim, spec, sweep, nets, batchList, recoveryOps, replList, *staleF)
+			"net-ycsb-a", "repl"}
+	}
+	// Reject bad specs here with a clean message (-dist, -syncevery without
+	// -wal, -crosskeys against -records, ...); inside a sweep they would
+	// surface as a MustRunKV panic.
+	for _, e := range exps {
+		for _, s := range g.specs(e, spec, cspec) {
+			err := s.Check()
+			need(err == nil, "%v", err)
+		}
+	}
+	for _, e := range exps {
+		em.exp = e
+		runExperiment(e, em, sc, *capLim, spec, cspec, g, recoveryOps)
+		if exp == "all" {
 			fmt.Println()
 		}
-		return
 	}
-	runExperiment(exp, em, sc, *capLim, spec, sweep, nets, batchList, recoveryOps, replList, *staleF)
 }
 
 // emitter routes one experiment's artifacts: human-readable series to out,
 // and (when -json is set) one machine-readable line per measured point.
 type emitter struct {
-	out     *os.File
-	json    io.Writer
-	exp     string
-	metrics bool
+	out  *os.File
+	json io.Writer
+	exp  string
 }
 
 // series prints a throughput series and mirrors it to the JSON sink.
@@ -419,76 +323,99 @@ func (e *emitter) record(results []harness.Result) {
 	if e.json == nil {
 		return
 	}
-	if err := harness.WriteResultsJSONCounters(e.json, e.exp, results, e.metrics); err != nil {
+	if err := harness.WriteResultsJSON(e.json, e.exp, results); err != nil {
 		fmt.Fprintln(os.Stderr, "rhbench: json:", err)
 		os.Exit(1)
 	}
 }
 
-// clusterSweep carries the System-count × cross-fraction grid of the
-// cluster experiments.
-type clusterSweep struct {
-	systems []int
-	cross   []int
-	spec    harness.KVSpec
+// grids carries the sweeps the KV experiments expand over.
+type grids struct {
+	systems, cross []int // cluster-<mix>: System counts × cross-System txn percentages
+	conns          []int // net-<mix>: connection-pool sizes
+	pipeline       bool
+	batches        []int // batch: batch sizes
+	replicas       []int // repl: replica counts
+	staleness      int
 }
 
-// run prints one series block per (systems, cross) grid point for the mix.
-// Cross fractions beyond the first are skipped at one System, where
-// CrossPct is moot and the runs would be identical.
-func (cs clusterSweep) run(em *emitter, sc harness.Scale, mix string) {
-	for _, sys := range cs.systems {
-		for i, x := range cs.cross {
-			if sys == 1 && i > 0 {
-				continue
+// specs expands a KV experiment id into the specs it sweeps, one series
+// each: a mix of the harness's table on the store (the mix's stem), on the
+// cluster over the systems × cross grid (cluster-<stem>), over the wire per
+// pool size (net-<stem>), or the batch and repl experiments' variations of
+// one YCSB mix. Any other id expands to nothing.
+func (g grids) specs(exp string, spec, cspec harness.KVSpec) (out []harness.KVSpec) {
+	family, stem := "", exp
+	switch {
+	case exp == "batch":
+		family, stem = exp, "ycsb-a"
+	case exp == "repl":
+		// The read-heavy mix is where follower reads pay: 95% of the ops
+		// can leave the primary.
+		family, stem = exp, "ycsb-b"
+	case strings.HasPrefix(exp, "cluster-"):
+		family, stem = "cluster", strings.TrimPrefix(exp, "cluster-")
+	case strings.HasPrefix(exp, "net-"):
+		family, stem = "net", strings.TrimPrefix(exp, "net-")
+	}
+	mix, ok := harness.MixForStem(stem)
+	if !ok {
+		return nil
+	}
+	spec.Mix, cspec.Mix = mix, mix
+	switch family {
+	case "cluster":
+		for _, sys := range g.systems {
+			for i, x := range g.cross {
+				// Cross fractions beyond the first are skipped at one System,
+				// where CrossPct is moot and the runs would be identical.
+				if sys == 1 && i > 0 {
+					continue
+				}
+				s := cspec
+				s.Systems, s.CrossPct = sys, x
+				out = append(out, s)
 			}
-			spec := cs.spec
-			spec.Mix = mix
-			spec.Systems = sys
-			spec.CrossPct = x
-			em.series(
-				fmt.Sprintf("Cluster %s: %d Systems, %d%% cross-System txns, %d records, %s distribution",
-					spec.Name(), sys, x, spec.Records, spec.Dist),
-				harness.SweepKV(sc, spec))
-			fmt.Fprintln(em.out)
 		}
+	case "net":
+		for _, c := range g.conns {
+			s := spec
+			s.Net, s.Conns, s.Pipeline = true, c, g.pipeline
+			out = append(out, s)
+		}
+	case "batch":
+		for _, size := range g.batches {
+			s := spec
+			s.BatchSize = size
+			out = append(out, s)
+		}
+	case "repl":
+		// Every point runs in-process with the WAL attached — the K=0
+		// baseline pays the same logging cost the replicated points do, so
+		// the delta is the offload, not the log.
+		for _, k := range g.replicas {
+			s := spec
+			s.WAL, s.Net, s.Conns, s.Pipeline = true, false, 0, false
+			s.Replicas = k
+			if k > 0 {
+				s.Staleness = g.staleness
+			}
+			out = append(out, s)
+		}
+	default:
+		out = []harness.KVSpec{spec}
 	}
-}
-
-// netSweep carries the connection-pool grid of the net-ycsb-* experiments.
-type netSweep struct {
-	conns    []int
-	pipeline bool
-}
-
-// run prints one series block per connection count for the mix, served
-// over loopback TCP.
-func (ns netSweep) run(em *emitter, sc harness.Scale, spec harness.KVSpec, mix string) {
-	mode := "closed loop"
-	if ns.pipeline {
-		mode = "pipelined"
-	}
-	for _, c := range ns.conns {
-		s := spec
-		s.Mix = mix
-		s.Net, s.Conns, s.Pipeline = true, c, ns.pipeline
-		em.series(
-			fmt.Sprintf("Net YCSB-%s over loopback TCP: %d connections (%s), %d records, %s distribution",
-				strings.ToUpper(mix), c, mode, s.Records, s.Dist),
-			harness.SweepKV(sc, s))
-		fmt.Fprintln(em.out)
-	}
+	return out
 }
 
 // runExperiment dispatches one experiment id and prints its artifact.
-func runExperiment(exp string, em *emitter, sc harness.Scale, capLim int, spec harness.KVSpec, sweep clusterSweep, nets netSweep, batchList, recoveryOps, replList []int, staleness int) {
+func runExperiment(exp string, em *emitter, sc harness.Scale, capLim int, spec, cspec harness.KVSpec, g grids, recoveryOps []int) {
 	out := em.out
 	switch exp {
 	case "recovery":
 		points := harness.RecoveryExperiment(recoveryOps, spec.ValueBytes)
 		harness.PrintRecovery(out, points)
-		em.record(harness.RecoveryResults(points))
-		return
+		em.record(points)
 	case "fig1":
 		em.series(
 			fmt.Sprintf("Figure 1: %d-node Constant RB-Tree, 20%% mutations", sc.RBNodes),
@@ -539,28 +466,6 @@ func runExperiment(exp string, em *emitter, sc harness.Scale, capLim int, spec h
 		em.series(
 			"Extension: hybrid designs compared (RB-Tree 20%)",
 			harness.ExtHybrids(sc))
-	case "ycsb-a", "ycsb-b", "ycsb-c", "ycsb-d", "ycsb-e", "ycsb-f":
-		spec.Mix = strings.TrimPrefix(exp, "ycsb-")
-		readPct := map[string]string{"a": "50% reads / 50% updates", "b": "95% reads",
-			"c": "read-only", "d": "95% latest-skewed reads / 5% inserts",
-			"e": "95% short ordered scans / 5% inserts",
-			"f": "50% reads / 50% read-modify-writes"}[spec.Mix]
-		em.series(
-			fmt.Sprintf("YCSB-%s (%s), %d records, %s distribution, %d-shard store",
-				strings.ToUpper(spec.Mix), readPct, spec.Records, spec.Dist, spec.Shards),
-			harness.SweepKV(sc, spec))
-	case "ycsb-e-index":
-		spec.Mix = "eidx"
-		em.series(
-			fmt.Sprintf("YCSB-E from the secondary index (95%% planner-bounded bucket scans / 5%% inserts), %d records over %d table(s), idxsel %d, %s distribution",
-				spec.Records, spec.Tables, spec.IdxSel, spec.Dist),
-			harness.SweepKV(sc, spec))
-	case "table-query":
-		spec.Mix = "query"
-		em.series(
-			fmt.Sprintf("Table query mix (45%% point / 25%% range / 20%% covering order-limit / 10%% upserts), %d records over %d table(s), idxsel %d, %s distribution",
-				spec.Records, spec.Tables, spec.IdxSel, spec.Dist),
-			harness.SweepKV(sc, spec))
 	case "index-lookup":
 		queries := sc.OpsPerThread
 		if queries <= 0 {
@@ -582,67 +487,30 @@ func runExperiment(exp string, em *emitter, sc harness.Scale, capLim int, spec h
 			}
 			fmt.Fprintln(out)
 		}
-	case "session-cache":
-		spec.Mix = "session"
-		em.series(
-			fmt.Sprintf("Session cache: %d sessions, lease TTL %d ticks, expiry pump every %d ops, %s gets",
-				spec.Records, spec.TTL, spec.PumpEvery, spec.Dist),
-			harness.SweepKV(sc, spec))
-	case "lock-service":
-		spec.Mix = "lock"
-		em.series(
-			fmt.Sprintf("Lock service: %d locks, lease TTL %d ticks, 20%% crash-expiry reclaims, mutual-exclusion audited",
-				spec.Records, spec.TTL),
-			harness.SweepKV(sc, spec))
-	case "batch":
-		spec.Mix = "a"
-		for _, size := range batchList {
-			bs := spec
-			bs.BatchSize = size
-			em.series(
-				fmt.Sprintf("Batching: YCSB-A with batch size %d (%d records, %s distribution)",
-					size, bs.Records, bs.Dist),
-				harness.SweepKV(sc, bs))
-			fmt.Fprintln(out)
-		}
-	case "repl":
-		// The read-heavy mix is where follower reads pay: 95% of the ops
-		// can leave the primary. Every point runs with the WAL attached —
-		// the K=0 baseline pays the same logging cost the replicated points
-		// do, so the delta is the offload, not the log.
-		for _, k := range replList {
-			s := spec
-			s.Mix = "b"
-			s.WAL, s.Net, s.Conns, s.Pipeline = true, false, 0, false
-			s.Replicas, s.Staleness = k, 0
-			if k > 0 {
-				s.Staleness = staleness
-			}
-			title := fmt.Sprintf("Replication: YCSB-B, %d WAL-shipping replicas serving the reads (%d records, %s distribution)",
-				k, s.Records, s.Dist)
-			if k == 0 {
-				title = fmt.Sprintf("Replication baseline: YCSB-B, primary only, WAL attached (%d records, %s distribution)",
-					s.Records, s.Dist)
-			} else if s.Staleness > 0 {
-				title += fmt.Sprintf(", staleness bound %d revisions", s.Staleness)
-			}
-			em.series(title, harness.SweepKV(sc, s))
-			fmt.Fprintln(out)
-		}
-	case "net-ycsb-a", "net-ycsb-b", "net-ycsb-c", "net-ycsb-d", "net-ycsb-e", "net-ycsb-f":
-		nets.run(em, sc, spec, strings.TrimPrefix(exp, "net-ycsb-"))
-	case "cluster-ycsb-a", "cluster-ycsb-b", "cluster-ycsb-c", "cluster-ycsb-d", "cluster-ycsb-e", "cluster-ycsb-f":
-		sweep.run(em, sc, strings.TrimPrefix(exp, "cluster-ycsb-"))
-	case "cluster-bank":
-		sweep.run(em, sc, "bank")
-	case "cluster-session-cache":
-		sweep.run(em, sc, "session")
-	case "cluster-lock-service":
-		sweep.run(em, sc, "lock")
 	default:
-		fmt.Fprintf(os.Stderr, "rhbench: unknown experiment %q\n", exp)
+		// Every other id is a KV experiment: one series per spec.
+		specs := g.specs(exp, spec, cspec)
+		need(len(specs) > 0, "unknown experiment %q", exp)
+		for _, s := range specs {
+			em.series(s.Title(), harness.SweepKV(sc, s))
+			fmt.Fprintln(out)
+		}
+	}
+}
+
+// need exits with a usage error unless ok.
+func need(ok bool, format string, args ...any) {
+	if !ok {
+		fmt.Fprintf(os.Stderr, "rhbench: "+format+"\n", args...)
 		os.Exit(2)
 	}
+}
+
+// mustInts is parseInts for flag values: a bad sweep is a usage error.
+func mustInts(s, what string, min, max int) []int {
+	out, err := parseInts(s, what, min, max)
+	need(err == nil, "%v", err)
+	return out
 }
 
 // parseInts parses a comma-separated sweep of integers in [min, max],
@@ -653,19 +521,9 @@ func parseInts(s, what string, min, max int) ([]int, error) {
 	for _, p := range parts {
 		n, err := strconv.Atoi(strings.TrimSpace(p))
 		if err != nil || n < min || n > max {
-			return nil, fmt.Errorf("rhbench: bad %s %q", what, p)
+			return nil, fmt.Errorf("bad %s %q", what, p)
 		}
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-// parseThreads parses "1,2,4" into a sweep of positive counts.
-func parseThreads(s string) ([]int, error) {
-	return parseInts(s, "thread count", 1, 1<<20)
-}
-
-// parsePercents parses "0,10,50" into a sweep of values in [0,100].
-func parsePercents(s string) ([]int, error) {
-	return parseInts(s, "percentage", 0, 100)
 }

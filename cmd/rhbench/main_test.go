@@ -3,7 +3,7 @@ package main
 import "testing"
 
 func TestParseThreads(t *testing.T) {
-	got, err := parseThreads("1, 2,4")
+	got, err := parseInts("1, 2,4", "thread count", 1, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,14 +20,14 @@ func TestParseThreads(t *testing.T) {
 
 func TestParseThreadsRejectsBadInput(t *testing.T) {
 	for _, in := range []string{"", "a", "0", "-3", "1,,2"} {
-		if _, err := parseThreads(in); err == nil {
+		if _, err := parseInts(in, "thread count", 1, 1<<20); err == nil {
 			t.Errorf("parseThreads(%q) accepted", in)
 		}
 	}
 }
 
 func TestParsePercents(t *testing.T) {
-	got, err := parsePercents("0, 10,100")
+	got, err := parseInts("0, 10,100", "percentage", 0, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestParsePercents(t *testing.T) {
 		}
 	}
 	for _, in := range []string{"", "x", "-1", "101", "5,,9"} {
-		if _, err := parsePercents(in); err == nil {
+		if _, err := parseInts(in, "percentage", 0, 100); err == nil {
 			t.Errorf("parsePercents(%q) accepted", in)
 		}
 	}

@@ -14,9 +14,9 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
 	"math/rand"
 	"os"
 	"sync"
@@ -37,15 +37,29 @@ func main() {
 		seed       = flag.Int64("seed", time.Now().UnixNano(), "RNG seed")
 	)
 	flag.Parse()
+	fmt.Printf("torturing %s: %d threads for %v (caplines=%d, syscalls=%d%%, seed=%d)\n",
+		*engineName, *threads, *dur, *capLines, *sysPct, *seed)
+	st, err := torture(*engineName, *threads, *dur, *capLines, *sysPct, *seed)
+	fmt.Printf("stats: %s\n", st)
+	if err != nil {
+		fmt.Println("FAIL:", err)
+		os.Exit(1)
+	}
+	fmt.Printf("OK: %d commits, all invariants hold\n", st.Commits())
+}
 
+// torture runs the three invariant games on the named engine for dur and
+// returns the engine's statistics, with an error naming every invariant
+// that broke (or the first transaction that failed).
+func torture(engineName string, threads int, dur time.Duration, capLines, sysPct int, seed int64) (rhtm.Stats, error) {
 	cfg := rhtm.DefaultConfig(1 << 18)
-	if *capLines > 0 {
-		cfg.HTM = harness.CapacityHTMConfig(*capLines)
+	if capLines > 0 {
+		cfg.HTM = harness.CapacityHTMConfig(capLines)
 	}
 	s := rhtm.MustNewSystem(cfg)
-	eng, err := harness.Build(s, *engineName, 0)
+	eng, err := harness.Build(s, engineName, 0)
 	if err != nil {
-		log.Fatal(err)
+		return rhtm.Stats{}, err
 	}
 
 	const accounts = 64
@@ -61,27 +75,29 @@ func main() {
 	}
 	counter := s.MustAlloc(1)
 
-	fmt.Printf("torturing %s: %d threads for %v (caplines=%d, syscalls=%d%%, seed=%d)\n",
-		eng.Name(), *threads, *dur, *capLines, *sysPct, *seed)
-
 	var stop atomic.Bool
 	var incs atomic.Uint64
 	var violations atomic.Uint64
+	// The first unexpected engine error ends the whole run.
+	var txErr error
+	var failOnce sync.Once
+	failed := make(chan struct{})
 	var wg sync.WaitGroup
-	for w := 0; w < *threads; w++ {
+	for w := 0; w < threads; w++ {
 		th := eng.NewThread()
-		rng := rand.New(rand.NewSource(*seed + int64(w)))
+		rng := rand.New(rand.NewSource(seed + int64(w)))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				syscall := rng.Intn(100) < *sysPct
+				syscall := rng.Intn(100) < sysPct
+				var err error
 				switch rng.Intn(3) {
 				case 0: // conservation
 					from := bank + rhtm.Addr(rng.Intn(accounts))
 					to := bank + rhtm.Addr(rng.Intn(accounts))
 					amt := uint64(rng.Intn(5))
-					err := th.Atomic(func(tx rhtm.Tx) error {
+					err = th.Atomic(func(tx rhtm.Tx) error {
 						if syscall {
 							tx.Unsupported()
 						}
@@ -91,11 +107,10 @@ func main() {
 						}
 						return nil
 					})
-					fatalIf(err)
 				case 1: // snapshot game
 					write := rng.Intn(4) == 0
 					gen := rng.Uint64()
-					err := th.Atomic(func(tx rhtm.Tx) error {
+					err = th.Atomic(func(tx rhtm.Tx) error {
 						if syscall {
 							tx.Unsupported()
 						}
@@ -113,53 +128,51 @@ func main() {
 						}
 						return nil
 					})
-					fatalIf(err)
 				default: // counter
-					err := th.Atomic(func(tx rhtm.Tx) error {
+					err = th.Atomic(func(tx rhtm.Tx) error {
 						if syscall {
 							tx.Unsupported()
 						}
 						tx.Store(counter, tx.Load(counter)+1)
 						return nil
 					})
-					fatalIf(err)
-					incs.Add(1)
+					if err == nil {
+						incs.Add(1)
+					}
+				}
+				if err != nil {
+					failOnce.Do(func() {
+						txErr = err
+						close(failed)
+					})
+					return
 				}
 			}
 		}()
 	}
-	time.Sleep(*dur)
+	select {
+	case <-time.After(dur):
+	case <-failed:
+	}
 	stop.Store(true)
 	wg.Wait()
 
-	failed := false
+	var broken []error
+	if txErr != nil {
+		broken = append(broken, fmt.Errorf("transaction failed: %w", txErr))
+	}
 	if v := violations.Load(); v > 0 {
-		fmt.Printf("FAIL: %d torn snapshots observed\n", v)
-		failed = true
+		broken = append(broken, fmt.Errorf("%d torn snapshots observed", v))
 	}
 	var total uint64
 	for i := 0; i < accounts; i++ {
 		total += s.Load(bank + rhtm.Addr(i))
 	}
 	if total != accounts*1000 {
-		fmt.Printf("FAIL: bank total = %d, want %d\n", total, accounts*1000)
-		failed = true
+		broken = append(broken, fmt.Errorf("bank total = %d, want %d", total, accounts*1000))
 	}
 	if got := s.Load(counter); got != incs.Load() {
-		fmt.Printf("FAIL: counter = %d, want %d\n", got, incs.Load())
-		failed = true
+		broken = append(broken, fmt.Errorf("counter = %d, want %d", got, incs.Load()))
 	}
-	st := eng.Snapshot()
-	fmt.Printf("stats: %s\n", st)
-	if failed {
-		os.Exit(1)
-	}
-	fmt.Printf("OK: %d commits, all invariants hold\n", st.Commits())
-}
-
-// fatalIf aborts the torture run on an unexpected engine error.
-func fatalIf(err error) {
-	if err != nil {
-		log.Fatalf("transaction failed: %v", err)
-	}
+	return eng.Snapshot(), errors.Join(broken...)
 }

@@ -22,11 +22,29 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"rhtm"
 )
 
 func main() {
+	summary, err := run()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(summary)
+}
+
+// run walks the four stages and returns their report; the smoke test drives
+// it directly. The first stage to fail stops the tour.
+func run() (string, error) {
+	var out strings.Builder
+	var err error
+	stage := func(n int, title string, htm rhtm.HTMConfig, nWrites int, check func(rhtm.Stats) error) {
+		if err == nil {
+			err = runStage(&out, n, title, htm, nWrites, check)
+		}
+	}
 	// Transactions read 16 words spread across 16 cache lines (16 distinct
 	// stripes → 2 lines of stripe-version metadata) and write nWrites of
 	// them. The HTM limits select the protocol level:
@@ -74,13 +92,17 @@ func main() {
 			}
 			return nil
 		})
-	fmt.Println("\nall four protocol levels exercised and verified")
+	if err != nil {
+		return "", err
+	}
+	out.WriteString("\nall four protocol levels exercised and verified\n")
+	return out.String(), nil
 }
 
-// stage runs the canonical transaction shape (read 16 spread words, write
-// the first nWrites of them) under the given HTM limits and checks which
-// protocol level carried it.
-func stage(n int, title string, htm rhtm.HTMConfig, nWrites int, check func(rhtm.Stats) error) {
+// runStage runs the canonical transaction shape (read 16 spread words,
+// write the first nWrites of them) under the given HTM limits, checks which
+// protocol level carried it, and appends the stage's report to out.
+func runStage(out *strings.Builder, n int, title string, htm rhtm.HTMConfig, nWrites int, check func(rhtm.Stats) error) error {
 	cfg := rhtm.DefaultConfig(1 << 16)
 	cfg.HTM = htm
 	s := rhtm.MustNewSystem(cfg)
@@ -106,7 +128,7 @@ func stage(n int, title string, htm rhtm.HTMConfig, nWrites int, check func(rhtm
 			return nil
 		})
 		if err != nil {
-			log.Fatalf("stage %d: %v", n, err)
+			return fmt.Errorf("stage %d: %w", n, err)
 		}
 	}
 	// All written words must carry the same (last) value: a torn write set
@@ -114,13 +136,14 @@ func stage(n int, title string, htm rhtm.HTMConfig, nWrites int, check func(rhtm
 	want := s.Load(addrs[0])
 	for i, a := range addrs[:nWrites] {
 		if got := s.Load(a); got != want {
-			log.Fatalf("stage %d: addrs[%d] = %d, want %d (torn write set)", n, i, got, want)
+			return fmt.Errorf("stage %d: addrs[%d] = %d, want %d (torn write set)", n, i, got, want)
 		}
 	}
 	st := eng.Snapshot()
 	if err := check(st); err != nil {
-		log.Fatalf("stage %d (%s): %v", n, title, err)
+		return fmt.Errorf("stage %d (%s): %w", n, title, err)
 	}
-	fmt.Printf("stage %d: %s\n  HTM limits: footprint=%d lines, writes=%d lines\n  %s\n",
+	fmt.Fprintf(out, "stage %d: %s\n  HTM limits: footprint=%d lines, writes=%d lines\n  %s\n",
 		n, title, htm.MaxFootprintLines, htm.MaxWriteLines, st)
+	return nil
 }

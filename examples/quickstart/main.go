@@ -5,6 +5,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"sync"
@@ -13,6 +14,16 @@ import (
 )
 
 func main() {
+	summary, err := run()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(summary)
+}
+
+// run executes the scenario and returns a human-readable summary; the smoke
+// test drives it directly.
+func run() (string, error) {
 	// A simulated machine with a 64K-word transactional heap.
 	s := rhtm.MustNewSystem(rhtm.DefaultConfig(1 << 16))
 
@@ -29,15 +40,16 @@ func main() {
 
 	const workers = 4
 	const iters = 500
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		th := eng.NewThread() // one Thread per goroutine, never shared
-		id := uint64(w)
+		w, id := w, uint64(w)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				err := th.Atomic(func(tx rhtm.Tx) error {
+			for i := 0; i < iters && errs[w] == nil; i++ {
+				errs[w] = th.Atomic(func(tx rhtm.Tx) error {
 					// Increment the shared counter...
 					tx.Store(counter, tx.Load(counter)+1)
 					// ...and move one unit between two accounts, atomically.
@@ -49,29 +61,27 @@ func main() {
 					}
 					return nil
 				})
-				if err != nil {
-					log.Fatalf("transaction failed: %v", err)
-				}
 			}
 		}()
 	}
 	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return "", fmt.Errorf("transaction failed: %w", err)
+	}
 
 	// Verify.
 	if got := s.Load(counter); got != workers*iters {
-		log.Fatalf("counter = %d, want %d", got, workers*iters)
+		return "", fmt.Errorf("counter = %d, want %d", got, workers*iters)
 	}
 	var total uint64
 	for i := 0; i < accounts; i++ {
 		total += s.Load(bank + rhtm.Addr(i))
 	}
 	if total != accounts*100 {
-		log.Fatalf("bank total = %d, want %d (money not conserved)", total, accounts*100)
+		return "", fmt.Errorf("bank total = %d, want %d (money not conserved)", total, accounts*100)
 	}
 
 	st := eng.Snapshot()
-	fmt.Printf("all invariants hold: counter=%d, bank total=%d\n",
-		s.Load(counter), total)
-	fmt.Printf("engine %s: %s\n", eng.Name(), st)
-	fmt.Printf("abort ratio: %.3f aborts/commit\n", st.AbortRatio())
+	return fmt.Sprintf("all invariants hold: counter=%d, bank total=%d\nengine %s: %s\nabort ratio: %.3f aborts/commit\n",
+		s.Load(counter), total, eng.Name(), st, st.AbortRatio()), nil
 }

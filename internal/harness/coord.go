@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"rhtm/kv"
-	"rhtm/store"
 )
 
 // The coordination scenarios: workloads that exercise the kv layer's
@@ -33,23 +32,6 @@ import (
 // is a cross-System transaction whenever the lock key and its lease record
 // hash to different Systems, and expiry revokes ride 2PC.
 
-// leaseSlackWords sizes the arena headroom the coordination mixes need
-// beyond their record space: one lease record (and its bookkeeping) per
-// live session/lock, plus the critical-section counters of the lock mix.
-func leaseSlackWords(spec KVSpec) int {
-	if spec.Mix != "session" && spec.Mix != "lock" {
-		return 0
-	}
-	vb := spec.ValueBytes
-	if vb < 8 {
-		vb = 8
-	}
-	per := store.RecordFootprintWords(16, 64) + // lease record
-		store.RecordFootprintWords(16, vb) + // data / counter key
-		64
-	return spec.Records*per*2 + 4096
-}
-
 // holdInterval is one recorded lock hold in virtual time.
 type holdInterval struct {
 	token    uint64
@@ -68,20 +50,17 @@ func (h holdInterval) effectiveEnd() uint64 {
 	return h.deadline
 }
 
-// coordState is the shared coordination-scenario state of one run.
-type coordState struct {
-	clock *kv.ManualClock
-
+// holdLog records every lock hold of one run for the audit.
+type holdLog struct {
 	mu        sync.Mutex
 	intervals map[int][]holdInterval
 }
 
-func newCoordState(clock *kv.ManualClock) *coordState {
-	return &coordState{clock: clock, intervals: map[int][]holdInterval{}}
-}
-
-func (c *coordState) record(lock int, iv holdInterval) {
+func (c *holdLog) record(lock int, iv holdInterval) {
 	c.mu.Lock()
+	if c.intervals == nil {
+		c.intervals = map[int][]holdInterval{}
+	}
 	c.intervals[lock] = append(c.intervals[lock], iv)
 	c.mu.Unlock()
 }
@@ -101,7 +80,7 @@ func (c *coordState) record(lock int, iv holdInterval) {
 // therefore keeps the no-false-positive direction; without it the sort
 // order is arbitrary and a crashed hold sorted before a same-tick released
 // one reports a phantom overlap.
-func (c *coordState) auditMutualExclusion() error {
+func (c *holdLog) auditMutualExclusion() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for lock, ivs := range c.intervals {
@@ -124,45 +103,120 @@ func (c *coordState) auditMutualExclusion() error {
 	return nil
 }
 
+// leasePump is the state the coordination mixes share: the virtual clock
+// with its expiry pump, and the run's own watcher, counting release/expiry
+// deletes live off the commit log the workers write through.
+type leasePump struct {
+	*kvRun
+	clock *kv.ManualClock
+
+	opSeq   atomic.Uint64 // global op counter driving the pump
+	expired atomic.Uint64 // leases reclaimed by ExpireLeases
+	watched atomic.Uint64 // delete events the watcher saw
+
+	stopWatch context.CancelFunc
+	watchDone chan struct{}
+}
+
+// openPump subscribes the watcher to the run's key prefix. The coordination
+// mixes start empty: sessions are created by logins, locks by acquisitions.
+func openPump(run *kvRun) (*leasePump, error) {
+	ctx, cancel := context.WithCancel(context.Background())
+	ch, err := run.db.Watch(ctx, []byte("user"), 0)
+	if err != nil {
+		cancel()
+		return nil, fmt.Errorf("watch: %w", err)
+	}
+	p := &leasePump{kvRun: run, clock: run.be.Clock(), stopWatch: cancel, watchDone: make(chan struct{})}
+	go func() {
+		defer close(p.watchDone)
+		for ev := range ch {
+			if ev.Kind == kv.EventDelete {
+				p.watched.Add(1)
+			}
+		}
+	}()
+	return p, nil
+}
+
+// hubDrainGrace is how long quiesce waits after the workers stop for the
+// watch hub's fallback poll to flush the commit logs' tail.
+const hubDrainGrace = 30 * time.Millisecond
+
+// quiesce gives the hub a moment to flush the tail of the commit logs, then
+// closes the stream, waits for the delete count to be final, and quiesces
+// the hub's poller threads.
+func (p *leasePump) quiesce() {
+	time.Sleep(2 * hubDrainGrace)
+	p.stopWatch()
+	<-p.watchDone
+	if w, ok := p.db.(interface{ WaitWatchIdle() }); ok {
+		w.WaitWatchIdle()
+	}
+}
+
+func (p *leasePump) counters(out map[string]int64) {
+	out["harness.expired"] = int64(p.expired.Load())
+	out["harness.watched_deletes"] = int64(p.watched.Load())
+}
+
 // pump advances the shared virtual clock one tick and expires due leases
 // every PumpEvery operations, whichever worker's op crosses the boundary.
-func (w *kvWorker) pump() error {
-	if w.shared.opSeq.Add(1)%uint64(w.spec.PumpEvery) != 0 {
+func (p *leasePump) pump() error {
+	if p.opSeq.Add(1)%uint64(p.spec.PumpEvery) != 0 {
 		return nil
 	}
-	w.coord.clock.Advance(1)
-	n, err := w.db.ExpireLeases()
+	p.clock.Advance(1)
+	n, err := p.db.ExpireLeases()
 	if err != nil {
 		return fmt.Errorf("expire leases: %w", err)
 	}
-	w.shared.expired.Add(uint64(n))
+	p.expired.Add(uint64(n))
 	return nil
 }
 
-// sessionOp is one session-cache operation: a zipfian lookup, with a miss
+// sessionRun is the run state of the session-cache mix.
+type sessionRun struct {
+	*leasePump
+	hits, misses atomic.Uint64 // cache outcomes
+	logins       atomic.Uint64 // session (re)creations
+}
+
+func openSessions(run *kvRun) (mixRun, error) {
+	p, err := openPump(run)
+	return &sessionRun{leasePump: p}, err
+}
+
+func (s *sessionRun) counters(out map[string]int64) {
+	out["harness.hits"] = int64(s.hits.Load())
+	out["harness.misses"] = int64(s.misses.Load())
+	out["harness.logins"] = int64(s.logins.Load())
+	s.leasePump.counters(out)
+}
+
+func (s *sessionRun) audit() error { return nil }
+
+// step is one session-cache operation: a zipfian lookup, with a miss
 // handled as a login (lease grant + leased put). The pump's expiry churn
 // keeps generating misses, so the login path stays hot for the whole run.
-func (w *kvWorker) sessionOp() error {
-	if err := w.pump(); err != nil {
+func (s *sessionRun) step(w *kvWorker) error {
+	if err := s.pump(); err != nil {
 		return err
 	}
-	key := ycsbKey(w.record())
-	_, err := w.db.Get(key)
+	key := ycsbKey(s.record(w))
+	_, err := s.db.Get(key)
 	switch {
 	case err == nil:
-		w.shared.hits.Add(1)
+		s.hits.Add(1)
 		return nil
 	case errors.Is(err, kv.ErrNotFound):
-		w.shared.misses.Add(1)
-		lease, err := w.db.Grant(uint64(w.spec.TTL))
+		s.misses.Add(1)
+		lease, err := s.db.Grant(uint64(s.spec.TTL))
 		if err != nil {
 			return err
 		}
-		if w.buf == nil {
-			w.buf = make([]byte, w.spec.ValueBytes)
-		}
 		w.rng.Read(w.buf)
-		err = w.db.Put(key, w.buf, kv.WithLease(lease))
+		err = s.db.Put(key, w.buf, kv.WithLease(lease))
 		if errors.Is(err, kv.ErrLeaseNotFound) {
 			// Another worker's pump expired the fresh lease before the
 			// attach committed — the login simply failed; the next miss
@@ -172,59 +226,85 @@ func (w *kvWorker) sessionOp() error {
 		if err != nil {
 			return err
 		}
-		w.shared.logins.Add(1)
+		s.logins.Add(1)
 		return nil
 	default:
 		return err
 	}
 }
 
-// lockOp is one lock-service operation: try to acquire a drawn lock with a
-// create-only leased CAS; on success run a small transactional critical
-// section, then release with a token-guarded delete — or crash for a fifth
-// of the holds, leaving reclamation to lease expiry.
-func (w *kvWorker) lockOp() error {
-	if err := w.pump(); err != nil {
+// lockRun is the run state of the lock-service mix.
+type lockRun struct {
+	*leasePump
+	holds  holdLog
+	tokens atomic.Uint64 // fencing tokens handed out, one per attempt
+
+	acquires  atomic.Uint64 // acquisitions won
+	contended atomic.Uint64 // acquisitions lost to the CAS guard
+	crashes   atomic.Uint64 // holds abandoned to lease expiry
+	releases  atomic.Uint64 // holds released with the guarded delete
+}
+
+func openLocks(run *kvRun) (mixRun, error) {
+	p, err := openPump(run)
+	return &lockRun{leasePump: p}, err
+}
+
+func (l *lockRun) counters(out map[string]int64) {
+	out["harness.acquires"] = int64(l.acquires.Load())
+	out["harness.contended"] = int64(l.contended.Load())
+	out["harness.releases"] = int64(l.releases.Load())
+	out["harness.crashes"] = int64(l.crashes.Load())
+	l.leasePump.counters(out)
+}
+
+func (l *lockRun) audit() error { return l.holds.auditMutualExclusion() }
+
+// step is one lock-service operation: try to acquire a drawn lock with a
+// create-only leased CAS under a fresh token; on success run a small
+// transactional critical section, then release with a token-guarded delete
+// — or crash for a fifth of the holds, leaving reclamation to lease expiry.
+func (l *lockRun) step(w *kvWorker) error {
+	if err := l.pump(); err != nil {
 		return err
 	}
-	lockID := w.rng.Intn(w.spec.Records)
+	lockID := w.rng.Intn(l.spec.Records)
 	lockKey := ycsbKey(lockID)
-	w.tokenSeq++
-	token := uint64(w.id+1)<<32 | w.tokenSeq
+	token := l.tokens.Add(1)
 	var tok [8]byte
 	binary.LittleEndian.PutUint64(tok[:], token)
 
 	// The recorded deadline is anchored before Grant reads the clock, so it
 	// can only under-state the lease's true deadline — the audit direction
 	// that avoids false violations.
-	deadline := w.coord.clock.Now() + uint64(w.spec.TTL)
-	lease, err := w.db.Grant(uint64(w.spec.TTL))
+	deadline := l.clock.Now() + uint64(l.spec.TTL)
+	lease, err := l.db.Grant(uint64(l.spec.TTL))
 	if err != nil {
 		return err
 	}
-	err = w.db.PutIf(lockKey, tok[:], 0, kv.WithLease(lease))
+	err = l.db.PutIf(lockKey, tok[:], 0, kv.WithLease(lease))
 	switch {
 	case errors.Is(err, kv.ErrRevisionMismatch):
-		w.shared.contended.Add(1)
+		l.contended.Add(1)
 		// The lease was never used: drop it so records don't accumulate.
-		if err := w.db.Revoke(lease); err != nil && !errors.Is(err, kv.ErrLeaseNotFound) {
+		if err := l.db.Revoke(lease); err != nil && !errors.Is(err, kv.ErrLeaseNotFound) {
 			return err
 		}
 		return nil
 	case errors.Is(err, kv.ErrLeaseNotFound):
 		// The pump expired the fresh lease before the acquire committed:
 		// the attempt simply failed.
-		w.shared.contended.Add(1)
+		l.contended.Add(1)
 		return nil
 	case err != nil:
 		return err
 	}
-	start := w.coord.clock.Now()
-	w.shared.acquires.Add(1)
+	start := l.clock.Now()
+	l.acquires.Add(1)
 
 	// Critical section: bump this lock's work counter transactionally.
 	csKey := []byte(fmt.Sprintf("cs-%08d", lockID))
-	err = w.db.Update(func(tx kv.Txn) error {
+	err = l.db.Update(func(tx kv.Txn) error {
 		var v uint64
 		cur, err := tx.Get(csKey)
 		if err == nil {
@@ -242,54 +322,28 @@ func (w *kvWorker) lockOp() error {
 
 	if w.rng.Intn(100) < 20 {
 		// Crash while holding: the lock stays until the lease expires.
-		w.shared.crashes.Add(1)
-		w.coord.record(lockID, holdInterval{token: token, start: start, deadline: deadline})
+		l.crashes.Add(1)
+		l.holds.record(lockID, holdInterval{token: token, start: start, deadline: deadline})
 		return nil
 	}
 
-	end := w.coord.clock.Now()
+	end := l.clock.Now()
 	// Guarded release: delete only our own token at its observed revision —
 	// if the lease expired mid-hold and someone else re-acquired, both
 	// guards miss and the release becomes a no-op.
-	cur, rev, err := w.db.GetRev(lockKey)
+	cur, rev, err := l.db.GetRev(lockKey)
 	if err == nil && binary.LittleEndian.Uint64(cur) == token {
-		err = w.db.DeleteIf(lockKey, rev)
+		err = l.db.DeleteIf(lockKey, rev)
 		if err != nil && !errors.Is(err, kv.ErrRevisionMismatch) && !errors.Is(err, kv.ErrNotFound) {
 			return err
 		}
 	} else if err != nil && !errors.Is(err, kv.ErrNotFound) {
 		return err
 	}
-	if err := w.db.Revoke(lease); err != nil && !errors.Is(err, kv.ErrLeaseNotFound) {
+	if err := l.db.Revoke(lease); err != nil && !errors.Is(err, kv.ErrLeaseNotFound) {
 		return err
 	}
-	w.shared.releases.Add(1)
-	w.coord.record(lockID, holdInterval{token: token, start: start, deadline: deadline, end: end})
+	l.releases.Add(1)
+	l.holds.record(lockID, holdInterval{token: token, start: start, deadline: deadline, end: end})
 	return nil
 }
-
-// watchDeletes subscribes to the run's key prefix and counts delete events
-// (releases and expiry reclaims) until ctx ends — the notification half of
-// the coordination scenarios, driven by the same commit log both backends
-// feed. It returns a drain function that blocks until the stream closes,
-// so counts are final before the run reads them.
-func watchDeletes(ctx context.Context, db kv.DB, deletes *atomic.Uint64) (func(), error) {
-	ch, err := db.Watch(ctx, []byte("user"), 0)
-	if err != nil {
-		return nil, err
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for ev := range ch {
-			if ev.Kind == kv.EventDelete {
-				deletes.Add(1)
-			}
-		}
-	}()
-	return func() { <-done }, nil
-}
-
-// hubDrainGrace is how long RunKV waits after the workers quiesce for the
-// watch hub's fallback poll to flush the commit logs' tail.
-const hubDrainGrace = 30 * time.Millisecond

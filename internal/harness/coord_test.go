@@ -19,17 +19,15 @@ func TestSessionCacheRuns(t *testing.T) {
 		if r.Ops != 600 {
 			t.Fatalf("%s: ops = %d, want 600", spec.Name(), r.Ops)
 		}
-		logins := noteValue(t, r.Notes, "logins")
-		expired := noteValue(t, r.Notes, "expired")
-		hits := noteValue(t, r.Notes, "hits")
-		if logins == 0 || hits == 0 {
-			t.Fatalf("%s: no cache traffic: %q", spec.Name(), r.Notes)
+		c := r.Counters
+		if c["harness.logins"] == 0 || c["harness.hits"] == 0 {
+			t.Fatalf("%s: no cache traffic: %s", spec.Name(), digest(c))
 		}
-		if expired == 0 {
-			t.Fatalf("%s: the expiry pump never reclaimed a session: %q", spec.Name(), r.Notes)
+		if c["harness.expired"] == 0 {
+			t.Fatalf("%s: the expiry pump never reclaimed a session: %s", spec.Name(), digest(c))
 		}
-		if deletes := noteValue(t, r.Notes, "watched-deletes"); deletes == 0 {
-			t.Fatalf("%s: the watcher saw no expiry deletes: %q", spec.Name(), r.Notes)
+		if c["harness.watched_deletes"] == 0 {
+			t.Fatalf("%s: the watcher saw no expiry deletes: %s", spec.Name(), digest(c))
 		}
 	}
 }
@@ -53,18 +51,15 @@ func TestLockServiceMutualExclusion(t *testing.T) {
 		if r.Ops != 480 {
 			t.Fatalf("%s: ops = %d, want 480", spec.Name(), r.Ops)
 		}
-		acquires := noteValue(t, r.Notes, "acquires")
-		contended := noteValue(t, r.Notes, "contended")
-		crashes := noteValue(t, r.Notes, "crashes")
-		expired := noteValue(t, r.Notes, "expired")
-		if acquires == 0 || contended == 0 {
-			t.Fatalf("%s: lock space never contended: %q", spec.Name(), r.Notes)
+		c := r.Counters
+		if c["harness.acquires"] == 0 || c["harness.contended"] == 0 {
+			t.Fatalf("%s: lock space never contended: %s", spec.Name(), digest(c))
 		}
-		if crashes == 0 || expired == 0 {
-			t.Fatalf("%s: crash-expiry path never exercised: %q", spec.Name(), r.Notes)
+		if c["harness.crashes"] == 0 || c["harness.expired"] == 0 {
+			t.Fatalf("%s: crash-expiry path never exercised: %s", spec.Name(), digest(c))
 		}
-		if deletes := noteValue(t, r.Notes, "watched-deletes"); deletes == 0 {
-			t.Fatalf("%s: the watcher saw no lock releases: %q", spec.Name(), r.Notes)
+		if c["harness.watched_deletes"] == 0 {
+			t.Fatalf("%s: the watcher saw no lock releases: %s", spec.Name(), digest(c))
 		}
 	}
 }
@@ -74,7 +69,7 @@ func TestLockServiceMutualExclusion(t *testing.T) {
 // pass — so a green mutual-exclusion run means the invariant held, not
 // that the check is vacuous.
 func TestLockAuditCatchesOverlap(t *testing.T) {
-	c := newCoordState(nil)
+	var c holdLog
 	c.record(1, holdInterval{token: 1, start: 10, deadline: 20, end: 15})
 	c.record(1, holdInterval{token: 2, start: 15, deadline: 30, end: 22})
 	if err := c.auditMutualExclusion(); err != nil {
@@ -85,7 +80,7 @@ func TestLockAuditCatchesOverlap(t *testing.T) {
 		t.Fatal("overlapping holds (21 < 22) not detected")
 	}
 	// A crashed hold's validity ends at its lease deadline, not at release.
-	c2 := newCoordState(nil)
+	var c2 holdLog
 	c2.record(7, holdInterval{token: 1, start: 5, deadline: 9})
 	c2.record(7, holdInterval{token: 2, start: 8, deadline: 20, end: 12})
 	if err := c2.auditMutualExclusion(); err == nil {
@@ -98,7 +93,7 @@ func TestLockAuditCatchesOverlap(t *testing.T) {
 		{{token: 1, start: 11, deadline: 17, end: 11}, {token: 2, start: 11, deadline: 15}},
 		{{token: 2, start: 11, deadline: 15}, {token: 1, start: 11, deadline: 17, end: 11}},
 	} {
-		c3 := newCoordState(nil)
+		var c3 holdLog
 		c3.record(3, order[0])
 		c3.record(3, order[1])
 		if err := c3.auditMutualExclusion(); err != nil {
@@ -107,7 +102,7 @@ func TestLockAuditCatchesOverlap(t *testing.T) {
 	}
 	// But two tied holds that both extend past the tie tick cannot both be
 	// lease-valid: one acquired while the other still held the key.
-	c4 := newCoordState(nil)
+	var c4 holdLog
 	c4.record(9, holdInterval{token: 1, start: 11, deadline: 15})
 	c4.record(9, holdInterval{token: 2, start: 11, deadline: 17, end: 14})
 	if err := c4.auditMutualExclusion(); err == nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"text/tabwriter"
 )
 
@@ -22,21 +23,19 @@ type JSONResult struct {
 	OpsPerKAccess   float64 `json:"ops_per_kacc"`
 	OpsPerKInterval float64 `json:"ops_per_kinterval,omitempty"`
 	AbortsPerCommit float64 `json:"aborts_per_commit"`
-	Notes           string  `json:"notes,omitempty"`
 	// Counters embeds the run's structured observations (the flattened
-	// obs.Snapshot plus harness.* workload counters) when the emitter asks
-	// for them — rhbench's -metrics flag.
+	// obs.Snapshot plus harness.* workload counters); absent for the raw
+	// structure workloads, which have none.
 	Counters map[string]int64 `json:"counters,omitempty"`
 }
 
-// WriteResultsJSONCounters emits one JSON line per result (JSONL: trivially
+// WriteResultsJSON emits one JSON line per result (JSONL: trivially
 // appendable and `jq`-able), tagged with the experiment id so a whole
-// rhbench invocation lands in one trajectory file; counters optionally
-// embeds the structured counter map per row (rhbench -metrics).
-func WriteResultsJSONCounters(w io.Writer, experiment string, results []Result, counters bool) error {
+// rhbench invocation lands in one trajectory file.
+func WriteResultsJSON(w io.Writer, experiment string, results []Result) error {
 	enc := json.NewEncoder(w)
 	for _, r := range results {
-		jr := JSONResult{
+		err := enc.Encode(JSONResult{
 			Experiment:      experiment,
 			Workload:        r.Workload,
 			Engine:          r.Engine,
@@ -47,16 +46,34 @@ func WriteResultsJSONCounters(w io.Writer, experiment string, results []Result, 
 			OpsPerKAccess:   r.OpsPerKAccess,
 			OpsPerKInterval: r.OpsPerKInterval,
 			AbortsPerCommit: r.Stats.AbortRatio(),
-			Notes:           r.Notes,
-		}
-		if counters {
-			jr.Counters = r.Counters
-		}
-		if err := enc.Encode(jr); err != nil {
+			Counters:        r.Counters,
+		})
+		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// digest renders the human view of a run's counters: every harness.*
+// observation of the workload, and what is nonzero of the store occupancy,
+// the 2PC and log counters and the planner's picks (histogram parts
+// aside). The JSON rows carry the full map; this is the line a reader of
+// the terminal output gets.
+func digest(counters map[string]int64) string {
+	var parts []string
+	for name, v := range counters {
+		if strings.HasSuffix(name, ".count") || strings.HasSuffix(name, ".sum") {
+			continue
+		}
+		for _, p := range []string{"harness.", "store.", "cluster.", "wal.", "table.planner.picks"} {
+			if strings.HasPrefix(name, p) && (v != 0 || p == "harness.") {
+				parts = append(parts, fmt.Sprintf("%s=%d", name, v))
+			}
+		}
+	}
+	sort.Strings(parts)
+	return strings.Join(parts, " ")
 }
 
 // PrintThroughputSeries renders thread-sweep results as one column per
@@ -111,19 +128,14 @@ func PrintThroughputSeries(w io.Writer, title string, results []Result) {
 		fmt.Fprintf(w, "#   %-16s abort-ratio=%.3f at %d threads (%s)\n",
 			e, last.Stats.AbortRatio(), last.Threads, last.Stats.String())
 	}
-	notes := false
+	header := false
 	for _, e := range engines {
-		if byKey[key(e, threads[len(threads)-1])].Notes != "" {
-			notes = true
-			break
-		}
-	}
-	if notes {
-		fmt.Fprintf(w, "# notes (at %d threads):\n", threads[len(threads)-1])
-		for _, e := range engines {
-			if last := byKey[key(e, threads[len(threads)-1])]; last.Notes != "" {
-				fmt.Fprintf(w, "#   %-16s %s\n", e, last.Notes)
+		if d := digest(byKey[key(e, threads[len(threads)-1])].Counters); d != "" {
+			if !header {
+				fmt.Fprintf(w, "# counters (at %d threads):\n", threads[len(threads)-1])
+				header = true
 			}
+			fmt.Fprintf(w, "#   %-16s %s\n", e, d)
 		}
 	}
 }

@@ -1,14 +1,11 @@
 package harness
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"rhtm"
 	"rhtm/cluster"
@@ -20,12 +17,12 @@ import (
 	"rhtm/wal"
 )
 
-// The unified KV runner: every YCSB-style mix is generated once, against
-// the kv.DB interface, and executed by RunKV on either backend — a
-// single-System engine over a sharded store, or the share-nothing
-// multi-System cluster. The old harness carried two parallel stacks of
-// workload plumbing (tx-level op factories for the store, client-level
-// workers for the cluster); this file replaces both.
+// The unified KV runner: every mix of the mix table (mixes.go) is generated
+// once, against the kv.DB interface, and executed by RunKV on any backend —
+// a single-System engine over a sharded store, the share-nothing
+// multi-System cluster, or either of them behind the network front end.
+// This file holds the backends, the runner, and the raw-record mixes; the
+// coordination mixes live in coord.go, the table mixes in tablerun.go.
 
 // bankInitial is the starting balance of every bank account.
 const bankInitial = 1000
@@ -44,8 +41,9 @@ type kvBackend interface {
 	// SystemFor reports key placement for cross-System draws; -1 when the
 	// backend has a single System.
 	SystemFor(key []byte) int
-	// Finish fills the engine/accesses/notes fields of the result.
-	Finish(res *Result)
+	// Finish fills the engine, access and counter fields of the result
+	// from the quiescent backend.
+	Finish(res *Result) error
 	// Validate checks structural invariants after the run.
 	Validate() error
 }
@@ -67,11 +65,11 @@ type storeBackend struct {
 	replicaEngs []rhtm.Engine
 }
 
-func openStoreBackend(spec KVSpec, engineName string, cfg RunConfig) (*storeBackend, error) {
+func openStoreBackend(spec sizing, engineName string, cfg RunConfig) (*storeBackend, error) {
 	perRecord := store.RecordFootprintWords(len(ycsbKey(0)), spec.ValueBytes)
 	recordsPerShard := (spec.Records + spec.Shards - 1) / spec.Shards
-	insertSlack := (insertBudget(spec, cfg)/spec.Shards + 1) * perRecord * 2
-	arenaWords := recordsPerShard*perRecord*2 + insertSlack + leaseSlackWords(spec)/spec.Shards + 4096
+	insertSlack := (spec.insertBudget/spec.Shards + 1) * perRecord * 2
+	arenaWords := recordsPerShard*perRecord*2 + insertSlack + spec.leaseWords/spec.Shards + 4096
 	s, err := rhtm.NewSystem(rhtm.DefaultConfig(spec.Shards*(arenaWords+store.DefaultLogWords+64) + 8192))
 	if err != nil {
 		return nil, err
@@ -158,28 +156,26 @@ func (b *storeBackend) Peek(key []byte) ([]byte, bool) {
 
 func (b *storeBackend) SystemFor([]byte) int { return -1 }
 
-func (b *storeBackend) Finish(res *Result) {
+func (b *storeBackend) Finish(res *Result) error {
 	res.Engine = b.eng.Name()
 	res.Stats = b.eng.Snapshot()
-	res.Accesses = res.Stats.Reads + res.Stats.Writes +
-		res.Stats.MetadataReads + res.Stats.MetadataWrites
+	res.Accesses = accesses(res.Stats)
 	res.Counters = b.db.Metrics().Flatten()
-	res.Notes = "store: " + b.sh.Stats(containers.SetupTx(b.sys)).String()
 	if b.group != nil {
-		// Drain the followers so the repl.* gauges are final (lag 0), then
-		// report the replication counters alongside the DB's. The primary's
-		// accesses are the critical path — replicas replay and serve reads
-		// in parallel — so ops/kinterval measures the read offload while
-		// ops/kaccess keeps charging the whole fleet's work.
+		// Drain the followers so the repl.* gauges are final (lag 0) — a
+		// replica that cannot converge fails the run — then report the
+		// replication counters alongside the DB's. The primary's accesses are
+		// the critical path — replicas replay and serve reads in parallel —
+		// so ops/kinterval measures the read offload while ops/kaccess keeps
+		// charging the whole fleet's work.
 		for _, f := range b.followers {
 			if err := f.WaitIdle(); err != nil {
-				res.Notes += fmt.Sprintf(" repl-drain-err=%v", err)
+				return fmt.Errorf("harness: replica drain: %w", err)
 			}
 		}
 		res.CriticalAccesses = res.Accesses
 		for _, eng := range b.replicaEngs {
-			st := eng.Snapshot()
-			res.Accesses += st.Reads + st.Writes + st.MetadataReads + st.MetadataWrites
+			res.Accesses += accesses(eng.Snapshot())
 		}
 		for k, v := range b.group.Metrics().Flatten() {
 			res.Counters[k] = v
@@ -187,6 +183,7 @@ func (b *storeBackend) Finish(res *Result) {
 	}
 	// After the drain, so replica_apply stage stats cover every commit.
 	traceCounters(b.db.Flight(), "trace.", res.Counters)
+	return nil
 }
 
 func (b *storeBackend) Validate() error { return b.sh.Validate() }
@@ -200,7 +197,7 @@ type clusterBackend struct {
 	wal   bool
 }
 
-func openClusterBackend(spec KVSpec, engineName string, cfg RunConfig) (*clusterBackend, error) {
+func openClusterBackend(spec sizing, engineName string, cfg RunConfig) (*clusterBackend, error) {
 	keyBytes := len(ycsbKey(0))
 	recordsPerSys := (spec.Records + spec.Systems - 1) / spec.Systems
 	perRecord := store.RecordFootprintWords(keyBytes, spec.ValueBytes)
@@ -213,9 +210,9 @@ func openClusterBackend(spec KVSpec, engineName string, cfg RunConfig) (*cluster
 	}
 	intentSlack := (cfg.Threads*perIntentKeys*2 + 64) *
 		store.IntentFootprintWords(keyBytes, spec.ValueBytes)
-	insertSlack := (insertBudget(spec, cfg)/spec.Systems + 1) * perRecord * 2
+	insertSlack := (spec.insertBudget/spec.Systems + 1) * perRecord * 2
 	arenaWords := recordsPerSys*perRecord*2 + intentSlack + insertSlack +
-		leaseSlackWords(spec)/spec.Systems + 4096
+		spec.leaseWords/spec.Systems + 4096
 	c, err := cluster.New(cluster.Config{
 		Systems:    spec.Systems,
 		ArenaWords: arenaWords,
@@ -265,7 +262,7 @@ func (b *clusterBackend) SystemFor(key []byte) int {
 	return b.c.Router().SystemFor(key)
 }
 
-func (b *clusterBackend) Finish(res *Result) {
+func (b *clusterBackend) Finish(res *Result) error {
 	cs := b.c.Stats()
 	res.Engine = b.c.Node(0).Engine().Name()
 	res.Stats = cs.Engines
@@ -277,11 +274,7 @@ func (b *clusterBackend) Finish(res *Result) {
 	}
 	res.Counters = b.db.Metrics().Flatten()
 	traceCounters(b.db.Flight(), "trace.", res.Counters)
-	res.Notes = fmt.Sprintf(
-		"2pc: cross=%d commit=%d abort=%d prep-conflicts=%d local=%d local-conflicts=%d intent-waits=%d scans=%d scan-retries=%d | store: %s",
-		cs.CrossTxns, cs.CrossCommits, cs.CrossAborts, cs.PrepareConflicts,
-		cs.LocalTxns, cs.LocalConflicts, cs.IntentWaits,
-		cs.SnapshotScans, cs.ScanRetries, cs.Store.String())
+	return nil
 }
 
 func (b *clusterBackend) Validate() error { return b.c.Validate() }
@@ -307,53 +300,94 @@ func traceCounters(f *obs.Flight, prefix string, out map[string]int64) {
 	}
 }
 
-// insertBudget estimates how many inserts a d/e run can issue, for arena
-// sizing. Count-based runs are exact to the op budget; time-based runs get
-// headroom for one extra record population — past it, inserts fall back to
-// overwrites (counted in the run notes) rather than failing the run.
-func insertBudget(spec KVSpec, cfg RunConfig) int {
-	if spec.Mix != "d" && spec.Mix != "e" && spec.Mix != "eidx" {
-		return 0
+// kvRun is what one RunKV invocation hands its mix state.
+type kvRun struct {
+	spec      KVSpec
+	mix       *mixDesc
+	be        kvBackend
+	db        kv.DB
+	zipf      *zipfian         // skewed record ranks; nil under DistUniform
+	followers []*repl.Follower // the store backend's replicas
+}
+
+// kvWorker is one worker thread's scratch, handed to the mix's step.
+type kvWorker struct {
+	rng     *rand.Rand
+	buf     []byte  // value scratch, spec.ValueBytes long
+	pending []kv.Op // batched mixes: ops awaiting the next Batch flush
+	fi      int     // follower reads: round-robin cursor
+}
+
+// draw picks an index in [0, n) per the spec's distribution: uniform, or
+// scrambled zipfian (as YCSB's ScrambledZipfianGenerator — the skew applies
+// to hashed ranks so the hot keys spread over the key space, and therefore
+// over shards and Systems).
+func (r *kvRun) draw(w *kvWorker, n int) int {
+	if r.zipf != nil {
+		return int(scramble(uint64(r.zipf.next(w.rng))) % uint64(n))
 	}
-	if cfg.OpsPerThread > 0 {
-		return cfg.Threads*cfg.OpsPerThread/10 + 64
+	return w.rng.Intn(n)
+}
+
+// record draws one loaded record's index.
+func (r *kvRun) record(w *kvWorker) int { return r.draw(w, r.spec.Records) }
+
+// multiSystem reports whether keys can land on different Systems.
+func (r *kvRun) multiSystem() bool {
+	return r.be.SystemFor(ycsbKey(0)) >= 0 || r.be.SystemFor(ycsbKey(1)) >= 0
+}
+
+// load populates the spec's records through the setup path.
+func (r *kvRun) load(fill func(val []byte)) error {
+	val := make([]byte, r.spec.ValueBytes)
+	for i := 0; i < r.spec.Records; i++ {
+		fill(val)
+		if err := r.be.Load(ycsbKey(i), val); err != nil {
+			return fmt.Errorf("KV load: %w", err)
+		}
 	}
-	return spec.Records
+	return nil
+}
+
+// loadRandom populates random payloads, reproducible from loaderSeed.
+func (r *kvRun) loadRandom() error {
+	rng := rand.New(rand.NewSource(loaderSeed))
+	return r.load(func(val []byte) { rng.Read(val) })
+}
+
+// catchUp lets the replicas absorb the populate phase before measuring: the
+// run quantifies steady-state read offload, not cold catch-up (misses
+// during the run still fall back to the primary, counted).
+func (r *kvRun) catchUp() error {
+	for _, f := range r.followers {
+		if err := f.WaitIdle(); err != nil {
+			return fmt.Errorf("replica catch-up: %w", err)
+		}
+	}
+	return nil
 }
 
 // RunKV executes one measurement of spec on the named engine: build the
-// backend, populate the records through the setup path, and drive
-// cfg.Threads workers against the kv.DB. For Mix "bank" the
-// conserved-total invariant is checked after the run; every run validates
-// the backend's structural invariants.
+// backend, let the spec's mix populate it, and drive cfg.Threads workers
+// against the kv.DB. Every run ends with the mix's invariant audit and the
+// backend's structural validation.
 func RunKV(spec KVSpec, engineName string, cfg RunConfig) (Result, error) {
 	spec = spec.withDefaults()
 	if err := spec.validate(); err != nil {
 		return Result{}, err
 	}
-	if cfg.Threads <= 0 {
-		return Result{}, fmt.Errorf("harness: Threads must be positive")
-	}
-	if cfg.Duration <= 0 && cfg.OpsPerThread <= 0 {
-		return Result{}, fmt.Errorf("harness: need Duration or OpsPerThread")
-	}
+	m, _ := lookupMix(spec.Mix) // validate vouched for it
 
-	// The backends size arenas and intent slack from the spec; table rows
-	// cost more than raw records, so the table mixes hand them an inflated
-	// copy (worker behavior still follows the real spec).
-	bspec := spec
-	if spec.tableMix() {
-		bspec = tableSizing(spec)
-	}
+	sz := m.sizing(spec, cfg)
 	var be kvBackend
 	var err error
 	switch {
 	case spec.Net:
-		be, err = openNetBackend(bspec, engineName, cfg)
+		be, err = openNetBackend(sz, engineName, cfg)
 	case spec.Backend == BackendCluster:
-		be, err = openClusterBackend(bspec, engineName, cfg)
+		be, err = openClusterBackend(sz, engineName, cfg)
 	default:
-		be, err = openStoreBackend(bspec, engineName, cfg)
+		be, err = openStoreBackend(sz, engineName, cfg)
 	}
 	if err != nil {
 		return Result{}, err
@@ -362,162 +396,57 @@ func RunKV(spec KVSpec, engineName string, cfg RunConfig) (Result, error) {
 		defer c.Close()
 	}
 
-	// Populate through the setup path (reproducible from loaderSeed). The
-	// coordination mixes start empty: sessions are created by logins, locks
-	// by acquisitions.
-	coordMix := spec.Mix == "session" || spec.Mix == "lock"
-	if !coordMix && !spec.tableMix() {
-		loadRng := rand.New(rand.NewSource(loaderSeed))
-		val := make([]byte, spec.ValueBytes)
-		for i := 0; i < spec.Records; i++ {
-			if spec.Mix == "bank" {
-				binary.LittleEndian.PutUint64(val, bankInitial)
-			} else {
-				loadRng.Read(val)
-			}
-			if err := be.Load(ycsbKey(i), val); err != nil {
-				return Result{}, fmt.Errorf("harness: KV load: %w", err)
-			}
-		}
+	run := &kvRun{spec: spec, mix: m, be: be, db: be.DB()}
+	if spec.Dist == DistZipfian {
+		run.zipf = newZipfian(spec.Records, spec.Theta)
 	}
-	// The table mixes populate through Table.Insert instead of the raw
-	// setup path: every row needs its index entry and statistics shards
-	// maintained on the way in, which only the record layer's own write
-	// transactions do.
-	var tables *tableState
-	if spec.tableMix() {
-		if tables, err = openTables(spec, be.DB()); err != nil {
-			return Result{}, fmt.Errorf("harness: table populate: %w", err)
-		}
-	}
-
-	var zipf *zipfian
-	if spec.Dist == DistZipfian || spec.Mix == "d" {
-		// Mix "d" always draws latest-skewed ranks from this generator,
-		// whatever Dist says about the other mixes.
-		zipf = newZipfian(spec.Records, spec.Theta)
-	}
-
-	shared := &kvShared{}
-	coord := newCoordState(be.Clock())
-	var drainWatch func()
-	watchCtx, watchCancel := context.WithCancel(context.Background())
-	defer watchCancel()
-	if coordMix {
-		// The run's own watcher: counts release/expiry deletes live, off
-		// the same commit log the workers write through.
-		drainWatch, err = watchDeletes(watchCtx, be.DB(), &shared.watchedDeletes)
-		if err != nil {
-			return Result{}, fmt.Errorf("harness: watch: %w", err)
-		}
-	}
-	var followers []*repl.Follower
 	if sb, ok := be.(*storeBackend); ok {
-		followers = sb.followers
-		// Let the replicas absorb the populate phase before measuring:
-		// the run quantifies steady-state read offload, not cold catch-up
-		// (misses during the run still fall back to the primary, counted).
-		for _, f := range followers {
-			if err := f.WaitIdle(); err != nil {
-				return Result{}, fmt.Errorf("harness: replica catch-up: %w", err)
-			}
+		run.followers = sb.followers
+	}
+	st, err := m.open(run)
+	if err != nil {
+		return Result{}, fmt.Errorf("harness: open mix %q: %w", spec.Mix, err)
+	}
+	// Unpipelined net runs are the classic closed loop: a worker holds one of
+	// Conns slots for the length of each step, so at most one request per
+	// pooled connection is ever outstanding.
+	var slots chan struct{}
+	if spec.Net && !spec.Pipeline {
+		slots = make(chan struct{}, spec.Conns)
+	}
+	gated := func(w *kvWorker, op func(*kvWorker) error) func() error {
+		if slots == nil {
+			return func() error { return op(w) }
+		}
+		return func() error {
+			slots <- struct{}{}
+			defer func() { <-slots }()
+			return op(w)
 		}
 	}
-	var stop atomic.Bool
-	var totalOps atomic.Uint64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < cfg.Threads; i++ {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
-		id := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := &kvWorker{id: id, spec: spec, be: be, db: be.DB(), rng: rng,
-				zipf: zipf, shared: shared, coord: coord, tables: tables,
-				followers: followers, fi: id}
-			ops := driveWorker(cfg, &stop, func() {
-				if err := w.step(); err != nil {
-					// Worker bodies never return user errors; failures are
-					// protocol or capacity bugs, surfaced via panic as the
-					// structure-workload runner does.
-					panic(fmt.Sprintf("harness: KV op: %v", err))
-				}
-			})
-			if err := w.drain(); err != nil {
-				panic(fmt.Sprintf("harness: KV batch drain: %v", err))
-			}
-			totalOps.Add(ops)
-		}()
-	}
-	if cfg.Duration > 0 {
-		time.Sleep(cfg.Duration)
-		stop.Store(true)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if drainWatch != nil {
-		// Give the hub a moment to flush the tail of the commit logs, then
-		// close the stream, wait for the counter to be final, and quiesce
-		// the hub's poller threads before anything snapshots the engines.
-		time.Sleep(2 * hubDrainGrace)
-		watchCancel()
-		drainWatch()
-		if w, ok := be.DB().(interface{ WaitWatchIdle() }); ok {
-			w.WaitWatchIdle()
+	res, err := measure(cfg, func(id int, rng *rand.Rand) (step, done func() error) {
+		w := &kvWorker{rng: rng, buf: make([]byte, spec.ValueBytes), fi: id}
+		if d, ok := st.(interface{ drain(*kvWorker) error }); ok {
+			done = gated(w, d.drain)
 		}
+		return gated(w, st.step), done
+	})
+	if q, ok := st.(interface{ quiesce() }); ok {
+		q.quiesce() // before anything snapshots the engines
 	}
-
-	res := Result{
-		Workload: spec.Name(),
-		Threads:  cfg.Threads,
-		Ops:      totalOps.Load(),
-		Elapsed:  elapsed,
+	if err != nil {
+		return Result{}, err
 	}
-	res.Throughput = float64(res.Ops) / elapsed.Seconds()
-	be.Finish(&res)
-	if res.Accesses > 0 {
-		res.OpsPerKAccess = 1000 * float64(res.Ops) / float64(res.Accesses)
-	}
-	if res.CriticalAccesses > 0 {
-		res.OpsPerKInterval = 1000 * float64(res.Ops) / float64(res.CriticalAccesses)
-	}
-	res.Notes += shared.notes(spec, be)
-	if res.Counters == nil {
-		res.Counters = map[string]int64{}
-	}
-	shared.counters(spec, res.Counters)
-	if tables != nil {
-		// The tables' registry is separate from the DB's, so the table.*
-		// and index.* counters merge in under their own names without
-		// collisions (same pattern as the net backend's server.*).
-		for k, v := range tables.reg.Snapshot().Flatten() {
-			res.Counters[k] = v
-		}
-	}
-
-	if spec.Mix == "lock" {
-		if err := coord.auditMutualExclusion(); err != nil {
-			return res, err
-		}
-	}
-	if spec.Mix == "bank" {
-		var total uint64
-		for i := 0; i < spec.Records; i++ {
-			v, ok := be.Peek(ycsbKey(i))
-			if !ok {
-				return res, fmt.Errorf("harness: bank account %d missing after run", i)
-			}
-			total += binary.LittleEndian.Uint64(v)
-		}
-		if want := uint64(spec.Records) * bankInitial; total != want {
-			return res, fmt.Errorf("harness: bank total %d != %d — atomicity violated", total, want)
-		}
-	}
-	if err := be.Validate(); err != nil {
+	res.Workload = spec.Name()
+	if err := be.Finish(&res); err != nil {
 		return res, err
 	}
-	return res, nil
+	res.derive()
+	st.counters(res.Counters)
+	if err := st.audit(); err != nil {
+		return res, err
+	}
+	return res, be.Validate()
 }
 
 // MustRunKV is RunKV for experiment drivers, where a config error is a bug.
@@ -529,233 +458,132 @@ func MustRunKV(spec KVSpec, engineName string, cfg RunConfig) Result {
 	return r
 }
 
-// kvShared aggregates worker observations across threads.
-type kvShared struct {
-	inserts         atomic.Int64  // records inserted (d/e)
-	insertFallbacks atomic.Uint64 // inserts converted to overwrites (arena full)
-	updates         atomic.Uint64 // committed RMW updates (f) / upserts (query)
-	scans           atomic.Uint64 // scans executed (e / eidx)
-	scanned         atomic.Uint64 // entries yielded by scans and range queries
-	batches         atomic.Uint64 // batch flushes
+// --- mixes a, b, c, f: single-key reads and writes ---
 
-	// Table mixes (eidx / query).
-	pointQs atomic.Uint64 // planner-served point queries
-	rangeQs atomic.Uint64 // bucket-range queries
-	orderQs atomic.Uint64 // covering order-limit queries
+// ycsbRun is the run state of the plain read/write mixes: reads are gets
+// (batched, or served by a follower, when the spec asks), writes blind puts
+// or, for mix.rmw, audited increments of the record's leading counter.
+type ycsbRun struct {
+	*kvRun
+	initial uint64 // mix.rmw: sum of all leading counters after the load
 
-	// Replication (spec.Replicas > 0).
+	updates atomic.Uint64 // committed read-modify-writes
+	batches atomic.Uint64 // batch flushes
+
 	followerReads  atomic.Uint64 // reads served by a replica
 	followerStale  atomic.Uint64 // ErrTooStale fallbacks to the primary
 	followerMisses atomic.Uint64 // not-yet-applied misses, served by the primary
 	hiWatermark    atomic.Uint64 // highest watermark any worker observed
-
-	// Coordination mixes (session / lock).
-	opSeq          atomic.Uint64 // global op counter driving the expiry pump
-	expired        atomic.Uint64 // leases reclaimed by ExpireLeases
-	hits, misses   atomic.Uint64 // session cache outcomes
-	logins         atomic.Uint64 // session (re)creations
-	acquires       atomic.Uint64 // lock acquisitions won
-	contended      atomic.Uint64 // lock acquisitions lost to the CAS guard
-	crashes        atomic.Uint64 // holds abandoned to lease expiry
-	releases       atomic.Uint64 // holds released with the guarded delete
-	watchedDeletes atomic.Uint64 // delete events seen by the run's watcher
 }
 
-// counters writes the mix-specific observations into out under harness.*
-// names — the structured form tests and tooling read; notes below renders
-// the same data for humans. Only the counters the mix actually maintains
-// are emitted, mirroring the rendered view.
-func (sh *kvShared) counters(spec KVSpec, out map[string]int64) {
-	switch spec.Mix {
-	case "d", "e":
-		out["harness.inserts"] = sh.inserts.Load()
-		out["harness.insert_fallbacks"] = int64(sh.insertFallbacks.Load())
-		if spec.Mix == "e" {
-			out["harness.scans"] = int64(sh.scans.Load())
-			out["harness.scanned"] = int64(sh.scanned.Load())
+func openYCSB(run *kvRun) (mixRun, error) {
+	if err := run.loadRandom(); err != nil {
+		return nil, err
+	}
+	y := &ycsbRun{kvRun: run}
+	if run.mix.rmw {
+		y.initial = y.leadingSum()
+	}
+	return y, run.catchUp()
+}
+
+// leadingSum totals every record's leading 8-byte counter (quiescent).
+func (y *ycsbRun) leadingSum() uint64 {
+	var sum uint64
+	for i := 0; i < y.spec.Records; i++ {
+		if v, ok := y.be.Peek(ycsbKey(i)); ok {
+			sum += binary.LittleEndian.Uint64(v)
 		}
-	case "f":
-		out["harness.updates"] = int64(sh.updates.Load())
-	case "eidx":
-		out["harness.inserts"] = sh.inserts.Load()
-		out["harness.insert_fallbacks"] = int64(sh.insertFallbacks.Load())
-		out["harness.scans"] = int64(sh.scans.Load())
-		out["harness.scanned"] = int64(sh.scanned.Load())
-	case "query":
-		out["harness.point_queries"] = int64(sh.pointQs.Load())
-		out["harness.range_queries"] = int64(sh.rangeQs.Load())
-		out["harness.order_queries"] = int64(sh.orderQs.Load())
-		out["harness.upserts"] = int64(sh.updates.Load())
-		out["harness.scanned"] = int64(sh.scanned.Load())
-	case "session":
-		out["harness.hits"] = int64(sh.hits.Load())
-		out["harness.misses"] = int64(sh.misses.Load())
-		out["harness.logins"] = int64(sh.logins.Load())
-		out["harness.expired"] = int64(sh.expired.Load())
-		out["harness.watched_deletes"] = int64(sh.watchedDeletes.Load())
-	case "lock":
-		out["harness.acquires"] = int64(sh.acquires.Load())
-		out["harness.contended"] = int64(sh.contended.Load())
-		out["harness.releases"] = int64(sh.releases.Load())
-		out["harness.crashes"] = int64(sh.crashes.Load())
-		out["harness.expired"] = int64(sh.expired.Load())
-		out["harness.watched_deletes"] = int64(sh.watchedDeletes.Load())
 	}
-	if spec.BatchSize > 1 {
-		out["harness.batches"] = int64(sh.batches.Load())
+	return sum
+}
+
+func (y *ycsbRun) counters(out map[string]int64) {
+	if y.mix.rmw {
+		out["harness.updates"] = int64(y.updates.Load())
+		out["harness.fsum"] = int64(y.leadingSum())
 	}
-	if spec.Replicas > 0 {
-		out["harness.follower_reads"] = int64(sh.followerReads.Load())
-		out["harness.follower_stale"] = int64(sh.followerStale.Load())
-		out["harness.follower_misses"] = int64(sh.followerMisses.Load())
+	if y.spec.BatchSize > 1 {
+		out["harness.batches"] = int64(y.batches.Load())
+	}
+	if y.spec.Replicas > 0 {
+		out["harness.follower_reads"] = int64(y.followerReads.Load())
+		out["harness.follower_stale"] = int64(y.followerStale.Load())
+		out["harness.follower_misses"] = int64(y.followerMisses.Load())
 	}
 }
 
-// notes renders the mix-specific counters for Result.Notes. For mix "f" it
-// includes the sum of all leading counters, which grows by exactly one per
-// committed update — lost updates show as a shortfall against updates=.
-func (sh *kvShared) notes(spec KVSpec, be kvBackend) string {
-	out := ""
-	switch spec.Mix {
-	case "d", "e":
-		out += fmt.Sprintf(" inserts=%d insert-fallbacks=%d", sh.inserts.Load(), sh.insertFallbacks.Load())
-		if spec.Mix == "e" {
-			out += fmt.Sprintf(" scans=%d scanned=%d", sh.scans.Load(), sh.scanned.Load())
-		}
-	case "f":
-		var sum uint64
-		for i := 0; i < spec.Records; i++ {
-			if v, ok := be.Peek(ycsbKey(i)); ok {
-				sum += binary.LittleEndian.Uint64(v)
-			}
-		}
-		out += fmt.Sprintf(" fsum=%d updates=%d", sum, sh.updates.Load())
-	case "eidx":
-		out += fmt.Sprintf(" inserts=%d insert-fallbacks=%d scans=%d scanned=%d",
-			sh.inserts.Load(), sh.insertFallbacks.Load(), sh.scans.Load(), sh.scanned.Load())
-	case "query":
-		out += fmt.Sprintf(" points=%d ranges=%d order-limits=%d upserts=%d scanned=%d",
-			sh.pointQs.Load(), sh.rangeQs.Load(), sh.orderQs.Load(),
-			sh.updates.Load(), sh.scanned.Load())
-	case "session":
-		out += fmt.Sprintf(" hits=%d misses=%d logins=%d expired=%d watched-deletes=%d",
-			sh.hits.Load(), sh.misses.Load(), sh.logins.Load(),
-			sh.expired.Load(), sh.watchedDeletes.Load())
-	case "lock":
-		out += fmt.Sprintf(" acquires=%d contended=%d releases=%d crashes=%d expired=%d watched-deletes=%d",
-			sh.acquires.Load(), sh.contended.Load(), sh.releases.Load(),
-			sh.crashes.Load(), sh.expired.Load(), sh.watchedDeletes.Load())
+// audit checks the read-modify-write mix for lost updates: every committed
+// update bumps one leading counter by one, so their total must have grown
+// by exactly the number of updates.
+func (y *ycsbRun) audit() error {
+	if !y.mix.rmw {
+		return nil
 	}
-	if spec.BatchSize > 1 {
-		out += fmt.Sprintf(" batches=%d", sh.batches.Load())
+	if grew, want := y.leadingSum()-y.initial, y.updates.Load(); grew != want {
+		return fmt.Errorf("harness: leading counters grew by %d over %d committed read-modify-writes — lost or phantom updates", grew, want)
 	}
-	if spec.Replicas > 0 {
-		out += fmt.Sprintf(" follower-reads=%d stale-fallbacks=%d misses=%d",
-			sh.followerReads.Load(), sh.followerStale.Load(), sh.followerMisses.Load())
-	}
-	return out
+	return nil
 }
 
-// kvWorker generates and executes one thread's operations against a kv.DB.
-type kvWorker struct {
-	id        int
-	spec      KVSpec
-	be        kvBackend
-	db        kv.DB
-	rng       *rand.Rand
-	zipf      *zipfian
-	shared    *kvShared
-	coord     *coordState
-	tables    *tableState
-	followers []*repl.Follower
-	fi        int
-	buf       []byte
-	pending   []kv.Op
-	tokenSeq  uint64
-}
-
-// records returns the current record-space size (grows under d/e inserts).
-func (w *kvWorker) records() int {
-	return w.spec.Records + int(w.shared.inserts.Load())
-}
-
-// record draws one existing record index per the spec's distribution.
-func (w *kvWorker) record() int {
-	return drawRecord(w.rng, w.zipf, w.spec.Records)
-}
-
-// step runs one logical operation.
-func (w *kvWorker) step() error {
-	switch w.spec.Mix {
-	case "bank":
-		return w.transfer()
-	case "session":
-		return w.sessionOp()
-	case "lock":
-		return w.lockOp()
-	case "d":
-		if w.rng.Intn(100) < 95 {
-			return w.readLatest()
-		}
-		return w.insert()
-	case "e":
-		if w.rng.Intn(100) < 95 {
-			return w.scan()
-		}
-		return w.insert()
-	case "eidx", "query":
-		return w.tableStep()
+func (y *ycsbRun) step(w *kvWorker) error {
+	isRead := w.rng.Intn(100) < y.mix.readPct
+	if y.spec.CrossPct > 0 && y.spec.CrossKeys > 1 && w.rng.Intn(100) < y.spec.CrossPct {
+		return y.crossOp(w, isRead)
 	}
-	readPct, _ := w.spec.readPct()
-	isRead := w.rng.Intn(100) < readPct
-	if w.spec.CrossPct > 0 && w.spec.CrossKeys > 1 && w.rng.Intn(100) < w.spec.CrossPct {
-		return w.crossOp(isRead)
-	}
-	return w.singleOp(isRead)
+	return y.singleOp(w, isRead)
 }
 
-// singleOp is one single-key operation, batched when the spec asks for it.
-func (w *kvWorker) singleOp(isRead bool) error {
-	key := ycsbKey(w.record())
-	if isRead {
-		if w.spec.BatchSize > 1 {
-			return w.enqueue(kv.Op{Kind: kv.OpGet, Key: key})
-		}
-		if len(w.followers) > 0 {
-			return w.followerRead(key)
-		}
-		_, err := w.db.Get(key)
-		if errors.Is(err, kv.ErrNotFound) {
-			return fmt.Errorf("record %s missing", key)
-		}
-		return err
+// get reads a loaded record from the primary; a miss is a bug.
+func (y *ycsbRun) get(key []byte) error {
+	_, err := y.db.Get(key)
+	if errors.Is(err, kv.ErrNotFound) {
+		return fmt.Errorf("record %s missing", key)
 	}
-	if w.spec.Mix == "f" {
-		// Read-modify-write: bump the record's leading counter in place,
-		// preserving the payload tail, as one closure transaction.
-		err := w.db.Update(func(tx kv.Txn) error {
-			cur, err := tx.Get(key)
+	return err
+}
+
+// bump is the read-modify-write: increment each key's leading counter in
+// place, preserving the payload tail, as one closure transaction.
+func (y *ycsbRun) bump(keys ...[]byte) error {
+	err := y.db.Update(func(tx kv.Txn) error {
+		for _, k := range keys {
+			v, err := tx.Get(k)
 			if err != nil {
 				return err
 			}
-			binary.LittleEndian.PutUint64(cur, binary.LittleEndian.Uint64(cur)+1)
-			return tx.Put(key, cur)
-		})
-		if err == nil {
-			w.shared.updates.Add(1)
+			binary.LittleEndian.PutUint64(v, binary.LittleEndian.Uint64(v)+1)
+			if err := tx.Put(k, v); err != nil {
+				return err
+			}
 		}
-		return err
+		return nil
+	})
+	if err == nil {
+		y.updates.Add(uint64(len(keys)))
 	}
-	if w.buf == nil {
-		w.buf = make([]byte, w.spec.ValueBytes)
+	return err
+}
+
+// singleOp is one single-key operation, batched when the spec asks for it.
+func (y *ycsbRun) singleOp(w *kvWorker, isRead bool) error {
+	key := ycsbKey(y.record(w))
+	batched := y.spec.BatchSize > 1
+	switch {
+	case isRead && batched:
+		return y.enqueue(w, kv.Op{Kind: kv.OpGet, Key: key})
+	case isRead && len(y.followers) > 0:
+		return y.followerRead(w, key)
+	case isRead:
+		return y.get(key)
+	case y.mix.rmw:
+		return y.bump(key)
 	}
 	w.rng.Read(w.buf)
-	if w.spec.BatchSize > 1 {
-		val := make([]byte, len(w.buf))
-		copy(val, w.buf)
-		return w.enqueue(kv.Op{Kind: kv.OpPut, Key: key, Value: val})
+	if batched {
+		return y.enqueue(w, kv.Op{Kind: kv.OpPut, Key: key, Value: append([]byte(nil), w.buf...)})
 	}
-	return w.db.Put(key, w.buf)
+	return y.db.Put(key, w.buf)
 }
 
 // followerRead serves one read from a replica. With Staleness set, the
@@ -765,64 +593,61 @@ func (w *kvWorker) singleOp(isRead bool) error {
 // miss (the replica has not applied the record's load yet) also falls
 // back; a successful read must never report a revision above its
 // watermark.
-func (w *kvWorker) followerRead(key []byte) error {
-	f := w.followers[w.fi%len(w.followers)]
+func (y *ycsbRun) followerRead(w *kvWorker, key []byte) error {
+	f := y.followers[w.fi%len(y.followers)]
 	w.fi++
 	var floor kv.Revision
-	if w.spec.Staleness > 0 {
-		if hi := w.shared.hiWatermark.Load(); hi > uint64(w.spec.Staleness) {
-			floor = kv.Revision(hi - uint64(w.spec.Staleness))
+	if y.spec.Staleness > 0 {
+		if hi := y.hiWatermark.Load(); hi > uint64(y.spec.Staleness) {
+			floor = kv.Revision(hi - uint64(y.spec.Staleness))
 		}
 	}
 	_, rev, wm, err := f.ReadAt(key, floor)
 	switch {
 	case errors.Is(err, kv.ErrTooStale):
-		w.shared.followerStale.Add(1)
+		y.followerStale.Add(1)
 	case errors.Is(err, kv.ErrNotFound):
-		w.shared.followerMisses.Add(1)
+		y.followerMisses.Add(1)
 	case err != nil:
 		return err
 	default:
 		if rev > wm {
 			return fmt.Errorf("follower read %s: rev %d above watermark %d", key, rev, wm)
 		}
-		w.shared.followerReads.Add(1)
+		y.followerReads.Add(1)
 		for {
-			hi := w.shared.hiWatermark.Load()
-			if uint64(wm) <= hi || w.shared.hiWatermark.CompareAndSwap(hi, uint64(wm)) {
+			hi := y.hiWatermark.Load()
+			if uint64(wm) <= hi || y.hiWatermark.CompareAndSwap(hi, uint64(wm)) {
 				break
 			}
 		}
 		return nil
 	}
-	_, err = w.db.Get(key)
-	if errors.Is(err, kv.ErrNotFound) {
-		return fmt.Errorf("record %s missing", key)
-	}
-	return err
+	return y.get(key)
 }
 
 // enqueue buffers a batch op, flushing at BatchSize.
-func (w *kvWorker) enqueue(op kv.Op) error {
+func (y *ycsbRun) enqueue(w *kvWorker, op kv.Op) error {
 	w.pending = append(w.pending, op)
-	if len(w.pending) >= w.spec.BatchSize {
-		return w.drain()
+	if len(w.pending) >= y.spec.BatchSize {
+		return y.drain(w)
 	}
 	return nil
 }
 
-// drain flushes any pending batch.
-func (w *kvWorker) drain() error {
+// drain flushes the worker's pending batch, if any (RunKV also calls it
+// after the worker's last step).
+func (y *ycsbRun) drain(w *kvWorker) error {
 	if len(w.pending) == 0 {
 		return nil
 	}
 	ops := w.pending
 	w.pending = w.pending[:0]
-	results, err := w.db.Batch(ops)
+	results, err := y.db.Batch(ops)
 	if err != nil {
 		return err
 	}
-	w.shared.batches.Add(1)
+	y.batches.Add(1)
 	for i, r := range results {
 		if r.Err != nil {
 			return fmt.Errorf("batch op %d (%s): %w", i, ops[i].Key, r.Err)
@@ -831,94 +656,26 @@ func (w *kvWorker) drain() error {
 	return nil
 }
 
-// readLatest is mix d's read: ranks are latest-skewed — rank 0 is the most
-// recently inserted record — per YCSB's SkewedLatestGenerator. A miss on a
-// freshly inserted id is tolerated (its Put may still be in flight).
-func (w *kvWorker) readLatest() error {
-	cur := w.records()
-	rank := w.zipf.next(w.rng)
-	if rank >= cur {
-		rank %= cur
-	}
-	key := ycsbKey(cur - 1 - rank)
-	_, err := w.db.Get(key)
-	if errors.Is(err, kv.ErrNotFound) {
-		if cur-1-rank >= w.spec.Records {
-			return nil // racing a concurrent insert: benign
-		}
-		return fmt.Errorf("record %s missing", key)
-	}
-	return err
-}
-
-// insert adds a new record past the loaded key space (mixes d and e). When
-// the arena cannot hold more records (time-based runs can outgrow any
-// sizing), the insert degrades to an overwrite of an existing record so the
-// run keeps its operation mix instead of failing.
-func (w *kvWorker) insert() error {
-	if w.buf == nil {
-		w.buf = make([]byte, w.spec.ValueBytes)
-	}
-	w.rng.Read(w.buf)
-	id := w.spec.Records + int(w.shared.inserts.Add(1)) - 1
-	err := w.db.Put(ycsbKey(id), w.buf)
-	if errors.Is(err, kv.ErrArenaFull) {
-		w.shared.inserts.Add(-1)
-		w.shared.insertFallbacks.Add(1)
-		return w.db.Put(ycsbKey(w.rng.Intn(w.spec.Records)), w.buf)
-	}
-	return err
-}
-
-// scan is mix e's short ordered scan: a uniform length in [1, ScanMax]
-// starting at a drawn record key, through the kv.Scan cursor.
-func (w *kvWorker) scan() error {
-	cur := w.records()
-	var start int
-	if w.zipf != nil {
-		start = int(scramble(uint64(w.zipf.next(w.rng))) % uint64(cur))
-	} else {
-		start = w.rng.Intn(cur)
-	}
-	length := 1 + w.rng.Intn(w.spec.ScanMax)
-	it := w.db.Scan(ycsbKey(start), nil, length)
-	n := 0
-	for it.Next() {
-		n++
-	}
-	if err := it.Err(); err != nil {
-		return err
-	}
-	if n == 0 && start < w.spec.Records {
-		// A start key at or past the loaded range can race an in-flight
-		// insert to an empty tail; a loaded record always has successors.
-		return fmt.Errorf("scan from %s yielded nothing", ycsbKey(start))
-	}
-	w.shared.scans.Add(1)
-	w.shared.scanned.Add(uint64(n))
-	return nil
-}
-
 // crossKeys draws CrossKeys distinct records. On a multi-System backend it
 // redraws a bounded number of times until the keys span at least two
 // Systems; a degenerate keyspace falls back to whatever the last draw
 // placed (the transaction then simply takes the local path).
-func (w *kvWorker) crossKeys() [][]byte {
+func (y *ycsbRun) crossKeys(w *kvWorker) [][]byte {
 	var keys [][]byte
-	multi := w.be.SystemFor(ycsbKey(0)) >= 0 || w.be.SystemFor(ycsbKey(1)) >= 0
+	multi := y.multiSystem()
 	for round := 0; round < 16; round++ {
 		seen := map[int]bool{}
 		systems := map[int]bool{}
 		keys = keys[:0]
-		for len(keys) < w.spec.CrossKeys {
-			rec := w.record()
+		for len(keys) < y.spec.CrossKeys {
+			rec := y.record(w)
 			if seen[rec] {
 				continue
 			}
 			seen[rec] = true
 			k := ycsbKey(rec)
 			keys = append(keys, k)
-			systems[w.be.SystemFor(k)] = true
+			systems[y.be.SystemFor(k)] = true
 		}
 		if !multi || len(systems) > 1 {
 			break
@@ -929,50 +686,32 @@ func (w *kvWorker) crossKeys() [][]byte {
 
 // crossOp runs one multi-key transaction: a snapshot read of the keys, or a
 // write over all of them. The write mirrors the mix's single-key semantics
-// — blind puts for a/b, read-modify-write counter increments for f — so the
+// — blind puts, or read-modify-write counter increments — so the
 // accesses/op delta between x=0 and x>0 measures the commit protocol, not a
 // change in operation shape.
-func (w *kvWorker) crossOp(isRead bool) error {
-	keys := w.crossKeys()
-	if isRead {
-		return w.db.Update(func(tx kv.Txn) error {
-			for _, k := range keys {
-				if _, err := tx.Get(k); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
-	if w.spec.Mix == "f" {
-		err := w.db.Update(func(tx kv.Txn) error {
-			for _, k := range keys {
-				v, err := tx.Get(k)
-				if err != nil {
-					return err
-				}
-				binary.LittleEndian.PutUint64(v, binary.LittleEndian.Uint64(v)+1)
-				if err := tx.Put(k, v); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err == nil {
-			w.shared.updates.Add(uint64(len(keys)))
-		}
-		return err
+func (y *ycsbRun) crossOp(w *kvWorker, isRead bool) error {
+	keys := y.crossKeys(w)
+	if !isRead && y.mix.rmw {
+		return y.bump(keys...)
 	}
 	// Values are drawn before the transaction so a commit retry does not
 	// consume extra randomness (Update bodies re-execute on conflict).
 	vals := make([][]byte, len(keys))
 	for i := range vals {
-		vals[i] = make([]byte, w.spec.ValueBytes)
-		w.rng.Read(vals[i])
+		if !isRead {
+			vals[i] = make([]byte, y.spec.ValueBytes)
+			w.rng.Read(vals[i])
+		}
 	}
-	return w.db.Update(func(tx kv.Txn) error {
+	return y.db.Update(func(tx kv.Txn) error {
 		for i, k := range keys {
-			if err := tx.Put(k, vals[i]); err != nil {
+			var err error
+			if isRead {
+				_, err = tx.Get(k)
+			} else {
+				err = tx.Put(k, vals[i])
+			}
+			if err != nil {
 				return err
 			}
 		}
@@ -980,31 +719,193 @@ func (w *kvWorker) crossOp(isRead bool) error {
 	})
 }
 
-// transfer is one bank operation: move a random amount between two
-// accounts, multi-System for CrossPct of operations on the cluster.
-// Redraws for the wanted placement are bounded: a degenerate account set
-// must not hang the run, so after the bound the last distinct pair is used
-// with whatever placement it has.
-func (w *kvWorker) transfer() error {
-	multi := w.be.SystemFor(ycsbKey(0)) >= 0 || w.be.SystemFor(ycsbKey(1)) >= 0
-	wantCross := multi && w.rng.Intn(100) < w.spec.CrossPct
-	a := w.record()
-	b := (a + 1) % w.spec.Records
+// --- mixes d, e: reads plus inserts past the loaded key space ---
+
+// growth counts the records a run inserts past its loaded key space.
+type growth struct {
+	inserts   atomic.Int64  // records inserted
+	fallbacks atomic.Uint64 // inserts converted to overwrites (arena full)
+}
+
+// insert runs put on a fresh id past the loaded space. When the arena
+// cannot hold more records (time-based runs can outgrow any sizing), the
+// insert degrades to overwrite of an existing record, so the run keeps its
+// operation mix instead of failing.
+func (g *growth) insert(loaded int, put func(id int) error, overwrite func() error) error {
+	err := put(loaded + int(g.inserts.Add(1)) - 1)
+	if errors.Is(err, kv.ErrArenaFull) {
+		g.inserts.Add(-1)
+		g.fallbacks.Add(1)
+		return overwrite()
+	}
+	return err
+}
+
+func (g *growth) counters(out map[string]int64) {
+	out["harness.inserts"] = g.inserts.Load()
+	out["harness.insert_fallbacks"] = int64(g.fallbacks.Load())
+}
+
+// scanTally counts the scans of a run and the entries they yielded.
+type scanTally struct{ scans, scanned atomic.Uint64 }
+
+func (t *scanTally) add(yielded int) {
+	t.scans.Add(1)
+	t.scanned.Add(uint64(yielded))
+}
+
+func (t *scanTally) counters(out map[string]int64) {
+	out["harness.scans"] = int64(t.scans.Load())
+	out["harness.scanned"] = int64(t.scanned.Load())
+}
+
+// insertRun is the run state of the growing-keyspace mixes: 5% of the
+// steps insert a new record, the rest read — latest-skewed gets, or short
+// ordered scans.
+type insertRun struct {
+	*kvRun
+	growth
+	scanTally
+	scans bool
+	// latest draws the latest-skewed ranks of the get variant: a zipfian
+	// generator, whatever Dist says about the other mixes.
+	latest *zipfian
+}
+
+func openLatest(run *kvRun) (mixRun, error) {
+	latest := run.zipf
+	if latest == nil {
+		latest = newZipfian(run.spec.Records, run.spec.Theta)
+	}
+	return &insertRun{kvRun: run, latest: latest}, run.loadRandom()
+}
+
+func openScans(run *kvRun) (mixRun, error) {
+	return &insertRun{kvRun: run, scans: true}, run.loadRandom()
+}
+
+func (n *insertRun) counters(out map[string]int64) {
+	n.growth.counters(out)
+	if n.scans {
+		n.scanTally.counters(out)
+	}
+}
+
+func (n *insertRun) audit() error { return nil }
+
+// records returns the current record-space size (grows under inserts).
+func (n *insertRun) records() int {
+	return n.spec.Records + int(n.inserts.Load())
+}
+
+func (n *insertRun) step(w *kvWorker) error {
+	switch {
+	case w.rng.Intn(100) >= n.mix.readPct:
+		w.rng.Read(w.buf)
+		return n.insert(n.spec.Records,
+			func(id int) error { return n.db.Put(ycsbKey(id), w.buf) },
+			func() error { return n.db.Put(ycsbKey(w.rng.Intn(n.spec.Records)), w.buf) })
+	case n.scans:
+		return n.scan(w)
+	}
+	return n.readLatest(w)
+}
+
+// readLatest draws a latest-skewed rank — rank 0 is the most recently
+// inserted record — per YCSB's SkewedLatestGenerator. A miss on a freshly
+// inserted id is tolerated (its Put may still be in flight).
+func (n *insertRun) readLatest(w *kvWorker) error {
+	cur := n.records()
+	rank := n.latest.next(w.rng)
+	if rank >= cur {
+		rank %= cur
+	}
+	key := ycsbKey(cur - 1 - rank)
+	_, err := n.db.Get(key)
+	if errors.Is(err, kv.ErrNotFound) {
+		if cur-1-rank >= n.spec.Records {
+			return nil // racing a concurrent insert: benign
+		}
+		return fmt.Errorf("record %s missing", key)
+	}
+	return err
+}
+
+// scan is a short ordered scan: a uniform length in [1, ScanMax] starting
+// at a drawn record key, through the kv.Scan cursor.
+func (n *insertRun) scan(w *kvWorker) error {
+	start := n.draw(w, n.records())
+	length := 1 + w.rng.Intn(n.spec.ScanMax)
+	it := n.db.Scan(ycsbKey(start), nil, length)
+	got := 0
+	for it.Next() {
+		got++
+	}
+	if err := it.Err(); err != nil {
+		return err
+	}
+	if got == 0 && start < n.spec.Records {
+		// A start key at or past the loaded range can race an in-flight
+		// insert to an empty tail; a loaded record always has successors.
+		return fmt.Errorf("scan from %s yielded nothing", ycsbKey(start))
+	}
+	n.add(got)
+	return nil
+}
+
+// --- mix bank: transfers under a conserved total ---
+
+// bankRun is the run state of the bank mix: every operation transfers
+// between two 8-byte balances, and the audit requires the total conserved.
+type bankRun struct{ *kvRun }
+
+func openBank(run *kvRun) (mixRun, error) {
+	return bankRun{run}, run.load(func(val []byte) {
+		binary.LittleEndian.PutUint64(val, bankInitial)
+	})
+}
+
+func (b bankRun) counters(map[string]int64) {}
+
+func (b bankRun) audit() error {
+	var total uint64
+	for i := 0; i < b.spec.Records; i++ {
+		v, ok := b.be.Peek(ycsbKey(i))
+		if !ok {
+			return fmt.Errorf("harness: bank account %d missing after run", i)
+		}
+		total += binary.LittleEndian.Uint64(v)
+	}
+	if want := uint64(b.spec.Records) * bankInitial; total != want {
+		return fmt.Errorf("harness: bank total %d != %d — atomicity violated", total, want)
+	}
+	return nil
+}
+
+// step moves a random amount between two accounts, multi-System for
+// CrossPct of operations on the cluster. Redraws for the wanted placement
+// are bounded: a degenerate account set must not hang the run, so after the
+// bound the last distinct pair is used with whatever placement it has.
+func (b bankRun) step(w *kvWorker) error {
+	multi := b.multiSystem()
+	wantCross := multi && w.rng.Intn(100) < b.spec.CrossPct
+	from := b.record(w)
+	to := (from + 1) % b.spec.Records
 	for round := 0; round < 64; round++ {
-		x, y := w.record(), w.record()
+		x, y := b.record(w), b.record(w)
 		if x == y {
 			continue
 		}
-		a, b = x, y
+		from, to = x, y
 		if !multi ||
-			(w.be.SystemFor(ycsbKey(a)) != w.be.SystemFor(ycsbKey(b))) == wantCross {
+			(b.be.SystemFor(ycsbKey(from)) != b.be.SystemFor(ycsbKey(to))) == wantCross {
 			break
 		}
 	}
-	from, to := ycsbKey(a), ycsbKey(b)
+	fromKey, toKey := ycsbKey(from), ycsbKey(to)
 	amt := uint64(w.rng.Intn(10))
-	return w.db.Update(func(tx kv.Txn) error {
-		fv, err := tx.Get(from)
+	return b.db.Update(func(tx kv.Txn) error {
+		fv, err := tx.Get(fromKey)
 		if err != nil {
 			return err
 		}
@@ -1012,7 +913,7 @@ func (w *kvWorker) transfer() error {
 		if f < amt {
 			return nil // insufficient funds: read-only commit
 		}
-		tv, err := tx.Get(to)
+		tv, err := tx.Get(toKey)
 		if err != nil {
 			return err
 		}
@@ -1020,10 +921,10 @@ func (w *kvWorker) transfer() error {
 		var nf, nt [8]byte
 		binary.LittleEndian.PutUint64(nf[:], f-amt)
 		binary.LittleEndian.PutUint64(nt[:], t+amt)
-		if err := tx.Put(from, nf[:]); err != nil {
+		if err := tx.Put(fromKey, nf[:]); err != nil {
 			return err
 		}
-		return tx.Put(to, nt[:])
+		return tx.Put(toKey, nt[:])
 	})
 }
 

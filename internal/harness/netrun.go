@@ -1,9 +1,6 @@
 package harness
 
 import (
-	"context"
-	"fmt"
-
 	"rhtm/client"
 	"rhtm/kv"
 	"rhtm/obs"
@@ -14,21 +11,23 @@ import (
 // spec's inner backend (store or cluster) is wrapped by a real server and
 // driven through the network client, so a run measures the whole wire path
 // — framing, pipelining, the cross-connection batcher — under the same
-// closed-loop load generator the in-process backends use. Setup loads,
+// load generator the in-process backends use (RunKV caps the requests in
+// flight at the pool size when the spec is not pipelined). Setup loads,
 // quiescent peeks, and invariant validation still go straight to the inner
 // backend: the network is under test, not the verification.
 
-// netBackend fronts an inner kvBackend with a server/ + client/ rig.
+// netBackend fronts an inner kvBackend with a server/ + client/ rig; what
+// it does not override (clock, loads, peeks, placement, validation) is the
+// inner backend's.
 type netBackend struct {
-	inner kvBackend
+	kvBackend
 	reg   *obs.Registry // the server's instruments (server.*)
 	srv   *server.Server
 	cl    *client.Client
-	db    kv.DB
-	spec  KVSpec
+	trace bool // spec.TraceSample > 0
 }
 
-func openNetBackend(spec KVSpec, engineName string, cfg RunConfig) (*netBackend, error) {
+func openNetBackend(spec sizing, engineName string, cfg RunConfig) (*netBackend, error) {
 	// On a net run the client owns the sampling decision (the trace rides
 	// the wire frame); DB-level sampling would double-trace every N-th op.
 	innerSpec := spec
@@ -59,50 +58,28 @@ func openNetBackend(spec KVSpec, engineName string, cfg RunConfig) (*netBackend,
 		srv.Close()
 		return nil, err
 	}
-	b := &netBackend{inner: inner, reg: reg, srv: srv, cl: cl, db: cl, spec: spec}
-	if !spec.Pipeline {
-		// Unpipelined: at most one outstanding request per pooled
-		// connection — the classic closed loop the scaling experiment
-		// baselines against.
-		b.db = &closedLoopDB{cl: cl, slots: make(chan struct{}, spec.Conns)}
-	}
-	return b, nil
+	return &netBackend{kvBackend: inner, reg: reg, srv: srv, cl: cl, trace: spec.TraceSample > 0}, nil
 }
 
-func (b *netBackend) DB() kv.DB { return b.db }
+func (b *netBackend) DB() kv.DB { return b.cl }
 
-func (b *netBackend) Clock() *kv.ManualClock { return b.inner.Clock() }
-
-func (b *netBackend) Load(key, value []byte) error { return b.inner.Load(key, value) }
-
-func (b *netBackend) Peek(key []byte) ([]byte, bool) { return b.inner.Peek(key) }
-
-func (b *netBackend) SystemFor(key []byte) int { return b.inner.SystemFor(key) }
-
-func (b *netBackend) Finish(res *Result) {
-	b.inner.Finish(res)
-	if res.Counters == nil {
-		res.Counters = map[string]int64{}
+func (b *netBackend) Finish(res *Result) error {
+	if err := b.kvBackend.Finish(res); err != nil {
+		return err
 	}
 	// The server's registry is separate from the DB's, so its counters
 	// merge in under their own server.* names without collisions.
 	for k, v := range b.reg.Snapshot().Flatten() {
 		res.Counters[k] = v
 	}
-	if b.spec.TraceSample > 0 {
+	if b.trace {
 		// The server's flight carries the typed handling stages; the
 		// client's carries the other half of each trace — the net stage.
 		traceCounters(b.srv.Flight(), "trace.", res.Counters)
 		traceCounters(b.cl.Flight(), "client.trace.", res.Counters)
 	}
-	mode := "closed-loop"
-	if b.spec.Pipeline {
-		mode = "pipelined"
-	}
-	res.Notes = fmt.Sprintf("net: conns=%d %s | %s", b.spec.Conns, mode, res.Notes)
+	return nil
 }
-
-func (b *netBackend) Validate() error { return b.inner.Validate() }
 
 // Close tears the rig down client-first, so the server sees orderly
 // disconnects instead of racing its own drain.
@@ -110,103 +87,3 @@ func (b *netBackend) Close() {
 	b.cl.Close()
 	b.srv.Close()
 }
-
-// closedLoopDB caps in-flight requests at one per pooled connection by
-// gating every operation through a Conns-wide slot channel. Watches,
-// clock reads and metrics stay ungated: they are measurement plumbing,
-// not offered load.
-type closedLoopDB struct {
-	cl    *client.Client
-	slots chan struct{}
-}
-
-func (d *closedLoopDB) acquire() func() {
-	d.slots <- struct{}{}
-	return func() { <-d.slots }
-}
-
-func (d *closedLoopDB) Get(key []byte) ([]byte, error) {
-	defer d.acquire()()
-	return d.cl.Get(key)
-}
-
-func (d *closedLoopDB) GetRev(key []byte) ([]byte, kv.Revision, error) {
-	defer d.acquire()()
-	return d.cl.GetRev(key)
-}
-
-func (d *closedLoopDB) Put(key, value []byte, opts ...kv.PutOption) error {
-	defer d.acquire()()
-	return d.cl.Put(key, value, opts...)
-}
-
-func (d *closedLoopDB) PutIf(key, value []byte, rev kv.Revision, opts ...kv.PutOption) error {
-	defer d.acquire()()
-	return d.cl.PutIf(key, value, rev, opts...)
-}
-
-func (d *closedLoopDB) Delete(key []byte) error {
-	defer d.acquire()()
-	return d.cl.Delete(key)
-}
-
-func (d *closedLoopDB) DeleteIf(key []byte, rev kv.Revision) error {
-	defer d.acquire()()
-	return d.cl.DeleteIf(key, rev)
-}
-
-func (d *closedLoopDB) Update(fn func(tx kv.Txn) error) error {
-	defer d.acquire()()
-	return d.cl.Update(fn)
-}
-
-func (d *closedLoopDB) Batch(ops []kv.Op) ([]kv.OpResult, error) {
-	defer d.acquire()()
-	return d.cl.Batch(ops)
-}
-
-func (d *closedLoopDB) Scan(start, end []byte, limit int) kv.Iterator {
-	// The client fetches the whole bounded result inside Scan; iteration
-	// afterwards is local, so gating the call gates the wire work.
-	defer d.acquire()()
-	return d.cl.Scan(start, end, limit)
-}
-
-func (d *closedLoopDB) Grant(ttl uint64) (kv.LeaseID, error) {
-	defer d.acquire()()
-	return d.cl.Grant(ttl)
-}
-
-func (d *closedLoopDB) KeepAlive(id kv.LeaseID) error {
-	defer d.acquire()()
-	return d.cl.KeepAlive(id)
-}
-
-func (d *closedLoopDB) Revoke(id kv.LeaseID) error {
-	defer d.acquire()()
-	return d.cl.Revoke(id)
-}
-
-func (d *closedLoopDB) ExpireLeases() (int, error) {
-	defer d.acquire()()
-	return d.cl.ExpireLeases()
-}
-
-func (d *closedLoopDB) Clock() kv.Clock { return d.cl.Clock() }
-
-func (d *closedLoopDB) Watch(ctx context.Context, prefix []byte, fromRev kv.Revision) (<-chan kv.Event, error) {
-	return d.cl.Watch(ctx, prefix, fromRev)
-}
-
-func (d *closedLoopDB) Checkpoint() error {
-	defer d.acquire()()
-	return d.cl.Checkpoint()
-}
-
-func (d *closedLoopDB) Metrics() obs.Snapshot { return d.cl.Metrics() }
-
-// WaitWatchIdle forwards the client's stream-drain barrier, keeping the
-// runner's quiesce step working on unpipelined rigs.
-func (d *closedLoopDB) WaitWatchIdle() { d.cl.WaitWatchIdle() }
-
-var _ kv.DB = (*closedLoopDB)(nil)

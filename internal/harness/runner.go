@@ -79,35 +79,84 @@ type Result struct {
 	// on a 1-System cluster run; zero for non-cluster runs.
 	OpsPerKInterval float64
 
-	// Counters is the run's structured observation set: the kv.DB's
+	// Counters is the run's one observation channel: the kv.DB's
 	// obs.Snapshot flattened to name→value (engine.*, store.*, wal.*,
 	// cluster.* — see DESIGN.md §10) plus the workload's own harness.*
-	// counters. Tests and tooling read these; Notes below renders a
-	// human-readable digest of the same data. Nil for runs whose workload
-	// has no kv.DB (the raw structure workloads).
+	// counters. Tests, the JSON trajectory and the printed digest all read
+	// it. Nil for runs whose workload has no kv.DB (the raw structure
+	// workloads).
 	Counters map[string]int64
-
-	// Notes carries workload-level observations (store occupancy, 2PC
-	// counters) reported after the run as a rendered view of Counters;
-	// empty when the workload has none.
-	Notes string
 }
 
-// String renders a compact summary line.
-func (r Result) String() string {
-	return fmt.Sprintf("%-12s %-14s t=%-2d ops=%-9d %8.0f ops/s %6.2f ops/kacc abort-ratio=%.3f",
-		r.Workload, r.Engine, r.Threads, r.Ops, r.Throughput, r.OpsPerKAccess, r.Stats.AbortRatio())
+// derive fills the per-access metrics from the access totals.
+func (r *Result) derive() {
+	if r.Accesses > 0 {
+		r.OpsPerKAccess = 1000 * float64(r.Ops) / float64(r.Accesses)
+	}
+	if r.CriticalAccesses > 0 {
+		r.OpsPerKInterval = 1000 * float64(r.Ops) / float64(r.CriticalAccesses)
+	}
 }
 
-// Run executes one measurement: build a fresh system, populate the
-// workload, spin up cfg.Threads workers on the named engine, and measure.
-func Run(w Workload, engineName string, cfg RunConfig) (Result, error) {
+// accesses totals an engine's simulated shared-memory accesses.
+func accesses(st rhtm.Stats) uint64 {
+	return st.Reads + st.Writes + st.MetadataReads + st.MetadataWrites
+}
+
+// measure is the one drive loop every runner shares. It validates cfg,
+// asks newWorker for each thread's step function (sequentially, with the
+// thread's own seeded RNG), drives the workers until the run's limit —
+// OpsPerThread iterations for count-based runs, Duration for time-based
+// ones — and returns the base Result: thread count, committed operations,
+// elapsed time and throughput. A worker's done, when non-nil, runs once
+// after its last step. Worker bodies never return user errors; a failure is
+// an engine, protocol or capacity bug, surfaced via panic.
+func measure(cfg RunConfig, newWorker func(id int, rng *rand.Rand) (step, done func() error)) (Result, error) {
 	if cfg.Threads <= 0 {
 		return Result{}, fmt.Errorf("harness: Threads must be positive")
 	}
 	if cfg.Duration <= 0 && cfg.OpsPerThread <= 0 {
 		return Result{}, fmt.Errorf("harness: need Duration or OpsPerThread")
 	}
+	must := func(err error) {
+		if err != nil {
+			panic(fmt.Sprintf("harness: worker op: %v", err))
+		}
+	}
+	timed, limit := cfg.Duration > 0, uint64(cfg.OpsPerThread)
+	var stop atomic.Bool
+	var totalOps atomic.Uint64
+	var wg sync.WaitGroup
+	start := time.Now()
+	for i := 0; i < cfg.Threads; i++ {
+		step, done := newWorker(i, rand.New(rand.NewSource(cfg.Seed+int64(i)*7919)))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ops := uint64(0)
+			for timed && !stop.Load() || !timed && ops < limit {
+				must(step())
+				ops++
+			}
+			if done != nil {
+				must(done())
+			}
+			totalOps.Add(ops)
+		}()
+	}
+	if timed {
+		time.Sleep(cfg.Duration)
+		stop.Store(true)
+	}
+	wg.Wait()
+	res := Result{Threads: cfg.Threads, Ops: totalOps.Load(), Elapsed: time.Since(start)}
+	res.Throughput = float64(res.Ops) / res.Elapsed.Seconds()
+	return res, nil
+}
+
+// Run executes one measurement: build a fresh system, populate the
+// workload, spin up cfg.Threads workers on the named engine, and measure.
+func Run(w Workload, engineName string, cfg RunConfig) (Result, error) {
 	scfg := rhtm.DefaultConfig(w.DataWords)
 	if cfg.GV5 {
 		scfg.ClockMode = rhtm.GV5
@@ -122,80 +171,29 @@ func Run(w Workload, engineName string, cfg RunConfig) (Result, error) {
 		return Result{}, err
 	}
 
-	var stop atomic.Bool
-	var totalOps atomic.Uint64
-	accs := make([]*timeAcc, cfg.Threads)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < cfg.Threads; i++ {
+	var accs []*timeAcc
+	res, err := measure(cfg, func(id int, rng *rand.Rand) (step, done func() error) {
 		th := eng.NewThread()
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
-		gen := factory(i, rng)
+		gen := factory(id, rng)
+		if !cfg.Breakdown {
+			return func() error { return th.Atomic(gen()) }, nil
+		}
 		acc := &timeAcc{}
-		accs[i] = acc
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			totalOps.Add(driveWorker(cfg, &stop, func() {
-				op := gen()
-				if cfg.Breakdown {
-					runTimed(th, op, acc)
-				} else if err := th.Atomic(op); err != nil {
-					// Workload bodies never return errors; an error here is
-					// an engine bug surfaced to the caller via panic.
-					panic(fmt.Sprintf("harness: Atomic failed: %v", err))
-				}
-			}))
-		}()
+		accs = append(accs, acc)
+		return func() error { return runTimed(th, gen(), acc) }, nil
+	})
+	if err != nil {
+		return Result{}, err
 	}
-	if cfg.Duration > 0 {
-		time.Sleep(cfg.Duration)
-		stop.Store(true)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	res := Result{
-		Workload: w.Name,
-		Engine:   eng.Name(),
-		Threads:  cfg.Threads,
-		Ops:      totalOps.Load(),
-		Elapsed:  elapsed,
-		Stats:    eng.Snapshot(),
-	}
-	res.Throughput = float64(res.Ops) / elapsed.Seconds()
-	res.Accesses = res.Stats.Reads + res.Stats.Writes +
-		res.Stats.MetadataReads + res.Stats.MetadataWrites
-	if res.Accesses > 0 {
-		res.OpsPerKAccess = 1000 * float64(res.Ops) / float64(res.Accesses)
-	}
+	res.Workload = w.Name
+	res.Engine = eng.Name()
+	res.Stats = eng.Snapshot()
+	res.Accesses = accesses(res.Stats)
+	res.derive()
 	if cfg.Breakdown {
-		res.Breakdown = mergeBreakdown(accs, elapsed)
-	}
-	if w.Observe != nil {
-		res.Notes = w.Observe(s)
+		res.Breakdown = mergeBreakdown(accs, res.Elapsed)
 	}
 	return res, nil
-}
-
-// driveWorker executes step until the run's limit: OpsPerThread iterations
-// for count-based runs, or the stop flag for time-based ones. It returns
-// the operation count. Run and RunCluster share it so the drive semantics
-// cannot drift between the single-System and cluster runners.
-func driveWorker(cfg RunConfig, stop *atomic.Bool, step func()) uint64 {
-	ops := uint64(0)
-	for n := 0; ; n++ {
-		if cfg.Duration > 0 {
-			if stop.Load() {
-				break
-			}
-		} else if n >= cfg.OpsPerThread {
-			break
-		}
-		step()
-		ops++
-	}
-	return ops
 }
 
 // MustRun is Run for the experiment drivers, where a config error is a bug.
@@ -218,7 +216,7 @@ type timeAcc struct {
 }
 
 // runTimed executes one operation with phase timing.
-func runTimed(th rhtm.Thread, op Op, acc *timeAcc) {
+func runTimed(th rhtm.Thread, op Op, acc *timeAcc) error {
 	t0 := time.Now()
 	err := th.Atomic(func(tx rhtm.Tx) error {
 		b0 := time.Now()
@@ -227,9 +225,7 @@ func runTimed(th rhtm.Thread, op Op, acc *timeAcc) {
 		return err
 	})
 	acc.atomic += int64(time.Since(t0))
-	if err != nil {
-		panic(fmt.Sprintf("harness: Atomic failed: %v", err))
-	}
+	return err
 }
 
 // timedTx wraps a Tx with read/write timers.

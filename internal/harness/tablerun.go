@@ -1,15 +1,13 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
-	"rhtm"
 	"rhtm/kv"
 	"rhtm/obs"
-	"rhtm/store"
 	"rhtm/table"
 )
 
@@ -21,8 +19,8 @@ import (
 // the record layer's real costs — ordered-codec encoding, write-through
 // index maintenance, statistics shards, planner-chosen scans — so the
 // architectural metric compares the layered store against the raw one.
-// The tables report through their own registry; RunKV merges the
-// table.* / index.* counters into Result.Counters next to the DB's.
+// The tables report through their own registry, which the mixes merge
+// into Result.Counters under table.* / index.* next to the DB's.
 
 // tableState carries one run's table handles and their metrics registry.
 type tableState struct {
@@ -85,50 +83,62 @@ func (ts *tableState) tableFor(i int) *table.Table {
 	return ts.tables[i%ts.spec.Tables]
 }
 
-// tableSizing inflates the spec the backends size their arenas and
-// intent slack from: a table row costs more than a raw record — prefixed
-// row and index keys, codec overhead, statistics shards — and one row
-// transaction holds several write intents at once on the cluster.
-func tableSizing(spec KVSpec) KVSpec {
-	spec.Records = spec.Records*3 + 64
-	spec.ValueBytes += 64
-	if spec.CrossKeys < 8 {
-		spec.CrossKeys = 8
-	}
-	return spec
-}
-
-// tableStep dispatches one table-mix operation.
-func (w *kvWorker) tableStep() error {
-	if w.spec.Mix == "eidx" {
-		if w.rng.Intn(100) < 95 {
-			return w.eidxScan()
-		}
-		return w.tableInsert()
-	}
-	switch r := w.rng.Intn(100); {
-	case r < 45:
-		return w.tablePoint()
-	case r < 70:
-		return w.tableRange()
-	case r < 90:
-		return w.tableOrderLimit()
-	default:
-		return w.tableUpsert()
+// counters merges the tables' registry into out. It is separate from the
+// DB's, so the table.* and index.* names cannot collide with it (same
+// pattern as the net backend's server.*).
+func (ts *tableState) counters(out map[string]int64) {
+	for k, v := range ts.reg.Snapshot().Flatten() {
+		out[k] = v
 	}
 }
 
-// eidxScan is the index-served YCSB-E scan: a short ordered read of the
+// indexScanRun is the run state of YCSB-E re-served from the index: 95%
+// bounded index scans, 5% row inserts.
+type indexScanRun struct {
+	*kvRun
+	growth
+	scanTally
+	tables *tableState
+}
+
+func openIndexScans(run *kvRun) (mixRun, error) {
+	ts, err := openTables(run.spec, run.db)
+	return &indexScanRun{kvRun: run, tables: ts}, err
+}
+
+func (x *indexScanRun) counters(out map[string]int64) {
+	x.growth.counters(out)
+	x.scanTally.counters(out)
+	x.tables.counters(out)
+}
+
+func (x *indexScanRun) audit() error { return nil }
+
+func (x *indexScanRun) step(w *kvWorker) error {
+	if w.rng.Intn(100) < x.mix.readPct {
+		return x.scan(w)
+	}
+	// Append one new row past the loaded id space, or upsert an existing
+	// one when the arena is full — same contract as the raw mixes' insert.
+	return x.insert(x.spec.Records,
+		func(id int) error { return x.tables.tableFor(id).Insert(x.tables.row(id)) },
+		func() error {
+			id := x.record(w)
+			return x.tables.tableFor(id).Upsert(x.tables.row(id))
+		})
+}
+
+// scan is the index-served YCSB-E scan: a short ordered read of the
 // secondary index starting at a drawn bucket. The lower bound, order,
 // and limit let the planner bound the index scan at the limit — the
-// record-layer analog of mix "e"'s raw range cursor.
-func (w *kvWorker) eidxScan() error {
-	t := w.tables.tableFor(w.record())
-	lo := int64(w.rng.Intn(w.spec.IdxSel))
+// record-layer analog of the raw mix's range cursor.
+func (x *indexScanRun) scan(w *kvWorker) error {
+	t := x.tables.tableFor(x.record(w))
+	lo := int64(w.rng.Intn(x.spec.IdxSel))
 	rows, err := t.Select(table.Query{
 		Conds: []table.Cond{table.Ge("bucket", table.Int64(lo))},
 		Order: "bucket",
-		Limit: 1 + w.rng.Intn(w.spec.ScanMax),
+		Limit: 1 + w.rng.Intn(x.spec.ScanMax),
 	})
 	if err != nil {
 		return err
@@ -136,32 +146,56 @@ func (w *kvWorker) eidxScan() error {
 	if len(rows) == 0 && lo == 0 {
 		return fmt.Errorf("index scan from bucket 0 yielded nothing")
 	}
-	w.shared.scans.Add(1)
-	w.shared.scanned.Add(uint64(len(rows)))
+	x.add(len(rows))
 	return nil
 }
 
-// tableInsert appends one new row past the loaded id space. When the
-// arena cannot hold more rows, the insert degrades to an upsert of an
-// existing row (counted), keeping the op mix alive — same contract as
-// the raw mixes' insert.
-func (w *kvWorker) tableInsert() error {
-	id := w.spec.Records + int(w.shared.inserts.Add(1)) - 1
-	err := w.tables.tableFor(id).Insert(w.tables.row(id))
-	if errors.Is(err, kv.ErrArenaFull) {
-		w.shared.inserts.Add(-1)
-		w.shared.insertFallbacks.Add(1)
-		rid := w.record()
-		return w.tables.tableFor(rid).Upsert(w.tables.row(rid))
-	}
-	return err
+// queryRun is the run state of the planner-driven query mix.
+type queryRun struct {
+	*kvRun
+	tables *tableState
+
+	points  atomic.Uint64 // planner-served point queries
+	ranges  atomic.Uint64 // bucket-range queries
+	orders  atomic.Uint64 // covering order-limit queries
+	upserts atomic.Uint64 // committed upserts
+	scanned atomic.Uint64 // rows the range and order-limit queries yielded
 }
 
-// tablePoint is a planner-served point read: the filter pins the primary
-// key, so the plan must be the cost-1 point get.
-func (w *kvWorker) tablePoint() error {
-	id := w.record()
-	rows, err := w.tables.tableFor(id).Select(table.Query{
+func openQueries(run *kvRun) (mixRun, error) {
+	ts, err := openTables(run.spec, run.db)
+	return &queryRun{kvRun: run, tables: ts}, err
+}
+
+func (q *queryRun) counters(out map[string]int64) {
+	out["harness.point_queries"] = int64(q.points.Load())
+	out["harness.range_queries"] = int64(q.ranges.Load())
+	out["harness.order_queries"] = int64(q.orders.Load())
+	out["harness.upserts"] = int64(q.upserts.Load())
+	out["harness.scanned"] = int64(q.scanned.Load())
+	q.tables.counters(out)
+}
+
+func (q *queryRun) audit() error { return nil }
+
+func (q *queryRun) step(w *kvWorker) error {
+	switch r := w.rng.Intn(100); {
+	case r < 45:
+		return q.point(w)
+	case r < 70:
+		return q.between(w)
+	case r < 90:
+		return q.orderLimit(w)
+	default:
+		return q.upsert(w)
+	}
+}
+
+// point is a planner-served point read: the filter pins the primary key,
+// so the plan must be the cost-1 point get.
+func (q *queryRun) point(w *kvWorker) error {
+	id := q.record(w)
+	rows, err := q.tables.tableFor(id).Select(table.Query{
 		Conds: []table.Cond{table.Eq("id", table.Int64(int64(id)))},
 	})
 	if err != nil {
@@ -170,37 +204,36 @@ func (w *kvWorker) tablePoint() error {
 	if len(rows) != 1 {
 		return fmt.Errorf("point query id=%d yielded %d rows, want 1", id, len(rows))
 	}
-	w.shared.pointQs.Add(1)
+	q.points.Add(1)
 	return nil
 }
 
-// tableRange is a bounded bucket-range read: Between on the indexed
-// field plus order and limit, which the planner serves from the index
-// with the limit bounding the scan.
-func (w *kvWorker) tableRange() error {
-	lo := int64(w.rng.Intn(w.spec.IdxSel))
-	rows, err := w.tables.tableFor(w.record()).Select(table.Query{
+// between is a bounded bucket-range read: Between on the indexed field
+// plus order and limit, which the planner serves from the index with the
+// limit bounding the scan.
+func (q *queryRun) between(w *kvWorker) error {
+	lo := int64(w.rng.Intn(q.spec.IdxSel))
+	rows, err := q.tables.tableFor(q.record(w)).Select(table.Query{
 		Conds: []table.Cond{table.Between("bucket",
 			table.Int64(lo), table.Int64(lo+1+int64(w.rng.Intn(4))))},
 		Order: "bucket",
-		Limit: 1 + w.rng.Intn(w.spec.ScanMax),
+		Limit: 1 + w.rng.Intn(q.spec.ScanMax),
 	})
 	if err != nil {
 		return err
 	}
-	w.shared.rangeQs.Add(1)
-	w.shared.scanned.Add(uint64(len(rows)))
+	q.ranges.Add(1)
+	q.scanned.Add(uint64(len(rows)))
 	return nil
 }
 
-// tableOrderLimit is the covering top-K read: order by the indexed
-// bucket, projecting only fields the index entries (plus the primary
-// key) carry, so the planner answers from the index alone with no
-// base-row fetches.
-func (w *kvWorker) tableOrderLimit() error {
-	rows, err := w.tables.tableFor(w.record()).Select(table.Query{
+// orderLimit is the covering top-K read: order by the indexed bucket,
+// projecting only fields the index entries (plus the primary key) carry,
+// so the planner answers from the index alone with no base-row fetches.
+func (q *queryRun) orderLimit(w *kvWorker) error {
+	rows, err := q.tables.tableFor(q.record(w)).Select(table.Query{
 		Order:  "bucket",
-		Limit:  1 + w.rng.Intn(w.spec.ScanMax),
+		Limit:  1 + w.rng.Intn(q.spec.ScanMax),
 		Fields: []string{"id", "bucket"},
 	})
 	if err != nil {
@@ -209,25 +242,25 @@ func (w *kvWorker) tableOrderLimit() error {
 	if len(rows) == 0 {
 		return fmt.Errorf("order-limit query yielded nothing")
 	}
-	w.shared.orderQs.Add(1)
-	w.shared.scanned.Add(uint64(len(rows)))
+	q.orders.Add(1)
+	q.scanned.Add(uint64(len(rows)))
 	return nil
 }
 
-// tableUpsert rewrites an existing row with a freshly drawn bucket: the
-// index entry moves and the cardinality statistics adjust inside the
-// row's own transaction.
-func (w *kvWorker) tableUpsert() error {
-	id := w.record()
+// upsert rewrites an existing row with a freshly drawn bucket: the index
+// entry moves and the cardinality statistics adjust inside the row's own
+// transaction.
+func (q *queryRun) upsert(w *kvWorker) error {
+	id := q.record(w)
 	row := []table.Value{
 		table.Int64(int64(id)),
-		table.Int64(int64(w.rng.Intn(w.spec.IdxSel))),
-		table.String(w.tables.pad),
+		table.Int64(int64(w.rng.Intn(q.spec.IdxSel))),
+		table.String(q.tables.pad),
 	}
-	if err := w.tables.tableFor(id).Upsert(row); err != nil {
+	if err := q.tables.tableFor(id).Upsert(row); err != nil {
 		return err
 	}
-	w.shared.updates.Add(1)
+	q.upserts.Add(1)
 	return nil
 }
 
@@ -237,50 +270,39 @@ func (w *kvWorker) tableUpsert() error {
 // query: one store, one table of rows rows, and two schema bindings of
 // the same keyspace — one declaring by_bucket, one not — so the planner
 // serves the identical bucket-equality query as an index scan on the
-// first handle and a full table scan on the second. Returns one Result
-// per mode ("index" then "fullscan"); throughput and the architectural
-// metric both carry the gap.
+// first handle and a full table scan on the second (the run fails if it
+// plans anything else). Returns one Result per mode ("index" then
+// "fullscan"); throughput and the architectural metric both carry the
+// gap, and table.planner.picks{plan=index|full} the plans taken.
 func IndexLookup(engineName string, rows, queries int) ([]Result, error) {
 	if rows <= 0 || queries <= 0 {
 		return nil, fmt.Errorf("harness: IndexLookup needs positive rows and queries")
 	}
-	spec := KVSpec{Mix: "query", Records: rows, ValueBytes: 64, Shards: 8}.withDefaults()
-	sizing := tableSizing(spec)
-	perRecord := store.RecordFootprintWords(len(ycsbKey(0)), sizing.ValueBytes)
-	arenaWords := (sizing.Records/spec.Shards+1)*perRecord*2 + 4096
-	s, err := rhtm.NewSystem(rhtm.DefaultConfig(spec.Shards*(arenaWords+store.DefaultLogWords+64) + 8192))
+	spec := KVSpec{Mix: "query", Records: rows}.withDefaults()
+	m, _ := lookupMix(spec.Mix)
+	be, err := openStoreBackend(m.sizing(spec, RunConfig{}), engineName, RunConfig{})
 	if err != nil {
 		return nil, err
 	}
-	eng, err := Build(s, engineName, 0)
-	if err != nil {
-		return nil, err
-	}
-	sh := store.NewSharded(s, spec.Shards, store.Options{ArenaWords: arenaWords})
-	db := kv.NewLocal(eng, sh)
-
-	indexed, err := openTables(spec, db)
+	indexed, err := openTables(spec, be.db)
 	if err != nil {
 		return nil, err
 	}
 	bare := tableSchema(0)
 	bare.Indexes = nil
-	full, err := table.New(db, bare, table.WithMetrics(indexed.reg))
+	full, err := table.New(be.db, bare, table.WithMetrics(indexed.reg))
 	if err != nil {
 		return nil, err
 	}
 
-	accesses := func() uint64 {
-		st := eng.Snapshot()
-		return st.Reads + st.Writes + st.MetadataReads + st.MetadataWrites
-	}
-	run := func(mode string, tbl *table.Table) (Result, error) {
+	run := func(mode, wantPlan string, tbl *table.Table) (Result, error) {
 		q := table.Query{Conds: []table.Cond{table.Eq("bucket", table.Int64(0))}}
-		plan, err := tbl.Explain(q)
-		if err != nil {
+		if plan, err := tbl.Explain(q); err != nil {
 			return Result{}, err
+		} else if !strings.HasPrefix(plan, wantPlan) {
+			return Result{}, fmt.Errorf("harness: IndexLookup %s planned %q, want %s…", mode, plan, wantPlan)
 		}
-		before := accesses()
+		before := accesses(be.eng.Snapshot())
 		start := time.Now()
 		for i := 0; i < queries; i++ {
 			q.Conds[0] = table.Eq("bucket", table.Int64(int64(i%spec.IdxSel)))
@@ -290,34 +312,30 @@ func IndexLookup(engineName string, rows, queries int) ([]Result, error) {
 				return Result{}, fmt.Errorf("harness: IndexLookup %s: bucket %d empty", mode, i%spec.IdxSel)
 			}
 		}
-		elapsed := time.Since(start)
 		res := Result{
 			Workload: "index-lookup/" + mode,
-			Engine:   eng.Name(),
+			Engine:   be.eng.Name(),
 			Threads:  1,
 			Ops:      uint64(queries),
-			Elapsed:  elapsed,
-			Stats:    eng.Snapshot(),
-			Accesses: accesses() - before,
-			Notes:    "plan: " + plan,
+			Elapsed:  time.Since(start),
+			Stats:    be.eng.Snapshot(),
 		}
-		res.Throughput = float64(res.Ops) / elapsed.Seconds()
-		res.OpsPerKAccess = 1000 * float64(res.Ops) / float64(res.Accesses)
+		res.Accesses = accesses(res.Stats) - before
+		res.Throughput = float64(res.Ops) / res.Elapsed.Seconds()
+		res.derive()
 		return res, nil
 	}
-	idxRes, err := run("index", indexed.tables[0])
+	idxRes, err := run("index", "index(by_bucket", indexed.tables[0])
 	if err != nil {
 		return nil, err
 	}
-	fullRes, err := run("fullscan", full)
+	fullRes, err := run("fullscan", "scan(kv0)", full)
 	if err != nil {
 		return nil, err
 	}
 	for _, r := range []*Result{&idxRes, &fullRes} {
 		r.Counters = map[string]int64{}
-		for k, v := range indexed.reg.Snapshot().Flatten() {
-			r.Counters[k] = v
-		}
+		indexed.counters(r.Counters)
 	}
-	return []Result{idxRes, fullRes}, sh.Validate()
+	return []Result{idxRes, fullRes}, be.Validate()
 }

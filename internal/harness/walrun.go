@@ -18,26 +18,16 @@ import (
 // times a cold open — scan, replay, writer bring-up — of a fresh System
 // over the crashed image.
 
-// RecoveryPoint is one measured recovery.
-type RecoveryPoint struct {
-	// Ops is the number of logged transactions; Checkpoint whether one was
-	// written at the midpoint.
-	Ops        int
-	Checkpoint bool
-	// LogBytes is the crashed log's size; ReplayedTxns the committed
-	// groups the recovery scan yielded (post-checkpoint suffix).
-	LogBytes     uint64
-	ReplayedTxns int
-	// OpenTime is the cold-open wall time; Keys the recovered live keys.
-	OpenTime time.Duration
-	Keys     int
-}
-
 // recoveryKeys bounds the key set a recovery point cycles over.
 const recoveryKeys = 512
 
-// MustRecoveryPoint measures one (ops, checkpoint) recovery point.
-func MustRecoveryPoint(ops int, valueBytes int, checkpoint bool) RecoveryPoint {
+// MustRecoveryPoint measures one (ops, checkpoint) recovery point — ops
+// logged transactions, a checkpoint written at the midpoint or not — as a
+// Result row: Ops counts the logged transactions, Elapsed is the cold-open
+// wall time, and the harness.recovery.* counters carry the crashed log's
+// size, the committed groups the recovery scan yielded (the post-checkpoint
+// suffix) and the recovered live keys.
+func MustRecoveryPoint(ops int, valueBytes int, checkpoint bool) Result {
 	build := func(stg *wal.MemStorage) (*kv.Local, *store.Sharded) {
 		perRecord := store.RecordFootprintWords(len(ycsbKey(0)), valueBytes)
 		arenaWords := recoveryKeys*perRecord*2/4 + 4096
@@ -97,20 +87,28 @@ func MustRecoveryPoint(ops int, valueBytes int, checkpoint bool) RecoveryPoint {
 	if err := sh2.Validate(); err != nil {
 		panic(fmt.Sprintf("harness: recovered store invalid: %v", err))
 	}
-	return RecoveryPoint{
-		Ops:          ops,
-		Checkpoint:   checkpoint,
-		LogBytes:     uint64(len(data)),
-		ReplayedTxns: len(sr.Txns),
-		OpenTime:     open,
-		Keys:         keys,
+	name := fmt.Sprintf("recovery/ops=%d", ops)
+	if checkpoint {
+		name += "/ckpt"
+	}
+	return Result{
+		Workload: name,
+		Engine:   EngTL2,
+		Threads:  1,
+		Ops:      uint64(ops),
+		Elapsed:  open,
+		Counters: map[string]int64{
+			"harness.recovery.log_bytes":     int64(len(data)),
+			"harness.recovery.replayed_txns": int64(len(sr.Txns)),
+			"harness.recovery.keys":          int64(keys),
+		},
 	}
 }
 
 // RecoveryExperiment sweeps log sizes with and without a midpoint
 // checkpoint.
-func RecoveryExperiment(opsList []int, valueBytes int) []RecoveryPoint {
-	var out []RecoveryPoint
+func RecoveryExperiment(opsList []int, valueBytes int) []Result {
+	var out []Result
 	for _, ops := range opsList {
 		for _, ckpt := range []bool{false, true} {
 			out = append(out, MustRecoveryPoint(ops, valueBytes, ckpt))
@@ -120,36 +118,13 @@ func RecoveryExperiment(opsList []int, valueBytes int) []RecoveryPoint {
 }
 
 // PrintRecovery renders the recovery sweep.
-func PrintRecovery(w io.Writer, points []RecoveryPoint) {
+func PrintRecovery(w io.Writer, points []Result) {
 	fmt.Fprintf(w, "# Recovery: log size vs cold-open replay time (TL2, %d-key working set, sync every 64)\n", recoveryKeys)
-	fmt.Fprintf(w, "%10s  %10s  %12s  %14s  %12s  %6s\n",
-		"ops", "checkpoint", "log bytes", "replayed txns", "open time", "keys")
+	fmt.Fprintf(w, "%-24s  %12s  %14s  %12s  %6s\n",
+		"point", "log bytes", "replayed txns", "open time", "keys")
 	for _, p := range points {
-		fmt.Fprintf(w, "%10d  %10v  %12d  %14d  %12s  %6d\n",
-			p.Ops, p.Checkpoint, p.LogBytes, p.ReplayedTxns,
-			p.OpenTime.Round(10*time.Microsecond), p.Keys)
+		fmt.Fprintf(w, "%-24s  %12d  %14d  %12s  %6d\n", p.Workload,
+			p.Counters["harness.recovery.log_bytes"], p.Counters["harness.recovery.replayed_txns"],
+			p.Elapsed.Round(10*time.Microsecond), p.Counters["harness.recovery.keys"])
 	}
-}
-
-// RecoveryResults adapts the sweep to Result rows for the JSON trajectory:
-// Ops counts logged transactions, Elapsed is the cold-open time, Notes
-// carries the log size and replayed-suffix length.
-func RecoveryResults(points []RecoveryPoint) []Result {
-	out := make([]Result, len(points))
-	for i, p := range points {
-		name := fmt.Sprintf("recovery/ops=%d", p.Ops)
-		if p.Checkpoint {
-			name += "/ckpt"
-		}
-		out[i] = Result{
-			Workload: name,
-			Engine:   EngTL2,
-			Threads:  1,
-			Ops:      uint64(p.Ops),
-			Elapsed:  p.OpenTime,
-			Notes: fmt.Sprintf("log-bytes=%d replayed-txns=%d keys=%d",
-				p.LogBytes, p.ReplayedTxns, p.Keys),
-		}
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -9,7 +8,7 @@ import (
 // goes through the DB (the log's sequence gate forbids setup-path writes),
 // the run completes with the usual invariants (bank total conserved,
 // structural validation including the checkpoint/durable watermark check),
-// and the notes report the log counters.
+// and the counters carry the log's.
 func TestKVWALRuns(t *testing.T) {
 	for _, spec := range []KVSpec{
 		{Mix: "a", Records: 128, ValueBytes: 16, Shards: 2, WAL: true},
@@ -19,8 +18,10 @@ func TestKVWALRuns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name(), err)
 		}
-		if !strings.Contains(res.Notes, "wal[") {
-			t.Errorf("%s: notes missing wal counters: %s", spec.Name(), res.Notes)
+		for _, name := range []string{"wal.txns", "wal.syncs", "wal.bytes"} {
+			if res.Counters[name] <= 0 {
+				t.Errorf("%s: counter %s missing or zero: %s", spec.Name(), name, digest(res.Counters))
+			}
 		}
 	}
 }
@@ -29,15 +30,16 @@ func TestKVWALRuns(t *testing.T) {
 // checkpoint must shrink the replayed suffix versus the checkpoint-free
 // run of the same length.
 func TestRecoveryPointCheckpointBounds(t *testing.T) {
-	plain := MustRecoveryPoint(600, 32, false)
-	ckpt := MustRecoveryPoint(600, 32, true)
-	if plain.ReplayedTxns != 600 {
-		t.Fatalf("plain run replayed %d txns, want 600", plain.ReplayedTxns)
+	plain := MustRecoveryPoint(600, 32, false).Counters
+	ckpt := MustRecoveryPoint(600, 32, true).Counters
+	const replayed, keys = "harness.recovery.replayed_txns", "harness.recovery.keys"
+	if plain[replayed] != 600 {
+		t.Fatalf("plain run replayed %d txns, want 600", plain[replayed])
 	}
-	if ckpt.ReplayedTxns >= plain.ReplayedTxns*2/3 {
-		t.Fatalf("checkpoint did not bound replay: %d vs %d txns", ckpt.ReplayedTxns, plain.ReplayedTxns)
+	if ckpt[replayed] >= plain[replayed]*2/3 {
+		t.Fatalf("checkpoint did not bound replay: %d vs %d txns", ckpt[replayed], plain[replayed])
 	}
-	if plain.Keys != ckpt.Keys {
-		t.Fatalf("recovered key counts diverge: %d vs %d", plain.Keys, ckpt.Keys)
+	if plain[keys] != ckpt[keys] {
+		t.Fatalf("recovered key counts diverge: %d vs %d", plain[keys], ckpt[keys])
 	}
 }

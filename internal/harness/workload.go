@@ -23,47 +23,59 @@ type Workload struct {
 	DataWords int
 	// Build populates the structure on s and returns the operation factory.
 	Build func(s *rhtm.System) OpFactory
-	// Observe, when non-nil, is called by Run after the workers have
-	// drained (the run's System is quiescent); its report lands in
-	// Result.Notes. Builders that need per-run state (the YCSB store)
-	// share it with Observe through a variable captured by both closures:
-	// Run guarantees Build, the workers, and Observe run sequentially, and
-	// a Workload value is never measured concurrently with itself.
-	Observe func(s *rhtm.System) string
 }
 
-// RBTreeWorkload is the paper's Constant Red-Black Tree (§3.1): nodes keys,
-// writePct percent rb-update operations, the rest rb-lookup.
-func RBTreeWorkload(nodes, writePct int) Workload {
+// constOps are the two operations of one of the paper's constant
+// structures, bound to a populated instance.
+type constOps struct {
+	lookup func(tx rhtm.Tx, key uint64) bool
+	update func(tx rhtm.Tx, key, value uint64, rng *rand.Rand) bool
+}
+
+// constWorkload is the shape the paper's constant structures share (§3.1,
+// §3.3, §3.4): keys 1..n populated up front, then writePct percent updates
+// of a uniformly drawn key, the rest lookups. build populates the structure
+// on s from the keys and returns its operations.
+func constWorkload(name string, n, dataWords, writePct int, build func(s *rhtm.System, keys []uint64) constOps) Workload {
 	return Workload{
-		Name:      "rbtree",
-		DataWords: nodes*containers.RBNodeWords*5/4 + 4096,
+		Name:      name,
+		DataWords: dataWords,
 		Build: func(s *rhtm.System) OpFactory {
-			tree := containers.NewRBTree(s)
-			keys := make([]uint64, nodes)
+			keys := make([]uint64, n)
 			for i := range keys {
 				keys[i] = uint64(i + 1)
 			}
-			shuffle(keys)
-			tree.Populate(keys)
+			ops := build(s, keys)
 			return func(threadID int, rng *rand.Rand) func() Op {
 				return func() Op {
-					key := uint64(rng.Intn(nodes) + 1)
+					key := uint64(rng.Intn(n) + 1)
 					if rng.Intn(100) < writePct {
 						val := rng.Uint64()
 						return func(tx rhtm.Tx) error {
-							tree.ConstUpdate(tx, key, val, rng)
+							ops.update(tx, key, val, rng)
 							return nil
 						}
 					}
 					return func(tx rhtm.Tx) error {
-						tree.ConstLookup(tx, key)
+						ops.lookup(tx, key)
 						return nil
 					}
 				}
 			}
 		},
 	}
+}
+
+// RBTreeWorkload is the paper's Constant Red-Black Tree (§3.1): nodes keys,
+// writePct percent rb-update operations, the rest rb-lookup.
+func RBTreeWorkload(nodes, writePct int) Workload {
+	return constWorkload("rbtree", nodes, nodes*containers.RBNodeWords*5/4+4096, writePct,
+		func(s *rhtm.System, keys []uint64) constOps {
+			tree := containers.NewRBTree(s)
+			shuffle(keys)
+			tree.Populate(keys)
+			return constOps{tree.ConstLookup, tree.ConstUpdate}
+		})
 }
 
 // RBTreeRealWorkload exercises the real mutating tree (insert/delete/lookup
@@ -123,66 +135,26 @@ func RBTreeRealWorkloadOps(nodes, writePct, expectedOps int) Workload {
 
 // HashTableWorkload is the paper's Constant Hash Table (§3.3).
 func HashTableWorkload(elems, writePct int) Workload {
-	return Workload{
-		Name:      "hashtable",
-		DataWords: elems*containers.HTNodeWords*2 + elems*2 + 4096,
-		Build: func(s *rhtm.System) OpFactory {
+	return constWorkload("hashtable", elems, elems*containers.HTNodeWords*2+elems*2+4096, writePct,
+		func(s *rhtm.System, keys []uint64) constOps {
 			ht := containers.NewHashTable(s, elems)
-			keys := make([]uint64, elems)
-			for i := range keys {
-				keys[i] = uint64(i + 1)
-			}
 			ht.Populate(keys)
-			return func(threadID int, rng *rand.Rand) func() Op {
-				return func() Op {
-					key := uint64(rng.Intn(elems) + 1)
-					if rng.Intn(100) < writePct {
-						val := rng.Uint64()
-						return func(tx rhtm.Tx) error {
-							ht.ConstUpdate(tx, key, val)
-							return nil
-						}
-					}
-					return func(tx rhtm.Tx) error {
-						ht.ConstQuery(tx, key)
-						return nil
-					}
-				}
-			}
-		},
-	}
+			return constOps{ht.ConstQuery, func(tx rhtm.Tx, key, value uint64, _ *rand.Rand) bool {
+				return ht.ConstUpdate(tx, key, value)
+			}}
+		})
 }
 
 // SortedListWorkload is the paper's Constant Sorted List (§3.4).
 func SortedListWorkload(elems, writePct int) Workload {
-	return Workload{
-		Name:      "sortedlist",
-		DataWords: elems*containers.SLNodeWords*2 + 4096,
-		Build: func(s *rhtm.System) OpFactory {
+	return constWorkload("sortedlist", elems, elems*containers.SLNodeWords*2+4096, writePct,
+		func(s *rhtm.System, keys []uint64) constOps {
 			l := containers.NewSortedList(s)
-			keys := make([]uint64, elems)
-			for i := range keys {
-				keys[i] = uint64(i + 1)
-			}
 			l.Populate(keys)
-			return func(threadID int, rng *rand.Rand) func() Op {
-				return func() Op {
-					key := uint64(rng.Intn(elems) + 1)
-					if rng.Intn(100) < writePct {
-						val := rng.Uint64()
-						return func(tx rhtm.Tx) error {
-							l.ConstUpdate(tx, key, val)
-							return nil
-						}
-					}
-					return func(tx rhtm.Tx) error {
-						l.ConstSearch(tx, key)
-						return nil
-					}
-				}
-			}
-		},
-	}
+			return constOps{l.ConstSearch, func(tx rhtm.Tx, key, value uint64, _ *rand.Rand) bool {
+				return l.ConstUpdate(tx, key, value)
+			}}
+		})
 }
 
 // RandomArrayWorkload is the paper's Random Array (§3.5): transactions of

@@ -31,15 +31,11 @@ const (
 
 // KVSpec parameterizes one KV workload, on either backend.
 type KVSpec struct {
-	// Mix is the YCSB workload letter — "a" (50% reads / 50% updates),
-	// "b" (95/5), "c" (read-only), "d" (95% latest-skewed reads / 5%
-	// inserts), "e" (95% short ordered scans / 5% inserts), "f" (50% reads
-	// / 50% read-modify-writes) — or "bank": every operation transfers
-	// between two 8-byte balances and the run fails if the total is not
-	// conserved. The table mixes run the table/ record layer instead of
-	// raw records: "eidx" re-serves YCSB-E's short ordered scans from a
-	// secondary index, "query" is a planner-driven point/range/order-limit
-	// mix (see tablerun.go).
+	// Mix selects a row of the mix table (mixes.go): the YCSB workload
+	// letters "a" to "f", "bank" (transfers between 8-byte balances; the run
+	// fails if the total is not conserved), the coordination mixes "session"
+	// and "lock" (coord.go), and the table mixes "eidx" and "query", which
+	// run the table/ record layer instead of raw records (tablerun.go).
 	Mix string
 	// Records is the number of pre-loaded records (or bank accounts).
 	Records int
@@ -101,7 +97,7 @@ type KVSpec struct {
 	Pipeline bool
 	// WAL attaches a write-ahead log to the backend (in-memory device):
 	// the run populates through the DB so every record is logged, and the
-	// notes report the log counters (txns, syncs, bytes — group-commit
+	// counters carry the log's (wal.txns, wal.syncs, wal.bytes — group-commit
 	// amortization shows as txns/sync > 1).
 	WAL bool
 	// SyncEvery relaxes the WAL's durability barrier to every N logged
@@ -129,32 +125,6 @@ type KVSpec struct {
 	TraceSample int
 }
 
-// readPct returns the percentage of plain reads (or, for "e", scans) in
-// the mix.
-func (sp KVSpec) readPct() (int, error) {
-	switch sp.Mix {
-	case "a", "f":
-		return 50, nil
-	case "b", "d", "e", "eidx":
-		return 95, nil
-	case "c":
-		return 100, nil
-	case "bank", "lock":
-		return 0, nil
-	case "session":
-		return 95, nil
-	case "query":
-		return 90, nil
-	default:
-		return 0, fmt.Errorf("harness: unknown KV mix %q (want a, b, c, d, e, f, eidx, query, bank, session or lock)", sp.Mix)
-	}
-}
-
-// tableMix reports whether the workload runs through the table/ record
-// layer (typed rows, secondary indexes, the planner) rather than raw
-// ycsbKey records.
-func (sp KVSpec) tableMix() bool { return sp.Mix == "eidx" || sp.Mix == "query" }
-
 // withDefaults fills unset (zero or negative) fields.
 func (sp KVSpec) withDefaults() KVSpec {
 	if sp.Records <= 0 {
@@ -163,8 +133,8 @@ func (sp KVSpec) withDefaults() KVSpec {
 	if sp.ValueBytes <= 0 {
 		sp.ValueBytes = 64
 	}
-	if sp.Mix == "bank" || sp.Mix == "lock" {
-		sp.ValueBytes = 8
+	if m, ok := lookupMix(sp.Mix); ok && m.valueBytes > 0 {
+		sp.ValueBytes = m.valueBytes
 	}
 	if sp.TTL <= 0 {
 		sp.TTL = 16
@@ -216,23 +186,15 @@ func (sp KVSpec) withDefaults() KVSpec {
 // Name identifies the workload in output rows.
 func (sp KVSpec) Name() string {
 	sp = sp.withDefaults()
-	name := fmt.Sprintf("ycsb-%s/%s", sp.Mix, sp.Dist)
-	switch sp.Mix {
-	case "bank":
-		name = "bank/" + sp.Dist
-	case "session":
-		name = "session-cache/" + sp.Dist
-	case "lock":
-		name = "lock-service/" + sp.Dist
-	case "eidx":
-		name = "ycsb-e-index/" + sp.Dist
-	case "query":
-		name = "table-query/" + sp.Dist
+	m, ok := lookupMix(sp.Mix)
+	if !ok {
+		m = &mixDesc{stem: "ycsb-" + sp.Mix}
 	}
+	name := m.stem + "/" + sp.Dist
 	if sp.Backend == BackendCluster {
 		name = fmt.Sprintf("cluster-%s/%s/s=%d/x=%d", sp.Mix, sp.Dist, sp.Systems, sp.CrossPct)
 	}
-	if sp.tableMix() {
+	if m.table {
 		name += fmt.Sprintf("/tables=%d/idxsel=%d", sp.Tables, sp.IdxSel)
 	}
 	if sp.BatchSize > 1 {
@@ -262,10 +224,21 @@ func (sp KVSpec) Name() string {
 	return name
 }
 
+// Title describes the workload for a human-readable series heading.
+func (sp KVSpec) Title() string {
+	sp = sp.withDefaults()
+	title := sp.Name()
+	if m, ok := lookupMix(sp.Mix); ok {
+		title = fmt.Sprintf("%s (%s): %s", m.title, m.blurb, title)
+	}
+	return fmt.Sprintf("%s, %d records", title, sp.Records)
+}
+
 // validate rejects bad specs with a clean error before any System is built.
 func (sp KVSpec) validate() error {
-	if _, err := sp.readPct(); err != nil {
-		return err
+	m, ok := lookupMix(sp.Mix)
+	if !ok {
+		return fmt.Errorf("harness: unknown KV mix %q (want %s)", sp.Mix, mixNames())
 	}
 	if sp.Backend != BackendStore && sp.Backend != BackendCluster {
 		return fmt.Errorf("harness: unknown backend %q (want %s or %s)", sp.Backend, BackendStore, BackendCluster)
@@ -285,15 +258,12 @@ func (sp KVSpec) validate() error {
 	if sp.CrossKeys*2 > sp.Records {
 		return fmt.Errorf("harness: CrossKeys %d too large for %d records", sp.CrossKeys, sp.Records)
 	}
-	if sp.Mix == "f" && sp.ValueBytes < 8 {
-		return fmt.Errorf("harness: YCSB F needs ValueBytes >= 8 for its counter, got %d", sp.ValueBytes)
+	if sp.ValueBytes < m.minValueBytes {
+		return fmt.Errorf("harness: mix %q needs ValueBytes >= %d for its counter, got %d",
+			sp.Mix, m.minValueBytes, sp.ValueBytes)
 	}
-	if sp.BatchSize > 1 {
-		switch sp.Mix {
-		case "a", "b", "c":
-		default:
-			return fmt.Errorf("harness: BatchSize applies to mixes a/b/c, not %q", sp.Mix)
-		}
+	if sp.BatchSize > 1 && !m.batchable {
+		return fmt.Errorf("harness: BatchSize does not apply to mix %q (no single-key operations to group)", sp.Mix)
 	}
 	if sp.SyncEvery > 1 && !sp.WAL {
 		return fmt.Errorf("harness: SyncEvery needs WAL")
@@ -315,7 +285,7 @@ func (sp KVSpec) validate() error {
 	if sp.Staleness > 0 && sp.Replicas == 0 {
 		return fmt.Errorf("harness: Staleness needs Replicas")
 	}
-	if sp.tableMix() {
+	if m.table {
 		if sp.Tables > 64 {
 			return fmt.Errorf("harness: Tables must be at most 64, got %d", sp.Tables)
 		}
@@ -347,17 +317,6 @@ func (sp KVSpec) Check() error {
 // ycsbKey formats the i-th record's key.
 func ycsbKey(i int) []byte {
 	return []byte(fmt.Sprintf("user%08d", i))
-}
-
-// drawRecord picks a record index: scrambled zipfian when zipf is non-nil
-// (as YCSB's ScrambledZipfianGenerator — the skew applies to hashed ranks
-// so the hot keys spread over the key space, and therefore over shards and
-// Systems), uniform otherwise.
-func drawRecord(rng *rand.Rand, zipf *zipfian, records int) int {
-	if zipf != nil {
-		return int(scramble(uint64(zipf.next(rng))) % uint64(records))
-	}
-	return rng.Intn(records)
 }
 
 // --- zipfian request distribution ---

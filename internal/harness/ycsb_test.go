@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
-	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -96,26 +94,13 @@ func TestScrambleSpreads(t *testing.T) {
 	}
 }
 
-// noteValue extracts an integer "name=N" observation from Result.Notes.
-func noteValue(t *testing.T, notes, name string) uint64 {
-	t.Helper()
-	m := regexp.MustCompile(name + `=(\d+)`).FindStringSubmatch(notes)
-	if m == nil {
-		t.Fatalf("notes missing %s=: %q", name, notes)
-	}
-	v, err := strconv.ParseUint(m[1], 10, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v
-}
-
 // TestYCSBFIncrements runs the F mix through a real engine under
 // concurrency and verifies the RMW semantics end to end: the total of all
-// leading counters (reported as "fsum=") grows by exactly the number of
-// committed updates (reported as "updates="): each increments one record
-// by one, atomically, so a lost update shows as a shortfall. The initial
-// counter total is reproduced from the loader's fixed seed.
+// leading counters (harness.fsum) grows by exactly the number of committed
+// updates (harness.updates): each increments one record by one, atomically,
+// so a lost update shows as a shortfall. RunKV audits the same identity
+// against its own reading of the loaded store; this test reproduces the
+// initial total independently, from the loader's fixed seed.
 func TestYCSBFIncrements(t *testing.T) {
 	const records, valueBytes = 128, 16
 	spec := KVSpec{Mix: "f", Records: records, ValueBytes: valueBytes, Dist: DistUniform, Shards: 2}
@@ -133,8 +118,8 @@ func TestYCSBFIncrements(t *testing.T) {
 	if r.Ops != 400 {
 		t.Fatalf("ops = %d, want 400", r.Ops)
 	}
-	final := noteValue(t, r.Notes, "fsum")
-	updates := noteValue(t, r.Notes, "updates")
+	final := uint64(r.Counters["harness.fsum"])
+	updates := uint64(r.Counters["harness.updates"])
 	if updates == 0 {
 		t.Fatal("F run committed no updates")
 	}
@@ -162,16 +147,16 @@ func TestKVWorkloadRuns(t *testing.T) {
 					t.Fatalf("%s/%s/%s: read-only mix performed %d data writes", mix, dist, eng, r.Stats.Writes)
 				}
 				if mix == "e" {
-					if scans := noteValue(t, r.Notes, "scans"); scans == 0 {
-						t.Fatalf("%s/%s/%s: E mix ran no scans: %q", mix, dist, eng, r.Notes)
+					if r.Counters["harness.scans"] == 0 {
+						t.Fatalf("%s/%s/%s: E mix ran no scans: %s", mix, dist, eng, digest(r.Counters))
 					}
-					if scanned := noteValue(t, r.Notes, "scanned"); scanned == 0 {
+					if r.Counters["harness.scanned"] == 0 {
 						t.Fatalf("%s/%s/%s: E mix scanned no entries", mix, dist, eng)
 					}
 				}
 				if mix == "d" || mix == "e" {
-					if inserts := noteValue(t, r.Notes, "inserts"); inserts == 0 {
-						t.Fatalf("%s/%s/%s: %s mix inserted nothing: %q", mix, dist, eng, mix, r.Notes)
+					if r.Counters["harness.inserts"] == 0 {
+						t.Fatalf("%s/%s/%s: %s mix inserted nothing: %s", mix, dist, eng, mix, digest(r.Counters))
 					}
 				}
 			}
@@ -186,9 +171,8 @@ func TestKVWorkloadRuns(t *testing.T) {
 func TestYCSBDReadsSkewLatest(t *testing.T) {
 	spec := KVSpec{Mix: "d", Records: 128, ValueBytes: 16, Shards: 2}
 	r := MustRunKV(spec, EngTL2, RunConfig{Threads: 2, OpsPerThread: 200, Seed: 3})
-	inserts := noteValue(t, r.Notes, "inserts")
-	if inserts == 0 {
-		t.Fatalf("D run inserted nothing: %q", r.Notes)
+	if r.Counters["harness.inserts"] == 0 {
+		t.Fatalf("D run inserted nothing: %s", digest(r.Counters))
 	}
 	if r.Ops != 400 {
 		t.Fatalf("ops = %d, want 400", r.Ops)
@@ -218,8 +202,8 @@ func TestKVBatchedRuns(t *testing.T) {
 	if b.Ops != single.Ops {
 		t.Fatalf("ops differ: %d vs %d", b.Ops, single.Ops)
 	}
-	if noteValue(t, b.Notes, "batches") == 0 {
-		t.Fatalf("batched run flushed no batches: %q", b.Notes)
+	if b.Counters["harness.batches"] == 0 {
+		t.Fatalf("batched run flushed no batches: %s", digest(b.Counters))
 	}
 	if b.Accesses >= single.Accesses {
 		t.Fatalf("batch=16 cost %d accesses, unbatched %d: no amortization", b.Accesses, single.Accesses)
@@ -244,7 +228,7 @@ func TestKVReplicatedRun(t *testing.T) {
 		t.Fatalf("workload name %q missing replica count", r.Workload)
 	}
 	if got := r.Counters["harness.follower_reads"]; got == 0 {
-		t.Fatalf("no reads served by replicas: %q", r.Notes)
+		t.Fatalf("no reads served by replicas: %s", digest(r.Counters))
 	}
 	// The drained run's repl.* gauges: both replicas fully applied, no
 	// promotions or fencing, and a non-empty apply-batch histogram.
@@ -293,5 +277,28 @@ func TestKVRejectsBadSpecs(t *testing.T) {
 		if _, err := RunKV(spec, EngTL2, RunConfig{Threads: 1, OpsPerThread: 1}); err == nil {
 			t.Errorf("RunKV accepted bad %s: %+v", name, spec)
 		}
+	}
+}
+
+// TestReplicaDrainFailureFailsRun: a replica that cannot converge on the
+// primary's log must fail the run — its repl.* gauges would otherwise be
+// read from a state the primary never had. The followers are stopped under
+// the backend and the primary moves on, so the drain has frames it can
+// never apply.
+func TestReplicaDrainFailureFailsRun(t *testing.T) {
+	spec := KVSpec{Mix: "b", Records: 16, Shards: 2, WAL: true, Replicas: 1}.withDefaults()
+	m, _ := lookupMix(spec.Mix)
+	cfg := RunConfig{Threads: 1, OpsPerThread: 1}
+	be, err := openStoreBackend(m.sizing(spec, cfg), EngTL2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	be.group.Close()
+	if err := be.db.Put(ycsbKey(0), []byte("after the followers stopped")); err != nil {
+		t.Fatal(err)
+	}
+	var res Result
+	if err := be.Finish(&res); err == nil {
+		t.Fatal("Finish reported success over a replica that never drained")
 	}
 }
