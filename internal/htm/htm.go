@@ -22,6 +22,12 @@
 //   - Plain (non-transactional) stores abort conflicting transactions via
 //     memsim; this simulator adds no extra machinery for that because all
 //     memory traffic flows through the same Memory.
+//   - A line is registered with memsim once per attempt, at the first access
+//     (memsim.SpecLoad or SpecDeclareWrite, under the line's lock stripe).
+//     Later reads of the line are cache hits: memsim.SpecReload, an atomic
+//     load and a check that the transaction is still running, with no lock.
+//   - Commit hands memsim the footprint as collected; memsim.CommitTxn owns
+//     the lock order.
 //
 // Txn values are not safe for concurrent use by multiple goroutines; each
 // worker owns one and reuses it across attempts (Begin resets it).
@@ -73,7 +79,7 @@ type Txn struct {
 	reason atomic.Uint32
 
 	lineFlags  map[uint64]uint8
-	footprint  []uint64 // every registered line, unsorted
+	footprint  []uint64 // every registered line; CommitTxn sorts it
 	writeLines int
 
 	writes   []memsim.WriteEntry
@@ -163,27 +169,35 @@ func (t *Txn) Read(a memsim.Addr) (v uint64, ok bool) {
 		return 0, false
 	}
 	t.stats.ReadOps++
-	if i, hit := t.writeIdx[a]; hit {
-		return t.writes[i].Val, true
+	if len(t.writes) > 0 {
+		if i, hit := t.writeIdx[a]; hit {
+			return t.writes[i].Val, true
+		}
 	}
 	lid := t.mem.LineOf(a)
-	flags, seen := t.lineFlags[lid]
-	if !seen && len(t.footprint) >= t.cfg.MaxFootprintLines {
+	if _, seen := t.lineFlags[lid]; seen {
+		// Already monitored, as reader or writer: no lock, no registration.
+		return t.mem.SpecReload(a, t)
+	}
+	if len(t.footprint) >= t.cfg.MaxFootprintLines {
 		t.selfAbort(memsim.AbortCapacity)
 		return 0, false
 	}
-	v, ok = t.mem.SpecLoad(a, t, !seen)
+	v, ok = t.mem.SpecLoad(a, t)
 	if !ok {
 		return 0, false
 	}
-	if !seen {
-		t.lineFlags[lid] = flags | flagReader
-		t.footprint = append(t.footprint, lid)
-		if len(t.footprint) > t.stats.PeakLines {
-			t.stats.PeakLines = len(t.footprint)
-		}
-	}
+	t.lineFlags[lid] = flagReader
+	t.addLine(lid)
 	return v, true
+}
+
+// addLine records a newly registered line in the footprint.
+func (t *Txn) addLine(lid uint64) {
+	t.footprint = append(t.footprint, lid)
+	if len(t.footprint) > t.stats.PeakLines {
+		t.stats.PeakLines = len(t.footprint)
+	}
 }
 
 // Write performs a speculative store (buffered until Commit). ok is false if
@@ -206,10 +220,7 @@ func (t *Txn) Write(a memsim.Addr, v uint64) (ok bool) {
 		}
 		t.lineFlags[lid] = flags | flagWriter
 		if !seen {
-			t.footprint = append(t.footprint, lid)
-			if len(t.footprint) > t.stats.PeakLines {
-				t.stats.PeakLines = len(t.footprint)
-			}
+			t.addLine(lid)
 		}
 		t.writeLines++
 	}
@@ -248,9 +259,7 @@ func (t *Txn) Commit() bool {
 		t.finishAbort()
 		return false
 	}
-	fp := memsim.SortFootprint(t.footprint)
-	t.footprint = fp
-	if t.mem.CommitTxn(t, fp, t.writes) {
+	if t.mem.CommitTxn(t, t.footprint, t.writes) {
 		t.stats.Commits++
 		t.state.Store(stateIdle)
 		return true

@@ -27,7 +27,7 @@
 //
 //   - Speculative writes are buffered by the owning transaction and published
 //     atomically by CommitTxn, which locks the transaction's entire footprint
-//     (all read and written lines, in sorted order), re-checks that the
+//     (all read and written lines, in one canonical order), re-checks that the
 //     transaction is still running, sweeps conflicting monitors, applies the
 //     writes, and only then marks the transaction committed. Holding the whole
 //     footprint makes the commit a single linearization point: no concurrent
@@ -35,8 +35,12 @@
 //     line can slip "into the middle" of the commit. This is the all-or-nothing
 //     property the RH1 protocol's uninstrumented fast-path reads rely on.
 //
-// Every word access takes the line's mutex, so the words array itself needs
-// no atomics; the mutex doubles as the coherence serialization point. This is
-// a simulator, not a production allocator: clarity and fidelity of the
-// conflict semantics take priority over raw memory bandwidth.
+// Locked accesses serialize on a fixed table of nStripes mutexes, a line's
+// being the one at its id modulo nStripes. A stripe also holds the monitor
+// entries of its lines, each carrying its line id: conflicts are detected per
+// line exactly, and only the lock is shared. One access takes no lock —
+// SpecReload, a transaction's re-read of a line it already monitors. Every
+// agent that changes a word aborts the line's monitors first and stores
+// atomically after, so a word loaded before Running() still reads true has
+// not changed since the transaction registered.
 package memsim

@@ -2,7 +2,9 @@ package memsim
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // Addr is the index of a 64-bit word in a Memory. Address 0 is reserved as
@@ -135,12 +137,23 @@ func DefaultConfig(words int) Config {
 // write set); a reader that later writes has its entry upgraded in place.
 type monEntry struct {
 	h      Handle
+	line   uint64
 	writer bool
 }
 
-// line is the per-line coherence state: a mutex serializing every access to
-// the line's words, and the monitor set of speculative transactions.
-type line struct {
+// nStripes is the size of the lock-stripe table: a power of two, fixed so the
+// table (32 bytes a stripe, 512 KiB) stays cache-resident however large
+// Config.Words is.
+const (
+	nStripes   = 1 << 14
+	stripeMask = nStripes - 1
+)
+
+// stripe guards every line whose id is congruent to its index modulo
+// nStripes: mu serializes all locked accesses to those lines' words and mons
+// holds their monitor entries. Only the lock is shared — each entry carries
+// its line id, and conflicts are detected between entries of one line only.
+type stripe struct {
 	mu   sync.Mutex
 	mons []monEntry
 }
@@ -151,7 +164,7 @@ type Memory struct {
 	cfg       Config
 	lineShift uint
 	words     []uint64
-	lines     []line
+	stripes   [nStripes]stripe
 
 	regionMu sync.Mutex
 	nextFree Addr
@@ -170,12 +183,10 @@ func New(cfg Config) *Memory {
 	for 1<<shift != cfg.WordsPerLine {
 		shift++
 	}
-	nLines := (cfg.Words + cfg.WordsPerLine - 1) / cfg.WordsPerLine
 	return &Memory{
 		cfg:       cfg,
 		lineShift: shift,
 		words:     make([]uint64, cfg.Words),
-		lines:     make([]line, nLines),
 		nextFree:  1, // word 0 is the reserved null address
 	}
 }
@@ -189,64 +200,41 @@ func (m *Memory) Words() int { return m.cfg.Words }
 // LineOf returns the line index containing address a.
 func (m *Memory) LineOf(a Addr) uint64 { return uint64(a) >> m.lineShift }
 
-// lineFor returns the line state for address a, bounds-checking a.
-func (m *Memory) lineFor(a Addr) *line {
-	return &m.lines[uint64(a)>>m.lineShift]
+// stripeOf returns the stripe guarding line id.
+func (m *Memory) stripeOf(id uint64) *stripe { return &m.stripes[id&stripeMask] }
+
+// at resolves a to its word, its line id and the stripe guarding that line.
+// Every entry point calls it before taking any lock, so an out-of-range
+// address panics on the index here with no stripe held.
+func (m *Memory) at(a Addr) (w *uint64, id uint64, s *stripe) {
+	w = &m.words[a]
+	id = uint64(a) >> m.lineShift
+	return w, id, m.stripeOf(id)
 }
 
-// lineByID returns the line state for a line index.
-func (m *Memory) lineByID(id uint64) *line { return &m.lines[id] }
-
-// abortMonitors aborts every active monitor of ln except self, with the given
-// reason, and prunes entries that are no longer running. Callers must hold
-// ln.mu.
-func abortMonitors(ln *line, self Handle, reason AbortReason) {
-	kept := ln.mons[:0]
-	for _, e := range ln.mons {
-		if e.h == self {
-			kept = append(kept, e)
-			continue
-		}
-		if e.h.TryAbort(reason) || !e.h.Running() {
-			// Aborted now, or already finished: drop the entry.
-			continue
-		}
-		kept = append(kept, e)
-	}
-	clearTail(ln, len(kept))
+// abortMonitors aborts every active monitor of line id except self, with the
+// given reason, and prunes that line's entries that are no longer running.
+// Entries of other lines on the stripe are left alone. Callers must hold s.mu.
+func abortMonitors(s *stripe, id uint64, self Handle, reason AbortReason) {
+	s.mons = slices.DeleteFunc(s.mons, func(e monEntry) bool {
+		// Aborted now, or already finished: drop the entry.
+		return e.line == id && e.h != self && (e.h.TryAbort(reason) || !e.h.Running())
+	})
 }
 
-// abortWriters aborts active writers of ln except self and prunes dead
-// entries. Callers must hold ln.mu.
-func abortWriters(ln *line, self Handle, reason AbortReason) {
-	kept := ln.mons[:0]
-	for _, e := range ln.mons {
-		if e.h != self && e.writer {
-			if e.h.TryAbort(reason) || !e.h.Running() {
-				continue
-			}
-		} else if !e.h.Running() {
-			continue
-		}
-		kept = append(kept, e)
-	}
-	clearTail(ln, len(kept))
-}
-
-// clearTail zeroes the dropped suffix of the monitor slice so handles do not
-// leak through the backing array, then truncates.
-func clearTail(ln *line, n int) {
-	for i := n; i < len(ln.mons); i++ {
-		ln.mons[i] = monEntry{}
-	}
-	ln.mons = ln.mons[:n]
+// abortWriters aborts active writers of line id except self and prunes that
+// line's dead entries. Callers must hold s.mu.
+func abortWriters(s *stripe, id uint64, self Handle, reason AbortReason) {
+	s.mons = slices.DeleteFunc(s.mons, func(e monEntry) bool {
+		return e.line == id && (e.h != self && e.writer && e.h.TryAbort(reason) || !e.h.Running())
+	})
 }
 
 // hasOtherActiveMonitor reports whether any transaction other than self
-// actively monitors ln. Callers must hold ln.mu.
-func hasOtherActiveMonitor(ln *line, self Handle) bool {
-	for _, e := range ln.mons {
-		if e.h != self && e.h.Running() {
+// actively monitors line id. Callers must hold s.mu.
+func hasOtherActiveMonitor(s *stripe, id uint64, self Handle) bool {
+	for _, e := range s.mons {
+		if e.line == id && e.h != self && e.h.Running() {
 			return true
 		}
 	}
@@ -257,13 +245,13 @@ func hasOtherActiveMonitor(ln *line, self Handle) bool {
 // configuration it aborts speculative writers of the line, modelling the
 // read snoop a regular load issues on real hardware.
 func (m *Memory) Load(a Addr) uint64 {
-	ln := m.lineFor(a)
-	ln.mu.Lock()
+	w, id, s := m.at(a)
+	s.mu.Lock()
 	if m.cfg.NonTxLoadAbortsWriters {
-		abortWriters(ln, nil, AbortNonTxConflict)
+		abortWriters(s, id, nil, AbortNonTxConflict)
 	}
-	v := m.words[a]
-	ln.mu.Unlock()
+	v := *w
+	s.mu.Unlock()
 	return v
 }
 
@@ -273,26 +261,29 @@ func (m *Memory) Load(a Addr) uint64 {
 // property is load-bearing for the protocols — e.g. RH2's switch to the
 // all-software write-back aborts hardware transactions precisely because they
 // speculatively read the is_all_software counter word.
+//
+// Like every store to a word it aborts the line's monitors before it stores,
+// and stores atomically: SpecReload reads words without the stripe lock.
 func (m *Memory) Store(a Addr, v uint64) {
-	ln := m.lineFor(a)
-	ln.mu.Lock()
-	abortMonitors(ln, nil, AbortNonTxConflict)
-	m.words[a] = v
-	ln.mu.Unlock()
+	w, id, s := m.at(a)
+	s.mu.Lock()
+	abortMonitors(s, id, nil, AbortNonTxConflict)
+	atomic.StoreUint64(w, v)
+	s.mu.Unlock()
 }
 
 // CAS atomically compares-and-swaps the word at a. Like Store it aborts every
 // monitor of the line regardless of outcome: even a failed CAS issued a
 // request-for-ownership snoop.
 func (m *Memory) CAS(a Addr, old, new uint64) bool {
-	ln := m.lineFor(a)
-	ln.mu.Lock()
-	abortMonitors(ln, nil, AbortNonTxConflict)
-	ok := m.words[a] == old
+	w, id, s := m.at(a)
+	s.mu.Lock()
+	abortMonitors(s, id, nil, AbortNonTxConflict)
+	ok := *w == old
 	if ok {
-		m.words[a] = new
+		atomic.StoreUint64(w, new)
 	}
-	ln.mu.Unlock()
+	s.mu.Unlock()
 	return ok
 }
 
@@ -300,12 +291,12 @@ func (m *Memory) CAS(a Addr, old, new uint64) bool {
 // aborting every monitor of the line. delta may be negative via two's
 // complement (pass ^uint64(0) to subtract one, or use AddInt for clarity).
 func (m *Memory) FetchAdd(a Addr, delta uint64) uint64 {
-	ln := m.lineFor(a)
-	ln.mu.Lock()
-	abortMonitors(ln, nil, AbortNonTxConflict)
-	m.words[a] += delta
-	v := m.words[a]
-	ln.mu.Unlock()
+	w, id, s := m.at(a)
+	s.mu.Lock()
+	abortMonitors(s, id, nil, AbortNonTxConflict)
+	v := *w + delta
+	atomic.StoreUint64(w, v)
+	s.mu.Unlock()
 	return v
 }
 
@@ -314,7 +305,7 @@ func (m *Memory) AddInt(a Addr, delta int64) uint64 {
 	return m.FetchAdd(a, uint64(delta))
 }
 
-// Peek reads the word at a without taking the line lock or issuing a snoop.
+// Peek reads the word at a without taking the stripe lock or issuing a snoop.
 // It is intended for single-threaded setup and for test assertions after all
 // workers have stopped; using it concurrently with writers is a data race.
 func (m *Memory) Peek(a Addr) uint64 { return m.words[a] }

@@ -1,6 +1,8 @@
 package memsim
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -85,7 +87,7 @@ func TestFetchAddReturnsNewValue(t *testing.T) {
 func TestPlainStoreAbortsMonitors(t *testing.T) {
 	m := newMem(t, 64)
 	reader, writer := &fakeTxn{}, &fakeTxn{}
-	if _, ok := m.SpecLoad(8, reader, true); !ok {
+	if _, ok := m.SpecLoad(8, reader); !ok {
 		t.Fatal("SpecLoad failed for fresh reader")
 	}
 	if !m.SpecDeclareWrite(16, writer) {
@@ -133,7 +135,7 @@ func TestPlainLoadSnoopDisabled(t *testing.T) {
 func TestSpecWriteConflictRequesterWins(t *testing.T) {
 	m := newMem(t, 64)
 	first, second := &fakeTxn{}, &fakeTxn{}
-	if _, ok := m.SpecLoad(8, first, true); !ok {
+	if _, ok := m.SpecLoad(8, first); !ok {
 		t.Fatal("SpecLoad failed")
 	}
 	if !m.SpecDeclareWrite(8, second) {
@@ -152,7 +154,7 @@ func TestSpecWriteConflictCommitterWins(t *testing.T) {
 	cfg.Policy = CommitterWins
 	m := New(cfg)
 	first, second := &fakeTxn{}, &fakeTxn{}
-	if _, ok := m.SpecLoad(8, first, true); !ok {
+	if _, ok := m.SpecLoad(8, first); !ok {
 		t.Fatal("SpecLoad failed")
 	}
 	if m.SpecDeclareWrite(8, second) {
@@ -172,7 +174,7 @@ func TestSpecReadOfSpeculativeWriterAborts(t *testing.T) {
 	if !m.SpecDeclareWrite(8, writer) {
 		t.Fatal("SpecDeclareWrite failed")
 	}
-	if _, ok := m.SpecLoad(8, reader, true); !ok {
+	if _, ok := m.SpecLoad(8, reader); !ok {
 		t.Fatal("requester-wins read should proceed")
 	}
 	if !writer.aborted() {
@@ -183,7 +185,7 @@ func TestSpecReadOfSpeculativeWriterAborts(t *testing.T) {
 func TestReaderUpgradeToWriterNoSelfConflict(t *testing.T) {
 	m := newMem(t, 64)
 	txn := &fakeTxn{}
-	if _, ok := m.SpecLoad(8, txn, true); !ok {
+	if _, ok := m.SpecLoad(8, txn); !ok {
 		t.Fatal("SpecLoad failed")
 	}
 	if !m.SpecDeclareWrite(8, txn) {
@@ -205,8 +207,7 @@ func TestCommitPublishesAtomically(t *testing.T) {
 	if !m.SpecDeclareWrite(a, w) || !m.SpecDeclareWrite(b, w) {
 		t.Fatal("SpecDeclareWrite failed")
 	}
-	fp := SortFootprint([]uint64{m.LineOf(a), m.LineOf(b)})
-	ok := m.CommitTxn(w, fp, []WriteEntry{{a, 1}, {b, 2}})
+	ok := m.CommitTxn(w, []uint64{m.LineOf(b), m.LineOf(a)}, []WriteEntry{{a, 1}, {b, 2}})
 	if !ok {
 		t.Fatal("CommitTxn failed for running transaction")
 	}
@@ -230,7 +231,7 @@ func TestCommitSweepAbortsLateReaders(t *testing.T) {
 	m := newMem(t, 256)
 	reader := &fakeTxn{}
 	a := Addr(8)
-	if _, ok := m.SpecLoad(a, reader, true); !ok {
+	if _, ok := m.SpecLoad(a, reader); !ok {
 		t.Fatal("SpecLoad failed")
 	}
 	w := &fakeTxn{}
@@ -265,7 +266,7 @@ func TestSpecLoadAfterAbortFails(t *testing.T) {
 	m := newMem(t, 64)
 	txn := &fakeTxn{}
 	txn.TryAbort(AbortExplicit)
-	if _, ok := m.SpecLoad(8, txn, true); ok {
+	if _, ok := m.SpecLoad(8, txn); ok {
 		t.Fatal("SpecLoad succeeded for aborted transaction")
 	}
 	if m.SpecDeclareWrite(8, txn) {
@@ -276,7 +277,7 @@ func TestSpecLoadAfterAbortFails(t *testing.T) {
 func TestUnregisterRemovesEntries(t *testing.T) {
 	m := newMem(t, 64)
 	txn := &fakeTxn{}
-	if _, ok := m.SpecLoad(8, txn, true); !ok {
+	if _, ok := m.SpecLoad(8, txn); !ok {
 		t.Fatal("SpecLoad failed")
 	}
 	txn.TryAbort(AbortExplicit)
@@ -286,19 +287,81 @@ func TestUnregisterRemovesEntries(t *testing.T) {
 	}
 }
 
+// isLockOrdered reports whether ids is in CommitTxn's canonical order: by
+// stripe, then by line.
+func isLockOrdered(ids []uint64) bool {
+	want := slices.Clone(ids)
+	slices.SortStableFunc(want, func(a, b uint64) int { return cmp.Compare(a, b) })
+	slices.SortStableFunc(want, func(a, b uint64) int { return cmp.Compare(a%nStripes, b%nStripes) })
+	return slices.Equal(ids, want)
+}
+
+// TestSortFootprint: CommitTxn owns the commit order. Handed an unsorted
+// footprint with duplicates it sorts the slice in place, locks each stripe
+// once (a second Lock of one stripe would hang here), commits, and
+// unregisters from every line.
 func TestSortFootprint(t *testing.T) {
-	got := SortFootprint([]uint64{5, 1, 5, 3, 1})
-	want := []uint64{1, 3, 5}
-	if len(got) != len(want) {
-		t.Fatalf("SortFootprint = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SortFootprint = %v, want %v", got, want)
+	m := newMem(t, 64)
+	txn := &fakeTxn{}
+	for _, id := range []uint64{5, 1, 3} {
+		if _, ok := m.SpecLoad(Addr(id*8), txn); !ok {
+			t.Fatalf("SpecLoad on line %d failed", id)
 		}
 	}
-	if out := SortFootprint(nil); len(out) != 0 {
-		t.Errorf("SortFootprint(nil) = %v, want empty", out)
+	fp := []uint64{5, 1, 5, 3, 1}
+	if !m.CommitTxn(txn, fp, []WriteEntry{{Addr(3 * 8), 9}}) {
+		t.Fatal("CommitTxn failed on an unsorted, duplicated footprint")
+	}
+	if want := []uint64{1, 1, 3, 5, 5}; !slices.Equal(fp, want) {
+		t.Errorf("footprint after CommitTxn = %v, want %v", fp, want)
+	}
+	for _, id := range []uint64{1, 3, 5} {
+		if n := m.MonitorCount(Addr(id * 8)); n != 0 {
+			t.Errorf("line %d: %d monitors left after commit", id, n)
+		}
+	}
+	if m.Load(3*8) != 9 {
+		t.Error("write not published")
+	}
+	if !m.CommitTxn(&fakeTxn{}, nil, nil) {
+		t.Error("CommitTxn with an empty footprint failed")
+	}
+}
+
+// TestCommitStripeSharedFootprint is the case the stripe table creates: lines
+// nStripes apart share a lock. A footprint holding two of them next to a line
+// of another stripe must lock the shared stripe once, commit, and unregister
+// from each line.
+func TestCommitStripeSharedFootprint(t *testing.T) {
+	m := newMem(t, (nStripes+4)*8)
+	const lo, hi, other = uint64(2), uint64(2 + nStripes), uint64(3)
+	txn, bystander := &fakeTxn{}, &fakeTxn{}
+	for _, id := range []uint64{hi, other, lo} {
+		if _, ok := m.SpecLoad(Addr(id*8), txn); !ok {
+			t.Fatalf("SpecLoad on line %d failed", id)
+		}
+	}
+	if _, ok := m.SpecLoad(Addr(hi*8), bystander); !ok {
+		t.Fatal("bystander SpecLoad failed")
+	}
+	fp := []uint64{hi, other, lo}
+	if !m.CommitTxn(txn, fp, []WriteEntry{{Addr(lo * 8), 1}, {Addr(other * 8), 2}}) {
+		t.Fatal("CommitTxn failed")
+	}
+	if want := []uint64{lo, hi, other}; !slices.Equal(fp, want) {
+		t.Errorf("footprint after CommitTxn = %v, want (stripe, line) order %v", fp, want)
+	}
+	for _, id := range []uint64{lo, other} {
+		if n := m.MonitorCount(Addr(id * 8)); n != 0 {
+			t.Errorf("line %d: %d monitors left after commit", id, n)
+		}
+	}
+	if n := m.MonitorCount(Addr(hi * 8)); n != 1 || bystander.aborted() {
+		t.Errorf("read-only line %d: %d monitors, bystander aborted=%v; want the bystander alone, running",
+			hi, n, bystander.aborted())
+	}
+	if m.Load(Addr(lo*8)) != 1 || m.Load(Addr(other*8)) != 2 {
+		t.Error("writes not published")
 	}
 }
 
@@ -486,16 +549,16 @@ func TestCommitAtomicityUnderContention(t *testing.T) {
 				default:
 				}
 				txn := &fakeTxn{}
-				va, ok := m.SpecLoad(a, txn, true)
+				va, ok := m.SpecLoad(a, txn)
 				if !ok {
 					continue
 				}
-				vb, ok := m.SpecLoad(b, txn, true)
+				vb, ok := m.SpecLoad(b, txn)
 				if !ok {
 					m.Unregister(txn, []uint64{m.LineOf(a)})
 					continue
 				}
-				fp := SortFootprint([]uint64{m.LineOf(a), m.LineOf(b)})
+				fp := []uint64{m.LineOf(b), m.LineOf(a)}
 				if m.CommitTxn(txn, fp, nil) {
 					if va != vb {
 						inconsistent.Add(1)
@@ -511,7 +574,7 @@ func TestCommitAtomicityUnderContention(t *testing.T) {
 		if !m.SpecDeclareWrite(a, w) || !m.SpecDeclareWrite(b, w) {
 			continue
 		}
-		fp := SortFootprint([]uint64{m.LineOf(a), m.LineOf(b)})
+		fp := []uint64{m.LineOf(a), m.LineOf(b)}
 		if !m.CommitTxn(w, fp, []WriteEntry{{a, i}, {b, i}}) {
 			m.Unregister(w, fp)
 		}
@@ -537,30 +600,26 @@ func TestQuickStoreLoad(t *testing.T) {
 	}
 }
 
-// Property: SortFootprint output is sorted, deduplicated, and a subset of the
-// input multiset.
+// Property: for any footprint — any ids, any order, duplicates — CommitTxn
+// commits without locking a stripe twice and leaves the slice a permutation of
+// the input in lock order.
 func TestQuickSortFootprint(t *testing.T) {
+	m := newMem(t, 64)
 	f := func(in []uint64) bool {
-		seen := make(map[uint64]bool, len(in))
-		for _, v := range in {
-			seen[v] = true
-		}
-		cp := append([]uint64(nil), in...)
-		out := SortFootprint(cp)
-		if len(out) != len(seen) {
+		fp := slices.Clone(in)
+		if !m.CommitTxn(&fakeTxn{}, fp, nil) || !isLockOrdered(fp) {
 			return false
 		}
-		for i, v := range out {
-			if !seen[v] {
-				return false
-			}
-			if i > 0 && out[i-1] >= v {
-				return false
-			}
-		}
-		return true
+		slices.Sort(in)
+		slices.Sort(fp)
+		return slices.Equal(in, fp)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+	// quick's ids rarely share a stripe; force collisions too.
+	fp := []uint64{7 + 2*nStripes, 7, 9, 7 + nStripes, 9 + nStripes, 7}
+	if !m.CommitTxn(&fakeTxn{}, fp, nil) || !isLockOrdered(fp) {
+		t.Fatalf("colliding footprint: committed into order %v", fp)
 	}
 }

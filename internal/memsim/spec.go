@@ -1,6 +1,10 @@
 package memsim
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sync/atomic"
+)
 
 // CommitterHandle extends Handle with the commit transition. CommitTxn
 // requires it so that the switch to "committed" happens at the linearization
@@ -13,39 +17,60 @@ type CommitterHandle interface {
 	TryCommit() bool
 }
 
-// SpecLoad performs a speculative load of a on behalf of transaction h.
-//
-// If register is true, h is added to the line's monitor set as a reader (the
-// caller, htm.Txn, tracks which lines it already monitors and passes false on
-// repeat accesses to keep the set duplicate-free).
+// SpecLoad performs a transaction's first speculative load from a's line: it
+// adds h to the line's monitor set as a reader and returns the word. The
+// caller, htm.Txn, tracks which lines it already monitors and serves repeat
+// accesses with SpecReload, which keeps the set duplicate-free.
 //
 // Conflicting speculative writers of the line are resolved per the configured
 // policy: under RequesterWins they are aborted; under CommitterWins h aborts
 // itself instead. The returned ok is false if h is no longer running on
-// entry or aborted itself during the access; the value is then meaningless.
-func (m *Memory) SpecLoad(a Addr, h Handle, register bool) (v uint64, ok bool) {
-	ln := m.lineFor(a)
-	ln.mu.Lock()
-	defer ln.mu.Unlock()
-	if !h.Running() {
-		return 0, false
+// entry or aborted itself during the access; the value is then meaningless
+// and h has not been registered.
+func (m *Memory) SpecLoad(a Addr, h Handle) (v uint64, ok bool) {
+	w, id, s := m.at(a)
+	s.mu.Lock()
+	if ok = m.register(s, id, h); ok {
+		v = *w
 	}
-	for i := range ln.mons {
-		e := &ln.mons[i]
-		if e.h == h || !e.writer || !e.h.Running() {
+	s.mu.Unlock()
+	return v, ok
+}
+
+// register is SpecLoad's conflict resolution and registration. Callers must
+// hold s.mu.
+func (m *Memory) register(s *stripe, id uint64, h Handle) bool {
+	if !h.Running() {
+		return false
+	}
+	for i := range s.mons {
+		e := &s.mons[i]
+		if e.line != id || e.h == h || !e.writer || !e.h.Running() {
 			continue
 		}
-		if m.cfg.Policy == RequesterWins {
-			e.h.TryAbort(AbortConflict)
-		} else {
+		if m.cfg.Policy == CommitterWins {
 			h.TryAbort(AbortConflict)
-			return 0, false
+			return false
 		}
+		e.h.TryAbort(AbortConflict)
 	}
-	if register {
-		ln.mons = append(ln.mons, monEntry{h: h, writer: false})
-	}
-	return m.words[a], true
+	s.mons = append(s.mons, monEntry{h: h, line: id})
+	return true
+}
+
+// SpecReload performs a speculative load from a line h already monitors (as
+// reader or writer), without taking the stripe lock.
+//
+// While h is registered and running no other running transaction writes the
+// line (SpecDeclareWrite resolved that conflict one way or the other), and
+// every agent that changes one of its words — Store, CAS, FetchAdd, CommitTxn
+// — aborts h under the stripe lock before it stores. So a load that returned
+// a changed word is followed by Running() == false: whenever ok is true, v is
+// the value the word has held since h registered. ok is false, and v
+// meaningless, if h has been aborted.
+func (m *Memory) SpecReload(a Addr, h Handle) (v uint64, ok bool) {
+	v = atomic.LoadUint64(&m.words[a])
+	return v, h.Running()
 }
 
 // SpecDeclareWrite records h as a speculative writer of a's line. The value
@@ -57,24 +82,30 @@ func (m *Memory) SpecLoad(a Addr, h Handle, register bool) (v uint64, ok bool) {
 // upgraded in place rather than duplicated. Returns false if h is no longer
 // running or aborted itself.
 func (m *Memory) SpecDeclareWrite(a Addr, h Handle) bool {
-	ln := m.lineFor(a)
-	ln.mu.Lock()
-	defer ln.mu.Unlock()
+	_, id, s := m.at(a)
+	s.mu.Lock()
+	ok := m.declareWrite(s, id, h)
+	s.mu.Unlock()
+	return ok
+}
+
+// declareWrite is SpecDeclareWrite on a resolved line. Callers must hold s.mu.
+func (m *Memory) declareWrite(s *stripe, id uint64, h Handle) bool {
 	if !h.Running() {
 		return false
 	}
-	if m.cfg.Policy == CommitterWins && hasOtherActiveMonitor(ln, h) {
+	if m.cfg.Policy == CommitterWins && hasOtherActiveMonitor(s, id, h) {
 		h.TryAbort(AbortConflict)
 		return false
 	}
-	abortMonitors(ln, h, AbortConflict)
-	for i := range ln.mons {
-		if ln.mons[i].h == h {
-			ln.mons[i].writer = true
+	abortMonitors(s, id, h, AbortConflict)
+	for i := range s.mons {
+		if e := &s.mons[i]; e.line == id && e.h == h {
+			e.writer = true
 			return true
 		}
 	}
-	ln.mons = append(ln.mons, monEntry{h: h, writer: true})
+	s.mons = append(s.mons, monEntry{h: h, line: id, writer: true})
 	return true
 }
 
@@ -88,10 +119,13 @@ type WriteEntry struct {
 // it committed.
 //
 // footprint must contain every line h is registered on — reads and writes —
-// sorted ascending and deduplicated; writes may be in any order. The method:
+// in any order, duplicates allowed; CommitTxn sorts it in place into the
+// canonical lock order (stripe, then line). writes may be in any order and
+// must lie on footprint lines. The method:
 //
-//  1. locks every line of the footprint in order (total order ⇒ no deadlock
-//     against other commits, and single-line operations cannot interleave),
+//  1. locks every distinct stripe of the footprint in that order (one total
+//     order ⇒ no deadlock against other commits, and single-line operations
+//     cannot interleave),
 //  2. re-checks that h is still running (an abort that raced in loses here),
 //  3. aborts every other monitor of each written line — a reader that saw
 //     pre-commit values of this write set is necessarily still registered and
@@ -101,76 +135,80 @@ type WriteEntry struct {
 //
 // It returns true if the commit happened, false if h had been aborted.
 func (m *Memory) CommitTxn(h CommitterHandle, footprint []uint64, writes []WriteEntry) bool {
-	for _, id := range footprint {
-		m.lineByID(id).mu.Lock()
+	for _, w := range writes {
+		_ = &m.words[w.Addr] // an out-of-range write panics here, before any lock is taken
+	}
+	slices.SortFunc(footprint, lockOrder)
+	for i, id := range footprint {
+		if firstOfStripe(footprint, i) {
+			m.stripeOf(id).mu.Lock()
+		}
 	}
 	committed := false
 	if h.Running() {
 		for _, w := range writes {
-			abortMonitors(m.lineFor(w.Addr), h, AbortConflict)
+			id := m.LineOf(w.Addr)
+			abortMonitors(m.stripeOf(id), id, h, AbortConflict)
 		}
 		for _, w := range writes {
-			m.words[w.Addr] = w.Val
+			atomic.StoreUint64(&m.words[w.Addr], w.Val)
 		}
 		committed = h.TryCommit()
 	}
 	if committed {
 		for _, id := range footprint {
-			removeMonitor(m.lineByID(id), h)
+			removeMonitor(m.stripeOf(id), id, h)
 		}
 	}
-	// Unlock in reverse order (not required for correctness, but keeps the
-	// critical sections properly nested for lock-order tooling).
-	for i := len(footprint) - 1; i >= 0; i-- {
-		m.lineByID(footprint[i]).mu.Unlock()
+	for i, id := range footprint {
+		if firstOfStripe(footprint, i) {
+			m.stripeOf(id).mu.Unlock()
+		}
 	}
 	return committed
+}
+
+// firstOfStripe reports whether sorted[i] is the first line of its stripe in
+// a footprint in lock order, where lines sharing a stripe are adjacent.
+func firstOfStripe(sorted []uint64, i int) bool {
+	return i == 0 || sorted[i-1]&stripeMask != sorted[i]&stripeMask
+}
+
+// lockOrder is the canonical order CommitTxn locks a footprint in: by stripe,
+// so that lines sharing a stripe are adjacent and the stripe is locked once,
+// then by line.
+func lockOrder(a, b uint64) int {
+	return cmp.Or(cmp.Compare(a&stripeMask, b&stripeMask), cmp.Compare(a, b))
 }
 
 // Unregister removes h from the monitor sets of the given lines. Aborted
 // transactions call it during cleanup; it is idempotent.
 func (m *Memory) Unregister(h Handle, lineIDs []uint64) {
 	for _, id := range lineIDs {
-		ln := m.lineByID(id)
-		ln.mu.Lock()
-		removeMonitor(ln, h)
-		ln.mu.Unlock()
+		s := m.stripeOf(id)
+		s.mu.Lock()
+		removeMonitor(s, id, h)
+		s.mu.Unlock()
 	}
 }
 
-// removeMonitor drops every entry of h from ln. Callers must hold ln.mu.
-func removeMonitor(ln *line, h Handle) {
-	kept := ln.mons[:0]
-	for _, e := range ln.mons {
-		if e.h != h {
-			kept = append(kept, e)
-		}
-	}
-	clearTail(ln, len(kept))
-}
-
-// SortFootprint sorts and deduplicates a slice of line IDs in place,
-// returning the shortened slice. CommitTxn requires this canonical form.
-func SortFootprint(ids []uint64) []uint64 {
-	if len(ids) < 2 {
-		return ids
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := ids[:1]
-	for _, id := range ids[1:] {
-		if id != out[len(out)-1] {
-			out = append(out, id)
-		}
-	}
-	return out
+// removeMonitor drops every entry of h on line id from s. Callers must hold
+// s.mu.
+func removeMonitor(s *stripe, id uint64, h Handle) {
+	s.mons = slices.DeleteFunc(s.mons, func(e monEntry) bool { return e.line == id && e.h == h })
 }
 
 // MonitorCount returns the number of registered monitor entries on the line
 // containing a. It exists for tests and diagnostics.
 func (m *Memory) MonitorCount(a Addr) int {
-	ln := m.lineFor(a)
-	ln.mu.Lock()
-	n := len(ln.mons)
-	ln.mu.Unlock()
+	_, id, s := m.at(a)
+	s.mu.Lock()
+	n := 0
+	for _, e := range s.mons {
+		if e.line == id {
+			n++
+		}
+	}
+	s.mu.Unlock()
 	return n
 }
