@@ -18,24 +18,22 @@
 // The Engine can also be configured as a standalone RH2 protocol
 // (ProtocolRH2), which the paper describes as usable in its own right.
 //
-// One documented deviation from the paper's pseudo-code: the unified
-// slow-path commit validates that *write-set* stripes are unlocked in
-// addition to revalidating the read set. In the paper's presentation of RH1
-// in isolation no locks exist, so the check is vacuous; once the RH2
-// fallback is integrated, a concurrent RH2 committer may hold locks, and an
-// RH1 commit that blindly overwrote a locked stripe version would corrupt
-// the lock protocol. The check costs one speculative load per write stripe,
-// already resident in the commit transaction's footprint.
+// What this package owns: the order of each protocol's steps, every
+// per-access Load/Store, the commit-time hardware transactions of Alg. 2 and
+// Alg. 5, read-mask visibility, and the three global switches. The attempt
+// driver, the fast-retry loop and the thread registry are internal/engine's;
+// the software read/write sets and the lock / validate / release steps are
+// tl2.Txn, the same type TL2 itself runs on.
 package core
 
 import (
 	"math/rand"
-	"sync"
+	"strconv"
 
 	"rhtm/internal/engine"
-	"rhtm/internal/htm"
 	"rhtm/internal/memsim"
 	"rhtm/internal/sys"
+	"rhtm/internal/tl2"
 )
 
 // Protocol selects which level of the stack is the entry point.
@@ -85,47 +83,40 @@ type Options struct {
 	// transactions to abort at commit, reproducing the paper's §3.1
 	// emulation methodology of imposing a measured abort ratio. 0 disables.
 	InjectAbortPercent int
-	// CommitHTMRetries bounds retries of the RH2 write-back hardware
-	// transaction before switching to the all-software write-back. The
-	// paper retries on contention and falls back on hardware limitation;
-	// a bound additionally protects against pathological livelock.
-	CommitHTMRetries int
 }
+
+// commitHTMRetries bounds retries of the RH2 write-back hardware transaction
+// before switching to the all-software write-back. The paper retries on
+// contention and falls back on hardware limitation; a bound additionally
+// protects against pathological livelock.
+const commitHTMRetries = 8
 
 // DefaultOptions returns the full RH1 stack with the paper's Mixed-100
 // policy.
 func DefaultOptions() Options {
 	return Options{
-		Protocol:         ProtocolRH1,
-		Mode:             ModeMixed,
-		MixPercent:       100,
-		MaxFastAttempts:  16,
-		CommitHTMRetries: 8,
+		Protocol:        ProtocolRH1,
+		Mode:            ModeMixed,
+		MixPercent:      100,
+		MaxFastAttempts: 16,
 	}
 }
 
 // Engine is a reduced-hardware-transactions engine over a System.
 type Engine struct {
-	sys  *sys.System
+	engine.Registry
 	opts Options
-
-	mu      sync.Mutex
-	threads []*Thread
-	live    engine.Live
 }
 
 // New creates an Engine on s with the given options.
 func New(s *sys.System, opts Options) *Engine {
-	if opts.CommitHTMRetries <= 0 {
-		opts.CommitHTMRetries = 8
-	}
 	if opts.MixPercent < 0 {
 		opts.MixPercent = 0
 	}
 	if opts.MixPercent > 100 {
 		opts.MixPercent = 100
 	}
-	return &Engine{sys: s, opts: opts}
+	return &Engine{Registry: engine.Registry{Sys: s}, opts: opts}
 }
 
 // Name implements engine.Engine.
@@ -140,64 +131,18 @@ func (e *Engine) Name() string {
 	case ModeSlowOnly:
 		return base + " Slow"
 	default:
-		if e.opts.MixPercent == 100 {
-			return base + " Mixed 100"
-		}
-		if e.opts.MixPercent == 0 {
-			return base + " Mixed 0"
-		}
-		return base + " Mixed " + itoa(e.opts.MixPercent)
+		return base + " Mixed " + strconv.Itoa(e.opts.MixPercent)
 	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }
 
 // NewThread implements engine.Engine.
 func (e *Engine) NewThread() engine.Thread {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	id := len(e.threads)
-	if id >= e.sys.MaxThreads() {
-		panic(engine.ErrTooManyThreads)
-	}
-	t := &Thread{
-		eng:      e,
-		sys:      e.sys,
-		id:       id,
-		htx:      htm.NewTxn(e.sys.Mem, e.sys.Config().HTM),
-		writeIdx: make(map[memsim.Addr]int, 32),
-		stripes:  make(map[int]struct{}, 32),
-		rng:      rand.New(rand.NewSource(int64(id)*1103515245 + 12345)),
-	}
-	e.threads = append(e.threads, t)
+	t := &Thread{eng: e, sys: e.Sys, stripes: make(map[int]struct{}, 32)}
+	id := e.RegisterHW(&t.HWWorker, e.opts.InjectAbortPercent)
+	t.Rng = rand.New(rand.NewSource(int64(id)*1103515245 + 12345))
+	t.sw.Init(e.Sys, id, &t.Stats)
 	return t
 }
-
-// Snapshot implements engine.Engine.
-func (e *Engine) Snapshot() engine.Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var s engine.Stats
-	for _, t := range e.threads {
-		s.Add(t.stats)
-	}
-	return s
-}
-
-// Live implements engine.Engine.
-func (e *Engine) Live() engine.Stats { return e.live.Stats() }
 
 // path identifies which protocol level the currently executing body runs on;
 // the Tx dispatch methods switch on it.
@@ -210,36 +155,25 @@ const (
 	pathSlow
 )
 
-// writeEntry is one buffered software-path store.
-type writeEntry struct {
-	addr memsim.Addr
-	val  uint64
-}
-
 // Thread is a per-worker context for the full protocol stack. Not safe for
 // concurrent use.
 type Thread struct {
-	eng *Engine
-	sys *sys.System
-	id  int
-
-	htx  *htm.Txn
+	engine.HWWorker
+	eng  *Engine
+	sys  *sys.System
 	path path
 
 	// Fast-path state.
-	nextVer   uint64 // version hardware writes install (Alg. 1 line 3)
-	fastWrSet []memsim.Addr
+	nextVer   uint64        // version hardware writes install (Alg. 1 line 3)
+	fastWrSet []memsim.Addr // RH2 fast path's write log (Alg. 4 lines 12-15)
+	wStripes  []int         // its distinct stripes, once the pre-commit step locked them
 
-	// Slow-path state.
-	txVersion uint64
-	readSet   []memsim.Addr
-	writeSet  []writeEntry
-	writeIdx  map[memsim.Addr]int
-	stripes   map[int]struct{} // scratch: distinct stripe set
-
-	rng       *rand.Rand
-	stats     engine.Stats
-	published engine.Stats // high-water mark of stats flushed into eng.live
+	// Slow-path state: the software transaction of Alg. 2 and Alg. 5 (its
+	// Version is also the slow-read mode's tx_version), and the mask words
+	// the RH2 commit made it visible on.
+	sw      tl2.Txn
+	visible []memsim.Addr
+	stripes map[int]struct{} // scratch: distinct stripe set
 }
 
 // Atomic implements engine.Thread. It drives the multi-level retry policy:
@@ -247,88 +181,74 @@ type Thread struct {
 // hardware failure — the mixed slow path, which internally escalates
 // through RH2 and the all-software write-back.
 func (t *Thread) Atomic(fn func(tx engine.Tx) error) error {
-	defer t.eng.live.Flush(&t.published, &t.stats)
+	defer t.Publish()
 	if t.eng.opts.Mode == ModeSlowOnly {
-		return t.runSlow(fn)
+		return t.RunSlow(fn)
 	}
-	for attempt := 0; ; attempt++ {
-		done, err, reason := t.tryHardware(fn)
-		if done {
-			return err
-		}
-		t.stats.FastAborts++
-		if int(reason) < len(t.stats.FastAbortsByReason) {
-			t.stats.FastAbortsByReason[reason]++
-		}
-		if reason.Persistent() || t.shouldGoSlow(attempt) {
-			return t.runSlow(fn)
-		}
-		engine.Backoff(t.rng, attempt)
-	}
+	return t.Run(fn, t)
 }
 
-// shouldGoSlow applies the mode's policy to a transient fast-path abort.
-func (t *Thread) shouldGoSlow(attempt int) bool {
+// GoSlow implements engine.FastPath: a persistent failure always takes the
+// slow path, a transient one per the mode's policy.
+func (t *Thread) GoSlow(attempt int, reason memsim.AbortReason) bool {
 	opts := &t.eng.opts
-	if opts.Mode == ModeFastOnly {
-		return false
-	}
-	if opts.MaxFastAttempts > 0 && attempt+1 >= opts.MaxFastAttempts {
+	switch {
+	case reason.Persistent():
 		return true
-	}
-	if opts.MixPercent == 0 {
+	case opts.Mode == ModeFastOnly:
+		return false
+	case opts.MaxFastAttempts > 0 && attempt+1 >= opts.MaxFastAttempts:
+		return true
+	case opts.MixPercent == 0:
 		return false
 	}
-	return t.rng.Intn(100) < opts.MixPercent
+	return t.Rng.Intn(100) < opts.MixPercent
 }
 
-// runSlow executes the transaction on the slow path until it commits or the
-// body returns an error.
-func (t *Thread) runSlow(fn func(tx engine.Tx) error) error {
-	for attempt := 0; ; attempt++ {
-		done, err := t.trySlow(fn)
-		if done {
-			return err
-		}
-		t.stats.SlowAborts++
-		t.sys.Clock.AdvanceOnAbort(t.txVersion)
-		engine.Backoff(t.rng, attempt)
-	}
+// RunSlow implements engine.FastPath: the mixed slow path, a software body
+// (Begin, below) and then the protocol's commit.
+func (t *Thread) RunSlow(fn func(tx engine.Tx) error) error {
+	return t.RunSoft(fn, (*coreTx)(t))
 }
 
-// coreTx adapts Thread to engine.Tx, dispatching on the active path.
+// coreTx adapts Thread to engine.HWPath and engine.SWPath, dispatching on
+// the active path.
 type coreTx Thread
 
 // Load implements engine.Tx.
 func (tx *coreTx) Load(a memsim.Addr) uint64 {
 	t := (*Thread)(tx)
-	t.stats.Reads++
+	t.Stats.Reads++
 	switch t.path {
 	case pathRH1Fast, pathRH2Fast:
 		// Uninstrumented hardware read (Alg. 1 line 13, Alg. 4 line 18).
-		v, ok := t.htx.Read(a)
+		v, ok := t.Txn.Read(a)
 		if !ok {
-			engine.Retry(t.htx.AbortReason())
+			engine.Retry(t.Txn.AbortReason())
 		}
 		return v
 	case pathRH2FastSR:
 		return t.srRead(a)
 	default:
-		return t.slowRead(a)
+		// Software read with write-set lookup (Alg. 2 lines 9-11).
+		if v, own := t.sw.Writes.Get(a); own {
+			return v
+		}
+		return t.sw.Read(a)
 	}
 }
 
 // Store implements engine.Tx.
 func (tx *coreTx) Store(a memsim.Addr, v uint64) {
 	t := (*Thread)(tx)
-	t.stats.Writes++
+	t.Stats.Writes++
 	switch t.path {
 	case pathRH1Fast:
 		t.rh1FastWrite(a, v)
 	case pathRH2Fast, pathRH2FastSR:
 		t.rh2FastWrite(a, v)
 	default:
-		t.slowWrite(a, v)
+		t.sw.Writes.Put(a, v) // buffered until commit (Alg. 2 lines 5-7)
 	}
 }
 
@@ -339,7 +259,7 @@ func (tx *coreTx) Store(a memsim.Addr, v uint64) {
 func (tx *coreTx) Unsupported() {
 	t := (*Thread)(tx)
 	if t.path != pathSlow {
-		t.htx.Unsupported()
+		t.Txn.Unsupported()
 		engine.Retry(memsim.AbortUnsupported)
 	}
 }

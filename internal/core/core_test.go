@@ -351,13 +351,45 @@ func TestConcurrentFallbackStorm(t *testing.T) {
 	}
 }
 
-func TestItoa(t *testing.T) {
+// TestRemoteAbortWindows: each site of the protocol stack that aborts the
+// hardware transaction explicitly on a word it just loaded, with a remote
+// abort forced in between (enginetest.CheckRemoteAbortWindow).
+func TestRemoteAbortWindows(t *testing.T) {
+	store := func(a memsim.Addr) func(engine.Tx) error {
+		return func(tx engine.Tx) error { tx.Store(a, 1); return nil }
+	}
 	for _, c := range []struct {
-		in   int
-		want string
-	}{{0, "0"}, {7, "7"}, {10, "10"}, {100, "100"}} {
-		if got := itoa(c.in); got != c.want {
-			t.Errorf("itoa(%d) = %q, want %q", c.in, got, c.want)
-		}
+		name string
+		path path
+		// arrange makes the path abort on what it loads from the returned
+		// word; a is a data word the body stores to.
+		arrange func(s *sys.System, a memsim.Addr) memsim.Addr
+	}{
+		{"RH1 prologue, is_RH2_fallback up", pathRH1Fast, func(s *sys.System, _ memsim.Addr) memsim.Addr {
+			s.Mem.Store(s.RH2FallbackAddr, 1)
+			return s.RH2FallbackAddr
+		}},
+		{"RH2 prologue, is_all_software up", pathRH2Fast, func(s *sys.System, _ memsim.Addr) memsim.Addr {
+			s.Mem.Store(s.AllSoftwareAddr, 1)
+			return s.AllSoftwareAddr
+		}},
+		{"RH2 pre-commit, read mask set", pathRH2Fast, func(s *sys.System, a memsim.Addr) memsim.Addr {
+			ma, _ := s.MaskWordFor(s.StripeOf(a), 1)
+			s.Mem.Store(ma, 2)
+			return ma
+		}},
+		{"RH2 pre-commit, write stripe locked", pathRH2Fast, func(s *sys.System, a memsim.Addr) memsim.Addr {
+			s.Mem.Store(s.VersionAddr(a), sys.LockWord(1))
+			return s.VersionAddr(a)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := sys.MustNew(sys.DefaultConfig(1 << 10))
+			a := s.Heap.MustAlloc(1)
+			th := New(s, DefaultOptions()).NewThread().(*Thread)
+			th.path = c.path
+			word := c.arrange(s, a)
+			enginetest.CheckRemoteAbortWindow(t, s.Mem, &th.HWWorker, (*coreTx)(th), word, store(a))
+		})
 	}
 }

@@ -7,87 +7,92 @@ import (
 	"rhtm/internal/sys"
 )
 
-// tryHardware runs one hardware attempt, selecting the mode the current
-// global state demands (Alg. 3 lines 2-5, Alg. 4 lines 2-5):
+// TryFast implements engine.FastPath: one hardware attempt, in the mode the
+// current global state demands (Alg. 3 lines 2-5, Alg. 4 lines 2-5):
 //
 //	is_RH2_fallback == 0                          → RH1 fast path
 //	is_RH2_fallback  > 0, is_all_software == 0    → RH2 fast path
 //	is_all_software  > 0                          → RH2 fast-path-slow-read
 //
 // For ProtocolRH2 the RH1 level does not exist and the choice is between the
-// last two. done is true when the transaction committed or the body returned
-// an error; otherwise reason explains the hardware abort.
-func (t *Thread) tryHardware(fn func(tx engine.Tx) error) (done bool, err error, reason memsim.AbortReason) {
+// last two.
+func (t *Thread) TryFast(fn func(tx engine.Tx) error) (done bool, err error, reason memsim.AbortReason) {
 	mem := t.sys.Mem
-	if mem.Load(t.sys.AllSoftwareAddr) > 0 {
-		return t.trySR(fn)
+	commits := &t.Stats.FastCommits
+	switch {
+	case mem.Load(t.sys.AllSoftwareAddr) > 0:
+		// Fast-path-slow-read (Alg. 6) is the hardware half of the
+		// all-software slow-slow path, and its commits count there. Reads
+		// carry a TL2-style consistency check against a clock sample taken
+		// before the hardware transaction starts (lines 1-3), so they stay
+		// correct even while a software transaction writes back with plain
+		// stores.
+		t.path, commits = pathRH2FastSR, &t.Stats.SlowSlowCommits
+		t.sw.Version = t.sys.Clock.Read()
+	case t.eng.opts.Protocol == ProtocolRH2 || mem.Load(t.sys.RH2FallbackAddr) > 0:
+		t.path = pathRH2Fast
+	default:
+		t.path = pathRH1Fast
 	}
-	if t.eng.opts.Protocol == ProtocolRH2 || mem.Load(t.sys.RH2FallbackAddr) > 0 {
-		return t.tryRH2Fast(fn)
+	t.fastWrSet, t.wStripes = t.fastWrSet[:0], t.wStripes[:0]
+	done, err, reason = t.Attempt(fn, (*coreTx)(t), commits)
+	if done && err == nil {
+		t.rh2FastRelease()
 	}
-	return t.tryRH1Fast(fn)
+	return done, err, reason
 }
 
-// tryRH1Fast is one attempt of the RH1 fast path (Alg. 1 with the Alg. 3
-// switching prologue).
-func (t *Thread) tryRH1Fast(fn func(tx engine.Tx) error) (done bool, err error, reason memsim.AbortReason) {
-	htx := t.htx
-	htx.Begin()
+// Prologue implements engine.HWPath: each mode monitors, for the duration of
+// the transaction, the switch whose activation must abort it, by loading it
+// speculatively — the activation is a plain fetch-and-add on the counter
+// word, which aborts every monitor through coherence.
+func (tx *coreTx) Prologue() bool {
+	t := (*Thread)(tx)
+	switch t.path {
+	case pathRH1Fast:
+		// is_RH2_fallback (Alg. 3 lines 6-9), then ctx.next_ver ← GVNext()
+		// (Alg. 1 line 3). The clock line joins the footprint, so a (rare)
+		// clock advance aborts us.
+		if !t.monitorZero(t.sys.RH2FallbackAddr) {
+			return false
+		}
+		next, ok := t.speculativeGVNext()
+		t.nextVer = next
+		return ok
+	case pathRH2Fast:
+		// is_all_software_slow_path (Alg. 4 lines 6-9).
+		return t.monitorZero(t.sys.AllSoftwareAddr)
+	}
+	return true // slow-read mode runs because that switch is up
+}
 
-	// Monitor is_RH2_fallback for the duration of the transaction by
-	// loading it speculatively: any RH2 fallback activation (a plain
-	// fetch-and-add on the counter word) aborts us through coherence
-	// (Alg. 3 lines 6-9).
-	fb, ok := htx.Read(t.sys.RH2FallbackAddr)
-	if !ok {
-		return t.fastAbort()
+// monitorZero adds a switch word to the footprint and aborts the attempt if
+// the switch is already up.
+func (t *Thread) monitorZero(a memsim.Addr) bool {
+	v, ok := t.Txn.Read(a)
+	if ok && v > 0 {
+		t.Txn.Abort(memsim.AbortExplicit)
+		return false
 	}
-	if fb > 0 {
-		htx.Abort(memsim.AbortExplicit)
-		return false, nil, memsim.AbortExplicit
-	}
+	return ok
+}
 
-	// ctx.next_ver ← GVNext(): a speculative read of the clock word plus
-	// one — no store, per the GV6 discipline (Alg. 1 line 3). The clock
-	// line joins the footprint, so a (rare) clock advance aborts us.
-	next, ok := t.speculativeGVNext()
-	if !ok {
-		return t.fastAbort()
-	}
-	t.nextVer = next
-
-	t.path = pathRH1Fast
-	err, aborted, reason := engine.RunBody(fn, (*coreTx)(t))
-	if aborted {
-		htx.Fini()
-		return false, nil, reason
-	}
-	if err != nil {
-		htx.Abort(memsim.AbortExplicit)
-		htx.Fini()
-		t.stats.UserErrors++
-		return true, err, memsim.AbortNone
-	}
-	if t.injectAbort() {
-		htx.Abort(memsim.AbortInjected)
-		return t.fastAbort()
-	}
-	if !htx.Commit() {
-		return false, nil, htx.AbortReason()
-	}
-	t.stats.FastCommits++
-	return true, nil, memsim.AbortNone
+// PreCommit implements engine.HWPath. The RH1 fast path (Alg. 1) commits
+// with no further work; the RH2 modes check masks and lock first.
+func (tx *coreTx) PreCommit() bool {
+	t := (*Thread)(tx)
+	return t.path == pathRH1Fast || t.rh2FastPreCommit()
 }
 
 // rh1FastWrite is the RH1 fast path's minimally instrumented store: update
 // the stripe version to next_ver, then write the value (Alg. 1 lines 6-9).
 // Both stores are speculative and publish atomically at commit.
 func (t *Thread) rh1FastWrite(a memsim.Addr, v uint64) {
-	htx := t.htx
+	htx := t.Txn
 	if !htx.Write(t.sys.VersionAddr(a), sys.PackVersion(t.nextVer)) {
 		engine.Retry(htx.AbortReason())
 	}
-	t.stats.MetadataWrites++
+	t.Stats.MetadataWrites++
 	if !htx.Write(a, v) {
 		engine.Retry(htx.AbortReason())
 	}
@@ -101,133 +106,72 @@ func (t *Thread) rh1FastWrite(a memsim.Addr, v uint64) {
 // line in every writer's speculative write set and serializes them — the
 // cost the paper's GV6 choice avoids (§2.2).
 func (t *Thread) speculativeGVNext() (next uint64, ok bool) {
-	htx := t.htx
+	htx := t.Txn
 	clk := t.sys.Clock
 	sample, ok := htx.Read(clk.Addr())
 	if !ok {
 		return 0, false
 	}
-	t.stats.MetadataReads++
+	t.Stats.MetadataReads++
 	next = clk.NextFromSample(sample)
 	if clk.Mode() == clock.GV5 {
 		if !htx.Write(clk.Addr(), next) {
 			return 0, false
 		}
-		t.stats.MetadataWrites++
+		t.Stats.MetadataWrites++
 	}
 	return next, true
 }
 
-// fastAbort finalizes an aborted hardware attempt and reports its reason.
-func (t *Thread) fastAbort() (bool, error, memsim.AbortReason) {
-	t.htx.Fini()
-	return false, nil, t.htx.AbortReason()
-}
-
-// injectAbort applies the configured forced-abort ratio (§3.1 emulation).
-func (t *Thread) injectAbort() bool {
-	p := t.eng.opts.InjectAbortPercent
-	return p > 0 && t.rng.Intn(100) < p
-}
-
 // --- the mixed (mostly software) slow path ---
 
-// trySlow runs one complete slow-path attempt: software body, then the
-// protocol-appropriate commit. done is true on commit or user error; false
-// means the attempt aborted and the caller should retry.
-func (t *Thread) trySlow(fn func(tx engine.Tx) error) (done bool, err error) {
-	t.beginSlow()
-	err, aborted, _ := engine.RunBody(fn, (*coreTx)(t))
-	if aborted {
-		return false, nil
-	}
-	if err != nil {
-		t.stats.UserErrors++
-		return true, err
-	}
-	if len(t.writeSet) == 0 {
-		// Read-only transactions commit immediately (Alg. 2 lines 26-28):
-		// every read was validated against tx_version when performed.
-		t.stats.ReadOnlyCommits++
-		return true, nil
-	}
-	if t.eng.opts.Protocol == ProtocolRH2 {
-		if !t.rh2SlowCommit() {
-			return false, nil
-		}
-		t.stats.SlowCommits++
-		return true, nil
-	}
-	if !t.rh1SlowCommit() {
-		return false, nil
-	}
-	t.stats.SlowCommits++
-	return true, nil
-}
-
-// beginSlow resets the software transaction state (Alg. 2 lines 1-3).
-func (t *Thread) beginSlow() {
+// Begin implements engine.SWPath (Alg. 2 lines 1-3).
+func (tx *coreTx) Begin() {
+	t := (*Thread)(tx)
 	t.path = pathSlow
-	t.txVersion = t.sys.Clock.Read()
-	t.readSet = t.readSet[:0]
-	t.writeSet = t.writeSet[:0]
-	clear(t.writeIdx)
+	t.sw.Begin()
 }
 
-// slowRead implements the software read with write-set lookup and the
-// version-sandwich consistency check (Alg. 2 lines 9-23). The lock check
-// comes from RH2's variant (Alg. 5 line 18); it is vacuous while no RH2
-// committer is active and necessary while one is.
-func (t *Thread) slowRead(a memsim.Addr) uint64 {
-	if i, hit := t.writeIdx[a]; hit {
-		return t.writeSet[i].val
+// ReadOnly implements engine.SWPath: read-only transactions commit
+// immediately (Alg. 2 lines 26-28), every read was validated against
+// tx_version when performed.
+func (tx *coreTx) ReadOnly() bool { return tx.sw.ReadOnly() }
+
+// Commit implements engine.SWPath with the protocol-appropriate commit.
+func (tx *coreTx) Commit() bool {
+	t := (*Thread)(tx)
+	if t.eng.opts.Protocol == ProtocolRH2 {
+		return t.rh2SlowCommit()
 	}
-	mem := t.sys.Mem
-	va := t.sys.VersionAddr(a)
-	before := mem.Load(va)
-	v := mem.Load(a)
-	after := mem.Load(va)
-	t.stats.MetadataReads += 2
-	if sys.IsLocked(before) || before != after || sys.UnpackVersion(before) > t.txVersion {
-		engine.Retry(memsim.AbortConflict)
-	}
-	t.readSet = append(t.readSet, a)
-	return v
+	return t.rh1SlowCommit()
 }
 
-// slowWrite buffers the store in the write set (Alg. 2 lines 5-7).
-func (t *Thread) slowWrite(a memsim.Addr, v uint64) {
-	if i, hit := t.writeIdx[a]; hit {
-		t.writeSet[i].val = v
-		return
-	}
-	t.writeSet = append(t.writeSet, writeEntry{addr: a, val: v})
-	t.writeIdx[a] = len(t.writeSet) - 1
-}
+// Aborted implements engine.SWPath.
+func (tx *coreTx) Aborted() { tx.sw.Aborted() }
 
 // rh1SlowCommit is the heart of RH1 (Alg. 2 lines 25-50): a single hardware
 // transaction that revalidates the read set and performs the write-back.
 // There are no locks; obstruction freedom follows. Returns false if the
 // transaction must be retried from scratch.
 func (t *Thread) rh1SlowCommit() bool {
-	htx := t.htx
+	htx := t.Txn
 	for {
 		htx.Begin()
 		committed, validationFailed := t.rh1CommitAttempt()
 		if committed {
 			return true
 		}
+		htx.Fini() // park the aborted hardware transaction
 		if validationFailed {
 			// The snapshot is stale; the whole transaction restarts.
 			return false
 		}
-		htx.Fini() // park the aborted hardware transaction
 		reason := htx.AbortReason()
 		if reason.Persistent() {
 			// The commit transaction's footprint (read-set metadata +
 			// write-back) exceeds hardware capacity: fall back to RH2 for
 			// this commit (Alg. 3 lines 35-39).
-			t.stats.RH2Fallbacks++
+			t.Stats.RH2Fallbacks++
 			mem := t.sys.Mem
 			mem.FetchAdd(t.sys.RH2FallbackAddr, 1)
 			ok := t.rh2SlowCommit()
@@ -236,7 +180,7 @@ func (t *Thread) rh1SlowCommit() bool {
 		}
 		// Contention: restart the commit hardware transaction. The
 		// validation inside the new attempt re-checks everything.
-		t.stats.CommitHTMRetries++
+		t.Stats.CommitHTMRetries++
 	}
 }
 
@@ -246,32 +190,36 @@ func (t *Thread) rh1SlowCommit() bool {
 // false the hardware transaction aborted for an environmental reason and
 // htx.AbortReason explains it.
 func (t *Thread) rh1CommitAttempt() (committed, validationFailed bool) {
-	htx := t.htx
+	htx := t.Txn
 	// Read-set revalidation: every read stripe must still be unlocked and
 	// no newer than tx_version.
-	for _, a := range t.readSet {
+	for _, a := range t.sw.Reads {
 		w, ok := htx.Read(t.sys.VersionAddr(a))
 		if !ok {
 			return false, false
 		}
-		t.stats.MetadataReads++
-		if sys.IsLocked(w) || sys.UnpackVersion(w) > t.txVersion {
+		t.Stats.MetadataReads++
+		if sys.IsLocked(w) || sys.UnpackVersion(w) > t.sw.Version {
 			htx.Abort(memsim.AbortExplicit)
-			htx.Fini()
 			return false, true
 		}
 	}
-	// Write-set stripes must be unlocked (deviation documented in the
-	// package comment: protects a concurrent RH2 committer's locks).
-	for _, w := range t.writeSet {
-		ver, ok := htx.Read(t.sys.VersionAddr(w.addr))
+	// Write-set stripes must be unlocked — the one documented deviation
+	// from the paper's pseudo-code. In the paper's presentation of RH1 in
+	// isolation no locks exist, so the check is vacuous; once the RH2
+	// fallback is integrated, a concurrent RH2 committer may hold locks, and
+	// an RH1 commit that blindly overwrote a locked stripe version would
+	// corrupt the lock protocol. The check costs one speculative load per
+	// write stripe, already resident in the commit transaction's footprint.
+	writes := t.sw.Writes.Entries
+	for _, w := range writes {
+		ver, ok := htx.Read(t.sys.VersionAddr(w.Addr))
 		if !ok {
 			return false, false
 		}
-		t.stats.MetadataReads++
+		t.Stats.MetadataReads++
 		if sys.IsLocked(ver) {
 			htx.Abort(memsim.AbortExplicit)
-			htx.Fini()
 			return false, true
 		}
 	}
@@ -282,14 +230,14 @@ func (t *Thread) rh1CommitAttempt() (committed, validationFailed bool) {
 	}
 	next := sys.PackVersion(nextVer)
 	// Write-back: install the new version and the value for every write.
-	for _, w := range t.writeSet {
-		if !htx.Write(t.sys.VersionAddr(w.addr), next) {
+	for _, w := range writes {
+		if !htx.Write(t.sys.VersionAddr(w.Addr), next) {
 			return false, false
 		}
-		if !htx.Write(w.addr, w.val) {
+		if !htx.Write(w.Addr, w.Val) {
 			return false, false
 		}
-		t.stats.MetadataWrites++
+		t.Stats.MetadataWrites++
 	}
 	if !htx.Commit() {
 		return false, false

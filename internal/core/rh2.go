@@ -6,79 +6,11 @@ import (
 	"rhtm/internal/sys"
 )
 
-// tryRH2Fast is one attempt of the RH2 fast path (Alg. 4): reads are
-// uninstrumented, writes are logged, and the commit speculatively checks the
-// write set's read masks, acquires the write-set locks inside the hardware
-// transaction, and releases them non-speculatively afterwards.
-func (t *Thread) tryRH2Fast(fn func(tx engine.Tx) error) (done bool, err error, reason memsim.AbortReason) {
-	htx := t.htx
-	htx.Begin()
-
-	// Monitor is_all_software_slow_path == 0 for the duration of the
-	// transaction (Alg. 4 lines 6-9).
-	sw, ok := htx.Read(t.sys.AllSoftwareAddr)
-	if !ok {
-		return t.fastAbort()
-	}
-	if sw > 0 {
-		htx.Abort(memsim.AbortExplicit)
-		return false, nil, memsim.AbortExplicit
-	}
-
-	t.path = pathRH2Fast
-	t.fastWrSet = t.fastWrSet[:0]
-	err, aborted, reason := engine.RunBody(fn, (*coreTx)(t))
-	if aborted {
-		htx.Fini()
-		return false, nil, reason
-	}
-	if err != nil {
-		htx.Abort(memsim.AbortExplicit)
-		htx.Fini()
-		t.stats.UserErrors++
-		return true, err, memsim.AbortNone
-	}
-	return t.rh2FastCommit()
-}
-
-// trySR is one attempt of the RH2 fast-path-slow-read mode (Alg. 6), the
-// hardware half of the all-software slow-slow path: reads carry a TL2-style
-// consistency check against a pre-transaction clock sample, so they stay
-// correct even while a software transaction writes back with plain stores.
-func (t *Thread) trySR(fn func(tx engine.Tx) error) (done bool, err error, reason memsim.AbortReason) {
-	// ctx.tx_version ← GVRead() before the hardware transaction starts
-	// (Alg. 6 lines 1-3).
-	t.txVersion = t.sys.Clock.Read()
-	htx := t.htx
-	htx.Begin()
-
-	t.path = pathRH2FastSR
-	t.fastWrSet = t.fastWrSet[:0]
-	err, aborted, reason := engine.RunBody(fn, (*coreTx)(t))
-	if aborted {
-		htx.Fini()
-		return false, nil, reason
-	}
-	if err != nil {
-		htx.Abort(memsim.AbortExplicit)
-		htx.Fini()
-		t.stats.UserErrors++
-		return true, err, memsim.AbortNone
-	}
-	done, err, reason = t.rh2FastCommit()
-	if done && err == nil {
-		// Re-attribute: an SR commit belongs to the slow-slow path.
-		t.stats.FastCommits--
-		t.stats.SlowSlowCommits++
-	}
-	return done, err, reason
-}
-
 // rh2FastWrite logs the written address and stores speculatively
 // (Alg. 4 lines 12-15).
 func (t *Thread) rh2FastWrite(a memsim.Addr, v uint64) {
-	if !t.htx.Write(a, v) {
-		engine.Retry(t.htx.AbortReason())
+	if !t.Txn.Write(a, v) {
+		engine.Retry(t.Txn.AbortReason())
 	}
 	t.fastWrSet = append(t.fastWrSet, a)
 }
@@ -86,43 +18,42 @@ func (t *Thread) rh2FastWrite(a memsim.Addr, v uint64) {
 // srRead is the instrumented read of the fast-path-slow-read mode
 // (Alg. 6 lines 11-20).
 func (t *Thread) srRead(a memsim.Addr) uint64 {
-	htx := t.htx
+	htx := t.Txn
 	ver, ok := htx.Read(t.sys.VersionAddr(a))
 	if !ok {
 		engine.Retry(htx.AbortReason())
 	}
-	t.stats.MetadataReads++
+	t.Stats.MetadataReads++
 	v, ok := htx.Read(a)
 	if !ok {
 		engine.Retry(htx.AbortReason())
 	}
-	if sys.IsLocked(ver) || sys.UnpackVersion(ver) > t.txVersion {
+	if sys.IsLocked(ver) || sys.UnpackVersion(ver) > t.sw.Version {
 		htx.Abort(memsim.AbortExplicit)
 		engine.Retry(memsim.AbortExplicit)
 	}
 	return v
 }
 
-// rh2FastCommit finishes an RH2 fast-path or slow-read hardware transaction
-// (Alg. 4 lines 21-57): verify that no committing software transaction is
-// reading the write set (read masks all zero), speculatively lock the write
-// set, commit the hardware transaction — which publishes data and locks
-// atomically — and then install the next global version to release.
-func (t *Thread) rh2FastCommit() (done bool, err error, reason memsim.AbortReason) {
-	htx := t.htx
+// rh2FastPreCommit is the commit-time work of an RH2 fast-path or slow-read
+// hardware transaction that wrote (Alg. 4 lines 21-46): verify that no
+// committing software transaction is reading the write set (read masks all
+// zero) and speculatively lock the write set. The hardware commit then
+// publishes data and locks atomically, and rh2FastRelease unlocks.
+func (t *Thread) rh2FastPreCommit() bool {
 	if len(t.fastWrSet) == 0 {
-		if t.injectAbort() {
-			htx.Abort(memsim.AbortInjected)
-			return t.fastAbort()
-		}
-		if !htx.Commit() {
-			return false, nil, htx.AbortReason()
-		}
-		t.stats.FastCommits++
-		return true, nil, memsim.AbortNone
+		return true
 	}
-
-	wStripes := t.distinctFastWriteStripes()
+	htx := t.Txn
+	clear(t.stripes)
+	for _, a := range t.fastWrSet {
+		s := t.sys.StripeOf(a)
+		if _, dup := t.stripes[s]; dup {
+			continue
+		}
+		t.stripes[s] = struct{}{}
+		t.wStripes = append(t.wStripes, s)
+	}
 
 	// Read-mask check: any bit set means a software transaction is holding
 	// its read set visible over one of our write stripes (Alg. 4 lines
@@ -130,126 +61,84 @@ func (t *Thread) rh2FastCommit() (done bool, err error, reason memsim.AbortReaso
 	// transaction that sets a bit *after* this check aborts us through
 	// coherence — that is the race the visibility mechanism exists for.
 	var total uint64
-	for _, s := range wStripes {
+	for _, s := range t.wStripes {
 		base := t.sys.MaskBase(s)
 		for w := 0; w < t.sys.MaskWords; w++ {
 			m, ok := htx.Read(base + memsim.Addr(w))
 			if !ok {
-				return t.fastAbort()
+				return false
 			}
-			t.stats.MetadataReads++
+			t.Stats.MetadataReads++
 			total |= m
 		}
 	}
 	if total != 0 {
 		htx.Abort(memsim.AbortExplicit)
-		return false, nil, memsim.AbortExplicit
+		return false
 	}
 
 	// Speculatively lock the write set (Alg. 4 lines 34-46).
-	lockWord := sys.LockWord(t.id)
-	for _, s := range wStripes {
+	lockWord := sys.LockWord(t.ID)
+	for _, s := range t.wStripes {
 		va := t.sys.Versions.Addr(s)
 		cur, ok := htx.Read(va)
 		if !ok {
-			return t.fastAbort()
+			return false
 		}
-		t.stats.MetadataReads++
+		t.Stats.MetadataReads++
 		if cur == lockWord {
 			continue // already locked by this transaction's own buffered write
 		}
 		if sys.IsLocked(cur) {
 			htx.Abort(memsim.AbortExplicit)
-			return false, nil, memsim.AbortExplicit
+			return false
 		}
 		if !htx.Write(va, lockWord) {
-			return t.fastAbort()
+			return false
 		}
-		t.stats.MetadataWrites++
+		t.Stats.MetadataWrites++
 	}
-
-	if t.injectAbort() {
-		htx.Abort(memsim.AbortInjected)
-		return t.fastAbort()
-	}
-	if !htx.Commit() {
-		return false, nil, htx.AbortReason()
-	}
-
-	// The write set is now published and locked. Install the next global
-	// version to release the locks (Alg. 4 lines 48-55).
-	next := sys.PackVersion(t.sys.Clock.Next())
-	for _, s := range wStripes {
-		t.sys.Mem.Store(t.sys.Versions.Addr(s), next)
-		t.stats.MetadataWrites++
-	}
-	t.stats.FastCommits++
-	return true, nil, memsim.AbortNone
+	return true
 }
 
-// distinctFastWriteStripes returns the deduplicated stripe indices of the
-// fast-path write log, reusing the thread's scratch map.
-func (t *Thread) distinctFastWriteStripes() []int {
-	clear(t.stripes)
-	out := make([]int, 0, len(t.fastWrSet))
-	for _, a := range t.fastWrSet {
-		s := t.sys.StripeOf(a)
-		if _, dup := t.stripes[s]; dup {
-			continue
-		}
-		t.stripes[s] = struct{}{}
-		out = append(out, s)
+// rh2FastRelease runs after the hardware commit: the write set is now
+// published and locked, and installing the next global version releases the
+// locks (Alg. 4 lines 48-55). A transaction that wrote nothing locked
+// nothing and does not touch the clock.
+func (t *Thread) rh2FastRelease() {
+	if len(t.wStripes) == 0 {
+		return
 	}
-	return out
+	next := sys.PackVersion(t.sys.Clock.Next())
+	for _, s := range t.wStripes {
+		t.sys.Mem.Store(t.sys.Versions.Addr(s), next)
+		t.Stats.MetadataWrites++
+	}
 }
 
 // --- RH2 slow-path commit (Alg. 5 lines 25-47, Alg. 7) ---
 
-// lockedStripe remembers a locked stripe version word and its previous
-// contents for exact restoration on failure.
-type lockedStripe struct {
-	va  memsim.Addr
-	old uint64
-}
-
-// rh2SlowCommit commits the current software read/write sets under the RH2
-// protocol: lock the write set, make the read set visible, revalidate, and
-// write back — in a short hardware transaction if possible, in software
-// (raising is_all_software_slow_path) if not. Returns false if the
-// transaction must restart; the write sets are then untouched in memory and
-// all locks and visibility bits have been rolled back.
+// rh2SlowCommit commits the software transaction under the RH2 protocol:
+// lock the write set, make the read set visible, revalidate, and write back
+// — in a short hardware transaction if possible, in software (raising
+// is_all_software_slow_path) if not. Returns false if the transaction must
+// restart; the write sets are then untouched in memory and all locks and
+// visibility bits have been rolled back.
 func (t *Thread) rh2SlowCommit() bool {
 	mem := t.sys.Mem
-	lockWord := sys.LockWord(t.id)
+	sw := &t.sw
 
-	// Phase 1: lock the write set (Alg. 7 LOCK_WRITE_SET). The version a
-	// lock replaces must itself be no newer than tx_version: phase 3 skips
-	// read-set stripes we hold the lock on, so this check is what rules out
-	// a commit that slipped in between the body's read of a stripe and our
-	// lock of it (locking blindly and skipping validation would write back
-	// over it — a lost update). TL2's lock phase makes the same check for
-	// the same reason.
-	locked := make([]lockedStripe, 0, len(t.writeSet))
+	// Phase 1: lock the write set, each distinct stripe once.
 	clear(t.stripes)
-	for _, w := range t.writeSet {
-		s := t.sys.StripeOf(w.addr)
+	for _, w := range sw.Writes.Entries {
+		s := t.sys.StripeOf(w.Addr)
 		if _, dup := t.stripes[s]; dup {
 			continue
 		}
 		t.stripes[s] = struct{}{}
-		va := t.sys.Versions.Addr(s)
-		cur := mem.Load(va)
-		t.stats.MetadataReads++
-		if cur == lockWord {
-			continue
-		}
-		if sys.IsLocked(cur) || sys.UnpackVersion(cur) > t.txVersion ||
-			!mem.CAS(va, cur, lockWord) {
-			t.restoreLocks(locked)
+		if !sw.Lock(t.sys.Versions.Addr(s)) {
 			return false
 		}
-		t.stats.MetadataWrites++
-		locked = append(locked, lockedStripe{va: va, old: cur})
 	}
 
 	// Phase 2: make the read set visible (Alg. 7 MAKE_VISIBLE_READ_SET).
@@ -258,33 +147,26 @@ func (t *Thread) rh2SlowCommit() bool {
 	// more than 64 configured threads, the thread's bit lives in mask word
 	// id/64 of the stripe ("more threads require more read masks per
 	// stripe", §4.1).
-	bit := uint64(1) << uint(t.id%64)
-	visible := make([]memsim.Addr, 0, len(t.readSet))
+	bit := uint64(1) << uint(t.ID%64)
+	t.visible = t.visible[:0]
 	clear(t.stripes)
-	for _, a := range t.readSet {
+	for _, a := range sw.Reads {
 		s := t.sys.StripeOf(a)
 		if _, dup := t.stripes[s]; dup {
 			continue
 		}
 		t.stripes[s] = struct{}{}
-		ma, _ := t.sys.MaskWordFor(s, t.id)
+		ma, _ := t.sys.MaskWordFor(s, t.ID)
 		mem.FetchAdd(ma, bit)
-		t.stats.MetadataWrites++
-		visible = append(visible, ma)
+		t.Stats.MetadataWrites++
+		t.visible = append(t.visible, ma)
 	}
 
-	// Phase 3: revalidate the read set (Alg. 7 REVALIDATE_READ_SET).
-	for _, a := range t.readSet {
-		w := mem.Load(t.sys.VersionAddr(a))
-		t.stats.MetadataReads++
-		if w == lockWord {
-			continue // locked by this transaction: also in our write set
-		}
-		if sys.IsLocked(w) || sys.UnpackVersion(w) > t.txVersion {
-			t.resetVisibility(visible, bit)
-			t.restoreLocks(locked)
-			return false
-		}
+	// Phase 3: revalidate the read set.
+	if !sw.Validate() {
+		t.resetVisibility(bit)
+		sw.Restore()
+		return false
 	}
 
 	// Phase 4: write back atomically (Alg. 5 lines 32-43). Prefer a short
@@ -293,14 +175,9 @@ func (t *Thread) rh2SlowCommit() bool {
 	// fast path) and write back with plain stores.
 	t.rh2WriteBack()
 
-	// Phase 5: release locks to the next version, drop visibility
-	// (Alg. 5 lines 44-46).
-	next := sys.PackVersion(t.sys.Clock.Next())
-	for _, l := range locked {
-		mem.Store(l.va, next)
-		t.stats.MetadataWrites++
-	}
-	t.resetVisibility(visible, bit)
+	// Phase 5: release locks to the next version, drop visibility.
+	sw.Release(sys.PackVersion(t.sys.Clock.Next()))
+	t.resetVisibility(bit)
 	return true
 }
 
@@ -308,13 +185,14 @@ func (t *Thread) rh2SlowCommit() bool {
 // otherwise. It cannot fail — the transaction is already committed
 // logically (validation passed under locks and visibility).
 func (t *Thread) rh2WriteBack() {
-	htx := t.htx
+	htx := t.Txn
 	mem := t.sys.Mem
+	writes := t.sw.Writes.Entries
 	for retries := 0; ; retries++ {
 		htx.Begin()
 		ok := true
-		for _, w := range t.writeSet {
-			if !htx.Write(w.addr, w.val) {
+		for _, w := range writes {
+			if !htx.Write(w.Addr, w.Val) {
 				ok = false
 				break
 			}
@@ -324,34 +202,27 @@ func (t *Thread) rh2WriteBack() {
 		}
 		htx.Fini()
 		reason := htx.AbortReason()
-		if !reason.Persistent() && retries < t.eng.opts.CommitHTMRetries {
-			t.stats.CommitHTMRetries++
+		if !reason.Persistent() && retries < commitHTMRetries {
+			t.Stats.CommitHTMRetries++
 			continue
 		}
 		// All-software write-back: the fetch-and-add both announces the
 		// switch and aborts every hardware transaction speculating on the
 		// counter word (Alg. 5 lines 39-41).
-		t.stats.AllSoftwareWritebacks++
+		t.Stats.AllSoftwareWritebacks++
 		mem.FetchAdd(t.sys.AllSoftwareAddr, 1)
-		for _, w := range t.writeSet {
-			mem.Store(w.addr, w.val)
+		for _, w := range writes {
+			mem.Store(w.Addr, w.Val)
 		}
 		mem.AddInt(t.sys.AllSoftwareAddr, -1)
 		return
 	}
 }
 
-// restoreLocks rolls back write-set locks to their exact previous contents.
-func (t *Thread) restoreLocks(locked []lockedStripe) {
-	for _, l := range locked {
-		t.sys.Mem.Store(l.va, l.old)
-	}
-}
-
-// resetVisibility clears this thread's bit on the given mask words
-// (Alg. 7 RESET_VISIBLE_READ_SET).
-func (t *Thread) resetVisibility(visible []memsim.Addr, bit uint64) {
-	for _, ma := range visible {
+// resetVisibility clears this thread's bit on the mask words it made itself
+// visible on (Alg. 7 RESET_VISIBLE_READ_SET).
+func (t *Thread) resetVisibility(bit uint64) {
+	for _, ma := range t.visible {
 		t.sys.Mem.FetchAdd(ma, ^(bit - 1)) // two's-complement subtraction of bit
 	}
 }

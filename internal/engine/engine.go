@@ -3,12 +3,17 @@
 // user-visible Tx surface, the per-worker Thread abstraction, the panic
 // sentinel used to unwind a transaction body on abort, and the statistics
 // engines report. The public rhtm package re-exports these types.
+//
+// It also holds the one copy of every per-attempt mechanism more than one
+// engine needs: the hardware-attempt driver and fast-retry loop (hw.go), the
+// software attempt loop (sw.go), the software write buffer (writeset.go) and
+// the thread registry behind NewThread, Snapshot and Live (registry.go). An
+// engine package keeps its protocol's steps and its per-access Load/Store.
 package engine
 
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"rhtm/internal/memsim"
 )
@@ -49,8 +54,8 @@ type Engine interface {
 	// far. It must only be called while no thread is inside Atomic.
 	Snapshot() Stats
 	// Live returns statistics that are safe to read while transactions are
-	// running: each thread publishes its per-thread counters into an atomic
-	// accumulator once per completed Atomic call, so Live lags Snapshot by
+	// running: each thread publishes a copy of its per-thread counters once
+	// per completed Atomic call (Worker.Publish), so Live lags Snapshot by
 	// at most the transactions currently in flight and never races their
 	// unsynchronized per-thread counters.
 	Live() Stats
@@ -132,79 +137,6 @@ type Stats struct {
 	// "Standard HyTM" from "RH1 Fast" from "HTM".
 	MetadataReads  uint64
 	MetadataWrites uint64
-}
-
-// Live is the concurrency-safe Stats accumulator behind Engine.Live. Per-
-// thread counters stay unsynchronized on the transaction hot path; at the
-// end of every Atomic call the thread flushes the delta since its previous
-// flush into its engine's Live with one atomic add per field that moved —
-// a handful of adds per whole transaction, not per access. Readers get a
-// Stats that is exact up to the transactions currently in flight.
-type Live struct {
-	fastCommits, slowCommits, slowSlowCommits, readOnlyCommits atomic.Uint64
-	fastAborts, slowAborts                                     atomic.Uint64
-	fastAbortsByReason                                         [8]atomic.Uint64
-	commitHTMRetries                                           atomic.Uint64
-	rh2Fallbacks, allSoftwareWritebacks                        atomic.Uint64
-	userErrors                                                 atomic.Uint64
-	reads, writes                                              atomic.Uint64
-	metadataReads, metadataWrites                              atomic.Uint64
-}
-
-// liveAdd publishes a field's delta, skipping the atomic when nothing
-// moved (most fields are untouched by most transactions).
-func liveAdd(w *atomic.Uint64, cur, prev uint64) {
-	if d := cur - prev; d != 0 {
-		w.Add(d)
-	}
-}
-
-// Flush publishes cur−prev into l and advances prev to cur. Engines call
-// it once per Atomic return with the thread's private counters; prev is
-// the thread's equally private high-water copy, so Flush itself needs no
-// synchronization beyond the per-field atomic adds.
-func (l *Live) Flush(prev, cur *Stats) {
-	liveAdd(&l.fastCommits, cur.FastCommits, prev.FastCommits)
-	liveAdd(&l.slowCommits, cur.SlowCommits, prev.SlowCommits)
-	liveAdd(&l.slowSlowCommits, cur.SlowSlowCommits, prev.SlowSlowCommits)
-	liveAdd(&l.readOnlyCommits, cur.ReadOnlyCommits, prev.ReadOnlyCommits)
-	liveAdd(&l.fastAborts, cur.FastAborts, prev.FastAborts)
-	liveAdd(&l.slowAborts, cur.SlowAborts, prev.SlowAborts)
-	for i := range l.fastAbortsByReason {
-		liveAdd(&l.fastAbortsByReason[i], cur.FastAbortsByReason[i], prev.FastAbortsByReason[i])
-	}
-	liveAdd(&l.commitHTMRetries, cur.CommitHTMRetries, prev.CommitHTMRetries)
-	liveAdd(&l.rh2Fallbacks, cur.RH2Fallbacks, prev.RH2Fallbacks)
-	liveAdd(&l.allSoftwareWritebacks, cur.AllSoftwareWritebacks, prev.AllSoftwareWritebacks)
-	liveAdd(&l.userErrors, cur.UserErrors, prev.UserErrors)
-	liveAdd(&l.reads, cur.Reads, prev.Reads)
-	liveAdd(&l.writes, cur.Writes, prev.Writes)
-	liveAdd(&l.metadataReads, cur.MetadataReads, prev.MetadataReads)
-	liveAdd(&l.metadataWrites, cur.MetadataWrites, prev.MetadataWrites)
-	*prev = *cur
-}
-
-// Stats reads the accumulator.
-func (l *Live) Stats() Stats {
-	var s Stats
-	s.FastCommits = l.fastCommits.Load()
-	s.SlowCommits = l.slowCommits.Load()
-	s.SlowSlowCommits = l.slowSlowCommits.Load()
-	s.ReadOnlyCommits = l.readOnlyCommits.Load()
-	s.FastAborts = l.fastAborts.Load()
-	s.SlowAborts = l.slowAborts.Load()
-	for i := range l.fastAbortsByReason {
-		s.FastAbortsByReason[i] = l.fastAbortsByReason[i].Load()
-	}
-	s.CommitHTMRetries = l.commitHTMRetries.Load()
-	s.RH2Fallbacks = l.rh2Fallbacks.Load()
-	s.AllSoftwareWritebacks = l.allSoftwareWritebacks.Load()
-	s.UserErrors = l.userErrors.Load()
-	s.Reads = l.reads.Load()
-	s.Writes = l.writes.Load()
-	s.MetadataReads = l.metadataReads.Load()
-	s.MetadataWrites = l.metadataWrites.Load()
-	return s
 }
 
 // Add accumulates other into s.

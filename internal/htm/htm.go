@@ -143,11 +143,17 @@ func (t *Txn) TryCommit() bool {
 // --- transaction lifecycle ---
 
 // Begin starts a fresh speculative attempt. The previous attempt, if any,
-// must have ended (Commit, Abort, or a failed operation followed by Fini).
+// must have ended: Commit, Abort, or a failed operation. An attempt a remote
+// agent aborted is still registered on its lines until it is parked — Abort
+// is a no-op on it — so Begin parks it before it drops the footprint;
+// otherwise the old monitors would outlive the reset and look live again the
+// moment the state returns to running. Fini parks earlier, it is not needed
+// for correctness.
 func (t *Txn) Begin() {
 	if t.state.Load() == stateRunning {
 		panic("htm: Begin while running")
 	}
+	t.finishAbort()
 	t.resetBuffers()
 	t.reason.Store(uint32(memsim.AbortNone))
 	t.state.Store(stateRunning)

@@ -352,3 +352,34 @@ func TestSnapshotConsistency(t *testing.T) {
 	default:
 	}
 }
+
+// TestBeginParksRemotelyAbortedAttempt: an owner that ends an attempt with
+// Abort after a remote agent already aborted it (Abort is then a no-op) and
+// goes straight to Begin must not carry the old monitors into the new
+// attempt, where they would look live again.
+func TestBeginParksRemotelyAbortedAttempt(t *testing.T) {
+	m := newMem(1024)
+	tx := NewTxn(m, DefaultConfig())
+	tx.Begin()
+	if _, ok := tx.Read(8); !ok {
+		t.Fatal("Read failed")
+	}
+	if !tx.TryAbort(memsim.AbortConflict) { // the remote agent
+		t.Fatal("TryAbort on a running transaction failed")
+	}
+	tx.Abort(memsim.AbortExplicit) // the owner, too late
+	tx.Begin()
+	if n := m.MonitorCount(8); n != 0 {
+		t.Fatalf("MonitorCount(8) = %d after Begin, want 0: the aborted attempt's monitor leaked", n)
+	}
+	if s := tx.Stats(); s.Aborts != 1 || s.ByReason[memsim.AbortConflict] != 1 {
+		t.Fatalf("stats = %+v, want the remote abort accounted once, as a conflict", s)
+	}
+	m.Store(8, 1) // a line the new attempt never touched
+	if !tx.Running() {
+		t.Fatalf("new attempt aborted (%v) by a store to a line only the old one read", tx.AbortReason())
+	}
+	if !tx.Commit() {
+		t.Fatalf("Commit failed: %v", tx.AbortReason())
+	}
+}

@@ -15,15 +15,18 @@
 //     fully functional hybrid: the metadata check is the real lock test the
 //     coordination requires, so the instrumentation cost is identical and
 //     the engine is correct under concurrent software transactions.
+//
+// Both own only what differs from the other hybrids: PureHTM its give-up
+// rule, StandardHyTM its clock-sample prologue and its instrumented
+// Load/Store. Attempts, retries and the registry are internal/engine's; the
+// slow path is an embedded tl2 engine.
 package hytm
 
 import (
 	"errors"
 	"math/rand"
-	"sync"
 
 	"rhtm/internal/engine"
-	"rhtm/internal/htm"
 	"rhtm/internal/memsim"
 	"rhtm/internal/sys"
 )
@@ -32,16 +35,16 @@ import (
 // cannot execute in hardware.
 var ErrHardwareOnly = errors.New("hytm: transaction cannot run as a pure hardware transaction")
 
+// maxPersistentRetries bounds consecutive persistent hardware failures
+// before PureHTM gives up with ErrHardwareOnly.
+const maxPersistentRetries = 3
+
 // --- PureHTM ---
 
 // PureHTM is the uninstrumented hardware-only engine.
 type PureHTM struct {
-	sys  *sys.System
+	engine.Registry
 	opts Options
-
-	mu      sync.Mutex
-	threads []*pureThread
-	live    engine.Live
 }
 
 // Options configures the hardware engines.
@@ -49,9 +52,6 @@ type Options struct {
 	// InjectAbortPercent forces this percentage of hardware commits to
 	// abort (the paper's §3.1 emulation methodology). 0 disables.
 	InjectAbortPercent int
-	// MaxPersistentRetries bounds consecutive persistent hardware failures
-	// before PureHTM gives up with ErrHardwareOnly (default 3).
-	MaxPersistentRetries int
 	// Mixed switches StandardHyTM to take the software slow path after
 	// MaxFastAttempts transient aborts; when false (the paper's benchmark
 	// configuration) the hardware path retries indefinitely.
@@ -63,15 +63,12 @@ type Options struct {
 // DefaultOptions returns the paper's benchmark configuration: hardware-only
 // retries, no injection.
 func DefaultOptions() Options {
-	return Options{MaxPersistentRetries: 3, MaxFastAttempts: 8}
+	return Options{MaxFastAttempts: 8}
 }
 
 // NewPureHTM creates the uninstrumented hardware engine on s.
 func NewPureHTM(s *sys.System, opts Options) *PureHTM {
-	if opts.MaxPersistentRetries <= 0 {
-		opts.MaxPersistentRetries = 3
-	}
-	return &PureHTM{sys: s, opts: opts}
+	return &PureHTM{Registry: engine.Registry{Sys: s}, opts: opts}
 }
 
 // Name implements engine.Engine.
@@ -79,88 +76,56 @@ func (e *PureHTM) Name() string { return "HTM" }
 
 // NewThread implements engine.Engine.
 func (e *PureHTM) NewThread() engine.Thread {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	t := &pureThread{
-		eng: e,
-		htx: htm.NewTxn(e.sys.Mem, e.sys.Config().HTM),
-		rng: rand.New(rand.NewSource(int64(len(e.threads))*48271 + 7)),
-	}
-	e.threads = append(e.threads, t)
+	t := &pureThread{}
+	id := e.RegisterHW(&t.HWWorker, e.opts.InjectAbortPercent)
+	t.Rng = rand.New(rand.NewSource(int64(id)*48271 + 7))
 	return t
 }
 
-// Snapshot implements engine.Engine.
-func (e *PureHTM) Snapshot() engine.Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var s engine.Stats
-	for _, t := range e.threads {
-		s.Add(t.stats)
-	}
-	return s
-}
-
-// Live implements engine.Engine.
-func (e *PureHTM) Live() engine.Stats { return e.live.Stats() }
-
 type pureThread struct {
-	eng       *PureHTM
-	htx       *htm.Txn
-	rng       *rand.Rand
-	stats     engine.Stats
-	published engine.Stats // high-water mark of stats flushed into eng.live
+	engine.HWWorker
+	persistent int // persistent failures of the current Atomic call
 }
 
 // Atomic implements engine.Thread.
 func (t *pureThread) Atomic(fn func(tx engine.Tx) error) error {
-	defer t.eng.live.Flush(&t.published, &t.stats)
-	persistent := 0
-	for attempt := 0; ; attempt++ {
-		htx := t.htx
-		htx.Begin()
-		err, aborted, _ := engine.RunBody(fn, (*pureTx)(t))
-		if !aborted {
-			if err != nil {
-				htx.Abort(memsim.AbortExplicit)
-				htx.Fini()
-				t.stats.UserErrors++
-				return err
-			}
-			if p := t.eng.opts.InjectAbortPercent; p > 0 && t.rng.Intn(100) < p {
-				htx.Abort(memsim.AbortInjected)
-			}
-			if htx.Commit() {
-				t.stats.FastCommits++
-				return nil
-			}
-		} else {
-			htx.Fini()
-		}
-		reason := htx.AbortReason()
-		t.stats.FastAborts++
-		if int(reason) < len(t.stats.FastAbortsByReason) {
-			t.stats.FastAbortsByReason[reason]++
-		}
-		if reason.Persistent() {
-			persistent++
-			if persistent >= t.eng.opts.MaxPersistentRetries {
-				return ErrHardwareOnly
-			}
-		}
-		engine.Backoff(t.rng, attempt)
-	}
+	defer t.Publish()
+	t.persistent = 0
+	return t.Run(fn, t)
 }
 
+// TryFast implements engine.FastPath.
+func (t *pureThread) TryFast(fn func(tx engine.Tx) error) (bool, error, memsim.AbortReason) {
+	return t.Attempt(fn, (*pureTx)(t), &t.Stats.FastCommits)
+}
+
+// GoSlow implements engine.FastPath: transient aborts retry forever, the
+// third persistent failure ends the transaction.
+func (t *pureThread) GoSlow(_ int, reason memsim.AbortReason) bool {
+	if reason.Persistent() {
+		t.persistent++
+	}
+	return t.persistent >= maxPersistentRetries
+}
+
+// RunSlow implements engine.FastPath: there is no software path.
+func (t *pureThread) RunSlow(func(tx engine.Tx) error) error { return ErrHardwareOnly }
+
 type pureTx pureThread
+
+// Prologue implements engine.HWPath: nothing to subscribe to.
+func (tx *pureTx) Prologue() bool { return true }
+
+// PreCommit implements engine.HWPath: nothing to do.
+func (tx *pureTx) PreCommit() bool { return true }
 
 // Load implements engine.Tx: a raw speculative read, no instrumentation.
 func (tx *pureTx) Load(a memsim.Addr) uint64 {
 	t := (*pureThread)(tx)
-	t.stats.Reads++
-	v, ok := t.htx.Read(a)
+	t.Stats.Reads++
+	v, ok := t.Txn.Read(a)
 	if !ok {
-		engine.Retry(t.htx.AbortReason())
+		engine.Retry(t.Txn.AbortReason())
 	}
 	return v
 }
@@ -168,15 +133,15 @@ func (tx *pureTx) Load(a memsim.Addr) uint64 {
 // Store implements engine.Tx: a raw speculative write.
 func (tx *pureTx) Store(a memsim.Addr, v uint64) {
 	t := (*pureThread)(tx)
-	t.stats.Writes++
-	if !t.htx.Write(a, v) {
-		engine.Retry(t.htx.AbortReason())
+	t.Stats.Writes++
+	if !t.Txn.Write(a, v) {
+		engine.Retry(t.Txn.AbortReason())
 	}
 }
 
 // Unsupported implements engine.Tx: pure hardware cannot execute it.
 func (tx *pureTx) Unsupported() {
 	t := (*pureThread)(tx)
-	t.htx.Unsupported()
+	t.Txn.Unsupported()
 	engine.Retry(memsim.AbortUnsupported)
 }

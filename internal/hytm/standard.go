@@ -2,10 +2,8 @@ package hytm
 
 import (
 	"math/rand"
-	"sync"
 
 	"rhtm/internal/engine"
-	"rhtm/internal/htm"
 	"rhtm/internal/memsim"
 	"rhtm/internal/sys"
 	"rhtm/internal/tl2"
@@ -17,13 +15,9 @@ import (
 // transactions), and hardware writes additionally update the metadata. The
 // software slow path is TL2 over the same stripe array.
 type StandardHyTM struct {
-	sys  *sys.System
-	opts Options
-	tl2  *tl2.Engine
+	engine.Registry // Slow is the TL2 engine of the slow path
 
-	mu      sync.Mutex
-	threads []*stdThread
-	live    engine.Live
+	opts Options
 }
 
 // NewStandard creates a Standard HyTM engine on s.
@@ -31,7 +25,7 @@ func NewStandard(s *sys.System, opts Options) *StandardHyTM {
 	if opts.MaxFastAttempts <= 0 {
 		opts.MaxFastAttempts = 8
 	}
-	return &StandardHyTM{sys: s, opts: opts, tl2: tl2.New(s)}
+	return &StandardHyTM{Registry: engine.Registry{Sys: s, Slow: tl2.New(s)}, opts: opts}
 }
 
 // Name implements engine.Engine.
@@ -39,50 +33,18 @@ func (e *StandardHyTM) Name() string { return "Standard HyTM" }
 
 // NewThread implements engine.Engine.
 func (e *StandardHyTM) NewThread() engine.Thread {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	t := &stdThread{
-		eng:  e,
-		sys:  e.sys,
-		htx:  htm.NewTxn(e.sys.Mem, e.sys.Config().HTM),
-		slow: e.tl2.NewThread(),
-		rng:  rand.New(rand.NewSource(int64(len(e.threads))*69621 + 11)),
-	}
-	e.threads = append(e.threads, t)
+	t := &stdThread{eng: e, sys: e.Sys, slow: e.Slow.NewThread()}
+	id := e.RegisterHW(&t.HWWorker, e.opts.InjectAbortPercent)
+	t.Rng = rand.New(rand.NewSource(int64(id)*69621 + 11))
 	return t
 }
 
-// Snapshot implements engine.Engine. It merges the hardware-side counters
-// with the TL2 slow path's.
-func (e *StandardHyTM) Snapshot() engine.Stats {
-	e.mu.Lock()
-	var s engine.Stats
-	for _, t := range e.threads {
-		s.Add(t.stats)
-	}
-	e.mu.Unlock()
-	s.Add(e.tl2.Snapshot())
-	return s
-}
-
-// Live implements engine.Engine. Slow-path attempts flush into the
-// embedded TL2 engine's accumulator, so — mirroring Snapshot — the two
-// are merged.
-func (e *StandardHyTM) Live() engine.Stats {
-	s := e.live.Stats()
-	s.Add(e.tl2.Live())
-	return s
-}
-
 type stdThread struct {
-	eng       *StandardHyTM
-	sys       *sys.System
-	htx       *htm.Txn
-	slow      engine.Thread
-	nextVer   uint64
-	rng       *rand.Rand
-	stats     engine.Stats
-	published engine.Stats // high-water mark of stats flushed into eng.live
+	engine.HWWorker
+	eng     *StandardHyTM
+	sys     *sys.System
+	slow    engine.Thread
+	nextVer uint64
 }
 
 // Atomic implements engine.Thread: instrumented hardware attempts, with the
@@ -90,79 +52,55 @@ type stdThread struct {
 // budget (Mixed mode only; the paper's benchmark configuration retries in
 // hardware indefinitely).
 func (t *stdThread) Atomic(fn func(tx engine.Tx) error) error {
-	defer t.eng.live.Flush(&t.published, &t.stats)
-	for attempt := 0; ; attempt++ {
-		done, err, reason := t.tryFast(fn)
-		if done {
-			return err
-		}
-		t.stats.FastAborts++
-		if int(reason) < len(t.stats.FastAbortsByReason) {
-			t.stats.FastAbortsByReason[reason]++
-		}
-		if reason.Persistent() ||
-			(t.eng.opts.Mixed && attempt+1 >= t.eng.opts.MaxFastAttempts) {
-			return t.slow.Atomic(fn)
-		}
-		engine.Backoff(t.rng, attempt)
-	}
+	defer t.Publish()
+	return t.Run(fn, t)
 }
 
-// tryFast is one instrumented hardware attempt.
-func (t *stdThread) tryFast(fn func(tx engine.Tx) error) (done bool, err error, reason memsim.AbortReason) {
-	htx := t.htx
-	htx.Begin()
-	// Like the RH1 fast path, writers need an install version; the clock is
-	// sampled speculatively (GV6: no store).
-	sample, ok := htx.Read(t.sys.Clock.Addr())
-	if !ok {
-		return t.fastAbort()
-	}
-	t.nextVer = t.sys.Clock.NextFromSample(sample)
-	t.stats.MetadataReads++
-
-	err, aborted, reason := engine.RunBody(fn, (*stdTx)(t))
-	if aborted {
-		htx.Fini()
-		return false, nil, reason
-	}
-	if err != nil {
-		htx.Abort(memsim.AbortExplicit)
-		htx.Fini()
-		t.stats.UserErrors++
-		return true, err, memsim.AbortNone
-	}
-	if p := t.eng.opts.InjectAbortPercent; p > 0 && t.rng.Intn(100) < p {
-		htx.Abort(memsim.AbortInjected)
-		return t.fastAbort()
-	}
-	// "The commit is immediate without any work" (§3.2): all coordination
-	// happened inline on each access.
-	if !htx.Commit() {
-		return false, nil, htx.AbortReason()
-	}
-	t.stats.FastCommits++
-	return true, nil, memsim.AbortNone
+// TryFast implements engine.FastPath: one instrumented hardware attempt.
+// "The commit is immediate without any work" (§3.2): all coordination
+// happens inline on each access.
+func (t *stdThread) TryFast(fn func(tx engine.Tx) error) (bool, error, memsim.AbortReason) {
+	return t.Attempt(fn, (*stdTx)(t), &t.Stats.FastCommits)
 }
 
-func (t *stdThread) fastAbort() (bool, error, memsim.AbortReason) {
-	t.htx.Fini()
-	return false, nil, t.htx.AbortReason()
+// GoSlow implements engine.FastPath.
+func (t *stdThread) GoSlow(attempt int, reason memsim.AbortReason) bool {
+	return reason.Persistent() ||
+		(t.eng.opts.Mixed && attempt+1 >= t.eng.opts.MaxFastAttempts)
 }
+
+// RunSlow implements engine.FastPath.
+func (t *stdThread) RunSlow(fn func(tx engine.Tx) error) error { return t.slow.Atomic(fn) }
 
 type stdTx stdThread
+
+// Prologue implements engine.HWPath. Like the RH1 fast path, writers need an
+// install version; the clock is sampled speculatively (GV6: no store).
+func (tx *stdTx) Prologue() bool {
+	t := (*stdThread)(tx)
+	sample, ok := t.Txn.Read(t.sys.Clock.Addr())
+	if !ok {
+		return false
+	}
+	t.nextVer = t.sys.Clock.NextFromSample(sample)
+	t.Stats.MetadataReads++
+	return true
+}
+
+// PreCommit implements engine.HWPath: nothing to do.
+func (tx *stdTx) PreCommit() bool { return true }
 
 // Load implements engine.Tx: the instrumented hardware read the paper's
 // Figure 1 measures — a metadata load and a branch before the data load.
 func (tx *stdTx) Load(a memsim.Addr) uint64 {
 	t := (*stdThread)(tx)
-	t.stats.Reads++
-	htx := t.htx
+	t.Stats.Reads++
+	htx := t.Txn
 	w, ok := htx.Read(t.sys.VersionAddr(a))
 	if !ok {
 		engine.Retry(htx.AbortReason())
 	}
-	t.stats.MetadataReads++
+	t.Stats.MetadataReads++
 	if sys.IsLocked(w) {
 		// A software transaction holds the stripe: the hardware transaction
 		// cannot read consistently and must abort.
@@ -180,14 +118,14 @@ func (tx *stdTx) Load(a memsim.Addr) uint64 {
 // the data store.
 func (tx *stdTx) Store(a memsim.Addr, v uint64) {
 	t := (*stdThread)(tx)
-	t.stats.Writes++
-	htx := t.htx
+	t.Stats.Writes++
+	htx := t.Txn
 	va := t.sys.VersionAddr(a)
 	w, ok := htx.Read(va)
 	if !ok {
 		engine.Retry(htx.AbortReason())
 	}
-	t.stats.MetadataReads++
+	t.Stats.MetadataReads++
 	if sys.IsLocked(w) {
 		htx.Abort(memsim.AbortExplicit)
 		engine.Retry(memsim.AbortExplicit)
@@ -195,7 +133,7 @@ func (tx *stdTx) Store(a memsim.Addr, v uint64) {
 	if !htx.Write(va, sys.PackVersion(t.nextVer)) {
 		engine.Retry(htx.AbortReason())
 	}
-	t.stats.MetadataWrites++
+	t.Stats.MetadataWrites++
 	if !htx.Write(a, v) {
 		engine.Retry(htx.AbortReason())
 	}
@@ -204,6 +142,6 @@ func (tx *stdTx) Store(a memsim.Addr, v uint64) {
 // Unsupported implements engine.Tx: aborts to the software slow path.
 func (tx *stdTx) Unsupported() {
 	t := (*stdThread)(tx)
-	t.htx.Unsupported()
+	t.Txn.Unsupported()
 	engine.Retry(memsim.AbortUnsupported)
 }

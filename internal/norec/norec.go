@@ -16,14 +16,17 @@
 //     one line — exactly the scalability ceiling the paper ascribes to this
 //     design ("conflicts cannot be detected at a sufficiently low
 //     granularity", §1).
+//
+// The package owns the sequence-counter protocol on both paths — the
+// hardware path's subscription and bump, the software path's value log and
+// sequence lock. The attempt driver, retry loop, registry and the software
+// write buffer are internal/engine's.
 package norec
 
 import (
 	"math/rand"
-	"sync"
 
 	"rhtm/internal/engine"
-	"rhtm/internal/htm"
 	"rhtm/internal/memsim"
 	"rhtm/internal/sys"
 )
@@ -44,13 +47,9 @@ func DefaultOptions() Options { return Options{MaxFastAttempts: 8} }
 // memory and one global counter word — NoRec's defining property is that the
 // stripe metadata arrays stay untouched.
 type Engine struct {
-	sys  *sys.System
+	engine.Registry
 	opts Options
 	seq  memsim.Addr // global sequence counter; odd = software commit active
-
-	mu      sync.Mutex
-	threads []*Thread
-	live    engine.Live
 }
 
 // New creates a Hybrid NoRec engine on s.
@@ -62,7 +61,7 @@ func New(s *sys.System, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{sys: s, opts: opts, seq: reg.Base}, nil
+	return &Engine{Registry: engine.Registry{Sys: s}, opts: opts, seq: reg.Base}, nil
 }
 
 // MustNew is New for setup code.
@@ -79,32 +78,11 @@ func (e *Engine) Name() string { return "Hybrid NoRec" }
 
 // NewThread implements engine.Engine.
 func (e *Engine) NewThread() engine.Thread {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	t := &Thread{
-		eng:      e,
-		sys:      e.sys,
-		htx:      htm.NewTxn(e.sys.Mem, e.sys.Config().HTM),
-		writeIdx: make(map[memsim.Addr]int, 32),
-		rng:      rand.New(rand.NewSource(int64(len(e.threads))*16807 + 3)),
-	}
-	e.threads = append(e.threads, t)
+	t := &Thread{eng: e, sys: e.Sys}
+	id := e.RegisterHW(&t.HWWorker, e.opts.InjectAbortPercent)
+	t.Rng = rand.New(rand.NewSource(int64(id)*16807 + 3))
 	return t
 }
-
-// Snapshot implements engine.Engine.
-func (e *Engine) Snapshot() engine.Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var s engine.Stats
-	for _, t := range e.threads {
-		s.Add(t.stats)
-	}
-	return s
-}
-
-// Live implements engine.Engine.
-func (e *Engine) Live() engine.Stats { return e.live.Stats() }
 
 // readLogEntry is a value-logged software read.
 type readLogEntry struct {
@@ -112,156 +90,118 @@ type readLogEntry struct {
 	val  uint64
 }
 
-type writeEntry struct {
-	addr memsim.Addr
-	val  uint64
-}
-
 // Thread is a per-worker Hybrid NoRec context.
 type Thread struct {
+	engine.HWWorker
 	eng *Engine
 	sys *sys.System
-	htx *htm.Txn
 
 	hw bool // current path
 
-	snapshot uint64
+	snapshot uint64 // the counter as this attempt (either path) first saw it
 	readLog  []readLogEntry
-	writeSet []writeEntry
-	writeIdx map[memsim.Addr]int
-
-	rng       *rand.Rand
-	stats     engine.Stats
-	published engine.Stats // high-water mark of stats flushed into eng.live
+	writes   engine.WriteSet // software path only
 }
 
 // Atomic implements engine.Thread.
 func (t *Thread) Atomic(fn func(tx engine.Tx) error) error {
-	defer t.eng.live.Flush(&t.published, &t.stats)
-	for attempt := 0; ; attempt++ {
-		done, err, reason := t.tryHW(fn)
-		if done {
-			return err
-		}
-		t.stats.FastAborts++
-		if int(reason) < len(t.stats.FastAbortsByReason) {
-			t.stats.FastAbortsByReason[reason]++
-		}
-		if reason.Persistent() || attempt+1 >= t.eng.opts.MaxFastAttempts {
-			return t.runSW(fn)
-		}
-		engine.Backoff(t.rng, attempt)
-	}
+	defer t.Publish()
+	return t.Run(fn, t)
 }
 
-// tryHW is one hardware attempt with counter subscription.
-func (t *Thread) tryHW(fn func(tx engine.Tx) error) (done bool, err error, reason memsim.AbortReason) {
-	htx := t.htx
-	htx.Begin()
-	c, ok := htx.Read(t.eng.seq)
+// TryFast implements engine.FastPath: one hardware attempt with counter
+// subscription.
+func (t *Thread) TryFast(fn func(tx engine.Tx) error) (bool, error, memsim.AbortReason) {
+	t.hw = true
+	return t.Attempt(fn, (*norecTx)(t), &t.Stats.FastCommits)
+}
+
+// GoSlow implements engine.FastPath.
+func (t *Thread) GoSlow(attempt int, reason memsim.AbortReason) bool {
+	return reason.Persistent() || attempt+1 >= t.eng.opts.MaxFastAttempts
+}
+
+// Prologue implements engine.HWPath: subscribe to the counter.
+func (tx *norecTx) Prologue() bool {
+	t := (*Thread)(tx)
+	c, ok := t.Txn.Read(t.eng.seq)
 	if !ok {
-		htx.Fini()
-		return false, nil, htx.AbortReason()
+		return false
 	}
-	t.stats.MetadataReads++
+	t.Stats.MetadataReads++
 	if c&1 == 1 {
 		// A software commit is writing back; hardware cannot proceed.
-		htx.Abort(memsim.AbortExplicit)
-		return false, nil, memsim.AbortExplicit
+		t.Txn.Abort(memsim.AbortExplicit)
+		return false
 	}
-	t.hw = true
-	t.writeSet = t.writeSet[:0]
-	err, aborted, reason := engine.RunBody(fn, (*norecTx)(t))
-	if aborted {
-		htx.Fini()
-		return false, nil, reason
-	}
-	if err != nil {
-		htx.Abort(memsim.AbortExplicit)
-		htx.Fini()
-		t.stats.UserErrors++
-		return true, err, memsim.AbortNone
-	}
-	if len(t.writeSet) > 0 {
-		// Notify software transactions: bump the counter by 2 (stays even)
-		// inside the hardware transaction. This is the write that serializes
-		// hardware write commits globally.
-		if !htx.Write(t.eng.seq, c+2) {
-			htx.Fini()
-			return false, nil, htx.AbortReason()
-		}
-		t.stats.MetadataWrites++
-	}
-	if p := t.eng.opts.InjectAbortPercent; p > 0 && t.rng.Intn(100) < p {
-		htx.Abort(memsim.AbortInjected)
-		htx.Fini()
-		return false, nil, memsim.AbortInjected
-	}
-	if !htx.Commit() {
-		return false, nil, htx.AbortReason()
-	}
-	t.stats.FastCommits++
-	return true, nil, memsim.AbortNone
+	t.snapshot = c
+	return true
 }
 
-// runSW executes the transaction on the NoRec software path until commit.
-func (t *Thread) runSW(fn func(tx engine.Tx) error) error {
-	for attempt := 0; ; attempt++ {
-		done, err := t.trySW(fn)
-		if done {
-			return err
-		}
-		t.stats.SlowAborts++
-		engine.Backoff(t.rng, attempt)
+// PreCommit implements engine.HWPath. A transaction that wrote notifies
+// software transactions: it bumps the counter by 2 (stays even) inside the
+// hardware transaction. This is the write that serializes hardware write
+// commits globally.
+func (tx *norecTx) PreCommit() bool {
+	t := (*Thread)(tx)
+	if t.Txn.WriteSetLines() == 0 {
+		return true
 	}
+	if !t.Txn.Write(t.eng.seq, t.snapshot+2) {
+		return false
+	}
+	t.Stats.MetadataWrites++
+	return true
 }
 
-// trySW is one NoRec software attempt.
-func (t *Thread) trySW(fn func(tx engine.Tx) error) (done bool, err error) {
+// RunSlow implements engine.FastPath: the NoRec software path.
+func (t *Thread) RunSlow(fn func(tx engine.Tx) error) error {
 	t.hw = false
+	return t.RunSoft(fn, (*norecTx)(t))
+}
+
+// Begin implements engine.SWPath.
+func (tx *norecTx) Begin() {
+	t := (*Thread)(tx)
 	t.snapshot = t.waitEven()
 	t.readLog = t.readLog[:0]
-	t.writeSet = t.writeSet[:0]
-	clear(t.writeIdx)
+	t.writes.Reset()
+}
 
-	err, aborted, _ := engine.RunBody(fn, (*norecTx)(t))
-	if aborted {
-		return false, nil
-	}
-	if err != nil {
-		t.stats.UserErrors++
-		return true, err
-	}
-	if len(t.writeSet) == 0 {
-		t.stats.ReadOnlyCommits++
-		return true, nil
-	}
-	// Sequence-lock acquisition: even snapshot -> odd.
+// ReadOnly implements engine.SWPath.
+func (tx *norecTx) ReadOnly() bool { return len(tx.writes.Entries) == 0 }
+
+// Commit implements engine.SWPath: take the counter to odd (a sequence
+// lock), revalidating by value whenever it moved, write back, release.
+func (tx *norecTx) Commit() bool {
+	t := (*Thread)(tx)
 	mem := t.sys.Mem
 	for !mem.CAS(t.eng.seq, t.snapshot, t.snapshot+1) {
 		if !t.revalidate() {
-			return false, nil
+			return false
 		}
 	}
-	t.stats.MetadataWrites++
-	for _, w := range t.writeSet {
-		mem.Store(w.addr, w.val)
+	t.Stats.MetadataWrites++
+	for _, w := range t.writes.Entries {
+		mem.Store(w.Addr, w.Val)
 	}
 	mem.Store(t.eng.seq, t.snapshot+2)
-	t.stats.MetadataWrites++
-	t.stats.SlowCommits++
-	return true, nil
+	t.Stats.MetadataWrites++
+	return true
 }
+
+// Aborted implements engine.SWPath: NoRec has no clock to advance.
+func (tx *norecTx) Aborted() {}
 
 // waitEven spins until the global counter is even and returns it.
 func (t *Thread) waitEven() uint64 {
 	for spin := 0; ; spin++ {
 		c := t.sys.Mem.Load(t.eng.seq)
-		t.stats.MetadataReads++
+		t.Stats.MetadataReads++
 		if c&1 == 0 {
 			return c
 		}
-		engine.Backoff(t.rng, spin)
+		engine.Backoff(t.Rng, spin)
 	}
 }
 
@@ -280,7 +220,7 @@ func (t *Thread) revalidate() bool {
 		if !ok {
 			return false
 		}
-		t.stats.MetadataReads++
+		t.Stats.MetadataReads++
 		if t.sys.Mem.Load(t.eng.seq) == c {
 			t.snapshot = c
 			return true
@@ -294,22 +234,22 @@ type norecTx Thread
 // Load implements engine.Tx.
 func (tx *norecTx) Load(a memsim.Addr) uint64 {
 	t := (*Thread)(tx)
-	t.stats.Reads++
+	t.Stats.Reads++
 	if t.hw {
-		v, ok := t.htx.Read(a)
+		v, ok := t.Txn.Read(a)
 		if !ok {
-			engine.Retry(t.htx.AbortReason())
+			engine.Retry(t.Txn.AbortReason())
 		}
 		return v
 	}
-	if i, hit := t.writeIdx[a]; hit {
-		return t.writeSet[i].val
+	if v, own := t.writes.Get(a); own {
+		return v
 	}
 	// Consistent read: value is valid only if the counter did not move; if
 	// it moved, revalidate the log (which re-reads this location too).
 	for {
 		v := t.sys.Mem.Load(a)
-		t.stats.MetadataReads++
+		t.Stats.MetadataReads++
 		if t.sys.Mem.Load(t.eng.seq) == t.snapshot {
 			t.readLog = append(t.readLog, readLogEntry{addr: a, val: v})
 			return v
@@ -323,27 +263,21 @@ func (tx *norecTx) Load(a memsim.Addr) uint64 {
 // Store implements engine.Tx.
 func (tx *norecTx) Store(a memsim.Addr, v uint64) {
 	t := (*Thread)(tx)
-	t.stats.Writes++
+	t.Stats.Writes++
 	if t.hw {
-		if !t.htx.Write(a, v) {
-			engine.Retry(t.htx.AbortReason())
+		if !t.Txn.Write(a, v) {
+			engine.Retry(t.Txn.AbortReason())
 		}
-		t.writeSet = append(t.writeSet, writeEntry{addr: a, val: v})
 		return
 	}
-	if i, hit := t.writeIdx[a]; hit {
-		t.writeSet[i].val = v
-		return
-	}
-	t.writeSet = append(t.writeSet, writeEntry{addr: a, val: v})
-	t.writeIdx[a] = len(t.writeSet) - 1
+	t.writes.Put(a, v)
 }
 
 // Unsupported implements engine.Tx.
 func (tx *norecTx) Unsupported() {
 	t := (*Thread)(tx)
 	if t.hw {
-		t.htx.Unsupported()
+		t.Txn.Unsupported()
 		engine.Retry(memsim.AbortUnsupported)
 	}
 }

@@ -146,3 +146,16 @@ func TestSWValueValidationAllowsSilentRestore(t *testing.T) {
 		t.Fatalf("b = %d, want 7", got)
 	}
 }
+
+// TestRemoteAbortWindow: the prologue finds a software commit in flight
+// (counter odd) on a hardware transaction a remote agent aborted during
+// that very load.
+func TestRemoteAbortWindow(t *testing.T) {
+	s := sys.MustNew(sys.DefaultConfig(1 << 10))
+	e := MustNew(s, DefaultOptions())
+	th := e.NewThread().(*Thread)
+	th.hw = true
+	s.Mem.Store(e.seq, 1)
+	enginetest.CheckRemoteAbortWindow(t, s.Mem, &th.HWWorker, (*norecTx)(th), e.seq,
+		func(engine.Tx) error { return nil })
+}

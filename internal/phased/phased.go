@@ -8,14 +8,17 @@
 // path until the instigators drain. This engine exists to reproduce the
 // behaviour the paper criticizes: "poor performance if even a single
 // transaction needs to be executed in software" (§1).
+//
+// The package owns the phase and count words: the subscription prologue,
+// the pre-attempt phase check, the flip and the drain. The attempt driver,
+// retry loop and registry are internal/engine's; the software phase runs on
+// an embedded tl2 engine.
 package phased
 
 import (
 	"math/rand"
-	"sync"
 
 	"rhtm/internal/engine"
-	"rhtm/internal/htm"
 	"rhtm/internal/memsim"
 	"rhtm/internal/sys"
 	"rhtm/internal/tl2"
@@ -41,15 +44,11 @@ func DefaultOptions() Options { return Options{MaxFastAttempts: 8} }
 
 // Engine is a Phased TM over a System.
 type Engine struct {
-	sys   *sys.System
+	engine.Registry // Slow is the TL2 engine of the software phase
+
 	opts  Options
-	tl2   *tl2.Engine
 	phase memsim.Addr // phaseHardware / phaseSoftware
 	swCnt memsim.Addr // software transactions in flight
-
-	mu      sync.Mutex
-	threads []*Thread
-	live    engine.Live
 }
 
 // New creates a Phased TM engine on s.
@@ -67,11 +66,10 @@ func New(s *sys.System, opts Options) (*Engine, error) {
 		return nil, err
 	}
 	return &Engine{
-		sys:   s,
-		opts:  opts,
-		tl2:   tl2.New(s),
-		phase: phaseReg.Base,
-		swCnt: cntReg.Base,
+		Registry: engine.Registry{Sys: s, Slow: tl2.New(s)},
+		opts:     opts,
+		phase:    phaseReg.Base,
+		swCnt:    cntReg.Base,
 	}, nil
 }
 
@@ -89,79 +87,50 @@ func (e *Engine) Name() string { return "Phased TM" }
 
 // NewThread implements engine.Engine.
 func (e *Engine) NewThread() engine.Thread {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	t := &Thread{
-		eng:  e,
-		sys:  e.sys,
-		htx:  htm.NewTxn(e.sys.Mem, e.sys.Config().HTM),
-		slow: e.tl2.NewThread(),
-		rng:  rand.New(rand.NewSource(int64(len(e.threads))*40692 + 5)),
-	}
-	e.threads = append(e.threads, t)
+	t := &Thread{eng: e, sys: e.Sys, slow: e.Slow.NewThread()}
+	id := e.RegisterHW(&t.HWWorker, e.opts.InjectAbortPercent)
+	t.Rng = rand.New(rand.NewSource(int64(id)*40692 + 5))
 	return t
-}
-
-// Snapshot implements engine.Engine.
-func (e *Engine) Snapshot() engine.Stats {
-	e.mu.Lock()
-	var s engine.Stats
-	for _, t := range e.threads {
-		s.Add(t.stats)
-	}
-	e.mu.Unlock()
-	s.Add(e.tl2.Snapshot())
-	return s
-}
-
-// Live implements engine.Engine. Software-phase attempts flush into the
-// embedded TL2 engine's accumulator, so — mirroring Snapshot — the two
-// are merged.
-func (e *Engine) Live() engine.Stats {
-	s := e.live.Stats()
-	s.Add(e.tl2.Live())
-	return s
 }
 
 // Thread is a per-worker Phased TM context.
 type Thread struct {
-	eng       *Engine
-	sys       *sys.System
-	htx       *htm.Txn
-	slow      engine.Thread
-	rng       *rand.Rand
-	stats     engine.Stats
-	published engine.Stats // high-water mark of stats flushed into eng.live
+	engine.HWWorker
+	eng  *Engine
+	sys  *sys.System
+	slow engine.Thread
 }
 
 // Atomic implements engine.Thread.
 func (t *Thread) Atomic(fn func(tx engine.Tx) error) error {
-	defer t.eng.live.Flush(&t.published, &t.stats)
-	for attempt := 0; ; attempt++ {
-		// Enter the software path if the phase says so OR software
-		// transactions are still draining after a phase flip raced back:
-		// hardware may never overlap an in-flight software write-back.
-		if t.sys.Mem.Load(t.eng.phase) == phaseSoftware ||
-			t.sys.Mem.Load(t.eng.swCnt) > 0 {
-			return t.runSoftware(fn)
-		}
-		done, err, reason := t.tryHW(fn)
-		if done {
-			return err
-		}
-		t.stats.FastAborts++
-		if int(reason) < len(t.stats.FastAbortsByReason) {
-			t.stats.FastAbortsByReason[reason]++
-		}
-		if reason.Persistent() || attempt+1 >= t.eng.opts.MaxFastAttempts {
-			// Flip the whole system to the software phase. The plain store
-			// aborts every hardware transaction subscribed to the phase
-			// word — the global disruption Phased TM is known for.
-			t.sys.Mem.Store(t.eng.phase, phaseSoftware)
-			return t.runSoftware(fn)
-		}
-		engine.Backoff(t.rng, attempt)
+	defer t.Publish()
+	return t.Run(fn, t)
+}
+
+// TryFast implements engine.FastPath: one pure hardware attempt subscribed
+// to the phase word — unless the phase says software, OR software
+// transactions are still draining after a phase flip raced back: hardware
+// may never overlap an in-flight software write-back, so the transaction
+// then runs in software and is done.
+func (t *Thread) TryFast(fn func(tx engine.Tx) error) (bool, error, memsim.AbortReason) {
+	if t.sys.Mem.Load(t.eng.phase) == phaseSoftware ||
+		t.sys.Mem.Load(t.eng.swCnt) > 0 {
+		return true, t.runSoftware(fn), memsim.AbortNone
 	}
+	return t.Attempt(fn, (*phasedTx)(t), &t.Stats.FastCommits)
+}
+
+// GoSlow implements engine.FastPath.
+func (t *Thread) GoSlow(attempt int, reason memsim.AbortReason) bool {
+	return reason.Persistent() || attempt+1 >= t.eng.opts.MaxFastAttempts
+}
+
+// RunSlow implements engine.FastPath: flip the whole system to the software
+// phase. The plain store aborts every hardware transaction subscribed to
+// the phase word — the global disruption Phased TM is known for.
+func (t *Thread) RunSlow(fn func(tx engine.Tx) error) error {
+	t.sys.Mem.Store(t.eng.phase, phaseSoftware)
+	return t.runSoftware(fn)
 }
 
 // runSoftware executes fn under TL2 while registered in the software count;
@@ -178,61 +147,41 @@ func (t *Thread) runSoftware(fn func(tx engine.Tx) error) error {
 	return err
 }
 
-// tryHW is one pure hardware attempt subscribed to the phase word.
-func (t *Thread) tryHW(fn func(tx engine.Tx) error) (done bool, err error, reason memsim.AbortReason) {
-	htx := t.htx
-	htx.Begin()
-	p, ok := htx.Read(t.eng.phase)
+type phasedTx Thread
+
+// Prologue implements engine.HWPath: subscribe to the phase word, and to the
+// software count as well: a software transaction that sneaks in after the
+// phase check increments it with a plain fetch-and-add, which aborts this
+// hardware transaction through coherence before any non-atomic software
+// write-back can be observed.
+func (tx *phasedTx) Prologue() bool {
+	t := (*Thread)(tx)
+	p, ok := t.Txn.Read(t.eng.phase)
 	if !ok {
-		htx.Fini()
-		return false, nil, htx.AbortReason()
+		return false
 	}
-	// Subscribe to the software count as well: a software transaction that
-	// sneaks in after the phase check increments it with a plain
-	// fetch-and-add, which aborts this hardware transaction through
-	// coherence before any non-atomic software write-back can be observed.
-	cnt, ok := htx.Read(t.eng.swCnt)
+	cnt, ok := t.Txn.Read(t.eng.swCnt)
 	if !ok {
-		htx.Fini()
-		return false, nil, htx.AbortReason()
+		return false
 	}
-	t.stats.MetadataReads += 2
+	t.Stats.MetadataReads += 2
 	if p != phaseHardware || cnt > 0 {
-		htx.Abort(memsim.AbortExplicit)
-		return false, nil, memsim.AbortExplicit
+		t.Txn.Abort(memsim.AbortExplicit)
+		return false
 	}
-	err, aborted, reason := engine.RunBody(fn, (*phasedTx)(t))
-	if aborted {
-		htx.Fini()
-		return false, nil, reason
-	}
-	if err != nil {
-		htx.Abort(memsim.AbortExplicit)
-		htx.Fini()
-		t.stats.UserErrors++
-		return true, err, memsim.AbortNone
-	}
-	if pct := t.eng.opts.InjectAbortPercent; pct > 0 && t.rng.Intn(100) < pct {
-		htx.Abort(memsim.AbortInjected)
-		htx.Fini()
-		return false, nil, memsim.AbortInjected
-	}
-	if !htx.Commit() {
-		return false, nil, htx.AbortReason()
-	}
-	t.stats.FastCommits++
-	return true, nil, memsim.AbortNone
+	return true
 }
 
-type phasedTx Thread
+// PreCommit implements engine.HWPath: nothing to do.
+func (tx *phasedTx) PreCommit() bool { return true }
 
 // Load implements engine.Tx: uninstrumented in the hardware phase.
 func (tx *phasedTx) Load(a memsim.Addr) uint64 {
 	t := (*Thread)(tx)
-	t.stats.Reads++
-	v, ok := t.htx.Read(a)
+	t.Stats.Reads++
+	v, ok := t.Txn.Read(a)
 	if !ok {
-		engine.Retry(t.htx.AbortReason())
+		engine.Retry(t.Txn.AbortReason())
 	}
 	return v
 }
@@ -240,15 +189,15 @@ func (tx *phasedTx) Load(a memsim.Addr) uint64 {
 // Store implements engine.Tx: uninstrumented in the hardware phase.
 func (tx *phasedTx) Store(a memsim.Addr, v uint64) {
 	t := (*Thread)(tx)
-	t.stats.Writes++
-	if !t.htx.Write(a, v) {
-		engine.Retry(t.htx.AbortReason())
+	t.Stats.Writes++
+	if !t.Txn.Write(a, v) {
+		engine.Retry(t.Txn.AbortReason())
 	}
 }
 
 // Unsupported implements engine.Tx.
 func (tx *phasedTx) Unsupported() {
 	t := (*Thread)(tx)
-	t.htx.Unsupported()
+	t.Txn.Unsupported()
 	engine.Retry(memsim.AbortUnsupported)
 }

@@ -124,3 +124,22 @@ func TestHardwarePhaseUninstrumentedData(t *testing.T) {
 		t.Fatalf("metadata reads = %d, want 2 (phase/count subscription)", st.MetadataReads)
 	}
 }
+
+// TestRemoteAbortWindow: the prologue finds the software phase, or software
+// transactions still draining, on a hardware transaction a remote agent
+// aborted during that very load.
+func TestRemoteAbortWindow(t *testing.T) {
+	for name, word := range map[string]func(e *Engine) memsim.Addr{
+		"phase word": func(e *Engine) memsim.Addr { return e.phase },
+		"count word": func(e *Engine) memsim.Addr { return e.swCnt },
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := sys.MustNew(sys.DefaultConfig(1 << 10))
+			e := MustNew(s, DefaultOptions())
+			th := e.NewThread().(*Thread)
+			s.Mem.Store(word(e), 1)
+			enginetest.CheckRemoteAbortWindow(t, s.Mem, &th.HWWorker, (*phasedTx)(th), word(e),
+				func(engine.Tx) error { return nil })
+		})
+	}
+}

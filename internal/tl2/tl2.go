@@ -10,11 +10,14 @@
 // and at commit lock the write set, revalidate the read set, write back, and
 // release the locks to the next clock version. The clock follows the GV6
 // discipline by default (advance on abort only).
+//
+// The package owns that software transaction (Txn) — internal/core runs its
+// slow paths on the same type — and, as the engine, only the order of TL2's
+// own commit and its retry loop.
 package tl2
 
 import (
 	"math/rand"
-	"sync"
 
 	"rhtm/internal/engine"
 	"rhtm/internal/memsim"
@@ -23,219 +26,78 @@ import (
 
 // Engine is a TL2 STM over a System.
 type Engine struct {
-	sys *sys.System
-
-	mu      sync.Mutex
-	threads []*Thread
-	live    engine.Live
+	engine.Registry
 }
 
 // New creates a TL2 engine on s.
-func New(s *sys.System) *Engine { return &Engine{sys: s} }
+func New(s *sys.System) *Engine { return &Engine{engine.Registry{Sys: s}} }
 
 // Name implements engine.Engine.
 func (e *Engine) Name() string { return "TL2" }
 
 // NewThread implements engine.Engine.
 func (e *Engine) NewThread() engine.Thread {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	id := len(e.threads)
-	if id >= e.sys.MaxThreads() {
-		panic(engine.ErrTooManyThreads)
-	}
-	t := &Thread{
-		eng:      e,
-		sys:      e.sys,
-		id:       id,
-		writeIdx: make(map[memsim.Addr]int, 32),
-		rng:      rand.New(rand.NewSource(int64(id)*2654435761 + 1)),
-	}
-	e.threads = append(e.threads, t)
+	t := &Thread{}
+	id := e.Register(&t.Worker)
+	t.Rng = rand.New(rand.NewSource(int64(id)*2654435761 + 1))
+	t.Init(e.Sys, id, &t.Stats)
 	return t
-}
-
-// Snapshot implements engine.Engine.
-func (e *Engine) Snapshot() engine.Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var s engine.Stats
-	for _, t := range e.threads {
-		s.Add(t.stats)
-	}
-	return s
-}
-
-// Live implements engine.Engine.
-func (e *Engine) Live() engine.Stats { return e.live.Stats() }
-
-// writeEntry is one buffered transactional store.
-type writeEntry struct {
-	addr memsim.Addr
-	val  uint64
 }
 
 // Thread is a per-worker TL2 context. Not safe for concurrent use.
 type Thread struct {
-	eng *Engine
-	sys *sys.System
-	id  int
-
-	txVersion uint64
-	readSet   []memsim.Addr
-	writeSet  []writeEntry
-	writeIdx  map[memsim.Addr]int
-
-	rng       *rand.Rand
-	stats     engine.Stats
-	published engine.Stats // high-water mark of stats flushed into eng.live
+	engine.Worker
+	Txn
 }
 
 // Atomic implements engine.Thread.
 func (t *Thread) Atomic(fn func(tx engine.Tx) error) error {
-	defer t.eng.live.Flush(&t.published, &t.stats)
-	for attempt := 0; ; attempt++ {
-		t.begin()
-		err, aborted, _ := engine.RunBody(fn, (*tl2Tx)(t))
-		if aborted {
-			t.onAbort(attempt)
-			continue
-		}
-		if err != nil {
-			t.stats.UserErrors++
-			return err
-		}
-		if t.commit() {
-			return nil
-		}
-		t.onAbort(attempt)
-	}
+	defer t.Publish()
+	return t.RunSoft(fn, (*tl2Tx)(t))
 }
 
-func (t *Thread) begin() {
-	t.txVersion = t.sys.Clock.Read()
-	t.readSet = t.readSet[:0]
-	t.writeSet = t.writeSet[:0]
-	clear(t.writeIdx)
-}
+// tl2Tx adapts Thread to engine.SWPath; Begin, ReadOnly and Aborted are the
+// embedded Txn's. A distinct type keeps the Tx methods off the Thread API.
+type tl2Tx Thread
 
-func (t *Thread) onAbort(attempt int) {
-	t.stats.SlowAborts++
-	t.sys.Clock.AdvanceOnAbort(t.txVersion)
-	engine.Backoff(t.rng, attempt)
-}
-
-// read implements the TL2 instrumented load.
-func (t *Thread) read(a memsim.Addr) uint64 {
-	if i, hit := t.writeIdx[a]; hit {
-		return t.writeSet[i].val
-	}
-	mem := t.sys.Mem
-	va := t.sys.VersionAddr(a)
-	before := mem.Load(va)
-	v := mem.Load(a)
-	after := mem.Load(va)
-	t.stats.MetadataReads += 2
-	t.stats.Reads++
-	if sys.IsLocked(before) || before != after || sys.UnpackVersion(before) > t.txVersion {
-		engine.Retry(memsim.AbortConflict)
-	}
-	t.readSet = append(t.readSet, a)
-	return v
-}
-
-// write buffers a transactional store.
-func (t *Thread) write(a memsim.Addr, v uint64) {
-	t.stats.Writes++
-	if i, hit := t.writeIdx[a]; hit {
-		t.writeSet[i].val = v
-		return
-	}
-	t.writeSet = append(t.writeSet, writeEntry{addr: a, val: v})
-	t.writeIdx[a] = len(t.writeSet) - 1
-}
-
-// commit runs the TL2 commit: lock write set, validate read set, write back,
-// release. Returns false (and releases everything) on validation failure.
-func (t *Thread) commit() bool {
-	if len(t.writeSet) == 0 {
-		// Read-only transactions were validated on the fly; done.
-		t.stats.ReadOnlyCommits++
-		return true
-	}
-	mem := t.sys.Mem
-	lockWord := sys.LockWord(t.id)
-
-	// Phase 1: lock the write set (deduplicated by stripe via CAS-from-
-	// unlocked; re-locking an already-owned stripe is a no-op).
-	locked := make([]lockedStripe, 0, len(t.writeSet))
-	for _, w := range t.writeSet {
-		va := t.sys.VersionAddr(w.addr)
-		cur := mem.Load(va)
-		t.stats.MetadataReads++
-		if cur == lockWord {
-			continue // another word of an already-locked stripe
-		}
-		if sys.IsLocked(cur) || sys.UnpackVersion(cur) > t.txVersion ||
-			!mem.CAS(va, cur, lockWord) {
-			t.restoreLocks(locked)
-			return false
-		}
-		t.stats.MetadataWrites++
-		locked = append(locked, lockedStripe{va: va, old: cur})
-	}
-
-	// Phase 2: validate the read set.
-	for _, a := range t.readSet {
-		va := t.sys.VersionAddr(a)
-		cur := mem.Load(va)
-		t.stats.MetadataReads++
-		if cur == lockWord {
-			continue // we hold the lock: the stripe is also written by us
-		}
-		if sys.IsLocked(cur) || sys.UnpackVersion(cur) > t.txVersion {
-			t.restoreLocks(locked)
+// Commit implements engine.SWPath, the TL2 commit: lock write set, validate
+// read set, write back, release.
+func (tx *tl2Tx) Commit() bool {
+	t := (*Thread)(tx)
+	for _, w := range t.Writes.Entries {
+		if !t.Lock(t.sys.VersionAddr(w.Addr)) {
 			return false
 		}
 	}
-
-	// Phase 3: write back and release to the next version.
+	if !t.Validate() {
+		t.Restore()
+		return false
+	}
 	next := sys.PackVersion(t.sys.Clock.Next())
-	for _, w := range t.writeSet {
-		mem.Store(w.addr, w.val)
+	for _, w := range t.Writes.Entries {
+		t.sys.Mem.Store(w.Addr, w.Val)
 	}
-	for _, l := range locked {
-		mem.Store(l.va, next)
-	}
-	t.stats.MetadataWrites += uint64(len(locked))
-	t.stats.SlowCommits++
+	t.Release(next)
 	return true
 }
 
-// lockedStripe remembers a locked version word and its pre-lock contents so
-// a failed commit can restore it exactly.
-type lockedStripe struct {
-	va  memsim.Addr
-	old uint64
-}
-
-// restoreLocks releases locks acquired by a failing commit, restoring each
-// stripe's original version word.
-func (t *Thread) restoreLocks(locked []lockedStripe) {
-	for _, l := range locked {
-		t.sys.Mem.Store(l.va, l.old)
+// Load implements engine.Tx. A read of the transaction's own write is not a
+// memory read and is not counted as one.
+func (tx *tl2Tx) Load(a memsim.Addr) uint64 {
+	t := (*Thread)(tx)
+	if v, own := t.Writes.Get(a); own {
+		return v
 	}
+	t.Stats.Reads++
+	return t.Read(a)
 }
-
-// tl2Tx adapts Thread to engine.Tx. A distinct type keeps the Tx methods off
-// the Thread API.
-type tl2Tx Thread
-
-// Load implements engine.Tx.
-func (tx *tl2Tx) Load(a memsim.Addr) uint64 { return (*Thread)(tx).read(a) }
 
 // Store implements engine.Tx.
-func (tx *tl2Tx) Store(a memsim.Addr, v uint64) { (*Thread)(tx).write(a, v) }
+func (tx *tl2Tx) Store(a memsim.Addr, v uint64) {
+	t := (*Thread)(tx)
+	t.Stats.Writes++
+	t.Writes.Put(a, v)
+}
 
 // Unsupported implements engine.Tx; software transactions execute protected
 // instructions natively, so this is a no-op.

@@ -15,7 +15,7 @@ import (
 // host-side instruments — lease churn, watch loss, WAL group-commit
 // amortization, 2PC phase timings — and DB.Metrics folds in the layers
 // that keep their own counters: the engines' live commit/abort taxonomy
-// (engine.Live, flushed once per completed Atomic) and the stores'
+// (engine.Worker.Publish, once per completed Atomic) and the stores'
 // transactional occupancy counters (read in one read-only transaction per
 // call). The result is one flat-named obs.Snapshot whose schema is
 // identical on Local and ClusterDB — cluster.* entries simply stay absent
