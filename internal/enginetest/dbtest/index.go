@@ -191,6 +191,26 @@ func testDBIndexConcurrentCRUD(t *testing.T, factory DBFactory) {
 				t.Errorf("Select(cat=%s) yielded unexpected row %v", cat, r[0].Int())
 			}
 		}
+		// The same query with a limit bounds the backend's scan itself
+		// (the limit travels in ClusterDB.rawScan and the wire's Scan
+		// frame): it must yield the first rows of the unbounded answer.
+		if len(rows) < 2 {
+			continue
+		}
+		limit := len(rows) / 2
+		head, err := tbl.Select(table.Query{Conds: []table.Cond{table.Eq("cat", table.String(cat))}, Limit: limit})
+		if err != nil {
+			t.Fatalf("Select(cat=%s, limit %d): %v", cat, limit, err)
+		}
+		if len(head) != limit {
+			t.Fatalf("Select(cat=%s, limit %d) yielded %d rows", cat, limit, len(head))
+		}
+		for i, r := range head {
+			if r[0].Int() != rows[i][0].Int() {
+				t.Errorf("Select(cat=%s, limit %d) row %d is id %d, the unbounded answer has %d",
+					cat, limit, i, r[0].Int(), rows[i][0].Int())
+			}
+		}
 	}
 }
 

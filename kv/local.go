@@ -23,7 +23,7 @@ type Storer interface {
 	DeleteStamped(tx rhtm.Tx, key []byte) (uint64, bool)
 	ReplayPut(tx rhtm.Tx, key, value []byte, rev, lease uint64) error
 	ReplayDelete(tx rhtm.Tx, key []byte, rev uint64) bool
-	ScanLimit(tx rhtm.Tx, start, end []byte, limit int, fn func(key, value []byte) bool)
+	Cursor(tx rhtm.Tx, start, end []byte, hint int) *store.Cursor
 	ScanMeta(tx rhtm.Tx, fn func(key, value []byte, rev, lease uint64) bool)
 	Len(tx rhtm.Tx) int
 	EventLogs() []*store.EventLog
@@ -359,71 +359,31 @@ func (t *localTxn) leaseOf(key []byte) (LeaseID, error) {
 	return lease, nil
 }
 
-// scanRaw is the unclamped lazy cursor: chunks of the ordered index are
-// fetched on demand inside the live transaction, each chunk resuming at the
-// successor of the last key seen, so short scans touch only the entries
-// they yield. All chunks run in the same transaction, so the cursor is a
-// consistent snapshot regardless.
+// scanRaw is the unclamped lazy cursor: a store.Cursor reading on demand
+// inside the live transaction, its reads sized from the limit, so a short
+// scan touches about the entries it yields. Every read runs in the same
+// transaction, so the cursor is a consistent snapshot regardless.
 func (t *localTxn) scanRaw(start, end []byte, limit int) Iterator {
-	return &localIter{t: t, next: start, end: end, remaining: limit, unbounded: limit <= 0}
+	if limit <= 0 {
+		limit = -1
+	}
+	return &localIter{Cursor: t.st.Cursor(t.tx, start, end, limit), remaining: limit}
 }
 
-// scanChunk is how many entries a cursor fetches per index descent.
-const scanChunk = 32
-
+// localIter bounds a store.Cursor to the scan's limit.
 type localIter struct {
-	t         *localTxn
-	next      []byte // resume bound for the next chunk (nil only before any chunk when start was nil)
-	end       []byte
-	remaining int
-	unbounded bool
-	buf       []Entry
-	pos       int
-	done      bool
-	cur       Entry
+	*store.Cursor
+	remaining int // entries still to yield; negative is unbounded
 }
 
 func (it *localIter) Next() bool {
-	if it.pos >= len(it.buf) && !it.done {
-		it.fill()
-	}
-	if it.pos >= len(it.buf) {
+	if it.remaining == 0 || !it.Cursor.Next() {
 		return false
 	}
-	it.cur = it.buf[it.pos]
-	it.pos++
-	if !it.unbounded {
+	if it.remaining > 0 {
 		it.remaining--
 	}
 	return true
 }
 
-func (it *localIter) fill() {
-	want := scanChunk
-	if !it.unbounded && it.remaining < want {
-		want = it.remaining
-	}
-	it.buf = it.buf[:0]
-	it.pos = 0
-	if want == 0 {
-		it.done = true
-		return
-	}
-	it.t.st.ScanLimit(it.t.tx, it.next, it.end, want, func(k, v []byte) bool {
-		it.buf = append(it.buf, Entry{Key: k, Value: v})
-		return true
-	})
-	if len(it.buf) < want {
-		it.done = true
-	}
-	if n := len(it.buf); n > 0 {
-		// Resume strictly after the last yielded key: its immediate
-		// successor in bytewise order is the key with a 0x00 appended.
-		last := it.buf[n-1].Key
-		it.next = append(append(make([]byte, 0, len(last)+1), last...), 0)
-	}
-}
-
-func (it *localIter) Key() []byte   { return it.cur.Key }
-func (it *localIter) Value() []byte { return it.cur.Value }
-func (it *localIter) Err() error    { return nil }
+func (it *localIter) Err() error { return nil }

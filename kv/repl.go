@@ -227,7 +227,6 @@ func (db *Local) Promote(dev wal.Device, s PromoteState) error {
 	var maxLease uint64
 	if err := ses.th.Atomic(func(tx rhtm.Tx) error {
 		// The body re-executes on engine aborts: rebuild from scratch.
-		maxLease = 0
 		for i, l := range db.st.EventLogs() {
 			rev := l.Rev(tx)
 			startRevs[i] = rev + 1
@@ -237,12 +236,7 @@ func (db *Local) Promote(dev wal.Device, s PromoteState) error {
 			// EventLost, exactly as crash recovery promises.
 			l.MarkHistoryFloor(tx, rev)
 		}
-		db.st.ScanLimit(tx, leaseKeyPrefix, leaseKeyPrefixEnd, 0, func(k, _ []byte) bool {
-			if id := leaseIDOf(k); id > maxLease {
-				maxLease = id
-			}
-			return true
-		})
+		maxLease = maxLeaseIn(tx, db.st)
 		return nil
 	}); err != nil {
 		return err

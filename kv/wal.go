@@ -162,14 +162,17 @@ func replayStorer(st Storer, sr wal.ScanResult) error {
 // maxLeaseID scans the recovered lease records for the largest granted id,
 // so a recovered DB's grants never collide with logged leases.
 func maxLeaseID(st Storer) uint64 {
-	tx := containers.SetupTx(st.System())
+	return maxLeaseIn(containers.SetupTx(st.System()), st)
+}
+
+// maxLeaseIn is maxLeaseID over the lease records as tx sees them.
+func maxLeaseIn(tx rhtm.Tx, st Storer) uint64 {
 	var max uint64
-	st.ScanLimit(tx, leaseKeyPrefix, leaseKeyPrefixEnd, 0, func(k, _ []byte) bool {
-		if id := leaseIDOf(k); id > max {
+	for c := st.Cursor(tx, leaseKeyPrefix, leaseKeyPrefixEnd, 0); c.Next(); {
+		if id := leaseIDOf(c.Key()); id > max {
 			max = id
 		}
-		return true
-	})
+	}
 	return max
 }
 

@@ -1,10 +1,6 @@
 package store
 
-import (
-	"sort"
-
-	"rhtm"
-)
+import "rhtm"
 
 // Sharded hash-partitions the key space into per-shard sub-stores on one
 // System. Each shard has its own index root and arena, so structurally
@@ -155,57 +151,10 @@ func (sh *Sharded) Len(tx rhtm.Tx) int {
 }
 
 // Scan visits entries with start <= key < end in ascending key order across
-// all shards. Hash partitioning scatters the range over every shard, so the
-// implementation collects each shard's in-range entries and merges them by
-// key before visiting — the whole range is read (and therefore validated by
-// the transaction) even when fn stops early.
+// all shards — a Cursor drained into fn. Visiting stops early when fn
+// returns false.
 func (sh *Sharded) Scan(tx rhtm.Tx, start, end []byte, fn func(key, value []byte) bool) {
-	type pair struct{ k, v []byte }
-	var all []pair
-	for _, st := range sh.shards {
-		st.Scan(tx, start, end, func(k, v []byte) bool {
-			all = append(all, pair{k: k, v: v})
-			return true
-		})
-	}
-	sort.Slice(all, func(i, j int) bool { return string(all[i].k) < string(all[j].k) })
-	for _, p := range all {
-		if !fn(p.k, p.v) {
-			return
-		}
-	}
-}
-
-// ScanLimit visits at most the first limit in-range entries (limit <= 0 is
-// unbounded). Unlike Scan — which must read every shard's whole range
-// before merging — each shard contributes at most limit entries, so short
-// ordered reads (cursor chunks, YCSB-E scans) cost O(limit × shards)
-// instead of O(range).
-func (sh *Sharded) ScanLimit(tx rhtm.Tx, start, end []byte, limit int, fn func(key, value []byte) bool) {
-	if limit <= 0 {
-		sh.Scan(tx, start, end, fn)
-		return
-	}
-	type pair struct{ k, v []byte }
-	var all []pair
-	for _, st := range sh.shards {
-		n := 0
-		st.Scan(tx, start, end, func(k, v []byte) bool {
-			all = append(all, pair{k: k, v: v})
-			n++
-			return n < limit
-		})
-	}
-	// The global first limit entries are within the union of each shard's
-	// first limit entries, so the merged prefix is exact.
-	sort.Slice(all, func(i, j int) bool { return string(all[i].k) < string(all[j].k) })
-	if len(all) > limit {
-		all = all[:limit]
-	}
-	for _, p := range all {
-		if !fn(p.k, p.v) {
-			return
-		}
+	for c := sh.Cursor(tx, start, end, 0); c.Next() && fn(c.Key(), c.Value()); {
 	}
 }
 

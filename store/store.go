@@ -354,13 +354,6 @@ func (st *Store) ScanRev(tx rhtm.Tx, start, end []byte, fn func(key, value []byt
 	})
 }
 
-// ScanLimit is Scan bounded to the first limit entries (limit <= 0 is
-// unbounded). On a single Store it is sugar; on Sharded it is the cheap
-// form — see Sharded.ScanLimit.
-func (st *Store) ScanLimit(tx rhtm.Tx, start, end []byte, limit int, fn func(key, value []byte) bool) {
-	st.ScanLimitRev(tx, start, end, limit, func(k, v []byte, _ uint64) bool { return fn(k, v) })
-}
-
 // ScanMeta visits every entry — metadata included: revision and lease —
 // in ascending key order. Checkpoints use it to serialize the full durable
 // state (lease records live in the same index, so they ride along).

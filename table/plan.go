@@ -121,6 +121,10 @@ type Plan struct {
 //
 //	index(users.by_city eq "ams") fetch filter(age>=30) cost=12
 //	scan(users) filter(city="ams") order(age) cost=10000
+//	index(users.by_city) covering order(city) limit(5 pushed) cost=5
+//
+// "pushed" marks a limit the scan itself stops at (see scanLimit); a bare
+// limit(n) is applied to the collected rows.
 func (p *Plan) Explain() string {
 	var b strings.Builder
 	switch p.Kind {
@@ -168,7 +172,10 @@ func (p *Plan) Explain() string {
 			fmt.Fprintf(&b, " order(%s)", p.q.Order)
 		}
 	}
-	if p.q.Limit > 0 {
+	switch {
+	case p.scanLimit() > 0:
+		fmt.Fprintf(&b, " limit(%d pushed)", p.q.Limit)
+	case p.q.Limit > 0:
 		fmt.Fprintf(&b, " limit(%d)", p.q.Limit)
 	}
 	fmt.Fprintf(&b, " cost=%d", p.Cost)
@@ -311,6 +318,18 @@ func (t *Table) Plan(q Query) (*Plan, error) {
 	}
 	t.met.picked(best.Kind)
 	return best, nil
+}
+
+// scanLimit is the limit the plan hands its kv scan: q.Limit when the scan's
+// order is the result's order and every entry it yields is a result — the
+// condition scanCost caps on — and 0 (unbounded) when the plan sorts or
+// filters, because the first Limit results may then lie anywhere in the
+// range.
+func (p *Plan) scanLimit() int {
+	if p.sort || len(p.resid) > 0 {
+		return 0
+	}
+	return p.q.Limit
 }
 
 // scanCost applies the shared cost shape: visited × factor, capped by
@@ -485,11 +504,12 @@ func (p *Plan) runPoint() ([][]Value, int, error) {
 	return [][]Value{row}, 1, nil
 }
 
-// runFull scans the whole row range, filtering as it goes. When the scan
-// order already satisfies the query, it stops at the limit.
+// runFull scans the row range, filtering as it goes. When the scan order
+// already satisfies the query it stops at the limit, and with no filter
+// either the scan itself is bounded by it.
 func (p *Plan) runFull() ([][]Value, int, error) {
 	start, end := p.t.rowRange()
-	it := p.t.db.Scan(start, end, 0)
+	it := p.t.db.Scan(start, end, p.scanLimit())
 	var rows [][]Value
 	visited := 0
 	for it.Next() {
@@ -509,9 +529,8 @@ func (p *Plan) runFull() ([][]Value, int, error) {
 	return rows, visited, it.Err()
 }
 
-// runIndex scans the chosen index range; covering plans reconstruct the
-// needed fields from the entry alone, fetch plans read each base row
-// (an entry whose row vanished concurrently is skipped).
+// runIndex scans the chosen index range, turning each entry into its row
+// (see entryRow; an entry whose row vanished concurrently is skipped).
 func (p *Plan) runIndex() ([][]Value, int, error) {
 	t := p.t
 	loVal := AppendTuple(nil, p.eqPfx...)
@@ -533,40 +552,50 @@ func (p *Plan) runIndex() ([][]Value, int, error) {
 	// entry.
 	start, end := index.Range(p.ix.def, loVal, hiVal)
 
-	it := index.Entries(p.ix.def, t.db.Scan(start, end, 0))
+	// A pushed limit bounds the scan to the rows still missing. Entries
+	// whose row vanished yield none, so a scan that came back full while
+	// rows are still missing resumes after its last entry for the shortfall.
+	need := p.scanLimit()
 	var rows [][]Value
 	visited := 0
-	for it.Next() {
-		visited++
-		var row []Value
-		if p.Kind == PlanCovering {
-			r, err := p.rowFromEntry(it.Val(), it.PK())
+	for {
+		it := index.Entries(p.ix.def, t.db.Scan(start, end, need))
+		n := 0
+		for it.Next() {
+			visited++
+			if n++; n == need {
+				start = append(index.Key(p.ix.def, it.Val(), it.PK()), 0)
+			}
+			row, err := p.entryRow(it)
 			if err != nil {
 				return nil, visited, err
 			}
-			row = r
-		} else {
-			v, err := t.db.Get(t.rowKey(it.PK()))
-			if errors.Is(err, kv.ErrNotFound) {
-				continue // row vanished between entry read and fetch
-			}
-			if err != nil {
-				return nil, visited, err
-			}
-			row, err = t.decodeRow(v)
-			if err != nil {
-				return nil, visited, err
+			if row != nil && p.accept(row) {
+				rows = append(rows, row)
 			}
 		}
-		if !p.accept(row) {
-			continue
+		if err := it.Err(); err != nil || need == 0 || n < need || len(rows) >= p.q.Limit {
+			return rows, visited, err
 		}
-		rows = append(rows, row)
-		if p.q.Limit > 0 && !p.sort && len(p.resid) == 0 && len(rows) >= p.q.Limit {
-			break
-		}
+		need = p.q.Limit - len(rows)
 	}
-	return rows, visited, it.Err()
+}
+
+// entryRow turns the index entry it stands on into its row: rebuilt from the
+// entry alone for a covering plan, fetched by primary key otherwise — nil
+// when the row vanished between the entry read and the fetch.
+func (p *Plan) entryRow(it *index.Iter) ([]Value, error) {
+	if p.Kind == PlanCovering {
+		return p.rowFromEntry(it.Val(), it.PK())
+	}
+	v, err := p.t.db.Get(p.t.rowKey(it.PK()))
+	if errors.Is(err, kv.ErrNotFound) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	return p.t.decodeRow(v)
 }
 
 // rowFromEntry reconstructs a partial row (indexed fields + primary key;

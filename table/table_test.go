@@ -220,7 +220,12 @@ func TestPlannerPinnedPlans(t *testing.T) {
 		{
 			"order limit via index",
 			table.Query{Order: "city", Limit: 5, Fields: []string{"id", "city"}},
-			`index(by_city) covering order(city) limit(5) cost=5`,
+			`index(by_city) covering order(city) limit(5 pushed) cost=5`,
+		},
+		{
+			"limit behind a sort is not pushed",
+			table.Query{Conds: []table.Cond{table.Eq("city", table.String("c03"))}, Order: "age", Limit: 3},
+			`index(by_city eq "c03") fetch sort(age) limit(3) cost=30`,
 		},
 		{
 			"full scan when filter residual",
