@@ -371,6 +371,13 @@ func (c *Client) Batch(ops []kv.Op) ([]kv.OpResult, error) {
 	return results, nil
 }
 
+// Domains implements kv.DB: the client cannot see the server's placement
+// and has no use for it — every request is one frame the server routes.
+func (c *Client) Domains() int { return 1 }
+
+// Domain implements kv.DB.
+func (c *Client) Domain([]byte) int { return 0 }
+
 // Scan implements kv.DB: the server streams the snapshot as chunked
 // frames; the returned iterator walks the collected result.
 func (c *Client) Scan(start, end []byte, limit int) kv.Iterator {

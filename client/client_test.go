@@ -91,6 +91,21 @@ func netClusterFactory(engineName string, systems, inject int) dbtest.DBFactory 
 	}
 }
 
+// TestClientIsOneDomain: the wire client reports one commit domain even over
+// a cluster — placement is the server's business, and a server stacked on a
+// client would run one batcher lane.
+func TestClientIsOneDomain(t *testing.T) {
+	cl, _, _ := netClusterFactory("TL2", 2, 0)(t)
+	if got := cl.Domains(); got != 1 {
+		t.Fatalf("Domains() = %d, want 1", got)
+	}
+	for _, k := range []string{"", "a", "foobar"} {
+		if got := cl.Domain([]byte(k)); got != 0 {
+			t.Errorf("Domain(%q) = %d, want 0", k, got)
+		}
+	}
+}
+
 // TestFollowerReadsOverWire serves a WAL-shipping replica on its own port
 // and routes the client's follower reads there with WithFollowerReads: the
 // staleness contract (floor honored, rev never above the watermark) must

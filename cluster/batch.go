@@ -236,8 +236,10 @@ func batchDecisionOps(byNode map[int][]batchKey, participants []int, ops []Batch
 // IntentPut/IntentDelete when the key was written, IntentRead to pin a key
 // the batch only read. It stays apart from Client.prepare because it executes
 // the reads in place: a batch pays no read-through pass before its prepare
-// and no revalidation in it, which is the saving BENCHMARK.json's stack-a
-// ops_per_kacc row (merged batches over 2 Systems) measures.
+// and no revalidation in it. Its callers are explicit Batch calls whose keys
+// span Systems (kv.ClusterDB.Batch in process, the server's KindBatch
+// handler, the harness's batched cluster-* rows); the server's batcher
+// merges single-key requests per System and never gets here.
 func (cl *Client) prepareBatch(nodeID int, txid uint64, keys []batchKey, ops []BatchOp, results []BatchResult) error {
 	n := cl.c.nodes[nodeID]
 	return cl.threads[nodeID].Atomic(func(tx rhtm.Tx) error {

@@ -111,6 +111,14 @@ func (db *ClusterDB) Metrics() obs.Snapshot {
 	return snap
 }
 
+// Domains implements DB: one commit domain per System.
+func (db *ClusterDB) Domains() int { return db.c.NumSystems() }
+
+// Domain implements DB: the System the router places key on. A Batch whose
+// keys share a domain is one engine transaction there (cluster.Client's
+// batchLocal); one that spans domains pays 2PC.
+func (db *ClusterDB) Domain(key []byte) int { return db.c.Router().SystemFor(key) }
+
 // Get implements DB.
 func (db *ClusterDB) Get(key []byte) ([]byte, error) {
 	if reservedKey(key) {
@@ -166,9 +174,12 @@ func (db *ClusterDB) Delete(key []byte) error {
 }
 
 // BatchTraced shadows the core's closure-transaction batch with the native
-// one: per-System grouped prepares and a single 2PC decision, instead of one
-// buffered-transaction read per key (BENCHMARK.json's stack-a row is the
-// merged-batch load that justifies it). Batches carrying lease attachments
+// one: a single engine transaction when one System owns every key (what the
+// server's per-domain batcher lanes always send), per-System grouped
+// prepares and a single 2PC decision when several do (explicit Batch calls
+// that span Systems: the KindBatch handler, in-process callers, the
+// harness's batched cluster-* rows) — instead of one buffered-transaction
+// read per key either way. Batches carrying lease attachments
 // take the core's path, where the lease records ride the same transaction.
 // The engine stage covers the whole grouped prepare/decide sweep; 2PC phase
 // and WAL stages come from the client's stage sink.

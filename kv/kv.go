@@ -306,6 +306,19 @@ type DB interface {
 	// torn multi-key transaction, no phantom, is ever observable in it.
 	Scan(start, end []byte, limit int) Iterator
 
+	// Domains is how many commit domains the DB has: the partitions within
+	// which a multi-key transaction commits as one engine transaction and
+	// across which it needs two-phase commit. A cluster has one per System;
+	// a single System — and a network client, whose server does its own
+	// routing — has one.
+	Domains() int
+	// Domain returns the commit domain owning key, in [0, Domains()). It is
+	// a pure function of the key. A front end that groups independent
+	// operations of its own accord (the server's batcher) groups within a
+	// domain, so the grouping never buys an atomicity nobody asked for at
+	// cross-domain prices.
+	Domain(key []byte) int
+
 	// Grant mints a lease expiring ttl clock ticks from now (see Clock).
 	Grant(ttl uint64) (LeaseID, error)
 	// KeepAlive pushes the lease's deadline to now+ttl (the granted ttl),

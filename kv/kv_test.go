@@ -300,6 +300,40 @@ func TestClusterDBHighConcurrency(t *testing.T) {
 	}
 }
 
+// TestDomains pins the commit-domain surface front ends group by: a cluster
+// has one domain per System and places a key where its router does — checked
+// on the published FNV-1a vectors the routing hash is pinned to — and a
+// single System is one domain whatever its shard count.
+func TestDomains(t *testing.T) {
+	golden := map[string]uint64{
+		"":       0xcbf29ce484222325,
+		"a":      0xaf63dc4c8601ec8c,
+		"foobar": 0x85944171f73967e8,
+	}
+	for _, systems := range []int{1, 2, 3} {
+		db, _, _ := clusterFactory("TL2", systems, 0)(t)
+		cdb := db.(*kv.ClusterDB)
+		if got := cdb.Domains(); got != systems {
+			t.Fatalf("%d Systems: Domains() = %d", systems, got)
+		}
+		for k, h := range golden {
+			want := int(h % uint64(systems))
+			if got, routed := cdb.Domain([]byte(k)), cdb.Cluster().Router().SystemFor([]byte(k)); got != want || routed != want {
+				t.Errorf("%d Systems: Domain(%q) = %d, router says %d, FNV-1a says %d", systems, k, got, routed, want)
+			}
+		}
+	}
+	local, _, _ := localFactory("TL2", 4, 0)(t)
+	if got := local.Domains(); got != 1 {
+		t.Fatalf("Local over 4 shards: Domains() = %d, want 1", got)
+	}
+	for k := range golden {
+		if got := local.Domain([]byte(k)); got != 0 {
+			t.Errorf("Local: Domain(%q) = %d, want 0", k, got)
+		}
+	}
+}
+
 // --- coordination surface ---
 
 // TestReservedKeys: the system namespace (empty key, leading 0x00) is

@@ -181,6 +181,14 @@ func (db *Local) Metrics() obs.Snapshot {
 	return snap
 }
 
+// Domains implements DB: one System is one commit domain, however many
+// shards its store has — a batch over any of its keys is one engine
+// transaction.
+func (db *Local) Domains() int { return 1 }
+
+// Domain implements DB.
+func (db *Local) Domain([]byte) int { return 0 }
+
 // Get implements DB.
 func (db *Local) Get(key []byte) ([]byte, error) {
 	if reservedKey(key) {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"sync"
 	"time"
 
 	"rhtm/kv"
@@ -23,20 +24,45 @@ type pendingOp struct {
 
 // batcher merges independent single-key requests from every connection
 // into shared kv.DB.Batch transactions — the network-side analogue of WAL
-// group commit. One goroutine owns the merge loop: it takes the first
-// queued op, holds the batch open for stragglers behind a small time/size
-// window, executes, responds, repeats. While a batch executes, arrivals
-// queue up and form the next one, so fill scales with offered load and an
-// idle server adds at most one window of latency. The single loop also
-// gives batched ops a total order matching arrival order — a pipelined
-// Put→Get on one connection observes the Put.
+// group commit — one lane per commit domain of the DB (kv.DB.Domain). A
+// lane is a queue and one goroutine running the merge loop: it takes the
+// first queued op, holds the batch open for stragglers behind a small
+// time/size window, executes, responds, repeats. While a batch executes,
+// arrivals queue up and form the next one, so fill scales with offered load
+// and an idle server adds at most one window of latency.
+//
+// Merging by owner keeps the common request on the cheap path: every merged
+// batch lies within one domain, so on a cluster it commits as one engine
+// transaction on the owning System instead of a two-phase commit across all
+// of them — an atomicity between strangers' requests that no client asked
+// for — and the Systems' batches execute and sync side by side. A one-domain
+// DB is the one-lane case of the same code.
+//
+// Ordering: a key has one domain, hence one FIFO lane, so batched ops on the
+// same key execute in arrival order — a pipelined Put→Get of a key observes
+// the Put. Ops on keys of different domains are not ordered against each
+// other, not even from one connection: they are concurrent operations under
+// the wire contract (responses are matched by id and may complete out of
+// order), exactly as a batched op and a handler-path request always were. A
+// client that needs an order across keys waits for the first response or
+// sends one Batch/Txn, whose atomicity kv.DB.Batch still provides.
 type batcher struct {
 	db     kv.DB
 	window time.Duration
 	max    int
 	met    *serverMetrics
-	ch     chan pendingOp
-	done   chan struct{}
+	lanes  []lane
+	wg     sync.WaitGroup // the lanes' merge loops
+}
+
+// lane is one domain's queue plus the merge loop's scratch, reused from
+// batch to batch.
+type lane struct {
+	// ch is deep enough that connection readers park ops here without
+	// waiting on the loop for as long as a batch takes to execute.
+	ch    chan pendingOp
+	batch []pendingOp
+	ops   []kv.Op
 }
 
 func newBatcher(db kv.DB, window time.Duration, max int, met *serverMetrics) *batcher {
@@ -45,35 +71,40 @@ func newBatcher(db kv.DB, window time.Duration, max int, met *serverMetrics) *ba
 		window: window,
 		max:    max,
 		met:    met,
-		ch:     make(chan pendingOp, 4096),
-		done:   make(chan struct{}),
+		lanes:  make([]lane, db.Domains()),
 	}
-	go b.loop()
+	b.wg.Add(len(b.lanes))
+	for i := range b.lanes {
+		b.lanes[i].ch = make(chan pendingOp, 4096)
+		go b.loop(&b.lanes[i])
+	}
 	return b
 }
 
-// enqueue parks one op. The caller already holds a slot in its
-// connection's pending WaitGroup; exec releases it after responding.
+// enqueue parks one op on its key's lane. The caller already holds a slot
+// in its connection's pending WaitGroup; respond releases it.
 func (b *batcher) enqueue(p pendingOp) {
-	b.ch <- p
+	b.lanes[b.db.Domain(p.op.Key)].ch <- p
 }
 
-// close stops the loop after the queue drains. Callers must guarantee no
+// close stops every lane after its queue drains. Callers must guarantee no
 // further enqueues — the server closes connections first.
 func (b *batcher) close() {
-	close(b.ch)
-	<-b.done
+	for i := range b.lanes {
+		close(b.lanes[i].ch)
+	}
+	b.wg.Wait()
 }
 
-func (b *batcher) loop() {
-	defer close(b.done)
+func (b *batcher) loop(l *lane) {
+	defer b.wg.Done()
 	var timer *time.Timer
 	for {
-		first, ok := <-b.ch
+		first, ok := <-l.ch
 		if !ok {
 			return
 		}
-		batch := append(make([]pendingOp, 0, b.max), first)
+		l.batch = append(l.batch[:0], first)
 		if b.window > 0 {
 			if timer == nil {
 				timer = time.NewTimer(b.window)
@@ -81,13 +112,13 @@ func (b *batcher) loop() {
 				timer.Reset(b.window)
 			}
 		fill:
-			for len(batch) < b.max {
+			for len(l.batch) < b.max {
 				select {
-				case p, ok := <-b.ch:
+				case p, ok := <-l.ch:
 					if !ok {
 						break fill
 					}
-					batch = append(batch, p)
+					l.batch = append(l.batch, p)
 				case <-timer.C:
 					break fill
 				}
@@ -100,32 +131,37 @@ func (b *batcher) loop() {
 			}
 		} else {
 		drain:
-			for len(batch) < b.max {
+			for len(l.batch) < b.max {
 				select {
-				case p, ok := <-b.ch:
+				case p, ok := <-l.ch:
 					if !ok {
 						break drain
 					}
-					batch = append(batch, p)
+					l.batch = append(l.batch, p)
 				default:
 					break drain
 				}
 			}
 		}
-		b.exec(batch)
+		b.exec(l)
+		// The scratch outlives the batch: drop its references so no
+		// connection, frame or value stays reachable from an idle lane.
+		clear(l.batch)
+		clear(l.ops)
 	}
 }
 
-// exec runs one merged batch and routes per-op responses. A hard failure
-// of the merged transaction must not fail unrelated ops riding in it —
-// one op's oversized value is not its neighbors' problem — so the whole
-// batch degrades to individual execution.
-func (b *batcher) exec(batch []pendingOp) {
+// exec runs the lane's merged batch and routes per-op responses. A hard
+// failure of the merged transaction must not fail unrelated ops riding in
+// it — one op's oversized value is not its neighbors' problem — so the
+// whole batch degrades to individual execution.
+func (b *batcher) exec(l *lane) {
+	batch := l.batch
 	b.met.batchFill.Observe(uint64(len(batch)))
-	ops := make([]kv.Op, len(batch))
+	l.ops = l.ops[:0]
 	var sink obs.MultiSink
-	for i, p := range batch {
-		ops[i] = p.op
+	for _, p := range batch {
+		l.ops = append(l.ops, p.op)
 		if p.tr != nil {
 			// From enqueue until the merged transaction starts, the op sat
 			// in the batcher's window.
@@ -138,9 +174,9 @@ func (b *batcher) exec(batch []pendingOp) {
 	if bt, ok := b.db.(batchTracer); ok && len(sink) > 0 {
 		// Every traced op in the merged batch shares the one underlying
 		// transaction, so each receives its engine/wal_sync/2PC stages.
-		results, err = bt.BatchTraced(sink, ops)
+		results, err = bt.BatchTraced(sink, l.ops)
 	} else {
-		results, err = b.db.Batch(ops)
+		results, err = b.db.Batch(l.ops)
 	}
 	if err != nil || len(results) != len(batch) {
 		for _, p := range batch {
@@ -167,7 +203,7 @@ func (b *batcher) execOne(p pendingOp) {
 	b.respond(p, v, err)
 }
 
-// respond routes one op's response through sendNoWait: the single merge
+// respond routes one op's response through sendNoWait: a lane's merge
 // loop serves every connection, so it must never block on one
 // connection's stalled reader (out.go holds the invariant; the write
 // timeout bounds the resulting overflow).

@@ -1,0 +1,304 @@
+package server_test
+
+import (
+	"bufio"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"strconv"
+	"sync"
+	"testing"
+	"time"
+
+	"rhtm/client"
+	"rhtm/kv"
+	"rhtm/obs"
+	"rhtm/server"
+	"rhtm/server/wire"
+	"rhtm/wal"
+)
+
+// newClusterDB is the two-domain backend of the lane tests: a 2-System
+// cluster logging to an in-memory WAL.
+func newClusterDB(t *testing.T) *kv.ClusterDB {
+	t.Helper()
+	db, err := kv.OpenCluster(newTraceCluster(t), wal.NewMemStorage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// keysOn returns n distinct keys "<prefix>-<i>" that db places on domain dom.
+func keysOn(db kv.DB, dom, n int, prefix string) [][]byte {
+	var keys [][]byte
+	for i := 0; len(keys) < n; i++ {
+		k := []byte(prefix + "-" + strconv.Itoa(i))
+		if db.Domain(k) == dom {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// laneSpy is the counting kv.DB double of the lane tests: it sees what the
+// batcher asks of the DB and passes it on. Embedding the interface hides
+// BatchTraced, so every merged batch arrives through Batch.
+type laneSpy struct {
+	kv.DB
+	// gate, when non-nil, parks every Batch call until it is closed.
+	gate chan struct{}
+
+	mu      sync.Mutex
+	batches map[int]int // Batch calls, by the domain of their first key
+	merged  int         // ops that rode in a Batch behind its first
+	mixed   int         // Batch calls whose keys span domains
+	parked  int         // Batch calls that reached the gate
+	singles map[int]int // individual Put calls (the fallback path), by domain
+}
+
+func newLaneSpy(db kv.DB) *laneSpy {
+	return &laneSpy{DB: db, batches: map[int]int{}, singles: map[int]int{}}
+}
+
+func (s *laneSpy) Batch(ops []kv.Op) ([]kv.OpResult, error) {
+	dom := s.Domain(ops[0].Key)
+	s.mu.Lock()
+	s.batches[dom]++
+	s.merged += len(ops) - 1
+	for _, op := range ops[1:] {
+		if s.Domain(op.Key) != dom {
+			s.mixed++
+			break
+		}
+	}
+	s.parked++
+	s.mu.Unlock()
+	if s.gate != nil {
+		<-s.gate
+	}
+	return s.DB.Batch(ops)
+}
+
+func (s *laneSpy) Put(key, value []byte, opts ...kv.PutOption) error {
+	s.mu.Lock()
+	s.singles[s.Domain(key)]++
+	s.mu.Unlock()
+	return s.DB.Put(key, value, opts...)
+}
+
+// readAll collects the frames a raw connection receives until want of them
+// arrived (or, for want < 0, until the server closes the connection), by id.
+func readAll(t *testing.T, nc net.Conn, want int) map[uint64]wire.Msg {
+	t.Helper()
+	nc.SetReadDeadline(time.Now().Add(20 * time.Second))
+	br := bufio.NewReader(nc)
+	got := map[uint64]wire.Msg{}
+	for len(got) != want {
+		var frame []byte // fresh per frame: the decoded message aliases it
+		m, err := wire.ReadMsg(br, &frame)
+		if err != nil {
+			if want < 0 && errors.Is(err, io.EOF) {
+				break
+			}
+			t.Fatalf("raw read after %d of %d frames: %v", len(got), want, err)
+		}
+		got[m.ID] = m
+	}
+	return got
+}
+
+// TestLanesMergeWithinOneDomain: many connections' single-key requests over
+// keys of both Systems merge — but only with requests of the same commit
+// domain, so no merged batch ever runs the cluster's cross-System protocol.
+func TestLanesMergeWithinOneDomain(t *testing.T) {
+	cdb := newClusterDB(t)
+	spy := newLaneSpy(cdb)
+	// A generous window makes merging deterministic under load.
+	srv := server.New(spy, server.WithBatchWindow(2*time.Millisecond))
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := client.Dial(addr.String(), client.WithConns(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	var wg sync.WaitGroup
+	for w := 0; w < 16; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 24; i++ {
+				// Eight keys a worker, nobody else's: every read has one
+				// right answer.
+				k := []byte(fmt.Sprintf("w%d-%d", w, i%8))
+				v := []byte(fmt.Sprintf("v%d", i))
+				if err := cl.Put(k, v); err != nil {
+					t.Errorf("put %s: %v", k, err)
+					return
+				}
+				if got, err := cl.Get(k); err != nil || string(got) != string(v) {
+					t.Errorf("get %s = %q, %v; want %q", k, got, err, v)
+					return
+				}
+				if i%3 != 0 {
+					continue
+				}
+				if err := cl.Delete(k); err != nil {
+					t.Errorf("delete %s: %v", k, err)
+					return
+				}
+				if _, err := cl.Get(k); !errors.Is(err, kv.ErrNotFound) {
+					t.Errorf("get %s after delete: %v, want ErrNotFound", k, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	spy.mu.Lock()
+	defer spy.mu.Unlock()
+	if spy.mixed != 0 {
+		t.Errorf("%d merged batches held keys of more than one domain", spy.mixed)
+	}
+	if spy.batches[0] == 0 || spy.batches[1] == 0 {
+		t.Errorf("batches by domain %v: the keys should load both lanes", spy.batches)
+	}
+	if spy.merged == 0 {
+		t.Errorf("no batch merged two ops: %v batches", spy.batches)
+	}
+	if c := cdb.Cluster().Counters(); c.CrossTxns != 0 || c.LocalTxns == 0 {
+		t.Errorf("cluster ran %d cross-System and %d local transactions; single-key requests need none of the first",
+			c.CrossTxns, c.LocalTxns)
+	}
+}
+
+// TestLanePipelinedPutThenGet: requests on one key share a lane and execute
+// in arrival order, whichever System owns the key — a connection that
+// pipelines 64 Puts of a key and then a Get, reading nothing in between, is
+// answered with the last value.
+func TestLanePipelinedPutThenGet(t *testing.T) {
+	db := newClusterDB(t)
+	srv := server.New(db)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	raw, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+
+	const puts = 64
+	var frames []byte
+	id := uint64(0)
+	getID := map[int]uint64{}
+	for dom := 0; dom < db.Domains(); dom++ {
+		k := keysOn(db, dom, 1, "pipe")[0]
+		for i := 0; i < puts; i++ {
+			id++
+			frames, err = wire.Encode(frames, wire.Msg{ID: id, Kind: wire.KindPut,
+				Key: k, Value: []byte(strconv.Itoa(i))})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		id++
+		getID[dom] = id
+		if frames, err = wire.Encode(frames, wire.Msg{ID: id, Kind: wire.KindGet, Key: k}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustWrite(t, raw, frames)
+
+	got := readAll(t, raw, int(id))
+	for dom, gid := range getID {
+		if m := got[gid]; m.Kind != wire.KindValue || string(m.Value) != strconv.Itoa(puts-1) {
+			t.Errorf("domain %d: pipelined Get answered %v %q, want the last Put's %d", dom, m.Kind, m.Value, puts-1)
+		}
+	}
+}
+
+// TestCloseDrainsEveryLane: Close answers the ops queued on every lane —
+// behind a batch that is still executing — before it returns.
+func TestCloseDrainsEveryLane(t *testing.T) {
+	reg := obs.NewRegistry()
+	spy := newLaneSpy(newClusterDB(t))
+	spy.gate = make(chan struct{})
+	srv := server.New(spy, server.WithMetrics(reg))
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	// Deferred after Close, so run before it: a failed test must not leave
+	// Close waiting on parked lanes.
+	openGate := sync.OnceFunc(func() { close(spy.gate) })
+	defer openGate()
+	raw, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+
+	// More than one batch (32 ops) a lane, so each has ops still queued
+	// when its first batch parks at the gate.
+	const perLane = 40
+	var frames []byte
+	id := uint64(0)
+	for dom := 0; dom < spy.Domains(); dom++ {
+		for _, k := range keysOn(spy, dom, perLane, "drain") {
+			id++
+			if frames, err = wire.Encode(frames, wire.Msg{ID: id, Kind: wire.KindPut, Key: k, Value: []byte("v")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	mustWrite(t, raw, frames)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		spy.mu.Lock()
+		parked := spy.parked
+		spy.mu.Unlock()
+		if parked == spy.Domains() && reg.Snapshot().Counter(obs.Name("server.requests", "kind", "put")) == id {
+			break // every op is in a lane, every lane is mid-batch
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d lanes mid-batch, want %d", parked, spy.Domains())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while every lane still held unanswered ops")
+	case <-time.After(20 * time.Millisecond):
+	}
+	openGate()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return after the lanes were released")
+	}
+
+	got := readAll(t, raw, -1)
+	for i := uint64(1); i <= id; i++ {
+		if m, ok := got[i]; !ok || m.Kind != wire.KindOK {
+			t.Fatalf("op %d of %d: answered %v (present %v) by the time Close returned", i, id, m.Kind, ok)
+		}
+	}
+}

@@ -43,7 +43,7 @@ func (c *conn) send(m wire.Msg) {
 
 // sendNoWait enqueues one response frame without ever blocking: the
 // bounded queue when it has room, the overflow buffer otherwise. Reserved
-// for the shared batcher — its single merge loop serves every connection,
+// for the shared batcher — each lane's merge loop serves every connection,
 // so one connection's full queue must never stall it (out-of-order
 // delivery relative to queued frames is fine: batched ops are single
 // frames matched by id). Overflow growth is bounded by the write timeout:

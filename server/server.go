@@ -11,12 +11,19 @@
 // backpressures its own connection without ever blocking another.
 //
 // Two throughput features ride on top. Independent single-key requests
-// (Get, unleased Put, Delete) from ALL connections are funneled into one
-// group-commit batcher (batch.go) that merges whatever accumulated behind
-// a small time/size window into a single kv.DB.Batch — the network-side
-// analogue of the WAL's group commit. And watch events flow through the kv
-// layer's bounded per-subscriber queues, so the coalesce-then-EventLost
-// overflow contract survives the wire unchanged (watch.go).
+// (Get, unleased Put, Delete) from ALL connections are funneled into a
+// group-commit batcher (batch.go) with one lane per commit domain of the DB
+// (kv.DB.Domain: one per cluster System, one in all on a single System);
+// each lane merges whatever accumulated behind a small time/size window
+// into a single kv.DB.Batch — the network-side analogue of the WAL's group
+// commit — which, lying within one domain, never pays two-phase commit.
+// Batched requests on the same key execute in arrival order; requests on
+// keys of different domains are concurrent, as the protocol always allowed
+// (responses are matched by id and may complete out of order) — nothing
+// promised an order, or an atomicity, between independent requests. And
+// watch events flow through the kv layer's bounded per-subscriber queues,
+// so the coalesce-then-EventLost overflow contract survives the wire
+// unchanged (watch.go).
 package server
 
 import (
@@ -52,7 +59,7 @@ const (
 	// connection's outbound socket: a client that stops reading stalls its
 	// writer at most this long before the write fails and the connection
 	// degrades to discarding — which is what keeps one stalled reader from
-	// wedging senders (the shared batcher above all) forever.
+	// wedging senders (the shared batcher's lanes above all) forever.
 	DefaultWriteTimeout = 2 * time.Second
 	// defaultMaxInflight bounds concurrently executing non-batched
 	// requests per connection (the pipelining depth one session can force
@@ -283,7 +290,7 @@ type updateRevTracer interface {
 }
 
 // batchTracer is the traced form of DB.Batch; both kv backends implement
-// it. The shared batcher passes an obs.MultiSink so every traced op in a
+// it. A batcher lane passes an obs.MultiSink so every traced op in a
 // merged batch receives the one underlying transaction's stages.
 type batchTracer interface {
 	BatchTraced(sink obs.TraceSink, ops []kv.Op) ([]kv.OpResult, error)

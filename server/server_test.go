@@ -226,7 +226,7 @@ func TestStalledReaderDoesNotBlockBatcher(t *testing.T) {
 	defer srv.Close()
 
 	// A fat value makes each pipelined Get response ~16KiB, so a few
-	// thousand responses overrun any kernel socket buffering and force the
+	// hundred responses overrun the kernel's socket buffering and force the
 	// stalled connection's outbound queue to its bound.
 	seed, err := client.Dial(addr.String())
 	if err != nil {
@@ -243,8 +243,16 @@ func TestStalledReaderDoesNotBlockBatcher(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
+	// The flood is sized from what the invariant needs, not larger: the
+	// healthy connection's ops below queue FIFO behind it, and under the
+	// race detector every Get copies its 16KiB word by word out of simulated
+	// memory. Measured on loopback, the writer gets 242 responses (3.97 MB)
+	// into the socket buffers before it blocks; the outbound queue then
+	// holds 256 more and the writer one. From the ~500th response on, the
+	// batcher can only answer through the overflow path.
+	const flood = 640
 	var frames []byte
-	for i := 0; i < 2048; i++ {
+	for i := 0; i < flood; i++ {
 		frames, err = wire.Encode(frames, wire.Msg{
 			ID: uint64(i + 1), Kind: wire.KindGet, Key: []byte("stall")})
 		if err != nil {
@@ -383,52 +391,80 @@ func TestBatcherMergesAcrossConnections(t *testing.T) {
 // TestBatcherHardErrorFallback pins the degradation contract: when one op
 // poisons the merged transaction (an oversized value fails the whole
 // kv.Batch), the batcher re-executes the batch individually, so innocent
-// neighbors still succeed and only the culprit fails.
+// neighbors still succeed and only the culprit fails. The fallback is the
+// poisoned lane's alone: on a two-domain backend, the other lane's ops never
+// leave their merged batch.
 func TestBatcherHardErrorFallback(t *testing.T) {
-	reg := obs.NewRegistry()
-	srv := server.New(newLocalDB(t, reg), server.WithMetrics(reg),
-		server.WithBatchWindow(5*time.Millisecond))
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cl, err := client.Dial(addr.String(), client.WithConns(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	for _, be := range []struct {
+		name string
+		open func(t *testing.T) kv.DB
+	}{
+		{"Local", func(t *testing.T) kv.DB { return newLocalDB(t, nil) }},
+		{"Cluster2", func(t *testing.T) kv.DB { return newClusterDB(t) }},
+	} {
+		t.Run(be.name, func(t *testing.T) {
+			spy := newLaneSpy(be.open(t))
+			srv := server.New(spy, server.WithBatchWindow(5*time.Millisecond))
+			addr, err := srv.Start("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			cl, err := client.Dial(addr.String(), client.WithConns(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
 
-	huge := make([]byte, 1<<19) // beyond the largest arena size class
-	var wg sync.WaitGroup
-	errs := make([]error, 8)
-	var hugeErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		hugeErr = cl.Put([]byte("poison"), huge)
-	}()
-	for i := range errs {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = cl.Put([]byte(fmt.Sprintf("ok-%d", i)), []byte("v"))
-		}()
-	}
-	wg.Wait()
+			// The poison goes to domain 0; four innocents ride on every
+			// domain.
+			poison := keysOn(spy, 0, 1, "poison")[0]
+			var innocents [][]byte
+			for dom := 0; dom < spy.Domains(); dom++ {
+				innocents = append(innocents, keysOn(spy, dom, 4, "ok")...)
+			}
+			huge := make([]byte, 1<<19) // beyond the largest arena size class
+			var wg sync.WaitGroup
+			errs := make([]error, len(innocents))
+			var hugeErr error
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				hugeErr = cl.Put(poison, huge)
+			}()
+			for i := range innocents {
+				i := i
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					errs[i] = cl.Put(innocents[i], []byte("v"))
+				}()
+			}
+			wg.Wait()
 
-	if !errors.Is(hugeErr, kv.ErrTooLarge) {
-		t.Fatalf("oversized Put: %v, want ErrTooLarge", hugeErr)
-	}
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("innocent Put %d failed alongside the poisoned op: %v", i, err)
-		}
-	}
-	for i := range errs {
-		if _, err := cl.Get([]byte(fmt.Sprintf("ok-%d", i))); err != nil {
-			t.Fatalf("ok-%d unreadable: %v", i, err)
-		}
+			if !errors.Is(hugeErr, kv.ErrTooLarge) {
+				t.Fatalf("oversized Put: %v, want ErrTooLarge", hugeErr)
+			}
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("innocent Put %s failed alongside the poisoned op: %v", innocents[i], err)
+				}
+			}
+			for _, k := range innocents {
+				if _, err := cl.Get(k); err != nil {
+					t.Fatalf("%s unreadable: %v", k, err)
+				}
+			}
+			spy.mu.Lock()
+			defer spy.mu.Unlock()
+			if spy.singles[0] == 0 {
+				t.Fatalf("the poisoned lane never fell back to individual execution")
+			}
+			for dom := 1; dom < spy.Domains(); dom++ {
+				if spy.singles[dom] != 0 {
+					t.Fatalf("domain %d: %d ops executed individually; its lane's batch held no poison", dom, spy.singles[dom])
+				}
+			}
+		})
 	}
 }

@@ -37,7 +37,7 @@ type conn struct {
 	writerDone chan struct{}
 
 	// overflow holds responses that found the bounded queue full and must
-	// not wait for it — the shared batcher's, whose single loop serves
+	// not wait for it — the shared batcher's, whose lanes each serve
 	// every connection. The writer drains it after each frame and on a
 	// flush nudge; growth is bounded by the write timeout killing the
 	// stalled connection that let the queue fill.

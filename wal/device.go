@@ -240,7 +240,11 @@ func (d *MemDevice) Size() int {
 
 // ContentsFrom reads the bytes appended at or after offset off — the
 // tailer's incremental read path (the capability Tailer probes for, so it
-// avoids re-reading the whole device on every wakeup).
+// avoids re-reading the whole device on every wakeup). It finds off by
+// walking back from the end, so a read costs the segments it returns and
+// nothing for the log before them: a tailer that keeps up pays for the new
+// frames only, however long the log has grown, and the device lock — which
+// the commit path's Append and Sync also take — is held that long.
 func (d *MemDevice) ContentsFrom(off int) ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -248,12 +252,13 @@ func (d *MemDevice) ContentsFrom(off int) ([]byte, error) {
 		return nil, fmt.Errorf("wal: read at %d outside device of %d bytes", off, d.size)
 	}
 	out := make([]byte, 0, d.size-off)
-	skip := off
-	for _, seg := range d.segs {
-		if skip >= len(seg.buf) {
-			skip -= len(seg.buf)
-			continue
-		}
+	first, before := len(d.segs), d.size // segs[first:] start at offset before
+	for before > off {
+		first--
+		before -= len(d.segs[first].buf)
+	}
+	skip := off - before
+	for _, seg := range d.segs[first:] {
 		out = append(out, seg.buf[skip:]...)
 		skip = 0
 	}

@@ -3,6 +3,8 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -291,5 +293,110 @@ func TestDeviceContentsFrom(t *testing.T) {
 	}
 	if _, err := dev.ContentsFrom(len(full) + 1); err == nil {
 		t.Fatal("out-of-range read succeeded")
+	}
+}
+
+// TestContentsFromMatchesContents is the property a faster offset lookup
+// must keep: ContentsFrom(off) == Contents()[off:] at every offset, over
+// random appends (empty ones included), Truncates that cut a segment or
+// land between two, and CrashImages with a torn last segment.
+func TestContentsFromMatchesContents(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	stg := NewMemStorage()
+	d, _ := stg.Device("d")
+	dev := d.(*MemDevice)
+	var model []byte
+	check := func(what string, dev *MemDevice, model []byte) {
+		t.Helper()
+		full, _ := dev.Contents()
+		if !bytes.Equal(full, model) || dev.Size() != len(model) {
+			t.Fatalf("%s: device holds %d bytes, model %d", what, len(full), len(model))
+		}
+		for off := 0; off <= len(model); off++ {
+			got, err := dev.ContentsFrom(off)
+			if err != nil || !bytes.Equal(got, model[off:]) {
+				t.Fatalf("%s: ContentsFrom(%d) of %d: %d bytes, err %v; want %d",
+					what, off, len(model), len(got), err, len(model)-off)
+			}
+		}
+		if _, err := dev.ContentsFrom(len(model) + 1); err == nil {
+			t.Fatalf("%s: read past the end succeeded", what)
+		}
+	}
+	grow := func(n int) {
+		for i := 0; i < n; i++ {
+			p := make([]byte, rng.Intn(6))
+			rng.Read(p)
+			if err := dev.Append(p); err != nil {
+				t.Fatal(err)
+			}
+			model = append(model, p...)
+		}
+	}
+	check("empty", dev, model)
+	for round := 0; round < 6; round++ {
+		grow(100 + rng.Intn(100))
+		check("grown", dev, model)
+		n := rng.Intn(len(model) + 1)
+		if round == 3 {
+			n = 0
+		}
+		if err := dev.Truncate(n); err != nil {
+			t.Fatal(err)
+		}
+		model = model[:n]
+		check("truncated", dev, model)
+	}
+	grow(100)
+	// Sequence stamps keep counting across Truncate, so find the cut that
+	// leaves keep bytes from the segments' own stamps; most such cuts tear a
+	// segment.
+	full, _ := dev.Contents()
+	for _, keep := range []int{len(full), len(full) - 3, len(full) / 2, 1, 0} {
+		cut, left := uint64(0), keep
+		for _, seg := range dev.segs {
+			if left <= len(seg.buf) {
+				cut = seg.seq + uint64(left)
+				break
+			}
+			left -= len(seg.buf)
+		}
+		img, _ := stg.CrashImage(cut).Device("d")
+		check("crash image", img.(*MemDevice), slices.Clone(full[:keep]))
+	}
+}
+
+// TestContentsFromTailCost pins what a tail read costs: one new frame read
+// from the end of a long log takes about as long as from the end of a short
+// one. A device that walks its segments from the first append to reach the
+// offset reads a log of 2¹⁸ appends a thousand times slower than one of 2⁸,
+// under the device lock the commit path's Append and Sync also take.
+func TestContentsFromTailCost(t *testing.T) {
+	frame := make([]byte, 48)
+	tailRead := func(appends int) time.Duration {
+		dev := &MemDevice{}
+		for i := 0; i < appends; i++ {
+			dev.Append(frame)
+		}
+		samples := make([]time.Duration, 101)
+		for i := range samples {
+			off := dev.Size()
+			dev.Append(frame)
+			start := time.Now()
+			got, err := dev.ContentsFrom(off)
+			samples[i] = time.Since(start)
+			if err != nil || len(got) != len(frame) {
+				t.Fatalf("tail read after %d appends: %d bytes, err %v", appends+i, len(got), err)
+			}
+		}
+		slices.Sort(samples)
+		return samples[len(samples)/2]
+	}
+	short, long := tailRead(1<<8), tailRead(1<<18)
+	t.Logf("median tail read: %v after 2^8 appends, %v after 2^18", short, long)
+	// The floor keeps a coarse host clock reading the short log as 0 from
+	// failing a long one that reads one tick.
+	if long > 8*max(short, 100*time.Nanosecond) {
+		t.Fatalf("tail read after 2^18 appends takes %v, after 2^8 %v: cost grows with the log", long, short)
 	}
 }
