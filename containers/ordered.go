@@ -6,231 +6,204 @@ import (
 	"rhtm"
 )
 
-// Allocator abstracts block allocation for structures whose nodes are
-// created and destroyed inside transactions. TxAlloc and TxFree run under
-// the caller's transaction: an implementation that keeps its free-list state
-// in simulated words (store.Arena) makes allocation and reclamation roll
-// back with the enclosing transaction, so aborted inserts leak nothing and
-// aborted deletes never hand a still-reachable block to another thread.
-type Allocator interface {
-	// TxAlloc returns a block of at least words simulated words. The block's
-	// contents are unspecified (it may be recycled); callers must initialize
-	// every word they read back. A non-nil error means the arena is
-	// exhausted; returning it from the transaction body aborts cleanly.
-	TxAlloc(tx rhtm.Tx, words int) (rhtm.Addr, error)
-	// TxFree returns a block of the given size to the allocator.
-	TxFree(tx rhtm.Tx, a rhtm.Addr, words int)
-}
-
-// heapAllocator adapts the system heap: allocation bypasses the transaction
-// (an abort storm can leak blocks, as documented on RBTree.Insert) and
-// freed blocks are intentionally leaked (freeing inside a transaction that
-// later aborts would hand the block to another thread while still
-// reachable).
-type heapAllocator struct{ s *rhtm.System }
-
-// TxAlloc implements Allocator over the non-transactional system heap.
-func (h heapAllocator) TxAlloc(tx rhtm.Tx, words int) (rhtm.Addr, error) {
-	return h.s.Alloc(words)
-}
-
-// TxFree implements Allocator; see the type comment for why it is a no-op.
-func (h heapAllocator) TxFree(tx rhtm.Tx, a rhtm.Addr, words int) {}
-
-// HeapAllocator returns the default Allocator over the system heap.
-func HeapAllocator(s *rhtm.System) Allocator { return heapAllocator{s: s} }
-
-// ItemCompare orders an external probe key against a stored item. It
-// returns <0, 0 or >0 as key sorts before, equal to, or after the item's
+// NodeCompare orders an external probe key against the key a node carries.
+// It returns <0, 0 or >0 as key sorts before, equal to, or after the node's
 // key. All tree operations are probe-driven, so the tree never compares two
-// stored items directly and the item encoding stays opaque to it (the store
-// uses addresses of varlen key blocks).
-type ItemCompare func(tx rhtm.Tx, key []byte, item uint64) int
+// nodes directly and everything past a node's header stays opaque to it (the
+// store keeps a record's key words there).
+type NodeCompare func(tx rhtm.Tx, key []byte, node rhtm.Addr) int
 
-// OrderedTree node layout, in words.
+// OrderedTree header layout, in words, at the front of every node.
 const (
-	otItem   = 0
-	otLeft   = 1
-	otRight  = 2
-	otParent = 3
-	otColor  = 4
-	// OTNodeWords is the allocation size of one tree node.
-	OTNodeWords = 5
+	otLeft   = 0
+	otRight  = 1
+	otParent = 2
+	otColor  = 3
+	// OTHeaderWords is the space the tree owns at the front of a node; the
+	// words after it are the caller's.
+	OTHeaderWords = 4
 )
 
-// OrderedTree is a transactional red-black tree over opaque uint64 items,
-// ordered by a caller-supplied comparator. Unlike RBTree (the paper's
-// fixed-layout uint64-keyed benchmark tree), OrderedTree supports
-// variable-length keys held in simulated memory: the comparator loads and
-// compares them under the caller's transaction. It is the index layer of
-// the store package.
+// OrderedTree is a transactional intrusive red-black tree ordered by a
+// caller-supplied comparator. Unlike RBTree (the paper's fixed-layout
+// uint64-keyed benchmark tree), OrderedTree supports variable-length keys
+// held in simulated memory: the comparator loads and compares them under the
+// caller's transaction. A node is a block the caller allocates and frees;
+// the tree links it through its first OTHeaderWords words and never moves or
+// copies it, so a node's address identifies its entry from Insert until its
+// own Delete. It is the index layer of the store package.
 type OrderedTree struct {
-	sys   *rhtm.System
-	cmp   ItemCompare
-	alloc Allocator
-	root  rhtm.Addr // one-word cell holding the root node address
+	sys  *rhtm.System
+	cmp  NodeCompare
+	root rhtm.Addr // one-word cell holding the root node address
 }
 
-// NewOrderedTree allocates an empty tree on s. A nil alloc selects the
-// system heap (non-transactional allocation, no reclamation).
-func NewOrderedTree(s *rhtm.System, cmp ItemCompare, alloc Allocator) *OrderedTree {
-	if alloc == nil {
-		alloc = heapAllocator{s: s}
-	}
-	return &OrderedTree{sys: s, cmp: cmp, alloc: alloc, root: s.MustAlloc(1)}
+// NewOrderedTree allocates an empty tree on s.
+func NewOrderedTree(s *rhtm.System, cmp NodeCompare) *OrderedTree {
+	return &OrderedTree{sys: s, cmp: cmp, root: s.MustAlloc(1)}
 }
 
-// Lookup returns the item stored under key.
-func (t *OrderedTree) Lookup(tx rhtm.Tx, key []byte) (uint64, bool) {
-	n := tx.Load(t.root)
-	for n != uint64(rhtm.NilAddr) {
-		item := tx.Load(rhtm.Addr(n) + otItem)
-		c := t.cmp(tx, key, item)
+// Lookup returns the node stored under key.
+func (t *OrderedTree) Lookup(tx rhtm.Tx, key []byte) (rhtm.Addr, bool) {
+	n := rhtm.Addr(tx.Load(t.root))
+	for n != rhtm.NilAddr {
+		c := t.cmp(tx, key, n)
 		switch {
 		case c == 0:
-			return item, true
+			return n, true
 		case c < 0:
-			n = tx.Load(rhtm.Addr(n) + otLeft)
+			n = rhtm.Addr(tx.Load(n + otLeft))
 		default:
-			n = tx.Load(rhtm.Addr(n) + otRight)
+			n = rhtm.Addr(tx.Load(n + otRight))
 		}
 	}
-	return 0, false
+	return rhtm.NilAddr, false
 }
 
-// Insert adds item under key. If the key is already present no insertion
-// happens and the existing item is returned with inserted=false. A non-nil
-// error means node allocation failed (arena exhausted).
-func (t *OrderedTree) Insert(tx rhtm.Tx, key []byte, item uint64) (existing uint64, inserted bool, err error) {
-	var parent uint64
+// Insert links node under key; the caller has already written the key the
+// comparator reads into it. If the key is already present nothing is linked
+// and the existing node is returned with inserted=false.
+func (t *OrderedTree) Insert(tx rhtm.Tx, key []byte, node rhtm.Addr) (existing rhtm.Addr, inserted bool) {
+	parent := rhtm.NilAddr
 	left := false
-	n := tx.Load(t.root)
-	for n != uint64(rhtm.NilAddr) {
+	n := rhtm.Addr(tx.Load(t.root))
+	for n != rhtm.NilAddr {
 		parent = n
-		cur := tx.Load(rhtm.Addr(n) + otItem)
-		c := t.cmp(tx, key, cur)
-		switch {
-		case c == 0:
-			return cur, false, nil
-		case c < 0:
-			n = tx.Load(rhtm.Addr(n) + otLeft)
-			left = true
-		default:
-			n = tx.Load(rhtm.Addr(n) + otRight)
-			left = false
+		c := t.cmp(tx, key, n)
+		if c == 0 {
+			return n, false
+		}
+		left = c < 0
+		if left {
+			n = rhtm.Addr(tx.Load(n + otLeft))
+		} else {
+			n = rhtm.Addr(tx.Load(n + otRight))
 		}
 	}
-	node, err := t.alloc.TxAlloc(tx, OTNodeWords)
-	if err != nil {
-		return 0, false, err
-	}
-	tx.Store(node+otItem, item)
 	tx.Store(node+otLeft, uint64(rhtm.NilAddr))
 	tx.Store(node+otRight, uint64(rhtm.NilAddr))
-	tx.Store(node+otParent, parent)
+	tx.Store(node+otParent, uint64(parent))
 	tx.Store(node+otColor, red)
-	if parent == uint64(rhtm.NilAddr) {
+	if parent == rhtm.NilAddr {
 		tx.Store(t.root, uint64(node))
 	} else if left {
-		tx.Store(rhtm.Addr(parent)+otLeft, uint64(node))
+		tx.Store(parent+otLeft, uint64(node))
 	} else {
-		tx.Store(rhtm.Addr(parent)+otRight, uint64(node))
+		tx.Store(parent+otRight, uint64(node))
 	}
 	t.insertFixup(tx, uint64(node))
-	return item, true, nil
+	return node, true
 }
 
-// Delete removes the entry under key and returns its item. The unlinked
-// node is returned to the allocator under the same transaction, so with a
-// transactional allocator deletion reclaims memory safely even under
-// aborts.
-func (t *OrderedTree) Delete(tx rhtm.Tx, key []byte) (uint64, bool) {
-	z := tx.Load(t.root)
-	for z != uint64(rhtm.NilAddr) {
-		c := t.cmp(tx, key, tx.Load(rhtm.Addr(z)+otItem))
-		if c == 0 {
-			break
-		}
-		if c < 0 {
-			z = tx.Load(rhtm.Addr(z) + otLeft)
-		} else {
-			z = tx.Load(rhtm.Addr(z) + otRight)
-		}
+// Delete unlinks the node under key and returns it for the caller to free.
+// Removal is by pointer transplant (CLRS RB-TRANSPLANT): when the node has
+// two children its successor takes over its position, links and color, so
+// no other entry changes address.
+func (t *OrderedTree) Delete(tx rhtm.Tx, key []byte) (rhtm.Addr, bool) {
+	za, ok := t.Lookup(tx, key)
+	if !ok {
+		return rhtm.NilAddr, false
 	}
-	if z == uint64(rhtm.NilAddr) {
-		return 0, false
-	}
-	za := rhtm.Addr(z)
-	removed := tx.Load(za + otItem)
+	z := uint64(za)
+	zl, zr := tx.Load(za+otLeft), tx.Load(za+otRight)
 
-	// y is the node actually unlinked; x is the child that replaces it,
-	// xp its (new) parent. x may be nil, so xp is tracked explicitly.
-	y := z
-	if tx.Load(za+otLeft) != uint64(rhtm.NilAddr) &&
-		tx.Load(za+otRight) != uint64(rhtm.NilAddr) {
-		// Successor: minimum of the right subtree.
-		y = tx.Load(za + otRight)
+	// x is the child that moves into the vacated position (it may be nil, so
+	// its parent xp is tracked explicitly); removed is the color that left
+	// that position.
+	var x, xp uint64
+	removed := tx.Load(za + otColor)
+	switch {
+	case zl == uint64(rhtm.NilAddr):
+		x = zr
+		xp = t.transplant(tx, z, x)
+	case zr == uint64(rhtm.NilAddr):
+		x = zl
+		xp = t.transplant(tx, z, x)
+	default:
+		// Successor: minimum of the right subtree. It has no left child.
+		y := zr
 		for l := tx.Load(rhtm.Addr(y) + otLeft); l != uint64(rhtm.NilAddr); l = tx.Load(rhtm.Addr(y) + otLeft) {
 			y = l
 		}
+		ya := rhtm.Addr(y)
+		x, xp = tx.Load(ya+otRight), y
+		if y != zr {
+			xp = t.transplant(tx, y, x)
+			tx.Store(ya+otRight, zr)
+			tx.Store(rhtm.Addr(zr)+otParent, y)
+		}
+		t.transplant(tx, z, y)
+		tx.Store(ya+otLeft, zl)
+		tx.Store(rhtm.Addr(zl)+otParent, y)
+		zc := removed
+		removed = tx.Load(ya + otColor)
+		tx.Store(ya+otColor, zc)
 	}
-	ya := rhtm.Addr(y)
-	x := tx.Load(ya + otLeft)
-	if x == uint64(rhtm.NilAddr) {
-		x = tx.Load(ya + otRight)
-	}
-	xp := tx.Load(ya + otParent)
-	if x != uint64(rhtm.NilAddr) {
-		tx.Store(rhtm.Addr(x)+otParent, xp)
-	}
-	if xp == uint64(rhtm.NilAddr) {
-		tx.Store(t.root, x)
-	} else if tx.Load(rhtm.Addr(xp)+otLeft) == y {
-		tx.Store(rhtm.Addr(xp)+otLeft, x)
-	} else {
-		tx.Store(rhtm.Addr(xp)+otRight, x)
-	}
-	if y != z {
-		// Move the successor's item into z; the structure keeps z.
-		tx.Store(za+otItem, tx.Load(ya+otItem))
-	}
-	if tx.Load(ya+otColor) == black {
+	if removed == black {
 		t.deleteFixup(tx, x, xp)
 	}
-	t.alloc.TxFree(tx, ya, OTNodeWords)
-	return removed, true
+	return za, true
 }
 
-// Scan visits the items whose keys fall in [start, end) in ascending key
+// transplant puts v (which may be nil) where u hangs from its parent, and
+// returns that parent.
+func (t *OrderedTree) transplant(tx rhtm.Tx, u, v uint64) uint64 {
+	p := tx.Load(rhtm.Addr(u) + otParent)
+	t.replaceChild(tx, p, u, v)
+	if v != uint64(rhtm.NilAddr) {
+		tx.Store(rhtm.Addr(v)+otParent, p)
+	}
+	return p
+}
+
+// replaceChild points p's link to u at v instead; a nil p is the root cell.
+func (t *OrderedTree) replaceChild(tx rhtm.Tx, p, u, v uint64) {
+	if p == uint64(rhtm.NilAddr) {
+		tx.Store(t.root, v)
+	} else if tx.Load(rhtm.Addr(p)+otLeft) == u {
+		tx.Store(rhtm.Addr(p)+otLeft, v)
+	} else {
+		tx.Store(rhtm.Addr(p)+otRight, v)
+	}
+}
+
+// Scan visits the nodes whose keys fall in [start, end) in ascending key
 // order. A nil start means "from the smallest key"; a nil end means "to the
 // largest". Visiting stops early when fn returns false.
-func (t *OrderedTree) Scan(tx rhtm.Tx, start, end []byte, fn func(item uint64) bool) {
-	t.scan(tx, tx.Load(t.root), start, end, fn)
+func (t *OrderedTree) Scan(tx rhtm.Tx, start, end []byte, fn func(node rhtm.Addr) bool) {
+	t.scan(tx, rhtm.Addr(tx.Load(t.root)), start, end, fn)
 }
 
 // scan is the recursive range traversal; it returns false to stop.
-func (t *OrderedTree) scan(tx rhtm.Tx, n uint64, start, end []byte, fn func(item uint64) bool) bool {
-	if n == uint64(rhtm.NilAddr) {
+func (t *OrderedTree) scan(tx rhtm.Tx, n rhtm.Addr, start, end []byte, fn func(node rhtm.Addr) bool) bool {
+	if n == rhtm.NilAddr {
 		return true
 	}
-	a := rhtm.Addr(n)
-	item := tx.Load(a + otItem)
-	aboveStart := start == nil || t.cmp(tx, start, item) <= 0
-	belowEnd := end == nil || t.cmp(tx, end, item) > 0
+	aboveStart := start == nil || t.cmp(tx, start, n) <= 0
+	belowEnd := end == nil || t.cmp(tx, end, n) > 0
 	// The left subtree holds smaller keys: it can only intersect the range
-	// if this item is not already below start. Symmetrically for the right.
+	// if this node is not already below start — and if this node is below
+	// end, so is all of it, and the bound is dropped. Symmetrically for the
+	// right.
 	if aboveStart {
-		if !t.scan(tx, tx.Load(a+otLeft), start, end, fn) {
+		leftEnd := end
+		if belowEnd {
+			leftEnd = nil
+		}
+		if !t.scan(tx, rhtm.Addr(tx.Load(n+otLeft)), start, leftEnd, fn) {
 			return false
 		}
 	}
 	if aboveStart && belowEnd {
-		if !fn(item) {
+		if !fn(n) {
 			return false
 		}
 	}
 	if belowEnd {
-		return t.scan(tx, tx.Load(a+otRight), start, end, fn)
+		if aboveStart {
+			start = nil
+		}
+		return t.scan(tx, rhtm.Addr(tx.Load(n+otRight)), start, end, fn)
 	}
 	return true
 }
@@ -239,11 +212,11 @@ func (t *OrderedTree) scan(tx rhtm.Tx, n uint64, start, end []byte, fn func(item
 // store maintains its own O(1) count word).
 func (t *OrderedTree) Len(tx rhtm.Tx) int {
 	count := 0
-	t.Scan(tx, nil, nil, func(uint64) bool { count++; return true })
+	t.Scan(tx, nil, nil, func(rhtm.Addr) bool { count++; return true })
 	return count
 }
 
-// --- rotations and fixups (CLRS, as in RBTree but item-only payload) ---
+// --- rotations and fixups (CLRS, as in RBTree) ---
 
 // rotateLeft performs a left rotation around x.
 func (t *OrderedTree) rotateLeft(tx rhtm.Tx, x uint64) {
@@ -257,13 +230,7 @@ func (t *OrderedTree) rotateLeft(tx rhtm.Tx, x uint64) {
 	}
 	p := tx.Load(xa + otParent)
 	tx.Store(ya+otParent, p)
-	if p == uint64(rhtm.NilAddr) {
-		tx.Store(t.root, y)
-	} else if tx.Load(rhtm.Addr(p)+otLeft) == x {
-		tx.Store(rhtm.Addr(p)+otLeft, y)
-	} else {
-		tx.Store(rhtm.Addr(p)+otRight, y)
-	}
+	t.replaceChild(tx, p, x, y)
 	tx.Store(ya+otLeft, x)
 	tx.Store(xa+otParent, y)
 }
@@ -280,13 +247,7 @@ func (t *OrderedTree) rotateRight(tx rhtm.Tx, x uint64) {
 	}
 	p := tx.Load(xa + otParent)
 	tx.Store(ya+otParent, p)
-	if p == uint64(rhtm.NilAddr) {
-		tx.Store(t.root, y)
-	} else if tx.Load(rhtm.Addr(p)+otLeft) == x {
-		tx.Store(rhtm.Addr(p)+otLeft, y)
-	} else {
-		tx.Store(rhtm.Addr(p)+otRight, y)
-	}
+	t.replaceChild(tx, p, x, y)
 	tx.Store(ya+otRight, x)
 	tx.Store(xa+otParent, y)
 }

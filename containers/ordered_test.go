@@ -2,6 +2,7 @@ package containers
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"math/rand"
 	"sort"
@@ -10,21 +11,27 @@ import (
 	"rhtm"
 )
 
-// u64Cmp orders items that encode their key directly: the item word is
-// compared against the probe's 8-byte big-endian encoding, so byte
-// lexicographic order equals numeric order.
-func u64Cmp(tx rhtm.Tx, key []byte, item uint64) int {
+// testNodeWords is the tree's header plus the one payload word the tests'
+// comparators read.
+const testNodeWords = OTHeaderWords + 1
+
+// newNode allocates a node from the system heap carrying payload.
+func newNode(s *rhtm.System, payload uint64) rhtm.Addr {
+	n := s.MustAlloc(testNodeWords)
+	s.Poke(n+OTHeaderWords, payload)
+	return n
+}
+
+// payloadOf reads a node's payload word.
+func payloadOf(tx rhtm.Tx, n rhtm.Addr) uint64 { return tx.Load(n + OTHeaderWords) }
+
+// u64Cmp orders nodes whose payload is their key: it is compared against
+// the probe's 8-byte big-endian encoding, so byte lexicographic order equals
+// numeric order.
+func u64Cmp(tx rhtm.Tx, key []byte, node rhtm.Addr) int {
 	var probe [8]byte
 	copy(probe[:], key)
-	k := binary.BigEndian.Uint64(probe[:])
-	switch {
-	case k < item:
-		return -1
-	case k > item:
-		return 1
-	default:
-		return 0
-	}
+	return cmp.Compare(binary.BigEndian.Uint64(probe[:]), payloadOf(tx, node))
 }
 
 func u64Key(k uint64) []byte {
@@ -35,7 +42,7 @@ func u64Key(k uint64) []byte {
 
 func TestOrderedTreeInsertDeleteOracle(t *testing.T) {
 	s := newSys(1 << 20)
-	tree := NewOrderedTree(s, u64Cmp, nil)
+	tree := NewOrderedTree(s, u64Cmp)
 	tx := SetupTx(s)
 	oracle := map[uint64]bool{}
 	rng := rand.New(rand.NewSource(7))
@@ -43,27 +50,31 @@ func TestOrderedTreeInsertDeleteOracle(t *testing.T) {
 		key := uint64(rng.Intn(300) + 1)
 		switch rng.Intn(3) {
 		case 0:
-			_, inserted, err := tree.Insert(tx, u64Key(key), key)
-			if err != nil {
-				t.Fatalf("op %d: Insert(%d): %v", op, key, err)
-			}
+			node := newNode(s, key)
+			_, inserted := tree.Insert(tx, u64Key(key), node)
 			if inserted == oracle[key] {
 				t.Fatalf("op %d: Insert(%d) inserted=%v, oracle existed=%v", op, key, inserted, oracle[key])
 			}
+			if !inserted {
+				s.Free(node, testNodeWords)
+			}
 			oracle[key] = true
 		case 1:
-			item, removed := tree.Delete(tx, u64Key(key))
+			node, removed := tree.Delete(tx, u64Key(key))
 			if removed != oracle[key] {
 				t.Fatalf("op %d: Delete(%d) = %v, oracle existed=%v", op, key, removed, oracle[key])
 			}
-			if removed && item != key {
-				t.Fatalf("op %d: Delete(%d) returned item %d", op, key, item)
+			if removed {
+				if got := payloadOf(tx, node); got != key {
+					t.Fatalf("op %d: Delete(%d) returned the node of %d", op, key, got)
+				}
+				s.Free(node, testNodeWords)
 			}
 			delete(oracle, key)
 		default:
-			item, ok := tree.Lookup(tx, u64Key(key))
-			if ok != oracle[key] || (ok && item != key) {
-				t.Fatalf("op %d: Lookup(%d) = %d,%v, oracle %v", op, key, item, ok, oracle[key])
+			node, ok := tree.Lookup(tx, u64Key(key))
+			if ok != oracle[key] || (ok && payloadOf(tx, node) != key) {
+				t.Fatalf("op %d: Lookup(%d) = %d,%v, oracle %v", op, key, node, ok, oracle[key])
 			}
 		}
 		if op%500 == 0 {
@@ -76,7 +87,7 @@ func TestOrderedTreeInsertDeleteOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []uint64
-	tree.Scan(tx, nil, nil, func(item uint64) bool { got = append(got, item); return true })
+	tree.Scan(tx, nil, nil, func(n rhtm.Addr) bool { got = append(got, payloadOf(tx, n)); return true })
 	want := make([]uint64, 0, len(oracle))
 	for k := range oracle {
 		want = append(want, k)
@@ -94,12 +105,10 @@ func TestOrderedTreeInsertDeleteOracle(t *testing.T) {
 
 func TestOrderedTreeScanRange(t *testing.T) {
 	s := newSys(1 << 18)
-	tree := NewOrderedTree(s, u64Cmp, nil)
+	tree := NewOrderedTree(s, u64Cmp)
 	tx := SetupTx(s)
 	for k := uint64(1); k <= 100; k++ {
-		if _, _, err := tree.Insert(tx, u64Key(k*2), k*2); err != nil { // even keys 2..200
-			t.Fatal(err)
-		}
+		tree.Insert(tx, u64Key(k*2), newNode(s, k*2)) // even keys 2..200
 	}
 	cases := []struct {
 		start, end uint64 // 0 = unbounded
@@ -120,7 +129,7 @@ func TestOrderedTreeScanRange(t *testing.T) {
 			end = u64Key(c.end)
 		}
 		var got []uint64
-		tree.Scan(tx, start, end, func(item uint64) bool { got = append(got, item); return true })
+		tree.Scan(tx, start, end, func(n rhtm.Addr) bool { got = append(got, payloadOf(tx, n)); return true })
 		if len(got) != len(c.want) {
 			t.Fatalf("Scan[%d,%d) = %v, want %v", c.start, c.end, got, c.want)
 		}
@@ -132,33 +141,30 @@ func TestOrderedTreeScanRange(t *testing.T) {
 	}
 	// Early stop.
 	n := 0
-	tree.Scan(tx, nil, nil, func(uint64) bool { n++; return n < 3 })
+	tree.Scan(tx, nil, nil, func(rhtm.Addr) bool { n++; return n < 3 })
 	if n != 3 {
 		t.Fatalf("early-stop scan visited %d items, want 3", n)
 	}
 }
 
 func TestOrderedTreeLexicographic(t *testing.T) {
-	// Variable-length byte keys with the item encoding an index into a Go
+	// Variable-length byte keys with the node's payload an index into a Go
 	// side table; verifies the comparator contract with real varlen keys.
 	keys := [][]byte{
 		[]byte(""), []byte("a"), []byte("ab"), []byte("abc"), []byte("b"),
 		[]byte("ba"), []byte("z"), []byte("za"), {0x00}, {0x00, 0x01}, {0xff},
 	}
 	s := newSys(1 << 16)
-	cmp := func(tx rhtm.Tx, key []byte, item uint64) int {
-		return bytes.Compare(key, keys[item])
-	}
-	tree := NewOrderedTree(s, cmp, nil)
+	tree := NewOrderedTree(s, func(tx rhtm.Tx, key []byte, node rhtm.Addr) int {
+		return bytes.Compare(key, keys[payloadOf(tx, node)])
+	})
 	tx := SetupTx(s)
 	perm := rand.New(rand.NewSource(3)).Perm(len(keys))
 	for _, i := range perm {
-		if _, _, err := tree.Insert(tx, keys[i], uint64(i)); err != nil {
-			t.Fatal(err)
-		}
+		tree.Insert(tx, keys[i], newNode(s, uint64(i)))
 	}
 	var got [][]byte
-	tree.Scan(tx, nil, nil, func(item uint64) bool { got = append(got, keys[item]); return true })
+	tree.Scan(tx, nil, nil, func(n rhtm.Addr) bool { got = append(got, keys[payloadOf(tx, n)]); return true })
 	want := make([][]byte, len(keys))
 	copy(want, keys)
 	sort.Slice(want, func(i, j int) bool { return bytes.Compare(want[i], want[j]) < 0 })

@@ -68,8 +68,8 @@ func classOf(n int) int {
 	return c
 }
 
-// TxAlloc implements containers.Allocator: it returns a block of at least
-// words simulated words, reusing a freed block of the same class when one
+// TxAlloc returns a block of at least words simulated words under the
+// caller's transaction, reusing a freed block of the same class when one
 // exists and bumping the arena frontier otherwise.
 func (a *Arena) TxAlloc(tx rhtm.Tx, words int) (rhtm.Addr, error) {
 	c := classOf(words)
@@ -93,8 +93,8 @@ func (a *Arena) TxAlloc(tx rhtm.Tx, words int) (rhtm.Addr, error) {
 	return rhtm.Addr(p), nil
 }
 
-// TxFree implements containers.Allocator: it pushes the block onto its
-// class's free list under the caller's transaction.
+// TxFree pushes the block onto its class's free list under the caller's
+// transaction.
 func (a *Arena) TxFree(tx rhtm.Tx, addr rhtm.Addr, words int) {
 	c := classOf(words)
 	headAddr := a.heads + rhtm.Addr(c)

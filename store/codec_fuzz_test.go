@@ -23,6 +23,17 @@ func codecSys(n int) (*rhtm.System, rhtm.Addr) {
 	return s, s.MustAlloc(words)
 }
 
+// keyRecord writes a record holding key (and no block) into a, for
+// compareKey to probe.
+func keyRecord(t testing.TB, a *Arena, key []byte) rhtm.Addr {
+	t.Helper()
+	rec, err := (&Store{arena: a}).newRecord(containers.SetupTx(a.sys), key, rhtm.NilAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
 func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte(""))
@@ -33,6 +44,15 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0x00}, 56))
 	f.Add(bytes.Repeat([]byte{0x7f}, 57))
 	f.Add([]byte("\x00leading nul"))
+	// The index orders by compareKey: its word boundaries (7/8/9, 15/16/17),
+	// embedded 0x00/0xFF next to the zero padding, and a key that is a
+	// prefix of its own extension (every input is probed with b+0x00).
+	f.Add([]byte("seven77"))
+	f.Add([]byte("fifteen fifteen"))
+	f.Add([]byte("sixteen  sixteen"))
+	f.Add([]byte("seventeen seventy"))
+	f.Add([]byte("pad\x00\x00\x00\x00\x00\xff\x00\xff\x00"))
+	f.Add([]byte("\xff\xff\xff\xff\xff\xff\xff\x00"))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) > 1<<12 {
 			b = b[:1<<12]
@@ -44,33 +64,40 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if !bytes.Equal(got, b) {
 			t.Fatalf("round trip: wrote %x, read %x", b, got)
 		}
-		// compareBytes must agree with bytes.Compare for the identical key,
-		// a mutated first byte, a truncation, and an extension.
-		probes := [][]byte{append([]byte(nil), b...)}
-		if len(b) > 0 {
-			mut := append([]byte(nil), b...)
-			mut[0] ^= 0x01
-			probes = append(probes, mut, b[:len(b)/2])
+		// The order the index depends on: compareKey agrees with
+		// bytes.Compare for every pair drawn from the identical key, a
+		// mutated first, middle and last byte, each truncation to a word
+		// boundary's neighbourhood, and a 0x00 / 0xFF extension — stored
+		// either way round.
+		keys := [][]byte{b, append(append([]byte(nil), b...), 0x00), append(append([]byte(nil), b...), 0xff)}
+		for _, i := range []int{0, len(b) / 2, len(b) - 1} {
+			if i >= 0 && i < len(b) {
+				mut := append([]byte(nil), b...)
+				mut[i] ^= 0x81
+				keys = append(keys, mut)
+			}
 		}
-		probes = append(probes, append(append([]byte(nil), b...), 0x00))
-		for _, p := range probes {
-			want := sign(bytes.Compare(p, b))
-			if got := sign(compareBytes(tx, p, a)); got != want {
-				t.Fatalf("compareBytes(%x, %x) = %d, want %d", p, b, got, want)
+		for _, n := range []int{0, 7, 8, 9, len(b) / 2, len(b) - 1} {
+			if n >= 0 && n < len(b) {
+				keys = append(keys, b[:n])
+			}
+		}
+		perKey := 1 << classOf(recordWords(len(b)+1))
+		s = rhtm.MustNewSystem(rhtm.DefaultConfig(len(keys)*perKey + 128))
+		tx = containers.SetupTx(s)
+		arena := NewArena(s, len(keys)*perKey)
+		for _, stored := range keys {
+			rec := keyRecord(t, arena, stored)
+			if got := loadWords(tx, rec+recKey, locLen(tx.Load(rec+recLocator))); !bytes.Equal(got, stored) {
+				t.Fatalf("record key round trip: wrote %x, read %x", stored, got)
+			}
+			for _, p := range keys {
+				if got, want := compareKey(tx, p, rec), bytes.Compare(p, stored); got != want {
+					t.Fatalf("compareKey(%x, %x) = %d, want %d", p, stored, got, want)
+				}
 			}
 		}
 	})
-}
-
-func sign(v int) int {
-	switch {
-	case v < 0:
-		return -1
-	case v > 0:
-		return 1
-	default:
-		return 0
-	}
 }
 
 // TestCodecGoldenVectors pins the exact word-level encoding at the

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"rhtm"
-	"rhtm/containers"
 )
 
 // Write intents are the store-level half of the cluster package's two-phase
@@ -23,10 +22,9 @@ import (
 // prepared transaction's validation), and a write intent blocks everyone.
 //
 // Intent records live in a second ordered index on the store's own arena,
-// sharing the entry layout of data records' first two words: word 0 the key
-// block, word 1 the payload block. The payload is kind-tagged and
-// word-aligned so the hot checks cost single data loads beyond the index
-// walk:
+// in the record layout of store.go with the locator pointing at a payload
+// block. The payload is kind-tagged and word-aligned so the hot checks cost
+// single data loads beyond the index walk:
 //
 //	write intents (IntentPut / IntentDelete):
 //	  byte 0       kind
@@ -42,10 +40,10 @@ import (
 //
 // A put intent pre-allocates the value block its apply will install (the
 // reserved address above), so that once a transaction is decided, applying
-// it cannot fail on arena exhaustion: every other block the apply needs —
-// key block, entry record, index node — is the same size class as one the
-// intent teardown itself frees moments earlier in the same transaction, so
-// the free lists are guaranteed to serve them. Capacity errors can only
+// it cannot fail on arena exhaustion: the only other block the apply can
+// need — the key's data record — is the size of the intent record the
+// teardown itself frees moments earlier in the same transaction, so the
+// free list is guaranteed to serve it. Capacity errors can only
 // happen at prepare, before the commit decision, where aborting is safe.
 //
 // All mutations run under the caller's transaction, so a prepare that aborts
@@ -83,18 +81,16 @@ var ErrIntentHeld = errors.New("store: key has a conflicting pending intent")
 var ErrIntentMissing = errors.New("store: no pending intent on key")
 
 // IntentFootprintWords returns the arena words one pending write intent
-// consumes, class-rounded (key block, payload block, reserved apply-time
-// value block, entry record, index node) — the sizing companion of
+// consumes, class-rounded (record, payload block, reserved apply-time value
+// block) — the sizing companion of
 // RecordFootprintWords for workloads that keep intents in flight. Shared
 // read-intent records are strictly smaller until their sharer list outgrows
 // the value: sizing by this function covers one sharer per in-flight
 // transaction key either way.
 func IntentFootprintWords(keyBytes, valueBytes int) int {
-	return 1<<classOf(blockWords(keyBytes)) +
+	return 1<<classOf(recordWords(keyBytes)) +
 		1<<classOf(blockWords(writeIntentHeaderBytes+valueBytes)) +
-		1<<classOf(blockWords(valueBytes)) +
-		1<<classOf(intentEntryWords) +
-		1<<classOf(containers.OTNodeWords)
+		1<<classOf(blockWords(valueBytes))
 }
 
 // PrepareIntent installs an intent for key owned by txid. For IntentPut,
@@ -106,12 +102,11 @@ func IntentFootprintWords(keyBytes, valueBytes int) int {
 // most once) — fails with ErrIntentHeld. Arena exhaustion surfaces as its
 // own error.
 func (st *Store) PrepareIntent(tx rhtm.Tx, key []byte, txid uint64, kind IntentKind, value []byte, lease uint64) error {
-	if item, held := st.intents.Lookup(tx, key); held {
+	if rec, held := st.intents.Lookup(tx, key); held {
 		if kind != IntentRead {
 			return ErrIntentHeld
 		}
-		ent := rhtm.Addr(item)
-		payload := readBytes(tx, rhtm.Addr(tx.Load(ent+1)))
+		payload := readBytes(tx, locBlock(tx.Load(rec+recLocator)))
 		if IntentKind(payload[0]) != IntentRead {
 			return ErrIntentHeld
 		}
@@ -123,7 +118,7 @@ func (st *Store) PrepareIntent(tx rhtm.Tx, key []byte, txid uint64, kind IntentK
 		copy(grown, payload)
 		binary.LittleEndian.PutUint64(grown[8:], n+1)
 		binary.LittleEndian.PutUint64(grown[len(payload):], txid)
-		return st.rewriteIntentPayload(tx, ent, payload, grown)
+		return st.rewriteIntentPayload(tx, rec, key, payload, grown)
 	}
 
 	var payload []byte
@@ -151,33 +146,24 @@ func (st *Store) PrepareIntent(tx rhtm.Tx, key []byte, txid uint64, kind IntentK
 		copy(payload[writeIntentHeaderBytes:], value)
 	}
 
-	kb, err := st.arena.TxAlloc(tx, blockWords(len(key)))
-	if err != nil {
-		return err
-	}
 	pb, err := st.arena.TxAlloc(tx, blockWords(len(payload)))
 	if err != nil {
 		return err
 	}
-	ent, err := st.arena.TxAlloc(tx, intentEntryWords)
+	rec, err := st.newRecord(tx, key, pb)
 	if err != nil {
 		return err
 	}
-	writeBytes(tx, kb, key)
 	writeBytes(tx, pb, payload)
-	tx.Store(ent, uint64(kb))
-	tx.Store(ent+1, uint64(pb))
-	if _, _, err := st.intents.Insert(tx, key, uint64(ent)); err != nil {
-		return err
-	}
+	st.intents.Insert(tx, key, rec)
 	tx.Store(st.intentCount, tx.Load(st.intentCount)+1)
 	return nil
 }
 
 // rewriteIntentPayload replaces an intent record's payload block, reusing
 // it in place when the new bytes pack into the same size class.
-func (st *Store) rewriteIntentPayload(tx rhtm.Tx, ent rhtm.Addr, old, new []byte) error {
-	pb := rhtm.Addr(tx.Load(ent + 1))
+func (st *Store) rewriteIntentPayload(tx rhtm.Tx, rec rhtm.Addr, key, old, new []byte) error {
+	pb := locBlock(tx.Load(rec + recLocator))
 	if classOf(blockWords(len(new))) == classOf(blockWords(len(old))) {
 		writeBytes(tx, pb, new)
 		return nil
@@ -187,7 +173,7 @@ func (st *Store) rewriteIntentPayload(tx rhtm.Tx, ent rhtm.Addr, old, new []byte
 		return err
 	}
 	writeBytes(tx, npb, new)
-	tx.Store(ent+1, uint64(npb))
+	tx.Store(rec+recLocator, locator(len(key), npb))
 	st.arena.TxFree(tx, pb, blockWords(len(old)))
 	return nil
 }
@@ -210,11 +196,11 @@ func readerIndex(payload []byte, txid uint64) int {
 // use it: shared read intents do not change the committed value, so they
 // never block another read.
 func (st *Store) WriteIntentOn(tx rhtm.Tx, key []byte) (txid uint64, held bool) {
-	item, ok := st.intents.Lookup(tx, key)
+	rec, ok := st.intents.Lookup(tx, key)
 	if !ok {
 		return 0, false
 	}
-	pb := rhtm.Addr(tx.Load(rhtm.Addr(item) + 1))
+	pb := locBlock(tx.Load(rec + recLocator))
 	// Payload word 1 holds bytes 0..7: the kind tag; word 2 bytes 8..15.
 	if IntentKind(tx.Load(pb+1)&0xff) == IntentRead {
 		return 0, false
@@ -232,11 +218,11 @@ func (st *Store) AnyIntentOn(tx rhtm.Tx, key []byte) bool {
 // ReadSharers returns how many transactions hold a read intent on key
 // (0 when none, or when the pending intent is a write).
 func (st *Store) ReadSharers(tx rhtm.Tx, key []byte) int {
-	item, ok := st.intents.Lookup(tx, key)
+	rec, ok := st.intents.Lookup(tx, key)
 	if !ok {
 		return 0
 	}
-	pb := rhtm.Addr(tx.Load(rhtm.Addr(item) + 1))
+	pb := locBlock(tx.Load(rec + recLocator))
 	if IntentKind(tx.Load(pb+1)&0xff) != IntentRead {
 		return 0
 	}
@@ -269,9 +255,9 @@ func (st *Store) ApplyIntent(tx rhtm.Tx, key []byte, txid uint64) (AppliedIntent
 	}
 	switch IntentKind(payload[0]) {
 	case IntentPut:
-		// Every block the store below can need beyond the reservation —
-		// key block, entry record, index node — is the same size class as
-		// one resolveIntent just freed under this transaction, so it cannot
+		// The one block the store below can need beyond the reservation —
+		// the key's data record — is the size of the intent record
+		// resolveIntent just freed under this transaction, so it cannot
 		// fail on capacity.
 		vb := rhtm.Addr(binary.LittleEndian.Uint64(payload[24:]))
 		lease := binary.LittleEndian.Uint64(payload[16:])
@@ -310,13 +296,11 @@ func (st *Store) DiscardIntent(tx rhtm.Tx, key []byte, txid uint64) error {
 // was the last sharer — and returns (nil, nil): reads have no effect to
 // apply.
 func (st *Store) resolveIntent(tx rhtm.Tx, key []byte, txid uint64) ([]byte, error) {
-	item, ok := st.intents.Lookup(tx, key)
+	rec, ok := st.intents.Lookup(tx, key)
 	if !ok {
 		return nil, ErrIntentMissing
 	}
-	ent := rhtm.Addr(item)
-	pb := rhtm.Addr(tx.Load(ent + 1))
-	payload := readBytes(tx, pb)
+	payload := readBytes(tx, locBlock(tx.Load(rec+recLocator)))
 
 	if IntentKind(payload[0]) == IntentRead {
 		off := readerIndex(payload, txid)
@@ -329,7 +313,7 @@ func (st *Store) resolveIntent(tx rhtm.Tx, key []byte, txid uint64) ([]byte, err
 			copy(shrunk, payload)
 			copy(shrunk[off:], payload[off+8:])
 			binary.LittleEndian.PutUint64(shrunk[8:], n-1)
-			return nil, st.rewriteIntentPayload(tx, ent, payload, shrunk)
+			return nil, st.rewriteIntentPayload(tx, rec, key, payload, shrunk)
 		}
 		st.unlinkIntent(tx, key)
 		return nil, nil
@@ -344,13 +328,10 @@ func (st *Store) resolveIntent(tx rhtm.Tx, key []byte, txid uint64) ([]byte, err
 
 // unlinkIntent removes key's intent record and frees its blocks.
 func (st *Store) unlinkIntent(tx rhtm.Tx, key []byte) {
-	item, _ := st.intents.Delete(tx, key)
-	ent := rhtm.Addr(item)
-	kb := rhtm.Addr(tx.Load(ent))
-	pb := rhtm.Addr(tx.Load(ent + 1))
-	st.arena.TxFree(tx, kb, blockWords(int(tx.Load(kb))))
+	rec, _ := st.intents.Delete(tx, key)
+	pb := locBlock(tx.Load(rec + recLocator))
 	st.arena.TxFree(tx, pb, blockWords(int(tx.Load(pb))))
-	st.arena.TxFree(tx, ent, intentEntryWords)
+	st.arena.TxFree(tx, rec, recordWords(len(key)))
 	tx.Store(st.intentCount, tx.Load(st.intentCount)-1)
 }
 
@@ -363,8 +344,8 @@ func (st *Store) unlinkIntent(tx rhtm.Tx, key []byte) {
 // them.
 func (st *Store) HasWriteIntentInRange(tx rhtm.Tx, start, end []byte) bool {
 	found := false
-	st.intents.Scan(tx, start, end, func(item uint64) bool {
-		pb := rhtm.Addr(tx.Load(rhtm.Addr(item) + 1))
+	st.intents.Scan(tx, start, end, func(rec rhtm.Addr) bool {
+		pb := locBlock(tx.Load(rec + recLocator))
 		if IntentKind(tx.Load(pb+1)&0xff) != IntentRead {
 			found = true
 			return false

@@ -2,9 +2,12 @@
 // the rhtm simulated machine — the storage layer that turns the paper's
 // protocol stack into something an application can grow on. Keys and values
 // are arbitrary []byte, packed into 64-bit words of simulated memory by a
-// varlen codec; a transactional free-list arena allocates the blocks; a
-// comparator-ordered red-black tree (containers.OrderedTree) indexes them
-// for Get/Put/Delete and ordered Scan.
+// varlen codec; a transactional free-list arena allocates the blocks; an
+// intrusive comparator-ordered red-black tree (containers.OrderedTree) links
+// the records for Get/Put/Delete and ordered Scan. A record is one arena
+// block that is its own index node and carries its key, so a descent step
+// reads the key words it compares and one child pointer, all on the record's
+// first cache line for keys up to 24 bytes.
 //
 // Every operation runs inside an rhtm.Tx body, so multi-key read-modify-
 // write sequences compose atomically under whichever engine drives the
@@ -32,16 +35,66 @@ import (
 	"rhtm/containers"
 )
 
-// entryWords is the size of a data entry record: word 0 holds the key block
-// address, word 1 the value block address, word 2 the revision the last
-// write stamped (the store's monotonic commit version for the key), word 3
-// the attached lease id (0 = none). The tree item is the entry address, so
-// replacing a value is a few stores into the entry — no tree surgery.
-const entryWords = 4
+// Record layout, in words. Data and intent records share it, so either kind
+// frees the block class the other allocates (see intent.go):
+//
+//	0..3       index header: left, right, parent, color (containers.OrderedTree)
+//	4          locator: key length in bytes << 40 | block address — the value
+//	           block of a data record, the payload block of an intent record
+//	5..5+k-1   key, packed as in codec.go; k = max(1, ceil(len/8)) words, so
+//	           the word compareKey reads first exists even for the empty key
+//	5+k, 6+k   data record: the revision the last write stamped (the store's
+//	           monotonic commit version for the key) and the attached lease id
+//	           (0 = none); unused in an intent record
+//
+// The value lives in its own block because it is rewritten in place and
+// changes size class; replacing it is a few stores into the record — no tree
+// surgery. The length shares the locator's word (an address needs under 40
+// bits — a System of 2^40 words would be 8 TiB of host memory — and a key at
+// most 18) so that a key of up to 8 bytes still fits the 8-word class.
+const (
+	recLocator  = containers.OTHeaderWords
+	recKey      = recLocator + 1
+	locLenShift = 40
+)
 
-// intentEntryWords is the size of an intent entry record: word 0 the key
-// block address, word 1 the payload block address (see intent.go).
-const intentEntryWords = 2
+// keyWords returns how many words a record holds for a key of n bytes.
+func keyWords(n int) int { return max(1, (n+7)/8) }
+
+// recordWords returns the size of the record of a key of n bytes.
+func recordWords(n int) int { return recKey + keyWords(n) + 2 }
+
+// locator packs a record's locator word; locLen and locBlock split it.
+func locator(keyBytes int, block rhtm.Addr) uint64 {
+	return uint64(keyBytes)<<locLenShift | uint64(block)
+}
+func locLen(m uint64) int         { return int(m >> locLenShift) }
+func locBlock(m uint64) rhtm.Addr { return rhtm.Addr(m & (1<<locLenShift - 1)) }
+
+// revCell returns the address of the revision word of key's data record; the
+// lease word follows it.
+func revCell(rec rhtm.Addr, key []byte) rhtm.Addr {
+	return rec + recKey + rhtm.Addr(keyWords(len(key)))
+}
+
+// newRecord allocates key's record pointing at block; the caller links it.
+func (st *Store) newRecord(tx rhtm.Tx, key []byte, block rhtm.Addr) (rhtm.Addr, error) {
+	rec, err := st.arena.TxAlloc(tx, recordWords(len(key)))
+	if err != nil {
+		return 0, err
+	}
+	tx.Store(rec+recLocator, locator(len(key), block))
+	storeWords(tx, rec+recKey, key, keyWords(len(key)))
+	return rec, nil
+}
+
+// decodeRecord returns private copies of the key and value of the data
+// record at rec, and the address of its revision word.
+func decodeRecord(tx rhtm.Tx, rec rhtm.Addr) (key, value []byte, rc rhtm.Addr) {
+	m := tx.Load(rec + recLocator)
+	key = loadWords(tx, rec+recKey, locLen(m))
+	return key, readBytes(tx, locBlock(m)), revCell(rec, key)
+}
 
 // DefaultArenaWords sizes a store's arena when Options.ArenaWords is zero.
 const DefaultArenaWords = 1 << 16
@@ -49,9 +102,9 @@ const DefaultArenaWords = 1 << 16
 // Options configures a Store.
 type Options struct {
 	// ArenaWords is the capacity, in simulated words, of the store's block
-	// arena (key blocks, value blocks, entry records, and index nodes all
-	// come from it). Zero selects DefaultArenaWords. For NewSharded this is
-	// the per-shard capacity, so the System's heap must hold at least
+	// arena (records, value blocks and intent payloads all come from it).
+	// Zero selects DefaultArenaWords. For NewSharded this is the per-shard
+	// capacity, so the System's heap must hold at least
 	// shards*(ArenaWords+LogWords) words (plus a few lines of allocator
 	// metadata) or construction panics with "heap exhausted".
 	ArenaWords int
@@ -62,8 +115,8 @@ type Options struct {
 	LogWords int
 }
 
-// Store is one transactional key-value store: an ordered index over varlen
-// entries in a private arena. Use it inside transaction bodies; for
+// Store is one transactional key-value store: an ordered index of varlen
+// records in a private arena. Use it inside transaction bodies; for
 // single-threaded population and verification, pass containers.SetupTx(s).
 type Store struct {
 	sys         *rhtm.System
@@ -92,8 +145,8 @@ func New(s *rhtm.System, opts Options) *Store {
 		count:       s.MustAlloc(1),
 		intentCount: s.MustAlloc(1),
 	}
-	st.idx = containers.NewOrderedTree(s, st.compareEntry, st.arena)
-	st.intents = containers.NewOrderedTree(s, st.compareEntry, st.arena)
+	st.idx = containers.NewOrderedTree(s, compareKey)
+	st.intents = containers.NewOrderedTree(s, compareKey)
 	return st
 }
 
@@ -113,62 +166,54 @@ func (st *Store) PartitionOf(key []byte) int { return 0 }
 func (st *Store) EventLogs() []*EventLog { return []*EventLog{st.log} }
 
 // RecordFootprintWords returns the arena words one live record consumes,
-// class-rounded: key block, value block, entry record, and index node.
-// Workload builders use it to size arenas; keeping it here means layout
-// changes (entry shape, index node size, codec header) cannot silently
+// class-rounded: the record (index header, locator, key, revision, lease)
+// and its value block. Workload builders use it to size arenas; keeping it
+// here means layout changes (record shape, codec header) cannot silently
 // drift from the sizing math.
 func RecordFootprintWords(keyBytes, valueBytes int) int {
-	return 1<<classOf(blockWords(keyBytes)) +
-		1<<classOf(blockWords(valueBytes)) +
-		1<<classOf(entryWords) +
-		1<<classOf(containers.OTNodeWords)
-}
-
-// compareEntry orders a probe key against an entry's key block.
-func (st *Store) compareEntry(tx rhtm.Tx, key []byte, item uint64) int {
-	return compareBytes(tx, key, rhtm.Addr(tx.Load(rhtm.Addr(item))))
+	return 1<<classOf(recordWords(keyBytes)) + 1<<classOf(blockWords(valueBytes))
 }
 
 // Get returns the value stored under key. The returned slice is a private
 // copy decoded from simulated memory.
 func (st *Store) Get(tx rhtm.Tx, key []byte) ([]byte, bool) {
-	item, ok := st.idx.Lookup(tx, key)
+	rec, ok := st.idx.Lookup(tx, key)
 	if !ok {
 		return nil, false
 	}
-	return readBytes(tx, rhtm.Addr(tx.Load(rhtm.Addr(item)+1))), true
+	return readBytes(tx, locBlock(tx.Load(rec+recLocator))), true
 }
 
 // Read returns key's value together with its revision (the store's
 // monotonic commit version stamped by the last write) and attached lease id
 // (0 = none).
 func (st *Store) Read(tx rhtm.Tx, key []byte) (value []byte, rev, lease uint64, ok bool) {
-	item, found := st.idx.Lookup(tx, key)
+	rec, found := st.idx.Lookup(tx, key)
 	if !found {
 		return nil, 0, 0, false
 	}
-	ent := rhtm.Addr(item)
-	return readBytes(tx, rhtm.Addr(tx.Load(ent+1))), tx.Load(ent + 2), tx.Load(ent + 3), true
+	rc := revCell(rec, key)
+	return readBytes(tx, locBlock(tx.Load(rec+recLocator))), tx.Load(rc), tx.Load(rc + 1), true
 }
 
 // RevOf returns key's revision without decoding the value; absent keys
 // report (0, false).
 func (st *Store) RevOf(tx rhtm.Tx, key []byte) (uint64, bool) {
-	item, ok := st.idx.Lookup(tx, key)
+	rec, ok := st.idx.Lookup(tx, key)
 	if !ok {
 		return 0, false
 	}
-	return tx.Load(rhtm.Addr(item) + 2), true
+	return tx.Load(revCell(rec, key)), true
 }
 
 // LeaseOf returns key's attached lease id (0 = none; absent keys report
 // (0, false)).
 func (st *Store) LeaseOf(tx rhtm.Tx, key []byte) (uint64, bool) {
-	item, ok := st.idx.Lookup(tx, key)
+	rec, ok := st.idx.Lookup(tx, key)
 	if !ok {
 		return 0, false
 	}
-	return tx.Load(rhtm.Addr(item) + 3), true
+	return tx.Load(revCell(rec, key) + 1), true
 }
 
 // Has reports whether key is present without decoding the value.
@@ -188,7 +233,7 @@ func (st *Store) Put(tx rhtm.Tx, key, value []byte) error {
 	return err
 }
 
-// PutLease is Put with a lease attachment: the entry's lease word is set to
+// PutLease is Put with a lease attachment: the record's lease word is set to
 // lease (0 detaches), so a later lease revoke can tell whether the key
 // still belongs to it.
 func (st *Store) PutLease(tx rhtm.Tx, key, value []byte, lease uint64) error {
@@ -228,66 +273,55 @@ func (st *Store) putWith(tx rhtm.Tx, key, value []byte, reserved rhtm.Addr, leas
 		}
 		return st.arena.TxAlloc(tx, newWords)
 	}
-	stamp := func(ent rhtm.Addr) uint64 {
+	stamp := func(rec rhtm.Addr) uint64 {
 		r := rev
 		if r == 0 {
 			r = st.log.NextRev(tx)
 		} else {
 			st.log.AdvanceTo(tx, r)
 		}
-		tx.Store(ent+2, r)
-		tx.Store(ent+3, lease)
+		rc := revCell(rec, key)
+		tx.Store(rc, r)
+		tx.Store(rc+1, lease)
 		st.log.Append(tx, EvPut, key, value, r)
 		return r
 	}
-	if item, ok := st.idx.Lookup(tx, key); ok {
-		ent := rhtm.Addr(item)
-		valCell := ent + 1
-		old := rhtm.Addr(tx.Load(valCell))
+	if rec, ok := st.idx.Lookup(tx, key); ok {
+		old := locBlock(tx.Load(rec + recLocator))
 		oldWords := blockWords(int(tx.Load(old)))
 		if classOf(newWords) == classOf(oldWords) {
 			writeBytes(tx, old, value)
 			if reserved != rhtm.NilAddr {
 				st.arena.TxFree(tx, reserved, newWords)
 			}
-			return stamp(ent), nil
+			return stamp(rec), nil
 		}
 		nv, err := takeValueBlock()
 		if err != nil {
 			return 0, err
 		}
 		writeBytes(tx, nv, value)
-		tx.Store(valCell, uint64(nv))
+		tx.Store(rec+recLocator, locator(len(key), nv))
 		st.arena.TxFree(tx, old, oldWords)
-		return stamp(ent), nil
-	}
-	kb, err := st.arena.TxAlloc(tx, blockWords(len(key)))
-	if err != nil {
-		return 0, err
+		return stamp(rec), nil
 	}
 	vb, err := takeValueBlock()
 	if err != nil {
 		return 0, err
 	}
-	ent, err := st.arena.TxAlloc(tx, entryWords)
+	rec, err := st.newRecord(tx, key, vb)
 	if err != nil {
 		return 0, err
 	}
-	writeBytes(tx, kb, key)
 	writeBytes(tx, vb, value)
-	tx.Store(ent, uint64(kb))
-	tx.Store(ent+1, uint64(vb))
-	if _, _, err := st.idx.Insert(tx, key, uint64(ent)); err != nil {
-		return 0, err
-	}
+	st.idx.Insert(tx, key, rec)
 	tx.Store(st.count, tx.Load(st.count)+1)
-	return stamp(ent), nil
+	return stamp(rec), nil
 }
 
-// Delete removes key, returning whether it was present. The entry's key
-// block, value block, entry record, and index node all return to the arena
-// under tx; a successful delete consumes a revision and appends an EvDelete
-// to the event log.
+// Delete removes key, returning whether it was present. The record and its
+// value block return to the arena under tx; a successful delete consumes a
+// revision and appends an EvDelete to the event log.
 func (st *Store) Delete(tx rhtm.Tx, key []byte) bool {
 	_, ok := st.deleteWith(tx, key, 0)
 	return ok
@@ -314,16 +348,13 @@ func (st *Store) ReplayDelete(tx rhtm.Tx, key []byte, rev uint64) bool {
 // deleteWith implements Delete; rev 0 mints a fresh revision, nonzero
 // replays a logged one.
 func (st *Store) deleteWith(tx rhtm.Tx, key []byte, rev uint64) (uint64, bool) {
-	item, ok := st.idx.Delete(tx, key)
+	rec, ok := st.idx.Delete(tx, key)
 	if !ok {
 		return 0, false
 	}
-	ent := rhtm.Addr(item)
-	kb := rhtm.Addr(tx.Load(ent))
-	vb := rhtm.Addr(tx.Load(ent + 1))
-	st.arena.TxFree(tx, kb, blockWords(int(tx.Load(kb))))
+	vb := locBlock(tx.Load(rec + recLocator))
 	st.arena.TxFree(tx, vb, blockWords(int(tx.Load(vb))))
-	st.arena.TxFree(tx, ent, entryWords)
+	st.arena.TxFree(tx, rec, recordWords(len(key)))
 	tx.Store(st.count, tx.Load(st.count)-1)
 	r := rev
 	if r == 0 {
@@ -346,11 +377,9 @@ func (st *Store) Scan(tx rhtm.Tx, start, end []byte, fn func(key, value []byte) 
 // validate by revision (the cluster's snapshot scans) use it to avoid
 // re-decoding values.
 func (st *Store) ScanRev(tx rhtm.Tx, start, end []byte, fn func(key, value []byte, rev uint64) bool) {
-	st.idx.Scan(tx, start, end, func(item uint64) bool {
-		ent := rhtm.Addr(item)
-		k := readBytes(tx, rhtm.Addr(tx.Load(ent)))
-		v := readBytes(tx, rhtm.Addr(tx.Load(ent+1)))
-		return fn(k, v, tx.Load(ent+2))
+	st.idx.Scan(tx, start, end, func(rec rhtm.Addr) bool {
+		k, v, rc := decodeRecord(tx, rec)
+		return fn(k, v, tx.Load(rc))
 	})
 }
 
@@ -358,11 +387,9 @@ func (st *Store) ScanRev(tx rhtm.Tx, start, end []byte, fn func(key, value []byt
 // in ascending key order. Checkpoints use it to serialize the full durable
 // state (lease records live in the same index, so they ride along).
 func (st *Store) ScanMeta(tx rhtm.Tx, fn func(key, value []byte, rev, lease uint64) bool) {
-	st.idx.Scan(tx, nil, nil, func(item uint64) bool {
-		ent := rhtm.Addr(item)
-		k := readBytes(tx, rhtm.Addr(tx.Load(ent)))
-		v := readBytes(tx, rhtm.Addr(tx.Load(ent+1)))
-		return fn(k, v, tx.Load(ent+2), tx.Load(ent+3))
+	st.idx.Scan(tx, nil, nil, func(rec rhtm.Addr) bool {
+		k, v, rc := decodeRecord(tx, rec)
+		return fn(k, v, tx.Load(rc), tx.Load(rc+1))
 	})
 }
 

@@ -20,6 +20,7 @@ func newSys(words int) *rhtm.System {
 func TestCodecRoundTrip(t *testing.T) {
 	s := newSys(1 << 14)
 	tx := containers.SetupTx(s)
+	arena := NewArena(s, 1<<10)
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 300} {
 		b := make([]byte, n)
@@ -30,8 +31,8 @@ func TestCodecRoundTrip(t *testing.T) {
 		if !bytes.Equal(got, b) {
 			t.Fatalf("len %d: round trip mismatch", n)
 		}
-		if c := compareBytes(tx, b, a); c != 0 {
-			t.Fatalf("len %d: compareBytes(self) = %d", n, c)
+		if c := compareKey(tx, b, keyRecord(t, arena, b)); c != 0 {
+			t.Fatalf("len %d: compareKey(self) = %d", n, c)
 		}
 	}
 }
@@ -43,13 +44,13 @@ func TestCodecCompare(t *testing.T) {
 		{}, []byte("a"), []byte("ab"), []byte("abc"), []byte("b"),
 		{0x00}, {0x00, 0x00}, {0xff, 0x01}, []byte("same-prefix-xxxxxxxxxx1"),
 	}
+	arena := NewArena(s, 1<<10)
 	probes := append([][]byte{[]byte("aa"), []byte("abd"), []byte("same-prefix-xxxxxxxxxx2"), {0xff}}, stored...)
 	for _, sv := range stored {
-		a := s.MustAlloc(blockWords(len(sv)))
-		writeBytes(tx, a, sv)
+		rec := keyRecord(t, arena, sv)
 		for _, p := range probes {
 			want := bytes.Compare(p, sv)
-			if got := compareBytes(tx, p, a); got != want {
+			if got := compareKey(tx, p, rec); got != want {
 				t.Fatalf("compare(%q, %q) = %d, want %d", p, sv, got, want)
 			}
 		}
