@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"bytes"
-	"sort"
+	"slices"
 
 	"rhtm"
 	"rhtm/store"
@@ -80,12 +80,10 @@ func (cl *Client) Batch(ops []BatchOp) ([]BatchResult, error) {
 	}
 	participants := make([]int, 0, len(byNode))
 	for nodeID := range byNode {
-		sort.Slice(byNode[nodeID], func(i, j int) bool {
-			return bytes.Compare(byNode[nodeID][i].key, byNode[nodeID][j].key) < 0
-		})
+		slices.SortFunc(byNode[nodeID], func(a, b batchKey) int { return bytes.Compare(a.key, b.key) })
 		participants = append(participants, nodeID)
 	}
-	sort.Ints(participants)
+	slices.Sort(participants)
 
 	if len(participants) == 1 {
 		return results, cl.batchLocal(participants[0], byNode[participants[0]], ops, results)
@@ -99,6 +97,14 @@ func (cl *Client) batchLocal(nodeID int, keys []batchKey, ops []BatchOp, results
 	n := cl.c.nodes[nodeID]
 	var recs []wal.Op
 	var maxRev uint64
+	// Flatten the key groups back into batch order, so the operations execute
+	// exactly as submitted.
+	order := cl.opOrder[:0]
+	for i := range keys {
+		order = append(order, keys[i].ops...)
+	}
+	slices.Sort(order)
+	cl.opOrder = order
 	err := cl.localRetry(func() error {
 		return cl.threads[nodeID].Atomic(func(tx rhtm.Tx) error {
 			recs = recs[:0] // the body re-executes on engine aborts
@@ -119,7 +125,7 @@ func (cl *Client) batchLocal(nodeID int, keys []batchKey, ops []BatchOp, results
 					return errConflict
 				}
 			}
-			for _, op := range opsInOrder(keys) {
+			for _, op := range order {
 				switch ops[op].Kind {
 				case BatchGet:
 					v, ok := n.st.Get(tx, ops[op].Key)
@@ -161,17 +167,6 @@ func (cl *Client) batchLocal(nodeID int, keys []batchKey, ops []BatchOp, results
 		return cl.logLocal(nodeID, recs)
 	}
 	return err
-}
-
-// opsInOrder flattens a participant's key groups back into batch order, so
-// the local path executes operations exactly as submitted.
-func opsInOrder(keys []batchKey) []int {
-	var out []int
-	for i := range keys {
-		out = append(out, keys[i].ops...)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // batchCross runs a multi-System batch under 2PC: the shared twoPhase round,

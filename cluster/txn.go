@@ -5,7 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
-	"sort"
+	"slices"
 	"time"
 
 	"rhtm"
@@ -37,6 +37,8 @@ type Client struct {
 	// stages of this session's commits (SetStageSink). Single-session
 	// state like everything else on Client.
 	sink obs.StageRecorder
+	// opOrder is batchLocal's scratch: a group's op indices in batch order.
+	opOrder []int
 }
 
 // SetStageSink attaches (or with nil detaches) a per-stage trace sink:
@@ -421,7 +423,7 @@ func (t *Txn) Scan(start, end []byte, limit int) ([]Entry, error) {
 	for k := range merged {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	if limit > 0 && len(keys) > limit {
 		keys = keys[:limit]
 	}
@@ -487,12 +489,10 @@ func (cl *Client) footprint(t *Txn) (map[int][]txnKey, []int) {
 	}
 	participants := make([]int, 0, len(byNode))
 	for n := range byNode {
-		sort.Slice(byNode[n], func(i, j int) bool {
-			return bytes.Compare(byNode[n][i].key, byNode[n][j].key) < 0
-		})
+		slices.SortFunc(byNode[n], func(a, b txnKey) int { return bytes.Compare(a.key, b.key) })
 		participants = append(participants, n)
 	}
-	sort.Ints(participants)
+	slices.Sort(participants)
 	return byNode, participants
 }
 
@@ -500,6 +500,14 @@ func (cl *Client) footprint(t *Txn) (map[int][]txnKey, []int) {
 // a nil error) when a conflict requires the caller to retry the body.
 func (cl *Client) commit(t *Txn) (bool, error) {
 	cl.lastRev = 0
+	// A lone committed read is its own snapshot: readCommitted waited out any
+	// write intent, and there is no second observation for it to disagree
+	// with, so re-validating it in another engine transaction proves nothing.
+	// It counts as the local transaction it was; an empty one counts as none.
+	if len(t.writes) == 0 && len(t.scans) == 0 && len(t.reads) <= 1 {
+		cl.c.localTxns.Add(uint64(len(t.reads)))
+		return true, nil
+	}
 	byNode, participants := cl.footprint(t)
 	// Phantom protection outside the footprint: hash routing interleaves a
 	// scanned range over every System, but the commit path only validates

@@ -38,10 +38,15 @@ type OrderedTree struct {
 	root rhtm.Addr // one-word cell holding the root node address
 }
 
-// NewOrderedTree allocates an empty tree on s.
+// NewOrderedTree allocates an empty tree on s. The root cell gets a cache
+// line of its own: every operation loads it, so a neighbour's write must not
+// abort them all.
 func NewOrderedTree(s *rhtm.System, cmp NodeCompare) *OrderedTree {
-	return &OrderedTree{sys: s, cmp: cmp, root: s.MustAlloc(1)}
+	return &OrderedTree{sys: s, cmp: cmp, root: s.MustAllocLines(1)}
 }
+
+// RootCell returns the address of the root cell (layout tests).
+func (t *OrderedTree) RootCell() rhtm.Addr { return t.root }
 
 // Lookup returns the node stored under key.
 func (t *OrderedTree) Lookup(tx rhtm.Tx, key []byte) (rhtm.Addr, bool) {
@@ -101,9 +106,15 @@ func (t *OrderedTree) Insert(tx rhtm.Tx, key []byte, node rhtm.Addr) (existing r
 // no other entry changes address.
 func (t *OrderedTree) Delete(tx rhtm.Tx, key []byte) (rhtm.Addr, bool) {
 	za, ok := t.Lookup(tx, key)
-	if !ok {
-		return rhtm.NilAddr, false
+	if ok {
+		t.Unlink(tx, za)
 	}
+	return za, ok
+}
+
+// Unlink is Delete for a caller that already holds the node: za must be what
+// a Lookup or Insert under tx returned.
+func (t *OrderedTree) Unlink(tx rhtm.Tx, za rhtm.Addr) {
 	z := uint64(za)
 	zl, zr := tx.Load(za+otLeft), tx.Load(za+otRight)
 
@@ -142,7 +153,6 @@ func (t *OrderedTree) Delete(tx rhtm.Tx, key []byte) (rhtm.Addr, bool) {
 	if removed == black {
 		t.deleteFixup(tx, x, xp)
 	}
-	return za, true
 }
 
 // transplant puts v (which may be nil) where u hangs from its parent, and

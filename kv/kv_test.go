@@ -456,3 +456,64 @@ func TestWatchReportsDroppedKey(t *testing.T) {
 		t.Fatal("dropped-key write produced no EventLost")
 	}
 }
+
+// TestClusterGetRevIsOneTransaction: a closure that made one committed read
+// and nothing else commits without a second engine transaction — the read is
+// its own snapshot — so GetRev on a cluster costs the owning System exactly
+// one commit (it cost two: the read, then commitLocal re-validating it). The
+// rule must not widen: a read-only closure with two reads still validates,
+// and still loses to a write that lands between them.
+func TestClusterGetRevIsOneTransaction(t *testing.T) {
+	db, _, _ := clusterFactory("TL2", 2, 0)(t)
+	cdb := db.(*kv.ClusterDB)
+	// Two keys of one System, so the two-read closure takes the local commit.
+	a, b := []byte("user00000000"), []byte(nil)
+	for i := 1; b == nil; i++ {
+		if k := []byte(fmt.Sprintf("user%08d", i)); cdb.Domain(k) == cdb.Domain(a) {
+			b = k
+		}
+	}
+	for _, k := range [][]byte{a, b} {
+		if err := db.Put(k, []byte("v0")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng := cdb.Cluster().Node(cdb.Domain(a)).Engine()
+	commits, local := eng.Snapshot().Commits(), cdb.Cluster().Counters().LocalTxns
+	if v, rev, err := db.GetRev(a); err != nil || string(v) != "v0" || rev == 0 {
+		t.Fatalf("GetRev = %q, %d, %v", v, rev, err)
+	}
+	if got := eng.Snapshot().Commits() - commits; got != 1 {
+		t.Errorf("GetRev cost the owning System %d engine transactions, want 1", got)
+	}
+	if got := cdb.Cluster().Counters().LocalTxns - local; got != 1 {
+		t.Errorf("GetRev counted as %d local transactions, want 1", got)
+	}
+
+	attempts := 0
+	var seen string
+	commits = eng.Snapshot().Commits()
+	err := db.Update(func(tx kv.Txn) error {
+		attempts++
+		va, err := tx.Get(a)
+		if err != nil {
+			return err
+		}
+		if attempts == 1 {
+			if err := db.Put(a, []byte("v1")); err != nil {
+				return err
+			}
+		}
+		_, err = tx.Get(b)
+		seen = string(va)
+		return err
+	})
+	if err != nil || attempts != 2 || seen != "v1" {
+		t.Fatalf("two-read closure over a concurrent write: err=%v attempts=%d saw %q, want nil/2/v1", err, attempts, seen)
+	}
+	// Two reads, the Put and a refused validation (an abort, not a commit);
+	// then two reads and the validation that passes.
+	if got := eng.Snapshot().Commits() - commits; got != 6 {
+		t.Errorf("the two attempts and the write cost %d engine transactions, want 6", got)
+	}
+}

@@ -3,6 +3,7 @@ package repl
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -33,6 +34,7 @@ type Follower struct {
 
 	streams []*stream // data streams, one per System
 	coord   *stream   // cluster decision-log mirror, nil on a local follower
+	all     []*stream // streams plus coord: what drain, kick and stop visit
 	wms     *store.Watermarks
 	wg      sync.WaitGroup
 
@@ -148,6 +150,7 @@ func (g *Group) AddLocalReplica(eng rhtm.Engine, st kv.Storer, opts ...kv.Option
 	f.wms = store.NewWatermarks(len(st.EventLogs()))
 	s := newStream("wal", g.dev)
 	f.streams = []*stream{s}
+	f.all = f.streams
 	f.wg.Add(1)
 	go f.pumpData(s, eng, st, -1)
 	g.register(f)
@@ -184,6 +187,7 @@ func (g *Group) AddClusterReplica(rc *cluster.Cluster, opts ...kv.Option) (*Foll
 		go f.pumpData(s, rc.Node(i).Engine(), rc.Node(i).Store(), i)
 	}
 	f.coord = newStream(kv.WALCoordName, g.coordDev)
+	f.all = append(slices.Clone(f.streams), f.coord)
 	f.wg.Add(1)
 	go f.pumpCoord(f.coord)
 	g.register(f)
@@ -225,7 +229,7 @@ func (f *Follower) AppliedRev(part int) uint64 { return f.wms.Get(part) }
 func (f *Follower) WaitIdle() error { return f.drain() }
 
 func (f *Follower) drain() error {
-	for _, s := range f.allStreams() {
+	for _, s := range f.all {
 		if err := s.drained(); err != nil {
 			return err
 		}
@@ -233,23 +237,16 @@ func (f *Follower) drain() error {
 	return nil
 }
 
-func (f *Follower) allStreams() []*stream {
-	if f.coord == nil {
-		return f.streams
-	}
-	return append(append([]*stream(nil), f.streams...), f.coord)
-}
-
 func (f *Follower) appliedTotal() uint64 {
 	var t uint64
-	for _, s := range f.allStreams() {
+	for _, s := range f.all {
 		t += s.lsn()
 	}
 	return t
 }
 
 func (f *Follower) kick() {
-	for _, s := range f.allStreams() {
+	for _, s := range f.all {
 		s.tl.Kick()
 	}
 }
@@ -263,7 +260,7 @@ func (f *Follower) stop() {
 	}
 	f.stopped = true
 	f.stopMu.Unlock()
-	for _, s := range f.allStreams() {
+	for _, s := range f.all {
 		s.tl.Close()
 	}
 	f.wg.Wait()
@@ -296,7 +293,7 @@ func (f *Follower) pumpData(s *stream, eng rhtm.Engine, st kv.Storer, part int) 
 		case wal.UnitCheckpoint:
 			// Fully redundant for a caught-up follower (snapshots hold only
 			// live keys at their current revisions, all <= the applied
-			// watermark); the per-key guard in applyOps skips them. A
+			// watermark); the replay entry points' revision guard skips them. A
 			// follower attached mid-log uses them as its catch-up base.
 			maxRev, err = f.applyOps(th, st, u.Checkpoint, part)
 		case wal.UnitMark, wal.UnitEpoch:
@@ -312,8 +309,9 @@ func (f *Follower) pumpData(s *stream, eng rhtm.Engine, st kv.Storer, part int) 
 }
 
 // applyOps applies one unit's ops in a single engine transaction — the
-// unit's atomicity on the replica — with a per-key revision guard making
-// re-delivery (checkpoint overlap, reattached cursors) idempotent.
+// unit's atomicity on the replica. The replay entry points skip an op at or
+// below its record's revision, which makes re-delivery (checkpoint overlap,
+// reattached cursors) idempotent.
 func (f *Follower) applyOps(th rhtm.Thread, st kv.Storer, ops []wal.Op, part int) (uint64, error) {
 	if len(ops) == 0 {
 		return 0, nil
@@ -330,10 +328,6 @@ func (f *Follower) applyOps(th rhtm.Thread, st kv.Storer, ops []wal.Op, part int
 			op := &ops[i]
 			if op.Rev > maxRev {
 				maxRev = op.Rev
-			}
-			_, cur, _, ok := st.Read(tx, op.Key)
-			if ok && op.Rev <= cur {
-				continue
 			}
 			if op.Kind == wal.OpPut {
 				if err := st.ReplayPut(tx, op.Key, op.Value, op.Rev, op.Lease); err != nil {

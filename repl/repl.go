@@ -230,7 +230,7 @@ func (g *Group) lagFrames() int64 {
 	defer g.fmu.RUnlock()
 	var lag int64
 	for _, f := range g.followers {
-		for i, s := range f.allStreams() {
+		for i, s := range f.all {
 			if i >= len(lasts) {
 				break
 			}
@@ -272,7 +272,7 @@ func (g *Group) Status() []ReplicaStatus {
 	defer g.fmu.RUnlock()
 	var out []ReplicaStatus
 	for _, f := range g.followers {
-		for i, s := range f.allStreams() {
+		for i, s := range f.all {
 			st := ReplicaStatus{
 				Name:       f.name,
 				Stream:     s.name,
@@ -322,7 +322,7 @@ func (g *Group) register(f *Follower) {
 	// Gauges live as long as the group; they keep reporting the follower's
 	// last applied cursor after promotion (then tracking it as primary is
 	// the lag gauge's job, which reads the live list).
-	for _, s := range f.allStreams() {
+	for _, s := range f.all {
 		s := s
 		g.reg.GaugeFunc(obs.Name("repl.applied_lsn", "replica", f.name, "stream", s.name),
 			func() int64 { return int64(s.lsn()) })
@@ -398,7 +398,7 @@ func (g *Group) Promote() (kv.DB, *Follower, error) {
 		return nil, nil, fmt.Errorf("%w: %v", ErrNoReplica, errors.Join(errs...))
 	}
 	chosen.stop()
-	for _, s := range chosen.allStreams() {
+	for _, s := range chosen.all {
 		if off := s.tl.Offset(); s.dev.Size() > off {
 			// A torn suffix past the validated prefix (crash images only —
 			// a fenced writer leaves none): drop it before the new writer

@@ -326,3 +326,62 @@ func TestClusterFailover(t *testing.T) {
 		t.Fatalf("epoch %d, want 2", m.Epoch)
 	}
 }
+
+// TestReplicaApplyDescendsOnce pins what one replicated put costs the replica
+// against what it cost the primary: the same descent, rewrite and stamp, plus
+// the replay guard's one load of the record's revision. The pump used to
+// guard every op with a Read of its own — a second descent and the value —
+// before ReplayPut descended again: this put then cost the replica 433
+// accesses against the primary's 241 (TL2, metadata accesses included; on
+// stack-a's RH1 fast path a replicated put read 171 against 111).
+func TestReplicaApplyDescendsOnce(t *testing.T) {
+	accesses := func(eng rhtm.Engine) uint64 {
+		s := eng.Snapshot()
+		return s.Reads + s.Writes + s.MetadataReads + s.MetadataWrites
+	}
+	newSide := func() (rhtm.Engine, *store.Store) {
+		s := rhtm.MustNewSystem(rhtm.DefaultConfig(1 << 18))
+		return rhtm.NewTL2(s), store.New(s, store.Options{ArenaWords: 1 << 16})
+	}
+	peng, pst := newSide()
+	dev, err := wal.NewMemStorage().Device("wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := kv.OpenLocal(peng, pst, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := repl.NewLocalGroup(db, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	reng, rst := newSide()
+	f, err := g.AddLocalReplica(reng, rst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(i int) []byte { return []byte(fmt.Sprintf("user%08d", i)) }
+	value := make([]byte, 64)
+	for i := 0; i < 1024; i++ {
+		if err := db.Put(key(i*7919%1024), value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+	p0, r0 := accesses(peng), accesses(reng)
+	if err := db.Put(key(500), value); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+	primary, replica := accesses(peng)-p0, accesses(reng)-r0
+	t.Logf("one put of 1,024: primary %d accesses, replica %d", primary, replica)
+	if replica > primary+8 {
+		t.Errorf("a replicated put cost the replica %d accesses, the primary %d: want at most 8 more", replica, primary)
+	}
+}

@@ -174,6 +174,16 @@ func (s *System) Alloc(n int) (Addr, error) { return s.inner.Heap.Alloc(n) }
 // MustAlloc is Alloc for setup code.
 func (s *System) MustAlloc(n int) Addr { return s.inner.Heap.MustAlloc(n) }
 
+// MustAllocLines is MustAlloc with n rounded up to whole cache lines. The
+// heap line-aligns such a block, so it shares a line with no other
+// allocation: the home for a word many transactions read and few write (a
+// tree root, a counter), which must not abort its readers whenever an
+// unrelated neighbour is written.
+func (s *System) MustAllocLines(n int) Addr {
+	line := s.inner.Config().WordsPerLine
+	return s.inner.Heap.MustAlloc((n + line - 1) / line * line)
+}
+
 // Free returns a block previously obtained from Alloc with the same size.
 func (s *System) Free(a Addr, n int) { s.inner.Heap.Free(a, n) }
 

@@ -38,7 +38,7 @@ type Arena struct {
 	sys   *rhtm.System
 	base  rhtm.Addr // block storage region
 	words int
-	bump  rhtm.Addr // one word: address of the next unused block
+	bump  rhtm.Addr // one word on its own line: address of the next unused block
 	heads rhtm.Addr // numClasses words: free-list heads
 	ctrs  rhtm.Addr // numClasses words: free words per class (O(1) Stats)
 }
@@ -48,7 +48,7 @@ type Arena struct {
 func NewArena(s *rhtm.System, words int) *Arena {
 	a := &Arena{
 		sys:   s,
-		bump:  s.MustAlloc(1),
+		bump:  s.MustAllocLines(1),
 		heads: s.MustAlloc(numClasses),
 		ctrs:  s.MustAlloc(numClasses),
 		base:  s.MustAlloc(words),

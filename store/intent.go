@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"rhtm"
+	"rhtm/containers"
 )
 
 // Write intents are the store-level half of the cluster package's two-phase
@@ -21,10 +22,14 @@ import (
 // blocks writers (a write under a pinned read would invalidate the
 // prepared transaction's validation), and a write intent blocks everyone.
 //
-// Intent records live in a second ordered index on the store's own arena,
-// in the record layout of store.go with the locator pointing at a payload
-// block. The payload is kind-tagged and word-aligned so the hot checks cost
-// single data loads beyond the index walk:
+// Intent records live on the store's own arena, in the record layout of
+// store.go with the locator pointing at a payload block, indexed by
+// intentBuckets small ordered trees chosen by a hash of the key. What the
+// per-key check loads is in every transaction's read set: one tree's root was
+// written by every prepare and finish, and each aborted every transaction in
+// flight on the store; a bucket's root, on a line of its own, is written only
+// by 2PC on a key of that bucket. The payload is kind-tagged and word-aligned
+// so the hot checks cost single data loads beyond the index walk:
 //
 //	write intents (IntentPut / IntentDelete):
 //	  byte 0       kind
@@ -61,6 +66,17 @@ const (
 	// IntentDelete buffers a deletion; ApplyIntent removes the key.
 	IntentDelete
 )
+
+// intentBuckets is a constant, not an option: 64 root lines fit the heap
+// slack every caller already leaves, and two keys collide once in 64.
+const intentBuckets = 64
+
+// intentsOf returns the bucket indexing key's intents: the top 6 bits of the
+// key hash after a multiplicative mix, because its low bits already chose the
+// key's System and shard and FNV-1a's own top bits ignore a key's last bytes.
+func (st *Store) intentsOf(key []byte) *containers.OrderedTree {
+	return st.intents[KeyHash(key)*0x9e3779b97f4a7c15>>58]
+}
 
 // Payload header sizes (see the layout comment above).
 const (
@@ -102,7 +118,8 @@ func IntentFootprintWords(keyBytes, valueBytes int) int {
 // most once) — fails with ErrIntentHeld. Arena exhaustion surfaces as its
 // own error.
 func (st *Store) PrepareIntent(tx rhtm.Tx, key []byte, txid uint64, kind IntentKind, value []byte, lease uint64) error {
-	if rec, held := st.intents.Lookup(tx, key); held {
+	bucket := st.intentsOf(key)
+	if rec, held := bucket.Lookup(tx, key); held {
 		if kind != IntentRead {
 			return ErrIntentHeld
 		}
@@ -155,8 +172,7 @@ func (st *Store) PrepareIntent(tx rhtm.Tx, key []byte, txid uint64, kind IntentK
 		return err
 	}
 	writeBytes(tx, pb, payload)
-	st.intents.Insert(tx, key, rec)
-	tx.Store(st.intentCount, tx.Load(st.intentCount)+1)
+	bucket.Insert(tx, key, rec)
 	return nil
 }
 
@@ -196,7 +212,7 @@ func readerIndex(payload []byte, txid uint64) int {
 // use it: shared read intents do not change the committed value, so they
 // never block another read.
 func (st *Store) WriteIntentOn(tx rhtm.Tx, key []byte) (txid uint64, held bool) {
-	rec, ok := st.intents.Lookup(tx, key)
+	rec, ok := st.intentsOf(key).Lookup(tx, key)
 	if !ok {
 		return 0, false
 	}
@@ -211,14 +227,14 @@ func (st *Store) WriteIntentOn(tx rhtm.Tx, key []byte) (txid uint64, held bool) 
 // AnyIntentOn reports whether key has any pending intent — the writer-side
 // check: a write must wait for pending readers and writers alike.
 func (st *Store) AnyIntentOn(tx rhtm.Tx, key []byte) bool {
-	_, held := st.intents.Lookup(tx, key)
+	_, held := st.intentsOf(key).Lookup(tx, key)
 	return held
 }
 
 // ReadSharers returns how many transactions hold a read intent on key
 // (0 when none, or when the pending intent is a write).
 func (st *Store) ReadSharers(tx rhtm.Tx, key []byte) int {
-	rec, ok := st.intents.Lookup(tx, key)
+	rec, ok := st.intentsOf(key).Lookup(tx, key)
 	if !ok {
 		return 0
 	}
@@ -296,7 +312,8 @@ func (st *Store) DiscardIntent(tx rhtm.Tx, key []byte, txid uint64) error {
 // was the last sharer — and returns (nil, nil): reads have no effect to
 // apply.
 func (st *Store) resolveIntent(tx rhtm.Tx, key []byte, txid uint64) ([]byte, error) {
-	rec, ok := st.intents.Lookup(tx, key)
+	bucket := st.intentsOf(key)
+	rec, ok := bucket.Lookup(tx, key)
 	if !ok {
 		return nil, ErrIntentMissing
 	}
@@ -315,24 +332,24 @@ func (st *Store) resolveIntent(tx rhtm.Tx, key []byte, txid uint64) ([]byte, err
 			binary.LittleEndian.PutUint64(shrunk[8:], n-1)
 			return nil, st.rewriteIntentPayload(tx, rec, key, payload, shrunk)
 		}
-		st.unlinkIntent(tx, key)
+		st.unlinkIntent(tx, bucket, rec, key)
 		return nil, nil
 	}
 
 	if owner := binary.LittleEndian.Uint64(payload[8:]); owner != txid {
 		return nil, fmt.Errorf("store: intent on %q owned by txn %d, not %d", key, owner, txid)
 	}
-	st.unlinkIntent(tx, key)
+	st.unlinkIntent(tx, bucket, rec, key)
 	return payload, nil
 }
 
-// unlinkIntent removes key's intent record and frees its blocks.
-func (st *Store) unlinkIntent(tx rhtm.Tx, key []byte) {
-	rec, _ := st.intents.Delete(tx, key)
+// unlinkIntent removes key's intent record rec from its bucket and frees its
+// blocks.
+func (st *Store) unlinkIntent(tx rhtm.Tx, bucket *containers.OrderedTree, rec rhtm.Addr, key []byte) {
+	bucket.Unlink(tx, rec)
 	pb := locBlock(tx.Load(rec + recLocator))
 	st.arena.TxFree(tx, pb, blockWords(int(tx.Load(pb))))
 	st.arena.TxFree(tx, rec, recordWords(len(key)))
-	tx.Store(st.intentCount, tx.Load(st.intentCount)-1)
 }
 
 // HasWriteIntentInRange reports whether any key in [start, end) (nil bounds
@@ -341,22 +358,26 @@ func (st *Store) unlinkIntent(tx rhtm.Tx, key []byte) {
 // pending write makes part of the range undecided, so the scan waits for
 // resolution instead of returning values that may be mid-replacement.
 // Shared read intents are invisible here: they pin values without changing
-// them.
-func (st *Store) HasWriteIntentInRange(tx rhtm.Tx, start, end []byte) bool {
-	found := false
-	st.intents.Scan(tx, start, end, func(rec rhtm.Addr) bool {
-		pb := locBlock(tx.Load(rec + recLocator))
-		if IntentKind(tx.Load(pb+1)&0xff) != IntentRead {
-			found = true
-			return false
-		}
-		return true
-	})
+// them. A range is spread over every bucket, so the check loads every bucket
+// root and conflicts with every prepare and finish on the store.
+func (st *Store) HasWriteIntentInRange(tx rhtm.Tx, start, end []byte) (found bool) {
+	for b := 0; b < intentBuckets && !found; b++ {
+		st.intents[b].Scan(tx, start, end, func(rec rhtm.Addr) bool {
+			pb := locBlock(tx.Load(rec + recLocator))
+			found = IntentKind(tx.Load(pb+1)&0xff) != IntentRead
+			return !found
+		})
+	}
 	return found
 }
 
 // PendingIntents returns the number of keys with an intent record installed
-// (a shared read record with any number of sharers counts once).
+// (a shared read record with any number of sharers counts once), by walking
+// every bucket: no transaction on the commit path pays for a counter.
 func (st *Store) PendingIntents(tx rhtm.Tx) int {
-	return int(tx.Load(st.intentCount))
+	n := 0
+	for _, bucket := range st.intents {
+		n += bucket.Len(tx)
+	}
+	return n
 }

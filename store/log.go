@@ -94,13 +94,16 @@ func NewEventLog(s *rhtm.System, words int) *EventLog {
 	if words < minLogWords {
 		words = minLogWords
 	}
+	// One line for all five: every append writes seq, head and tail together,
+	// so splitting them buys nothing, and the two rare words ride along.
+	clk := s.MustAllocLines(5)
 	return &EventLog{
 		sys:     s,
-		seq:     s.MustAlloc(1),
-		head:    s.MustAlloc(1),
-		tail:    s.MustAlloc(1),
-		dropped: s.MustAlloc(1),
-		floor:   s.MustAlloc(1),
+		seq:     clk,
+		head:    clk + 1,
+		tail:    clk + 2,
+		dropped: clk + 3,
+		floor:   clk + 4,
 		buf:     s.MustAlloc(words),
 		cap:     words,
 	}

@@ -15,7 +15,11 @@
 // the key space into per-shard sub-stores on one System: per-shard index
 // roots and arenas slash structural contention while cross-shard
 // transactions stay atomic, because every engine on one System shares the
-// same conflict detection.
+// same conflict detection. Conflicts are detected per cache line, so every
+// word written on its own — a count, a tree root, an allocation frontier, the
+// event log's clock — has a line to itself, and pending intents are indexed by
+// key-hashed buckets (intent.go): a transaction conflicts with the writers of
+// its own keys, not with whoever happens to be its neighbour.
 //
 //	s := rhtm.MustNewSystem(rhtm.DefaultConfig(1 << 20))
 //	eng := rhtm.NewRH1(s, rhtm.DefaultRH1Options())
@@ -119,13 +123,12 @@ type Options struct {
 // records in a private arena. Use it inside transaction bodies; for
 // single-threaded population and verification, pass containers.SetupTx(s).
 type Store struct {
-	sys         *rhtm.System
-	arena       *Arena
-	idx         *containers.OrderedTree
-	intents     *containers.OrderedTree
-	log         *EventLog
-	count       rhtm.Addr // one word: live entry count
-	intentCount rhtm.Addr // one word: pending intent count
+	sys     *rhtm.System
+	arena   *Arena
+	idx     *containers.OrderedTree
+	intents [intentBuckets]*containers.OrderedTree // see intentsOf
+	log     *EventLog
+	count   rhtm.Addr // one word on its own line: live entry count
 
 	// walStats, when set, snapshots the attached write-ahead log's
 	// counters for Stats and Validate (host-side; see SetWALStats).
@@ -139,14 +142,15 @@ func New(s *rhtm.System, opts Options) *Store {
 		words = DefaultArenaWords
 	}
 	st := &Store{
-		sys:         s,
-		arena:       NewArena(s, words),
-		log:         NewEventLog(s, opts.LogWords),
-		count:       s.MustAlloc(1),
-		intentCount: s.MustAlloc(1),
+		sys:   s,
+		arena: NewArena(s, words),
+		log:   NewEventLog(s, opts.LogWords),
+		count: s.MustAllocLines(1),
+		idx:   containers.NewOrderedTree(s, compareKey),
 	}
-	st.idx = containers.NewOrderedTree(s, compareKey)
-	st.intents = containers.NewOrderedTree(s, compareKey)
+	for b := range st.intents {
+		st.intents[b] = containers.NewOrderedTree(s, compareKey)
+	}
 	return st
 }
 
@@ -248,11 +252,12 @@ func (st *Store) PutStamped(tx rhtm.Tx, key, value []byte, lease uint64) (uint64
 	return st.putWith(tx, key, value, rhtm.NilAddr, lease, 0)
 }
 
-// ReplayPut is the recovery-path put: it applies a logged write with its
-// original revision instead of minting a fresh one, and advances the
-// store's revision clock to at least rev, so post-recovery writes continue
-// the same monotone sequence and watch streams resume at the recovered
-// revision. Single-threaded recovery only.
+// ReplayPut is the replay-path put (crash recovery, replica apply): it applies
+// a logged write with its original revision instead of minting a fresh one,
+// and advances the store's revision clock to at least rev, so later writes
+// continue the same monotone sequence and watch streams resume at the
+// replayed revision. A write at or below the record's revision is a
+// re-delivery and changes nothing.
 func (st *Store) ReplayPut(tx rhtm.Tx, key, value []byte, rev, lease uint64) error {
 	_, err := st.putWith(tx, key, value, rhtm.NilAddr, lease, rev)
 	return err
@@ -287,6 +292,9 @@ func (st *Store) putWith(tx rhtm.Tx, key, value []byte, reserved rhtm.Addr, leas
 		return r
 	}
 	if rec, ok := st.idx.Lookup(tx, key); ok {
+		if rev != 0 && rev <= tx.Load(revCell(rec, key)) {
+			return rev, nil // re-delivered: the record holds this write or a later one
+		}
 		old := locBlock(tx.Load(rec + recLocator))
 		oldWords := blockWords(int(tx.Load(old)))
 		if classOf(newWords) == classOf(oldWords) {
@@ -333,10 +341,10 @@ func (st *Store) DeleteStamped(tx rhtm.Tx, key []byte) (uint64, bool) {
 	return st.deleteWith(tx, key, 0)
 }
 
-// ReplayDelete is the recovery-path delete: it stamps the logged revision
+// ReplayDelete is the replay-path delete: it stamps the logged revision
 // instead of minting one and advances the revision clock to at least rev
 // even when the key is already absent (the deletion consumed that revision
-// before the crash). Single-threaded recovery only.
+// when it was logged). A record at or above rev is left alone, like ReplayPut.
 func (st *Store) ReplayDelete(tx rhtm.Tx, key []byte, rev uint64) bool {
 	_, ok := st.deleteWith(tx, key, rev)
 	if !ok {
@@ -348,10 +356,11 @@ func (st *Store) ReplayDelete(tx rhtm.Tx, key []byte, rev uint64) bool {
 // deleteWith implements Delete; rev 0 mints a fresh revision, nonzero
 // replays a logged one.
 func (st *Store) deleteWith(tx rhtm.Tx, key []byte, rev uint64) (uint64, bool) {
-	rec, ok := st.idx.Delete(tx, key)
-	if !ok {
-		return 0, false
+	rec, ok := st.idx.Lookup(tx, key)
+	if !ok || rev != 0 && rev <= tx.Load(revCell(rec, key)) {
+		return 0, false // absent, or a re-delivered removal of an older version
 	}
+	st.idx.Unlink(tx, rec)
 	vb := locBlock(tx.Load(rec + recLocator))
 	st.arena.TxFree(tx, vb, blockWords(int(tx.Load(vb))))
 	st.arena.TxFree(tx, rec, recordWords(len(key)))
@@ -413,23 +422,21 @@ func (st *Store) Len(tx rhtm.Tx) int {
 // Arena exposes the store's allocator for diagnostics and capacity tests.
 func (st *Store) Arena() *Arena { return st.arena }
 
-// Validate checks both indexes' structural invariants plus the count words
-// against full traversals, using raw memory access. Only call while no
+// Validate checks every index's structural invariants plus the count word
+// against a full traversal, using raw memory access. Only call while no
 // transactions are in flight.
 func (st *Store) Validate() error {
 	if err := st.idx.Validate(); err != nil {
 		return err
 	}
-	if err := st.intents.Validate(); err != nil {
-		return err
+	for _, b := range st.intents {
+		if err := b.Validate(); err != nil {
+			return err
+		}
 	}
 	tx := containers.SetupTx(st.sys)
 	if n := st.idx.Len(tx); n != st.Len(tx) {
 		return fmt.Errorf("store: count word %d != %d traversed entries", st.Len(tx), n)
-	}
-	if n := st.intents.Len(tx); n != st.PendingIntents(tx) {
-		return fmt.Errorf("store: intent count word %d != %d traversed intents",
-			st.PendingIntents(tx), n)
 	}
 	if walked, counted := st.arena.walkFreeWords(tx), st.arena.Stats(tx).FreeListWords; walked != counted {
 		return fmt.Errorf("store: free-list counters say %d free words, walk finds %d",
