@@ -10,9 +10,9 @@
 // trip whose revision is recorded as a commit condition, writes buffer
 // locally, and commit ships conditions plus writes as one Txn frame the
 // server validates and applies atomically. A failed validation surfaces
-// as kv.ErrConflict and the client re-runs the closure against fresh
-// reads — the same optimistic loop the in-process backends run, moved to
-// the edge. Watches are server-push streams re-exposed as kv.Watch
+// as kv.ErrConflict and kv.Retry re-runs the closure against fresh
+// reads — the one loop the in-process backends run, at the edge. Watches
+// are server-push streams re-exposed as kv.Watch
 // channels with the same bounded-queue, coalesce-then-EventLost overflow
 // contract on the client side.
 package client

@@ -1,20 +1,12 @@
 package client
 
 import (
-	"errors"
-	"fmt"
-	"math/rand"
-	"runtime"
 	"sort"
 	"time"
 
 	"rhtm/kv"
-	"rhtm/obs"
 	"rhtm/server/wire"
 )
-
-// maxAttempts mirrors the kv package's retry bound.
-const maxAttempts = 10_000
 
 // Update implements kv.DB with an optimistic closure transaction at the
 // network edge. The closure runs locally: first reads fetch GetRev over
@@ -22,12 +14,12 @@ const maxAttempts = 10_000
 // hit the cache, writes buffer. Commit ships conditions plus buffered
 // writes as one Txn frame; the server validates every condition inside
 // one transaction and applies the writes atomically. Validation failure
-// is kv.ErrConflict, and the closure re-runs against fresh reads — the
-// same loop the in-process backends run, with the read set explicit on
-// the wire. Like the cluster backend, scans validate the entries they
+// is kv.ErrConflict, and kv.Retry — the loop the in-process backends run —
+// runs the closure again against fresh reads, with the read set explicit
+// on the wire. Like the cluster backend, scans validate the entries they
 // yielded, not the range (phantoms are unprotected).
 func (c *Client) Update(fn func(tx kv.Txn) error) error {
-	for attempt := 0; attempt < maxAttempts; attempt++ {
+	return kv.Retry(func(attempt int) error {
 		t := &clientTxn{c: c}
 		start := time.Now()
 		err := fn(t)
@@ -36,39 +28,10 @@ func (c *Client) Update(fn func(tx kv.Txn) error) error {
 			rev, err = t.commit()
 		}
 		if trc := c.tracer(); trc != nil {
-			sp := obs.Span{Engine: c.engine, Attempt: attempt, Wall: time.Since(start)}
-			switch {
-			case err == nil:
-				sp.Outcome = obs.OutcomeCommit
-				sp.CommitRev = rev
-			case errors.Is(err, kv.ErrConflict):
-				sp.Outcome = obs.OutcomeConflict
-			default:
-				sp.Outcome = obs.OutcomeError
-				sp.Err = err.Error()
-			}
-			trc.TxnAttempt(sp)
+			trc.TxnAttempt(kv.AttemptSpan(c.engine, attempt, err, rev, time.Since(start), 0))
 		}
-		if !errors.Is(err, kv.ErrConflict) {
-			return err
-		}
-		backoff(attempt)
-	}
-	return fmt.Errorf("client: update retries exhausted after %d attempts: %w", maxAttempts, kv.ErrConflict)
-}
-
-// backoff mirrors kv's conflict backoff: yield first, then randomized
-// exponential sleeps.
-func backoff(attempt int) {
-	if attempt < 4 {
-		runtime.Gosched()
-		return
-	}
-	shift := attempt
-	if shift > 10 {
-		shift = 10
-	}
-	time.Sleep(time.Duration(1+rand.Intn(1<<shift)) * time.Microsecond)
+		return err
+	})
 }
 
 // readObs is one committed observation: the value (nil when absent), the

@@ -55,7 +55,8 @@ type batchKey struct {
 }
 
 // Batch executes ops as one atomic transaction and returns per-op results,
-// retrying conflicts up to Config.MaxAttempts.
+// or ErrConflict at the first conflict (a pending intent on one of its keys,
+// a refused prepare), having changed nothing.
 func (cl *Client) Batch(ops []BatchOp) ([]BatchResult, error) {
 	if len(ops) == 0 {
 		return nil, nil
@@ -105,60 +106,59 @@ func (cl *Client) batchLocal(nodeID int, keys []batchKey, ops []BatchOp, results
 	}
 	slices.Sort(order)
 	cl.opOrder = order
-	err := cl.localRetry(func() error {
-		return cl.threads[nodeID].Atomic(func(tx rhtm.Tx) error {
-			recs = recs[:0] // the body re-executes on engine aborts
-			maxRev = 0
-			for i := range keys {
-				written := false
-				for _, op := range keys[i].ops {
-					if ops[op].Kind != BatchGet {
-						written = true
-						break
-					}
-				}
-				if written {
-					if n.st.AnyIntentOn(tx, keys[i].key) {
-						return errConflict
-					}
-				} else if _, held := n.st.WriteIntentOn(tx, keys[i].key); held {
-					return errConflict
+	err := cl.threads[nodeID].Atomic(func(tx rhtm.Tx) error {
+		recs = recs[:0] // the body re-executes on engine aborts
+		maxRev = 0
+		for i := range keys {
+			written := false
+			for _, op := range keys[i].ops {
+				if ops[op].Kind != BatchGet {
+					written = true
+					break
 				}
 			}
-			for _, op := range order {
-				switch ops[op].Kind {
-				case BatchGet:
-					v, ok := n.st.Get(tx, ops[op].Key)
-					results[op] = BatchResult{Value: v, Found: ok}
-				case BatchPut:
-					rev, err := n.st.PutStamped(tx, ops[op].Key, ops[op].Value, 0)
-					if err != nil {
-						return err
-					}
+			if written {
+				if n.st.AnyIntentOn(tx, keys[i].key) {
+					return ErrConflict
+				}
+			} else if _, held := n.st.WriteIntentOn(tx, keys[i].key); held {
+				return ErrConflict
+			}
+		}
+		for _, op := range order {
+			switch ops[op].Kind {
+			case BatchGet:
+				v, ok := n.st.Get(tx, ops[op].Key)
+				results[op] = BatchResult{Value: v, Found: ok}
+			case BatchPut:
+				rev, err := n.st.PutStamped(tx, ops[op].Key, ops[op].Value, 0)
+				if err != nil {
+					return err
+				}
+				if rev > maxRev {
+					maxRev = rev
+				}
+				if cl.c.wal != nil {
+					recs = append(recs, wal.Op{Kind: wal.OpPut,
+						Key: ops[op].Key, Value: ops[op].Value, Rev: rev})
+				}
+				results[op] = BatchResult{}
+			default:
+				rev, found := n.st.DeleteStamped(tx, ops[op].Key)
+				if found {
 					if rev > maxRev {
 						maxRev = rev
 					}
 					if cl.c.wal != nil {
-						recs = append(recs, wal.Op{Kind: wal.OpPut,
-							Key: ops[op].Key, Value: ops[op].Value, Rev: rev})
+						recs = append(recs, wal.Op{Kind: wal.OpDelete, Key: ops[op].Key, Rev: rev})
 					}
-					results[op] = BatchResult{}
-				default:
-					rev, found := n.st.DeleteStamped(tx, ops[op].Key)
-					if found {
-						if rev > maxRev {
-							maxRev = rev
-						}
-						if cl.c.wal != nil {
-							recs = append(recs, wal.Op{Kind: wal.OpDelete, Key: ops[op].Key, Rev: rev})
-						}
-					}
-					results[op] = BatchResult{Found: found}
 				}
+				results[op] = BatchResult{Found: found}
 			}
-			return nil
-		})
+		}
+		return nil
 	})
+	cl.countIntentWait(err)
 	if err == nil {
 		cl.c.localTxns.Add(1)
 		if maxRev > cl.lastRev {
@@ -169,29 +169,20 @@ func (cl *Client) batchLocal(nodeID int, keys []batchKey, ops []BatchOp, results
 	return err
 }
 
-// batchCross runs a multi-System batch under 2PC: the shared twoPhase round,
-// retried on prepare conflicts (a batch has no closure to re-run, so the
-// retry loop lives here rather than in a caller).
+// batchCross runs a multi-System batch as one shared twoPhase round.
 func (cl *Client) batchCross(byNode map[int][]batchKey, participants []int, ops []BatchOp, results []BatchResult) error {
-	keysOf := func(nodeID int) [][]byte {
-		keys := make([][]byte, len(byNode[nodeID]))
-		for i := range byNode[nodeID] {
-			keys[i] = byNode[nodeID][i].key
-		}
-		return keys
-	}
-	prepare := func(nodeID int, txid uint64) error {
-		return cl.prepareBatch(nodeID, txid, byNode[nodeID], ops, results)
-	}
-	decision := func() []wal.Op { return batchDecisionOps(byNode, participants, ops) }
-	for attempt := 0; attempt < cl.c.cfg.MaxAttempts; attempt++ {
-		committed, err := cl.twoPhase(participants, keysOf, prepare, decision)
-		if committed || err != nil {
-			return err
-		}
-		cl.backoff(attempt)
-	}
-	return ErrContention
+	return cl.twoPhase(participants,
+		func(nodeID int) [][]byte {
+			keys := make([][]byte, len(byNode[nodeID]))
+			for i := range byNode[nodeID] {
+				keys[i] = byNode[nodeID][i].key
+			}
+			return keys
+		},
+		func(nodeID int, txid uint64) error {
+			return cl.prepareBatch(nodeID, txid, byNode[nodeID], ops, results)
+		},
+		func() []wal.Op { return batchDecisionOps(byNode, participants, ops) })
 }
 
 // batchDecisionOps serializes a cross batch's write set for the decision
@@ -270,7 +261,7 @@ func (cl *Client) prepareBatch(nodeID int, txid uint64, keys []batchKey, ops []B
 			}
 			if err := n.st.PrepareIntent(tx, bk.key, txid, kind, ival, 0); err != nil {
 				if err == store.ErrIntentHeld {
-					return errConflict
+					return ErrConflict
 				}
 				return err
 			}

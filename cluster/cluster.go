@@ -24,19 +24,23 @@
 //   - Phase 2 runs one transaction per participant applying (or, on
 //     abort, discarding) the intents.
 //
-// Conforming accessors never read past a pending intent (they wait or
-// conflict), so no observer sees a cross-System transaction half-applied:
-// between the decision and the last phase-2 apply, every undecided key is
-// unreadable rather than stale. Deterministic acquisition order plus
-// abort-on-conflict (prepares never block while holding intents) makes the
-// protocol deadlock-free; retries use randomized backoff.
+// Conforming accessors never read past a pending intent (they conflict), so
+// no observer sees a cross-System transaction half-applied: between the
+// decision and the last phase-2 apply, every undecided key is unreadable
+// rather than stale. Deterministic acquisition order plus abort-on-conflict
+// (prepares never block while holding intents) makes the protocol
+// deadlock-free.
+//
+// Every Client operation is one attempt: the first conflict returns
+// ErrConflict with nothing changed, and the package never retries or
+// sleeps. Whether and when to try again is the caller's policy — kv.Retry
+// is the one loop that decides it, for this backend and every other.
 //
 // See DESIGN.md §6 for what this simulation does and does not model about
 // a real cluster (no failures, no network, a host-memory decision log).
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -46,10 +50,6 @@ import (
 	"rhtm/obs"
 	"rhtm/store"
 )
-
-// ErrContention is returned by client operations that exhausted
-// Config.MaxAttempts without committing.
-var ErrContention = errors.New("cluster: transaction exceeded MaxAttempts (contention)")
 
 // Config sizes a Cluster.
 type Config struct {
@@ -71,9 +71,6 @@ type Config struct {
 	// NewEngine builds each System's engine (default: RH1 with the paper's
 	// Mixed 100 configuration).
 	NewEngine func(s *rhtm.System) (rhtm.Engine, error)
-	// MaxAttempts bounds commit retries and intent waits per operation
-	// before ErrContention (default 10000).
-	MaxAttempts int
 }
 
 // Node is one member System of a Cluster.
@@ -134,8 +131,7 @@ type Cluster struct {
 	router Router
 	nodes  []*Node
 
-	nextTxID  atomic.Uint64
-	clientSeq atomic.Int64
+	nextTxID atomic.Uint64
 
 	decMu        sync.Mutex
 	decisions    []Decision
@@ -150,14 +146,14 @@ type Cluster struct {
 
 	// Protocol counters (host-side; simulated costs are in engine stats).
 	localTxns        atomic.Uint64 // single-System transactions committed
-	localConflicts   atomic.Uint64 // single-System attempts retried
+	localConflicts   atomic.Uint64 // single-System commits refused
 	crossTxns        atomic.Uint64 // 2PC attempts started
 	crossCommits     atomic.Uint64 // 2PC decisions: commit
 	crossAborts      atomic.Uint64 // 2PC decisions: abort (prepare conflict)
-	intentWaits      atomic.Uint64 // reads retried against a pending intent
+	intentWaits      atomic.Uint64 // operations turned away by a pending intent
 	prepareConflicts atomic.Uint64 // individual prepare transactions refused
 	snapshotScans    atomic.Uint64 // validated snapshot scans returned
-	scanRetries      atomic.Uint64 // scan passes torn by a concurrent commit
+	scanRetries      atomic.Uint64 // scans torn by a concurrent commit
 	phantomConflicts atomic.Uint64 // commits refused by scan-range revalidation
 
 	// Optional 2PC phase histograms (SetMetrics): wall nanoseconds of the
@@ -181,9 +177,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	if cfg.DataWords <= 0 {
 		cfg.DataWords = cfg.ArenaWords + cfg.LogWords + 1<<13
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 10_000
 	}
 	if cfg.NewEngine == nil {
 		cfg.NewEngine = func(s *rhtm.System) (rhtm.Engine, error) {
@@ -361,14 +354,14 @@ type Stats struct {
 	Store store.Stats
 
 	// LocalTxns / LocalConflicts count single-System transactions
-	// committed / retried.
+	// committed / refused at commit.
 	LocalTxns, LocalConflicts uint64
 	// CrossTxns counts 2PC attempts; CrossCommits/CrossAborts the
 	// decisions; PrepareConflicts individual refused prepares;
-	// IntentWaits reads retried against a pending intent.
+	// IntentWaits operations turned away by a pending intent.
 	CrossTxns, CrossCommits, CrossAborts, PrepareConflicts, IntentWaits uint64
 	// SnapshotScans counts validated snapshot scans returned; ScanRetries
-	// counts scan attempts torn by a concurrent commit and re-run;
+	// counts scans whose two passes a concurrent commit tore apart;
 	// PhantomConflicts counts commits refused because a key entered a range
 	// the transaction had scanned.
 	SnapshotScans, ScanRetries, PhantomConflicts uint64

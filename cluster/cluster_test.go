@@ -175,7 +175,8 @@ func TestCrossSystemCommit(t *testing.T) {
 }
 
 // TestCrossReadValidation: a cross-System RMW whose read is invalidated
-// between the body and commit must retry and apply the fresh value.
+// between the body and commit must conflict, and the body run again must
+// apply the fresh value.
 func TestCrossReadValidation(t *testing.T) {
 	c := MustNew(smallConfig(4))
 	keyA, keyB := crossPair(t, c)
@@ -188,7 +189,7 @@ func TestCrossReadValidation(t *testing.T) {
 	cl := c.NewClient()
 	other := c.NewClient()
 	attempt := 0
-	err := cl.Txn(func(tx *Txn) error {
+	sum := func(tx *Txn) error {
 		attempt++
 		va, _, err := tx.Get(keyA)
 		if err != nil {
@@ -207,12 +208,15 @@ func TestCrossReadValidation(t *testing.T) {
 		}
 		tx.Put(keyB, []byte{va[0] + vb[0]})
 		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if attempt < 2 {
-		t.Fatalf("transaction committed on attempt %d despite invalidated read", attempt)
+	if err := cl.Txn(sum); !errors.Is(err, ErrConflict) {
+		t.Fatalf("first attempt err = %v, want ErrConflict despite the invalidated read", err)
+	}
+	if got := c.Stats().PrepareConflicts; got != 1 {
+		t.Fatalf("PrepareConflicts = %d, want 1", got)
+	}
+	if err := cl.Txn(sum); err != nil {
+		t.Fatal(err)
 	}
 	if v, _ := c.Peek(keyB); v[0] != 11 {
 		t.Fatalf("keyB = %d, want 11 (10 from the interfering write + 1)", v[0])
@@ -299,8 +303,8 @@ func TestTwoPhaseRound(t *testing.T) {
 	}{
 		{
 			// A foreign intent on the second participant refuses its prepare:
-			// every bounded round aborts, the first participant's intent is
-			// discharged each time, and nothing commits or is decided.
+			// the one round aborts, the first participant's intent is
+			// discharged, and nothing commits or is decided.
 			name: "prepare conflict",
 			arm: func(t *testing.T, r *rig) {
 				n, tx := parked(r)
@@ -308,10 +312,10 @@ func TestTwoPhaseRound(t *testing.T) {
 					t.Fatal(err)
 				}
 			},
-			wantErr: ErrContention, aborts: 3,
+			wantErr: ErrConflict, aborts: 1,
 			after: func(t *testing.T, r *rig, write crossWrite, cl *Client) {
-				if got := r.c.Stats().PrepareConflicts; got != 3 {
-					t.Errorf("PrepareConflicts = %d, want one per round (3)", got)
+				if got := r.c.Stats().PrepareConflicts; got != 1 {
+					t.Errorf("PrepareConflicts = %d, want 1: a round is one attempt", got)
 				}
 				for _, d := range r.c.Decisions() {
 					if d.Commit {
@@ -361,9 +365,7 @@ func TestTwoPhaseRound(t *testing.T) {
 		for _, entry := range crossEntryPoints {
 			write := entry.write
 			t.Run(tc.name+"/"+entry.name, func(t *testing.T) {
-				cfg := smallConfig(4)
-				cfg.MaxAttempts = 3
-				r := &rig{c: MustNew(cfg)}
+				r := &rig{c: MustNew(smallConfig(4))}
 				r.keyLo, r.keyHi = crossPair(t, r.c)
 				if r.c.Router().SystemFor(r.keyLo) > r.c.Router().SystemFor(r.keyHi) {
 					r.keyLo, r.keyHi = r.keyHi, r.keyLo
@@ -414,13 +416,11 @@ func TestTwoPhaseRound(t *testing.T) {
 	}
 }
 
-// TestIntentBlocksReaders: while an intent is pending, single-key reads of
-// that key wait (here: exhaust MaxAttempts) instead of returning a value
-// that may be mid-replacement.
+// TestIntentBlocksReaders: while an intent is pending, a single-key read of
+// that key conflicts at once instead of returning a value that may be
+// mid-replacement.
 func TestIntentBlocksReaders(t *testing.T) {
-	cfg := smallConfig(2)
-	cfg.MaxAttempts = 3
-	c := MustNew(cfg)
+	c := MustNew(smallConfig(2))
 	if err := c.Load([]byte("k"), []byte("old")); err != nil {
 		t.Fatal(err)
 	}
@@ -430,12 +430,11 @@ func TestIntentBlocksReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := c.NewClient()
-	if _, _, err := cl.Get([]byte("k")); !errors.Is(err, ErrContention) {
-		t.Fatalf("Get under intent err = %v, want ErrContention", err)
+	if _, _, err := cl.Get([]byte("k")); !errors.Is(err, ErrConflict) {
+		t.Fatalf("Get under intent err = %v, want ErrConflict", err)
 	}
-	st := c.Stats()
-	if st.IntentWaits == 0 {
-		t.Fatal("no intent waits recorded")
+	if got := c.Stats().IntentWaits; got != 1 {
+		t.Fatalf("IntentWaits = %d, want 1: a Get is one attempt", got)
 	}
 	if _, err := n.Store().ApplyIntent(setup, []byte("k"), 7); err != nil {
 		t.Fatal(err)
@@ -567,9 +566,7 @@ func TestBatchLocalAndCross(t *testing.T) {
 // one ascending key order, honors range bounds and limits, and refuses to
 // read past a pending in-range intent (the range is undecided).
 func TestScanSnapshotOrderedAndBlocked(t *testing.T) {
-	cfg := smallConfig(3)
-	cfg.MaxAttempts = 3
-	c := MustNew(cfg)
+	c := MustNew(smallConfig(3))
 	for i := 0; i < 40; i++ {
 		if err := c.Load([]byte(fmt.Sprintf("k%02d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
@@ -597,16 +594,19 @@ func TestScanSnapshotOrderedAndBlocked(t *testing.T) {
 		t.Fatalf("limited scan = %d entries starting %q", len(limited), limited[0].Key)
 	}
 
-	// Park an intent inside the range: the scan must wait it out (here:
-	// exhaust MaxAttempts) instead of returning an undecided range.
+	// Park an intent inside the range: the scan must conflict at once
+	// instead of returning an undecided range.
 	victim := []byte("k15")
 	n := c.Node(c.Router().SystemFor(victim))
 	setup := containers.SetupTx(n.System())
 	if err := n.Store().PrepareIntent(setup, victim, 7, store.IntentPut, []byte("new"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.ScanSnapshot([]byte("k10"), []byte("k20"), 0); !errors.Is(err, ErrContention) {
-		t.Fatalf("scan over pending intent err = %v, want ErrContention", err)
+	if _, err := cl.ScanSnapshot([]byte("k10"), []byte("k20"), 0); !errors.Is(err, ErrConflict) {
+		t.Fatalf("scan over pending intent err = %v, want ErrConflict", err)
+	}
+	if got := c.Stats().IntentWaits; got != 1 {
+		t.Fatalf("IntentWaits = %d, want 1: a scan is one attempt", got)
 	}
 	// Out-of-range scans are unaffected.
 	if _, err := cl.ScanSnapshot([]byte("k20"), []byte("k30"), 0); err != nil {
@@ -662,9 +662,7 @@ func TestTxnScanOverlay(t *testing.T) {
 // different transactions coexist on one key (the intent-aware read-sharing
 // follow-up from the ROADMAP).
 func TestSharedReadIntentsCluster(t *testing.T) {
-	cfg := smallConfig(2)
-	cfg.MaxAttempts = 4
-	c := MustNew(cfg)
+	c := MustNew(smallConfig(2))
 	if err := c.Load([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -686,9 +684,12 @@ func TestSharedReadIntentsCluster(t *testing.T) {
 	if entries, err := cl.ScanSnapshot(nil, nil, 0); err != nil || len(entries) != 1 {
 		t.Fatalf("ScanSnapshot under read intents = %v, %v", entries, err)
 	}
-	// Writers must wait for the pinned readers (bounded: ErrContention).
-	if err := cl.Put([]byte("k"), []byte("w")); !errors.Is(err, ErrContention) {
-		t.Fatalf("Put under read intents err = %v, want ErrContention", err)
+	// Writers must wait for the pinned readers: the Put conflicts.
+	if err := cl.Put([]byte("k"), []byte("w")); !errors.Is(err, ErrConflict) {
+		t.Fatalf("Put under read intents err = %v, want ErrConflict", err)
+	}
+	if got := c.Stats().IntentWaits; got != 1 {
+		t.Fatalf("IntentWaits = %d, want 1: a Put is one attempt", got)
 	}
 	// Releasing both readers unblocks the writer.
 	if _, err := n.Store().ApplyIntent(setup, []byte("k"), 101); err != nil {

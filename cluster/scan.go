@@ -15,7 +15,8 @@ import (
 // pending 2PC intent — the range is undecided then, exactly as IntentOn
 // makes a single key undecided), the per-System results are merged by key,
 // and the whole scan is re-executed once more for validation. Only when
-// both passes observe identical entries is the result returned: any commit
+// both passes observe identical entries is the result returned, otherwise
+// the scan is ErrConflict and the caller may run it again: any commit
 // that landed between the per-System reads of pass one flips a key and
 // fails the comparison, so a returned snapshot is the committed state at
 // some instant between the two passes. The comparison is by per-entry
@@ -33,36 +34,23 @@ type Entry struct {
 
 // ScanSnapshot returns a consistent ordered snapshot of the keys in
 // [start, end) (nil bounds are unbounded), at most limit entries (0 =
-// unbounded). Torn or intent-blocked passes retry with backoff up to
-// Config.MaxAttempts, then ErrContention.
+// unbounded). A pass that meets a pending write intent, or two passes that
+// disagree, make it ErrConflict.
 func (cl *Client) ScanSnapshot(start, end []byte, limit int) ([]Entry, error) {
-	for attempt := 0; attempt < cl.c.cfg.MaxAttempts; attempt++ {
-		first, err := cl.scanOnce(start, end, limit)
-		if err == errConflict {
-			cl.c.intentWaits.Add(1)
-			cl.backoff(attempt)
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		second, err := cl.scanOnce(start, end, limit)
-		if err == errConflict {
-			cl.c.intentWaits.Add(1)
-			cl.backoff(attempt)
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		if scansEqual(first, second) {
-			cl.c.snapshotScans.Add(1)
-			return first, nil
-		}
-		cl.c.scanRetries.Add(1)
-		cl.backoff(attempt)
+	first, err := cl.scanOnce(start, end, limit)
+	if err != nil {
+		return nil, err
 	}
-	return nil, ErrContention
+	second, err := cl.scanOnce(start, end, limit)
+	if err != nil {
+		return nil, err
+	}
+	if !scansEqual(first, second) {
+		cl.c.scanRetries.Add(1)
+		return nil, ErrConflict
+	}
+	cl.c.snapshotScans.Add(1)
+	return first, nil
 }
 
 // scanOnce collects one pass: per System, one engine transaction gathering
@@ -93,10 +81,11 @@ func (cl *Client) scanOnce(start, end []byte, limit int) ([]Entry, error) {
 				checkEnd = append(append(make([]byte, 0, len(last)+1), last...), 0)
 			}
 			if n.st.HasWriteIntentInRange(tx, start, checkEnd) {
-				return errConflict
+				return ErrConflict
 			}
 			return nil
 		})
+		cl.countIntentWait(err)
 		if err != nil {
 			return nil, err
 		}

@@ -3,8 +3,6 @@ package cluster
 import (
 	"bytes"
 	"errors"
-	"math/rand"
-	"runtime"
 	"slices"
 	"time"
 
@@ -14,15 +12,16 @@ import (
 	"rhtm/wal"
 )
 
-// errConflict is the internal sentinel a prepare or validation body returns
-// to abort cleanly and signal "retry the whole transaction". It never
-// escapes the package.
-var errConflict = errors.New("cluster: conflict")
+// ErrConflict is what every Client operation returns at its first conflict:
+// a pending intent on a key it reads or writes, a failed read validation, a
+// refused prepare, a phantom, or a torn scan pass. The operation has changed
+// nothing; the caller decides whether to try again (kv.Retry does).
+var ErrConflict = errors.New("cluster: conflict")
 
-// errPhantom is errConflict's sibling for scan-range revalidation failures:
+// errPhantom is ErrConflict's sibling for scan-range revalidation failures:
 // a key entered (or is about to enter, as a pending intent) a range this
-// transaction scanned. Counted separately, retried identically. It never
-// escapes the package.
+// transaction scanned. It is counted separately and surfaces as
+// ErrConflict.
 var errPhantom = errors.New("cluster: phantom")
 
 // Client is a session against the cluster: it owns one engine thread per
@@ -31,7 +30,6 @@ var errPhantom = errors.New("cluster: phantom")
 type Client struct {
 	c       *Cluster
 	threads []rhtm.Thread
-	rng     *rand.Rand
 	lastRev uint64 // max revision stamped by the most recent committed Txn/Batch
 	// sink, when non-nil, receives the 2PC phase and coordinator-sync
 	// stages of this session's commits (SetStageSink). Single-session
@@ -52,28 +50,11 @@ func (cl *Client) SetStageSink(s obs.StageRecorder) { cl.sink = s }
 // session. Panics (via the engines) when a System's thread-ID space is
 // oversubscribed; see Config.MaxThreads.
 func (c *Cluster) NewClient() *Client {
-	cl := &Client{
-		c:   c,
-		rng: rand.New(rand.NewSource(c.clientSeq.Add(1) * 0x9e3779b9)),
-	}
+	cl := &Client{c: c}
 	for _, n := range c.nodes {
 		cl.threads = append(cl.threads, n.eng.NewThread())
 	}
 	return cl
-}
-
-// backoff yields, then sleeps with randomized exponential growth, between
-// conflicting attempts.
-func (cl *Client) backoff(attempt int) {
-	if attempt < 4 {
-		runtime.Gosched()
-		return
-	}
-	shift := attempt
-	if shift > 10 {
-		shift = 10
-	}
-	time.Sleep(time.Duration(1+cl.rng.Intn(1<<shift)) * time.Microsecond)
 }
 
 // LastCommitRev returns the highest revision stamped by this client's most
@@ -84,18 +65,16 @@ func (cl *Client) LastCommitRev() uint64 { return cl.lastRev }
 
 // StoreStats sums the committed-state store counters of every System, each
 // sampled in its own read-only transaction on this client's registered
-// threads. Safe to call from running workloads: every field is an O(1)
-// counter read, and intent-conflict waits are retried like any local read.
+// threads. Safe to call from running workloads: the counters are plain
+// reads that no intent guards, so it never conflicts.
 func (cl *Client) StoreStats() (store.Stats, error) {
 	var total store.Stats
 	for id, n := range cl.c.nodes {
 		node := n
 		var s store.Stats
-		err := cl.localRetry(func() error {
-			return cl.threads[id].Atomic(func(tx rhtm.Tx) error {
-				s = node.st.Stats(tx)
-				return nil
-			})
+		err := cl.threads[id].Atomic(func(tx rhtm.Tx) error {
+			s = node.st.Stats(tx)
+			return nil
 		})
 		if err != nil {
 			return store.Stats{}, err
@@ -107,10 +86,9 @@ func (cl *Client) StoreStats() (store.Stats, error) {
 
 // Get returns key's committed value with a local transaction on the owning
 // System. A pending *write* intent makes the value undecided (its
-// cross-System writer may commit or abort), so the read waits for
-// resolution rather than returning a value that may be mid-replacement;
-// shared read intents pin values without changing them and never block a
-// read.
+// cross-System writer may commit or abort), so the read returns ErrConflict
+// rather than a value that may be mid-replacement; shared read intents pin
+// values without changing them and never block a read.
 func (cl *Client) Get(key []byte) ([]byte, bool, error) {
 	rec, err := cl.readCommitted(key)
 	if err == nil {
@@ -127,21 +105,30 @@ func (cl *Client) Get(key []byte) ([]byte, bool, error) {
 func (cl *Client) readCommitted(key []byte) (readRec, error) {
 	n := cl.c.nodes[cl.c.router.SystemFor(key)]
 	var rec readRec
-	err := cl.localRetry(func() error {
-		return cl.threads[n.id].Atomic(func(tx rhtm.Tx) error {
-			if _, held := n.st.WriteIntentOn(tx, key); held {
-				return errConflict
-			}
-			rec.val, rec.rev, rec.lease, rec.ok = n.st.Read(tx, key)
-			rec.leaseKnown = true
-			return nil
-		})
+	err := cl.threads[n.id].Atomic(func(tx rhtm.Tx) error {
+		if _, held := n.st.WriteIntentOn(tx, key); held {
+			return ErrConflict
+		}
+		rec.val, rec.rev, rec.lease, rec.ok = n.st.Read(tx, key)
+		rec.leaseKnown = true
+		return nil
 	})
+	cl.countIntentWait(err)
 	return rec, err
 }
 
-// Put stores key→value with a local transaction on the owning System,
-// waiting out any pending intent (writers wait for pinned readers too).
+// countIntentWait counts a single-System operation turned away by a pending
+// intent. Counters of completed operations are the caller's business:
+// client-level operations bump localTxns, Txn read-throughs do not.
+func (cl *Client) countIntentWait(err error) {
+	if err == ErrConflict {
+		cl.c.intentWaits.Add(1)
+	}
+}
+
+// Put stores key→value with a local transaction on the owning System. Any
+// pending intent on key makes it ErrConflict (writers wait for pinned
+// readers too).
 func (cl *Client) Put(key, value []byte) error {
 	return cl.PutLease(key, value, 0)
 }
@@ -150,16 +137,15 @@ func (cl *Client) Put(key, value []byte) error {
 func (cl *Client) PutLease(key, value []byte, lease uint64) error {
 	n := cl.c.nodes[cl.c.router.SystemFor(key)]
 	var rev uint64
-	err := cl.localRetry(func() error {
-		return cl.threads[n.id].Atomic(func(tx rhtm.Tx) error {
-			if n.st.AnyIntentOn(tx, key) {
-				return errConflict
-			}
-			var err error
-			rev, err = n.st.PutStamped(tx, key, value, lease)
-			return err
-		})
+	err := cl.threads[n.id].Atomic(func(tx rhtm.Tx) error {
+		if n.st.AnyIntentOn(tx, key) {
+			return ErrConflict
+		}
+		var err error
+		rev, err = n.st.PutStamped(tx, key, value, lease)
+		return err
 	})
+	cl.countIntentWait(err)
 	if err == nil {
 		cl.c.localTxns.Add(1)
 		if cl.c.wal != nil {
@@ -172,21 +158,20 @@ func (cl *Client) PutLease(key, value []byte, lease uint64) error {
 	return err
 }
 
-// Delete removes key with a local transaction on the owning System,
-// waiting out any pending intent.
+// Delete removes key with a local transaction on the owning System; any
+// pending intent on key makes it ErrConflict.
 func (cl *Client) Delete(key []byte) (bool, error) {
 	n := cl.c.nodes[cl.c.router.SystemFor(key)]
 	var present bool
 	var rev uint64
-	err := cl.localRetry(func() error {
-		return cl.threads[n.id].Atomic(func(tx rhtm.Tx) error {
-			if n.st.AnyIntentOn(tx, key) {
-				return errConflict
-			}
-			rev, present = n.st.DeleteStamped(tx, key)
-			return nil
-		})
+	err := cl.threads[n.id].Atomic(func(tx rhtm.Tx) error {
+		if n.st.AnyIntentOn(tx, key) {
+			return ErrConflict
+		}
+		rev, present = n.st.DeleteStamped(tx, key)
+		return nil
 	})
+	cl.countIntentWait(err)
 	if err == nil {
 		cl.c.localTxns.Add(1)
 		if present && cl.c.wal != nil {
@@ -196,24 +181,6 @@ func (cl *Client) Delete(key []byte) (bool, error) {
 		}
 	}
 	return present, err
-}
-
-// localRetry drives a single-System operation, retrying intent conflicts
-// with backoff up to MaxAttempts. Counters are the caller's business:
-// client-level operations bump localTxns, Txn read-throughs do not.
-func (cl *Client) localRetry(op func() error) error {
-	for attempt := 0; attempt < cl.c.cfg.MaxAttempts; attempt++ {
-		err := op()
-		if err == nil {
-			return nil
-		}
-		if err != errConflict {
-			return err
-		}
-		cl.c.intentWaits.Add(1)
-		cl.backoff(attempt)
-	}
-	return ErrContention
 }
 
 // --- multi-key transactions ---
@@ -258,6 +225,19 @@ type Txn struct {
 	reads  map[string]readRec
 	writes map[string]writeRec
 	scans  []scanRange
+	// conflicted is sticky: once a read returned ErrConflict the attempt
+	// can only end in ErrConflict, even if the closure ignored the error —
+	// the key it wanted was undecided, so what the closure did next rests
+	// on a read it never got.
+	conflicted bool
+}
+
+// note records a read's ErrConflict on the transaction and passes err on.
+func (t *Txn) note(err error) error {
+	if err == ErrConflict {
+		t.conflicted = true
+	}
+	return err
 }
 
 // scanRange is one range a Txn.Scan observed, re-validated at commit for
@@ -298,7 +278,7 @@ func (t *Txn) read(key []byte) (readRec, error) {
 	}
 	rec, err := t.cl.readCommitted(key)
 	if err != nil {
-		return readRec{}, err
+		return readRec{}, t.note(err)
 	}
 	t.reads[k] = rec
 	return rec, nil
@@ -334,7 +314,7 @@ func (t *Txn) Lease(key []byte) (uint64, bool, error) {
 	if rec.ok && !rec.leaseKnown {
 		fresh, err := t.cl.readCommitted(key)
 		if err != nil {
-			return 0, false, err
+			return 0, false, t.note(err)
 		}
 		return fresh.lease, fresh.ok, nil
 	}
@@ -379,7 +359,7 @@ func (t *Txn) Scan(start, end []byte, limit int) ([]Entry, error) {
 	}
 	raw, err := t.cl.ScanSnapshot(start, end, fetch)
 	if err != nil {
-		return nil, err
+		return nil, t.note(err)
 	}
 	var r scanRange // nil bounds stay nil (unbounded)
 	if start != nil {
@@ -434,28 +414,19 @@ func (t *Txn) Scan(start, end []byte, limit int) ([]Entry, error) {
 	return out, nil
 }
 
-// Txn runs fn optimistically and commits its buffer, retrying the whole
-// body on conflict (so fn must be safe to re-execute) up to
-// Config.MaxAttempts. A non-nil error from fn aborts without committing
-// and is returned as-is. Reads during fn are individually committed values
-// but are only guaranteed mutually consistent once commit validation
-// passes — the standard OCC contract.
+// Txn runs fn once, optimistically, and commits its buffer. A non-nil error
+// from fn aborts without committing and is returned as-is; a conflict —
+// at commit, or on any read fn made, whether or not fn passed the error on
+// — is ErrConflict, and the caller may run the whole body again (kv.Retry
+// does, so fn must be safe to re-execute). Reads during fn are
+// individually committed values but are only guaranteed mutually
+// consistent once commit validation passes — the standard OCC contract.
 func (cl *Client) Txn(fn func(tx *Txn) error) error {
-	for attempt := 0; attempt < cl.c.cfg.MaxAttempts; attempt++ {
-		t := &Txn{cl: cl, reads: map[string]readRec{}, writes: map[string]writeRec{}}
-		if err := fn(t); err != nil {
-			return err
-		}
-		committed, err := cl.commit(t)
-		if err != nil {
-			return err
-		}
-		if committed {
-			return nil
-		}
-		cl.backoff(attempt)
+	t := &Txn{cl: cl, reads: map[string]readRec{}, writes: map[string]writeRec{}}
+	if err := fn(t); err != nil {
+		return err
 	}
-	return ErrContention
+	return cl.commit(t)
 }
 
 // txnKey is one key of a transaction's footprint with its recorded read
@@ -496,17 +467,19 @@ func (cl *Client) footprint(t *Txn) (map[int][]txnKey, []int) {
 	return byNode, participants
 }
 
-// commit validates and applies t's buffer. It returns committed=false (and
-// a nil error) when a conflict requires the caller to retry the body.
-func (cl *Client) commit(t *Txn) (bool, error) {
+// commit validates and applies t's buffer, or returns ErrConflict.
+func (cl *Client) commit(t *Txn) error {
 	cl.lastRev = 0
-	// A lone committed read is its own snapshot: readCommitted waited out any
+	if t.conflicted {
+		return ErrConflict // counted where the read met the intent
+	}
+	// A lone committed read is its own snapshot: readCommitted refused any
 	// write intent, and there is no second observation for it to disagree
 	// with, so re-validating it in another engine transaction proves nothing.
 	// It counts as the local transaction it was; an empty one counts as none.
 	if len(t.writes) == 0 && len(t.scans) == 0 && len(t.reads) <= 1 {
 		cl.c.localTxns.Add(uint64(len(t.reads)))
-		return true, nil
+		return nil
 	}
 	byNode, participants := cl.footprint(t)
 	// Phantom protection outside the footprint: hash routing interleaves a
@@ -534,16 +507,16 @@ func (cl *Client) commit(t *Txn) (bool, error) {
 			})
 			if err == errPhantom {
 				cl.c.phantomConflicts.Add(1)
-				return false, nil
+				return ErrConflict
 			}
 			if err != nil {
-				return false, err
+				return err
 			}
 		}
 	}
 	switch len(participants) {
 	case 0:
-		return true, nil // empty (or scan-only, validated above) transaction
+		return nil // empty (or scan-only, validated above) transaction
 	case 1:
 		return cl.commitLocal(participants[0], byNode[participants[0]], t)
 	default:
@@ -557,7 +530,7 @@ func (cl *Client) commit(t *Txn) (bool, error) {
 // System, and the intent check keeps it correct against in-flight 2PC —
 // written keys must wait for any pending intent (pinned readers included),
 // read-only keys only for write intents.
-func (cl *Client) commitLocal(nodeID int, keys []txnKey, t *Txn) (bool, error) {
+func (cl *Client) commitLocal(nodeID int, keys []txnKey, t *Txn) error {
 	n := cl.c.nodes[nodeID]
 	var recs []wal.Op
 	var maxRev uint64
@@ -571,13 +544,13 @@ func (cl *Client) commitLocal(nodeID int, keys []txnKey, t *Txn) (bool, error) {
 			k := &keys[i]
 			if k.write != nil {
 				if n.st.AnyIntentOn(tx, k.key) {
-					return errConflict
+					return ErrConflict
 				}
 			} else if _, held := n.st.WriteIntentOn(tx, k.key); held {
-				return errConflict
+				return ErrConflict
 			}
 			if k.read != nil && !validRead(tx, n, k) {
-				return errConflict
+				return ErrConflict
 			}
 		}
 		for i := range keys {
@@ -616,24 +589,19 @@ func (cl *Client) commitLocal(nodeID int, keys []txnKey, t *Txn) (bool, error) {
 		if maxRev > cl.lastRev {
 			cl.lastRev = maxRev
 		}
-		if err := cl.logLocal(nodeID, recs); err != nil {
-			return false, err
-		}
-		return true, nil
-	case errConflict:
+		return cl.logLocal(nodeID, recs)
+	case ErrConflict:
 		cl.c.localConflicts.Add(1)
-		return false, nil
 	case errPhantom:
 		cl.c.phantomConflicts.Add(1)
-		return false, nil
-	default:
-		return false, err
+		err = ErrConflict
 	}
+	return err
 }
 
 // commitCross runs one two-phase-commit round over a buffered transaction's
 // participant Systems.
-func (cl *Client) commitCross(byNode map[int][]txnKey, participants []int, t *Txn) (bool, error) {
+func (cl *Client) commitCross(byNode map[int][]txnKey, participants []int, t *Txn) error {
 	return cl.twoPhase(participants,
 		func(nodeID int) [][]byte {
 			keys := make([][]byte, len(byNode[nodeID]))
@@ -651,10 +619,10 @@ func (cl *Client) commitCross(byNode map[int][]txnKey, participants []int, t *Tx
 // DESIGN.md §6/§9 live here and nowhere else; Txn commits and Batches differ
 // only in what they hand it — keysOf lists a participant's intent keys,
 // prepare runs its phase-1 engine transaction, decision serializes the write
-// set for the coordinator log. committed=false with a nil error means a
-// prepare conflict aborted the round and the caller may retry.
+// set for the coordinator log. ErrConflict means a prepare conflict aborted
+// the round and the caller may run it again.
 func (cl *Client) twoPhase(participants []int, keysOf func(nodeID int) [][]byte,
-	prepare func(nodeID int, txid uint64) error, decision func() []wal.Op) (bool, error) {
+	prepare func(nodeID int, txid uint64) error, decision func() []wal.Op) error {
 	c := cl.c
 	c.crossTxns.Add(1)
 	txid := c.nextTxID.Add(1)
@@ -675,7 +643,7 @@ func (cl *Client) twoPhase(participants []int, keysOf func(nodeID int) [][]byte,
 			prepared = append(prepared, nodeID)
 			continue
 		}
-		if err == errConflict {
+		if err == ErrConflict {
 			c.prepareConflicts.Add(1)
 			conflict = true
 		} else if err == errPhantom {
@@ -730,7 +698,7 @@ func (cl *Client) twoPhase(participants []int, keysOf func(nodeID int) [][]byte,
 				}
 				c.crossAborts.Add(1)
 			}
-			return false, err
+			return err
 		}
 	}
 	c.decide(txid, commit, participants)
@@ -741,7 +709,10 @@ func (cl *Client) twoPhase(participants []int, keysOf func(nodeID int) [][]byte,
 			}
 		}
 		c.crossAborts.Add(1)
-		return false, hard
+		if hard == nil {
+			hard = ErrConflict
+		}
+		return hard
 	}
 	var finStart time.Time
 	if c.finishHist != nil || cl.sink != nil {
@@ -759,7 +730,7 @@ func (cl *Client) twoPhase(participants []int, keysOf func(nodeID int) [][]byte,
 				resolved = false
 				continue
 			}
-			return false, err
+			return err
 		}
 	}
 	if c.finishHist != nil || cl.sink != nil {
@@ -773,11 +744,11 @@ func (cl *Client) twoPhase(participants []int, keysOf func(nodeID int) [][]byte,
 		if err := c.wal.Coord.Mark(txid, 0); err != nil && !errors.Is(err, wal.ErrFenced) {
 			// A missing resolution mark only costs recovery a redundant
 			// redo; a fenced mark is not a commit failure.
-			return false, err
+			return err
 		}
 	}
 	c.crossCommits.Add(1)
-	return true, nil
+	return nil
 }
 
 // crossDecisionOps serializes a cross transaction's write set for the
@@ -850,7 +821,7 @@ func (cl *Client) prepare(nodeID int, txid uint64, keys []txnKey, t *Txn) error 
 		for i := range keys {
 			k := &keys[i]
 			if k.read != nil && !validRead(tx, n, k) {
-				return errConflict
+				return ErrConflict
 			}
 			kind, val, lease := store.IntentRead, []byte(nil), uint64(0)
 			if k.write != nil {
@@ -862,7 +833,7 @@ func (cl *Client) prepare(nodeID int, txid uint64, keys []txnKey, t *Txn) error 
 			}
 			if err := n.st.PrepareIntent(tx, k.key, txid, kind, val, lease); err != nil {
 				if err == store.ErrIntentHeld {
-					return errConflict
+					return ErrConflict
 				}
 				return err
 			}

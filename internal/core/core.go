@@ -224,7 +224,7 @@ func (tx *coreTx) Load(a memsim.Addr) uint64 {
 		// Uninstrumented hardware read (Alg. 1 line 13, Alg. 4 line 18).
 		v, ok := t.Txn.Read(a)
 		if !ok {
-			engine.Retry(t.Txn.AbortReason())
+			engine.Retry()
 		}
 		return v
 	case pathRH2FastSR:
@@ -260,6 +260,6 @@ func (tx *coreTx) Unsupported() {
 	t := (*Thread)(tx)
 	if t.path != pathSlow {
 		t.Txn.Unsupported()
-		engine.Retry(memsim.AbortUnsupported)
+		engine.Retry()
 	}
 }

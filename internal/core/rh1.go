@@ -90,11 +90,11 @@ func (tx *coreTx) PreCommit() bool {
 func (t *Thread) rh1FastWrite(a memsim.Addr, v uint64) {
 	htx := t.Txn
 	if !htx.Write(t.sys.VersionAddr(a), sys.PackVersion(t.nextVer)) {
-		engine.Retry(htx.AbortReason())
+		engine.Retry()
 	}
 	t.Stats.MetadataWrites++
 	if !htx.Write(a, v) {
-		engine.Retry(htx.AbortReason())
+		engine.Retry()
 	}
 }
 

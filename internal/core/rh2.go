@@ -10,7 +10,7 @@ import (
 // (Alg. 4 lines 12-15).
 func (t *Thread) rh2FastWrite(a memsim.Addr, v uint64) {
 	if !t.Txn.Write(a, v) {
-		engine.Retry(t.Txn.AbortReason())
+		engine.Retry()
 	}
 	t.fastWrSet = append(t.fastWrSet, a)
 }
@@ -21,16 +21,16 @@ func (t *Thread) srRead(a memsim.Addr) uint64 {
 	htx := t.Txn
 	ver, ok := htx.Read(t.sys.VersionAddr(a))
 	if !ok {
-		engine.Retry(htx.AbortReason())
+		engine.Retry()
 	}
 	t.Stats.MetadataReads++
 	v, ok := htx.Read(a)
 	if !ok {
-		engine.Retry(htx.AbortReason())
+		engine.Retry()
 	}
 	if sys.IsLocked(ver) || sys.UnpackVersion(ver) > t.sw.Version {
 		htx.Abort(memsim.AbortExplicit)
-		engine.Retry(memsim.AbortExplicit)
+		engine.Retry()
 	}
 	return v
 }

@@ -63,30 +63,28 @@ type Engine interface {
 
 // retrySignal is the panic payload used to unwind a transaction body when
 // the underlying attempt aborted. It never escapes Atomic.
-type retrySignal struct{ reason memsim.AbortReason }
+type retrySignal struct{}
 
-// Retry unwinds the current transaction body with the given abort reason.
-// Only engine implementations call it.
-func Retry(reason memsim.AbortReason) {
-	panic(retrySignal{reason: reason})
+// Retry unwinds the current transaction body. Only engine implementations
+// call it; why the attempt aborted is the hardware's to report
+// (htm.Txn.AbortReason after Fini), not the unwinding's.
+func Retry() {
+	panic(retrySignal{})
 }
 
-// RunBody invokes fn(tx) converting a retry panic into (aborted=true,
-// reason). Engines call it to execute the user body; any other panic
-// propagates unchanged.
-func RunBody(fn func(tx Tx) error, tx Tx) (err error, aborted bool, reason memsim.AbortReason) {
+// RunBody invokes fn(tx), converting a retry panic into aborted=true.
+// Engines call it to execute the user body; any other panic propagates
+// unchanged.
+func RunBody(fn func(tx Tx) error, tx Tx) (err error, aborted bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			rs, ok := r.(retrySignal)
-			if !ok {
+			if _, ok := r.(retrySignal); !ok {
 				panic(r)
 			}
 			aborted = true
-			reason = rs.reason
 		}
 	}()
-	err = fn(tx)
-	return err, false, memsim.AbortNone
+	return fn(tx), false
 }
 
 // ErrTooManyThreads is returned (via panic from NewThread) when an engine's

@@ -59,19 +59,19 @@ func TestStatsString(t *testing.T) {
 
 func TestRunBodyPassesThroughErrors(t *testing.T) {
 	sentinel := errors.New("boom")
-	err, aborted, _ := RunBody(func(tx Tx) error { return sentinel }, nil)
+	err, aborted := RunBody(func(tx Tx) error { return sentinel }, nil)
 	if !errors.Is(err, sentinel) || aborted {
 		t.Fatalf("err=%v aborted=%v, want sentinel,false", err, aborted)
 	}
 }
 
 func TestRunBodyCatchesRetry(t *testing.T) {
-	err, aborted, reason := RunBody(func(tx Tx) error {
-		Retry(memsim.AbortCapacity)
+	err, aborted := RunBody(func(tx Tx) error {
+		Retry()
 		return nil
 	}, nil)
-	if err != nil || !aborted || reason != memsim.AbortCapacity {
-		t.Fatalf("got err=%v aborted=%v reason=%v", err, aborted, reason)
+	if err != nil || !aborted {
+		t.Fatalf("got err=%v aborted=%v", err, aborted)
 	}
 }
 
@@ -81,7 +81,7 @@ func TestRunBodyPropagatesForeignPanics(t *testing.T) {
 			t.Fatal("foreign panic swallowed")
 		}
 	}()
-	_, _, _ = RunBody(func(tx Tx) error { panic("user bug") }, nil)
+	_, _ = RunBody(func(tx Tx) error { panic("user bug") }, nil)
 }
 
 func TestBackoffBounded(t *testing.T) {

@@ -42,7 +42,7 @@ func (h *HWWorker) Attempt(fn func(tx Tx) error, p HWPath, commits *uint64) (don
 	htx.Begin()
 	if p.Prologue() {
 		var aborted bool
-		err, aborted, _ = RunBody(fn, p)
+		err, aborted = RunBody(fn, p)
 		switch {
 		case aborted:
 		case err != nil:

@@ -23,7 +23,7 @@ type SWPath interface {
 func (w *Worker) RunSoft(fn func(tx Tx) error, p SWPath) error {
 	for attempt := 0; ; attempt++ {
 		p.Begin()
-		err, aborted, _ := RunBody(fn, p)
+		err, aborted := RunBody(fn, p)
 		switch {
 		case aborted:
 		case err != nil:

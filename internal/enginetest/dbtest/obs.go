@@ -255,6 +255,38 @@ func testDBTrace(t *testing.T, factory DBFactory) {
 		}
 	}
 
+	// A write that lands between a closure's read and its commit is a
+	// conflict the kv layer's one loop retries: the body runs twice, and
+	// each run is a span — wherever the commit validation happens (the
+	// cluster's buffered commit, the server behind the wire client).
+	if optimisticClosures(db) {
+		rec.Reset()
+		read, write := []byte("trace-read"), []byte("trace-write")
+		runs := 0
+		err := db.Update(func(tx kv.Txn) error {
+			runs++
+			if _, err := tx.Get(read); err != nil && !errors.Is(err, kv.ErrNotFound) {
+				return err
+			}
+			if runs == 1 {
+				// Through a second session: the closure's read is now stale.
+				if err := db.Put(read, []byte("interloper")); err != nil {
+					return err
+				}
+			}
+			return tx.Put(write, []byte{byte(runs)})
+		})
+		if err != nil {
+			t.Fatalf("interleaved Update: %v", err)
+		}
+		spans := rec.Spans()
+		if runs != 2 || len(spans) != 2 ||
+			spans[0].Attempt != 0 || spans[0].Outcome != obs.OutcomeConflict ||
+			spans[1].Attempt != 1 || spans[1].Outcome != obs.OutcomeCommit {
+			t.Fatalf("interleaved write: body ran %d times, spans %+v; want 2 runs, [conflict@0 commit@1]", runs, spans)
+		}
+	}
+
 	// A user error ends the loop with one "error" span carrying the text.
 	rec.Reset()
 	boom := errors.New("boom")
@@ -278,6 +310,21 @@ func testDBTrace(t *testing.T, factory DBFactory) {
 	if got := rec.Spans(); len(got) != 0 {
 		t.Fatalf("detached tracer still received %d spans", len(got))
 	}
+}
+
+// optimisticClosures reports whether db runs Update closures outside any
+// engine transaction, validating their reads only at commit — the cluster's
+// buffered transactions and the wire client, told apart by the cluster.*
+// counters or the server.* gauges their snapshots carry. There a write
+// that lands mid-closure is a kv-level conflict, one span per body run. On
+// Local the closure is one engine transaction: the engine absorbs that
+// interleaving as an internal retry (no span), and a closure calling back
+// into the DB from inside it may wait on itself.
+func optimisticClosures(db kv.DB) bool {
+	snap := db.Metrics()
+	_, clustered := snap.Counters["cluster.local_txns"]
+	_, net := snap.Gauges["server.connections"]
+	return clustered || net
 }
 
 // testDBTraceFenced pins the span/result agreement on a durable DB whose

@@ -125,7 +125,7 @@ func (tx *pureTx) Load(a memsim.Addr) uint64 {
 	t.Stats.Reads++
 	v, ok := t.Txn.Read(a)
 	if !ok {
-		engine.Retry(t.Txn.AbortReason())
+		engine.Retry()
 	}
 	return v
 }
@@ -135,7 +135,7 @@ func (tx *pureTx) Store(a memsim.Addr, v uint64) {
 	t := (*pureThread)(tx)
 	t.Stats.Writes++
 	if !t.Txn.Write(a, v) {
-		engine.Retry(t.Txn.AbortReason())
+		engine.Retry()
 	}
 }
 
@@ -143,5 +143,5 @@ func (tx *pureTx) Store(a memsim.Addr, v uint64) {
 func (tx *pureTx) Unsupported() {
 	t := (*pureThread)(tx)
 	t.Txn.Unsupported()
-	engine.Retry(memsim.AbortUnsupported)
+	engine.Retry()
 }

@@ -98,18 +98,18 @@ func (tx *stdTx) Load(a memsim.Addr) uint64 {
 	htx := t.Txn
 	w, ok := htx.Read(t.sys.VersionAddr(a))
 	if !ok {
-		engine.Retry(htx.AbortReason())
+		engine.Retry()
 	}
 	t.Stats.MetadataReads++
 	if sys.IsLocked(w) {
 		// A software transaction holds the stripe: the hardware transaction
 		// cannot read consistently and must abort.
 		htx.Abort(memsim.AbortExplicit)
-		engine.Retry(memsim.AbortExplicit)
+		engine.Retry()
 	}
 	v, ok := htx.Read(a)
 	if !ok {
-		engine.Retry(htx.AbortReason())
+		engine.Retry()
 	}
 	return v
 }
@@ -123,19 +123,19 @@ func (tx *stdTx) Store(a memsim.Addr, v uint64) {
 	va := t.sys.VersionAddr(a)
 	w, ok := htx.Read(va)
 	if !ok {
-		engine.Retry(htx.AbortReason())
+		engine.Retry()
 	}
 	t.Stats.MetadataReads++
 	if sys.IsLocked(w) {
 		htx.Abort(memsim.AbortExplicit)
-		engine.Retry(memsim.AbortExplicit)
+		engine.Retry()
 	}
 	if !htx.Write(va, sys.PackVersion(t.nextVer)) {
-		engine.Retry(htx.AbortReason())
+		engine.Retry()
 	}
 	t.Stats.MetadataWrites++
 	if !htx.Write(a, v) {
-		engine.Retry(htx.AbortReason())
+		engine.Retry()
 	}
 }
 
@@ -143,5 +143,5 @@ func (tx *stdTx) Store(a memsim.Addr, v uint64) {
 func (tx *stdTx) Unsupported() {
 	t := (*stdThread)(tx)
 	t.Txn.Unsupported()
-	engine.Retry(memsim.AbortUnsupported)
+	engine.Retry()
 }

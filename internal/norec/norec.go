@@ -238,7 +238,7 @@ func (tx *norecTx) Load(a memsim.Addr) uint64 {
 	if t.hw {
 		v, ok := t.Txn.Read(a)
 		if !ok {
-			engine.Retry(t.Txn.AbortReason())
+			engine.Retry()
 		}
 		return v
 	}
@@ -255,7 +255,7 @@ func (tx *norecTx) Load(a memsim.Addr) uint64 {
 			return v
 		}
 		if !t.revalidate() {
-			engine.Retry(memsim.AbortConflict)
+			engine.Retry()
 		}
 	}
 }
@@ -266,7 +266,7 @@ func (tx *norecTx) Store(a memsim.Addr, v uint64) {
 	t.Stats.Writes++
 	if t.hw {
 		if !t.Txn.Write(a, v) {
-			engine.Retry(t.Txn.AbortReason())
+			engine.Retry()
 		}
 		return
 	}
@@ -278,6 +278,6 @@ func (tx *norecTx) Unsupported() {
 	t := (*Thread)(tx)
 	if t.hw {
 		t.Txn.Unsupported()
-		engine.Retry(memsim.AbortUnsupported)
+		engine.Retry()
 	}
 }

@@ -181,7 +181,7 @@ func (tx *phasedTx) Load(a memsim.Addr) uint64 {
 	t.Stats.Reads++
 	v, ok := t.Txn.Read(a)
 	if !ok {
-		engine.Retry(t.Txn.AbortReason())
+		engine.Retry()
 	}
 	return v
 }
@@ -191,7 +191,7 @@ func (tx *phasedTx) Store(a memsim.Addr, v uint64) {
 	t := (*Thread)(tx)
 	t.Stats.Writes++
 	if !t.Txn.Write(a, v) {
-		engine.Retry(t.Txn.AbortReason())
+		engine.Retry()
 	}
 }
 
@@ -199,5 +199,5 @@ func (tx *phasedTx) Store(a memsim.Addr, v uint64) {
 func (tx *phasedTx) Unsupported() {
 	t := (*Thread)(tx)
 	t.Txn.Unsupported()
-	engine.Retry(memsim.AbortUnsupported)
+	engine.Retry()
 }

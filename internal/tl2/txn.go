@@ -66,7 +66,7 @@ func (x *Txn) Read(a memsim.Addr) uint64 {
 	after := mem.Load(va)
 	x.stats.MetadataReads += 2
 	if sys.IsLocked(before) || before != after || sys.UnpackVersion(before) > x.Version {
-		engine.Retry(memsim.AbortConflict)
+		engine.Retry()
 	}
 	x.Reads = append(x.Reads, a)
 	return v

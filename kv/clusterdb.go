@@ -75,10 +75,11 @@ func (s *clusterSession) bind(sink obs.StageRecorder) { s.cl.SetStageSink(sink) 
 
 func (s *clusterSession) engineName() string { return s.c.Node(0).Engine().Name() }
 
-// attempt implements session via the cluster's optimistic buffered
-// transaction (local commit when one System owns the footprint, two-phase
-// commit when several do). The cluster retries its own commit conflicts
-// inside Client.Txn.
+// attempt implements session via one run of the cluster's optimistic
+// buffered transaction (local commit when one System owns the footprint,
+// two-phase commit when several do). Its conflicts — a read that met a
+// pending intent, a failed validation, a refused prepare — come back as
+// cluster.ErrConflict for the core's Retry to run the closure again.
 func (s *clusterSession) attempt(fn func(tx Txn) error) (Revision, error) {
 	err := s.cl.Txn(func(t *cluster.Txn) error {
 		return fn(&clusterTxn{t: t})
@@ -126,9 +127,14 @@ func (db *ClusterDB) Get(key []byte) ([]byte, error) {
 	}
 	s := db.claim(nil)
 	defer db.release(s)
-	v, ok, err := s.cl.Get(key)
-	if err != nil {
-		return nil, mapErr(err)
+	var v []byte
+	var ok bool
+	if err := Retry(func(int) error {
+		var err error
+		v, ok, err = s.cl.Get(key)
+		return mapErr(err)
+	}); err != nil {
+		return nil, err
 	}
 	if !ok {
 		return nil, ErrNotFound
@@ -148,11 +154,11 @@ func (db *ClusterDB) Put(key, value []byte, opts ...PutOption) error {
 	}
 	s := db.claim(nil)
 	defer db.release(s)
-	err := mapErr(s.cl.Put(key, value))
-	if err == nil {
-		db.hub.wake()
+	if err := Retry(func(int) error { return mapErr(s.cl.Put(key, value)) }); err != nil {
+		return err
 	}
-	return err
+	db.hub.wake()
+	return nil
 }
 
 // Delete implements DB.
@@ -162,9 +168,13 @@ func (db *ClusterDB) Delete(key []byte) error {
 	}
 	s := db.claim(nil)
 	defer db.release(s)
-	ok, err := s.cl.Delete(key)
-	if err != nil {
+	var ok bool
+	if err := Retry(func(int) error {
+		var err error
+		ok, err = s.cl.Delete(key)
 		return mapErr(err)
+	}); err != nil {
+		return err
 	}
 	if !ok {
 		return ErrNotFound
@@ -209,12 +219,17 @@ func (db *ClusterDB) BatchTraced(sink obs.TraceSink, ops []Op) ([]OpResult, erro
 	if sink != nil {
 		engStart = time.Now()
 	}
-	cres, err := s.cl.Batch(cops)
+	var cres []cluster.BatchResult
+	err := Retry(func(int) error {
+		var err error
+		cres, err = s.cl.Batch(cops)
+		return mapErr(err)
+	})
 	if sink != nil {
 		sink.Stage(obs.StageEngine, time.Since(engStart))
 	}
 	if err != nil {
-		return nil, mapErr(err)
+		return nil, err
 	}
 	results := make([]OpResult, len(ops))
 	wrote := false
@@ -250,9 +265,13 @@ func (db *ClusterDB) BatchTraced(sink obs.TraceSink, ops []Op) ([]OpResult, erro
 func (db *ClusterDB) rawScan(start, end []byte, limit int) ([]Entry, error) {
 	s := db.claim(nil)
 	defer db.release(s)
-	entries, err := s.cl.ScanSnapshot(start, end, limit)
-	if err != nil {
-		return nil, mapErr(err)
+	var entries []cluster.Entry
+	if err := Retry(func(int) error {
+		var err error
+		entries, err = s.cl.ScanSnapshot(start, end, limit)
+		return mapErr(err)
+	}); err != nil {
+		return nil, err
 	}
 	return clusterEntries(entries), nil
 }

@@ -13,7 +13,7 @@ import (
 
 // session is one pooled execution context of a backend — an engine thread
 // on Local, a cluster client on ClusterDB — and the whole surface the shared
-// closure-transaction loop (core.UpdateRevTraced) is written against.
+// closure transaction (core.UpdateRevTraced) is written against.
 type session interface {
 	// bind attaches the stage sink the session reports its own finer stages
 	// to (wal_sync, and on a cluster 2pc_prepare/2pc_finish) for the claim
@@ -187,16 +187,18 @@ func (db *core[S]) UpdateRev(fn func(tx Txn) error) (Revision, error) {
 // path, which opens the trace from the wire frame and finishes it when
 // the response is written.
 //
-// This is the one closure-transaction loop. The backends retry their own
-// conflicts inside attempt (engine aborts, 2PC prepare conflicts), so the
-// loop here only serves closures that request a retry by returning
-// ErrConflict. sink, when non-nil, receives one engine stage spanning every
-// attempt (retries and backoff included; on a cluster, commit machinery
-// too), the session's own finer stages, one span per attempt, and the
-// commit revision; the tracer receives the spans. The final attempt's span
-// is emitted after publish, so its outcome is the caller's outcome: a
-// commit the log refused (wal.ErrFenced, a device error) is an error span.
-// A nil sink and tracer pay one predicted branch per site — no stamps, no
+// This is the one closure transaction: each Retry attempt runs the closure
+// once through the session and, once it committed, publishes it. An attempt
+// conflicts when the closure returns ErrConflict or the backend refuses it
+// (on a cluster: a pending intent on a read, a failed commit validation, a
+// refused prepare); the engines absorb their own aborts inside attempt.
+// sink, when non-nil, receives one engine stage spanning every attempt
+// (retries and backoff included; on a cluster, commit machinery too), the
+// session's own finer stages, one span per attempt, and the commit
+// revision; the tracer receives the spans. The final attempt's span is
+// emitted after publish, so its outcome is the caller's outcome: a commit
+// the log refused (wal.ErrFenced, a device error) is an error span. A nil
+// sink and tracer pay one predicted branch per site — no stamps, no
 // allocations.
 func (db *core[S]) UpdateRevTraced(sink obs.TraceSink, fn func(tx Txn) error) (Revision, error) {
 	s := db.claim(sink)
@@ -207,22 +209,20 @@ func (db *core[S]) UpdateRevTraced(sink obs.TraceSink, fn func(tx Txn) error) (R
 	if sink != nil {
 		engStart = time.Now()
 	}
-	for attempt := 0; attempt < maxAttempts; attempt++ {
+	var rev Revision
+	err := Retry(func(attempt int) error {
 		var start time.Time
 		if traced {
 			start = time.Now()
 		}
-		rev, err := s.attempt(fn)
+		var err error
+		rev, err = s.attempt(fn)
 		var wall time.Duration
 		if traced {
 			wall = time.Since(start)
 		}
-		// Only a closure's own ErrConflict asks for another attempt: the
-		// cluster's contention sentinel has exhausted its retries already
-		// and becomes an ErrConflict-wrapping failure below.
-		retry := errors.Is(err, ErrConflict)
 		err = mapErr(err)
-		if !retry {
+		if !errors.Is(err, ErrConflict) {
 			if sink != nil {
 				sink.Stage(obs.StageEngine, time.Since(engStart))
 			}
@@ -231,7 +231,7 @@ func (db *core[S]) UpdateRevTraced(sink obs.TraceSink, fn func(tx Txn) error) (R
 			}
 		}
 		if traced {
-			sp := attemptSpan(s.engineName(), attempt, err, rev, wall, db.clock.Now())
+			sp := AttemptSpan(s.engineName(), attempt, err, rev, wall, db.clock.Now())
 			if trc != nil {
 				trc.TxnAttempt(sp)
 			}
@@ -239,30 +239,26 @@ func (db *core[S]) UpdateRevTraced(sink obs.TraceSink, fn func(tx Txn) error) (R
 				sink.Attempt(sp)
 			}
 		}
-		if retry {
-			backoff(attempt)
-			continue
-		}
-		if err != nil {
-			return 0, err
-		}
-		if sink != nil {
-			sink.SetCommitRev(rev)
-		}
-		db.hub.wake()
-		return rev, nil
+		return err
+	})
+	if err != nil {
+		return 0, err
 	}
-	return 0, errRetriesExhausted
+	if sink != nil {
+		sink.SetCommitRev(rev)
+	}
+	db.hub.wake()
+	return rev, nil
 }
 
-// errRetriesExhausted is the ErrConflict-wrapping failure Update returns
-// after maxAttempts.
-var errRetriesExhausted = fmt.Errorf("kv: update exhausted retries: %w", ErrConflict)
+// errClusterConflict is cluster.ErrConflict on the kv surface: errors.Is
+// matches it against both sentinels.
+var errClusterConflict = fmt.Errorf("%w: %w", ErrConflict, cluster.ErrConflict)
 
-// mapErr translates cluster/store sentinels to the kv surface.
+// mapErr translates the cluster's conflict sentinel to the kv surface.
 func mapErr(err error) error {
-	if errors.Is(err, cluster.ErrContention) {
-		return fmt.Errorf("kv: %v: %w", err, ErrConflict)
+	if errors.Is(err, cluster.ErrConflict) {
+		return errClusterConflict
 	}
 	return err
 }

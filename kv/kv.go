@@ -64,14 +64,17 @@
 // # Retry policy
 //
 // Update re-executes fn when the transaction cannot commit due to
-// contention: an engine-level abort storm, a pending cross-System write
-// intent, or failed optimistic read validation. fn must therefore be safe
-// to re-execute (side effects outside the Txn should be idempotent or
-// deferred). A closure can also request a retry itself by returning
-// ErrConflict. Any other non-nil error from fn aborts the transaction —
-// no write survives — and is returned to the caller as-is. Retries use
-// randomized exponential backoff and give up after the implementation's
-// attempt bound with an error wrapping ErrConflict.
+// contention: a pending cross-System write intent on a key it reads, or
+// failed optimistic read validation (the engines absorb their own aborts
+// below this). fn must therefore be safe to re-execute (side effects
+// outside the Txn should be idempotent or deferred). A closure can also
+// request a retry itself by returning ErrConflict. Any other non-nil error
+// from fn aborts the transaction — no write survives — and is returned to
+// the caller as-is. One loop decides when to try again, for every backend
+// and for the network client: Retry, with randomized exponential backoff,
+// giving up after its attempt bound with an error wrapping ErrConflict.
+// A backend's single-key operations, Batch and Scan, where they can
+// conflict, run through the same loop.
 //
 // Isolation inside fn is the standard optimistic contract: each read
 // observes committed state, but reads of different keys are only
@@ -87,6 +90,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"time"
@@ -360,8 +364,30 @@ type DB interface {
 	Metrics() obs.Snapshot
 }
 
-// maxAttempts bounds Update/Batch/Scan retries before ErrConflict.
+// maxAttempts bounds the attempts Retry makes before it gives up.
 const maxAttempts = 10_000
+
+// errRetriesExhausted is the ErrConflict-wrapping failure Retry returns
+// after maxAttempts.
+var errRetriesExhausted = fmt.Errorf("kv: exhausted %d attempts: %w", maxAttempts, ErrConflict)
+
+// Retry is the one conflict-retry loop above the engines: it calls op with
+// attempt = 0, 1, … while op returns an error wrapping ErrConflict, backing
+// off between calls, and returns op's first other result — or, after
+// maxAttempts conflicts, an error wrapping ErrConflict. Every backend's
+// Update, Batch, Scan and single-key operations and the network client's
+// Update run their attempts through it; op must leave nothing behind when it
+// conflicts.
+func Retry(op func(attempt int) error) error {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
+		err := op(attempt)
+		if !errors.Is(err, ErrConflict) {
+			return err
+		}
+		backoff(attempt)
+	}
+	return errRetriesExhausted
+}
 
 // backoff yields, then sleeps with randomized exponential growth, between
 // conflicting attempts. The global rand functions are locked, so this is

@@ -145,10 +145,10 @@ func mergeClusterCounters(out *obs.Snapshot, cc cluster.Counters) {
 // with in-flight transactions reading the current tracer).
 type tracerBox struct{ t obs.Tracer }
 
-// attemptSpan builds the span one Update attempt emits. CommitRev is only
-// meaningful on commits; conflict and error attempts report 0 per the
-// Span contract.
-func attemptSpan(engine string, attempt int, err error, rev uint64, wall time.Duration, virtual uint64) obs.Span {
+// AttemptSpan builds the span one Update attempt emits, for any DB that
+// runs its closures through Retry. CommitRev is only meaningful on
+// commits; conflict and error attempts report 0 per the Span contract.
+func AttemptSpan(engine string, attempt int, err error, rev uint64, wall time.Duration, virtual uint64) obs.Span {
 	sp := obs.Span{Engine: engine, Attempt: attempt, Wall: wall, VirtualTime: virtual}
 	switch {
 	case err == nil:

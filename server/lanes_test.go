@@ -88,6 +88,28 @@ func (s *laneSpy) Put(key, value []byte, opts ...kv.PutOption) error {
 	return s.DB.Put(key, value, opts...)
 }
 
+// waitQueued polls until at least parked Batch calls sit at the spy's gate
+// and the server has read n requests of kind. The requests not in a parked
+// batch are queued behind one, so they leave the gate merged: a blocked
+// first batch is what makes merging deterministic.
+func waitQueued(t *testing.T, spy *laneSpy, reg *obs.Registry, kind string, parked int, n uint64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		spy.mu.Lock()
+		p := spy.parked
+		spy.mu.Unlock()
+		read := reg.Snapshot().Counter(obs.Name("server.requests", "kind", kind))
+		if p >= parked && read >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d batches parked and %d %s requests read, want %d and %d", p, read, kind, parked, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // readAll collects the frames a raw connection receives until want of them
 // arrived (or, for want < 0, until the server closes the connection), by id.
 func readAll(t *testing.T, nc net.Conn, want int) map[uint64]wire.Msg {
@@ -115,13 +137,16 @@ func readAll(t *testing.T, nc net.Conn, want int) map[uint64]wire.Msg {
 func TestLanesMergeWithinOneDomain(t *testing.T) {
 	cdb := newClusterDB(t)
 	spy := newLaneSpy(cdb)
-	// A generous window makes merging deterministic under load.
-	srv := server.New(spy, server.WithBatchWindow(2*time.Millisecond))
+	spy.gate = make(chan struct{})
+	reg := obs.NewRegistry()
+	srv := server.New(spy, server.WithMetrics(reg))
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	openGate := sync.OnceFunc(func() { close(spy.gate) })
+	defer openGate()
 	cl, err := client.Dial(addr.String(), client.WithConns(8))
 	if err != nil {
 		t.Fatal(err)
@@ -161,6 +186,9 @@ func TestLanesMergeWithinOneDomain(t *testing.T) {
 			}
 		}()
 	}
+	// The first batch parks; every worker's first Put queues behind it.
+	waitQueued(t, spy, reg, "put", 1, 16)
+	openGate()
 	wg.Wait()
 
 	spy.mu.Lock()
@@ -264,19 +292,8 @@ func TestCloseDrainsEveryLane(t *testing.T) {
 		}
 	}
 	mustWrite(t, raw, frames)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		spy.mu.Lock()
-		parked := spy.parked
-		spy.mu.Unlock()
-		if parked == spy.Domains() && reg.Snapshot().Counter(obs.Name("server.requests", "kind", "put")) == id {
-			break // every op is in a lane, every lane is mid-batch
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d lanes mid-batch, want %d", parked, spy.Domains())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// Every op is in a lane, every lane is mid-batch.
+	waitQueued(t, spy, reg, "put", spy.Domains(), id)
 
 	closed := make(chan struct{})
 	go func() {

@@ -42,8 +42,8 @@ import (
 // a server that was already shut down.
 var ErrServerClosed = errors.New("server: closed")
 
-// The tunables: the batch window and the write timeout are defaults an
-// option overrides, the batch cap and the drain bound are fixed.
+// The tunables: the write timeout is a default an option overrides, the
+// batch window, the batch cap and the drain bound are fixed.
 const (
 	// DefaultBatchWindow is how long the batcher waits for stragglers
 	// after the first op of a batch arrives. Small on purpose: the window
@@ -73,7 +73,6 @@ type Option func(*options)
 type options struct {
 	reg          *obs.Registry
 	engine       string
-	batchWindow  time.Duration
 	writeTimeout time.Duration
 	replicas     func() []wire.ReplicaHealth
 }
@@ -91,13 +90,6 @@ func WithMetrics(reg *obs.Registry) Option {
 // clients stamp it on tracer spans. Defaults to "net".
 func WithEngineName(name string) Option {
 	return func(o *options) { o.engine = name }
-}
-
-// WithBatchWindow sets how long the cross-connection batcher holds an
-// underfull batch open for stragglers. Zero disables the wait (each batch
-// is whatever queued while the previous one executed).
-func WithBatchWindow(d time.Duration) Option {
-	return func(o *options) { o.batchWindow = d }
 }
 
 // WithWriteTimeout sets the rolling deadline each outbound frame write
@@ -144,7 +136,6 @@ type Server struct {
 func New(db kv.DB, opts ...Option) *Server {
 	o := options{
 		engine:       "net",
-		batchWindow:  DefaultBatchWindow,
 		writeTimeout: DefaultWriteTimeout,
 	}
 	for _, opt := range opts {
@@ -160,7 +151,7 @@ func New(db kv.DB, opts ...Option) *Server {
 		start:  time.Now(),
 		conns:  make(map[*conn]struct{}),
 	}
-	s.batch = newBatcher(db, o.batchWindow, DefaultBatchMax, &s.met)
+	s.batch = newBatcher(db, DefaultBatchWindow, DefaultBatchMax, &s.met)
 	return s
 }
 

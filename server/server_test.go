@@ -344,25 +344,29 @@ func TestWatchIdleRejectsActiveWatch(t *testing.T) {
 // TestBatcherMergesAcrossConnections drives concurrent single-key requests
 // from many connections and asserts the cross-connection batcher actually
 // merged them: the server.batch_fill histogram must record more ops than
-// batches. A generous window makes merging deterministic under load.
+// batches. The first batch parks at a gate, so the requests behind it merge.
 func TestBatcherMergesAcrossConnections(t *testing.T) {
 	reg := obs.NewRegistry()
-	srv := server.New(newLocalDB(t, reg), server.WithMetrics(reg),
-		server.WithBatchWindow(2*time.Millisecond))
+	db := newLocalDB(t, reg)
+	if err := db.Put([]byte("shared"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	spy := newLaneSpy(db)
+	spy.gate = make(chan struct{})
+	srv := server.New(spy, server.WithMetrics(reg))
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	openGate := sync.OnceFunc(func() { close(spy.gate) })
+	defer openGate()
 	cl, err := client.Dial(addr.String(), client.WithConns(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 
-	if err := cl.Put([]byte("shared"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
 	var wg sync.WaitGroup
 	for w := 0; w < 32; w++ {
 		wg.Add(1)
@@ -376,6 +380,8 @@ func TestBatcherMergesAcrossConnections(t *testing.T) {
 			}
 		}()
 	}
+	waitQueued(t, spy, reg, "get", 1, 32)
+	openGate()
 	wg.Wait()
 
 	snap := reg.Snapshot()
@@ -404,17 +410,36 @@ func TestBatcherHardErrorFallback(t *testing.T) {
 	} {
 		t.Run(be.name, func(t *testing.T) {
 			spy := newLaneSpy(be.open(t))
-			srv := server.New(spy, server.WithBatchWindow(5*time.Millisecond))
+			spy.gate = make(chan struct{})
+			reg := obs.NewRegistry()
+			srv := server.New(spy, server.WithMetrics(reg))
 			addr, err := srv.Start("127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer srv.Close()
+			openGate := sync.OnceFunc(func() { close(spy.gate) })
+			defer openGate()
 			cl, err := client.Dial(addr.String(), client.WithConns(4))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer cl.Close()
+
+			// Park a blocker's batch on every lane, so the ops below queue
+			// behind it and leave the gate as one merged batch a lane.
+			var wg sync.WaitGroup
+			for dom := 0; dom < spy.Domains(); dom++ {
+				blocker := keysOn(spy, dom, 1, "blocker")[0]
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if err := cl.Put(blocker, []byte("v")); err != nil {
+						t.Errorf("blocker Put %s: %v", blocker, err)
+					}
+				}()
+			}
+			waitQueued(t, spy, reg, "put", spy.Domains(), uint64(spy.Domains()))
 
 			// The poison goes to domain 0; four innocents ride on every
 			// domain.
@@ -424,7 +449,6 @@ func TestBatcherHardErrorFallback(t *testing.T) {
 				innocents = append(innocents, keysOn(spy, dom, 4, "ok")...)
 			}
 			huge := make([]byte, 1<<19) // beyond the largest arena size class
-			var wg sync.WaitGroup
 			errs := make([]error, len(innocents))
 			var hugeErr error
 			wg.Add(1)
@@ -440,6 +464,8 @@ func TestBatcherHardErrorFallback(t *testing.T) {
 					errs[i] = cl.Put(innocents[i], []byte("v"))
 				}()
 			}
+			waitQueued(t, spy, reg, "put", spy.Domains(), uint64(spy.Domains()+1+len(innocents)))
+			openGate()
 			wg.Wait()
 
 			if !errors.Is(hugeErr, kv.ErrTooLarge) {
