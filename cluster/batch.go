@@ -66,28 +66,43 @@ func (cl *Client) Batch(ops []BatchOp) ([]BatchResult, error) {
 
 	// Group op indices by owning System, then by distinct key within each
 	// (ascending — the deterministic intent acquisition order), preserving
-	// batch order within a key.
-	byNode := map[int][]batchKey{}
-	pos := map[string]struct{ node, idx int }{}
-	for i, op := range ops {
-		k := string(op.Key)
-		if p, seen := pos[k]; seen {
-			byNode[p.node][p.idx].ops = append(byNode[p.node][p.idx].ops, i)
-			continue
+	// batch order within a key: one sort of the indices by (System, key,
+	// index) makes each key's operations a run of it, and each System's keys
+	// a run of the groups. One allocation holds the indices and their Systems.
+	idx := make([]int, 2*len(ops))
+	idx, nodeOf := idx[:len(ops)], idx[len(ops):]
+	for i := range ops {
+		idx[i], nodeOf[i] = i, cl.c.router.SystemFor(ops[i].Key)
+	}
+	slices.SortFunc(idx, func(a, b int) int {
+		if nodeOf[a] != nodeOf[b] {
+			return nodeOf[a] - nodeOf[b]
 		}
-		nodeID := cl.c.router.SystemFor(op.Key)
-		pos[k] = struct{ node, idx int }{nodeID, len(byNode[nodeID])}
-		byNode[nodeID] = append(byNode[nodeID], batchKey{key: op.Key, ops: []int{i}})
+		if c := bytes.Compare(ops[a].Key, ops[b].Key); c != 0 {
+			return c
+		}
+		return a - b
+	})
+	keys := make([]batchKey, 0, len(ops))
+	for lo, hi := 0, 0; lo < len(idx); lo = hi {
+		for hi < len(idx) && bytes.Equal(ops[idx[hi]].Key, ops[idx[lo]].Key) {
+			hi++
+		}
+		keys = append(keys, batchKey{key: ops[idx[lo]].Key, ops: idx[lo:hi]})
 	}
-	participants := make([]int, 0, len(byNode))
-	for nodeID := range byNode {
-		slices.SortFunc(byNode[nodeID], func(a, b batchKey) int { return bytes.Compare(a.key, b.key) })
-		participants = append(participants, nodeID)
-	}
-	slices.Sort(participants)
 
-	if len(participants) == 1 {
-		return results, cl.batchLocal(participants[0], byNode[participants[0]], ops, results)
+	if first := nodeOf[idx[0]]; first == nodeOf[idx[len(idx)-1]] {
+		return results, cl.batchLocal(first, keys, ops, results)
+	}
+	byNode := map[int][]batchKey{}
+	var participants []int
+	for lo, hi := 0, 0; lo < len(keys); lo = hi {
+		nodeID := nodeOf[keys[lo].ops[0]]
+		for hi < len(keys) && nodeOf[keys[hi].ops[0]] == nodeID {
+			hi++
+		}
+		byNode[nodeID] = keys[lo:hi]
+		participants = append(participants, nodeID)
 	}
 	return results, cl.batchCross(byNode, participants, ops, results)
 }
@@ -98,14 +113,6 @@ func (cl *Client) batchLocal(nodeID int, keys []batchKey, ops []BatchOp, results
 	n := cl.c.nodes[nodeID]
 	var recs []wal.Op
 	var maxRev uint64
-	// Flatten the key groups back into batch order, so the operations execute
-	// exactly as submitted.
-	order := cl.opOrder[:0]
-	for i := range keys {
-		order = append(order, keys[i].ops...)
-	}
-	slices.Sort(order)
-	cl.opOrder = order
 	err := cl.threads[nodeID].Atomic(func(tx rhtm.Tx) error {
 		recs = recs[:0] // the body re-executes on engine aborts
 		maxRev = 0
@@ -125,7 +132,9 @@ func (cl *Client) batchLocal(nodeID int, keys []batchKey, ops []BatchOp, results
 				return ErrConflict
 			}
 		}
-		for _, op := range order {
+		// Every operation is this System's: execute them in batch order,
+		// exactly as submitted.
+		for op := range ops {
 			switch ops[op].Kind {
 			case BatchGet:
 				v, ok := n.st.Get(tx, ops[op].Key)

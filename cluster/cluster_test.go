@@ -254,6 +254,14 @@ var crossEntryPoints = []struct {
 // coordinator decision log's device.
 func attachMemWAL(t *testing.T, c *Cluster) *wal.MemDevice {
 	t.Helper()
+	dev, _ := attachMemStorage(t, c).Device("coord")
+	return dev.(*wal.MemDevice)
+}
+
+// attachMemStorage binds c to fresh in-memory streams — "coord" for the
+// decision log, "sys-<i>" for System i's data — and returns their storage.
+func attachMemStorage(t *testing.T, c *Cluster) *wal.MemStorage {
+	t.Helper()
 	stg := wal.NewMemStorage()
 	open := func(name string, startRevs map[int]uint64) *wal.Writer {
 		dev, err := stg.Device(name)
@@ -269,8 +277,7 @@ func attachMemWAL(t *testing.T, c *Cluster) *wal.MemDevice {
 		ws.Data = append(ws.Data, open(fmt.Sprintf("sys-%d", i), map[int]uint64{0: rev + 1}))
 	}
 	c.AttachWAL(ws)
-	dev, _ := stg.Device("coord")
-	return dev.(*wal.MemDevice)
+	return stg
 }
 
 // TestTwoPhaseRound drives the single 2PC driver (Client.twoPhase) through

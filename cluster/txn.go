@@ -35,8 +35,6 @@ type Client struct {
 	// stages of this session's commits (SetStageSink). Single-session
 	// state like everything else on Client.
 	sink obs.StageRecorder
-	// opOrder is batchLocal's scratch: a group's op indices in batch order.
-	opOrder []int
 }
 
 // SetStageSink attaches (or with nil detaches) a per-stage trace sink:

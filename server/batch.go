@@ -26,10 +26,12 @@ type pendingOp struct {
 // into shared kv.DB.Batch transactions — the network-side analogue of WAL
 // group commit — one lane per commit domain of the DB (kv.DB.Domain). A
 // lane is a queue and one goroutine running the merge loop: it takes the
-// first queued op, holds the batch open for stragglers behind a small
-// time/size window, executes, responds, repeats. While a batch executes,
-// arrivals queue up and form the next one, so fill scales with offered load
-// and an idle server adds at most one window of latency.
+// first queued op and everything queued behind it (up to the size cap),
+// executes, responds, repeats. While a batch executes, arrivals queue up and
+// form the next one, so fill scales with offered load and a busy lane never
+// waits. Only a first op that finds the lane empty holds the batch open for
+// stragglers behind a small time/size window, so an idle server adds at most
+// one window of latency.
 //
 // Merging by owner keeps the common request on the cheap path: every merged
 // batch lies within one domain, so on a cluster it commits as one engine
@@ -105,7 +107,23 @@ func (b *batcher) loop(l *lane) {
 			return
 		}
 		l.batch = append(l.batch[:0], first)
-		if b.window > 0 {
+		// What queued while the previous batch ran is this batch: take it
+		// without waiting.
+	drain:
+		for len(l.batch) < b.max {
+			select {
+			case p, ok := <-l.ch:
+				if !ok {
+					break drain
+				}
+				l.batch = append(l.batch, p)
+			default:
+				break drain
+			}
+		}
+		// Only a lone op on an idle lane holds the window open for stragglers.
+		if len(l.batch) == 1 {
+			b.met.batchWindowed.Inc()
 			if timer == nil {
 				timer = time.NewTimer(b.window)
 			} else {
@@ -127,19 +145,6 @@ func (b *batcher) loop(l *lane) {
 				select {
 				case <-timer.C:
 				default:
-				}
-			}
-		} else {
-		drain:
-			for len(l.batch) < b.max {
-				select {
-				case p, ok := <-l.ch:
-					if !ok {
-						break drain
-					}
-					l.batch = append(l.batch, p)
-				default:
-					break drain
 				}
 			}
 		}

@@ -15,28 +15,32 @@ import (
 //	server.connections        gauge      live connections
 //	server.requests{kind=K}   counter    requests received, by frame kind
 //	server.batch_fill         histogram  ops merged per cross-conn Batch
+//	server.batch_windowed     counter    batches whose first op found its lane
+//	                                     idle and held the window open
 //	server.request_ns         histogram  accept-to-response wall time
 //	server.bytes_in           counter    frame bytes read off the wire
 //	server.bytes_out          counter    frame bytes written to the wire
 //	server.watch.events_lost  counter    EventLost frames pushed to clients
 type serverMetrics struct {
-	connections *obs.Gauge
-	requests    [wire.KindHealth + 1]*obs.Counter
-	batchFill   *obs.Histogram
-	requestNs   *obs.Histogram
-	bytesIn     *obs.Counter
-	bytesOut    *obs.Counter
-	watchLost   *obs.Counter
+	connections   *obs.Gauge
+	requests      [wire.KindHealth + 1]*obs.Counter
+	batchFill     *obs.Histogram
+	batchWindowed *obs.Counter
+	requestNs     *obs.Histogram
+	bytesIn       *obs.Counter
+	bytesOut      *obs.Counter
+	watchLost     *obs.Counter
 }
 
 func newServerMetrics(reg *obs.Registry) serverMetrics {
 	m := serverMetrics{
-		connections: reg.Gauge("server.connections"),
-		batchFill:   reg.Histogram("server.batch_fill"),
-		requestNs:   reg.Histogram("server.request_ns"),
-		bytesIn:     reg.Counter("server.bytes_in"),
-		bytesOut:    reg.Counter("server.bytes_out"),
-		watchLost:   reg.Counter("server.watch.events_lost"),
+		connections:   reg.Gauge("server.connections"),
+		batchFill:     reg.Histogram("server.batch_fill"),
+		batchWindowed: reg.Counter("server.batch_windowed"),
+		requestNs:     reg.Histogram("server.request_ns"),
+		bytesIn:       reg.Counter("server.bytes_in"),
+		bytesOut:      reg.Counter("server.bytes_out"),
+		watchLost:     reg.Counter("server.watch.events_lost"),
 	}
 	for k := wire.KindHello; k <= wire.KindMetrics; k++ {
 		m.requests[k] = reg.Counter(obs.Name("server.requests", "kind", k.String()))

@@ -14,9 +14,11 @@
 // (Get, unleased Put, Delete) from ALL connections are funneled into a
 // group-commit batcher (batch.go) with one lane per commit domain of the DB
 // (kv.DB.Domain: one per cluster System, one in all on a single System);
-// each lane merges whatever accumulated behind a small time/size window
-// into a single kv.DB.Batch — the network-side analogue of the WAL's group
-// commit — which, lying within one domain, never pays two-phase commit.
+// each lane merges whatever queued while its previous batch ran into a
+// single kv.DB.Batch — the network-side analogue of the WAL's group commit
+// — which, lying within one domain, never pays two-phase commit. Only an op
+// that finds its lane idle waits, behind a small time/size window, for
+// stragglers to merge with.
 // Batched requests on the same key execute in arrival order; requests on
 // keys of different domains are concurrent, as the protocol always allowed
 // (responses are matched by id and may complete out of order) — nothing
@@ -45,10 +47,10 @@ var ErrServerClosed = errors.New("server: closed")
 // The tunables: the write timeout is a default an option overrides, the
 // batch window, the batch cap and the drain bound are fixed.
 const (
-	// DefaultBatchWindow is how long the batcher waits for stragglers
-	// after the first op of a batch arrives. Small on purpose: the window
-	// exists to merge genuinely concurrent arrivals, not to tax an
-	// unpipelined client's latency.
+	// DefaultBatchWindow is how long a lane waits for stragglers when the
+	// first op of a batch found it idle; a lane with ops queued runs them
+	// at once. Small on purpose: the window exists to merge genuinely
+	// concurrent arrivals, not to tax an unpipelined client's latency.
 	DefaultBatchWindow = 100 * time.Microsecond
 	// DefaultBatchMax caps ops merged into one kv.DB.Batch.
 	DefaultBatchMax = 32
