@@ -54,8 +54,8 @@ func WithConns(n int) Option {
 	}
 }
 
-// WithFollowerReads adds replica servers to the pool. FollowerGet and
-// ReadAt route to them round-robin; every other call still goes to the
+// WithFollowerReads adds replica servers to the pool. ReadAt routes to
+// them round-robin; every other call still goes to the
 // primary. With no replica addresses configured, follower reads fall back
 // to the primary pool (the primary is trivially a follower of itself at
 // watermark = now).
@@ -226,8 +226,10 @@ func (c *Client) roundTripT(cn *netConn, m wire.Msg) (wire.Msg, error) {
 // retained in (net-stage timings keyed by the on-wire trace ids).
 func (c *Client) Flight() *obs.Flight { return c.flight }
 
-// AdminMetrics fetches the server's metrics snapshot (KindMetrics) —
-// Metrics with the error surfaced instead of swallowed.
+// AdminMetrics fetches the server's metrics snapshot (KindMetrics). The
+// snapshot travels as JSON (the obs.Snapshot wire form), so the client sees
+// the exact flat schema the server-side DB reports — including the server.*
+// instruments when the server shares the DB's registry.
 func (c *Client) AdminMetrics() (obs.Snapshot, error) {
 	r, err := c.do(wire.Msg{Kind: wire.KindMetrics})
 	if err != nil {
@@ -269,17 +271,12 @@ func (c *Client) AdminHealth() (wire.Health, error) {
 	return h, nil
 }
 
-// FollowerGet implements kv.FollowerReader: a read served by a replica,
+// ReadAt implements kv.FollowerReader: a read served by a replica,
 // returning the value's revision and the replica's applied watermark (the
-// revision up to which it has provably replayed the primary's log).
-func (c *Client) FollowerGet(key []byte) ([]byte, kv.Revision, kv.Revision, error) {
-	return c.ReadAt(key, 0)
-}
-
-// ReadAt implements kv.FollowerReader: like FollowerGet but the replica
-// rejects the read with kv.ErrTooStale unless its watermark has reached
-// floor, so the caller can demand read-your-writes against a revision it
-// learned from the primary.
+// revision up to which it has provably replayed the primary's log). The
+// replica rejects the read with kv.ErrTooStale unless its watermark has
+// reached floor, so the caller can demand read-your-writes against a
+// revision it learned from the primary.
 func (c *Client) ReadAt(key []byte, floor kv.Revision) ([]byte, kv.Revision, kv.Revision, error) {
 	if kv.IsReservedKey(key) {
 		return nil, 0, 0, kv.ErrReservedKey
@@ -445,19 +442,10 @@ func (c *Client) Checkpoint() error {
 	return err
 }
 
-// Metrics implements kv.DB: the server's snapshot travels as JSON (the
-// obs.Snapshot wire form), so the client sees the exact flat schema the
-// server-side DB reports — including the server.* instruments when the
-// server shares the DB's registry.
+// Metrics implements kv.DB: AdminMetrics with the error dropped (an empty
+// snapshot).
 func (c *Client) Metrics() obs.Snapshot {
-	r, err := c.do(wire.Msg{Kind: wire.KindMetrics})
-	if err != nil {
-		return obs.Snapshot{}
-	}
-	var snap obs.Snapshot
-	if json.Unmarshal(r.Value, &snap) != nil {
-		return obs.Snapshot{}
-	}
+	snap, _ := c.AdminMetrics()
 	return snap
 }
 

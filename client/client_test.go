@@ -186,7 +186,7 @@ func TestFollowerReadsOverWire(t *testing.T) {
 		}
 	}
 	// Absence at a watermark is a fact, not a failure: wm still travels.
-	if _, _, wm, err := cl.FollowerGet([]byte("fk-missing")); !errors.Is(err, kv.ErrNotFound) {
+	if _, _, wm, err := cl.ReadAt([]byte("fk-missing"), 0); !errors.Is(err, kv.ErrNotFound) {
 		t.Fatalf("missing key: err = %v", err)
 	} else if wm == 0 {
 		t.Fatal("missing key: watermark lost on the absent path")

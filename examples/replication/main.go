@@ -226,7 +226,7 @@ func run() (string, error) {
 	if err := survivor.WaitIdle(); err != nil {
 		return "", err
 	}
-	v, rev, wm, err := cl2.FollowerGet([]byte("order-new"))
+	v, rev, wm, err := cl2.ReadAt([]byte("order-new"), 0)
 	if err != nil {
 		return "", err
 	}

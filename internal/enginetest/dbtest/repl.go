@@ -166,7 +166,7 @@ func testFollowerReads(t *testing.T, rf ReplFactory) {
 	for i := 0; i < keys; i++ {
 		k := keyOf(i)
 		pv, prev, perr := rig.DB.GetRev(k)
-		fv, frev, _, ferr := f.FollowerGet(k)
+		fv, frev, _, ferr := f.ReadAt(k, 0)
 		if errors.Is(perr, kv.ErrNotFound) {
 			if !errors.Is(ferr, kv.ErrNotFound) {
 				t.Fatalf("%s: absent on primary, %v on follower", k, ferr)
@@ -318,7 +318,7 @@ func testFailover(t *testing.T, rf ReplFactory) {
 	if err := survivor.WaitIdle(); err != nil {
 		t.Fatal(err)
 	}
-	if v, _, _, err := survivor.FollowerGet([]byte("post-promo")); err != nil || string(v) != "ok" {
+	if v, _, _, err := survivor.ReadAt([]byte("post-promo"), 0); err != nil || string(v) != "ok" {
 		t.Fatalf("survivor after failover: %q, %v", v, err)
 	}
 

@@ -87,7 +87,8 @@ type core[S interface {
 	comparable
 	session
 }] struct {
-	clock Clock
+	clock     Clock
+	syncEvery int // WithSyncEvery, for the writers OpenLocal/OpenCluster or Promote attach
 
 	reg *obs.Registry
 	met kvMetrics
@@ -112,6 +113,7 @@ type core[S interface {
 // sources (with their dedicated engine threads) on first Watch.
 func (db *core[S]) init(o dbOptions, be backend, open func() S, sources func() []logSource) {
 	db.clock = o.clock
+	db.syncEvery = o.syncEvery
 	db.reg = o.metrics
 	db.met = newKVMetrics(db.reg)
 	db.trc.Store(&tracerBox{})

@@ -49,8 +49,8 @@ type kvMetrics struct {
 	prepare2PC *obs.Histogram // cluster.2pc.prepare_ns
 	finish2PC  *obs.Histogram // cluster.2pc.finish_ns
 
-	walInDoubt  *obs.Counter // cluster.wal.indoubt: decisions found unresolved at recovery
-	walResolved *obs.Counter // cluster.wal.resolved: decisions resolved forward at recovery
+	walInDoubt  *obs.Counter // cluster.wal.indoubt: decisions found unresolved at recovery or promotion
+	walResolved *obs.Counter // cluster.wal.resolved: decisions resolved forward then
 }
 
 func newKVMetrics(reg *obs.Registry) kvMetrics {

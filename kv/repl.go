@@ -5,9 +5,6 @@ import (
 	"fmt"
 
 	"rhtm"
-	"rhtm/cluster"
-	"rhtm/containers"
-	"rhtm/store"
 	"rhtm/wal"
 )
 
@@ -38,13 +35,12 @@ var ErrFenced = wal.ErrFenced
 // current clock; against a replica it is how far the apply pump has
 // provably caught up, making staleness measurable with a primary GetRev.
 type FollowerReader interface {
-	// FollowerGet reads key, returning its value, the revision it was
-	// written at, and the watermark the read is provably current to.
-	// An absent key returns ErrNotFound with the watermark still valid.
-	FollowerGet(key []byte) (value []byte, rev, watermark Revision, err error)
-	// ReadAt is FollowerGet with a staleness bound: it fails with
+	// ReadAt reads key, returning its value, the revision it was written
+	// at, and the watermark the read is provably current to. An absent key
+	// returns ErrNotFound with the watermark still valid. It fails with
 	// ErrTooStale when the watermark has not reached floor, so a caller
-	// holding a primary revision (from GetRev) can demand read-your-writes.
+	// holding a primary revision (from GetRev) can demand read-your-writes;
+	// floor 0 reads at whatever the watermark is.
 	ReadAt(key []byte, floor Revision) (value []byte, rev, watermark Revision, err error)
 }
 
@@ -70,20 +66,11 @@ func WALDataName(i int) string { return walDataName(i) }
 // WALCoordName names the coordinator decision log inside a wal.Storage.
 const WALCoordName = walCoordName
 
-// FollowerGet implements FollowerReader. One engine transaction reads the
-// key and its partition's revision clock together, so the pair is a
-// consistent snapshot: the clock *is* the watermark, and rev <= watermark
-// holds by construction on any engine.
-func (db *Local) FollowerGet(key []byte) ([]byte, Revision, Revision, error) {
-	return db.followerRead(key, 0)
-}
-
-// ReadAt implements FollowerReader.
+// ReadAt implements FollowerReader. One engine transaction reads the key
+// and its partition's revision clock together, so the pair is a consistent
+// snapshot: the clock *is* the watermark, and rev <= watermark holds by
+// construction on any engine.
 func (db *Local) ReadAt(key []byte, floor Revision) ([]byte, Revision, Revision, error) {
-	return db.followerRead(key, floor)
-}
-
-func (db *Local) followerRead(key []byte, floor Revision) ([]byte, Revision, Revision, error) {
 	if reservedKey(key) {
 		return nil, 0, 0, ErrReservedKey
 	}
@@ -108,20 +95,11 @@ func (db *Local) followerRead(key []byte, floor Revision) ([]byte, Revision, Rev
 	return val, rev, wm, nil
 }
 
-// FollowerGet implements FollowerReader. The value and revision come from
-// the ordinary intent-respecting read path first; the owning System's
-// revision clock is read after, so watermark >= rev by ordering (the clock
-// only advances).
-func (db *ClusterDB) FollowerGet(key []byte) ([]byte, Revision, Revision, error) {
-	return db.followerRead(key, 0)
-}
-
-// ReadAt implements FollowerReader.
+// ReadAt implements FollowerReader. The value and revision come from the
+// ordinary intent-respecting read path first; the owning System's revision
+// clock is read after, so watermark >= rev by ordering (the clock only
+// advances).
 func (db *ClusterDB) ReadAt(key []byte, floor Revision) ([]byte, Revision, Revision, error) {
-	return db.followerRead(key, floor)
-}
-
-func (db *ClusterDB) followerRead(key []byte, floor Revision) ([]byte, Revision, Revision, error) {
 	if reservedKey(key) {
 		return nil, 0, 0, ErrReservedKey
 	}
@@ -196,139 +174,47 @@ func (db *ClusterDB) clockRev(sys int) (Revision, error) {
 
 // --- promotion ---
 
-// PromoteState carries what a promoted Local writer needs to continue the
-// stream: the next LSN past the drained log, the new epoch, and the
-// membership blob the epoch frame records. SyncEvery mirrors WithSyncEvery.
-type PromoteState struct {
-	NextLSN    uint64
-	Epoch      uint64
-	Membership []byte
-	SyncEvery  int
-}
-
 // Promote attaches a WAL writer to a DB built without one — the failover
 // step that turns a caught-up replica into the stream's primary. dev is the
-// stream's device, already drained and truncated to a clean frame boundary
-// (the repl layer's tailer cursor). The first frame of the new reign is a
-// synced epoch record: durable evidence the old epoch's writer was fenced
-// before any later frame.
+// stream's device, already drained: the replica's pumps applied every unit
+// on it, so promotion is recovery without the replay — the device is opened
+// (and a torn tail truncated) with the scan OpenLocal runs, and the writer
+// attaches through the same setup. The first frame of the new reign is a
+// synced epoch record carrying the membership blob: durable evidence the
+// old epoch's writer was fenced before any later frame.
 //
 // The caller must quiesce the DB first (no in-flight operations): promotion
 // swaps the durability hook, marks the event-history floor, and seeds the
 // sequence gate from the current clocks, none of which tolerates concurrent
 // commits. The repl layer's Group.Promote provides that quiescence.
-func (db *Local) Promote(dev wal.Device, s PromoteState) error {
+func (db *Local) Promote(dev wal.Device, epoch uint64, membership []byte) error {
 	if db.wal != nil {
 		return fmt.Errorf("kv: promote: DB already owns a log")
 	}
-	ses := db.claim(nil)
-	defer db.release(ses)
-	startRevs := map[int]uint64{}
-	var maxLease uint64
-	if err := ses.th.Atomic(func(tx rhtm.Tx) error {
-		// The body re-executes on engine aborts: rebuild from scratch.
-		for i, l := range db.st.EventLogs() {
-			rev := l.Rev(tx)
-			startRevs[i] = rev + 1
-			// Replayed rings hold only what the stream carried (checkpoint
-			// units fold overwritten history), so the recovered range is
-			// marked incomplete — a Watch reaching into it gets an explicit
-			// EventLost, exactly as crash recovery promises.
-			l.MarkHistoryFloor(tx, rev)
-		}
-		maxLease = maxLeaseIn(tx, db.st)
-		return nil
-	}); err != nil {
-		return err
-	}
-	w := wal.NewWriter(dev, s.NextLSN, startRevs, wal.Options{SyncEvery: s.SyncEvery})
-	if err := w.AppendEpoch(s.Epoch, s.Membership); err != nil {
-		return err
-	}
-	w.SetMetrics(db.met.walBatch, db.met.walInterval)
-	db.wal = &localWAL{w: w}
-	db.st.SetWALStats(func() store.WALStats { return cluster.StoreWALStats(w.Stats()) })
-	if maxLease > db.leaseSeq.Load() {
-		db.leaseSeq.Store(maxLease)
-	}
-	return nil
-}
-
-// ClusterPromoteState is PromoteState for a cluster: per-System stream
-// cursors, the coordinator cursor, and the coordinator's recovery view as
-// the follower's pumps tracked it live — undecided decisions are resolved
-// forward exactly as OpenCluster resolves them after a crash.
-type ClusterPromoteState struct {
-	// DataNextLSN[i] is System i's next LSN; CoordNextLSN the decision
-	// log's.
-	DataNextLSN  []uint64
-	CoordNextLSN uint64
-	// MaxTxID floors the promoted coordinator's transaction-id counter.
-	MaxTxID uint64
-	// Decisions and Marks mirror wal.ScanResult.Txns/Marks for the decision
-	// log: commit decisions after the last global mark, and the
-	// per-transaction resolutions among them.
-	Decisions []wal.TxnGroup
-	Marks     map[uint64]bool
-	// Applied records, per cross transaction, the keys whose phase-2 applies
-	// reached a System stream — the redo filter, tracked live by the data
-	// pumps from FlagCross groups.
-	Applied map[uint64]map[string]bool
-
-	Epoch      uint64
-	Membership []byte
-	SyncEvery  int
-}
-
-// Promote attaches WAL writers to a cluster DB built without them,
-// resolving in-doubt cross-System decisions forward first — the cluster
-// failover step. Devices must be drained and truncated to clean frame
-// boundaries; the same quiescence contract as Local.Promote applies. Epoch
-// frames are the first of the new reign on every stream (the coordinator's
-// carries the membership blob).
-func (db *ClusterDB) Promote(dataDevs []wal.Device, coordDev wal.Device, s ClusterPromoteState) error {
-	if db.c.WAL() != nil {
-		return fmt.Errorf("kv: promote: cluster already owns a log")
-	}
-	n := db.c.NumSystems()
-	if len(dataDevs) != n || len(s.DataNextLSN) != n {
-		return fmt.Errorf("kv: promote: %d devices / %d cursors for %d systems",
-			len(dataDevs), len(s.DataNextLSN), n)
-	}
-	dataWriters := make([]*wal.Writer, n)
-	for i := 0; i < n; i++ {
-		st := db.c.Node(i).Store()
-		tx := containers.SetupTx(st.System())
-		rev := st.Events().Rev(tx)
-		st.Events().MarkHistoryFloor(tx, rev)
-		dataWriters[i] = wal.NewWriter(dataDevs[i], s.DataNextLSN[i],
-			map[int]uint64{0: rev + 1}, wal.Options{SyncEvery: s.SyncEvery})
-		if err := dataWriters[i].AppendEpoch(s.Epoch, nil); err != nil {
-			return err
-		}
-	}
-	coordWriter := wal.NewWriter(coordDev, s.CoordNextLSN, nil, wal.Options{})
-	if err := coordWriter.AppendEpoch(s.Epoch, s.Membership); err != nil {
-		return err
-	}
-	inDoubt, resolved, err := resolveInDoubt(db.c, dataWriters, coordWriter,
-		s.Decisions, s.Marks, s.Applied)
+	sr, err := wal.OpenDevice(dev)
 	if err != nil {
 		return err
 	}
-	db.c.RestoreTxID(s.MaxTxID)
-	db.c.AttachWAL(&cluster.WALSet{Data: dataWriters, Coord: coordWriter})
-	db.met.walInDoubt.Add(inDoubt)
-	db.met.walResolved.Add(resolved)
-	var maxLease uint64
-	for i := 0; i < n; i++ {
-		dataWriters[i].SetMetrics(db.met.walBatch, db.met.walInterval)
-		if id := maxLeaseID(db.c.Node(i).Store()); id > maxLease {
-			maxLease = id
-		}
+	return db.attachWAL(dev, sr.NextLSN).AppendEpoch(epoch, membership)
+}
+
+// Promote is Local.Promote for a cluster: devs are the Systems' drained
+// streams in order, then the coordinator decision log. In-doubt
+// cross-System decisions are resolved forward exactly as OpenCluster
+// resolves them after a crash, read off the same scans. Epoch frames are
+// the first of the new reign on every stream (the coordinator's carries
+// the membership blob).
+func (db *ClusterDB) Promote(devs []wal.Device, epoch uint64, membership []byte) error {
+	if db.c.WAL() != nil {
+		return fmt.Errorf("kv: promote: cluster already owns a log")
 	}
-	if maxLease > db.leaseSeq.Load() {
-		db.leaseSeq.Store(maxLease)
+	if len(devs) != db.c.NumSystems()+1 {
+		return fmt.Errorf("kv: promote: %d devices for %d systems and the coordinator",
+			len(devs), db.c.NumSystems())
 	}
-	return nil
+	srs, err := openDevices(devs)
+	if err != nil {
+		return err
+	}
+	return db.attachWAL(devs, srs, epoch, membership)
 }

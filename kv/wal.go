@@ -29,6 +29,10 @@ import (
 // After an Open, all writes must go through the DB: setup-path writes
 // (store.Put under a raw SetupTx) bypass the log and leave a revision hole
 // the sequence gate waits on forever.
+//
+// Promotion (repl.go) is the same recovery minus the replay: a replica's
+// apply pumps already hold every unit, so Promote opens the drained devices
+// with the same scan and attaches writers through the same setup.
 
 // ErrNoWAL reports a durability operation (Checkpoint) on a DB constructed
 // without a log. Alias of the wal package's sentinel.
@@ -39,7 +43,8 @@ var ErrNoWAL = wal.ErrNoWAL
 // commit, trading a bounded window of losable transactions for fewer
 // barriers. The cluster's coordinator decision log and 2PC applies stay
 // fully synchronous regardless — a decided cross-System transaction is
-// never torn by a crash, whatever n is.
+// never torn by a crash, whatever n is. On a replica it sets the cadence of
+// the writers its promotion attaches.
 func WithSyncEvery(n int) Option {
 	return func(o *dbOptions) { o.syncEvery = n }
 }
@@ -71,19 +76,49 @@ func OpenLocal(eng rhtm.Engine, st Storer, dev wal.Device, opts ...Option) (*Loc
 	if err := replayStorer(st, sr); err != nil {
 		return nil, fmt.Errorf("kv: recovery replay: %w", err)
 	}
-	o := applyOptions(opts)
 	db := NewLocal(eng, st, opts...)
-	db.leaseSeq.Store(maxLeaseID(st))
+	db.attachWAL(dev, sr.NextLSN)
+	return db, nil
+}
+
+// attachWAL is the writer setup OpenLocal and Promote share: the stream's
+// writer continues at nextLSN, the group-commit histograms attach, and the
+// lease-id counter is floored past every logged lease.
+func (db *Local) attachWAL(dev wal.Device, nextLSN uint64) *wal.Writer {
+	w := openWriter(db.st, dev, nextLSN, db.syncEvery)
+	w.SetMetrics(db.met.walBatch, db.met.walInterval)
+	db.wal = &localWAL{w: w}
+	db.st.SetWALStats(func() store.WALStats { return cluster.StoreWALStats(w.Stats()) })
+	db.floorLeaseSeq(db.st)
+	return w
+}
+
+// openWriter builds a stream's writer over st once st holds the stream's
+// committed prefix. The sequence gate starts one past each partition's
+// clock. The rebuilt rings hold only the writes the stream carried — a
+// checkpoint folds overwritten revisions and deletes away — so the
+// recovered range is marked incomplete: a Watch(fromRev) reaching into it
+// gets an explicit EventLost, never a silently thinned history.
+func openWriter(st Storer, dev wal.Device, nextLSN uint64, syncEvery int) *wal.Writer {
 	tx := containers.SetupTx(st.System())
 	startRevs := map[int]uint64{}
 	for i, l := range st.EventLogs() {
-		startRevs[i] = l.Rev(tx) + 1
+		rev := l.Rev(tx)
+		l.MarkHistoryFloor(tx, rev)
+		startRevs[i] = rev + 1
 	}
-	w := wal.NewWriter(dev, sr.NextLSN, startRevs, wal.Options{SyncEvery: o.syncEvery})
-	w.SetMetrics(db.met.walBatch, db.met.walInterval)
-	db.wal = &localWAL{w: w}
-	st.SetWALStats(func() store.WALStats { return cluster.StoreWALStats(w.Stats()) })
-	return db, nil
+	return wal.NewWriter(dev, nextLSN, startRevs, wal.Options{SyncEvery: syncEvery})
+}
+
+// floorLeaseSeq scans st's lease records for the largest granted id, so a
+// recovered or promoted DB's grants never collide with logged leases.
+func (db *core[S]) floorLeaseSeq(st Storer) {
+	tx := containers.SetupTx(st.System())
+	for c := st.Cursor(tx, leaseKeyPrefix, leaseKeyPrefixEnd, 0); c.Next(); {
+		if id := leaseIDOf(c.Key()); id > db.leaseSeq.Load() {
+			db.leaseSeq.Store(id)
+		}
+	}
 }
 
 // Checkpoint implements DB: it snapshots the full store state (lease
@@ -149,31 +184,7 @@ func replayStorer(st Storer, sr wal.ScanResult) error {
 			}
 		}
 	}
-	// The rebuilt rings hold only the replayed writes' events — a
-	// checkpoint folds overwritten revisions and deletes away — so the
-	// recovered range is marked incomplete: a Watch(fromRev) reaching into
-	// it gets an explicit EventLost, never a silently thinned history.
-	for _, l := range st.EventLogs() {
-		l.MarkHistoryFloor(tx, l.Rev(tx))
-	}
 	return nil
-}
-
-// maxLeaseID scans the recovered lease records for the largest granted id,
-// so a recovered DB's grants never collide with logged leases.
-func maxLeaseID(st Storer) uint64 {
-	return maxLeaseIn(containers.SetupTx(st.System()), st)
-}
-
-// maxLeaseIn is maxLeaseID over the lease records as tx sees them.
-func maxLeaseIn(tx rhtm.Tx, st Storer) uint64 {
-	var max uint64
-	for c := st.Cursor(tx, leaseKeyPrefix, leaseKeyPrefixEnd, 0); c.Next(); {
-		if id := leaseIDOf(c.Key()); id > max {
-			max = id
-		}
-	}
-	return max
 }
 
 // --- cluster ---
@@ -193,118 +204,143 @@ const walCoordName = "coord"
 // durably before being marked resolved; a decision that never reached the
 // log aborted by omission, its intents lost with the volatile memory.
 func OpenCluster(c *cluster.Cluster, stg wal.Storage, opts ...Option) (*ClusterDB, error) {
-	o := applyOptions(opts)
-	n := c.NumSystems()
-	dataDevs := make([]wal.Device, n)
-	dataSRs := make([]wal.ScanResult, n)
-	// applied records, per cross transaction, the keys whose phase-2
-	// applies reached a System stream — the redo filter.
-	applied := map[uint64]map[string]bool{}
-	var maxTxID uint64
-	for i := 0; i < n; i++ {
-		dev, err := stg.Device(walDataName(i))
+	devs := make([]wal.Device, c.NumSystems()+1)
+	for i := range devs {
+		name := walCoordName
+		if i < c.NumSystems() {
+			name = walDataName(i)
+		}
+		dev, err := stg.Device(name)
 		if err != nil {
 			return nil, err
 		}
+		devs[i] = dev
+	}
+	srs, err := openDevices(devs)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < c.NumSystems(); i++ {
+		if err := replayStorer(c.Node(i).Store(), srs[i]); err != nil {
+			return nil, fmt.Errorf("kv: system %d replay: %w", i, err)
+		}
+	}
+	db := NewCluster(c, opts...)
+	if err := db.attachWAL(devs, srs, 0, nil); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
+// openDevices opens and scans each device in turn (wal.OpenDevice).
+func openDevices(devs []wal.Device) ([]wal.ScanResult, error) {
+	srs := make([]wal.ScanResult, len(devs))
+	for i, dev := range devs {
 		sr, err := wal.OpenDevice(dev)
 		if err != nil {
 			return nil, err
 		}
-		if err := replayStorer(c.Node(i).Store(), sr); err != nil {
-			return nil, fmt.Errorf("kv: system %d replay: %w", i, err)
-		}
-		for _, g := range sr.Txns {
-			if !g.Cross {
-				continue
-			}
-			keys := applied[g.TxID]
-			if keys == nil {
-				keys = map[string]bool{}
-				applied[g.TxID] = keys
-			}
-			for _, op := range g.Ops {
-				keys[string(op.Key)] = true
-			}
-		}
-		if sr.MaxTxID > maxTxID {
-			maxTxID = sr.MaxTxID
-		}
-		dataDevs[i], dataSRs[i] = dev, sr
+		srs[i] = sr
 	}
-	coordDev, err := stg.Device(walCoordName)
-	if err != nil {
-		return nil, err
-	}
-	csr, err := wal.OpenDevice(coordDev)
-	if err != nil {
-		return nil, err
-	}
-	if csr.MaxTxID > maxTxID {
-		maxTxID = csr.MaxTxID
-	}
+	return srs, nil
+}
 
-	// Writers come up before the redo pass so re-applied writes are logged
-	// through the ordinary gate (their fresh revisions are next in line).
-	dataWriters := make([]*wal.Writer, n)
-	for i := 0; i < n; i++ {
-		st := c.Node(i).Store()
-		tx := containers.SetupTx(st.System())
-		startRevs := map[int]uint64{0: st.Events().Rev(tx) + 1}
-		dataWriters[i] = wal.NewWriter(dataDevs[i], dataSRs[i].NextLSN, startRevs,
-			wal.Options{SyncEvery: o.syncEvery})
+// attachWAL is the writer setup OpenCluster and Promote share, over the
+// scanned devices: the Systems' streams, then the coordinator decision log
+// last. Each System's writer continues its stream; a promotion (epoch > 0)
+// makes an epoch frame the first of the new reign on every stream, the
+// coordinator's carrying the membership blob. Then the in-doubt decisions
+// are resolved forward through the new writers, the transaction-id counter
+// is floored past every logged id, and the histograms and lease floor
+// attach.
+func (db *ClusterDB) attachWAL(devs []wal.Device, srs []wal.ScanResult, epoch uint64, membership []byte) error {
+	n := db.c.NumSystems()
+	ws := &cluster.WALSet{Data: make([]*wal.Writer, n)}
+	for i := range ws.Data {
+		ws.Data[i] = openWriter(db.c.Node(i).Store(), devs[i], srs[i].NextLSN, db.syncEvery)
 	}
 	// The decision log is always fully synchronous: its sync is the 2PC
 	// commit point.
-	coordWriter := wal.NewWriter(coordDev, csr.NextLSN, nil, wal.Options{})
-
-	inDoubt, resolved, err := resolveInDoubt(c, dataWriters, coordWriter, csr.Txns, csr.Marks, applied)
-	if err != nil {
-		return nil, err
-	}
-
-	c.RestoreTxID(maxTxID)
-	c.AttachWAL(&cluster.WALSet{Data: dataWriters, Coord: coordWriter})
-	db := NewCluster(c, opts...)
-	// Recovery ran before the registry existed: record its outcome now,
-	// and attach the group-commit histograms for the run ahead. Every
-	// System's stream feeds the same pair — the batch-size and
-	// sync-interval distributions are per DB, like the stats surface.
-	db.met.walInDoubt.Add(inDoubt)
-	db.met.walResolved.Add(resolved)
-	for i := 0; i < n; i++ {
-		dataWriters[i].SetMetrics(db.met.walBatch, db.met.walInterval)
-	}
-	var maxLease uint64
-	for i := 0; i < n; i++ {
-		if id := maxLeaseID(c.Node(i).Store()); id > maxLease {
-			maxLease = id
+	ws.Coord = wal.NewWriter(devs[n], srs[n].NextLSN, nil, wal.Options{})
+	if epoch > 0 {
+		for _, w := range ws.Data {
+			if err := w.AppendEpoch(epoch, nil); err != nil {
+				return err
+			}
+		}
+		if err := ws.Coord.AppendEpoch(epoch, membership); err != nil {
+			return err
 		}
 	}
-	db.leaseSeq.Store(maxLease)
-	return db, nil
+	inDoubt, maxTxID := recoveryView(srs[:n], srs[n])
+	if err := resolveInDoubt(db.c, ws, inDoubt); err != nil {
+		return err
+	}
+	db.c.RestoreTxID(maxTxID)
+	db.c.AttachWAL(ws)
+	db.met.walInDoubt.Add(uint64(len(inDoubt)))
+	db.met.walResolved.Add(uint64(len(inDoubt)))
+	// Every System's stream feeds the same pair of histograms: the
+	// batch-size and sync-interval distributions are per DB, like the stats
+	// surface.
+	for i, w := range ws.Data {
+		w.SetMetrics(db.met.walBatch, db.met.walInterval)
+		db.floorLeaseSeq(db.c.Node(i).Store())
+	}
+	return nil
 }
 
-// resolveInDoubt replays the coordinator's undecided commit decisions
-// forward, in decision order: a logged decision without its resolution mark
-// is re-applied — skipping writes the System streams already hold (the
-// applied filter, keyed by cluster transaction id) — re-logged durably, and
-// marked resolved. Shared by OpenCluster (crash recovery) and
-// ClusterDB.Promote (failover), so the two paths cannot drift.
-func resolveInDoubt(c *cluster.Cluster, dataWriters []*wal.Writer, coordWriter *wal.Writer,
-	decisions []wal.TxnGroup, marks map[uint64]bool, applied map[uint64]map[string]bool) (inDoubt, resolved uint64, err error) {
-	n := c.NumSystems()
-	for _, g := range decisions {
-		if marks[g.TxID] {
+// recoveryView reads what recovery and promotion resolve off a cluster's
+// scans: the in-doubt decisions — commit decisions without a resolution
+// mark, in decision order — each cut down to the writes no System stream
+// holds yet, and the floor for the transaction-id counter. The redo filter
+// is keyed by cluster transaction id and sees only the groups after each
+// stream's checkpoint. That suffices: a checkpoint holds the 2PC drain lock
+// (cluster.Client.CheckpointWAL), so an unmarked decision's applies all
+// follow the last checkpoint of every stream (DESIGN.md §12).
+func recoveryView(data []wal.ScanResult, coord wal.ScanResult) (inDoubt []wal.TxnGroup, maxTxID uint64) {
+	applied := map[uint64]map[string]bool{}
+	for _, g := range coord.Txns {
+		if !coord.Marks[g.TxID] {
+			applied[g.TxID] = map[string]bool{}
+		}
+	}
+	maxTxID = coord.MaxTxID
+	for _, sr := range data {
+		maxTxID = max(maxTxID, sr.MaxTxID)
+		for _, g := range sr.Txns {
+			if keys := applied[g.TxID]; g.Cross && keys != nil {
+				for _, op := range g.Ops {
+					keys[string(op.Key)] = true
+				}
+			}
+		}
+	}
+	for _, g := range coord.Txns {
+		keys := applied[g.TxID]
+		if keys == nil {
 			continue
 		}
-		inDoubt++
+		redo := wal.TxnGroup{TxID: g.TxID, Cross: true}
 		for _, op := range g.Ops {
-			if applied[g.TxID][string(op.Key)] {
-				continue
+			if !keys[string(op.Key)] {
+				redo.Ops = append(redo.Ops, op)
 			}
+		}
+		inDoubt = append(inDoubt, redo)
+	}
+	return inDoubt, maxTxID
+}
+
+// resolveInDoubt redoes the in-doubt decisions forward, in decision order:
+// each missing write is applied with a fresh revision and logged durably on
+// its System's stream, then the decision is marked resolved.
+func resolveInDoubt(c *cluster.Cluster, ws *cluster.WALSet, inDoubt []wal.TxnGroup) error {
+	for _, g := range inDoubt {
+		for _, op := range g.Ops {
 			s := op.Part
-			if s < 0 || s >= n {
-				return 0, 0, fmt.Errorf("kv: decision %d names system %d of %d", g.TxID, s, n)
+			if s < 0 || s >= c.NumSystems() {
+				return fmt.Errorf("kv: decision %d names system %d of %d", g.TxID, s, c.NumSystems())
 			}
 			st := c.Node(s).Store()
 			tx := containers.SetupTx(st.System())
@@ -312,7 +348,7 @@ func resolveInDoubt(c *cluster.Cluster, dataWriters []*wal.Writer, coordWriter *
 			if op.Kind == wal.OpPut {
 				rev, err := st.PutStamped(tx, op.Key, op.Value, op.Lease)
 				if err != nil {
-					return 0, 0, fmt.Errorf("kv: redo decision %d: %w", g.TxID, err)
+					return fmt.Errorf("kv: redo decision %d: %w", g.TxID, err)
 				}
 				rec.Rev = rev
 			} else {
@@ -322,22 +358,18 @@ func resolveInDoubt(c *cluster.Cluster, dataWriters []*wal.Writer, coordWriter *
 				}
 				rec.Rev = rev
 			}
-			if err := dataWriters[s].Commit(g.TxID, wal.FlagCross, []wal.Op{rec}); err != nil {
-				return 0, 0, err
+			if err := ws.Data[s].Commit(g.TxID, wal.FlagCross, []wal.Op{rec}); err != nil {
+				return err
 			}
-			if err := dataWriters[s].Sync(); err != nil {
-				return 0, 0, err
+			if err := ws.Data[s].Sync(); err != nil {
+				return err
 			}
 		}
-		if err := coordWriter.Mark(g.TxID, 0); err != nil {
-			return 0, 0, err
+		if err := ws.Coord.Mark(g.TxID, 0); err != nil {
+			return err
 		}
-		resolved++
 	}
-	if err := coordWriter.Sync(); err != nil {
-		return 0, 0, err
-	}
-	return inDoubt, resolved, nil
+	return ws.Coord.Sync()
 }
 
 // Checkpoint implements DB: every System's stream gets a full-state

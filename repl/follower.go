@@ -3,7 +3,6 @@ package repl
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -22,34 +21,33 @@ var (
 
 // Follower is one replica: a DB built without a log, fed by per-stream
 // apply pumps tailing the primary's devices. Until promotion it serves only
-// the follower-read surface (FollowerGet/ReadAt); Group.Promote turns it
-// into a full primary kv.DB.
+// the follower-read surface (ReadAt); Group.Promote turns it into a full
+// primary kv.DB, reading whatever recovery needs off the drained devices —
+// the follower keeps no recovery state of its own.
 type Follower struct {
 	g    *Group
 	name string
 
 	localDB *kv.Local     // nil on a cluster follower
 	cdb     *kv.ClusterDB // nil on a local follower
-	db      kv.DB
+	db      replicaDB
 
-	streams []*stream // data streams, one per System
-	coord   *stream   // cluster decision-log mirror, nil on a local follower
-	all     []*stream // streams plus coord: what drain, kick and stop visit
+	// streams tail the group's devices, in the group's device order: one
+	// per System, then on a cluster the coordinator decision log. That last
+	// tailer is only a cursor — its decisions carry no System state — so
+	// drain, the applied_lsn gauge and the lag cover every device.
+	streams []*stream
 	wms     *store.Watermarks
 	wg      sync.WaitGroup
 
 	stopMu  sync.Mutex
 	stopped bool
+}
 
-	// Coordinator bookkeeping, mirrored live from the streams so a
-	// promotion can resolve in-doubt decisions exactly as crash recovery
-	// would from a scan. bmu is shared by the coord pump (decisions, marks)
-	// and the data pumps (applied, maxTxID from cross groups).
-	bmu       sync.Mutex
-	decisions []wal.TxnGroup
-	marks     map[uint64]bool
-	applied   map[uint64]map[string]bool
-	maxTxID   uint64
+// replicaDB is what both replica backends are: a DB with follower reads.
+type replicaDB interface {
+	kv.DB
+	kv.FollowerReader
 }
 
 // stream is one device being tailed: the cursor the pump has applied
@@ -148,9 +146,8 @@ func (g *Group) AddLocalReplica(eng rhtm.Engine, st kv.Storer, opts ...kv.Option
 	f.localDB = kv.NewLocal(eng, st, opts...)
 	f.db = f.localDB
 	f.wms = store.NewWatermarks(len(st.EventLogs()))
-	s := newStream("wal", g.dev)
+	s := newStream("wal", g.devs[0])
 	f.streams = []*stream{s}
-	f.all = f.streams
 	f.wg.Add(1)
 	go f.pumpData(s, eng, st, -1)
 	g.register(f)
@@ -159,7 +156,7 @@ func (g *Group) AddLocalReplica(eng rhtm.Engine, st kv.Storer, opts ...kv.Option
 
 // AddClusterReplica grows the group with a replica for a cluster primary:
 // a fresh cluster of the same size whose Systems tail the per-System
-// streams while a coordinator pump mirrors the decision log's bookkeeping.
+// streams, with a cursor over the coordinator decision log.
 func (g *Group) AddClusterReplica(rc *cluster.Cluster, opts ...kv.Option) (*Follower, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -169,27 +166,24 @@ func (g *Group) AddClusterReplica(rc *cluster.Cluster, opts ...kv.Option) (*Foll
 	if g.killed {
 		return nil, ErrKilled
 	}
-	if rc.NumSystems() != len(g.dataDevs) {
+	n := rc.NumSystems()
+	if n != len(g.devs)-1 {
 		return nil, errSizeMismatch
 	}
-	f := &Follower{
-		g: g, name: g.nextName(),
-		marks:   map[uint64]bool{},
-		applied: map[uint64]map[string]bool{},
-	}
+	f := &Follower{g: g, name: g.nextName()}
 	f.cdb = kv.NewCluster(rc, opts...)
 	f.db = f.cdb
-	f.wms = store.NewWatermarks(rc.NumSystems())
-	for i, dev := range g.dataDevs {
-		s := newStream(kv.WALDataName(i), dev)
+	f.wms = store.NewWatermarks(n)
+	for i := 0; i < n; i++ {
+		s := newStream(kv.WALDataName(i), g.devs[i])
 		f.streams = append(f.streams, s)
 		f.wg.Add(1)
 		go f.pumpData(s, rc.Node(i).Engine(), rc.Node(i).Store(), i)
 	}
-	f.coord = newStream(kv.WALCoordName, g.coordDev)
-	f.all = append(slices.Clone(f.streams), f.coord)
+	coord := newStream(kv.WALCoordName, g.devs[n])
+	f.streams = append(f.streams, coord)
 	f.wg.Add(1)
-	go f.pumpCoord(f.coord)
+	go f.pump(coord, nil)
 	g.register(f)
 	return f, nil
 }
@@ -202,16 +196,10 @@ func (g *Group) nextName() string {
 // Name returns the follower's membership name.
 func (f *Follower) Name() string { return f.name }
 
-// FollowerGet implements kv.FollowerReader against the replica: the
-// returned watermark is the partition clock the apply pump has provably
-// reached, read in the same engine transaction as the key.
-func (f *Follower) FollowerGet(key []byte) ([]byte, kv.Revision, kv.Revision, error) {
-	return f.db.(kv.FollowerReader).FollowerGet(key)
-}
-
-// ReadAt implements kv.FollowerReader against the replica.
+// ReadAt implements kv.FollowerReader against the replica: the returned
+// watermark is the partition clock the apply pumps have provably reached.
 func (f *Follower) ReadAt(key []byte, floor kv.Revision) ([]byte, kv.Revision, kv.Revision, error) {
-	return f.db.(kv.FollowerReader).ReadAt(key, floor)
+	return f.db.ReadAt(key, floor)
 }
 
 // DB exposes the replica's DB. Before promotion, anything beyond the
@@ -229,7 +217,7 @@ func (f *Follower) AppliedRev(part int) uint64 { return f.wms.Get(part) }
 func (f *Follower) WaitIdle() error { return f.drain() }
 
 func (f *Follower) drain() error {
-	for _, s := range f.all {
+	for _, s := range f.streams {
 		if err := s.drained(); err != nil {
 			return err
 		}
@@ -239,14 +227,14 @@ func (f *Follower) drain() error {
 
 func (f *Follower) appliedTotal() uint64 {
 	var t uint64
-	for _, s := range f.all {
+	for _, s := range f.streams {
 		t += s.lsn()
 	}
 	return t
 }
 
 func (f *Follower) kick() {
-	for _, s := range f.all {
+	for _, s := range f.streams {
 		s.tl.Kick()
 	}
 }
@@ -260,10 +248,32 @@ func (f *Follower) stop() {
 	}
 	f.stopped = true
 	f.stopMu.Unlock()
-	for _, s := range f.all {
+	for _, s := range f.streams {
 		s.tl.Close()
 	}
 	f.wg.Wait()
+}
+
+// pump tails one stream, handing each unit to apply (nil: the stream is
+// only a cursor) and publishing the cursor past it, until the tailer closes
+// or a unit fails.
+func (f *Follower) pump(s *stream, apply func(wal.Unit) (maxRev uint64, err error)) {
+	defer f.wg.Done()
+	for {
+		u, err := s.tl.Next()
+		var maxRev uint64
+		if err == nil && apply != nil {
+			maxRev, err = apply(u)
+		}
+		if err != nil {
+			if err == wal.ErrTailerClosed {
+				err = nil
+			}
+			s.finish(err)
+			return
+		}
+		s.advance(u, maxRev)
+	}
 }
 
 // pumpData tails one data stream and applies whole units to the replica
@@ -271,41 +281,22 @@ func (f *Follower) stop() {
 // part >= 0 pins the watermark partition (cluster streams log Part 0 for a
 // whole System); -1 uses each op's own partition (sharded local stores).
 func (f *Follower) pumpData(s *stream, eng rhtm.Engine, st kv.Storer, part int) {
-	defer f.wg.Done()
 	th := eng.NewThread()
-	for {
-		u, err := s.tl.Next()
-		if err != nil {
-			if err == wal.ErrTailerClosed {
-				s.finish(nil)
-			} else {
-				s.finish(err)
-			}
-			return
-		}
-		var maxRev uint64
+	f.pump(s, func(u wal.Unit) (uint64, error) {
 		switch u.Kind {
 		case wal.UnitTxn:
-			maxRev, err = f.applyOps(th, st, u.Txn.Ops, part)
-			if err == nil && u.Txn.Cross {
-				f.recordApplied(u.Txn)
-			}
+			return f.applyOps(th, st, u.Txn.Ops, part)
 		case wal.UnitCheckpoint:
 			// Fully redundant for a caught-up follower (snapshots hold only
 			// live keys at their current revisions, all <= the applied
-			// watermark); the replay entry points' revision guard skips them. A
-			// follower attached mid-log uses them as its catch-up base.
-			maxRev, err = f.applyOps(th, st, u.Checkpoint, part)
-		case wal.UnitMark, wal.UnitEpoch:
-			// Resolution marks carry no System state; epoch frames fence
-			// the log, not the data. Both just move the cursor.
+			// watermark); the replay entry points' revision guard skips them.
+			// A follower attached mid-log uses them as its catch-up base.
+			return f.applyOps(th, st, u.Checkpoint, part)
 		}
-		if err != nil {
-			s.finish(err)
-			return
-		}
-		s.advance(u, maxRev)
-	}
+		// Resolution marks carry no System state; epoch frames fence the
+		// log, not the data. Both just move the cursor.
+		return 0, nil
+	})
 }
 
 // applyOps applies one unit's ops in a single engine transaction — the
@@ -356,69 +347,4 @@ func (f *Follower) applyOps(th rhtm.Thread, st kv.Storer, ops []wal.Op, part int
 		fl.ReplicaApplied(f.name, maxRev, len(ops), time.Since(applyStart))
 	}
 	return maxRev, nil
-}
-
-// recordApplied tracks which keys of a cross-System transaction reached
-// this System's stream — the redo filter a promotion's in-doubt resolution
-// uses, exactly as OpenCluster rebuilds it from a scan.
-func (f *Follower) recordApplied(g wal.TxnGroup) {
-	f.bmu.Lock()
-	defer f.bmu.Unlock()
-	if g.TxID > f.maxTxID {
-		f.maxTxID = g.TxID
-	}
-	if f.applied == nil {
-		return // local follower: no coordinator bookkeeping
-	}
-	keys := f.applied[g.TxID]
-	if keys == nil {
-		keys = map[string]bool{}
-		f.applied[g.TxID] = keys
-	}
-	for _, op := range g.Ops {
-		keys[string(op.Key)] = true
-	}
-}
-
-// pumpCoord mirrors the decision log into the follower's bookkeeping,
-// tracking exactly what a wal.Scan of the same prefix would report:
-// commit decisions since the last global mark, their resolution marks, and
-// the transaction-id high water.
-func (f *Follower) pumpCoord(s *stream) {
-	defer f.wg.Done()
-	for {
-		u, err := s.tl.Next()
-		if err != nil {
-			if err == wal.ErrTailerClosed {
-				s.finish(nil)
-			} else {
-				s.finish(err)
-			}
-			return
-		}
-		f.bmu.Lock()
-		switch u.Kind {
-		case wal.UnitTxn:
-			f.decisions = append(f.decisions, u.Txn)
-			if u.Txn.Cross && u.TxID > f.maxTxID {
-				f.maxTxID = u.TxID
-			}
-		case wal.UnitMark:
-			if u.TxID > f.maxTxID {
-				f.maxTxID = u.TxID
-			}
-			if u.Flags&wal.FlagGlobal != 0 {
-				f.decisions = nil
-				f.marks = map[uint64]bool{}
-			} else {
-				f.marks[u.TxID] = true
-			}
-		case wal.UnitCheckpoint:
-			f.decisions = nil
-		case wal.UnitEpoch:
-			// Membership history; the group tracks the live view.
-		}
-		f.bmu.Unlock()
-		s.advance(u, 0)
-	}
 }

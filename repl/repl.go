@@ -26,9 +26,12 @@
 //     epoch frame on the coordinator stream.
 //   - Follower: one replica — per-stream apply pumps on dedicated engine
 //     threads, per-partition applied watermarks (store.Watermarks), and
-//     the follower-read surface (FollowerGet/ReadAt via kv.FollowerReader)
-//     whose never-future guarantee comes from reading the key and the
-//     partition clock in one engine transaction.
+//     the follower-read surface (ReadAt via kv.FollowerReader) whose
+//     never-future guarantee comes from reading the key and the partition
+//     clock in one engine transaction. A follower keeps no recovery state:
+//     promotion is crash recovery minus the replay (kv.Local.Promote,
+//     kv.ClusterDB.Promote), reading the drained devices with the scan
+//     kv.OpenLocal and kv.OpenCluster run.
 //
 // Correctness of failover, briefly (DESIGN.md §12 has the full argument):
 // an acknowledged commit was appended before the fence, the promoted
@@ -43,6 +46,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -69,19 +73,6 @@ type Membership struct {
 	Replicas []string `json:"replicas"`
 }
 
-// Option configures a Group.
-type Option func(*groupOptions)
-
-type groupOptions struct {
-	syncEvery int
-}
-
-// WithSyncEvery sets the promoted primary's WAL sync cadence (mirrors
-// kv.WithSyncEvery; the default is full group commit).
-func WithSyncEvery(n int) Option {
-	return func(o *groupOptions) { o.syncEvery = n }
-}
-
 // Group owns one replication group: a primary DB, its WAL stream devices,
 // and the replicas tailing them. All methods are safe for concurrent use.
 type Group struct {
@@ -98,17 +89,16 @@ type Group struct {
 	ws  []*wal.Writer // current primary's writers, data streams then coord
 	all []*wal.Writer // every writer ever attached (fenced-frame accounting)
 
-	primary  kv.DB
-	local    *kv.Local     // nil on a cluster group
-	cdb      *kv.ClusterDB // nil on a local group
-	dev      wal.Device    // local stream device
-	dataDevs []wal.Device  // cluster stream devices
-	coordDev wal.Device    // cluster decision log
+	primary kv.DB
+	local   *kv.Local     // nil on a cluster group
+	cdb     *kv.ClusterDB // nil on a local group
+	// devs are the stream devices in writer order: the local stream, or
+	// one per System then the coordinator decision log.
+	devs []wal.Device
 
 	epoch      uint64
 	membership Membership
 	killed     bool
-	syncEvery  int
 	nextID     int
 
 	reg        *obs.Registry
@@ -124,55 +114,41 @@ type Group struct {
 // NewLocalGroup wraps a single-System primary (from kv.OpenLocal) whose log
 // lives on dev. The primary keeps serving; its appends now also wake the
 // group's tailers.
-func NewLocalGroup(primary *kv.Local, dev wal.Device, opts ...Option) (*Group, error) {
-	w := primary.WAL()
-	if w == nil {
-		return nil, ErrNoLog
+func NewLocalGroup(primary *kv.Local, dev wal.Device) (*Group, error) {
+	g := newGroup()
+	g.primary, g.local, g.devs = primary, primary, []wal.Device{dev}
+	if err := g.attachWriters(); err != nil {
+		return nil, err
 	}
-	g := newGroup(opts)
-	g.primary, g.local, g.dev = primary, primary, dev
-	g.attachWriters([]*wal.Writer{w})
 	return g, nil
 }
 
 // NewClusterGroup wraps a multi-System primary (from kv.OpenCluster) whose
 // streams live in stg — one device per System plus the coordinator decision
 // log, under the same names kv.OpenCluster uses.
-func NewClusterGroup(primary *kv.ClusterDB, stg wal.Storage, opts ...Option) (*Group, error) {
-	ws := primary.Cluster().WAL()
-	if ws == nil {
-		return nil, ErrNoLog
-	}
-	g := newGroup(opts)
+func NewClusterGroup(primary *kv.ClusterDB, stg wal.Storage) (*Group, error) {
+	g := newGroup()
 	g.primary, g.cdb = primary, primary
 	n := primary.Cluster().NumSystems()
-	g.dataDevs = make([]wal.Device, n)
-	for i := 0; i < n; i++ {
-		dev, err := stg.Device(kv.WALDataName(i))
+	for i := 0; i <= n; i++ {
+		name := kv.WALCoordName
+		if i < n {
+			name = kv.WALDataName(i)
+		}
+		dev, err := stg.Device(name)
 		if err != nil {
 			return nil, err
 		}
-		g.dataDevs[i] = dev
+		g.devs = append(g.devs, dev)
 	}
-	dev, err := stg.Device(kv.WALCoordName)
-	if err != nil {
+	if err := g.attachWriters(); err != nil {
 		return nil, err
 	}
-	g.coordDev = dev
-	g.attachWriters(append(append([]*wal.Writer(nil), ws.Data...), ws.Coord))
 	return g, nil
 }
 
-func newGroup(opts []Option) *Group {
-	var o groupOptions
-	for _, fn := range opts {
-		fn(&o)
-	}
-	g := &Group{
-		epoch:     1,
-		syncEvery: o.syncEvery,
-		reg:       obs.NewRegistry(),
-	}
+func newGroup() *Group {
+	g := &Group{epoch: 1, reg: obs.NewRegistry()}
 	g.membership = Membership{Epoch: 1, Primary: "primary"}
 	g.promotions = g.reg.Counter("repl.promotions")
 	g.applyBatch = g.reg.Histogram("repl.apply_batch")
@@ -181,16 +157,29 @@ func newGroup(opts []Option) *Group {
 	return g
 }
 
-// attachWriters records ws as the current primary's writers and hooks their
-// append paths to wake every tailer in the group.
-func (g *Group) attachWriters(ws []*wal.Writer) {
+// attachWriters records the current primary's writers, in device order,
+// and hooks their append paths to wake every tailer in the group. A primary
+// without a log fails with ErrNoLog.
+func (g *Group) attachWriters() error {
+	var ws []*wal.Writer
+	if g.local != nil {
+		if w := g.local.WAL(); w != nil {
+			ws = []*wal.Writer{w}
+		}
+	} else if set := g.cdb.Cluster().WAL(); set != nil {
+		ws = append(slices.Clone(set.Data), set.Coord)
+	}
+	if ws == nil {
+		return ErrNoLog
+	}
 	g.wmu.Lock()
-	g.ws = append([]*wal.Writer(nil), ws...)
+	g.ws = ws
 	g.all = append(g.all, ws...)
 	g.wmu.Unlock()
 	for _, w := range ws {
 		w.SetOnAppend(g.kickAll)
 	}
+	return nil
 }
 
 // kickAll wakes every follower's tailers. It runs under the writers' locks
@@ -230,7 +219,7 @@ func (g *Group) lagFrames() int64 {
 	defer g.fmu.RUnlock()
 	var lag int64
 	for _, f := range g.followers {
-		for i, s := range f.all {
+		for i, s := range f.streams {
 			if i >= len(lasts) {
 				break
 			}
@@ -272,7 +261,7 @@ func (g *Group) Status() []ReplicaStatus {
 	defer g.fmu.RUnlock()
 	var out []ReplicaStatus
 	for _, f := range g.followers {
-		for i, s := range f.all {
+		for i, s := range f.streams {
 			st := ReplicaStatus{
 				Name:       f.name,
 				Stream:     s.name,
@@ -322,7 +311,7 @@ func (g *Group) register(f *Follower) {
 	// Gauges live as long as the group; they keep reporting the follower's
 	// last applied cursor after promotion (then tracking it as primary is
 	// the lag gauge's job, which reads the live list).
-	for _, s := range f.all {
+	for _, s := range f.streams {
 		s := s
 		g.reg.GaugeFunc(obs.Name("repl.applied_lsn", "replica", f.name, "stream", s.name),
 			func() int64 { return int64(s.lsn()) })
@@ -357,10 +346,11 @@ func (g *Group) killLocked() {
 }
 
 // Promote runs failover: it fences the primary (if Kill has not already),
-// drains the most-caught-up replica's tail, truncates any torn device
-// suffix, resolves in-doubt cross-System decisions forward, and re-opens
-// the stream under epoch+1 with the replica as primary — the epoch frame,
-// synced first, is the durable fencing evidence. The remaining replicas
+// drains the most-caught-up replica's tail, and re-opens the stream under
+// epoch+1 with the replica as primary — the epoch frame, synced first, is
+// the durable fencing evidence. The replica's DB reads the drained devices
+// as crash recovery would (kv.ClusterDB.Promote resolves in-doubt
+// cross-System decisions forward from them). The remaining replicas
 // keep tailing the same devices and so follow the new primary. Returns the
 // promoted DB and its Follower (now retired from the replica list).
 func (g *Group) Promote() (kv.DB, *Follower, error) {
@@ -398,16 +388,6 @@ func (g *Group) Promote() (kv.DB, *Follower, error) {
 		return nil, nil, fmt.Errorf("%w: %v", ErrNoReplica, errors.Join(errs...))
 	}
 	chosen.stop()
-	for _, s := range chosen.all {
-		if off := s.tl.Offset(); s.dev.Size() > off {
-			// A torn suffix past the validated prefix (crash images only —
-			// a fenced writer leaves none): drop it before the new writer
-			// appends.
-			if err := s.dev.Truncate(off); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
 
 	g.epoch++
 	rest := make([]string, 0, len(g.membership.Replicas))
@@ -423,30 +403,9 @@ func (g *Group) Promote() (kv.DB, *Follower, error) {
 	}
 
 	if chosen.localDB != nil {
-		err = chosen.localDB.Promote(g.dev, kv.PromoteState{
-			NextLSN:    chosen.streams[0].tl.NextLSN(),
-			Epoch:      g.epoch,
-			Membership: blob,
-			SyncEvery:  g.syncEvery,
-		})
+		err = chosen.localDB.Promote(g.devs[0], g.epoch, blob)
 	} else {
-		st := kv.ClusterPromoteState{
-			DataNextLSN:  make([]uint64, len(chosen.streams)),
-			CoordNextLSN: chosen.coord.tl.NextLSN(),
-			Epoch:        g.epoch,
-			Membership:   blob,
-			SyncEvery:    g.syncEvery,
-		}
-		for i, s := range chosen.streams {
-			st.DataNextLSN[i] = s.tl.NextLSN()
-		}
-		chosen.bmu.Lock()
-		st.MaxTxID = chosen.maxTxID
-		st.Decisions = chosen.decisions
-		st.Marks = chosen.marks
-		st.Applied = chosen.applied
-		chosen.bmu.Unlock()
-		err = chosen.cdb.Promote(g.dataDevs, g.coordDev, st)
+		err = chosen.cdb.Promote(g.devs, g.epoch, blob)
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("repl: promote %s: %w", chosen.name, err)
@@ -464,11 +423,8 @@ func (g *Group) Promote() (kv.DB, *Follower, error) {
 
 	g.primary = chosen.db
 	g.local, g.cdb = chosen.localDB, chosen.cdb
-	if chosen.localDB != nil {
-		g.attachWriters([]*wal.Writer{chosen.localDB.WAL()})
-	} else {
-		ws := chosen.cdb.Cluster().WAL()
-		g.attachWriters(append(append([]*wal.Writer(nil), ws.Data...), ws.Coord))
+	if err := g.attachWriters(); err != nil {
+		return nil, nil, err
 	}
 	g.killed = false
 	g.promotions.Inc()

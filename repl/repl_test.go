@@ -3,10 +3,13 @@ package repl_test
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"rhtm"
 	"rhtm/cluster"
+	"rhtm/containers"
 	"rhtm/kv"
 	"rhtm/repl"
 	"rhtm/store"
@@ -76,9 +79,9 @@ func TestLocalReplication(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, want := range keys {
-		val, rev, wm, err := f.FollowerGet([]byte(k))
+		val, rev, wm, err := f.ReadAt([]byte(k), 0)
 		if err != nil {
-			t.Fatalf("FollowerGet(%s): %v", k, err)
+			t.Fatalf("ReadAt(%s, 0): %v", k, err)
 		}
 		if rev != want {
 			t.Fatalf("%s: follower rev %d, primary rev %d", k, rev, want)
@@ -100,8 +103,8 @@ func TestLocalReplication(t *testing.T) {
 		t.Fatalf("ReadAt(future floor): %v, want ErrTooStale", err)
 	}
 	// Absent key: ErrNotFound, watermark still meaningful.
-	if _, _, wm, err := f.FollowerGet([]byte("missing")); !errors.Is(err, kv.ErrNotFound) || wm == 0 {
-		t.Fatalf("FollowerGet(missing): wm=%d err=%v", wm, err)
+	if _, _, wm, err := f.ReadAt([]byte("missing"), 0); !errors.Is(err, kv.ErrNotFound) || wm == 0 {
+		t.Fatalf("ReadAt(missing, 0): wm=%d err=%v", wm, err)
 	}
 
 	snap := g.Metrics().Flatten()
@@ -190,7 +193,7 @@ func TestLocalFailover(t *testing.T) {
 	if err := survivor.WaitIdle(); err != nil {
 		t.Fatal(err)
 	}
-	if val, _, _, err := survivor.FollowerGet([]byte("after")); err != nil || string(val) != "promo" {
+	if val, _, _, err := survivor.ReadAt([]byte("after"), 0); err != nil || string(val) != "promo" {
 		t.Fatalf("survivor read after failover: %q, %v", val, err)
 	}
 
@@ -325,6 +328,144 @@ func TestClusterFailover(t *testing.T) {
 	if m := g.Membership(); m.Epoch != 2 {
 		t.Fatalf("epoch %d, want 2", m.Epoch)
 	}
+}
+
+// TestPromotionEqualsRecovery: promoting a replica and crash-recovering the
+// same fenced devices on a fresh cluster reach the same DB — every record
+// with its revision and lease, every System clock, the coordinator log's
+// resolutions, the next cross-System transaction id and the next lease id.
+// Two decisions are in doubt at the fence: one whose applies reached only
+// System 0's stream (the redo filter skips that write), one whose applies
+// reached neither. A checkpoint before them leaves resolved history in
+// front of the filter's window.
+func TestPromotionEqualsRecovery(t *testing.T) {
+	const systems = 2
+	db, stg := newClusterPrimary(t, systems)
+	g, err := repl.NewClusterGroup(db, stg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	newClusterReplica(t, g, systems)
+
+	// keys[s] lives on System s.
+	var keys [systems][]byte
+	for i, found := 0, 0; found < systems; i++ {
+		k := []byte(fmt.Sprintf("k-%d", i))
+		if s := db.Cluster().Router().SystemFor(k); keys[s] == nil {
+			keys[s] = k
+			found++
+		}
+	}
+	cross := func(d kv.DB, v string) {
+		t.Helper()
+		if err := d.Update(func(tx kv.Txn) error {
+			if err := tx.Put(keys[0], []byte(v+"-0")); err != nil {
+				return err
+			}
+			return tx.Put(keys[1], []byte(v+"-1"))
+		}); err != nil {
+			t.Fatalf("cross write %s: %v", v, err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		cross(db, fmt.Sprintf("pre-%d", i))
+	}
+	if _, err := db.Grant(30); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	cross(db, "post-checkpoint")
+	ws := db.Cluster().WAL()
+	ws.Data[1].Fence()
+	cross(db, "half-applied")
+	ws.Data[0].Fence()
+	cross(db, "unapplied")
+	g.Kill()
+	img := stg.CrashImage(stg.Appended())
+
+	promoted, _, err := g.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := cluster.MustNew(cluster.Config{
+		Systems:    systems,
+		DataWords:  1 << 15,
+		ArenaWords: 1 << 13,
+		NewEngine: func(s *rhtm.System) (rhtm.Engine, error) {
+			return rhtm.NewTL2(s), nil
+		},
+	})
+	recovered, err := kv.OpenCluster(rc, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	pm, rm := promoted.Metrics().Flatten(), recovered.Metrics().Flatten()
+	if pm["cluster.wal.indoubt"] != 2 || rm["cluster.wal.indoubt"] != 2 {
+		t.Fatalf("in-doubt decisions: promoted %d, recovered %d; want 2",
+			pm["cluster.wal.indoubt"], rm["cluster.wal.indoubt"])
+	}
+	ps, rs := clusterState(promoted.(*kv.ClusterDB).Cluster()), clusterState(rc)
+	if !slices.Equal(ps, rs) {
+		t.Fatalf("promoted state != recovered state:\npromoted:  %q\nrecovered: %q", ps, rs)
+	}
+	pc, rcoord := coordScan(t, stg), coordScan(t, img)
+	if !maps.Equal(pc.Marks, rcoord.Marks) || len(pc.Txns) != len(rcoord.Txns) || pc.MaxTxID != rcoord.MaxTxID {
+		t.Fatalf("coordinator logs differ: promoted marks %v, %d decisions, max txid %d; recovered marks %v, %d decisions, max txid %d",
+			pc.Marks, len(pc.Txns), pc.MaxTxID, rcoord.Marks, len(rcoord.Txns), rcoord.MaxTxID)
+	}
+
+	// The counters continue from the same floors.
+	cross(promoted, "next")
+	cross(recovered, "next")
+	pc, rcoord = coordScan(t, stg), coordScan(t, img)
+	if p, r := pc.Txns[len(pc.Txns)-1].TxID, rcoord.Txns[len(rcoord.Txns)-1].TxID; p != r {
+		t.Fatalf("next cross txid: promoted %d, recovered %d", p, r)
+	}
+	pl, err := promoted.Grant(30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rl, err := recovered.Grant(30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl != rl {
+		t.Fatalf("next lease id: promoted %d, recovered %d", pl, rl)
+	}
+}
+
+// clusterState lists every record of every System, reserved keys included,
+// with its revision and lease, and each System's revision clock.
+func clusterState(c *cluster.Cluster) []string {
+	var out []string
+	for i := 0; i < c.NumSystems(); i++ {
+		n := c.Node(i)
+		tx := containers.SetupTx(n.System())
+		n.Store().ScanMeta(tx, func(k, v []byte, rev, lease uint64) bool {
+			out = append(out, fmt.Sprintf("sys %d %q=%q rev %d lease %d", i, k, v, rev, lease))
+			return true
+		})
+		out = append(out, fmt.Sprintf("sys %d clock %d", i, n.Store().Events().Rev(tx)))
+	}
+	return out
+}
+
+// coordScan scans the coordinator decision log held in stg.
+func coordScan(t *testing.T, stg wal.Storage) wal.ScanResult {
+	t.Helper()
+	dev, err := stg.Device(kv.WALCoordName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := dev.Contents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wal.Scan(data)
 }
 
 // TestReplicaApplyDescendsOnce pins what one replicated put costs the replica

@@ -142,7 +142,7 @@ const (
 	// against a replica or the primary (response: FollowerValue, or Err
 	// with CodeTooStale when the watermark has not reached the floor).
 	KindFollowerGet
-	// KindFollowerValue answers FollowerGet: the value and its revision as
+	// KindFollowerValue answers KindFollowerGet: the value and its revision as
 	// in a Value frame, plus the applied watermark the read is provably
 	// current to riding in Lease (FlagAbsent marks a missing key, the
 	// watermark still meaningful).

@@ -30,7 +30,8 @@ type ScanResult struct {
 	// ValidBytes is the length of the well-formed frame prefix; the device
 	// must be truncated to it before new appends continue.
 	ValidBytes int
-	// NextLSN is one past the last valid frame's LSN (1 for an empty log).
+	// NextLSN is one past the LSN of the last frame inside ValidBytes (1 for
+	// an empty log): where a writer continues after the truncation.
 	NextLSN uint64
 	// MaxTxID is the largest cross-transaction id seen anywhere in the log
 	// (including resolved history) — the floor for a recovered coordinator's
@@ -55,8 +56,8 @@ func Scan(data []byte) ScanResult {
 	var ckpt []Op
 	inCkpt := false
 	pos := 0
-	lastLSN := uint64(0)
 	valid := 0
+	sr.NextLSN = 1
 	for pos < len(data) {
 		rec, n, err := Decode(data[pos:])
 		if err != nil {
@@ -140,17 +141,18 @@ func Scan(data []byte) ScanResult {
 			break
 		}
 		pos += n
-		lastLSN = rec.LSN
 		// The truncate point only advances at unit boundaries: a trailing
 		// group the crash cut before its commit frame must be truncated
 		// away entirely, or the next writer would append fresh groups after
-		// a dangling begin and poison every later scan.
+		// a dangling begin and poison every later scan. The next LSN moves
+		// with it, so the writer continues the LSN sequence of the bytes
+		// that survive the truncation.
 		if open == nil && !inCkpt {
 			valid = pos
+			sr.NextLSN = rec.LSN + 1
 		}
 	}
 	sr.ValidBytes = valid
-	sr.NextLSN = lastLSN + 1
 	return sr
 }
 

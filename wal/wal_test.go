@@ -296,6 +296,15 @@ func TestOpenDeviceTruncates(t *testing.T) {
 	if len(sr2.Txns) != 2 || string(sr2.Txns[1].Ops[0].Key) != "c" {
 		t.Fatalf("post-reopen log: %+v", sr2.Txns)
 	}
+	// The frames of the cut group are gone, and so are their LSNs: a replica
+	// tailing the reopened log from the start reads one unbroken sequence.
+	tl := NewTailer(torn, 0, 1)
+	for _, want := range []uint64{1, 9} {
+		u, ok, err := tl.TryNext()
+		if err != nil || !ok || u.Kind != UnitTxn || u.TxID != want {
+			t.Fatalf("tail from the start: unit %+v, ok %v, err %v; want txn %d", u, ok, err, want)
+		}
+	}
 }
 
 // TestCrashImageCuts: MemStorage crash images respect the global append
