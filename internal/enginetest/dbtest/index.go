@@ -65,6 +65,7 @@ func testDBIndex(t *testing.T, factory DBFactory) {
 	t.Run("ConcurrentCRUD", func(t *testing.T) { testDBIndexConcurrentCRUD(t, factory) })
 	t.Run("UniqueAtomic", func(t *testing.T) { testDBIndexUniqueAtomic(t, factory) })
 	t.Run("OnlineBackfill", func(t *testing.T) { testDBIndexOnlineBackfill(t, factory) })
+	t.Run("ReadSkew", func(t *testing.T) { testDBIndexReadSkew(t, factory) })
 }
 
 // testDBIndexConcurrentCRUD runs striped concurrent insert/upsert/delete
@@ -275,6 +276,107 @@ func testDBIndexUniqueAtomic(t *testing.T, factory DBFactory) {
 		t.Errorf("RowCount after race = %d (err %v), want 2", rows, err)
 	}
 	verifyClean(t, tbl, "by_tag")
+	verifyClean(t, tbl, "by_cat")
+}
+
+// testDBIndexReadSkew races upserters that move rows between categories
+// against index-served range and order-limit Selects. A Select reads its
+// entries and rows from one snapshot, so every row it returns satisfies
+// every condition, rows come back in index order, and an order-limit query
+// over a table that never shrinks returns exactly its limit. A row fetched
+// after a writer moved it would break the first; an entry whose row
+// vanished between two reads would break the last.
+func testDBIndexReadSkew(t *testing.T, factory DBFactory) {
+	db, _, validate := factory(t)
+	tbl, err := table.New(db, idxSchema(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows, cats = 32, 8
+	cat := func(i int) string { return fmt.Sprintf("c%d", i) }
+	for i := 0; i < rows; i++ {
+		if err := tbl.Insert(itemRow(int64(i), cat(i%cats), 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lo, hi := table.String(cat(2)), table.String(cat(5))
+	queries := []table.Query{
+		{Conds: []table.Cond{table.Between("cat", lo, hi)}},
+		{Conds: []table.Cond{table.Between("cat", lo, hi)}, Order: "cat", Limit: 3},
+		{Order: "cat", Limit: 5},
+	}
+	for _, q := range queries {
+		p, err := tbl.Plan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Kind != table.PlanIndex {
+			t.Fatalf("planned %s, want an index fetch", p.Explain())
+		}
+	}
+
+	const upserters, upserts = 2, 30
+	var writers, readers sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < upserters; w++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			rng := rand.New(rand.NewSource(int64(w + 1)))
+			for op := 0; op < upserts; op++ {
+				id := int64(rng.Intn(rows))
+				if err := tbl.Upsert(itemRow(id, cat(rng.Intn(cats)), int64(op))); err != nil {
+					t.Errorf("upserter %d: Upsert(%d): %v", w, id, err)
+					return
+				}
+			}
+		}()
+	}
+	for r, q := range queries {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-done:
+					if n > 0 {
+						return
+					}
+				default:
+				}
+				got, err := tbl.Select(q)
+				if err != nil {
+					t.Errorf("reader %d: Select: %v", r, err)
+					return
+				}
+				if len(q.Conds) == 0 && len(got) != q.Limit {
+					t.Errorf("reader %d: order-limit Select returned %d rows, want %d", r, len(got), q.Limit)
+				}
+				for i, row := range got {
+					if row[2].Text() != fmt.Sprintf("tag-%d", row[0].Int()) {
+						t.Errorf("reader %d: row %v is not a row the writers wrote", r, row)
+					}
+					c := row[1]
+					if len(q.Conds) > 0 && (c.Compare(lo) < 0 || c.Compare(hi) >= 0) {
+						t.Errorf("reader %d: row %d has cat %s, outside [%s,%s)", r, row[0].Int(), c, lo, hi)
+					}
+					if i > 0 {
+						prev := got[i-1]
+						if d := prev[1].Compare(c); d > 0 || (d == 0 && prev[0].Int() >= row[0].Int()) {
+							t.Errorf("reader %d: row (%s, %d) after (%s, %d): not in index order",
+								r, c, row[0].Int(), prev[1], prev[0].Int())
+						}
+					}
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	close(done)
+	readers.Wait()
+	if err := validate(); err != nil {
+		t.Fatal(err)
+	}
 	verifyClean(t, tbl, "by_cat")
 }
 

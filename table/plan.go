@@ -119,9 +119,9 @@ type Plan struct {
 
 // Explain renders the plan, e.g.
 //
-//	index(users.by_city eq "ams") fetch filter(age>=30) cost=12
-//	scan(users) filter(city="ams") order(age) cost=10000
-//	index(users.by_city) covering order(city) limit(5 pushed) cost=5
+//	index(by_city eq "ams") fetch filter(age>=30) cost=12
+//	scan(users) filter(city="ams") sort(age) cost=20000
+//	index(by_city) covering order(city) limit(5 pushed) cost=5
 //
 // "pushed" marks a limit the scan itself stops at (see scanLimit); a bare
 // limit(n) is applied to the collected rows.
@@ -200,16 +200,13 @@ const rangeFraction = 3
 // residual filter, the limit bounds the scan and caps the cost. Lowest
 // cost wins; ties prefer point < covering < index < full, then index
 // name.
+//
+// Each statistic is read where its formula uses it: the row count once,
+// for the full scan every query can fall back on, and an index's
+// cardinality only for a candidate with an equality prefix.
 func (t *Table) Plan(q Query) (*Plan, error) {
 	if err := t.checkQuery(q); err != nil {
 		return nil, err
-	}
-	rows, err := t.RowCount()
-	if err != nil {
-		return nil, err
-	}
-	if rows < 1 {
-		rows = 1
 	}
 
 	conds := make(map[string]Cond, len(q.Conds))
@@ -243,6 +240,11 @@ func (t *Table) Plan(q Query) (*Plan, error) {
 
 	// Full scan: row keys are ordered by the primary key, so ordering by
 	// its first field comes free.
+	rows, err := t.RowCount()
+	if err != nil {
+		return nil, err
+	}
+	rows = max(rows, 1)
 	fullOrderOK := q.Order == "" || q.Order == t.schema.Key[0] || orderPinned()
 	consider(&Plan{
 		Kind: PlanFull, t: t, resid: q.Conds, q: q,
@@ -276,23 +278,19 @@ func (t *Table) Plan(q Query) (*Plan, error) {
 			continue // index helps neither the filter nor the order
 		}
 
-		card, err := t.Cardinality(ix.decl.Name)
-		if err != nil {
-			return nil, err
-		}
-		if card < 1 {
-			card = 1
-		}
 		matches := rows
 		if len(eqPfx) > 0 {
+			card, err := ix.card.sum(t.db)
+			if err != nil {
+				return nil, err
+			}
+			card = max(card, 1)
 			matches = (rows + card - 1) / card
 		}
 		if lo != nil || hi != nil {
 			matches = matches / rangeFraction
 		}
-		if matches < 1 {
-			matches = 1
-		}
+		matches = max(matches, 1)
 
 		resid := t.residual(q.Conds, used)
 		// The scan yields entries ordered by the indexed fields (then
@@ -458,7 +456,9 @@ func (t *Table) Explain(q Query) (string, error) {
 	return p.Explain(), nil
 }
 
-// Run executes the plan against the table's DB.
+// Run executes the plan against the table's DB as one read of one snapshot:
+// a Get for a point plan, a Scan for a full or covering plan, and one
+// closure transaction for an index fetch plan.
 func (p *Plan) Run() ([][]Value, error) {
 	t := p.t
 	t.met.op(func(m *metrics) *obs.Counter { return m.selects })
@@ -529,10 +529,48 @@ func (p *Plan) runFull() ([][]Value, int, error) {
 	return rows, visited, it.Err()
 }
 
-// runIndex scans the chosen index range, turning each entry into its row
-// (see entryRow; an entry whose row vanished concurrently is skipped).
+// runIndex scans the chosen index range and turns each entry into its row.
+// A covering plan needs the entries alone, and one Scan is one snapshot. A
+// fetch plan reads entries and rows in one closure transaction, so its
+// result is one snapshot too: no row a concurrent writer moved between the
+// entry read and the fetch comes back, and every entry has its row.
 func (p *Plan) runIndex() ([][]Value, int, error) {
-	t := p.t
+	start, end := p.indexRange()
+	if p.Kind == PlanCovering {
+		return p.collect(nil, p.t.db.Scan(start, end, p.scanLimit()))
+	}
+	var rows [][]Value
+	var visited int
+	err := p.t.db.Update(func(tx kv.Txn) error {
+		var err error
+		rows, visited, err = p.collect(tx, tx.Scan(start, end, p.scanLimit()))
+		return err
+	})
+	return rows, visited, err
+}
+
+// collect turns the index entries kvIt yields into the rows the residual
+// filter accepts, fetching them in tx unless the plan is covering.
+func (p *Plan) collect(tx kv.Txn, kvIt kv.Iterator) ([][]Value, int, error) {
+	var rows [][]Value
+	visited := 0
+	it := index.Entries(p.ix.def, kvIt)
+	for it.Next() {
+		visited++
+		row, err := p.entryRow(tx, it)
+		if err != nil {
+			return nil, visited, err
+		}
+		if row != nil && p.accept(row) {
+			rows = append(rows, row)
+		}
+	}
+	return rows, visited, it.Err()
+}
+
+// indexRange is the entry-key range the plan's pinned prefix and range
+// bound select.
+func (p *Plan) indexRange() (start, end []byte) {
 	loVal := AppendTuple(nil, p.eqPfx...)
 	var hiVal []byte
 	switch {
@@ -550,52 +588,23 @@ func (p *Plan) runIndex() ([][]Value, int, error) {
 	}
 	// A nil hiVal (no upper bound) makes Range end at the index's last
 	// entry.
-	start, end := index.Range(p.ix.def, loVal, hiVal)
-
-	// A pushed limit bounds the scan to the rows still missing. Entries
-	// whose row vanished yield none, so a scan that came back full while
-	// rows are still missing resumes after its last entry for the shortfall.
-	need := p.scanLimit()
-	var rows [][]Value
-	visited := 0
-	for {
-		it := index.Entries(p.ix.def, t.db.Scan(start, end, need))
-		n := 0
-		for it.Next() {
-			visited++
-			if n++; n == need {
-				start = append(index.Key(p.ix.def, it.Val(), it.PK()), 0)
-			}
-			row, err := p.entryRow(it)
-			if err != nil {
-				return nil, visited, err
-			}
-			if row != nil && p.accept(row) {
-				rows = append(rows, row)
-			}
-		}
-		if err := it.Err(); err != nil || need == 0 || n < need || len(rows) >= p.q.Limit {
-			return rows, visited, err
-		}
-		need = p.q.Limit - len(rows)
-	}
+	return index.Range(p.ix.def, loVal, hiVal)
 }
 
 // entryRow turns the index entry it stands on into its row: rebuilt from the
-// entry alone for a covering plan, fetched by primary key otherwise — nil
-// when the row vanished between the entry read and the fetch.
-func (p *Plan) entryRow(it *index.Iter) ([]Value, error) {
+// entry alone for a covering plan, fetched by primary key in tx otherwise.
+// It is nil when the row is absent, which a committed snapshot never shows:
+// only an optimistic attempt that read the entry before a concurrent delete
+// sees it, and that attempt fails its commit validation and runs again.
+func (p *Plan) entryRow(tx kv.Txn, it *index.Iter) ([]Value, error) {
 	if p.Kind == PlanCovering {
 		return p.rowFromEntry(it.Val(), it.PK())
 	}
-	v, err := p.t.db.Get(p.t.rowKey(it.PK()))
+	row, err := p.t.readTx(tx, it.PK())
 	if errors.Is(err, kv.ErrNotFound) {
 		return nil, nil
 	}
-	if err != nil {
-		return nil, err
-	}
-	return p.t.decodeRow(v)
+	return row, err
 }
 
 // rowFromEntry reconstructs a partial row (indexed fields + primary key;

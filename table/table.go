@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 
 	"rhtm/index"
 	"rhtm/kv"
@@ -36,6 +37,7 @@ type runtimeIdx struct {
 	decl     Index
 	def      index.Def
 	fieldPos []int // positions of decl.Fields in the schema
+	card     stat  // distinct-value count
 }
 
 // Table binds a Schema to a kv.DB. All methods are safe for concurrent
@@ -50,6 +52,7 @@ type Table struct {
 	idxs     []runtimeIdx
 	rowPfx   []byte // 'r' ‖ name ‖ 0x00
 	statPfx  []byte // 's' ‖ name ‖ 0x00
+	rows     stat   // row count
 	met      *metrics
 }
 
@@ -65,6 +68,7 @@ func New(db kv.DB, schema Schema, opts ...Option) (*Table, error) {
 		rowPfx:   append(append([]byte{'r'}, schema.Name...), 0x00),
 		statPfx:  append(append([]byte{'s'}, schema.Name...), 0x00),
 	}
+	t.rows = t.newStat("rows")
 	for _, o := range opts {
 		o(t)
 	}
@@ -85,6 +89,7 @@ func New(db kv.DB, schema Schema, opts ...Option) (*Table, error) {
 				Name:   schema.Name + "." + ix.Name,
 				Unique: ix.Unique,
 			},
+			card: t.newStat("card." + ix.Name),
 		}
 		if t.reg != nil {
 			ri.def.Metrics = index.NewMetrics(t.reg, ri.def.Name)
@@ -322,7 +327,7 @@ func (t *Table) writeTx(tx kv.Txn, old, new []Value, encPK []byte) error {
 				return err
 			}
 			if first {
-				if err := t.statAdd(tx, t.cardKey(ix, newE.Val), 1); err != nil {
+				if err := t.statAdd(tx, ix.card.shard(newE.Val), 1); err != nil {
 					return err
 				}
 			}
@@ -339,7 +344,7 @@ func (t *Table) writeTx(tx kv.Txn, old, new []Value, encPK []byte) error {
 				return err
 			}
 			if gone {
-				if err := t.statAdd(tx, t.cardKey(ix, oldE.Val), -1); err != nil {
+				if err := t.statAdd(tx, ix.card.shard(oldE.Val), -1); err != nil {
 					return err
 				}
 			}
@@ -347,9 +352,9 @@ func (t *Table) writeTx(tx kv.Txn, old, new []Value, encPK []byte) error {
 	}
 	switch {
 	case old == nil && new != nil:
-		return t.statAdd(tx, t.rowsKey(encPK), 1)
+		return t.statAdd(tx, t.rows.shard(encPK), 1)
 	case old != nil && new == nil:
-		return t.statAdd(tx, t.rowsKey(encPK), -1)
+		return t.statAdd(tx, t.rows.shard(encPK), -1)
 	}
 	return nil
 }
@@ -376,20 +381,31 @@ func statShard(b []byte) byte {
 	return byte(h.Sum32() % statShards)
 }
 
-// rowsKey is the row-count shard key for a row with encoded key encPK:
-// statPfx ‖ "rows" ‖ 0x00 ‖ shard.
-func (t *Table) rowsKey(encPK []byte) []byte {
-	k := append(bytes.Clone(t.statPfx), "rows"...)
-	return append(k, 0x00, statShard(encPK))
+// stat is one counter's keys, built once per Table: the shard records
+// statPfx ‖ name ‖ 0x00 ‖ shard, and the bounds of the scan that sums them.
+// Every slice is full to capacity, so callers share them read-only (kv
+// copies what it keeps).
+type stat struct {
+	shards     [statShards][]byte
+	start, end []byte
 }
 
-// cardKey is the cardinality shard key of index ix for encoded value
-// val: statPfx ‖ "card." ‖ index ‖ 0x00 ‖ shard.
-func (t *Table) cardKey(ix *runtimeIdx, val []byte) []byte {
-	k := append(bytes.Clone(t.statPfx), "card."...)
-	k = append(k, ix.decl.Name...)
-	return append(k, 0x00, statShard(val))
+// newStat builds the keys of the counter called name ("rows", or "card."
+// and an index name).
+func (t *Table) newStat(name string) stat {
+	pfx := append(bytes.Clone(t.statPfx), name...)
+	pfx = append(pfx, 0x00)
+	s := stat{start: slices.Clip(pfx), end: slices.Clip(index.PrefixSuccessor(pfx))}
+	for i := range s.shards {
+		s.shards[i] = slices.Clip(append(bytes.Clone(pfx), byte(i)))
+	}
+	return s
 }
+
+// shard is the key of the shard a transaction keyed by b adjusts: the row's
+// encoded primary key for the row count, the indexed value for a
+// cardinality.
+func (s *stat) shard(b []byte) []byte { return s.shards[statShard(b)] }
 
 // statAdd adjusts one statistics shard inside tx.
 func (t *Table) statAdd(tx kv.Txn, key []byte, delta int64) error {
@@ -424,12 +440,9 @@ func decodeStat(b []byte) int64 {
 	return int64(u)
 }
 
-// statSum reads and sums one counter's shards: all keys with prefix
-// statPfx ‖ name ‖ 0x00.
-func (t *Table) statSum(name string) (int64, error) {
-	pfx := append(bytes.Clone(t.statPfx), name...)
-	pfx = append(pfx, 0x00)
-	it := t.db.Scan(pfx, index.PrefixSuccessor(pfx), 0)
+// sum reads and sums the counter's shards in one scan.
+func (s *stat) sum(db kv.DB) (int64, error) {
+	it := db.Scan(s.start, s.end, 0)
 	var sum int64
 	for it.Next() {
 		sum += decodeStat(it.Value())
@@ -439,11 +452,16 @@ func (t *Table) statSum(name string) (int64, error) {
 
 // RowCount returns the table's statistics row count (exact under the
 // transactional maintenance above).
-func (t *Table) RowCount() (int64, error) { return t.statSum("rows") }
+func (t *Table) RowCount() (int64, error) { return t.rows.sum(t.db) }
 
-// Cardinality returns the named index's distinct-value count.
+// Cardinality returns the named index's distinct-value count (0 for a name
+// the table has no index by).
 func (t *Table) Cardinality(idx string) (int64, error) {
-	return t.statSum("card." + idx)
+	ix, err := t.findIdx(idx)
+	if err != nil {
+		return 0, nil
+	}
+	return ix.card.sum(t.db)
 }
 
 // source describes index ix's view of the base table for backfill and
@@ -509,10 +527,7 @@ func (t *Table) recountCardinality(ix *runtimeIdx) error {
 		return err
 	}
 	return t.db.Update(func(tx kv.Txn) error {
-		for s := 0; s < statShards; s++ {
-			k := append(bytes.Clone(t.statPfx), "card."...)
-			k = append(k, ix.decl.Name...)
-			k = append(k, 0x00, byte(s))
+		for s, k := range ix.card.shards {
 			if err := tx.Put(k, encodeStat(counts[s])); err != nil {
 				return err
 			}
