@@ -5,13 +5,14 @@
 // connection without head-of-line blocking; the pool spreads independent
 // callers across connections round-robin.
 //
-// Closure transactions (Update) run the closure client-side against an
-// optimistic read cache: each first read of a key is one GetRev round
-// trip whose revision is recorded as a commit condition, writes buffer
-// locally, and commit ships conditions plus writes as one Txn frame the
-// server validates and applies atomically. A failed validation surfaces
-// as kv.ErrConflict and kv.Retry re-runs the closure against fresh
-// reads — the one loop the in-process backends run, at the edge. Watches
+// Closure transactions (Update) run the closure client-side on the same
+// optimistic buffered transaction a cluster closure runs (cluster.Txn):
+// each first read of a key is one GetRev round trip whose revision is
+// recorded as a commit condition, writes buffer locally, and commit ships
+// conditions plus writes as one Txn frame the server validates and applies
+// atomically. A failed validation surfaces as kv.ErrConflict and kv.Retry
+// re-runs the closure against fresh reads — the one loop the in-process
+// backends run, at the edge. Watches
 // are server-push streams re-exposed as kv.Watch
 // channels with the same bounded-queue, coalesce-then-EventLost overflow
 // contract on the client side.

@@ -249,3 +249,52 @@ func TestBatchGroupingAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestCrossBatchTraffic pins what a batch that spans Systems costs each
+// participant in engine transactions: one prepare and one finish, plus one
+// read-through per distinct key the batch reads there. Blind Puts read
+// nothing; a Get or Delete reads its key once, however often the batch
+// names it.
+func TestCrossBatchTraffic(t *testing.T) {
+	c := MustNew(smallConfig(2))
+	cl := c.NewClient()
+	k0, k1 := keysOnSystem(c, 0, 2), keysOnSystem(c, 1, 2)
+	commits := func() [2]uint64 {
+		return [2]uint64{c.Node(0).Engine().Snapshot().Commits(), c.Node(1).Engine().Snapshot().Commits()}
+	}
+	for _, tc := range []struct {
+		name string
+		ops  []BatchOp
+		want [2]uint64 // engine transactions per System
+	}{
+		{"blind puts", []BatchOp{
+			{Kind: BatchPut, Key: k0[0], Value: []byte("a")},
+			{Kind: BatchPut, Key: k1[0], Value: []byte("b")},
+			{Kind: BatchPut, Key: k0[1], Value: []byte("c")},
+		}, [2]uint64{2, 2}},
+		{"reads", []BatchOp{
+			{Kind: BatchGet, Key: k0[0]},
+			{Kind: BatchGet, Key: k0[0]},
+			{Kind: BatchPut, Key: k0[0], Value: []byte("d")},
+			{Kind: BatchDelete, Key: k0[1]},
+			{Kind: BatchGet, Key: k1[1]},
+			{Kind: BatchPut, Key: k1[0], Value: []byte("e")},
+		}, [2]uint64{2 + 2, 2 + 1}},
+	} {
+		before := commits()
+		if _, err := cl.Batch(tc.ops); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		after := commits()
+		if got := [2]uint64{after[0] - before[0], after[1] - before[1]}; got != tc.want {
+			t.Errorf("%s: engine transactions per System %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	if st := c.Stats(); st.CrossCommits != 2 || st.LocalTxns != 0 {
+		t.Errorf("cross commits %d, local transactions %d; want 2 and 0 (read-throughs are not client operations)",
+			st.CrossCommits, st.LocalTxns)
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -265,9 +265,11 @@ const maxAbortDecisions = 4096
 // decide appends the coordinator's verdict for txid. Appending commit=true
 // is the transaction's commit point: intents become obligations that phase
 // 2 discharges.
-func (c *Cluster) decide(txid uint64, commit bool, participants []int) {
-	p := make([]int, len(participants))
-	copy(p, participants)
+func (c *Cluster) decide(txid uint64, commit bool, parts []participant) {
+	p := make([]int, len(parts))
+	for i := range parts {
+		p[i] = parts[i].id
+	}
 	c.decMu.Lock()
 	if commit || c.abortsLogged < maxAbortDecisions {
 		if !commit {

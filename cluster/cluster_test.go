@@ -226,8 +226,8 @@ func TestCrossReadValidation(t *testing.T) {
 	}
 }
 
-// crossWrite commits keyA→"a", keyB→"b" as one cross-System transaction
-// through one of the two entry points of the shared 2PC round.
+// crossWrite commits keyA→"a", keyB→"b" as one cross-System transaction,
+// as a closure or as a batch.
 type crossWrite func(cl *Client, keyA, keyB []byte) error
 
 var crossEntryPoints = []struct {
@@ -280,11 +280,12 @@ func attachMemStorage(t *testing.T, c *Cluster) *wal.MemStorage {
 	return stg
 }
 
-// TestTwoPhaseRound drives the single 2PC driver (Client.twoPhase) through
-// both of its entry points — a buffered Txn commit and a Batch — over the
-// ways a round can end: a refused prepare, the coordinator log fenced before
-// the durable decision, the data streams fenced after it, and a clean commit. keyLo lives on the lower-numbered participant, so it has
-// always prepared (its intent is installed) when the round is decided.
+// TestTwoPhaseRound drives the single 2PC round (Client.commitCross) from
+// both of its callers — a buffered Txn and a Batch that spans Systems —
+// over the ways a round can end: a refused prepare, the coordinator log
+// fenced before the durable decision, the data streams fenced after it,
+// and a clean commit. keyLo lives on the lower-numbered participant, so it
+// has always prepared (its intent is installed) when the round is decided.
 func TestTwoPhaseRound(t *testing.T) {
 	type rig struct {
 		c            *Cluster
@@ -505,7 +506,7 @@ func TestTxnReadYourWrites(t *testing.T) {
 
 // TestBatchLocalAndCross: a batch whose keys live on one System commits as
 // one local transaction (no coordinator decision); a batch spanning Systems
-// runs one 2PC decision covering per-System grouped prepares. Per-op
+// commits as one buffered transaction under one 2PC decision. Per-op
 // results follow batch order either way.
 func TestBatchLocalAndCross(t *testing.T) {
 	c := MustNew(smallConfig(4))

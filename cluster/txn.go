@@ -88,27 +88,25 @@ func (cl *Client) StoreStats() (store.Stats, error) {
 // rather than a value that may be mid-replacement; shared read intents pin
 // values without changing them and never block a read.
 func (cl *Client) Get(key []byte) ([]byte, bool, error) {
-	rec, err := cl.readCommitted(key)
+	rec, err := cl.Read(key)
 	if err == nil {
 		cl.c.localTxns.Add(1)
 	}
-	return rec.val, rec.ok, err
+	return rec.Value, rec.Found, err
 }
 
-// readCommitted is Get without the local-transaction counter bump: Txn
-// read-throughs use it so the harness's local-vs-cross traffic split counts
-// client-level operations, not the reads a cross-System transaction issues
-// while building its snapshot. The returned record carries the value, its
-// revision, and its lease attachment.
-func (cl *Client) readCommitted(key []byte) (readRec, error) {
+// Read is Get returning the whole committed record, without the
+// local-transaction counter bump: it is the Client's half of Source, so a
+// Txn's read-throughs do not count as client-level operations in the
+// harness's local-vs-cross traffic split.
+func (cl *Client) Read(key []byte) (Record, error) {
 	n := cl.c.nodes[cl.c.router.SystemFor(key)]
-	var rec readRec
+	var rec Record
 	err := cl.threads[n.id].Atomic(func(tx rhtm.Tx) error {
 		if _, held := n.st.WriteIntentOn(tx, key); held {
 			return ErrConflict
 		}
-		rec.val, rec.rev, rec.lease, rec.ok = n.st.Read(tx, key)
-		rec.leaseKnown = true
+		rec.Value, rec.Rev, rec.Lease, rec.Found = n.st.Read(tx, key)
 		return nil
 	})
 	cl.countIntentWait(err)
@@ -191,37 +189,59 @@ func copyVal(v []byte) []byte {
 	return out
 }
 
-// writeRec is one buffered write.
-type writeRec struct {
-	val   []byte
-	lease uint64
-	del   bool
+// Record is one committed observation of a key: its value, its revision and
+// the lease it is attached to (0 = none); Found is false, and the rest zero,
+// for an absent key. Commit validates an observation by revision: a key's
+// revision changes on every write, so equal revisions imply the value (and
+// lease) are untouched — which also catches ABA (a key changed and changed
+// back still advanced its revision).
+type Record struct {
+	Value []byte
+	Rev   uint64
+	Lease uint64
+	Found bool
 }
 
-// readRec is one recorded committed read. Commit validates the observation
-// by revision: a key's revision changes on every write, so equal revisions
-// imply the value (and lease) are untouched — strictly stronger than the
-// value comparison it replaces, since it also catches ABA (a key changed
-// and changed back still advanced its revision).
+// Write is one buffered write: Value attached to Lease, or with Delete the
+// key's removal.
+type Write struct {
+	Value  []byte
+	Lease  uint64
+	Delete bool
+}
+
+// Source is the committed state a Txn reads through. A Client is one: Read
+// refuses a key under a pending write intent, and ScanSnapshot is the
+// validated two-pass scan. The network client is another, reading through
+// its server.
+type Source interface {
+	// Read returns key's committed record, or ErrConflict when a pending
+	// write intent leaves it undecided.
+	Read(key []byte) (Record, error)
+	// ScanSnapshot returns a committed snapshot of [start, end) (nil bounds
+	// are unbounded), each entry with its revision, at most limit entries
+	// (0 = unbounded).
+	ScanSnapshot(start, end []byte, limit int) ([]Entry, error)
+}
+
+// readRec is one recorded observation. leaseKnown is false for one a
+// snapshot scan seeded: scans carry revisions, not lease attachments.
 type readRec struct {
-	val   []byte
-	rev   uint64
-	lease uint64
-	ok    bool
-	// leaseKnown marks records seeded by snapshot scans, which carry
-	// revisions but not lease attachments.
+	Record
 	leaseKnown bool
 }
 
-// Txn is an optimistic buffered transaction: Get reads through to
-// committed state and records the observed value, Put/Delete buffer.
-// Commit (driven by Client.Txn) validates every recorded read and applies
-// the buffer atomically — locally when one System owns the whole
-// footprint, via two-phase commit when several do.
+// Txn is the optimistic buffered transaction (Kung and Robinson's read
+// phase): Get reads through its Source and records the observed revision,
+// Put and Delete buffer, and Scan overlays the buffer on a committed
+// snapshot. Its owner commits it. Client.Txn validates every recorded read
+// and applies the buffer atomically — locally when one System owns the
+// whole footprint, via two-phase commit when several do; the network
+// client ships the Footprint to its server.
 type Txn struct {
-	cl     *Client
+	src    Source
 	reads  map[string]readRec
-	writes map[string]writeRec
+	writes map[string]Write
 	scans  []scanRange
 	// conflicted is sticky: once a read returned ErrConflict the attempt
 	// can only end in ErrConflict, even if the closure ignored the error —
@@ -229,6 +249,9 @@ type Txn struct {
 	// on a read it never got.
 	conflicted bool
 }
+
+// NewTxn starts a buffered transaction reading through src.
+func NewTxn(src Source) *Txn { return &Txn{src: src} }
 
 // note records a read's ErrConflict on the transaction and passes err on.
 func (t *Txn) note(err error) error {
@@ -248,38 +271,53 @@ type scanRange struct {
 	start, end []byte
 }
 
+// observe records the first observation of key.
+func (t *Txn) observe(key string, r readRec) {
+	if t.reads == nil {
+		t.reads = make(map[string]readRec)
+	}
+	t.reads[key] = r
+}
+
+// buffer records a write of key, replacing any earlier one.
+func (t *Txn) buffer(key []byte, w Write) {
+	if t.writes == nil {
+		t.writes = make(map[string]Write)
+	}
+	t.writes[string(key)] = w
+}
+
 // Get returns key's value as of this transaction: buffered writes win,
 // then the first committed read is reused (one consistent observation per
 // key per attempt).
 func (t *Txn) Get(key []byte) ([]byte, bool, error) {
-	k := string(key)
-	if w, ok := t.writes[k]; ok {
-		if w.del {
+	if w, ok := t.writes[string(key)]; ok {
+		if w.Delete {
 			return nil, false, nil
 		}
-		return copyVal(w.val), true, nil
+		return copyVal(w.Value), true, nil
 	}
 	rec, err := t.read(key)
-	if err != nil {
+	if err != nil || !rec.Found {
 		return nil, false, err
 	}
-	return copyVal(rec.val), rec.ok, nil
+	return copyVal(rec.Value), true, nil
 }
 
 // read returns the transaction's recorded observation of key, reading
 // through to committed state (and recording the observation for commit
 // validation) on first touch.
 func (t *Txn) read(key []byte) (readRec, error) {
-	k := string(key)
-	if r, ok := t.reads[k]; ok {
+	if r, ok := t.reads[string(key)]; ok {
 		return r, nil
 	}
-	rec, err := t.cl.readCommitted(key)
+	rec, err := t.src.Read(key)
 	if err != nil {
 		return readRec{}, t.note(err)
 	}
-	t.reads[k] = rec
-	return rec, nil
+	r := readRec{Record: rec, leaseKnown: true}
+	t.observe(string(key), r)
+	return r, nil
 }
 
 // Revision returns key's revision as of this transaction (0 for an absent
@@ -291,7 +329,7 @@ func (t *Txn) Revision(key []byte) (uint64, bool, error) {
 	if err != nil {
 		return 0, false, err
 	}
-	return rec.rev, rec.ok, nil
+	return rec.Rev, rec.Found, nil
 }
 
 // Lease returns key's attached lease id as of this transaction (0 = none).
@@ -300,38 +338,51 @@ func (t *Txn) Revision(key []byte) (uint64, bool, error) {
 // is caught by commit validation like any other conflict.
 func (t *Txn) Lease(key []byte) (uint64, bool, error) {
 	if w, ok := t.writes[string(key)]; ok {
-		if w.del {
+		if w.Delete {
 			return 0, false, nil
 		}
-		return w.lease, true, nil
+		return w.Lease, true, nil
 	}
 	rec, err := t.read(key)
 	if err != nil {
 		return 0, false, err
 	}
-	if rec.ok && !rec.leaseKnown {
-		fresh, err := t.cl.readCommitted(key)
+	if rec.Found && !rec.leaseKnown {
+		fresh, err := t.src.Read(key)
 		if err != nil {
 			return 0, false, t.note(err)
 		}
-		return fresh.lease, fresh.ok, nil
+		return fresh.Lease, fresh.Found, nil
 	}
-	return rec.lease, rec.ok, nil
+	return rec.Lease, rec.Found, nil
 }
 
 // Put buffers key→value (the slice is copied), detaching any lease.
 func (t *Txn) Put(key, value []byte) {
-	t.writes[string(key)] = writeRec{val: copyVal(value)}
+	t.buffer(key, Write{Value: copyVal(value)})
 }
 
 // PutLease buffers key→value with a lease attachment.
 func (t *Txn) PutLease(key, value []byte, lease uint64) {
-	t.writes[string(key)] = writeRec{val: copyVal(value), lease: lease}
+	t.buffer(key, Write{Value: copyVal(value), Lease: lease})
 }
 
-// Delete buffers key's removal.
-func (t *Txn) Delete(key []byte) {
-	t.writes[string(key)] = writeRec{del: true}
+// Delete buffers key's removal and reports whether key was present as of
+// this transaction. It records the committed observation even when a
+// buffered write decides the answer, so every buffered delete carries one:
+// deleting a key that was absent before the transaction changes nothing,
+// and an owner that commits elsewhere must be able to tell.
+func (t *Txn) Delete(key []byte) (bool, error) {
+	rec, err := t.read(key)
+	if err != nil {
+		return false, err
+	}
+	present := rec.Found
+	if w, ok := t.writes[string(key)]; ok {
+		present = !w.Delete
+	}
+	t.buffer(key, Write{Delete: true})
+	return present, nil
 }
 
 // inRange reports start <= k < end with nil bounds unbounded.
@@ -340,14 +391,14 @@ func inRange(k string, start, end []byte) bool {
 }
 
 // Scan returns an ordered snapshot of [start, end) as of this transaction:
-// a validated committed snapshot (Client.ScanSnapshot) overlaid with the
-// transaction's own buffered writes and earlier reads, at most limit
-// entries (0 = unbounded). Every committed entry the scan yields is
-// recorded as a read, so commit re-validates it — and the *range itself* is
-// recorded too, so commit additionally refuses when a key outside the read
-// set has entered it (phantom protection; see scansValid for the exact
-// guarantee). A limited scan protects only the observed prefix, up to the
-// successor of the last key the snapshot fetched.
+// a committed snapshot from the Source overlaid with the transaction's own
+// buffered writes and earlier reads, at most limit entries (0 =
+// unbounded). Every committed entry the scan yields is recorded as a read,
+// so commit re-validates it — and the *range itself* is recorded too, so
+// Client's commit additionally refuses when a key outside the read set has
+// entered it (phantom protection; see scansValid for the exact guarantee).
+// A limited scan protects only the observed prefix, up to the successor of
+// the last key the snapshot fetched.
 func (t *Txn) Scan(start, end []byte, limit int) ([]Entry, error) {
 	fetch := 0
 	if limit > 0 {
@@ -355,7 +406,7 @@ func (t *Txn) Scan(start, end []byte, limit int) ([]Entry, error) {
 		// the write-set size so the overlay can backfill.
 		fetch = limit + len(t.writes)
 	}
-	raw, err := t.cl.ScanSnapshot(start, end, fetch)
+	raw, err := t.src.ScanSnapshot(start, end, fetch)
 	if err != nil {
 		return nil, t.note(err)
 	}
@@ -379,22 +430,22 @@ func (t *Txn) Scan(start, end []byte, limit int) ([]Entry, error) {
 		if r, seen := t.reads[k]; seen {
 			// Reuse the transaction's first observation of the key (commit
 			// validation will catch divergence from the snapshot).
-			if r.ok {
-				merged[k] = r.val
+			if r.Found {
+				merged[k] = r.Value
 			}
 			continue
 		}
-		t.reads[k] = readRec{val: e.Value, rev: e.Rev, ok: true}
+		t.observe(k, readRec{Record: Record{Value: e.Value, Rev: e.Rev, Found: true}})
 		merged[k] = e.Value
 	}
 	for k, w := range t.writes {
 		if !inRange(k, start, end) {
 			continue
 		}
-		if w.del {
+		if w.Delete {
 			delete(merged, k)
 		} else {
-			merged[k] = w.val
+			merged[k] = w.Value
 		}
 	}
 	keys := make([]string, 0, len(merged))
@@ -412,57 +463,100 @@ func (t *Txn) Scan(start, end []byte, limit int) ([]Entry, error) {
 	return out, nil
 }
 
-// Txn runs fn once, optimistically, and commits its buffer. A non-nil error
-// from fn aborts without committing and is returned as-is; a conflict —
-// at commit, or on any read fn made, whether or not fn passed the error on
-// — is ErrConflict, and the caller may run the whole body again (kv.Retry
-// does, so fn must be safe to re-execute). Reads during fn are
-// individually committed values but are only guaranteed mutually
-// consistent once commit validation passes — the standard OCC contract.
+// txnKey is one key of a transaction's footprint with its recorded read
+// (wasRead) and/or buffered write (written), and the System owning it.
+type txnKey struct {
+	key     []byte
+	node    int
+	read    readRec
+	write   Write
+	wasRead bool
+	written bool
+}
+
+// keys lists the transaction's footprint, unordered.
+func (t *Txn) keys() []txnKey {
+	keys := make([]txnKey, 0, len(t.reads)+len(t.writes))
+	for k, r := range t.reads {
+		tk := txnKey{key: []byte(k), read: r, wasRead: true}
+		tk.write, tk.written = t.writes[k]
+		keys = append(keys, tk)
+	}
+	for k, w := range t.writes {
+		if _, ok := t.reads[k]; !ok {
+			keys = append(keys, txnKey{key: []byte(k), write: w, written: true})
+		}
+	}
+	return keys
+}
+
+// Footprint calls fn once for every key the transaction read or wrote, in
+// ascending key order, with the committed observation it recorded (nil:
+// never read) and the write it buffered (nil: only read). An owner that
+// commits the transaction elsewhere reads it through this: the network
+// client ships the observations as commit conditions and the writes as ops.
+func (t *Txn) Footprint(fn func(key []byte, read *Record, write *Write)) {
+	keys := t.keys()
+	slices.SortFunc(keys, func(a, b txnKey) int { return bytes.Compare(a.key, b.key) })
+	for i := range keys {
+		k := &keys[i]
+		var r *Record
+		var w *Write
+		if k.wasRead {
+			r = &k.read.Record
+		}
+		if k.written {
+			w = &k.write
+		}
+		fn(k.key, r, w)
+	}
+}
+
+// Txn runs fn once, optimistically, on a transaction reading through cl,
+// and commits its buffer. A non-nil error from fn aborts without committing
+// and is returned as-is; a conflict — at commit, or on any read fn made,
+// whether or not fn passed the error on — is ErrConflict, and the caller
+// may run the whole body again (kv.Retry does, so fn must be safe to
+// re-execute). Reads during fn are individually committed values but are
+// only guaranteed mutually consistent once commit validation passes — the
+// standard OCC contract.
 func (cl *Client) Txn(fn func(tx *Txn) error) error {
-	t := &Txn{cl: cl, reads: map[string]readRec{}, writes: map[string]writeRec{}}
+	t := NewTxn(cl)
 	if err := fn(t); err != nil {
 		return err
 	}
 	return cl.commit(t)
 }
 
-// txnKey is one key of a transaction's footprint with its recorded read
-// and/or buffered write.
-type txnKey struct {
-	key   []byte
-	read  *readRec
-	write *writeRec
+// participant is one System of a commit's footprint with its keys,
+// ascending.
+type participant struct {
+	id   int
+	keys []txnKey
 }
 
-// footprint groups the transaction's keys by owning System, each group
-// sorted by key — with ascending System ids this is the deterministic
-// global acquisition order.
-func (cl *Client) footprint(t *Txn) (map[int][]txnKey, []int) {
-	merged := map[string]txnKey{}
-	for k, r := range t.reads {
-		rr := r
-		merged[k] = txnKey{key: []byte(k), read: &rr}
+// footprint groups the transaction's keys by owning System: participants
+// ascending and keys ascending within each — the deterministic global
+// acquisition order.
+func (cl *Client) footprint(t *Txn) []participant {
+	keys := t.keys()
+	for i := range keys {
+		keys[i].node = cl.c.router.SystemFor(keys[i].key)
 	}
-	for k, w := range t.writes {
-		ww := w
-		tk := merged[k]
-		tk.key = []byte(k)
-		tk.write = &ww
-		merged[k] = tk
+	slices.SortFunc(keys, func(a, b txnKey) int {
+		if a.node != b.node {
+			return a.node - b.node
+		}
+		return bytes.Compare(a.key, b.key)
+	})
+	var parts []participant
+	for lo, hi := 0, 0; lo < len(keys); lo = hi {
+		for hi < len(keys) && keys[hi].node == keys[lo].node {
+			hi++
+		}
+		parts = append(parts, participant{id: keys[lo].node, keys: keys[lo:hi]})
 	}
-	byNode := map[int][]txnKey{}
-	for _, tk := range merged {
-		n := cl.c.router.SystemFor(tk.key)
-		byNode[n] = append(byNode[n], tk)
-	}
-	participants := make([]int, 0, len(byNode))
-	for n := range byNode {
-		slices.SortFunc(byNode[n], func(a, b txnKey) int { return bytes.Compare(a.key, b.key) })
-		participants = append(participants, n)
-	}
-	slices.Sort(participants)
-	return byNode, participants
+	return parts
 }
 
 // commit validates and applies t's buffer, or returns ErrConflict.
@@ -471,15 +565,15 @@ func (cl *Client) commit(t *Txn) error {
 	if t.conflicted {
 		return ErrConflict // counted where the read met the intent
 	}
-	// A lone committed read is its own snapshot: readCommitted refused any
-	// write intent, and there is no second observation for it to disagree
-	// with, so re-validating it in another engine transaction proves nothing.
-	// It counts as the local transaction it was; an empty one counts as none.
+	// A lone committed read is its own snapshot: Read refused any write
+	// intent, and there is no second observation for it to disagree with,
+	// so re-validating it in another engine transaction proves nothing. It
+	// counts as the local transaction it was; an empty one counts as none.
 	if len(t.writes) == 0 && len(t.scans) == 0 && len(t.reads) <= 1 {
 		cl.c.localTxns.Add(uint64(len(t.reads)))
 		return nil
 	}
-	byNode, participants := cl.footprint(t)
+	parts := cl.footprint(t)
 	// Phantom protection outside the footprint: hash routing interleaves a
 	// scanned range over every System, but the commit path only validates
 	// participant Systems. Check the rest read-only first. On a
@@ -488,9 +582,9 @@ func (cl *Client) commit(t *Txn) error {
 	// Systems the window between this check and the applies remains
 	// (DESIGN.md §13).
 	if len(t.scans) > 0 {
-		inFoot := make(map[int]bool, len(participants))
-		for _, id := range participants {
-			inFoot[id] = true
+		inFoot := make(map[int]bool, len(parts))
+		for _, p := range parts {
+			inFoot[p.id] = true
 		}
 		for _, n := range cl.c.nodes {
 			if inFoot[n.id] {
@@ -512,13 +606,13 @@ func (cl *Client) commit(t *Txn) error {
 			}
 		}
 	}
-	switch len(participants) {
+	switch len(parts) {
 	case 0:
 		return nil // empty (or scan-only, validated above) transaction
 	case 1:
-		return cl.commitLocal(participants[0], byNode[participants[0]], t)
+		return cl.commitLocal(parts[0].id, parts[0].keys, t)
 	default:
-		return cl.commitCross(byNode, participants, t)
+		return cl.commitCross(parts, t)
 	}
 }
 
@@ -540,23 +634,23 @@ func (cl *Client) commitLocal(nodeID int, keys []txnKey, t *Txn) error {
 		}
 		for i := range keys {
 			k := &keys[i]
-			if k.write != nil {
+			if k.written {
 				if n.st.AnyIntentOn(tx, k.key) {
 					return ErrConflict
 				}
 			} else if _, held := n.st.WriteIntentOn(tx, k.key); held {
 				return ErrConflict
 			}
-			if k.read != nil && !validRead(tx, n, k) {
+			if k.wasRead && !validRead(tx, n, k) {
 				return ErrConflict
 			}
 		}
 		for i := range keys {
 			k := &keys[i]
-			if k.write == nil {
+			if !k.written {
 				continue
 			}
-			if k.write.del {
+			if k.write.Delete {
 				if rev, ok := n.st.DeleteStamped(tx, k.key); ok {
 					if rev > maxRev {
 						maxRev = rev
@@ -566,7 +660,7 @@ func (cl *Client) commitLocal(nodeID int, keys []txnKey, t *Txn) error {
 					}
 				}
 			} else {
-				rev, err := n.st.PutStamped(tx, k.key, k.write.val, k.write.lease)
+				rev, err := n.st.PutStamped(tx, k.key, k.write.Value, k.write.Lease)
 				if err != nil {
 					return err
 				}
@@ -575,7 +669,7 @@ func (cl *Client) commitLocal(nodeID int, keys []txnKey, t *Txn) error {
 				}
 				if cl.c.wal != nil {
 					recs = append(recs, wal.Op{Kind: wal.OpPut, Key: k.key,
-						Value: k.write.val, Rev: rev, Lease: k.write.lease})
+						Value: k.write.Value, Rev: rev, Lease: k.write.Lease})
 				}
 			}
 		}
@@ -597,30 +691,11 @@ func (cl *Client) commitLocal(nodeID int, keys []txnKey, t *Txn) error {
 	return err
 }
 
-// commitCross runs one two-phase-commit round over a buffered transaction's
-// participant Systems.
-func (cl *Client) commitCross(byNode map[int][]txnKey, participants []int, t *Txn) error {
-	return cl.twoPhase(participants,
-		func(nodeID int) [][]byte {
-			keys := make([][]byte, len(byNode[nodeID]))
-			for i := range byNode[nodeID] {
-				keys[i] = byNode[nodeID][i].key
-			}
-			return keys
-		},
-		func(nodeID int, txid uint64) error { return cl.prepare(nodeID, txid, byNode[nodeID], t) },
-		func() []wal.Op { return crossDecisionOps(byNode, participants) })
-}
-
-// twoPhase is the one two-phase-commit round: prepare → durable decision →
-// finish → resolution mark. Every crash window and both fence arms of
-// DESIGN.md §6/§9 live here and nowhere else; Txn commits and Batches differ
-// only in what they hand it — keysOf lists a participant's intent keys,
-// prepare runs its phase-1 engine transaction, decision serializes the write
-// set for the coordinator log. ErrConflict means a prepare conflict aborted
-// the round and the caller may run it again.
-func (cl *Client) twoPhase(participants []int, keysOf func(nodeID int) [][]byte,
-	prepare func(nodeID int, txid uint64) error, decision func() []wal.Op) error {
+// commitCross is the one two-phase-commit round: prepare → durable
+// decision → finish → resolution mark. Every crash window and both fence
+// arms of DESIGN.md §6/§9 live here and nowhere else. ErrConflict means a
+// prepare conflict aborted the round and the caller may run it again.
+func (cl *Client) commitCross(parts []participant, t *Txn) error {
 	c := cl.c
 	c.crossTxns.Add(1)
 	txid := c.nextTxID.Add(1)
@@ -628,17 +703,17 @@ func (cl *Client) twoPhase(participants []int, keysOf func(nodeID int) [][]byte,
 	// Phase 1: prepare each participant in ascending id order. One engine
 	// transaction per participant validates its reads and installs its
 	// intents, so a refused prepare leaves that System untouched.
-	var prepared []int
+	prepared := 0
 	var conflict bool
 	var hard error
 	var prepStart time.Time
 	if c.prepareHist != nil || cl.sink != nil {
 		prepStart = time.Now()
 	}
-	for _, nodeID := range participants {
-		err := prepare(nodeID, txid)
+	for _, p := range parts {
+		err := cl.prepare(p.id, txid, p.keys, t)
 		if err == nil {
-			prepared = append(prepared, nodeID)
+			prepared++
 			continue
 		}
 		if err == ErrConflict {
@@ -668,7 +743,7 @@ func (cl *Client) twoPhase(participants []int, keysOf func(nodeID int) [][]byte,
 	commit := !conflict && hard == nil
 	var decisionOps []wal.Op
 	if c.wal != nil && commit {
-		decisionOps = decision()
+		decisionOps = crossDecisionOps(parts)
 	}
 	if len(decisionOps) > 0 {
 		c.walMu.RLock()
@@ -690,19 +765,19 @@ func (cl *Client) twoPhase(participants []int, keysOf func(nodeID int) [][]byte,
 				// here would decide it. Abort it in memory too — releasing
 				// the prepared intents keeps the deposed primary internally
 				// consistent instead of wedging its remaining clients.
-				c.decide(txid, false, participants)
-				for _, nodeID := range prepared {
-					_ = cl.finish(nodeID, txid, keysOf(nodeID), false)
+				c.decide(txid, false, parts)
+				for _, p := range parts[:prepared] {
+					_ = cl.finish(p.id, txid, p.keys, false)
 				}
 				c.crossAborts.Add(1)
 			}
 			return err
 		}
 	}
-	c.decide(txid, commit, participants)
+	c.decide(txid, commit, parts)
 	if !commit {
-		for _, nodeID := range prepared {
-			if err := cl.finish(nodeID, txid, keysOf(nodeID), false); err != nil && hard == nil {
+		for _, p := range parts[:prepared] {
+			if err := cl.finish(p.id, txid, p.keys, false); err != nil && hard == nil {
 				hard = err
 			}
 		}
@@ -717,8 +792,8 @@ func (cl *Client) twoPhase(participants []int, keysOf func(nodeID int) [][]byte,
 		finStart = time.Now()
 	}
 	resolved := true
-	for _, nodeID := range participants {
-		if err := cl.finish(nodeID, txid, keysOf(nodeID), true); err != nil {
+	for _, p := range parts {
+		if err := cl.finish(p.id, txid, p.keys, true); err != nil {
 			if errors.Is(err, wal.ErrFenced) {
 				// The decision is already durably logged — the transaction
 				// IS committed. Keep discharging the remaining intents, but
@@ -753,21 +828,21 @@ func (cl *Client) twoPhase(participants []int, keysOf func(nodeID int) [][]byte,
 // coordinator decision log: one op per written key, Part naming the owning
 // System, revision 0 (revisions are assigned at apply time). Read-only
 // footprints yield nothing — there is nothing to recover forward.
-func crossDecisionOps(byNode map[int][]txnKey, participants []int) []wal.Op {
+func crossDecisionOps(parts []participant) []wal.Op {
 	var ops []wal.Op
-	for _, nodeID := range participants {
-		for i := range byNode[nodeID] {
-			k := &byNode[nodeID][i]
-			if k.write == nil {
+	for _, p := range parts {
+		for i := range p.keys {
+			k := &p.keys[i]
+			if !k.written {
 				continue
 			}
-			op := wal.Op{Part: nodeID, Key: k.key}
-			if k.write.del {
+			op := wal.Op{Part: p.id, Key: k.key}
+			if k.write.Delete {
 				op.Kind = wal.OpDelete
 			} else {
 				op.Kind = wal.OpPut
-				op.Value = k.write.val
-				op.Lease = k.write.lease
+				op.Value = k.write.Value
+				op.Lease = k.write.Lease
 			}
 			ops = append(ops, op)
 		}
@@ -780,7 +855,7 @@ func crossDecisionOps(byNode map[int][]txnKey, participants []int) []wal.Op {
 // keys must still be absent.
 func validRead(tx rhtm.Tx, n *Node, k *txnKey) bool {
 	rev, ok := n.st.RevOf(tx, k.key)
-	return ok == k.read.ok && (!ok || rev == k.read.rev)
+	return ok == k.read.Found && (!ok || rev == k.read.Rev)
 }
 
 // scansValid re-checks every recorded scan range against System n's
@@ -818,15 +893,15 @@ func (cl *Client) prepare(nodeID int, txid uint64, keys []txnKey, t *Txn) error 
 		}
 		for i := range keys {
 			k := &keys[i]
-			if k.read != nil && !validRead(tx, n, k) {
+			if k.wasRead && !validRead(tx, n, k) {
 				return ErrConflict
 			}
 			kind, val, lease := store.IntentRead, []byte(nil), uint64(0)
-			if k.write != nil {
-				if k.write.del {
+			if k.written {
+				if k.write.Delete {
 					kind = store.IntentDelete
 				} else {
-					kind, val, lease = store.IntentPut, k.write.val, k.write.lease
+					kind, val, lease = store.IntentPut, k.write.Value, k.write.Lease
 				}
 			}
 			if err := n.st.PrepareIntent(tx, k.key, txid, kind, val, lease); err != nil {
@@ -846,14 +921,15 @@ func (cl *Client) prepare(nodeID int, txid uint64, keys []txnKey, t *Txn) error 
 // applies are logged to the participant's stream under the cluster
 // transaction id (recovery's applied-detection keys on it) and forced
 // durable before the coordinator marks the transaction resolved.
-func (cl *Client) finish(nodeID int, txid uint64, keys [][]byte, commit bool) error {
+func (cl *Client) finish(nodeID int, txid uint64, keys []txnKey, commit bool) error {
 	n := cl.c.nodes[nodeID]
 	var recs []wal.Op
 	var maxRev uint64
 	err := cl.threads[nodeID].Atomic(func(tx rhtm.Tx) error {
 		recs = recs[:0] // the body re-executes on engine aborts
 		maxRev = 0
-		for _, key := range keys {
+		for i := range keys {
+			key := keys[i].key
 			if !commit {
 				if err := n.st.DiscardIntent(tx, key, txid); err != nil {
 					return err

@@ -44,6 +44,10 @@ type DBFactory func(t *testing.T) (db kv.DB, clock *kv.ManualClock, validate fun
 //   - the scan-snapshot property test: concurrent pair-writers and
 //     insert/delete togglers must never make a cursor observe a torn pair
 //     or a half-inserted (phantom) pair;
+//   - the closure buffer's rules (buffer.go): a Scan inside a closure clamps
+//     its own buffered writes to the keyspace it names, a key is observed
+//     once per attempt, Put-then-Delete and Delete of an absent key commit,
+//     and a limited Scan fills its limit over buffered deletes;
 //   - the coordination sections (coord.go): conditional-write semantics
 //     plus a concurrent CAS lost-update race, lease grant / attach /
 //     keep-alive / revoke / virtual-time expiry atomicity under a map
@@ -71,6 +75,8 @@ func RunDB(t *testing.T, name string, factory DBFactory, opts ...BatteryOption) 
 	t.Run(name+"/DBAtomicTransfer", func(t *testing.T) { testDBAtomicTransfer(t, factory) })
 	t.Run(name+"/DBBatch", func(t *testing.T) { testDBBatch(t, factory) })
 	t.Run(name+"/DBScanSnapshot", func(t *testing.T) { testDBScanSnapshot(t, factory) })
+	t.Run(name+"/DBBufferClamp", func(t *testing.T) { testDBBufferClamp(t, factory) })
+	t.Run(name+"/DBBufferRules", func(t *testing.T) { testDBBufferRules(t, factory) })
 	t.Run(name+"/DBRevisionCAS", func(t *testing.T) { testDBRevisionCAS(t, factory) })
 	t.Run(name+"/DBLeaseExpiry", func(t *testing.T) { testDBLeaseExpiry(t, factory) })
 	t.Run(name+"/DBWatch", func(t *testing.T) { testDBWatch(t, factory) })

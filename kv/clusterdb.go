@@ -13,8 +13,9 @@ import (
 // multi-System router. Single-key operations run as local transactions on
 // the owning System; Update closures run the cluster's optimistic buffered
 // transaction (local commit when one System owns the footprint, two-phase
-// commit when several do); Batch splits into per-System groups with one
-// 2PC decision (cluster.Client.Batch); Scan is the validated snapshot scan
+// commit when several do); Batch is one engine transaction when one System
+// owns every key and that same buffered transaction when several do
+// (cluster.Client.Batch); Scan is the validated snapshot scan
 // (cluster.Client.ScanSnapshot). The coordination surface rides the same
 // machinery: revisions are each System's store clock (validated by 2PC
 // prepares), lease records route like any other key — a revoke spanning
@@ -82,7 +83,7 @@ func (s *clusterSession) engineName() string { return s.c.Node(0).Engine().Name(
 // cluster.ErrConflict for the core's Retry to run the closure again.
 func (s *clusterSession) attempt(fn func(tx Txn) error) (Revision, error) {
 	err := s.cl.Txn(func(t *cluster.Txn) error {
-		return fn(&clusterTxn{t: t})
+		return fn(&clusterTxn{bufferedTxn{t: t}})
 	})
 	return s.cl.LastCommitRev(), err
 }
@@ -185,14 +186,13 @@ func (db *ClusterDB) Delete(key []byte) error {
 
 // BatchTraced shadows the core's closure-transaction batch with the native
 // one: a single engine transaction when one System owns every key (what the
-// server's per-domain batcher lanes always send), per-System grouped
-// prepares and a single 2PC decision when several do (explicit Batch calls
-// that span Systems: the KindBatch handler, in-process callers, the
-// harness's batched cluster-* rows) — instead of one buffered-transaction
-// read per key either way. Batches carrying lease attachments
-// take the core's path, where the lease records ride the same transaction.
-// The engine stage covers the whole grouped prepare/decide sweep; 2PC phase
-// and WAL stages come from the client's stage sink.
+// server's per-domain batcher lanes always send) instead of one
+// buffered-transaction read per key. A batch that spans Systems (an
+// explicit Batch call: the KindBatch handler, in-process callers) is the
+// buffered transaction either way. Batches carrying lease attachments take
+// the core's path, where the lease records ride the same transaction. The
+// engine stage covers the whole batch; 2PC phase and WAL stages come from
+// the client's stage sink.
 func (db *ClusterDB) BatchTraced(sink obs.TraceSink, ops []Op) ([]OpResult, error) {
 	for _, op := range ops {
 		if reservedKey(op.Key) {
@@ -285,54 +285,58 @@ func clusterEntries(in []cluster.Entry) []Entry {
 	return out
 }
 
-// clusterTxn adapts one cluster buffered transaction to the Txn interface.
-type clusterTxn struct {
+// bufferedTxn is the Txn of every optimistic closure, written once over
+// cluster.Txn for ClusterDB closures and the network client's (BufferedTxn):
+// reserved keys are refused, scans are clamped to the user keyspace, and
+// absence is ErrNotFound. A lease attachment is buffered with its write; the
+// network client ships it and the server attaches it.
+type bufferedTxn struct {
 	t *cluster.Txn
 }
 
+// BufferedTxn returns the Txn view of t. The network client runs its
+// closures on one whose reads go through the wire.
+func BufferedTxn(t *cluster.Txn) Txn { return &bufferedTxn{t: t} }
+
 // Get implements Txn.
-func (t *clusterTxn) Get(key []byte) ([]byte, error) {
+func (t *bufferedTxn) Get(key []byte) ([]byte, error) {
 	if reservedKey(key) {
 		return nil, ErrReservedKey
 	}
 	return t.getRaw(key)
 }
 
-// Revision implements Txn.
-func (t *clusterTxn) Revision(key []byte) (Revision, error) {
+// Revision implements Txn: the committed observation, even after a write
+// of the key in the same closure.
+func (t *bufferedTxn) Revision(key []byte) (Revision, error) {
 	if reservedKey(key) {
 		return 0, ErrReservedKey
 	}
-	rev, ok, err := t.t.Revision(key)
-	if err != nil {
-		return 0, mapErr(err)
-	}
-	if !ok {
-		return 0, nil
-	}
-	return rev, nil
+	rev, _, err := t.t.Revision(key)
+	return rev, mapErr(err)
 }
 
 // Put implements Txn. Writes are buffered; capacity errors (ErrArenaFull,
 // ErrTooLarge) surface at commit.
-func (t *clusterTxn) Put(key, value []byte, opts ...PutOption) error {
-	return txnPut(t, key, value, opts)
+func (t *bufferedTxn) Put(key, value []byte, opts ...PutOption) error {
+	if reservedKey(key) {
+		return ErrReservedKey
+	}
+	return t.putRaw(key, value, LeaseOf(opts...))
 }
 
-// Delete implements Txn. The cluster transaction buffers deletions blindly,
-// but the Txn contract reports absence, so this reads the key first (one
-// more recorded read that commit validates).
-func (t *clusterTxn) Delete(key []byte) error {
+// Delete implements Txn.
+func (t *bufferedTxn) Delete(key []byte) error {
 	if reservedKey(key) {
 		return ErrReservedKey
 	}
 	return t.deleteRaw(key)
 }
 
-// Scan implements Txn: the validated snapshot overlaid with this
+// Scan implements Txn: the committed snapshot overlaid with this
 // transaction's buffered writes, every yielded committed entry recorded as
 // a read for commit validation; clamped to the user keyspace.
-func (t *clusterTxn) Scan(start, end []byte, limit int) Iterator {
+func (t *bufferedTxn) Scan(start, end []byte, limit int) Iterator {
 	start, end, empty := clampUserRange(start, end)
 	if empty {
 		return emptyIter()
@@ -340,9 +344,7 @@ func (t *clusterTxn) Scan(start, end []byte, limit int) Iterator {
 	return t.scanRaw(start, end, limit)
 }
 
-// --- coordTxn ---
-
-func (t *clusterTxn) getRaw(key []byte) ([]byte, error) {
+func (t *bufferedTxn) getRaw(key []byte) ([]byte, error) {
 	v, ok, err := t.t.Get(key)
 	if err != nil {
 		return nil, mapErr(err)
@@ -353,38 +355,42 @@ func (t *clusterTxn) getRaw(key []byte) ([]byte, error) {
 	return v, nil
 }
 
-func (t *clusterTxn) putRaw(key, value []byte, lease LeaseID) error {
+func (t *bufferedTxn) putRaw(key, value []byte, lease LeaseID) error {
 	t.t.PutLease(key, value, lease)
 	return nil
 }
 
-func (t *clusterTxn) deleteRaw(key []byte) error {
-	_, ok, err := t.t.Get(key)
-	if err != nil {
-		return mapErr(err)
+// deleteRaw buffers key's removal only when the key is present as of the
+// transaction; either way its committed observation is recorded.
+func (t *bufferedTxn) deleteRaw(key []byte) error {
+	if _, err := t.getRaw(key); err != nil {
+		return err
 	}
-	if !ok {
-		return ErrNotFound
-	}
-	t.t.Delete(key)
-	return nil
+	_, err := t.t.Delete(key)
+	return mapErr(err)
 }
 
-func (t *clusterTxn) leaseOf(key []byte) (LeaseID, error) {
-	lease, ok, err := t.t.Lease(key)
-	if err != nil {
-		return 0, mapErr(err)
-	}
-	if !ok {
-		return 0, nil
-	}
-	return lease, nil
-}
-
-func (t *clusterTxn) scanRaw(start, end []byte, limit int) Iterator {
+func (t *bufferedTxn) scanRaw(start, end []byte, limit int) Iterator {
 	entries, err := t.t.Scan(start, end, limit)
 	if err != nil {
 		return errIter(mapErr(err))
 	}
 	return &entriesIter{entries: clusterEntries(entries)}
+}
+
+// clusterTxn is a ClusterDB closure's Txn: the shared buffered one, plus
+// the lease records (coordTxn) — a WithLease Put records the key in its
+// lease's key list within the same transaction.
+type clusterTxn struct {
+	bufferedTxn
+}
+
+// Put implements Txn.
+func (t *clusterTxn) Put(key, value []byte, opts ...PutOption) error {
+	return txnPut(t, key, value, opts)
+}
+
+func (t *clusterTxn) leaseOf(key []byte) (LeaseID, error) {
+	lease, _, err := t.t.Lease(key)
+	return lease, mapErr(err)
 }

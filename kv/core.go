@@ -34,8 +34,9 @@ type session interface {
 
 // backend is the embedding DB as its core sees it: the two derived
 // operations a backend may implement natively. The core's own bodies are the
-// defaults — Local keeps both, ClusterDB shadows both (a grouped-prepare
-// batch and a validated snapshot scan; see clusterdb.go).
+// defaults — Local keeps both, ClusterDB shadows both (a one-transaction
+// batch for keys of one System and a validated snapshot scan; see
+// clusterdb.go).
 type backend interface {
 	BatchTraced(sink obs.TraceSink, ops []Op) ([]OpResult, error)
 	rawScan(start, end []byte, limit int) ([]Entry, error)
