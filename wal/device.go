@@ -16,13 +16,19 @@
 //     including a torn tail truncated mid-record.
 //   - Record / Encode / Decode (record.go): begin/op/commit/checkpoint
 //     frames with per-record CRC32 checksums and monotone LSNs.
+//   - Unit / appendUnit / readUnit (unit.go): the one codec of the frame
+//     sequence — a transaction group, checkpoint, mark or epoch frame with
+//     consecutive LSNs. Everything below writes or reads the log through it.
 //   - Writer (writer.go): group commit. Committers publish whole
 //     transactions; whoever reaches the device first flushes every
 //     sequenced transaction and a single Sync covers the batch, amortizing
 //     the sync cost exactly as kv.Batch amortizes 2PC.
-//   - Scan (scan.go): the recovery parse — committed-prefix transaction
-//     groups after the last complete checkpoint, stopping at the first
-//     torn or corrupt frame.
+//   - Scan (scan.go): the recovery parse, a fold of readUnit — committed
+//     transaction groups after the last complete checkpoint, ending at the
+//     first unit readUnit rejects (torn, corrupt, out of sequence or off
+//     the LSN sequence).
+//   - Tailer (tail.go): the replication stream, readUnit over a live
+//     device — it stops exactly where Scan would.
 package wal
 
 import (
@@ -34,8 +40,9 @@ import (
 // Device is an append-only durable byte device. Append buffers bytes at the
 // end; Sync is the durability barrier: bytes appended before a returned
 // Sync survive any later crash, bytes after it may be lost or torn at any
-// byte boundary. Contents reads everything appended so far (recovery);
-// Truncate discards a torn tail before new appends continue.
+// byte boundary. Contents reads everything appended so far (recovery),
+// ContentsFrom the bytes at or after an offset (a Tailer's incremental
+// read); Truncate discards a torn tail before new appends continue.
 //
 // Append, Truncate and Contents are serialized by the caller (the Writer
 // holds its lock); Sync may run concurrently with Append — that overlap is
@@ -45,6 +52,7 @@ type Device interface {
 	Append(p []byte) error
 	Sync() error
 	Contents() ([]byte, error)
+	ContentsFrom(off int) ([]byte, error)
 	Truncate(n int) error
 	Size() int
 }
@@ -238,9 +246,8 @@ func (d *MemDevice) Size() int {
 	return d.size
 }
 
-// ContentsFrom reads the bytes appended at or after offset off — the
-// tailer's incremental read path (the capability Tailer probes for, so it
-// avoids re-reading the whole device on every wakeup). It finds off by
+// ContentsFrom implements Device: a tailer's wakeup reads only the new
+// bytes, not the whole device again. It finds off by
 // walking back from the end, so a read costs the segments it returns and
 // nothing for the log before them: a tailer that keeps up pays for the new
 // frames only, however long the log has grown, and the device lock — which
@@ -329,8 +336,7 @@ func (d *FileDevice) Contents() ([]byte, error) {
 	return out, nil
 }
 
-// ContentsFrom reads the bytes at or after offset off (the tailer's
-// incremental read capability).
+// ContentsFrom implements Device.
 func (d *FileDevice) ContentsFrom(off int) ([]byte, error) {
 	if off < 0 || off > d.size {
 		return nil, fmt.Errorf("wal: read at %d outside device of %d bytes", off, d.size)

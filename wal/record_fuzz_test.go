@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -25,22 +26,41 @@ func FuzzWALRecord(f *testing.F) {
 		if len(value) > 1<<16 {
 			value = value[:1<<16]
 		}
-		recs := []Record{
-			{Kind: KindBegin, Flags: flags, LSN: lsn, TxID: txid},
-			{Kind: KindOp, Flags: flags, LSN: lsn + 1, TxID: txid,
-				Op: Op{Part: int(part), Kind: OpPut, Key: key, Value: value, Rev: rev, Lease: lease}},
-			{Kind: KindOp, Flags: flags, LSN: lsn + 2, TxID: txid,
-				Op: Op{Part: int(part), Kind: OpDelete, Key: key, Rev: rev}},
-			{Kind: KindCommit, Flags: flags, LSN: lsn + 3, TxID: txid},
-			{Kind: KindCheckpointBegin, LSN: lsn + 4},
-			{Kind: KindCheckpointEntry, LSN: lsn + 5,
-				Op: Op{Part: int(part), Kind: OpPut, Key: key, Value: value, Rev: rev, Lease: lease}},
-			{Kind: KindCheckpointEnd, LSN: lsn + 6, TxID: 1},
-			{Kind: KindMark, Flags: flags, LSN: lsn + 7, TxID: txid},
+		// Decode returns nil for an empty key or value.
+		if len(key) == 0 {
+			key = nil
 		}
-		var buf []byte
-		for _, r := range recs {
-			buf = Encode(buf, r)
+		if len(value) == 0 {
+			value = nil
+		}
+		put := Op{Part: int(part), Kind: OpPut, Key: key, Value: value, Rev: rev, Lease: lease}
+		del := Op{Part: int(part), Kind: OpDelete, Key: key, Rev: rev}
+		recs := []Record{
+			{Kind: KindCheckpointBegin},
+			{Kind: KindCheckpointEntry, Op: put},
+			{Kind: KindCheckpointEnd, TxID: 1},
+			{Kind: KindMark, Flags: flags, TxID: txid},
+			{Kind: KindBegin, Flags: flags, TxID: txid},
+			{Kind: KindOp, Flags: flags, TxID: txid, Op: put},
+			{Kind: KindOp, Flags: flags, TxID: txid, Op: del},
+			{Kind: KindCommit, Flags: flags, TxID: txid},
+		}
+		// The codec half numbers the frames from the fuzzed lsn; the Scan
+		// half from 1, where every log starts.
+		var buf, scanBuf []byte
+		groupStart, commitStart := 0, 0
+		for i := range recs {
+			switch recs[i].Kind {
+			case KindBegin:
+				groupStart = len(scanBuf)
+			case KindCommit:
+				commitStart = len(scanBuf)
+			}
+			r := recs[i]
+			r.LSN = uint64(i + 1)
+			scanBuf = Encode(scanBuf, r)
+			recs[i].LSN = lsn + uint64(i)
+			buf = Encode(buf, recs[i])
 		}
 		pos := 0
 		for i, want := range recs {
@@ -68,40 +88,36 @@ func FuzzWALRecord(f *testing.F) {
 		if pos != len(buf) {
 			t.Fatalf("decoded %d of %d bytes", pos, len(buf))
 		}
-		// Every strict prefix of the final frame is a clean tear, decodable
-		// up to the previous boundary and ErrTorn at it.
-		lastStart := pos - frameLen(buf[posOfLast(buf, len(recs)):])
-		for _, cut := range []int{lastStart, lastStart + 1, pos - 1} {
-			if cut < 0 || cut >= pos {
-				continue
+		// The whole log scans: its checkpoint, its mark (a global one clears
+		// the marks before it, here none) and its one group.
+		global := flags&FlagGlobal != 0
+		sr := Scan(scanBuf)
+		if sr.ValidBytes != len(scanBuf) || sr.NextLSN != uint64(len(recs)+1) || len(sr.Checkpoint) != 1 ||
+			len(sr.Txns) != 1 || sr.Txns[0].TxID != txid || len(sr.Txns[0].Ops) != 2 || sr.Marks[txid] == global {
+			t.Fatalf("scan of the whole log: %+v", sr)
+		}
+		// Every strict prefix of the commit frame is a clean tear: the log
+		// ends before the group it would close.
+		for _, cut := range []int{commitStart, commitStart + 1, len(scanBuf) - 1} {
+			if sr := Scan(scanBuf[:cut]); sr.ValidBytes != groupStart || len(sr.Txns) != 0 {
+				t.Fatalf("scan of %d-byte tear: %d valid bytes, %d txns; want %d, 0", cut, sr.ValidBytes, len(sr.Txns), groupStart)
 			}
-			sr := Scan(buf[:cut])
-			if sr.ValidBytes > cut {
-				t.Fatalf("scan of %d-byte tear claims %d valid bytes", cut, sr.ValidBytes)
+		}
+		// readUnit inverts appendUnit for every unit kind.
+		for _, u := range []Unit{
+			{Kind: UnitTxn, Flags: flags, TxID: txid, Txn: TxnGroup{TxID: txid, Cross: flags&FlagCross != 0, Ops: []Op{put, del}}},
+			{Kind: UnitCheckpoint, Flags: flags, Checkpoint: []Op{put}},
+			{Kind: UnitMark, Flags: flags, TxID: txid},
+			{Kind: UnitEpoch, Flags: flags, TxID: txid, Meta: value},
+		} {
+			b, last := appendUnit(nil, &u, lsn)
+			got, err := readUnit(b, lsn)
+			u.EndLSN, u.EndOff = last, len(b)
+			if err != nil || !reflect.DeepEqual(got, u) {
+				t.Fatalf("unit round trip: %+v, %v; want %+v", got, err, u)
 			}
 		}
 	})
-}
-
-// posOfLast returns the byte offset of the n-th (last) frame.
-func posOfLast(buf []byte, n int) int {
-	pos := 0
-	for i := 0; i < n-1; i++ {
-		_, c, err := Decode(buf[pos:])
-		if err != nil {
-			return pos
-		}
-		pos += c
-	}
-	return pos
-}
-
-func frameLen(b []byte) int {
-	_, n, err := Decode(b)
-	if err != nil {
-		return len(b)
-	}
-	return n
 }
 
 // TestWALRecordGoldenVectors pins the exact frame bytes: u32 body length,

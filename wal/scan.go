@@ -21,21 +21,21 @@ type ScanResult struct {
 	// Txns lists the committed transaction groups after that checkpoint
 	// (after the last global Mark on a coordinator stream), in log order —
 	// the committed prefix to replay. A trailing group without its commit
-	// frame, and everything after the first torn or corrupt frame, is
+	// frame, and everything from the first unit readUnit rejects, is
 	// excluded.
 	Txns []TxnGroup
 	// Marks holds the per-transaction resolution markers seen after the
 	// last global Mark (coordinator streams): decisions recovery may skip.
 	Marks map[uint64]bool
-	// ValidBytes is the length of the well-formed frame prefix; the device
+	// ValidBytes is the length of the prefix of whole units; the device
 	// must be truncated to it before new appends continue.
 	ValidBytes int
 	// NextLSN is one past the LSN of the last frame inside ValidBytes (1 for
 	// an empty log): where a writer continues after the truncation.
 	NextLSN uint64
-	// MaxTxID is the largest cross-transaction id seen anywhere in the log
-	// (including resolved history) — the floor for a recovered coordinator's
-	// transaction-id counter.
+	// MaxTxID is the largest id of a whole cross group or mark inside
+	// ValidBytes (including resolved history) — the floor for a recovered
+	// coordinator's transaction-id counter.
 	MaxTxID uint64
 	// Epoch is the largest primary epoch recorded in the log (0 when no
 	// KindEpoch frame exists), and Membership the blob of the latest such
@@ -44,116 +44,46 @@ type ScanResult struct {
 	Membership []byte
 }
 
-// Scan parses one stream's bytes into its recovery view. Scanning is
-// forgiving exactly once, at the tail: the first torn or corrupt frame ends
-// the log (everything durable before it is kept); a malformed frame
-// *sequence* — an op outside a group, a commit without a begin — also ends
-// the log there, since the writer never produces one and anything after it
-// is untrustworthy.
+// Scan parses one stream's bytes into its recovery view: a fold of readUnit
+// over the log that ends it at the first unit readUnit cannot return —
+// torn, corrupt, out of sequence, or off the LSN sequence from 1. That is
+// exactly where a Tailer over the same bytes stops, so a replica applies
+// the committed prefix recovery would replay. ValidBytes and NextLSN move
+// per whole unit: a trailing group the crash cut before its commit frame
+// is truncated away entirely, or the next writer would append fresh groups
+// after a dangling begin and poison every later scan.
 func Scan(data []byte) ScanResult {
-	sr := ScanResult{Marks: map[uint64]bool{}}
-	var open *TxnGroup
-	var ckpt []Op
-	inCkpt := false
-	pos := 0
-	valid := 0
-	sr.NextLSN = 1
-	for pos < len(data) {
-		rec, n, err := Decode(data[pos:])
+	sr := ScanResult{Marks: map[uint64]bool{}, NextLSN: 1}
+	for {
+		u, err := readUnit(data[sr.ValidBytes:], sr.NextLSN)
 		if err != nil {
-			break
+			return sr
 		}
-		bad := false
-		switch rec.Kind {
-		case KindBegin:
-			if open != nil || inCkpt {
-				bad = true
-				break
+		sr.ValidBytes += u.EndOff
+		sr.NextLSN = u.EndLSN + 1
+		switch u.Kind {
+		case UnitTxn:
+			sr.Txns = append(sr.Txns, u.Txn)
+			if u.Txn.Cross {
+				sr.MaxTxID = max(sr.MaxTxID, u.TxID)
 			}
-			open = &TxnGroup{TxID: rec.TxID, Cross: rec.Flags&FlagCross != 0}
-			if open.Cross && rec.TxID > sr.MaxTxID {
-				sr.MaxTxID = rec.TxID
-			}
-		case KindOp:
-			if open == nil {
-				bad = true
-				break
-			}
-			open.Ops = append(open.Ops, rec.Op)
-		case KindCommit:
-			if open == nil || rec.TxID != open.TxID {
-				bad = true
-				break
-			}
-			sr.Txns = append(sr.Txns, *open)
-			open = nil
-		case KindCheckpointBegin:
-			if open != nil || inCkpt {
-				bad = true
-				break
-			}
-			inCkpt = true
-			ckpt = nil
-		case KindCheckpointEntry:
-			if !inCkpt {
-				bad = true
-				break
-			}
-			ckpt = append(ckpt, rec.Op)
-		case KindCheckpointEnd:
-			if !inCkpt || rec.TxID != uint64(len(ckpt)) {
-				bad = true
-				break
-			}
-			inCkpt = false
-			if ckpt == nil {
-				ckpt = []Op{}
-			}
-			sr.Checkpoint = ckpt
+		case UnitCheckpoint:
+			sr.Checkpoint = u.Checkpoint
 			sr.Txns = nil // replay restarts from the checkpoint
-		case KindMark:
-			if open != nil || inCkpt {
-				bad = true
-				break
-			}
-			if rec.TxID > sr.MaxTxID {
-				sr.MaxTxID = rec.TxID
-			}
-			if rec.Flags&FlagGlobal != 0 {
+		case UnitMark:
+			sr.MaxTxID = max(sr.MaxTxID, u.TxID)
+			if u.Flags&FlagGlobal != 0 {
 				sr.Txns = nil
 				sr.Marks = map[uint64]bool{}
 			} else {
-				sr.Marks[rec.TxID] = true
+				sr.Marks[u.TxID] = true
 			}
-		case KindEpoch:
-			if open != nil || inCkpt {
-				bad = true
-				break
+		case UnitEpoch:
+			if u.TxID >= sr.Epoch {
+				sr.Epoch, sr.Membership = u.TxID, u.Meta
 			}
-			if rec.TxID >= sr.Epoch {
-				sr.Epoch = rec.TxID
-				sr.Membership = rec.Meta
-			}
-		default:
-			bad = true
-		}
-		if bad {
-			break
-		}
-		pos += n
-		// The truncate point only advances at unit boundaries: a trailing
-		// group the crash cut before its commit frame must be truncated
-		// away entirely, or the next writer would append fresh groups after
-		// a dangling begin and poison every later scan. The next LSN moves
-		// with it, so the writer continues the LSN sequence of the bytes
-		// that survive the truncation.
-		if open == nil && !inCkpt {
-			valid = pos
-			sr.NextLSN = rec.LSN + 1
 		}
 	}
-	sr.ValidBytes = valid
-	return sr
 }
 
 // OpenDevice scans dev, truncates its torn tail, and returns the recovery

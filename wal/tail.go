@@ -2,7 +2,6 @@ package wal
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 )
 
@@ -17,9 +16,11 @@ import (
 // begin/ops/commit contiguously and hands the device a single buffer), so a
 // tailer over a quiescent device never sees a partial unit, and a partial
 // unit mid-traffic only means the bytes are still landing — the tailer
-// waits. A corrupt frame or a malformed sequence, by contrast, fails the
-// tailer permanently: the stream below a live writer is trustworthy, so
-// either is real damage.
+// waits. Units come from readUnit, the decoder recovery's Scan folds, so
+// the tailer stops exactly where Scan ends the log: a corrupt frame, a
+// malformed sequence or an LSN gap fails the tailer permanently with
+// ErrBadStream, since the stream below a live writer is trustworthy and
+// each is real damage.
 //
 // Next blocks until a unit is readable or the tailer is closed; Kick wakes
 // blocked readers (the writer's SetOnAppend hook is the intended caller).
@@ -37,47 +38,8 @@ type Tailer struct {
 	err    error // permanent decode failure
 }
 
-// UnitKind classifies one replication unit.
-type UnitKind uint8
-
-const (
-	// UnitTxn is one committed transaction group.
-	UnitTxn UnitKind = 1 + iota
-	// UnitCheckpoint is one complete in-log snapshot.
-	UnitCheckpoint
-	// UnitMark is a coordinator resolution marker.
-	UnitMark
-	// UnitEpoch is a membership/epoch record.
-	UnitEpoch
-)
-
-// Unit is one decoded replication unit.
-type Unit struct {
-	Kind UnitKind
-	// Txn is the transaction group of a UnitTxn.
-	Txn TxnGroup
-	// Checkpoint holds the snapshot entries of a UnitCheckpoint.
-	Checkpoint []Op
-	// TxID is the mark's transaction id (UnitMark) or the epoch number
-	// (UnitEpoch).
-	TxID uint64
-	// Flags carries the frame flags of a UnitMark (FlagGlobal) or the
-	// group's flags for a UnitTxn.
-	Flags uint8
-	// Meta is the membership blob of a UnitEpoch.
-	Meta []byte
-	// EndLSN is the last frame's LSN; EndOff the device offset just past the
-	// unit — together the resume cursor after applying it.
-	EndLSN uint64
-	EndOff int
-}
-
 // ErrTailerClosed reports a Next call on a closed tailer.
 var ErrTailerClosed = errors.New("wal: tailer closed")
-
-// ErrBadStream reports a corrupt frame or malformed frame sequence below a
-// live log — permanent damage, not a tail still being written.
-var ErrBadStream = errors.New("wal: tailer: malformed stream")
 
 // NewTailer builds a tailer over dev resuming at byte offset off, whose
 // next frame must carry LSN nextLSN. A fresh replica starts at (0, 1); a
@@ -105,22 +67,6 @@ func (t *Tailer) Close() {
 	t.mu.Unlock()
 }
 
-// Offset returns the device offset of the first unconsumed byte — the
-// validated prefix the tailer has fully decoded.
-func (t *Tailer) Offset() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.off
-}
-
-// NextLSN returns the LSN the next frame must carry — the promoted writer's
-// starting LSN once the stream is drained.
-func (t *Tailer) NextLSN() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.next
-}
-
 // Next returns the next unit, blocking until one is fully readable. It
 // fails with ErrTailerClosed after Close, and permanently with ErrBadStream
 // on real stream damage.
@@ -128,21 +74,9 @@ func (t *Tailer) Next() (Unit, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for {
-		if t.err != nil {
-			return Unit{}, t.err
-		}
-		if t.closed {
-			return Unit{}, ErrTailerClosed
-		}
-		u, ok, err := t.decodeLocked()
-		if err != nil {
-			return Unit{}, err
-		}
-		if ok {
-			return u, nil
-		}
-		if t.refreshLocked() {
-			continue
+		u, ok, err := t.tryLocked()
+		if err != nil || ok {
+			return u, err
 		}
 		t.cond.Wait()
 	}
@@ -153,6 +87,12 @@ func (t *Tailer) Next() (Unit, error) {
 func (t *Tailer) TryNext() (Unit, bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.tryLocked()
+}
+
+// tryLocked reads one unit from the buffer, or else from the bytes appended
+// since the last read.
+func (t *Tailer) tryLocked() (Unit, bool, error) {
 	if t.err != nil {
 		return Unit{}, false, t.err
 	}
@@ -164,151 +104,48 @@ func (t *Tailer) TryNext() (Unit, bool, error) {
 		return u, ok, err
 	}
 	if !t.refreshLocked() {
-		return Unit{}, false, nil
+		return Unit{}, false, t.err
 	}
 	return t.decodeLocked()
 }
 
 // refreshLocked pulls newly appended device bytes into the buffer,
-// reporting whether any arrived. It prefers the incremental ContentsFrom
-// capability (both repo devices implement it) and falls back to a full
-// Contents read.
+// reporting whether any arrived.
 func (t *Tailer) refreshLocked() bool {
 	cur := t.off + len(t.buf)
 	if t.dev.Size() <= cur {
 		return false
 	}
-	var data []byte
-	var err error
-	if cf, ok := t.dev.(interface{ ContentsFrom(int) ([]byte, error) }); ok {
-		data, err = cf.ContentsFrom(cur)
-	} else {
-		data, err = t.dev.Contents()
-		if err == nil {
-			if len(data) < cur {
-				err = fmt.Errorf("%w: device shrank below cursor %d", ErrBadStream, cur)
-			} else {
-				data = data[cur:]
-			}
-		}
-	}
+	data, err := t.dev.ContentsFrom(cur)
 	if err != nil {
 		t.err = err
 		t.cond.Broadcast()
 		return false
 	}
-	if len(data) == 0 {
-		return false
-	}
 	t.buf = append(t.buf, data...)
-	return true
+	return len(data) > 0
 }
 
-// decodeLocked tries to decode one complete unit from the front of the
-// buffer, consuming it (and advancing the cursor) only when whole. ok is
-// false when the buffer holds a prefix of a unit still being appended.
+// decodeLocked reads one whole unit from the front of the buffer through
+// readUnit, consuming it (and advancing the cursor) only when whole. ok is
+// false while the buffer holds a prefix of a unit still being appended; any
+// other readUnit error fails the tailer permanently.
 func (t *Tailer) decodeLocked() (Unit, bool, error) {
-	var u Unit
-	var open *TxnGroup
-	var ckpt []Op
-	inCkpt := false
-	pos := 0
-	lsn := t.next
-	for pos < len(t.buf) {
-		rec, n, err := Decode(t.buf[pos:])
-		if err != nil {
-			if errors.Is(err, ErrTorn) {
-				return Unit{}, false, nil // frame still landing
-			}
-			t.err = fmt.Errorf("%w: %v", ErrBadStream, err)
-			t.cond.Broadcast()
-			return Unit{}, false, t.err
-		}
-		if rec.LSN != lsn {
-			t.err = fmt.Errorf("%w: frame LSN %d, want %d", ErrBadStream, rec.LSN, lsn)
-			t.cond.Broadcast()
-			return Unit{}, false, t.err
-		}
-		done := false
-		bad := false
-		switch rec.Kind {
-		case KindBegin:
-			if open != nil || inCkpt {
-				bad = true
-				break
-			}
-			open = &TxnGroup{TxID: rec.TxID, Cross: rec.Flags&FlagCross != 0}
-			u = Unit{Kind: UnitTxn, Flags: rec.Flags}
-		case KindOp:
-			if open == nil {
-				bad = true
-				break
-			}
-			open.Ops = append(open.Ops, rec.Op)
-		case KindCommit:
-			if open == nil || rec.TxID != open.TxID {
-				bad = true
-				break
-			}
-			u.Txn = *open
-			u.TxID = open.TxID
-			done = true
-		case KindCheckpointBegin:
-			if open != nil || inCkpt {
-				bad = true
-				break
-			}
-			inCkpt = true
-			ckpt = []Op{}
-			u = Unit{Kind: UnitCheckpoint}
-		case KindCheckpointEntry:
-			if !inCkpt {
-				bad = true
-				break
-			}
-			ckpt = append(ckpt, rec.Op)
-		case KindCheckpointEnd:
-			if !inCkpt || rec.TxID != uint64(len(ckpt)) {
-				bad = true
-				break
-			}
-			u.Checkpoint = ckpt
-			done = true
-		case KindMark:
-			if open != nil || inCkpt {
-				bad = true
-				break
-			}
-			u = Unit{Kind: UnitMark, TxID: rec.TxID, Flags: rec.Flags}
-			done = true
-		case KindEpoch:
-			if open != nil || inCkpt {
-				bad = true
-				break
-			}
-			u = Unit{Kind: UnitEpoch, TxID: rec.TxID, Meta: rec.Meta}
-			done = true
-		default:
-			bad = true
-		}
-		if bad {
-			t.err = fmt.Errorf("%w: kind %d at LSN %d", ErrBadStream, rec.Kind, rec.LSN)
-			t.cond.Broadcast()
-			return Unit{}, false, t.err
-		}
-		pos += n
-		lsn++
-		if done {
-			// Shift in place so the buffer's backing array tops out at the
-			// largest backlog instead of pinning the whole log.
-			copy(t.buf, t.buf[pos:])
-			t.buf = t.buf[:len(t.buf)-pos]
-			t.off += pos
-			t.next = lsn
-			u.EndLSN = lsn - 1
-			u.EndOff = t.off
-			return u, true, nil
-		}
+	u, err := readUnit(t.buf, t.next)
+	if errors.Is(err, ErrTorn) {
+		return Unit{}, false, nil
 	}
-	return Unit{}, false, nil // group still being appended
+	if err != nil {
+		t.err = err
+		t.cond.Broadcast()
+		return Unit{}, false, err
+	}
+	// Shift in place so the buffer's backing array tops out at the largest
+	// backlog instead of pinning the whole log.
+	n := copy(t.buf, t.buf[u.EndOff:])
+	t.buf = t.buf[:n]
+	t.off += u.EndOff
+	t.next = u.EndLSN + 1
+	u.EndOff = t.off
+	return u, true, nil
 }

@@ -164,8 +164,8 @@ func TestTailerStreamsUnits(t *testing.T) {
 	if err != nil || u.Kind != UnitEpoch || u.TxID != 1 || string(u.Meta) != "m" {
 		t.Fatalf("unit 4: %+v, %v", u, err)
 	}
-	if tl.Offset() != dev.Size() || tl.NextLSN() != u.EndLSN+1 {
-		t.Fatalf("cursor %d/%d after draining device of %d bytes", tl.Offset(), tl.NextLSN(), dev.Size())
+	if u.EndOff != dev.Size() || u.EndLSN != w.Stats().LastLSN {
+		t.Fatalf("cursor %d/%d after draining device of %d bytes", u.EndOff, u.EndLSN, dev.Size())
 	}
 	if _, ok, err := tl.TryNext(); ok || err != nil {
 		t.Fatalf("TryNext at EOF: ok=%v err=%v", ok, err)

@@ -204,10 +204,7 @@ func (w *Writer) AppendEpoch(epoch uint64, membership []byte) error {
 	if w.failed != nil {
 		return w.failedLocked()
 	}
-	w.buf = w.buf[:0]
-	w.lsn++
-	w.buf = Encode(w.buf, Record{Kind: KindEpoch, LSN: w.lsn, TxID: epoch, Meta: membership})
-	if err := w.appendLocked(w.buf, 1); err != nil {
+	if err := w.appendLocked(&Unit{Kind: UnitEpoch, TxID: epoch, Meta: membership}); err != nil {
 		return err
 	}
 	if err := w.dev.Sync(); err != nil {
@@ -288,11 +285,8 @@ func (w *Writer) Mark(txid uint64, flags uint8) error {
 	if w.failed != nil {
 		return w.failedLocked()
 	}
-	w.buf = w.buf[:0]
-	w.lsn++
-	w.buf = Encode(w.buf, Record{Kind: KindMark, Flags: flags, LSN: w.lsn, TxID: txid})
 	w.stats.marks++
-	return w.appendLocked(w.buf, 1)
+	return w.appendLocked(&Unit{Kind: UnitMark, Flags: flags, TxID: txid})
 }
 
 // Checkpoint writes an in-log snapshot: it freezes appends, collects the
@@ -316,17 +310,7 @@ func (w *Writer) Checkpoint(fn func() ([]Op, error)) error {
 	if err != nil {
 		return err
 	}
-	w.buf = w.buf[:0]
-	w.lsn++
-	w.buf = Encode(w.buf, Record{Kind: KindCheckpointBegin, LSN: w.lsn})
-	for _, op := range ops {
-		w.lsn++
-		w.buf = Encode(w.buf, Record{Kind: KindCheckpointEntry, LSN: w.lsn, Op: op})
-	}
-	w.lsn++
-	end := w.lsn
-	w.buf = Encode(w.buf, Record{Kind: KindCheckpointEnd, LSN: w.lsn, TxID: uint64(len(ops))})
-	if err := w.appendLocked(w.buf, uint64(len(ops)+2)); err != nil {
+	if err := w.appendLocked(&Unit{Kind: UnitCheckpoint, Checkpoint: ops}); err != nil {
 		return err
 	}
 	if err := w.dev.Sync(); err != nil {
@@ -339,7 +323,7 @@ func (w *Writer) Checkpoint(fn func() ([]Op, error)) error {
 	w.stats.durableLSN = w.lsn
 	w.observeSyncLocked(w.sinceSync)
 	w.sinceSync = 0
-	w.stats.checkptLSN = end
+	w.stats.checkptLSN = w.lsn
 	w.stats.checkptOps = uint64(len(ops))
 	return nil
 }
@@ -433,16 +417,7 @@ func earlierOpOnPart(ops []Op, part int) bool {
 
 // encodeAppendLocked writes t's frame group and advances the gate.
 func (w *Writer) encodeAppendLocked(t *pendingTxn) {
-	w.buf = w.buf[:0]
-	w.lsn++
-	w.buf = Encode(w.buf, Record{Kind: KindBegin, Flags: t.flags, LSN: w.lsn, TxID: t.id})
-	for i := range t.ops {
-		w.lsn++
-		w.buf = Encode(w.buf, Record{Kind: KindOp, Flags: t.flags, LSN: w.lsn, TxID: t.id, Op: t.ops[i]})
-	}
-	w.lsn++
-	w.buf = Encode(w.buf, Record{Kind: KindCommit, Flags: t.flags, LSN: w.lsn, TxID: t.id})
-	err := w.appendLocked(w.buf, uint64(len(t.ops)+2))
+	err := w.appendLocked(&Unit{Kind: UnitTxn, Flags: t.flags, Txn: TxnGroup{TxID: t.id, Ops: t.ops}})
 	for i := range t.ops {
 		op := &t.ops[i]
 		if op.Rev != 0 {
@@ -459,17 +434,20 @@ func (w *Writer) encodeAppendLocked(t *pendingTxn) {
 	w.cond.Broadcast()
 }
 
-// appendLocked writes buf to the device, updating counters and failing the
-// writer permanently on device errors.
-func (w *Writer) appendLocked(buf []byte, frames uint64) error {
-	if err := w.dev.Append(buf); err != nil {
+// appendLocked encodes u at the next LSNs and writes it to the device in
+// one append, updating counters and failing the writer permanently on
+// device errors.
+func (w *Writer) appendLocked(u *Unit) error {
+	first := w.lsn + 1
+	w.buf, w.lsn = appendUnit(w.buf[:0], u, first)
+	if err := w.dev.Append(w.buf); err != nil {
 		w.failed = err
 		w.cond.Broadcast()
 		return err
 	}
-	w.appended += len(buf)
-	w.stats.frames += frames
-	w.stats.bytes += uint64(len(buf))
+	w.appended += len(w.buf)
+	w.stats.frames += w.lsn - first + 1
+	w.stats.bytes += uint64(len(w.buf))
 	if w.onAppend != nil {
 		w.onAppend()
 	}
