@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"rhtm"
-	"rhtm/wal"
 )
 
 // Batched operations: a Batch groups independent single-key operations into
@@ -44,11 +43,11 @@ type BatchResult struct {
 	Found bool
 }
 
-// batchKey is one distinct key of a single-System batch, with the
-// batch-order indices of the operations touching it.
+// batchKey is one distinct key of a single-System batch, and whether an
+// operation of the batch writes it.
 type batchKey struct {
-	key []byte
-	ops []int
+	key     []byte
+	written bool
 }
 
 // Batch executes ops as one atomic transaction and returns per-op results,
@@ -95,93 +94,48 @@ func (cl *Client) batchTxn(ops []BatchOp, results []BatchResult) error {
 	return cl.commit(t)
 }
 
-// batchLocal runs a single-System batch as one engine transaction: all the
+// batchLocal runs a single-System batch through commitOn: all the
 // atomicity comes from the engine, exactly like commitLocal.
 func (cl *Client) batchLocal(nodeID int, ops []BatchOp, results []BatchResult) error {
-	// Group op indices by distinct key (ascending), preserving batch order
-	// within a key: one sort of the indices by (key, index) makes each key's
-	// operations a run of it.
+	// Group the ops by distinct key, ascending: one sort of their indices
+	// by key makes each key's operations a run of it.
 	idx := make([]int, len(ops))
 	for i := range idx {
 		idx[i] = i
 	}
-	slices.SortFunc(idx, func(a, b int) int {
-		if c := bytes.Compare(ops[a].Key, ops[b].Key); c != 0 {
-			return c
-		}
-		return a - b
-	})
+	slices.SortFunc(idx, func(a, b int) int { return bytes.Compare(ops[a].Key, ops[b].Key) })
 	keys := make([]batchKey, 0, len(ops))
 	for lo, hi := 0, 0; lo < len(idx); lo = hi {
+		written := false
 		for hi < len(idx) && bytes.Equal(ops[idx[hi]].Key, ops[idx[lo]].Key) {
+			written = written || ops[idx[hi]].Kind != BatchGet
 			hi++
 		}
-		keys = append(keys, batchKey{key: ops[idx[lo]].Key, ops: idx[lo:hi]})
+		keys = append(keys, batchKey{key: ops[idx[lo]].Key, written: written})
 	}
-	n := cl.c.nodes[nodeID]
-	var recs []wal.Op
-	var maxRev uint64
-	err := cl.threads[nodeID].Atomic(func(tx rhtm.Tx) error {
-		recs = recs[:0] // the body re-executes on engine aborts
-		maxRev = 0
+	err := cl.commitOn(nodeID, func(tx rhtm.Tx, w *localWrites) error {
 		for i := range keys {
-			written := false
-			for _, op := range keys[i].ops {
-				if ops[op].Kind != BatchGet {
-					written = true
-					break
-				}
-			}
-			if written {
-				if n.st.AnyIntentOn(tx, keys[i].key) {
-					return ErrConflict
-				}
-			} else if _, held := n.st.WriteIntentOn(tx, keys[i].key); held {
+			if !w.free(tx, keys[i].key, keys[i].written) {
 				return ErrConflict
 			}
 		}
 		// Every operation is this System's: execute them in batch order,
 		// exactly as submitted.
-		for op := range ops {
-			switch ops[op].Kind {
+		for i, op := range ops {
+			switch op.Kind {
 			case BatchGet:
-				v, ok := n.st.Get(tx, ops[op].Key)
-				results[op] = BatchResult{Value: v, Found: ok}
-			case BatchPut:
-				rev, err := n.st.PutStamped(tx, ops[op].Key, ops[op].Value, 0)
+				v, ok := w.n.st.Get(tx, op.Key)
+				results[i] = BatchResult{Value: v, Found: ok}
+			default:
+				found, err := w.write(tx, op.Key, Write{Value: op.Value, Delete: op.Kind == BatchDelete})
 				if err != nil {
 					return err
 				}
-				if rev > maxRev {
-					maxRev = rev
-				}
-				if cl.c.wal != nil {
-					recs = append(recs, wal.Op{Kind: wal.OpPut,
-						Key: ops[op].Key, Value: ops[op].Value, Rev: rev})
-				}
-				results[op] = BatchResult{}
-			default:
-				rev, found := n.st.DeleteStamped(tx, ops[op].Key)
-				if found {
-					if rev > maxRev {
-						maxRev = rev
-					}
-					if cl.c.wal != nil {
-						recs = append(recs, wal.Op{Kind: wal.OpDelete, Key: ops[op].Key, Rev: rev})
-					}
-				}
-				results[op] = BatchResult{Found: found}
+				results[i] = BatchResult{Found: found}
 			}
 		}
 		return nil
 	})
 	cl.countIntentWait(err)
-	if err == nil {
-		cl.c.localTxns.Add(1)
-		if maxRev > cl.lastRev {
-			cl.lastRev = maxRev
-		}
-		return cl.logLocal(nodeID, recs)
-	}
 	return err
 }

@@ -7,8 +7,9 @@
 // (RH1/RH2 scale hybrid transactions *within* one coherence domain), so
 // atomicity across Systems needs an explicit commit protocol.
 //
-// Transactions touching a single System run as one local engine
-// transaction. Transactions spanning Systems run two-phase commit:
+// Transactions touching a single System — a Batch or a Txn — run as one
+// local engine transaction (commitOn, the one single-System commit).
+// Transactions spanning Systems run two-phase commit:
 //
 //   - Phase 1 visits each participant System in ascending id order (keys
 //     in ascending byte order within each) and runs one prepare
@@ -18,9 +19,10 @@
 //     intent API). A pending intent by another transaction, or a failed
 //     validation, aborts the prepare — all-or-nothing per participant,
 //     because it is one engine transaction.
-//   - The coordinator then appends its decision (commit iff every
-//     participant prepared) to the cluster's decision log — the commit
-//     point.
+//   - The coordinator then decides: commit iff every participant
+//     prepared — the commit point. With a WAL attached the commit decision
+//     is synced to the coordinator log first, and that log is the only
+//     decision record (recovery reads it; see wal.go).
 //   - Phase 2 runs one transaction per participant applying (or, on
 //     abort, discarding) the intents.
 //
@@ -37,7 +39,7 @@
 // is the one loop that decides it, for this backend and every other.
 //
 // See DESIGN.md §6 for what this simulation does and does not model about
-// a real cluster (no failures, no network, a host-memory decision log).
+// a real cluster (no network; crashes only as the WAL models them).
 package cluster
 
 import (
@@ -108,23 +110,6 @@ func (r Router) SystemFor(key []byte) int {
 // Systems returns the number of Systems routed over.
 func (r Router) Systems() int { return r.systems }
 
-// Decision is one coordinator commit/abort record. The log orders
-// decisions; a conformance checker can replay it against observed state to
-// prove atomicity (every transaction's effects appear on all participants
-// or none). Commit records are always retained — they are the atomicity
-// evidence; an absent txid means abort. Abort records are kept only up to
-// maxAbortDecisions (long contended runs can abort millions of attempts),
-// beyond which they are counted in Stats.CrossAborts but not retained.
-type Decision struct {
-	// TxID is the cluster-unique transaction id.
-	TxID uint64
-	// Commit reports the coordinator's verdict.
-	Commit bool
-	// Participants lists the involved node ids, ascending — the prepare
-	// (and phase 2) visit order.
-	Participants []int
-}
-
 // Cluster is the share-nothing multi-System store.
 type Cluster struct {
 	cfg    Config
@@ -132,10 +117,6 @@ type Cluster struct {
 	nodes  []*Node
 
 	nextTxID atomic.Uint64
-
-	decMu        sync.Mutex
-	decisions    []Decision
-	abortsLogged int
 
 	// wal, when attached, holds the durability streams; walMu is the
 	// checkpoint drain: cross-System commits hold it in read mode from
@@ -249,41 +230,9 @@ func (c *Cluster) Len() int {
 	return total
 }
 
-// Decisions returns a copy of the coordinator decision log, in decision
-// order.
-func (c *Cluster) Decisions() []Decision {
-	c.decMu.Lock()
-	defer c.decMu.Unlock()
-	out := make([]Decision, len(c.decisions))
-	copy(out, c.decisions)
-	return out
-}
-
-// maxAbortDecisions bounds retained abort records; see Decision.
-const maxAbortDecisions = 4096
-
-// decide appends the coordinator's verdict for txid. Appending commit=true
-// is the transaction's commit point: intents become obligations that phase
-// 2 discharges.
-func (c *Cluster) decide(txid uint64, commit bool, parts []participant) {
-	p := make([]int, len(parts))
-	for i := range parts {
-		p[i] = parts[i].id
-	}
-	c.decMu.Lock()
-	if commit || c.abortsLogged < maxAbortDecisions {
-		if !commit {
-			c.abortsLogged++
-		}
-		c.decisions = append(c.decisions, Decision{TxID: txid, Commit: commit, Participants: p})
-	}
-	c.decMu.Unlock()
-}
-
 // Validate checks every System's store invariants and that no intent is
 // left pending — after a quiescent point every decided transaction must
-// have discharged its intents. It also cross-checks the decision log:
-// transaction ids are unique and participants are sorted.
+// have discharged its intents.
 func (c *Cluster) Validate() error {
 	for _, n := range c.nodes {
 		if err := n.st.Validate(); err != nil {
@@ -291,19 +240,6 @@ func (c *Cluster) Validate() error {
 		}
 		if p := n.st.PendingIntents(containers.SetupTx(n.sys)); p != 0 {
 			return fmt.Errorf("cluster: system %d has %d orphaned intents", n.id, p)
-		}
-	}
-	seen := map[uint64]bool{}
-	for _, d := range c.Decisions() {
-		if seen[d.TxID] {
-			return fmt.Errorf("cluster: duplicate decision for txn %d", d.TxID)
-		}
-		seen[d.TxID] = true
-		for i := 1; i < len(d.Participants); i++ {
-			if d.Participants[i-1] >= d.Participants[i] {
-				return fmt.Errorf("cluster: txn %d participants not ascending: %v",
-					d.TxID, d.Participants)
-			}
 		}
 	}
 	return nil
@@ -317,14 +253,23 @@ func (c *Cluster) SetMetrics(prepare, finish *obs.Histogram) {
 	c.finishHist = finish
 }
 
-// Counters is the live (atomically readable) subset of Stats: the
+// Counters is the live (atomically readable) part of Stats: the
 // host-side protocol counters. Unlike Stats — which merges quiescent-only
 // engine snapshots and store counters — Counters is safe to call while
 // clients are running.
 type Counters struct {
-	LocalTxns, LocalConflicts                                           uint64
+	// LocalTxns / LocalConflicts count single-System transactions
+	// committed / refused at commit.
+	LocalTxns, LocalConflicts uint64
+	// CrossTxns counts 2PC attempts; CrossCommits/CrossAborts the
+	// decisions; PrepareConflicts individual refused prepares;
+	// IntentWaits operations turned away by a pending intent.
 	CrossTxns, CrossCommits, CrossAborts, PrepareConflicts, IntentWaits uint64
-	SnapshotScans, ScanRetries, PhantomConflicts                        uint64
+	// SnapshotScans counts validated snapshot scans returned; ScanRetries
+	// counts scans whose two passes a concurrent commit tore apart;
+	// PhantomConflicts counts commits refused because a key entered a range
+	// the transaction had scanned.
+	SnapshotScans, ScanRetries, PhantomConflicts uint64
 }
 
 // Counters snapshots the protocol counters without quiescence.
@@ -354,37 +299,14 @@ type Stats struct {
 	PerSystemAccesses []uint64
 	// Store sums every System's store counters.
 	Store store.Stats
-
-	// LocalTxns / LocalConflicts count single-System transactions
-	// committed / refused at commit.
-	LocalTxns, LocalConflicts uint64
-	// CrossTxns counts 2PC attempts; CrossCommits/CrossAborts the
-	// decisions; PrepareConflicts individual refused prepares;
-	// IntentWaits operations turned away by a pending intent.
-	CrossTxns, CrossCommits, CrossAborts, PrepareConflicts, IntentWaits uint64
-	// SnapshotScans counts validated snapshot scans returned; ScanRetries
-	// counts scans whose two passes a concurrent commit tore apart;
-	// PhantomConflicts counts commits refused because a key entered a range
-	// the transaction had scanned.
-	SnapshotScans, ScanRetries, PhantomConflicts uint64
+	// Counters are the protocol counters, as Cluster.Counters reads them.
+	Counters
 }
 
 // Stats snapshots the cluster. Only call while no clients are inside an
 // operation.
 func (c *Cluster) Stats() Stats {
-	out := Stats{
-		LocalTxns:         c.localTxns.Load(),
-		LocalConflicts:    c.localConflicts.Load(),
-		CrossTxns:         c.crossTxns.Load(),
-		CrossCommits:      c.crossCommits.Load(),
-		CrossAborts:       c.crossAborts.Load(),
-		PrepareConflicts:  c.prepareConflicts.Load(),
-		IntentWaits:       c.intentWaits.Load(),
-		SnapshotScans:     c.snapshotScans.Load(),
-		ScanRetries:       c.scanRetries.Load(),
-		PhantomConflicts:  c.phantomConflicts.Load(),
-		PerSystemAccesses: make([]uint64, len(c.nodes)),
-	}
+	out := Stats{Counters: c.Counters(), PerSystemAccesses: make([]uint64, len(c.nodes))}
 	for i, n := range c.nodes {
 		es := n.eng.Snapshot()
 		out.Engines.Add(es)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -103,17 +104,50 @@ func crossPair(t *testing.T, c *Cluster) ([]byte, []byte) {
 	}
 }
 
+// one runs op as a one-op batch.
+func one(cl *Client, op BatchOp) (BatchResult, error) {
+	res, err := cl.Batch([]BatchOp{op})
+	if err != nil {
+		return BatchResult{}, err
+	}
+	return res[0], nil
+}
+
+// engineCommits returns every System's engine commit count.
+func engineCommits(c *Cluster) []uint64 {
+	out := make([]uint64, c.NumSystems())
+	for i := range out {
+		out[i] = c.Node(i).Engine().Snapshot().Commits()
+	}
+	return out
+}
+
+// wantCommitDeltas checks how many engine transactions each System
+// committed since before: want for the Systems in parts, 0 for the rest.
+func wantCommitDeltas(t *testing.T, c *Cluster, before []uint64, want uint64, parts ...int) {
+	t.Helper()
+	for i, now := range engineCommits(c) {
+		w := uint64(0)
+		if slices.Contains(parts, i) {
+			w = want
+		}
+		if got := now - before[i]; got != w {
+			t.Errorf("System %d committed %d engine transactions, want %d", i, got, w)
+		}
+	}
+}
+
 func TestLocalOpsLogNoDecisions(t *testing.T) {
 	c := MustNew(smallConfig(2))
 	cl := c.NewClient()
-	if err := cl.Put([]byte("k"), []byte("v")); err != nil {
+	if _, err := one(cl, BatchOp{Kind: BatchPut, Key: []byte("k"), Value: []byte("v")}); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, err := cl.Get([]byte("k"))
-	if err != nil || !ok || !bytes.Equal(v, []byte("v")) {
-		t.Fatalf("Get = %q,%v,%v", v, ok, err)
+	r, err := one(cl, BatchOp{Kind: BatchGet, Key: []byte("k")})
+	if err != nil || !r.Found || !bytes.Equal(r.Value, []byte("v")) {
+		t.Fatalf("Get = %+v,%v", r, err)
 	}
-	if _, err := cl.Delete([]byte("k")); err != nil {
+	if _, err := one(cl, BatchOp{Kind: BatchDelete, Key: []byte("k")}); err != nil {
 		t.Fatal(err)
 	}
 	// Single-System multi-key transactions stay local too.
@@ -129,9 +163,6 @@ func TestLocalOpsLogNoDecisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Decisions(); len(got) != 0 {
-		t.Fatalf("local operations appended %d coordinator decisions", len(got))
-	}
 	st := c.Stats()
 	if st.CrossTxns != 0 || st.LocalTxns == 0 {
 		t.Fatalf("stats = cross %d local %d, want cross 0 local >0", st.CrossTxns, st.LocalTxns)
@@ -142,6 +173,7 @@ func TestCrossSystemCommit(t *testing.T) {
 	c := MustNew(smallConfig(4))
 	keyA, keyB := crossPair(t, c)
 	cl := c.NewClient()
+	before := engineCommits(c)
 	err := cl.Txn(func(tx *Txn) error {
 		tx.Put(keyA, []byte("alpha"))
 		tx.Put(keyB, []byte("beta"))
@@ -156,19 +188,11 @@ func TestCrossSystemCommit(t *testing.T) {
 	if v, _ := c.Peek(keyB); !bytes.Equal(v, []byte("beta")) {
 		t.Fatalf("keyB = %q", v)
 	}
-	decs := c.Decisions()
-	if len(decs) != 1 || !decs[0].Commit {
-		t.Fatalf("decisions = %+v, want one commit", decs)
+	if got := c.Counters(); got.CrossTxns != 1 || got.CrossCommits != 1 || got.CrossAborts != 0 {
+		t.Fatalf("counters = %+v, want one 2PC round, committed", got)
 	}
-	wantA, wantB := c.Router().SystemFor(keyA), c.Router().SystemFor(keyB)
-	if len(decs[0].Participants) != 2 {
-		t.Fatalf("participants = %v", decs[0].Participants)
-	}
-	for _, p := range decs[0].Participants {
-		if p != wantA && p != wantB {
-			t.Fatalf("unexpected participant %d (want %d and %d)", p, wantA, wantB)
-		}
-	}
+	// Each participant pays one prepare and one finish; the others nothing.
+	wantCommitDeltas(t, c, before, 2, c.Router().SystemFor(keyA), c.Router().SystemFor(keyB))
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +222,7 @@ func TestCrossReadValidation(t *testing.T) {
 		if attempt == 1 {
 			// Invalidate the read before commit: the first attempt must
 			// conflict at prepare, not commit a stale sum.
-			if err := other.Put(keyA, []byte{10}); err != nil {
+			if _, err := one(other, BatchOp{Kind: BatchPut, Key: keyA, Value: []byte{10}}); err != nil {
 				return err
 			}
 		}
@@ -325,10 +349,8 @@ func TestTwoPhaseRound(t *testing.T) {
 				if got := r.c.Stats().PrepareConflicts; got != 1 {
 					t.Errorf("PrepareConflicts = %d, want 1: a round is one attempt", got)
 				}
-				for _, d := range r.c.Decisions() {
-					if d.Commit {
-						t.Errorf("conflicted transaction logged a commit decision: %+v", d)
-					}
+				if got := r.c.Counters().CrossCommits; got != 0 {
+					t.Errorf("conflicted transaction committed: %d commit decisions", got)
 				}
 				// Releasing the parked intent lets the same write through.
 				n, tx := parked(r)
@@ -438,7 +460,8 @@ func TestIntentBlocksReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := c.NewClient()
-	if _, _, err := cl.Get([]byte("k")); !errors.Is(err, ErrConflict) {
+	get := BatchOp{Kind: BatchGet, Key: []byte("k")}
+	if _, err := one(cl, get); !errors.Is(err, ErrConflict) {
 		t.Fatalf("Get under intent err = %v, want ErrConflict", err)
 	}
 	if got := c.Stats().IntentWaits; got != 1 {
@@ -447,9 +470,9 @@ func TestIntentBlocksReaders(t *testing.T) {
 	if _, err := n.Store().ApplyIntent(setup, []byte("k"), 7); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, err := cl.Get([]byte("k"))
-	if err != nil || !ok || !bytes.Equal(v, []byte("new")) {
-		t.Fatalf("Get after apply = %q,%v,%v", v, ok, err)
+	r, err := one(cl, get)
+	if err != nil || !r.Found || !bytes.Equal(r.Value, []byte("new")) {
+		t.Fatalf("Get after apply = %+v,%v", r, err)
 	}
 }
 
@@ -469,8 +492,8 @@ func TestTxnUserAbort(t *testing.T) {
 	if _, ok := c.Peek(keyA); ok {
 		t.Fatal("aborted body leaked a write")
 	}
-	if len(c.Decisions()) != 0 {
-		t.Fatal("aborted body reached the coordinator")
+	if got := c.Counters().CrossTxns; got != 0 {
+		t.Fatalf("aborted body reached the coordinator: %d 2PC rounds", got)
 	}
 }
 
@@ -524,12 +547,13 @@ func TestBatchLocalAndCross(t *testing.T) {
 	if !res[1].Found || !bytes.Equal(res[1].Value, []byte("one")) {
 		t.Fatalf("local batch get-after-put = %+v", res[1])
 	}
-	if len(c.Decisions()) != 0 {
-		t.Fatalf("single-System batch reached the coordinator: %+v", c.Decisions())
+	if got := c.Counters(); got.CrossTxns != 0 || got.LocalTxns != 1 {
+		t.Fatalf("single-System batch: counters %+v, want one local transaction and no 2PC round", got)
 	}
 
 	// Cross batch: keys on two Systems, gets observing in-batch puts,
 	// deletes reporting prior presence.
+	before := engineCommits(c)
 	res, err = cl.Batch([]BatchOp{
 		{Kind: BatchGet, Key: keyB},                         // absent
 		{Kind: BatchPut, Key: keyB, Value: []byte("two")},   //
@@ -553,10 +577,12 @@ func TestBatchLocalAndCross(t *testing.T) {
 	if res[4].Found {
 		t.Fatalf("cross batch get-after-delete = %+v", res[4])
 	}
-	decs := c.Decisions()
-	if len(decs) != 1 || !decs[0].Commit || len(decs[0].Participants) != 2 {
-		t.Fatalf("cross batch decisions = %+v, want one 2-participant commit", decs)
+	if got := c.Counters(); got.CrossTxns != 1 || got.CrossCommits != 1 {
+		t.Fatalf("cross batch: counters %+v, want one 2PC round, committed", got)
 	}
+	// Each participant pays one read-through (keyB's first Get, keyA's
+	// Delete), one prepare and one finish; the others nothing.
+	wantCommitDeltas(t, c, before, 3, c.Router().SystemFor(keyA), c.Router().SystemFor(keyB))
 	if v, _ := c.Peek(keyA); !bytes.Equal(v, []byte("three")) {
 		t.Fatalf("keyA = %q", v)
 	}
@@ -686,14 +712,15 @@ func TestSharedReadIntentsCluster(t *testing.T) {
 
 	cl := c.NewClient()
 	// Reads and snapshot scans pass straight through the pinned key.
-	if v, ok, err := cl.Get([]byte("k")); err != nil || !ok || string(v) != "v" {
-		t.Fatalf("Get under read intents = %q,%v,%v", v, ok, err)
+	if r, err := one(cl, BatchOp{Kind: BatchGet, Key: []byte("k")}); err != nil || !r.Found || string(r.Value) != "v" {
+		t.Fatalf("Get under read intents = %+v,%v", r, err)
 	}
 	if entries, err := cl.ScanSnapshot(nil, nil, 0); err != nil || len(entries) != 1 {
 		t.Fatalf("ScanSnapshot under read intents = %v, %v", entries, err)
 	}
 	// Writers must wait for the pinned readers: the Put conflicts.
-	if err := cl.Put([]byte("k"), []byte("w")); !errors.Is(err, ErrConflict) {
+	put := BatchOp{Kind: BatchPut, Key: []byte("k"), Value: []byte("w")}
+	if _, err := one(cl, put); !errors.Is(err, ErrConflict) {
 		t.Fatalf("Put under read intents err = %v, want ErrConflict", err)
 	}
 	if got := c.Stats().IntentWaits; got != 1 {
@@ -706,7 +733,7 @@ func TestSharedReadIntentsCluster(t *testing.T) {
 	if err := n.Store().DiscardIntent(setup, []byte("k"), 102); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Put([]byte("k"), []byte("w")); err != nil {
+	if _, err := one(cl, put); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Validate(); err != nil {

@@ -82,23 +82,13 @@ func (cl *Client) StoreStats() (store.Stats, error) {
 	return total, nil
 }
 
-// Get returns key's committed value with a local transaction on the owning
-// System. A pending *write* intent makes the value undecided (its
-// cross-System writer may commit or abort), so the read returns ErrConflict
-// rather than a value that may be mid-replacement; shared read intents pin
-// values without changing them and never block a read.
-func (cl *Client) Get(key []byte) ([]byte, bool, error) {
-	rec, err := cl.Read(key)
-	if err == nil {
-		cl.c.localTxns.Add(1)
-	}
-	return rec.Value, rec.Found, err
-}
-
-// Read is Get returning the whole committed record, without the
-// local-transaction counter bump: it is the Client's half of Source, so a
-// Txn's read-throughs do not count as client-level operations in the
-// harness's local-vs-cross traffic split.
+// Read returns key's committed record with a read-only engine transaction
+// on the owning System. A pending *write* intent makes the value undecided
+// (its cross-System writer may commit or abort), so the read returns
+// ErrConflict rather than a value that may be mid-replacement; shared read
+// intents pin values without changing them and never block a read. Read is
+// the Client's half of Source: a Txn's read-throughs are not client-level
+// operations, so it counts no local transaction.
 func (cl *Client) Read(key []byte) (Record, error) {
 	n := cl.c.nodes[cl.c.router.SystemFor(key)]
 	var rec Record
@@ -115,68 +105,11 @@ func (cl *Client) Read(key []byte) (Record, error) {
 
 // countIntentWait counts a single-System operation turned away by a pending
 // intent. Counters of completed operations are the caller's business:
-// client-level operations bump localTxns, Txn read-throughs do not.
+// commitOn counts the commits, Txn read-throughs count nothing.
 func (cl *Client) countIntentWait(err error) {
 	if err == ErrConflict {
 		cl.c.intentWaits.Add(1)
 	}
-}
-
-// Put stores key→value with a local transaction on the owning System. Any
-// pending intent on key makes it ErrConflict (writers wait for pinned
-// readers too).
-func (cl *Client) Put(key, value []byte) error {
-	return cl.PutLease(key, value, 0)
-}
-
-// PutLease is Put with a lease attachment (0 detaches).
-func (cl *Client) PutLease(key, value []byte, lease uint64) error {
-	n := cl.c.nodes[cl.c.router.SystemFor(key)]
-	var rev uint64
-	err := cl.threads[n.id].Atomic(func(tx rhtm.Tx) error {
-		if n.st.AnyIntentOn(tx, key) {
-			return ErrConflict
-		}
-		var err error
-		rev, err = n.st.PutStamped(tx, key, value, lease)
-		return err
-	})
-	cl.countIntentWait(err)
-	if err == nil {
-		cl.c.localTxns.Add(1)
-		if cl.c.wal != nil {
-			return cl.logLocal(n.id, []wal.Op{{
-				Kind: wal.OpPut, Key: copyVal(key), Value: copyVal(value),
-				Rev: rev, Lease: lease,
-			}})
-		}
-	}
-	return err
-}
-
-// Delete removes key with a local transaction on the owning System; any
-// pending intent on key makes it ErrConflict.
-func (cl *Client) Delete(key []byte) (bool, error) {
-	n := cl.c.nodes[cl.c.router.SystemFor(key)]
-	var present bool
-	var rev uint64
-	err := cl.threads[n.id].Atomic(func(tx rhtm.Tx) error {
-		if n.st.AnyIntentOn(tx, key) {
-			return ErrConflict
-		}
-		rev, present = n.st.DeleteStamped(tx, key)
-		return nil
-	})
-	cl.countIntentWait(err)
-	if err == nil {
-		cl.c.localTxns.Add(1)
-		if present && cl.c.wal != nil {
-			if werr := cl.logLocal(n.id, []wal.Op{{Kind: wal.OpDelete, Key: copyVal(key), Rev: rev}}); werr != nil {
-				return present, werr
-			}
-		}
-	}
-	return present, err
 }
 
 // --- multi-key transactions ---
@@ -616,72 +549,96 @@ func (cl *Client) commit(t *Txn) error {
 	}
 }
 
-// commitLocal validates and applies a single-System footprint as one engine
-// transaction. No intents are needed: the engine's own conflict detection
-// makes validate+apply atomic against every other transaction on that
-// System, and the intent check keeps it correct against in-flight 2PC —
-// written keys must wait for any pending intent (pinned readers included),
-// read-only keys only for write intents.
-func (cl *Client) commitLocal(nodeID int, keys []txnKey, t *Txn) error {
-	n := cl.c.nodes[nodeID]
-	var recs []wal.Op
-	var maxRev uint64
+// localWrites stamps the writes of one single-System commit: each takes
+// its revision from the store, the commit keeps the highest, and with a
+// log attached each becomes a record of the System's stream.
+type localWrites struct {
+	n      *Node
+	log    bool
+	recs   []wal.Op
+	maxRev uint64
+}
+
+// free reports whether the commit may touch key without waiting on 2PC: a
+// written key waits for any pending intent (pinned readers too), a key it
+// only reads for a write intent alone.
+func (w *localWrites) free(tx rhtm.Tx, key []byte, written bool) bool {
+	if written {
+		return !w.n.st.AnyIntentOn(tx, key)
+	}
+	_, held := w.n.st.WriteIntentOn(tx, key)
+	return !held
+}
+
+// write applies one buffered write to key and stamps it. For a delete it
+// reports whether key was present; removing an absent key writes nothing.
+func (w *localWrites) write(tx rhtm.Tx, key []byte, b Write) (bool, error) {
+	var op wal.Op
+	if b.Delete {
+		rev, found := w.n.st.DeleteStamped(tx, key)
+		if !found {
+			return false, nil
+		}
+		op = wal.Op{Kind: wal.OpDelete, Key: key, Rev: rev}
+	} else {
+		rev, err := w.n.st.PutStamped(tx, key, b.Value, b.Lease)
+		if err != nil {
+			return false, err
+		}
+		op = wal.Op{Kind: wal.OpPut, Key: key, Value: b.Value, Rev: rev, Lease: b.Lease}
+	}
+	w.maxRev = max(w.maxRev, op.Rev)
+	if w.log {
+		w.recs = append(w.recs, op)
+	}
+	return b.Delete, nil
+}
+
+// commitOn is the one single-System commit: body runs as one engine
+// transaction on System nodeID, writing through w, and once it committed
+// the transaction counts as local, raises LastCommitRev and is logged to
+// the System's stream. No intents are needed: the engine's own conflict
+// detection makes the body atomic against every other transaction on that
+// System, and the body's intent checks (w.free) keep it correct against
+// in-flight 2PC. The caller keeps its own checks and counts its refusals.
+func (cl *Client) commitOn(nodeID int, body func(tx rhtm.Tx, w *localWrites) error) error {
+	w := localWrites{n: cl.c.nodes[nodeID], log: cl.c.wal != nil}
 	err := cl.threads[nodeID].Atomic(func(tx rhtm.Tx) error {
-		recs = recs[:0] // the body re-executes on engine aborts
-		maxRev = 0
-		if len(t.scans) > 0 && !scansValid(tx, n, t) {
+		w.recs, w.maxRev = w.recs[:0], 0 // the body re-executes on engine aborts
+		return body(tx, &w)
+	})
+	if err != nil {
+		return err
+	}
+	cl.c.localTxns.Add(1)
+	cl.lastRev = max(cl.lastRev, w.maxRev)
+	return cl.logLocal(nodeID, w.recs)
+}
+
+// commitLocal validates and applies a single-System footprint through
+// commitOn: scan ranges first, then each key's intents and recorded read,
+// then the buffered writes.
+func (cl *Client) commitLocal(nodeID int, keys []txnKey, t *Txn) error {
+	err := cl.commitOn(nodeID, func(tx rhtm.Tx, w *localWrites) error {
+		if len(t.scans) > 0 && !scansValid(tx, w.n, t) {
 			return errPhantom
 		}
 		for i := range keys {
 			k := &keys[i]
-			if k.written {
-				if n.st.AnyIntentOn(tx, k.key) {
-					return ErrConflict
-				}
-			} else if _, held := n.st.WriteIntentOn(tx, k.key); held {
-				return ErrConflict
-			}
-			if k.wasRead && !validRead(tx, n, k) {
+			if !w.free(tx, k.key, k.written) || k.wasRead && !validRead(tx, w.n, k) {
 				return ErrConflict
 			}
 		}
 		for i := range keys {
-			k := &keys[i]
-			if !k.written {
-				continue
-			}
-			if k.write.Delete {
-				if rev, ok := n.st.DeleteStamped(tx, k.key); ok {
-					if rev > maxRev {
-						maxRev = rev
-					}
-					if cl.c.wal != nil {
-						recs = append(recs, wal.Op{Kind: wal.OpDelete, Key: k.key, Rev: rev})
-					}
-				}
-			} else {
-				rev, err := n.st.PutStamped(tx, k.key, k.write.Value, k.write.Lease)
-				if err != nil {
+			if k := &keys[i]; k.written {
+				if _, err := w.write(tx, k.key, k.write); err != nil {
 					return err
-				}
-				if rev > maxRev {
-					maxRev = rev
-				}
-				if cl.c.wal != nil {
-					recs = append(recs, wal.Op{Kind: wal.OpPut, Key: k.key,
-						Value: k.write.Value, Rev: rev, Lease: k.write.Lease})
 				}
 			}
 		}
 		return nil
 	})
 	switch err {
-	case nil:
-		cl.c.localTxns.Add(1)
-		if maxRev > cl.lastRev {
-			cl.lastRev = maxRev
-		}
-		return cl.logLocal(nodeID, recs)
 	case ErrConflict:
 		cl.c.localConflicts.Add(1)
 	case errPhantom:
@@ -735,8 +692,8 @@ func (cl *Client) commitCross(parts []participant, t *Txn) error {
 		}
 	}
 
-	// Decision: commit iff every participant prepared. The log append is
-	// the commit point; phase 2 merely discharges it. With a WAL attached,
+	// Decision: commit iff every participant prepared. The verdict is the
+	// commit point; phase 2 merely discharges it. With a WAL attached,
 	// the decision (with its write set) is synced to the coordinator log
 	// before any apply runs — the *durable* commit point — and the region
 	// from decision to resolution mark holds the checkpoint drain lock.
@@ -765,7 +722,6 @@ func (cl *Client) commitCross(parts []participant, t *Txn) error {
 				// here would decide it. Abort it in memory too — releasing
 				// the prepared intents keeps the deposed primary internally
 				// consistent instead of wedging its remaining clients.
-				c.decide(txid, false, parts)
 				for _, p := range parts[:prepared] {
 					_ = cl.finish(p.id, txid, p.keys, false)
 				}
@@ -774,7 +730,6 @@ func (cl *Client) commitCross(parts []participant, t *Txn) error {
 			return err
 		}
 	}
-	c.decide(txid, commit, parts)
 	if !commit {
 		for _, p := range parts[:prepared] {
 			if err := cl.finish(p.id, txid, p.keys, false); err != nil && hard == nil {

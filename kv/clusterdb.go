@@ -10,17 +10,17 @@ import (
 )
 
 // ClusterDB implements DB over a cluster.Cluster: the share-nothing
-// multi-System router. Single-key operations run as local transactions on
-// the owning System; Update closures run the cluster's optimistic buffered
-// transaction (local commit when one System owns the footprint, two-phase
-// commit when several do); Batch is one engine transaction when one System
-// owns every key and that same buffered transaction when several do
-// (cluster.Client.Batch); Scan is the validated snapshot scan
-// (cluster.Client.ScanSnapshot). The coordination surface rides the same
-// machinery: revisions are each System's store clock (validated by 2PC
-// prepares), lease records route like any other key — a revoke spanning
-// Systems is one 2PC commit — and Watch fans in every System's commit log,
-// merged by revision.
+// multi-System router. Single-key operations are one-op batches, one local
+// transaction on the owning System; Update closures run the cluster's
+// optimistic buffered transaction (local commit when one System owns the
+// footprint, two-phase commit when several do); Batch is one engine
+// transaction when one System owns every key and that same buffered
+// transaction when several do (cluster.Client.Batch); Scan is the
+// validated snapshot scan (cluster.Client.ScanSnapshot). The coordination
+// surface rides the same machinery: revisions are each System's store
+// clock (validated by 2PC prepares), lease records route like any other
+// key — a revoke spanning Systems is one 2PC commit — and Watch fans in
+// every System's commit log, merged by revision.
 //
 // ClusterDB is safe for concurrent use by any number of goroutines: cluster
 // clients are not, so it multiplexes callers over the core's bounded session
@@ -121,67 +121,34 @@ func (db *ClusterDB) Domains() int { return db.c.NumSystems() }
 // batchLocal); one that spans domains pays 2PC.
 func (db *ClusterDB) Domain(key []byte) int { return db.c.Router().SystemFor(key) }
 
-// Get implements DB.
+// Get implements DB: a one-op batch.
 func (db *ClusterDB) Get(key []byte) ([]byte, error) {
-	if reservedKey(key) {
-		return nil, ErrReservedKey
-	}
-	s := db.claim(nil)
-	defer db.release(s)
-	var v []byte
-	var ok bool
-	if err := Retry(func(int) error {
-		var err error
-		v, ok, err = s.cl.Get(key)
-		return mapErr(err)
-	}); err != nil {
+	return db.single(Op{Kind: OpGet, Key: key})
+}
+
+// Put implements DB: a one-op batch (a leased one takes the core's
+// closure-transaction batch, which writes the lease record too).
+func (db *ClusterDB) Put(key, value []byte, opts ...PutOption) error {
+	_, err := db.single(Op{Kind: OpPut, Key: key, Value: value, Lease: LeaseOf(opts...)})
+	return err
+}
+
+// Delete implements DB: a one-op batch.
+func (db *ClusterDB) Delete(key []byte) error {
+	_, err := db.single(Op{Kind: OpDelete, Key: key})
+	return err
+}
+
+// single runs op as a one-op BatchTraced — the batch path's one engine
+// transaction on the owning System — and returns its value or its
+// per-op error. It does not go through Batch: DB-level trace sampling
+// covers Update and Batch calls, not single-key operations.
+func (db *ClusterDB) single(op Op) ([]byte, error) {
+	res, err := db.BatchTraced(nil, []Op{op})
+	if err != nil {
 		return nil, err
 	}
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return v, nil
-}
-
-// Put implements DB.
-func (db *ClusterDB) Put(key, value []byte, opts ...PutOption) error {
-	if reservedKey(key) {
-		return ErrReservedKey
-	}
-	if o := applyPutOptions(opts); o.lease != 0 {
-		return db.Update(func(tx Txn) error {
-			return tx.Put(key, value, opts...)
-		})
-	}
-	s := db.claim(nil)
-	defer db.release(s)
-	if err := Retry(func(int) error { return mapErr(s.cl.Put(key, value)) }); err != nil {
-		return err
-	}
-	db.hub.wake()
-	return nil
-}
-
-// Delete implements DB.
-func (db *ClusterDB) Delete(key []byte) error {
-	if reservedKey(key) {
-		return ErrReservedKey
-	}
-	s := db.claim(nil)
-	defer db.release(s)
-	var ok bool
-	if err := Retry(func(int) error {
-		var err error
-		ok, err = s.cl.Delete(key)
-		return mapErr(err)
-	}); err != nil {
-		return err
-	}
-	if !ok {
-		return ErrNotFound
-	}
-	db.hub.wake()
-	return nil
+	return res[0].Value, res[0].Err
 }
 
 // BatchTraced shadows the core's closure-transaction batch with the native
@@ -192,7 +159,8 @@ func (db *ClusterDB) Delete(key []byte) error {
 // buffered transaction either way. Batches carrying lease attachments take
 // the core's path, where the lease records ride the same transaction. The
 // engine stage covers the whole batch; 2PC phase and WAL stages come from
-// the client's stage sink.
+// the client's stage sink. Watchers are woken when a Put or a Delete of a
+// present key committed.
 func (db *ClusterDB) BatchTraced(sink obs.TraceSink, ops []Op) ([]OpResult, error) {
 	for _, op := range ops {
 		if reservedKey(op.Key) {
@@ -247,8 +215,9 @@ func (db *ClusterDB) BatchTraced(sink obs.TraceSink, ops []Op) ([]OpResult, erro
 		default:
 			if !cres[i].Found {
 				results[i] = OpResult{Err: ErrNotFound}
+			} else {
+				wrote = true
 			}
-			wrote = true
 		}
 	}
 	if wrote {

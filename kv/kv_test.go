@@ -14,6 +14,7 @@ import (
 	"rhtm/internal/enginetest/dbtest"
 	"rhtm/kv"
 	"rhtm/store"
+	"rhtm/wal"
 )
 
 // newEngine builds the named engine on s with the given injected hardware
@@ -515,5 +516,58 @@ func TestClusterGetRevIsOneTransaction(t *testing.T) {
 	// then two reads and the validation that passes.
 	if got := eng.Snapshot().Commits() - commits; got != 6 {
 		t.Errorf("the two attempts and the write cost %d engine transactions, want 6", got)
+	}
+}
+
+// TestClusterSingleKeyOps: on a cluster a single-key Get, Put or Delete is a
+// one-op batch — one engine transaction on the owning System, one local
+// transaction, and one commit unit on that System's stream when it changed
+// something. A reserved key is refused before any transaction runs.
+func TestClusterSingleKeyOps(t *testing.T) {
+	c := cluster.MustNew(cluster.Config{Systems: 2, DataWords: 1 << 15, ArenaWords: 1 << 13})
+	db, err := kv.OpenCluster(c, wal.NewMemStorage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := []byte("user00000001")
+	id := db.Domain(key)
+	eng, stream := c.Node(id).Engine(), c.WAL().Data[id]
+	for _, tc := range []struct {
+		name           string
+		op             func() error
+		wantErr        error
+		commits, units uint64
+	}{
+		{"put new", func() error { return db.Put(key, []byte("v1")) }, nil, 1, 1},
+		{"put overwrite", func() error { return db.Put(key, []byte("v2")) }, nil, 1, 1},
+		{"get", func() error {
+			v, err := db.Get(key)
+			if err == nil && string(v) != "v2" {
+				return fmt.Errorf("Get = %q, want v2", v)
+			}
+			return err
+		}, nil, 1, 0},
+		{"delete present", func() error { return db.Delete(key) }, nil, 1, 1},
+		{"delete absent", func() error { return db.Delete(key) }, kv.ErrNotFound, 1, 0},
+		{"get absent", func() error { _, err := db.Get(key); return err }, kv.ErrNotFound, 1, 0},
+		{"reserved put", func() error { return db.Put([]byte("\x00sys"), []byte("v")) }, kv.ErrReservedKey, 0, 0},
+		{"reserved get", func() error { _, err := db.Get(nil); return err }, kv.ErrReservedKey, 0, 0},
+	} {
+		commits, local, units := eng.Snapshot().Commits(), c.Counters().LocalTxns, stream.Stats().Txns
+		if err := tc.op(); !errors.Is(err, tc.wantErr) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.wantErr)
+		}
+		if got := eng.Snapshot().Commits() - commits; got != tc.commits {
+			t.Errorf("%s: %d engine transactions on the owning System, want %d", tc.name, got, tc.commits)
+		}
+		if got := c.Counters().LocalTxns - local; got != tc.commits {
+			t.Errorf("%s: %d local transactions, want %d", tc.name, got, tc.commits)
+		}
+		if got := stream.Stats().Txns - units; got != tc.units {
+			t.Errorf("%s: %d commit units on the System's stream, want %d", tc.name, got, tc.units)
+		}
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
