@@ -431,7 +431,7 @@ func BenchmarkWALGroupCommit(b *testing.B) {
 				ops := float64(per * group)
 				if ws.Syncs > 0 {
 					b.ReportMetric(float64(ws.Syncs)/ops, "syncs/op")
-					b.ReportMetric(float64(ws.TxnsLogged)/float64(ws.Syncs), "txns/sync")
+					b.ReportMetric(float64(ws.Txns)/float64(ws.Syncs), "txns/sync")
 				}
 			})
 		}

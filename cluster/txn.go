@@ -573,19 +573,13 @@ func (w *localWrites) free(tx rhtm.Tx, key []byte, written bool) bool {
 // write applies one buffered write to key and stamps it. For a delete it
 // reports whether key was present; removing an absent key writes nothing.
 func (w *localWrites) write(tx rhtm.Tx, key []byte, b Write) (bool, error) {
-	var op wal.Op
+	kind := wal.OpPut
 	if b.Delete {
-		rev, found := w.n.st.DeleteStamped(tx, key)
-		if !found {
-			return false, nil
-		}
-		op = wal.Op{Kind: wal.OpDelete, Key: key, Rev: rev}
-	} else {
-		rev, err := w.n.st.PutStamped(tx, key, b.Value, b.Lease)
-		if err != nil {
-			return false, err
-		}
-		op = wal.Op{Kind: wal.OpPut, Key: key, Value: b.Value, Rev: rev, Lease: b.Lease}
+		kind = wal.OpDelete
+	}
+	op, err := w.n.st.Write(tx, wal.Op{Kind: kind, Key: key, Value: b.Value, Lease: b.Lease})
+	if err != nil || op.Rev == 0 {
+		return false, err
 	}
 	w.maxRev = max(w.maxRev, op.Rev)
 	if w.log {
@@ -891,24 +885,15 @@ func (cl *Client) finish(nodeID int, txid uint64, keys []txnKey, commit bool) er
 				}
 				continue
 			}
-			ap, err := n.st.ApplyIntent(tx, key, txid)
+			op, err := n.st.ApplyIntent(tx, key, txid)
 			if err != nil {
 				return err
 			}
-			if ap.Rev > maxRev {
-				maxRev = ap.Rev
-			}
-			if cl.c.wal == nil || ap.Rev == 0 {
+			maxRev = max(maxRev, op.Rev)
+			if cl.c.wal == nil || op.Rev == 0 {
 				continue // read intent, or a delete of an absent key
 			}
-			op := wal.Op{Key: copyVal(key), Rev: ap.Rev}
-			if ap.Kind == store.IntentPut {
-				op.Kind = wal.OpPut
-				op.Value = copyVal(ap.Value)
-				op.Lease = ap.Lease
-			} else {
-				op.Kind = wal.OpDelete
-			}
+			op.Key, op.Value = copyVal(op.Key), copyVal(op.Value)
 			recs = append(recs, op)
 		}
 		return nil

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"rhtm"
-	"rhtm/store"
 	"rhtm/wal"
 )
 
@@ -41,7 +40,7 @@ func (c *Cluster) AttachWAL(ws *WALSet) {
 	c.wal = ws
 	for i, n := range c.nodes {
 		w := ws.Data[i]
-		n.st.SetWALStats(func() store.WALStats { return StoreWALStats(w.Stats()) })
+		n.st.SetWALStats(w.Stats)
 	}
 }
 
@@ -57,18 +56,6 @@ func (c *Cluster) RestoreTxID(max uint64) {
 		if cur >= max || c.nextTxID.CompareAndSwap(cur, max) {
 			return
 		}
-	}
-}
-
-// StoreWALStats adapts a writer's counters to the store's stats surface.
-func StoreWALStats(s wal.Stats) store.WALStats {
-	return store.WALStats{
-		FramesAppended: s.Frames,
-		BytesAppended:  s.Bytes,
-		TxnsLogged:     s.Txns,
-		Syncs:          s.Syncs,
-		DurableLSN:     s.DurableLSN,
-		CheckpointLSN:  s.CheckpointLSN,
 	}
 }
 
@@ -126,14 +113,7 @@ func (cl *Client) CheckpointWAL() error {
 		err := c.wal.Data[i].Checkpoint(func() ([]wal.Op, error) {
 			var ops []wal.Op
 			err := thread.Atomic(func(tx rhtm.Tx) error {
-				ops = ops[:0]
-				node.st.ScanMeta(tx, func(k, v []byte, rev, lease uint64) bool {
-					ops = append(ops, wal.Op{
-						Kind: wal.OpPut, Key: copyVal(k), Value: copyVal(v),
-						Rev: rev, Lease: lease,
-					})
-					return true
-				})
+				ops = node.st.Snapshot(tx)
 				return nil
 			})
 			return ops, err

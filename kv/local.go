@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"bytes"
 	"time"
 
 	"rhtm"
@@ -10,26 +11,21 @@ import (
 )
 
 // Storer is the transaction-level store surface a Local DB drives; both
-// store.Store and store.Sharded satisfy it. The stamped and replay entry
-// points, the partition map, and the metadata scan are the durability
-// layer's hooks: partitions index EventLogs() — one revision clock each —
-// and PartitionOf names the clock a key's revisions come from.
+// store.Store and store.Sharded satisfy it. Write, Replay and Snapshot are
+// the only crossings between the store and its log (see store.Store.Write);
+// partitions index EventLogs() — one revision clock each — and PartitionOf
+// names the clock a key's revisions come from.
 type Storer interface {
 	Get(tx rhtm.Tx, key []byte) ([]byte, bool)
 	Read(tx rhtm.Tx, key []byte) (value []byte, rev, lease uint64, ok bool)
-	PutLease(tx rhtm.Tx, key, value []byte, lease uint64) error
-	PutStamped(tx rhtm.Tx, key, value []byte, lease uint64) (uint64, error)
-	Delete(tx rhtm.Tx, key []byte) bool
-	DeleteStamped(tx rhtm.Tx, key []byte) (uint64, bool)
-	ReplayPut(tx rhtm.Tx, key, value []byte, rev, lease uint64) error
-	ReplayDelete(tx rhtm.Tx, key []byte, rev uint64) bool
+	Write(tx rhtm.Tx, op wal.Op) (wal.Op, error)
+	Replay(tx rhtm.Tx, ops []wal.Op) (maxRev uint64, err error)
+	Snapshot(tx rhtm.Tx) []wal.Op
 	Cursor(tx rhtm.Tx, start, end []byte, hint int) *store.Cursor
-	ScanMeta(tx rhtm.Tx, fn func(key, value []byte, rev, lease uint64) bool)
-	Len(tx rhtm.Tx) int
 	EventLogs() []*store.EventLog
 	PartitionOf(key []byte) int
 	System() *rhtm.System
-	SetWALStats(fn func() store.WALStats)
+	SetWALStats(fn func() wal.Stats)
 	Stats(tx rhtm.Tx) store.Stats
 }
 
@@ -326,35 +322,27 @@ func (t *localTxn) getRaw(key []byte) ([]byte, error) {
 }
 
 func (t *localTxn) putRaw(key, value []byte, lease LeaseID) error {
-	rev, err := t.st.PutStamped(t.tx, key, value, lease)
-	if err != nil {
-		return err
-	}
-	if rev > t.maxRev {
-		t.maxRev = rev
-	}
-	if t.capture {
-		t.recs = append(t.recs, wal.Op{
-			Part: t.st.PartitionOf(key), Kind: wal.OpPut,
-			Key: copyBytes(key), Value: copyBytes(value), Rev: rev, Lease: lease,
-		})
-	}
-	return nil
+	return t.write(wal.Op{Kind: wal.OpPut, Key: key, Value: value, Lease: lease})
 }
 
 func (t *localTxn) deleteRaw(key []byte) error {
-	rev, ok := t.st.DeleteStamped(t.tx, key)
-	if !ok {
-		return ErrNotFound
+	return t.write(wal.Op{Kind: wal.OpDelete, Key: key})
+}
+
+// write applies op and, with capture set, keeps its record; the record's
+// buffers are copied, since it outlives the caller's.
+func (t *localTxn) write(op wal.Op) error {
+	op, err := t.st.Write(t.tx, op)
+	if err != nil {
+		return err
 	}
-	if rev > t.maxRev {
-		t.maxRev = rev
+	if op.Rev == 0 {
+		return ErrNotFound // a delete of an absent key
 	}
+	t.maxRev = max(t.maxRev, op.Rev)
 	if t.capture {
-		t.recs = append(t.recs, wal.Op{
-			Part: t.st.PartitionOf(key), Kind: wal.OpDelete,
-			Key: copyBytes(key), Rev: rev,
-		})
+		op.Key, op.Value = bytes.Clone(op.Key), bytes.Clone(op.Value)
+		t.recs = append(t.recs, op)
 	}
 	return nil
 }

@@ -114,16 +114,17 @@ func mergeStoreStats(out *obs.Snapshot, s store.Stats) {
 	g["store.arena.bumped_words"] = int64(s.Arena.BumpedWords)
 	g["store.arena.free_words"] = int64(s.Arena.FreeListWords)
 	g["store.arena.live_words"] = int64(s.Arena.LiveWords)
-	if s.WAL == (store.WALStats{}) {
+	w := s.WAL
+	if w.Txns|w.Frames|w.Bytes|w.Syncs|w.DurableLSN|w.CheckpointLSN == 0 {
 		return
 	}
 	c := out.Counters
-	c["wal.txns"] = s.WAL.TxnsLogged
-	c["wal.frames"] = s.WAL.FramesAppended
-	c["wal.bytes"] = s.WAL.BytesAppended
-	c["wal.syncs"] = s.WAL.Syncs
-	g["wal.durable_lsn"] = int64(s.WAL.DurableLSN)
-	g["wal.checkpoint_lsn"] = int64(s.WAL.CheckpointLSN)
+	c["wal.txns"] = w.Txns
+	c["wal.frames"] = w.Frames
+	c["wal.bytes"] = w.Bytes
+	c["wal.syncs"] = w.Syncs
+	g["wal.durable_lsn"] = int64(w.DurableLSN)
+	g["wal.checkpoint_lsn"] = int64(w.CheckpointLSN)
 }
 
 // mergeClusterCounters renders the 2PC protocol counters under cluster.*.

@@ -7,7 +7,6 @@ import (
 	"rhtm"
 	"rhtm/cluster"
 	"rhtm/containers"
-	"rhtm/store"
 	"rhtm/wal"
 )
 
@@ -55,14 +54,6 @@ type localWAL struct {
 	seq atomic.Uint64 // transaction group ids (log-internal)
 }
 
-// copyBytes clones b (captured operations outlive the caller's buffers).
-func copyBytes(b []byte) []byte {
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
-}
-
 // OpenLocal is NewLocal over a durable device: it recovers st from the
 // device's committed prefix, then returns a DB that logs every committed
 // transaction to it. The store must be freshly constructed (empty) or
@@ -88,7 +79,7 @@ func (db *Local) attachWAL(dev wal.Device, nextLSN uint64) *wal.Writer {
 	w := openWriter(db.st, dev, nextLSN, db.syncEvery)
 	w.SetMetrics(db.met.walBatch, db.met.walInterval)
 	db.wal = &localWAL{w: w}
-	db.st.SetWALStats(func() store.WALStats { return cluster.StoreWALStats(w.Stats()) })
+	db.st.SetWALStats(w.Stats)
 	db.floorLeaseSeq(db.st)
 	return w
 }
@@ -138,50 +129,29 @@ func (db *Local) Checkpoint() error {
 	return db.wal.w.Checkpoint(func() ([]wal.Op, error) {
 		var ops []wal.Op
 		err := s.th.Atomic(func(tx rhtm.Tx) error {
-			ops = ops[:0] // the body re-executes on engine aborts
-			db.st.ScanMeta(tx, func(k, v []byte, rev, lease uint64) bool {
-				ops = append(ops, wal.Op{
-					Part: db.st.PartitionOf(k), Kind: wal.OpPut,
-					Key: k, Value: v, Rev: rev, Lease: lease,
-				})
-				return true
-			})
+			ops = db.st.Snapshot(tx)
 			return nil
 		})
 		return ops, err
 	})
 }
 
-// replayStorer applies one stream's recovery view to a store: checkpoint
-// entries first, then the committed transaction groups in log order. A
-// host-side per-key revision guard makes the replay idempotent and
-// order-tolerant — transactions that committed before a checkpoint's
-// snapshot but flushed after it re-apply harmlessly.
+// replayStorer applies one stream's recovery view to a store under its
+// setup transaction: the checkpoint, then the committed transaction groups
+// in log order, each through Replay — the replica's apply. Replay's record
+// guard alone makes this exact (DESIGN.md §12): groups that committed
+// before the checkpoint's snapshot but flushed after it re-apply
+// harmlessly, and per partition log order is revision order while a
+// checkpoint holds only puts, so no put of a key follows a higher-revision
+// delete of it.
 func replayStorer(st Storer, sr wal.ScanResult) error {
 	tx := containers.SetupTx(st.System())
-	applied := map[string]uint64{}
-	apply := func(op wal.Op) error {
-		k := string(op.Key)
-		if op.Rev <= applied[k] {
-			return nil
-		}
-		applied[k] = op.Rev
-		if op.Kind == wal.OpPut {
-			return st.ReplayPut(tx, op.Key, op.Value, op.Rev, op.Lease)
-		}
-		st.ReplayDelete(tx, op.Key, op.Rev)
-		return nil
-	}
-	for _, op := range sr.Checkpoint {
-		if err := apply(op); err != nil {
-			return err
-		}
+	if _, err := st.Replay(tx, sr.Checkpoint); err != nil {
+		return err
 	}
 	for _, g := range sr.Txns {
-		for _, op := range g.Ops {
-			if err := apply(op); err != nil {
-				return err
-			}
+		if _, err := st.Replay(tx, g.Ops); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -343,20 +313,12 @@ func resolveInDoubt(c *cluster.Cluster, ws *cluster.WALSet, inDoubt []wal.TxnGro
 				return fmt.Errorf("kv: decision %d names system %d of %d", g.TxID, s, c.NumSystems())
 			}
 			st := c.Node(s).Store()
-			tx := containers.SetupTx(st.System())
-			rec := wal.Op{Kind: op.Kind, Key: op.Key, Value: op.Value, Lease: op.Lease}
-			if op.Kind == wal.OpPut {
-				rev, err := st.PutStamped(tx, op.Key, op.Value, op.Lease)
-				if err != nil {
-					return fmt.Errorf("kv: redo decision %d: %w", g.TxID, err)
-				}
-				rec.Rev = rev
-			} else {
-				rev, ok := st.DeleteStamped(tx, op.Key)
-				if !ok {
-					continue // deleting an absent key: nothing to redo
-				}
-				rec.Rev = rev
+			rec, err := st.Write(containers.SetupTx(st.System()), op)
+			if err != nil {
+				return fmt.Errorf("kv: redo decision %d: %w", g.TxID, err)
+			}
+			if rec.Rev == 0 {
+				continue // deleting an absent key: nothing to redo
 			}
 			if err := ws.Data[s].Commit(g.TxID, wal.FlagCross, []wal.Op{rec}); err != nil {
 				return err

@@ -277,7 +277,7 @@ func (f *Follower) pump(s *stream, apply func(wal.Unit) (maxRev uint64, err erro
 }
 
 // pumpData tails one data stream and applies whole units to the replica
-// System through the replay entry points, on a dedicated engine thread.
+// System through Replay, on a dedicated engine thread.
 // part >= 0 pins the watermark partition (cluster streams log Part 0 for a
 // whole System); -1 uses each op's own partition (sharded local stores).
 func (f *Follower) pumpData(s *stream, eng rhtm.Engine, st kv.Storer, part int) {
@@ -289,7 +289,7 @@ func (f *Follower) pumpData(s *stream, eng rhtm.Engine, st kv.Storer, part int) 
 		case wal.UnitCheckpoint:
 			// Fully redundant for a caught-up follower (snapshots hold only
 			// live keys at their current revisions, all <= the applied
-			// watermark); the replay entry points' revision guard skips them.
+			// watermark); Replay's revision guard skips them.
 			// A follower attached mid-log uses them as its catch-up base.
 			return f.applyOps(th, st, u.Checkpoint, part)
 		}
@@ -300,9 +300,9 @@ func (f *Follower) pumpData(s *stream, eng rhtm.Engine, st kv.Storer, part int) 
 }
 
 // applyOps applies one unit's ops in a single engine transaction — the
-// unit's atomicity on the replica. The replay entry points skip an op at or
-// below its record's revision, which makes re-delivery (checkpoint overlap,
-// reattached cursors) idempotent.
+// unit's atomicity on the replica — through Replay, as crash recovery does.
+// Replay skips an op at or below its record's revision, which makes
+// re-delivery (checkpoint overlap, reattached cursors) idempotent.
 func (f *Follower) applyOps(th rhtm.Thread, st kv.Storer, ops []wal.Op, part int) (uint64, error) {
 	if len(ops) == 0 {
 		return 0, nil
@@ -313,22 +313,9 @@ func (f *Follower) applyOps(th rhtm.Thread, st kv.Storer, ops []wal.Op, part int
 		applyStart = time.Now()
 	}
 	var maxRev uint64
-	err := th.Atomic(func(tx rhtm.Tx) error {
-		maxRev = 0 // the body re-executes on engine aborts
-		for i := range ops {
-			op := &ops[i]
-			if op.Rev > maxRev {
-				maxRev = op.Rev
-			}
-			if op.Kind == wal.OpPut {
-				if err := st.ReplayPut(tx, op.Key, op.Value, op.Rev, op.Lease); err != nil {
-					return err
-				}
-			} else {
-				st.ReplayDelete(tx, op.Key, op.Rev)
-			}
-		}
-		return nil
+	err := th.Atomic(func(tx rhtm.Tx) (err error) {
+		maxRev, err = st.Replay(tx, ops)
+		return err
 	})
 	if err != nil {
 		return 0, err

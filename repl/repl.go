@@ -7,9 +7,9 @@
 // stream is not merely a recovery artifact — it is a replication stream. A
 // wal.Tailer turns each stream device into a blocking, cursor-resumable
 // feed of whole commit units; a Follower applies them to replica Systems
-// through the same ReplayPut/ReplayDelete entry points crash recovery uses,
-// so original revisions, event rings, and lease records are rebuilt exactly
-// as a recovered primary would hold them. A replica at applied watermark W
+// through store Replay, the one entry point crash recovery uses too, so
+// original revisions, event rings, and lease records are rebuilt exactly as
+// a recovered primary would hold them. A replica at applied watermark W
 // is therefore indistinguishable from the primary at revision W — the
 // paper's substitution argument extended across machines, the same way it
 // already spans the hardware and software commit paths.

@@ -438,18 +438,181 @@ func TestPromotionEqualsRecovery(t *testing.T) {
 	}
 }
 
+// TestLocalPromotionEqualsRecovery is TestPromotionEqualsRecovery on a
+// 4-shard Local primary: promoting the drained replica and crash-recovering
+// the same fenced device reach the same DB — every record with its
+// revision and lease, every partition clock and the next lease id. The
+// checkpoint is taken while a second goroutine commits, so the groups after
+// it overwrite and delete keys it holds, and those that committed before
+// its snapshot but flushed after re-deliver them: recovery applies them
+// through the replica's Replay, with no guard of its own.
+func TestLocalPromotionEqualsRecovery(t *testing.T) {
+	newSide := func() (rhtm.Engine, *store.Sharded) {
+		s := rhtm.MustNewSystem(rhtm.DefaultConfig(1 << 17))
+		return rhtm.NewTL2(s), store.NewSharded(s, 4, store.Options{ArenaWords: 1 << 13})
+	}
+	eng, st := newSide()
+	stg := wal.NewMemStorage()
+	dev, err := stg.Device("wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := kv.OpenLocal(eng, st, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := repl.NewLocalGroup(db, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	reng, rst := newSide()
+	if _, err := g.AddLocalReplica(reng, rst); err != nil {
+		t.Fatal(err)
+	}
+
+	lease, err := db.Grant(30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// write is op i of the workload over keys k-00 .. k-(n-1): a put, a
+	// leased overwrite or a delete.
+	write := func(i, n int) error {
+		key := []byte(fmt.Sprintf("k-%02d", i%n))
+		switch i % 5 {
+		case 2:
+			return db.Put(key, []byte(fmt.Sprintf("leased-%d", i)), kv.WithLease(lease))
+		case 4:
+			if err := db.Delete(key); !errors.Is(err, kv.ErrNotFound) {
+				return err
+			}
+			return nil
+		}
+		return db.Put(key, []byte(fmt.Sprintf("v-%d", i)))
+	}
+	for i := 0; i < 48; i++ {
+		if err := write(i, 24); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// From here on only the first half of the keys is written, so the
+	// other half lives in the checkpoint alone.
+	stop, done := make(chan struct{}), make(chan error)
+	go func() {
+		i := 48
+		for ; ; i++ {
+			select {
+			case <-stop:
+				// Every written key is written twice more after the
+				// last checkpoint.
+				for end := i + 24; i < end; i++ {
+					if err := write(i, 12); err != nil {
+						done <- err
+						return
+					}
+				}
+				done <- nil
+				return
+			default:
+			}
+			if err := write(i, 12); err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+	var ckErr error
+	for i := 0; i < 4 && ckErr == nil; i++ {
+		ckErr = db.Checkpoint()
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if ckErr != nil {
+		t.Fatal(ckErr)
+	}
+	g.Kill()
+	img := stg.CrashImage(stg.Appended())
+
+	// The suffix recovery replays holds both re-deliveries of the
+	// checkpoint's keys and deletes of them.
+	data, err := dev.Contents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr := wal.Scan(data)
+	held := map[string]uint64{}
+	for _, op := range sr.Checkpoint {
+		held[string(op.Key)] = op.Rev
+	}
+	var redelivered, deleted int
+	for _, grp := range sr.Txns {
+		for _, op := range grp.Ops {
+			if rev, ok := held[string(op.Key)]; ok && op.Rev <= rev {
+				redelivered++
+			} else if ok && op.Kind == wal.OpDelete {
+				deleted++
+			}
+		}
+	}
+	if len(sr.Checkpoint) == 0 || deleted == 0 {
+		t.Fatalf("after the checkpoint (%d entries): %d deletes of its keys; want some", len(sr.Checkpoint), deleted)
+	}
+	t.Logf("checkpoint of %d entries; after it, %d re-delivered writes and %d deletes of its keys",
+		len(sr.Checkpoint), redelivered, deleted)
+
+	promoted, _, err := g.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ceng, cst := newSide()
+	cdev, err := img.Device("wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := kv.OpenLocal(ceng, cst, cdev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps, rs := storeState(rst), storeState(cst); !slices.Equal(ps, rs) {
+		t.Fatalf("promoted state != recovered state:\npromoted:  %q\nrecovered: %q", ps, rs)
+	}
+	pl, err := promoted.Grant(30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rl, err := recovered.Grant(30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl != rl {
+		t.Fatalf("next lease id: promoted %d, recovered %d", pl, rl)
+	}
+}
+
 // clusterState lists every record of every System, reserved keys included,
 // with its revision and lease, and each System's revision clock.
 func clusterState(c *cluster.Cluster) []string {
 	var out []string
 	for i := 0; i < c.NumSystems(); i++ {
-		n := c.Node(i)
-		tx := containers.SetupTx(n.System())
-		n.Store().ScanMeta(tx, func(k, v []byte, rev, lease uint64) bool {
-			out = append(out, fmt.Sprintf("sys %d %q=%q rev %d lease %d", i, k, v, rev, lease))
-			return true
-		})
-		out = append(out, fmt.Sprintf("sys %d clock %d", i, n.Store().Events().Rev(tx)))
+		for _, line := range storeState(c.Node(i).Store()) {
+			out = append(out, fmt.Sprintf("sys %d %s", i, line))
+		}
+	}
+	return out
+}
+
+// storeState lists every record of st, reserved keys included, with its
+// partition, revision and lease, then every partition clock.
+func storeState(st kv.Storer) []string {
+	tx := containers.SetupTx(st.System())
+	var out []string
+	for _, op := range st.Snapshot(tx) {
+		out = append(out, fmt.Sprintf("part %d %q=%q rev %d lease %d", op.Part, op.Key, op.Value, op.Rev, op.Lease))
+	}
+	for i, l := range st.EventLogs() {
+		out = append(out, fmt.Sprintf("part %d clock %d", i, l.Rev(tx)))
 	}
 	return out
 }

@@ -7,6 +7,7 @@ import (
 
 	"rhtm"
 	"rhtm/containers"
+	"rhtm/wal"
 )
 
 func userKey(i int) []byte { return []byte(fmt.Sprintf("user%08d", i)) }
@@ -156,18 +157,30 @@ func TestHasWriteIntentInRangeSeesEveryBucket(t *testing.T) {
 	}
 }
 
-// TestReplayPutIdempotent: the replay entry points carry the re-delivery
-// guard themselves. A logged write at or below the record's revision changes
-// nothing — value, revision, lease, entry count, revision clock, event log —
-// and a later one applies.
+// TestReplayPutIdempotent: Replay carries the re-delivery guard itself. A
+// logged write at or below the record's revision changes nothing — value,
+// revision, lease, entry count, revision clock, event log — and a later one
+// applies.
 func TestReplayPutIdempotent(t *testing.T) {
 	s := newSys(1 << 16)
 	st := New(s, Options{ArenaWords: 1 << 12})
 	tx := containers.SetupTx(s)
 	key := []byte("k")
-	if err := st.ReplayPut(tx, key, []byte("at-5"), 5, 9); err != nil {
-		t.Fatal(err)
+	replay := func(op wal.Op) {
+		t.Helper()
+		op.Key = key
+		if _, err := st.Replay(tx, []wal.Op{op}); err != nil {
+			t.Fatal(err)
+		}
 	}
+	// removed reports whether replaying a delete at rev removed the key.
+	removed := func(rev uint64) bool {
+		t.Helper()
+		had := st.Has(tx, key)
+		replay(wal.Op{Kind: wal.OpDelete, Rev: rev})
+		return had && !st.Has(tx, key)
+	}
+	replay(wal.Op{Kind: wal.OpPut, Value: []byte("at-5"), Rev: 5, Lease: 9})
 	state := func() string {
 		v, rev, lease, ok := st.Read(tx, key)
 		return fmt.Sprintf("%q rev %d lease %d present %v, %d keys, clock %d, log head %d",
@@ -175,28 +188,24 @@ func TestReplayPutIdempotent(t *testing.T) {
 	}
 	was := state()
 	for _, rev := range []uint64{4, 5} {
-		if err := st.ReplayPut(tx, key, []byte("stale"), rev, 1); err != nil {
-			t.Fatal(err)
-		}
-		if st.ReplayDelete(tx, key, rev) {
-			t.Errorf("ReplayDelete at revision %d removed the record at 5", rev)
+		replay(wal.Op{Kind: wal.OpPut, Value: []byte("stale"), Rev: rev, Lease: 1})
+		if removed(rev) {
+			t.Errorf("a replayed delete at revision %d removed the record at 5", rev)
 		}
 		if got := state(); got != was {
 			t.Errorf("replay at revision %d over a record at 5 left %s, was %s", rev, got, was)
 		}
 	}
-	if err := st.ReplayPut(tx, key, []byte("at-6"), 6, 0); err != nil {
-		t.Fatal(err)
-	}
+	replay(wal.Op{Kind: wal.OpPut, Value: []byte("at-6"), Rev: 6})
 	if got, want := state(), `"at-6" rev 6 lease 0 present true, 1 keys, clock 6, log head 8`; got != want {
-		t.Errorf("ReplayPut at revision 6 left %s, want %s", got, want)
+		t.Errorf("a replayed put at revision 6 left %s, want %s", got, want)
 	}
-	if !st.ReplayDelete(tx, key, 7) {
-		t.Error("ReplayDelete at revision 7 left the record at 6")
+	if !removed(7) {
+		t.Error("a replayed delete at revision 7 left the record at 6")
 	}
 	// An absent key has no revision to compare: the removal still consumes
 	// its revision on the clock.
-	if st.ReplayDelete(tx, key, 9) || st.log.Rev(tx) != 9 || st.Len(tx) != 0 {
-		t.Errorf("after ReplayDelete of the absent key at 9: %s", state())
+	if removed(9) || st.log.Rev(tx) != 9 || st.Len(tx) != 0 {
+		t.Errorf("after a replayed delete of the absent key at 9: %s", state())
 	}
 }

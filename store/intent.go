@@ -7,6 +7,7 @@ import (
 
 	"rhtm"
 	"rhtm/containers"
+	"rhtm/wal"
 )
 
 // Write intents are the store-level half of the cluster package's two-phase
@@ -245,29 +246,19 @@ func (st *Store) ReadSharers(tx rhtm.Tx, key []byte) int {
 	return int(tx.Load(pb + 2))
 }
 
-// AppliedIntent reports what ApplyIntent did: the intent's kind, the value
-// and lease it installed (IntentPut), and the revision the apply stamped —
-// 0 for a released read intent or a delete of an already-absent key. The
-// cluster's durability hook logs it so a recovered System replays the
-// apply at its original commit version.
-type AppliedIntent struct {
-	Kind  IntentKind
-	Value []byte
-	Lease uint64
-	Rev   uint64
-}
-
 // ApplyIntent executes and releases the intent txid holds on key: a put
 // stores the buffered value (with its lease) into the block prepare
 // reserved, a delete removes the key, a read releases txid's share. Given a
 // matching intent, a put or delete cannot fail (see the reservation
 // argument in the package comment); a missing intent or an owner mismatch
 // returns an error, which aborts the enclosing transaction and so leaves
-// the store untouched.
-func (st *Store) ApplyIntent(tx rhtm.Tx, key []byte, txid uint64) (AppliedIntent, error) {
+// the store untouched. It returns the redo record of what it applied, as
+// Write does: Rev 0 for a released read intent or a delete of an
+// already-absent key, which log nothing.
+func (st *Store) ApplyIntent(tx rhtm.Tx, key []byte, txid uint64) (wal.Op, error) {
 	payload, err := st.resolveIntent(tx, key, txid)
 	if err != nil || payload == nil {
-		return AppliedIntent{}, err
+		return wal.Op{}, err
 	}
 	switch IntentKind(payload[0]) {
 	case IntentPut:
@@ -279,15 +270,12 @@ func (st *Store) ApplyIntent(tx rhtm.Tx, key []byte, txid uint64) (AppliedIntent
 		lease := binary.LittleEndian.Uint64(payload[16:])
 		value := payload[writeIntentHeaderBytes:]
 		rev, err := st.putWith(tx, key, value, vb, lease, 0)
-		if err != nil {
-			return AppliedIntent{}, err
-		}
-		return AppliedIntent{Kind: IntentPut, Value: value, Lease: lease, Rev: rev}, nil
+		return wal.Op{Kind: wal.OpPut, Key: key, Value: value, Rev: rev, Lease: lease}, err
 	case IntentDelete:
 		rev, _ := st.deleteWith(tx, key, 0)
-		return AppliedIntent{Kind: IntentDelete, Rev: rev}, nil
+		return wal.Op{Kind: wal.OpDelete, Key: key, Rev: rev}, nil
 	}
-	return AppliedIntent{Kind: IntentRead}, nil
+	return wal.Op{}, nil
 }
 
 // DiscardIntent releases the intent txid holds on key without applying it

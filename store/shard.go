@@ -1,6 +1,9 @@
 package store
 
-import "rhtm"
+import (
+	"rhtm"
+	"rhtm/wal"
+)
 
 // Sharded hash-partitions the key space into per-shard sub-stores on one
 // System. Each shard has its own index root and arena, so structurally
@@ -14,7 +17,7 @@ type Sharded struct {
 
 	// walStats, when set, snapshots the DB-level write-ahead log's
 	// counters (see SetWALStats in stats.go).
-	walStats func() WALStats
+	walStats func() wal.Stats
 }
 
 // NewSharded allocates n shards on s, each with its own Options.ArenaWords
@@ -102,33 +105,25 @@ func (sh *Sharded) PutLease(tx rhtm.Tx, key, value []byte, lease uint64) error {
 	return sh.Shard(key).PutLease(tx, key, value, lease)
 }
 
-// PutStamped is PutLease returning the stamped revision (see
-// Store.PutStamped); revisions come from the owning shard's clock.
-func (sh *Sharded) PutStamped(tx rhtm.Tx, key, value []byte, lease uint64) (uint64, error) {
-	return sh.Shard(key).PutStamped(tx, key, value, lease)
+// Write applies a fresh put or delete to the key's shard and returns its
+// redo record (see Store.Write); revisions come from the owning shard's
+// clock, which the record names as its partition.
+func (sh *Sharded) Write(tx rhtm.Tx, op wal.Op) (wal.Op, error) {
+	i := sh.ShardIndex(op.Key)
+	op, err := sh.shards[i].Write(tx, op)
+	op.Part = i
+	return op, err
 }
 
-// ReplayPut applies a logged write to the owning shard (see
-// Store.ReplayPut). Single-threaded recovery only.
-func (sh *Sharded) ReplayPut(tx rhtm.Tx, key, value []byte, rev, lease uint64) error {
-	return sh.Shard(key).ReplayPut(tx, key, value, rev, lease)
+// Replay applies logged records, each to the shard its key routes to (see
+// Store.Replay).
+func (sh *Sharded) Replay(tx rhtm.Tx, ops []wal.Op) (maxRev uint64, err error) {
+	return replay(tx, ops, sh.Shard)
 }
 
 // Delete removes key from its shard.
 func (sh *Sharded) Delete(tx rhtm.Tx, key []byte) bool {
 	return sh.Shard(key).Delete(tx, key)
-}
-
-// DeleteStamped is Delete returning the consumed revision (see
-// Store.DeleteStamped).
-func (sh *Sharded) DeleteStamped(tx rhtm.Tx, key []byte) (uint64, bool) {
-	return sh.Shard(key).DeleteStamped(tx, key)
-}
-
-// ReplayDelete applies a logged deletion to the owning shard (see
-// Store.ReplayDelete). Single-threaded recovery only.
-func (sh *Sharded) ReplayDelete(tx rhtm.Tx, key []byte, rev uint64) bool {
-	return sh.Shard(key).ReplayDelete(tx, key, rev)
 }
 
 // EventLogs returns every shard's commit-event log (one independent
@@ -158,23 +153,15 @@ func (sh *Sharded) Scan(tx rhtm.Tx, start, end []byte, fn func(key, value []byte
 	}
 }
 
-// ScanMeta visits every shard's entries — metadata included (see
-// Store.ScanMeta). Shards are visited in shard order, not key order:
-// checkpoint serialization does not need a global sort.
-func (sh *Sharded) ScanMeta(tx rhtm.Tx, fn func(key, value []byte, rev, lease uint64) bool) {
-	for _, st := range sh.shards {
-		stop := false
-		st.ScanMeta(tx, func(k, v []byte, rev, lease uint64) bool {
-			if !fn(k, v, rev, lease) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if stop {
-			return
-		}
+// Snapshot returns every shard's entries as put records (see
+// Store.Snapshot), in shard order rather than key order: a checkpoint does
+// not need a global sort.
+func (sh *Sharded) Snapshot(tx rhtm.Tx) []wal.Op {
+	var ops []wal.Op
+	for i, st := range sh.shards {
+		ops = st.snapshot(tx, ops, i)
 	}
+	return ops
 }
 
 // Validate checks every shard's invariants plus the DB-level WAL

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rhtm"
+	"rhtm/wal"
 )
 
 // Stats aggregates a store's transactional counters: live entries, pending
@@ -20,33 +21,10 @@ type Stats struct {
 	// shards for Sharded).
 	Arena ArenaStats
 	// WAL holds the attached write-ahead log's counters (zero when the
-	// store runs volatile). Filled by the provider set with SetWALStats.
-	WAL WALStats
-}
-
-// WALStats mirrors the durability layer's counters into the store's stats
-// surface: frames and bytes appended, transactions logged, sync barriers,
-// and the durable / checkpoint LSN watermarks. CheckpointLSN can never
-// exceed DurableLSN (a checkpoint syncs before it returns) — Validate
-// cross-checks exactly that.
-type WALStats struct {
-	FramesAppended, BytesAppended, TxnsLogged, Syncs uint64
-	DurableLSN, CheckpointLSN                        uint64
-}
-
-// Add accumulates other into w (per-System aggregation on the cluster).
-// Watermarks take the maximum — they are per-stream positions, not counts.
-func (w *WALStats) Add(other WALStats) {
-	w.FramesAppended += other.FramesAppended
-	w.BytesAppended += other.BytesAppended
-	w.TxnsLogged += other.TxnsLogged
-	w.Syncs += other.Syncs
-	if other.DurableLSN > w.DurableLSN {
-		w.DurableLSN = other.DurableLSN
-	}
-	if other.CheckpointLSN > w.CheckpointLSN {
-		w.CheckpointLSN = other.CheckpointLSN
-	}
+	// store runs volatile). Filled by the provider set with SetWALStats;
+	// Validate cross-checks CheckpointLSN <= DurableLSN (a checkpoint syncs
+	// before it returns).
+	WAL wal.Stats
 }
 
 // Add accumulates other into s (per-shard and per-System aggregation).
@@ -65,22 +43,22 @@ func (s Stats) String() string {
 	out := fmt.Sprintf("keys=%d intents=%d arena[cap=%d bumped=%d free=%d live=%d]",
 		s.LiveKeys, s.PendingIntents, s.Arena.CapacityWords,
 		s.Arena.BumpedWords, s.Arena.FreeListWords, s.Arena.LiveWords)
-	if s.WAL.TxnsLogged > 0 || s.WAL.Syncs > 0 {
+	if s.WAL.Txns > 0 || s.WAL.Syncs > 0 {
 		out += fmt.Sprintf(" wal[txns=%d frames=%d bytes=%d syncs=%d durable-lsn=%d ckpt-lsn=%d]",
-			s.WAL.TxnsLogged, s.WAL.FramesAppended, s.WAL.BytesAppended,
+			s.WAL.Txns, s.WAL.Frames, s.WAL.Bytes,
 			s.WAL.Syncs, s.WAL.DurableLSN, s.WAL.CheckpointLSN)
 	}
 	return out
 }
 
 // SetWALStats attaches the durability counters' provider — the kv layer's
-// Open paths call it with an adapter over the log writer. Stats includes
+// Open paths call it with the log writer's Stats. Stats includes
 // the provider's snapshot; Validate cross-checks its watermarks.
-func (st *Store) SetWALStats(fn func() WALStats) { st.walStats = fn }
+func (st *Store) SetWALStats(fn func() wal.Stats) { st.walStats = fn }
 
 // SetWALStats attaches the provider on a sharded store (the log is per DB,
 // not per shard, so it hangs off the top-level Sharded).
-func (sh *Sharded) SetWALStats(fn func() WALStats) { sh.walStats = fn }
+func (sh *Sharded) SetWALStats(fn func() wal.Stats) { sh.walStats = fn }
 
 // Stats gathers the store's counters under tx. Every field is an O(1)
 // snapshot of an incrementally maintained counter (the arena's free-word
@@ -112,7 +90,7 @@ func (sh *Sharded) Stats(tx rhtm.Tx) Stats {
 
 // validateWAL cross-checks a WAL stats snapshot: the checkpoint watermark
 // can never pass the durable one.
-func validateWAL(s WALStats) error {
+func validateWAL(s wal.Stats) error {
 	if s.CheckpointLSN > s.DurableLSN {
 		return fmt.Errorf("store: checkpoint LSN %d beyond durable LSN %d",
 			s.CheckpointLSN, s.DurableLSN)

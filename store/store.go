@@ -37,6 +37,7 @@ import (
 
 	"rhtm"
 	"rhtm/containers"
+	"rhtm/wal"
 )
 
 // Record layout, in words. Data and intent records share it, so either kind
@@ -132,7 +133,7 @@ type Store struct {
 
 	// walStats, when set, snapshots the attached write-ahead log's
 	// counters for Stats and Validate (host-side; see SetWALStats).
-	walStats func() WALStats
+	walStats func() wal.Stats
 }
 
 // New allocates a store on s. Call during single-threaded setup.
@@ -245,22 +246,50 @@ func (st *Store) PutLease(tx rhtm.Tx, key, value []byte, lease uint64) error {
 	return err
 }
 
-// PutStamped is PutLease returning the revision the write stamped — the
-// durability layer logs (key, value, lease, rev) so replay can restore the
-// exact commit version.
-func (st *Store) PutStamped(tx rhtm.Tx, key, value []byte, lease uint64) (uint64, error) {
-	return st.putWith(tx, key, value, rhtm.NilAddr, lease, 0)
+// Write applies a fresh put or delete (op's Kind, Key, and a put's Value
+// and Lease) and returns the redo record the durability layer logs: op
+// stamped with the revision the write took and the partition owning the
+// key, sharing op's buffers. Rev 0 means a delete of an absent key —
+// nothing happened, so nothing is logged. Write and Replay are the only
+// ways a log record crosses into the store, and Snapshot the only way state
+// crosses out.
+func (st *Store) Write(tx rhtm.Tx, op wal.Op) (wal.Op, error) {
+	if op.Kind == wal.OpDelete {
+		rev, _ := st.deleteWith(tx, op.Key, 0)
+		return wal.Op{Kind: wal.OpDelete, Key: op.Key, Rev: rev}, nil
+	}
+	rev, err := st.putWith(tx, op.Key, op.Value, rhtm.NilAddr, op.Lease, 0)
+	return wal.Op{Kind: wal.OpPut, Key: op.Key, Value: op.Value, Rev: rev, Lease: op.Lease}, err
 }
 
-// ReplayPut is the replay-path put (crash recovery, replica apply): it applies
-// a logged write with its original revision instead of minting a fresh one,
-// and advances the store's revision clock to at least rev, so later writes
-// continue the same monotone sequence and watch streams resume at the
-// replayed revision. A write at or below the record's revision is a
-// re-delivery and changes nothing.
-func (st *Store) ReplayPut(tx rhtm.Tx, key, value []byte, rev, lease uint64) error {
-	_, err := st.putWith(tx, key, value, rhtm.NilAddr, lease, rev)
-	return err
+// Replay applies logged records (crash recovery, replica apply) at their
+// original revisions instead of minting fresh ones, advancing the revision
+// clock to at least each record's revision — a delete's even when the key
+// is already absent, since the deletion consumed that revision when it was
+// logged — so later writes continue the same monotone sequence and watch
+// streams resume at the replayed revision. A record at or below the stored
+// record's revision is a re-delivery and changes nothing: the pageLSN test
+// of ARIES (Mohan et al., TODS 1992), with the record's revision as its
+// page LSN. Returns the highest revision among ops.
+func (st *Store) Replay(tx rhtm.Tx, ops []wal.Op) (maxRev uint64, err error) {
+	return replay(tx, ops, func([]byte) *Store { return st })
+}
+
+// replay applies ops to the store each key routes to (see Store.Replay).
+func replay(tx rhtm.Tx, ops []wal.Op, route func(key []byte) *Store) (maxRev uint64, err error) {
+	for i := range ops {
+		op := &ops[i]
+		maxRev = max(maxRev, op.Rev)
+		st := route(op.Key)
+		if op.Kind == wal.OpPut {
+			if _, err := st.putWith(tx, op.Key, op.Value, rhtm.NilAddr, op.Lease, op.Rev); err != nil {
+				return 0, err
+			}
+		} else if _, ok := st.deleteWith(tx, op.Key, op.Rev); !ok {
+			st.log.AdvanceTo(tx, op.Rev)
+		}
+	}
+	return maxRev, nil
 }
 
 // putWith is Put with an optional pre-allocated value block (reserved !=
@@ -335,24 +364,6 @@ func (st *Store) Delete(tx rhtm.Tx, key []byte) bool {
 	return ok
 }
 
-// DeleteStamped is Delete returning the revision the removal consumed
-// (0 when the key was absent) — what the durability layer logs.
-func (st *Store) DeleteStamped(tx rhtm.Tx, key []byte) (uint64, bool) {
-	return st.deleteWith(tx, key, 0)
-}
-
-// ReplayDelete is the replay-path delete: it stamps the logged revision
-// instead of minting one and advances the revision clock to at least rev
-// even when the key is already absent (the deletion consumed that revision
-// when it was logged). A record at or above rev is left alone, like ReplayPut.
-func (st *Store) ReplayDelete(tx rhtm.Tx, key []byte, rev uint64) bool {
-	_, ok := st.deleteWith(tx, key, rev)
-	if !ok {
-		st.log.AdvanceTo(tx, rev)
-	}
-	return ok
-}
-
 // deleteWith implements Delete; rev 0 mints a fresh revision, nonzero
 // replays a logged one.
 func (st *Store) deleteWith(tx rhtm.Tx, key []byte, rev uint64) (uint64, bool) {
@@ -392,14 +403,22 @@ func (st *Store) ScanRev(tx rhtm.Tx, start, end []byte, fn func(key, value []byt
 	})
 }
 
-// ScanMeta visits every entry — metadata included: revision and lease —
-// in ascending key order. Checkpoints use it to serialize the full durable
-// state (lease records live in the same index, so they ride along).
-func (st *Store) ScanMeta(tx rhtm.Tx, fn func(key, value []byte, rev, lease uint64) bool) {
+// Snapshot returns every entry — lease records included, since they live
+// in the same index — as a put record at its revision with its lease, in
+// ascending key order: the body of a checkpoint.
+func (st *Store) Snapshot(tx rhtm.Tx) []wal.Op { return st.snapshot(tx, nil, 0) }
+
+// snapshot appends st's entries to ops as records of partition part.
+func (st *Store) snapshot(tx rhtm.Tx, ops []wal.Op, part int) []wal.Op {
 	st.idx.Scan(tx, nil, nil, func(rec rhtm.Addr) bool {
 		k, v, rc := decodeRecord(tx, rec)
-		return fn(k, v, tx.Load(rc), tx.Load(rc+1))
+		ops = append(ops, wal.Op{
+			Part: part, Kind: wal.OpPut, Key: k, Value: v,
+			Rev: tx.Load(rc), Lease: tx.Load(rc + 1),
+		})
+		return true
 	})
+	return ops
 }
 
 // ScanLimitRev is ScanRev bounded to the first limit entries.

@@ -129,6 +129,21 @@ type Stats struct {
 	Fenced uint64
 }
 
+// Add accumulates other into s (per-System aggregation on the cluster):
+// counts sum, LSN watermarks take the maximum — they are per-stream
+// positions, not counts.
+func (s *Stats) Add(other Stats) {
+	s.Frames += other.Frames
+	s.Bytes += other.Bytes
+	s.Txns += other.Txns
+	s.Syncs += other.Syncs
+	s.CheckpointOps += other.CheckpointOps
+	s.Fenced += other.Fenced
+	s.DurableLSN = max(s.DurableLSN, other.DurableLSN)
+	s.CheckpointLSN = max(s.CheckpointLSN, other.CheckpointLSN)
+	s.LastLSN = max(s.LastLSN, other.LastLSN)
+}
+
 // NewWriter builds a writer over dev, which must already be truncated to a
 // clean frame boundary (Scan + Device.Truncate — see Open in the kv layer).
 // nextLSN is one past the last valid LSN of the existing log; startRevs
