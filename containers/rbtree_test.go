@@ -1,6 +1,9 @@
 package containers
 
 import (
+	"encoding/binary"
+	"hash"
+	"hash/fnv"
 	"math/rand"
 	"sort"
 	"sync"
@@ -237,6 +240,94 @@ func TestRBTreeConcurrentConstWorkload(t *testing.T) {
 	after := tree.Keys()
 	if len(before) != len(after) {
 		t.Fatal("constant workload changed the tree")
+	}
+	if err := tree.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// traceTx records every access of the transaction it wraps as a hash of
+// (load or store, address) pairs. Loaded and stored values are not hashed.
+type traceTx struct {
+	rhtm.Tx
+	h             hash.Hash64
+	loads, stores int
+}
+
+func (r *traceTx) record(kind byte, a rhtm.Addr) {
+	var b [9]byte
+	b[0] = kind
+	binary.LittleEndian.PutUint64(b[1:], uint64(a))
+	r.h.Write(b[:])
+}
+
+func (r *traceTx) Load(a rhtm.Addr) uint64 {
+	r.loads++
+	r.record('L', a)
+	return r.Tx.Load(a)
+}
+
+func (r *traceTx) Store(a rhtm.Addr, v uint64) {
+	r.stores++
+	r.record('S', a)
+	r.Tx.Store(a, v)
+}
+
+// TestConstTreeTrace pins the simulated cost of the paper's constant tree:
+// the heap layout Populate leaves and the exact sequence of addresses that
+// ConstLookup, ConstUpdate and Lookup touch over it, for present and absent
+// keys. Any change to the node layout, the tree's shape after Populate or
+// the descents moves the hash.
+func TestConstTreeTrace(t *testing.T) {
+	const nodes = 4096
+	s := newSys(1 << 18)
+	tree := NewRBTree(s)
+	keys := make([]uint64, nodes)
+	for i := range keys {
+		keys[i] = uint64(2 * (i + 1)) // odd keys are absent
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(keys), func(i, j int) {
+		keys[i], keys[j] = keys[j], keys[i]
+	})
+	tree.Populate(keys)
+	if next := s.MustAlloc(1); next != 131112 {
+		t.Errorf("next allocation after Populate at %d, want 131112", next)
+	}
+
+	tx := &traceTx{Tx: SetupTx(s), h: fnv.New64a()}
+	rng := rand.New(rand.NewSource(2))
+	hits := 0
+	for i := 0; i < 2000; i++ {
+		key := uint64(rng.Intn(2*nodes+16) + 1)
+		var found bool
+		switch rng.Intn(3) {
+		case 0:
+			found = tree.ConstLookup(tx, key)
+		case 1:
+			found = tree.ConstUpdate(tx, key, rng.Uint64(), rng)
+		default:
+			var v uint64
+			v, found = tree.Lookup(tx, key)
+			if found && v != key {
+				t.Fatalf("Lookup(%d) = %d, want the key", key, v)
+			}
+		}
+		if found != (key%2 == 0 && key <= 2*nodes) {
+			t.Fatalf("op %d: key %d found=%v", i, key, found)
+		}
+		if found {
+			hits++
+		}
+	}
+	const (
+		wantHash   = 0x10dada03fe299577
+		wantLoads  = 135816
+		wantStores = 2925
+		wantHits   = 993
+	)
+	if got := tx.h.Sum64(); got != wantHash || tx.loads != wantLoads || tx.stores != wantStores || hits != wantHits {
+		t.Errorf("trace hash %#x, %d loads, %d stores, %d hits; want %#x, %d, %d, %d",
+			got, tx.loads, tx.stores, hits, uint64(wantHash), wantLoads, wantStores, wantHits)
 	}
 	if err := tree.Validate(); err != nil {
 		t.Fatal(err)
