@@ -25,13 +25,14 @@ const (
 )
 
 // OrderedTree is a transactional intrusive red-black tree ordered by a
-// caller-supplied comparator. Unlike RBTree (the paper's fixed-layout
-// uint64-keyed benchmark tree), OrderedTree supports variable-length keys
-// held in simulated memory: the comparator loads and compares them under the
-// caller's transaction. A node is a block the caller allocates and frees;
-// the tree links it through its first OTHeaderWords words and never moves or
-// copies it, so a node's address identifies its entry from Insert until its
-// own Delete. It is the index layer of the store package.
+// caller-supplied comparator over variable-length keys held in simulated
+// memory: the comparator loads and compares them under the caller's
+// transaction. A node is a block the caller allocates and frees; the tree
+// links it through its first OTHeaderWords words and never moves or copies
+// it, so a node's address identifies its entry from Insert until its own
+// Delete. It is the index layer of the store package, and RBTree (the
+// paper's uint64-keyed benchmark tree) links, rebalances and unlinks through
+// it after a descent of its own.
 type OrderedTree struct {
 	sys  *rhtm.System
 	cmp  NodeCompare
@@ -85,6 +86,13 @@ func (t *OrderedTree) Insert(tx rhtm.Tx, key []byte, node rhtm.Addr) (existing r
 			n = rhtm.Addr(tx.Load(n + otRight))
 		}
 	}
+	t.link(tx, parent, left, node)
+	return node, true
+}
+
+// link hangs node, red and childless, as parent's left or right child (as the
+// root when parent is nil) and rebalances: Insert after its descent.
+func (t *OrderedTree) link(tx rhtm.Tx, parent rhtm.Addr, left bool, node rhtm.Addr) {
 	tx.Store(node+otLeft, uint64(rhtm.NilAddr))
 	tx.Store(node+otRight, uint64(rhtm.NilAddr))
 	tx.Store(node+otParent, uint64(parent))
@@ -97,7 +105,6 @@ func (t *OrderedTree) Insert(tx rhtm.Tx, key []byte, node rhtm.Addr) (existing r
 		tx.Store(parent+otRight, uint64(node))
 	}
 	t.insertFixup(tx, uint64(node))
-	return node, true
 }
 
 // Delete unlinks the node under key and returns it for the caller to free.
@@ -226,7 +233,7 @@ func (t *OrderedTree) Len(tx rhtm.Tx) int {
 	return count
 }
 
-// --- rotations and fixups (CLRS, as in RBTree) ---
+// --- rotations and fixups (CLRS ch. 13) ---
 
 // rotateLeft performs a left rotation around x.
 func (t *OrderedTree) rotateLeft(tx rhtm.Tx, x uint64) {
@@ -403,46 +410,44 @@ func (t *OrderedTree) colorOf(tx rhtm.Tx, n uint64) uint64 {
 // --- validation (setup/verification contexts only) ---
 
 // Validate checks the red-black structural invariants (root color, red-red,
-// black height, parent pointers) over the whole tree using raw memory
-// access. Key ordering is the comparator's business and is checked by Scan
-// output in the callers' tests. Only call while no transactions are in
-// flight.
+// black height, parent pointers, links inside the heap) over the whole tree
+// using raw memory access. Key ordering is the comparator's business and is
+// checked by Scan output in the callers' tests. Only call while no
+// transactions are in flight.
 func (t *OrderedTree) Validate() error {
 	tx := SetupTx(t.sys)
 	root := tx.Load(t.root)
-	if root == uint64(rhtm.NilAddr) {
-		return nil
+	if _, err := t.validateNode(tx, root, uint64(rhtm.NilAddr)); err != nil {
+		return err
 	}
-	if tx.Load(rhtm.Addr(root)+otColor) != black {
+	if t.colorOf(tx, root) != black {
 		return fmt.Errorf("orderedtree: root is red")
 	}
-	_, err := t.validateNode(tx, root)
-	return err
+	return nil
 }
 
-// validateNode checks the subtree at n and returns its black height.
-func (t *OrderedTree) validateNode(tx rhtm.Tx, n uint64) (int, error) {
+// validateNode checks the subtree at n, which hangs from p, and returns its
+// black height. A link is followed only once it is known to be in the heap.
+func (t *OrderedTree) validateNode(tx rhtm.Tx, n, p uint64) (int, error) {
 	if n == uint64(rhtm.NilAddr) {
 		return 1, nil
 	}
+	if n >= uint64(t.sys.Internal().Mem.Words()) {
+		return 0, fmt.Errorf("orderedtree: node %d links to %d, outside the heap", p, n)
+	}
 	a := rhtm.Addr(n)
+	if tx.Load(a+otParent) != p {
+		return 0, fmt.Errorf("orderedtree: node %d has a wrong parent pointer", n)
+	}
 	c := tx.Load(a + otColor)
-	l, r := tx.Load(a+otLeft), tx.Load(a+otRight)
-	if c == red {
-		if t.colorOf(tx, l) == red || t.colorOf(tx, r) == red {
-			return 0, fmt.Errorf("orderedtree: red node %d has a red child", n)
-		}
+	if c == red && t.colorOf(tx, p) == red {
+		return 0, fmt.Errorf("orderedtree: red node %d has a red child", p)
 	}
-	for _, child := range []uint64{l, r} {
-		if child != uint64(rhtm.NilAddr) && tx.Load(rhtm.Addr(child)+otParent) != n {
-			return 0, fmt.Errorf("orderedtree: node %d child has wrong parent pointer", n)
-		}
-	}
-	lh, err := t.validateNode(tx, l)
+	lh, err := t.validateNode(tx, tx.Load(a+otLeft), n)
 	if err != nil {
 		return 0, err
 	}
-	rh, err := t.validateNode(tx, r)
+	rh, err := t.validateNode(tx, tx.Load(a+otRight), n)
 	if err != nil {
 		return 0, err
 	}

@@ -177,3 +177,34 @@ func TestOrderedTreeLexicographic(t *testing.T) {
 		}
 	}
 }
+
+// TestOrderedTreeValidateReportsCorruption: every broken invariant, a link
+// outside the heap included, is an error from Validate, never a panic.
+func TestOrderedTreeValidateReportsCorruption(t *testing.T) {
+	cases := map[string]func(s *rhtm.System, root rhtm.Addr){
+		"link outside the heap": func(s *rhtm.System, root rhtm.Addr) { s.Poke(root+otLeft, 1<<40) },
+		"wrong parent": func(s *rhtm.System, root rhtm.Addr) {
+			s.Poke(rhtm.Addr(s.Peek(root+otLeft))+otParent, s.Peek(root+otRight))
+		},
+		"red root": func(s *rhtm.System, root rhtm.Addr) { s.Poke(root+otColor, red) },
+		"black height": func(s *rhtm.System, root rhtm.Addr) {
+			l := rhtm.Addr(s.Peek(root + otLeft))
+			s.Poke(l+otColor, 1-s.Peek(l+otColor))
+		},
+	}
+	for name, corrupt := range cases {
+		s := newSys(1 << 12)
+		tree := NewOrderedTree(s, u64Cmp)
+		tx := SetupTx(s)
+		for k := uint64(1); k <= 7; k++ {
+			tree.Insert(tx, u64Key(k), newNode(s, k))
+		}
+		if err := tree.Validate(); err != nil {
+			t.Fatalf("%s: fresh tree: %v", name, err)
+		}
+		corrupt(s, rhtm.Addr(s.Peek(tree.RootCell())))
+		if err := tree.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted the corrupt tree", name)
+		}
+	}
+}

@@ -7,18 +7,18 @@ import (
 	"rhtm"
 )
 
-// Red-black tree node layout, in words. The ten dummy words reproduce the
-// paper's Constant Red-Black Tree (§3.1): rb-lookup makes ten dummy shared
-// reads per visited node and rb-update writes dummy values, so transactions
-// pay realistic cache-coherence costs without mutating the structure.
+// Red-black tree node layout, in words. Words rbHeader.. are an OrderedTree
+// header (left, right, parent, color), and every link — the root cell and
+// each child and parent word — holds the address of a node's header, not of
+// the node. The ten dummy words reproduce the paper's Constant Red-Black Tree
+// (§3.1): rb-lookup makes ten dummy shared reads per visited node and
+// rb-update writes dummy values, so transactions pay realistic
+// cache-coherence costs without mutating the structure.
 const (
 	rbKey    = 0
-	rbLeft   = 1
-	rbRight  = 2
-	rbParent = 3
-	rbColor  = 4 // 0 = red, 1 = black
-	rbValue  = 5
-	rbDummy0 = 6
+	rbHeader = 1
+	rbValue  = rbHeader + OTHeaderWords
+	rbDummy0 = rbValue + 1
 	// RBNodeWords is the allocation size of one tree node.
 	RBNodeWords = 16
 )
@@ -30,22 +30,28 @@ const (
 	black = 1
 )
 
+// rbBase returns the address of the node whose header is at h.
+func rbBase(h rhtm.Addr) rhtm.Addr { return h - rbHeader }
+
 // RBTree is a transactional red-black tree keyed by uint64. The zero key is
-// reserved (it marks "no key" in internal scans); Insert rejects it.
+// reserved; Insert rejects it. Its descent compares uint64 keys directly;
+// linking, rebalancing and unlinking (CLRS ch. 13) are OrderedTree's, which
+// never calls a comparator for them.
 type RBTree struct {
-	sys  *rhtm.System
-	root rhtm.Addr // one-word cell holding the root node address
+	tree OrderedTree
 }
 
-// NewRBTree allocates an empty tree on s.
+// NewRBTree allocates an empty tree on s. The root cell is a plain one-word
+// allocation: every node's address, and so every cache line the paper's
+// workload conflicts on, follows from it.
 func NewRBTree(s *rhtm.System) *RBTree {
-	return &RBTree{sys: s, root: s.MustAlloc(1)}
+	return &RBTree{tree: OrderedTree{sys: s, root: s.MustAlloc(1)}}
 }
 
 // Populate inserts the given keys (value = key) non-transactionally. Call
 // only during single-threaded setup.
 func (t *RBTree) Populate(keys []uint64) {
-	tx := SetupTx(t.sys)
+	tx := SetupTx(t.tree.sys)
 	for _, k := range keys {
 		t.Insert(tx, k, k)
 	}
@@ -56,9 +62,9 @@ func (t *RBTree) Populate(keys []uint64) {
 // ConstLookup is the paper's rb-lookup(key): a standard traversal that makes
 // ten dummy shared reads per node visited. Returns whether the key exists.
 func (t *RBTree) ConstLookup(tx rhtm.Tx, key uint64) bool {
-	n := tx.Load(t.root)
-	for n != uint64(rhtm.NilAddr) {
-		a := rhtm.Addr(n)
+	n := rhtm.Addr(tx.Load(t.tree.root))
+	for n != rhtm.NilAddr {
+		a := rbBase(n)
 		for i := 0; i < rbDummyWords; i++ {
 			_ = tx.Load(a + rbDummy0 + rhtm.Addr(i))
 		}
@@ -67,9 +73,9 @@ func (t *RBTree) ConstLookup(tx rhtm.Tx, key uint64) bool {
 		case key == k:
 			return true
 		case key < k:
-			n = tx.Load(a + rbLeft)
+			n = rhtm.Addr(tx.Load(n + otLeft))
 		default:
-			n = tx.Load(a + rbRight)
+			n = rhtm.Addr(tx.Load(n + otRight))
 		}
 	}
 	return false
@@ -82,31 +88,14 @@ func (t *RBTree) ConstLookup(tx rhtm.Tx, key uint64) bool {
 // would — making the same fake triplet modifications. The structure
 // (pointers, keys) is never touched. Returns whether the key was found.
 func (t *RBTree) ConstUpdate(tx rhtm.Tx, key, value uint64, rng *rand.Rand) bool {
-	n := tx.Load(t.root)
-	var found bool
-	var last uint64
-	for n != uint64(rhtm.NilAddr) {
-		last = n
-		k := tx.Load(rhtm.Addr(n) + rbKey)
-		if key == k {
-			found = true
-			break
-		}
-		if key < k {
-			n = tx.Load(rhtm.Addr(n) + rbLeft)
-		} else {
-			n = tx.Load(rhtm.Addr(n) + rbRight)
-		}
-	}
-	if last == uint64(rhtm.NilAddr) {
+	cur, found, _ := t.find(tx, key)
+	if cur == rhtm.NilAddr {
 		return false
 	}
-	// Fake modification of the found node and its children, then climb.
-	cur := last
 	for {
-		t.touchTriplet(tx, rhtm.Addr(cur), value)
-		parent := tx.Load(rhtm.Addr(cur) + rbParent)
-		if parent == uint64(rhtm.NilAddr) || rng.Intn(2) == 0 {
+		t.touchTriplet(tx, cur, value)
+		parent := rhtm.Addr(tx.Load(cur + otParent))
+		if parent == rhtm.NilAddr || rng.Intn(2) == 0 {
 			break
 		}
 		cur = parent
@@ -117,33 +106,46 @@ func (t *RBTree) ConstUpdate(tx rhtm.Tx, key, value uint64, rng *rand.Rand) bool
 // touchTriplet writes the dummy value into a node and its present children,
 // mimicking the write footprint of a rotation around the node.
 func (t *RBTree) touchTriplet(tx rhtm.Tx, n rhtm.Addr, value uint64) {
-	tx.Store(n+rbDummy0, value)
-	if l := tx.Load(n + rbLeft); l != uint64(rhtm.NilAddr) {
-		tx.Store(rhtm.Addr(l)+rbDummy0, value)
+	tx.Store(rbBase(n)+rbDummy0, value)
+	if l := rhtm.Addr(tx.Load(n + otLeft)); l != rhtm.NilAddr {
+		tx.Store(rbBase(l)+rbDummy0, value)
 	}
-	if r := tx.Load(n + rbRight); r != uint64(rhtm.NilAddr) {
-		tx.Store(rhtm.Addr(r)+rbDummy0, value)
+	if r := rhtm.Addr(tx.Load(n + otRight)); r != rhtm.NilAddr {
+		tx.Store(rbBase(r)+rbDummy0, value)
 	}
+}
+
+// find descends toward key. It returns the header of key's node and
+// found=true, or else the last node visited (nil for an empty tree) and
+// whether key would hang as its left child.
+func (t *RBTree) find(tx rhtm.Tx, key uint64) (n rhtm.Addr, found, left bool) {
+	parent := rhtm.NilAddr
+	n = rhtm.Addr(tx.Load(t.tree.root))
+	for n != rhtm.NilAddr {
+		k := tx.Load(rbBase(n) + rbKey)
+		if key == k {
+			return n, true, false
+		}
+		parent = n
+		left = key < k
+		if left {
+			n = rhtm.Addr(tx.Load(n + otLeft))
+		} else {
+			n = rhtm.Addr(tx.Load(n + otRight))
+		}
+	}
+	return parent, false, left
 }
 
 // --- real operations ---
 
 // Lookup returns the value stored under key.
 func (t *RBTree) Lookup(tx rhtm.Tx, key uint64) (uint64, bool) {
-	n := tx.Load(t.root)
-	for n != uint64(rhtm.NilAddr) {
-		a := rhtm.Addr(n)
-		k := tx.Load(a + rbKey)
-		switch {
-		case key == k:
-			return tx.Load(a + rbValue), true
-		case key < k:
-			n = tx.Load(a + rbLeft)
-		default:
-			n = tx.Load(a + rbRight)
-		}
+	n, found, _ := t.find(tx, key)
+	if !found {
+		return 0, false
 	}
-	return 0, false
+	return tx.Load(rbBase(n) + rbValue), true
 }
 
 // Insert adds key→value, returning false if the key already exists (the
@@ -155,355 +157,57 @@ func (t *RBTree) Insert(tx rhtm.Tx, key, value uint64) bool {
 	if key == 0 {
 		panic("containers: RBTree key 0 is reserved")
 	}
-	var parent uint64
-	n := tx.Load(t.root)
-	for n != uint64(rhtm.NilAddr) {
-		parent = n
-		k := tx.Load(rhtm.Addr(n) + rbKey)
-		switch {
-		case key == k:
-			tx.Store(rhtm.Addr(n)+rbValue, value)
-			return false
-		case key < k:
-			n = tx.Load(rhtm.Addr(n) + rbLeft)
-		default:
-			n = tx.Load(rhtm.Addr(n) + rbRight)
-		}
-	}
-	node := t.sys.MustAlloc(RBNodeWords)
-	tx.Store(node+rbKey, key)
-	tx.Store(node+rbValue, value)
-	tx.Store(node+rbParent, parent)
-	tx.Store(node+rbColor, red)
-	if parent == uint64(rhtm.NilAddr) {
-		tx.Store(t.root, uint64(node))
-	} else if key < tx.Load(rhtm.Addr(parent)+rbKey) {
-		tx.Store(rhtm.Addr(parent)+rbLeft, uint64(node))
-	} else {
-		tx.Store(rhtm.Addr(parent)+rbRight, uint64(node))
-	}
-	t.insertFixup(tx, uint64(node))
-	return true
-}
-
-// rotateLeft performs a left rotation around x.
-func (t *RBTree) rotateLeft(tx rhtm.Tx, x uint64) {
-	xa := rhtm.Addr(x)
-	y := tx.Load(xa + rbRight)
-	ya := rhtm.Addr(y)
-	yl := tx.Load(ya + rbLeft)
-	tx.Store(xa+rbRight, yl)
-	if yl != uint64(rhtm.NilAddr) {
-		tx.Store(rhtm.Addr(yl)+rbParent, x)
-	}
-	p := tx.Load(xa + rbParent)
-	tx.Store(ya+rbParent, p)
-	if p == uint64(rhtm.NilAddr) {
-		tx.Store(t.root, y)
-	} else if tx.Load(rhtm.Addr(p)+rbLeft) == x {
-		tx.Store(rhtm.Addr(p)+rbLeft, y)
-	} else {
-		tx.Store(rhtm.Addr(p)+rbRight, y)
-	}
-	tx.Store(ya+rbLeft, x)
-	tx.Store(xa+rbParent, y)
-}
-
-// rotateRight performs a right rotation around x.
-func (t *RBTree) rotateRight(tx rhtm.Tx, x uint64) {
-	xa := rhtm.Addr(x)
-	y := tx.Load(xa + rbLeft)
-	ya := rhtm.Addr(y)
-	yr := tx.Load(ya + rbRight)
-	tx.Store(xa+rbLeft, yr)
-	if yr != uint64(rhtm.NilAddr) {
-		tx.Store(rhtm.Addr(yr)+rbParent, x)
-	}
-	p := tx.Load(xa + rbParent)
-	tx.Store(ya+rbParent, p)
-	if p == uint64(rhtm.NilAddr) {
-		tx.Store(t.root, y)
-	} else if tx.Load(rhtm.Addr(p)+rbLeft) == x {
-		tx.Store(rhtm.Addr(p)+rbLeft, y)
-	} else {
-		tx.Store(rhtm.Addr(p)+rbRight, y)
-	}
-	tx.Store(ya+rbRight, x)
-	tx.Store(xa+rbParent, y)
-}
-
-// insertFixup restores the red-black invariants after inserting z (CLRS).
-func (t *RBTree) insertFixup(tx rhtm.Tx, z uint64) {
-	for {
-		p := tx.Load(rhtm.Addr(z) + rbParent)
-		if p == uint64(rhtm.NilAddr) || tx.Load(rhtm.Addr(p)+rbColor) == black {
-			break
-		}
-		g := tx.Load(rhtm.Addr(p) + rbParent) // grandparent exists: p is red, root is black
-		ga := rhtm.Addr(g)
-		if p == tx.Load(ga+rbLeft) {
-			u := tx.Load(ga + rbRight)
-			if u != uint64(rhtm.NilAddr) && tx.Load(rhtm.Addr(u)+rbColor) == red {
-				tx.Store(rhtm.Addr(p)+rbColor, black)
-				tx.Store(rhtm.Addr(u)+rbColor, black)
-				tx.Store(ga+rbColor, red)
-				z = g
-				continue
-			}
-			if z == tx.Load(rhtm.Addr(p)+rbRight) {
-				z = p
-				t.rotateLeft(tx, z)
-				p = tx.Load(rhtm.Addr(z) + rbParent)
-			}
-			tx.Store(rhtm.Addr(p)+rbColor, black)
-			tx.Store(ga+rbColor, red)
-			t.rotateRight(tx, g)
-		} else {
-			u := tx.Load(ga + rbLeft)
-			if u != uint64(rhtm.NilAddr) && tx.Load(rhtm.Addr(u)+rbColor) == red {
-				tx.Store(rhtm.Addr(p)+rbColor, black)
-				tx.Store(rhtm.Addr(u)+rbColor, black)
-				tx.Store(ga+rbColor, red)
-				z = g
-				continue
-			}
-			if z == tx.Load(rhtm.Addr(p)+rbLeft) {
-				z = p
-				t.rotateRight(tx, z)
-				p = tx.Load(rhtm.Addr(z) + rbParent)
-			}
-			tx.Store(rhtm.Addr(p)+rbColor, black)
-			tx.Store(ga+rbColor, red)
-			t.rotateLeft(tx, g)
-		}
-	}
-	r := tx.Load(t.root)
-	tx.Store(rhtm.Addr(r)+rbColor, black)
-}
-
-// Delete removes key, returning false if it was absent. The unlinked node's
-// words are intentionally not returned to the heap: a free inside a
-// transaction that later aborts would hand the block to another thread while
-// it is still reachable. A transactional reclamation scheme (e.g. epoch
-// deferral keyed on commit) is out of scope for the reproduction.
-func (t *RBTree) Delete(tx rhtm.Tx, key uint64) bool {
-	z := tx.Load(t.root)
-	for z != uint64(rhtm.NilAddr) {
-		k := tx.Load(rhtm.Addr(z) + rbKey)
-		if key == k {
-			break
-		}
-		if key < k {
-			z = tx.Load(rhtm.Addr(z) + rbLeft)
-		} else {
-			z = tx.Load(rhtm.Addr(z) + rbRight)
-		}
-	}
-	if z == uint64(rhtm.NilAddr) {
+	n, found, left := t.find(tx, key)
+	if found {
+		tx.Store(rbBase(n)+rbValue, value)
 		return false
 	}
-	za := rhtm.Addr(z)
-
-	// y is the node actually unlinked; x is the child that replaces it,
-	// xp its (new) parent. x may be nil, so xp is tracked explicitly.
-	y := z
-	if tx.Load(za+rbLeft) != uint64(rhtm.NilAddr) &&
-		tx.Load(za+rbRight) != uint64(rhtm.NilAddr) {
-		// Successor: minimum of the right subtree.
-		y = tx.Load(za + rbRight)
-		for l := tx.Load(rhtm.Addr(y) + rbLeft); l != uint64(rhtm.NilAddr); l = tx.Load(rhtm.Addr(y) + rbLeft) {
-			y = l
-		}
-	}
-	ya := rhtm.Addr(y)
-	x := tx.Load(ya + rbLeft)
-	if x == uint64(rhtm.NilAddr) {
-		x = tx.Load(ya + rbRight)
-	}
-	xp := tx.Load(ya + rbParent)
-	if x != uint64(rhtm.NilAddr) {
-		tx.Store(rhtm.Addr(x)+rbParent, xp)
-	}
-	if xp == uint64(rhtm.NilAddr) {
-		tx.Store(t.root, x)
-	} else if tx.Load(rhtm.Addr(xp)+rbLeft) == y {
-		tx.Store(rhtm.Addr(xp)+rbLeft, x)
-	} else {
-		tx.Store(rhtm.Addr(xp)+rbRight, x)
-	}
-	if y != z {
-		// Move the successor's payload into z; the structure keeps z. When
-		// y was z's direct child, xp is already z, which is exactly x's new
-		// parent — no adjustment needed.
-		tx.Store(za+rbKey, tx.Load(ya+rbKey))
-		tx.Store(za+rbValue, tx.Load(ya+rbValue))
-	}
-	if tx.Load(ya+rbColor) == black {
-		t.deleteFixup(tx, x, xp)
-	}
+	node := t.tree.sys.MustAlloc(RBNodeWords)
+	tx.Store(node+rbKey, key)
+	tx.Store(node+rbValue, value)
+	t.tree.link(tx, n, left, node+rbHeader)
 	return true
 }
 
-// deleteFixup restores the invariants after unlinking a black node; x (which
-// may be nil) carries an extra black, xp is its parent.
-func (t *RBTree) deleteFixup(tx rhtm.Tx, x, xp uint64) {
-	for x != tx.Load(t.root) && t.colorOf(tx, x) == black {
-		if xp == uint64(rhtm.NilAddr) {
-			break
-		}
-		xpa := rhtm.Addr(xp)
-		if x == tx.Load(xpa+rbLeft) {
-			w := tx.Load(xpa + rbRight)
-			if t.colorOf(tx, w) == red {
-				tx.Store(rhtm.Addr(w)+rbColor, black)
-				tx.Store(xpa+rbColor, red)
-				t.rotateLeft(tx, xp)
-				w = tx.Load(xpa + rbRight)
-			}
-			wl := tx.Load(rhtm.Addr(w) + rbLeft)
-			wr := tx.Load(rhtm.Addr(w) + rbRight)
-			if t.colorOf(tx, wl) == black && t.colorOf(tx, wr) == black {
-				tx.Store(rhtm.Addr(w)+rbColor, red)
-				x = xp
-				xp = tx.Load(rhtm.Addr(x) + rbParent)
-				continue
-			}
-			if t.colorOf(tx, wr) == black {
-				if wl != uint64(rhtm.NilAddr) {
-					tx.Store(rhtm.Addr(wl)+rbColor, black)
-				}
-				tx.Store(rhtm.Addr(w)+rbColor, red)
-				t.rotateRight(tx, w)
-				w = tx.Load(xpa + rbRight)
-				wr = tx.Load(rhtm.Addr(w) + rbRight)
-			}
-			tx.Store(rhtm.Addr(w)+rbColor, tx.Load(xpa+rbColor))
-			tx.Store(xpa+rbColor, black)
-			if wr != uint64(rhtm.NilAddr) {
-				tx.Store(rhtm.Addr(wr)+rbColor, black)
-			}
-			t.rotateLeft(tx, xp)
-			x = tx.Load(t.root)
-			break
-		}
-		// Mirror image.
-		w := tx.Load(xpa + rbLeft)
-		if t.colorOf(tx, w) == red {
-			tx.Store(rhtm.Addr(w)+rbColor, black)
-			tx.Store(xpa+rbColor, red)
-			t.rotateRight(tx, xp)
-			w = tx.Load(xpa + rbLeft)
-		}
-		wl := tx.Load(rhtm.Addr(w) + rbLeft)
-		wr := tx.Load(rhtm.Addr(w) + rbRight)
-		if t.colorOf(tx, wl) == black && t.colorOf(tx, wr) == black {
-			tx.Store(rhtm.Addr(w)+rbColor, red)
-			x = xp
-			xp = tx.Load(rhtm.Addr(x) + rbParent)
-			continue
-		}
-		if t.colorOf(tx, wl) == black {
-			if wr != uint64(rhtm.NilAddr) {
-				tx.Store(rhtm.Addr(wr)+rbColor, black)
-			}
-			tx.Store(rhtm.Addr(w)+rbColor, red)
-			t.rotateLeft(tx, w)
-			w = tx.Load(xpa + rbLeft)
-			wl = tx.Load(rhtm.Addr(w) + rbLeft)
-		}
-		tx.Store(rhtm.Addr(w)+rbColor, tx.Load(xpa+rbColor))
-		tx.Store(xpa+rbColor, black)
-		if wl != uint64(rhtm.NilAddr) {
-			tx.Store(rhtm.Addr(wl)+rbColor, black)
-		}
-		t.rotateRight(tx, xp)
-		x = tx.Load(t.root)
-		break
+// Delete removes key, returning false if it was absent. The node is
+// unlinked by transplant, so no other entry's key or value moves. Its words
+// are intentionally not returned to the heap: a free inside a transaction
+// that later aborts would hand the block to another thread while it is
+// still reachable. A transactional reclamation scheme (e.g. epoch deferral
+// keyed on commit) is out of scope for the reproduction.
+func (t *RBTree) Delete(tx rhtm.Tx, key uint64) bool {
+	n, found, _ := t.find(tx, key)
+	if found {
+		t.tree.Unlink(tx, n)
 	}
-	if x != uint64(rhtm.NilAddr) {
-		tx.Store(rhtm.Addr(x)+rbColor, black)
-	}
-}
-
-// colorOf treats nil as black, per the red-black convention.
-func (t *RBTree) colorOf(tx rhtm.Tx, n uint64) uint64 {
-	if n == uint64(rhtm.NilAddr) {
-		return black
-	}
-	return tx.Load(rhtm.Addr(n) + rbColor)
+	return found
 }
 
 // --- validation (setup/verification contexts only) ---
 
-// Validate checks the red-black invariants and BST ordering over the whole
-// tree using raw memory access. Only call while no transactions are in
+// Validate checks the red-black invariants and that the keys ascend in
+// order, using raw memory access. Only call while no transactions are in
 // flight. It returns a descriptive error on the first violation.
 func (t *RBTree) Validate() error {
-	tx := SetupTx(t.sys)
-	root := tx.Load(t.root)
-	if root == uint64(rhtm.NilAddr) {
-		return nil
+	if err := t.tree.Validate(); err != nil {
+		return err
 	}
-	if tx.Load(rhtm.Addr(root)+rbColor) != black {
-		return fmt.Errorf("rbtree: root is red")
-	}
-	_, err := t.validateNode(tx, root, 0, ^uint64(0))
-	return err
-}
-
-// validateNode checks the subtree at n against (lo, hi) key bounds and
-// returns its black height.
-func (t *RBTree) validateNode(tx rhtm.Tx, n uint64, lo, hi uint64) (int, error) {
-	if n == uint64(rhtm.NilAddr) {
-		return 1, nil
-	}
-	a := rhtm.Addr(n)
-	k := tx.Load(a + rbKey)
-	if k <= lo || k >= hi {
-		return 0, fmt.Errorf("rbtree: key %d violates BST bounds (%d,%d)", k, lo, hi)
-	}
-	c := tx.Load(a + rbColor)
-	l, r := tx.Load(a+rbLeft), tx.Load(a+rbRight)
-	if c == red {
-		if t.colorOf(tx, l) == red || t.colorOf(tx, r) == red {
-			return 0, fmt.Errorf("rbtree: red node %d has a red child", k)
+	keys := t.Keys()
+	for i := 1; i < len(keys); i++ {
+		if keys[i] <= keys[i-1] {
+			return fmt.Errorf("rbtree: key %d follows %d in order", keys[i], keys[i-1])
 		}
 	}
-	for _, child := range []uint64{l, r} {
-		if child != uint64(rhtm.NilAddr) && tx.Load(rhtm.Addr(child)+rbParent) != n {
-			return 0, fmt.Errorf("rbtree: node %d child has wrong parent pointer", k)
-		}
-	}
-	lh, err := t.validateNode(tx, l, lo, k)
-	if err != nil {
-		return 0, err
-	}
-	rh, err := t.validateNode(tx, r, k, hi)
-	if err != nil {
-		return 0, err
-	}
-	if lh != rh {
-		return 0, fmt.Errorf("rbtree: black-height mismatch at key %d: %d vs %d", k, lh, rh)
-	}
-	if c == black {
-		lh++
-	}
-	return lh, nil
+	return nil
 }
 
 // Keys returns all keys in order using raw access (setup/verification only).
 func (t *RBTree) Keys() []uint64 {
-	tx := SetupTx(t.sys)
+	tx := SetupTx(t.tree.sys)
 	var out []uint64
-	var walk func(n uint64)
-	walk = func(n uint64) {
-		if n == uint64(rhtm.NilAddr) {
-			return
-		}
-		walk(tx.Load(rhtm.Addr(n) + rbLeft))
-		out = append(out, tx.Load(rhtm.Addr(n)+rbKey))
-		walk(tx.Load(rhtm.Addr(n) + rbRight))
-	}
-	walk(tx.Load(t.root))
+	t.tree.Scan(tx, nil, nil, func(n rhtm.Addr) bool {
+		out = append(out, tx.Load(rbBase(n)+rbKey))
+		return true
+	})
 	return out
 }

@@ -9,7 +9,6 @@ import (
 	"rhtm"
 	"rhtm/cluster"
 	"rhtm/kv"
-	"rhtm/store"
 	"rhtm/wal"
 )
 
@@ -37,7 +36,6 @@ type Follower struct {
 	// tailer is only a cursor — its decisions carry no System state — so
 	// drain, the applied_lsn gauge and the lag cover every device.
 	streams []*stream
-	wms     *store.Watermarks
 	wg      sync.WaitGroup
 
 	stopMu  sync.Mutex
@@ -145,11 +143,10 @@ func (g *Group) AddLocalReplica(eng rhtm.Engine, st kv.Storer, opts ...kv.Option
 	f := &Follower{g: g, name: g.nextName()}
 	f.localDB = kv.NewLocal(eng, st, opts...)
 	f.db = f.localDB
-	f.wms = store.NewWatermarks(len(st.EventLogs()))
 	s := newStream("wal", g.devs[0])
 	f.streams = []*stream{s}
 	f.wg.Add(1)
-	go f.pumpData(s, eng, st, -1)
+	go f.pumpData(s, eng, st)
 	g.register(f)
 	return f, nil
 }
@@ -173,12 +170,11 @@ func (g *Group) AddClusterReplica(rc *cluster.Cluster, opts ...kv.Option) (*Foll
 	f := &Follower{g: g, name: g.nextName()}
 	f.cdb = kv.NewCluster(rc, opts...)
 	f.db = f.cdb
-	f.wms = store.NewWatermarks(n)
 	for i := 0; i < n; i++ {
 		s := newStream(kv.WALDataName(i), g.devs[i])
 		f.streams = append(f.streams, s)
 		f.wg.Add(1)
-		go f.pumpData(s, rc.Node(i).Engine(), rc.Node(i).Store(), i)
+		go f.pumpData(s, rc.Node(i).Engine(), rc.Node(i).Store())
 	}
 	coord := newStream(kv.WALCoordName, g.devs[n])
 	f.streams = append(f.streams, coord)
@@ -206,10 +202,6 @@ func (f *Follower) ReadAt(key []byte, floor kv.Revision) ([]byte, kv.Revision, k
 // FollowerReader surface (writes, leases, watches) is the caller's own
 // risk: the apply pumps own the replica's mutation path.
 func (f *Follower) DB() kv.DB { return f.db }
-
-// AppliedRev returns partition part's applied watermark — advisory lag
-// accounting (the follower-read watermark is always read transactionally).
-func (f *Follower) AppliedRev(part int) uint64 { return f.wms.Get(part) }
 
 // WaitIdle blocks until the follower has applied every frame its devices
 // currently hold — the test hook for deterministic catch-up, and the drain
@@ -278,20 +270,18 @@ func (f *Follower) pump(s *stream, apply func(wal.Unit) (maxRev uint64, err erro
 
 // pumpData tails one data stream and applies whole units to the replica
 // System through Replay, on a dedicated engine thread.
-// part >= 0 pins the watermark partition (cluster streams log Part 0 for a
-// whole System); -1 uses each op's own partition (sharded local stores).
-func (f *Follower) pumpData(s *stream, eng rhtm.Engine, st kv.Storer, part int) {
+func (f *Follower) pumpData(s *stream, eng rhtm.Engine, st kv.Storer) {
 	th := eng.NewThread()
 	f.pump(s, func(u wal.Unit) (uint64, error) {
 		switch u.Kind {
 		case wal.UnitTxn:
-			return f.applyOps(th, st, u.Txn.Ops, part)
+			return f.applyOps(th, st, u.Txn.Ops)
 		case wal.UnitCheckpoint:
 			// Fully redundant for a caught-up follower (snapshots hold only
 			// live keys at their current revisions, all <= the applied
 			// watermark); Replay's revision guard skips them.
 			// A follower attached mid-log uses them as its catch-up base.
-			return f.applyOps(th, st, u.Checkpoint, part)
+			return f.applyOps(th, st, u.Checkpoint)
 		}
 		// Resolution marks carry no System state; epoch frames fence the
 		// log, not the data. Both just move the cursor.
@@ -303,7 +293,7 @@ func (f *Follower) pumpData(s *stream, eng rhtm.Engine, st kv.Storer, part int) 
 // unit's atomicity on the replica — through Replay, as crash recovery does.
 // Replay skips an op at or below its record's revision, which makes
 // re-delivery (checkpoint overlap, reattached cursors) idempotent.
-func (f *Follower) applyOps(th rhtm.Thread, st kv.Storer, ops []wal.Op, part int) (uint64, error) {
+func (f *Follower) applyOps(th rhtm.Thread, st kv.Storer, ops []wal.Op) (uint64, error) {
 	if len(ops) == 0 {
 		return 0, nil
 	}
@@ -321,13 +311,6 @@ func (f *Follower) applyOps(th rhtm.Thread, st kv.Storer, ops []wal.Op, part int
 		return 0, err
 	}
 	f.g.applyBatch.Observe(uint64(len(ops)))
-	for i := range ops {
-		p := part
-		if p < 0 {
-			p = ops[i].Part
-		}
-		f.wms.Set(p, ops[i].Rev)
-	}
 	// Close the tracing loop: traces awaiting a commit revision at or
 	// below this unit's watermark gain their replica_apply stage.
 	if fl != nil {

@@ -25,13 +25,14 @@
 //     primary under epoch+1, recording the new role map in a durable
 //     epoch frame on the coordinator stream.
 //   - Follower: one replica — per-stream apply pumps on dedicated engine
-//     threads, per-partition applied watermarks (store.Watermarks), and
-//     the follower-read surface (ReadAt via kv.FollowerReader) whose
-//     never-future guarantee comes from reading the key and the partition
-//     clock in one engine transaction. A follower keeps no recovery state:
-//     promotion is crash recovery minus the replay (kv.Local.Promote,
-//     kv.ClusterDB.Promote), reading the drained devices with the scan
-//     kv.OpenLocal and kv.OpenCluster run.
+//     threads, each stream's applied cursor and revision (what Status, the
+//     repl.applied_* gauges and health report), and the follower-read
+//     surface (ReadAt via kv.FollowerReader) whose never-future guarantee
+//     comes from reading the key and the partition clock in one engine
+//     transaction. A follower keeps no recovery state: promotion is crash
+//     recovery minus the replay (kv.Local.Promote, kv.ClusterDB.Promote),
+//     reading the drained devices with the scan kv.OpenLocal and
+//     kv.OpenCluster run.
 //
 // Correctness of failover, briefly (DESIGN.md §12 has the full argument):
 // an acknowledged commit was appended before the fence, the promoted
