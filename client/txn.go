@@ -15,11 +15,11 @@ import (
 // writes buffer locally. Commit ships the recorded revisions as conditions
 // and the buffered writes as ops in one Txn frame; the server validates
 // every condition inside one transaction and applies the writes
-// atomically. Validation failure is kv.ErrConflict, and kv.Retry — the loop
-// the in-process backends run — runs the closure again against fresh reads.
-// Unlike ClusterDB, which re-validates the ranges its closures scanned, the
-// frame carries no ranges: a key that enters a scanned range before the
-// commit is a phantom the server does not see.
+// atomically. The frame also carries the ranges the closure scanned, and
+// the server refuses the commit when a committed key inside one is missing
+// from the conditions — a phantom, as ClusterDB's scansValid refuses it.
+// Validation failure is kv.ErrConflict, and kv.Retry — the loop the
+// in-process backends run — runs the closure again against fresh reads.
 func (c *Client) Update(fn func(tx kv.Txn) error) error {
 	return kv.Retry(func(attempt int) error {
 		t := cluster.NewTxn(txnSource{c})
@@ -71,11 +71,16 @@ func (s txnSource) ScanSnapshot(start, end []byte, limit int) ([]cluster.Entry, 
 // commit ships t's footprint as one Txn frame: every recorded observation
 // is a condition (revision 0: the key must still be absent), every buffered
 // write an op — except the delete of a key that was absent before the
-// transaction, which changes nothing and leaves only its condition. A
-// closure that read and wrote nothing commits locally for free; one that
-// only read still commits over the wire, revalidating its reads so a torn
-// multi-key read can never return success.
+// transaction, which changes nothing and leaves only its condition — and
+// every scanned range a range (FlagRanges). A closure that read and wrote
+// nothing, or whose only observation is one empty scan, commits locally
+// for free; one that only read still commits over the wire, revalidating
+// its reads and ranges so a torn multi-key read can never return success.
 func (c *Client) commit(t *cluster.Txn) (kv.Revision, error) {
+	var ranges []wire.Range
+	t.Scans(func(start, end []byte) {
+		ranges = append(ranges, wire.Range{Start: start, End: end})
+	})
 	var conds []wire.Cond
 	var ops []kv.Op
 	t.Footprint(func(key []byte, read *cluster.Record, w *cluster.Write) {
@@ -90,10 +95,14 @@ func (c *Client) commit(t *cluster.Txn) (kv.Revision, error) {
 			ops = append(ops, kv.Op{Kind: kv.OpDelete, Key: key})
 		}
 	})
-	if len(conds) == 0 && len(ops) == 0 {
+	if len(conds) == 0 && len(ops) == 0 && len(ranges) <= 1 {
 		return 0, nil
 	}
-	r, err := c.do(wire.Msg{Kind: wire.KindTxn, Conds: conds, Ops: ops})
+	m := wire.Msg{Kind: wire.KindTxn, Conds: conds, Ops: ops}
+	if len(ranges) > 0 {
+		m.Flags, m.Ranges = wire.FlagRanges, ranges
+	}
+	r, err := c.do(m)
 	if err != nil {
 		return 0, err
 	}

@@ -445,6 +445,16 @@ func (t *Txn) Footprint(fn func(key []byte, read *Record, write *Write)) {
 	}
 }
 
+// Scans calls fn once for every range the transaction's scans recorded for
+// phantom protection, in scan order, with Scan's bounds ([start, end), nil
+// unbounded). The network client ships them with its Footprint so the
+// server re-validates them as scansValid does here.
+func (t *Txn) Scans(fn func(start, end []byte)) {
+	for _, r := range t.scans {
+		fn(r.start, r.end)
+	}
+}
+
 // Txn runs fn once, optimistically, on a transaction reading through cl,
 // and commits its buffer. A non-nil error from fn aborts without committing
 // and is returned as-is; a conflict — at commit, or on any read fn made,

@@ -273,7 +273,7 @@ func (c *conn) handle(m wire.Msg, tr *obs.Trace) {
 		}
 		c.sendT(tr, nil, wire.Msg{ID: m.ID, Kind: wire.KindResults, Results: rs})
 	case wire.KindTxn:
-		rev, err := c.srv.execTxn(m.Conds, m.Ops, sinkOf(tr))
+		rev, err := c.srv.execTxn(m.Conds, m.Ranges, m.Ops, sinkOf(tr))
 		c.replyT(tr, m.ID, rev, err)
 	case wire.KindScan:
 		c.handleScan(m, tr)
@@ -394,7 +394,8 @@ func (c *conn) sendEntries(id uint64, entries []wire.Entry, tr *obs.Trace) {
 // scanRev runs one closure transaction that scans [start, end) and pairs
 // every yielded entry with its revision — each Revision call records the
 // key in the transaction's read set, mirroring the cluster transaction's
-// scan semantics (committed entries are validated; phantoms are not).
+// scan semantics. The client records the range itself and ships it with
+// its commit, where execTxn re-checks it for phantoms.
 func (s *Server) scanRev(start, end []byte, limit int, sink obs.TraceSink) ([]wire.Entry, error) {
 	var out []wire.Entry
 	fn := func(tx kv.Txn) error {
@@ -428,10 +429,12 @@ func (s *Server) scanRev(start, end []byte, limit int, sink obs.TraceSink) ([]wi
 
 // execTxn commits a client-side closure transaction: validate every
 // condition (key at exactly the revision the client's reads observed,
-// 0 = absent), then apply the buffered ops, all inside one server-side
+// 0 = absent) and every scanned range (each committed key inside it is
+// one of the conditions' keys; any other entered after the client's scan,
+// a phantom), then apply the buffered ops, all inside one server-side
 // closure. A failed condition surfaces as one kv.ErrConflict to the
 // client, which re-runs its closure; see errTxnCondFailed.
-func (s *Server) execTxn(conds []wire.Cond, ops []kv.Op, sink obs.TraceSink) (kv.Revision, error) {
+func (s *Server) execTxn(conds []wire.Cond, ranges []wire.Range, ops []kv.Op, sink obs.TraceSink) (kv.Revision, error) {
 	for _, cd := range conds {
 		if kv.IsReservedKey(cd.Key) {
 			return 0, kv.ErrReservedKey
@@ -445,6 +448,13 @@ func (s *Server) execTxn(conds []wire.Cond, ops []kv.Op, sink obs.TraceSink) (kv
 			return 0, fmt.Errorf("server: txn op kind %d", op.Kind)
 		}
 	}
+	var observed map[string]bool
+	if len(ranges) > 0 {
+		observed = make(map[string]bool, len(conds))
+		for _, cd := range conds {
+			observed[string(cd.Key)] = true
+		}
+	}
 	fn := func(tx kv.Txn) error {
 		for _, cd := range conds {
 			rev, err := tx.Revision(cd.Key)
@@ -453,6 +463,17 @@ func (s *Server) execTxn(conds []wire.Cond, ops []kv.Op, sink obs.TraceSink) (kv
 			}
 			if rev != cd.Rev {
 				return errTxnCondFailed
+			}
+		}
+		for _, r := range ranges {
+			it := tx.Scan(r.Start, r.End, 0)
+			for it.Next() {
+				if !observed[string(it.Key())] {
+					return errTxnCondFailed
+				}
+			}
+			if err := it.Err(); err != nil {
+				return err
 			}
 		}
 		for _, op := range ops {

@@ -84,8 +84,9 @@ const (
 	// KindBatch executes ops atomically (response: Results or Err).
 	KindBatch
 	// KindTxn commits a client-side closure: conditions (key, revision
-	// observed by the client's reads) plus buffered write ops. The server
-	// validates every condition and applies the ops in one transaction
+	// observed by the client's reads) plus buffered write ops, and with
+	// FlagRanges the ranges it scanned. The server validates every
+	// condition and range and applies the ops in one transaction
 	// (response: OK carrying the commit revision, or Err with CodeConflict
 	// when validation failed).
 	KindTxn
@@ -200,6 +201,11 @@ const (
 	// extra bytes, so the sampling-off wire image is byte-identical to
 	// earlier protocol revisions.
 	FlagTraced = 1 << 3
+	// FlagRanges on a Txn request means a range list follows the ops: the
+	// key ranges the client's closure scanned, which the server
+	// re-validates for phantoms. A Txn that scanned nothing leaves it
+	// clear and carries no extra bytes.
+	FlagRanges = 1 << 4
 )
 
 // Error codes carried by Err frames and per-op Results, mapping the kv
@@ -258,6 +264,13 @@ type Cond struct {
 	Rev uint64
 }
 
+// Range is one key range [Start, End) a Txn's closure scanned (nil bounds
+// unbounded): no committed key inside it may be missing from the Txn's
+// conditions.
+type Range struct {
+	Start, End []byte
+}
+
 // Entry is one key-value-revision triple of an Entries chunk.
 type Entry struct {
 	Key   []byte
@@ -290,6 +303,7 @@ type Msg struct {
 	Text    string
 	Ops     []kv.Op
 	Conds   []Cond
+	Ranges  []Range // Txn with FlagRanges
 	Entries []Entry
 	Results []Result
 }
@@ -346,6 +360,13 @@ func Encode(dst []byte, m Msg) ([]byte, error) {
 			dst = appendU64(dst, c.Rev)
 		}
 		dst = appendOps(dst, m.Ops)
+		if m.Flags&FlagRanges != 0 {
+			dst = appendU32(dst, uint32(len(m.Ranges)))
+			for _, r := range m.Ranges {
+				dst = appendBytes(dst, r.Start)
+				dst = appendBytes(dst, r.End)
+			}
+		}
 	case KindScan:
 		dst = appendBytes(dst, m.Key)
 		dst = appendBytes(dst, m.End)
@@ -504,6 +525,15 @@ func decodeBody(body []byte) (Msg, error) {
 			m.Conds = append(m.Conds, c)
 		}
 		m.Ops = d.ops()
+		if m.Flags&FlagRanges != 0 {
+			nr := d.count(8) // two length words
+			for i := 0; i < nr && d.err == nil; i++ {
+				var r Range
+				r.Start = d.bytes()
+				r.End = d.bytes()
+				m.Ranges = append(m.Ranges, r)
+			}
+		}
 	case KindScan:
 		m.Key = d.bytes()
 		m.End = d.bytes()

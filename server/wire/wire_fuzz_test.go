@@ -27,6 +27,10 @@ func FuzzServerFrame(f *testing.F) {
 			Conds: []Cond{{Key: []byte("a"), Rev: 1}, {Key: []byte("b"), Rev: 0}},
 			Ops:   []kv.Op{{Kind: kv.OpPut, Key: []byte("a"), Value: []byte("z")}}},
 		{ID: 7, Kind: KindScan, Flags: FlagWithRev, Key: []byte("a"), End: nil, Rev: 100},
+		{ID: 7, Kind: KindTxn, Flags: FlagRanges,
+			Conds:  []Cond{{Key: []byte("a"), Rev: 1}},
+			Ops:    []kv.Op{{Kind: kv.OpPut, Key: []byte("t"), Value: []byte("1")}},
+			Ranges: []Range{{Start: []byte("a"), End: []byte("b")}, {Start: nil, End: nil}}},
 		{ID: 8, Kind: KindWatch, Key: nil, Rev: 12},
 		{ID: 9, Kind: KindErr, Code: CodeConflict, Text: "kv: transaction conflict"},
 		{ID: 10, Kind: KindEntries, Flags: FlagFinal, Entries: []Entry{

@@ -123,6 +123,28 @@ func TestWireGoldenVectors(t *testing.T) {
 				0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // op lease 0
 			},
 		},
+		{
+			name: "txn-ranges",
+			msg: Msg{ID: 15, Kind: KindTxn, Flags: FlagRanges,
+				Conds:  []Cond{{Key: []byte("a"), Rev: 0}},
+				Ranges: []Range{{Start: []byte("a"), End: nil}}},
+			want: []byte{
+				0x2c, 0x00, 0x00, 0x00, // body length 44
+				0x9d, 0x35, 0x3f, 0x33, // crc32c
+				0x0f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // id 15
+				0x09,                   // kind txn
+				0x10,                   // flags: ranges
+				0x01, 0x00, 0x00, 0x00, // 1 condition
+				0x01, 0x00, 0x00, 0x00, // cond key length 1
+				0x61,                                           // 'a'
+				0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // cond rev 0 (absent)
+				0x00, 0x00, 0x00, 0x00, // 0 ops
+				0x01, 0x00, 0x00, 0x00, // 1 range
+				0x01, 0x00, 0x00, 0x00, // range start length 1
+				0x61,                   // 'a'
+				0xff, 0xff, 0xff, 0xff, // range end nil (unbounded)
+			},
+		},
 	}
 	for _, c := range cases {
 		got, err := Encode(nil, c.msg)
