@@ -108,9 +108,15 @@ func (cn *netConn) write(m wire.Msg) error {
 	return nil
 }
 
-// roundTrip sends one unary request and waits for its response.
+// unaryWaiters recycles the waiters of unary requests, channel included.
+var unaryWaiters = sync.Pool{New: func() any { return &waiter{ch: make(chan wire.Msg, 1)} }}
+
+// roundTrip sends one unary request and waits for its response. Its waiter
+// goes back to the pool only once its one response has been received: on
+// the write-error and dead paths the reader may still hold it, and a late
+// send would land in whichever request took it next.
 func (cn *netConn) roundTrip(m wire.Msg) (wire.Msg, error) {
-	w := &waiter{ch: make(chan wire.Msg, 1)}
+	w := unaryWaiters.Get().(*waiter)
 	m.ID = cn.register(w)
 	if err := cn.write(m); err != nil {
 		cn.unregister(m.ID)
@@ -118,6 +124,7 @@ func (cn *netConn) roundTrip(m wire.Msg) (wire.Msg, error) {
 	}
 	select {
 	case r := <-w.ch:
+		unaryWaiters.Put(w)
 		if r.Kind == wire.KindErr {
 			return wire.Msg{}, wire.ErrOf(r.Code, r.Text)
 		}
@@ -154,9 +161,9 @@ func (cn *netConn) scan(m wire.Msg) (wire.Msg, error) {
 func (cn *netConn) readLoop() {
 	br := bufio.NewReaderSize(cn.nc, 32<<10)
 	for {
-		// Fresh buffer per frame: decoded messages escape to waiters.
-		var frame []byte
-		m, err := wire.ReadMsg(br, &frame)
+		// Each decoded message aliases its own frame buffer, so it may
+		// escape to a waiter uncopied.
+		m, err := wire.ReadMsg(br)
 		if err != nil {
 			cn.fail(fmt.Errorf("client: connection lost: %w", err))
 			cn.nc.Close()

@@ -118,8 +118,7 @@ func readAll(t *testing.T, nc net.Conn, want int) map[uint64]wire.Msg {
 	br := bufio.NewReader(nc)
 	got := map[uint64]wire.Msg{}
 	for len(got) != want {
-		var frame []byte // fresh per frame: the decoded message aliases it
-		m, err := wire.ReadMsg(br, &frame)
+		m, err := wire.ReadMsg(br)
 		if err != nil {
 			if want < 0 && errors.Is(err, io.EOF) {
 				break

@@ -194,8 +194,7 @@ func readFor(t *testing.T, nc net.Conn, br *bufio.Reader, id uint64) wire.Msg {
 	t.Helper()
 	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
 	for {
-		var scratch []byte
-		m, err := wire.ReadMsg(br, &scratch)
+		m, err := wire.ReadMsg(br)
 		if err != nil {
 			t.Fatalf("raw read waiting for id %d: %v", id, err)
 		}

@@ -95,12 +95,10 @@ func (c *conn) beginDrain() {
 func (c *conn) readLoop() {
 	br := bufio.NewReaderSize(c.cc, 32<<10)
 	for {
-		// A fresh frame buffer every read: decoded messages alias it and
-		// escape this loop (to the batcher, handler goroutines, and watch
-		// subscriptions), so the scratch-reuse optimization ReadMsg offers
-		// would corrupt in-flight requests here.
-		var frame []byte
-		m, err := wire.ReadMsg(br, &frame)
+		// The decoded message aliases its own frame buffer, which nothing
+		// rewrites, so its keys and values may escape this loop (to the
+		// batcher, handler goroutines and watch subscriptions) uncopied.
+		m, err := wire.ReadMsg(br)
 		if err != nil {
 			break
 		}

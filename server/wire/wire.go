@@ -52,6 +52,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -447,33 +448,30 @@ func Decode(b []byte) (Msg, int, error) {
 }
 
 // ReadMsg reads exactly one frame from r. A clean EOF at a frame boundary
-// is io.EOF; a stream cut mid-frame is ErrTorn.
-func ReadMsg(r io.Reader, scratch *[]byte) (Msg, error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
+// is io.EOF; a stream cut mid-frame is ErrTorn. The header is peeked in
+// place and the whole frame is read into one buffer allocated for it, which
+// the decoded message aliases.
+func ReadMsg(r *bufio.Reader) (Msg, error) {
+	hdr, err := r.Peek(frameHeader)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
 			return Msg{}, ErrTorn
 		}
 		return Msg{}, err
 	}
-	blen := int(binary.LittleEndian.Uint32(hdr[:]))
+	blen := int(binary.LittleEndian.Uint32(hdr))
 	if blen < bodyHeader || blen > MaxFrameBody {
 		return Msg{}, fmt.Errorf("%w: body length %d", ErrCorrupt, blen)
 	}
-	if cap(*scratch) < blen {
-		*scratch = make([]byte, blen)
-	}
-	body := (*scratch)[:blen]
-	if _, err := io.ReadFull(r, body); err != nil {
+	frame := make([]byte, frameHeader+blen)
+	if _, err := io.ReadFull(r, frame); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return Msg{}, ErrTorn
 		}
 		return Msg{}, err
 	}
-	if crc := crc32.Checksum(body, crcTable); crc != binary.LittleEndian.Uint32(hdr[4:]) {
-		return Msg{}, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	return decodeBody(body)
+	m, _, err := Decode(frame)
+	return m, err
 }
 
 // WriteMsg encodes m and writes the frame to w in one call.
@@ -637,8 +635,9 @@ func (d *decoder) u64() uint64 {
 	return v
 }
 
-// bytes reads one nilable byte field: a private copy, nil when the length
-// word is the nil sentinel.
+// bytes reads one nilable byte field, nil when the length word is the nil
+// sentinel. The field aliases the frame, clipped to its own length so an
+// append by the holder reallocates instead of overwriting what follows.
 func (d *decoder) bytes() []byte {
 	n := d.u32()
 	if d.err != nil {
@@ -653,7 +652,7 @@ func (d *decoder) bytes() []byte {
 		d.fail("byte field length %d of %d", n, len(d.p))
 		return nil
 	}
-	v := append([]byte{}, d.p[:n]...)
+	v := d.p[:n:n]
 	d.p = d.p[n:]
 	return v
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"hash/crc32"
@@ -335,10 +336,9 @@ func TestWireReadMsg(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r := bytes.NewReader(buf)
-	var scratch []byte
+	r := bufio.NewReader(bytes.NewReader(buf))
 	for i, want := range msgs {
-		got, err := ReadMsg(r, &scratch)
+		got, err := ReadMsg(r)
 		if err != nil {
 			t.Fatalf("msg %d: %v", i, err)
 		}
@@ -346,14 +346,86 @@ func TestWireReadMsg(t *testing.T) {
 			t.Fatalf("msg %d: got %+v want %+v", i, got, want)
 		}
 	}
-	if _, err := ReadMsg(r, &scratch); err != io.EOF {
+	if _, err := ReadMsg(r); err != io.EOF {
 		t.Fatalf("at end: err = %v, want io.EOF", err)
 	}
 	// Cut mid-frame: header-only and mid-body both surface as ErrTorn.
 	for _, cut := range []int{3, frameHeader + 2} {
-		r := bytes.NewReader(buf[:cut])
-		if _, err := ReadMsg(r, &scratch); !errors.Is(err, ErrTorn) {
+		r := bufio.NewReader(bytes.NewReader(buf[:cut]))
+		if _, err := ReadMsg(r); !errors.Is(err, ErrTorn) {
 			t.Fatalf("cut at %d: err = %v, want ErrTorn", cut, err)
+		}
+	}
+}
+
+// TestDecodeAllocs pins decoding in place: Decode of the common request
+// and response frames allocates nothing, and ReadMsg allocates exactly the
+// one buffer a frame lands in.
+func TestDecodeAllocs(t *testing.T) {
+	val := bytes.Repeat([]byte{0xAB}, 100)
+	msgs := []Msg{
+		{ID: 7, Kind: KindGet, Key: []byte("user42")},
+		{ID: 8, Kind: KindPut, Key: []byte("user42"), Value: val, Lease: 3},
+		{ID: 7, Kind: KindValue, Value: val, Rev: 9},
+		{ID: 8, Kind: KindOK, Rev: 10},
+	}
+	var stream []byte
+	for _, m := range msgs {
+		frame, err := Encode(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, _, err := Decode(frame); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("Decode of %v: %v allocs, want 0", m.Kind, allocs)
+		}
+		stream = append(stream, frame...)
+	}
+	const runs = 100
+	r := bufio.NewReader(bytes.NewReader(bytes.Repeat(stream, runs+1))) // +1: AllocsPerRun's warm-up
+	allocs := testing.AllocsPerRun(runs, func() {
+		for range msgs {
+			if _, err := ReadMsg(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if perFrame := allocs / float64(len(msgs)); perFrame != 1 {
+		t.Errorf("ReadMsg: %v allocs per frame, want 1", perFrame)
+	}
+}
+
+// TestDecodeAliasesFrame pins what a decoded message owns: its byte fields
+// are windows on the frame, each clipped to its own length so an append
+// reallocates rather than overwriting the next field, and nil and empty
+// decode as nilLen and a zero length encode them.
+func TestDecodeAliasesFrame(t *testing.T) {
+	frame, err := Encode(nil, Msg{Kind: KindPut, Key: []byte("key"), Value: []byte("value")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i := bytes.Index(frame, []byte("key")); &m.Key[0] != &frame[i] || cap(m.Key) != len(m.Key) {
+		t.Errorf("key is not a clipped window on the frame: cap %d", cap(m.Key))
+	}
+	_ = append(m.Key, "XXXXX"...)
+	if string(m.Value) != "value" {
+		t.Errorf("append to the key overwrote the value: %q", m.Value)
+	}
+	for _, v := range [][]byte{nil, {}} {
+		frame, err := Encode(nil, Msg{Kind: KindValue, Value: v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, _, err := Decode(frame)
+		if err != nil || (m.Value == nil) != (v == nil) || len(m.Value) != 0 {
+			t.Errorf("value %#v decoded as %#v (err %v)", v, m.Value, err)
 		}
 	}
 }

@@ -42,7 +42,8 @@ import (
 // Sync survive any later crash, bytes after it may be lost or torn at any
 // byte boundary. Contents reads everything appended so far (recovery),
 // ContentsFrom the bytes at or after an offset (a Tailer's incremental
-// read); Truncate discards a torn tail before new appends continue.
+// read), each into a fresh slice the caller owns — decoded records alias
+// it; Truncate discards a torn tail before new appends continue.
 //
 // Append, Truncate and Contents are serialized by the caller (the Writer
 // holds its lock); Sync may run concurrently with Append — that overlap is

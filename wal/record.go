@@ -164,7 +164,9 @@ func Encode(dst []byte, r Record) []byte {
 
 // Decode reads one frame from the front of b, returning the record and the
 // bytes consumed. ErrTorn means b ends mid-frame; ErrCorrupt means the
-// frame is complete but invalid.
+// frame is complete but invalid. The record's key, value and meta alias b,
+// each clipped to its own length, and are nil when empty: b must not be
+// rewritten while the record is in use.
 func Decode(b []byte) (Record, int, error) {
 	if len(b) < frameHeader {
 		return Record{}, 0, ErrTorn
@@ -208,7 +210,9 @@ func Decode(b []byte) (Record, int, error) {
 		if klen < 0 || klen > len(p) {
 			return Record{}, 0, fmt.Errorf("%w: key length %d", ErrCorrupt, klen)
 		}
-		r.Op.Key = append([]byte(nil), p[:klen]...)
+		if klen > 0 {
+			r.Op.Key = p[:klen:klen]
+		}
 		p = p[klen:]
 		if len(p) < 4 {
 			return Record{}, 0, fmt.Errorf("%w: missing value length", ErrCorrupt)
@@ -219,7 +223,7 @@ func Decode(b []byte) (Record, int, error) {
 			return Record{}, 0, fmt.Errorf("%w: value length %d of %d", ErrCorrupt, vlen, len(p))
 		}
 		if vlen > 0 {
-			r.Op.Value = append([]byte(nil), p...)
+			r.Op.Value = p[:vlen:vlen]
 		}
 	case KindCheckpointBegin:
 		if len(p) != 0 {
@@ -235,7 +239,7 @@ func Decode(b []byte) (Record, int, error) {
 			return Record{}, 0, fmt.Errorf("%w: epoch blob length %d of %d", ErrCorrupt, mlen, len(p)-12)
 		}
 		if mlen > 0 {
-			r.Meta = append([]byte(nil), p[12:]...)
+			r.Meta = p[12 : 12+mlen : 12+mlen]
 		}
 	default:
 		return Record{}, 0, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, r.Kind)

@@ -195,6 +195,42 @@ func TestWALRecordGoldenVectors(t *testing.T) {
 	}
 }
 
+// TestDecodeAllocs pins decoding in place: an op frame decodes with no
+// allocation, its key and value windows on the frame clipped to their own
+// lengths, and a zero-length key, value or meta decodes as nil.
+func TestDecodeAllocs(t *testing.T) {
+	frame := Encode(nil, Record{Kind: KindOp, LSN: 7,
+		Op: Op{Part: 2, Kind: OpPut, Key: []byte("key!"), Value: []byte("value"), Rev: 11, Lease: 1}})
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := Decode(frame); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Decode of an op frame: %v allocs, want 0", allocs)
+	}
+	rec, _, err := Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i := bytes.Index(frame, []byte("key!")); &rec.Op.Key[0] != &frame[i] ||
+		cap(rec.Op.Key) != len(rec.Op.Key) || cap(rec.Op.Value) != len(rec.Op.Value) {
+		t.Errorf("key and value are not clipped windows on the frame: caps %d, %d", cap(rec.Op.Key), cap(rec.Op.Value))
+	}
+
+	for _, empty := range [][]byte{nil, {}} {
+		frame := Encode(nil, Record{Kind: KindOp, LSN: 1, Op: Op{Kind: OpDelete, Key: empty, Value: empty}})
+		frame = Encode(frame, Record{Kind: KindEpoch, LSN: 2, TxID: 1, Meta: empty})
+		op, n, err := Decode(frame)
+		if err != nil || op.Op.Key != nil || op.Op.Value != nil {
+			t.Errorf("empty %#v: op decoded key %#v value %#v (err %v)", empty, op.Op.Key, op.Op.Value, err)
+		}
+		ep, _, err := Decode(frame[n:])
+		if err != nil || ep.Meta != nil {
+			t.Errorf("empty %#v: epoch decoded meta %#v (err %v)", empty, ep.Meta, err)
+		}
+	}
+}
+
 // TestWALRecordCorruption: every single-byte corruption of a frame must be
 // rejected with ErrCorrupt (or shorten into ErrTorn via the length word) —
 // never decode into a different record.

@@ -31,7 +31,7 @@ type Tailer struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	buf    []byte // unconsumed device bytes starting at offset off
+	buf    []byte // unconsumed device bytes starting at offset off; never rewritten
 	off    int    // device offset of buf[0] — the consumed prefix
 	next   uint64 // expected LSN of the next frame
 	closed bool
@@ -122,7 +122,11 @@ func (t *Tailer) refreshLocked() bool {
 		t.cond.Broadcast()
 		return false
 	}
-	t.buf = append(t.buf, data...)
+	if len(t.buf) == 0 {
+		t.buf = data // ContentsFrom's slice is fresh: own it, no copy
+	} else {
+		t.buf = append(t.buf, data...)
+	}
 	return len(data) > 0
 }
 
@@ -140,10 +144,10 @@ func (t *Tailer) decodeLocked() (Unit, bool, error) {
 		t.cond.Broadcast()
 		return Unit{}, false, err
 	}
-	// Shift in place so the buffer's backing array tops out at the largest
-	// backlog instead of pinning the whole log.
-	n := copy(t.buf, t.buf[u.EndOff:])
-	t.buf = t.buf[:n]
+	// Reslice, never shift: u aliases the bytes just consumed. An append in
+	// refreshLocked writes only past the buffer's end, and a chunk is
+	// dropped once it is drained and no unit holds it.
+	t.buf = t.buf[u.EndOff:]
 	t.off += u.EndOff
 	t.next = u.EndLSN + 1
 	u.EndOff = t.off

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -269,6 +270,68 @@ func TestTailerRejectsBadStream(t *testing.T) {
 	// The failure is permanent.
 	if _, _, err := tl.TryNext(); !errors.Is(err, ErrBadStream) {
 		t.Fatalf("after failure: %v", err)
+	}
+}
+
+// TestTailerUnitsOutliveNext: a unit's keys and values alias the tailer's
+// buffer, so the tailer must never rewrite bytes it has handed out. Units
+// are held across later Next calls — two from one refresh, one whose bytes
+// landed in two refreshes (torn, then completed), and a checkpoint — and
+// must read back unchanged once the stream is drained.
+func TestTailerUnitsOutliveNext(t *testing.T) {
+	put := func(key string, rev uint64) Op {
+		return Op{Kind: OpPut, Key: []byte(key), Value: bytes.Repeat([]byte(key), 8), Rev: rev}
+	}
+	want := []Unit{
+		{Kind: UnitTxn, TxID: 1, Txn: TxnGroup{TxID: 1, Ops: []Op{put("key-a", 1)}}},
+		{Kind: UnitTxn, TxID: 2, Txn: TxnGroup{TxID: 2, Ops: []Op{put("key-b", 2)}}},
+		{Kind: UnitTxn, TxID: 3, Txn: TxnGroup{TxID: 3, Ops: []Op{put("key-c", 3), put("key-d", 4)}}},
+		{Kind: UnitCheckpoint, Checkpoint: []Op{put("key-e", 4), put("key-f", 4)}},
+	}
+	var log []byte
+	var ends []int // byte offset just past each unit
+	lsn := uint64(1)
+	for i := range want {
+		var last uint64
+		log, last = appendUnit(log, &want[i], lsn)
+		want[i].EndLSN, lsn = last, last+1
+		ends = append(ends, len(log))
+	}
+	for i := range want {
+		want[i].EndOff = ends[i]
+	}
+
+	dev := &MemDevice{}
+	tl := NewTailer(dev, 0, 1)
+	var got []Unit
+	next := func() {
+		t.Helper()
+		u, ok, err := tl.TryNext()
+		if err != nil || !ok {
+			t.Fatalf("unit %d: ok=%v err=%v", len(got)+1, ok, err)
+		}
+		got = append(got, u)
+	}
+	// Refresh 1: units 1 and 2 whole, and the front half of unit 3.
+	torn := (ends[1] + ends[2]) / 2
+	if err := dev.Append(log[:torn]); err != nil {
+		t.Fatal(err)
+	}
+	next()
+	next()
+	if _, ok, err := tl.TryNext(); ok || err != nil {
+		t.Fatalf("torn unit 3: ok=%v err=%v, want a wait", ok, err)
+	}
+	// Refresh 2: the rest of unit 3, then the checkpoint.
+	if err := dev.Append(log[torn:]); err != nil {
+		t.Fatal(err)
+	}
+	next()
+	next()
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("unit %d after draining the stream:\n got %+v\nwant %+v", i+1, got[i], want[i])
+		}
 	}
 }
 
