@@ -151,9 +151,6 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// Engine returns the serving engine's name from the Hello handshake.
-func (c *Client) Engine() string { return c.engine }
-
 // SetTracer installs (or, with nil, removes) the per-transaction tracer.
 // Spans are built client-side: one per closure attempt, stamped with the
 // served engine's name and the commit revision the server reported.

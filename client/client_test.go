@@ -69,7 +69,7 @@ func netLocalFactory(engineName string, shards, inject int) dbtest.DBFactory {
 // exercising the fallback paths under network-shaped load.
 func netClusterFactory(engineName string, systems, inject int) dbtest.DBFactory {
 	return func(t *testing.T) (kv.DB, *kv.ManualClock, func() error) {
-		c := cluster.MustNew(cluster.Config{
+		c, err := cluster.New(cluster.Config{
 			Systems:    systems,
 			DataWords:  1 << 15,
 			ArenaWords: 1 << 13,
@@ -83,6 +83,9 @@ func netClusterFactory(engineName string, systems, inject int) dbtest.DBFactory 
 				return nil, errors.New("unknown engine " + engineName)
 			},
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		clock := kv.NewManualClock()
 		reg := obs.NewRegistry()
 		db := kv.NewCluster(c, kv.WithClock(clock), kv.WithMetrics(reg))

@@ -32,7 +32,7 @@ func keysOnSystem(c *Cluster, id, n int) [][]byte {
 func TestBatchGrouping(t *testing.T) {
 	for _, systems := range []int{2, 3} {
 		t.Run(fmt.Sprintf("systems=%d", systems), func(t *testing.T) {
-			c := MustNew(smallConfig(systems))
+			c := newSmall(systems)
 			stg := attachMemStorage(t, c)
 			cl := c.NewClient()
 			rng := rand.New(rand.NewSource(int64(systems)))
@@ -222,7 +222,7 @@ func TestBatchGroupingAllocs(t *testing.T) {
 		wal   bool
 		extra float64 // allocations 16 keys may add over 1
 	}{{false, 0}, {true, 4}} {
-		c := MustNew(smallConfig(2))
+		c := newSmall(2)
 		if tc.wal {
 			attachMemWAL(t, c)
 		}
@@ -256,7 +256,7 @@ func TestBatchGroupingAllocs(t *testing.T) {
 // nothing; a Get or Delete reads its key once, however often the batch
 // names it.
 func TestCrossBatchTraffic(t *testing.T) {
-	c := MustNew(smallConfig(2))
+	c := newSmall(2)
 	cl := c.NewClient()
 	k0, k1 := keysOnSystem(c, 0, 2), keysOnSystem(c, 1, 2)
 	commits := func() [2]uint64 {

@@ -83,9 +83,6 @@ type Node struct {
 	st  *store.Store
 }
 
-// ID returns the node's position in the cluster (0-based).
-func (n *Node) ID() int { return n.id }
-
 // System returns the node's simulated machine.
 func (n *Node) System() *rhtm.System { return n.sys }
 
@@ -106,9 +103,6 @@ type Router struct {
 func (r Router) SystemFor(key []byte) int {
 	return int(store.KeyHash(key) % uint64(r.systems))
 }
-
-// Systems returns the number of Systems routed over.
-func (r Router) Systems() int { return r.systems }
 
 // Cluster is the share-nothing multi-System store.
 type Cluster struct {
@@ -188,15 +182,6 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// MustNew is New for setup code.
-func MustNew(cfg Config) *Cluster {
-	c, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // NumSystems returns the cluster size.
 func (c *Cluster) NumSystems() int { return len(c.nodes) }
 
@@ -218,16 +203,6 @@ func (c *Cluster) Load(key, value []byte) error {
 func (c *Cluster) Peek(key []byte) ([]byte, bool) {
 	n := c.nodes[c.router.SystemFor(key)]
 	return n.st.Get(containers.SetupTx(n.sys), key)
-}
-
-// Len returns the number of live keys across all Systems. Quiescent
-// verification only.
-func (c *Cluster) Len() int {
-	total := 0
-	for _, n := range c.nodes {
-		total += n.st.Len(containers.SetupTx(n.sys))
-	}
-	return total
 }
 
 // Validate checks every System's store invariants and that no intent is

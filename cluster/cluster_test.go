@@ -24,6 +24,15 @@ func smallConfig(systems int) Config {
 	}
 }
 
+// newSmall builds a cluster of smallConfig Systems.
+func newSmall(systems int) *Cluster {
+	c, err := New(smallConfig(systems))
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 // --- routing (satellite: property test) ---
 
 // TestKeyHashGolden pins the routing hash to the published FNV-1a 64-bit
@@ -138,7 +147,7 @@ func wantCommitDeltas(t *testing.T, c *Cluster, before []uint64, want uint64, pa
 }
 
 func TestLocalOpsLogNoDecisions(t *testing.T) {
-	c := MustNew(smallConfig(2))
+	c := newSmall(2)
 	cl := c.NewClient()
 	if _, err := one(cl, BatchOp{Kind: BatchPut, Key: []byte("k"), Value: []byte("v")}); err != nil {
 		t.Fatal(err)
@@ -170,7 +179,7 @@ func TestLocalOpsLogNoDecisions(t *testing.T) {
 }
 
 func TestCrossSystemCommit(t *testing.T) {
-	c := MustNew(smallConfig(4))
+	c := newSmall(4)
 	keyA, keyB := crossPair(t, c)
 	cl := c.NewClient()
 	before := engineCommits(c)
@@ -202,7 +211,7 @@ func TestCrossSystemCommit(t *testing.T) {
 // between the body and commit must conflict, and the body run again must
 // apply the fresh value.
 func TestCrossReadValidation(t *testing.T) {
-	c := MustNew(smallConfig(4))
+	c := newSmall(4)
 	keyA, keyB := crossPair(t, c)
 	if err := c.Load(keyA, []byte{1}); err != nil {
 		t.Fatal(err)
@@ -395,7 +404,7 @@ func TestTwoPhaseRound(t *testing.T) {
 		for _, entry := range crossEntryPoints {
 			write := entry.write
 			t.Run(tc.name+"/"+entry.name, func(t *testing.T) {
-				r := &rig{c: MustNew(smallConfig(4))}
+				r := &rig{c: newSmall(4)}
 				r.keyLo, r.keyHi = crossPair(t, r.c)
 				if r.c.Router().SystemFor(r.keyLo) > r.c.Router().SystemFor(r.keyHi) {
 					r.keyLo, r.keyHi = r.keyHi, r.keyLo
@@ -450,7 +459,7 @@ func TestTwoPhaseRound(t *testing.T) {
 // that key conflicts at once instead of returning a value that may be
 // mid-replacement.
 func TestIntentBlocksReaders(t *testing.T) {
-	c := MustNew(smallConfig(2))
+	c := newSmall(2)
 	if err := c.Load([]byte("k"), []byte("old")); err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +486,7 @@ func TestIntentBlocksReaders(t *testing.T) {
 }
 
 func TestTxnUserAbort(t *testing.T) {
-	c := MustNew(smallConfig(4))
+	c := newSmall(4)
 	keyA, keyB := crossPair(t, c)
 	sentinel := errors.New("user abort")
 	cl := c.NewClient()
@@ -499,7 +508,7 @@ func TestTxnUserAbort(t *testing.T) {
 
 // TestTxnReadYourWrites: buffered writes are visible to the body's reads.
 func TestTxnReadYourWrites(t *testing.T) {
-	c := MustNew(smallConfig(2))
+	c := newSmall(2)
 	cl := c.NewClient()
 	err := cl.Txn(func(tx *Txn) error {
 		tx.Put([]byte("k"), []byte("one"))
@@ -532,7 +541,7 @@ func TestTxnReadYourWrites(t *testing.T) {
 // commits as one buffered transaction under one 2PC decision. Per-op
 // results follow batch order either way.
 func TestBatchLocalAndCross(t *testing.T) {
-	c := MustNew(smallConfig(4))
+	c := newSmall(4)
 	cl := c.NewClient()
 	keyA, keyB := crossPair(t, c)
 
@@ -600,7 +609,7 @@ func TestBatchLocalAndCross(t *testing.T) {
 // one ascending key order, honors range bounds and limits, and refuses to
 // read past a pending in-range intent (the range is undecided).
 func TestScanSnapshotOrderedAndBlocked(t *testing.T) {
-	c := MustNew(smallConfig(3))
+	c := newSmall(3)
 	for i := 0; i < 40; i++ {
 		if err := c.Load([]byte(fmt.Sprintf("k%02d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
@@ -658,7 +667,7 @@ func TestScanSnapshotOrderedAndBlocked(t *testing.T) {
 // TestTxnScanOverlay: an in-transaction scan observes the transaction's own
 // buffered writes overlaid on the committed snapshot.
 func TestTxnScanOverlay(t *testing.T) {
-	c := MustNew(smallConfig(2))
+	c := newSmall(2)
 	for _, k := range []string{"b", "d", "f"} {
 		if err := c.Load([]byte(k), []byte("old-"+k)); err != nil {
 			t.Fatal(err)
@@ -696,7 +705,7 @@ func TestTxnScanOverlay(t *testing.T) {
 // different transactions coexist on one key (the intent-aware read-sharing
 // follow-up from the ROADMAP).
 func TestSharedReadIntentsCluster(t *testing.T) {
-	c := MustNew(smallConfig(2))
+	c := newSmall(2)
 	if err := c.Load([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}

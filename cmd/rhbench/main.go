@@ -65,8 +65,9 @@
 // Every ycsb-*, batch, and cluster-* experiment drives the unified kv.DB
 // interface (one workload suite, either data-layer backend). The ycsb-*
 // experiments run on the sharded single-System store; -dist selects the
-// request distribution (zipfian by default, as YCSB), -records/-vbytes/
-// -shards size the store, -scanmax bounds YCSB-E scan lengths.
+// request distribution (zipfian by default, as YCSB), -records and
+// -shards size the store (values are 64 bytes), -scanmax bounds YCSB-E scan
+// lengths.
 //
 // The cluster-* experiments run against the cluster package: N fully
 // independent simulated machines behind a hash router, with cross-System
@@ -76,8 +77,8 @@
 // counters. -systems and -cross take comma-separated sweeps.
 //
 // The session-cache and lock-service experiments drive the kv layer's
-// coordination surface (revisions, leases, watches); -ttl and -pumpevery
-// set the lease TTL (virtual ticks) and the expiry-pump cadence.
+// coordination surface (revisions, leases, watches) with a 16-tick lease
+// TTL; -pumpevery sets the expiry-pump cadence.
 //
 // -wal attaches a write-ahead log (in-memory simulated device) to any KV
 // experiment: every committed transaction is group-committed to the log
@@ -140,27 +141,19 @@ func main() {
 	var (
 		dur     = flag.Duration("dur", time.Second, "measurement duration per point")
 		ops     = flag.Int("ops", 0, "ops per thread (overrides -dur; deterministic)")
-		nodes   = flag.Int("nodes", 100_000, "red-black tree size")
-		elems   = flag.Int("elems", 10_000, "hash table size")
-		list    = flag.Int("list", 1_000, "sorted list size")
-		array   = flag.Int("array", 128*1024, "random array size (words)")
 		threads = flag.String("threads", "1,2,4,6,8,10,12,14,16,18,20", "comma-separated thread sweep")
 		seed    = flag.Int64("seed", 1, "base RNG seed")
 		quick   = flag.Bool("quick", false, "small, fast configuration (smoke run)")
-		capLim  = flag.Int("caplines", 64, "HTM footprint cap (lines) for ext-capacity")
 		records = flag.Int("records", 10_000, "YCSB record count")
-		vbytes  = flag.Int("vbytes", 64, "YCSB value size in bytes")
 		shards  = flag.Int("shards", 8, "YCSB store shard count")
 		dist    = flag.String("dist", harness.DistZipfian, "YCSB request distribution (uniform|zipfian)")
 		theta   = flag.Float64("theta", 0.99, "zipfian skew for -dist zipfian")
 		systems = flag.String("systems", "1,2,4", "comma-separated System counts for cluster-* experiments")
 		crossPc = flag.String("cross", "0,10", "comma-separated cross-System txn percentages for cluster-* experiments")
-		ckeys   = flag.Int("crosskeys", 2, "keys per cross-System transaction")
 		scanMax = flag.Int("scanmax", 100, "maximum YCSB-E scan length")
 		tablesF = flag.Int("tables", 1, "table count for the table mixes (ycsb-e-index / table-query)")
 		idxSel  = flag.Int("idxsel", 100, "index selectivity for the table mixes: distinct bucket values per table")
 		batches = flag.String("batchsizes", "1,8,64", "comma-separated batch sizes for the batch experiment")
-		ttl     = flag.Int("ttl", 16, "lease TTL in virtual clock ticks (session-cache / lock-service)")
 		pump    = flag.Int("pumpevery", 32, "ops between virtual-clock ticks / expiry pumps (session-cache / lock-service)")
 		useNet  = flag.Bool("net", false, "serve the KV experiments over loopback TCP through the network client")
 		connsF  = flag.String("conns", "1,4,16", "comma-separated client connection-pool sizes for net runs")
@@ -181,10 +174,6 @@ func main() {
 	}
 
 	sc := harness.DefaultScale()
-	sc.RBNodes = *nodes
-	sc.HashElems = *elems
-	sc.ListElems = *list
-	sc.ArrayWords = *array
 	sc.Duration = *dur
 	sc.Seed = *seed
 	if *ops > 0 {
@@ -195,22 +184,21 @@ func main() {
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	sc.Threads = mustInts(*threads, "thread count", 1, 1<<20)
 	need(*theta > 0 && *theta < 1, "-theta must be in (0,1), got %g", *theta)
-	need(*records > 0 && *vbytes > 0 && *shards > 0, "-records, -vbytes and -shards must be positive")
+	need(*records > 0 && *shards > 0, "-records and -shards must be positive")
 	need(*scanMax > 0, "-scanmax must be positive")
 	need(*tablesF > 0 && *idxSel > 0, "-tables and -idxsel must be positive")
-	need(*ttl > 0 && *pump > 0, "-ttl and -pumpevery must be positive")
-	need(*ckeys > 0, "-crosskeys must be positive, got %d", *ckeys)
+	need(*pump > 0, "-pumpevery must be positive")
 	need(*staleF >= 0, "-staleness must be non-negative")
 	spec := harness.KVSpec{
 		Records:     *records,
-		ValueBytes:  *vbytes,
+		ValueBytes:  64,
 		Shards:      *shards,
 		Dist:        *dist,
 		Theta:       *theta,
 		ScanMax:     *scanMax,
 		Tables:      *tablesF,
 		IdxSel:      *idxSel,
-		TTL:         *ttl,
+		TTL:         16,
 		PumpEvery:   *pump,
 		WAL:         *useWAL,
 		SyncEvery:   *syncEv,
@@ -229,7 +217,7 @@ func main() {
 	// balanced load (the scaling claims need it) unless -dist says otherwise;
 	// the flag's own default stays zipfian for the store, as YCSB specifies.
 	cspec := spec
-	cspec.Backend, cspec.CrossKeys = harness.BackendCluster, *ckeys
+	cspec.Backend, cspec.CrossKeys = harness.BackendCluster, 2
 	if !set["dist"] {
 		cspec.Dist = harness.DistUniform
 	}
@@ -287,7 +275,7 @@ func main() {
 			"net-ycsb-a", "repl"}
 	}
 	// Reject bad specs here with a clean message (-dist, -syncevery without
-	// -wal, -crosskeys against -records, ...); inside a sweep they would
+	// -wal, -records below what a mix needs, ...); inside a sweep they would
 	// surface as a MustRunKV panic.
 	for _, e := range exps {
 		for _, s := range g.specs(e, spec, cspec) {
@@ -297,7 +285,7 @@ func main() {
 	}
 	for _, e := range exps {
 		em.exp = e
-		runExperiment(e, em, sc, *capLim, spec, cspec, g, recoveryOps)
+		runExperiment(e, em, sc, spec, cspec, g, recoveryOps)
 		if exp == "all" {
 			fmt.Println()
 		}
@@ -408,8 +396,12 @@ func (g grids) specs(exp string, spec, cspec harness.KVSpec) (out []harness.KVSp
 	return out
 }
 
+// extCapacityLines is the HTM footprint cap, in lines, ext-capacity
+// squeezes the hardware to.
+const extCapacityLines = 64
+
 // runExperiment dispatches one experiment id and prints its artifact.
-func runExperiment(exp string, em *emitter, sc harness.Scale, capLim int, spec, cspec harness.KVSpec, g grids, recoveryOps []int) {
+func runExperiment(exp string, em *emitter, sc harness.Scale, spec, cspec harness.KVSpec, g grids, recoveryOps []int) {
 	out := em.out
 	switch exp {
 	case "recovery":
@@ -461,7 +453,7 @@ func runExperiment(exp string, em *emitter, sc harness.Scale, capLim int, spec, 
 			"Extension: GV6 vs GV5 global clock (RH1 Mixed 100, RB-Tree 20%)",
 			harness.ExtClock(sc))
 	case "ext-capacity":
-		harness.PrintCapacity(out, harness.ExtCapacity(sc, capLim), capLim)
+		harness.PrintCapacity(out, harness.ExtCapacity(sc, extCapacityLines), extCapacityLines)
 	case "ext-hybrids":
 		em.series(
 			"Extension: hybrid designs compared (RB-Tree 20%)",

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,7 +30,7 @@ import (
 
 func main() {
 	var (
-		engineName = flag.String("engine", harness.EngRH1Mix2, "engine to torture (see rhbench)")
+		engineName = flag.String("engine", harness.EngRH1Mix2, "engine to torture: "+strings.Join(harness.AllEngines(), ", "))
 		threads    = flag.Int("threads", 8, "worker goroutines")
 		dur        = flag.Duration("dur", 2*time.Second, "torture duration")
 		capLines   = flag.Int("caplines", 0, "HTM footprint cap in lines (0 = default hardware)")

@@ -4,16 +4,14 @@
 // of simulated transactional memory, accessed exclusively through rhtm.Tx
 // inside transactions.
 //
-// Each structure comes in two flavours:
-//
-//   - the paper's "Constant" operations (§3), which never change the shape
-//     of the structure: lookups add dummy shared reads per visited node and
-//     updates write dummy fields, mimicking the cache-coherence footprint of
-//     real operations while keeping the emulated executions safe; and
-//
-//   - real mutating operations (Insert/Delete), which the paper's emulation
-//     could not run but a safe simulated HTM can. These are used by the
-//     examples and the extension experiments.
+// Each structure has the paper's "Constant" operations (§3), which never
+// change the shape of the structure: lookups add dummy shared reads per
+// visited node and updates write dummy fields, mimicking the
+// cache-coherence footprint of real operations while keeping the emulated
+// executions safe. Insert builds the structure during setup. The red-black
+// tree also has real mutating operations (Lookup/Insert/Delete), which the
+// paper's emulation could not run but a safe simulated HTM can; the
+// extension experiments use them.
 package containers
 
 import (

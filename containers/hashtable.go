@@ -89,19 +89,6 @@ func (h *HashTable) ConstUpdate(tx rhtm.Tx, key, value uint64) bool {
 
 // --- real operations ---
 
-// Get returns the value stored under key.
-func (h *HashTable) Get(tx rhtm.Tx, key uint64) (uint64, bool) {
-	n := tx.Load(h.bucketOf(key))
-	for n != uint64(rhtm.NilAddr) {
-		a := rhtm.Addr(n)
-		if tx.Load(a+htKey) == key {
-			return tx.Load(a + htValue), true
-		}
-		n = tx.Load(a + htNext)
-	}
-	return 0, false
-}
-
 // Insert adds key→value at the chain head, returning false (and updating in
 // place) if the key exists. See RBTree.Insert for the allocation-on-retry
 // note.
@@ -125,35 +112,4 @@ func (h *HashTable) Insert(tx rhtm.Tx, key, value uint64) bool {
 	tx.Store(node+htNext, n)
 	tx.Store(head, uint64(node))
 	return true
-}
-
-// Remove unlinks key, returning false if absent. The node is not returned
-// to the heap (see RBTree.Delete).
-func (h *HashTable) Remove(tx rhtm.Tx, key uint64) bool {
-	prev := h.bucketOf(key)
-	n := tx.Load(prev)
-	for n != uint64(rhtm.NilAddr) {
-		a := rhtm.Addr(n)
-		if tx.Load(a+htKey) == key {
-			tx.Store(prev, tx.Load(a+htNext))
-			return true
-		}
-		prev = a + htNext
-		n = tx.Load(prev)
-	}
-	return false
-}
-
-// Len counts all entries with raw access (setup/verification only).
-func (h *HashTable) Len() int {
-	tx := SetupTx(h.sys)
-	total := 0
-	for b := uint64(0); b < h.nbkt; b++ {
-		n := tx.Load(h.buckets + rhtm.Addr(b))
-		for n != uint64(rhtm.NilAddr) {
-			total++
-			n = tx.Load(rhtm.Addr(n) + htNext)
-		}
-	}
-	return total
 }

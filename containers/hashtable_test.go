@@ -12,34 +12,28 @@ func TestHashTableOracle(t *testing.T) {
 	s := newSys(1 << 18)
 	ht := NewHashTable(s, 64)
 	tx := SetupTx(s)
-	oracle := map[uint64]uint64{}
+	oracle := map[uint64]bool{}
 	rng := rand.New(rand.NewSource(9))
 	for op := 0; op < 3000; op++ {
-		key := uint64(rng.Intn(200) + 1)
-		switch rng.Intn(3) {
-		case 0:
-			val := rng.Uint64()
-			fresh := ht.Insert(tx, key, val)
-			if _, existed := oracle[key]; fresh == existed {
+		key := uint64(rng.Intn(400) + 1)
+		if rng.Intn(2) == 0 {
+			if fresh := ht.Insert(tx, key, rng.Uint64()); fresh == oracle[key] {
 				t.Fatalf("op %d: Insert(%d) fresh=%v contradicts oracle", op, key, fresh)
 			}
-			oracle[key] = val
-		case 1:
-			removed := ht.Remove(tx, key)
-			if _, existed := oracle[key]; removed != existed {
-				t.Fatalf("op %d: Remove(%d)=%v contradicts oracle", op, key, removed)
-			}
-			delete(oracle, key)
-		default:
-			v, ok := ht.Get(tx, key)
-			w, okO := oracle[key]
-			if ok != okO || (ok && v != w) {
-				t.Fatalf("op %d: Get(%d)=%d,%v want %d,%v", op, key, v, ok, w, okO)
-			}
+			oracle[key] = true
+		} else if got := ht.ConstQuery(tx, key); got != oracle[key] {
+			t.Fatalf("op %d: ConstQuery(%d)=%v, oracle %v", op, key, got, oracle[key])
 		}
 	}
-	if ht.Len() != len(oracle) {
-		t.Fatalf("Len = %d, oracle %d", ht.Len(), len(oracle))
+}
+
+// requireHashKeys fails unless exactly keys 1..n are in the table.
+func requireHashKeys(t *testing.T, ht *HashTable, tx rhtm.Tx, n uint64) {
+	t.Helper()
+	for k := uint64(1); k <= n+1; k++ {
+		if got := ht.ConstQuery(tx, k); got != (k <= n) {
+			t.Fatalf("ConstQuery(%d) = %v with keys 1..%d", k, got, n)
+		}
 	}
 }
 
@@ -49,22 +43,14 @@ func TestHashTableConstOps(t *testing.T) {
 	ht.Populate([]uint64{1, 2, 3, 4, 5})
 	tx := SetupTx(s)
 	for _, k := range []uint64{1, 3, 5} {
-		if !ht.ConstQuery(tx, k) {
-			t.Fatalf("ConstQuery(%d) = false", k)
-		}
 		if !ht.ConstUpdate(tx, k, 99) {
 			t.Fatalf("ConstUpdate(%d) = false", k)
 		}
 	}
-	if ht.ConstQuery(tx, 77) {
-		t.Fatal("ConstQuery(77) = true for absent key")
-	}
 	if ht.ConstUpdate(tx, 77, 1) {
 		t.Fatal("ConstUpdate(77) = true for absent key")
 	}
-	if ht.Len() != 5 {
-		t.Fatalf("Const ops changed size to %d", ht.Len())
-	}
+	requireHashKeys(t, ht, tx, 5)
 }
 
 func TestHashTableChaining(t *testing.T) {
@@ -78,21 +64,12 @@ func TestHashTableChaining(t *testing.T) {
 			t.Fatalf("Insert(%d) reported duplicate", k)
 		}
 	}
-	for k := uint64(1); k <= 20; k++ {
-		v, ok := ht.Get(tx, k)
-		if !ok || v != k*2 {
-			t.Fatalf("Get(%d) = %d,%v", k, v, ok)
-		}
-	}
-	// Remove from middle, head, and tail of the chain.
 	for _, k := range []uint64{10, 20, 1} {
-		if !ht.Remove(tx, k) {
-			t.Fatalf("Remove(%d) = false", k)
+		if ht.Insert(tx, k, k) {
+			t.Fatalf("second Insert(%d) reported a fresh key", k)
 		}
 	}
-	if ht.Len() != 17 {
-		t.Fatalf("Len = %d, want 17", ht.Len())
-	}
+	requireHashKeys(t, ht, tx, 20)
 }
 
 func TestHashTableZeroBucketsPanics(t *testing.T) {
@@ -140,7 +117,5 @@ func TestHashTableConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if ht.Len() != 512 {
-		t.Fatalf("constant workload changed table size: %d", ht.Len())
-	}
+	requireHashKeys(t, ht, SetupTx(s), 512)
 }

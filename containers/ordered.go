@@ -46,9 +46,6 @@ func NewOrderedTree(s *rhtm.System, cmp NodeCompare) *OrderedTree {
 	return &OrderedTree{sys: s, cmp: cmp, root: s.MustAllocLines(1)}
 }
 
-// RootCell returns the address of the root cell (layout tests).
-func (t *OrderedTree) RootCell() rhtm.Addr { return t.root }
-
 // Lookup returns the node stored under key.
 func (t *OrderedTree) Lookup(tx rhtm.Tx, key []byte) (rhtm.Addr, bool) {
 	n := rhtm.Addr(tx.Load(t.root))
@@ -107,20 +104,10 @@ func (t *OrderedTree) link(tx rhtm.Tx, parent rhtm.Addr, left bool, node rhtm.Ad
 	t.insertFixup(tx, uint64(node))
 }
 
-// Delete unlinks the node under key and returns it for the caller to free.
-// Removal is by pointer transplant (CLRS RB-TRANSPLANT): when the node has
-// two children its successor takes over its position, links and color, so
-// no other entry changes address.
-func (t *OrderedTree) Delete(tx rhtm.Tx, key []byte) (rhtm.Addr, bool) {
-	za, ok := t.Lookup(tx, key)
-	if ok {
-		t.Unlink(tx, za)
-	}
-	return za, ok
-}
-
-// Unlink is Delete for a caller that already holds the node: za must be what
-// a Lookup or Insert under tx returned.
+// Unlink removes a node from the tree: za must be what a Lookup or Insert
+// under tx returned. Removal is by pointer transplant (CLRS RB-TRANSPLANT):
+// when the node has two children its successor takes over its position,
+// links and color, so no other entry changes address.
 func (t *OrderedTree) Unlink(tx rhtm.Tx, za rhtm.Addr) {
 	z := uint64(za)
 	zl, zr := tx.Load(za+otLeft), tx.Load(za+otRight)

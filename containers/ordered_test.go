@@ -40,6 +40,30 @@ func u64Key(k uint64) []byte {
 	return b[:]
 }
 
+// treeDelete unlinks the node under key, the way store/ removes a record:
+// Lookup, then Unlink.
+func treeDelete(tree *OrderedTree, tx rhtm.Tx, key []byte) (rhtm.Addr, bool) {
+	node, ok := tree.Lookup(tx, key)
+	if ok {
+		tree.Unlink(tx, node)
+	}
+	return node, ok
+}
+
+// TestOrderedTreeRootOwnsLine: every operation loads the root cell, so it
+// gets a cache line of its own — a write to a neighbouring word must not
+// abort every reader of the tree.
+func TestOrderedTreeRootOwnsLine(t *testing.T) {
+	s := newSys(1 << 12)
+	before := s.MustAlloc(1)
+	tree := NewOrderedTree(s, u64Cmp)
+	after := s.MustAlloc(1)
+	mem := s.Internal().Mem
+	if l := mem.LineOf(tree.root); l == mem.LineOf(before) || l == mem.LineOf(after) {
+		t.Fatalf("root cell %d shares a line with a neighbour (%d, %d)", tree.root, before, after)
+	}
+}
+
 func TestOrderedTreeInsertDeleteOracle(t *testing.T) {
 	s := newSys(1 << 20)
 	tree := NewOrderedTree(s, u64Cmp)
@@ -60,7 +84,7 @@ func TestOrderedTreeInsertDeleteOracle(t *testing.T) {
 			}
 			oracle[key] = true
 		case 1:
-			node, removed := tree.Delete(tx, u64Key(key))
+			node, removed := treeDelete(tree, tx, u64Key(key))
 			if removed != oracle[key] {
 				t.Fatalf("op %d: Delete(%d) = %v, oracle existed=%v", op, key, removed, oracle[key])
 			}
@@ -202,7 +226,7 @@ func TestOrderedTreeValidateReportsCorruption(t *testing.T) {
 		if err := tree.Validate(); err != nil {
 			t.Fatalf("%s: fresh tree: %v", name, err)
 		}
-		corrupt(s, rhtm.Addr(s.Peek(tree.RootCell())))
+		corrupt(s, rhtm.Addr(s.Peek(tree.root)))
 		if err := tree.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted the corrupt tree", name)
 		}

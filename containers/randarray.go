@@ -24,9 +24,6 @@ func NewRandomArray(s *rhtm.System, size int) *RandomArray {
 	return &RandomArray{sys: s, base: s.MustAlloc(size), size: uint64(size)}
 }
 
-// Size returns the number of words.
-func (r *RandomArray) Size() int { return int(r.size) }
-
 // Op performs one transaction body of the given length: length shared
 // accesses at uniformly random indices, of which writePct percent are
 // writes. It returns the XOR of the values read (so reads cannot be
@@ -49,12 +46,4 @@ func (r *RandomArray) Fill(v uint64) {
 	for i := uint64(0); i < r.size; i++ {
 		r.sys.Poke(r.base+rhtm.Addr(i), v)
 	}
-}
-
-// At returns the address of index i (for tests).
-func (r *RandomArray) At(i int) rhtm.Addr {
-	if i < 0 || uint64(i) >= r.size {
-		panic("containers: RandomArray index out of range")
-	}
-	return r.base + rhtm.Addr(i)
 }

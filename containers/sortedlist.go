@@ -82,23 +82,6 @@ func (l *SortedList) ConstUpdate(tx rhtm.Tx, key, value uint64) bool {
 
 // --- real operations ---
 
-// Get returns the value stored under key.
-func (l *SortedList) Get(tx rhtm.Tx, key uint64) (uint64, bool) {
-	n := tx.Load(l.head)
-	for n != uint64(rhtm.NilAddr) {
-		a := rhtm.Addr(n)
-		k := tx.Load(a + slKey)
-		if k == key {
-			return tx.Load(a + slValue), true
-		}
-		if k > key {
-			break
-		}
-		n = tx.Load(a + slNext)
-	}
-	return 0, false
-}
-
 // Insert adds key→value in sorted position, returning false (updating in
 // place) if present. See RBTree.Insert for the allocation-on-retry note.
 func (l *SortedList) Insert(tx rhtm.Tx, key, value uint64) bool {
@@ -126,36 +109,4 @@ func (l *SortedList) Insert(tx rhtm.Tx, key, value uint64) bool {
 	tx.Store(node+slNext, n)
 	tx.Store(prev, uint64(node))
 	return true
-}
-
-// Remove unlinks key, returning false if absent (node not reclaimed; see
-// RBTree.Delete).
-func (l *SortedList) Remove(tx rhtm.Tx, key uint64) bool {
-	prev := l.head
-	n := tx.Load(prev)
-	for n != uint64(rhtm.NilAddr) {
-		a := rhtm.Addr(n)
-		k := tx.Load(a + slKey)
-		if k == key {
-			tx.Store(prev, tx.Load(a+slNext))
-			return true
-		}
-		if k > key {
-			return false
-		}
-		prev = a + slNext
-		n = tx.Load(prev)
-	}
-	return false
-}
-
-// Keys returns the list contents in order with raw access (setup and
-// verification only).
-func (l *SortedList) Keys() []uint64 {
-	tx := SetupTx(l.sys)
-	var out []uint64
-	for n := tx.Load(l.head); n != uint64(rhtm.NilAddr); n = tx.Load(rhtm.Addr(n) + slNext) {
-		out = append(out, tx.Load(rhtm.Addr(n)+slKey))
-	}
-	return out
 }

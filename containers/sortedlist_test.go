@@ -13,7 +13,7 @@ func TestSortedListInsertOrder(t *testing.T) {
 	s := newSys(1 << 14)
 	l := NewSortedList(s)
 	l.Populate([]uint64{5, 1, 9, 3, 7})
-	got := l.Keys()
+	got := listKeys(l)
 	want := []uint64{1, 3, 5, 7, 9}
 	if len(got) != len(want) {
 		t.Fatalf("Keys = %v, want %v", got, want)
@@ -25,37 +25,33 @@ func TestSortedListInsertOrder(t *testing.T) {
 	}
 }
 
+// listKeys walks the list with raw reads and returns its keys in order.
+func listKeys(l *SortedList) []uint64 {
+	var out []uint64
+	for n := l.sys.Peek(l.head); n != uint64(rhtm.NilAddr); n = l.sys.Peek(rhtm.Addr(n) + slNext) {
+		out = append(out, l.sys.Peek(rhtm.Addr(n)+slKey))
+	}
+	return out
+}
+
 func TestSortedListOracle(t *testing.T) {
 	s := newSys(1 << 18)
 	l := NewSortedList(s)
 	tx := SetupTx(s)
-	oracle := map[uint64]uint64{}
+	oracle := map[uint64]bool{}
 	rng := rand.New(rand.NewSource(11))
 	for op := 0; op < 2000; op++ {
-		key := uint64(rng.Intn(100) + 1)
-		switch rng.Intn(3) {
-		case 0:
-			val := rng.Uint64()
-			fresh := l.Insert(tx, key, val)
-			if _, existed := oracle[key]; fresh == existed {
+		key := uint64(rng.Intn(200) + 1)
+		if rng.Intn(2) == 0 {
+			if fresh := l.Insert(tx, key, rng.Uint64()); fresh == oracle[key] {
 				t.Fatalf("op %d: Insert(%d) fresh=%v contradicts oracle", op, key, fresh)
 			}
-			oracle[key] = val
-		case 1:
-			removed := l.Remove(tx, key)
-			if _, existed := oracle[key]; removed != existed {
-				t.Fatalf("op %d: Remove(%d)=%v contradicts oracle", op, key, removed)
-			}
-			delete(oracle, key)
-		default:
-			v, ok := l.Get(tx, key)
-			w, okO := oracle[key]
-			if ok != okO || (ok && v != w) {
-				t.Fatalf("op %d: Get(%d)=%d,%v want %d,%v", op, key, v, ok, w, okO)
-			}
+			oracle[key] = true
+		} else if got := l.ConstSearch(tx, key); got != oracle[key] {
+			t.Fatalf("op %d: ConstSearch(%d)=%v, oracle %v", op, key, got, oracle[key])
 		}
 	}
-	keys := l.Keys()
+	keys := listKeys(l)
 	if len(keys) != len(oracle) {
 		t.Fatalf("list size %d, oracle %d", len(keys), len(oracle))
 	}
@@ -75,7 +71,7 @@ func TestSortedListConstOps(t *testing.T) {
 	if !l.ConstUpdate(tx, 6, 9) || l.ConstUpdate(tx, 3, 9) {
 		t.Fatal("ConstUpdate wrong")
 	}
-	got := l.Keys()
+	got := listKeys(l)
 	if len(got) != 3 {
 		t.Fatalf("Const ops changed list: %v", got)
 	}
@@ -127,7 +123,7 @@ func TestSortedListConcurrentSharedPrefix(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := len(l.Keys()); got != 100 {
+	if got := len(listKeys(l)); got != 100 {
 		t.Fatalf("list size changed to %d", got)
 	}
 }

@@ -10,7 +10,7 @@
 // against a deposed leader's late writes.
 //
 // The same program runs unchanged on the cluster backend — swap NewLocal
-// for kv.NewCluster(cluster.MustNew(...)) and elections, leases and
+// for kv.NewCluster(c), with c from cluster.New, and elections, leases and
 // watches ride two-phase commit across share-nothing Systems.
 package main
 

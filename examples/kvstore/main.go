@@ -8,8 +8,8 @@
 // every part of the kv.DB contract in one program.
 //
 // The same code runs unchanged against the cluster backend: swap NewLocal
-// for kv.NewCluster(cluster.MustNew(...)) and the closures commit via
-// two-phase commit instead of one engine transaction.
+// for kv.NewCluster(c), with c from cluster.New, and the closures commit
+// via two-phase commit instead of one engine transaction.
 package main
 
 import (

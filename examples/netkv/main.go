@@ -45,11 +45,12 @@ func key(i int) []byte { return []byte(fmt.Sprintf("item-%04d", i%records)) }
 // smoke test drives it directly.
 func run() (string, error) {
 	// The backend: a real engine and sharded store behind a Local DB. The
-	// server fronts it without owning it.
-	s := rhtm.MustNewSystem(rhtm.DefaultConfig(1 << 18))
-	db := kv.NewLocal(rhtm.NewTL2(s), store.NewSharded(s, 4, store.Options{ArenaWords: 1 << 14}))
-
+	// server fronts it without owning it, and both report through one
+	// registry, so the DB's Metrics snapshot carries the server's
+	// instruments next to its own.
 	reg := obs.NewRegistry()
+	s := rhtm.MustNewSystem(rhtm.DefaultConfig(1 << 18))
+	db := kv.NewLocal(rhtm.NewTL2(s), store.NewSharded(s, 4, store.Options{ArenaWords: 1 << 14}), kv.WithMetrics(reg))
 	srv := server.New(db, server.WithMetrics(reg), server.WithEngineName("tl2"))
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
@@ -165,7 +166,7 @@ func run() (string, error) {
 
 	// The server's own instruments tell the batching story: batch_fill's
 	// sum/count is the mean ops merged per cross-connection transaction.
-	snap := reg.Snapshot()
+	snap := db.Metrics()
 	fill := snap.Histograms["server.batch_fill"]
 	if fill.Count == 0 {
 		return "", fmt.Errorf("batcher never engaged")

@@ -28,6 +28,7 @@ import (
 	"rhtm/kv"
 	"rhtm/repl"
 	"rhtm/server"
+	"rhtm/server/wire"
 	"rhtm/store"
 	"rhtm/wal"
 )
@@ -51,6 +52,19 @@ func main() {
 func newSystem() (rhtm.Engine, kv.Storer) {
 	s := rhtm.MustNewSystem(rhtm.DefaultConfig(1 << 17))
 	return rhtm.NewTL2(s), store.NewSharded(s, 4, store.Options{ArenaWords: 1 << 13})
+}
+
+// replicaHealth feeds the group's per-replica watermarks to the rows the
+// server's Health RPC reports.
+func replicaHealth(g *repl.Group) func() []wire.ReplicaHealth {
+	return func() []wire.ReplicaHealth {
+		sts := g.Status()
+		out := make([]wire.ReplicaHealth, len(sts))
+		for i, st := range sts {
+			out[i] = wire.ReplicaHealth(st)
+		}
+		return out
+	}
 }
 
 // run executes the scenario and returns a human-readable summary; the
@@ -93,7 +107,7 @@ func run() (string, error) {
 		followers = append(followers, f)
 		followerAddrs = append(followerAddrs, addr.String())
 	}
-	psrv := server.New(primary)
+	psrv := server.New(primary, server.WithReplicaStatus(replicaHealth(group)))
 	paddr, err := psrv.Start("127.0.0.1:0")
 	if err != nil {
 		return "", err
@@ -136,6 +150,20 @@ func run() (string, error) {
 	for _, f := range followers {
 		if err := f.WaitIdle(); err != nil {
 			return "", err
+		}
+	}
+	// The primary's Health RPC shows the same: one row per replica stream,
+	// each applied up to the primary's last append.
+	h, err := cl.AdminHealth()
+	if err != nil {
+		return "", err
+	}
+	if len(h.Replicas) != replicas {
+		return "", fmt.Errorf("health reports %d replicas, want %d", len(h.Replicas), replicas)
+	}
+	for _, r := range h.Replicas {
+		if r.LagFrames != 0 || r.AppliedRev < uint64(floor) {
+			return "", fmt.Errorf("replica %s not caught up: %+v", r.Name, r)
 		}
 	}
 	served := 0
@@ -235,8 +263,8 @@ func run() (string, error) {
 	}
 
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "replication ok: %d orders shipped to %d replicas, %d follower reads at floor %d\n",
-		orders, replicas, served, floor)
+	fmt.Fprintf(&b, "replication ok: %d orders shipped to %d replicas (health: lag 0 at lsn %d), %d follower reads at floor %d\n",
+		orders, replicas, h.Replicas[0].AppliedLSN, served, floor)
 	fmt.Fprintf(&b, "failover: %s promoted, epoch %d -> %d, fence %d -> %d, zombie write rejected\n",
 		promoted.Name(), 1, m.Epoch, fence1, fence2)
 	return b.String(), nil

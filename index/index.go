@@ -241,15 +241,3 @@ func Scan(db kv.DB, def Def, loVal, hiVal []byte, limit int) *Iter {
 	start, end := Range(def, loVal, hiVal)
 	return Entries(def, db.Scan(start, end, limit))
 }
-
-// Lookup returns the primary keys of entries with exactly value val, in
-// primary-key order, at most limit (0 = unbounded).
-func Lookup(db kv.DB, def Def, val []byte, limit int) ([][]byte, error) {
-	start, end := ValueRange(def, val)
-	it := Entries(def, db.Scan(start, end, limit))
-	var pks [][]byte
-	for it.Next() {
-		pks = append(pks, bytes.Clone(it.PK()))
-	}
-	return pks, it.Err()
-}

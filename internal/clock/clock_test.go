@@ -9,7 +9,7 @@ import (
 
 func newClock(t *testing.T, mode Mode) (*memsim.Memory, *Clock) {
 	t.Helper()
-	m := memsim.New(memsim.DefaultConfig(256))
+	m := memsim.New(memsim.Config{Words: 256, WordsPerLine: 8, Policy: memsim.RequesterWins, NonTxLoadAbortsWriters: true})
 	c, err := New(m, mode)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +76,10 @@ func TestNextFromSample(t *testing.T) {
 
 func TestClockOwnLine(t *testing.T) {
 	m, c := newClock(t, GV6)
-	reg := m.MustAllocRegion(1)
+	reg, err := m.AllocRegion(1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if m.LineOf(c.Addr()) == m.LineOf(reg.Base) {
 		t.Fatal("clock shares a line with a subsequently allocated region")
 	}

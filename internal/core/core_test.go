@@ -221,7 +221,7 @@ func TestCapacityForcesFallbackChain(t *testing.T) {
 		t.Fatalf("is_all_software = %d after quiescence, want 0", got)
 	}
 	// Read masks must be fully reset.
-	for i := 0; i < s.StripeCount(); i++ {
+	for i := 0; i < s.Versions.Size; i++ {
 		if m := s.Mem.Load(s.Masks.Addr(i)); m != 0 {
 			t.Fatalf("read mask %d = %d after quiescence, want 0", i, m)
 		}
@@ -239,7 +239,7 @@ func TestRH2SlowCommitVisibilityBlocksFastWriters(t *testing.T) {
 	opts.MaxFastAttempts = 2
 	e := New(s, opts)
 	a := s.Heap.MustAlloc(1)
-	s.Mem.Poke(s.MaskAddr(a), 1<<5) // thread 5 is "reading" the stripe
+	s.Mem.Poke(s.MaskBase(s.StripeOf(a)), 1<<5) // thread 5 is "reading" the stripe
 	th := e.NewThread()
 	done := make(chan error, 1)
 	go func() {

@@ -64,7 +64,7 @@ func TestManyThreadsReadMasks(t *testing.T) {
 	if got := s.Mem.Load(ctr); got != workers*iters {
 		t.Fatalf("counter = %d, want %d", got, workers*iters)
 	}
-	for i := 0; i < s.StripeCount()*s.MaskWords; i++ {
+	for i := 0; i < s.Masks.Size; i++ {
 		if m := s.Mem.Load(s.Masks.Addr(i)); m != 0 {
 			t.Fatalf("mask word %d = %d after quiescence, want 0", i, m)
 		}

@@ -15,6 +15,9 @@ type HWWorker struct {
 	// to abort instead, reproducing the paper's §3.1 emulation methodology
 	// of imposing a measured abort ratio. 0 disables.
 	InjectPct int
+	// MaxFastAttempts is GoSlow's budget of hardware attempts for a
+	// transient failure. 0 means no budget.
+	MaxFastAttempts int
 }
 
 // HWPath is what an engine supplies to a hardware attempt: the Tx its body
@@ -72,6 +75,13 @@ type FastPath interface {
 	GoSlow(attempt int, reason memsim.AbortReason) bool
 	// RunSlow finishes the transaction off the hardware path.
 	RunSlow(fn func(tx Tx) error) error
+}
+
+// GoSlow is the baselines' FastPath fallback policy: a persistent failure
+// leaves the hardware at once, a transient one once MaxFastAttempts
+// attempts have failed. RH1 and pure HTM define their own.
+func (h *HWWorker) GoSlow(attempt int, reason memsim.AbortReason) bool {
+	return reason.Persistent() || h.MaxFastAttempts > 0 && attempt+1 >= h.MaxFastAttempts
 }
 
 // Run drives fn to completion: hardware attempts, each failure counted by

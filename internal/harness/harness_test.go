@@ -79,7 +79,6 @@ func TestBreakdownRun(t *testing.T) {
 func TestAllWorkloadsRun(t *testing.T) {
 	workloads := []Workload{
 		RBTreeWorkload(128, 20),
-		RBTreeRealWorkload(128, 20),
 		HashTableWorkload(128, 20),
 		SortedListWorkload(32, 5),
 		RandomArrayWorkload(1024, 20, 50),

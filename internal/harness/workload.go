@@ -78,61 +78,6 @@ func RBTreeWorkload(nodes, writePct int) Workload {
 		})
 }
 
-// RBTreeRealWorkload exercises the real mutating tree (insert/delete/lookup
-// mix) — the extension workload the paper's emulation could not run. The
-// heap is sized for roughly 100x the initial population; for open-ended runs
-// (testing.B with large N) use RBTreeRealWorkloadOps.
-func RBTreeRealWorkload(nodes, writePct int) Workload {
-	return RBTreeRealWorkloadOps(nodes, writePct, nodes*100)
-}
-
-// RBTreeRealWorkloadOps is RBTreeRealWorkload with an explicit expected
-// total-operation budget. Deleted nodes are not recycled (reclamation under
-// aborting transactions is out of scope — see containers.RBTree.Delete), so
-// the heap must hold the initial population plus one node per potential
-// insert: inserts are at most half the write ratio of all operations, plus
-// slack for allocations repeated by aborted attempts.
-func RBTreeRealWorkloadOps(nodes, writePct, expectedOps int) Workload {
-	inserts := expectedOps*writePct/200 + expectedOps/10 + 1024
-	return Workload{
-		Name:      "rbtree-real",
-		DataWords: (nodes + inserts) * containers.RBNodeWords * 2,
-		Build: func(s *rhtm.System) OpFactory {
-			tree := containers.NewRBTree(s)
-			keys := make([]uint64, nodes)
-			for i := range keys {
-				keys[i] = uint64(i + 1)
-			}
-			shuffle(keys)
-			tree.Populate(keys)
-			keyRange := nodes * 2
-			return func(threadID int, rng *rand.Rand) func() Op {
-				return func() Op {
-					key := uint64(rng.Intn(keyRange) + 1)
-					r := rng.Intn(200)
-					switch {
-					case r < writePct: // half of the write budget inserts
-						return func(tx rhtm.Tx) error {
-							tree.Insert(tx, key, key)
-							return nil
-						}
-					case r < 2*writePct: // the other half deletes
-						return func(tx rhtm.Tx) error {
-							tree.Delete(tx, key)
-							return nil
-						}
-					default:
-						return func(tx rhtm.Tx) error {
-							tree.Lookup(tx, key)
-							return nil
-						}
-					}
-				}
-			}
-		},
-	}
-}
-
 // HashTableWorkload is the paper's Constant Hash Table (§3.3).
 func HashTableWorkload(elems, writePct int) Workload {
 	return constWorkload("hashtable", elems, elems*containers.HTNodeWords*2+elems*2+4096, writePct,

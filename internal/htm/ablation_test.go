@@ -12,7 +12,7 @@ import (
 // lines they do not.
 func TestFalseSharingAtLineGranularity(t *testing.T) {
 	run := func(wordsPerLine int) (conflict bool) {
-		cfg := memsim.DefaultConfig(256)
+		cfg := memConfig(256)
 		cfg.WordsPerLine = wordsPerLine
 		m := memsim.New(cfg)
 		a := NewTxn(m, DefaultConfig())
@@ -42,7 +42,7 @@ func TestFalseSharingAtLineGranularity(t *testing.T) {
 // TestCommitterWinsEndToEnd verifies that the committer-wins policy resolves
 // the same collision by aborting the requester instead.
 func TestCommitterWinsEndToEnd(t *testing.T) {
-	cfg := memsim.DefaultConfig(256)
+	cfg := memConfig(256)
 	cfg.Policy = memsim.CommitterWins
 	m := memsim.New(cfg)
 	a := NewTxn(m, DefaultConfig())

@@ -84,20 +84,6 @@ type Txn struct {
 
 	writes   []memsim.WriteEntry
 	writeIdx map[memsim.Addr]int
-
-	stats Stats
-}
-
-// Stats counts outcomes across the lifetime of a Txn (i.e. per worker
-// thread). Aborts are broken down by reason.
-type Stats struct {
-	Starts    uint64
-	Commits   uint64
-	Aborts    uint64
-	ByReason  [8]uint64
-	ReadOps   uint64
-	WriteOps  uint64
-	PeakLines int
 }
 
 // NewTxn creates a parked transaction context on mem.
@@ -112,12 +98,6 @@ func NewTxn(mem *memsim.Memory, cfg Config) *Txn {
 		writeIdx:  make(map[memsim.Addr]int, 32),
 	}
 }
-
-// Memory returns the memory the transaction runs on.
-func (t *Txn) Memory() *memsim.Memory { return t.mem }
-
-// Stats returns a copy of the accumulated statistics.
-func (t *Txn) Stats() Stats { return t.stats }
 
 // --- memsim.Handle / memsim.CommitterHandle ---
 
@@ -157,7 +137,6 @@ func (t *Txn) Begin() {
 	t.resetBuffers()
 	t.reason.Store(uint32(memsim.AbortNone))
 	t.state.Store(stateRunning)
-	t.stats.Starts++
 }
 
 func (t *Txn) resetBuffers() {
@@ -174,7 +153,6 @@ func (t *Txn) Read(a memsim.Addr) (v uint64, ok bool) {
 	if t.state.Load() != stateRunning {
 		return 0, false
 	}
-	t.stats.ReadOps++
 	if len(t.writes) > 0 {
 		if i, hit := t.writeIdx[a]; hit {
 			return t.writes[i].Val, true
@@ -194,16 +172,8 @@ func (t *Txn) Read(a memsim.Addr) (v uint64, ok bool) {
 		return 0, false
 	}
 	t.lineFlags[lid] = flagReader
-	t.addLine(lid)
-	return v, true
-}
-
-// addLine records a newly registered line in the footprint.
-func (t *Txn) addLine(lid uint64) {
 	t.footprint = append(t.footprint, lid)
-	if len(t.footprint) > t.stats.PeakLines {
-		t.stats.PeakLines = len(t.footprint)
-	}
+	return v, true
 }
 
 // Write performs a speculative store (buffered until Commit). ok is false if
@@ -212,7 +182,6 @@ func (t *Txn) Write(a memsim.Addr, v uint64) (ok bool) {
 	if t.state.Load() != stateRunning {
 		return false
 	}
-	t.stats.WriteOps++
 	lid := t.mem.LineOf(a)
 	flags, seen := t.lineFlags[lid]
 	if flags&flagWriter == 0 {
@@ -226,7 +195,7 @@ func (t *Txn) Write(a memsim.Addr, v uint64) (ok bool) {
 		}
 		t.lineFlags[lid] = flags | flagWriter
 		if !seen {
-			t.addLine(lid)
+			t.footprint = append(t.footprint, lid)
 		}
 		t.writeLines++
 	}
@@ -266,7 +235,6 @@ func (t *Txn) Commit() bool {
 		return false
 	}
 	if t.mem.CommitTxn(t, t.footprint, t.writes) {
-		t.stats.Commits++
 		t.state.Store(stateIdle)
 		return true
 	}
@@ -275,7 +243,7 @@ func (t *Txn) Commit() bool {
 }
 
 // Fini parks an aborted transaction: it unregisters any remaining monitor
-// entries and accounts the abort. Callers invoke it after an operation
+// entries. Callers invoke it after an operation
 // returned ok=false. Idempotent; calling it on an idle Txn is a no-op.
 func (t *Txn) Fini() {
 	if t.state.Load() == stateAborted {
@@ -297,11 +265,6 @@ func (t *Txn) finishAbort() {
 		return
 	}
 	t.mem.Unregister(t, t.footprint)
-	t.stats.Aborts++
-	r := t.AbortReason()
-	if int(r) < len(t.stats.ByReason) {
-		t.stats.ByReason[r]++
-	}
 	t.state.Store(stateIdle)
 }
 
@@ -310,10 +273,6 @@ func (t *Txn) finishAbort() {
 func (t *Txn) AbortReason() memsim.AbortReason {
 	return memsim.AbortReason(t.reason.Load())
 }
-
-// FootprintLines returns the number of distinct lines touched by the current
-// attempt (diagnostics and capacity experiments).
-func (t *Txn) FootprintLines() int { return len(t.footprint) }
 
 // WriteSetLines returns the number of distinct lines written by the current
 // attempt.

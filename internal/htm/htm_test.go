@@ -7,9 +7,13 @@ import (
 	"rhtm/internal/memsim"
 )
 
-func newMem(words int) *memsim.Memory {
-	return memsim.New(memsim.DefaultConfig(words))
+// memConfig is a memory of the given size with 64-byte lines,
+// requester-wins conflicts and TSX-like snoop behaviour.
+func memConfig(words int) memsim.Config {
+	return memsim.Config{Words: words, WordsPerLine: 8, Policy: memsim.RequesterWins, NonTxLoadAbortsWriters: true}
 }
+
+func newMem(words int) *memsim.Memory { return memsim.New(memConfig(words)) }
 
 func TestCommitPublishesWrites(t *testing.T) {
 	m := newMem(1024)
@@ -26,9 +30,6 @@ func TestCommitPublishesWrites(t *testing.T) {
 	}
 	if m.Load(8) != 1 || m.Load(64) != 2 {
 		t.Fatal("writes not published at commit")
-	}
-	if s := tx.Stats(); s.Commits != 1 || s.Starts != 1 {
-		t.Fatalf("stats = %+v, want 1 start 1 commit", s)
 	}
 }
 
@@ -153,9 +154,9 @@ func TestRepeatedAccessSameLineNoCapacityGrowth(t *testing.T) {
 			t.Fatal("repeated Write failed")
 		}
 	}
-	if tx.FootprintLines() != 1 || tx.WriteSetLines() != 1 {
+	if len(tx.footprint) != 1 || tx.WriteSetLines() != 1 {
 		t.Fatalf("footprint=%d writeLines=%d, want 1,1",
-			tx.FootprintLines(), tx.WriteSetLines())
+			len(tx.footprint), tx.WriteSetLines())
 	}
 	if !tx.Commit() {
 		t.Fatal("Commit failed")
@@ -235,22 +236,6 @@ func TestNewTxnValidatesConfig(t *testing.T) {
 		}
 	}()
 	NewTxn(m, Config{})
-}
-
-func TestStatsAbortBreakdown(t *testing.T) {
-	m := newMem(1024)
-	tx := NewTxn(m, DefaultConfig())
-	tx.Begin()
-	tx.Abort(memsim.AbortExplicit)
-	tx.Begin()
-	tx.Unsupported()
-	s := tx.Stats()
-	if s.Aborts != 2 {
-		t.Fatalf("aborts = %d, want 2", s.Aborts)
-	}
-	if s.ByReason[memsim.AbortExplicit] != 1 || s.ByReason[memsim.AbortUnsupported] != 1 {
-		t.Fatalf("abort breakdown wrong: %v", s.ByReason)
-	}
 }
 
 // TestAtomicIncrementsUnderContention: N workers transactionally increment a
@@ -368,12 +353,12 @@ func TestBeginParksRemotelyAbortedAttempt(t *testing.T) {
 		t.Fatal("TryAbort on a running transaction failed")
 	}
 	tx.Abort(memsim.AbortExplicit) // the owner, too late
+	if r := tx.AbortReason(); r != memsim.AbortConflict {
+		t.Fatalf("abort reason %v, want the remote conflict", r)
+	}
 	tx.Begin()
 	if n := m.MonitorCount(8); n != 0 {
 		t.Fatalf("MonitorCount(8) = %d after Begin, want 0: the aborted attempt's monitor leaked", n)
-	}
-	if s := tx.Stats(); s.Aborts != 1 || s.ByReason[memsim.AbortConflict] != 1 {
-		t.Fatalf("stats = %+v, want the remote abort accounted once, as a conflict", s)
 	}
 	m.Store(8, 1) // a line the new attempt never touched
 	if !tx.Running() {

@@ -24,7 +24,7 @@ func TestRereadKeepsInvariantUnderCommits(t *testing.T) {
 	for _, policy := range []memsim.ConflictPolicy{memsim.RequesterWins, memsim.CommitterWins} {
 		for _, y := range []memsim.Addr{13, 800} { // x's line, another line
 			t.Run(fmt.Sprintf("policy%d/y%d", policy, y), func(t *testing.T) {
-				cfg := memsim.DefaultConfig(1024)
+				cfg := memConfig(1024)
 				cfg.Policy = policy
 				m := memsim.New(cfg)
 				m.Store(x, sum)

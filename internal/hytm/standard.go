@@ -36,6 +36,9 @@ func (e *StandardHyTM) NewThread() engine.Thread {
 	t := &stdThread{eng: e, sys: e.Sys, slow: e.Slow.NewThread()}
 	id := e.RegisterHW(&t.HWWorker, e.opts.InjectAbortPercent)
 	t.Rng = rand.New(rand.NewSource(int64(id)*69621 + 11))
+	if e.opts.Mixed {
+		t.MaxFastAttempts = e.opts.MaxFastAttempts
+	}
 	return t
 }
 
@@ -61,12 +64,6 @@ func (t *stdThread) Atomic(fn func(tx engine.Tx) error) error {
 // happens inline on each access.
 func (t *stdThread) TryFast(fn func(tx engine.Tx) error) (bool, error, memsim.AbortReason) {
 	return t.Attempt(fn, (*stdTx)(t), &t.Stats.FastCommits)
-}
-
-// GoSlow implements engine.FastPath.
-func (t *stdThread) GoSlow(attempt int, reason memsim.AbortReason) bool {
-	return reason.Persistent() ||
-		(t.eng.opts.Mixed && attempt+1 >= t.eng.opts.MaxFastAttempts)
 }
 
 // RunSlow implements engine.FastPath.

@@ -18,10 +18,9 @@ type Heap struct {
 	mem *Memory
 	reg Region
 
-	mu    sync.Mutex
-	next  Addr
-	free  map[int][]Addr
-	alloc int // words currently allocated (for diagnostics)
+	mu   sync.Mutex
+	next Addr
+	free map[int][]Addr
 }
 
 // NewHeap creates a Heap over a fresh region of the given size.
@@ -51,7 +50,6 @@ func (h *Heap) Alloc(n int) (Addr, error) {
 	if list := h.free[n]; len(list) > 0 {
 		a := list[len(list)-1]
 		h.free[n] = list[:len(list)-1]
-		h.alloc += n
 		h.mu.Unlock()
 		h.zero(a, n)
 		return a, nil
@@ -68,7 +66,6 @@ func (h *Heap) Alloc(n int) (Addr, error) {
 			n, int64(h.reg.Base)+int64(h.reg.Size)-int64(h.next))
 	}
 	h.next = end
-	h.alloc += n
 	h.mu.Unlock()
 	return a, nil
 }
@@ -87,15 +84,7 @@ func (h *Heap) MustAlloc(n int) Addr {
 func (h *Heap) Free(a Addr, n int) {
 	h.mu.Lock()
 	h.free[n] = append(h.free[n], a)
-	h.alloc -= n
 	h.mu.Unlock()
-}
-
-// AllocatedWords returns the number of words currently allocated.
-func (h *Heap) AllocatedWords() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.alloc
 }
 
 // zero clears a block with plain stores so that recycled memory does not leak

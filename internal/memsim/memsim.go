@@ -120,18 +120,6 @@ type Config struct {
 	NonTxLoadAbortsWriters bool
 }
 
-// DefaultConfig returns the configuration used throughout the benchmarks: a
-// memory of the given size with 64-byte lines, requester-wins conflicts, and
-// TSX-like snoop behaviour.
-func DefaultConfig(words int) Config {
-	return Config{
-		Words:                  words,
-		WordsPerLine:           8,
-		Policy:                 RequesterWins,
-		NonTxLoadAbortsWriters: true,
-	}
-}
-
 // monEntry records one transaction monitoring a line. writer is true if the
 // transaction declared a speculative write to the line (the line is in its
 // write set); a reader that later writes has its entry upgraded in place.

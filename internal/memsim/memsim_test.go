@@ -26,9 +26,25 @@ func (f *fakeTxn) Running() bool   { return f.state.Load() == 0 }
 func (f *fakeTxn) TryCommit() bool { return f.state.CompareAndSwap(0, 2) }
 func (f *fakeTxn) aborted() bool   { return f.state.Load() == 1 }
 
+// testConfig is a memory of the given size with 64-byte lines,
+// requester-wins conflicts and TSX-like snoop behaviour — what sys builds.
+func testConfig(words int) Config {
+	return Config{Words: words, WordsPerLine: 8, Policy: RequesterWins, NonTxLoadAbortsWriters: true}
+}
+
+// mustRegion is AllocRegion for a test that sized the memory for it.
+func mustRegion(t testing.TB, m *Memory, size int) Region {
+	t.Helper()
+	r, err := m.AllocRegion(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func newMem(t testing.TB, words int) *Memory {
 	t.Helper()
-	return New(DefaultConfig(words))
+	return New(testConfig(words))
 }
 
 func TestNewValidatesConfig(t *testing.T) {
@@ -119,7 +135,7 @@ func TestPlainLoadSnoopsWriters(t *testing.T) {
 }
 
 func TestPlainLoadSnoopDisabled(t *testing.T) {
-	cfg := DefaultConfig(64)
+	cfg := testConfig(64)
 	cfg.NonTxLoadAbortsWriters = false
 	m := New(cfg)
 	writer := &fakeTxn{}
@@ -150,7 +166,7 @@ func TestSpecWriteConflictRequesterWins(t *testing.T) {
 }
 
 func TestSpecWriteConflictCommitterWins(t *testing.T) {
-	cfg := DefaultConfig(64)
+	cfg := testConfig(64)
 	cfg.Policy = CommitterWins
 	m := New(cfg)
 	first, second := &fakeTxn{}, &fakeTxn{}
@@ -367,8 +383,8 @@ func TestCommitStripeSharedFootprint(t *testing.T) {
 
 func TestRegionAllocationDisjointAndAligned(t *testing.T) {
 	m := newMem(t, 1024)
-	r1 := m.MustAllocRegion(10)
-	r2 := m.MustAllocRegion(20)
+	r1 := mustRegion(t, m, 10)
+	r2 := mustRegion(t, m, 20)
 	if r1.Base%Addr(m.cfg.WordsPerLine) != 0 || r2.Base%Addr(m.cfg.WordsPerLine) != 0 {
 		t.Error("regions not line-aligned")
 	}
@@ -392,7 +408,7 @@ func TestRegionExhaustion(t *testing.T) {
 
 func TestRegionAddrBoundsPanics(t *testing.T) {
 	m := newMem(t, 128)
-	r := m.MustAllocRegion(4)
+	r := mustRegion(t, m, 4)
 	defer func() {
 		if recover() == nil {
 			t.Error("Region.Addr out of range did not panic")
@@ -416,9 +432,6 @@ func TestHeapAllocFreeReuse(t *testing.T) {
 	}
 	if m.Load(b) != 0 {
 		t.Error("recycled block not zeroed")
-	}
-	if h.AllocatedWords() != 16 {
-		t.Errorf("AllocatedWords = %d, want 16", h.AllocatedWords())
 	}
 }
 

@@ -26,14 +26,6 @@ func (r Region) Addr(i int) Addr {
 	return r.Base + Addr(i)
 }
 
-// Index returns the offset of a within the region.
-func (r Region) Index(a Addr) int {
-	if !r.Contains(a) {
-		panic(fmt.Sprintf("memsim: address %d outside region [%d,%d)", a, r.Base, r.Base+Addr(r.Size)))
-	}
-	return int(a - r.Base)
-}
-
 // AllocRegion reserves a fresh region of the given size, aligned to a line
 // boundary so that distinct regions never share a conflict-detection line.
 // It returns an error when the memory is exhausted.
@@ -55,14 +47,4 @@ func (m *Memory) AllocRegion(size int) (Region, error) {
 	}
 	m.nextFree = end
 	return Region{Base: base, Size: size}, nil
-}
-
-// MustAllocRegion is AllocRegion for setup code where exhaustion is a
-// configuration bug.
-func (m *Memory) MustAllocRegion(size int) Region {
-	r, err := m.AllocRegion(size)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }

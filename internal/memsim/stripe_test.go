@@ -49,7 +49,7 @@ func TestStripeNoFalseConflicts(t *testing.T) {
 	for _, policy := range []ConflictPolicy{RequesterWins, CommitterWins} {
 		for _, op := range ops {
 			t.Run(fmt.Sprintf("policy%d/%s", policy, op.name), func(t *testing.T) {
-				cfg := DefaultConfig(0)
+				cfg := testConfig(0)
 				cfg.Policy = policy
 				m, a, b, c := stripeMates(t, cfg)
 				onA, reader, dead, writer := &fakeTxn{}, &fakeTxn{}, &fakeTxn{}, &fakeTxn{}
@@ -191,7 +191,7 @@ func TestRereadNeverTornUnderCommits(t *testing.T) {
 	for _, policy := range []ConflictPolicy{RequesterWins, CommitterWins} {
 		for _, y := range []Addr{13, 800} { // x's line, another line
 			t.Run(fmt.Sprintf("policy%d/y%d", policy, y), func(t *testing.T) {
-				cfg := DefaultConfig(1024)
+				cfg := testConfig(1024)
 				cfg.Policy = policy
 				m := New(cfg)
 				const x = Addr(8)

@@ -81,6 +81,7 @@ func (e *Engine) NewThread() engine.Thread {
 	t := &Thread{eng: e, sys: e.Sys}
 	id := e.RegisterHW(&t.HWWorker, e.opts.InjectAbortPercent)
 	t.Rng = rand.New(rand.NewSource(int64(id)*16807 + 3))
+	t.MaxFastAttempts = e.opts.MaxFastAttempts
 	return t
 }
 
@@ -114,11 +115,6 @@ func (t *Thread) Atomic(fn func(tx engine.Tx) error) error {
 func (t *Thread) TryFast(fn func(tx engine.Tx) error) (bool, error, memsim.AbortReason) {
 	t.hw = true
 	return t.Attempt(fn, (*norecTx)(t), &t.Stats.FastCommits)
-}
-
-// GoSlow implements engine.FastPath.
-func (t *Thread) GoSlow(attempt int, reason memsim.AbortReason) bool {
-	return reason.Persistent() || attempt+1 >= t.eng.opts.MaxFastAttempts
 }
 
 // Prologue implements engine.HWPath: subscribe to the counter.

@@ -106,7 +106,7 @@ func TestNoStripeMetadataTouched(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < s.StripeCount(); i++ {
+	for i := 0; i < s.Versions.Size; i++ {
 		if v := s.Mem.Load(s.Versions.Addr(i)); v != 0 {
 			t.Fatalf("stripe version %d = %d, want 0 (NoRec must not touch it)", i, v)
 		}

@@ -90,6 +90,7 @@ func (e *Engine) NewThread() engine.Thread {
 	t := &Thread{eng: e, sys: e.Sys, slow: e.Slow.NewThread()}
 	id := e.RegisterHW(&t.HWWorker, e.opts.InjectAbortPercent)
 	t.Rng = rand.New(rand.NewSource(int64(id)*40692 + 5))
+	t.MaxFastAttempts = e.opts.MaxFastAttempts
 	return t
 }
 
@@ -118,11 +119,6 @@ func (t *Thread) TryFast(fn func(tx engine.Tx) error) (bool, error, memsim.Abort
 		return true, t.runSoftware(fn), memsim.AbortNone
 	}
 	return t.Attempt(fn, (*phasedTx)(t), &t.Stats.FastCommits)
-}
-
-// GoSlow implements engine.FastPath.
-func (t *Thread) GoSlow(attempt int, reason memsim.AbortReason) bool {
-	return reason.Persistent() || attempt+1 >= t.eng.opts.MaxFastAttempts
 }
 
 // RunSlow implements engine.FastPath: flip the whole system to the software

@@ -82,7 +82,6 @@ type System struct {
 	cfg         Config
 	data        memsim.Region
 	stripeShift uint
-	stripeCount int
 	maxThreads  int
 }
 
@@ -154,7 +153,6 @@ func New(cfg Config) (*System, error) {
 		cfg:             cfg,
 		data:            heap.Region(),
 		stripeShift:     shift,
-		stripeCount:     stripes,
 		maxThreads:      cfg.MaxThreads,
 	}, nil
 }
@@ -171,9 +169,6 @@ func MustNew(cfg Config) *System {
 // Config returns the system configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// StripeCount returns the number of metadata stripes.
-func (s *System) StripeCount() int { return s.stripeCount }
-
 // StripeOf returns the stripe index of data address a (the paper's
 // get_stripe_index).
 func (s *System) StripeOf(a memsim.Addr) int {
@@ -186,13 +181,6 @@ func (s *System) StripeOf(a memsim.Addr) int {
 // VersionAddr returns the address of the stripe version word covering a.
 func (s *System) VersionAddr(a memsim.Addr) memsim.Addr {
 	return s.Versions.Addr(s.StripeOf(a))
-}
-
-// MaskAddr returns the address of the first read-mask word of the stripe
-// covering a (the complete mask is MaskWords consecutive words starting
-// there).
-func (s *System) MaskAddr(a memsim.Addr) memsim.Addr {
-	return s.MaskBase(s.StripeOf(a))
 }
 
 // MaskBase returns the address of the first read-mask word of a stripe.
@@ -226,6 +214,3 @@ func IsLocked(w uint64) bool { return w&1 == 1 }
 
 // LockWord encodes the lock value of a thread.
 func LockWord(threadID int) uint64 { return uint64(threadID)<<1 | 1 }
-
-// LockOwner decodes the owner of a locked word.
-func LockOwner(w uint64) int { return int(w >> 1) }

@@ -46,11 +46,11 @@ func TestStripeMapping(t *testing.T) {
 	if s.VersionAddr(base) != s.Versions.Addr(0) {
 		t.Fatal("VersionAddr mapping wrong")
 	}
-	if s.MaskAddr(base+memsim.Addr(per)) != s.Masks.Addr(1) {
-		t.Fatal("MaskAddr mapping wrong")
+	if s.MaskBase(s.StripeOf(base+memsim.Addr(per))) != s.Masks.Addr(1) {
+		t.Fatal("mask mapping wrong")
 	}
-	if s.StripeCount() != (1<<10)/per {
-		t.Fatalf("StripeCount = %d, want %d", s.StripeCount(), (1<<10)/per)
+	if s.Versions.Size != (1<<10)/per {
+		t.Fatalf("%d stripes, want %d", s.Versions.Size, (1<<10)/per)
 	}
 }
 
@@ -87,8 +87,8 @@ func TestVersionWordEncoding(t *testing.T) {
 	if !IsLocked(lw) {
 		t.Fatal("lock word not locked")
 	}
-	if LockOwner(lw) != 5 {
-		t.Fatalf("LockOwner = %d, want 5", LockOwner(lw))
+	if owner := int(lw >> 1); owner != 5 {
+		t.Fatalf("lock owner = %d, want 5", owner)
 	}
 	// The paper's literal encoding: thread_id*2+1.
 	if lw != 5*2+1 {

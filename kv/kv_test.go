@@ -64,7 +64,7 @@ func localFactory(engineName string, shards, inject int) dbtest.DBFactory {
 // get exercised.
 func clusterFactory(engineName string, systems, inject int) dbtest.DBFactory {
 	return func(t *testing.T) (kv.DB, *kv.ManualClock, func() error) {
-		c := cluster.MustNew(cluster.Config{
+		c, err := cluster.New(cluster.Config{
 			Systems:    systems,
 			DataWords:  1 << 15,
 			ArenaWords: 1 << 13,
@@ -72,6 +72,9 @@ func clusterFactory(engineName string, systems, inject int) dbtest.DBFactory {
 				return newEngine(t, s, engineName, inject), nil
 			},
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		clock := kv.NewManualClock()
 		return kv.NewCluster(c, kv.WithClock(clock)), clock, c.Validate
 	}
@@ -524,7 +527,10 @@ func TestClusterGetRevIsOneTransaction(t *testing.T) {
 // transaction, and one commit unit on that System's stream when it changed
 // something. A reserved key is refused before any transaction runs.
 func TestClusterSingleKeyOps(t *testing.T) {
-	c := cluster.MustNew(cluster.Config{Systems: 2, DataWords: 1 << 15, ArenaWords: 1 << 13})
+	c, err := cluster.New(cluster.Config{Systems: 2, DataWords: 1 << 15, ArenaWords: 1 << 13})
+	if err != nil {
+		t.Fatal(err)
+	}
 	db, err := kv.OpenCluster(c, wal.NewMemStorage())
 	if err != nil {
 		t.Fatal(err)

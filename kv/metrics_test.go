@@ -86,7 +86,7 @@ func TestMetricsZeroAllocOnHotPath(t *testing.T) {
 	var reg *obs.Registry
 	if n := testing.AllocsPerRun(100, func() {
 		reg.Counter("x").Inc()
-		reg.Gauge("y").Set(1)
+		reg.Gauge("y").Add(1)
 		reg.Histogram("z").Observe(1)
 	}); n != 0 {
 		t.Fatalf("nil registry hot path allocates %.1f allocs/op", n)

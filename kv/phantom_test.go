@@ -19,7 +19,7 @@ import (
 func TestClusterScanPhantomProtection(t *testing.T) {
 	for _, systems := range []int{1, 3} {
 		t.Run(fmt.Sprintf("Systems%d", systems), func(t *testing.T) {
-			c := cluster.MustNew(cluster.Config{
+			c, err := cluster.New(cluster.Config{
 				Systems:    systems,
 				DataWords:  1 << 15,
 				ArenaWords: 1 << 13,
@@ -27,6 +27,9 @@ func TestClusterScanPhantomProtection(t *testing.T) {
 					return rhtm.NewTL2(s), nil
 				},
 			})
+			if err != nil {
+				t.Fatal(err)
+			}
 			db := kv.NewCluster(c, kv.WithClock(kv.NewManualClock()))
 			for _, k := range []string{"acct/a", "acct/b"} {
 				if err := db.Put([]byte(k), []byte("1")); err != nil {
@@ -36,7 +39,7 @@ func TestClusterScanPhantomProtection(t *testing.T) {
 
 			var once sync.Once
 			attempts := 0
-			err := db.Update(func(tx kv.Txn) error {
+			err = db.Update(func(tx kv.Txn) error {
 				attempts++
 				n := 0
 				it := tx.Scan([]byte("acct/"), []byte("acct0"), 0)

@@ -71,7 +71,7 @@ func localRecoveryFactory(engineName string, shards, inject int) dbtest.Recovery
 // coordinator decision log.
 func clusterRecoveryFactory(engineName string, systems, inject int) dbtest.RecoveryFactory {
 	build := func(t *testing.T, stg *wal.MemStorage) (kv.DB, *kv.ManualClock, func() error, error) {
-		c := cluster.MustNew(cluster.Config{
+		c, err := cluster.New(cluster.Config{
 			Systems:    systems,
 			DataWords:  1 << 15,
 			ArenaWords: 1 << 13,
@@ -79,6 +79,9 @@ func clusterRecoveryFactory(engineName string, systems, inject int) dbtest.Recov
 				return newEngine(t, s, engineName, inject), nil
 			},
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		clock := kv.NewManualClock()
 		db, err := kv.OpenCluster(c, stg, kv.WithClock(clock))
 		if err != nil {

@@ -65,7 +65,7 @@ func localReplFactory(engineName string, shards, inject int) dbtest.ReplFactory 
 // clusters.
 func clusterReplFactory(engineName string, systems, inject int) dbtest.ReplFactory {
 	newC := func(t *testing.T) *cluster.Cluster {
-		return cluster.MustNew(cluster.Config{
+		c, err := cluster.New(cluster.Config{
 			Systems:    systems,
 			DataWords:  1 << 15,
 			ArenaWords: 1 << 13,
@@ -73,6 +73,10 @@ func clusterReplFactory(engineName string, systems, inject int) dbtest.ReplFacto
 				return newEngine(t, s, engineName, inject), nil
 			},
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
 	return func(t *testing.T) *dbtest.ReplRig {
 		stg := wal.NewMemStorage()

@@ -43,7 +43,7 @@ func TestRetryConflictsThenCommits(t *testing.T) {
 // the closure commits while the intent is pending; once it is released, the
 // closure run again commits.
 func TestClusterSwallowedIntentConflict(t *testing.T) {
-	c := cluster.MustNew(cluster.Config{
+	c, err := cluster.New(cluster.Config{
 		Systems:    2,
 		DataWords:  1 << 15,
 		ArenaWords: 1 << 13,
@@ -51,6 +51,9 @@ func TestClusterSwallowedIntentConflict(t *testing.T) {
 			return rhtm.NewTL2(s), nil
 		},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	db := kv.NewCluster(c, kv.WithClock(kv.NewManualClock()))
 	held, other := []byte("held"), []byte("other")
 	if err := db.Put(held, []byte("old")); err != nil {

@@ -24,7 +24,6 @@ package obs
 import (
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -54,17 +53,10 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Gauge is a last-value instrument. The nil *Gauge is a valid no-op.
+// Gauge is a level that Add moves up and down (queue depths, live
+// counts). The nil *Gauge is a valid no-op.
 type Gauge struct {
 	v atomic.Int64
-}
-
-// Set records the current value.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
 }
 
 // Add moves the gauge by d (negative to decrease).
@@ -107,22 +99,6 @@ func (h *Histogram) Observe(v uint64) {
 	h.count.Add(1)
 	h.sum.Add(v)
 	h.buckets[bits.Len64(v)].Add(1)
-}
-
-// Count returns the number of observations (0 on the nil instrument).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of observed values (0 on the nil instrument).
-func (h *Histogram) Sum() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
 }
 
 // Snapshot captures the histogram's current state. The nil instrument
@@ -382,21 +358,4 @@ func (s Snapshot) Flatten() map[string]int64 {
 		out[name+".sum"] = int64(h.Sum)
 	}
 	return out
-}
-
-// Names returns the snapshot's instrument names, sorted — a stable
-// iteration order for rendering.
-func (s Snapshot) Names() []string {
-	names := make([]string, 0, len(s.Counters)+len(s.Gauges)+len(s.Histograms))
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	for n := range s.Gauges {
-		names = append(names, n)
-	}
-	for n := range s.Histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

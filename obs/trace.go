@@ -61,24 +61,23 @@ type Tracer interface {
 // RecordingTracer is a bounded in-memory Tracer for tests and debugging.
 //
 // Concurrency contract: every method serializes on one internal mutex, so
-// TxnAttempt, Spans, Dropped, and Reset may race freely from any number
-// of goroutines. Two consequences callers can rely on: (1) Spans returns
-// a fresh copy, never an alias of the live buffer — a slice obtained
-// before a concurrent Reset stays intact even though Reset truncates the
-// live buffer in place and later TxnAttempts reuse its backing array;
-// (2) a TxnAttempt concurrent with Reset lands either entirely before it
-// (discarded) or entirely after it (retained against a zeroed bound) —
-// never a torn span and never a stale dropped count. The contract is
-// exercised under -race by TestRecordingTracerConcurrentReset.
+// TxnAttempt, Spans, and Reset may race freely from any number of
+// goroutines. Two consequences callers can rely on: (1) Spans returns a
+// fresh copy, never an alias of the live buffer — a slice obtained before a
+// concurrent Reset stays intact even though Reset truncates the live buffer
+// in place and later TxnAttempts reuse its backing array; (2) a TxnAttempt
+// concurrent with Reset lands either entirely before it (discarded) or
+// entirely after it (retained against a zeroed bound) — never a torn span.
+// The contract is exercised under -race by
+// TestRecordingTracerConcurrentReset.
 type RecordingTracer struct {
-	mu      sync.Mutex
-	spans   []Span
-	limit   int
-	dropped uint64
+	mu    sync.Mutex
+	spans []Span
+	limit int
 }
 
 // NewRecordingTracer creates a tracer retaining at most limit spans
-// (limit <= 0 means 4096). Spans past the bound are counted, not kept.
+// (limit <= 0 means 4096). Spans past the bound are discarded.
 func NewRecordingTracer(limit int) *RecordingTracer {
 	if limit <= 0 {
 		limit = 4096
@@ -91,8 +90,6 @@ func (t *RecordingTracer) TxnAttempt(s Span) {
 	t.mu.Lock()
 	if len(t.spans) < t.limit {
 		t.spans = append(t.spans, s)
-	} else {
-		t.dropped++
 	}
 	t.mu.Unlock()
 }
@@ -106,16 +103,9 @@ func (t *RecordingTracer) Spans() []Span {
 	return out
 }
 
-// Dropped returns how many spans the bound discarded.
-func (t *RecordingTracer) Dropped() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
 // Reset discards everything recorded so far.
 func (t *RecordingTracer) Reset() {
 	t.mu.Lock()
-	t.spans, t.dropped = t.spans[:0], 0
+	t.spans = t.spans[:0]
 	t.mu.Unlock()
 }

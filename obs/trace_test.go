@@ -2,6 +2,9 @@ package obs
 
 import (
 	"errors"
+	"slices"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -123,9 +126,6 @@ func TestSamplerDeterminism(t *testing.T) {
 	if off.Sample() {
 		t.Fatal("nil sampler sampled")
 	}
-	if off.N() != 0 || s.N() != 4 {
-		t.Fatal("N() mismatch")
-	}
 	one := NewSampler(1)
 	for i := 0; i < 5; i++ {
 		if !one.Sample() {
@@ -148,10 +148,10 @@ func TestSamplerDisabledZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestTraceRender pins the normalized rendering: kind, stages in start
-// order, the engine stage folding in the attempt summary, notes kept,
-// no wall-clock values.
-func TestTraceRender(t *testing.T) {
+// TestTraceSnapshot pins what a finished trace captures: its stages in
+// start order with their notes, one span per engine attempt, the commit
+// revision, and the error text.
+func TestTraceSnapshot(t *testing.T) {
 	fl := NewFlight(4)
 	tr := fl.NewTrace(7, "put")
 	tr.Stage(StageQueueWait, 0)
@@ -164,22 +164,26 @@ func TestTraceRender(t *testing.T) {
 	tr.Finish(nil)
 	fl.ReplicaApplied("r0", 9, 1, time.Millisecond)
 
-	want := "trace put\n" +
-		"  queue_wait\n" +
-		"  batch_wait\n" +
-		"  engine attempts=2 commit\n" +
-		"  wal_sync\n" +
-		"  replica_apply replica=r0\n"
-	if got := tr.Snapshot().Render(); got != want {
-		t.Fatalf("render mismatch:\ngot:\n%s\nwant:\n%s", got, want)
+	ts := tr.Snapshot()
+	sort.SliceStable(ts.Stages, func(i, j int) bool { return ts.Stages[i].Start < ts.Stages[j].Start })
+	var got []string
+	for _, st := range ts.Stages {
+		got = append(got, strings.TrimSpace(st.Name+" "+st.Note))
+	}
+	want := []string{"queue_wait", "batch_wait", "engine", "wal_sync", "replica_apply replica=r0"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("stages %q, want %q", got, want)
+	}
+	if ts.Kind != "put" || ts.Err != "" || ts.CommitRev != 9 || len(ts.Spans) != 2 || ts.Spans[1].Outcome != OutcomeCommit {
+		t.Fatalf("snapshot %+v", ts)
 	}
 
 	errTr := fl.NewTrace(8, "txn")
 	errTr.Stage(StageEngine, 0)
 	errTr.Attempt(Span{Engine: "TL2", Outcome: OutcomeError, Err: "boom"})
 	errTr.Finish(errors.New("boom"))
-	if got := errTr.Snapshot().Render(); got != "trace txn err=boom\n  engine attempts=1 error\n" {
-		t.Fatalf("error render mismatch:\n%s", got)
+	if ts := errTr.Snapshot(); ts.Err != "boom" || len(ts.Spans) != 1 || ts.Spans[0].Outcome != OutcomeError {
+		t.Fatalf("error trace snapshot %+v", ts)
 	}
 }
 
@@ -337,7 +341,6 @@ func TestRecordingTracerConcurrentReset(t *testing.T) {
 					panic("torn span")
 				}
 			}
-			tr.Dropped()
 			tr.Reset()
 		}
 	}()
@@ -345,7 +348,7 @@ func TestRecordingTracerConcurrentReset(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	tr.Reset()
-	if len(tr.Spans()) != 0 || tr.Dropped() != 0 {
+	if len(tr.Spans()) != 0 {
 		t.Fatal("reset did not clear after hammer")
 	}
 	tr.TxnAttempt(Span{Engine: "RH1"})
@@ -381,7 +384,7 @@ func TestSnapshotConcurrentWithUpdates(t *testing.T) {
 				}
 				cFast.Inc()
 				cSlow.Add(2)
-				g.Set(int64(i % 97))
+				g.Add(1)
 				h.Observe(i % 1024)
 				// Register a fresh label pair mid-flight occasionally so
 				// snapshots race with registry growth too.

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,14 +73,6 @@ func (s *Sampler) Sample() bool {
 	return (s.ctr.Add(1)-1)%s.n == 0
 }
 
-// N returns the sampling period (0 for the nil sampler).
-func (s *Sampler) N() int {
-	if s == nil {
-		return 0
-	}
-	return int(s.n)
-}
-
 // Stage is one typed child stage of a Trace: a named interval with its
 // start offset from the trace's begin stamp. Start offsets come from the
 // host monotonic clock, so stages recorded later have later offsets —
@@ -146,9 +136,6 @@ func (t *Trace) Begin() time.Time { return t.begin }
 // a server echoes on traced responses (FlagTraced), stamped just before
 // the response frame is queued.
 func (t *Trace) Elapsed() time.Duration { return time.Since(t.begin) }
-
-// KindName returns the request kind the trace was opened for.
-func (t *Trace) KindName() string { return t.kind }
 
 // Stage implements TraceSink: the stage ends now and lasted d.
 func (t *Trace) Stage(name string, d time.Duration) {
@@ -272,31 +259,4 @@ type TraceSnapshot struct {
 	CommitRev uint64  `json:"commit_rev,omitempty"`
 	Stages    []Stage `json:"stages,omitempty"`
 	Spans     []Span  `json:"spans,omitempty"`
-}
-
-// Render returns the trace's normalized rendering: kind, stages in start
-// order, attempt counts — and no wall-clock values, so a fixed schedule
-// renders byte-identically across runs. The engine stage folds in the
-// span summary (attempt count and final outcome); annotated stages keep
-// their note.
-func (ts TraceSnapshot) Render() string {
-	stages := append([]Stage(nil), ts.Stages...)
-	sort.SliceStable(stages, func(i, j int) bool { return stages[i].Start < stages[j].Start })
-	out := "trace " + ts.Kind
-	if ts.Err != "" {
-		out += " err=" + ts.Err
-	}
-	out += "\n"
-	for _, st := range stages {
-		out += "  " + st.Name
-		if st.Name == StageEngine && len(ts.Spans) > 0 {
-			last := ts.Spans[len(ts.Spans)-1]
-			out += fmt.Sprintf(" attempts=%d %s", len(ts.Spans), last.Outcome)
-		}
-		if st.Note != "" {
-			out += " " + st.Note
-		}
-		out += "\n"
-	}
-	return out
 }

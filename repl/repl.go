@@ -90,9 +90,8 @@ type Group struct {
 	ws  []*wal.Writer // current primary's writers, data streams then coord
 	all []*wal.Writer // every writer ever attached (fenced-frame accounting)
 
-	primary kv.DB
-	local   *kv.Local     // nil on a cluster group
-	cdb     *kv.ClusterDB // nil on a local group
+	local *kv.Local     // nil on a cluster group
+	cdb   *kv.ClusterDB // nil on a local group
 	// devs are the stream devices in writer order: the local stream, or
 	// one per System then the coordinator decision log.
 	devs []wal.Device
@@ -117,7 +116,7 @@ type Group struct {
 // group's tailers.
 func NewLocalGroup(primary *kv.Local, dev wal.Device) (*Group, error) {
 	g := newGroup()
-	g.primary, g.local, g.devs = primary, primary, []wal.Device{dev}
+	g.local, g.devs = primary, []wal.Device{dev}
 	if err := g.attachWriters(); err != nil {
 		return nil, err
 	}
@@ -129,7 +128,7 @@ func NewLocalGroup(primary *kv.Local, dev wal.Device) (*Group, error) {
 // log, under the same names kv.OpenCluster uses.
 func NewClusterGroup(primary *kv.ClusterDB, stg wal.Storage) (*Group, error) {
 	g := newGroup()
-	g.primary, g.cdb = primary, primary
+	g.cdb = primary
 	n := primary.Cluster().NumSystems()
 	for i := 0; i <= n; i++ {
 		name := kv.WALCoordName
@@ -287,13 +286,6 @@ func (g *Group) Membership() Membership {
 	return m
 }
 
-// Primary returns the group's current primary DB.
-func (g *Group) Primary() kv.DB {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.primary
-}
-
 // Metrics snapshots the group's repl.* instruments.
 func (g *Group) Metrics() obs.Snapshot { return g.reg.Snapshot() }
 
@@ -422,7 +414,6 @@ func (g *Group) Promote() (kv.DB, *Follower, error) {
 	g.followers = rest2
 	g.fmu.Unlock()
 
-	g.primary = chosen.db
 	g.local, g.cdb = chosen.localDB, chosen.cdb
 	if err := g.attachWriters(); err != nil {
 		return nil, nil, err

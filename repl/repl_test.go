@@ -208,7 +208,7 @@ func TestLocalFailover(t *testing.T) {
 
 func newClusterPrimary(t *testing.T, systems int) (*kv.ClusterDB, *wal.MemStorage) {
 	t.Helper()
-	c := cluster.MustNew(cluster.Config{
+	c, err := cluster.New(cluster.Config{
 		Systems:    systems,
 		DataWords:  1 << 15,
 		ArenaWords: 1 << 13,
@@ -216,6 +216,9 @@ func newClusterPrimary(t *testing.T, systems int) (*kv.ClusterDB, *wal.MemStorag
 			return rhtm.NewTL2(s), nil
 		},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	stg := wal.NewMemStorage()
 	db, err := kv.OpenCluster(c, stg)
 	if err != nil {
@@ -226,7 +229,7 @@ func newClusterPrimary(t *testing.T, systems int) (*kv.ClusterDB, *wal.MemStorag
 
 func newClusterReplica(t *testing.T, g *repl.Group, systems int) *repl.Follower {
 	t.Helper()
-	rc := cluster.MustNew(cluster.Config{
+	rc, err := cluster.New(cluster.Config{
 		Systems:    systems,
 		DataWords:  1 << 15,
 		ArenaWords: 1 << 13,
@@ -234,6 +237,9 @@ func newClusterReplica(t *testing.T, g *repl.Group, systems int) *repl.Follower 
 			return rhtm.NewTL2(s), nil
 		},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	f, err := g.AddClusterReplica(rc)
 	if err != nil {
 		t.Fatal(err)
@@ -390,7 +396,7 @@ func TestPromotionEqualsRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := cluster.MustNew(cluster.Config{
+	rc, err := cluster.New(cluster.Config{
 		Systems:    systems,
 		DataWords:  1 << 15,
 		ArenaWords: 1 << 13,
@@ -398,6 +404,9 @@ func TestPromotionEqualsRecovery(t *testing.T) {
 			return rhtm.NewTL2(s), nil
 		},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	recovered, err := kv.OpenCluster(rc, img)
 	if err != nil {
 		t.Fatal(err)

@@ -137,6 +137,18 @@ type System struct {
 
 // NewSystem builds a System from cfg.
 func NewSystem(cfg Config) (*System, error) {
+	inner, err := sys.New(cfg.machine())
+	if err != nil {
+		return nil, err
+	}
+	return &System{inner: inner}, nil
+}
+
+// MustNewSystem is NewSystem for setup code.
+func MustNewSystem(cfg Config) *System { return &System{inner: sys.MustNew(cfg.machine())} }
+
+// machine translates cfg to the simulated machine's configuration.
+func (cfg Config) machine() sys.Config {
 	sc := sys.DefaultConfig(cfg.DataWords)
 	if cfg.WordsPerStripe != 0 {
 		sc.WordsPerStripe = cfg.WordsPerStripe
@@ -152,20 +164,7 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.HTM != (HTMConfig{}) {
 		sc.HTM = cfg.HTM
 	}
-	inner, err := sys.New(sc)
-	if err != nil {
-		return nil, err
-	}
-	return &System{inner: inner}, nil
-}
-
-// MustNewSystem is NewSystem for setup code.
-func MustNewSystem(cfg Config) *System {
-	s, err := NewSystem(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
+	return sc
 }
 
 // Alloc reserves a zeroed block of n words of transactional memory.

@@ -94,17 +94,6 @@ func WithEngineName(name string) Option {
 	return func(o *options) { o.engine = name }
 }
 
-// WithWriteTimeout sets the rolling deadline each outbound frame write
-// gets before the connection is declared stalled and degrades to
-// discarding responses.
-func WithWriteTimeout(d time.Duration) Option {
-	return func(o *options) {
-		if d > 0 {
-			o.writeTimeout = d
-		}
-	}
-}
-
 // WithReplicaStatus injects the per-replica watermark source KindHealth
 // reports (typically a thin adapter over repl.Group.Status). Nil — the
 // default — reports no replicas.

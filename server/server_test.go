@@ -216,8 +216,8 @@ func TestStalledReaderDoesNotBlockBatcher(t *testing.T) {
 	// healthy connection must stay served by the overflow path alone, not
 	// by the deadline killing the stalled peer.
 	reg := obs.NewRegistry()
-	srv := server.New(newLocalDB(t, reg), server.WithMetrics(reg),
-		server.WithWriteTimeout(time.Minute))
+	srv := server.New(newLocalDB(t, reg), server.WithMetrics(reg))
+	server.SetWriteTimeout(srv, time.Minute)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

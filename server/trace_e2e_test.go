@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -18,7 +19,7 @@ import (
 
 func newTraceCluster(t *testing.T) *cluster.Cluster {
 	t.Helper()
-	return cluster.MustNew(cluster.Config{
+	c, err := cluster.New(cluster.Config{
 		Systems:    2,
 		DataWords:  1 << 15,
 		ArenaWords: 1 << 13,
@@ -26,12 +27,33 @@ func newTraceCluster(t *testing.T) *cluster.Cluster {
 			return rhtm.NewTL2(s), nil
 		},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
-func stageNames(ts obs.TraceSnapshot) []string {
-	var out []string
-	for _, st := range ts.Stages {
-		out = append(out, st.Name)
+// render is a trace's normalized form: its kind and error, then each stage
+// in start order with its note, the engine stage folding in the attempt
+// count and final outcome. It holds no wall-clock value, so a fixed
+// schedule renders byte-identically across runs.
+func render(ts obs.TraceSnapshot) string {
+	stages := append([]obs.Stage(nil), ts.Stages...)
+	sort.SliceStable(stages, func(i, j int) bool { return stages[i].Start < stages[j].Start })
+	out := "trace " + ts.Kind
+	if ts.Err != "" {
+		out += " err=" + ts.Err
+	}
+	out += "\n"
+	for _, st := range stages {
+		out += "  " + st.Name
+		if st.Name == obs.StageEngine && len(ts.Spans) > 0 {
+			out += fmt.Sprintf(" attempts=%d %s", len(ts.Spans), ts.Spans[len(ts.Spans)-1].Outcome)
+		}
+		if st.Note != "" {
+			out += " " + st.Note
+		}
+		out += "\n"
 	}
 	return out
 }
@@ -95,11 +117,7 @@ func TestTraceEndToEnd(t *testing.T) {
 		sts := g.Status()
 		out := make([]wire.ReplicaHealth, len(sts))
 		for i, st := range sts {
-			out[i] = wire.ReplicaHealth{
-				Name: st.Name, Stream: st.Stream,
-				AppliedLSN: st.AppliedLSN, AppliedRev: st.AppliedRev,
-				LagFrames: st.LagFrames,
-			}
+			out[i] = wire.ReplicaHealth(st)
 		}
 		return out
 	}))
@@ -142,8 +160,8 @@ func TestTraceEndToEnd(t *testing.T) {
 		"  wal_sync\n" +
 		"  2pc_finish\n" +
 		"  replica_apply replica=replica-0\n"
-	if got := srvTxn.Render(); got != wantTxn {
-		t.Fatalf("server txn trace rendering:\n%s\nwant:\n%s\n(stages: %v)", got, wantTxn, stageNames(srvTxn))
+	if got := render(srvTxn); got != wantTxn {
+		t.Fatalf("server txn trace rendering:\n%s\nwant:\n%s", got, wantTxn)
 	}
 	if srvTxn.CommitRev == 0 {
 		t.Fatalf("server txn trace lost its commit revision")
@@ -161,7 +179,7 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Fatalf("trace ids diverge across the wire: client %d, server %d", clTxn.ID, srvTxn.ID)
 	}
 	const wantClient = "trace txn\n  net\n"
-	if got := clTxn.Render(); got != wantClient {
+	if got := render(clTxn); got != wantClient {
 		t.Fatalf("client txn trace rendering:\n%s\nwant:\n%s", got, wantClient)
 	}
 	if clTxn.WallNS == 0 || clTxn.Stages[0].Dur <= 0 {
@@ -185,8 +203,8 @@ func TestTraceEndToEnd(t *testing.T) {
 		"  batch_wait\n" +
 		"  engine\n" +
 		"  replica_apply replica=replica-0\n"
-	if got := srvPut.Render(); got != wantPut {
-		t.Fatalf("server put trace rendering:\n%s\nwant:\n%s\n(stages: %v)", got, wantPut, stageNames(srvPut))
+	if got := render(srvPut); got != wantPut {
+		t.Fatalf("server put trace rendering:\n%s\nwant:\n%s", got, wantPut)
 	}
 
 	// Admin RPCs over the same connection pool.

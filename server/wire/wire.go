@@ -474,16 +474,6 @@ func ReadMsg(r *bufio.Reader) (Msg, error) {
 	return m, err
 }
 
-// WriteMsg encodes m and writes the frame to w in one call.
-func WriteMsg(w io.Writer, m Msg) error {
-	buf, err := Encode(nil, m)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
 func decodeBody(body []byte) (Msg, error) {
 	m := Msg{
 		ID:    binary.LittleEndian.Uint64(body),

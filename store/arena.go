@@ -104,9 +104,6 @@ func (a *Arena) TxFree(tx rhtm.Tx, addr rhtm.Addr, words int) {
 	tx.Store(ctr, tx.Load(ctr)+uint64(1)<<c)
 }
 
-// Words returns the arena capacity in words.
-func (a *Arena) Words() int { return a.words }
-
 // ArenaStats describes an arena's occupancy at one instant. BumpedWords is
 // what the frontier has handed out since setup; FreeListWords is the portion
 // of that currently idle on the free lists, so LiveWords (the difference) is
@@ -147,10 +144,4 @@ func (a *Arena) walkFreeWords(tx rhtm.Tx) int {
 		}
 	}
 	return total
-}
-
-// BumpedWords returns how many words the bump frontier has consumed
-// (allocated plus currently free-listed). Setup/diagnostics only.
-func (a *Arena) BumpedWords() int {
-	return int(a.sys.Peek(a.bump) - uint64(a.base))
 }

@@ -5,8 +5,24 @@ import (
 	"fmt"
 	"testing"
 
+	"rhtm"
 	"rhtm/containers"
+	"rhtm/wal"
 )
+
+// readSharers is how many transactions hold a read intent on key (0 when
+// none, or when the pending intent is a write).
+func readSharers(st *Store, tx rhtm.Tx, key []byte) int {
+	rec, ok := st.intentsOf(key).Lookup(tx, key)
+	if !ok {
+		return 0
+	}
+	pb := locBlock(tx.Load(rec + recLocator))
+	if IntentKind(tx.Load(pb+1)&0xff) != IntentRead {
+		return 0
+	}
+	return int(tx.Load(pb + 2))
+}
 
 // TestSharedReadIntents pins the shared/exclusive matrix: readers coexist
 // with readers, everything else conflicts.
@@ -25,7 +41,7 @@ func TestSharedReadIntents(t *testing.T) {
 			t.Fatalf("reader %d refused: %v", txid, err)
 		}
 	}
-	if got := st.ReadSharers(tx, key); got != 3 {
+	if got := readSharers(st, tx, key); got != 3 {
 		t.Fatalf("ReadSharers = %d, want 3", got)
 	}
 	if got := st.PendingIntents(tx); got != 1 {
@@ -51,7 +67,7 @@ func TestSharedReadIntents(t *testing.T) {
 	if _, err := st.ApplyIntent(tx, key, 2); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.ReadSharers(tx, key); got != 2 {
+	if got := readSharers(st, tx, key); got != 2 {
 		t.Fatalf("ReadSharers after release = %d, want 2", got)
 	}
 	// A released transaction cannot release twice.
@@ -109,7 +125,7 @@ func TestRevisionsMonotonicPerKey(t *testing.T) {
 		}
 		last = rev
 	}
-	st.Delete(tx, key)
+	del(st, tx, key)
 	if err := st.Put(tx, key, []byte("again")); err != nil {
 		t.Fatal(err)
 	}
@@ -134,16 +150,16 @@ func TestLeaseStamping(t *testing.T) {
 	tx := containers.SetupTx(s)
 	key := []byte("session")
 
-	if err := st.PutLease(tx, key, []byte("v1"), 77); err != nil {
+	if _, err := st.Write(tx, wal.Op{Kind: wal.OpPut, Key: key, Value: []byte("v1"), Lease: 77}); err != nil {
 		t.Fatal(err)
 	}
-	if lease, ok := st.LeaseOf(tx, key); !ok || lease != 77 {
-		t.Fatalf("LeaseOf = (%d,%v), want (77,true)", lease, ok)
+	if _, _, lease, ok := st.Read(tx, key); !ok || lease != 77 {
+		t.Fatalf("lease = (%d,%v), want (77,true)", lease, ok)
 	}
 	if err := st.Put(tx, key, []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-	if lease, _ := st.LeaseOf(tx, key); lease != 0 {
+	if _, _, lease, _ := st.Read(tx, key); lease != 0 {
 		t.Fatalf("plain Put left lease %d attached", lease)
 	}
 	if err := st.PrepareIntent(tx, key, 5, IntentPut, []byte("v3"), 88); err != nil {
@@ -176,7 +192,7 @@ func TestEventLogOrder(t *testing.T) {
 	if err := st.Put(tx, []byte("a"), []byte("3")); err != nil {
 		t.Fatal(err)
 	}
-	st.Delete(tx, []byte("b"))
+	del(st, tx, []byte("b"))
 
 	events, next, oldest := log.Read(tx, from, 100)
 	if oldest > from {

@@ -9,13 +9,14 @@ import (
 
 	"rhtm"
 	"rhtm/containers"
+	"rhtm/wal"
 )
 
 // cursorOver opens a cursor on a plain Store for one shard, a Sharded
 // otherwise — the two implementations of the one mechanism.
 type cursorOver interface {
 	Put(tx rhtm.Tx, key, value []byte) error
-	Delete(tx rhtm.Tx, key []byte) bool
+	Write(tx rhtm.Tx, op wal.Op) (wal.Op, error)
 	Cursor(tx rhtm.Tx, start, end []byte, hint int) *Cursor
 }
 
@@ -113,7 +114,7 @@ func TestCursorSeesOwnWrites(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := th.Atomic(func(tx rhtm.Tx) error {
-			st.Delete(tx, []byte("k03"))
+			del(st, tx, []byte("k03"))
 			if err := st.Put(tx, []byte("k03x"), []byte("new")); err != nil {
 				return err
 			}
@@ -172,7 +173,7 @@ func TestScanComparesBoundsOnce(t *testing.T) {
 	height := 0
 	for i := 0; i < n; i++ {
 		compares = 0
-		st.Has(setup, key(i))
+		has(st, setup, key(i))
 		height = max(height, compares)
 	}
 	compares = 0

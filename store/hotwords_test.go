@@ -91,6 +91,9 @@ func TestIntentsConflictOnlyOnOwnKeys(t *testing.T) {
 // TestHotWordsOwnLines holds every independently written singleton of a
 // store to a cache line of its own, within a shard and across shards: a
 // transaction that loads one must not abort because a neighbour was written.
+// The index and intent-bucket roots are containers.OrderedTree root cells,
+// which own their lines by construction (containers
+// TestOrderedTreeRootOwnsLine).
 func TestHotWordsOwnLines(t *testing.T) {
 	s := newSys(1 << 16)
 	sh := NewSharded(s, 2, Options{ArenaWords: 1 << 12})
@@ -104,10 +107,6 @@ func TestHotWordsOwnLines(t *testing.T) {
 	}
 	for i, st := range sh.shards {
 		own(fmt.Sprintf("shard %d count", i), st.count)
-		own(fmt.Sprintf("shard %d index root", i), st.idx.RootCell())
-		for b, bucket := range st.intents {
-			own(fmt.Sprintf("shard %d intent bucket %d root", i, b), bucket.RootCell())
-		}
 		own(fmt.Sprintf("shard %d arena.bump", i), st.arena.bump)
 		own(fmt.Sprintf("shard %d log clock", i), st.log.seq)
 	}
@@ -176,9 +175,9 @@ func TestReplayPutIdempotent(t *testing.T) {
 	// removed reports whether replaying a delete at rev removed the key.
 	removed := func(rev uint64) bool {
 		t.Helper()
-		had := st.Has(tx, key)
+		had := has(st, tx, key)
 		replay(wal.Op{Kind: wal.OpDelete, Rev: rev})
-		return had && !st.Has(tx, key)
+		return had && !has(st, tx, key)
 	}
 	replay(wal.Op{Kind: wal.OpPut, Value: []byte("at-5"), Rev: 5, Lease: 9})
 	state := func() string {

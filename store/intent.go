@@ -232,20 +232,6 @@ func (st *Store) AnyIntentOn(tx rhtm.Tx, key []byte) bool {
 	return held
 }
 
-// ReadSharers returns how many transactions hold a read intent on key
-// (0 when none, or when the pending intent is a write).
-func (st *Store) ReadSharers(tx rhtm.Tx, key []byte) int {
-	rec, ok := st.intentsOf(key).Lookup(tx, key)
-	if !ok {
-		return 0
-	}
-	pb := locBlock(tx.Load(rec + recLocator))
-	if IntentKind(tx.Load(pb+1)&0xff) != IntentRead {
-		return 0
-	}
-	return int(tx.Load(pb + 2))
-}
-
 // ApplyIntent executes and releases the intent txid holds on key: a put
 // stores the buffered value (with its lease) into the block prepare
 // reserved, a delete removes the key, a read releases txid's share. Given a

@@ -83,7 +83,7 @@ func TestIntentKinds(t *testing.T) {
 	if _, err := st.ApplyIntent(tx, []byte("gone"), 1); err != nil {
 		t.Fatal(err)
 	}
-	if st.Has(tx, []byte("gone")) {
+	if has(st, tx, []byte("gone")) {
 		t.Fatal("delete intent did not remove the key")
 	}
 
@@ -108,7 +108,7 @@ func TestIntentKinds(t *testing.T) {
 	if err := st.DiscardIntent(tx, []byte("never"), 3); err != nil {
 		t.Fatal(err)
 	}
-	if st.Has(tx, []byte("never")) {
+	if has(st, tx, []byte("never")) {
 		t.Fatal("discarded put intent reached the store")
 	}
 	if _, err := st.ApplyIntent(tx, []byte("never"), 3); err != ErrIntentMissing {
@@ -164,11 +164,11 @@ func TestIntentFreeListReuse(t *testing.T) {
 		}
 	}
 	prime(1)
-	after1 := st.Arena().BumpedWords()
+	after1 := bumped(st.arena)
 	for i := uint64(2); i < 40; i++ {
 		prime(i)
 	}
-	if got := st.Arena().BumpedWords(); got != after1 {
+	if got := bumped(st.arena); got != after1 {
 		t.Fatalf("intent churn grew the arena: %d -> %d words", after1, got)
 	}
 }
@@ -191,7 +191,7 @@ func TestIntentApplyReservedSurvivesFullArena(t *testing.T) {
 	}
 	// Exhaust the bump frontier completely.
 	for {
-		if _, err := st.Arena().TxAlloc(tx, 1); err != nil {
+		if _, err := st.arena.TxAlloc(tx, 1); err != nil {
 			break
 		}
 	}
@@ -222,7 +222,7 @@ func TestStoreStats(t *testing.T) {
 	}
 	// Delete last so its freed blocks are still on the free lists below
 	// (an allocation would recycle them).
-	st.Delete(tx, []byte("key00"))
+	del(st, tx, []byte("key00"))
 	got := st.Stats(tx)
 	if got.LiveKeys != 19 {
 		t.Fatalf("LiveKeys = %d, want 19", got.LiveKeys)

@@ -277,6 +277,3 @@ func (l *EventLog) Rev(tx rhtm.Tx) uint64 { return tx.Load(l.seq) }
 // Dropped returns how many events were skipped because their key exceeded
 // the ring (diagnostics).
 func (l *EventLog) Dropped(tx rhtm.Tx) uint64 { return tx.Load(l.dropped) }
-
-// Words returns the ring capacity in words.
-func (l *EventLog) Words() int { return l.cap }

@@ -17,7 +17,6 @@ type redoStore interface {
 	Replay(tx rhtm.Tx, ops []wal.Op) (uint64, error)
 	Snapshot(tx rhtm.Tx) []wal.Op
 	EventLogs() []*EventLog
-	Len(tx rhtm.Tx) int
 	PartitionOf(key []byte) int
 	System() *rhtm.System
 }
@@ -118,7 +117,7 @@ func TestRedoRoundTrip(t *testing.T) {
 				for _, l := range dst.EventLogs() {
 					out = append(out, l.Rev(dtx), l.Head(dtx))
 				}
-				return append(out, uint64(dst.Len(dtx)))
+				return append(out, uint64(len(dst.Snapshot(dtx))))
 			}
 			before := heads()
 			replayInto(dst, recs)

@@ -65,9 +65,6 @@ func (sh *Sharded) Shard(key []byte) *Store {
 	return sh.shards[sh.ShardIndex(key)]
 }
 
-// NumShards returns the shard count.
-func (sh *Sharded) NumShards() int { return len(sh.shards) }
-
 // Get returns the value stored under key.
 func (sh *Sharded) Get(tx rhtm.Tx, key []byte) ([]byte, bool) {
 	return sh.Shard(key).Get(tx, key)
@@ -80,29 +77,9 @@ func (sh *Sharded) Read(tx rhtm.Tx, key []byte) (value []byte, rev, lease uint64
 	return sh.Shard(key).Read(tx, key)
 }
 
-// RevOf returns key's revision (see Store.RevOf).
-func (sh *Sharded) RevOf(tx rhtm.Tx, key []byte) (uint64, bool) {
-	return sh.Shard(key).RevOf(tx, key)
-}
-
-// LeaseOf returns key's attached lease id (see Store.LeaseOf).
-func (sh *Sharded) LeaseOf(tx rhtm.Tx, key []byte) (uint64, bool) {
-	return sh.Shard(key).LeaseOf(tx, key)
-}
-
-// Has reports whether key is present.
-func (sh *Sharded) Has(tx rhtm.Tx, key []byte) bool {
-	return sh.Shard(key).Has(tx, key)
-}
-
 // Put stores key→value in the key's shard.
 func (sh *Sharded) Put(tx rhtm.Tx, key, value []byte) error {
 	return sh.Shard(key).Put(tx, key, value)
-}
-
-// PutLease stores key→value with a lease attachment in the key's shard.
-func (sh *Sharded) PutLease(tx rhtm.Tx, key, value []byte, lease uint64) error {
-	return sh.Shard(key).PutLease(tx, key, value, lease)
 }
 
 // Write applies a fresh put or delete to the key's shard and returns its
@@ -121,11 +98,6 @@ func (sh *Sharded) Replay(tx rhtm.Tx, ops []wal.Op) (maxRev uint64, err error) {
 	return replay(tx, ops, sh.Shard)
 }
 
-// Delete removes key from its shard.
-func (sh *Sharded) Delete(tx rhtm.Tx, key []byte) bool {
-	return sh.Shard(key).Delete(tx, key)
-}
-
 // EventLogs returns every shard's commit-event log (one independent
 // revision clock per shard), in shard order.
 func (sh *Sharded) EventLogs() []*EventLog {
@@ -134,23 +106,6 @@ func (sh *Sharded) EventLogs() []*EventLog {
 		logs[i] = st.Events()
 	}
 	return logs
-}
-
-// Len returns the number of live entries across all shards.
-func (sh *Sharded) Len(tx rhtm.Tx) int {
-	n := 0
-	for _, st := range sh.shards {
-		n += st.Len(tx)
-	}
-	return n
-}
-
-// Scan visits entries with start <= key < end in ascending key order across
-// all shards — a Cursor drained into fn. Visiting stops early when fn
-// returns false.
-func (sh *Sharded) Scan(tx rhtm.Tx, start, end []byte, fn func(key, value []byte) bool) {
-	for c := sh.Cursor(tx, start, end, 0); c.Next() && fn(c.Key(), c.Value()); {
-	}
 }
 
 // Snapshot returns every shard's entries as put records (see

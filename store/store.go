@@ -211,22 +211,6 @@ func (st *Store) RevOf(tx rhtm.Tx, key []byte) (uint64, bool) {
 	return tx.Load(revCell(rec, key)), true
 }
 
-// LeaseOf returns key's attached lease id (0 = none; absent keys report
-// (0, false)).
-func (st *Store) LeaseOf(tx rhtm.Tx, key []byte) (uint64, bool) {
-	rec, ok := st.idx.Lookup(tx, key)
-	if !ok {
-		return 0, false
-	}
-	return tx.Load(revCell(rec, key) + 1), true
-}
-
-// Has reports whether key is present without decoding the value.
-func (st *Store) Has(tx rhtm.Tx, key []byte) bool {
-	_, ok := st.idx.Lookup(tx, key)
-	return ok
-}
-
 // Put stores key→value, overwriting any existing value and detaching any
 // lease (lease id 0). When the new value packs into the same size class as
 // the old one it is rewritten in place; otherwise a new block is allocated
@@ -235,14 +219,6 @@ func (st *Store) Has(tx rhtm.Tx, key []byte) bool {
 // store's event log. The only error is arena exhaustion.
 func (st *Store) Put(tx rhtm.Tx, key, value []byte) error {
 	_, err := st.putWith(tx, key, value, rhtm.NilAddr, 0, 0)
-	return err
-}
-
-// PutLease is Put with a lease attachment: the record's lease word is set to
-// lease (0 detaches), so a later lease revoke can tell whether the key
-// still belongs to it.
-func (st *Store) PutLease(tx rhtm.Tx, key, value []byte, lease uint64) error {
-	_, err := st.putWith(tx, key, value, rhtm.NilAddr, lease, 0)
 	return err
 }
 
@@ -356,16 +332,10 @@ func (st *Store) putWith(tx rhtm.Tx, key, value []byte, reserved rhtm.Addr, leas
 	return stamp(rec), nil
 }
 
-// Delete removes key, returning whether it was present. The record and its
-// value block return to the arena under tx; a successful delete consumes a
-// revision and appends an EvDelete to the event log.
-func (st *Store) Delete(tx rhtm.Tx, key []byte) bool {
-	_, ok := st.deleteWith(tx, key, 0)
-	return ok
-}
-
-// deleteWith implements Delete; rev 0 mints a fresh revision, nonzero
-// replays a logged one.
+// deleteWith removes key, returning its revision and whether it was
+// present: the record and its value block return to the arena under tx,
+// and the removal appends an EvDelete to the event log. rev 0 mints a fresh
+// revision, nonzero replays a logged one.
 func (st *Store) deleteWith(tx rhtm.Tx, key []byte, rev uint64) (uint64, bool) {
 	rec, ok := st.idx.Lookup(tx, key)
 	if !ok || rev != 0 && rev <= tx.Load(revCell(rec, key)) {
@@ -386,16 +356,9 @@ func (st *Store) deleteWith(tx rhtm.Tx, key []byte, rev uint64) (uint64, bool) {
 	return r, true
 }
 
-// Scan visits entries with start <= key < end in ascending key order,
-// passing decoded copies of key and value; nil bounds are unbounded.
-// Visiting stops early when fn returns false.
-func (st *Store) Scan(tx rhtm.Tx, start, end []byte, fn func(key, value []byte) bool) {
-	st.ScanRev(tx, start, end, func(k, v []byte, _ uint64) bool { return fn(k, v) })
-}
-
-// ScanRev is Scan with each entry's revision included — range readers that
-// validate by revision (the cluster's snapshot scans) use it to avoid
-// re-decoding values.
+// ScanRev visits entries with start <= key < end in ascending key order,
+// passing decoded copies of key and value and the entry's revision; nil
+// bounds are unbounded. Visiting stops early when fn returns false.
 func (st *Store) ScanRev(tx rhtm.Tx, start, end []byte, fn func(key, value []byte, rev uint64) bool) {
 	st.idx.Scan(tx, start, end, func(rec rhtm.Addr) bool {
 		k, v, rc := decodeRecord(tx, rec)
@@ -437,9 +400,6 @@ func (st *Store) ScanLimitRev(tx rhtm.Tx, start, end []byte, limit int, fn func(
 func (st *Store) Len(tx rhtm.Tx) int {
 	return int(tx.Load(st.count))
 }
-
-// Arena exposes the store's allocator for diagnostics and capacity tests.
-func (st *Store) Arena() *Arena { return st.arena }
 
 // Validate checks every index's structural invariants plus the count word
 // against a full traversal, using raw memory access. Only call while no

@@ -9,11 +9,29 @@ import (
 
 	"rhtm"
 	"rhtm/containers"
+	"rhtm/wal"
 )
 
 func newSys(words int) *rhtm.System {
 	return rhtm.MustNewSystem(rhtm.DefaultConfig(words))
 }
+
+// has reports whether key is present, by the index descent alone.
+func has(st *Store, tx rhtm.Tx, key []byte) bool {
+	_, ok := st.idx.Lookup(tx, key)
+	return ok
+}
+
+// del removes key through Write and reports whether it was present.
+func del(w interface {
+	Write(rhtm.Tx, wal.Op) (wal.Op, error)
+}, tx rhtm.Tx, key []byte) bool {
+	op, _ := w.Write(tx, wal.Op{Kind: wal.OpDelete, Key: key})
+	return op.Rev != 0
+}
+
+// bumped is how many words the arena's bump frontier has handed out.
+func bumped(a *Arena) int { return a.Stats(containers.SetupTx(a.sys)).BumpedWords }
 
 // --- codec ---
 
@@ -82,7 +100,7 @@ func TestArenaClassReuse(t *testing.T) {
 	if b3 == b1 {
 		t.Fatalf("different-class alloc reused freed block")
 	}
-	if got := a.BumpedWords(); got != 8+16 {
+	if got := bumped(a); got != 8+16 {
 		t.Fatalf("BumpedWords = %d, want %d", got, 8+16)
 	}
 }
@@ -110,7 +128,7 @@ func TestArenaAbortRollback(t *testing.T) {
 	a := NewArena(s, 1024)
 	eng := rhtm.NewTL2(s)
 	th := eng.NewThread()
-	before := a.BumpedWords()
+	before := bumped(a)
 	sentinel := fmt.Errorf("user abort")
 	err := th.Atomic(func(tx rhtm.Tx) error {
 		if _, err := a.TxAlloc(tx, 64); err != nil {
@@ -121,7 +139,7 @@ func TestArenaAbortRollback(t *testing.T) {
 	if err != sentinel {
 		t.Fatalf("err = %v, want sentinel", err)
 	}
-	if got := a.BumpedWords(); got != before {
+	if got := bumped(a); got != before {
 		t.Fatalf("aborted alloc moved the bump pointer: %d -> %d", before, got)
 	}
 }
@@ -201,7 +219,7 @@ func TestStorePutGetDeleteScan(t *testing.T) {
 			}
 			oracle[string(key)] = val
 		case 2:
-			got := st.Delete(tx, key)
+			got := del(st, tx, key)
 			_, want := oracle[string(key)]
 			if got != want {
 				t.Fatalf("op %d: Delete(%s) = %v, want %v", op, key, got, want)
@@ -223,7 +241,7 @@ func TestStorePutGetDeleteScan(t *testing.T) {
 	}
 	// Full scan must be sorted and match the oracle.
 	var keys []string
-	st.Scan(tx, nil, nil, func(k, v []byte) bool {
+	st.ScanRev(tx, nil, nil, func(k, v []byte, _ uint64) bool {
 		keys = append(keys, string(k))
 		if want := oracle[string(k)]; !bytes.Equal(v, want) {
 			t.Fatalf("scan %s: value %x, want %x", k, v, want)
@@ -249,7 +267,7 @@ func TestStoreScanRange(t *testing.T) {
 		}
 	}
 	var got []string
-	st.Scan(tx, []byte("key10"), []byte("key20"), func(k, v []byte) bool {
+	st.ScanRev(tx, []byte("key10"), []byte("key20"), func(k, v []byte, _ uint64) bool {
 		got = append(got, string(k))
 		return true
 	})
@@ -264,7 +282,7 @@ func TestStoreScanRange(t *testing.T) {
 	}
 	// Early stop after 3 entries.
 	n := 0
-	st.Scan(tx, nil, nil, func(k, v []byte) bool { n++; return n < 3 })
+	st.ScanRev(tx, nil, nil, func(k, v []byte, _ uint64) bool { n++; return n < 3 })
 	if n != 3 {
 		t.Fatalf("early-stop scan visited %d, want 3", n)
 	}
@@ -283,18 +301,18 @@ func TestStoreSteadyStateReuse(t *testing.T) {
 		if err := st.Put(tx, key, val); err != nil {
 			t.Fatal(err)
 		}
-		st.Delete(tx, key)
+		del(st, tx, key)
 	}
-	after5 := st.Arena().BumpedWords()
+	after5 := bumped(st.arena)
 	for i := 0; i < 200; i++ {
 		if err := st.Put(tx, key, val); err != nil {
 			t.Fatal(err)
 		}
 		if i%2 == 0 {
-			st.Delete(tx, key)
+			del(st, tx, key)
 		}
 	}
-	if got := st.Arena().BumpedWords(); got != after5 {
+	if got := bumped(st.arena); got != after5 {
 		t.Fatalf("arena grew under steady-state churn: %d -> %d words", after5, got)
 	}
 }
@@ -314,26 +332,26 @@ func TestShardedBasicsAndMergedScan(t *testing.T) {
 		}
 		oracle[k] = v
 	}
-	if got := sh.Len(tx); got != len(oracle) {
-		t.Fatalf("Len = %d, want %d", got, len(oracle))
+	if got := len(sh.Snapshot(tx)); got != len(oracle) {
+		t.Fatalf("%d entries, want %d", got, len(oracle))
 	}
 	// Keys must actually spread across shards.
 	used := map[int]bool{}
 	for k := range oracle {
 		used[sh.ShardIndex([]byte(k))] = true
 	}
-	if len(used) != sh.NumShards() {
-		t.Fatalf("keys landed on %d of %d shards", len(used), sh.NumShards())
+	if len(used) != len(sh.shards) {
+		t.Fatalf("keys landed on %d of %d shards", len(used), len(sh.shards))
 	}
 	// Merged scan is globally sorted despite hash partitioning.
 	var keys []string
-	sh.Scan(tx, []byte("user0050"), []byte("user0100"), func(k, v []byte) bool {
+	for c := sh.Cursor(tx, []byte("user0050"), []byte("user0100"), 0); c.Next(); {
+		k, v := c.Key(), c.Value()
 		keys = append(keys, string(k))
 		if oracle[string(k)] != string(v) {
 			t.Fatalf("scan %s: value %q, want %q", k, v, oracle[string(k)])
 		}
-		return true
-	})
+	}
 	if len(keys) != 50 {
 		t.Fatalf("range scan visited %d keys, want 50", len(keys))
 	}
@@ -385,7 +403,7 @@ func TestCrossShardAtomicity(t *testing.T) {
 				if !ok {
 					return fmt.Errorf("iteration %d: %s missing", i, src)
 				}
-				sh.Delete(tx, src)
+				del(sh, tx, src)
 				return sh.Put(tx, dst, v)
 			}); err != nil {
 				t.Errorf("move: %v", err)

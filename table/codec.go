@@ -73,9 +73,6 @@ func AppendOrdered(dst []byte, v Value) []byte {
 	}
 }
 
-// EncodeOrdered is AppendOrdered into a fresh slice.
-func EncodeOrdered(v Value) []byte { return AppendOrdered(nil, v) }
-
 // DecodeOrdered decodes one ordered-encoded value from the front of b,
 // returning the value and the remaining bytes. It inverts AppendOrdered
 // exactly; anything else fails with ErrBadEncoding.

@@ -26,9 +26,6 @@ func Eq(field string, v Value) Cond { return Cond{Field: field, Eq: &v} }
 // Ge builds a lower-bound condition (field >= v).
 func Ge(field string, v Value) Cond { return Cond{Field: field, Lo: &v} }
 
-// Lt builds an upper-bound condition (field < v).
-func Lt(field string, v Value) Cond { return Cond{Field: field, Hi: &v} }
-
 // Between builds a range condition (lo <= field < hi).
 func Between(field string, lo, hi Value) Cond {
 	return Cond{Field: field, Lo: &lo, Hi: &hi}

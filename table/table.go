@@ -105,19 +105,6 @@ func New(db kv.DB, schema Schema, opts ...Option) (*Table, error) {
 // Schema returns the table's schema.
 func (t *Table) Schema() Schema { return t.schema }
 
-// DB returns the table's backing store.
-func (t *Table) DB() kv.DB { return t.db }
-
-// IndexDef returns the resolved index.Def of the named index.
-func (t *Table) IndexDef(name string) (index.Def, bool) {
-	for _, ix := range t.idxs {
-		if ix.decl.Name == name {
-			return ix.def, true
-		}
-	}
-	return index.Def{}, false
-}
-
 // checkRow validates a full row against the schema's field types.
 func (t *Table) checkRow(row []Value) error {
 	if len(row) != len(t.schema.Fields) {

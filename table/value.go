@@ -65,10 +65,6 @@ func Int64(v int64) Value { return Value{t: TInt64, i: v} }
 // String returns a string Value.
 func String(s string) Value { return Value{t: TString, b: []byte(s)} }
 
-// Bytes returns a bytes Value. The slice is not copied; callers that
-// mutate it afterwards must pass a copy.
-func Bytes(b []byte) Value { return Value{t: TBytes, b: b} }
-
 // Type returns the value's type (0 for the invalid zero Value).
 func (v Value) Type() Type { return v.t }
 
@@ -81,14 +77,6 @@ func (v Value) Text() string {
 		return ""
 	}
 	return string(v.b)
-}
-
-// Blob returns the bytes payload; it is nil for non-bytes values.
-func (v Value) Blob() []byte {
-	if v.t != TBytes {
-		return nil
-	}
-	return v.b
 }
 
 // String renders the value for EXPLAIN strings and the minisql REPL.

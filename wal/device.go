@@ -154,11 +154,12 @@ type MemDevice struct {
 	segs   []memSeg
 	size   int
 	synced int
-	syncs  int
 
-	// SyncDelay, when nonzero, makes every Sync busy-wait that many host
-	// nanoseconds via time.Sleep — the simulated cost of a durable barrier,
-	// which is what gives group commit something to amortize in benchmarks.
+	// SyncDelay, when non-nil, is called by every Sync to stand for the
+	// cost of a durable barrier — what gives group commit something to
+	// amortize in benchmarks. Sync calls it between its two lock sections,
+	// after reading the size the barrier covers and before marking it
+	// synced, so appends proceed while it runs.
 	SyncDelay SyncDelayFunc
 }
 
@@ -195,7 +196,6 @@ func (d *MemDevice) Sync() error {
 	if target > d.synced {
 		d.synced = target
 	}
-	d.syncs++
 	d.mu.Unlock()
 	return nil
 }
@@ -271,13 +271,6 @@ func (d *MemDevice) ContentsFrom(off int) ([]byte, error) {
 		skip = 0
 	}
 	return out, nil
-}
-
-// Syncs returns how many Sync barriers the device has served (tests).
-func (d *MemDevice) Syncs() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.syncs
 }
 
 // --- file-backed device ---

@@ -82,14 +82,6 @@ func (t *Tailer) Next() (Unit, error) {
 	}
 }
 
-// TryNext returns the next unit without blocking; ok is false when no
-// complete unit is readable yet.
-func (t *Tailer) TryNext() (Unit, bool, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.tryLocked()
-}
-
 // tryLocked reads one unit from the buffer, or else from the bytes appended
 // since the last read.
 func (t *Tailer) tryLocked() (Unit, bool, error) {

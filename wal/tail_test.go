@@ -12,6 +12,14 @@ import (
 
 // TestEpochFrameRoundTrip: KindEpoch survives Encode/Decode and Scan keeps
 // the newest epoch/membership.
+// tryNext is Next without blocking: ok is false when no complete unit is
+// readable yet.
+func tryNext(t *Tailer) (Unit, bool, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.tryLocked()
+}
+
 func TestEpochFrameRoundTrip(t *testing.T) {
 	blob := []byte(`{"epoch":3,"primary":"sys-01"}`)
 	buf := Encode(nil, Record{Kind: KindEpoch, LSN: 1, TxID: 3, Meta: blob})
@@ -168,8 +176,8 @@ func TestTailerStreamsUnits(t *testing.T) {
 	if u.EndOff != dev.Size() || u.EndLSN != w.Stats().LastLSN {
 		t.Fatalf("cursor %d/%d after draining device of %d bytes", u.EndOff, u.EndLSN, dev.Size())
 	}
-	if _, ok, err := tl.TryNext(); ok || err != nil {
-		t.Fatalf("TryNext at EOF: ok=%v err=%v", ok, err)
+	if _, ok, err := tryNext(tl); ok || err != nil {
+		t.Fatalf("tryNext at EOF: ok=%v err=%v", ok, err)
 	}
 }
 
@@ -268,7 +276,7 @@ func TestTailerRejectsBadStream(t *testing.T) {
 		t.Fatalf("corrupt frame: %v", err)
 	}
 	// The failure is permanent.
-	if _, _, err := tl.TryNext(); !errors.Is(err, ErrBadStream) {
+	if _, _, err := tryNext(tl); !errors.Is(err, ErrBadStream) {
 		t.Fatalf("after failure: %v", err)
 	}
 }
@@ -306,7 +314,7 @@ func TestTailerUnitsOutliveNext(t *testing.T) {
 	var got []Unit
 	next := func() {
 		t.Helper()
-		u, ok, err := tl.TryNext()
+		u, ok, err := tryNext(tl)
 		if err != nil || !ok {
 			t.Fatalf("unit %d: ok=%v err=%v", len(got)+1, ok, err)
 		}
@@ -319,7 +327,7 @@ func TestTailerUnitsOutliveNext(t *testing.T) {
 	}
 	next()
 	next()
-	if _, ok, err := tl.TryNext(); ok || err != nil {
+	if _, ok, err := tryNext(tl); ok || err != nil {
 		t.Fatalf("torn unit 3: ok=%v err=%v, want a wait", ok, err)
 	}
 	// Refresh 2: the rest of unit 3, then the checkpoint.

@@ -88,7 +88,7 @@ func TestReadersAgree(t *testing.T) {
 	}
 }
 
-// tailAll returns every unit a fresh Tailer reads from data before TryNext
+// tailAll returns every unit a fresh Tailer reads from data before tryNext
 // reports no unit or an error, and that error.
 func tailAll(data []byte) ([]Unit, error) {
 	dev := &MemDevice{}
@@ -98,7 +98,7 @@ func tailAll(data []byte) ([]Unit, error) {
 	tl := NewTailer(dev, 0, 1)
 	var units []Unit
 	for {
-		u, ok, err := tl.TryNext()
+		u, ok, err := tryNext(tl)
 		if err != nil || !ok {
 			return units, err
 		}

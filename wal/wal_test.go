@@ -135,8 +135,8 @@ func TestWriterRelaxedSync(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if dev.Syncs() != 1 {
-		t.Fatalf("6 commits at SyncEvery=4 issued %d syncs, want 1", dev.Syncs())
+	if n := w.Stats().Syncs; n != 1 {
+		t.Fatalf("6 commits at SyncEvery=4 issued %d syncs, want 1", n)
 	}
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
@@ -300,7 +300,7 @@ func TestOpenDeviceTruncates(t *testing.T) {
 	// tailing the reopened log from the start reads one unbroken sequence.
 	tl := NewTailer(torn, 0, 1)
 	for _, want := range []uint64{1, 9} {
-		u, ok, err := tl.TryNext()
+		u, ok, err := tryNext(tl)
 		if err != nil || !ok || u.Kind != UnitTxn || u.TxID != want {
 			t.Fatalf("tail from the start: unit %+v, ok %v, err %v; want txn %d", u, ok, err, want)
 		}
