@@ -6,12 +6,16 @@ import (
 	"rhtm"
 )
 
-// NodeCompare orders an external probe key against the key a node carries.
-// It returns <0, 0 or >0 as key sorts before, equal to, or after the node's
-// key. All tree operations are probe-driven, so the tree never compares two
-// nodes directly and everything past a node's header stays opaque to it (the
-// store keeps a record's key words there).
-type NodeCompare func(tx rhtm.Tx, key []byte, node rhtm.Addr) int
+// NodeCompare orders an external probe key against the key a node carries,
+// both read as sequences of words compared lexicographically. It returns c
+// <0, 0 or >0 as key sorts before, equal to, or after the node's key, and
+// same, how many leading words the two keys share (any smaller count is safe;
+// it only costs loads). The caller passes from, a count of leading words it
+// knows the two share, so the comparator may start there. All tree
+// operations are probe-driven, so the tree never compares two nodes directly
+// and everything past a node's header stays opaque to it (the store keeps a
+// record's key words there).
+type NodeCompare func(tx rhtm.Tx, key []byte, node rhtm.Addr, from int) (c, same int)
 
 // OrderedTree header layout, in words, at the front of every node.
 const (
@@ -48,43 +52,49 @@ func NewOrderedTree(s *rhtm.System, cmp NodeCompare) *OrderedTree {
 
 // Lookup returns the node stored under key.
 func (t *OrderedTree) Lookup(tx rhtm.Tx, key []byte) (rhtm.Addr, bool) {
-	n := rhtm.Addr(tx.Load(t.root))
-	for n != rhtm.NilAddr {
-		c := t.cmp(tx, key, n)
-		switch {
-		case c == 0:
-			return n, true
-		case c < 0:
-			n = rhtm.Addr(tx.Load(n + otLeft))
-		default:
-			n = rhtm.Addr(tx.Load(n + otRight))
-		}
-	}
-	return rhtm.NilAddr, false
+	n, _, _ := t.descend(tx, key)
+	return n, n != rhtm.NilAddr
 }
 
 // Insert links node under key; the caller has already written the key the
 // comparator reads into it. If the key is already present nothing is linked
 // and the existing node is returned with inserted=false.
 func (t *OrderedTree) Insert(tx rhtm.Tx, key []byte, node rhtm.Addr) (existing rhtm.Addr, inserted bool) {
-	parent := rhtm.NilAddr
-	left := false
-	n := rhtm.Addr(tx.Load(t.root))
-	for n != rhtm.NilAddr {
-		parent = n
-		c := t.cmp(tx, key, n)
-		if c == 0 {
-			return n, false
-		}
-		left = c < 0
-		if left {
-			n = rhtm.Addr(tx.Load(n + otLeft))
-		} else {
-			n = rhtm.Addr(tx.Load(n + otRight))
-		}
+	n, parent, left := t.descend(tx, key)
+	if n != rhtm.NilAddr {
+		return n, false
 	}
 	t.link(tx, parent, left, node)
 	return node, true
+}
+
+// descend walks from the root toward key. It returns the node holding key
+// (nil when absent) and the last node it left, with the side the walk left
+// it by: where Insert hangs a new node.
+//
+// The walk is the lcp-bounded search of Manber and Myers ("Suffix Arrays: A
+// New Method for On-Line String Searches", SIAM J. Comput. 1993). lo and hi
+// count the leading words the probe shares with the nearest node passed on
+// its left and on its right. Every key in the subtree the walk enters lies
+// between those two, so it shares at least min(lo, hi) words with the probe,
+// and the comparator starts past them: a prefix both bounds share with the
+// probe is never loaded again.
+func (t *OrderedTree) descend(tx rhtm.Tx, key []byte) (n, parent rhtm.Addr, left bool) {
+	lo, hi := 0, 0
+	n = rhtm.Addr(tx.Load(t.root))
+	for n != rhtm.NilAddr {
+		c, same := t.cmp(tx, key, n, min(lo, hi))
+		if c == 0 {
+			return n, parent, left
+		}
+		parent, left = n, c < 0
+		if left {
+			hi, n = same, rhtm.Addr(tx.Load(n+otLeft))
+		} else {
+			lo, n = same, rhtm.Addr(tx.Load(n+otRight))
+		}
+	}
+	return rhtm.NilAddr, parent, left
 }
 
 // link hangs node, red and childless, as parent's left or right child (as the
@@ -183,8 +193,8 @@ func (t *OrderedTree) scan(tx rhtm.Tx, n rhtm.Addr, start, end []byte, fn func(n
 	if n == rhtm.NilAddr {
 		return true
 	}
-	aboveStart := start == nil || t.cmp(tx, start, n) <= 0
-	belowEnd := end == nil || t.cmp(tx, end, n) > 0
+	aboveStart := start == nil || t.compare(tx, start, n) <= 0
+	belowEnd := end == nil || t.compare(tx, end, n) > 0
 	// The left subtree holds smaller keys: it can only intersect the range
 	// if this node is not already below start — and if this node is below
 	// end, so is all of it, and the bound is dropped. Symmetrically for the
@@ -210,6 +220,12 @@ func (t *OrderedTree) scan(tx rhtm.Tx, n rhtm.Addr, start, end []byte, fn func(n
 		return t.scan(tx, rhtm.Addr(tx.Load(n+otRight)), start, end, fn)
 	}
 	return true
+}
+
+// compare orders key against n's key from its first word.
+func (t *OrderedTree) compare(tx rhtm.Tx, key []byte, n rhtm.Addr) int {
+	c, _ := t.cmp(tx, key, n, 0)
+	return c
 }
 
 // Len counts the entries by traversal (O(n); tests and setup only — the

@@ -27,11 +27,11 @@ func payloadOf(tx rhtm.Tx, n rhtm.Addr) uint64 { return tx.Load(n + OTHeaderWord
 
 // u64Cmp orders nodes whose payload is their key: it is compared against
 // the probe's 8-byte big-endian encoding, so byte lexicographic order equals
-// numeric order.
-func u64Cmp(tx rhtm.Tx, key []byte, node rhtm.Addr) int {
+// numeric order. A key is one word, so two keys that differ share none.
+func u64Cmp(tx rhtm.Tx, key []byte, node rhtm.Addr, _ int) (int, int) {
 	var probe [8]byte
 	copy(probe[:], key)
-	return cmp.Compare(binary.BigEndian.Uint64(probe[:]), payloadOf(tx, node))
+	return cmp.Compare(binary.BigEndian.Uint64(probe[:]), payloadOf(tx, node)), 0
 }
 
 func u64Key(k uint64) []byte {
@@ -171,6 +171,25 @@ func TestOrderedTreeScanRange(t *testing.T) {
 	}
 }
 
+// byteCmp is a comparator over byte keys held in a Go side table (a node's
+// payload is its index), each byte one word. It fails t when the descent
+// claims a shared prefix the two keys do not share, and counts the key bytes
+// it reads.
+func byteCmp(t *testing.T, keys [][]byte, reads *int) NodeCompare {
+	return func(tx rhtm.Tx, key []byte, node rhtm.Addr, from int) (int, int) {
+		k := keys[payloadOf(tx, node)]
+		if from > len(key) || from > len(k) || !bytes.Equal(key[:from], k[:from]) {
+			t.Fatalf("compare of %q with %q told they share %d bytes", key, k, from)
+		}
+		i := from
+		for i < len(key) && i < len(k) && key[i] == k[i] {
+			i++
+		}
+		*reads += i - from + 1
+		return bytes.Compare(key, k), i
+	}
+}
+
 func TestOrderedTreeLexicographic(t *testing.T) {
 	// Variable-length byte keys with the node's payload an index into a Go
 	// side table; verifies the comparator contract with real varlen keys.
@@ -179,9 +198,8 @@ func TestOrderedTreeLexicographic(t *testing.T) {
 		[]byte("ba"), []byte("z"), []byte("za"), {0x00}, {0x00, 0x01}, {0xff},
 	}
 	s := newSys(1 << 16)
-	tree := NewOrderedTree(s, func(tx rhtm.Tx, key []byte, node rhtm.Addr) int {
-		return bytes.Compare(key, keys[payloadOf(tx, node)])
-	})
+	var reads int
+	tree := NewOrderedTree(s, byteCmp(t, keys, &reads))
 	tx := SetupTx(s)
 	perm := rand.New(rand.NewSource(3)).Perm(len(keys))
 	for _, i := range perm {
@@ -198,6 +216,71 @@ func TestOrderedTreeLexicographic(t *testing.T) {
 	for i := range want {
 		if !bytes.Equal(got[i], want[i]) {
 			t.Fatalf("scan[%d] = %q, want %q", i, got[i], want[i])
+		}
+	}
+}
+
+// TestOrderedTreeDescentSkipsSharedPrefix: keys under a long common prefix,
+// probed present and absent, inside the key range and past both ends. Every
+// comparison starts inside the prefix the probe shares with the node (byteCmp
+// checks it), the descent finds what the oracle holds, and once the walk has
+// passed a node on each side — so both bounds hold the common prefix — no
+// comparison reads that prefix again.
+func TestOrderedTreeDescentSkipsSharedPrefix(t *testing.T) {
+	const n, prefix = 2000, 40
+	rng := rand.New(rand.NewSource(11))
+	key := func(first int) []byte {
+		return append(bytes.Repeat([]byte{'p'}, prefix), byte(first), byte(rng.Intn(256)), byte(rng.Intn(256)))
+	}
+	var keys [][]byte
+	present := map[string]bool{}
+	for len(keys) < n {
+		if k := key(1 + rng.Intn(4)); !present[string(k)] {
+			present[string(k)] = true
+			keys = append(keys, k)
+		}
+	}
+	s := newSys(1 << 20)
+	var reads int
+	tree := NewOrderedTree(s, byteCmp(t, keys, &reads))
+	tx := SetupTx(s)
+	for i, k := range keys {
+		if _, inserted := tree.Insert(tx, k, newNode(s, uint64(i))); !inserted {
+			t.Fatalf("Insert(%x) found a duplicate", k)
+		}
+	}
+	if err := tree.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var passedLeft, passedRight bool
+	levels, naive := 0, 0
+	counting := NewOrderedTree(s, func(tx rhtm.Tx, key []byte, node rhtm.Addr, from int) (int, int) {
+		if passedLeft && passedRight && from < prefix {
+			t.Fatalf("probe %x bounded on both sides starts a compare at byte %d, inside the %d-byte prefix", key, from, prefix)
+		}
+		c, same := tree.cmp(tx, key, node, from)
+		passedLeft, passedRight = passedLeft || c > 0, passedRight || c < 0
+		levels++
+		naive += same + 1
+		return c, same
+	})
+	counting.root = tree.root
+	// A probe past either end of the range is never bounded on that side,
+	// so it reads the prefix at every level; one inside reads it at the few
+	// levels before the walk first turns each way.
+	for _, first := range []int{0, 5, 1, 2, 3, 4} {
+		reads, levels, naive = 0, 0, 0
+		for i := 0; i < 1000; i++ {
+			k := key(first)
+			passedLeft, passedRight = false, false
+			node, ok := counting.Lookup(tx, k)
+			if ok != present[string(k)] || ok && !bytes.Equal(keys[payloadOf(tx, node)], k) {
+				t.Fatalf("Lookup(%x) = %d, %v; oracle holds it: %v", k, node, ok, present[string(k)])
+			}
+		}
+		t.Logf("byte %d after the prefix: %d levels read %d key bytes (%.1f a level), %d from the first byte", first, levels, reads, float64(reads)/float64(levels), naive)
+		if inRange := first >= 1 && first <= 4; inRange && reads*2 > naive {
+			t.Errorf("byte %d after the prefix: the descent read %d key bytes, over half the %d of comparing each level from the first byte", first, reads, naive)
 		}
 	}
 }

@@ -302,6 +302,11 @@ func IndexLookup(engineName string, rows, queries int) ([]Result, error) {
 		} else if !strings.HasPrefix(plan, wantPlan) {
 			return Result{}, fmt.Errorf("harness: IndexLookup %s planned %q, want %s…", mode, plan, wantPlan)
 		}
+		// One untimed query first: the pass's code paths, and the lines its
+		// plan reads, are warm before the clock starts.
+		if _, err := tbl.Select(q); err != nil {
+			return Result{}, err
+		}
 		before := accesses(be.eng.Snapshot())
 		start := time.Now()
 		for i := 0; i < queries; i++ {

@@ -17,8 +17,11 @@ import (
 // trace to the replica apply that later replays its commit revision:
 // SetCommitRev registers the trace, ReplicaApplied (called from the repl
 // apply loop) annotates and releases every trace at or below the applied
-// watermark. The table is bounded (4×K entries, FIFO eviction) so a
-// replica-less deployment cannot leak traces.
+// watermark. A replica can apply a commit before the request's
+// SetCommitRev registers it, so the Flight keeps the watermark too, and a
+// trace registered at or below it is annotated at once. The table is bounded
+// (4×K entries, FIFO eviction) so a replica-less deployment cannot leak
+// traces.
 type Flight struct {
 	k int
 
@@ -26,6 +29,15 @@ type Flight struct {
 	kinds      map[string]*flightKind
 	awaiting   map[uint64]*Trace
 	awaitOrder []uint64
+	applied    appliedMark
+}
+
+// appliedMark is the highest watermark ReplicaApplied has reported, with
+// the replica that reached it and how long that apply took.
+type appliedMark struct {
+	rev     uint64
+	replica string
+	dur     time.Duration
 }
 
 type flightKind struct {
@@ -123,9 +135,15 @@ func appendRing(ring []*Trace, t *Trace, k int) []*Trace {
 }
 
 // awaitApply registers a trace to be annotated when a replica applies
-// rev. Bounded: beyond 4×K pending entries the oldest is dropped.
+// rev, or annotates it now if one already has. Bounded: beyond 4×K pending
+// entries the oldest is dropped.
 func (f *Flight) awaitApply(rev uint64, t *Trace) {
 	f.mu.Lock()
+	if m := f.applied; rev <= m.rev {
+		f.mu.Unlock()
+		t.annotate(StageReplicaApply, m.dur, "replica="+m.replica)
+		return
+	}
 	defer f.mu.Unlock()
 	if _, dup := f.awaiting[rev]; !dup {
 		f.awaitOrder = append(f.awaitOrder, rev)
@@ -148,6 +166,9 @@ func (f *Flight) ReplicaApplied(replica string, maxRev uint64, n int, d time.Dur
 	}
 	var hit []*Trace
 	f.mu.Lock()
+	if maxRev > f.applied.rev {
+		f.applied = appliedMark{rev: maxRev, replica: replica, dur: d}
+	}
 	kept := f.awaitOrder[:0]
 	for _, rev := range f.awaitOrder {
 		if rev <= maxRev {
@@ -161,10 +182,10 @@ func (f *Flight) ReplicaApplied(replica string, maxRev uint64, n int, d time.Dur
 	}
 	f.awaitOrder = kept
 	f.mu.Unlock()
-	// Annotate outside f.mu. Lock order is one-way: record/Dump take
-	// f.mu alone, Trace methods take t.mu alone — a trace lock is never
-	// held while acquiring the flight lock, so annotating here without
-	// f.mu keeps the order acyclic.
+	// Annotate outside f.mu, as awaitApply does. Lock order is one-way:
+	// record/Dump take f.mu alone, Trace methods take t.mu alone — a trace
+	// lock is never held while acquiring the flight lock, so annotating
+	// here without f.mu keeps the order acyclic.
 	for _, t := range hit {
 		t.annotate(StageReplicaApply, d, "replica="+replica)
 	}

@@ -291,6 +291,45 @@ func TestFlightAwaitingBounded(t *testing.T) {
 	}
 }
 
+// TestFlightApplyBeforeRegister: a replica may apply a commit before the
+// request that made it registers its revision. The trace is annotated at
+// registration, not parked in the table for an apply that already happened;
+// a revision past the watermark still waits for the next one.
+func TestFlightApplyBeforeRegister(t *testing.T) {
+	fl := NewFlight(4)
+	fl.ReplicaApplied("r0", 9, 3, time.Millisecond)
+	fl.ReplicaApplied("r1", 7, 1, time.Second) // behind r0: the mark stays r0's
+	early := fl.NewTrace(1, "put")
+	early.SetCommitRev(8)
+	early.Finish(nil)
+	late := fl.NewTrace(2, "put")
+	late.SetCommitRev(10)
+	late.Finish(nil)
+	if got := fl.AwaitingApply(); got != 1 {
+		t.Fatalf("awaiting = %d, want 1 (only rev 10)", got)
+	}
+	stagesOf := func(tr *Trace) []string {
+		var out []string
+		for _, st := range tr.Snapshot().Stages {
+			out = append(out, strings.TrimSpace(st.Name+" "+st.Note))
+			if st.Name == StageReplicaApply && st.Dur != time.Millisecond {
+				t.Errorf("replica_apply lasted %v, want the %v of the apply that passed the revision", st.Dur, time.Millisecond)
+			}
+		}
+		return out
+	}
+	if got, want := stagesOf(early), []string{"replica_apply replica=r0"}; !slices.Equal(got, want) {
+		t.Fatalf("trace registered after its apply: stages %q, want %q", got, want)
+	}
+	if got := stagesOf(late); len(got) != 0 {
+		t.Fatalf("trace past the watermark annotated early: %q", got)
+	}
+	fl.ReplicaApplied("r0", 10, 1, time.Millisecond)
+	if got, want := stagesOf(late), []string{"replica_apply replica=r0"}; !slices.Equal(got, want) || fl.AwaitingApply() != 0 {
+		t.Fatalf("after apply(10): stages %q, want %q; %d awaiting", got, want, fl.AwaitingApply())
+	}
+}
+
 // TestMultiSinkBroadcast: one shared DB call fans its stages, spans, and
 // commit rev out to every traced op in the batch.
 func TestMultiSinkBroadcast(t *testing.T) {

@@ -3,7 +3,6 @@ package store
 import (
 	"cmp"
 	"encoding/binary"
-	"math/bits"
 
 	"rhtm"
 )
@@ -13,8 +12,8 @@ import (
 // bytes per word, with the last word zero-padded. The whole repository's
 // transactional substrate is 64-bit words, so this codec is the boundary
 // where []byte keys and values become simulated memory. Values and intent
-// payloads are blocks; a key is the same packed words without the length
-// word, inside its record (see the layout in store.go).
+// payloads are blocks; a key is packed otherwise, in self-delimiting key
+// words inside its record (below, and the layout in store.go).
 
 // blockWords returns the block size in words for n payload bytes.
 func blockWords(n int) int { return 1 + (n+7)/8 }
@@ -23,27 +22,17 @@ func blockWords(n int) int { return 1 + (n+7)/8 }
 // words) under tx.
 func writeBytes(tx rhtm.Tx, a rhtm.Addr, b []byte) {
 	tx.Store(a, uint64(len(b)))
-	storeWords(tx, a+1, b, (len(b)+7)/8)
+	for i := 0; i < len(b); i += 8 {
+		tx.Store(a+1+rhtm.Addr(i/8), wordAt(b[i:]))
+	}
 }
 
 // readBytes decodes the block at a under tx.
 func readBytes(tx rhtm.Tx, a rhtm.Addr) []byte {
-	return loadWords(tx, a+1, int(tx.Load(a)))
-}
-
-// storeWords packs b into the n words at a, zero-padded; n is at least
-// ceil(len(b)/8).
-func storeWords(tx rhtm.Tx, a rhtm.Addr, b []byte, n int) {
-	for i := 0; i < n; i++ {
-		tx.Store(a+rhtm.Addr(i), wordAt(b[min(8*i, len(b)):]))
-	}
-}
-
-// loadWords unpacks n bytes from the words at a.
-func loadWords(tx rhtm.Tx, a rhtm.Addr, n int) []byte {
+	n := int(tx.Load(a))
 	b := make([]byte, (n+7)&^7)
 	for i := 0; i < n; i += 8 {
-		binary.LittleEndian.PutUint64(b[i:], tx.Load(a+rhtm.Addr(i/8)))
+		binary.LittleEndian.PutUint64(b[i:], tx.Load(a+1+rhtm.Addr(i/8)))
 	}
 	return b[:n:n]
 }
@@ -58,28 +47,67 @@ func wordAt(b []byte) uint64 {
 	return binary.LittleEndian.Uint64(tail[:])
 }
 
-// compareKey orders the probe key against the key in the record at rec,
-// lexicographically, one integer compare per word, stopping at the first
-// differing word. Two zero-padded words that differ order as their keys do —
-// byte-reversed, the first differing byte is the most significant, and
-// padding against a real byte means the shorter key is a prefix of the
-// longer — so the stored length is loaded only once the first word has tied:
-// it bounds the rest of the walk and breaks the tie between a key and its
-// zero-extended prefix.
-func compareKey(tx rhtm.Tx, key []byte, rec rhtm.Addr) int {
-	if c := compareWord(wordAt(key), tx.Load(rec+recKey)); c != 0 {
-		return c
+// Key words: a record's key is packed seven bytes a word, most significant
+// first, over a marker byte in the low eight bits — moreMarker when more
+// bytes follow, otherwise how many bytes the word holds (0..7). Two words then
+// order as plain integers exactly as the bytes they hold do: a byte that
+// differs outranks the marker, and on a tie the marker puts the key that ends
+// first — the prefix — first. Each word says whether another follows, so a
+// compare walks the words without loading the key's length, and no key's word
+// sequence is a proper prefix of another's: two keys either differ at some
+// word or are equal.
+const (
+	keyWordBytes = 7
+	moreMarker   = 8
+)
+
+// keyWords returns how many words hold a key of n bytes; the empty key has
+// one, so the word a compare reads first always exists.
+func keyWords(n int) int { return max(1, (n+keyWordBytes-1)/keyWordBytes) }
+
+// keyWord returns word i of key's encoding.
+func keyWord(key []byte, i int) uint64 {
+	b := key[min(keyWordBytes*i, len(key)):]
+	if len(b) > keyWordBytes {
+		return binary.BigEndian.Uint64(b)&^0xff | moreMarker
 	}
-	n := locLen(tx.Load(rec + recLocator))
-	for i := 8; i < min(len(key), n); i += 8 {
-		if c := compareWord(wordAt(key[i:]), tx.Load(rec+recKey+rhtm.Addr(i/8))); c != 0 {
-			return c
-		}
-	}
-	return cmp.Compare(len(key), n)
+	var tail [8]byte
+	copy(tail[:], b)
+	return binary.BigEndian.Uint64(tail[:]) | uint64(len(b))
 }
 
-// compareWord orders two packed words as the bytes they hold.
-func compareWord(p, s uint64) int {
-	return cmp.Compare(bits.ReverseBytes64(p), bits.ReverseBytes64(s))
+// storeKey writes key's words at a.
+func storeKey(tx rhtm.Tx, a rhtm.Addr, key []byte) {
+	for i := 0; i < keyWords(len(key)); i++ {
+		tx.Store(a+rhtm.Addr(i), keyWord(key, i))
+	}
+}
+
+// loadKey decodes the n-byte key whose words are at a.
+func loadKey(tx rhtm.Tx, a rhtm.Addr, n int) []byte {
+	b := make([]byte, n)
+	for i := 0; i < n; i += keyWordBytes {
+		var w [8]byte
+		binary.BigEndian.PutUint64(w[:], tx.Load(a+rhtm.Addr(i/keyWordBytes)))
+		copy(b[i:], w[:keyWordBytes])
+	}
+	return b
+}
+
+// compareKey orders the probe key against the key in the record at rec, one
+// integer compare per word, starting at word from: the caller knows the two
+// keys share their first from words (containers.OrderedTree's descent), so
+// they are not loaded again. It returns the order and how many leading words
+// the keys share. The walk stops at the first word that differs, or at the
+// probe's last word when it ties, so it never reads past either key's end.
+func compareKey(tx rhtm.Tx, key []byte, rec rhtm.Addr, from int) (c, same int) {
+	for i := from; ; i++ {
+		p, s := keyWord(key, i), tx.Load(rec+recKey+rhtm.Addr(i))
+		if p != s {
+			return cmp.Compare(p, s), i
+		}
+		if p&0xff != moreMarker {
+			return 0, i + 1
+		}
+	}
 }

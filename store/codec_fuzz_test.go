@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"testing"
@@ -44,13 +45,17 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0x00}, 56))
 	f.Add(bytes.Repeat([]byte{0x7f}, 57))
 	f.Add([]byte("\x00leading nul"))
-	// The index orders by compareKey: its word boundaries (7/8/9, 15/16/17),
-	// embedded 0x00/0xFF next to the zero padding, and a key that is a
-	// prefix of its own extension (every input is probed with b+0x00).
+	// The index orders by compareKey: its key-word boundaries (6/7/8,
+	// 13/14/15, 20/21/22), embedded 0x00/0xFF next to the zero padding and
+	// the marker, and a key that is a prefix of its own extension (every
+	// input is probed with b+0x00).
+	f.Add([]byte("six666"))
 	f.Add([]byte("seven77"))
+	f.Add([]byte("fourteen 14 14"))
 	f.Add([]byte("fifteen fifteen"))
-	f.Add([]byte("sixteen  sixteen"))
-	f.Add([]byte("seventeen seventy"))
+	f.Add([]byte("twenty-one 21 21 21 2"))
+	f.Add([]byte("twenty-two 22 22 22 22"))
+	f.Add([]byte("\x00\x00\x00\x00\x00\x00\x00\x08"))
 	f.Add([]byte("pad\x00\x00\x00\x00\x00\xff\x00\xff\x00"))
 	f.Add([]byte("\xff\xff\xff\xff\xff\xff\xff\x00"))
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -64,9 +69,10 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if !bytes.Equal(got, b) {
 			t.Fatalf("round trip: wrote %x, read %x", b, got)
 		}
-		// The order the index depends on: compareKey agrees with
-		// bytes.Compare for every pair drawn from the identical key, a
-		// mutated first, middle and last byte, each truncation to a word
+		// The order the index depends on: key words order as bytes.Compare,
+		// and compareKey agrees with it from word 0 and from any word the two
+		// keys share, for every pair drawn from the identical key, a mutated
+		// first, middle and last byte, each truncation to a key word
 		// boundary's neighbourhood, and a 0x00 / 0xFF extension — stored
 		// either way round.
 		keys := [][]byte{b, append(append([]byte(nil), b...), 0x00), append(append([]byte(nil), b...), 0xff)}
@@ -77,7 +83,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				keys = append(keys, mut)
 			}
 		}
-		for _, n := range []int{0, 7, 8, 9, len(b) / 2, len(b) - 1} {
+		for _, n := range []int{0, 6, 7, 8, 13, 14, 15, len(b) / 2, len(b) - 1} {
 			if n >= 0 && n < len(b) {
 				keys = append(keys, b[:n])
 			}
@@ -88,16 +94,42 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		arena := NewArena(s, len(keys)*perKey)
 		for _, stored := range keys {
 			rec := keyRecord(t, arena, stored)
-			if got := loadWords(tx, rec+recKey, locLen(tx.Load(rec+recLocator))); !bytes.Equal(got, stored) {
+			if got := loadKey(tx, rec+recKey, locLen(tx.Load(rec+recLocator))); !bytes.Equal(got, stored) {
 				t.Fatalf("record key round trip: wrote %x, read %x", stored, got)
 			}
 			for _, p := range keys {
-				if got, want := compareKey(tx, p, rec), bytes.Compare(p, stored); got != want {
-					t.Fatalf("compareKey(%x, %x) = %d, want %d", p, stored, got, want)
+				want := bytes.Compare(p, stored)
+				order, shared := wordOrder(p, stored)
+				if order != want {
+					t.Fatalf("key words of %x and %x order %d, bytes.Compare %d", p, stored, order, want)
+				}
+				got, same := compareKey(tx, p, rec, 0)
+				if got != want || same != shared {
+					t.Fatalf("compareKey(%x, %x) = %d sharing %d words, want %d sharing %d", p, stored, got, same, want, shared)
+				}
+				for m := 1; m <= min(shared, keyWords(len(p))-1); m++ {
+					if c, sm := compareKey(tx, p, rec, m); c != got || sm != same {
+						t.Fatalf("compareKey(%x, %x) from word %d = %d sharing %d, from 0 = %d sharing %d", p, stored, m, c, sm, got, same)
+					}
 				}
 			}
 		}
 	})
+}
+
+// wordOrder compares two keys' key words as integers, one word at a time,
+// and returns the order and how many leading words are equal. Equal words
+// that say no more follow end both keys.
+func wordOrder(p, q []byte) (int, int) {
+	for i := 0; ; i++ {
+		a, b := keyWord(p, i), keyWord(q, i)
+		if a != b {
+			return cmp.Compare(a, b), i
+		}
+		if a&0xff != moreMarker {
+			return 0, i + 1
+		}
+	}
 }
 
 // TestCodecGoldenVectors pins the exact word-level encoding at the

@@ -6,8 +6,9 @@
 // intrusive comparator-ordered red-black tree (containers.OrderedTree) links
 // the records for Get/Put/Delete and ordered Scan. A record is one arena
 // block that is its own index node and carries its key, so a descent step
-// reads the key words it compares and one child pointer, all on the record's
-// first cache line for keys up to 24 bytes.
+// reads one child pointer and the key words it compares — usually one, as it
+// skips the prefix its bounds share with the probe — all on the record's first
+// cache line for keys up to 21 bytes.
 //
 // Every operation runs inside an rhtm.Tx body, so multi-key read-modify-
 // write sequences compose atomically under whichever engine drives the
@@ -46,7 +47,8 @@ import (
 //	0..3       index header: left, right, parent, color (containers.OrderedTree)
 //	4          locator: key length in bytes << 40 | block address — the value
 //	           block of a data record, the payload block of an intent record
-//	5..5+k-1   key, packed as in codec.go; k = max(1, ceil(len/8)) words, so
+//	5..5+k-1   key, in the self-delimiting key words of codec.go: seven bytes
+//	           a word over a marker byte; k = max(1, ceil(len/7)) words, so
 //	           the word compareKey reads first exists even for the empty key
 //	5+k, 6+k   data record: the revision the last write stamped (the store's
 //	           monotonic commit version for the key) and the attached lease id
@@ -56,15 +58,20 @@ import (
 // changes size class; replacing it is a few stores into the record — no tree
 // surgery. The length shares the locator's word (an address needs under 40
 // bits — a System of 2^40 words would be 8 TiB of host memory — and a key at
-// most 18) so that a key of up to 8 bytes still fits the 8-word class.
+// most 18) so that a key of up to 7 bytes still fits the 8-word class. Only
+// decoding reads it: a compare learns where the key ends from its words.
+//
+// An index descent reads, per level, the child link and the key words from
+// the first one the probe may not share: every key between the nearest
+// records the descent has passed on either side shares whatever prefix both
+// share with the probe, so a prefix that ties is not loaded again (see
+// containers.OrderedTree). For keys of up to 14 bytes under a common 7-byte
+// prefix, such as "user%08d", that is usually one key word a level.
 const (
 	recLocator  = containers.OTHeaderWords
 	recKey      = recLocator + 1
 	locLenShift = 40
 )
-
-// keyWords returns how many words a record holds for a key of n bytes.
-func keyWords(n int) int { return max(1, (n+7)/8) }
 
 // recordWords returns the size of the record of a key of n bytes.
 func recordWords(n int) int { return recKey + keyWords(n) + 2 }
@@ -89,7 +96,7 @@ func (st *Store) newRecord(tx rhtm.Tx, key []byte, block rhtm.Addr) (rhtm.Addr, 
 		return 0, err
 	}
 	tx.Store(rec+recLocator, locator(len(key), block))
-	storeWords(tx, rec+recKey, key, keyWords(len(key)))
+	storeKey(tx, rec+recKey, key)
 	return rec, nil
 }
 
@@ -97,7 +104,7 @@ func (st *Store) newRecord(tx rhtm.Tx, key []byte, block rhtm.Addr) (rhtm.Addr, 
 // record at rec, and the address of its revision word.
 func decodeRecord(tx rhtm.Tx, rec rhtm.Addr) (key, value []byte, rc rhtm.Addr) {
 	m := tx.Load(rec + recLocator)
-	key = loadWords(tx, rec+recKey, locLen(m))
+	key = loadKey(tx, rec+recKey, locLen(m))
 	return key, readBytes(tx, locBlock(m)), revCell(rec, key)
 }
 

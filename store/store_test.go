@@ -49,8 +49,8 @@ func TestCodecRoundTrip(t *testing.T) {
 		if !bytes.Equal(got, b) {
 			t.Fatalf("len %d: round trip mismatch", n)
 		}
-		if c := compareKey(tx, b, keyRecord(t, arena, b)); c != 0 {
-			t.Fatalf("len %d: compareKey(self) = %d", n, c)
+		if c, same := compareKey(tx, b, keyRecord(t, arena, b), 0); c != 0 || same != keyWords(n) {
+			t.Fatalf("len %d: compareKey(self) = %d sharing %d words, want 0 sharing %d", n, c, same, keyWords(n))
 		}
 	}
 }
@@ -68,7 +68,7 @@ func TestCodecCompare(t *testing.T) {
 		rec := keyRecord(t, arena, sv)
 		for _, p := range probes {
 			want := bytes.Compare(p, sv)
-			if got := compareKey(tx, p, rec); got != want {
+			if got, _ := compareKey(tx, p, rec, 0); got != want {
 				t.Fatalf("compare(%q, %q) = %d, want %d", p, sv, got, want)
 			}
 		}

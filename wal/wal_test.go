@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -121,6 +122,65 @@ func TestWriterGroupCommitAmortization(t *testing.T) {
 	t.Logf("txns/sync: 1 worker = %.2f, 8 workers = %.2f", single, grouped)
 	if grouped < 2 {
 		t.Fatalf("8 concurrent committers amortized only %.2f txns/sync", grouped)
+	}
+}
+
+// TestWriterOneBarrierAtATime: committers, explicit Sync callers and a
+// checkpointer share one writer over a slow barrier, under full and relaxed
+// group commit. A barrier never starts while another runs — Sync waits for
+// the running one and returns if it covered everything — and every caller's
+// transactions end up durable.
+func TestWriterOneBarrierAtATime(t *testing.T) {
+	for _, every := range []int{1, 4} {
+		var inFlight, peak atomic.Int32
+		dev := &MemDevice{SyncDelay: func() {
+			n := inFlight.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			time.Sleep(100 * time.Microsecond)
+			inFlight.Add(-1)
+		}}
+		w := NewWriter(dev, 1, nil, Options{SyncEvery: every})
+		const workers, perWorker = 6, 30
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			g := g
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perWorker; i++ {
+					key := []byte(fmt.Sprintf("w%d-%d", g, i))
+					if err := w.Commit(uint64(g*1000+i), 0, []Op{{Kind: OpPut, Key: key, Value: key}}); err != nil {
+						t.Errorf("commit: %v", err)
+						return
+					}
+					// Half the workers flush after every commit, the way a
+					// cross-System apply does after its full-mode Commit.
+					if g%2 == 0 {
+						if err := w.Sync(); err != nil {
+							t.Errorf("sync: %v", err)
+							return
+						}
+					}
+					if g == 1 && i%10 == 0 {
+						if err := w.Checkpoint(func() ([]Op, error) { return nil, nil }); err != nil {
+							t.Errorf("checkpoint: %v", err)
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if got := peak.Load(); got != 1 {
+			t.Errorf("SyncEvery %d: %d device barriers ran at once, want 1", every, got)
+		}
+		if st := w.Stats(); st.Txns != workers*perWorker || dev.synced != dev.Size() {
+			t.Errorf("SyncEvery %d: %d txns logged, %d of %d bytes synced", every, st.Txns, dev.synced, dev.Size())
+		}
 	}
 }
 

@@ -216,6 +216,7 @@ func (w *Writer) failedLocked() error {
 func (w *Writer) AppendEpoch(epoch uint64, membership []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.awaitSyncLocked()
 	if w.failed != nil {
 		return w.failedLocked()
 	}
@@ -318,6 +319,7 @@ func (w *Writer) Mark(txid uint64, flags uint8) error {
 func (w *Writer) Checkpoint(fn func() ([]Op, error)) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.awaitSyncLocked()
 	if w.failed != nil {
 		return w.failedLocked()
 	}
@@ -344,17 +346,38 @@ func (w *Writer) Checkpoint(fn func() ([]Op, error)) error {
 }
 
 // Sync forces the durability barrier over everything appended so far —
-// the relaxed mode's explicit flush point.
+// the relaxed mode's explicit flush point. A barrier already running is
+// waited for, not doubled: Sync starts one of its own only if that one left
+// part of what it must cover undurable.
 func (w *Writer) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	target := w.appended
+	for w.durable < target {
+		if w.failed != nil {
+			return w.failedLocked()
+		}
+		if w.syncing {
+			w.cond.Wait()
+			continue
+		}
+		if err := w.syncLocked(); err != nil {
+			return err
+		}
+	}
 	if w.failed != nil {
 		return w.failedLocked()
 	}
-	if w.durable == w.appended {
-		return nil
+	return nil
+}
+
+// awaitSyncLocked waits until no barrier syncLocked started is running, so
+// that a barrier run under the lock (Checkpoint, AppendEpoch) does not
+// overlap it.
+func (w *Writer) awaitSyncLocked() {
+	for w.syncing && w.failed == nil {
+		w.cond.Wait()
 	}
-	return w.syncLocked()
 }
 
 // Stats snapshots the writer's counters.
@@ -471,7 +494,8 @@ func (w *Writer) appendLocked(u *Unit) error {
 
 // syncLocked runs one device barrier, releasing the lock while it runs so
 // concurrent committers keep appending — that is where the grouping comes
-// from. Exactly one syncer runs at a time.
+// from. Exactly one syncer runs at a time: callers start one only while
+// w.syncing is false, and everyone else waits on w.cond.
 func (w *Writer) syncLocked() error {
 	w.syncing = true
 	target := w.appended
