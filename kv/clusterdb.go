@@ -42,7 +42,7 @@ type ClusterDB struct {
 func NewCluster(c *cluster.Cluster, opts ...Option) *ClusterDB {
 	db := &ClusterDB{c: c}
 	db.init(applyOptions(opts), db,
-		func() *clusterSession { return &clusterSession{c: c, cl: c.NewClient()} },
+		func() *clusterSession { return newClusterSession(c) },
 		func() []logSource {
 			// One dedicated thread per System drains that System's ring.
 			var sources []logSource
@@ -64,10 +64,21 @@ func NewCluster(c *cluster.Cluster, opts ...Option) *ClusterDB {
 // Cluster returns the underlying cluster (diagnostics, stats).
 func (db *ClusterDB) Cluster() *cluster.Cluster { return db.c }
 
-// clusterSession is one pooled cluster client.
+// clusterSession is one pooled cluster client, with the closure Txn it
+// reuses across attempts and its transaction body bound once, when the
+// session opens.
 type clusterSession struct {
-	c  *cluster.Cluster
-	cl *cluster.Client
+	c    *cluster.Cluster
+	cl   *cluster.Client
+	ct   clusterTxn
+	body func(t *cluster.Txn) error // s.run
+	fn   func(tx Txn) error         // the closure the running attempt executes
+}
+
+func newClusterSession(c *cluster.Cluster) *clusterSession {
+	s := &clusterSession{c: c, cl: c.NewClient()}
+	s.body = s.run
+	return s
 }
 
 // bind implements session: the client reports its 2pc_prepare, wal_sync
@@ -82,10 +93,16 @@ func (s *clusterSession) engineName() string { return s.c.Node(0).Engine().Name(
 // pending intent, a failed validation, a refused prepare — come back as
 // cluster.ErrConflict for the core's Retry to run the closure again.
 func (s *clusterSession) attempt(fn func(tx Txn) error) (Revision, error) {
-	err := s.cl.Txn(func(t *cluster.Txn) error {
-		return fn(&clusterTxn{bufferedTxn{t: t}})
-	})
+	s.fn = fn
+	err := s.cl.Txn(s.body)
+	s.fn, s.ct.t = nil, nil
 	return s.cl.LastCommitRev(), err
+}
+
+// run is the body of every attempt's buffered transaction.
+func (s *clusterSession) run(t *cluster.Txn) error {
+	s.ct.t = t
+	return s.fn(&s.ct)
 }
 
 // publish implements session: the cluster's commit path logs to its WAL

@@ -152,6 +152,9 @@ func WithLease(id LeaseID) PutOption {
 }
 
 func applyPutOptions(opts []PutOption) putOpts {
+	if len(opts) == 0 {
+		return putOpts{} // without an option o would still escape to the heap
+	}
 	var o putOpts
 	for _, fn := range opts {
 		fn(&o)

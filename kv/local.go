@@ -1,7 +1,7 @@
 package kv
 
 import (
-	"bytes"
+	"errors"
 	"time"
 
 	"rhtm"
@@ -94,9 +94,7 @@ type Local struct {
 func NewLocal(eng rhtm.Engine, st Storer, opts ...Option) *Local {
 	db := &Local{eng: eng, st: st}
 	db.init(applyOptions(opts), db,
-		func() *localSession {
-			return &localSession{db: db, th: eng.NewThread(), lt: localTxn{st: st}}
-		},
+		func() *localSession { return newLocalSession(db) },
 		func() []logSource {
 			// One dedicated thread serves every ring: they share the System.
 			th := eng.NewThread()
@@ -110,12 +108,31 @@ func NewLocal(eng rhtm.Engine, st Storer, opts ...Option) *Local {
 }
 
 // localSession is one pooled engine thread with the transaction adapter
-// (and its redo capture) it reuses across attempts.
+// (and its redo capture) it reuses across attempts. Its bodies are bound
+// once, when the session opens, so an operation builds no closure: attempt
+// parks the caller's closure in fn and hands the engine the bound body,
+// and the direct paths pass their operand in op and their result in val
+// and found.
 type localSession struct {
 	db   *Local
 	th   rhtm.Thread
 	lt   localTxn
 	sink obs.StageRecorder
+
+	body    func(tx rhtm.Tx) error // s.run
+	readFn  func(tx Txn) error     // s.readOne
+	writeFn func(tx Txn) error     // s.writeOne
+
+	fn    func(tx Txn) error // the closure the running attempt executes
+	op    wal.Op             // the direct path's operation
+	val   []byte             // the direct Get's value
+	found bool               // the direct path's key was present
+}
+
+func newLocalSession(db *Local) *localSession {
+	s := &localSession{db: db, th: db.eng.NewThread(), lt: localTxn{st: db.st}}
+	s.body, s.readFn, s.writeFn = s.run, s.readOne, s.writeOne
+	return s
 }
 
 func (s *localSession) bind(sink obs.StageRecorder) { s.sink = sink }
@@ -127,16 +144,48 @@ func (s *localSession) engineName() string { return s.db.eng.Name() }
 // execution (a fresh capture every re-execution, so aborted executions log
 // nothing) for publish to log after the engine commit.
 func (s *localSession) attempt(fn func(tx Txn) error) (Revision, error) {
-	err := s.th.Atomic(func(tx rhtm.Tx) error {
-		// The body re-executes on engine aborts: reset the capture
-		// state so only the committed execution's writes survive.
-		s.lt.tx = tx
-		s.lt.maxRev = 0
-		s.lt.capture = s.db.wal != nil
-		s.lt.recs = s.lt.recs[:0]
-		return fn(&s.lt)
-	})
+	s.fn = fn
+	err := s.th.Atomic(s.body)
+	s.fn = nil
 	return s.lt.maxRev, err
+}
+
+// run is the engine body of every attempt. It re-executes on engine
+// aborts, so it resets the capture state first: only the committed
+// execution's writes survive.
+func (s *localSession) run(tx rhtm.Tx) error {
+	s.lt.tx = tx
+	s.lt.maxRev = 0
+	s.lt.capture = s.db.wal != nil
+	s.lt.recs = s.lt.recs[:0]
+	s.lt.slab = s.lt.slab[:0]
+	if cap(s.lt.slab) > maxKeptSlab {
+		s.lt.recs, s.lt.slab = nil, nil // recs past their length point into the slab
+	}
+	return s.fn(&s.lt)
+}
+
+// maxKeptSlab bounds the capture slab a session keeps from one attempt to
+// the next, so that one large closure does not pin its copies for the
+// session's lifetime.
+const maxKeptSlab = 64 << 10
+
+// readOne is the direct Get's closure: it reads s.op.Key into s.val.
+func (s *localSession) readOne(Txn) error {
+	s.val, s.found = s.db.st.Get(s.lt.tx, s.op.Key)
+	return nil
+}
+
+// writeOne is the direct Put's and Delete's closure: it applies s.op.
+// Deleting an absent key is its only ErrNotFound; the attempt still
+// commits (read-only) and the caller reports it afterwards.
+func (s *localSession) writeOne(Txn) error {
+	err := s.lt.write(s.op)
+	s.found = !errors.Is(err, ErrNotFound)
+	if !s.found {
+		return nil
+	}
+	return err
 }
 
 // publish implements session: the committed attempt's captured operations
@@ -192,23 +241,21 @@ func (db *Local) Get(key []byte) ([]byte, error) {
 	}
 	s := db.claim(nil)
 	defer db.release(s)
-	var val []byte
-	var ok bool
-	if err := s.th.Atomic(func(tx rhtm.Tx) error {
-		val, ok = db.st.Get(tx, key)
-		return nil
-	}); err != nil {
+	s.op = wal.Op{Key: key}
+	_, err := s.attempt(s.readFn)
+	val, found := s.val, s.found
+	s.op, s.val = wal.Op{}, nil
+	if err != nil {
 		return nil, err
 	}
-	if !ok {
+	if !found {
 		return nil, ErrNotFound
 	}
 	return val, nil
 }
 
 // Put implements DB. Lease-attached puts run as closure transactions (the
-// lease record rides along); plain puts take the direct path: one attempt,
-// no retry loop, no span.
+// lease record rides along); plain puts take the direct path.
 func (db *Local) Put(key, value []byte, opts ...PutOption) error {
 	if reservedKey(key) {
 		return ErrReservedKey
@@ -218,16 +265,7 @@ func (db *Local) Put(key, value []byte, opts ...PutOption) error {
 			return tx.Put(key, value, opts...)
 		})
 	}
-	s := db.claim(nil)
-	defer db.release(s)
-	if _, err := s.attempt(func(Txn) error { return s.lt.putRaw(key, value, 0) }); err != nil {
-		return err
-	}
-	if err := s.publish(); err != nil {
-		return err
-	}
-	db.hub.wake()
-	return nil
+	return db.edit(wal.Op{Kind: wal.OpPut, Key: key, Value: value})
 }
 
 // Delete implements DB, on the same direct path as Put.
@@ -235,18 +273,21 @@ func (db *Local) Delete(key []byte) error {
 	if reservedKey(key) {
 		return ErrReservedKey
 	}
+	return db.edit(wal.Op{Kind: wal.OpDelete, Key: key})
+}
+
+// edit is the direct path of Put and Delete: one attempt applying op, no
+// retry loop, no span; then publish and wake the watchers.
+func (db *Local) edit(op wal.Op) error {
 	s := db.claim(nil)
 	defer db.release(s)
-	var found bool
-	if _, err := s.attempt(func(Txn) error {
-		// ErrNotFound is deleteRaw's only failure; deleting an absent key
-		// still commits (read-only) and is reported afterwards.
-		found = s.lt.deleteRaw(key) == nil
-		return nil
-	}); err != nil {
+	s.op = op
+	_, err := s.attempt(s.writeFn)
+	s.op = wal.Op{}
+	if err != nil {
 		return err
 	}
-	if !found {
+	if !s.found {
 		return ErrNotFound
 	}
 	if err := s.publish(); err != nil {
@@ -258,14 +299,17 @@ func (db *Local) Delete(key []byte) error {
 
 // localTxn adapts one live engine transaction to the Txn interface. With
 // capture set, recs collects the attempt's writes (with the revisions the
-// store stamped) for WAL publication after the engine commit; the session
-// resets it on every re-execution, so only the committed attempt's
-// operations are ever logged.
+// store stamped) for WAL publication after the engine commit; their keys
+// and values are copies in slab. The session resets both on every
+// re-execution, so only the committed attempt's operations are ever
+// logged, and reuses them across attempts: wal.Writer.Commit has encoded
+// the records before it returns.
 type localTxn struct {
 	tx      rhtm.Tx
 	st      Storer
 	capture bool
 	recs    []wal.Op
+	slab    []byte
 	maxRev  uint64 // highest revision this attempt's writes were stamped with
 }
 
@@ -330,7 +374,8 @@ func (t *localTxn) deleteRaw(key []byte) error {
 }
 
 // write applies op and, with capture set, keeps its record; the record's
-// buffers are copied, since it outlives the caller's.
+// buffers are copied into the slab, since the caller may rewrite its own
+// before the attempt is published.
 func (t *localTxn) write(op wal.Op) error {
 	op, err := t.st.Write(t.tx, op)
 	if err != nil {
@@ -341,10 +386,23 @@ func (t *localTxn) write(op wal.Op) error {
 	}
 	t.maxRev = max(t.maxRev, op.Rev)
 	if t.capture {
-		op.Key, op.Value = bytes.Clone(op.Key), bytes.Clone(op.Value)
+		op.Key, op.Value = t.keep(op.Key), t.keep(op.Value)
 		t.recs = append(t.recs, op)
 	}
 	return nil
+}
+
+// keep copies b to the end of the slab and returns the copy, clipped so
+// that no append through it reaches the next one; nil stays nil. A slab
+// that grows leaves the earlier copies in its old array, which nothing
+// writes again.
+func (t *localTxn) keep(b []byte) []byte {
+	if b == nil {
+		return nil
+	}
+	n := len(t.slab)
+	t.slab = append(t.slab, b...)
+	return t.slab[n:len(t.slab):len(t.slab)]
 }
 
 func (t *localTxn) leaseOf(key []byte) (LeaseID, error) {

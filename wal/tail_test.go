@@ -106,7 +106,9 @@ func TestWriterFence(t *testing.T) {
 }
 
 // TestWriterFenceWakesParked: a transaction parked behind a revision hole
-// is woken and failed by Fence instead of hanging forever.
+// is woken and failed by Fence instead of hanging forever, and its Commit
+// takes it off the gate as it returns: a dead writer keeps no pointer to
+// the caller's ops.
 func TestWriterFenceWakesParked(t *testing.T) {
 	dev := &MemDevice{}
 	w := NewWriter(dev, 1, map[int]uint64{0: 1}, Options{})
@@ -128,6 +130,12 @@ func TestWriterFenceWakesParked(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("parked commit not woken by fence")
+	}
+	w.mu.Lock()
+	parked := len(w.parked)
+	w.mu.Unlock()
+	if parked != 0 {
+		t.Fatalf("%d transactions still parked after the fenced commit returned", parked)
 	}
 }
 

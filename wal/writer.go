@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -48,6 +49,7 @@ type Writer struct {
 	syncEvery int
 	next      map[int]uint64 // per-partition next expected revision
 	parked    []*pendingTxn
+	free      []*pendingTxn // records no Commit holds, for the next to reuse
 	buf       []byte
 
 	lsn       uint64 // last assigned LSN
@@ -248,17 +250,21 @@ func (w *Writer) observeSyncLocked(batch uint64) {
 
 // Commit publishes one committed transaction (id groups its frames; flags
 // is 0 or FlagCross) and blocks until it is appended — and, under full
-// group commit, synced. Empty transactions are ignored.
+// group commit, synced. Empty transactions are ignored. Whatever it
+// returns, Commit keeps no reference to ops: they are encoded, or
+// dropped, before it returns, so the caller may reuse their buffers.
 func (w *Writer) Commit(id uint64, flags uint8, ops []Op) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	t := &pendingTxn{id: id, flags: flags, ops: ops}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.failed != nil {
 		return w.failedLocked()
 	}
+	t := w.pendingLocked()
+	defer w.recycleLocked(t)
+	t.id, t.flags, t.ops = id, flags, ops
 	w.parked = append(w.parked, t)
 	w.flushReadyLocked()
 	for !t.appended && t.err == nil && w.failed == nil {
@@ -290,6 +296,29 @@ func (w *Writer) Commit(id uint64, flags uint8, ops []Op) error {
 		}
 	}
 	return nil
+}
+
+// pendingLocked takes a commit record from the free list, or a new one.
+func (w *Writer) pendingLocked() *pendingTxn {
+	if n := len(w.free); n > 0 {
+		t := w.free[n-1]
+		w.free = w.free[:n-1]
+		return t
+	}
+	return &pendingTxn{}
+}
+
+// recycleLocked ends t's Commit: a failed writer leaves a transaction
+// parked, and it leaves the gate here, so that no record the writer keeps
+// points at the caller's ops. Then t goes back on the free list.
+func (w *Writer) recycleLocked(t *pendingTxn) {
+	if !t.appended {
+		if i := slices.Index(w.parked, t); i >= 0 {
+			w.parked = slices.Delete(w.parked, i, i+1)
+		}
+	}
+	*t = pendingTxn{}
+	w.free = append(w.free, t)
 }
 
 // Mark appends a resolution marker (coordinator streams): txid's decision
