@@ -89,7 +89,23 @@ func (cl *Client) StoreStats() (store.Stats, error) {
 // intents pin values without changing them and never block a read. Read is
 // the Client's half of Source: a Txn's read-throughs are not client-level
 // operations, so it counts no local transaction.
-func (cl *Client) Read(key []byte) (Record, error) {
+func (cl *Client) Read(key []byte) (Record, error) { return cl.read(key, nil) }
+
+// ReadClock is Read plus the owning System's revision clock, both taken in
+// one engine transaction, so the pair is one snapshot: the record's
+// revision is at most the clock, and a clock at or past a revision proves
+// every commit up to it is visible to the read. A follower read is this
+// call, and it counts as the one local transaction it is.
+func (cl *Client) ReadClock(key []byte) (rec Record, clock uint64, err error) {
+	if rec, err = cl.read(key, &clock); err == nil {
+		cl.c.localTxns.Add(1)
+	}
+	return rec, clock, err
+}
+
+// read is Read's engine transaction; it reads the System's revision clock
+// into clock too when clock is not nil.
+func (cl *Client) read(key []byte, clock *uint64) (Record, error) {
 	n := cl.c.nodes[cl.c.router.SystemFor(key)]
 	var rec Record
 	err := cl.threads[n.id].Atomic(func(tx rhtm.Tx) error {
@@ -97,6 +113,9 @@ func (cl *Client) Read(key []byte) (Record, error) {
 			return ErrConflict
 		}
 		rec.Value, rec.Rev, rec.Lease, rec.Found = n.st.Read(tx, key)
+		if clock != nil {
+			*clock = n.st.Events().Rev(tx)
+		}
 		return nil
 	})
 	cl.countIntentWait(err)

@@ -1,7 +1,6 @@
 package kv
 
 import (
-	"sync"
 	"time"
 
 	"rhtm"
@@ -31,11 +30,6 @@ type ClusterDB struct {
 	core[*clusterSession]
 
 	c *cluster.Cluster
-
-	// frMu serializes the follower-read clock threads (one lazily-registered
-	// engine thread per System — see clockRev in repl.go).
-	frMu  sync.Mutex
-	frThs []rhtm.Thread
 }
 
 // NewCluster builds a DB over c. Call during single-threaded setup.

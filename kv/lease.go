@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"rhtm/internal/frame"
 )
 
 // Leases, shared by both backends. A lease is one record in the reserved
@@ -50,47 +52,18 @@ type leaseRecord struct {
 	keys     [][]byte
 }
 
-func (lr *leaseRecord) encode() []byte {
-	n := 24
-	for _, k := range lr.keys {
-		n += 4 + len(k)
-	}
-	out := make([]byte, 24, n)
-	binary.LittleEndian.PutUint64(out[0:], lr.deadline)
-	binary.LittleEndian.PutUint64(out[8:], lr.ttl)
-	binary.LittleEndian.PutUint64(out[16:], uint64(len(lr.keys)))
-	for _, k := range lr.keys {
-		var l [4]byte
-		binary.LittleEndian.PutUint32(l[:], uint32(len(k)))
-		out = append(out, l[:]...)
-		out = append(out, k...)
-	}
-	return out
-}
+var leaseFormat = frame.Format{Corrupt: errors.New("kv: corrupt lease record")}
 
-func decodeLease(b []byte) (leaseRecord, error) {
-	if len(b) < 24 {
-		return leaseRecord{}, fmt.Errorf("kv: corrupt lease record (%d bytes)", len(b))
+// walk is the record's layout, which encoding (frame.Marshal) and decoding
+// (frame.Unmarshal) both run: u64 deadline, u64 ttl, u64 key count, then
+// per key a u32 length and its bytes, all little-endian.
+func (lr *leaseRecord) walk(c *frame.Codec) {
+	c.U64(&lr.deadline)
+	c.U64(&lr.ttl)
+	lr.keys = frame.Slice(c, lr.keys, c.Count64(len(lr.keys), 4))
+	for i := range lr.keys {
+		c.Blob(&lr.keys[i])
 	}
-	lr := leaseRecord{
-		deadline: binary.LittleEndian.Uint64(b[0:]),
-		ttl:      binary.LittleEndian.Uint64(b[8:]),
-	}
-	n := binary.LittleEndian.Uint64(b[16:])
-	off := 24
-	for i := uint64(0); i < n; i++ {
-		if off+4 > len(b) {
-			return leaseRecord{}, fmt.Errorf("kv: corrupt lease key list")
-		}
-		l := int(binary.LittleEndian.Uint32(b[off:]))
-		off += 4
-		if off+l > len(b) {
-			return leaseRecord{}, fmt.Errorf("kv: corrupt lease key list")
-		}
-		lr.keys = append(lr.keys, b[off:off+l])
-		off += l
-	}
-	return lr, nil
 }
 
 func (lr *leaseRecord) hasKey(key []byte) bool {
@@ -112,7 +85,9 @@ func getLease(ct coordTxn, id LeaseID) (leaseRecord, error) {
 	if err != nil {
 		return leaseRecord{}, err
 	}
-	return decodeLease(raw)
+	var lr leaseRecord
+	err = frame.Unmarshal(raw, &leaseFormat, lr.walk)
+	return lr, err
 }
 
 // leaseAttach is the WithLease half of txnPut: store the key stamped with
@@ -125,7 +100,7 @@ func leaseAttach(ct coordTxn, key, value []byte, id LeaseID) error {
 	}
 	if !lr.hasKey(key) {
 		lr.keys = append(lr.keys, key)
-		if err := ct.putRaw(leaseKey(id), lr.encode(), 0); err != nil {
+		if err := ct.putRaw(leaseKey(id), frame.Marshal(lr.walk), 0); err != nil {
 			return err
 		}
 	}
@@ -138,7 +113,7 @@ func (db *core[S]) Grant(ttl uint64) (LeaseID, error) {
 	id := db.leaseSeq.Add(1)
 	lr := leaseRecord{deadline: db.clock.Now() + ttl, ttl: ttl}
 	err := db.Update(func(tx Txn) error {
-		return tx.(coordTxn).putRaw(leaseKey(id), lr.encode(), 0)
+		return tx.(coordTxn).putRaw(leaseKey(id), frame.Marshal(lr.walk), 0)
 	})
 	if err != nil {
 		return 0, err
@@ -156,7 +131,7 @@ func (db *core[S]) KeepAlive(id LeaseID) error {
 			return err
 		}
 		lr.deadline = db.clock.Now() + lr.ttl
-		return ct.putRaw(leaseKey(id), lr.encode(), 0)
+		return ct.putRaw(leaseKey(id), frame.Marshal(lr.walk), 0)
 	})
 	if err == nil {
 		db.met.leaseKeepAlives.Inc()
@@ -209,8 +184,8 @@ func (db *core[S]) ExpireLeases() (int, error) {
 	now := db.clock.Now()
 	expired := 0
 	for _, e := range entries {
-		lr, err := decodeLease(e.Value)
-		if err != nil {
+		var lr leaseRecord
+		if err := frame.Unmarshal(e.Value, &leaseFormat, lr.walk); err != nil {
 			return expired, err
 		}
 		if lr.deadline > now {

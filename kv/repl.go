@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"rhtm"
+	"rhtm/cluster"
 	"rhtm/wal"
 )
 
@@ -86,90 +87,42 @@ func (db *Local) ReadAt(key []byte, floor Revision) ([]byte, Revision, Revision,
 	}); err != nil {
 		return nil, 0, 0, err
 	}
-	if wm < floor {
-		return nil, 0, wm, fmt.Errorf("kv: watermark %d below floor %d: %w", wm, floor, ErrTooStale)
-	}
-	if !ok {
-		return nil, 0, wm, ErrNotFound
-	}
-	return val, rev, wm, nil
+	return atFloor(val, rev, wm, ok, floor)
 }
 
-// ReadAt implements FollowerReader. The value and revision come from the
-// ordinary intent-respecting read path first; the owning System's revision
-// clock is read after, so watermark >= rev by ordering (the clock only
-// advances).
+// ReadAt implements FollowerReader as Local does: one engine transaction
+// on the owning System reads the record and the System's revision clock
+// (cluster.Client.ReadClock), retried while a pending write intent holds
+// the key.
 func (db *ClusterDB) ReadAt(key []byte, floor Revision) ([]byte, Revision, Revision, error) {
 	if reservedKey(key) {
 		return nil, 0, 0, ErrReservedKey
 	}
-	sys := db.c.Router().SystemFor(key)
-	if floor > 0 {
-		// The floor must be checked against the clock BEFORE the value
-		// read: clock >= floor then proves every commit up to floor is
-		// already visible to the read that follows. (The watermark
-		// returned to the caller is a second read, taken after — that
-		// direction proves rev <= watermark.)
-		wm, err := db.clockRev(sys)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		if wm < floor {
-			return nil, 0, wm, fmt.Errorf("kv: watermark %d below floor %d: %w", wm, floor, ErrTooStale)
-		}
-	}
-	var val []byte
-	var rev Revision
-	present := false
-	err := db.Update(func(tx Txn) error {
-		v, gerr := tx.Get(key)
-		if errors.Is(gerr, ErrNotFound) {
-			present = false
-			return nil
-		}
-		if gerr != nil {
-			return gerr
-		}
-		r, gerr := tx.Revision(key)
-		if gerr != nil {
-			return gerr
-		}
-		val, rev, present = v, r, true
-		return nil
-	})
-	if err != nil {
+	s := db.claim(nil)
+	defer db.release(s)
+	var rec cluster.Record
+	var wm uint64
+	if err := Retry(func(int) error {
+		var err error
+		rec, wm, err = s.cl.ReadClock(key)
+		return mapErr(err)
+	}); err != nil {
 		return nil, 0, 0, err
 	}
-	wm, err := db.clockRev(sys)
-	if err != nil {
-		return nil, 0, 0, err
+	return atFloor(rec.Value, rec.Rev, wm, rec.Found, floor)
+}
+
+// atFloor answers a follower read from one snapshot of a key and its
+// watermark: ErrTooStale when the watermark is below floor, ErrNotFound
+// (watermark still valid) for an absent key.
+func atFloor(val []byte, rev, wm Revision, found bool, floor Revision) ([]byte, Revision, Revision, error) {
+	if wm < floor {
+		return nil, 0, wm, fmt.Errorf("kv: watermark %d below floor %d: %w", wm, floor, ErrTooStale)
 	}
-	if !present {
+	if !found {
 		return nil, 0, wm, ErrNotFound
 	}
 	return val, rev, wm, nil
-}
-
-// clockRev reads System sys's revision clock on a lazily-registered
-// dedicated thread (engine threads are not concurrency-safe, so the small
-// pool is mutex-serialized — watermark reads are single-word transactions).
-func (db *ClusterDB) clockRev(sys int) (Revision, error) {
-	db.frMu.Lock()
-	defer db.frMu.Unlock()
-	if db.frThs == nil {
-		db.frThs = make([]rhtm.Thread, db.c.NumSystems())
-	}
-	th := db.frThs[sys]
-	if th == nil {
-		th = db.c.Node(sys).Engine().NewThread()
-		db.frThs[sys] = th
-	}
-	var wm uint64
-	err := th.Atomic(func(tx rhtm.Tx) error {
-		wm = db.c.Node(sys).Store().Events().Rev(tx)
-		return nil
-	})
-	return wm, err
 }
 
 // --- promotion ---

@@ -1,50 +1,16 @@
 // Package wire defines the binary protocol the network front end speaks:
 // length-prefixed, checksummed frames carrying one request or response
 // each, matched by a per-connection request id so sessions can pipeline
-// many operations and receive completions out of order. The layout follows
-// the WAL record codec (the repo's other wire format): a fixed header whose
-// CRC makes truncation and corruption distinguishable, a kind byte that
-// selects an exact payload schema, and strict decoding — every frame must
-// consume its payload exactly, lengths are bounded before allocation, and
-// anything else is ErrCorrupt.
+// many operations and receive completions out of order.
 //
-// Frame layout (all integers little-endian):
-//
-//	offset 0  u32  body length B
-//	offset 4  u32  CRC-32C over the body
-//	offset 8  B bytes of body:
-//	          u64  request id
-//	          u8   kind
-//	          u8   flags
-//	          payload (kind-specific, below)
-//
-// Payloads (bytes = u32 length + bytes, with 0xFFFFFFFF meaning nil):
-//
-//	Hello, Expire, ClockNow, WatchIdle,
-//	Checkpoint, Metrics, WatchEnd:        (empty)
-//	Get / GetRev / Delete:                bytes key
-//	Put:                                  bytes key, bytes value, u64 lease
-//	PutIf:                                bytes key, bytes value, u64 rev,
-//	                                      u64 lease
-//	DeleteIf:                             bytes key, u64 rev
-//	Batch:                                u32 n, n × op
-//	Txn:                                  u32 nc, nc × (bytes key, u64 rev),
-//	                                      u32 no, no × op
-//	Scan:                                 bytes start, bytes end, u64 limit
-//	Grant:                                u64 ttl
-//	KeepAlive / Revoke:                   u64 lease
-//	Watch:                                bytes prefix, u64 fromRev
-//	WatchCancel:                          u64 watch id
-//	OK:                                   u64 rev
-//	Err:                                  u8 code, u32 len, text bytes
-//	Value:                                bytes value, u64 rev
-//	Entries:                              u32 n, n × (bytes key, bytes value,
-//	                                      u64 rev)
-//	Results:                              u32 n, n × (u8 code, bytes value)
-//	Event:                                u8 event kind, bytes key,
-//	                                      bytes value, u64 rev
-//
-//	op = u8 kind, bytes key, bytes value, u64 lease
+// A frame is the envelope of package internal/frame, shared with the WAL:
+// u32 body length, u32 CRC-32C, then a body opening with u64 request id,
+// u8 kind and u8 flags (all integers little-endian); then a u64 trace word
+// when FlagTraced is set; then the kind's payload, whose layout is
+// Msg.walk, one case per kind. A byte field is a u32 length and the bytes,
+// 0xFFFFFFFF for nil; a list is a u32 count and its elements. Decoding is
+// strict: a frame must consume its payload exactly, lengths are bounded
+// before allocation, and anything else is ErrCorrupt.
 //
 // Request ids are chosen by the client and never interpreted by the server
 // beyond echoing them; a server-push stream (Watch) reuses the subscribing
@@ -53,12 +19,11 @@ package wire
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
+	"rhtm/internal/frame"
 	"rhtm/kv"
 )
 
@@ -209,38 +174,23 @@ const (
 	FlagRanges = 1 << 4
 )
 
-// Error codes carried by Err frames and per-op Results, mapping the kv
-// sentinel taxonomy across the wire so errors.Is works on both sides.
+// Error codes carried by Err frames and per-op Results. Each classified
+// code maps one sentinel of the kv taxonomy (the codes table below CodeOf),
+// so errors.Is works on both sides of the wire.
 const (
-	// CodeOK is success (only meaningful in per-op Results).
-	CodeOK uint8 = iota
-	// CodeErr is an unclassified error: only the text survives.
-	CodeErr
-	// CodeNotFound maps kv.ErrNotFound.
-	CodeNotFound
-	// CodeConflict maps kv.ErrConflict.
-	CodeConflict
-	// CodeRevisionMismatch maps kv.ErrRevisionMismatch.
-	CodeRevisionMismatch
-	// CodeLeaseNotFound maps kv.ErrLeaseNotFound.
-	CodeLeaseNotFound
-	// CodeReservedKey maps kv.ErrReservedKey.
-	CodeReservedKey
-	// CodeArenaFull maps kv.ErrArenaFull.
-	CodeArenaFull
-	// CodeTooLarge maps kv.ErrTooLarge.
-	CodeTooLarge
-	// CodeNoWAL maps kv.ErrNoWAL.
-	CodeNoWAL
-	// CodeShutdown maps ErrShutdown: the server is draining and refused or
-	// abandoned the request.
-	CodeShutdown
-	// CodeTooStale maps kv.ErrTooStale: a follower read's staleness floor
-	// is above the replica's applied watermark.
-	CodeTooStale
-	// CodeFenced maps kv.ErrFenced: the server's DB was deposed by an
-	// epoch fence — retry against the new primary.
-	CodeFenced
+	CodeOK               uint8 = iota // success (only meaningful in per-op Results)
+	CodeErr                           // unclassified: only the text survives
+	CodeNotFound                      // kv.ErrNotFound
+	CodeConflict                      // kv.ErrConflict
+	CodeRevisionMismatch              // kv.ErrRevisionMismatch
+	CodeLeaseNotFound                 // kv.ErrLeaseNotFound
+	CodeReservedKey                   // kv.ErrReservedKey
+	CodeArenaFull                     // kv.ErrArenaFull
+	CodeTooLarge                      // kv.ErrTooLarge
+	CodeNoWAL                         // kv.ErrNoWAL
+	CodeShutdown                      // ErrShutdown: the server is draining
+	CodeTooStale                      // kv.ErrTooStale: the floor is above the watermark
+	CodeFenced                        // kv.ErrFenced: retry against the new primary
 )
 
 // ErrShutdown is the sentinel a draining server answers with; clients see
@@ -256,7 +206,7 @@ var ErrCorrupt = errors.New("wire: corrupt frame")
 
 // ErrFrameTooLarge reports an Encode whose body would exceed MaxFrameBody;
 // the peer would reject it as corrupt, so it is refused at the source.
-var ErrFrameTooLarge = errors.New("wire: frame exceeds size bound")
+var ErrFrameTooLarge = fmt.Errorf("wire: frame exceeds the %d-byte body bound", MaxFrameBody)
 
 // Cond is one optimistic-validation condition of a Txn commit: the key must
 // still be at exactly Rev (0 = still absent).
@@ -309,142 +259,34 @@ type Msg struct {
 	Results []Result
 }
 
-// frame header and payload bounds.
-const (
-	frameHeader = 8  // length + crc
-	bodyHeader  = 10 // id + kind + flags
-	// MaxFrameBody bounds a frame's body so corrupt length words fail fast
-	// instead of allocating gigabytes — the same bound the WAL uses.
-	MaxFrameBody = 1 << 26
-)
+// MaxFrameBody bounds a frame's body, the bound of the shared envelope
+// (package internal/frame) that the WAL uses too.
+const MaxFrameBody = frame.MaxBody
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// nilLen is the on-wire length word meaning "nil slice" (distinct from
-// empty — watch events carry nil values when the commit log elided them).
-const nilLen = ^uint32(0)
+var format = frame.Format{Torn: ErrTorn, Corrupt: ErrCorrupt, TooLarge: ErrFrameTooLarge}
 
 // Encode appends m as one frame to dst and returns the extended slice, or
 // ErrFrameTooLarge when the body would exceed MaxFrameBody.
 func Encode(dst []byte, m Msg) ([]byte, error) {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // header placeholder
-	dst = appendU64(dst, m.ID)
-	dst = append(dst, byte(m.Kind), m.Flags)
-	if m.Flags&FlagTraced != 0 {
-		dst = appendU64(dst, m.Trace)
-	}
-	switch m.Kind {
-	case KindHello, KindExpire, KindClockNow, KindWatchIdle,
-		KindCheckpoint, KindMetrics, KindTraceDump, KindHealth, KindWatchEnd:
-		// empty payload
-	case KindGet, KindGetRev, KindDelete:
-		dst = appendBytes(dst, m.Key)
-	case KindPut:
-		dst = appendBytes(dst, m.Key)
-		dst = appendBytes(dst, m.Value)
-		dst = appendU64(dst, m.Lease)
-	case KindPutIf:
-		dst = appendBytes(dst, m.Key)
-		dst = appendBytes(dst, m.Value)
-		dst = appendU64(dst, m.Rev)
-		dst = appendU64(dst, m.Lease)
-	case KindDeleteIf:
-		dst = appendBytes(dst, m.Key)
-		dst = appendU64(dst, m.Rev)
-	case KindBatch:
-		dst = appendOps(dst, m.Ops)
-	case KindTxn:
-		dst = appendU32(dst, uint32(len(m.Conds)))
-		for _, c := range m.Conds {
-			dst = appendBytes(dst, c.Key)
-			dst = appendU64(dst, c.Rev)
-		}
-		dst = appendOps(dst, m.Ops)
-		if m.Flags&FlagRanges != 0 {
-			dst = appendU32(dst, uint32(len(m.Ranges)))
-			for _, r := range m.Ranges {
-				dst = appendBytes(dst, r.Start)
-				dst = appendBytes(dst, r.End)
-			}
-		}
-	case KindScan:
-		dst = appendBytes(dst, m.Key)
-		dst = appendBytes(dst, m.End)
-		dst = appendU64(dst, m.Rev)
-	case KindGrant:
-		dst = appendU64(dst, m.Rev)
-	case KindKeepAlive, KindRevoke:
-		dst = appendU64(dst, m.Lease)
-	case KindWatch, KindFollowerGet:
-		dst = appendBytes(dst, m.Key)
-		dst = appendU64(dst, m.Rev)
-	case KindOK, KindWatchCancel:
-		dst = appendU64(dst, m.Rev)
-	case KindErr:
-		dst = append(dst, m.Code)
-		dst = appendU32(dst, uint32(len(m.Text)))
-		dst = append(dst, m.Text...)
-	case KindValue:
-		dst = appendBytes(dst, m.Value)
-		dst = appendU64(dst, m.Rev)
-	case KindFollowerValue:
-		dst = appendBytes(dst, m.Value)
-		dst = appendU64(dst, m.Rev)
-		dst = appendU64(dst, m.Lease)
-	case KindEntries:
-		dst = appendU32(dst, uint32(len(m.Entries)))
-		for _, e := range m.Entries {
-			dst = appendBytes(dst, e.Key)
-			dst = appendBytes(dst, e.Value)
-			dst = appendU64(dst, e.Rev)
-		}
-	case KindResults:
-		dst = appendU32(dst, uint32(len(m.Results)))
-		for _, r := range m.Results {
-			dst = append(dst, r.Code)
-			dst = appendBytes(dst, r.Value)
-		}
-	case KindEvent:
-		dst = append(dst, m.Code)
-		dst = appendBytes(dst, m.Key)
-		dst = appendBytes(dst, m.Value)
-		dst = appendU64(dst, m.Rev)
-	default:
-		return nil, fmt.Errorf("wire: encode of unknown kind %d", m.Kind)
-	}
-	body := dst[start+frameHeader:]
-	if len(body) > MaxFrameBody {
-		return nil, fmt.Errorf("%w: body %d bytes", ErrFrameTooLarge, len(body))
-	}
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(body, crcTable))
-	return dst, nil
+	c := frame.Begin(dst, &format)
+	m.walk(&c)
+	return c.Seal()
 }
 
 // Decode reads one frame from the front of b, returning the message and the
 // bytes consumed. ErrTorn means b ends mid-frame; ErrCorrupt means the
 // frame is complete but invalid.
 func Decode(b []byte) (Msg, int, error) {
-	if len(b) < frameHeader {
-		return Msg{}, 0, ErrTorn
-	}
-	blen := int(binary.LittleEndian.Uint32(b))
-	if blen < bodyHeader || blen > MaxFrameBody {
-		return Msg{}, 0, fmt.Errorf("%w: body length %d", ErrCorrupt, blen)
-	}
-	if len(b) < frameHeader+blen {
-		return Msg{}, 0, ErrTorn
-	}
-	body := b[frameHeader : frameHeader+blen]
-	if crc := crc32.Checksum(body, crcTable); crc != binary.LittleEndian.Uint32(b[4:]) {
-		return Msg{}, 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	m, err := decodeBody(body)
+	c, n, err := frame.Open(b, &format)
 	if err != nil {
 		return Msg{}, 0, err
 	}
-	return m, frameHeader + blen, nil
+	var m Msg
+	m.walk(&c)
+	if err := c.Done(); err != nil {
+		return Msg{}, 0, err
+	}
+	return m, n, nil
 }
 
 // ReadMsg reads exactly one frame from r. A clean EOF at a frame boundary
@@ -452,341 +294,173 @@ func Decode(b []byte) (Msg, int, error) {
 // place and the whole frame is read into one buffer allocated for it, which
 // the decoded message aliases.
 func ReadMsg(r *bufio.Reader) (Msg, error) {
-	hdr, err := r.Peek(frameHeader)
+	hdr, err := r.Peek(frame.HeaderSize)
 	if err != nil {
 		if err == io.EOF && len(hdr) > 0 {
 			return Msg{}, ErrTorn
 		}
 		return Msg{}, err
 	}
-	blen := int(binary.LittleEndian.Uint32(hdr))
-	if blen < bodyHeader || blen > MaxFrameBody {
-		return Msg{}, fmt.Errorf("%w: body length %d", ErrCorrupt, blen)
+	n, err := frame.Len(hdr, &format)
+	if err != nil {
+		return Msg{}, err
 	}
-	frame := make([]byte, frameHeader+blen)
-	if _, err := io.ReadFull(r, frame); err != nil {
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(r, buf); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return Msg{}, ErrTorn
 		}
 		return Msg{}, err
 	}
-	m, _, err := Decode(frame)
+	m, _, err := Decode(buf)
 	return m, err
 }
 
-func decodeBody(body []byte) (Msg, error) {
-	m := Msg{
-		ID:    binary.LittleEndian.Uint64(body),
-		Kind:  Kind(body[8]),
-		Flags: body[9],
-	}
-	d := &decoder{p: body[bodyHeader:]}
+// walk is the frame's layout, which Encode and Decode both run: the body
+// header, the trace word when FlagTraced is set, then the kind's payload.
+func (m *Msg) walk(c *frame.Codec) {
+	c.U64(&m.ID)
+	c.U8((*uint8)(&m.Kind))
+	c.U8(&m.Flags)
 	if m.Flags&FlagTraced != 0 {
-		m.Trace = d.u64()
+		c.U64(&m.Trace)
 	}
 	switch m.Kind {
 	case KindHello, KindExpire, KindClockNow, KindWatchIdle,
 		KindCheckpoint, KindMetrics, KindTraceDump, KindHealth, KindWatchEnd:
 		// empty payload
 	case KindGet, KindGetRev, KindDelete:
-		m.Key = d.bytes()
+		c.Bytes(&m.Key)
 	case KindPut:
-		m.Key = d.bytes()
-		m.Value = d.bytes()
-		m.Lease = d.u64()
+		c.Bytes(&m.Key)
+		c.Bytes(&m.Value)
+		c.U64(&m.Lease)
 	case KindPutIf:
-		m.Key = d.bytes()
-		m.Value = d.bytes()
-		m.Rev = d.u64()
-		m.Lease = d.u64()
-	case KindDeleteIf:
-		m.Key = d.bytes()
-		m.Rev = d.u64()
+		c.Bytes(&m.Key)
+		c.Bytes(&m.Value)
+		c.U64(&m.Rev)
+		c.U64(&m.Lease)
+	case KindDeleteIf, KindWatch, KindFollowerGet:
+		c.Bytes(&m.Key)
+		c.U64(&m.Rev)
 	case KindBatch:
-		m.Ops = d.ops()
+		walkOps(c, &m.Ops)
 	case KindTxn:
-		nc := d.count(12) // key length word + rev
-		for i := 0; i < nc && d.err == nil; i++ {
-			var c Cond
-			c.Key = d.bytes()
-			c.Rev = d.u64()
-			m.Conds = append(m.Conds, c)
+		m.Conds = frame.Slice(c, m.Conds, c.Count(len(m.Conds), 12)) // key length word + rev
+		for i := range m.Conds {
+			c.Bytes(&m.Conds[i].Key)
+			c.U64(&m.Conds[i].Rev)
 		}
-		m.Ops = d.ops()
+		walkOps(c, &m.Ops)
 		if m.Flags&FlagRanges != 0 {
-			nr := d.count(8) // two length words
-			for i := 0; i < nr && d.err == nil; i++ {
-				var r Range
-				r.Start = d.bytes()
-				r.End = d.bytes()
-				m.Ranges = append(m.Ranges, r)
+			m.Ranges = frame.Slice(c, m.Ranges, c.Count(len(m.Ranges), 8)) // two length words
+			for i := range m.Ranges {
+				c.Bytes(&m.Ranges[i].Start)
+				c.Bytes(&m.Ranges[i].End)
 			}
 		}
 	case KindScan:
-		m.Key = d.bytes()
-		m.End = d.bytes()
-		m.Rev = d.u64()
-	case KindGrant:
-		m.Rev = d.u64()
+		c.Bytes(&m.Key)
+		c.Bytes(&m.End)
+		c.U64(&m.Rev)
+	case KindGrant, KindOK, KindWatchCancel:
+		c.U64(&m.Rev)
 	case KindKeepAlive, KindRevoke:
-		m.Lease = d.u64()
-	case KindWatch, KindFollowerGet:
-		m.Key = d.bytes()
-		m.Rev = d.u64()
-	case KindOK, KindWatchCancel:
-		m.Rev = d.u64()
+		c.U64(&m.Lease)
 	case KindErr:
-		m.Code = d.u8()
-		m.Text = string(d.str())
+		c.U8(&m.Code)
+		c.Str(&m.Text)
 	case KindValue:
-		m.Value = d.bytes()
-		m.Rev = d.u64()
+		c.Bytes(&m.Value)
+		c.U64(&m.Rev)
 	case KindFollowerValue:
-		m.Value = d.bytes()
-		m.Rev = d.u64()
-		m.Lease = d.u64()
+		c.Bytes(&m.Value)
+		c.U64(&m.Rev)
+		c.U64(&m.Lease)
 	case KindEntries:
-		n := d.count(16) // two length words + rev
-		for i := 0; i < n && d.err == nil; i++ {
-			var e Entry
-			e.Key = d.bytes()
-			e.Value = d.bytes()
-			e.Rev = d.u64()
-			m.Entries = append(m.Entries, e)
+		m.Entries = frame.Slice(c, m.Entries, c.Count(len(m.Entries), 16)) // two length words + rev
+		for i := range m.Entries {
+			e := &m.Entries[i]
+			c.Bytes(&e.Key)
+			c.Bytes(&e.Value)
+			c.U64(&e.Rev)
 		}
 	case KindResults:
-		n := d.count(5) // code + length word
-		for i := 0; i < n && d.err == nil; i++ {
-			var r Result
-			r.Code = d.u8()
-			r.Value = d.bytes()
-			m.Results = append(m.Results, r)
+		m.Results = frame.Slice(c, m.Results, c.Count(len(m.Results), 5)) // code + length word
+		for i := range m.Results {
+			c.U8(&m.Results[i].Code)
+			c.Bytes(&m.Results[i].Value)
 		}
 	case KindEvent:
-		m.Code = d.u8()
-		if d.err == nil && m.Code > uint8(kv.EventLost) {
-			return Msg{}, fmt.Errorf("%w: event kind %d", ErrCorrupt, m.Code)
+		c.U8(&m.Code)
+		if m.Code > uint8(kv.EventLost) {
+			c.Fail("event kind %d", m.Code)
 		}
-		m.Key = d.bytes()
-		m.Value = d.bytes()
-		m.Rev = d.u64()
+		c.Bytes(&m.Key)
+		c.Bytes(&m.Value)
+		c.U64(&m.Rev)
 	default:
-		return Msg{}, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, m.Kind)
-	}
-	if d.err != nil {
-		return Msg{}, d.err
-	}
-	if len(d.p) != 0 {
-		return Msg{}, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(d.p))
-	}
-	return m, nil
-}
-
-// decoder walks a payload with sticky-error semantics; every accessor
-// returns zero after the first failure.
-type decoder struct {
-	p   []byte
-	err error
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
+		c.Fail("unknown kind %d", m.Kind)
 	}
 }
 
-func (d *decoder) u8() uint8 {
-	if d.err != nil || len(d.p) < 1 {
-		d.fail("truncated u8")
-		return 0
-	}
-	v := d.p[0]
-	d.p = d.p[1:]
-	return v
-}
-
-func (d *decoder) u32() uint32 {
-	if d.err != nil || len(d.p) < 4 {
-		d.fail("truncated u32")
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.p)
-	d.p = d.p[4:]
-	return v
-}
-
-func (d *decoder) u64() uint64 {
-	if d.err != nil || len(d.p) < 8 {
-		d.fail("truncated u64")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.p)
-	d.p = d.p[8:]
-	return v
-}
-
-// bytes reads one nilable byte field, nil when the length word is the nil
-// sentinel. The field aliases the frame, clipped to its own length so an
-// append by the holder reallocates instead of overwriting what follows.
-func (d *decoder) bytes() []byte {
-	n := d.u32()
-	if d.err != nil {
-		return nil
-	}
-	if n == nilLen {
-		return nil
-	}
-	// Compare in uint64: int(n) would go negative on 32-bit platforms for
-	// lengths past MaxInt32 and slip the bound check into a slice panic.
-	if uint64(n) > uint64(len(d.p)) {
-		d.fail("byte field length %d of %d", n, len(d.p))
-		return nil
-	}
-	v := d.p[:n:n]
-	d.p = d.p[n:]
-	return v
-}
-
-// str reads one non-nilable byte field (error text).
-func (d *decoder) str() []byte {
-	n := d.u32()
-	if d.err != nil {
-		return nil
-	}
-	if uint64(n) > uint64(len(d.p)) { // uint64: see bytes
-		d.fail("text length %d of %d", n, len(d.p))
-		return nil
-	}
-	v := d.p[:n]
-	d.p = d.p[n:]
-	return v
-}
-
-// count reads a collection length and bounds it by the minimum encoded
-// size of one element, so corrupt counts fail before allocation.
-func (d *decoder) count(minElem int) int {
-	n := d.u32()
-	if d.err != nil {
-		return 0
-	}
-	if uint64(n) > uint64(len(d.p)/minElem) { // uint64: see bytes
-		d.fail("count %d exceeds %d payload bytes", n, len(d.p))
-		return 0
-	}
-	return int(n)
-}
-
-func (d *decoder) ops() []kv.Op {
-	n := d.count(17) // kind + two length words + lease
-	var ops []kv.Op
-	for i := 0; i < n && d.err == nil; i++ {
-		var op kv.Op
-		op.Kind = kv.OpKind(d.u8())
-		if d.err == nil && op.Kind > kv.OpDelete {
-			d.fail("op kind %d", op.Kind)
-			return nil
+// walkOps walks a Batch's or a Txn's op list.
+func walkOps(c *frame.Codec, ops *[]kv.Op) {
+	*ops = frame.Slice(c, *ops, c.Count(len(*ops), 17)) // kind + two length words + lease
+	for i := range *ops {
+		op := &(*ops)[i]
+		c.U8((*uint8)(&op.Kind))
+		if op.Kind > kv.OpDelete {
+			c.Fail("op kind %d", op.Kind)
 		}
-		op.Key = d.bytes()
-		op.Value = d.bytes()
-		op.Lease = d.u64()
-		ops = append(ops, op)
+		c.Bytes(&op.Key)
+		c.Bytes(&op.Value)
+		c.U64(&op.Lease)
 	}
-	return ops
 }
 
-func appendU64(dst []byte, v uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return append(dst, b[:]...)
-}
-
-func appendU32(dst []byte, v uint32) []byte {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return append(dst, b[:]...)
-}
-
-func appendBytes(dst, v []byte) []byte {
-	if v == nil {
-		return appendU32(dst, nilLen)
-	}
-	dst = appendU32(dst, uint32(len(v)))
-	return append(dst, v...)
-}
-
-func appendOps(dst []byte, ops []kv.Op) []byte {
-	dst = appendU32(dst, uint32(len(ops)))
-	for _, op := range ops {
-		dst = append(dst, byte(op.Kind))
-		dst = appendBytes(dst, op.Key)
-		dst = appendBytes(dst, op.Value)
-		dst = appendU64(dst, op.Lease)
-	}
-	return dst
+// codes pairs every classified error code with the sentinel it maps, in
+// the order CodeOf tries them.
+var codes = [...]struct {
+	code uint8
+	err  error
+}{
+	{CodeNotFound, kv.ErrNotFound},
+	{CodeRevisionMismatch, kv.ErrRevisionMismatch},
+	{CodeConflict, kv.ErrConflict},
+	{CodeLeaseNotFound, kv.ErrLeaseNotFound},
+	{CodeReservedKey, kv.ErrReservedKey},
+	{CodeArenaFull, kv.ErrArenaFull},
+	{CodeTooLarge, kv.ErrTooLarge},
+	{CodeNoWAL, kv.ErrNoWAL},
+	{CodeShutdown, ErrShutdown},
+	{CodeTooStale, kv.ErrTooStale},
+	{CodeFenced, kv.ErrFenced},
 }
 
 // CodeOf maps an error to its wire code; unrecognized errors degrade to
 // CodeErr (text-only).
 func CodeOf(err error) uint8 {
-	switch {
-	case err == nil:
+	if err == nil {
 		return CodeOK
-	case errors.Is(err, kv.ErrNotFound):
-		return CodeNotFound
-	case errors.Is(err, kv.ErrRevisionMismatch):
-		return CodeRevisionMismatch
-	case errors.Is(err, kv.ErrConflict):
-		return CodeConflict
-	case errors.Is(err, kv.ErrLeaseNotFound):
-		return CodeLeaseNotFound
-	case errors.Is(err, kv.ErrReservedKey):
-		return CodeReservedKey
-	case errors.Is(err, kv.ErrArenaFull):
-		return CodeArenaFull
-	case errors.Is(err, kv.ErrTooLarge):
-		return CodeTooLarge
-	case errors.Is(err, kv.ErrNoWAL):
-		return CodeNoWAL
-	case errors.Is(err, ErrShutdown):
-		return CodeShutdown
-	case errors.Is(err, kv.ErrTooStale):
-		return CodeTooStale
-	case errors.Is(err, kv.ErrFenced):
-		return CodeFenced
-	default:
-		return CodeErr
 	}
+	for _, c := range codes {
+		if errors.Is(err, c.err) {
+			return c.code
+		}
+	}
+	return CodeErr
 }
 
 // Sentinel returns the kv-surface sentinel a code maps to (nil for CodeOK
 // and for the unclassified CodeErr).
 func Sentinel(code uint8) error {
-	switch code {
-	case CodeNotFound:
-		return kv.ErrNotFound
-	case CodeConflict:
-		return kv.ErrConflict
-	case CodeRevisionMismatch:
-		return kv.ErrRevisionMismatch
-	case CodeLeaseNotFound:
-		return kv.ErrLeaseNotFound
-	case CodeReservedKey:
-		return kv.ErrReservedKey
-	case CodeArenaFull:
-		return kv.ErrArenaFull
-	case CodeTooLarge:
-		return kv.ErrTooLarge
-	case CodeNoWAL:
-		return kv.ErrNoWAL
-	case CodeShutdown:
-		return ErrShutdown
-	case CodeTooStale:
-		return kv.ErrTooStale
-	case CodeFenced:
-		return kv.ErrFenced
-	default:
-		return nil
+	for _, c := range codes {
+		if c.code == code {
+			return c.err
+		}
 	}
+	return nil
 }
 
 // RemoteError is how a wire Err frame surfaces to callers: it preserves the

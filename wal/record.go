@@ -1,23 +1,16 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
-	"hash/crc32"
+
+	"rhtm/internal/frame"
 )
 
-// Frame layout (all integers little-endian):
-//
-//	offset 0  u32  body length B
-//	offset 4  u32  CRC-32C over the body
-//	offset 8  B bytes of body:
-//	          u64  LSN (monotone per stream)
-//	          u8   kind
-//	          u8   flags
-//	          payload (kind-specific, below)
-//
-// Payloads:
+// Frame layout: the envelope of package internal/frame (u32 body length,
+// u32 CRC-32C over the body, then a body opening with u64 LSN, u8 kind, u8
+// flags; all integers little-endian), whose id word is the LSN, monotone
+// per stream. Payloads (Record.walk; a length-prefixed field decodes as
+// nil when empty):
 //
 //	Begin / Commit / Mark:  u64 txid
 //	Op / CheckpointEntry:   u32 partition, u8 op kind, u64 revision,
@@ -60,7 +53,6 @@ const (
 	// epoch was fenced before this frame could exist, so no frame after it
 	// can have come from the deposed primary.
 	KindEpoch
-	kindMax
 )
 
 // Frame flags.
@@ -118,48 +110,23 @@ var ErrTorn = errors.New("wal: torn frame (log ends mid-record)")
 // carries impossible lengths — corruption rather than a clean tear.
 var ErrCorrupt = errors.New("wal: corrupt frame")
 
-// frame header and payload bounds.
-const (
-	frameHeader = 8  // length + crc
-	bodyHeader  = 10 // lsn + kind + flags
-	// maxPayloadBytes bounds key/value lengths so corrupt length words fail
-	// fast instead of allocating gigabytes.
-	maxPayloadBytes = 1 << 26
-)
+var format = frame.Format{
+	Torn:     ErrTorn,
+	Corrupt:  ErrCorrupt,
+	TooLarge: errors.New("wal: frame exceeds size bound"),
+}
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// Encode appends r as one frame to dst and returns the extended slice.
+// Encode appends r as one frame to dst and returns the extended slice. It
+// panics on a record no reader would accept: an unknown kind or op kind,
+// or a body over the frame bound.
 func Encode(dst []byte, r Record) []byte {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // header placeholder
-	dst = appendU64(dst, r.LSN)
-	dst = append(dst, byte(r.Kind), r.Flags)
-	switch r.Kind {
-	case KindBegin, KindCommit, KindMark, KindCheckpointEnd:
-		dst = appendU64(dst, r.TxID)
-	case KindOp, KindCheckpointEntry:
-		dst = appendU32(dst, uint32(r.Op.Part))
-		dst = append(dst, byte(r.Op.Kind))
-		dst = appendU64(dst, r.Op.Rev)
-		dst = appendU64(dst, r.Op.Lease)
-		dst = appendU32(dst, uint32(len(r.Op.Key)))
-		dst = append(dst, r.Op.Key...)
-		dst = appendU32(dst, uint32(len(r.Op.Value)))
-		dst = append(dst, r.Op.Value...)
-	case KindCheckpointBegin:
-		// empty payload
-	case KindEpoch:
-		dst = appendU64(dst, r.TxID)
-		dst = appendU32(dst, uint32(len(r.Meta)))
-		dst = append(dst, r.Meta...)
-	default:
-		panic(fmt.Sprintf("wal: encode of unknown kind %d", r.Kind))
+	c := frame.Begin(dst, &format)
+	r.walk(&c)
+	b, err := c.Seal()
+	if err != nil {
+		panic(err)
 	}
-	body := dst[start+frameHeader:]
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(body, crcTable))
-	return dst
+	return b
 }
 
 // Decode reads one frame from the front of b, returning the record and the
@@ -168,93 +135,44 @@ func Encode(dst []byte, r Record) []byte {
 // each clipped to its own length, and are nil when empty: b must not be
 // rewritten while the record is in use.
 func Decode(b []byte) (Record, int, error) {
-	if len(b) < frameHeader {
-		return Record{}, 0, ErrTorn
+	c, n, err := frame.Open(b, &format)
+	if err != nil {
+		return Record{}, 0, err
 	}
-	blen := int(binary.LittleEndian.Uint32(b))
-	if blen < bodyHeader || blen > maxPayloadBytes {
-		return Record{}, 0, fmt.Errorf("%w: body length %d", ErrCorrupt, blen)
+	var r Record
+	r.walk(&c)
+	if err := c.Done(); err != nil {
+		return Record{}, 0, err
 	}
-	if len(b) < frameHeader+blen {
-		return Record{}, 0, ErrTorn
-	}
-	body := b[frameHeader : frameHeader+blen]
-	if crc := crc32.Checksum(body, crcTable); crc != binary.LittleEndian.Uint32(b[4:]) {
-		return Record{}, 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	r := Record{
-		LSN:   binary.LittleEndian.Uint64(body),
-		Kind:  Kind(body[8]),
-		Flags: body[9],
-	}
-	p := body[bodyHeader:]
+	return r, n, nil
+}
+
+// walk is the record's layout, which Encode and Decode both run.
+func (r *Record) walk(c *frame.Codec) {
+	c.U64(&r.LSN)
+	c.U8((*uint8)(&r.Kind))
+	c.U8(&r.Flags)
 	switch r.Kind {
 	case KindBegin, KindCommit, KindMark, KindCheckpointEnd:
-		if len(p) != 8 {
-			return Record{}, 0, fmt.Errorf("%w: kind %d payload %d bytes", ErrCorrupt, r.Kind, len(p))
-		}
-		r.TxID = binary.LittleEndian.Uint64(p)
+		c.U64(&r.TxID)
 	case KindOp, KindCheckpointEntry:
-		if len(p) < 4+1+8+8+4 {
-			return Record{}, 0, fmt.Errorf("%w: op payload %d bytes", ErrCorrupt, len(p))
-		}
-		r.Op.Part = int(binary.LittleEndian.Uint32(p))
-		r.Op.Kind = OpKind(p[4])
+		part := uint32(r.Op.Part)
+		c.U32(&part)
+		r.Op.Part = int(part)
+		c.U8((*uint8)(&r.Op.Kind))
 		if r.Op.Kind != OpPut && r.Op.Kind != OpDelete {
-			return Record{}, 0, fmt.Errorf("%w: op kind %d", ErrCorrupt, r.Op.Kind)
+			c.Fail("op kind %d", r.Op.Kind)
 		}
-		r.Op.Rev = binary.LittleEndian.Uint64(p[5:])
-		r.Op.Lease = binary.LittleEndian.Uint64(p[13:])
-		klen := int(binary.LittleEndian.Uint32(p[21:]))
-		p = p[25:]
-		if klen < 0 || klen > len(p) {
-			return Record{}, 0, fmt.Errorf("%w: key length %d", ErrCorrupt, klen)
-		}
-		if klen > 0 {
-			r.Op.Key = p[:klen:klen]
-		}
-		p = p[klen:]
-		if len(p) < 4 {
-			return Record{}, 0, fmt.Errorf("%w: missing value length", ErrCorrupt)
-		}
-		vlen := int(binary.LittleEndian.Uint32(p))
-		p = p[4:]
-		if vlen < 0 || vlen != len(p) {
-			return Record{}, 0, fmt.Errorf("%w: value length %d of %d", ErrCorrupt, vlen, len(p))
-		}
-		if vlen > 0 {
-			r.Op.Value = p[:vlen:vlen]
-		}
+		c.U64(&r.Op.Rev)
+		c.U64(&r.Op.Lease)
+		c.Blob(&r.Op.Key)
+		c.Blob(&r.Op.Value)
 	case KindCheckpointBegin:
-		if len(p) != 0 {
-			return Record{}, 0, fmt.Errorf("%w: checkpoint-begin payload", ErrCorrupt)
-		}
+		// empty payload
 	case KindEpoch:
-		if len(p) < 12 {
-			return Record{}, 0, fmt.Errorf("%w: epoch payload %d bytes", ErrCorrupt, len(p))
-		}
-		r.TxID = binary.LittleEndian.Uint64(p)
-		mlen := int(binary.LittleEndian.Uint32(p[8:]))
-		if mlen != len(p)-12 {
-			return Record{}, 0, fmt.Errorf("%w: epoch blob length %d of %d", ErrCorrupt, mlen, len(p)-12)
-		}
-		if mlen > 0 {
-			r.Meta = p[12 : 12+mlen : 12+mlen]
-		}
+		c.U64(&r.TxID)
+		c.Blob(&r.Meta)
 	default:
-		return Record{}, 0, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, r.Kind)
+		c.Fail("unknown kind %d", r.Kind)
 	}
-	return r, frameHeader + blen, nil
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return append(dst, b[:]...)
-}
-
-func appendU32(dst []byte, v uint32) []byte {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return append(dst, b[:]...)
 }

@@ -231,6 +231,20 @@ func TestDecodeAllocs(t *testing.T) {
 	}
 }
 
+// TestEncodeAllocs pins encoding in place: an op frame encoded into a
+// buffer with room allocates nothing, so a logged commit adds no
+// allocation per op.
+func TestEncodeAllocs(t *testing.T) {
+	rec := Record{Kind: KindOp, LSN: 7,
+		Op: Op{Part: 2, Kind: OpPut, Key: []byte("key!"), Value: []byte("value"), Rev: 11, Lease: 1}}
+	buf := make([]byte, 0, 256)
+	if allocs := testing.AllocsPerRun(100, func() {
+		buf = Encode(buf[:0], rec)
+	}); allocs != 0 {
+		t.Errorf("Encode of an op frame: %v allocs, want 0", allocs)
+	}
+}
+
 // TestWALRecordCorruption: every single-byte corruption of a frame must be
 // rejected with ErrCorrupt (or shorten into ErrTorn via the length word) —
 // never decode into a different record.
