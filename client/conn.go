@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"rhtm/internal/scratch"
 	"rhtm/server/wire"
 )
 
@@ -18,7 +19,7 @@ type netConn struct {
 	nc net.Conn
 
 	wmu  sync.Mutex // serializes frame writes
-	wbuf []byte
+	wbuf []byte     // the frame encoder's, kept within scratch.Bound
 
 	mu      sync.Mutex
 	seq     uint64
@@ -99,8 +100,9 @@ func (cn *netConn) write(m wire.Msg) error {
 	if err != nil {
 		return err
 	}
-	cn.wbuf = b
-	if _, err := cn.nc.Write(b); err != nil {
+	_, err = cn.nc.Write(b)
+	cn.wbuf = scratch.Reset(b)
+	if err != nil {
 		cn.fail(fmt.Errorf("client: write: %w", err))
 		cn.nc.Close()
 		return cn.termErr

@@ -393,3 +393,14 @@ func TestRemoteAbortWindows(t *testing.T) {
 		})
 	}
 }
+
+// TestSlowPathScratch: a thread keeps no more than scratch.Bound of the
+// software sets, the RH2 commit's visible list and its stripe set after
+// one large slow-path transaction, under either protocol.
+func TestSlowPathScratch(t *testing.T) {
+	for name, proto := range map[string]Protocol{"RH1": ProtocolRH1, "RH2": ProtocolRH2} {
+		opts := DefaultOptions()
+		opts.Protocol, opts.Mode = proto, ModeSlowOnly
+		t.Run(name, func(t *testing.T) { enginetest.CheckSlowPathScratch(t, factoryWith(opts, nil)) })
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"rhtm/internal/clock"
 	"rhtm/internal/engine"
 	"rhtm/internal/memsim"
+	"rhtm/internal/scratch"
 	"rhtm/internal/sys"
 )
 
@@ -148,6 +149,18 @@ func (tx *coreTx) Commit() bool {
 
 // Aborted implements engine.SWPath.
 func (tx *coreTx) Aborted() { tx.sw.Aborted() }
+
+// Trim implements engine.SWPath. The RH2 commit's stripe set indexed the
+// software sets, so it goes when one of them does; the hardware path's
+// sets are bounded by the HTM capacity and stay.
+func (tx *coreTx) Trim() {
+	t := (*Thread)(tx)
+	if scratch.Over(t.sw.Reads) || scratch.Over(t.sw.Writes.Entries) {
+		t.stripes = make(map[int]struct{}, 32)
+	}
+	t.sw.Trim()
+	t.visible = scratch.Reset(t.visible)
+}
 
 // rh1SlowCommit is the heart of RH1 (Alg. 2 lines 25-50): a single hardware
 // transaction that revalidates the read set and performs the write-back.

@@ -15,12 +15,18 @@ type SWPath interface {
 	Commit() bool
 	// Aborted runs after an attempt failed, before the backoff.
 	Aborted()
+	// Trim runs once the transaction has ended, committed or not: it lets
+	// go of every set an attempt grew past scratch.Bound (scratch.Reset),
+	// so one large transaction does not pin its peak for the thread's
+	// lifetime.
+	Trim()
 }
 
 // RunSoft drives fn to completion on software path p: attempts, each
 // failure counted and followed by randomized backoff, until one commits or
 // fn returns an error, which ends the transaction and is returned as-is.
 func (w *Worker) RunSoft(fn func(tx Tx) error, p SWPath) error {
+	defer p.Trim()
 	for attempt := 0; ; attempt++ {
 		p.Begin()
 		err, aborted := RunBody(fn, p)

@@ -1,6 +1,9 @@
 package engine
 
-import "rhtm/internal/memsim"
+import (
+	"rhtm/internal/memsim"
+	"rhtm/internal/scratch"
+)
 
 // WriteSet is a software transaction's redo log: its stores in program
 // order, with an index so the transaction reads its own writes and a second
@@ -17,6 +20,15 @@ func (w *WriteSet) Reset() {
 	}
 	w.Entries = w.Entries[:0]
 	clear(w.idx)
+}
+
+// Trim lets go of the set's storage once its entries are over
+// scratch.Bound. The index goes with them: a map never shrinks, and
+// clearing one costs its peak size.
+func (w *WriteSet) Trim() {
+	if scratch.Over(w.Entries) {
+		w.Entries, w.idx = nil, nil
+	}
 }
 
 // Get returns the value buffered for a, if any.

@@ -28,6 +28,7 @@ import (
 
 	"rhtm/internal/engine"
 	"rhtm/internal/memsim"
+	"rhtm/internal/scratch"
 	"rhtm/internal/sys"
 )
 
@@ -188,6 +189,12 @@ func (tx *norecTx) Commit() bool {
 
 // Aborted implements engine.SWPath: NoRec has no clock to advance.
 func (tx *norecTx) Aborted() {}
+
+// Trim implements engine.SWPath.
+func (tx *norecTx) Trim() {
+	tx.readLog = scratch.Reset(tx.readLog)
+	tx.writes.Trim()
+}
 
 // waitEven spins until the global counter is even and returns it.
 func (t *Thread) waitEven() uint64 {

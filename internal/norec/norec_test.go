@@ -159,3 +159,7 @@ func TestRemoteAbortWindow(t *testing.T) {
 	enginetest.CheckRemoteAbortWindow(t, s.Mem, &th.HWWorker, (*norecTx)(th), e.seq,
 		func(engine.Tx) error { return nil })
 }
+
+// TestSlowPathScratch: a thread keeps no more than scratch.Bound of the
+// read log and write set one large software transaction grew.
+func TestSlowPathScratch(t *testing.T) { enginetest.CheckSlowPathScratch(t, factory) }

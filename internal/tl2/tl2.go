@@ -56,8 +56,9 @@ func (t *Thread) Atomic(fn func(tx engine.Tx) error) error {
 	return t.RunSoft(fn, (*tl2Tx)(t))
 }
 
-// tl2Tx adapts Thread to engine.SWPath; Begin, ReadOnly and Aborted are the
-// embedded Txn's. A distinct type keeps the Tx methods off the Thread API.
+// tl2Tx adapts Thread to engine.SWPath; Begin, ReadOnly, Aborted and Trim
+// are the embedded Txn's. A distinct type keeps the Tx methods off the
+// Thread API.
 type tl2Tx Thread
 
 // Commit implements engine.SWPath, the TL2 commit: lock write set, validate

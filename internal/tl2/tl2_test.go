@@ -189,3 +189,7 @@ func TestStatsCountOps(t *testing.T) {
 		t.Fatal("TL2 reads must touch metadata")
 	}
 }
+
+// TestSlowPathScratch: a thread keeps no more than scratch.Bound of the
+// sets one large transaction grew.
+func TestSlowPathScratch(t *testing.T) { enginetest.CheckSlowPathScratch(t, factory) }

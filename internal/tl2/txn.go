@@ -3,6 +3,7 @@ package tl2
 import (
 	"rhtm/internal/engine"
 	"rhtm/internal/memsim"
+	"rhtm/internal/scratch"
 	"rhtm/internal/sys"
 )
 
@@ -46,6 +47,16 @@ func (x *Txn) Begin() {
 	x.Reads = x.Reads[:0]
 	x.Writes.Reset()
 	x.locked = x.locked[:0]
+}
+
+// Trim lets go of the sets a transaction grew past scratch.Bound. A
+// read-only transaction commits without validating its read set (Alg. 2
+// lines 26-28), yet Read records every word: a snapshot of a whole store
+// would otherwise stay pinned here.
+func (x *Txn) Trim() {
+	x.Reads = scratch.Reset(x.Reads)
+	x.locked = scratch.Reset(x.locked)
+	x.Writes.Trim()
 }
 
 // ReadOnly reports that the body buffered no store.

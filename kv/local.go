@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rhtm"
+	"rhtm/internal/scratch"
 	"rhtm/obs"
 	"rhtm/store"
 	"rhtm/wal"
@@ -147,6 +148,9 @@ func (s *localSession) attempt(fn func(tx Txn) error) (Revision, error) {
 	s.fn = fn
 	err := s.th.Atomic(s.body)
 	s.fn = nil
+	if err != nil {
+		s.lt.trim() // a failed attempt publishes nothing
+	}
 	return s.lt.maxRev, err
 }
 
@@ -159,16 +163,8 @@ func (s *localSession) run(tx rhtm.Tx) error {
 	s.lt.capture = s.db.wal != nil
 	s.lt.recs = s.lt.recs[:0]
 	s.lt.slab = s.lt.slab[:0]
-	if cap(s.lt.slab) > maxKeptSlab {
-		s.lt.recs, s.lt.slab = nil, nil // recs past their length point into the slab
-	}
 	return s.fn(&s.lt)
 }
-
-// maxKeptSlab bounds the capture slab a session keeps from one attempt to
-// the next, so that one large closure does not pin its copies for the
-// session's lifetime.
-const maxKeptSlab = 64 << 10
 
 // readOne is the direct Get's closure: it reads s.op.Key into s.val.
 func (s *localSession) readOne(Txn) error {
@@ -201,6 +197,7 @@ func (s *localSession) publish() error {
 		syncStart = time.Now()
 	}
 	err := s.db.wal.w.Commit(s.db.wal.seq.Add(1), 0, s.lt.recs)
+	s.lt.trim()
 	if s.sink != nil {
 		s.sink.Stage(obs.StageWALSync, time.Since(syncStart))
 	}
@@ -390,6 +387,16 @@ func (t *localTxn) write(op wal.Op) error {
 		t.recs = append(t.recs, op)
 	}
 	return nil
+}
+
+// trim ends the capture's use of recs and slab: each is kept for the next
+// attempt only within scratch.Bound. Records past recs' length still point
+// into the slab, so a dropped slab takes recs with it.
+func (t *localTxn) trim() {
+	if t.slab = scratch.Reset(t.slab); t.slab == nil {
+		t.recs = nil
+	}
+	t.recs = scratch.Reset(t.recs)
 }
 
 // keep copies b to the end of the slab and returns the copy, clipped so

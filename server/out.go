@@ -5,6 +5,7 @@ import (
 	"net"
 	"time"
 
+	"rhtm/internal/scratch"
 	"rhtm/obs"
 	"rhtm/server/wire"
 )
@@ -94,27 +95,26 @@ func (c *conn) armWriteDeadline() {
 // on a connection that stopped reading, until teardown closes the queue.
 func (c *conn) writeLoop() {
 	bw := bufio.NewWriterSize(c.cc, 32<<10)
-	var buf []byte
 	var werr error
 	writeMsg := func(m wire.Msg) {
 		if werr != nil {
 			return
 		}
-		b, err := wire.Encode(buf[:0], m)
+		b, err := wire.Encode(c.wbuf[:0], m)
 		if err != nil {
 			// The only encode failure is a frame over MaxFrameBody (an
 			// oversized scan entry); degrade to an error response so the
 			// request id still completes client-side.
-			b, _ = wire.Encode(buf[:0], wire.Msg{
+			b, _ = wire.Encode(c.wbuf[:0], wire.Msg{
 				ID: m.ID, Kind: wire.KindErr,
 				Code: wire.CodeTooLarge, Text: err.Error(),
 			})
 		}
-		buf = b
 		c.armWriteDeadline()
 		if _, err := bw.Write(b); err != nil {
 			werr = err
 		}
+		c.wbuf = scratch.Reset(b)
 	}
 	for {
 		select {

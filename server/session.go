@@ -35,6 +35,7 @@ type conn struct {
 	cc         countingConn
 	out        chan wire.Msg
 	writerDone chan struct{}
+	wbuf       []byte // writeLoop's frame encoder, kept within scratch.Bound
 
 	// overflow holds responses that found the bounded queue full and must
 	// not wait for it — the shared batcher's, whose lanes each serve

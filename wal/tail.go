@@ -138,8 +138,11 @@ func (t *Tailer) decodeLocked() (Unit, bool, error) {
 	}
 	// Reslice, never shift: u aliases the bytes just consumed. An append in
 	// refreshLocked writes only past the buffer's end, and a chunk is
-	// dropped once it is drained and no unit holds it.
-	t.buf = t.buf[u.EndOff:]
+	// dropped once it is drained and no unit holds it: an empty reslice
+	// would still point into it.
+	if t.buf = t.buf[u.EndOff:]; len(t.buf) == 0 {
+		t.buf = nil
+	}
 	t.off += u.EndOff
 	t.next = u.EndLSN + 1
 	u.EndOff = t.off

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"rhtm/internal/scratch"
 	"rhtm/obs"
 )
 
@@ -503,7 +504,8 @@ func (w *Writer) encodeAppendLocked(t *pendingTxn) {
 
 // appendLocked encodes u at the next LSNs and writes it to the device in
 // one append, updating counters and failing the writer permanently on
-// device errors.
+// device errors. The encode buffer is reused by the next append only
+// within scratch.Bound: a checkpoint's image is let go once it is counted.
 func (w *Writer) appendLocked(u *Unit) error {
 	first := w.lsn + 1
 	w.buf, w.lsn = appendUnit(w.buf[:0], u, first)
@@ -515,6 +517,7 @@ func (w *Writer) appendLocked(u *Unit) error {
 	w.appended += len(w.buf)
 	w.stats.frames += w.lsn - first + 1
 	w.stats.bytes += uint64(len(w.buf))
+	w.buf = scratch.Reset(w.buf)
 	if w.onAppend != nil {
 		w.onAppend()
 	}
