@@ -269,7 +269,7 @@ func (c *Client) AdminHealth() (wire.Health, error) {
 	return h, nil
 }
 
-// ReadAt implements kv.FollowerReader: a read served by a replica,
+// ReadAt implements kv.DB's follower read: a read served by a replica,
 // returning the value's revision and the replica's applied watermark (the
 // revision up to which it has provably replayed the primary's log). The
 // replica rejects the read with kv.ErrTooStale unless its watermark has
@@ -448,8 +448,9 @@ func (c *Client) Metrics() obs.Snapshot {
 }
 
 // WaitWatchIdle blocks until every watch channel this client handed out
-// has closed and the server's watch machinery has quiesced — the remote
-// form of the backends' WaitWatchIdle test hook.
+// has closed and, unless another client still watches, the served DB's
+// watch machinery has quiesced — the remote form of the backends'
+// WaitWatchIdle test hook.
 func (c *Client) WaitWatchIdle() {
 	c.watchWG.Wait()
 	for _, cn := range c.conns {
@@ -477,4 +478,3 @@ func (it *sliceIter) Value() []byte { return it.entries[it.i-1].Value }
 func (it *sliceIter) Err() error    { return it.err }
 
 var _ kv.DB = (*Client)(nil)
-var _ kv.FollowerReader = (*Client)(nil)

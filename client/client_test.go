@@ -20,7 +20,7 @@ import (
 
 // startRig serves db on an ephemeral port and dials a pooled client,
 // wiring both into the test's cleanup in drain order (client first).
-func startRig(t *testing.T, db kv.DB, reg *obs.Registry, engine string, conns int) *client.Client {
+func startRig(t *testing.T, db kv.Served, reg *obs.Registry, engine string, conns int) *client.Client {
 	t.Helper()
 	srv := server.New(db, server.WithMetrics(reg), server.WithEngineName(engine))
 	addr, err := srv.Start("127.0.0.1:0")
@@ -95,8 +95,7 @@ func netClusterFactory(engineName string, systems, inject int) dbtest.DBFactory 
 }
 
 // TestClientIsOneDomain: the wire client reports one commit domain even over
-// a cluster — placement is the server's business, and a server stacked on a
-// client would run one batcher lane.
+// a cluster — placement is the server's business.
 func TestClientIsOneDomain(t *testing.T) {
 	cl, _, _ := netClusterFactory("TL2", 2, 0)(t)
 	if got := cl.Domains(); got != 1 {

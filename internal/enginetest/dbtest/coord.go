@@ -505,9 +505,7 @@ func testDBWatch(t *testing.T, factory DBFactory) {
 			t.Fatal("watch channel did not close after ctx cancellation")
 		}
 	}
-	if w, ok := db.(interface{ WaitWatchIdle() }); ok {
-		w.WaitWatchIdle()
-	}
+	db.WaitWatchIdle()
 	if err := validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -600,9 +598,7 @@ func testDBWatchCoalesce(t *testing.T, factory DBFactory) {
 			t.Fatal("watch channel did not close after ctx cancellation")
 		}
 	}
-	if w, ok := db.(interface{ WaitWatchIdle() }); ok {
-		w.WaitWatchIdle()
-	}
+	db.WaitWatchIdle()
 	if err := validate(); err != nil {
 		t.Fatal(err)
 	}

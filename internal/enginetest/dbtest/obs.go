@@ -22,12 +22,6 @@ import (
 // both backends by construction, because retries are driven by the
 // closure itself.
 
-// tracerSetter is the optional surface a DB exposes for installing a
-// tracer after construction; both in-tree backends implement it.
-type tracerSetter interface {
-	SetTracer(t obs.Tracer)
-}
-
 // engineCommits sums the four engine.commits paths of a snapshot.
 func engineCommits(s obs.Snapshot) uint64 {
 	var total uint64
@@ -203,12 +197,8 @@ func testDBMetrics(t *testing.T, factory DBFactory) {
 // deterministic retries driven by the closure returning ErrConflict.
 func testDBTrace(t *testing.T, factory DBFactory) {
 	db, _, _ := factory(t)
-	ts, ok := db.(tracerSetter)
-	if !ok {
-		t.Fatalf("%T does not support SetTracer", db)
-	}
 	rec := obs.NewRecordingTracer(0)
-	ts.SetTracer(rec)
+	db.SetTracer(rec)
 
 	// Three closure-requested conflicts, then a commit: exactly four
 	// spans, attempts 0..3, outcomes conflict×3 then commit. This is the
@@ -299,7 +289,7 @@ func testDBTrace(t *testing.T, factory DBFactory) {
 	}
 
 	// Detaching the tracer stops span emission.
-	ts.SetTracer(nil)
+	db.SetTracer(nil)
 	rec.Reset()
 	if err := db.Put([]byte("untraced"), []byte("x")); err != nil {
 		t.Fatalf("Put: %v", err)
@@ -333,15 +323,11 @@ func optimisticClosures(db kv.DB) bool {
 // a commit — on every backend, wherever its log publish happens.
 func testDBTraceFenced(t *testing.T, rf RecoveryFactory) {
 	rig := rf(t)
-	ts, ok := rig.DB.(tracerSetter)
-	if !ok {
-		t.Fatalf("%T does not support SetTracer", rig.DB)
-	}
 	if err := rig.DB.Put([]byte("fenced"), []byte("before")); err != nil {
 		t.Fatalf("Put before the fence: %v", err)
 	}
 	rec := obs.NewRecordingTracer(0)
-	ts.SetTracer(rec)
+	rig.DB.SetTracer(rec)
 	// Fence every log writer of the DB, as a promotion elsewhere would.
 	switch db := rig.DB.(type) {
 	case interface{ WAL() *wal.Writer }:

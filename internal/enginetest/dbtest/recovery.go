@@ -260,9 +260,7 @@ func testRecoveryCleanStop(t *testing.T, rf RecoveryFactory) {
 		t.Fatal("post-recovery watch delivered nothing")
 	}
 	cancel()
-	if w, ok := db2.(interface{ WaitWatchIdle() }); ok {
-		w.WaitWatchIdle()
-	}
+	db2.WaitWatchIdle()
 
 	// The recovered lease still expires on the recovered clock.
 	clock2, ok := db2.Clock().(*kv.ManualClock)

@@ -150,9 +150,7 @@ func (p *leasePump) quiesce() {
 	time.Sleep(2 * hubDrainGrace)
 	p.stopWatch()
 	<-p.watchDone
-	if w, ok := p.db.(interface{ WaitWatchIdle() }); ok {
-		w.WaitWatchIdle()
-	}
+	p.db.WaitWatchIdle()
 }
 
 func (p *leasePump) counters(out map[string]int64) {

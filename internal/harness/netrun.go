@@ -33,17 +33,22 @@ func openNetBackend(spec sizing, engineName string, cfg RunConfig) (*netBackend,
 	innerSpec := spec
 	innerSpec.TraceSample = 0
 	var inner kvBackend
-	var err error
+	var served kv.Served
 	if spec.Backend == BackendCluster {
-		inner, err = openClusterBackend(innerSpec, engineName, cfg)
+		cb, err := openClusterBackend(innerSpec, engineName, cfg)
+		if err != nil {
+			return nil, err
+		}
+		inner, served = cb, cb.db
 	} else {
-		inner, err = openStoreBackend(innerSpec, engineName, cfg)
-	}
-	if err != nil {
-		return nil, err
+		sb, err := openStoreBackend(innerSpec, engineName, cfg)
+		if err != nil {
+			return nil, err
+		}
+		inner, served = sb, sb.db
 	}
 	reg := obs.NewRegistry()
-	srv := server.New(inner.DB(),
+	srv := server.New(served,
 		server.WithMetrics(reg), server.WithEngineName(engineName))
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {

@@ -171,9 +171,8 @@ func (db *core[S]) Update(fn func(tx Txn) error) error {
 }
 
 // UpdateRev is Update paired with the highest revision the committed
-// closure's writes were stamped with — 0 for a read-only closure. Front
-// ends (the network server) use it to report the commit revision over the
-// wire without a second transaction.
+// closure's writes were stamped with — 0 for a read-only closure — under
+// the DB's own trace sampling; a front end calls UpdateRevTraced instead.
 func (db *core[S]) UpdateRev(fn func(tx Txn) error) (Revision, error) {
 	if db.sampler.Sample() {
 		t := db.flight.NewTrace(db.traceID.Add(1), "update")
@@ -184,11 +183,11 @@ func (db *core[S]) UpdateRev(fn func(tx Txn) error) (Revision, error) {
 	return db.UpdateRevTraced(nil, fn)
 }
 
-// UpdateRevTraced is UpdateRev reporting through sink instead of the DB's
-// own sampler (nil: exactly UpdateRev, minus the DB-level sampling). The
-// caller owns the trace's lifecycle — typically the server's dispatch
-// path, which opens the trace from the wire frame and finishes it when
-// the response is written.
+// UpdateRevTraced implements Served: UpdateRev reporting through sink
+// instead of the DB's own sampler (nil: exactly UpdateRev, minus the
+// DB-level sampling). The caller owns the trace's lifecycle — typically
+// the server's dispatch path, which opens the trace from the wire frame
+// and finishes it when the response is written.
 //
 // This is the one closure transaction: each Retry attempt runs the closure
 // once through the session and, once it committed, publishes it. An attempt
@@ -277,9 +276,9 @@ func (db *core[S]) Batch(ops []Op) ([]OpResult, error) {
 	return db.be.BatchTraced(nil, ops)
 }
 
-// BatchTraced is Batch reporting through sink (nil: exactly Batch, minus
-// the DB-level sampling); one closure transaction executes every op in
-// order, so the batch's stages are the transaction's.
+// BatchTraced implements Served: Batch reporting through sink (nil:
+// exactly Batch, minus the DB-level sampling); one closure transaction
+// executes every op in order, so the batch's stages are the transaction's.
 func (db *core[S]) BatchTraced(sink obs.TraceSink, ops []Op) ([]OpResult, error) {
 	results := make([]OpResult, len(ops))
 	_, err := db.UpdateRevTraced(sink, func(tx Txn) error {

@@ -277,9 +277,11 @@ type Txn interface {
 	Scan(start, end []byte, limit int) Iterator
 }
 
-// DB is the canonical transactional key-value interface. Implementations
-// are safe for concurrent use by any number of goroutines: callers
-// multiplex over an internal bounded session pool (engine threads /
+// DB is the canonical transactional key-value interface, and the whole of
+// it: every implementation (Local, ClusterDB, the network client) carries
+// every method, so no caller probes a DB for an optional surface.
+// Implementations are safe for concurrent use by any number of goroutines:
+// callers multiplex over an internal bounded session pool (engine threads /
 // cluster clients), with excess callers queueing for a free session.
 type DB interface {
 	// Get returns a private copy of key's committed value, or ErrNotFound.
@@ -365,7 +367,40 @@ type DB interface {
 	// run; the snapshot's schema is identical on every backend (see
 	// DESIGN.md §10 for the name taxonomy).
 	Metrics() obs.Snapshot
+
+	// FollowerReader is the provably-stale read: on a primary the
+	// watermark is the current revision clock, on a replica how far its
+	// apply pump has caught up.
+	FollowerReader
+	// WaitWatchIdle blocks until the DB's watch machinery has quiesced;
+	// call it after cancelling every Watch and draining its channel, before
+	// taking engine snapshots or running raw-memory validation.
+	WaitWatchIdle()
+	// SetTracer installs (or, with nil, removes) the per-transaction
+	// tracer: every transaction attempt from then on emits one obs.Span.
+	SetTracer(t obs.Tracer)
 }
+
+// Served is what a front end (the network server) serves: a DB plus the
+// traced forms of its closure transaction and batch, through which the
+// front end passes the trace it opened for a request. A nil sink is the
+// untraced call, exactly UpdateRev and Batch minus the DB's own sampling:
+// a server decides sampling per request, so a DB built WithTraceSampling
+// samples only the requests it is called with directly.
+type Served interface {
+	DB
+	// UpdateRevTraced runs fn as one closure transaction, reporting its
+	// stages to sink, and returns the highest revision its writes were
+	// stamped with (0 for a read-only closure).
+	UpdateRevTraced(sink obs.TraceSink, fn func(tx Txn) error) (Revision, error)
+	// BatchTraced is Batch reporting its one transaction's stages to sink.
+	BatchTraced(sink obs.TraceSink, ops []Op) ([]OpResult, error)
+}
+
+var (
+	_ Served = (*Local)(nil)
+	_ Served = (*ClusterDB)(nil)
+)
 
 // maxAttempts bounds the attempts Retry makes before it gives up.
 const maxAttempts = 10_000

@@ -26,8 +26,8 @@ var ErrTooStale = errors.New("kv: follower watermark below requested revision fl
 // reaches the device. Alias of the wal package's sentinel.
 var ErrFenced = wal.ErrFenced
 
-// FollowerReader is the follower-read surface. Both DB backends implement
-// it, and the repl package's Follower exposes it for replicas.
+// FollowerReader is the follower-read surface. DB embeds it, so every DB
+// carries it; a replica (repl.Follower) serves it before promotion.
 //
 // The staleness contract: the returned watermark is the owning partition's
 // revision clock observed no earlier than the read itself, so rev <=
@@ -44,11 +44,6 @@ type FollowerReader interface {
 	// floor 0 reads at whatever the watermark is.
 	ReadAt(key []byte, floor Revision) (value []byte, rev, watermark Revision, err error)
 }
-
-var (
-	_ FollowerReader = (*Local)(nil)
-	_ FollowerReader = (*ClusterDB)(nil)
-)
 
 // WAL returns the DB's group-commit writer, nil when the DB was constructed
 // without a log — the replication layer's hook for append wakeups

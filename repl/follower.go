@@ -29,7 +29,7 @@ type Follower struct {
 
 	localDB *kv.Local     // nil on a cluster follower
 	cdb     *kv.ClusterDB // nil on a local follower
-	db      replicaDB
+	db      kv.Served
 
 	// streams tail the group's devices, in the group's device order: one
 	// per System, then on a cluster the coordinator decision log. That last
@@ -40,12 +40,6 @@ type Follower struct {
 
 	stopMu  sync.Mutex
 	stopped bool
-}
-
-// replicaDB is what both replica backends are: a DB with follower reads.
-type replicaDB interface {
-	kv.DB
-	kv.FollowerReader
 }
 
 // stream is one device being tailed: the cursor the pump has applied
@@ -198,10 +192,11 @@ func (f *Follower) ReadAt(key []byte, floor kv.Revision) ([]byte, kv.Revision, k
 	return f.db.ReadAt(key, floor)
 }
 
-// DB exposes the replica's DB. Before promotion, anything beyond the
-// FollowerReader surface (writes, leases, watches) is the caller's own
-// risk: the apply pumps own the replica's mutation path.
-func (f *Follower) DB() kv.DB { return f.db }
+// DB exposes the replica's DB, ready to serve (server.New). Before
+// promotion, anything beyond the FollowerReader surface (writes, leases,
+// watches) is the caller's own risk: the apply pumps own the replica's
+// mutation path.
+func (f *Follower) DB() kv.Served { return f.db }
 
 // WaitIdle blocks until the follower has applied every frame its devices
 // currently hold — the test hook for deterministic catch-up, and the drain

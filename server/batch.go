@@ -23,15 +23,15 @@ type pendingOp struct {
 }
 
 // batcher merges independent single-key requests from every connection
-// into shared kv.DB.Batch transactions — the network-side analogue of WAL
-// group commit — one lane per commit domain of the DB (kv.DB.Domain). A
-// lane is a queue and one goroutine running the merge loop: it takes the
-// first queued op and everything queued behind it (up to the size cap),
-// executes, responds, repeats. While a batch executes, arrivals queue up and
-// form the next one, so fill scales with offered load and a busy lane never
-// waits. Only a first op that finds the lane empty holds the batch open for
-// stragglers behind a small time/size window, so an idle server adds at most
-// one window of latency.
+// into shared batch transactions (BatchTraced) — the network-side analogue
+// of WAL group commit — one lane per commit domain of the DB
+// (kv.DB.Domain). A lane is a queue and one goroutine running the merge
+// loop: it takes the first queued op and everything queued behind it (up to
+// the size cap), executes, responds, repeats. While a batch executes,
+// arrivals queue up and form the next one, so fill scales with offered load
+// and a busy lane never waits. Only a first op that finds the lane empty
+// holds the batch open for stragglers behind a small time/size window, so
+// an idle server adds at most one window of latency.
 //
 // Merging by owner keeps the common request on the cheap path: every merged
 // batch lies within one domain, so on a cluster it commits as one engine
@@ -47,9 +47,9 @@ type pendingOp struct {
 // the wire contract (responses are matched by id and may complete out of
 // order), exactly as a batched op and a handler-path request always were. A
 // client that needs an order across keys waits for the first response or
-// sends one Batch/Txn, whose atomicity kv.DB.Batch still provides.
+// sends one Batch/Txn, whose atomicity the DB's batch still provides.
 type batcher struct {
-	db     kv.DB
+	db     kv.Served
 	window time.Duration
 	max    int
 	met    *serverMetrics
@@ -67,7 +67,7 @@ type lane struct {
 	ops   []kv.Op
 }
 
-func newBatcher(db kv.DB, window time.Duration, max int, met *serverMetrics) *batcher {
+func newBatcher(db kv.Served, window time.Duration, max int, met *serverMetrics) *batcher {
 	b := &batcher{
 		db:     db,
 		window: window,
@@ -159,53 +159,44 @@ func (b *batcher) loop(l *lane) {
 // exec runs the lane's merged batch and routes per-op responses. A hard
 // failure of the merged transaction must not fail unrelated ops riding in
 // it — one op's oversized value is not its neighbors' problem — so the
-// whole batch degrades to individual execution.
+// whole batch degrades to individual execution: each op runs as a one-op
+// batch carrying its own trace.
 func (b *batcher) exec(l *lane) {
 	batch := l.batch
 	b.met.batchFill.Observe(uint64(len(batch)))
 	l.ops = l.ops[:0]
-	var sink obs.MultiSink
+	var traced obs.MultiSink
 	for _, p := range batch {
 		l.ops = append(l.ops, p.op)
 		if p.tr != nil {
 			// From enqueue until the merged transaction starts, the op sat
 			// in the batcher's window.
 			p.tr.StageSince(obs.StageBatchWait, p.start)
-			sink = append(sink, p.tr)
+			traced = append(traced, p.tr)
 		}
 	}
-	var results []kv.OpResult
-	var err error
-	if bt, ok := b.db.(batchTracer); ok && len(sink) > 0 {
-		// Every traced op in the merged batch shares the one underlying
-		// transaction, so each receives its engine/wal_sync/2PC stages.
-		results, err = bt.BatchTraced(sink, l.ops)
-	} else {
-		results, err = b.db.Batch(l.ops)
+	// Every traced op in the merged batch shares the one underlying
+	// transaction, so each receives its engine/wal_sync/2PC stages. An
+	// untraced batch passes a nil sink, not an empty MultiSink.
+	var sink obs.TraceSink
+	if len(traced) > 0 {
+		sink = traced
 	}
+	results, err := b.db.BatchTraced(sink, l.ops)
 	if err != nil || len(results) != len(batch) {
-		for _, p := range batch {
-			b.execOne(p)
+		for i, p := range batch {
+			res, err := b.db.BatchTraced(sinkOf(p.tr), l.ops[i:i+1:i+1])
+			if err != nil {
+				b.respond(p, nil, err)
+			} else {
+				b.respond(p, res[0].Value, res[0].Err)
+			}
 		}
 		return
 	}
 	for i, p := range batch {
 		b.respond(p, results[i].Value, results[i].Err)
 	}
-}
-
-func (b *batcher) execOne(p pendingOp) {
-	var v []byte
-	var err error
-	switch p.op.Kind {
-	case kv.OpGet:
-		v, err = b.db.Get(p.op.Key)
-	case kv.OpPut:
-		err = b.db.Put(p.op.Key, p.op.Value)
-	case kv.OpDelete:
-		err = b.db.Delete(p.op.Key)
-	}
-	b.respond(p, v, err)
 }
 
 // respond routes one op's response through sendNoWait: a lane's merge

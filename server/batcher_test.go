@@ -6,16 +6,18 @@ import (
 	"testing"
 	"time"
 
+	"rhtm"
 	"rhtm/kv"
 	"rhtm/obs"
 	"rhtm/server/wire"
+	"rhtm/store"
 )
 
-// gatedDB is the lane-rule tests' kv.DB double: one domain, every Batch
-// call parked until the gate opens, and each call's size and start time
-// recorded. A batch that succeeds is all the batcher asks of it.
+// gatedDB is the lane-rule tests' kv.Served double: one domain, every
+// BatchTraced call parked until the gate opens, and each call's size and
+// start time recorded. A batch that succeeds is all the batcher asks of it.
 type gatedDB struct {
-	kv.DB
+	kv.Served
 	gate chan struct{}
 	open func()
 
@@ -33,7 +35,7 @@ func (c batchCall) String() string { return strconv.Itoa(c.ops) }
 func (d *gatedDB) Domains() int      { return 1 }
 func (d *gatedDB) Domain([]byte) int { return 0 }
 
-func (d *gatedDB) Batch(ops []kv.Op) ([]kv.OpResult, error) {
+func (d *gatedDB) BatchTraced(_ obs.TraceSink, ops []kv.Op) ([]kv.OpResult, error) {
 	d.mu.Lock()
 	d.calls = append(d.calls, batchCall{ops: len(ops), at: time.Now()})
 	d.mu.Unlock()
@@ -41,8 +43,8 @@ func (d *gatedDB) Batch(ops []kv.Op) ([]kv.OpResult, error) {
 	return make([]kv.OpResult, len(ops)), nil
 }
 
-// waitCalls polls until the double has seen n Batch calls and returns them,
-// failing if that takes longer than within.
+// waitCalls polls until the double has seen n BatchTraced calls and returns
+// them, failing if that takes longer than within.
 func (d *gatedDB) waitCalls(t *testing.T, n int, within time.Duration) []batchCall {
 	t.Helper()
 	deadline := time.Now().Add(within)
@@ -54,7 +56,7 @@ func (d *gatedDB) waitCalls(t *testing.T, n int, within time.Duration) []batchCa
 			return calls
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d Batch calls within %v, want %d; their sizes: %v", len(calls), within, n, calls)
+			t.Fatalf("%d BatchTraced calls within %v, want %d; their sizes: %v", len(calls), within, n, calls)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -168,6 +170,43 @@ func TestBatcherIdleLaneHoldsWindow(t *testing.T) {
 	c1.pending.Wait()
 	c2.pending.Wait()
 	if calls := db.waitCalls(t, 1, 0); len(calls) != 1 || calls[0].ops != 2 {
-		t.Fatalf("Batch calls of %v ops, want one of 2", calls)
+		t.Fatalf("BatchTraced calls of %v ops, want one of 2", calls)
+	}
+}
+
+// TestBatcherFallbackTracesEachOp: when a merged batch hard-fails, each op
+// re-runs as a one-op batch carrying its own trace, so a traced Put that
+// commits in the fallback records its commit revision like any other.
+func TestBatcherFallbackTracesEachOp(t *testing.T) {
+	s := rhtm.MustNewSystem(rhtm.DefaultConfig(1 << 17))
+	db := kv.NewLocal(rhtm.NewTL2(s), store.NewSharded(s, 4, store.Options{ArenaWords: 1 << 13}))
+	met := newServerMetrics(obs.NewRegistry())
+	// A cap of two closes the lone op's window once the second is queued,
+	// so both ride in one merged batch.
+	b := newBatcher(db, 10*time.Second, 2, &met)
+	defer b.close()
+	fl := obs.NewFlight(0)
+	c := newTestConn()
+	poison, innocent := fl.NewTrace(1, "put"), fl.NewTrace(2, "put")
+	huge := make([]byte, 1<<19) // beyond the largest arena size class
+	for i, p := range []struct {
+		tr    *obs.Trace
+		value []byte
+	}{{poison, huge}, {innocent, []byte("v")}} {
+		c.pending.Add(1)
+		b.enqueue(pendingOp{c: c, id: uint64(i), start: time.Now(), tr: p.tr,
+			op: kv.Op{Kind: kv.OpPut, Key: []byte("fallback-" + strconv.Itoa(i)), Value: p.value}})
+	}
+	c.pending.Wait()
+
+	if ps := poison.Snapshot(); ps.Err == "" {
+		t.Errorf("oversized Put's trace finished without an error: %+v", ps)
+	}
+	is := innocent.Snapshot()
+	if is.Err != "" {
+		t.Fatalf("innocent Put failed alongside the poisoned op: %s", is.Err)
+	}
+	if is.CommitRev == 0 {
+		t.Fatalf("innocent Put re-run in the fallback traced no commit revision: %+v", is)
 	}
 }

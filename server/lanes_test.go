@@ -42,29 +42,38 @@ func keysOn(db kv.DB, dom, n int, prefix string) [][]byte {
 	return keys
 }
 
-// laneSpy is the counting kv.DB double of the lane tests: it sees what the
-// batcher asks of the DB and passes it on. Embedding the interface hides
-// BatchTraced, so every merged batch arrives through Batch.
+// laneSpy is the counting kv.Served double of the lane tests: it sees what
+// the batcher asks of the DB and passes it on. A merged batch arrives
+// through BatchTraced, and so does each op of a batch that failed, re-run
+// alone: the spy counts those as singles.
 type laneSpy struct {
-	kv.DB
-	// gate, when non-nil, parks every Batch call until it is closed.
+	kv.Served
+	// gate, when non-nil, parks every merged batch until it is closed.
 	gate chan struct{}
 
 	mu      sync.Mutex
-	batches map[int]int // Batch calls, by the domain of their first key
-	merged  int         // ops that rode in a Batch behind its first
-	mixed   int         // Batch calls whose keys span domains
-	parked  int         // Batch calls that reached the gate
-	singles map[int]int // individual Put calls (the fallback path), by domain
+	batches map[int]int // merged batches, by the domain of their first key
+	merged  int         // ops that rode in a batch behind its first
+	mixed   int         // merged batches whose keys span domains
+	parked  int         // merged batches that reached the gate
+	singles map[int]int // ops re-run alone (the fallback path), by domain
+	replay  map[int]int // ops of a failed batch not yet re-run, by domain
 }
 
-func newLaneSpy(db kv.DB) *laneSpy {
-	return &laneSpy{DB: db, batches: map[int]int{}, singles: map[int]int{}}
+func newLaneSpy(db kv.Served) *laneSpy {
+	return &laneSpy{Served: db, batches: map[int]int{}, singles: map[int]int{}, replay: map[int]int{}}
 }
 
-func (s *laneSpy) Batch(ops []kv.Op) ([]kv.OpResult, error) {
+func (s *laneSpy) BatchTraced(sink obs.TraceSink, ops []kv.Op) ([]kv.OpResult, error) {
 	dom := s.Domain(ops[0].Key)
 	s.mu.Lock()
+	if s.replay[dom] > 0 {
+		// A lane re-runs a failed batch's ops before it takes another.
+		s.replay[dom]--
+		s.singles[dom]++
+		s.mu.Unlock()
+		return s.Served.BatchTraced(sink, ops)
+	}
 	s.batches[dom]++
 	s.merged += len(ops) - 1
 	for _, op := range ops[1:] {
@@ -78,17 +87,16 @@ func (s *laneSpy) Batch(ops []kv.Op) ([]kv.OpResult, error) {
 	if s.gate != nil {
 		<-s.gate
 	}
-	return s.DB.Batch(ops)
+	res, err := s.Served.BatchTraced(sink, ops)
+	if err != nil {
+		s.mu.Lock()
+		s.replay[dom] += len(ops)
+		s.mu.Unlock()
+	}
+	return res, err
 }
 
-func (s *laneSpy) Put(key, value []byte, opts ...kv.PutOption) error {
-	s.mu.Lock()
-	s.singles[s.Domain(key)]++
-	s.mu.Unlock()
-	return s.DB.Put(key, value, opts...)
-}
-
-// waitQueued polls until at least parked Batch calls sit at the spy's gate
+// waitQueued polls until at least parked merged batches sit at the spy's gate
 // and the server has read n requests of kind. The requests not in a parked
 // batch are queued behind one, so they leave the gate merged: a blocked
 // first batch is what makes merging deterministic.

@@ -1,8 +1,8 @@
-// Package server exposes a kv.DB over TCP. The protocol (server/wire) is
-// length-prefixed, checksummed, and pipelined: every request carries a
-// client-chosen id, responses are matched by id and may complete out of
-// order, and watch subscriptions turn into server-push Event streams under
-// the subscribing request's id.
+// Package server exposes a kv.Served DB over TCP. The protocol
+// (server/wire) is length-prefixed, checksummed, and pipelined: every
+// request carries a client-chosen id, responses are matched by id and may
+// complete out of order, and watch subscriptions turn into server-push
+// Event streams under the subscribing request's id.
 //
 // The connection machinery follows the classic three-way split: an accept
 // loop (this file), per-connection session state with a reader goroutine
@@ -15,10 +15,10 @@
 // group-commit batcher (batch.go) with one lane per commit domain of the DB
 // (kv.DB.Domain: one per cluster System, one in all on a single System);
 // each lane merges whatever queued while its previous batch ran into a
-// single kv.DB.Batch — the network-side analogue of the WAL's group commit
-// — which, lying within one domain, never pays two-phase commit. Only an op
-// that finds its lane idle waits, behind a small time/size window, for
-// stragglers to merge with.
+// single batch transaction — the network-side analogue of the WAL's group
+// commit — which, lying within one domain, never pays two-phase commit.
+// Only an op that finds its lane idle waits, behind a small time/size
+// window, for stragglers to merge with.
 // Batched requests on the same key execute in arrival order; requests on
 // keys of different domains are concurrent, as the protocol always allowed
 // (responses are matched by id and may complete out of order) — nothing
@@ -52,7 +52,7 @@ const (
 	// at once. Small on purpose: the window exists to merge genuinely
 	// concurrent arrivals, not to tax an unpipelined client's latency.
 	DefaultBatchWindow = 100 * time.Microsecond
-	// DefaultBatchMax caps ops merged into one kv.DB.Batch.
+	// DefaultBatchMax caps ops merged into one batch transaction.
 	DefaultBatchMax = 32
 	// DefaultDrainTimeout bounds how long Close waits for in-flight
 	// responses to reach clients before cutting connections.
@@ -101,9 +101,9 @@ func WithReplicaStatus(fn func() []wire.ReplicaHealth) Option {
 	return func(o *options) { o.replicas = fn }
 }
 
-// Server serves one kv.DB to many connections.
+// Server serves one kv.Served DB to many connections.
 type Server struct {
-	db     kv.DB
+	db     kv.Served
 	opts   options
 	met    serverMetrics
 	batch  *batcher
@@ -116,6 +116,11 @@ type Server struct {
 	// optional registry — KindHealth's throughput-monotonicity field.
 	reqTotal atomic.Uint64
 
+	// watchMu orders subscriptions against WatchIdle's wait on the DB;
+	// watching counts the watch streams of every connection still running.
+	watchMu  sync.Mutex
+	watching int
+
 	mu     sync.Mutex
 	lns    []net.Listener
 	conns  map[*conn]struct{}
@@ -123,8 +128,10 @@ type Server struct {
 }
 
 // New builds a Server around db. The server does not own the DB: Close
-// drains connections but leaves db running.
-func New(db kv.DB, opts ...Option) *Server {
+// drains connections but leaves db running. Every request calls one entry
+// point of db, passing the request's trace, or a nil sink when the request
+// is untraced.
+func New(db kv.Served, opts ...Option) *Server {
 	o := options{
 		engine:       "net",
 		writeTimeout: DefaultWriteTimeout,
@@ -255,30 +262,4 @@ func (s *Server) removeConn(c *conn) {
 	s.mu.Unlock()
 	s.met.connections.Add(-1)
 	s.connWG.Done()
-}
-
-// updateRever is the optional backend surface that reports the commit
-// revision of a closure transaction — both kv backends implement it; the
-// Txn handler uses it so clients can stamp CommitRev on tracer spans.
-type updateRever interface {
-	UpdateRev(fn func(tx kv.Txn) error) (kv.Revision, error)
-}
-
-// updateRevTracer is the traced form of updateRever: the sink receives
-// the engine/wal_sync/2PC stages of the closure transaction. Both kv
-// backends implement it.
-type updateRevTracer interface {
-	UpdateRevTraced(sink obs.TraceSink, fn func(tx kv.Txn) error) (kv.Revision, error)
-}
-
-// batchTracer is the traced form of DB.Batch; both kv backends implement
-// it. A batcher lane passes an obs.MultiSink so every traced op in a
-// merged batch receives the one underlying transaction's stages.
-type batchTracer interface {
-	BatchTraced(sink obs.TraceSink, ops []kv.Op) ([]kv.OpResult, error)
-}
-
-// watchIdler is the optional quiesce hook both kv backends implement.
-type watchIdler interface {
-	WaitWatchIdle()
 }

@@ -20,7 +20,7 @@ import (
 	"rhtm/store"
 )
 
-func newLocalDB(t *testing.T, reg *obs.Registry) kv.DB {
+func newLocalDB(t *testing.T, reg *obs.Registry) *kv.Local {
 	t.Helper()
 	s := rhtm.MustNewSystem(rhtm.DefaultConfig(1 << 17))
 	sh := store.NewSharded(s, 4, store.Options{ArenaWords: 1 << 13})
@@ -402,10 +402,10 @@ func TestBatcherMergesAcrossConnections(t *testing.T) {
 func TestBatcherHardErrorFallback(t *testing.T) {
 	for _, be := range []struct {
 		name string
-		open func(t *testing.T) kv.DB
+		open func(t *testing.T) kv.Served
 	}{
-		{"Local", func(t *testing.T) kv.DB { return newLocalDB(t, nil) }},
-		{"Cluster2", func(t *testing.T) kv.DB { return newClusterDB(t) }},
+		{"Local", func(t *testing.T) kv.Served { return newLocalDB(t, nil) }},
+		{"Cluster2", func(t *testing.T) kv.Served { return newClusterDB(t) }},
 	} {
 		t.Run(be.name, func(t *testing.T) {
 			spy := newLaneSpy(be.open(t))

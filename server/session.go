@@ -255,13 +255,7 @@ func (c *conn) handle(m wire.Msg, tr *obs.Trace) {
 	case wire.KindDeleteIf:
 		c.replyT(tr, m.ID, 0, db.DeleteIf(m.Key, m.Rev))
 	case wire.KindBatch:
-		var results []kv.OpResult
-		var err error
-		if bt, ok := db.(batchTracer); ok && tr != nil {
-			results, err = bt.BatchTraced(tr, m.Ops)
-		} else {
-			results, err = db.Batch(m.Ops)
-		}
+		results, err := db.BatchTraced(sinkOf(tr), m.Ops)
 		if err != nil {
 			c.sendT(tr, err, errMsg(m.ID, err))
 			return
@@ -291,13 +285,7 @@ func (c *conn) handle(m wire.Msg, tr *obs.Trace) {
 	case wire.KindMetrics, wire.KindTraceDump, wire.KindHealth:
 		c.handleAdmin(m, tr)
 	case wire.KindFollowerGet:
-		fr, ok := db.(kv.FollowerReader)
-		if !ok {
-			err := errors.New("server: backend has no follower-read surface")
-			c.sendT(tr, err, errMsg(m.ID, err))
-			return
-		}
-		v, rev, wm, err := fr.ReadAt(m.Key, m.Rev)
+		v, rev, wm, err := db.ReadAt(m.Key, m.Rev)
 		switch {
 		case errors.Is(err, kv.ErrNotFound):
 			// Absence is a fact at the watermark, not a failure.
@@ -414,13 +402,7 @@ func (s *Server) scanRev(start, end []byte, limit int, sink obs.TraceSink) ([]wi
 		}
 		return it.Err()
 	}
-	var err error
-	if ut, ok := s.db.(updateRevTracer); ok && sink != nil {
-		_, err = ut.UpdateRevTraced(sink, fn)
-	} else {
-		err = s.db.Update(fn)
-	}
-	if err != nil {
+	if _, err := s.db.UpdateRevTraced(sink, fn); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -495,15 +477,7 @@ func (s *Server) execTxn(conds []wire.Cond, ranges []wire.Range, ops []kv.Op, si
 		}
 		return nil
 	}
-	var rev kv.Revision
-	var err error
-	if ut, ok := s.db.(updateRevTracer); ok && sink != nil {
-		rev, err = ut.UpdateRevTraced(sink, fn)
-	} else if ur, ok := s.db.(updateRever); ok {
-		rev, err = ur.UpdateRev(fn)
-	} else {
-		err = s.db.Update(fn)
-	}
+	rev, err := s.db.UpdateRevTraced(sink, fn)
 	if errors.Is(err, errTxnCondFailed) {
 		return 0, fmt.Errorf("server: optimistic validation failed: %w", kv.ErrConflict)
 	}

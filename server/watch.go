@@ -34,7 +34,13 @@ func (c *conn) handleWatch(m wire.Msg) {
 		return
 	}
 	ctx, cancel := context.WithCancel(c.ctx)
-	ch, err := c.srv.db.Watch(ctx, m.Key, m.Rev)
+	srv := c.srv
+	srv.watchMu.Lock()
+	ch, err := srv.db.Watch(ctx, m.Key, m.Rev)
+	if err == nil {
+		srv.watching++
+	}
+	srv.watchMu.Unlock()
 	if err != nil {
 		c.watchMu.Unlock()
 		cancel()
@@ -59,6 +65,12 @@ func (c *conn) streamWatch(id uint64, ch <-chan kv.Event, cancel context.CancelF
 			Key: ev.Key, Value: ev.Value, Rev: ev.Rev,
 		})
 	}
+	// The DB closed ch after unsubscribing it. Uncount the stream before
+	// its WatchEnd goes out, so a client that saw the WatchEnd and then
+	// sends WatchIdle on another connection finds it gone.
+	c.srv.watchMu.Lock()
+	c.srv.watching--
+	c.srv.watchMu.Unlock()
 	c.send(wire.Msg{ID: id, Kind: wire.KindWatchEnd})
 	cancel()
 	c.watchMu.Lock()
@@ -84,14 +96,18 @@ func (c *conn) handleWatchCancel(m wire.Msg) {
 }
 
 // handleWatchIdle answers once this connection's watch streams have ended
-// and the DB's watch machinery has quiesced — the remote form of the
-// WaitWatchIdle test hook. Blocking the reader is the point: the client
-// sends it only after cancelling its watches, and the ordered byte stream
-// guarantees those cancels were dispatched first. Blocking is only safe,
-// though, when every remaining stream is certain to end on its own — a
-// stream whose cancel was never requested ends only through teardown,
-// which needs this very reader to exit — so an idle issued over active
-// watches is answered with an error instead of a deadlock.
+// and, when no other connection holds a live stream, the DB's watch
+// machinery has quiesced — the remote form of the WaitWatchIdle test hook.
+// Blocking the reader is the point: the client sends it only after
+// cancelling its watches, and the ordered byte stream guarantees those
+// cancels were dispatched first. Blocking is only safe, though, when every
+// stream it waits for is certain to end: a stream of this connection whose
+// cancel was never requested ends only through teardown, which needs this
+// very reader to exit, so an idle issued over active watches is answered
+// with an error instead of a deadlock; and the DB goes idle only once every
+// subscriber is gone, so the wait on it is skipped while another
+// connection's stream runs. Holding the server's watchMu across that wait
+// keeps a new subscription from starting under it.
 func (c *conn) handleWatchIdle(m wire.Msg) {
 	c.watchMu.Lock()
 	active := 0
@@ -106,8 +122,11 @@ func (c *conn) handleWatchIdle(m wire.Msg) {
 		return
 	}
 	c.watchWG.Wait()
-	if idler, ok := c.srv.db.(watchIdler); ok {
-		idler.WaitWatchIdle()
+	srv := c.srv
+	srv.watchMu.Lock()
+	if srv.watching == 0 {
+		srv.db.WaitWatchIdle()
 	}
+	srv.watchMu.Unlock()
 	c.send(wire.Msg{ID: m.ID, Kind: wire.KindOK})
 }
