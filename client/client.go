@@ -107,7 +107,7 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 	}
 	c := &Client{
 		sampler: obs.NewSampler(o.traceSample),
-		flight:  obs.NewFlight(0),
+		flight:  obs.NewFlight(),
 	}
 	c.trc.Store(&tracerBox{})
 	c.clock = &remoteClock{c: c}

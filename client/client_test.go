@@ -71,7 +71,6 @@ func netClusterFactory(engineName string, systems, inject int) dbtest.DBFactory 
 	return func(t *testing.T) (kv.DB, *kv.ManualClock, func() error) {
 		c, err := cluster.New(cluster.Config{
 			Systems:    systems,
-			DataWords:  1 << 15,
 			ArenaWords: 1 << 13,
 			NewEngine: func(s *rhtm.System) (rhtm.Engine, error) {
 				switch engineName {

@@ -57,19 +57,10 @@ import (
 type Config struct {
 	// Systems is the number of independent simulated machines (default 1).
 	Systems int
-	// DataWords is the per-System simulated heap size (default: ArenaWords
-	// plus metadata slack).
-	DataWords int
 	// ArenaWords is each System's store arena capacity (default
 	// store.DefaultArenaWords). Size it for records plus in-flight intents
 	// (store.RecordFootprintWords / store.IntentFootprintWords).
 	ArenaWords int
-	// LogWords sizes each System's commit-event ring (default
-	// store.DefaultLogWords) — the bounded log kv.Watch streams from.
-	LogWords int
-	// MaxThreads bounds clients per System engine (default 64; one engine
-	// thread per System is created for every NewClient call).
-	MaxThreads int
 	// NewEngine builds each System's engine (default: RH1 with the paper's
 	// Mixed 100 configuration).
 	NewEngine func(s *rhtm.System) (rhtm.Engine, error)
@@ -147,12 +138,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.ArenaWords <= 0 {
 		cfg.ArenaWords = store.DefaultArenaWords
 	}
-	if cfg.LogWords <= 0 {
-		cfg.LogWords = store.DefaultLogWords
-	}
-	if cfg.DataWords <= 0 {
-		cfg.DataWords = cfg.ArenaWords + cfg.LogWords + 1<<13
-	}
 	if cfg.NewEngine == nil {
 		cfg.NewEngine = func(s *rhtm.System) (rhtm.Engine, error) {
 			return rhtm.NewRH1(s, rhtm.DefaultRH1Options()), nil
@@ -160,11 +145,9 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{cfg: cfg, router: Router{systems: cfg.Systems}}
 	for i := 0; i < cfg.Systems; i++ {
-		scfg := rhtm.DefaultConfig(cfg.DataWords)
-		if cfg.MaxThreads > 0 {
-			scfg.MaxThreads = cfg.MaxThreads
-		}
-		sys, err := rhtm.NewSystem(scfg)
+		// Each System's heap holds its arena, its commit-event ring
+		// (store.DefaultLogWords) and the store's own words.
+		sys, err := rhtm.NewSystem(rhtm.DefaultConfig(cfg.ArenaWords + store.DefaultLogWords + 1<<13))
 		if err != nil {
 			return nil, fmt.Errorf("cluster: system %d: %w", i, err)
 		}
@@ -176,7 +159,7 @@ func New(cfg Config) (*Cluster, error) {
 			id:  i,
 			sys: sys,
 			eng: eng,
-			st:  store.New(sys, store.Options{ArenaWords: cfg.ArenaWords, LogWords: cfg.LogWords}),
+			st:  store.New(sys, store.Options{ArenaWords: cfg.ArenaWords}),
 		})
 	}
 	return c, nil

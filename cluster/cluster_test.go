@@ -19,7 +19,6 @@ import (
 func smallConfig(systems int) Config {
 	return Config{
 		Systems:    systems,
-		DataWords:  1 << 15,
 		ArenaWords: 1 << 13,
 	}
 }

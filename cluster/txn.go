@@ -46,7 +46,7 @@ func (cl *Client) SetStageSink(s obs.StageRecorder) { cl.sink = s }
 
 // NewClient registers a thread on every System's engine and returns the
 // session. Panics (via the engines) when a System's thread-ID space is
-// oversubscribed; see Config.MaxThreads.
+// oversubscribed (64 threads per engine).
 func (c *Cluster) NewClient() *Client {
 	cl := &Client{c: c}
 	for _, n := range c.nodes {

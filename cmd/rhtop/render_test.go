@@ -134,8 +134,8 @@ func TestRenderPure(t *testing.T) {
 			Counters: map[string]uint64{
 				obs.Name("engine.commits", "path", "fast"): 90,
 				obs.Name("engine.aborts", "path", "slow"):  10,
-				"server.bytes_in":  1000,
-				"server.bytes_out": 2000,
+				"server.bytes_in":                          1000,
+				"server.bytes_out":                         2000,
 			},
 		},
 		Health: wire.Health{

@@ -75,10 +75,6 @@ type Options struct {
 	// that are retried on the slow path when Mode == ModeMixed. The paper's
 	// RH1 Mixed 10 and RH1 Mixed 100 correspond to 10 and 100.
 	MixPercent int
-	// MaxFastAttempts, when positive, bounds consecutive fast-path attempts
-	// in ModeMixed regardless of MixPercent (a deterministic attempt-count
-	// contention policy; 0 disables).
-	MaxFastAttempts int
 	// InjectAbortPercent forces this percentage of fast-path hardware
 	// transactions to abort at commit, reproducing the paper's §3.1
 	// emulation methodology of imposing a measured abort ratio. 0 disables.
@@ -91,14 +87,18 @@ type Options struct {
 // protects against pathological livelock.
 const commitHTMRetries = 8
 
+// maxFastAttempts bounds consecutive fast-path attempts in ModeMixed
+// regardless of MixPercent (a deterministic attempt-count contention
+// policy).
+const maxFastAttempts = 16
+
 // DefaultOptions returns the full RH1 stack with the paper's Mixed-100
 // policy.
 func DefaultOptions() Options {
 	return Options{
-		Protocol:        ProtocolRH1,
-		Mode:            ModeMixed,
-		MixPercent:      100,
-		MaxFastAttempts: 16,
+		Protocol:   ProtocolRH1,
+		Mode:       ModeMixed,
+		MixPercent: 100,
 	}
 }
 
@@ -197,7 +197,7 @@ func (t *Thread) GoSlow(attempt int, reason memsim.AbortReason) bool {
 		return true
 	case opts.Mode == ModeFastOnly:
 		return false
-	case opts.MaxFastAttempts > 0 && attempt+1 >= opts.MaxFastAttempts:
+	case attempt+1 >= maxFastAttempts:
 		return true
 	case opts.MixPercent == 0:
 		return false

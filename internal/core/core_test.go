@@ -236,7 +236,6 @@ func TestRH2SlowCommitVisibilityBlocksFastWriters(t *testing.T) {
 	s := sys.MustNew(cfg)
 	opts := DefaultOptions()
 	opts.Protocol = ProtocolRH2
-	opts.MaxFastAttempts = 2
 	e := New(s, opts)
 	a := s.Heap.MustAlloc(1)
 	s.Mem.Poke(s.MaskBase(s.StripeOf(a)), 1<<5) // thread 5 is "reading" the stripe

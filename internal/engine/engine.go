@@ -91,12 +91,6 @@ func RunBody(fn func(tx Tx) error, tx Tx) (err error, aborted bool) {
 // bounded thread-ID space (one read-mask bit per thread) is oversubscribed.
 var ErrTooManyThreads = errors.New("engine: thread-ID space exhausted")
 
-// MaxThreads is the default number of worker threads an engine supports:
-// one bit per thread in a single 64-bit read-mask word, as in the paper's
-// implementation (§4.1). Systems configured with a larger limit allocate
-// additional mask words per stripe.
-const MaxThreads = 64
-
 // Stats aggregates engine activity. Counters are maintained per Thread
 // without synchronization and merged by Snapshot.
 type Stats struct {

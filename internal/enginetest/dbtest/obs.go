@@ -197,7 +197,7 @@ func testDBMetrics(t *testing.T, factory DBFactory) {
 // deterministic retries driven by the closure returning ErrConflict.
 func testDBTrace(t *testing.T, factory DBFactory) {
 	db, _, _ := factory(t)
-	rec := obs.NewRecordingTracer(0)
+	rec := obs.NewRecordingTracer()
 	db.SetTracer(rec)
 
 	// Three closure-requested conflicts, then a commit: exactly four
@@ -326,7 +326,7 @@ func testDBTraceFenced(t *testing.T, rf RecoveryFactory) {
 	if err := rig.DB.Put([]byte("fenced"), []byte("before")); err != nil {
 		t.Fatalf("Put before the fence: %v", err)
 	}
-	rec := obs.NewRecordingTracer(0)
+	rec := obs.NewRecordingTracer()
 	rig.DB.SetTracer(rec)
 	// Fence every log writer of the DB, as a promotion elsewhere would.
 	switch db := rig.DB.(type) {

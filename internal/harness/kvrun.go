@@ -216,7 +216,6 @@ func openClusterBackend(spec sizing, engineName string, cfg RunConfig) (*cluster
 	c, err := cluster.New(cluster.Config{
 		Systems:    spec.Systems,
 		ArenaWords: arenaWords,
-		DataWords:  arenaWords + store.DefaultLogWords + 1<<13,
 		NewEngine: func(s *rhtm.System) (rhtm.Engine, error) {
 			return Build(s, engineName, cfg.InjectPct)
 		},

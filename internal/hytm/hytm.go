@@ -53,18 +53,13 @@ type Options struct {
 	// abort (the paper's §3.1 emulation methodology). 0 disables.
 	InjectAbortPercent int
 	// Mixed switches StandardHyTM to take the software slow path after
-	// MaxFastAttempts transient aborts; when false (the paper's benchmark
+	// maxFastAttempts transient aborts; when false (the paper's benchmark
 	// configuration) the hardware path retries indefinitely.
 	Mixed bool
-	// MaxFastAttempts bounds hardware attempts in Mixed mode (default 8).
-	MaxFastAttempts int
 }
 
-// DefaultOptions returns the paper's benchmark configuration: hardware-only
-// retries, no injection.
-func DefaultOptions() Options {
-	return Options{MaxFastAttempts: 8}
-}
+// maxFastAttempts bounds StandardHyTM's hardware attempts in Mixed mode.
+const maxFastAttempts = 8
 
 // NewPureHTM creates the uninstrumented hardware engine on s.
 func NewPureHTM(s *sys.System, opts Options) *PureHTM {

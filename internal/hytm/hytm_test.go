@@ -14,7 +14,7 @@ import (
 func pureFactory(t *testing.T, cfg sys.Config) (engine.Engine, *sys.System) {
 	t.Helper()
 	s := sys.MustNew(cfg)
-	return NewPureHTM(s, DefaultOptions()), s
+	return NewPureHTM(s, Options{}), s
 }
 
 func stdFactory(opts Options) enginetest.Factory {
@@ -30,31 +30,30 @@ func TestConformancePureHTM(t *testing.T) {
 }
 
 func TestConformanceStandardHyTM(t *testing.T) {
-	enginetest.Run(t, "StdHyTM", stdFactory(DefaultOptions()),
+	enginetest.Run(t, "StdHyTM", stdFactory(Options{}),
 		enginetest.Capabilities{Unsupported: true})
 }
 
 func TestConformanceStandardHyTMMixed(t *testing.T) {
-	opts := DefaultOptions()
+	var opts Options
 	opts.Mixed = true
-	opts.MaxFastAttempts = 2
 	enginetest.Run(t, "StdHyTM-Mixed", stdFactory(opts),
 		enginetest.Capabilities{Unsupported: true})
 }
 
 func TestNames(t *testing.T) {
 	s := sys.MustNew(sys.DefaultConfig(256))
-	if NewPureHTM(s, DefaultOptions()).Name() != "HTM" {
+	if NewPureHTM(s, Options{}).Name() != "HTM" {
 		t.Fatal("PureHTM name wrong")
 	}
-	if NewStandard(s, DefaultOptions()).Name() != "Standard HyTM" {
+	if NewStandard(s, Options{}).Name() != "Standard HyTM" {
 		t.Fatal("StandardHyTM name wrong")
 	}
 }
 
 func TestPureHTMFailsOnUnsupported(t *testing.T) {
 	s := sys.MustNew(sys.DefaultConfig(1 << 10))
-	e := NewPureHTM(s, DefaultOptions())
+	e := NewPureHTM(s, Options{})
 	th := e.NewThread()
 	err := th.Atomic(func(tx engine.Tx) error {
 		tx.Unsupported()
@@ -69,7 +68,7 @@ func TestPureHTMFailsOnCapacity(t *testing.T) {
 	cfg := sys.DefaultConfig(1 << 12)
 	cfg.HTM = htm.Config{MaxFootprintLines: 2, MaxWriteLines: 2}
 	s := sys.MustNew(cfg)
-	e := NewPureHTM(s, DefaultOptions())
+	e := NewPureHTM(s, Options{})
 	addrs := make([]memsim.Addr, 6)
 	for i := range addrs {
 		addrs[i] = s.Heap.MustAlloc(1)
@@ -89,7 +88,7 @@ func TestPureHTMFailsOnCapacity(t *testing.T) {
 
 func TestStandardHyTMFallsBackOnUnsupported(t *testing.T) {
 	s := sys.MustNew(sys.DefaultConfig(1 << 10))
-	e := NewStandard(s, DefaultOptions())
+	e := NewStandard(s, Options{})
 	a := s.Heap.MustAlloc(1)
 	th := e.NewThread()
 	if err := th.Atomic(func(tx engine.Tx) error {
@@ -110,7 +109,7 @@ func TestStandardHyTMFallsBackOnUnsupported(t *testing.T) {
 
 func TestStandardHyTMInstrumentationCounts(t *testing.T) {
 	s := sys.MustNew(sys.DefaultConfig(1 << 10))
-	e := NewStandard(s, DefaultOptions())
+	e := NewStandard(s, Options{})
 	a := s.Heap.MustAlloc(2)
 	th := e.NewThread()
 	if err := th.Atomic(func(tx engine.Tx) error {
@@ -133,7 +132,7 @@ func TestStandardHyTMInstrumentationCounts(t *testing.T) {
 
 func TestPureHTMNoMetadataTraffic(t *testing.T) {
 	s := sys.MustNew(sys.DefaultConfig(1 << 10))
-	e := NewPureHTM(s, DefaultOptions())
+	e := NewPureHTM(s, Options{})
 	a := s.Heap.MustAlloc(2)
 	th := e.NewThread()
 	if err := th.Atomic(func(tx engine.Tx) error {
@@ -152,9 +151,8 @@ func TestPureHTMNoMetadataTraffic(t *testing.T) {
 
 func TestStandardFastPathAbortsOnLockedStripe(t *testing.T) {
 	s := sys.MustNew(sys.DefaultConfig(1 << 10))
-	opts := DefaultOptions()
+	var opts Options
 	opts.Mixed = true
-	opts.MaxFastAttempts = 1 // one hardware try, then TL2
 	e := NewStandard(s, opts)
 	a := s.Heap.MustAlloc(1)
 	th := e.NewThread()
@@ -179,10 +177,9 @@ func TestStandardFastPathAbortsOnLockedStripe(t *testing.T) {
 }
 
 func TestInjectedAborts(t *testing.T) {
-	opts := DefaultOptions()
+	var opts Options
 	opts.InjectAbortPercent = 100
 	opts.Mixed = true
-	opts.MaxFastAttempts = 2
 	s := sys.MustNew(sys.DefaultConfig(1 << 10))
 	e := NewStandard(s, opts)
 	a := s.Heap.MustAlloc(1)

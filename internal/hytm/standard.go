@@ -22,9 +22,6 @@ type StandardHyTM struct {
 
 // NewStandard creates a Standard HyTM engine on s.
 func NewStandard(s *sys.System, opts Options) *StandardHyTM {
-	if opts.MaxFastAttempts <= 0 {
-		opts.MaxFastAttempts = 8
-	}
 	return &StandardHyTM{Registry: engine.Registry{Sys: s, Slow: tl2.New(s)}, opts: opts}
 }
 
@@ -37,7 +34,7 @@ func (e *StandardHyTM) NewThread() engine.Thread {
 	id := e.RegisterHW(&t.HWWorker, e.opts.InjectAbortPercent)
 	t.Rng = rand.New(rand.NewSource(int64(id)*69621 + 11))
 	if e.opts.Mixed {
-		t.MaxFastAttempts = e.opts.MaxFastAttempts
+		t.MaxFastAttempts = maxFastAttempts
 	}
 	return t
 }

@@ -32,17 +32,14 @@ import (
 	"rhtm/internal/sys"
 )
 
+// maxFastAttempts bounds hardware attempts before the software path.
+const maxFastAttempts = 8
+
 // Options configures the Hybrid NoRec engine.
 type Options struct {
-	// MaxFastAttempts bounds hardware attempts before the software path
-	// (default 8).
-	MaxFastAttempts int
 	// InjectAbortPercent forces hardware commit aborts (§3.1 emulation).
 	InjectAbortPercent int
 }
-
-// DefaultOptions returns the standard configuration.
-func DefaultOptions() Options { return Options{MaxFastAttempts: 8} }
 
 // Engine is a Hybrid NoRec TM over a System. It uses only the system's
 // memory and one global counter word — NoRec's defining property is that the
@@ -55,9 +52,6 @@ type Engine struct {
 
 // New creates a Hybrid NoRec engine on s.
 func New(s *sys.System, opts Options) (*Engine, error) {
-	if opts.MaxFastAttempts <= 0 {
-		opts.MaxFastAttempts = 8
-	}
 	reg, err := s.Mem.AllocRegion(s.Mem.Config().WordsPerLine)
 	if err != nil {
 		return nil, err
@@ -82,7 +76,7 @@ func (e *Engine) NewThread() engine.Thread {
 	t := &Thread{eng: e, sys: e.Sys}
 	id := e.RegisterHW(&t.HWWorker, e.opts.InjectAbortPercent)
 	t.Rng = rand.New(rand.NewSource(int64(id)*16807 + 3))
-	t.MaxFastAttempts = e.opts.MaxFastAttempts
+	t.MaxFastAttempts = maxFastAttempts
 	return t
 }
 

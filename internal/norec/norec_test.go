@@ -12,7 +12,7 @@ import (
 func factory(t *testing.T, cfg sys.Config) (engine.Engine, *sys.System) {
 	t.Helper()
 	s := sys.MustNew(cfg)
-	return MustNew(s, DefaultOptions()), s
+	return MustNew(s, Options{}), s
 }
 
 func TestConformance(t *testing.T) {
@@ -21,14 +21,14 @@ func TestConformance(t *testing.T) {
 
 func TestName(t *testing.T) {
 	s := sys.MustNew(sys.DefaultConfig(256))
-	if MustNew(s, DefaultOptions()).Name() != "Hybrid NoRec" {
+	if MustNew(s, Options{}).Name() != "Hybrid NoRec" {
 		t.Fatal("wrong name")
 	}
 }
 
 func TestHWWriteCommitBumpsCounter(t *testing.T) {
 	s := sys.MustNew(sys.DefaultConfig(1 << 10))
-	e := MustNew(s, DefaultOptions())
+	e := MustNew(s, Options{})
 	a := s.Heap.MustAlloc(1)
 	th := e.NewThread()
 	before := s.Mem.Load(e.seq)
@@ -49,7 +49,7 @@ func TestHWWriteCommitBumpsCounter(t *testing.T) {
 
 func TestHWReadOnlyCommitLeavesCounter(t *testing.T) {
 	s := sys.MustNew(sys.DefaultConfig(1 << 10))
-	e := MustNew(s, DefaultOptions())
+	e := MustNew(s, Options{})
 	a := s.Heap.MustAlloc(1)
 	th := e.NewThread()
 	before := s.Mem.Load(e.seq)
@@ -66,7 +66,7 @@ func TestHWReadOnlyCommitLeavesCounter(t *testing.T) {
 
 func TestSWCommitViaUnsupported(t *testing.T) {
 	s := sys.MustNew(sys.DefaultConfig(1 << 10))
-	e := MustNew(s, DefaultOptions())
+	e := MustNew(s, Options{})
 	a := s.Heap.MustAlloc(1)
 	th := e.NewThread()
 	if err := th.Atomic(func(tx engine.Tx) error {
@@ -92,7 +92,7 @@ func TestNoStripeMetadataTouched(t *testing.T) {
 	// NoRec's defining property: no per-location metadata. The stripe
 	// version array must stay all-zero whatever the engine does.
 	s := sys.MustNew(sys.DefaultConfig(1 << 10))
-	e := MustNew(s, DefaultOptions())
+	e := MustNew(s, Options{})
 	a := s.Heap.MustAlloc(4)
 	th := e.NewThread()
 	for i := 0; i < 5; i++ {
@@ -117,7 +117,7 @@ func TestSWValueValidationAllowsSilentRestore(t *testing.T) {
 	// Value-based validation: if memory returns to the logged value before
 	// commit, the software transaction may commit (ABA is benign in NoRec).
 	s := sys.MustNew(sys.DefaultConfig(1 << 10))
-	e := MustNew(s, DefaultOptions())
+	e := MustNew(s, Options{})
 	a := s.Heap.MustAlloc(1)
 	b := s.Heap.MustAlloc(1)
 	s.Mem.Poke(a, 7)
@@ -152,7 +152,7 @@ func TestSWValueValidationAllowsSilentRestore(t *testing.T) {
 // that very load.
 func TestRemoteAbortWindow(t *testing.T) {
 	s := sys.MustNew(sys.DefaultConfig(1 << 10))
-	e := MustNew(s, DefaultOptions())
+	e := MustNew(s, Options{})
 	th := e.NewThread().(*Thread)
 	th.hw = true
 	s.Mem.Store(e.seq, 1)

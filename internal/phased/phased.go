@@ -30,17 +30,15 @@ const (
 	phaseSoftware = 1
 )
 
+// maxFastAttempts bounds hardware attempts before requesting a phase
+// switch.
+const maxFastAttempts = 8
+
 // Options configures the Phased TM engine.
 type Options struct {
-	// MaxFastAttempts bounds hardware attempts before requesting a phase
-	// switch (default 8).
-	MaxFastAttempts int
 	// InjectAbortPercent forces hardware commit aborts (§3.1 emulation).
 	InjectAbortPercent int
 }
-
-// DefaultOptions returns the standard configuration.
-func DefaultOptions() Options { return Options{MaxFastAttempts: 8} }
 
 // Engine is a Phased TM over a System.
 type Engine struct {
@@ -53,9 +51,6 @@ type Engine struct {
 
 // New creates a Phased TM engine on s.
 func New(s *sys.System, opts Options) (*Engine, error) {
-	if opts.MaxFastAttempts <= 0 {
-		opts.MaxFastAttempts = 8
-	}
 	line := s.Mem.Config().WordsPerLine
 	phaseReg, err := s.Mem.AllocRegion(line)
 	if err != nil {
@@ -90,7 +85,7 @@ func (e *Engine) NewThread() engine.Thread {
 	t := &Thread{eng: e, sys: e.Sys, slow: e.Slow.NewThread()}
 	id := e.RegisterHW(&t.HWWorker, e.opts.InjectAbortPercent)
 	t.Rng = rand.New(rand.NewSource(int64(id)*40692 + 5))
-	t.MaxFastAttempts = e.opts.MaxFastAttempts
+	t.MaxFastAttempts = maxFastAttempts
 	return t
 }
 

@@ -14,7 +14,7 @@ import (
 func factory(t *testing.T, cfg sys.Config) (engine.Engine, *sys.System) {
 	t.Helper()
 	s := sys.MustNew(cfg)
-	return MustNew(s, DefaultOptions()), s
+	return MustNew(s, Options{}), s
 }
 
 func TestConformance(t *testing.T) {
@@ -26,21 +26,21 @@ func TestConformanceTinyHTM(t *testing.T) {
 		t.Helper()
 		cfg.HTM = htm.Config{MaxFootprintLines: 4, MaxWriteLines: 2}
 		s := sys.MustNew(cfg)
-		return MustNew(s, DefaultOptions()), s
+		return MustNew(s, Options{}), s
 	}
 	enginetest.Run(t, "PhasedTM-Tiny", tiny, enginetest.Capabilities{Unsupported: true})
 }
 
 func TestName(t *testing.T) {
 	s := sys.MustNew(sys.DefaultConfig(256))
-	if MustNew(s, DefaultOptions()).Name() != "Phased TM" {
+	if MustNew(s, Options{}).Name() != "Phased TM" {
 		t.Fatal("wrong name")
 	}
 }
 
 func TestUnsupportedFlipsPhaseAndRestores(t *testing.T) {
 	s := sys.MustNew(sys.DefaultConfig(1 << 10))
-	e := MustNew(s, DefaultOptions())
+	e := MustNew(s, Options{})
 	a := s.Heap.MustAlloc(1)
 	th := e.NewThread()
 	if err := th.Atomic(func(tx engine.Tx) error {
@@ -70,7 +70,7 @@ func TestPhaseFlipAbortsHardwarePeers(t *testing.T) {
 	// transactions; the peers must abort (via the phase-word subscription)
 	// and then complete in software, keeping the counter exact.
 	s := sys.MustNew(sys.DefaultConfig(1 << 12))
-	e := MustNew(s, DefaultOptions())
+	e := MustNew(s, Options{})
 	ctr := s.Heap.MustAlloc(1)
 	const workers, iters = 4, 80
 	var wg sync.WaitGroup
@@ -105,7 +105,7 @@ func TestPhaseFlipAbortsHardwarePeers(t *testing.T) {
 
 func TestHardwarePhaseUninstrumentedData(t *testing.T) {
 	s := sys.MustNew(sys.DefaultConfig(1 << 10))
-	e := MustNew(s, DefaultOptions())
+	e := MustNew(s, Options{})
 	a := s.Heap.MustAlloc(1)
 	th := e.NewThread()
 	if err := th.Atomic(func(tx engine.Tx) error {
@@ -135,7 +135,7 @@ func TestRemoteAbortWindow(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := sys.MustNew(sys.DefaultConfig(1 << 10))
-			e := MustNew(s, DefaultOptions())
+			e := MustNew(s, Options{})
 			th := e.NewThread().(*Thread)
 			s.Mem.Store(word(e), 1)
 			enginetest.CheckRemoteAbortWindow(t, s.Mem, &th.HWWorker, (*phasedTx)(th), word(e),

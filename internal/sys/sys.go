@@ -19,20 +19,22 @@ import (
 	"rhtm/internal/memsim"
 )
 
+// The machine's fixed shape. A cache line is 8 words (64 bytes) and one
+// stripe version (and one read mask) covers one line, so stripe and line
+// conflicts coincide. On a speculative collision the requester wins, as
+// eager invalidation does, and a plain load of a line a hardware
+// transaction wrote aborts that writer, as real coherence does. The
+// DESIGN.md §3 ablations vary these memsim settings in their own tests.
+const (
+	wordsPerLine   = 8
+	stripeShift    = 3 // log2 of the words per stripe
+	wordsPerStripe = 1 << stripeShift
+)
+
 // Config sizes and parameterizes a System.
 type Config struct {
 	// DataWords is the size of the data heap in 64-bit words.
 	DataWords int
-	// WordsPerStripe is the TM metadata granularity: one stripe version (and
-	// one read mask) covers this many data words. Must be a power of two.
-	// The default matches the line size so that one stripe = one cache line.
-	WordsPerStripe int
-	// WordsPerLine is the conflict-detection granularity (see memsim).
-	WordsPerLine int
-	// Policy is the HTM conflict policy (see memsim).
-	Policy memsim.ConflictPolicy
-	// NonTxLoadAbortsWriters mirrors memsim.Config.
-	NonTxLoadAbortsWriters bool
 	// ClockMode selects GV6 (paper) or GV5 (ablation).
 	ClockMode clock.Mode
 	// HTM bounds hardware-transaction footprints.
@@ -47,14 +49,10 @@ type Config struct {
 // of the given word count.
 func DefaultConfig(dataWords int) Config {
 	return Config{
-		DataWords:              dataWords,
-		WordsPerStripe:         8,
-		WordsPerLine:           8,
-		Policy:                 memsim.RequesterWins,
-		NonTxLoadAbortsWriters: true,
-		ClockMode:              clock.GV6,
-		HTM:                    htm.DefaultConfig(),
-		MaxThreads:             64,
+		DataWords:  dataWords,
+		ClockMode:  clock.GV6,
+		HTM:        htm.DefaultConfig(),
+		MaxThreads: 64,
 	}
 }
 
@@ -79,10 +77,9 @@ type System struct {
 	// (RH2 Alg. 4/5).
 	AllSoftwareAddr memsim.Addr
 
-	cfg         Config
-	data        memsim.Region
-	stripeShift uint
-	maxThreads  int
+	cfg        Config
+	data       memsim.Region
+	maxThreads int
 }
 
 // New builds a System from cfg.
@@ -90,29 +87,20 @@ func New(cfg Config) (*System, error) {
 	if cfg.DataWords <= 0 {
 		return nil, fmt.Errorf("sys: DataWords must be positive, got %d", cfg.DataWords)
 	}
-	if cfg.WordsPerStripe <= 0 || cfg.WordsPerStripe&(cfg.WordsPerStripe-1) != 0 {
-		return nil, fmt.Errorf("sys: WordsPerStripe must be a positive power of two, got %d", cfg.WordsPerStripe)
-	}
-	shift := uint(0)
-	for 1<<shift != cfg.WordsPerStripe {
-		shift++
-	}
 	if cfg.MaxThreads <= 0 {
 		cfg.MaxThreads = 64
 	}
 	maskWords := (cfg.MaxThreads + 63) / 64
-	stripes := (cfg.DataWords + cfg.WordsPerStripe - 1) / cfg.WordsPerStripe
+	stripes := (cfg.DataWords + wordsPerStripe - 1) / wordsPerStripe
 	// Total memory: heap + versions + masks + clock line + two global lines,
 	// plus alignment slack for each region boundary.
-	line := cfg.WordsPerLine
-	total := cfg.DataWords + stripes + maskWords*stripes + 8*line + 8*line
-	mcfg := memsim.Config{
+	total := cfg.DataWords + stripes + maskWords*stripes + 16*wordsPerLine
+	mem := memsim.New(memsim.Config{
 		Words:                  total,
-		WordsPerLine:           line,
-		Policy:                 cfg.Policy,
-		NonTxLoadAbortsWriters: cfg.NonTxLoadAbortsWriters,
-	}
-	mem := memsim.New(mcfg)
+		WordsPerLine:           wordsPerLine,
+		Policy:                 memsim.RequesterWins,
+		NonTxLoadAbortsWriters: true,
+	})
 
 	clk, err := clock.New(mem, cfg.ClockMode)
 	if err != nil {
@@ -121,11 +109,11 @@ func New(cfg Config) (*System, error) {
 	// Each global counter gets its own line: these words are monitored
 	// speculatively by every fast-path transaction and must not false-share
 	// with anything.
-	rh2fb, err := mem.AllocRegion(line)
+	rh2fb, err := mem.AllocRegion(wordsPerLine)
 	if err != nil {
 		return nil, err
 	}
-	allsw, err := mem.AllocRegion(line)
+	allsw, err := mem.AllocRegion(wordsPerLine)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +140,6 @@ func New(cfg Config) (*System, error) {
 		AllSoftwareAddr: allsw.Base,
 		cfg:             cfg,
 		data:            heap.Region(),
-		stripeShift:     shift,
 		maxThreads:      cfg.MaxThreads,
 	}, nil
 }
@@ -175,7 +162,7 @@ func (s *System) StripeOf(a memsim.Addr) int {
 	if !s.data.Contains(a) {
 		panic(fmt.Sprintf("sys: address %d outside the data heap", a))
 	}
-	return int(a-s.data.Base) >> s.stripeShift
+	return int(a-s.data.Base) >> stripeShift
 }
 
 // VersionAddr returns the address of the stripe version word covering a.

@@ -39,7 +39,7 @@ func TestStripeMapping(t *testing.T) {
 	if got := s.StripeOf(base); got != 0 {
 		t.Fatalf("StripeOf(base) = %d, want 0", got)
 	}
-	per := s.Config().WordsPerStripe
+	per := wordsPerStripe
 	if got := s.StripeOf(base + memsim.Addr(per)); got != 1 {
 		t.Fatalf("StripeOf(base+%d) = %d, want 1", per, got)
 	}
@@ -68,11 +68,6 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	cfg := DefaultConfig(0)
 	if _, err := New(cfg); err == nil {
 		t.Fatal("DataWords=0 accepted")
-	}
-	cfg = DefaultConfig(64)
-	cfg.WordsPerStripe = 3
-	if _, err := New(cfg); err == nil {
-		t.Fatal("WordsPerStripe=3 accepted")
 	}
 }
 

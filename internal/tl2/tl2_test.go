@@ -158,7 +158,7 @@ func TestFailedCommitRestoresVersions(t *testing.T) {
 func TestThreadIDsAndLimit(t *testing.T) {
 	s := sys.MustNew(sys.DefaultConfig(256))
 	e := New(s)
-	for i := 0; i < engine.MaxThreads; i++ {
+	for i := 0; i < s.MaxThreads(); i++ {
 		e.NewThread()
 	}
 	defer func() {

@@ -120,7 +120,7 @@ func (db *core[S]) init(o dbOptions, be backend, open func() S, sources func() [
 	db.trc.Store(&tracerBox{})
 	db.sampler = obs.NewSampler(o.traceSample)
 	if o.traceSample > 0 {
-		db.flight = obs.NewFlight(0)
+		db.flight = obs.NewFlight()
 	}
 	db.hub = newWatchHub(sources)
 	db.hub.lost = db.met.watchLost

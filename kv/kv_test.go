@@ -66,7 +66,6 @@ func clusterFactory(engineName string, systems, inject int) dbtest.DBFactory {
 	return func(t *testing.T) (kv.DB, *kv.ManualClock, func() error) {
 		c, err := cluster.New(cluster.Config{
 			Systems:    systems,
-			DataWords:  1 << 15,
 			ArenaWords: 1 << 13,
 			NewEngine: func(s *rhtm.System) (rhtm.Engine, error) {
 				return newEngine(t, s, engineName, inject), nil
@@ -527,7 +526,7 @@ func TestClusterGetRevIsOneTransaction(t *testing.T) {
 // transaction, and one commit unit on that System's stream when it changed
 // something. A reserved key is refused before any transaction runs.
 func TestClusterSingleKeyOps(t *testing.T) {
-	c, err := cluster.New(cluster.Config{Systems: 2, DataWords: 1 << 15, ArenaWords: 1 << 13})
+	c, err := cluster.New(cluster.Config{Systems: 2, ArenaWords: 1 << 13})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,6 @@ func TestClusterScanPhantomProtection(t *testing.T) {
 		t.Run(fmt.Sprintf("Systems%d", systems), func(t *testing.T) {
 			c, err := cluster.New(cluster.Config{
 				Systems:    systems,
-				DataWords:  1 << 15,
 				ArenaWords: 1 << 13,
 				NewEngine: func(s *rhtm.System) (rhtm.Engine, error) {
 					return rhtm.NewTL2(s), nil

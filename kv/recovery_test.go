@@ -73,7 +73,6 @@ func clusterRecoveryFactory(engineName string, systems, inject int) dbtest.Recov
 	build := func(t *testing.T, stg *wal.MemStorage) (kv.DB, *kv.ManualClock, func() error, error) {
 		c, err := cluster.New(cluster.Config{
 			Systems:    systems,
-			DataWords:  1 << 15,
 			ArenaWords: 1 << 13,
 			NewEngine: func(s *rhtm.System) (rhtm.Engine, error) {
 				return newEngine(t, s, engineName, inject), nil

@@ -67,7 +67,6 @@ func clusterReplFactory(engineName string, systems, inject int) dbtest.ReplFacto
 	newC := func(t *testing.T) *cluster.Cluster {
 		c, err := cluster.New(cluster.Config{
 			Systems:    systems,
-			DataWords:  1 << 15,
 			ArenaWords: 1 << 13,
 			NewEngine: func(s *rhtm.System) (rhtm.Engine, error) {
 				return newEngine(t, s, engineName, inject), nil

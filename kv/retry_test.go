@@ -45,7 +45,6 @@ func TestRetryConflictsThenCommits(t *testing.T) {
 func TestClusterSwallowedIntentConflict(t *testing.T) {
 	c, err := cluster.New(cluster.Config{
 		Systems:    2,
-		DataWords:  1 << 15,
 		ArenaWords: 1 << 13,
 		NewEngine: func(s *rhtm.System) (rhtm.Engine, error) {
 			return rhtm.NewTL2(s), nil

@@ -23,8 +23,6 @@ import (
 // (4×K entries, FIFO eviction) so a replica-less deployment cannot leak
 // traces.
 type Flight struct {
-	k int
-
 	mu         sync.Mutex
 	kinds      map[string]*flightKind
 	awaiting   map[uint64]*Trace
@@ -56,18 +54,13 @@ type slowEntry struct {
 	wall uint64
 }
 
-// DefaultFlightK is the per-kind retention depth used when NewFlight is
-// given a non-positive k.
-const DefaultFlightK = 8
+// flightK is the per-kind retention depth: K traces per bucket.
+const flightK = 8
 
-// NewFlight returns a flight recorder retaining k traces per bucket per
-// request kind (k <= 0 means DefaultFlightK).
-func NewFlight(k int) *Flight {
-	if k <= 0 {
-		k = DefaultFlightK
-	}
+// NewFlight returns a flight recorder retaining flightK traces per bucket
+// per request kind.
+func NewFlight() *Flight {
 	return &Flight{
-		k:        k,
 		kinds:    make(map[string]*flightKind),
 		awaiting: make(map[uint64]*Trace),
 	}
@@ -106,28 +99,28 @@ func (f *Flight) record(t *Trace) {
 		}
 		h.Observe(uint64(st.Dur))
 	}
-	fk.recent = appendRing(fk.recent, t, f.k)
+	fk.recent = appendRing(fk.recent, t)
 	if snap.Err != "" {
 		fk.errors++
-		fk.errTrail = appendRing(fk.errTrail, t, f.k)
+		fk.errTrail = appendRing(fk.errTrail, t)
 	}
 	// Insert into the slowest-K list (descending by wall time).
 	i := sort.Search(len(fk.slowest), func(i int) bool {
 		return fk.slowest[i].wall < snap.WallNS
 	})
-	if i < f.k {
+	if i < flightK {
 		fk.slowest = append(fk.slowest, slowEntry{})
 		copy(fk.slowest[i+1:], fk.slowest[i:])
 		fk.slowest[i] = slowEntry{t: t, wall: snap.WallNS}
-		if len(fk.slowest) > f.k {
-			fk.slowest = fk.slowest[:f.k]
+		if len(fk.slowest) > flightK {
+			fk.slowest = fk.slowest[:flightK]
 		}
 	}
 }
 
-func appendRing(ring []*Trace, t *Trace, k int) []*Trace {
+func appendRing(ring []*Trace, t *Trace) []*Trace {
 	ring = append(ring, t)
-	if len(ring) > k {
+	if len(ring) > flightK {
 		copy(ring, ring[1:])
 		ring = ring[:len(ring)-1]
 	}
@@ -149,7 +142,7 @@ func (f *Flight) awaitApply(rev uint64, t *Trace) {
 		f.awaitOrder = append(f.awaitOrder, rev)
 	}
 	f.awaiting[rev] = t
-	for len(f.awaitOrder) > 4*f.k {
+	for len(f.awaitOrder) > 4*flightK {
 		old := f.awaitOrder[0]
 		f.awaitOrder = f.awaitOrder[1:]
 		delete(f.awaiting, old)

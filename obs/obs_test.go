@@ -153,18 +153,21 @@ func TestLiveZeroAllocs(t *testing.T) {
 }
 
 func TestRecordingTracer(t *testing.T) {
-	tr := NewRecordingTracer(2)
+	tr := NewRecordingTracer()
 	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
+	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			tr.TxnAttempt(Span{Engine: "TL2", Attempt: i, Outcome: OutcomeConflict})
-		}(i)
+			for i := 0; i < spanLimit/4; i++ {
+				tr.TxnAttempt(Span{Engine: "TL2", Attempt: i, Outcome: OutcomeConflict})
+			}
+		}()
 	}
 	wg.Wait()
-	if got := len(tr.Spans()); got != 2 {
-		t.Fatalf("retained %d spans, want 2 (bounded)", got)
+	tr.TxnAttempt(Span{Engine: "TL2", Attempt: spanLimit, Outcome: OutcomeConflict})
+	if got := len(tr.Spans()); got != spanLimit {
+		t.Fatalf("retained %d of %d spans, want %d (bounded)", got, spanLimit+1, spanLimit)
 	}
 	tr.Reset()
 	if len(tr.Spans()) != 0 {

@@ -73,22 +73,19 @@ type Tracer interface {
 type RecordingTracer struct {
 	mu    sync.Mutex
 	spans []Span
-	limit int
 }
 
-// NewRecordingTracer creates a tracer retaining at most limit spans
-// (limit <= 0 means 4096). Spans past the bound are discarded.
-func NewRecordingTracer(limit int) *RecordingTracer {
-	if limit <= 0 {
-		limit = 4096
-	}
-	return &RecordingTracer{limit: limit}
-}
+// spanLimit bounds the spans a RecordingTracer retains; spans past it are
+// discarded.
+const spanLimit = 4096
+
+// NewRecordingTracer creates a tracer retaining at most spanLimit spans.
+func NewRecordingTracer() *RecordingTracer { return &RecordingTracer{} }
 
 // TxnAttempt implements Tracer.
 func (t *RecordingTracer) TxnAttempt(s Span) {
 	t.mu.Lock()
-	if len(t.spans) < t.limit {
+	if len(t.spans) < spanLimit {
 		t.spans = append(t.spans, s)
 	}
 	t.mu.Unlock()

@@ -152,7 +152,7 @@ func TestSamplerDisabledZeroAllocs(t *testing.T) {
 // start order with their notes, one span per engine attempt, the commit
 // revision, and the error text.
 func TestTraceSnapshot(t *testing.T) {
-	fl := NewFlight(4)
+	fl := NewFlight()
 	tr := fl.NewTrace(7, "put")
 	tr.Stage(StageQueueWait, 0)
 	tr.Stage(StageBatchWait, 0)
@@ -190,7 +190,7 @@ func TestTraceSnapshot(t *testing.T) {
 // TestTraceStampsMonotonic: stage start offsets are monotonic in record
 // order — the host monotonic clock is the only stamp source.
 func TestTraceStampsMonotonic(t *testing.T) {
-	fl := NewFlight(2)
+	fl := NewFlight()
 	tr := fl.NewTrace(1, "get")
 	for _, name := range []string{StageQueueWait, StageEngine, StageWALSync} {
 		tr.Stage(name, 0)
@@ -208,9 +208,10 @@ func TestTraceStampsMonotonic(t *testing.T) {
 }
 
 // TestFlightRetention: the recorder always keeps the K slowest and the K
-// most recent errors per kind, evicting everything else.
+// most recent errors per kind, evicting everything else. It files K+1
+// traces of each sort, so one of each must go.
 func TestFlightRetention(t *testing.T) {
-	fl := NewFlight(2)
+	fl := NewFlight()
 	finish := func(id uint64, kind string, hold time.Duration, err error) {
 		tr := fl.NewTrace(id, kind)
 		tr.Stage(StageEngine, hold)
@@ -219,12 +220,18 @@ func TestFlightRetention(t *testing.T) {
 		}
 		tr.Finish(err)
 	}
+	// Trace 1 is the fastest of K+1 successes, trace 3 the slowest.
 	finish(1, "put", 0, nil)
-	finish(2, "put", 8*time.Millisecond, nil)
-	finish(3, "put", 16*time.Millisecond, nil)
-	finish(4, "put", 2*time.Millisecond, nil)
-	for i := uint64(10); i < 13; i++ {
-		finish(i, "put", 0, errors.New("fenced"))
+	for id := uint64(2); id <= flightK+1; id++ {
+		hold := 2 * time.Millisecond
+		if id == 3 {
+			hold = 16 * time.Millisecond
+		}
+		finish(id, "put", hold, nil)
+	}
+	const firstErr = 100
+	for id := uint64(firstErr); id <= firstErr+flightK; id++ {
+		finish(id, "put", 0, errors.New("fenced"))
 	}
 
 	d := fl.Dump()
@@ -232,24 +239,30 @@ func TestFlightRetention(t *testing.T) {
 	if !ok {
 		t.Fatalf("kind missing from dump: %+v", d)
 	}
-	if kd.Count != 7 || kd.Errors != 3 {
-		t.Fatalf("count=%d errors=%d, want 7/3", kd.Count, kd.Errors)
+	total := uint64(2*flightK + 2)
+	if kd.Count != total || kd.Errors != flightK+1 {
+		t.Fatalf("count=%d errors=%d, want %d/%d", kd.Count, kd.Errors, total, flightK+1)
 	}
-	if len(kd.Slowest) != 2 || kd.Slowest[0].ID != 3 || kd.Slowest[1].ID != 2 {
-		t.Fatalf("slowest = %+v, want ids 3,2", kd.Slowest)
+	if len(kd.Slowest) != flightK || kd.Slowest[0].ID != 3 {
+		t.Fatalf("slowest = %+v, want %d traces led by id 3", kd.Slowest, flightK)
 	}
-	if kd.Slowest[0].WallNS < kd.Slowest[1].WallNS {
-		t.Fatal("slowest list not descending")
+	for i, ts := range kd.Slowest {
+		if ts.ID == 1 {
+			t.Fatal("the fastest trace outlived K slower ones")
+		}
+		if i > 0 && ts.WallNS > kd.Slowest[i-1].WallNS {
+			t.Fatal("slowest list not descending")
+		}
 	}
-	if len(kd.RecentErrors) != 2 || kd.RecentErrors[0].ID != 11 || kd.RecentErrors[1].ID != 12 {
-		t.Fatalf("recent errors = %+v, want ids 11,12", kd.RecentErrors)
+	if n := len(kd.RecentErrors); n != flightK || kd.RecentErrors[0].ID != firstErr+1 || kd.RecentErrors[n-1].ID != firstErr+flightK {
+		t.Fatalf("recent errors = %+v, want ids %d..%d", kd.RecentErrors, firstErr+1, firstErr+flightK)
 	}
-	if len(kd.Recent) != 2 || kd.Recent[1].ID != 12 {
-		t.Fatalf("recent = %+v, want newest id 12 last", kd.Recent)
+	if n := len(kd.Recent); n != flightK || kd.Recent[n-1].ID != firstErr+flightK {
+		t.Fatalf("recent = %+v, want %d traces, newest id %d last", kd.Recent, flightK, firstErr+flightK)
 	}
 	st, ok := kd.Stages[StageEngine]
-	if !ok || st.Count != 7 {
-		t.Fatalf("engine stage stat = %+v, want count 7", st)
+	if !ok || st.Count != total {
+		t.Fatalf("engine stage stat = %+v, want count %d", st, total)
 	}
 	if st.P99NS < st.P50NS {
 		t.Fatalf("p99 %d < p50 %d", st.P99NS, st.P50NS)
@@ -259,22 +272,23 @@ func TestFlightRetention(t *testing.T) {
 // TestFlightAwaitingBounded: the awaiting-apply table cannot grow past
 // 4×K — a replica-less deployment sheds the oldest links.
 func TestFlightAwaitingBounded(t *testing.T) {
-	fl := NewFlight(2)
-	for rev := uint64(1); rev <= 20; rev++ {
+	fl := NewFlight()
+	const revs = 5 * flightK
+	for rev := uint64(1); rev <= revs; rev++ {
 		tr := fl.NewTrace(rev, "put")
 		tr.SetCommitRev(rev)
 		tr.Finish(nil)
 	}
-	if got := fl.AwaitingApply(); got != 8 {
-		t.Fatalf("awaiting = %d, want 8 (4×K bound)", got)
+	if got := fl.AwaitingApply(); got != 4*flightK {
+		t.Fatalf("awaiting = %d, want %d (4×K bound)", got, 4*flightK)
 	}
-	fl.ReplicaApplied("r0", 16, 4, time.Millisecond)
+	fl.ReplicaApplied("r0", revs-4, 4, time.Millisecond)
 	if got := fl.AwaitingApply(); got != 4 {
-		t.Fatalf("awaiting after apply(16) = %d, want 4", got)
+		t.Fatalf("awaiting after apply(%d) = %d, want 4", revs-4, got)
 	}
-	fl.ReplicaApplied("r0", 20, 4, time.Millisecond)
+	fl.ReplicaApplied("r0", revs, 4, time.Millisecond)
 	if got := fl.AwaitingApply(); got != 0 {
-		t.Fatalf("awaiting after apply(20) = %d, want 0", got)
+		t.Fatalf("awaiting after apply(%d) = %d, want 0", revs, got)
 	}
 	// The traces inside the retained window got their replica stage.
 	d := fl.Dump()
@@ -296,7 +310,7 @@ func TestFlightAwaitingBounded(t *testing.T) {
 // registration, not parked in the table for an apply that already happened;
 // a revision past the watermark still waits for the next one.
 func TestFlightApplyBeforeRegister(t *testing.T) {
-	fl := NewFlight(4)
+	fl := NewFlight()
 	fl.ReplicaApplied("r0", 9, 3, time.Millisecond)
 	fl.ReplicaApplied("r1", 7, 1, time.Second) // behind r0: the mark stays r0's
 	early := fl.NewTrace(1, "put")
@@ -333,7 +347,7 @@ func TestFlightApplyBeforeRegister(t *testing.T) {
 // TestMultiSinkBroadcast: one shared DB call fans its stages, spans, and
 // commit rev out to every traced op in the batch.
 func TestMultiSinkBroadcast(t *testing.T) {
-	fl := NewFlight(4)
+	fl := NewFlight()
 	a, b := fl.NewTrace(1, "put"), fl.NewTrace(2, "put")
 	sink := MultiSink{a, b}
 	sink.Stage(StageEngine, time.Microsecond)
@@ -354,7 +368,7 @@ func TestMultiSinkBroadcast(t *testing.T) {
 // documented contract: TxnAttempt, Spans, Dropped, and Reset racing from
 // many goroutines never tear a span or corrupt the bound.
 func TestRecordingTracerConcurrentReset(t *testing.T) {
-	tr := NewRecordingTracer(64)
+	tr := NewRecordingTracer()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {

@@ -210,7 +210,6 @@ func newClusterPrimary(t *testing.T, systems int) (*kv.ClusterDB, *wal.MemStorag
 	t.Helper()
 	c, err := cluster.New(cluster.Config{
 		Systems:    systems,
-		DataWords:  1 << 15,
 		ArenaWords: 1 << 13,
 		NewEngine: func(s *rhtm.System) (rhtm.Engine, error) {
 			return rhtm.NewTL2(s), nil
@@ -231,7 +230,6 @@ func newClusterReplica(t *testing.T, g *repl.Group, systems int) *repl.Follower 
 	t.Helper()
 	rc, err := cluster.New(cluster.Config{
 		Systems:    systems,
-		DataWords:  1 << 15,
 		ArenaWords: 1 << 13,
 		NewEngine: func(s *rhtm.System) (rhtm.Engine, error) {
 			return rhtm.NewTL2(s), nil
@@ -398,7 +396,6 @@ func TestPromotionEqualsRecovery(t *testing.T) {
 	}
 	rc, err := cluster.New(cluster.Config{
 		Systems:    systems,
-		DataWords:  1 << 15,
 		ArenaWords: 1 << 13,
 		NewEngine: func(s *rhtm.System) (rhtm.Engine, error) {
 			return rhtm.NewTL2(s), nil

@@ -63,11 +63,6 @@ type Stats = engine.Stats
 // AbortReason classifies hardware aborts in Stats.
 type AbortReason = memsim.AbortReason
 
-// MaxThreads is the default maximum number of threads an engine supports
-// (one bit per thread in the RH2 read masks; raise Config.MaxThreads for
-// more, at the cost of extra mask words per stripe).
-const MaxThreads = engine.MaxThreads
-
 // ClockMode selects the global-version-clock discipline.
 type ClockMode = clock.Mode
 
@@ -81,35 +76,14 @@ const (
 // HTMConfig bounds simulated hardware-transaction footprints.
 type HTMConfig = htm.Config
 
-// ConflictPolicy selects which transaction dies on a speculative collision.
-type ConflictPolicy = memsim.ConflictPolicy
-
-// Conflict policies: RequesterWins (default, TSX-like) and CommitterWins
-// (ablation).
-const (
-	RequesterWins = memsim.RequesterWins
-	CommitterWins = memsim.CommitterWins
-)
-
-// Config sizes the simulated machine.
+// Config sizes the simulated machine. The machine's fixed shape — 64-byte
+// cache lines, one metadata stripe per line, requester-wins conflicts and
+// 64 threads per engine — lives in internal/sys.
 type Config struct {
 	// DataWords is the transactional heap size in 64-bit words.
 	DataWords int
-	// WordsPerStripe is the TM metadata granularity (power of two;
-	// default 8 = one stripe per cache line).
-	WordsPerStripe int
-	// WordsPerLine is the simulated cache-line size in words (power of two;
-	// default 8 = 64 bytes).
-	WordsPerLine int
 	// ClockMode selects GV6 (default) or GV5.
 	ClockMode ClockMode
-	// Policy selects the HTM conflict-resolution policy (ablation knob;
-	// default RequesterWins, mirroring eager invalidation).
-	Policy ConflictPolicy
-	// MaxThreads bounds worker threads per engine (default 64). Larger
-	// values allocate additional read-mask words per stripe, as the paper
-	// notes for >64-thread deployments (§4.1).
-	MaxThreads int
 	// HTM bounds hardware transactions; zero value selects the default
 	// (512-line write sets, 2048-line total footprints).
 	HTM HTMConfig
@@ -118,13 +92,7 @@ type Config struct {
 // DefaultConfig returns the benchmark configuration for a heap of the given
 // word count.
 func DefaultConfig(dataWords int) Config {
-	return Config{
-		DataWords:      dataWords,
-		WordsPerStripe: 8,
-		WordsPerLine:   8,
-		ClockMode:      GV6,
-		HTM:            htm.DefaultConfig(),
-	}
+	return Config{DataWords: dataWords, ClockMode: GV6, HTM: htm.DefaultConfig()}
 }
 
 // System is one simulated machine: word memory, heap, TM metadata, clock.
@@ -150,17 +118,7 @@ func MustNewSystem(cfg Config) *System { return &System{inner: sys.MustNew(cfg.m
 // machine translates cfg to the simulated machine's configuration.
 func (cfg Config) machine() sys.Config {
 	sc := sys.DefaultConfig(cfg.DataWords)
-	if cfg.WordsPerStripe != 0 {
-		sc.WordsPerStripe = cfg.WordsPerStripe
-	}
-	if cfg.WordsPerLine != 0 {
-		sc.WordsPerLine = cfg.WordsPerLine
-	}
 	sc.ClockMode = cfg.ClockMode
-	sc.Policy = cfg.Policy
-	if cfg.MaxThreads != 0 {
-		sc.MaxThreads = cfg.MaxThreads
-	}
 	if cfg.HTM != (HTMConfig{}) {
 		sc.HTM = cfg.HTM
 	}
@@ -179,7 +137,7 @@ func (s *System) MustAlloc(n int) Addr { return s.inner.Heap.MustAlloc(n) }
 // tree root, a counter), which must not abort its readers whenever an
 // unrelated neighbour is written.
 func (s *System) MustAllocLines(n int) Addr {
-	line := s.inner.Config().WordsPerLine
+	line := s.inner.Mem.Config().WordsPerLine
 	return s.inner.Heap.MustAlloc((n + line - 1) / line * line)
 }
 
@@ -221,9 +179,6 @@ type RH1Options struct {
 	// MixPercent is the percentage of transient fast-path aborts retried on
 	// the slow path (ignored when FastOnly).
 	MixPercent int
-	// MaxFastAttempts bounds consecutive fast attempts in mixed mode
-	// (0 = default).
-	MaxFastAttempts int
 	// InjectAbortPercent forces this share of hardware commits to abort,
 	// reproducing the paper's emulation methodology.
 	InjectAbortPercent int
@@ -231,7 +186,7 @@ type RH1Options struct {
 
 // DefaultRH1Options returns the paper's RH1 Mixed 100 configuration.
 func DefaultRH1Options() RH1Options {
-	return RH1Options{MixPercent: 100, MaxFastAttempts: 16}
+	return RH1Options{MixPercent: 100}
 }
 
 func (o RH1Options) toCore(p core.Protocol) core.Options {
@@ -244,9 +199,6 @@ func (o RH1Options) toCore(p core.Protocol) core.Options {
 		opts.Mode = core.ModeSlowOnly
 	}
 	opts.MixPercent = o.MixPercent
-	if o.MaxFastAttempts > 0 {
-		opts.MaxFastAttempts = o.MaxFastAttempts
-	}
 	opts.InjectAbortPercent = o.InjectAbortPercent
 	return opts
 }
@@ -270,37 +222,25 @@ func NewTL2(s *System) Engine { return tl2.New(s.inner) }
 type HWOptions struct {
 	// InjectAbortPercent forces hardware commit aborts.
 	InjectAbortPercent int
-	// Mixed lets Standard HyTM fall back to its TL2 slow path after
-	// repeated transient aborts (persistent failures always fall back).
-	Mixed bool
 }
 
 // NewHTM creates the uninstrumented pure-hardware baseline. Transactions
 // that persistently cannot run in hardware fail with an error.
 func NewHTM(s *System, o HWOptions) Engine {
-	opts := hytm.DefaultOptions()
-	opts.InjectAbortPercent = o.InjectAbortPercent
-	return hytm.NewPureHTM(s.inner, opts)
+	return hytm.NewPureHTM(s.inner, hytm.Options{InjectAbortPercent: o.InjectAbortPercent})
 }
 
 // NewStandardHyTM creates the traditional instrumented hybrid baseline.
 func NewStandardHyTM(s *System, o HWOptions) Engine {
-	opts := hytm.DefaultOptions()
-	opts.InjectAbortPercent = o.InjectAbortPercent
-	opts.Mixed = o.Mixed
-	return hytm.NewStandard(s.inner, opts)
+	return hytm.NewStandard(s.inner, hytm.Options{InjectAbortPercent: o.InjectAbortPercent})
 }
 
 // NewHybridNoRec creates the Hybrid NoRec baseline.
 func NewHybridNoRec(s *System, o HWOptions) Engine {
-	opts := norec.DefaultOptions()
-	opts.InjectAbortPercent = o.InjectAbortPercent
-	return norec.MustNew(s.inner, opts)
+	return norec.MustNew(s.inner, norec.Options{InjectAbortPercent: o.InjectAbortPercent})
 }
 
 // NewPhasedTM creates the Phased TM baseline.
 func NewPhasedTM(s *System, o HWOptions) Engine {
-	opts := phased.DefaultOptions()
-	opts.InjectAbortPercent = o.InjectAbortPercent
-	return phased.MustNew(s.inner, opts)
+	return phased.MustNew(s.inner, phased.Options{InjectAbortPercent: o.InjectAbortPercent})
 }

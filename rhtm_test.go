@@ -105,7 +105,7 @@ func TestNewSystemRejectsBadConfig(t *testing.T) {
 func TestConfigDefaultsApplied(t *testing.T) {
 	s := MustNewSystem(Config{DataWords: 1 << 10}) // all other fields zero
 	inner := s.Internal()
-	if inner.Config().WordsPerStripe != 8 || inner.Config().WordsPerLine != 8 {
+	if inner.Mem.Config().WordsPerLine != 8 || inner.MaxThreads() != 64 {
 		t.Fatalf("defaults not applied: %+v", inner.Config())
 	}
 	if inner.Config().HTM.MaxWriteLines == 0 {

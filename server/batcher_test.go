@@ -185,7 +185,7 @@ func TestBatcherFallbackTracesEachOp(t *testing.T) {
 	// so both ride in one merged batch.
 	b := newBatcher(db, 10*time.Second, 2, &met)
 	defer b.close()
-	fl := obs.NewFlight(0)
+	fl := obs.NewFlight()
 	c := newTestConn()
 	poison, innocent := fl.NewTrace(1, "put"), fl.NewTrace(2, "put")
 	huge := make([]byte, 1<<19) // beyond the largest arena size class

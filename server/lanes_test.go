@@ -326,3 +326,104 @@ func TestCloseDrainsEveryLane(t *testing.T) {
 		}
 	}
 }
+
+// TestLeasedPutRidesTheBatcher: a Put carrying a lease is one more batched
+// op. A lone one is a batch of its own, so server.batch_fill counts it.
+// Merged on one lane with an unleased Put, a Put on a revoked lease fails
+// the merged transaction; the lane's fallback then fails it alone with
+// ErrLeaseNotFound, and its neighbour commits.
+func TestLeasedPutRidesTheBatcher(t *testing.T) {
+	for _, be := range []struct {
+		name string
+		open func(t *testing.T) kv.Served
+	}{
+		{"Local", func(t *testing.T) kv.Served { return newLocalDB(t, nil) }},
+		{"Cluster2", func(t *testing.T) kv.Served { return newClusterDB(t) }},
+	} {
+		t.Run(be.name, func(t *testing.T) {
+			rig := func(gate chan struct{}) (*laneSpy, *obs.Registry, *client.Client) {
+				spy := newLaneSpy(be.open(t))
+				spy.gate = gate
+				reg := obs.NewRegistry()
+				srv := server.New(spy, server.WithMetrics(reg))
+				addr, err := srv.Start("127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { srv.Close() })
+				cl, err := client.Dial(addr.String(), client.WithConns(2))
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { cl.Close() })
+				return spy, reg, cl
+			}
+
+			t.Run("Lone", func(t *testing.T) {
+				spy, reg, cl := rig(nil)
+				id, err := cl.Grant(1 << 20)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := cl.Put(keysOn(spy, 0, 1, "leased")[0], []byte("v"), kv.WithLease(id)); err != nil {
+					t.Fatal(err)
+				}
+				h := reg.Snapshot().Histograms["server.batch_fill"]
+				if h.Count != 1 || h.Sum != 1 {
+					t.Fatalf("a lone leased Put made %d batches of %d ops, want 1 of 1", h.Count, h.Sum)
+				}
+			})
+
+			t.Run("RevokedBesideUnleased", func(t *testing.T) {
+				gate := make(chan struct{})
+				spy, reg, cl := rig(gate)
+				openGate := sync.OnceFunc(func() { close(gate) })
+				defer openGate()
+				dead, err := cl.Grant(1 << 20)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := cl.Revoke(dead); err != nil {
+					t.Fatal(err)
+				}
+				keys := keysOn(spy, 0, 3, "k")
+				var wg sync.WaitGroup
+				var blockErr, leasedErr, plainErr error
+				put := func(errp *error, key []byte, opts ...kv.PutOption) {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						*errp = cl.Put(key, []byte("v"), opts...)
+					}()
+				}
+				// The blocker parks at the gate; the two Puts queue behind
+				// it on the same lane and leave the gate as one batch.
+				put(&blockErr, keys[0])
+				waitQueued(t, spy, reg, "put", 1, 1)
+				put(&leasedErr, keys[1], kv.WithLease(dead))
+				put(&plainErr, keys[2])
+				waitQueued(t, spy, reg, "put", 1, 3)
+				openGate()
+				wg.Wait()
+
+				if blockErr != nil || plainErr != nil {
+					t.Fatalf("unleased Puts: blocker %v, neighbour %v; want both committed", blockErr, plainErr)
+				}
+				if !errors.Is(leasedErr, kv.ErrLeaseNotFound) {
+					t.Fatalf("Put on a revoked lease: %v, want ErrLeaseNotFound", leasedErr)
+				}
+				if _, err := cl.Get(keys[1]); !errors.Is(err, kv.ErrNotFound) {
+					t.Fatalf("the refused leased Put left %s readable: %v", keys[1], err)
+				}
+				if _, err := cl.Get(keys[2]); err != nil {
+					t.Fatalf("the neighbour's key %s: %v", keys[2], err)
+				}
+				spy.mu.Lock()
+				defer spy.mu.Unlock()
+				if spy.merged == 0 || spy.singles[0] != 2 {
+					t.Fatalf("%d ops merged, %d re-run alone; want the two Puts merged, then both re-run alone", spy.merged, spy.singles[0])
+				}
+			})
+		})
+	}
+}

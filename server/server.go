@@ -145,7 +145,7 @@ func New(db kv.Served, opts ...Option) *Server {
 		met:  newServerMetrics(o.reg),
 		// A recorder of default depth: KindTraceDump always has something
 		// to serve.
-		flight: obs.NewFlight(0),
+		flight: obs.NewFlight(),
 		start:  time.Now(),
 		conns:  make(map[*conn]struct{}),
 	}

@@ -170,13 +170,7 @@ func (c *conn) dispatch(m wire.Msg) bool {
 	case wire.KindDelete:
 		c.enqueueOp(m, kv.Op{Kind: kv.OpDelete, Key: m.Key}, tr)
 	case wire.KindPut:
-		if m.Lease != 0 {
-			// Leased puts must observe lease liveness at execution time;
-			// they take the ordinary handler path.
-			c.spawn(m, tr)
-			return true
-		}
-		c.enqueueOp(m, kv.Op{Kind: kv.OpPut, Key: m.Key, Value: m.Value}, tr)
+		c.enqueueOp(m, kv.Op{Kind: kv.OpPut, Key: m.Key, Value: m.Value, Lease: m.Lease}, tr)
 	case wire.KindGetRev, wire.KindPutIf, wire.KindDeleteIf, wire.KindBatch,
 		wire.KindTxn, wire.KindScan, wire.KindGrant, wire.KindKeepAlive,
 		wire.KindRevoke, wire.KindExpire, wire.KindCheckpoint, wire.KindMetrics,
@@ -242,8 +236,6 @@ func (c *conn) handle(m wire.Msg, tr *obs.Trace) {
 		default:
 			c.sendT(tr, nil, wire.Msg{ID: m.ID, Kind: wire.KindValue, Value: v, Rev: rev})
 		}
-	case wire.KindPut: // lease-attached (lease 0 went through the batcher)
-		c.replyT(tr, m.ID, 0, db.Put(m.Key, m.Value, kv.WithLease(m.Lease)))
 	case wire.KindPutIf:
 		var err error
 		if m.Lease != 0 {

@@ -21,7 +21,6 @@ func newTraceCluster(t *testing.T) *cluster.Cluster {
 	t.Helper()
 	c, err := cluster.New(cluster.Config{
 		Systems:    2,
-		DataWords:  1 << 15,
 		ArenaWords: 1 << 13,
 		NewEngine: func(s *rhtm.System) (rhtm.Engine, error) {
 			return rhtm.NewTL2(s), nil

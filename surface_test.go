@@ -22,9 +22,6 @@ var exportAllowlist = map[string]string{
 	"rhtm.System.Alloc":        "the facade's fallible allocation; MustAlloc is its setup form",
 	"rhtm.System.Free":         "returns a block to the heap; callers that recycle memory need it",
 	"rhtm.System.Store":        "the facade's non-transactional store, the write half of Load",
-	"rhtm.RequesterWins":       "Config.Policy value: the HTM conflict policy of the paper's hardware",
-	"rhtm.CommitterWins":       "Config.Policy value: the alternative conflict policy",
-	"rhtm.MaxThreads":          "the thread-id bound a caller sizes Config.MaxThreads against",
 	"containers.RBTree.Lookup": "the mutating tree's read, the extension the safe HTM enables",
 	"containers.RBTree.Delete": "the mutating tree's delete, the extension the safe HTM enables",
 }
@@ -61,6 +58,139 @@ func TestNoUnusedExports(t *testing.T) {
 			t.Errorf("allowlist entry %s is used now; drop it", name)
 		}
 	}
+}
+
+// TestSettableSurface pins every setting a caller can reach: each exported
+// field of an exported struct type named *Config or *Options, and each
+// exported function returning a package's Option or PutOption type. It
+// skips the packages TestNoUnusedExports skips. A setting earns its place
+// with two non-test callers that set it differently, or with a test that
+// reaches a code path no other input reaches; one the program only ever
+// sets one way is a constant in the layer that uses it. Adding or removing
+// a setting means editing settableSurface, so the change is reviewed.
+func TestSettableSurface(t *testing.T) {
+	mod, err := loadModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := mod.settables()
+	want := map[string]bool{}
+	for _, name := range settableSurface {
+		want[name] = true
+	}
+	have := map[string]bool{}
+	for _, name := range got {
+		have[name] = true
+		if !want[name] {
+			t.Errorf("setting added: %s (list it in settableSurface)", name)
+		}
+	}
+	for _, name := range settableSurface {
+		if !have[name] {
+			t.Errorf("setting removed: %s (drop it from settableSurface)", name)
+		}
+	}
+	if !sort.StringsAreSorted(settableSurface) {
+		t.Error("settableSurface is not sorted")
+	}
+}
+
+// settableSurface is the sorted list TestSettableSurface compares against.
+var settableSurface = []string{
+	"client.WithConns",
+	"client.WithFollowerReads",
+	"client.WithTraceSampling",
+	"cluster.Config.ArenaWords",
+	"cluster.Config.NewEngine",
+	"cluster.Config.Systems",
+	"internal/core.Options.InjectAbortPercent",
+	"internal/core.Options.MixPercent",
+	"internal/core.Options.Mode",
+	"internal/core.Options.Protocol",
+	"internal/harness.RunConfig.Breakdown",
+	"internal/harness.RunConfig.Duration",
+	"internal/harness.RunConfig.GV5",
+	"internal/harness.RunConfig.HTMOverride",
+	"internal/harness.RunConfig.InjectPct",
+	"internal/harness.RunConfig.OpsPerThread",
+	"internal/harness.RunConfig.Seed",
+	"internal/harness.RunConfig.Threads",
+	"internal/htm.Config.MaxFootprintLines",
+	"internal/htm.Config.MaxWriteLines",
+	"internal/hytm.Options.InjectAbortPercent",
+	"internal/hytm.Options.Mixed",
+	"internal/memsim.Config.NonTxLoadAbortsWriters",
+	"internal/memsim.Config.Policy",
+	"internal/memsim.Config.Words",
+	"internal/memsim.Config.WordsPerLine",
+	"internal/norec.Options.InjectAbortPercent",
+	"internal/phased.Options.InjectAbortPercent",
+	"internal/sys.Config.ClockMode",
+	"internal/sys.Config.DataWords",
+	"internal/sys.Config.HTM",
+	"internal/sys.Config.MaxThreads",
+	"kv.WithClock",
+	"kv.WithLease",
+	"kv.WithMetrics",
+	"kv.WithSyncEvery",
+	"kv.WithTraceSampling",
+	"rhtm.Config.ClockMode",
+	"rhtm.Config.DataWords",
+	"rhtm.Config.HTM",
+	"rhtm.HWOptions.InjectAbortPercent",
+	"rhtm.RH1Options.FastOnly",
+	"rhtm.RH1Options.InjectAbortPercent",
+	"rhtm.RH1Options.MixPercent",
+	"rhtm.RH1Options.SlowOnly",
+	"server.WithEngineName",
+	"server.WithMetrics",
+	"server.WithReplicaStatus",
+	"store.Options.ArenaWords",
+	"store.Options.LogWords",
+	"table.WithMetrics",
+	"wal.Options.SyncEvery",
+}
+
+// settables lists, sorted, the settings of every checked package: the
+// exported fields of its exported *Config and *Options struct types as
+// "pkg.Type.Field", and its exported functions that return an Option or
+// PutOption type as "pkg.Func".
+func (m *module) settables() []string {
+	var out []string
+	for path, pkg := range m.pkgs {
+		if pkg.Name() == "main" || m.testSupport(path) {
+			continue
+		}
+		prefix := m.prefix(path, pkg)
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			switch obj := scope.Lookup(name).(type) {
+			case *types.TypeName:
+				st, ok := obj.Type().Underlying().(*types.Struct)
+				if !obj.Exported() || obj.IsAlias() || !ok ||
+					!strings.HasSuffix(name, "Config") && !strings.HasSuffix(name, "Options") {
+					continue
+				}
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() {
+						out = append(out, prefix+name+"."+f.Name())
+					}
+				}
+			case *types.Func:
+				res := obj.Type().(*types.Signature).Results()
+				if !obj.Exported() || res.Len() != 1 {
+					continue
+				}
+				if named, ok := res.At(0).Type().(*types.Named); ok {
+					if n := named.Obj().Name(); n == "Option" || n == "PutOption" {
+						out = append(out, prefix+name)
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // module is the type-checked non-test code of every package under a root.
@@ -160,6 +290,15 @@ func (m *module) testSupport(path string) bool {
 	return path == p || strings.HasPrefix(path, p+"/")
 }
 
+// prefix names a package in a reported identifier: its import path
+// relative to the module, or its name for the module root.
+func (m *module) prefix(path string, pkg *types.Package) string {
+	if rel := strings.TrimPrefix(path, m.path+"/"); rel != path {
+		return rel + "."
+	}
+	return pkg.Name() + "."
+}
+
 // exportUses maps every checked exported identifier, named "pkg.Name" or
 // "pkg.Type.Method" with pkg its import path relative to the module, to
 // whether non-test code uses it.
@@ -203,10 +342,7 @@ func (m *module) exportUses() map[string]bool {
 		if pkg.Name() == "main" || m.testSupport(path) {
 			continue
 		}
-		prefix := pkg.Name() + "."
-		if rel := strings.TrimPrefix(path, m.path+"/"); rel != path {
-			prefix = rel + "."
-		}
+		prefix := m.prefix(path, pkg)
 		scope := pkg.Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
