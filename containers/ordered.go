@@ -17,7 +17,9 @@ import (
 // record's key words there).
 type NodeCompare func(tx rhtm.Tx, key []byte, node rhtm.Addr, from int) (c, same int)
 
-// OrderedTree header layout, in words, at the front of every node.
+// OrderedTree header layout, in words, at the front of every node. A side is
+// the offset of its child link: the link on side s (otLeft or otRight) is the
+// word n+s, its mirror n+1-s, so each CLRS ch. 13 case is written once.
 const (
 	otLeft   = 0
 	otRight  = 1
@@ -60,11 +62,11 @@ func (t *OrderedTree) Lookup(tx rhtm.Tx, key []byte) (rhtm.Addr, bool) {
 // comparator reads into it. If the key is already present nothing is linked
 // and the existing node is returned with inserted=false.
 func (t *OrderedTree) Insert(tx rhtm.Tx, key []byte, node rhtm.Addr) (existing rhtm.Addr, inserted bool) {
-	n, parent, left := t.descend(tx, key)
+	n, parent, side := t.descend(tx, key)
 	if n != rhtm.NilAddr {
 		return n, false
 	}
-	t.link(tx, parent, left, node)
+	t.link(tx, parent, side, node)
 	return node, true
 }
 
@@ -73,43 +75,47 @@ func (t *OrderedTree) Insert(tx rhtm.Tx, key []byte, node rhtm.Addr) (existing r
 // it by: where Insert hangs a new node.
 //
 // The walk is the lcp-bounded search of Manber and Myers ("Suffix Arrays: A
-// New Method for On-Line String Searches", SIAM J. Comput. 1993). lo and hi
-// count the leading words the probe shares with the nearest node passed on
-// its left and on its right. Every key in the subtree the walk enters lies
-// between those two, so it shares at least min(lo, hi) words with the probe,
-// and the comparator starts past them: a prefix both bounds share with the
-// probe is never loaded again.
-func (t *OrderedTree) descend(tx rhtm.Tx, key []byte) (n, parent rhtm.Addr, left bool) {
-	lo, hi := 0, 0
+// New Method for On-Line String Searches", SIAM J. Comput. 1993).
+// shared[s] counts the leading words the probe shares with the last node
+// the walk left by side s, the nearest node passed on the probe's other
+// side. Every key in the subtree the walk enters lies between those two
+// nodes, so it shares at least the smaller count with the probe, and the
+// comparator starts past it: a prefix both bounds share with the probe is
+// never loaded again.
+func (t *OrderedTree) descend(tx rhtm.Tx, key []byte) (n, parent, side rhtm.Addr) {
+	var shared [2]int
 	n = rhtm.Addr(tx.Load(t.root))
 	for n != rhtm.NilAddr {
-		c, same := t.cmp(tx, key, n, min(lo, hi))
+		c, same := t.cmp(tx, key, n, min(shared[otLeft], shared[otRight]))
 		if c == 0 {
-			return n, parent, left
+			return n, parent, side
 		}
-		parent, left = n, c < 0
-		if left {
-			hi, n = same, rhtm.Addr(tx.Load(n+otLeft))
-		} else {
-			lo, n = same, rhtm.Addr(tx.Load(n+otRight))
-		}
+		parent, side = n, toward(c < 0)
+		shared[side], n = same, rhtm.Addr(tx.Load(n+side))
 	}
-	return rhtm.NilAddr, parent, left
+	return rhtm.NilAddr, parent, side
 }
 
-// link hangs node, red and childless, as parent's left or right child (as the
+// toward is the side a walk leaves a node by: left when the probe sorts
+// before the node's key.
+func toward(before bool) rhtm.Addr {
+	if before {
+		return otLeft
+	}
+	return otRight
+}
+
+// link hangs node, red and childless, as parent's child on side s (as the
 // root when parent is nil) and rebalances: Insert after its descent.
-func (t *OrderedTree) link(tx rhtm.Tx, parent rhtm.Addr, left bool, node rhtm.Addr) {
+func (t *OrderedTree) link(tx rhtm.Tx, parent, s, node rhtm.Addr) {
 	tx.Store(node+otLeft, uint64(rhtm.NilAddr))
 	tx.Store(node+otRight, uint64(rhtm.NilAddr))
 	tx.Store(node+otParent, uint64(parent))
 	tx.Store(node+otColor, red)
 	if parent == rhtm.NilAddr {
 		tx.Store(t.root, uint64(node))
-	} else if left {
-		tx.Store(parent+otLeft, uint64(node))
 	} else {
-		tx.Store(parent+otRight, uint64(node))
+		tx.Store(parent+s, uint64(node))
 	}
 	t.insertFixup(tx, uint64(node))
 }
@@ -174,16 +180,30 @@ func (t *OrderedTree) transplant(tx rhtm.Tx, u, v uint64) uint64 {
 func (t *OrderedTree) replaceChild(tx rhtm.Tx, p, u, v uint64) {
 	if p == uint64(rhtm.NilAddr) {
 		tx.Store(t.root, v)
-	} else if tx.Load(rhtm.Addr(p)+otLeft) == u {
-		tx.Store(rhtm.Addr(p)+otLeft, v)
-	} else {
-		tx.Store(rhtm.Addr(p)+otRight, v)
+		return
 	}
+	tx.Store(rhtm.Addr(p)+sideOf(tx, p, u), v)
+}
+
+// sideOf returns the side of p that u hangs on, telling by p's left link.
+func sideOf(tx rhtm.Tx, p, u uint64) rhtm.Addr {
+	return toward(tx.Load(rhtm.Addr(p)+otLeft) == u)
 }
 
 // Scan visits the nodes whose keys fall in [start, end) in ascending key
 // order. A nil start means "from the smallest key"; a nil end means "to the
 // largest". Visiting stops early when fn returns false.
+//
+// A scan under tx is its own phantom protection (Eswaran et al., "The
+// Notions of Consistency and Predicate Locks in a Database System", CACM
+// 1976). It loads every link that an insert into the part of the range it
+// covered, or a delete from it, must write: the link into each node it
+// visits, both links of each node it yields, and the nil link where its walk
+// runs out at either end, which is where a key inserted into an empty range
+// hangs. The engine checks those loads like any other, so a concurrent
+// change to the range's membership conflicts with tx and its transaction
+// runs again. That is why kv.Local records no scanned ranges; the dbtest
+// battery's DBPhantom section pins it on every backend.
 func (t *OrderedTree) Scan(tx rhtm.Tx, start, end []byte, fn func(node rhtm.Addr) bool) {
 	t.scan(tx, rhtm.Addr(tx.Load(t.root)), start, end, fn)
 }
@@ -238,41 +258,27 @@ func (t *OrderedTree) Len(tx rhtm.Tx) int {
 
 // --- rotations and fixups (CLRS ch. 13) ---
 
-// rotateLeft performs a left rotation around x.
-func (t *OrderedTree) rotateLeft(tx rhtm.Tx, x uint64) {
+// rotate turns x down to side s: x's child on the other side takes x's
+// place, and that child's subtree on side s moves across to x. rotate(x,
+// otLeft) is CLRS's LEFT-ROTATE.
+func (t *OrderedTree) rotate(tx rhtm.Tx, x uint64, s rhtm.Addr) {
 	xa := rhtm.Addr(x)
-	y := tx.Load(xa + otRight)
+	y := tx.Load(xa + 1 - s)
 	ya := rhtm.Addr(y)
-	yl := tx.Load(ya + otLeft)
-	tx.Store(xa+otRight, yl)
-	if yl != uint64(rhtm.NilAddr) {
-		tx.Store(rhtm.Addr(yl)+otParent, x)
+	ys := tx.Load(ya + s)
+	tx.Store(xa+1-s, ys)
+	if ys != uint64(rhtm.NilAddr) {
+		tx.Store(rhtm.Addr(ys)+otParent, x)
 	}
 	p := tx.Load(xa + otParent)
 	tx.Store(ya+otParent, p)
 	t.replaceChild(tx, p, x, y)
-	tx.Store(ya+otLeft, x)
+	tx.Store(ya+s, x)
 	tx.Store(xa+otParent, y)
 }
 
-// rotateRight performs a right rotation around x.
-func (t *OrderedTree) rotateRight(tx rhtm.Tx, x uint64) {
-	xa := rhtm.Addr(x)
-	y := tx.Load(xa + otLeft)
-	ya := rhtm.Addr(y)
-	yr := tx.Load(ya + otRight)
-	tx.Store(xa+otLeft, yr)
-	if yr != uint64(rhtm.NilAddr) {
-		tx.Store(rhtm.Addr(yr)+otParent, x)
-	}
-	p := tx.Load(xa + otParent)
-	tx.Store(ya+otParent, p)
-	t.replaceChild(tx, p, x, y)
-	tx.Store(ya+otRight, x)
-	tx.Store(xa+otParent, y)
-}
-
-// insertFixup restores the red-black invariants after inserting z.
+// insertFixup restores the red-black invariants after inserting z; s is the
+// side of grandparent g that z's parent p hangs on, u is g's other child.
 func (t *OrderedTree) insertFixup(tx rhtm.Tx, z uint64) {
 	for {
 		p := tx.Load(rhtm.Addr(z) + otParent)
@@ -281,119 +287,70 @@ func (t *OrderedTree) insertFixup(tx rhtm.Tx, z uint64) {
 		}
 		g := tx.Load(rhtm.Addr(p) + otParent) // grandparent exists: p is red, root is black
 		ga := rhtm.Addr(g)
-		if p == tx.Load(ga+otLeft) {
-			u := tx.Load(ga + otRight)
-			if u != uint64(rhtm.NilAddr) && tx.Load(rhtm.Addr(u)+otColor) == red {
-				tx.Store(rhtm.Addr(p)+otColor, black)
-				tx.Store(rhtm.Addr(u)+otColor, black)
-				tx.Store(ga+otColor, red)
-				z = g
-				continue
-			}
-			if z == tx.Load(rhtm.Addr(p)+otRight) {
-				z = p
-				t.rotateLeft(tx, z)
-				p = tx.Load(rhtm.Addr(z) + otParent)
-			}
+		s := sideOf(tx, g, p)
+		u := tx.Load(ga + 1 - s)
+		if u != uint64(rhtm.NilAddr) && tx.Load(rhtm.Addr(u)+otColor) == red {
 			tx.Store(rhtm.Addr(p)+otColor, black)
+			tx.Store(rhtm.Addr(u)+otColor, black)
 			tx.Store(ga+otColor, red)
-			t.rotateRight(tx, g)
-		} else {
-			u := tx.Load(ga + otLeft)
-			if u != uint64(rhtm.NilAddr) && tx.Load(rhtm.Addr(u)+otColor) == red {
-				tx.Store(rhtm.Addr(p)+otColor, black)
-				tx.Store(rhtm.Addr(u)+otColor, black)
-				tx.Store(ga+otColor, red)
-				z = g
-				continue
-			}
-			if z == tx.Load(rhtm.Addr(p)+otLeft) {
-				z = p
-				t.rotateRight(tx, z)
-				p = tx.Load(rhtm.Addr(z) + otParent)
-			}
-			tx.Store(rhtm.Addr(p)+otColor, black)
-			tx.Store(ga+otColor, red)
-			t.rotateLeft(tx, g)
+			z = g
+			continue
 		}
+		if z == tx.Load(rhtm.Addr(p)+1-s) {
+			z = p
+			t.rotate(tx, z, s)
+			p = tx.Load(rhtm.Addr(z) + otParent)
+		}
+		tx.Store(rhtm.Addr(p)+otColor, black)
+		tx.Store(ga+otColor, red)
+		t.rotate(tx, g, 1-s)
 	}
 	r := tx.Load(t.root)
 	tx.Store(rhtm.Addr(r)+otColor, black)
 }
 
 // deleteFixup restores the invariants after unlinking a black node; x (which
-// may be nil) carries an extra black, xp is its parent.
+// may be nil) carries an extra black, xp is its parent. s is x's side of xp,
+// and its sibling w hangs on the other. w's children are loaded and tested
+// left before right for either s, not near before far: the simulated access
+// counts follow that order (TestOrderedTreeStructureTrace pins it).
 func (t *OrderedTree) deleteFixup(tx rhtm.Tx, x, xp uint64) {
 	for x != tx.Load(t.root) && t.colorOf(tx, x) == black {
 		if xp == uint64(rhtm.NilAddr) {
 			break
 		}
 		xpa := rhtm.Addr(xp)
-		if x == tx.Load(xpa+otLeft) {
-			w := tx.Load(xpa + otRight)
-			if t.colorOf(tx, w) == red {
-				tx.Store(rhtm.Addr(w)+otColor, black)
-				tx.Store(xpa+otColor, red)
-				t.rotateLeft(tx, xp)
-				w = tx.Load(xpa + otRight)
-			}
-			wl := tx.Load(rhtm.Addr(w) + otLeft)
-			wr := tx.Load(rhtm.Addr(w) + otRight)
-			if t.colorOf(tx, wl) == black && t.colorOf(tx, wr) == black {
-				tx.Store(rhtm.Addr(w)+otColor, red)
-				x = xp
-				xp = tx.Load(rhtm.Addr(x) + otParent)
-				continue
-			}
-			if t.colorOf(tx, wr) == black {
-				if wl != uint64(rhtm.NilAddr) {
-					tx.Store(rhtm.Addr(wl)+otColor, black)
-				}
-				tx.Store(rhtm.Addr(w)+otColor, red)
-				t.rotateRight(tx, w)
-				w = tx.Load(xpa + otRight)
-				wr = tx.Load(rhtm.Addr(w) + otRight)
-			}
-			tx.Store(rhtm.Addr(w)+otColor, tx.Load(xpa+otColor))
-			tx.Store(xpa+otColor, black)
-			if wr != uint64(rhtm.NilAddr) {
-				tx.Store(rhtm.Addr(wr)+otColor, black)
-			}
-			t.rotateLeft(tx, xp)
-			x = tx.Load(t.root)
-			break
-		}
-		// Mirror image.
-		w := tx.Load(xpa + otLeft)
+		s := sideOf(tx, xp, x)
+		w := tx.Load(xpa + 1 - s)
 		if t.colorOf(tx, w) == red {
 			tx.Store(rhtm.Addr(w)+otColor, black)
 			tx.Store(xpa+otColor, red)
-			t.rotateRight(tx, xp)
-			w = tx.Load(xpa + otLeft)
+			t.rotate(tx, xp, s)
+			w = tx.Load(xpa + 1 - s)
 		}
-		wl := tx.Load(rhtm.Addr(w) + otLeft)
-		wr := tx.Load(rhtm.Addr(w) + otRight)
-		if t.colorOf(tx, wl) == black && t.colorOf(tx, wr) == black {
+		wc := [2]uint64{tx.Load(rhtm.Addr(w) + otLeft), tx.Load(rhtm.Addr(w) + otRight)}
+		if t.colorOf(tx, wc[otLeft]) == black && t.colorOf(tx, wc[otRight]) == black {
 			tx.Store(rhtm.Addr(w)+otColor, red)
 			x = xp
 			xp = tx.Load(rhtm.Addr(x) + otParent)
 			continue
 		}
-		if t.colorOf(tx, wl) == black {
-			if wr != uint64(rhtm.NilAddr) {
-				tx.Store(rhtm.Addr(wr)+otColor, black)
+		near, far := wc[s], wc[1-s]
+		if t.colorOf(tx, far) == black {
+			if near != uint64(rhtm.NilAddr) {
+				tx.Store(rhtm.Addr(near)+otColor, black)
 			}
 			tx.Store(rhtm.Addr(w)+otColor, red)
-			t.rotateLeft(tx, w)
-			w = tx.Load(xpa + otLeft)
-			wl = tx.Load(rhtm.Addr(w) + otLeft)
+			t.rotate(tx, w, 1-s)
+			w = tx.Load(xpa + 1 - s)
+			far = tx.Load(rhtm.Addr(w) + 1 - s)
 		}
 		tx.Store(rhtm.Addr(w)+otColor, tx.Load(xpa+otColor))
 		tx.Store(xpa+otColor, black)
-		if wl != uint64(rhtm.NilAddr) {
-			tx.Store(rhtm.Addr(wl)+otColor, black)
+		if far != uint64(rhtm.NilAddr) {
+			tx.Store(rhtm.Addr(far)+otColor, black)
 		}
-		t.rotateRight(tx, xp)
+		t.rotate(tx, xp, s)
 		x = tx.Load(t.root)
 		break
 	}

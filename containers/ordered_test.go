@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"sort"
 	"testing"
@@ -314,4 +315,131 @@ func TestOrderedTreeValidateReportsCorruption(t *testing.T) {
 			t.Errorf("%s: Validate accepted the corrupt tree", name)
 		}
 	}
+}
+
+// wordKeyWords is the length, in words, of every key of the structure trace's
+// OrderedTree: one byte of the key a word, stored after the node's header.
+const wordKeyWords = 5
+
+// wordKeyCmp compares a probe against a key held in simulated memory, one
+// word per byte, from word from on: the comparator shape of store's records,
+// so that the loads descend's shared-prefix skip saves are the loads the
+// trace does not see.
+func wordKeyCmp(tx rhtm.Tx, key []byte, node rhtm.Addr, from int) (int, int) {
+	for i := from; i < wordKeyWords; i++ {
+		p, s := uint64(key[i]), tx.Load(node+OTHeaderWords+rhtm.Addr(i))
+		if p != s {
+			return cmp.Compare(p, s), i
+		}
+	}
+	return 0, wordKeyWords
+}
+
+// TestOrderedTreeStructureTrace pins the access stream of the tree's
+// structural operations, which TestConstTreeTrace does not reach: linking
+// and insertFixup, Unlink, transplant and deleteFixup, each rotation on both
+// sides, and the range traversal. Two seeded mixes run, each on a traced
+// setup transaction of its own: Insert/Delete over RBTree, and
+// Insert/Delete/Scan over an OrderedTree whose five-word keys share prefixes
+// of every length, so the words descend skips are part of the hash. Loaded
+// and stored values are not hashed; the address sequence is, so any change
+// to which link a rotation or fixup reads or writes, or in what order, moves
+// it.
+func TestOrderedTreeStructureTrace(t *testing.T) {
+	s := newSys(1 << 20)
+	rng := rand.New(rand.NewSource(5))
+	check := func(mix string, tx *traceTx, wantHash uint64, wantLoads, wantStores int) {
+		t.Helper()
+		if got := tx.h.Sum64(); got != wantHash || tx.loads != wantLoads || tx.stores != wantStores {
+			t.Errorf("%s: trace hash %#x, %d loads, %d stores; want %#x, %d, %d",
+				mix, got, tx.loads, tx.stores, wantHash, wantLoads, wantStores)
+		}
+	}
+
+	tx := &traceTx{Tx: SetupTx(s), h: fnv.New64a()}
+	rb := NewRBTree(s)
+	oracle := map[uint64]bool{}
+	for i := 0; i < 20000; i++ {
+		key := uint64(rng.Intn(3000) + 1)
+		if rng.Intn(2) == 0 {
+			if rb.Insert(tx, key, key) == oracle[key] {
+				t.Fatalf("RBTree op %d: Insert(%d) disagrees with the oracle", i, key)
+			}
+			oracle[key] = true
+		} else {
+			if rb.Delete(tx, key) != oracle[key] {
+				t.Fatalf("RBTree op %d: Delete(%d) disagrees with the oracle", i, key)
+			}
+			delete(oracle, key)
+		}
+	}
+	if err := rb.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(rb.Keys()); got != len(oracle) {
+		t.Fatalf("RBTree holds %d keys, oracle %d", got, len(oracle))
+	}
+	check("RBTree Insert/Delete", tx, 0x94cd7127c140a446, 516615, 103323)
+
+	tx = &traceTx{Tx: SetupTx(s), h: fnv.New64a()}
+	tree := NewOrderedTree(s, wordKeyCmp)
+	key := func() []byte {
+		return []byte{7, 7, byte(rng.Intn(3)), byte(rng.Intn(8)), byte(rng.Intn(64))}
+	}
+	present := map[string]rhtm.Addr{}
+	scanned := 0
+	for i := 0; i < 20000; i++ {
+		k := key()
+		switch rng.Intn(5) {
+		case 0, 1:
+			node := s.MustAlloc(OTHeaderWords + wordKeyWords)
+			for j, b := range k {
+				s.Poke(node+OTHeaderWords+rhtm.Addr(j), uint64(b))
+			}
+			got, inserted := tree.Insert(tx, k, node)
+			if old, ok := present[string(k)]; inserted == ok || ok && got != old {
+				t.Fatalf("OrderedTree op %d: Insert(%v) = %d, %v; oracle %d, %v", i, k, got, inserted, old, ok)
+			}
+			if !inserted {
+				s.Free(node, OTHeaderWords+wordKeyWords)
+			}
+			present[string(k)] = got
+		case 2, 3:
+			node, removed := treeDelete(tree, tx, k)
+			if old, ok := present[string(k)]; removed != ok || ok && node != old {
+				t.Fatalf("OrderedTree op %d: Delete(%v) = %d, %v; oracle %d, %v", i, k, node, removed, old, ok)
+			}
+			if removed {
+				s.Free(node, OTHeaderWords+wordKeyWords)
+			}
+			delete(present, string(k))
+		default:
+			end, limit := key(), rng.Intn(6)
+			var prev []byte
+			n := 0
+			tree.Scan(tx, k, end, func(node rhtm.Addr) bool {
+				got := make([]byte, wordKeyWords)
+				for j := range got {
+					got[j] = byte(s.Peek(node + OTHeaderWords + rhtm.Addr(j)))
+				}
+				if bytes.Compare(got, k) < 0 || bytes.Compare(got, end) >= 0 || prev != nil && bytes.Compare(prev, got) >= 0 {
+					t.Fatalf("OrderedTree op %d: Scan[%v, %v) visited %v after %v", i, k, end, got, prev)
+				}
+				prev = got
+				n++
+				return limit == 0 || n < limit
+			})
+			scanned += n
+		}
+	}
+	if err := tree.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := tree.Len(SetupTx(s)); got != len(present) {
+		t.Fatalf("OrderedTree holds %d keys, oracle %d", got, len(present))
+	}
+	if scanned != 80178 {
+		t.Errorf("the scans visited %d nodes, want 80178", scanned)
+	}
+	check("OrderedTree Insert/Delete/Scan", tx, 0x8fd886eb00fc89ba, 875845, 68790)
 }

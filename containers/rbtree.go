@@ -69,14 +69,10 @@ func (t *RBTree) ConstLookup(tx rhtm.Tx, key uint64) bool {
 			_ = tx.Load(a + rbDummy0 + rhtm.Addr(i))
 		}
 		k := tx.Load(a + rbKey)
-		switch {
-		case key == k:
+		if key == k {
 			return true
-		case key < k:
-			n = rhtm.Addr(tx.Load(n + otLeft))
-		default:
-			n = rhtm.Addr(tx.Load(n + otRight))
 		}
+		n = rhtm.Addr(tx.Load(n + toward(key < k)))
 	}
 	return false
 }
@@ -107,34 +103,28 @@ func (t *RBTree) ConstUpdate(tx rhtm.Tx, key, value uint64, rng *rand.Rand) bool
 // mimicking the write footprint of a rotation around the node.
 func (t *RBTree) touchTriplet(tx rhtm.Tx, n rhtm.Addr, value uint64) {
 	tx.Store(rbBase(n)+rbDummy0, value)
-	if l := rhtm.Addr(tx.Load(n + otLeft)); l != rhtm.NilAddr {
-		tx.Store(rbBase(l)+rbDummy0, value)
-	}
-	if r := rhtm.Addr(tx.Load(n + otRight)); r != rhtm.NilAddr {
-		tx.Store(rbBase(r)+rbDummy0, value)
+	for s := rhtm.Addr(otLeft); s <= otRight; s++ {
+		if c := rhtm.Addr(tx.Load(n + s)); c != rhtm.NilAddr {
+			tx.Store(rbBase(c)+rbDummy0, value)
+		}
 	}
 }
 
 // find descends toward key. It returns the header of key's node and
-// found=true, or else the last node visited (nil for an empty tree) and
-// whether key would hang as its left child.
-func (t *RBTree) find(tx rhtm.Tx, key uint64) (n rhtm.Addr, found, left bool) {
+// found=true, or else the last node visited (nil for an empty tree) and the
+// side of it key would hang on.
+func (t *RBTree) find(tx rhtm.Tx, key uint64) (n rhtm.Addr, found bool, side rhtm.Addr) {
 	parent := rhtm.NilAddr
 	n = rhtm.Addr(tx.Load(t.tree.root))
 	for n != rhtm.NilAddr {
 		k := tx.Load(rbBase(n) + rbKey)
 		if key == k {
-			return n, true, false
+			return n, true, side
 		}
-		parent = n
-		left = key < k
-		if left {
-			n = rhtm.Addr(tx.Load(n + otLeft))
-		} else {
-			n = rhtm.Addr(tx.Load(n + otRight))
-		}
+		parent, side = n, toward(key < k)
+		n = rhtm.Addr(tx.Load(n + side))
 	}
-	return parent, false, left
+	return parent, false, side
 }
 
 // --- real operations ---
@@ -157,7 +147,7 @@ func (t *RBTree) Insert(tx rhtm.Tx, key, value uint64) bool {
 	if key == 0 {
 		panic("containers: RBTree key 0 is reserved")
 	}
-	n, found, left := t.find(tx, key)
+	n, found, side := t.find(tx, key)
 	if found {
 		tx.Store(rbBase(n)+rbValue, value)
 		return false
@@ -165,7 +155,7 @@ func (t *RBTree) Insert(tx rhtm.Tx, key, value uint64) bool {
 	node := t.tree.sys.MustAlloc(RBNodeWords)
 	tx.Store(node+rbKey, key)
 	tx.Store(node+rbValue, value)
-	t.tree.link(tx, n, left, node+rbHeader)
+	t.tree.link(tx, n, side, node+rbHeader)
 	return true
 }
 

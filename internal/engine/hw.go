@@ -20,6 +20,39 @@ type HWWorker struct {
 	MaxFastAttempts int
 }
 
+// RawTx is the uninstrumented hardware Tx: each access is counted and made
+// speculatively on the worker's Txn, and one that fails retries the attempt.
+// Pure HTM and Phased TM's hardware phase run their bodies on it, each
+// adding only its Prologue; it has nothing to do before the commit.
+type RawTx HWWorker
+
+// Load implements Tx: a raw speculative read.
+func (tx *RawTx) Load(a memsim.Addr) uint64 {
+	tx.Stats.Reads++
+	v, ok := tx.Txn.Read(a)
+	if !ok {
+		Retry()
+	}
+	return v
+}
+
+// Store implements Tx: a raw speculative write.
+func (tx *RawTx) Store(a memsim.Addr, v uint64) {
+	tx.Stats.Writes++
+	if !tx.Txn.Write(a, v) {
+		Retry()
+	}
+}
+
+// Unsupported implements Tx: hardware cannot execute it.
+func (tx *RawTx) Unsupported() {
+	tx.Txn.Unsupported()
+	Retry()
+}
+
+// PreCommit implements HWPath: nothing to do.
+func (tx *RawTx) PreCommit() bool { return true }
+
 // HWPath is what an engine supplies to a hardware attempt: the Tx its body
 // runs on and the two steps that differ between protocols. Both steps run
 // inside the hardware transaction and return false when the attempt cannot

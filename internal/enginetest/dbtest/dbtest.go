@@ -48,6 +48,9 @@ type DBFactory func(t *testing.T) (db kv.DB, clock *kv.ManualClock, validate fun
 //     its own buffered writes to the keyspace it names, a key is observed
 //     once per attempt, Put-then-Delete and Delete of an absent key commit,
 //     and a limited Scan fills its limit over buffered deletes;
+//   - phantom protection (phantom.go): a closure whose scanned range gains
+//     or loses a key before it commits runs again and commits what the
+//     range holds after the change;
 //   - the coordination sections (coord.go): conditional-write semantics
 //     plus a concurrent CAS lost-update race, lease grant / attach /
 //     keep-alive / revoke / virtual-time expiry atomicity under a map
@@ -77,6 +80,7 @@ func RunDB(t *testing.T, name string, factory DBFactory, opts ...BatteryOption) 
 	t.Run(name+"/DBScanSnapshot", func(t *testing.T) { testDBScanSnapshot(t, factory) })
 	t.Run(name+"/DBBufferClamp", func(t *testing.T) { testDBBufferClamp(t, factory) })
 	t.Run(name+"/DBBufferRules", func(t *testing.T) { testDBBufferRules(t, factory) })
+	t.Run(name+"/DBPhantom", func(t *testing.T) { RunPhantom(t, factory) })
 	t.Run(name+"/DBRevisionCAS", func(t *testing.T) { testDBRevisionCAS(t, factory) })
 	t.Run(name+"/DBLeaseExpiry", func(t *testing.T) { testDBLeaseExpiry(t, factory) })
 	t.Run(name+"/DBWatch", func(t *testing.T) { testDBWatch(t, factory) })

@@ -91,7 +91,7 @@ func (t *pureThread) Atomic(fn func(tx engine.Tx) error) error {
 
 // TryFast implements engine.FastPath.
 func (t *pureThread) TryFast(fn func(tx engine.Tx) error) (bool, error, memsim.AbortReason) {
-	return t.Attempt(fn, (*pureTx)(t), &t.Stats.FastCommits)
+	return t.Attempt(fn, pureTx{(*engine.RawTx)(&t.HWWorker)}, &t.Stats.FastCommits)
 }
 
 // GoSlow implements engine.FastPath: transient aborts retry forever, the
@@ -106,37 +106,9 @@ func (t *pureThread) GoSlow(_ int, reason memsim.AbortReason) bool {
 // RunSlow implements engine.FastPath: there is no software path.
 func (t *pureThread) RunSlow(func(tx engine.Tx) error) error { return ErrHardwareOnly }
 
-type pureTx pureThread
+// pureTx is a pure hardware attempt: the raw hardware Tx, with no
+// instrumentation.
+type pureTx struct{ *engine.RawTx }
 
 // Prologue implements engine.HWPath: nothing to subscribe to.
-func (tx *pureTx) Prologue() bool { return true }
-
-// PreCommit implements engine.HWPath: nothing to do.
-func (tx *pureTx) PreCommit() bool { return true }
-
-// Load implements engine.Tx: a raw speculative read, no instrumentation.
-func (tx *pureTx) Load(a memsim.Addr) uint64 {
-	t := (*pureThread)(tx)
-	t.Stats.Reads++
-	v, ok := t.Txn.Read(a)
-	if !ok {
-		engine.Retry()
-	}
-	return v
-}
-
-// Store implements engine.Tx: a raw speculative write.
-func (tx *pureTx) Store(a memsim.Addr, v uint64) {
-	t := (*pureThread)(tx)
-	t.Stats.Writes++
-	if !t.Txn.Write(a, v) {
-		engine.Retry()
-	}
-}
-
-// Unsupported implements engine.Tx: pure hardware cannot execute it.
-func (tx *pureTx) Unsupported() {
-	t := (*pureThread)(tx)
-	t.Txn.Unsupported()
-	engine.Retry()
-}
+func (pureTx) Prologue() bool { return true }

@@ -83,6 +83,7 @@ func (e *Engine) Name() string { return "Phased TM" }
 // NewThread implements engine.Engine.
 func (e *Engine) NewThread() engine.Thread {
 	t := &Thread{eng: e, sys: e.Sys, slow: e.Slow.NewThread()}
+	t.hw = phasedTx{(*engine.RawTx)(&t.HWWorker), e}
 	id := e.RegisterHW(&t.HWWorker, e.opts.InjectAbortPercent)
 	t.Rng = rand.New(rand.NewSource(int64(id)*40692 + 5))
 	t.MaxFastAttempts = maxFastAttempts
@@ -95,6 +96,7 @@ type Thread struct {
 	eng  *Engine
 	sys  *sys.System
 	slow engine.Thread
+	hw   phasedTx // this thread's hardware-phase path
 }
 
 // Atomic implements engine.Thread.
@@ -113,7 +115,7 @@ func (t *Thread) TryFast(fn func(tx engine.Tx) error) (bool, error, memsim.Abort
 		t.sys.Mem.Load(t.eng.swCnt) > 0 {
 		return true, t.runSoftware(fn), memsim.AbortNone
 	}
-	return t.Attempt(fn, (*phasedTx)(t), &t.Stats.FastCommits)
+	return t.Attempt(fn, &t.hw, &t.Stats.FastCommits)
 }
 
 // RunSlow implements engine.FastPath: flip the whole system to the software
@@ -138,7 +140,12 @@ func (t *Thread) runSoftware(fn func(tx engine.Tx) error) error {
 	return err
 }
 
-type phasedTx Thread
+// phasedTx is a hardware-phase attempt: the raw hardware Tx, uninstrumented
+// in the hardware phase, and a Prologue that subscribes to the phase.
+type phasedTx struct {
+	*engine.RawTx
+	eng *Engine
+}
 
 // Prologue implements engine.HWPath: subscribe to the phase word, and to the
 // software count as well: a software transaction that sneaks in after the
@@ -146,49 +153,18 @@ type phasedTx Thread
 // hardware transaction through coherence before any non-atomic software
 // write-back can be observed.
 func (tx *phasedTx) Prologue() bool {
-	t := (*Thread)(tx)
-	p, ok := t.Txn.Read(t.eng.phase)
+	p, ok := tx.Txn.Read(tx.eng.phase)
 	if !ok {
 		return false
 	}
-	cnt, ok := t.Txn.Read(t.eng.swCnt)
+	cnt, ok := tx.Txn.Read(tx.eng.swCnt)
 	if !ok {
 		return false
 	}
-	t.Stats.MetadataReads += 2
+	tx.Stats.MetadataReads += 2
 	if p != phaseHardware || cnt > 0 {
-		t.Txn.Abort(memsim.AbortExplicit)
+		tx.Txn.Abort(memsim.AbortExplicit)
 		return false
 	}
 	return true
-}
-
-// PreCommit implements engine.HWPath: nothing to do.
-func (tx *phasedTx) PreCommit() bool { return true }
-
-// Load implements engine.Tx: uninstrumented in the hardware phase.
-func (tx *phasedTx) Load(a memsim.Addr) uint64 {
-	t := (*Thread)(tx)
-	t.Stats.Reads++
-	v, ok := t.Txn.Read(a)
-	if !ok {
-		engine.Retry()
-	}
-	return v
-}
-
-// Store implements engine.Tx: uninstrumented in the hardware phase.
-func (tx *phasedTx) Store(a memsim.Addr, v uint64) {
-	t := (*Thread)(tx)
-	t.Stats.Writes++
-	if !t.Txn.Write(a, v) {
-		engine.Retry()
-	}
-}
-
-// Unsupported implements engine.Tx.
-func (tx *phasedTx) Unsupported() {
-	t := (*Thread)(tx)
-	t.Txn.Unsupported()
-	engine.Retry()
 }

@@ -138,7 +138,7 @@ func TestRemoteAbortWindow(t *testing.T) {
 			e := MustNew(s, Options{})
 			th := e.NewThread().(*Thread)
 			s.Mem.Store(word(e), 1)
-			enginetest.CheckRemoteAbortWindow(t, s.Mem, &th.HWWorker, (*phasedTx)(th), word(e),
+			enginetest.CheckRemoteAbortWindow(t, s.Mem, &th.HWWorker, &th.hw, word(e),
 				func(engine.Tx) error { return nil })
 		})
 	}
