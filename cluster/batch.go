@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"rhtm"
+	"rhtm/internal/scratch"
 )
 
 // Batched operations: a Batch groups independent single-key operations into
@@ -68,11 +69,12 @@ func (cl *Client) Batch(ops []BatchOp) ([]BatchResult, error) {
 	return results, cl.batchLocal(nodeID, ops, results)
 }
 
-// batchTxn plays a batch that spans Systems on a buffered Txn, in batch
+// batchTxn plays a batch that spans Systems on the Client's Txn, in batch
 // order, and commits it. A blind Put costs nothing until the commit; a Get
 // or Delete reads its key through once (a Delete reports prior presence).
 func (cl *Client) batchTxn(ops []BatchOp, results []BatchResult) error {
-	t := NewTxn(cl)
+	t := &cl.txn
+	defer t.reset()
 	for i, op := range ops {
 		switch op.Kind {
 		case BatchGet:
@@ -91,7 +93,7 @@ func (cl *Client) batchTxn(ops []BatchOp, results []BatchResult) error {
 			results[i] = BatchResult{Found: ok}
 		}
 	}
-	return cl.commit(t)
+	return cl.commit()
 }
 
 // batchLocal runs a single-System batch through commitOn: all the
@@ -99,12 +101,12 @@ func (cl *Client) batchTxn(ops []BatchOp, results []BatchResult) error {
 func (cl *Client) batchLocal(nodeID int, ops []BatchOp, results []BatchResult) error {
 	// Group the ops by distinct key, ascending: one sort of their indices
 	// by key makes each key's operations a run of it.
-	idx := make([]int, len(ops))
-	for i := range idx {
-		idx[i] = i
+	idx := cl.idx[:0]
+	for i := range ops {
+		idx = append(idx, i)
 	}
 	slices.SortFunc(idx, func(a, b int) int { return bytes.Compare(ops[a].Key, ops[b].Key) })
-	keys := make([]batchKey, 0, len(ops))
+	keys := cl.bkeys[:0]
 	for lo, hi := 0, 0; lo < len(idx); lo = hi {
 		written := false
 		for hi < len(idx) && bytes.Equal(ops[idx[hi]].Key, ops[idx[lo]].Key) {
@@ -113,29 +115,37 @@ func (cl *Client) batchLocal(nodeID int, ops []BatchOp, results []BatchResult) e
 		}
 		keys = append(keys, batchKey{key: ops[idx[lo]].Key, written: written})
 	}
-	err := cl.commitOn(nodeID, func(tx rhtm.Tx, w *localWrites) error {
-		for i := range keys {
-			if !w.free(tx, keys[i].key, keys[i].written) {
-				return ErrConflict
-			}
-		}
-		// Every operation is this System's: execute them in batch order,
-		// exactly as submitted.
-		for i, op := range ops {
-			switch op.Kind {
-			case BatchGet:
-				v, ok := w.n.st.Get(tx, op.Key)
-				results[i] = BatchResult{Value: v, Found: ok}
-			default:
-				found, err := w.write(tx, op.Key, Write{Value: op.Value, Delete: op.Kind == BatchDelete})
-				if err != nil {
-					return err
-				}
-				results[i] = BatchResult{Found: found}
-			}
-		}
-		return nil
-	})
+	cl.ops, cl.results, cl.bkeys = ops, results, keys
+	err := cl.commitOn(nodeID, cl.batchBody)
+	cl.ops, cl.results = nil, nil
+	cl.idx, cl.bkeys = scratch.Release(idx), scratch.Release(keys)
 	cl.countIntentWait(err)
 	return err
+}
+
+// applyBatch is batchLocal's body.
+func (cl *Client) applyBatch(tx rhtm.Tx) error {
+	w := &cl.w
+	w.begin(cl.node, cl.c.wal != nil)
+	for i := range cl.bkeys {
+		if !w.free(tx, cl.bkeys[i].key, cl.bkeys[i].written) {
+			return ErrConflict
+		}
+	}
+	// Every operation is this System's: execute them in batch order,
+	// exactly as submitted.
+	for i, op := range cl.ops {
+		switch op.Kind {
+		case BatchGet:
+			v, ok := w.n.st.Get(tx, op.Key)
+			cl.results[i] = BatchResult{Value: v, Found: ok}
+		default:
+			found, err := w.write(tx, op.Key, Write{Value: op.Value, Delete: op.Kind == BatchDelete})
+			if err != nil {
+				return err
+			}
+			cl.results[i] = BatchResult{Found: found}
+		}
+	}
+	return nil
 }

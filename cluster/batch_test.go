@@ -211,17 +211,17 @@ func diffGroups(got, want []wal.TxnGroup) string {
 	return ""
 }
 
-// TestBatchGroupingAllocs: a single-System batch allocates per batch, not
-// per operation. Without a WAL, 1 and 16 distinct keys both cost 6
-// allocations. Over a WAL they cost 9 and 13: the four extra are the log
-// record slice doubling to 16 entries (1, 2, 4, 8, 16). Grouping through a
-// map keyed by string(key) cost about three allocations per operation (47
-// and 54 for 16 keys).
+// TestBatchGroupingAllocs: a single-System batch allocates only the
+// results it returns, and over a WAL the device's copy of the appended
+// frames, which stands for the disk: 1 and 2 allocations, for 1 distinct key
+// and for 16. A grouping map keyed by string(key), grouping slices or log
+// records built per batch, or a closure around the engine body each fails
+// it.
 func TestBatchGroupingAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		wal   bool
-		extra float64 // allocations 16 keys may add over 1
-	}{{false, 0}, {true, 4}} {
+		wal  bool
+		want float64
+	}{{false, 1}, {true, 2}} {
 		c := newSmall(2)
 		if tc.wal {
 			attachMemWAL(t, c)
@@ -243,9 +243,9 @@ func TestBatchGroupingAllocs(t *testing.T) {
 		// reach fresh simulated lines, whose lock stripes allocate on first
 		// touch.
 		allocs(16, 500)
-		if one, sixteen := allocs(1, 100), allocs(16, 100); sixteen > one+tc.extra {
-			t.Errorf("wal=%v: a 16-key batch costs %v allocations, a 1-key batch %v; want at most %v more",
-				tc.wal, sixteen, one, tc.extra)
+		if one, sixteen := allocs(1, 100), allocs(16, 100); one != tc.want || sixteen != tc.want {
+			t.Errorf("wal=%v: a 1-key batch costs %v allocations, a 16-key batch %v; want %v each",
+				tc.wal, one, sixteen, tc.want)
 		}
 	}
 }

@@ -3,10 +3,12 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"math/bits"
 	"slices"
 	"time"
 
 	"rhtm"
+	"rhtm/internal/scratch"
 	"rhtm/obs"
 	"rhtm/store"
 	"rhtm/wal"
@@ -27,6 +29,15 @@ var errPhantom = errors.New("cluster: phantom")
 // Client is a session against the cluster: it owns one engine thread per
 // System. Like rhtm.Thread, a Client is not safe for concurrent use — each
 // goroutine obtains its own from NewClient.
+//
+// A Client allocates per operation only what it hands back. It owns the one
+// Txn that Txn and a cross-System Batch run, reset for every attempt, and
+// the scratch of a commit: the stamps and log records of the System it
+// writes (w), the participants of a footprint, the coordinator's decision
+// record, and a single-System batch's key grouping. Each is trimmed with
+// internal/scratch where the operation that grew it ends. Its engine-
+// transaction bodies are bound once, by NewClient; a caller hands a body
+// its operands through the fields below and clears them after the call.
 type Client struct {
 	c       *Cluster
 	threads []rhtm.Thread
@@ -35,6 +46,27 @@ type Client struct {
 	// stages of this session's commits (SetStageSink). Single-session
 	// state like everything else on Client.
 	sink obs.StageRecorder
+
+	txn      Txn
+	w        localWrites
+	parts    []participant
+	grouped  []txnKey // a multi-System footprint's keys, grouped by System
+	decision []wal.Op
+	idx      []int      // batchLocal: the operations, sorted by key
+	bkeys    []batchKey // batchLocal: the distinct keys
+
+	readBody, applyBody, batchBody, prepareBody, finishBody func(tx rhtm.Tx) error
+
+	node      *Node         // the System the body runs on
+	key       []byte        // read
+	withClock bool          // read: also read the System's clock
+	rec       Record        // read's result
+	clock     uint64        // read's result with withClock
+	keys      []txnKey      // applyBody, prepare, finish: the System's keys
+	txid      uint64        // prepare, finish
+	decide    bool          // finish: apply (true) or discard
+	ops       []BatchOp     // batchBody
+	results   []BatchResult // batchBody
 }
 
 // SetStageSink attaches (or with nil detaches) a per-stage trace sink:
@@ -52,6 +84,9 @@ func (c *Cluster) NewClient() *Client {
 	for _, n := range c.nodes {
 		cl.threads = append(cl.threads, n.eng.NewThread())
 	}
+	cl.txn.src = cl
+	cl.readBody, cl.applyBody, cl.batchBody = cl.readOn, cl.applyLocal, cl.applyBatch
+	cl.prepareBody, cl.finishBody = cl.prepareOn, cl.finishOn
 	return cl
 }
 
@@ -89,37 +124,46 @@ func (cl *Client) StoreStats() (store.Stats, error) {
 // intents pin values without changing them and never block a read. Read is
 // the Client's half of Source: a Txn's read-throughs are not client-level
 // operations, so it counts no local transaction.
-func (cl *Client) Read(key []byte) (Record, error) { return cl.read(key, nil) }
+func (cl *Client) Read(key []byte) (Record, error) {
+	rec, _, err := cl.read(key, false)
+	return rec, err
+}
 
 // ReadClock is Read plus the owning System's revision clock, both taken in
 // one engine transaction, so the pair is one snapshot: the record's
 // revision is at most the clock, and a clock at or past a revision proves
 // every commit up to it is visible to the read. A follower read is this
 // call, and it counts as the one local transaction it is.
-func (cl *Client) ReadClock(key []byte) (rec Record, clock uint64, err error) {
-	if rec, err = cl.read(key, &clock); err == nil {
+func (cl *Client) ReadClock(key []byte) (Record, uint64, error) {
+	rec, clock, err := cl.read(key, true)
+	if err == nil {
 		cl.c.localTxns.Add(1)
 	}
 	return rec, clock, err
 }
 
-// read is Read's engine transaction; it reads the System's revision clock
-// into clock too when clock is not nil.
-func (cl *Client) read(key []byte, clock *uint64) (Record, error) {
-	n := cl.c.nodes[cl.c.router.SystemFor(key)]
-	var rec Record
-	err := cl.threads[n.id].Atomic(func(tx rhtm.Tx) error {
-		if _, held := n.st.WriteIntentOn(tx, key); held {
-			return ErrConflict
-		}
-		rec.Value, rec.Rev, rec.Lease, rec.Found = n.st.Read(tx, key)
-		if clock != nil {
-			*clock = n.st.Events().Rev(tx)
-		}
-		return nil
-	})
+// read is Read's engine transaction; with withClock it reads the System's
+// revision clock too.
+func (cl *Client) read(key []byte, withClock bool) (Record, uint64, error) {
+	cl.node, cl.key, cl.withClock = cl.c.nodes[cl.c.router.SystemFor(key)], key, withClock
+	err := cl.threads[cl.node.id].Atomic(cl.readBody)
+	rec, clock := cl.rec, cl.clock
+	cl.key, cl.rec = nil, Record{}
 	cl.countIntentWait(err)
-	return rec, err
+	return rec, clock, err
+}
+
+// readOn is read's body.
+func (cl *Client) readOn(tx rhtm.Tx) error {
+	n := cl.node
+	if _, held := n.st.WriteIntentOn(tx, cl.key); held {
+		return ErrConflict
+	}
+	cl.rec.Value, cl.rec.Rev, cl.rec.Lease, cl.rec.Found = n.st.Read(tx, cl.key)
+	if cl.withClock {
+		cl.clock = n.st.Events().Rev(tx)
+	}
+	return nil
 }
 
 // countIntentWait counts a single-System operation turned away by a pending
@@ -190,10 +234,24 @@ type readRec struct {
 // and applies the buffer atomically — locally when one System owns the
 // whole footprint, via two-phase commit when several do; the network
 // client ships the Footprint to its server.
+//
+// The footprint is one slice holding each touched key once, with its
+// recorded read and its buffered write: an ascending prefix, then the keys
+// added since in ascending runs whose lengths are the binary digits of
+// their count, longest first (Bentley and Saxe's logarithmic method). A
+// first touch appends a run of one and merges it with the runs as long as
+// itself, as a binary counter carries, so n first touches move O(n log n)
+// entries where inserting each in place moves O(n²). A lookup is a binary
+// search of the prefix and of each run. Scan, Footprint and the commit
+// first merge the runs into the prefix, then walk one ascending slice. The
+// keys the transaction was handed and the values it buffers are copied into
+// a slab it owns; a snapshot's keys are the snapshot's own.
 type Txn struct {
 	src    Source
-	reads  map[string]readRec
-	writes map[string]Write
+	keys   []txnKey
+	sorted int      // keys[:sorted] is the ascending prefix
+	spare  []txnKey // merges go through it; Scan swaps it with keys
+	slab   []byte
 	scans  []scanRange
 	// conflicted is sticky: once a read returned ErrConflict the attempt
 	// can only end in ErrConflict, even if the closure ignored the error —
@@ -204,6 +262,14 @@ type Txn struct {
 
 // NewTxn starts a buffered transaction reading through src.
 func NewTxn(src Source) *Txn { return &Txn{src: src} }
+
+// reset empties t for the next attempt on the same Source. Every buffer is
+// released, so an attempt keeps at most scratch.Bound of each afterwards.
+func (t *Txn) reset() {
+	t.keys, t.spare, t.scans = scratch.Release(t.keys), scratch.Release(t.spare), scratch.Release(t.scans)
+	t.slab = scratch.Reset(t.slab)
+	t.sorted, t.conflicted = 0, false
+}
 
 // note records a read's ErrConflict on the transaction and passes err on.
 func (t *Txn) note(err error) error {
@@ -223,27 +289,120 @@ type scanRange struct {
 	start, end []byte
 }
 
-// observe records the first observation of key.
-func (t *Txn) observe(key string, r readRec) {
-	if t.reads == nil {
-		t.reads = make(map[string]readRec)
+// noBytes is keep's copy of an empty slice: non-nil, and with no capacity
+// an append through it cannot write anywhere.
+var noBytes = []byte{}
+
+// keep copies b to the end of the slab and returns the copy, clipped so no
+// append through it reaches the next one. Like copyVal it never returns
+// nil. A slab that grows leaves the earlier copies in its old array, which
+// nothing writes again.
+func (t *Txn) keep(b []byte, suffix ...byte) []byte {
+	if len(b)+len(suffix) == 0 {
+		return noBytes
 	}
-	t.reads[key] = r
+	n := len(t.slab)
+	t.slab = append(append(t.slab, b...), suffix...)
+	return t.slab[n:len(t.slab):len(t.slab)]
+}
+
+// search returns the index of key in the ascending keys and whether it is
+// there.
+func search(keys []txnKey, key []byte) (int, bool) {
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if bytes.Compare(keys[m].key, key) < 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(keys) && bytes.Equal(keys[lo].key, key)
+}
+
+// find returns the index of key in the footprint, or -1: a binary search of
+// the prefix, then of each run, longest first.
+func (t *Txn) find(key []byte) int {
+	if i, ok := search(t.keys[:t.sorted], key); ok {
+		return i
+	}
+	for lo, m := t.sorted, len(t.keys)-t.sorted; m > 0; {
+		s := 1 << (bits.Len(uint(m)) - 1)
+		if i, ok := search(t.keys[lo:lo+s], key); ok {
+			return lo + i
+		}
+		lo, m = lo+s, m-s
+	}
+	return -1
+}
+
+// add puts a key the footprint does not hold yet, with a slab copy of the
+// key: appended as a run of one, then merged with each run as long as the
+// one it makes, as a binary counter carries.
+func (t *Txn) add(k txnKey) {
+	k.key = t.keep(k.key)
+	t.keys = append(t.keys, k)
+	n, m := len(t.keys), len(t.keys)-t.sorted
+	for s := 1; m&s == 0; s <<= 1 {
+		t.merge(n-2*s, n-s, n)
+	}
+}
+
+// sortKeys merges the runs into the prefix, shortest first, so the whole
+// footprint is ascending.
+func (t *Txn) sortKeys() {
+	n := len(t.keys)
+	for m := n - t.sorted; m > 0; m &= m - 1 {
+		lo := t.sorted + m&(m-1) // the shortest run left starts here
+		t.merge(lo, lo+m&-m, n)
+	}
+	t.merge(0, t.sorted, n)
+	t.sorted = n
+}
+
+// merge makes keys[lo:hi] ascending from its ascending halves split at mid,
+// from the back, with the second half set aside in spare. Halves already in
+// order move nothing.
+func (t *Txn) merge(lo, mid, hi int) {
+	if lo == mid || mid == hi || bytes.Compare(t.keys[mid-1].key, t.keys[mid].key) < 0 {
+		return
+	}
+	b := append(t.spare[:0], t.keys[mid:hi]...)
+	i, j, k := mid-1, len(b)-1, hi-1
+	for ; i >= lo && j >= 0; k-- {
+		if bytes.Compare(t.keys[i].key, b[j].key) > 0 {
+			t.keys[k], i = t.keys[i], i-1
+		} else {
+			t.keys[k], j = b[j], j-1
+		}
+	}
+	copy(t.keys[lo:k+1], b[:j+1]) // what is left of keys[lo:i+1] is in place
+	t.spare = b
+}
+
+// buffered returns key's buffered write, or nil.
+func (t *Txn) buffered(key []byte) *Write {
+	if i := t.find(key); i >= 0 && t.keys[i].written {
+		return &t.keys[i].write
+	}
+	return nil
 }
 
 // buffer records a write of key, replacing any earlier one.
 func (t *Txn) buffer(key []byte, w Write) {
-	if t.writes == nil {
-		t.writes = make(map[string]Write)
+	if i := t.find(key); i >= 0 {
+		t.keys[i].write, t.keys[i].written = w, true
+		return
 	}
-	t.writes[string(key)] = w
+	t.add(txnKey{key: key, write: w, written: true})
 }
 
 // Get returns key's value as of this transaction: buffered writes win,
 // then the first committed read is reused (one consistent observation per
 // key per attempt).
 func (t *Txn) Get(key []byte) ([]byte, bool, error) {
-	if w, ok := t.writes[string(key)]; ok {
+	if w := t.buffered(key); w != nil {
 		if w.Delete {
 			return nil, false, nil
 		}
@@ -260,15 +419,20 @@ func (t *Txn) Get(key []byte) ([]byte, bool, error) {
 // through to committed state (and recording the observation for commit
 // validation) on first touch.
 func (t *Txn) read(key []byte) (readRec, error) {
-	if r, ok := t.reads[string(key)]; ok {
-		return r, nil
+	i := t.find(key)
+	if i >= 0 && t.keys[i].wasRead {
+		return t.keys[i].read, nil
 	}
 	rec, err := t.src.Read(key)
 	if err != nil {
 		return readRec{}, t.note(err)
 	}
 	r := readRec{Record: rec, leaseKnown: true}
-	t.observe(string(key), r)
+	if i >= 0 {
+		t.keys[i].read, t.keys[i].wasRead = r, true
+	} else {
+		t.add(txnKey{key: key, read: r, wasRead: true})
+	}
 	return r, nil
 }
 
@@ -289,7 +453,7 @@ func (t *Txn) Revision(key []byte) (uint64, bool, error) {
 // re-reads the committed entry then — divergence from the scan's revision
 // is caught by commit validation like any other conflict.
 func (t *Txn) Lease(key []byte) (uint64, bool, error) {
-	if w, ok := t.writes[string(key)]; ok {
+	if w := t.buffered(key); w != nil {
 		if w.Delete {
 			return 0, false, nil
 		}
@@ -311,12 +475,12 @@ func (t *Txn) Lease(key []byte) (uint64, bool, error) {
 
 // Put buffers key→value (the slice is copied), detaching any lease.
 func (t *Txn) Put(key, value []byte) {
-	t.buffer(key, Write{Value: copyVal(value)})
+	t.buffer(key, Write{Value: t.keep(value)})
 }
 
 // PutLease buffers key→value with a lease attachment.
 func (t *Txn) PutLease(key, value []byte, lease uint64) {
-	t.buffer(key, Write{Value: copyVal(value), Lease: lease})
+	t.buffer(key, Write{Value: t.keep(value), Lease: lease})
 }
 
 // Delete buffers key's removal and reports whether key was present as of
@@ -330,7 +494,7 @@ func (t *Txn) Delete(key []byte) (bool, error) {
 		return false, err
 	}
 	present := rec.Found
-	if w, ok := t.writes[string(key)]; ok {
+	if w := t.buffered(key); w != nil {
 		present = !w.Delete
 	}
 	t.buffer(key, Write{Delete: true})
@@ -338,8 +502,8 @@ func (t *Txn) Delete(key []byte) (bool, error) {
 }
 
 // inRange reports start <= k < end with nil bounds unbounded.
-func inRange(k string, start, end []byte) bool {
-	return (start == nil || k >= string(start)) && (end == nil || k < string(end))
+func inRange(k, start, end []byte) bool {
+	return (start == nil || bytes.Compare(k, start) >= 0) && (end == nil || bytes.Compare(k, end) < 0)
 }
 
 // Scan returns an ordered snapshot of [start, end) as of this transaction:
@@ -356,7 +520,12 @@ func (t *Txn) Scan(start, end []byte, limit int) ([]Entry, error) {
 	if limit > 0 {
 		// Buffered deletes can evict entries from the prefix; over-fetch by
 		// the write-set size so the overlay can backfill.
-		fetch = limit + len(t.writes)
+		fetch = limit
+		for i := range t.keys {
+			if t.keys[i].written {
+				fetch++
+			}
+		}
 	}
 	raw, err := t.src.ScanSnapshot(start, end, fetch)
 	if err != nil {
@@ -364,53 +533,63 @@ func (t *Txn) Scan(start, end []byte, limit int) ([]Entry, error) {
 	}
 	var r scanRange // nil bounds stay nil (unbounded)
 	if start != nil {
-		r.start = copyVal(start)
+		r.start = t.keep(start)
 	}
 	if end != nil {
-		r.end = copyVal(end)
+		r.end = t.keep(end)
 	}
 	if fetch > 0 && len(raw) == fetch {
 		// The snapshot was clipped at the over-fetch bound: only the prefix
 		// up to the last fetched key was observed, so only it is protected.
-		last := raw[len(raw)-1].Key
-		r.end = append(append(make([]byte, 0, len(last)+1), last...), 0)
+		r.end = t.keep(raw[len(raw)-1].Key, 0)
 	}
 	t.scans = append(t.scans, r)
-	merged := map[string][]byte{}
-	for _, e := range raw {
-		k := string(e.Key)
-		if r, seen := t.reads[k]; seen {
-			// Reuse the transaction's first observation of the key (commit
-			// validation will catch divergence from the snapshot).
-			if r.Found {
-				merged[k] = r.Value
+
+	// One merge of two ascending sequences: the footprint and the snapshot.
+	// A snapshot key the transaction has not read is recorded as read; one
+	// it has keeps its first observation (commit validation catches a
+	// snapshot that diverged from it). The overlay yields, in key order,
+	// every snapshot key as the transaction sees it and every buffered put
+	// inside the range.
+	t.sortKeys()
+	merged := slices.Grow(t.spare[:0], len(t.keys)+len(raw))
+	var out []Entry
+	yield := func(k *txnKey, inSnapshot bool) {
+		switch {
+		case k.written:
+			if !k.write.Delete && (inSnapshot || inRange(k.key, start, end)) {
+				out = append(out, Entry{Key: copyVal(k.key), Value: copyVal(k.write.Value)})
 			}
-			continue
+		case inSnapshot && k.read.Found:
+			out = append(out, Entry{Key: copyVal(k.key), Value: copyVal(k.read.Value)})
 		}
-		t.observe(k, readRec{Record: Record{Value: e.Value, Rev: e.Rev, Found: true}})
-		merged[k] = e.Value
 	}
-	for k, w := range t.writes {
-		if !inRange(k, start, end) {
-			continue
+	i := 0
+	for _, e := range raw {
+		for ; i < len(t.keys) && bytes.Compare(t.keys[i].key, e.Key) < 0; i++ {
+			merged = append(merged, t.keys[i])
+			yield(&merged[len(merged)-1], false)
 		}
-		if w.Delete {
-			delete(merged, k)
+		if i < len(t.keys) && bytes.Equal(t.keys[i].key, e.Key) {
+			merged = append(merged, t.keys[i])
+			i++
 		} else {
-			merged[k] = w.Value
+			merged = append(merged, txnKey{key: e.Key})
 		}
+		k := &merged[len(merged)-1]
+		if !k.wasRead {
+			k.read, k.wasRead = readRec{Record: Record{Value: e.Value, Rev: e.Rev, Found: true}}, true
+		}
+		yield(k, true)
 	}
-	keys := make([]string, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
+	for ; i < len(t.keys); i++ {
+		merged = append(merged, t.keys[i])
+		yield(&merged[len(merged)-1], false)
 	}
-	slices.Sort(keys)
-	if limit > 0 && len(keys) > limit {
-		keys = keys[:limit]
-	}
-	out := make([]Entry, len(keys))
-	for i, k := range keys {
-		out[i] = Entry{Key: []byte(k), Value: copyVal(merged[k])}
+	clear(t.keys)
+	t.keys, t.spare, t.sorted = merged, t.keys[:0], len(merged)
+	if limit > 0 && len(out) > limit {
+		out = out[:limit]
 	}
 	return out, nil
 }
@@ -426,32 +605,15 @@ type txnKey struct {
 	written bool
 }
 
-// keys lists the transaction's footprint, unordered.
-func (t *Txn) keys() []txnKey {
-	keys := make([]txnKey, 0, len(t.reads)+len(t.writes))
-	for k, r := range t.reads {
-		tk := txnKey{key: []byte(k), read: r, wasRead: true}
-		tk.write, tk.written = t.writes[k]
-		keys = append(keys, tk)
-	}
-	for k, w := range t.writes {
-		if _, ok := t.reads[k]; !ok {
-			keys = append(keys, txnKey{key: []byte(k), write: w, written: true})
-		}
-	}
-	return keys
-}
-
 // Footprint calls fn once for every key the transaction read or wrote, in
 // ascending key order, with the committed observation it recorded (nil:
 // never read) and the write it buffered (nil: only read). An owner that
 // commits the transaction elsewhere reads it through this: the network
 // client ships the observations as commit conditions and the writes as ops.
 func (t *Txn) Footprint(fn func(key []byte, read *Record, write *Write)) {
-	keys := t.keys()
-	slices.SortFunc(keys, func(a, b txnKey) int { return bytes.Compare(a.key, b.key) })
-	for i := range keys {
-		k := &keys[i]
+	t.sortKeys()
+	for i := range t.keys {
+		k := &t.keys[i]
 		var r *Record
 		var w *Write
 		if k.wasRead {
@@ -481,13 +643,14 @@ func (t *Txn) Scans(fn func(start, end []byte)) {
 // may run the whole body again (kv.Retry does, so fn must be safe to
 // re-execute). Reads during fn are individually committed values but are
 // only guaranteed mutually consistent once commit validation passes — the
-// standard OCC contract.
+// standard OCC contract. The transaction is the Client's own, reset when
+// Txn returns, so fn must not keep it.
 func (cl *Client) Txn(fn func(tx *Txn) error) error {
-	t := NewTxn(cl)
-	if err := fn(t); err != nil {
+	defer cl.txn.reset()
+	if err := fn(&cl.txn); err != nil {
 		return err
 	}
-	return cl.commit(t)
+	return cl.commit()
 }
 
 // participant is one System of a commit's footprint with its keys,
@@ -499,30 +662,44 @@ type participant struct {
 
 // footprint groups the transaction's keys by owning System: participants
 // ascending and keys ascending within each — the deterministic global
-// acquisition order.
-func (cl *Client) footprint(t *Txn) []participant {
-	keys := t.keys()
+// acquisition order. Once its runs are merged the footprint is ascending,
+// so one System's keys are the footprint itself, and several Systems' are the footprint
+// split stably into cl.grouped.
+func (cl *Client) footprint() []participant {
+	cl.txn.sortKeys()
+	keys := cl.txn.keys
+	parts := cl.parts[:0]
+	if len(keys) == 0 {
+		return parts
+	}
+	one := true
 	for i := range keys {
 		keys[i].node = cl.c.router.SystemFor(keys[i].key)
+		one = one && keys[i].node == keys[0].node
 	}
-	slices.SortFunc(keys, func(a, b txnKey) int {
-		if a.node != b.node {
-			return a.node - b.node
-		}
-		return bytes.Compare(a.key, b.key)
-	})
-	var parts []participant
-	for lo, hi := 0, 0; lo < len(keys); lo = hi {
-		for hi < len(keys) && keys[hi].node == keys[lo].node {
-			hi++
-		}
-		parts = append(parts, participant{id: keys[lo].node, keys: keys[lo:hi]})
+	if one {
+		return append(parts, participant{id: keys[0].node, keys: keys})
 	}
+	grouped := slices.Grow(cl.grouped[:0], len(keys)) // never reallocated below
+	for id := range cl.c.nodes {
+		lo := len(grouped)
+		for i := range keys {
+			if keys[i].node == id {
+				grouped = append(grouped, keys[i])
+			}
+		}
+		if len(grouped) > lo {
+			parts = append(parts, participant{id: id, keys: grouped[lo:]})
+		}
+	}
+	cl.grouped = grouped
 	return parts
 }
 
-// commit validates and applies t's buffer, or returns ErrConflict.
-func (cl *Client) commit(t *Txn) error {
+// commit validates and applies the buffer of the Client's transaction, or
+// returns ErrConflict.
+func (cl *Client) commit() error {
+	t := &cl.txn
 	cl.lastRev = 0
 	if t.conflicted {
 		return ErrConflict // counted where the read met the intent
@@ -531,11 +708,13 @@ func (cl *Client) commit(t *Txn) error {
 	// intent, and there is no second observation for it to disagree with,
 	// so re-validating it in another engine transaction proves nothing. It
 	// counts as the local transaction it was; an empty one counts as none.
-	if len(t.writes) == 0 && len(t.scans) == 0 && len(t.reads) <= 1 {
-		cl.c.localTxns.Add(uint64(len(t.reads)))
+	if len(t.scans) == 0 && (len(t.keys) == 0 || len(t.keys) == 1 && !t.keys[0].written) {
+		cl.c.localTxns.Add(uint64(len(t.keys)))
 		return nil
 	}
-	parts := cl.footprint(t)
+	parts := cl.footprint()
+	cl.parts = parts
+	defer func() { cl.parts, cl.grouped = scratch.Release(cl.parts), scratch.Release(cl.grouped) }()
 	// Phantom protection outside the footprint: hash routing interleaves a
 	// scanned range over every System, but the commit path only validates
 	// participant Systems. Check the rest read-only first. On a
@@ -544,12 +723,8 @@ func (cl *Client) commit(t *Txn) error {
 	// Systems the window between this check and the applies remains
 	// (DESIGN.md §13).
 	if len(t.scans) > 0 {
-		inFoot := make(map[int]bool, len(parts))
-		for _, p := range parts {
-			inFoot[p.id] = true
-		}
 		for _, n := range cl.c.nodes {
-			if inFoot[n.id] {
+			if slices.ContainsFunc(parts, func(p participant) bool { return p.id == n.id }) {
 				continue
 			}
 			node := n
@@ -570,23 +745,33 @@ func (cl *Client) commit(t *Txn) error {
 	}
 	switch len(parts) {
 	case 0:
-		return nil // empty (or scan-only, validated above) transaction
+		return nil // scan-only, validated above
 	case 1:
-		return cl.commitLocal(parts[0].id, parts[0].keys, t)
+		return cl.commitLocal(parts[0].id, parts[0].keys)
 	default:
-		return cl.commitCross(parts, t)
+		return cl.commitCross(parts)
 	}
 }
 
-// localWrites stamps the writes of one single-System commit: each takes
-// its revision from the store, the commit keeps the highest, and with a
-// log attached each becomes a record of the System's stream.
+// localWrites stamps the writes of one engine transaction — a single-System
+// commit, or one participant's phase 2: each takes its revision from the
+// store, the transaction keeps the highest, and with a log attached each
+// becomes a record of the System's stream. Its records share the keys and
+// values of the operation they stamp, which outlive the log append.
 type localWrites struct {
 	n      *Node
 	log    bool
 	recs   []wal.Op
 	maxRev uint64
 }
+
+// begin starts (or, on an engine abort, restarts) a transaction on n.
+func (w *localWrites) begin(n *Node, log bool) {
+	w.n, w.log, w.recs, w.maxRev = n, log, w.recs[:0], 0
+}
+
+// end releases the records once they are logged.
+func (w *localWrites) end() { w.recs = scratch.Release(w.recs) }
 
 // free reports whether the commit may touch key without waiting on 2PC: a
 // written key waits for any pending intent (pinned readers too), a key it
@@ -597,6 +782,18 @@ func (w *localWrites) free(tx rhtm.Tx, key []byte, written bool) bool {
 	}
 	_, held := w.n.st.WriteIntentOn(tx, key)
 	return !held
+}
+
+// stamp keeps one applied write's revision and record; Rev 0 (a released
+// read intent, a delete of an absent key) changed nothing.
+func (w *localWrites) stamp(op wal.Op) {
+	if op.Rev == 0 {
+		return
+	}
+	w.maxRev = max(w.maxRev, op.Rev)
+	if w.log {
+		w.recs = append(w.recs, op)
+	}
 }
 
 // write applies one buffered write to key and stamps it. For a delete it
@@ -610,57 +807,38 @@ func (w *localWrites) write(tx rhtm.Tx, key []byte, b Write) (bool, error) {
 	if err != nil || op.Rev == 0 {
 		return false, err
 	}
-	w.maxRev = max(w.maxRev, op.Rev)
-	if w.log {
-		w.recs = append(w.recs, op)
-	}
+	w.stamp(op)
 	return b.Delete, nil
 }
 
-// commitOn is the one single-System commit: body runs as one engine
-// transaction on System nodeID, writing through w, and once it committed
-// the transaction counts as local, raises LastCommitRev and is logged to
-// the System's stream. No intents are needed: the engine's own conflict
-// detection makes the body atomic against every other transaction on that
-// System, and the body's intent checks (w.free) keep it correct against
-// in-flight 2PC. The caller keeps its own checks and counts its refusals.
-func (cl *Client) commitOn(nodeID int, body func(tx rhtm.Tx, w *localWrites) error) error {
-	w := localWrites{n: cl.c.nodes[nodeID], log: cl.c.wal != nil}
-	err := cl.threads[nodeID].Atomic(func(tx rhtm.Tx) error {
-		w.recs, w.maxRev = w.recs[:0], 0 // the body re-executes on engine aborts
-		return body(tx, &w)
-	})
-	if err != nil {
-		return err
+// commitOn is the one single-System commit: body (applyBody or batchBody)
+// runs as one engine transaction on System nodeID, writing through cl.w
+// (which it begins afresh on every engine re-execution), and once it
+// committed the transaction counts as local, raises LastCommitRev and is
+// logged to the System's stream. No intents are needed: the engine's own
+// conflict detection makes the body atomic against every other transaction
+// on that System, and the body's intent checks (w.free) keep it correct
+// against in-flight 2PC. The caller keeps its own checks and counts its
+// refusals.
+func (cl *Client) commitOn(nodeID int, body func(tx rhtm.Tx) error) error {
+	cl.node = cl.c.nodes[nodeID]
+	err := cl.threads[nodeID].Atomic(body)
+	if err == nil {
+		cl.c.localTxns.Add(1)
+		cl.lastRev = max(cl.lastRev, cl.w.maxRev)
+		err = cl.logLocal(nodeID, cl.w.recs)
 	}
-	cl.c.localTxns.Add(1)
-	cl.lastRev = max(cl.lastRev, w.maxRev)
-	return cl.logLocal(nodeID, w.recs)
+	cl.w.end()
+	return err
 }
 
 // commitLocal validates and applies a single-System footprint through
 // commitOn: scan ranges first, then each key's intents and recorded read,
 // then the buffered writes.
-func (cl *Client) commitLocal(nodeID int, keys []txnKey, t *Txn) error {
-	err := cl.commitOn(nodeID, func(tx rhtm.Tx, w *localWrites) error {
-		if len(t.scans) > 0 && !scansValid(tx, w.n, t) {
-			return errPhantom
-		}
-		for i := range keys {
-			k := &keys[i]
-			if !w.free(tx, k.key, k.written) || k.wasRead && !validRead(tx, w.n, k) {
-				return ErrConflict
-			}
-		}
-		for i := range keys {
-			if k := &keys[i]; k.written {
-				if _, err := w.write(tx, k.key, k.write); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
+func (cl *Client) commitLocal(nodeID int, keys []txnKey) error {
+	cl.keys = keys
+	err := cl.commitOn(nodeID, cl.applyBody)
+	cl.keys = nil
 	switch err {
 	case ErrConflict:
 		cl.c.localConflicts.Add(1)
@@ -671,11 +849,34 @@ func (cl *Client) commitLocal(nodeID int, keys []txnKey, t *Txn) error {
 	return err
 }
 
+// applyLocal is commitLocal's body.
+func (cl *Client) applyLocal(tx rhtm.Tx) error {
+	w, keys := &cl.w, cl.keys
+	w.begin(cl.node, cl.c.wal != nil)
+	if len(cl.txn.scans) > 0 && !scansValid(tx, w.n, &cl.txn) {
+		return errPhantom
+	}
+	for i := range keys {
+		k := &keys[i]
+		if !w.free(tx, k.key, k.written) || k.wasRead && !validRead(tx, w.n, k) {
+			return ErrConflict
+		}
+	}
+	for i := range keys {
+		if k := &keys[i]; k.written {
+			if _, err := w.write(tx, k.key, k.write); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // commitCross is the one two-phase-commit round: prepare → durable
 // decision → finish → resolution mark. Every crash window and both fence
 // arms of DESIGN.md §6/§9 live here and nowhere else. ErrConflict means a
 // prepare conflict aborted the round and the caller may run it again.
-func (cl *Client) commitCross(parts []participant, t *Txn) error {
+func (cl *Client) commitCross(parts []participant) error {
 	c := cl.c
 	c.crossTxns.Add(1)
 	txid := c.nextTxID.Add(1)
@@ -691,7 +892,7 @@ func (cl *Client) commitCross(parts []participant, t *Txn) error {
 		prepStart = time.Now()
 	}
 	for _, p := range parts {
-		err := cl.prepare(p.id, txid, p.keys, t)
+		err := cl.prepare(p.id, txid, p.keys)
 		if err == nil {
 			prepared++
 			continue
@@ -723,7 +924,8 @@ func (cl *Client) commitCross(parts []participant, t *Txn) error {
 	commit := !conflict && hard == nil
 	var decisionOps []wal.Op
 	if c.wal != nil && commit {
-		decisionOps = crossDecisionOps(parts)
+		decisionOps = cl.crossDecisionOps(parts)
+		defer func() { cl.decision = scratch.Release(decisionOps) }()
 	}
 	if len(decisionOps) > 0 {
 		c.walMu.RLock()
@@ -803,11 +1005,12 @@ func (cl *Client) commitCross(parts []participant, t *Txn) error {
 }
 
 // crossDecisionOps serializes a cross transaction's write set for the
-// coordinator decision log: one op per written key, Part naming the owning
-// System, revision 0 (revisions are assigned at apply time). Read-only
-// footprints yield nothing — there is nothing to recover forward.
-func crossDecisionOps(parts []participant) []wal.Op {
-	var ops []wal.Op
+// coordinator decision log, into cl.decision: one op per written key, Part
+// naming the owning System, revision 0 (revisions are assigned at apply
+// time). Read-only footprints yield nothing — there is nothing to recover
+// forward.
+func (cl *Client) crossDecisionOps(parts []participant) []wal.Op {
+	ops := cl.decision[:0]
 	for _, p := range parts {
 		for i := range p.keys {
 			k := &p.keys[i]
@@ -848,7 +1051,7 @@ func scansValid(tx rhtm.Tx, n *Node, t *Txn) bool {
 	for _, r := range t.scans {
 		clean := true
 		n.st.ScanLimitRev(tx, r.start, r.end, 0, func(k, v []byte, rev uint64) bool {
-			if _, seen := t.reads[string(k)]; !seen {
+			if i := t.find(k); i < 0 || !t.keys[i].wasRead {
 				clean = false
 				return false
 			}
@@ -861,36 +1064,42 @@ func scansValid(tx rhtm.Tx, n *Node, t *Txn) bool {
 	return true
 }
 
-// prepare runs the phase-1 transaction on one participant. The scan-range
-// check runs first, before any of this transaction's own intents land.
-func (cl *Client) prepare(nodeID int, txid uint64, keys []txnKey, t *Txn) error {
-	n := cl.c.nodes[nodeID]
-	return cl.threads[nodeID].Atomic(func(tx rhtm.Tx) error {
-		if len(t.scans) > 0 && !scansValid(tx, n, t) {
-			return errPhantom
+// prepare runs the phase-1 transaction on one participant.
+func (cl *Client) prepare(nodeID int, txid uint64, keys []txnKey) error {
+	cl.node, cl.txid, cl.keys = cl.c.nodes[nodeID], txid, keys
+	err := cl.threads[nodeID].Atomic(cl.prepareBody)
+	cl.keys = nil
+	return err
+}
+
+// prepareOn is prepare's body. The scan-range check runs first, before any
+// of this transaction's own intents land.
+func (cl *Client) prepareOn(tx rhtm.Tx) error {
+	n := cl.node
+	if len(cl.txn.scans) > 0 && !scansValid(tx, n, &cl.txn) {
+		return errPhantom
+	}
+	for i := range cl.keys {
+		k := &cl.keys[i]
+		if k.wasRead && !validRead(tx, n, k) {
+			return ErrConflict
 		}
-		for i := range keys {
-			k := &keys[i]
-			if k.wasRead && !validRead(tx, n, k) {
+		kind, val, lease := store.IntentRead, []byte(nil), uint64(0)
+		if k.written {
+			if k.write.Delete {
+				kind = store.IntentDelete
+			} else {
+				kind, val, lease = store.IntentPut, k.write.Value, k.write.Lease
+			}
+		}
+		if err := n.st.PrepareIntent(tx, k.key, cl.txid, kind, val, lease); err != nil {
+			if err == store.ErrIntentHeld {
 				return ErrConflict
 			}
-			kind, val, lease := store.IntentRead, []byte(nil), uint64(0)
-			if k.written {
-				if k.write.Delete {
-					kind = store.IntentDelete
-				} else {
-					kind, val, lease = store.IntentPut, k.write.Value, k.write.Lease
-				}
-			}
-			if err := n.st.PrepareIntent(tx, k.key, txid, kind, val, lease); err != nil {
-				if err == store.ErrIntentHeld {
-					return ErrConflict
-				}
-				return err
-			}
+			return err
 		}
-		return nil
-	})
+	}
+	return nil
 }
 
 // finish runs the phase-2 transaction on one participant: apply on commit,
@@ -898,40 +1107,39 @@ func (cl *Client) prepare(nodeID int, txid uint64, keys []txnKey, t *Txn) error 
 // exist and be ours), surfaced as hard errors. With a WAL attached, the
 // applies are logged to the participant's stream under the cluster
 // transaction id (recovery's applied-detection keys on it) and forced
-// durable before the coordinator marks the transaction resolved.
+// durable before the coordinator marks the transaction resolved. Their
+// records share the transaction's keys and the values the store read back,
+// which outlive the append.
 func (cl *Client) finish(nodeID int, txid uint64, keys []txnKey, commit bool) error {
-	n := cl.c.nodes[nodeID]
-	var recs []wal.Op
-	var maxRev uint64
-	err := cl.threads[nodeID].Atomic(func(tx rhtm.Tx) error {
-		recs = recs[:0] // the body re-executes on engine aborts
-		maxRev = 0
-		for i := range keys {
-			key := keys[i].key
-			if !commit {
-				if err := n.st.DiscardIntent(tx, key, txid); err != nil {
-					return err
-				}
-				continue
-			}
-			op, err := n.st.ApplyIntent(tx, key, txid)
-			if err != nil {
+	cl.node, cl.txid, cl.keys, cl.decide = cl.c.nodes[nodeID], txid, keys, commit
+	err := cl.threads[nodeID].Atomic(cl.finishBody)
+	cl.keys = nil
+	if err == nil {
+		cl.lastRev = max(cl.lastRev, cl.w.maxRev)
+		err = cl.logApply(nodeID, txid, cl.w.recs)
+	}
+	cl.w.end()
+	return err
+}
+
+// finishOn is finish's body; it re-executes on engine aborts, so it starts
+// the stamps afresh every time.
+func (cl *Client) finishOn(tx rhtm.Tx) error {
+	w := &cl.w
+	w.begin(cl.node, cl.c.wal != nil)
+	for i := range cl.keys {
+		key := cl.keys[i].key
+		if !cl.decide {
+			if err := w.n.st.DiscardIntent(tx, key, cl.txid); err != nil {
 				return err
 			}
-			maxRev = max(maxRev, op.Rev)
-			if cl.c.wal == nil || op.Rev == 0 {
-				continue // read intent, or a delete of an absent key
-			}
-			op.Key, op.Value = copyVal(op.Key), copyVal(op.Value)
-			recs = append(recs, op)
+			continue
 		}
-		return nil
-	})
-	if err != nil {
-		return err
+		op, err := w.n.st.ApplyIntent(tx, key, cl.txid)
+		if err != nil {
+			return err
+		}
+		w.stamp(op)
 	}
-	if maxRev > cl.lastRev {
-		cl.lastRev = maxRev
-	}
-	return cl.logApply(nodeID, txid, recs)
+	return nil
 }

@@ -32,3 +32,11 @@ func Reset[S ~[]E, E any](s S) S {
 	}
 	return s[:0]
 }
+
+// Release is Reset for a buffer whose entries hold pointers: it zeroes them
+// first, so no emptied entry keeps a key or value of the last operation
+// alive.
+func Release[S ~[]E, E any](s S) S {
+	clear(s)
+	return Reset(s)
+}

@@ -17,6 +17,10 @@ func TestScratchRule(t *testing.T) {
 	if Over([]byte(nil)) || Reset([]byte(nil)) != nil {
 		t.Fatal("a nil buffer is within the bound and stays nil")
 	}
+	refs := [][]byte{[]byte("key"), []byte("value")}
+	if got := Release(refs); len(got) != 0 || refs[0] != nil || refs[1] != nil {
+		t.Fatalf("Release left len %d, entries %q; want it emptied and zeroed", len(got), refs)
+	}
 }
 
 func TestScratchResetAllocs(t *testing.T) {

@@ -1,20 +1,23 @@
 package kv_test
 
 import (
+	"fmt"
 	"testing"
 
 	"rhtm"
+	"rhtm/cluster"
 	"rhtm/kv"
 	"rhtm/store"
 	"rhtm/wal"
 )
 
-// TestLocalOpAllocs pins what one direct Local operation allocates on the
-// host: only what it hands back or hands on. A Get allocates its value; a
-// volatile Put or Delete allocates nothing; a logged Put or Delete
+// TestLocalOpAllocs pins what one Local operation allocates on the host:
+// only what it hands back or hands on. A Get or GetRev allocates its value;
+// a volatile Put, Delete, PutIf or DeleteIf allocates nothing; a logged one
 // allocates the one copy MemDevice keeps of the appended frames, which
-// stands for the disk. A closure at an entry point, a clone in the capture
-// or a fresh commit record in the writer each fails it.
+// stands for the disk. A closure at an entry point, a clone in the capture,
+// a fresh commit record in the writer or a value read for its revision and
+// dropped each fails it.
 func TestLocalOpAllocs(t *testing.T) {
 	for _, name := range allEngines {
 		t.Run(name, func(t *testing.T) {
@@ -55,6 +58,37 @@ func TestLocalOpAllocs(t *testing.T) {
 					}
 				})
 				del := testing.AllocsPerRun(200, putDelete) - put
+				if err := db.Put(key, val); err != nil {
+					t.Fatal(err)
+				}
+				getRev := testing.AllocsPerRun(200, func() {
+					if _, _, err := db.GetRev(key); err != nil {
+						t.Fatal(err)
+					}
+				})
+				// PutIf rewrites the key at its own revision; DeleteIf then
+				// takes it away and a plain Put brings it back.
+				putIf := testing.AllocsPerRun(200, func() {
+					_, rev, err := db.GetRev(key)
+					if err == nil {
+						err = db.PutIf(key, val, rev)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}) - getRev
+				deleteIf := testing.AllocsPerRun(200, func() {
+					_, rev, err := db.GetRev(key)
+					if err == nil {
+						err = db.DeleteIf(key, rev)
+					}
+					if err == nil {
+						err = db.Put(key, val)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}) - getRev - put
 
 				want := 0.0
 				if durable {
@@ -64,7 +98,119 @@ func TestLocalOpAllocs(t *testing.T) {
 					t.Errorf("durable=%v: Get %v, Put %v, Delete %v allocations; want 1, %v, %v",
 						durable, get, put, del, want, want)
 				}
+				if getRev != 1 || putIf != want || deleteIf != want {
+					t.Errorf("durable=%v: GetRev %v, PutIf %v, DeleteIf %v allocations; want 1, %v, %v",
+						durable, getRev, putIf, deleteIf, want, want)
+				}
 			}
 		})
+	}
+}
+
+// TestClusterOpAllocs pins what one ClusterDB operation allocates on a
+// warmed 2-System cluster, volatile and logged to in-memory streams: what
+// the operation hands back, and what the store and the log allocate beneath
+// it.
+//   - Get: the one-op batch's op and its two result slices, the value read;
+//   - Put: the same minus the value, plus the device's copy when logged;
+//   - GetRev: the value the store reads, and the copy Txn.Get hands back;
+//   - a read-modify-write Update of one key on each System (two-phase
+//     commit): both reads as GetRev's, the store's intent payloads in
+//     prepare and finish, and when logged the device's copies of the
+//     decision, both applies and the resolution mark.
+//
+// A transaction built per call, maps for its reads and writes, commit
+// scratch built per commit or a closure around an engine body each fails
+// it. The pins leave the Update room: it reads 10 (14 logged) on an amd64
+// host, and one more logged under the race detector, whose sync.Pool drops
+// objects at random.
+func TestClusterOpAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		durable                  bool
+		get, put, getRev, update float64
+	}{{false, 4, 3, 2, 18}, {true, 4, 5, 2, 24}} {
+		c, err := cluster.New(cluster.Config{Systems: 2, ArenaWords: 1 << 14})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var db *kv.ClusterDB
+		if tc.durable {
+			if db, err = kv.OpenCluster(c, wal.NewMemStorage()); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			db = kv.NewCluster(c)
+		}
+		var a, b []byte
+		for i := 0; a == nil || b == nil; i++ {
+			k := []byte(fmt.Sprintf("acct-%04d", i))
+			switch {
+			case db.Domain(k) == 0 && a == nil:
+				a = k
+			case db.Domain(k) == 1 && b == nil:
+				b = k
+			}
+		}
+		val := []byte("value-0001")
+		for _, k := range [][]byte{a, b} {
+			if err := db.Put(k, val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		swap := func(tx kv.Txn) error {
+			va, err := tx.Get(a)
+			if err != nil {
+				return err
+			}
+			vb, err := tx.Get(b)
+			if err != nil {
+				return err
+			}
+			if err := tx.Put(a, vb); err != nil {
+				return err
+			}
+			return tx.Put(b, va)
+		}
+		ops := []struct {
+			name string
+			want float64
+			op   func()
+		}{
+			{"Get", tc.get, func() {
+				if _, err := db.Get(a); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"Put", tc.put, func() {
+				if err := db.Put(a, val); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"GetRev", tc.getRev, func() {
+				if _, _, err := db.GetRev(a); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"Update", tc.update, func() {
+				if err := db.Update(swap); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		}
+		// Warm every pooled session, and the lines the keys' transactions
+		// touch, until the commit-event rings have wrapped.
+		for i := 0; i < 1000; i++ {
+			for _, o := range ops {
+				o.op()
+			}
+		}
+		for _, o := range ops {
+			if got := testing.AllocsPerRun(200, o.op); got > o.want {
+				t.Errorf("durable=%v: %s costs %v allocations, want at most %v", tc.durable, o.name, got, o.want)
+			}
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

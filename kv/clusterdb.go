@@ -5,6 +5,7 @@ import (
 
 	"rhtm"
 	"rhtm/cluster"
+	"rhtm/internal/scratch"
 	"rhtm/obs"
 )
 
@@ -59,21 +60,28 @@ func NewCluster(c *cluster.Cluster, opts ...Option) *ClusterDB {
 func (db *ClusterDB) Cluster() *cluster.Cluster { return db.c }
 
 // clusterSession is one pooled cluster client, with the closure Txn it
-// reuses across attempts and its transaction body bound once, when the
-// session opens.
+// reuses across attempts, its bodies bound once, when the session opens,
+// and the batch it converts for the client.
 type clusterSession struct {
-	c    *cluster.Cluster
-	cl   *cluster.Client
-	ct   clusterTxn
-	body func(t *cluster.Txn) error // s.run
-	fn   func(tx Txn) error         // the closure the running attempt executes
+	c       *cluster.Cluster
+	cl      *cluster.Client
+	ct      clusterTxn
+	body    func(t *cluster.Txn) error // s.run
+	batchFn func(int) error            // s.runBatch: BatchTraced's attempt
+	fn      func(tx Txn) error         // the closure the running attempt executes
+	d       derivedOp
+	cops    []cluster.BatchOp     // the batch BatchTraced runs, converted
+	cres    []cluster.BatchResult // its results
 }
 
 func newClusterSession(c *cluster.Cluster) *clusterSession {
 	s := &clusterSession{c: c, cl: c.NewClient()}
-	s.body = s.run
+	s.body, s.batchFn = s.run, s.runBatch
+	s.d.bind()
 	return s
 }
+
+func (s *clusterSession) derived() *derivedOp { return &s.d }
 
 // bind implements session: the client reports its 2pc_prepare, wal_sync
 // (the coordinator decision sync) and 2pc_finish stages to sink.
@@ -97,6 +105,13 @@ func (s *clusterSession) attempt(fn func(tx Txn) error) (Revision, error) {
 func (s *clusterSession) run(t *cluster.Txn) error {
 	s.ct.t = t
 	return s.fn(&s.ct)
+}
+
+// runBatch is one attempt of BatchTraced's batch.
+func (s *clusterSession) runBatch(int) error {
+	var err error
+	s.cres, err = s.cl.Batch(s.cops)
+	return mapErr(err)
 }
 
 // publish implements session: the cluster's commit path logs to its WAL
@@ -183,30 +198,26 @@ func (db *ClusterDB) BatchTraced(sink obs.TraceSink, ops []Op) ([]OpResult, erro
 	}
 	s := db.claim(sink)
 	defer db.release(s)
-	cops := make([]cluster.BatchOp, len(ops))
-	for i, op := range ops {
+	for _, op := range ops {
+		cop := cluster.BatchOp{Kind: cluster.BatchDelete, Key: op.Key}
 		switch op.Kind {
 		case OpGet:
-			cops[i] = cluster.BatchOp{Kind: cluster.BatchGet, Key: op.Key}
+			cop.Kind = cluster.BatchGet
 		case OpPut:
-			cops[i] = cluster.BatchOp{Kind: cluster.BatchPut, Key: op.Key, Value: op.Value}
-		default:
-			cops[i] = cluster.BatchOp{Kind: cluster.BatchDelete, Key: op.Key}
+			cop.Kind, cop.Value = cluster.BatchPut, op.Value
 		}
+		s.cops = append(s.cops, cop)
 	}
 	var engStart time.Time
 	if sink != nil {
 		engStart = time.Now()
 	}
-	var cres []cluster.BatchResult
-	err := Retry(func(int) error {
-		var err error
-		cres, err = s.cl.Batch(cops)
-		return mapErr(err)
-	})
+	err := Retry(s.batchFn)
 	if sink != nil {
 		sink.Stage(obs.StageEngine, time.Since(engStart))
 	}
+	cres := s.cres
+	s.cops, s.cres = scratch.Release(s.cops), nil
 	if err != nil {
 		return nil, err
 	}

@@ -30,6 +30,65 @@ type session interface {
 	publish() error
 	// engineName names the engine attempt spans are attributed to.
 	engineName() string
+	// derived is the session's operand block for GetRev, PutIf and
+	// DeleteIf, with their one body bound on it.
+	derived() *derivedOp
+}
+
+// derivedOp is one derived operation — GetRev, PutIf or DeleteIf, each one
+// closure transaction — as a session runs it. Every session owns one, with
+// its body bound once, when the session opens, so none of them builds a
+// closure: the core fills in the operands, runs body, and reads the results
+// back.
+type derivedOp struct {
+	body  func(tx Txn) error // run, bound once
+	kind  derivedKind
+	key   []byte
+	value []byte      // PutIf
+	guard Revision    // PutIf, DeleteIf: the revision the key must be at
+	opts  []PutOption // PutIf
+	val   []byte      // GetRev's value
+	rev   Revision    // GetRev's revision
+}
+
+type derivedKind uint8
+
+const (
+	opGetRev derivedKind = iota
+	opPutIf
+	opDeleteIf
+)
+
+// bind binds the body on o; a session calls it once, when it opens.
+func (o *derivedOp) bind() { o.body = o.run }
+
+// run is the closure of every derived operation. PutIf and DeleteIf go
+// through the Update path, so conditional-write semantics cannot drift
+// between backends.
+func (o *derivedOp) run(tx Txn) error {
+	if o.kind == opGetRev {
+		var err error
+		if o.val, err = tx.Get(o.key); err != nil {
+			return err
+		}
+		o.rev, err = tx.Revision(o.key)
+		return err
+	}
+	cur, err := tx.Revision(o.key)
+	if err != nil {
+		return err
+	}
+	if o.kind == opDeleteIf && cur == 0 {
+		return ErrNotFound
+	}
+	if cur != o.guard {
+		return fmt.Errorf("kv: key %q at revision %d, guard %d: %w",
+			o.key, cur, o.guard, ErrRevisionMismatch)
+	}
+	if o.kind == opPutIf {
+		return tx.Put(o.key, o.value, o.opts...)
+	}
+	return tx.Delete(o.key)
 }
 
 // backend is the embedding DB as its core sees it: the two derived
@@ -174,13 +233,26 @@ func (db *core[S]) Update(fn func(tx Txn) error) error {
 // closure's writes were stamped with — 0 for a read-only closure — under
 // the DB's own trace sampling; a front end calls UpdateRevTraced instead.
 func (db *core[S]) UpdateRev(fn func(tx Txn) error) (Revision, error) {
-	if db.sampler.Sample() {
-		t := db.flight.NewTrace(db.traceID.Add(1), "update")
-		rev, err := db.UpdateRevTraced(t, fn)
+	t, sink := db.sample("update")
+	s := db.claim(sink)
+	rev, err := db.run(s, sink, fn)
+	db.release(s)
+	if t != nil {
 		t.Finish(err)
-		return rev, err
 	}
-	return db.UpdateRevTraced(nil, fn)
+	return rev, err
+}
+
+// sample opens the DB's own trace for an in-process Update or Batch when
+// the sampler picks it, and returns it twice: as the trace to finish and as
+// the sink to report to. Both are nil otherwise, so that an untraced call
+// times no stage.
+func (db *core[S]) sample(kind string) (*obs.Trace, obs.TraceSink) {
+	if !db.sampler.Sample() {
+		return nil, nil
+	}
+	t := db.flight.NewTrace(db.traceID.Add(1), kind)
+	return t, t
 }
 
 // UpdateRevTraced implements Served: UpdateRev reporting through sink
@@ -188,23 +260,26 @@ func (db *core[S]) UpdateRev(fn func(tx Txn) error) (Revision, error) {
 // DB-level sampling). The caller owns the trace's lifecycle — typically
 // the server's dispatch path, which opens the trace from the wire frame
 // and finishes it when the response is written.
-//
-// This is the one closure transaction: each Retry attempt runs the closure
-// once through the session and, once it committed, publishes it. An attempt
-// conflicts when the closure returns ErrConflict or the backend refuses it
-// (on a cluster: a pending intent on a read, a failed commit validation, a
-// refused prepare); the engines absorb their own aborts inside attempt.
-// sink, when non-nil, receives one engine stage spanning every attempt
-// (retries and backoff included; on a cluster, commit machinery too), the
-// session's own finer stages, one span per attempt, and the commit
-// revision; the tracer receives the spans. The final attempt's span is
-// emitted after publish, so its outcome is the caller's outcome: a commit
-// the log refused (wal.ErrFenced, a device error) is an error span. A nil
-// sink and tracer pay one predicted branch per site — no stamps, no
-// allocations.
 func (db *core[S]) UpdateRevTraced(sink obs.TraceSink, fn func(tx Txn) error) (Revision, error) {
 	s := db.claim(sink)
 	defer db.release(s)
+	return db.run(s, sink, fn)
+}
+
+// run is the one closure transaction, on the session s claimed with sink:
+// each Retry attempt runs the closure once through the session and, once it
+// committed, publishes it. An attempt conflicts when the closure returns
+// ErrConflict or the backend refuses it (on a cluster: a pending intent on a
+// read, a failed commit validation, a refused prepare); the engines absorb
+// their own aborts inside attempt. sink, when non-nil, receives one engine
+// stage spanning every attempt (retries and backoff included; on a cluster,
+// commit machinery too), the session's own finer stages, one span per
+// attempt, and the commit revision; the tracer receives the spans. The
+// final attempt's span is emitted after publish, so its outcome is the
+// caller's outcome: a commit the log refused (wal.ErrFenced, a device
+// error) is an error span. A nil sink and tracer pay one predicted branch
+// per site — no stamps, no allocations.
+func (db *core[S]) run(s S, sink obs.TraceSink, fn func(tx Txn) error) (Revision, error) {
 	trc := db.trc.Load().t
 	traced := trc != nil || sink != nil
 	var engStart time.Time
@@ -253,6 +328,25 @@ func (db *core[S]) UpdateRevTraced(sink obs.TraceSink, fn func(tx Txn) error) (R
 	return rev, nil
 }
 
+// derive runs the derived operation whose kind and operands in holds, as
+// UpdateRev runs a closure, through the body bound on the claimed session's
+// derivedOp, and returns the operation with its results.
+func (db *core[S]) derive(in derivedOp) (derivedOp, error) {
+	t, sink := db.sample("update")
+	s := db.claim(sink)
+	o := s.derived()
+	in.body = o.body
+	*o = in
+	_, err := db.run(s, sink, o.body)
+	out := *o
+	*o = derivedOp{body: o.body}
+	db.release(s)
+	if t != nil {
+		t.Finish(err)
+	}
+	return out, err
+}
+
 // errClusterConflict is cluster.ErrConflict on the kv surface: errors.Is
 // matches it against both sentinels.
 var errClusterConflict = fmt.Errorf("%w: %w", ErrConflict, cluster.ErrConflict)
@@ -267,13 +361,12 @@ func mapErr(err error) error {
 
 // Batch implements DB.
 func (db *core[S]) Batch(ops []Op) ([]OpResult, error) {
-	if db.sampler.Sample() {
-		t := db.flight.NewTrace(db.traceID.Add(1), "batch")
-		res, err := db.be.BatchTraced(t, ops)
+	t, sink := db.sample("batch")
+	res, err := db.be.BatchTraced(sink, ops)
+	if t != nil {
 		t.Finish(err)
-		return res, err
 	}
-	return db.be.BatchTraced(nil, ops)
+	return res, err
 }
 
 // BatchTraced implements Served: Batch reporting through sink (nil:
@@ -334,52 +427,21 @@ func (db *core[S]) rawScan(start, end []byte, limit int) ([]Entry, error) {
 // GetRev implements DB: one closure transaction pairing the value with the
 // revision it was committed at.
 func (db *core[S]) GetRev(key []byte) ([]byte, Revision, error) {
-	var val []byte
-	var rev Revision
-	err := db.Update(func(tx Txn) error {
-		var err error
-		if val, err = tx.Get(key); err != nil {
-			return err
-		}
-		rev, err = tx.Revision(key)
-		return err
-	})
+	o, err := db.derive(derivedOp{kind: opGetRev, key: key})
 	if err != nil {
 		return nil, 0, err
 	}
-	return val, rev, nil
+	return o.val, o.rev, nil
 }
 
-// PutIf implements DB through the Update path, so conditional-write
-// semantics cannot drift between backends.
+// PutIf implements DB through the Update path.
 func (db *core[S]) PutIf(key, value []byte, rev Revision, opts ...PutOption) error {
-	return db.Update(func(tx Txn) error {
-		cur, err := tx.Revision(key)
-		if err != nil {
-			return err
-		}
-		if cur != rev {
-			return fmt.Errorf("kv: key %q at revision %d, guard %d: %w",
-				key, cur, rev, ErrRevisionMismatch)
-		}
-		return tx.Put(key, value, opts...)
-	})
+	_, err := db.derive(derivedOp{kind: opPutIf, key: key, value: value, guard: rev, opts: opts})
+	return err
 }
 
 // DeleteIf implements DB.
 func (db *core[S]) DeleteIf(key []byte, rev Revision) error {
-	return db.Update(func(tx Txn) error {
-		cur, err := tx.Revision(key)
-		if err != nil {
-			return err
-		}
-		if cur == 0 {
-			return ErrNotFound
-		}
-		if cur != rev {
-			return fmt.Errorf("kv: key %q at revision %d, guard %d: %w",
-				key, cur, rev, ErrRevisionMismatch)
-		}
-		return tx.Delete(key)
-	})
+	_, err := db.derive(derivedOp{kind: opDeleteIf, key: key, guard: rev})
+	return err
 }

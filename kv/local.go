@@ -19,6 +19,7 @@ import (
 type Storer interface {
 	Get(tx rhtm.Tx, key []byte) ([]byte, bool)
 	Read(tx rhtm.Tx, key []byte) (value []byte, rev, lease uint64, ok bool)
+	AppendRead(tx rhtm.Tx, key, dst []byte) (value []byte, rev, lease uint64, ok bool)
 	Write(tx rhtm.Tx, op wal.Op) (wal.Op, error)
 	Replay(tx rhtm.Tx, ops []wal.Op) (maxRev uint64, err error)
 	Snapshot(tx rhtm.Tx) []wal.Op
@@ -128,13 +129,17 @@ type localSession struct {
 	op    wal.Op             // the direct path's operation
 	val   []byte             // the direct Get's value
 	found bool               // the direct path's key was present
+	d     derivedOp
 }
 
 func newLocalSession(db *Local) *localSession {
 	s := &localSession{db: db, th: db.eng.NewThread(), lt: localTxn{st: db.st}}
 	s.body, s.readFn, s.writeFn = s.run, s.readOne, s.writeOne
+	s.d.bind()
 	return s
 }
+
+func (s *localSession) derived() *derivedOp { return &s.d }
 
 func (s *localSession) bind(sink obs.StageRecorder) { s.sink = sink }
 
@@ -148,6 +153,7 @@ func (s *localSession) attempt(fn func(tx Txn) error) (Revision, error) {
 	s.fn = fn
 	err := s.th.Atomic(s.body)
 	s.fn = nil
+	s.lt.drop = scratch.Reset(s.lt.drop)
 	if err != nil {
 		s.lt.trim() // a failed attempt publishes nothing
 	}
@@ -307,6 +313,7 @@ type localTxn struct {
 	capture bool
 	recs    []wal.Op
 	slab    []byte
+	drop    []byte // the values Revision and leaseOf read and drop
 	maxRev  uint64 // highest revision this attempt's writes were stamped with
 }
 
@@ -323,7 +330,9 @@ func (t *localTxn) Revision(key []byte) (Revision, error) {
 	if reservedKey(key) {
 		return 0, ErrReservedKey
 	}
-	_, rev, _, ok := t.st.Read(t.tx, key)
+	var rev uint64
+	var ok bool
+	t.drop, rev, _, ok = t.st.AppendRead(t.tx, key, t.drop[:0])
 	if !ok {
 		return 0, nil
 	}
@@ -413,7 +422,9 @@ func (t *localTxn) keep(b []byte) []byte {
 }
 
 func (t *localTxn) leaseOf(key []byte) (LeaseID, error) {
-	_, _, lease, ok := t.st.Read(t.tx, key)
+	var lease uint64
+	var ok bool
+	t.drop, _, lease, ok = t.st.AppendRead(t.tx, key, t.drop[:0])
 	if !ok {
 		return 0, nil
 	}

@@ -266,50 +266,71 @@ func (f *Follower) pump(s *stream, apply func(wal.Unit) (maxRev uint64, err erro
 // pumpData tails one data stream and applies whole units to the replica
 // System through Replay, on a dedicated engine thread.
 func (f *Follower) pumpData(s *stream, eng rhtm.Engine, st kv.Storer) {
-	th := eng.NewThread()
-	f.pump(s, func(u wal.Unit) (uint64, error) {
-		switch u.Kind {
-		case wal.UnitTxn:
-			return f.applyOps(th, st, u.Txn.Ops)
-		case wal.UnitCheckpoint:
-			// Fully redundant for a caught-up follower (snapshots hold only
-			// live keys at their current revisions, all <= the applied
-			// watermark); Replay's revision guard skips them.
-			// A follower attached mid-log uses them as its catch-up base.
-			return f.applyOps(th, st, u.Checkpoint)
-		}
-		// Resolution marks carry no System state; epoch frames fence the
-		// log, not the data. Both just move the cursor.
-		return 0, nil
-	})
+	a := &applier{f: f, th: eng.NewThread(), st: st}
+	a.body = a.replay
+	f.pump(s, a.apply)
+}
+
+// applier is one data stream's apply side: the pump's engine thread, the
+// replica store, and the Replay body bound once, to which apply hands a
+// unit's ops through fields. Each pump owns its own, so the pumps of a
+// cluster follower never share one.
+type applier struct {
+	f      *Follower
+	th     rhtm.Thread
+	st     kv.Storer
+	body   func(tx rhtm.Tx) error // a.replay
+	ops    []wal.Op               // the unit being applied
+	maxRev uint64                 // its highest revision
+}
+
+// apply applies one unit of the stream.
+func (a *applier) apply(u wal.Unit) (uint64, error) {
+	switch u.Kind {
+	case wal.UnitTxn:
+		return a.applyOps(u.Txn.Ops)
+	case wal.UnitCheckpoint:
+		// Fully redundant for a caught-up follower (snapshots hold only
+		// live keys at their current revisions, all <= the applied
+		// watermark); Replay's revision guard skips them.
+		// A follower attached mid-log uses them as its catch-up base.
+		return a.applyOps(u.Checkpoint)
+	}
+	// Resolution marks carry no System state; epoch frames fence the
+	// log, not the data. Both just move the cursor.
+	return 0, nil
 }
 
 // applyOps applies one unit's ops in a single engine transaction — the
 // unit's atomicity on the replica — through Replay, as crash recovery does.
 // Replay skips an op at or below its record's revision, which makes
 // re-delivery (checkpoint overlap, reattached cursors) idempotent.
-func (f *Follower) applyOps(th rhtm.Thread, st kv.Storer, ops []wal.Op) (uint64, error) {
+func (a *applier) applyOps(ops []wal.Op) (uint64, error) {
 	if len(ops) == 0 {
 		return 0, nil
 	}
-	fl := f.g.flight.Load()
+	fl := a.f.g.flight.Load()
 	var applyStart time.Time
 	if fl != nil {
 		applyStart = time.Now()
 	}
-	var maxRev uint64
-	err := th.Atomic(func(tx rhtm.Tx) (err error) {
-		maxRev, err = st.Replay(tx, ops)
-		return err
-	})
+	a.ops = ops
+	err := a.th.Atomic(a.body)
+	a.ops = nil
 	if err != nil {
 		return 0, err
 	}
-	f.g.applyBatch.Observe(uint64(len(ops)))
+	a.f.g.applyBatch.Observe(uint64(len(ops)))
 	// Close the tracing loop: traces awaiting a commit revision at or
 	// below this unit's watermark gain their replica_apply stage.
 	if fl != nil {
-		fl.ReplicaApplied(f.name, maxRev, len(ops), time.Since(applyStart))
+		fl.ReplicaApplied(a.f.name, a.maxRev, len(ops), time.Since(applyStart))
 	}
-	return maxRev, nil
+	return a.maxRev, nil
+}
+
+// replay is applyOps' body.
+func (a *applier) replay(tx rhtm.Tx) (err error) {
+	a.maxRev, err = a.st.Replay(tx, a.ops)
+	return err
 }

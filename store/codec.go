@@ -27,14 +27,28 @@ func writeBytes(tx rhtm.Tx, a rhtm.Addr, b []byte) {
 	}
 }
 
-// readBytes decodes the block at a under tx.
+// readBytes decodes the block at a under tx into a fresh slice.
 func readBytes(tx rhtm.Tx, a rhtm.Addr) []byte {
-	n := int(tx.Load(a))
-	b := make([]byte, (n+7)&^7)
-	for i := 0; i < n; i += 8 {
-		binary.LittleEndian.PutUint64(b[i:], tx.Load(a+1+rhtm.Addr(i/8)))
+	b := appendBytes(nil, tx, a)
+	return b[:len(b):len(b)]
+}
+
+// appendBytes decodes the block at a under tx onto the end of dst, which a
+// caller may reuse from call to call. The result is never nil: an empty
+// value read is present, unlike an absent one.
+func appendBytes(dst []byte, tx rhtm.Tx, a rhtm.Addr) []byte {
+	n, m := int(tx.Load(a)), len(dst)
+	w := (n + 7) &^ 7 // the words are decoded whole
+	if dst == nil || cap(dst)-m < w {
+		grown := make([]byte, m, m+w)
+		copy(grown, dst)
+		dst = grown
 	}
-	return b[:n:n]
+	dst = dst[:m+w]
+	for i := 0; i < n; i += 8 {
+		binary.LittleEndian.PutUint64(dst[m+i:], tx.Load(a+1+rhtm.Addr(i/8)))
+	}
+	return dst[:m+n]
 }
 
 // wordAt packs the first eight bytes of b, zero-padded when it is shorter.

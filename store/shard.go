@@ -77,6 +77,12 @@ func (sh *Sharded) Read(tx rhtm.Tx, key []byte) (value []byte, rev, lease uint64
 	return sh.Shard(key).Read(tx, key)
 }
 
+// AppendRead is Read decoding the value onto the end of dst (see
+// Store.AppendRead).
+func (sh *Sharded) AppendRead(tx rhtm.Tx, key, dst []byte) (value []byte, rev, lease uint64, ok bool) {
+	return sh.Shard(key).AppendRead(tx, key, dst)
+}
+
 // Put stores key→value in the key's shard.
 func (sh *Sharded) Put(tx rhtm.Tx, key, value []byte) error {
 	return sh.Shard(key).Put(tx, key, value)

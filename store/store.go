@@ -200,12 +200,20 @@ func (st *Store) Get(tx rhtm.Tx, key []byte) ([]byte, bool) {
 // monotonic commit version stamped by the last write) and attached lease id
 // (0 = none).
 func (st *Store) Read(tx rhtm.Tx, key []byte) (value []byte, rev, lease uint64, ok bool) {
+	value, rev, lease, ok = st.AppendRead(tx, key, nil)
+	return value[:len(value):len(value)], rev, lease, ok
+}
+
+// AppendRead is Read decoding the value onto the end of dst, for a caller
+// that wants a record's revision or lease and drops its value: a dst reused
+// from call to call stops allocating once it has grown to the values read.
+func (st *Store) AppendRead(tx rhtm.Tx, key, dst []byte) (value []byte, rev, lease uint64, ok bool) {
 	rec, found := st.idx.Lookup(tx, key)
 	if !found {
-		return nil, 0, 0, false
+		return dst, 0, 0, false
 	}
 	rc := revCell(rec, key)
-	return readBytes(tx, locBlock(tx.Load(rec+recLocator))), tx.Load(rc), tx.Load(rc + 1), true
+	return appendBytes(dst, tx, locBlock(tx.Load(rec+recLocator))), tx.Load(rc), tx.Load(rc + 1), true
 }
 
 // RevOf returns key's revision without decoding the value; absent keys
