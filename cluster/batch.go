@@ -55,10 +55,10 @@ type batchKey struct {
 // or ErrConflict at the first conflict (a pending intent on one of its keys,
 // a failed validation, a refused prepare), having changed nothing.
 func (cl *Client) Batch(ops []BatchOp) ([]BatchResult, error) {
+	cl.lastRev = 0
 	if len(ops) == 0 {
 		return nil, nil
 	}
-	cl.lastRev = 0
 	results := make([]BatchResult, len(ops))
 	nodeID := cl.c.router.SystemFor(ops[0].Key)
 	for i := 1; i < len(ops); i++ {

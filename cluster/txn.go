@@ -489,16 +489,26 @@ func (t *Txn) PutLease(key, value []byte, lease uint64) {
 // deleting a key that was absent before the transaction changes nothing,
 // and an owner that commits elsewhere must be able to tell.
 func (t *Txn) Delete(key []byte) (bool, error) {
+	present, err := t.Has(key)
+	if err != nil {
+		return false, err
+	}
+	t.buffer(key, Write{Delete: true})
+	return present, nil
+}
+
+// Has reports whether key is present as of this transaction without
+// copying its value: a buffered write decides, else the committed
+// observation, which Has records either way, as Delete does.
+func (t *Txn) Has(key []byte) (bool, error) {
 	rec, err := t.read(key)
 	if err != nil {
 		return false, err
 	}
-	present := rec.Found
 	if w := t.buffered(key); w != nil {
-		present = !w.Delete
+		return !w.Delete, nil
 	}
-	t.buffer(key, Write{Delete: true})
-	return present, nil
+	return rec.Found, nil
 }
 
 // inRange reports start <= k < end with nil bounds unbounded.

@@ -193,8 +193,8 @@ func testDBIndexConcurrentCRUD(t *testing.T, factory DBFactory) {
 			}
 		}
 		// The same query with a limit bounds the backend's scan itself
-		// (the limit travels in ClusterDB.rawScan and the wire's Scan
-		// frame): it must yield the first rows of the unbounded answer.
+		// (the limit travels in the cluster's snapshot scan and the wire's
+		// Scan frame): it must yield the first rows of the unbounded answer.
 		if len(rows) < 2 {
 			continue
 		}

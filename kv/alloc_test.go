@@ -111,24 +111,28 @@ func TestLocalOpAllocs(t *testing.T) {
 // warmed 2-System cluster, volatile and logged to in-memory streams: what
 // the operation hands back, and what the store and the log allocate beneath
 // it.
-//   - Get: the one-op batch's op and its two result slices, the value read;
+//   - Get: the client's batch result slice, the value read;
 //   - Put: the same minus the value, plus the device's copy when logged;
 //   - GetRev: the value the store reads, and the copy Txn.Get hands back;
+//   - a closure Delete of a present key (Update(tx.Delete), measured with
+//     the Put that brings the key back, less that Put): the value the
+//     store reads, plus the device's copy when logged;
 //   - a read-modify-write Update of one key on each System (two-phase
 //     commit): both reads as GetRev's, the store's intent payloads in
 //     prepare and finish, and when logged the device's copies of the
 //     decision, both applies and the resolution mark.
 //
 // A transaction built per call, maps for its reads and writes, commit
-// scratch built per commit or a closure around an engine body each fails
-// it. The pins leave the Update room: it reads 10 (14 logged) on an amd64
+// scratch built per commit, a closure around an engine body, a batch or
+// result slice built for a single-key operation, or a value copied only to
+// learn that the key Delete removes is present each fails it. The pins leave the Update room: it reads 10 (14 logged) on an amd64
 // host, and one more logged under the race detector, whose sync.Pool drops
 // objects at random.
 func TestClusterOpAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		durable                  bool
-		get, put, getRev, update float64
-	}{{false, 4, 3, 2, 18}, {true, 4, 5, 2, 24}} {
+		durable                       bool
+		get, put, getRev, del, update float64
+	}{{false, 2, 1, 2, 1, 18}, {true, 2, 3, 2, 2, 24}} {
 		c, err := cluster.New(cluster.Config{Systems: 2, ArenaWords: 1 << 14})
 		if err != nil {
 			t.Fatal(err)
@@ -171,6 +175,7 @@ func TestClusterOpAllocs(t *testing.T) {
 			}
 			return tx.Put(b, va)
 		}
+		del := func(tx kv.Txn) error { return tx.Delete(a) }
 		ops := []struct {
 			name string
 			want float64
@@ -191,6 +196,14 @@ func TestClusterOpAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			}},
+			{"Delete", tc.del, func() {
+				if err := db.Update(del); err != nil {
+					t.Fatal(err)
+				}
+				if err := db.Put(a, val); err != nil {
+					t.Fatal(err)
+				}
+			}},
 			{"Update", tc.update, func() {
 				if err := db.Update(swap); err != nil {
 					t.Fatal(err)
@@ -204,8 +217,15 @@ func TestClusterOpAllocs(t *testing.T) {
 				o.op()
 			}
 		}
+		// The Delete row brings its key back with a Put: its reading is
+		// the pair's less the Put row's.
+		read := map[string]float64{}
 		for _, o := range ops {
-			if got := testing.AllocsPerRun(200, o.op); got > o.want {
+			read[o.name] = testing.AllocsPerRun(200, o.op)
+			if o.name == "Delete" {
+				read[o.name] -= read["Put"]
+			}
+			if got := read[o.name]; got > o.want {
 				t.Errorf("durable=%v: %s costs %v allocations, want at most %v", tc.durable, o.name, got, o.want)
 			}
 		}

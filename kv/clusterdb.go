@@ -1,7 +1,7 @@
 package kv
 
 import (
-	"time"
+	"slices"
 
 	"rhtm"
 	"rhtm/cluster"
@@ -36,7 +36,7 @@ type ClusterDB struct {
 // NewCluster builds a DB over c. Call during single-threaded setup.
 func NewCluster(c *cluster.Cluster, opts ...Option) *ClusterDB {
 	db := &ClusterDB{c: c}
-	db.init(applyOptions(opts), db,
+	db.init(applyOptions(opts),
 		func() *clusterSession { return newClusterSession(c) },
 		func() []logSource {
 			// One dedicated thread per System drains that System's ring.
@@ -60,28 +60,24 @@ func NewCluster(c *cluster.Cluster, opts ...Option) *ClusterDB {
 func (db *ClusterDB) Cluster() *cluster.Cluster { return db.c }
 
 // clusterSession is one pooled cluster client, with the closure Txn it
-// reuses across attempts, its bodies bound once, when the session opens,
-// and the batch it converts for the client.
+// reuses across attempts, its transaction body bound once, when the
+// session opens, and the batch it converts for the client.
 type clusterSession struct {
-	c       *cluster.Cluster
-	cl      *cluster.Client
-	ct      clusterTxn
-	body    func(t *cluster.Txn) error // s.run
-	batchFn func(int) error            // s.runBatch: BatchTraced's attempt
-	fn      func(tx Txn) error         // the closure the running attempt executes
-	d       derivedOp
-	cops    []cluster.BatchOp     // the batch BatchTraced runs, converted
-	cres    []cluster.BatchResult // its results
+	c    *cluster.Cluster
+	cl   *cluster.Client
+	ct   clusterTxn
+	body func(t *cluster.Txn) error // s.run
+	o    operation
+	cops []cluster.BatchOp // an unleased batch, converted
 }
 
 func newClusterSession(c *cluster.Cluster) *clusterSession {
 	s := &clusterSession{c: c, cl: c.NewClient()}
-	s.body, s.batchFn = s.run, s.runBatch
-	s.d.bind()
+	s.body = s.run
 	return s
 }
 
-func (s *clusterSession) derived() *derivedOp { return &s.d }
+func (s *clusterSession) op() *operation { return &s.o }
 
 // bind implements session: the client reports its 2pc_prepare, wal_sync
 // (the coordinator decision sync) and 2pc_finish stages to sink.
@@ -89,29 +85,77 @@ func (s *clusterSession) bind(sink obs.StageRecorder) { s.cl.SetStageSink(sink) 
 
 func (s *clusterSession) engineName() string { return s.c.Node(0).Engine().Name() }
 
-// attempt implements session via one run of the cluster's optimistic
-// buffered transaction (local commit when one System owns the footprint,
-// two-phase commit when several do). Its conflicts — a read that met a
-// pending intent, a failed validation, a refused prepare — come back as
-// cluster.ErrConflict for the core's Retry to run the closure again.
-func (s *clusterSession) attempt(fn func(tx Txn) error) (Revision, error) {
-	s.fn = fn
+// attempt implements session with one cluster.Client call. A scan is the
+// validated snapshot scan (no read set, no commit validation), a follower
+// read one engine transaction on the owning System, and a batch without
+// lease attachments the native one: a single engine transaction when one
+// System owns every key — what the server's per-domain batcher lanes
+// always send, and every single-key operation — instead of one
+// buffered-transaction read per key. Everything else, a leased batch
+// included (its lease records ride the same transaction), runs its body
+// on the cluster's optimistic buffered transaction (local commit when one
+// System owns the footprint, two-phase commit when several do). Conflicts
+// — a read that met a pending intent, a failed validation, a refused
+// prepare, a torn scan pass — come back as cluster.ErrConflict for the
+// core's Retry to run the attempt again.
+func (s *clusterSession) attempt() (Revision, error) {
+	o := &s.o
+	switch {
+	case o.kind == opScan:
+		entries, err := s.cl.ScanSnapshot(o.start, o.end, o.limit)
+		if err == nil {
+			o.entries = clusterEntries(entries)
+		}
+		return 0, err
+	case o.kind == opReadAt:
+		rec, wm, err := s.cl.ReadClock(o.key)
+		o.val, o.rev, o.wm, o.found = rec.Value, rec.Rev, wm, rec.Found
+		return 0, err
+	case (o.kind == opBatch || o.kind == opSingle) && !slices.ContainsFunc(o.ops, leased):
+		return s.batch()
+	}
 	err := s.cl.Txn(s.body)
-	s.fn, s.ct.t = nil, nil
+	s.ct.t = nil
 	return s.cl.LastCommitRev(), err
 }
 
-// run is the body of every attempt's buffered transaction.
+func leased(op Op) bool { return op.Lease != 0 }
+
+// run is the body of every buffered-transaction attempt.
 func (s *clusterSession) run(t *cluster.Txn) error {
 	s.ct.t = t
-	return s.fn(&s.ct)
+	return s.o.txn(&s.ct)
 }
 
-// runBatch is one attempt of BatchTraced's batch.
-func (s *clusterSession) runBatch(int) error {
-	var err error
-	s.cres, err = s.cl.Batch(s.cops)
-	return mapErr(err)
+// batch is one attempt of the native batch; a Get or a Delete of an absent
+// key yields ErrNotFound in its result.
+func (s *clusterSession) batch() (Revision, error) {
+	o := &s.o
+	for _, op := range o.ops {
+		cop := cluster.BatchOp{Kind: cluster.BatchDelete, Key: op.Key}
+		switch op.Kind {
+		case OpGet:
+			cop.Kind = cluster.BatchGet
+		case OpPut:
+			cop.Kind, cop.Value = cluster.BatchPut, op.Value
+		}
+		s.cops = append(s.cops, cop)
+	}
+	cres, err := s.cl.Batch(s.cops)
+	s.cops = scratch.Release(s.cops)
+	if err != nil {
+		return 0, err
+	}
+	for i, op := range o.ops {
+		switch {
+		case op.Kind == OpPut:
+		case cres[i].Found:
+			o.res[i] = OpResult{Value: cres[i].Value}
+		default:
+			o.res[i] = OpResult{Err: ErrNotFound}
+		}
+	}
+	return s.cl.LastCommitRev(), nil
 }
 
 // publish implements session: the cluster's commit path logs to its WAL
@@ -146,126 +190,6 @@ func (db *ClusterDB) Domains() int { return db.c.NumSystems() }
 // keys share a domain is one engine transaction there (cluster.Client's
 // batchLocal); one that spans domains pays 2PC.
 func (db *ClusterDB) Domain(key []byte) int { return db.c.Router().SystemFor(key) }
-
-// Get implements DB: a one-op batch.
-func (db *ClusterDB) Get(key []byte) ([]byte, error) {
-	return db.single(Op{Kind: OpGet, Key: key})
-}
-
-// Put implements DB: a one-op batch (a leased one takes the core's
-// closure-transaction batch, which writes the lease record too).
-func (db *ClusterDB) Put(key, value []byte, opts ...PutOption) error {
-	_, err := db.single(Op{Kind: OpPut, Key: key, Value: value, Lease: LeaseOf(opts...)})
-	return err
-}
-
-// Delete implements DB: a one-op batch.
-func (db *ClusterDB) Delete(key []byte) error {
-	_, err := db.single(Op{Kind: OpDelete, Key: key})
-	return err
-}
-
-// single runs op as a one-op BatchTraced — the batch path's one engine
-// transaction on the owning System — and returns its value or its
-// per-op error. It does not go through Batch: DB-level trace sampling
-// covers Update and Batch calls, not single-key operations.
-func (db *ClusterDB) single(op Op) ([]byte, error) {
-	res, err := db.BatchTraced(nil, []Op{op})
-	if err != nil {
-		return nil, err
-	}
-	return res[0].Value, res[0].Err
-}
-
-// BatchTraced shadows the core's closure-transaction batch with the native
-// one: a single engine transaction when one System owns every key (what the
-// server's per-domain batcher lanes always send) instead of one
-// buffered-transaction read per key. A batch that spans Systems (an
-// explicit Batch call: the KindBatch handler, in-process callers) is the
-// buffered transaction either way. Batches carrying lease attachments take
-// the core's path, where the lease records ride the same transaction. The
-// engine stage covers the whole batch; 2PC phase and WAL stages come from
-// the client's stage sink. Watchers are woken when a Put or a Delete of a
-// present key committed.
-func (db *ClusterDB) BatchTraced(sink obs.TraceSink, ops []Op) ([]OpResult, error) {
-	for _, op := range ops {
-		if reservedKey(op.Key) {
-			return nil, ErrReservedKey
-		}
-		if op.Lease != 0 {
-			return db.core.BatchTraced(sink, ops)
-		}
-	}
-	s := db.claim(sink)
-	defer db.release(s)
-	for _, op := range ops {
-		cop := cluster.BatchOp{Kind: cluster.BatchDelete, Key: op.Key}
-		switch op.Kind {
-		case OpGet:
-			cop.Kind = cluster.BatchGet
-		case OpPut:
-			cop.Kind, cop.Value = cluster.BatchPut, op.Value
-		}
-		s.cops = append(s.cops, cop)
-	}
-	var engStart time.Time
-	if sink != nil {
-		engStart = time.Now()
-	}
-	err := Retry(s.batchFn)
-	if sink != nil {
-		sink.Stage(obs.StageEngine, time.Since(engStart))
-	}
-	cres := s.cres
-	s.cops, s.cres = scratch.Release(s.cops), nil
-	if err != nil {
-		return nil, err
-	}
-	results := make([]OpResult, len(ops))
-	wrote := false
-	for i, op := range ops {
-		switch op.Kind {
-		case OpGet:
-			if cres[i].Found {
-				results[i] = OpResult{Value: cres[i].Value}
-			} else {
-				results[i] = OpResult{Err: ErrNotFound}
-			}
-		case OpPut:
-			results[i] = OpResult{}
-			wrote = true
-		default:
-			if !cres[i].Found {
-				results[i] = OpResult{Err: ErrNotFound}
-			} else {
-				wrote = true
-			}
-		}
-	}
-	if wrote {
-		if sink != nil {
-			sink.SetCommitRev(s.cl.LastCommitRev())
-		}
-		db.hub.wake()
-	}
-	return results, nil
-}
-
-// rawScan shadows the core's closure-transaction scan with the cluster's
-// validated snapshot scan (no read set, no commit validation).
-func (db *ClusterDB) rawScan(start, end []byte, limit int) ([]Entry, error) {
-	s := db.claim(nil)
-	defer db.release(s)
-	var entries []cluster.Entry
-	if err := Retry(func(int) error {
-		var err error
-		entries, err = s.cl.ScanSnapshot(start, end, limit)
-		return mapErr(err)
-	}); err != nil {
-		return nil, err
-	}
-	return clusterEntries(entries), nil
-}
 
 // clusterEntries converts the cluster's entry type.
 func clusterEntries(in []cluster.Entry) []Entry {
@@ -354,10 +278,14 @@ func (t *bufferedTxn) putRaw(key, value []byte, lease LeaseID) error {
 // deleteRaw buffers key's removal only when the key is present as of the
 // transaction; either way its committed observation is recorded.
 func (t *bufferedTxn) deleteRaw(key []byte) error {
-	if _, err := t.getRaw(key); err != nil {
-		return err
+	present, err := t.t.Has(key)
+	if err != nil {
+		return mapErr(err)
 	}
-	_, err := t.t.Delete(key)
+	if !present {
+		return ErrNotFound
+	}
+	_, err = t.t.Delete(key)
 	return mapErr(err)
 }
 

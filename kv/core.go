@@ -12,61 +12,97 @@ import (
 )
 
 // session is one pooled execution context of a backend — an engine thread
-// on Local, a cluster client on ClusterDB — and the whole surface the shared
-// closure transaction (core.UpdateRevTraced) is written against.
+// on Local, a cluster client on ClusterDB — and the whole of what a backend
+// supplies to the core: every DB operation parks its operands on the
+// session's operation block and runs through core.run.
 type session interface {
 	// bind attaches the stage sink the session reports its own finer stages
 	// to (wal_sync, and on a cluster 2pc_prepare/2pc_finish) for the claim
 	// about to run; nil detaches it. Sessions are single-caller while
 	// claimed, so the binding cannot race with another request.
 	bind(sink obs.StageRecorder)
-	// attempt runs fn once as one backend transaction and returns the
-	// highest revision its writes were stamped with (0 for a read-only
-	// closure; meaningless with a non-nil error).
-	attempt(fn func(tx Txn) error) (Revision, error)
+	// op is the session's operation block.
+	op() *operation
+	// attempt runs the operation parked on op() once as one backend
+	// transaction and returns the highest revision its writes were stamped
+	// with (0 when it wrote nothing; meaningless with a non-nil error).
+	attempt() (Revision, error)
 	// publish makes the attempt that just committed durable. Backends whose
 	// attempt already publishes (the cluster logs inside its commit path)
 	// and volatile DBs return nil.
 	publish() error
 	// engineName names the engine attempt spans are attributed to.
 	engineName() string
-	// derived is the session's operand block for GetRev, PutIf and
-	// DeleteIf, with their one body bound on it.
-	derived() *derivedOp
 }
 
-// derivedOp is one derived operation — GetRev, PutIf or DeleteIf, each one
-// closure transaction — as a session runs it. Every session owns one, with
-// its body bound once, when the session opens, so none of them builds a
-// closure: the core fills in the operands, runs body, and reads the results
-// back.
-type derivedOp struct {
-	body  func(tx Txn) error // run, bound once
-	kind  derivedKind
-	key   []byte
-	value []byte      // PutIf
-	guard Revision    // PutIf, DeleteIf: the revision the key must be at
-	opts  []PutOption // PutIf
-	val   []byte      // GetRev's value
-	rev   Revision    // GetRev's revision
+// operation is one DB operation as a session runs it: its kind, its
+// operands, and the results its committed attempt leaves. Every session
+// owns one, so no operation builds a closure: the core parks the operands
+// on the claimed session's block, runs it, and reads the results back
+// before the block is cleared on release.
+type operation struct {
+	kind  opKind
+	fn    func(tx Txn) error // opUpdate: the caller's closure
+	ops   []Op               // opBatch, opSingle
+	res   []OpResult         // opBatch, opSingle: one per op
+	key   []byte             // opGetRev, opPutIf, opDeleteIf, opReadAt
+	value []byte             // opPutIf
+	guard Revision           // opPutIf, opDeleteIf: the revision the key must be at
+	opts  []PutOption        // opPutIf
+	start []byte             // opScan: the range, unclamped
+	end   []byte
+	limit int
+
+	val     []byte   // opGetRev, opReadAt: the value
+	rev     Revision // opGetRev, opReadAt: its revision
+	wm      Revision // opReadAt: the partition's revision clock
+	found   bool     // opReadAt: the key is present
+	entries []Entry  // opScan: the snapshot
+
+	one    [1]Op       // opSingle: ops is one[:]
+	oneRes [1]OpResult // and res is oneRes[:]
 }
 
-type derivedKind uint8
+// opKind names what an operation runs. Only the kinds before opSingle emit
+// spans (see SetTracer).
+type opKind uint8
 
 const (
-	opGetRev derivedKind = iota
-	opPutIf
-	opDeleteIf
+	opUpdate   opKind = iota // a closure transaction
+	opGetRev                 // GetRev, PutIf, DeleteIf: the derived
+	opPutIf                  // operations, each one closure transaction
+	opDeleteIf               // run through txn
+	opBatch                  // Batch's ops, executed in order
+	opSingle                 // Get, Put, Delete: a one-op batch
+	opScan                   // a snapshot of a range
+	opReadAt                 // a follower read: the key and its clock
 )
 
-// bind binds the body on o; a session calls it once, when it opens.
-func (o *derivedOp) bind() { o.body = o.run }
-
-// run is the closure of every derived operation. PutIf and DeleteIf go
-// through the Update path, so conditional-write semantics cannot drift
-// between backends.
-func (o *derivedOp) run(tx Txn) error {
-	if o.kind == opGetRev {
+// txn is the operation as one transaction body: Local runs every kind but
+// opReadAt this way, ClusterDB a closure, a derived operation and a leased
+// batch. PutIf and DeleteIf go through it like any closure, so
+// conditional-write semantics cannot drift between backends.
+func (o *operation) txn(tx coordTxn) error {
+	switch o.kind {
+	case opUpdate:
+		return o.fn(tx)
+	case opBatch, opSingle:
+		for i, op := range o.ops {
+			r, err := execOp(tx, op)
+			if err != nil {
+				return err
+			}
+			o.res[i] = r
+		}
+		return nil
+	case opScan:
+		o.entries = o.entries[:0]
+		it := tx.scanRaw(o.start, o.end, o.limit)
+		for it.Next() {
+			o.entries = append(o.entries, Entry{Key: it.Key(), Value: it.Value()})
+		}
+		return it.Err()
+	case opGetRev:
 		var err error
 		if o.val, err = tx.Get(o.key); err != nil {
 			return err
@@ -89,16 +125,6 @@ func (o *derivedOp) run(tx Txn) error {
 		return tx.Put(o.key, o.value, o.opts...)
 	}
 	return tx.Delete(o.key)
-}
-
-// backend is the embedding DB as its core sees it: the two derived
-// operations a backend may implement natively. The core's own bodies are the
-// defaults — Local keeps both, ClusterDB shadows both (a one-transaction
-// batch for keys of one System and a validated snapshot scan; see
-// clusterdb.go).
-type backend interface {
-	BatchTraced(sink obs.TraceSink, ops []Op) ([]OpResult, error)
-	rawScan(start, end []byte, limit int) ([]Entry, error)
 }
 
 // maxSessions bounds the sessions (engine threads; cluster: clients, one
@@ -140,9 +166,9 @@ func (p *sessionPool[S]) get() S {
 func (p *sessionPool[S]) put(s S) { p.slots <- s }
 
 // core is what Local and ClusterDB embed: the state every backend carries
-// and every DB operation that can be derived from a session's closure
-// attempt. The backends add only what is natively theirs — the single-op
-// Get/Put/Delete bodies, Metrics, Checkpoint, follower reads, promotion.
+// and every DB operation, each run through one loop (run) on a session.
+// The backends add only what is natively theirs — the session, Metrics,
+// Checkpoint, promotion.
 type core[S interface {
 	comparable
 	session
@@ -165,13 +191,12 @@ type core[S interface {
 	leaseSeq atomic.Uint64
 	hub      *watchHub
 	pool     sessionPool[S]
-	be       backend
 }
 
 // init wires the core during the backend's single-threaded construction:
 // open registers one new session, sources builds the watch hub's log
 // sources (with their dedicated engine threads) on first Watch.
-func (db *core[S]) init(o dbOptions, be backend, open func() S, sources func() []logSource) {
+func (db *core[S]) init(o dbOptions, open func() S, sources func() []logSource) {
 	db.clock = o.clock
 	db.syncEvery = o.syncEvery
 	db.reg = o.metrics
@@ -185,10 +210,10 @@ func (db *core[S]) init(o dbOptions, be backend, open func() S, sources func() [
 	db.hub.lost = db.met.watchLost
 	registerWatchDepth(db.reg, db.hub)
 	db.pool = newSessionPool(open)
-	db.be = be
 }
 
-// claim takes a session from the pool with sink bound; release returns it.
+// claim takes a session from the pool with sink bound; release clears its
+// operation block and returns it.
 func (db *core[S]) claim(sink obs.TraceSink) S {
 	s := db.pool.get()
 	s.bind(sink)
@@ -197,13 +222,15 @@ func (db *core[S]) claim(sink obs.TraceSink) S {
 
 func (db *core[S]) release(s S) {
 	s.bind(nil)
+	*s.op() = operation{}
 	db.pool.put(s)
 }
 
 // SetTracer installs (or, with nil, removes) the per-transaction tracer:
-// every Update/Batch attempt from then on emits one obs.Span, committed
-// or not. Safe to call while transactions run; attempts in flight may
-// still report to the previous tracer.
+// every attempt of an Update, Batch, GetRev, PutIf or DeleteIf from then
+// on emits one obs.Span, committed or not; Get, Put, Delete, Scan and
+// ReadAt emit none. Safe to call while transactions run; attempts in
+// flight may still report to the previous tracer.
 func (db *core[S]) SetTracer(t obs.Tracer) { db.trc.Store(&tracerBox{t}) }
 
 // Flight returns the DB's flight recorder (nil when tracing is disabled).
@@ -234,9 +261,7 @@ func (db *core[S]) Update(fn func(tx Txn) error) error {
 // the DB's own trace sampling; a front end calls UpdateRevTraced instead.
 func (db *core[S]) UpdateRev(fn func(tx Txn) error) (Revision, error) {
 	t, sink := db.sample("update")
-	s := db.claim(sink)
-	rev, err := db.run(s, sink, fn)
-	db.release(s)
+	rev, err := db.UpdateRevTraced(sink, fn)
 	if t != nil {
 		t.Finish(err)
 	}
@@ -263,24 +288,31 @@ func (db *core[S]) sample(kind string) (*obs.Trace, obs.TraceSink) {
 func (db *core[S]) UpdateRevTraced(sink obs.TraceSink, fn func(tx Txn) error) (Revision, error) {
 	s := db.claim(sink)
 	defer db.release(s)
-	return db.run(s, sink, fn)
+	o := s.op()
+	o.kind, o.fn = opUpdate, fn
+	return db.run(s, sink)
 }
 
-// run is the one closure transaction, on the session s claimed with sink:
-// each Retry attempt runs the closure once through the session and, once it
-// committed, publishes it. An attempt conflicts when the closure returns
-// ErrConflict or the backend refuses it (on a cluster: a pending intent on a
-// read, a failed commit validation, a refused prepare); the engines absorb
+// run is the one loop every DB operation runs through, on the session s
+// claimed with sink and holding the operation: each Retry attempt runs the
+// operation once through the session and, once it committed, publishes it.
+// An attempt conflicts when a closure returns ErrConflict or the backend
+// refuses it (on a cluster: a pending intent on a read, a failed commit
+// validation, a refused prepare, a torn scan pass); the engines absorb
 // their own aborts inside attempt. sink, when non-nil, receives one engine
 // stage spanning every attempt (retries and backoff included; on a cluster,
 // commit machinery too), the session's own finer stages, one span per
-// attempt, and the commit revision; the tracer receives the spans. The
-// final attempt's span is emitted after publish, so its outcome is the
-// caller's outcome: a commit the log refused (wal.ErrFenced, a device
-// error) is an error span. A nil sink and tracer pay one predicted branch
+// attempt, and the commit revision; the tracer receives the spans of the
+// kinds before opSingle. The final attempt's span is emitted after publish,
+// so its outcome is the caller's outcome: a commit the log refused
+// (wal.ErrFenced, a device error) is an error span. Watchers are woken
+// after a committed write. A nil sink and tracer pay one predicted branch
 // per site — no stamps, no allocations.
-func (db *core[S]) run(s S, sink obs.TraceSink, fn func(tx Txn) error) (Revision, error) {
-	trc := db.trc.Load().t
+func (db *core[S]) run(s S, sink obs.TraceSink) (Revision, error) {
+	var trc obs.Tracer
+	if s.op().kind < opSingle {
+		trc = db.trc.Load().t
+	}
 	traced := trc != nil || sink != nil
 	var engStart time.Time
 	if sink != nil {
@@ -293,7 +325,7 @@ func (db *core[S]) run(s S, sink obs.TraceSink, fn func(tx Txn) error) (Revision
 			start = time.Now()
 		}
 		var err error
-		rev, err = s.attempt(fn)
+		rev, err = s.attempt()
 		var wall time.Duration
 		if traced {
 			wall = time.Since(start)
@@ -324,27 +356,10 @@ func (db *core[S]) run(s S, sink obs.TraceSink, fn func(tx Txn) error) (Revision
 	if sink != nil {
 		sink.SetCommitRev(rev)
 	}
-	db.hub.wake()
-	return rev, nil
-}
-
-// derive runs the derived operation whose kind and operands in holds, as
-// UpdateRev runs a closure, through the body bound on the claimed session's
-// derivedOp, and returns the operation with its results.
-func (db *core[S]) derive(in derivedOp) (derivedOp, error) {
-	t, sink := db.sample("update")
-	s := db.claim(sink)
-	o := s.derived()
-	in.body = o.body
-	*o = in
-	_, err := db.run(s, sink, o.body)
-	out := *o
-	*o = derivedOp{body: o.body}
-	db.release(s)
-	if t != nil {
-		t.Finish(err)
+	if rev != 0 {
+		db.hub.wake()
 	}
-	return out, err
+	return rev, nil
 }
 
 // errClusterConflict is cluster.ErrConflict on the kv surface: errors.Is
@@ -359,10 +374,47 @@ func mapErr(err error) error {
 	return err
 }
 
+// Get implements DB: a one-op batch.
+func (db *core[S]) Get(key []byte) ([]byte, error) {
+	return db.single(Op{Kind: OpGet, Key: key})
+}
+
+// Put implements DB: a one-op batch (a leased one writes the lease record
+// in the same transaction).
+func (db *core[S]) Put(key, value []byte, opts ...PutOption) error {
+	_, err := db.single(Op{Kind: OpPut, Key: key, Value: value, Lease: LeaseOf(opts...)})
+	return err
+}
+
+// Delete implements DB: a one-op batch.
+func (db *core[S]) Delete(key []byte) error {
+	_, err := db.single(Op{Kind: OpDelete, Key: key})
+	return err
+}
+
+// single runs op as a batch of one on the session's own op and result, and
+// returns its value or its per-op error. It is not sampled and emits no
+// span: DB-level tracing covers Update and Batch, not single-key
+// operations.
+func (db *core[S]) single(op Op) ([]byte, error) {
+	if reservedKey(op.Key) {
+		return nil, ErrReservedKey
+	}
+	s := db.claim(nil)
+	defer db.release(s)
+	o := s.op()
+	o.kind, o.one[0] = opSingle, op
+	o.ops, o.res = o.one[:], o.oneRes[:]
+	if _, err := db.run(s, nil); err != nil {
+		return nil, err
+	}
+	return o.oneRes[0].Value, o.oneRes[0].Err
+}
+
 // Batch implements DB.
 func (db *core[S]) Batch(ops []Op) ([]OpResult, error) {
 	t, sink := db.sample("batch")
-	res, err := db.be.BatchTraced(sink, ops)
+	res, err := db.BatchTraced(sink, ops)
 	if t != nil {
 		t.Finish(err)
 	}
@@ -370,21 +422,21 @@ func (db *core[S]) Batch(ops []Op) ([]OpResult, error) {
 }
 
 // BatchTraced implements Served: Batch reporting through sink (nil:
-// exactly Batch, minus the DB-level sampling); one closure transaction
-// executes every op in order, so the batch's stages are the transaction's.
+// exactly Batch, minus the DB-level sampling). The batch is one
+// transaction executing every op in order, so its stages are the
+// transaction's.
 func (db *core[S]) BatchTraced(sink obs.TraceSink, ops []Op) ([]OpResult, error) {
-	results := make([]OpResult, len(ops))
-	_, err := db.UpdateRevTraced(sink, func(tx Txn) error {
-		for i, op := range ops {
-			r, err := execOp(tx, op)
-			if err != nil {
-				return err
-			}
-			results[i] = r
+	for _, op := range ops {
+		if reservedKey(op.Key) {
+			return nil, ErrReservedKey
 		}
-		return nil
-	})
-	if err != nil {
+	}
+	results := make([]OpResult, len(ops))
+	s := db.claim(sink)
+	defer db.release(s)
+	o := s.op()
+	o.kind, o.ops, o.res = opBatch, ops, results
+	if _, err := db.run(s, sink); err != nil {
 		return nil, err
 	}
 	return results, nil
@@ -398,50 +450,59 @@ func (db *core[S]) Scan(start, end []byte, limit int) Iterator {
 	if empty {
 		return emptyIter()
 	}
-	entries, err := db.be.rawScan(start, end, limit)
+	entries, err := db.scan(start, end, limit)
 	if err != nil {
 		return errIter(err)
 	}
 	return &entriesIter{entries: entries}
 }
 
-// rawScan snapshots [start, end) without the user-keyspace clamp: the range
-// is collected inside one closure transaction, so it is a committed
-// snapshot by construction.
-func (db *core[S]) rawScan(start, end []byte, limit int) ([]Entry, error) {
-	var entries []Entry
-	err := db.Update(func(tx Txn) error {
-		entries = entries[:0]
-		it := tx.(coordTxn).scanRaw(start, end, limit)
-		for it.Next() {
-			entries = append(entries, Entry{Key: it.Key(), Value: it.Value()})
-		}
-		return it.Err()
-	})
-	if err != nil {
+// scan snapshots [start, end) without the user-keyspace clamp.
+func (db *core[S]) scan(start, end []byte, limit int) ([]Entry, error) {
+	s := db.claim(nil)
+	defer db.release(s)
+	o := s.op()
+	o.kind, o.start, o.end, o.limit = opScan, start, end, limit
+	if _, err := db.run(s, nil); err != nil {
 		return nil, err
 	}
-	return entries, nil
+	return o.entries, nil
 }
 
 // GetRev implements DB: one closure transaction pairing the value with the
 // revision it was committed at.
 func (db *core[S]) GetRev(key []byte) ([]byte, Revision, error) {
-	o, err := db.derive(derivedOp{kind: opGetRev, key: key})
+	val, rev, err := db.derive(opGetRev, key, nil, 0, nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	return o.val, o.rev, nil
+	return val, rev, nil
 }
 
 // PutIf implements DB through the Update path.
 func (db *core[S]) PutIf(key, value []byte, rev Revision, opts ...PutOption) error {
-	_, err := db.derive(derivedOp{kind: opPutIf, key: key, value: value, guard: rev, opts: opts})
+	_, _, err := db.derive(opPutIf, key, value, rev, opts)
 	return err
 }
 
 // DeleteIf implements DB.
 func (db *core[S]) DeleteIf(key []byte, rev Revision) error {
-	_, err := db.derive(derivedOp{kind: opDeleteIf, key: key, guard: rev})
+	_, _, err := db.derive(opDeleteIf, key, nil, rev, nil)
 	return err
+}
+
+// derive runs a derived operation under the DB's own trace sampling, as
+// UpdateRev runs a closure, and returns GetRev's value and revision.
+func (db *core[S]) derive(kind opKind, key, value []byte, guard Revision, opts []PutOption) ([]byte, Revision, error) {
+	t, sink := db.sample("update")
+	s := db.claim(sink)
+	o := s.op()
+	o.kind, o.key, o.value, o.guard, o.opts = kind, key, value, guard, opts
+	_, err := db.run(s, sink)
+	val, rev := o.val, o.rev
+	db.release(s)
+	if t != nil {
+		t.Finish(err)
+	}
+	return val, rev, err
 }

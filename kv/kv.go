@@ -73,8 +73,8 @@
 // the caller as-is. One loop decides when to try again, for every backend
 // and for the network client: Retry, with randomized exponential backoff,
 // giving up after its attempt bound with an error wrapping ErrConflict.
-// A backend's single-key operations, Batch and Scan, where they can
-// conflict, run through the same loop.
+// Every other operation of a backend — single-key operations, Batch, Scan,
+// the derived ones — runs through the same loop as Update does.
 //
 // Isolation inside fn is the standard optimistic contract: each read
 // observes committed state, but reads of different keys are only
@@ -377,7 +377,10 @@ type DB interface {
 	// taking engine snapshots or running raw-memory validation.
 	WaitWatchIdle()
 	// SetTracer installs (or, with nil, removes) the per-transaction
-	// tracer: every transaction attempt from then on emits one obs.Span.
+	// tracer. On Local and ClusterDB every attempt of an Update, Batch,
+	// GetRev, PutIf or DeleteIf from then on emits one obs.Span; Get, Put,
+	// Delete, Scan and ReadAt emit none. The network client runs only its
+	// Update attempts itself and reports those.
 	SetTracer(t obs.Tracer)
 }
 
@@ -412,10 +415,10 @@ var errRetriesExhausted = fmt.Errorf("kv: exhausted %d attempts: %w", maxAttempt
 // Retry is the one conflict-retry loop above the engines: it calls op with
 // attempt = 0, 1, … while op returns an error wrapping ErrConflict, backing
 // off between calls, and returns op's first other result — or, after
-// maxAttempts conflicts, an error wrapping ErrConflict. Every backend's
-// Update, Batch, Scan and single-key operations and the network client's
-// Update run their attempts through it; op must leave nothing behind when it
-// conflicts.
+// maxAttempts conflicts, an error wrapping ErrConflict. Every operation of
+// Local and ClusterDB runs its attempts through it in one place (the core's
+// run), and the network client's Update runs its own; op must leave
+// nothing behind when it conflicts.
 func Retry(op func(attempt int) error) error {
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		err := op(attempt)
@@ -528,9 +531,9 @@ func txnPut(ct coordTxn, key, value []byte, opts []PutOption) error {
 	return leaseAttach(ct, key, value, o.lease)
 }
 
-// execOp applies one batch op through a Txn, mapping ErrNotFound into the
-// per-op result and returning only hard errors.
-func execOp(tx Txn, op Op) (OpResult, error) {
+// execOp applies one batch op through a transaction, mapping ErrNotFound
+// into the per-op result and returning only hard errors.
+func execOp(tx coordTxn, op Op) (OpResult, error) {
 	switch op.Kind {
 	case OpGet:
 		v, err := tx.Get(op.Key)

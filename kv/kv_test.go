@@ -534,45 +534,79 @@ func TestClusterSingleKeyOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := []byte("user00000001")
-	id := db.Domain(key)
+	id := db.Domain(singleKey)
 	eng, stream := c.Node(id).Engine(), c.WAL().Data[id]
+	checkSingleKeyOps(t, db, func() uint64 { return stream.Stats().Txns }, map[string]func() uint64{
+		"engine transactions on the owning System": func() uint64 { return eng.Snapshot().Commits() },
+		"local transactions":                       func() uint64 { return c.Counters().LocalTxns },
+	})
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLocalSingleKeyOps: on Local a single-key operation is the same one-op
+// batch — one engine transaction, and one commit unit on the log when it
+// changed something — so running it as a batch adds no transaction.
+func TestLocalSingleKeyOps(t *testing.T) {
+	s := rhtm.MustNewSystem(rhtm.DefaultConfig(1 << 17))
+	eng := newEngine(t, s, "RH1", 0)
+	sh := store.NewSharded(s, 4, store.Options{ArenaWords: 1 << 13})
+	db, err := kv.OpenLocal(eng, sh, &wal.MemDevice{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSingleKeyOps(t, db, func() uint64 { return db.WAL().Stats().Txns }, map[string]func() uint64{
+		"engine transactions": func() uint64 { return eng.Snapshot().Commits() },
+	})
+	if err := sh.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+var singleKey = []byte("user00000001")
+
+// checkSingleKeyOps runs single-key operations on singleKey, and on a
+// reserved key, and checks what each costs: every counter in txns grows by
+// one per operation and units (the commit units logged) by one when the
+// operation changed something; a reserved key costs neither.
+func checkSingleKeyOps(t *testing.T, db kv.DB, units func() uint64, txns map[string]func() uint64) {
+	t.Helper()
 	for _, tc := range []struct {
 		name           string
 		op             func() error
 		wantErr        error
 		commits, units uint64
 	}{
-		{"put new", func() error { return db.Put(key, []byte("v1")) }, nil, 1, 1},
-		{"put overwrite", func() error { return db.Put(key, []byte("v2")) }, nil, 1, 1},
+		{"put new", func() error { return db.Put(singleKey, []byte("v1")) }, nil, 1, 1},
+		{"put overwrite", func() error { return db.Put(singleKey, []byte("v2")) }, nil, 1, 1},
 		{"get", func() error {
-			v, err := db.Get(key)
+			v, err := db.Get(singleKey)
 			if err == nil && string(v) != "v2" {
 				return fmt.Errorf("Get = %q, want v2", v)
 			}
 			return err
 		}, nil, 1, 0},
-		{"delete present", func() error { return db.Delete(key) }, nil, 1, 1},
-		{"delete absent", func() error { return db.Delete(key) }, kv.ErrNotFound, 1, 0},
-		{"get absent", func() error { _, err := db.Get(key); return err }, kv.ErrNotFound, 1, 0},
+		{"delete present", func() error { return db.Delete(singleKey) }, nil, 1, 1},
+		{"delete absent", func() error { return db.Delete(singleKey) }, kv.ErrNotFound, 1, 0},
+		{"get absent", func() error { _, err := db.Get(singleKey); return err }, kv.ErrNotFound, 1, 0},
 		{"reserved put", func() error { return db.Put([]byte("\x00sys"), []byte("v")) }, kv.ErrReservedKey, 0, 0},
 		{"reserved get", func() error { _, err := db.Get(nil); return err }, kv.ErrReservedKey, 0, 0},
 	} {
-		commits, local, units := eng.Snapshot().Commits(), c.Counters().LocalTxns, stream.Stats().Txns
+		before, logged := map[string]uint64{}, units()
+		for name, n := range txns {
+			before[name] = n()
+		}
 		if err := tc.op(); !errors.Is(err, tc.wantErr) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.wantErr)
 		}
-		if got := eng.Snapshot().Commits() - commits; got != tc.commits {
-			t.Errorf("%s: %d engine transactions on the owning System, want %d", tc.name, got, tc.commits)
+		for name, n := range txns {
+			if got := n() - before[name]; got != tc.commits {
+				t.Errorf("%s: %d %s, want %d", tc.name, got, name, tc.commits)
+			}
 		}
-		if got := c.Counters().LocalTxns - local; got != tc.commits {
-			t.Errorf("%s: %d local transactions, want %d", tc.name, got, tc.commits)
+		if got := units() - logged; got != tc.units {
+			t.Errorf("%s: %d commit units logged, want %d", tc.name, got, tc.units)
 		}
-		if got := stream.Stats().Txns - units; got != tc.units {
-			t.Errorf("%s: %d commit units on the System's stream, want %d", tc.name, got, tc.units)
-		}
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -177,7 +177,7 @@ func revokeInTxn(ct coordTxn, id LeaseID) error {
 // kill a refreshed lease. The listing scan is a snapshot: leases granted
 // after it are caught by the next pump.
 func (db *core[S]) ExpireLeases() (int, error) {
-	entries, err := db.be.rawScan(leaseKeyPrefix, leaseKeyPrefixEnd, 0)
+	entries, err := db.scan(leaseKeyPrefix, leaseKeyPrefixEnd, 0)
 	if err != nil {
 		return 0, err
 	}

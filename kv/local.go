@@ -1,7 +1,6 @@
 package kv
 
 import (
-	"errors"
 	"time"
 
 	"rhtm"
@@ -95,7 +94,7 @@ type Local struct {
 // during single-threaded setup.
 func NewLocal(eng rhtm.Engine, st Storer, opts ...Option) *Local {
 	db := &Local{eng: eng, st: st}
-	db.init(applyOptions(opts), db,
+	db.init(applyOptions(opts),
 		func() *localSession { return newLocalSession(db) },
 		func() []logSource {
 			// One dedicated thread serves every ring: they share the System.
@@ -110,49 +109,37 @@ func NewLocal(eng rhtm.Engine, st Storer, opts ...Option) *Local {
 }
 
 // localSession is one pooled engine thread with the transaction adapter
-// (and its redo capture) it reuses across attempts. Its bodies are bound
-// once, when the session opens, so an operation builds no closure: attempt
-// parks the caller's closure in fn and hands the engine the bound body,
-// and the direct paths pass their operand in op and their result in val
-// and found.
+// (and its redo capture) it reuses across attempts. Its engine body is
+// bound once, when the session opens, so an operation builds no closure:
+// the core parks the operation on o, and the body runs it.
 type localSession struct {
 	db   *Local
 	th   rhtm.Thread
 	lt   localTxn
 	sink obs.StageRecorder
-
-	body    func(tx rhtm.Tx) error // s.run
-	readFn  func(tx Txn) error     // s.readOne
-	writeFn func(tx Txn) error     // s.writeOne
-
-	fn    func(tx Txn) error // the closure the running attempt executes
-	op    wal.Op             // the direct path's operation
-	val   []byte             // the direct Get's value
-	found bool               // the direct path's key was present
-	d     derivedOp
+	body func(tx rhtm.Tx) error // s.run
+	o    operation
 }
 
 func newLocalSession(db *Local) *localSession {
 	s := &localSession{db: db, th: db.eng.NewThread(), lt: localTxn{st: db.st}}
-	s.body, s.readFn, s.writeFn = s.run, s.readOne, s.writeOne
-	s.d.bind()
+	s.body = s.run
 	return s
 }
 
-func (s *localSession) derived() *derivedOp { return &s.d }
+func (s *localSession) op() *operation { return &s.o }
 
 func (s *localSession) bind(sink obs.StageRecorder) { s.sink = sink }
 
 func (s *localSession) engineName() string { return s.db.eng.Name() }
 
-// attempt implements session. The engine retries its own conflicts inside
-// Atomic. With a WAL attached, the closure's writes are captured per
-// execution (a fresh capture every re-execution, so aborted executions log
-// nothing) for publish to log after the engine commit.
-func (s *localSession) attempt(fn func(tx Txn) error) (Revision, error) {
-	s.fn = fn
+// attempt implements session: the operation is one engine transaction,
+// which retries its own conflicts inside Atomic. With a WAL attached, its
+// writes are captured per execution (a fresh capture every re-execution,
+// so aborted executions log nothing) for publish to log after the engine
+// commit.
+func (s *localSession) attempt() (Revision, error) {
 	err := s.th.Atomic(s.body)
-	s.fn = nil
 	s.lt.drop = scratch.Reset(s.lt.drop)
 	if err != nil {
 		s.lt.trim() // a failed attempt publishes nothing
@@ -162,32 +149,21 @@ func (s *localSession) attempt(fn func(tx Txn) error) (Revision, error) {
 
 // run is the engine body of every attempt. It re-executes on engine
 // aborts, so it resets the capture state first: only the committed
-// execution's writes survive.
+// execution's writes survive. A follower read takes the key's record and
+// its partition's revision clock; every other kind is the operation's
+// transaction body.
 func (s *localSession) run(tx rhtm.Tx) error {
 	s.lt.tx = tx
 	s.lt.maxRev = 0
 	s.lt.capture = s.db.wal != nil
 	s.lt.recs = s.lt.recs[:0]
 	s.lt.slab = s.lt.slab[:0]
-	return s.fn(&s.lt)
-}
-
-// readOne is the direct Get's closure: it reads s.op.Key into s.val.
-func (s *localSession) readOne(Txn) error {
-	s.val, s.found = s.db.st.Get(s.lt.tx, s.op.Key)
-	return nil
-}
-
-// writeOne is the direct Put's and Delete's closure: it applies s.op.
-// Deleting an absent key is its only ErrNotFound; the attempt still
-// commits (read-only) and the caller reports it afterwards.
-func (s *localSession) writeOne(Txn) error {
-	err := s.lt.write(s.op)
-	s.found = !errors.Is(err, ErrNotFound)
-	if !s.found {
+	if o := &s.o; o.kind == opReadAt {
+		o.val, o.rev, _, o.found = s.db.st.Read(tx, o.key)
+		o.wm = s.db.st.EventLogs()[s.db.st.PartitionOf(o.key)].Rev(tx)
 		return nil
 	}
-	return err
+	return s.o.txn(&s.lt)
 }
 
 // publish implements session: the committed attempt's captured operations
@@ -236,69 +212,6 @@ func (db *Local) Domains() int { return 1 }
 
 // Domain implements DB.
 func (db *Local) Domain([]byte) int { return 0 }
-
-// Get implements DB.
-func (db *Local) Get(key []byte) ([]byte, error) {
-	if reservedKey(key) {
-		return nil, ErrReservedKey
-	}
-	s := db.claim(nil)
-	defer db.release(s)
-	s.op = wal.Op{Key: key}
-	_, err := s.attempt(s.readFn)
-	val, found := s.val, s.found
-	s.op, s.val = wal.Op{}, nil
-	if err != nil {
-		return nil, err
-	}
-	if !found {
-		return nil, ErrNotFound
-	}
-	return val, nil
-}
-
-// Put implements DB. Lease-attached puts run as closure transactions (the
-// lease record rides along); plain puts take the direct path.
-func (db *Local) Put(key, value []byte, opts ...PutOption) error {
-	if reservedKey(key) {
-		return ErrReservedKey
-	}
-	if o := applyPutOptions(opts); o.lease != 0 {
-		return db.Update(func(tx Txn) error {
-			return tx.Put(key, value, opts...)
-		})
-	}
-	return db.edit(wal.Op{Kind: wal.OpPut, Key: key, Value: value})
-}
-
-// Delete implements DB, on the same direct path as Put.
-func (db *Local) Delete(key []byte) error {
-	if reservedKey(key) {
-		return ErrReservedKey
-	}
-	return db.edit(wal.Op{Kind: wal.OpDelete, Key: key})
-}
-
-// edit is the direct path of Put and Delete: one attempt applying op, no
-// retry loop, no span; then publish and wake the watchers.
-func (db *Local) edit(op wal.Op) error {
-	s := db.claim(nil)
-	defer db.release(s)
-	s.op = op
-	_, err := s.attempt(s.writeFn)
-	s.op = wal.Op{}
-	if err != nil {
-		return err
-	}
-	if !s.found {
-		return ErrNotFound
-	}
-	if err := s.publish(); err != nil {
-		return err
-	}
-	db.hub.wake()
-	return nil
-}
 
 // localTxn adapts one live engine transaction to the Txn interface. With
 // capture set, recs collects the attempt's writes (with the revisions the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rhtm"
+	"rhtm/internal/enginetest/dbtest"
 	"rhtm/kv"
 	"rhtm/obs"
 	"rhtm/store"
@@ -118,4 +119,77 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 		db := newBenchLocal(b, 64, kv.WithMetrics(nil))
 		mix(b, db)
 	})
+}
+
+// TestTracerContract pins which operations report to a DB's tracer, on
+// Local and on a 2-System ClusterDB alike: every attempt of an Update,
+// Batch, GetRev, PutIf or DeleteIf is one span, and Get, Put, Delete and
+// Scan emit none. Each operation below commits on its first attempt.
+func TestTracerContract(t *testing.T) {
+	for _, rig := range []struct {
+		name    string
+		factory dbtest.DBFactory
+	}{{"Local", localFactory("RH1", 4, 0)}, {"Cluster2", clusterFactory("RH1", 2, 0)}} {
+		t.Run(rig.name, func(t *testing.T) {
+			db, _, validate := rig.factory(t)
+			rec := obs.NewRecordingTracer()
+			db.SetTracer(rec)
+			key, val := []byte("traced-key"), []byte("v")
+			for _, tc := range []struct {
+				op    string
+				spans int
+				run   func() error
+			}{
+				{"Put", 0, func() error { return db.Put(key, val) }},
+				{"Get", 0, func() error { _, err := db.Get(key); return err }},
+				{"Scan", 0, func() error {
+					it := db.Scan(nil, nil, 0)
+					for it.Next() {
+					}
+					return it.Err()
+				}},
+				{"Batch", 1, func() error {
+					_, err := db.Batch([]kv.Op{{Kind: kv.OpGet, Key: key}, {Kind: kv.OpPut, Key: key, Value: val}})
+					return err
+				}},
+				{"Update", 1, func() error {
+					return db.Update(func(tx kv.Txn) error { return tx.Put(key, val) })
+				}},
+				{"GetRev", 1, func() error { _, _, err := db.GetRev(key); return err }},
+				{"PutIf", 1, func() error {
+					_, rev, err := db.GetRev(key)
+					rec.Reset() // GetRev's span is the row above's
+					if err == nil {
+						err = db.PutIf(key, val, rev)
+					}
+					return err
+				}},
+				{"DeleteIf", 1, func() error {
+					_, rev, err := db.GetRev(key)
+					rec.Reset()
+					if err == nil {
+						err = db.DeleteIf(key, rev)
+					}
+					return err
+				}},
+				{"Delete", 0, func() error {
+					if err := db.Put(key, val); err != nil {
+						return err
+					}
+					return db.Delete(key)
+				}},
+			} {
+				rec.Reset()
+				if err := tc.run(); err != nil {
+					t.Fatalf("%s: %v", tc.op, err)
+				}
+				if got := len(rec.Spans()); got != tc.spans {
+					t.Errorf("%s emitted %d spans, want %d", tc.op, got, tc.spans)
+				}
+			}
+			if err := validate(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"rhtm"
-	"rhtm/cluster"
 	"rhtm/wal"
 )
 
@@ -62,49 +60,24 @@ func WALDataName(i int) string { return walDataName(i) }
 // WALCoordName names the coordinator decision log inside a wal.Storage.
 const WALCoordName = walCoordName
 
-// ReadAt implements FollowerReader. One engine transaction reads the key
-// and its partition's revision clock together, so the pair is a consistent
-// snapshot: the clock *is* the watermark, and rev <= watermark holds by
-// construction on any engine.
-func (db *Local) ReadAt(key []byte, floor Revision) ([]byte, Revision, Revision, error) {
+// ReadAt implements FollowerReader. One attempt reads the key and its
+// partition's revision clock together — one engine transaction on Local,
+// one on the owning System of a cluster (cluster.Client.ReadClock, run
+// again while a pending write intent holds the key) — so the pair is a
+// consistent snapshot: the clock *is* the watermark, and rev <= watermark
+// holds by construction on any engine.
+func (db *core[S]) ReadAt(key []byte, floor Revision) ([]byte, Revision, Revision, error) {
 	if reservedKey(key) {
 		return nil, 0, 0, ErrReservedKey
 	}
 	s := db.claim(nil)
 	defer db.release(s)
-	var val []byte
-	var rev, wm uint64
-	var ok bool
-	if err := s.th.Atomic(func(tx rhtm.Tx) error {
-		val, rev, _, ok = db.st.Read(tx, key)
-		wm = db.st.EventLogs()[db.st.PartitionOf(key)].Rev(tx)
-		return nil
-	}); err != nil {
+	o := s.op()
+	o.kind, o.key = opReadAt, key
+	if _, err := db.run(s, nil); err != nil {
 		return nil, 0, 0, err
 	}
-	return atFloor(val, rev, wm, ok, floor)
-}
-
-// ReadAt implements FollowerReader as Local does: one engine transaction
-// on the owning System reads the record and the System's revision clock
-// (cluster.Client.ReadClock), retried while a pending write intent holds
-// the key.
-func (db *ClusterDB) ReadAt(key []byte, floor Revision) ([]byte, Revision, Revision, error) {
-	if reservedKey(key) {
-		return nil, 0, 0, ErrReservedKey
-	}
-	s := db.claim(nil)
-	defer db.release(s)
-	var rec cluster.Record
-	var wm uint64
-	if err := Retry(func(int) error {
-		var err error
-		rec, wm, err = s.cl.ReadClock(key)
-		return mapErr(err)
-	}); err != nil {
-		return nil, 0, 0, err
-	}
-	return atFloor(rec.Value, rec.Rev, wm, rec.Found, floor)
+	return atFloor(o.val, o.rev, o.wm, o.found, floor)
 }
 
 // atFloor answers a follower read from one snapshot of a key and its

@@ -5,13 +5,14 @@ import (
 	"time"
 )
 
-// Span is one attempt of one closure transaction at the kv layer: the kv
-// Update/Batch retry loop emits a span per Atomic attempt, committed or
-// not. Aborted attempts produce spans too — that is the point: a
+// Span is one attempt of one transaction at the kv layer: the kv retry
+// loop emits a span per attempt of an Update, Batch, GetRev, PutIf or
+// DeleteIf, committed or not, and none for Get, Put, Delete, Scan or
+// ReadAt. Aborted attempts produce spans too — that is the point: a
 // transaction that retried 40 times yields 40 conflict spans with the
 // engine that ran them, instead of a printf hunt.
 //
-// Granularity contract: one span is one *closure* attempt. The engines'
+// Granularity contract: one span is one attempt of that loop. The engines'
 // internal hardware retries (fast-path aborts the engine itself absorbs
 // before committing) do not produce spans; they aggregate into the
 // engine.* live counters. A span therefore answers "how often did the
@@ -22,7 +23,7 @@ type Span struct {
 	// "TL2", ...).
 	Engine string `json:"engine"`
 	// Attempt is the zero-based retry count of this attempt within its
-	// Update/Batch call.
+	// operation.
 	Attempt int `json:"attempt"`
 	// Outcome is "commit", "conflict" (the attempt will be retried), or
 	// "error" (the body returned a non-conflict error, ending the loop).

@@ -191,7 +191,8 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 
 	// A traced single-key Put takes the cross-connection batcher path:
-	// batch_wait instead of queue_wait, and still links to replica apply.
+	// batch_wait instead of queue_wait, its batch's one attempt as any
+	// Batch reports it, and still links to replica apply.
 	if err := cl.Put([]byte("trace-put"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	})
 	const wantPut = "trace put\n" +
 		"  batch_wait\n" +
-		"  engine\n" +
+		"  engine attempts=1 commit\n" +
 		"  replica_apply replica=replica-0\n"
 	if got := render(srvPut); got != wantPut {
 		t.Fatalf("server put trace rendering:\n%s\nwant:\n%s", got, wantPut)
