@@ -51,6 +51,7 @@ import (
 	"rhtm/containers"
 	"rhtm/obs"
 	"rhtm/store"
+	"rhtm/wal"
 )
 
 // Config sizes a Cluster.
@@ -107,7 +108,7 @@ type Cluster struct {
 	// checkpoint drain: cross-System commits hold it in read mode from
 	// decision to resolution mark, CheckpointWAL in write mode (see
 	// wal.go).
-	wal   *WALSet
+	wal   *wal.Set
 	walMu sync.RWMutex
 
 	// Protocol counters (host-side; simulated costs are in engine stats).

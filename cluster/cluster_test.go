@@ -302,13 +302,13 @@ func attachMemStorage(t *testing.T, c *Cluster) *wal.MemStorage {
 		}
 		return wal.NewWriter(dev, 1, startRevs, wal.Options{})
 	}
-	ws := &WALSet{Coord: open("coord", nil)}
+	ws := &wal.Set{Coord: open("coord", nil)}
 	for i := 0; i < c.NumSystems(); i++ {
 		st := c.Node(i).Store()
 		rev := st.Events().Rev(containers.SetupTx(st.System()))
 		ws.Data = append(ws.Data, open(fmt.Sprintf("sys-%d", i), map[int]uint64{0: rev + 1}))
 	}
-	c.AttachWAL(ws)
+	c.AttachWAL(ws, 0)
 	return stg
 }
 

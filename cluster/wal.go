@@ -5,9 +5,11 @@ import (
 	"rhtm/wal"
 )
 
-// Durability. A cluster binds to one WAL stream per System (the redo log of
-// that System's committed transactions, local and 2PC applies alike) plus
-// the coordinator decision log. The commit-order argument is per System:
+// Durability. A cluster binds to a wal.Set: one data stream per System (the
+// redo log of that System's committed transactions, local and 2PC applies
+// alike) plus the coordinator decision log, which the kv layer opens and
+// attaches as it does a single System's one stream. The commit-order
+// argument is per System:
 // every committed transaction there advanced the System store's revision
 // word, so the stream's sequence gate orders frames exactly as the System
 // committed them, whatever engine ran the transactions.
@@ -24,40 +26,20 @@ import (
 // that never reached the log aborts by omission — its intents were volatile.
 // Abort decisions are never logged; absence is the abort record.
 
-// WALSet binds a cluster to its durability streams.
-type WALSet struct {
-	// Data holds one writer per System, indexed by node id.
-	Data []*wal.Writer
-	// Coord is the coordinator decision log (always fully synchronous —
-	// the decision sync is the 2PC commit point).
-	Coord *wal.Writer
-}
-
-// AttachWAL binds the streams and wires each System store's WAL counters.
-// Call during single-threaded setup, after recovery has replayed the
-// streams into the stores (see the kv layer's OpenCluster).
-func (c *Cluster) AttachWAL(ws *WALSet) {
+// AttachWAL binds the writer set the cluster's commit path logs to and
+// floors the transaction-id counter at maxTxID, the largest id the logs
+// hold, so new cross-System transactions never reuse a logged id. Call
+// during single-threaded setup, after recovery has replayed the streams
+// into the stores (the kv layer's OpenCluster and Promote).
+func (c *Cluster) AttachWAL(ws *wal.Set, maxTxID uint64) {
 	c.wal = ws
-	for i, n := range c.nodes {
-		w := ws.Data[i]
-		n.st.SetWALStats(w.Stats)
+	if c.nextTxID.Load() < maxTxID {
+		c.nextTxID.Store(maxTxID)
 	}
 }
 
-// WAL returns the attached streams (nil when the cluster runs volatile).
-func (c *Cluster) WAL() *WALSet { return c.wal }
-
-// RestoreTxID floors the cluster's transaction-id counter — recovery calls
-// it with the largest id found in the logs so new cross-System transactions
-// never reuse a logged id.
-func (c *Cluster) RestoreTxID(max uint64) {
-	for {
-		cur := c.nextTxID.Load()
-		if cur >= max || c.nextTxID.CompareAndSwap(cur, max) {
-			return
-		}
-	}
-}
+// WAL returns the attached writer set (nil when the cluster runs volatile).
+func (c *Cluster) WAL() *wal.Set { return c.wal }
 
 // logLocal publishes one committed single-System transaction to the
 // System's stream. No-op without a WAL or for read-only transactions.
@@ -83,19 +65,11 @@ func (cl *Client) logApply(nodeID int, txid uint64, recs []wal.Op) error {
 	return w.Sync()
 }
 
-// CheckpointWAL writes a full-state checkpoint to every System's stream and
-// truncates the coordinator log's resolved history. It drains in-flight
-// cross-System commits (they hold the drain lock in read mode across
-// decision, applies, and mark), then:
-//
-//  1. syncs the decision log, making every decision and resolution mark
-//     durable — after this, recovery never needs pre-checkpoint data
-//     frames to resolve an in-doubt transaction;
-//  2. snapshots each System's store in one engine transaction and writes
-//     it as that stream's checkpoint (synced);
-//  3. appends a global mark to the decision log: everything before it is
-//     resolved and folded into the checkpoints.
-//
+// CheckpointWAL writes the writer set's checkpoint (wal.Set.Checkpoint),
+// each System's body snapshotted in one engine transaction on this client's
+// thread there. It holds the drain lock in write mode: in-flight
+// cross-System commits hold it in read mode across decision, applies and
+// mark, so none runs between the decision log's sync and its global mark.
 // Local commits keep flowing throughout — only 2PC decisions pause.
 func (cl *Client) CheckpointWAL() error {
 	c := cl.c
@@ -104,26 +78,12 @@ func (cl *Client) CheckpointWAL() error {
 	}
 	c.walMu.Lock()
 	defer c.walMu.Unlock()
-	if err := c.wal.Coord.Sync(); err != nil {
-		return err
-	}
-	for i, n := range c.nodes {
-		node := n
-		thread := cl.threads[i]
-		err := c.wal.Data[i].Checkpoint(func() ([]wal.Op, error) {
-			var ops []wal.Op
-			err := thread.Atomic(func(tx rhtm.Tx) error {
-				ops = node.st.Snapshot(tx)
-				return nil
-			})
-			return ops, err
+	return c.wal.Checkpoint(func(i int) ([]wal.Op, error) {
+		var ops []wal.Op
+		err := cl.threads[i].Atomic(func(tx rhtm.Tx) error {
+			ops = c.nodes[i].st.Snapshot(tx)
+			return nil
 		})
-		if err != nil {
-			return err
-		}
-	}
-	if err := c.wal.Coord.Mark(0, wal.FlagGlobal); err != nil {
-		return err
-	}
-	return c.wal.Coord.Sync()
+		return ops, err
+	})
 }

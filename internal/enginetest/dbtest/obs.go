@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"rhtm/cluster"
 	"rhtm/kv"
 	"rhtm/obs"
 	"rhtm/wal"
@@ -329,17 +328,12 @@ func testDBTraceFenced(t *testing.T, rf RecoveryFactory) {
 	rec := obs.NewRecordingTracer()
 	rig.DB.SetTracer(rec)
 	// Fence every log writer of the DB, as a promotion elsewhere would.
-	switch db := rig.DB.(type) {
-	case interface{ WAL() *wal.Writer }:
-		db.WAL().Fence()
-	case interface{ Cluster() *cluster.Cluster }:
-		ws := db.Cluster().WAL()
-		for _, w := range ws.Data {
-			w.Fence()
-		}
-		ws.Coord.Fence()
-	default:
+	db, ok := rig.DB.(interface{ WAL() *wal.Set })
+	if !ok {
 		t.Fatalf("%T exposes no log writer to fence", rig.DB)
+	}
+	for _, w := range db.WAL().Writers() {
+		w.Fence()
 	}
 	err := rig.DB.Update(func(tx kv.Txn) error {
 		return tx.Put([]byte("fenced"), []byte("after"))

@@ -65,12 +65,19 @@ type storeBackend struct {
 	replicaEngs []rhtm.Engine
 }
 
+// systemWords sizes the heap of a System holding one sharded store: each
+// shard's arena, event ring and headers, plus the words a store needs
+// beyond them, with room to spare.
+func systemWords(shards, arenaWords int) int {
+	return shards*(arenaWords+store.DefaultLogWords+64) + 8192
+}
+
 func openStoreBackend(spec sizing, engineName string, cfg RunConfig) (*storeBackend, error) {
 	perRecord := store.RecordFootprintWords(len(ycsbKey(0)), spec.ValueBytes)
 	recordsPerShard := (spec.Records + spec.Shards - 1) / spec.Shards
 	insertSlack := (spec.insertBudget/spec.Shards + 1) * perRecord * 2
 	arenaWords := recordsPerShard*perRecord*2 + insertSlack + spec.leaseWords/spec.Shards + 4096
-	s, err := rhtm.NewSystem(rhtm.DefaultConfig(spec.Shards*(arenaWords+store.DefaultLogWords+64) + 8192))
+	s, err := rhtm.NewSystem(rhtm.DefaultConfig(systemWords(spec.Shards, arenaWords)))
 	if err != nil {
 		return nil, err
 	}
@@ -105,8 +112,7 @@ func openStoreBackend(spec sizing, engineName string, cfg RunConfig) (*storeBack
 				b.group.SetFlight(f)
 			}
 			for i := 0; i < spec.Replicas; i++ {
-				rs, err := rhtm.NewSystem(rhtm.DefaultConfig(
-					spec.Shards*(arenaWords+store.DefaultLogWords+64) + 8192))
+				rs, err := rhtm.NewSystem(rhtm.DefaultConfig(systemWords(spec.Shards, arenaWords)))
 				if err != nil {
 					return nil, err
 				}

@@ -31,12 +31,13 @@ func MustRecoveryPoint(ops int, valueBytes int, checkpoint bool) Result {
 	build := func(stg *wal.MemStorage) (*kv.Local, *store.Sharded) {
 		perRecord := store.RecordFootprintWords(len(ycsbKey(0)), valueBytes)
 		arenaWords := recoveryKeys*perRecord*2/4 + 4096
-		s := rhtm.MustNewSystem(rhtm.DefaultConfig(4*(arenaWords+store.DefaultLogWords+64) + 8192))
+		const shards = 4
+		s := rhtm.MustNewSystem(rhtm.DefaultConfig(systemWords(shards, arenaWords)))
 		eng, err := Build(s, EngTL2, 0)
 		if err != nil {
 			panic(err)
 		}
-		sh := store.NewSharded(s, 4, store.Options{ArenaWords: arenaWords})
+		sh := store.NewSharded(s, shards, store.Options{ArenaWords: arenaWords})
 		dev, err := stg.Device("wal")
 		if err != nil {
 			panic(err)

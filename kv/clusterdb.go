@@ -1,12 +1,14 @@
 package kv
 
 import (
+	"fmt"
 	"slices"
 
 	"rhtm"
 	"rhtm/cluster"
 	"rhtm/internal/scratch"
 	"rhtm/obs"
+	"rhtm/wal"
 )
 
 // ClusterDB implements DB over a cluster.Cluster: the share-nothing
@@ -36,28 +38,19 @@ type ClusterDB struct {
 // NewCluster builds a DB over c. Call during single-threaded setup.
 func NewCluster(c *cluster.Cluster, opts ...Option) *ClusterDB {
 	db := &ClusterDB{c: c}
-	db.init(applyOptions(opts),
-		func() *clusterSession { return newClusterSession(c) },
-		func() []logSource {
-			// One dedicated thread per System drains that System's ring.
-			var sources []logSource
-			for i := 0; i < c.NumSystems(); i++ {
-				n := c.Node(i)
-				sources = append(sources, logSource{
-					log: n.Store().Events(),
-					run: n.Engine().NewThread().Atomic,
-				})
-			}
-			return sources
-		})
+	lay := make(layout, c.NumSystems(), c.NumSystems()+1)
+	for i := range lay {
+		n := c.Node(i)
+		lay[i] = Stream{Name: fmt.Sprintf("sys-%02d", i), Engine: n.Engine(), Store: n.Store()}
+	}
+	db.init(applyOptions(opts), append(lay, Stream{Name: "coord"}),
+		func() *clusterSession { return newClusterSession(c) })
+	db.bind = c.AttachWAL
 	// 2PC phase timings flow from the cluster's commit path into the DB's
 	// registry; nil instruments (WithMetrics(nil)) disable the timing.
 	c.SetMetrics(db.met.prepare2PC, db.met.finish2PC)
 	return db
 }
-
-// Cluster returns the underlying cluster (diagnostics, stats).
-func (db *ClusterDB) Cluster() *cluster.Cluster { return db.c }
 
 // clusterSession is one pooled cluster client, with the closure Txn it
 // reuses across attempts, its transaction body bound once, when the
@@ -161,6 +154,10 @@ func (s *clusterSession) batch() (Revision, error) {
 // publish implements session: the cluster's commit path logs to its WAL
 // streams itself, before Client.Txn returns.
 func (s *clusterSession) publish() error { return nil }
+
+// checkpoint implements session: the client writes the cluster's set — the
+// one ws the DB holds — under the 2PC drain lock.
+func (s *clusterSession) checkpoint(*wal.Set) error { return s.cl.CheckpointWAL() }
 
 // Metrics implements DB: the registry's host-side instruments plus the
 // live engine taxonomy summed over every System and the 2PC protocol

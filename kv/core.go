@@ -9,6 +9,7 @@ import (
 
 	"rhtm/cluster"
 	"rhtm/obs"
+	"rhtm/wal"
 )
 
 // session is one pooled execution context of a backend — an engine thread
@@ -33,6 +34,9 @@ type session interface {
 	publish() error
 	// engineName names the engine attempt spans are attributed to.
 	engineName() string
+	// checkpoint writes ws's checkpoint (Checkpoint), each data stream's
+	// body snapshotted on the session's engine thread there.
+	checkpoint(ws *wal.Set) error
 }
 
 // operation is one DB operation as a session runs it: its kind, its
@@ -167,14 +171,21 @@ func (p *sessionPool[S]) put(s S) { p.slots <- s }
 
 // core is what Local and ClusterDB embed: the state every backend carries
 // and every DB operation, each run through one loop (run) on a session.
-// The backends add only what is natively theirs — the session, Metrics,
-// Checkpoint, promotion.
+// The backends add only what is natively theirs — the session, Metrics, the
+// durable layout and how a writer set binds to them; recovery, promotion
+// and Checkpoint are the core's (wal.go, repl.go).
 type core[S interface {
 	comparable
 	session
 }] struct {
 	clock     Clock
-	syncEvery int // WithSyncEvery, for the writers OpenLocal/OpenCluster or Promote attach
+	syncEvery int // WithSyncEvery, for the writers recovery or Promote attaches
+
+	// lay is the durable layout; ws the writer set attached over it (nil
+	// on a volatile DB), which bind, when set, hands to the backend.
+	lay  layout
+	ws   *wal.Set
+	bind func(ws *wal.Set, maxTxID uint64)
 
 	reg *obs.Registry
 	met kvMetrics
@@ -194,9 +205,11 @@ type core[S interface {
 }
 
 // init wires the core during the backend's single-threaded construction:
-// open registers one new session, sources builds the watch hub's log
-// sources (with their dedicated engine threads) on first Watch.
-func (db *core[S]) init(o dbOptions, open func() S, sources func() []logSource) {
+// lay is the durable layout, open registers one new session. On first
+// Watch, the watch hub's log sources are every ring of each data stream's
+// store, drained by one dedicated thread of the stream's engine.
+func (db *core[S]) init(o dbOptions, lay layout, open func() S) {
+	db.lay = lay
 	db.clock = o.clock
 	db.syncEvery = o.syncEvery
 	db.reg = o.metrics
@@ -206,7 +219,16 @@ func (db *core[S]) init(o dbOptions, open func() S, sources func() []logSource) 
 	if o.traceSample > 0 {
 		db.flight = obs.NewFlight()
 	}
-	db.hub = newWatchHub(sources)
+	db.hub = newWatchHub(func() []logSource {
+		var sources []logSource
+		for _, s := range lay.data() {
+			th := s.Engine.NewThread()
+			for _, l := range s.Store.EventLogs() {
+				sources = append(sources, logSource{log: l, run: th.Atomic})
+			}
+		}
+		return sources
+	})
 	db.hub.lost = db.met.watchLost
 	registerWatchDepth(db.reg, db.hub)
 	db.pool = newSessionPool(open)

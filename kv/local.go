@@ -83,28 +83,14 @@ type Local struct {
 
 	eng rhtm.Engine
 	st  Storer
-
-	// wal, when non-nil, is the durability hook: committed transactions'
-	// captured redo operations are published to the group-commit writer
-	// before the operation returns (see OpenLocal and wal.go).
-	wal *localWAL
 }
 
 // NewLocal builds a DB over an engine and a store on the same System. Call
 // during single-threaded setup.
 func NewLocal(eng rhtm.Engine, st Storer, opts ...Option) *Local {
 	db := &Local{eng: eng, st: st}
-	db.init(applyOptions(opts),
-		func() *localSession { return newLocalSession(db) },
-		func() []logSource {
-			// One dedicated thread serves every ring: they share the System.
-			th := eng.NewThread()
-			var sources []logSource
-			for _, l := range st.EventLogs() {
-				sources = append(sources, logSource{log: l, run: th.Atomic})
-			}
-			return sources
-		})
+	db.init(applyOptions(opts), layout{{Name: "wal", Engine: eng, Store: st}},
+		func() *localSession { return newLocalSession(db) })
 	return db
 }
 
@@ -155,7 +141,7 @@ func (s *localSession) attempt() (Revision, error) {
 func (s *localSession) run(tx rhtm.Tx) error {
 	s.lt.tx = tx
 	s.lt.maxRev = 0
-	s.lt.capture = s.db.wal != nil
+	s.lt.capture = s.db.ws != nil
 	s.lt.recs = s.lt.recs[:0]
 	s.lt.slab = s.lt.slab[:0]
 	if o := &s.o; o.kind == opReadAt {
@@ -167,23 +153,37 @@ func (s *localSession) run(tx rhtm.Tx) error {
 }
 
 // publish implements session: the committed attempt's captured operations
-// go to the group-commit writer. wal_sync is only a stage when there is a
-// durable wait to time: read-only closures and volatile DBs skip the stamp
+// go to the one data stream's group-commit writer as a group with id 0, as
+// a cluster's single-System commits are logged (only a cross-System group's
+// id is ever read back). wal_sync is only a stage when there is a durable
+// wait to time: read-only closures and volatile DBs skip the stamp
 // entirely.
 func (s *localSession) publish() error {
-	if s.db.wal == nil || len(s.lt.recs) == 0 {
+	if s.db.ws == nil || len(s.lt.recs) == 0 {
 		return nil
 	}
 	var syncStart time.Time
 	if s.sink != nil {
 		syncStart = time.Now()
 	}
-	err := s.db.wal.w.Commit(s.db.wal.seq.Add(1), 0, s.lt.recs)
+	err := s.db.ws.Data[0].Commit(0, 0, s.lt.recs)
 	s.lt.trim()
 	if s.sink != nil {
 		s.sink.Stage(obs.StageWALSync, time.Since(syncStart))
 	}
 	return err
+}
+
+// checkpoint implements session.
+func (s *localSession) checkpoint(ws *wal.Set) error {
+	return ws.Checkpoint(func(int) ([]wal.Op, error) {
+		var ops []wal.Op
+		err := s.th.Atomic(func(tx rhtm.Tx) error {
+			ops = s.db.st.Snapshot(tx)
+			return nil
+		})
+		return ops, err
+	})
 }
 
 // Metrics implements DB: the registry's host-side instruments plus the

@@ -8,11 +8,11 @@ import (
 )
 
 // Follower reads and failover promotion for the kv layer. The repl package
-// tails a primary DB's WAL stream(s) into replica Systems via the replay
-// entry points; this file is the kv-side surface that makes those replicas
-// useful: provably-stale reads (FollowerReader), the writer accessor the
-// tailer hooks, and the Promote constructors that turn a caught-up replica
-// into the stream's next primary under a new fenced epoch.
+// tails a primary DB's WAL streams (its Layout) into replica Systems via the
+// replay entry points; this file is the kv-side surface that makes those
+// replicas useful: provably-stale reads (FollowerReader) and the one
+// Promote that turns a caught-up replica into the streams' next primary
+// under a new fenced epoch.
 
 // ErrTooStale reports a ReadAt whose revision floor is above the replica's
 // applied watermark: the follower cannot yet prove it has the caller's
@@ -42,23 +42,6 @@ type FollowerReader interface {
 	// floor 0 reads at whatever the watermark is.
 	ReadAt(key []byte, floor Revision) (value []byte, rev, watermark Revision, err error)
 }
-
-// WAL returns the DB's group-commit writer, nil when the DB was constructed
-// without a log — the replication layer's hook for append wakeups
-// (Writer.SetOnAppend) and epoch fencing (Writer.Fence).
-func (db *Local) WAL() *wal.Writer {
-	if db.wal == nil {
-		return nil
-	}
-	return db.wal.w
-}
-
-// WALDataName names System i's stream inside a wal.Storage — exported so
-// the replication layer opens the same devices OpenCluster does.
-func WALDataName(i int) string { return walDataName(i) }
-
-// WALCoordName names the coordinator decision log inside a wal.Storage.
-const WALCoordName = walCoordName
 
 // ReadAt implements FollowerReader. One attempt reads the key and its
 // partition's revision clock together — one engine transaction on Local,
@@ -95,47 +78,25 @@ func atFloor(val []byte, rev, wm Revision, found bool, floor Revision) ([]byte, 
 
 // --- promotion ---
 
-// Promote attaches a WAL writer to a DB built without one — the failover
-// step that turns a caught-up replica into the stream's primary. dev is the
-// stream's device, already drained: the replica's pumps applied every unit
-// on it, so promotion is recovery without the replay — the device is opened
-// (and a torn tail truncated) with the scan OpenLocal runs, and the writer
-// attaches through the same setup. The first frame of the new reign is a
-// synced epoch record carrying the membership blob: durable evidence the
-// old epoch's writer was fenced before any later frame.
+// Promote attaches a writer set to a DB built without a log — the failover
+// step that turns a caught-up replica into its streams' primary. devs are
+// the devices of the DB's Layout, in order, already drained by the
+// replica's pumps, so promotion is recovery without the replay: the same
+// attachWAL opens them and builds the writers, resolving a cluster's
+// in-doubt decisions forward. An epoch frame is the first of the new reign
+// on every stream, the last stream's carrying the membership blob: durable
+// evidence the old epoch's writers were fenced before any later frame.
 //
 // The caller must quiesce the DB first (no in-flight operations): promotion
 // swaps the durability hook, marks the event-history floor, and seeds the
-// sequence gate from the current clocks, none of which tolerates concurrent
-// commits. The repl layer's Group.Promote provides that quiescence.
-func (db *Local) Promote(dev wal.Device, epoch uint64, membership []byte) error {
-	if db.wal != nil {
+// sequence gates from the current clocks, none of which tolerates
+// concurrent commits. The repl layer's Group.Promote provides that.
+func (db *core[S]) Promote(devs []wal.Device, epoch uint64, membership []byte) error {
+	if db.ws != nil {
 		return fmt.Errorf("kv: promote: DB already owns a log")
 	}
-	sr, err := wal.OpenDevice(dev)
-	if err != nil {
-		return err
+	if len(devs) != len(db.lay) {
+		return fmt.Errorf("kv: promote: %d devices for a layout of %d streams", len(devs), len(db.lay))
 	}
-	return db.attachWAL(dev, sr.NextLSN).AppendEpoch(epoch, membership)
-}
-
-// Promote is Local.Promote for a cluster: devs are the Systems' drained
-// streams in order, then the coordinator decision log. In-doubt
-// cross-System decisions are resolved forward exactly as OpenCluster
-// resolves them after a crash, read off the same scans. Epoch frames are
-// the first of the new reign on every stream (the coordinator's carries
-// the membership blob).
-func (db *ClusterDB) Promote(devs []wal.Device, epoch uint64, membership []byte) error {
-	if db.c.WAL() != nil {
-		return fmt.Errorf("kv: promote: cluster already owns a log")
-	}
-	if len(devs) != db.c.NumSystems()+1 {
-		return fmt.Errorf("kv: promote: %d devices for %d systems and the coordinator",
-			len(devs), db.c.NumSystems())
-	}
-	srs, err := openDevices(devs)
-	if err != nil {
-		return err
-	}
-	return db.attachWAL(devs, srs, epoch, membership)
+	return db.attachWAL(devs, epoch, membership)
 }

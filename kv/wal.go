@@ -2,7 +2,6 @@ package kv
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"rhtm"
 	"rhtm/cluster"
@@ -10,13 +9,16 @@ import (
 	"rhtm/wal"
 )
 
-// Durability for the kv layer. OpenLocal and OpenCluster are the recovered
-// constructors: they scan the WAL stream(s), replay the committed prefix
-// into fresh stores — data entries with their original revisions, lease
-// records (ordinary reserved-namespace keys, so they ride the same redo
-// frames), revision clocks, and commit-event logs, so watches resume at the
-// recovered revision — and return a DB whose every committed write is
-// published to a group-commit writer before the operation returns.
+// Durability for the kv layer. Both backends log to one durable layout
+// (Stream): the data streams, then the coordinator decision log when the
+// DB has one — Local is one data stream "wal", a cluster "sys-00" …
+// "sys-(n-1)" then "coord". Each step is written once over it: recovery
+// (scan every device, replay each data stream into its fresh store —
+// entries at their original revisions, lease records, clocks and event
+// logs, so watches resume at the recovered revision — then attach the
+// writers: attachWAL), promotion (Promote, repl.go: the same attachWAL
+// without the replay) and Checkpoint. A recovered DB publishes every
+// committed write to a group-commit writer before the operation returns.
 //
 // The commit-order argument is the store's own: a transaction's WAL record
 // carries the revisions its writes stamped, and revisions ride the same
@@ -28,10 +30,6 @@ import (
 // After an Open, all writes must go through the DB: setup-path writes
 // (store.Put under a raw SetupTx) bypass the log and leave a revision hole
 // the sequence gate waits on forever.
-//
-// Promotion (repl.go) is the same recovery minus the replay: a replica's
-// apply pumps already hold every unit, so Promote opens the drained devices
-// with the same scan and attaches writers through the same setup.
 
 // ErrNoWAL reports a durability operation (Checkpoint) on a DB constructed
 // without a log. Alias of the wal package's sentinel.
@@ -48,11 +46,36 @@ func WithSyncEvery(n int) Option {
 	return func(o *dbOptions) { o.syncEvery = n }
 }
 
-// localWAL is a Local DB's durability state.
-type localWAL struct {
-	w   *wal.Writer
-	seq atomic.Uint64 // transaction group ids (log-internal)
+// Stream is one stream of a DB's durable layout: the name of its device in
+// a wal.Storage and, for a data stream, the engine and store its units
+// replay into. The coordinator decision log has neither — its units carry
+// no store state — and comes last.
+type Stream struct {
+	Name   string
+	Engine rhtm.Engine
+	Store  Storer
 }
+
+// layout is a DB's durable layout, its streams in log order.
+type layout []Stream
+
+// data returns the data streams: all but a trailing coordinator.
+func (l layout) data() layout {
+	if n := len(l); n > 0 && l[n-1].Store == nil {
+		return l[:n-1]
+	}
+	return l
+}
+
+// Layout returns the DB's durable layout: its data streams in log order,
+// then the coordinator decision log when the DB has one. A replica tails
+// the same streams into its own stores.
+func (db *core[S]) Layout() []Stream { return db.lay }
+
+// WAL returns the DB's writer set, nil when the DB was constructed without
+// a log — the replication layer's hook for append wakeups
+// (Writer.SetOnAppend) and epoch fencing (Writer.Fence).
+func (db *core[S]) WAL() *wal.Set { return db.ws }
 
 // OpenLocal is NewLocal over a durable device: it recovers st from the
 // device's committed prefix, then returns a DB that logs every committed
@@ -60,28 +83,102 @@ type localWAL struct {
 // already populated through a previous incarnation of the same log —
 // never written behind the log's back.
 func OpenLocal(eng rhtm.Engine, st Storer, dev wal.Device, opts ...Option) (*Local, error) {
-	sr, err := wal.OpenDevice(dev)
-	if err != nil {
+	db := NewLocal(eng, st, opts...)
+	if err := db.attachWAL([]wal.Device{dev}, 0, nil); err != nil {
 		return nil, err
 	}
-	if err := replayStorer(st, sr); err != nil {
-		return nil, fmt.Errorf("kv: recovery replay: %w", err)
-	}
-	db := NewLocal(eng, st, opts...)
-	db.attachWAL(dev, sr.NextLSN)
 	return db, nil
 }
 
-// attachWAL is the writer setup OpenLocal and Promote share: the stream's
-// writer continues at nextLSN, the group-commit histograms attach, and the
-// lease-id counter is floored past every logged lease.
-func (db *Local) attachWAL(dev wal.Device, nextLSN uint64) *wal.Writer {
-	w := openWriter(db.st, dev, nextLSN, db.syncEvery)
-	w.SetMetrics(db.met.walBatch, db.met.walInterval)
-	db.wal = &localWAL{w: w}
-	db.st.SetWALStats(w.Stats)
-	db.floorLeaseSeq(db.st)
-	return w
+// OpenCluster is NewCluster over durable storage: the layout's streams are
+// stg's devices of those names. Each System's committed prefix replays
+// independently, then the coordinator's in-doubt cross-System
+// transactions resolve forward: a logged commit decision without its
+// resolution mark is re-applied — skipping writes the System streams
+// already hold — and marked resolved; a decision that never reached the
+// log aborted by omission, its intents lost with the volatile memory.
+func OpenCluster(c *cluster.Cluster, stg wal.Storage, opts ...Option) (*ClusterDB, error) {
+	db := NewCluster(c, opts...)
+	devs := make([]wal.Device, len(db.lay))
+	for i, s := range db.lay {
+		dev, err := stg.Device(s.Name)
+		if err != nil {
+			return nil, err
+		}
+		devs[i] = dev
+	}
+	if err := db.attachWAL(devs, 0, nil); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
+// attachWAL attaches a writer set over the layout's devices, in order —
+// the one setup recovery (epoch 0) and promotion (Promote) share. Each
+// device is opened with the scan every recovery runs, a torn tail
+// truncated. Recovery replays each data stream's committed prefix into its
+// store; a promoted replica already holds it, its pumps having applied
+// every unit, and makes an epoch frame the first of the new reign on every
+// stream instead, the last one's carrying the membership blob. Each data
+// stream's writer continues its stream, the coordinator's follows when
+// there is one, and the in-doubt decisions are resolved forward through
+// them (there are none without a coordinator). Then the histograms, store
+// counters and lease floor attach, and the backend binds the set (a
+// cluster's commit path logs through it, its transaction-id counter
+// floored past every logged id).
+func (db *core[S]) attachWAL(devs []wal.Device, epoch uint64, membership []byte) error {
+	data := db.lay.data()
+	ws := &wal.Set{}
+	srs := make([]wal.ScanResult, len(devs)+1) // a zero coordinator scan when there is none
+	for i, dev := range devs {
+		sr, err := wal.OpenDevice(dev)
+		if err != nil {
+			return err
+		}
+		srs[i] = sr
+		if i == len(data) {
+			// The decision log is always fully synchronous: its sync is the
+			// 2PC commit point.
+			ws.Coord = wal.NewWriter(dev, sr.NextLSN, nil, wal.Options{})
+			break
+		}
+		if epoch == 0 {
+			if err := replayStorer(data[i].Store, sr); err != nil {
+				return fmt.Errorf("kv: replay %s: %w", data[i].Name, err)
+			}
+		}
+		ws.Data = append(ws.Data, openWriter(data[i].Store, dev, sr.NextLSN, db.syncEvery))
+	}
+	if epoch > 0 {
+		all := ws.Writers()
+		for i, w := range all {
+			var blob []byte
+			if i == len(all)-1 {
+				blob = membership
+			}
+			if err := w.AppendEpoch(epoch, blob); err != nil {
+				return err
+			}
+		}
+	}
+	inDoubt, maxTxID := recoveryView(srs[:len(data)], srs[len(data)])
+	if err := resolveInDoubt(data, ws, inDoubt); err != nil {
+		return err
+	}
+	db.met.walInDoubt.Add(uint64(len(inDoubt)))
+	db.met.walResolved.Add(uint64(len(inDoubt)))
+	// Every data stream feeds the same pair of histograms: the batch-size
+	// and sync-interval distributions are per DB, like the stats surface.
+	for i, w := range ws.Data {
+		w.SetMetrics(db.met.walBatch, db.met.walInterval)
+		data[i].Store.SetWALStats(w.Stats)
+		db.floorLeaseSeq(data[i].Store)
+	}
+	db.ws = ws
+	if db.bind != nil {
+		db.bind(ws, maxTxID)
+	}
+	return nil
 }
 
 // openWriter builds a stream's writer over st once st holds the stream's
@@ -112,28 +209,23 @@ func (db *core[S]) floorLeaseSeq(st Storer) {
 	}
 }
 
-// Checkpoint implements DB: it snapshots the full store state (lease
-// records included) in one engine transaction and writes it as an in-log
-// checkpoint, bounding the next recovery's replay to the post-checkpoint
-// suffix. Concurrent commits keep running; their log publication briefly
-// queues behind the checkpoint.
-func (db *Local) Checkpoint() error {
-	if db.wal == nil {
+// Checkpoint implements DB: every data stream gets a full-state checkpoint
+// (lease records included), each snapshotted in one engine transaction,
+// bounding the next recovery's replay to the post-checkpoint suffix; a
+// coordinator brackets them with its sync and global mark
+// (wal.Set.Checkpoint). Concurrent commits keep running; their log
+// publication briefly queues behind the checkpoint, and on a cluster 2PC
+// decisions pause for it (cluster.Client.CheckpointWAL).
+func (db *core[S]) Checkpoint() error {
+	if db.ws == nil {
 		return ErrNoWAL
 	}
-	// The session is claimed before the writer freezes so a full pool of
+	// The session is claimed before the writers freeze so a full pool of
 	// committers blocked in publish cannot deadlock against the
 	// checkpoint's own need for a thread.
 	s := db.claim(nil)
 	defer db.release(s)
-	return db.wal.w.Checkpoint(func() ([]wal.Op, error) {
-		var ops []wal.Op
-		err := s.th.Atomic(func(tx rhtm.Tx) error {
-			ops = db.st.Snapshot(tx)
-			return nil
-		})
-		return ops, err
-	})
+	return s.checkpoint(db.ws)
 }
 
 // replayStorer applies one stream's recovery view to a store under its
@@ -157,115 +249,13 @@ func replayStorer(st Storer, sr wal.ScanResult) error {
 	return nil
 }
 
-// --- cluster ---
-
-// walDataName names System i's stream inside a Storage.
-func walDataName(i int) string { return fmt.Sprintf("sys-%02d", i) }
-
-// walCoordName names the coordinator decision log.
-const walCoordName = "coord"
-
-// OpenCluster is NewCluster over durable storage: one stream per System
-// plus the coordinator decision log. Recovery replays each System's
-// committed prefix independently, then resolves the coordinator's in-doubt
-// cross-System transactions forward: a logged commit decision without its
-// resolution mark is re-applied — skipping writes the System streams
-// already hold (keyed by the cluster transaction id) — and re-logged
-// durably before being marked resolved; a decision that never reached the
-// log aborted by omission, its intents lost with the volatile memory.
-func OpenCluster(c *cluster.Cluster, stg wal.Storage, opts ...Option) (*ClusterDB, error) {
-	devs := make([]wal.Device, c.NumSystems()+1)
-	for i := range devs {
-		name := walCoordName
-		if i < c.NumSystems() {
-			name = walDataName(i)
-		}
-		dev, err := stg.Device(name)
-		if err != nil {
-			return nil, err
-		}
-		devs[i] = dev
-	}
-	srs, err := openDevices(devs)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < c.NumSystems(); i++ {
-		if err := replayStorer(c.Node(i).Store(), srs[i]); err != nil {
-			return nil, fmt.Errorf("kv: system %d replay: %w", i, err)
-		}
-	}
-	db := NewCluster(c, opts...)
-	if err := db.attachWAL(devs, srs, 0, nil); err != nil {
-		return nil, err
-	}
-	return db, nil
-}
-
-// openDevices opens and scans each device in turn (wal.OpenDevice).
-func openDevices(devs []wal.Device) ([]wal.ScanResult, error) {
-	srs := make([]wal.ScanResult, len(devs))
-	for i, dev := range devs {
-		sr, err := wal.OpenDevice(dev)
-		if err != nil {
-			return nil, err
-		}
-		srs[i] = sr
-	}
-	return srs, nil
-}
-
-// attachWAL is the writer setup OpenCluster and Promote share, over the
-// scanned devices: the Systems' streams, then the coordinator decision log
-// last. Each System's writer continues its stream; a promotion (epoch > 0)
-// makes an epoch frame the first of the new reign on every stream, the
-// coordinator's carrying the membership blob. Then the in-doubt decisions
-// are resolved forward through the new writers, the transaction-id counter
-// is floored past every logged id, and the histograms and lease floor
-// attach.
-func (db *ClusterDB) attachWAL(devs []wal.Device, srs []wal.ScanResult, epoch uint64, membership []byte) error {
-	n := db.c.NumSystems()
-	ws := &cluster.WALSet{Data: make([]*wal.Writer, n)}
-	for i := range ws.Data {
-		ws.Data[i] = openWriter(db.c.Node(i).Store(), devs[i], srs[i].NextLSN, db.syncEvery)
-	}
-	// The decision log is always fully synchronous: its sync is the 2PC
-	// commit point.
-	ws.Coord = wal.NewWriter(devs[n], srs[n].NextLSN, nil, wal.Options{})
-	if epoch > 0 {
-		for _, w := range ws.Data {
-			if err := w.AppendEpoch(epoch, nil); err != nil {
-				return err
-			}
-		}
-		if err := ws.Coord.AppendEpoch(epoch, membership); err != nil {
-			return err
-		}
-	}
-	inDoubt, maxTxID := recoveryView(srs[:n], srs[n])
-	if err := resolveInDoubt(db.c, ws, inDoubt); err != nil {
-		return err
-	}
-	db.c.RestoreTxID(maxTxID)
-	db.c.AttachWAL(ws)
-	db.met.walInDoubt.Add(uint64(len(inDoubt)))
-	db.met.walResolved.Add(uint64(len(inDoubt)))
-	// Every System's stream feeds the same pair of histograms: the
-	// batch-size and sync-interval distributions are per DB, like the stats
-	// surface.
-	for i, w := range ws.Data {
-		w.SetMetrics(db.met.walBatch, db.met.walInterval)
-		db.floorLeaseSeq(db.c.Node(i).Store())
-	}
-	return nil
-}
-
-// recoveryView reads what recovery and promotion resolve off a cluster's
-// scans: the in-doubt decisions — commit decisions without a resolution
-// mark, in decision order — each cut down to the writes no System stream
-// holds yet, and the floor for the transaction-id counter. The redo filter
-// is keyed by cluster transaction id and sees only the groups after each
-// stream's checkpoint. That suffices: a checkpoint holds the 2PC drain lock
+// recoveryView reads what recovery and promotion resolve off the scans of
+// the data streams and the coordinator (zero without one): the in-doubt
+// decisions — commit decisions without a resolution mark, in decision
+// order — each cut down to the writes no data stream holds yet, and the
+// floor for a cluster's transaction-id counter. The redo filter is keyed by
+// cluster transaction id and sees only the groups after each stream's
+// checkpoint. That suffices: a checkpoint holds the 2PC drain lock
 // (cluster.Client.CheckpointWAL), so an unmarked decision's applies all
 // follow the last checkpoint of every stream (DESIGN.md §12).
 func recoveryView(data []wal.ScanResult, coord wal.ScanResult) (inDoubt []wal.TxnGroup, maxTxID uint64) {
@@ -304,15 +294,15 @@ func recoveryView(data []wal.ScanResult, coord wal.ScanResult) (inDoubt []wal.Tx
 
 // resolveInDoubt redoes the in-doubt decisions forward, in decision order:
 // each missing write is applied with a fresh revision and logged durably on
-// its System's stream, then the decision is marked resolved.
-func resolveInDoubt(c *cluster.Cluster, ws *cluster.WALSet, inDoubt []wal.TxnGroup) error {
+// its data stream, then the decision is marked resolved.
+func resolveInDoubt(data layout, ws *wal.Set, inDoubt []wal.TxnGroup) error {
 	for _, g := range inDoubt {
 		for _, op := range g.Ops {
 			s := op.Part
-			if s < 0 || s >= c.NumSystems() {
-				return fmt.Errorf("kv: decision %d names system %d of %d", g.TxID, s, c.NumSystems())
+			if s < 0 || s >= len(data) {
+				return fmt.Errorf("kv: decision %d names stream %d of %d", g.TxID, s, len(data))
 			}
-			st := c.Node(s).Store()
+			st := data[s].Store
 			rec, err := st.Write(containers.SetupTx(st.System()), op)
 			if err != nil {
 				return fmt.Errorf("kv: redo decision %d: %w", g.TxID, err)
@@ -331,17 +321,8 @@ func resolveInDoubt(c *cluster.Cluster, ws *cluster.WALSet, inDoubt []wal.TxnGro
 			return err
 		}
 	}
-	return ws.Coord.Sync()
-}
-
-// Checkpoint implements DB: every System's stream gets a full-state
-// checkpoint and the coordinator log truncates its resolved history (see
-// cluster.Client.CheckpointWAL for the drain-and-order argument).
-func (db *ClusterDB) Checkpoint() error {
-	if db.c.WAL() == nil {
-		return ErrNoWAL
+	if ws.Coord == nil {
+		return nil
 	}
-	s := db.claim(nil)
-	defer db.release(s)
-	return s.cl.CheckpointWAL()
+	return ws.Coord.Sync()
 }

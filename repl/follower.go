@@ -3,6 +3,7 @@ package repl
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -12,11 +13,10 @@ import (
 	"rhtm/wal"
 )
 
-var (
-	errNotLocal     = errors.New("repl: AddLocalReplica on a cluster group")
-	errNotCluster   = errors.New("repl: AddClusterReplica on a local group")
-	errSizeMismatch = errors.New("repl: replica cluster size differs from primary")
-)
+// errLayout reports a replica whose durable layout names other streams
+// than the primary's: a single System for a cluster, a cluster for a single
+// System, or a cluster of another size.
+var errLayout = errors.New("repl: replica layout differs from the primary's")
 
 // Follower is one replica: a DB built without a log, fed by per-stream
 // apply pumps tailing the primary's devices. Until promotion it serves only
@@ -27,12 +27,10 @@ type Follower struct {
 	g    *Group
 	name string
 
-	localDB *kv.Local     // nil on a cluster follower
-	cdb     *kv.ClusterDB // nil on a local follower
-	db      kv.Served
+	db durableDB
 
-	// streams tail the group's devices, in the group's device order: one
-	// per System, then on a cluster the coordinator decision log. That last
+	// streams tail the group's devices, in layout order: one per data
+	// stream, then on a cluster the coordinator decision log. That last
 	// tailer is only a cursor — its decisions carry no System state — so
 	// drain, the applied_lsn gauge and the lag cover every device.
 	streams []*stream
@@ -126,54 +124,38 @@ func (s *stream) drained() error {
 // that will tail the stream from offset zero. Returns the Follower serving
 // follower reads. opts mirror kv.NewLocal's.
 func (g *Group) AddLocalReplica(eng rhtm.Engine, st kv.Storer, opts ...kv.Option) (*Follower, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.local == nil {
-		return nil, errNotLocal
-	}
-	if g.killed {
-		return nil, ErrKilled
-	}
-	f := &Follower{g: g, name: g.nextName()}
-	f.localDB = kv.NewLocal(eng, st, opts...)
-	f.db = f.localDB
-	s := newStream("wal", g.devs[0])
-	f.streams = []*stream{s}
-	f.wg.Add(1)
-	go f.pumpData(s, eng, st)
-	g.register(f)
-	return f, nil
+	return g.addReplica(kv.NewLocal(eng, st, opts...))
 }
 
 // AddClusterReplica grows the group with a replica for a cluster primary:
 // a fresh cluster of the same size whose Systems tail the per-System
 // streams, with a cursor over the coordinator decision log.
 func (g *Group) AddClusterReplica(rc *cluster.Cluster, opts ...kv.Option) (*Follower, error) {
+	return g.addReplica(kv.NewCluster(rc, opts...))
+}
+
+// addReplica grows the group with a replica over db, a DB built without a
+// log whose layout names the primary's streams: each stream's device is
+// tailed from offset zero by its own pump. A DB of another layout is
+// refused with nothing registered.
+func (g *Group) addReplica(db durableDB) (*Follower, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.cdb == nil {
-		return nil, errNotCluster
+	lay := db.Layout()
+	sameName := func(a, b kv.Stream) bool { return a.Name == b.Name }
+	if !slices.EqualFunc(lay, g.primary.Layout(), sameName) {
+		return nil, errLayout
 	}
 	if g.killed {
 		return nil, ErrKilled
 	}
-	n := rc.NumSystems()
-	if n != len(g.devs)-1 {
-		return nil, errSizeMismatch
-	}
-	f := &Follower{g: g, name: g.nextName()}
-	f.cdb = kv.NewCluster(rc, opts...)
-	f.db = f.cdb
-	for i := 0; i < n; i++ {
-		s := newStream(kv.WALDataName(i), g.devs[i])
-		f.streams = append(f.streams, s)
+	f := &Follower{g: g, name: g.nextName(), db: db}
+	for i, s := range lay {
+		st := newStream(s.Name, g.devs[i])
+		f.streams = append(f.streams, st)
 		f.wg.Add(1)
-		go f.pumpData(s, rc.Node(i).Engine(), rc.Node(i).Store())
+		go f.pump(st, s)
 	}
-	coord := newStream(kv.WALCoordName, g.devs[n])
-	f.streams = append(f.streams, coord)
-	f.wg.Add(1)
-	go f.pump(coord, nil)
 	g.register(f)
 	return f, nil
 }
@@ -241,16 +223,22 @@ func (f *Follower) stop() {
 	f.wg.Wait()
 }
 
-// pump tails one stream, handing each unit to apply (nil: the stream is
-// only a cursor) and publishing the cursor past it, until the tailer closes
-// or a unit fails.
-func (f *Follower) pump(s *stream, apply func(wal.Unit) (maxRev uint64, err error)) {
+// pump tails one stream and publishes the cursor past each unit, until
+// the tailer closes or a unit fails. A data stream's units are applied
+// whole to its store through Replay, on a dedicated thread of its engine;
+// the coordinator decision log (no store) is only a cursor.
+func (f *Follower) pump(s *stream, to kv.Stream) {
 	defer f.wg.Done()
+	var a *applier
+	if to.Store != nil {
+		a = &applier{f: f, th: to.Engine.NewThread(), st: to.Store}
+		a.body = a.replay
+	}
 	for {
 		u, err := s.tl.Next()
 		var maxRev uint64
-		if err == nil && apply != nil {
-			maxRev, err = apply(u)
+		if err == nil && a != nil {
+			maxRev, err = a.apply(u)
 		}
 		if err != nil {
 			if err == wal.ErrTailerClosed {
@@ -261,14 +249,6 @@ func (f *Follower) pump(s *stream, apply func(wal.Unit) (maxRev uint64, err erro
 		}
 		s.advance(u, maxRev)
 	}
-}
-
-// pumpData tails one data stream and applies whole units to the replica
-// System through Replay, on a dedicated engine thread.
-func (f *Follower) pumpData(s *stream, eng rhtm.Engine, st kv.Storer) {
-	a := &applier{f: f, th: eng.NewThread(), st: st}
-	a.body = a.replay
-	f.pump(s, a.apply)
 }
 
 // applier is one data stream's apply side: the pump's engine thread, the

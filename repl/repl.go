@@ -14,25 +14,32 @@
 // paper's substitution argument extended across machines, the same way it
 // already spans the hardware and software commit paths.
 //
+// Both backends log to one durable layout (kv.Stream, the DB's Layout):
+// a Local is one data stream, a cluster one per System plus the
+// coordinator decision log. So the group holds one primary DB and a
+// follower one replica DB, and nothing below branches on the backend.
+//
 // The moving parts:
 //
 //   - Group: the membership owner. It wraps a live primary (Local or
-//     cluster), hooks its writers' append path to wake tailers, grows
-//     replicas with AddLocalReplica/AddClusterReplica, and runs failover:
-//     Kill fences the primary's writers (every later commit fails with
-//     kv.ErrFenced before a byte reaches the device), Promote drains the
-//     most-caught-up replica's tail and turns it into the stream's next
-//     primary under epoch+1, recording the new role map in a durable
-//     epoch frame on the coordinator stream.
+//     cluster) and the devices of its layout, hooks its writers' append
+//     path to wake tailers, grows replicas with AddLocalReplica or
+//     AddClusterReplica — each builds the replica DB and hands it to one
+//     setup, which refuses a DB whose layout names other streams — and
+//     runs failover: Kill fences the primary's writers (every later commit
+//     fails with kv.ErrFenced before a byte reaches the device), Promote
+//     drains the most-caught-up replica's tail and turns it into the
+//     streams' next primary under epoch+1, recording the new role map in a
+//     durable epoch frame on the last stream (the coordinator's, or a
+//     Local's one stream).
 //   - Follower: one replica — per-stream apply pumps on dedicated engine
 //     threads, each stream's applied cursor and revision (what Status, the
 //     repl.applied_* gauges and health report), and the follower-read
 //     surface (ReadAt via kv.FollowerReader) whose never-future guarantee
 //     comes from reading the key and the partition clock in one engine
 //     transaction. A follower keeps no recovery state: promotion is crash
-//     recovery minus the replay (kv.Local.Promote, kv.ClusterDB.Promote),
-//     reading the drained devices with the scan kv.OpenLocal and
-//     kv.OpenCluster run.
+//     recovery minus the replay — the DB's one Promote reads the drained
+//     devices with the scan kv.OpenLocal and kv.OpenCluster run.
 //
 // Correctness of failover, briefly (DESIGN.md §12 has the full argument):
 // an acknowledged commit was appended before the fence, the promoted
@@ -47,7 +54,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -66,16 +72,18 @@ var ErrKilled = errors.New("repl: primary is killed")
 var ErrNoReplica = errors.New("repl: no caught-up replica to promote")
 
 // Membership is the epoch-numbered role map. It is serialized as JSON into
-// the epoch frame of the coordinator (or single local) stream at every
-// promotion — the durable membership record recovery and operators read.
+// the epoch frame of the layout's last stream (the coordinator's, or a
+// Local's one stream) at every promotion — the durable membership record
+// recovery and operators read.
 type Membership struct {
 	Epoch    uint64   `json:"epoch"`
 	Primary  string   `json:"primary"`
 	Replicas []string `json:"replicas"`
 }
 
-// Group owns one replication group: a primary DB, its WAL stream devices,
-// and the replicas tailing them. All methods are safe for concurrent use.
+// Group owns one replication group: a primary DB, the devices of its
+// durable layout, and the replicas tailing them. All methods are safe for
+// concurrent use.
 type Group struct {
 	mu sync.Mutex // serializes Add/Kill/Promote/Close and membership state
 
@@ -85,15 +93,14 @@ type Group struct {
 	fmu       sync.RWMutex
 	followers []*Follower
 
-	// wmu guards the writer lists (a leaf lock).
-	wmu sync.Mutex
-	ws  []*wal.Writer // current primary's writers, data streams then coord
-	all []*wal.Writer // every writer ever attached (fenced-frame accounting)
+	// wmu guards sets (a leaf lock): every writer set the group has
+	// attached, the current primary's last.
+	wmu  sync.Mutex
+	sets []*wal.Set
 
-	local *kv.Local     // nil on a cluster group
-	cdb   *kv.ClusterDB // nil on a local group
-	// devs are the stream devices in writer order: the local stream, or
-	// one per System then the coordinator decision log.
+	primary durableDB
+	// devs are the devices of the primary's layout, in order: one per data
+	// stream, then a cluster's coordinator decision log.
 	devs []wal.Device
 
 	epoch      uint64
@@ -111,75 +118,74 @@ type Group struct {
 	flight atomic.Pointer[obs.Flight]
 }
 
+// durableDB is the DB a group replicates and a follower applies into:
+// kv.Local and kv.ClusterDB alike, each with its durable layout, the
+// writer set it logs to, and the one promotion.
+type durableDB interface {
+	kv.Served
+	Layout() []kv.Stream
+	WAL() *wal.Set
+	Promote(devs []wal.Device, epoch uint64, membership []byte) error
+}
+
 // NewLocalGroup wraps a single-System primary (from kv.OpenLocal) whose log
 // lives on dev. The primary keeps serving; its appends now also wake the
 // group's tailers.
 func NewLocalGroup(primary *kv.Local, dev wal.Device) (*Group, error) {
-	g := newGroup()
-	g.local, g.devs = primary, []wal.Device{dev}
-	if err := g.attachWriters(); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return newGroup(primary, []wal.Device{dev})
 }
 
 // NewClusterGroup wraps a multi-System primary (from kv.OpenCluster) whose
-// streams live in stg — one device per System plus the coordinator decision
-// log, under the same names kv.OpenCluster uses.
+// streams live in stg, under the names of its layout.
 func NewClusterGroup(primary *kv.ClusterDB, stg wal.Storage) (*Group, error) {
-	g := newGroup()
-	g.cdb = primary
-	n := primary.Cluster().NumSystems()
-	for i := 0; i <= n; i++ {
-		name := kv.WALCoordName
-		if i < n {
-			name = kv.WALDataName(i)
-		}
-		dev, err := stg.Device(name)
+	var devs []wal.Device
+	for _, s := range primary.Layout() {
+		dev, err := stg.Device(s.Name)
 		if err != nil {
 			return nil, err
 		}
-		g.devs = append(g.devs, dev)
+		devs = append(devs, dev)
 	}
-	if err := g.attachWriters(); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return newGroup(primary, devs)
 }
 
-func newGroup() *Group {
-	g := &Group{epoch: 1, reg: obs.NewRegistry()}
+// newGroup wraps primary, whose layout's streams live on devs.
+func newGroup(primary durableDB, devs []wal.Device) (*Group, error) {
+	g := &Group{primary: primary, devs: devs, epoch: 1, reg: obs.NewRegistry()}
 	g.membership = Membership{Epoch: 1, Primary: "primary"}
 	g.promotions = g.reg.Counter("repl.promotions")
 	g.applyBatch = g.reg.Histogram("repl.apply_batch")
 	g.reg.GaugeFunc("repl.fenced_frames", g.fencedFrames)
 	g.reg.GaugeFunc("repl.lag_frames", g.lagFrames)
-	return g
+	if err := g.attachWriters(); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
-// attachWriters records the current primary's writers, in device order,
+// attachWriters records the current primary's writers, in layout order,
 // and hooks their append paths to wake every tailer in the group. A primary
 // without a log fails with ErrNoLog.
 func (g *Group) attachWriters() error {
-	var ws []*wal.Writer
-	if g.local != nil {
-		if w := g.local.WAL(); w != nil {
-			ws = []*wal.Writer{w}
-		}
-	} else if set := g.cdb.Cluster().WAL(); set != nil {
-		ws = append(slices.Clone(set.Data), set.Coord)
-	}
-	if ws == nil {
+	set := g.primary.WAL()
+	if set == nil {
 		return ErrNoLog
 	}
 	g.wmu.Lock()
-	g.ws = ws
-	g.all = append(g.all, ws...)
+	g.sets = append(g.sets, set)
 	g.wmu.Unlock()
-	for _, w := range ws {
+	for _, w := range set.Writers() {
 		w.SetOnAppend(g.kickAll)
 	}
 	return nil
+}
+
+// attached returns every writer set the group has attached, the current
+// primary's last.
+func (g *Group) attached() []*wal.Set {
+	g.wmu.Lock()
+	defer g.wmu.Unlock()
+	return g.sets[:len(g.sets):len(g.sets)]
 }
 
 // kickAll wakes every follower's tailers. It runs under the writers' locks
@@ -195,38 +201,18 @@ func (g *Group) kickAll() {
 // fencedFrames sums fenced-commit rejections over every writer the group
 // has ever owned — the zombie writes that never reached a device.
 func (g *Group) fencedFrames() int64 {
-	g.wmu.Lock()
-	ws := append([]*wal.Writer(nil), g.all...)
-	g.wmu.Unlock()
 	var n int64
-	for _, w := range ws {
-		n += int64(w.Stats().Fenced)
+	for _, set := range g.attached() {
+		n += int64(set.Stats().Fenced)
 	}
 	return n
 }
 
-// lagFrames sums, over every follower and stream, how many LSNs the
-// follower's applied cursor trails the primary writer's last append.
+// lagFrames sums the lag of every follower stream Status reports.
 func (g *Group) lagFrames() int64 {
-	g.wmu.Lock()
-	ws := append([]*wal.Writer(nil), g.ws...)
-	g.wmu.Unlock()
-	lasts := make([]uint64, len(ws))
-	for i, w := range ws {
-		lasts[i] = w.Stats().LastLSN
-	}
-	g.fmu.RLock()
-	defer g.fmu.RUnlock()
 	var lag int64
-	for _, f := range g.followers {
-		for i, s := range f.streams {
-			if i >= len(lasts) {
-				break
-			}
-			if ap := s.lsn(); lasts[i] > ap {
-				lag += int64(lasts[i] - ap)
-			}
-		}
+	for _, st := range g.Status() {
+		lag += int64(st.LagFrames)
 	}
 	return lag
 }
@@ -250,9 +236,8 @@ type ReplicaStatus struct {
 // Status reports every follower stream's applied watermark and lag, in
 // registration order — the per-replica breakdown of the lag_frames gauge.
 func (g *Group) Status() []ReplicaStatus {
-	g.wmu.Lock()
-	ws := append([]*wal.Writer(nil), g.ws...)
-	g.wmu.Unlock()
+	sets := g.attached()
+	ws := sets[len(sets)-1].Writers()
 	lasts := make([]uint64, len(ws))
 	for i, w := range ws {
 		lasts[i] = w.Stats().LastLSN
@@ -327,10 +312,7 @@ func (g *Group) killLocked() {
 		return
 	}
 	g.killed = true
-	g.wmu.Lock()
-	ws := append([]*wal.Writer(nil), g.ws...)
-	g.wmu.Unlock()
-	for _, w := range ws {
+	for _, w := range g.primary.WAL().Writers() {
 		w.Fence()
 	}
 	// One last kick: the fence wakes committers, not tailers, and the
@@ -342,7 +324,7 @@ func (g *Group) killLocked() {
 // drains the most-caught-up replica's tail, and re-opens the stream under
 // epoch+1 with the replica as primary — the epoch frame, synced first, is
 // the durable fencing evidence. The replica's DB reads the drained devices
-// as crash recovery would (kv.ClusterDB.Promote resolves in-doubt
+// as crash recovery would (kv's Promote resolves a cluster's in-doubt
 // cross-System decisions forward from them). The remaining replicas
 // keep tailing the same devices and so follow the new primary. Returns the
 // promoted DB and its Follower (now retired from the replica list).
@@ -395,12 +377,7 @@ func (g *Group) Promote() (kv.DB, *Follower, error) {
 		return nil, nil, err
 	}
 
-	if chosen.localDB != nil {
-		err = chosen.localDB.Promote(g.devs[0], g.epoch, blob)
-	} else {
-		err = chosen.cdb.Promote(g.devs, g.epoch, blob)
-	}
-	if err != nil {
+	if err := chosen.db.Promote(g.devs, g.epoch, blob); err != nil {
 		return nil, nil, fmt.Errorf("repl: promote %s: %w", chosen.name, err)
 	}
 
@@ -414,7 +391,7 @@ func (g *Group) Promote() (kv.DB, *Follower, error) {
 	g.followers = rest2
 	g.fmu.Unlock()
 
-	g.local, g.cdb = chosen.localDB, chosen.cdb
+	g.primary = chosen.db
 	if err := g.attachWriters(); err != nil {
 		return nil, nil, err
 	}

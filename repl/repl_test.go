@@ -356,7 +356,7 @@ func TestPromotionEqualsRecovery(t *testing.T) {
 	var keys [systems][]byte
 	for i, found := 0, 0; found < systems; i++ {
 		k := []byte(fmt.Sprintf("k-%d", i))
-		if s := db.Cluster().Router().SystemFor(k); keys[s] == nil {
+		if s := db.Domain(k); keys[s] == nil {
 			keys[s] = k
 			found++
 		}
@@ -382,7 +382,7 @@ func TestPromotionEqualsRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	cross(db, "post-checkpoint")
-	ws := db.Cluster().WAL()
+	ws := db.WAL()
 	ws.Data[1].Fence()
 	cross(db, "half-applied")
 	ws.Data[0].Fence()
@@ -414,7 +414,7 @@ func TestPromotionEqualsRecovery(t *testing.T) {
 		t.Fatalf("in-doubt decisions: promoted %d, recovered %d; want 2",
 			pm["cluster.wal.indoubt"], rm["cluster.wal.indoubt"])
 	}
-	ps, rs := clusterState(promoted.(*kv.ClusterDB).Cluster()), clusterState(rc)
+	ps, rs := clusterState(promoted.(*kv.ClusterDB).Layout()), clusterState(recovered.Layout())
 	if !slices.Equal(ps, rs) {
 		t.Fatalf("promoted state != recovered state:\npromoted:  %q\nrecovered: %q", ps, rs)
 	}
@@ -599,10 +599,13 @@ func TestLocalPromotionEqualsRecovery(t *testing.T) {
 
 // clusterState lists every record of every System, reserved keys included,
 // with its revision and lease, and each System's revision clock.
-func clusterState(c *cluster.Cluster) []string {
+func clusterState(streams []kv.Stream) []string {
 	var out []string
-	for i := 0; i < c.NumSystems(); i++ {
-		for _, line := range storeState(c.Node(i).Store()) {
+	for i, s := range streams {
+		if s.Store == nil {
+			continue // the coordinator decision log holds no state
+		}
+		for _, line := range storeState(s.Store) {
 			out = append(out, fmt.Sprintf("sys %d %s", i, line))
 		}
 	}
@@ -626,7 +629,7 @@ func storeState(st kv.Storer) []string {
 // coordScan scans the coordinator decision log held in stg.
 func coordScan(t *testing.T, stg wal.Storage) wal.ScanResult {
 	t.Helper()
-	dev, err := stg.Device(kv.WALCoordName)
+	dev, err := stg.Device("coord")
 	if err != nil {
 		t.Fatal(err)
 	}

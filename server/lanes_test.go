@@ -209,9 +209,9 @@ func TestLanesMergeWithinOneDomain(t *testing.T) {
 	if spy.merged == 0 {
 		t.Errorf("no batch merged two ops: %v batches", spy.batches)
 	}
-	if c := cdb.Cluster().Counters(); c.CrossTxns != 0 || c.LocalTxns == 0 {
+	if c := cdb.Metrics().Counters; c["cluster.cross_txns"] != 0 || c["cluster.local_txns"] == 0 {
 		t.Errorf("cluster ran %d cross-System and %d local transactions; single-key requests need none of the first",
-			c.CrossTxns, c.LocalTxns)
+			c["cluster.cross_txns"], c["cluster.local_txns"])
 	}
 }
 
