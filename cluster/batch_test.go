@@ -290,7 +290,7 @@ func TestCrossBatchTraffic(t *testing.T) {
 			t.Errorf("%s: engine transactions per System %v, want %v", tc.name, got, tc.want)
 		}
 	}
-	if st := c.Stats(); st.CrossCommits != 2 || st.LocalTxns != 0 {
+	if st := c.Counters(); st.CrossCommits != 2 || st.LocalTxns != 0 {
 		t.Errorf("cross commits %d, local transactions %d; want 2 and 0 (read-throughs are not client operations)",
 			st.CrossCommits, st.LocalTxns)
 	}

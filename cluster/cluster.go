@@ -212,9 +212,7 @@ func (c *Cluster) SetMetrics(prepare, finish *obs.Histogram) {
 	c.finishHist = finish
 }
 
-// Counters is the live (atomically readable) part of Stats: the
-// host-side protocol counters. Unlike Stats — which merges quiescent-only
-// engine snapshots and store counters — Counters is safe to call while
+// Counters are the host-side protocol counters, safe to read while
 // clients are running.
 type Counters struct {
 	// LocalTxns / LocalConflicts count single-System transactions
@@ -245,32 +243,4 @@ func (c *Cluster) Counters() Counters {
 		ScanRetries:      c.scanRetries.Load(),
 		PhantomConflicts: c.phantomConflicts.Load(),
 	}
-}
-
-// Stats aggregates engine activity and protocol counters across the
-// cluster.
-type Stats struct {
-	// Engines merges every System's engine statistics.
-	Engines rhtm.Stats
-	// PerSystemAccesses is each System's simulated shared-access count
-	// (data + metadata). Systems run in parallel, so the maximum is the
-	// simulated critical path of a run.
-	PerSystemAccesses []uint64
-	// Store sums every System's store counters.
-	Store store.Stats
-	// Counters are the protocol counters, as Cluster.Counters reads them.
-	Counters
-}
-
-// Stats snapshots the cluster. Only call while no clients are inside an
-// operation.
-func (c *Cluster) Stats() Stats {
-	out := Stats{Counters: c.Counters(), PerSystemAccesses: make([]uint64, len(c.nodes))}
-	for i, n := range c.nodes {
-		es := n.eng.Snapshot()
-		out.Engines.Add(es)
-		out.PerSystemAccesses[i] = es.Reads + es.Writes + es.MetadataReads + es.MetadataWrites
-		out.Store.Add(n.st.Stats(containers.SetupTx(n.sys)))
-	}
-	return out
 }

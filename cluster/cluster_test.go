@@ -171,7 +171,7 @@ func TestLocalOpsLogNoDecisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := c.Stats()
+	st := c.Counters()
 	if st.CrossTxns != 0 || st.LocalTxns == 0 {
 		t.Fatalf("stats = cross %d local %d, want cross 0 local >0", st.CrossTxns, st.LocalTxns)
 	}
@@ -244,7 +244,7 @@ func TestCrossReadValidation(t *testing.T) {
 	if err := cl.Txn(sum); !errors.Is(err, ErrConflict) {
 		t.Fatalf("first attempt err = %v, want ErrConflict despite the invalidated read", err)
 	}
-	if got := c.Stats().PrepareConflicts; got != 1 {
+	if got := c.Counters().PrepareConflicts; got != 1 {
 		t.Fatalf("PrepareConflicts = %d, want 1", got)
 	}
 	if err := cl.Txn(sum); err != nil {
@@ -354,7 +354,7 @@ func TestTwoPhaseRound(t *testing.T) {
 			},
 			wantErr: ErrConflict, aborts: 1,
 			after: func(t *testing.T, r *rig, write crossWrite, cl *Client) {
-				if got := r.c.Stats().PrepareConflicts; got != 1 {
+				if got := r.c.Counters().PrepareConflicts; got != 1 {
 					t.Errorf("PrepareConflicts = %d, want 1: a round is one attempt", got)
 				}
 				if got := r.c.Counters().CrossCommits; got != 0 {
@@ -421,7 +421,7 @@ func TestTwoPhaseRound(t *testing.T) {
 				if committed := tc.wantErr == nil; wrote != committed {
 					t.Fatalf("keyLo written = %v, want %v", wrote, committed)
 				}
-				st := r.c.Stats()
+				st := r.c.Counters()
 				if st.CrossAborts != tc.aborts || st.CrossCommits != tc.commits {
 					t.Errorf("aborts/commits = %d/%d, want %d/%d",
 						st.CrossAborts, st.CrossCommits, tc.aborts, tc.commits)
@@ -472,7 +472,7 @@ func TestIntentBlocksReaders(t *testing.T) {
 	if _, err := one(cl, get); !errors.Is(err, ErrConflict) {
 		t.Fatalf("Get under intent err = %v, want ErrConflict", err)
 	}
-	if got := c.Stats().IntentWaits; got != 1 {
+	if got := c.Counters().IntentWaits; got != 1 {
 		t.Fatalf("IntentWaits = %d, want 1: a Get is one attempt", got)
 	}
 	if _, err := n.Store().ApplyIntent(setup, []byte("k"), 7); err != nil {
@@ -647,7 +647,7 @@ func TestScanSnapshotOrderedAndBlocked(t *testing.T) {
 	if _, err := cl.ScanSnapshot([]byte("k10"), []byte("k20"), 0); !errors.Is(err, ErrConflict) {
 		t.Fatalf("scan over pending intent err = %v, want ErrConflict", err)
 	}
-	if got := c.Stats().IntentWaits; got != 1 {
+	if got := c.Counters().IntentWaits; got != 1 {
 		t.Fatalf("IntentWaits = %d, want 1: a scan is one attempt", got)
 	}
 	// Out-of-range scans are unaffected.
@@ -731,7 +731,7 @@ func TestSharedReadIntentsCluster(t *testing.T) {
 	if _, err := one(cl, put); !errors.Is(err, ErrConflict) {
 		t.Fatalf("Put under read intents err = %v, want ErrConflict", err)
 	}
-	if got := c.Stats().IntentWaits; got != 1 {
+	if got := c.Counters().IntentWaits; got != 1 {
 		t.Fatalf("IntentWaits = %d, want 1: a Put is one attempt", got)
 	}
 	// Releasing both readers unblocks the writer.

@@ -127,7 +127,7 @@ func openPump(run *kvRun) (*leasePump, error) {
 		cancel()
 		return nil, fmt.Errorf("watch: %w", err)
 	}
-	p := &leasePump{kvRun: run, clock: run.be.Clock(), stopWatch: cancel, watchDone: make(chan struct{})}
+	p := &leasePump{kvRun: run, clock: run.be.clock, stopWatch: cancel, watchDone: make(chan struct{})}
 	go func() {
 		defer close(p.watchDone)
 		for ev := range ch {

@@ -7,312 +7,27 @@ import (
 	"math/rand"
 	"sync/atomic"
 
-	"rhtm"
-	"rhtm/cluster"
-	"rhtm/containers"
 	"rhtm/kv"
-	"rhtm/obs"
-	"rhtm/repl"
-	"rhtm/store"
-	"rhtm/wal"
 )
 
 // The unified KV runner: every mix of the mix table (mixes.go) is generated
 // once, against the kv.DB interface, and executed by RunKV on any backend —
 // a single-System engine over a sharded store, the share-nothing
 // multi-System cluster, or either of them behind the network front end.
-// This file holds the backends, the runner, and the raw-record mixes; the
-// coordination mixes live in coord.go, the table mixes in tablerun.go.
+// This file holds the runner and the raw-record mixes; the backend lives
+// in backend.go, the coordination mixes in coord.go, the table mixes in
+// tablerun.go.
 
 // bankInitial is the starting balance of every bank account.
 const bankInitial = 1000
 
-// kvBackend abstracts what differs between the data layers: construction,
-// setup-path population, quiescent reads, and result accounting.
-type kvBackend interface {
-	// DB returns the kv.DB the workers drive.
-	DB() kv.DB
-	// Clock returns the backend's virtual clock (lease expiry).
-	Clock() *kv.ManualClock
-	// Load populates one record on the setup path (no engine traffic).
-	Load(key, value []byte) error
-	// Peek reads a committed value while quiescent (verification).
-	Peek(key []byte) ([]byte, bool)
-	// SystemFor reports key placement for cross-System draws; -1 when the
-	// backend has a single System.
-	SystemFor(key []byte) int
-	// Finish fills the engine, access and counter fields of the result
-	// from the quiescent backend.
-	Finish(res *Result) error
-	// Validate checks structural invariants after the run.
-	Validate() error
-}
-
-// --- store backend ---
-
-type storeBackend struct {
-	sys   *rhtm.System
-	eng   rhtm.Engine
-	sh    *store.Sharded
-	db    *kv.Local
-	clock *kv.ManualClock
-	wal   bool
-
-	// WAL-shipping replicas (spec.Replicas > 0): each follower is a full
-	// System tailing the primary's log; reads route to them round-robin.
-	group       *repl.Group
-	followers   []*repl.Follower
-	replicaEngs []rhtm.Engine
-}
-
-// systemWords sizes the heap of a System holding one sharded store: each
-// shard's arena, event ring and headers, plus the words a store needs
-// beyond them, with room to spare.
-func systemWords(shards, arenaWords int) int {
-	return shards*(arenaWords+store.DefaultLogWords+64) + 8192
-}
-
-func openStoreBackend(spec sizing, engineName string, cfg RunConfig) (*storeBackend, error) {
-	perRecord := store.RecordFootprintWords(len(ycsbKey(0)), spec.ValueBytes)
-	recordsPerShard := (spec.Records + spec.Shards - 1) / spec.Shards
-	insertSlack := (spec.insertBudget/spec.Shards + 1) * perRecord * 2
-	arenaWords := recordsPerShard*perRecord*2 + insertSlack + spec.leaseWords/spec.Shards + 4096
-	s, err := rhtm.NewSystem(rhtm.DefaultConfig(systemWords(spec.Shards, arenaWords)))
-	if err != nil {
-		return nil, err
-	}
-	eng, err := Build(s, engineName, cfg.InjectPct)
-	if err != nil {
-		return nil, err
-	}
-	sh := store.NewSharded(s, spec.Shards, store.Options{ArenaWords: arenaWords})
-	clock := kv.NewManualClock()
-	b := &storeBackend{sys: s, eng: eng, sh: sh, clock: clock, wal: spec.WAL}
-	dbOpts := []kv.Option{kv.WithClock(clock)}
-	if spec.TraceSample > 0 {
-		dbOpts = append(dbOpts, kv.WithTraceSampling(spec.TraceSample))
-	}
-	if spec.WAL {
-		dev, err := wal.NewMemStorage().Device("wal")
-		if err != nil {
-			return nil, err
-		}
-		b.db, err = kv.OpenLocal(eng, sh, dev, append(dbOpts, kv.WithSyncEvery(spec.SyncEvery))...)
-		if err != nil {
-			return nil, err
-		}
-		if spec.Replicas > 0 {
-			b.group, err = repl.NewLocalGroup(b.db, dev)
-			if err != nil {
-				return nil, err
-			}
-			if f := b.db.Flight(); f != nil {
-				// Sampled traces get their replica_apply stage annotated as
-				// the followers replay each commit revision.
-				b.group.SetFlight(f)
-			}
-			for i := 0; i < spec.Replicas; i++ {
-				rs, err := rhtm.NewSystem(rhtm.DefaultConfig(systemWords(spec.Shards, arenaWords)))
-				if err != nil {
-					return nil, err
-				}
-				reng, err := Build(rs, engineName, cfg.InjectPct)
-				if err != nil {
-					return nil, err
-				}
-				rsh := store.NewSharded(rs, spec.Shards, store.Options{ArenaWords: arenaWords})
-				f, err := b.group.AddLocalReplica(reng, rsh)
-				if err != nil {
-					return nil, err
-				}
-				b.followers = append(b.followers, f)
-				b.replicaEngs = append(b.replicaEngs, reng)
-			}
-		}
-		return b, nil
-	}
-	b.db = kv.NewLocal(eng, sh, dbOpts...)
-	return b, nil
-}
-
-// Close tears down the replication group (no-op without replicas).
-func (b *storeBackend) Close() {
-	if b.group != nil {
-		b.group.Close()
-	}
-}
-
-func (b *storeBackend) DB() kv.DB { return b.db }
-
-func (b *storeBackend) Clock() *kv.ManualClock { return b.clock }
-
-func (b *storeBackend) Load(key, value []byte) error {
-	if b.wal {
-		// Every write must ride the logging paths once a WAL is attached —
-		// a setup-path write would leave a revision hole the log's
-		// sequence gate waits on forever.
-		return b.db.Put(key, value)
-	}
-	return b.sh.Put(containers.SetupTx(b.sys), key, value)
-}
-
-func (b *storeBackend) Peek(key []byte) ([]byte, bool) {
-	return b.sh.Get(containers.SetupTx(b.sys), key)
-}
-
-func (b *storeBackend) SystemFor([]byte) int { return -1 }
-
-func (b *storeBackend) Finish(res *Result) error {
-	res.Engine = b.eng.Name()
-	res.Stats = b.eng.Snapshot()
-	res.Accesses = accesses(res.Stats)
-	res.Counters = b.db.Metrics().Flatten()
-	if b.group != nil {
-		// Drain the followers so the repl.* gauges are final (lag 0) — a
-		// replica that cannot converge fails the run — then report the
-		// replication counters alongside the DB's. The primary's accesses are
-		// the critical path — replicas replay and serve reads in parallel —
-		// so ops/kinterval measures the read offload while ops/kaccess keeps
-		// charging the whole fleet's work.
-		for _, f := range b.followers {
-			if err := f.WaitIdle(); err != nil {
-				return fmt.Errorf("harness: replica drain: %w", err)
-			}
-		}
-		res.CriticalAccesses = res.Accesses
-		for _, eng := range b.replicaEngs {
-			res.Accesses += accesses(eng.Snapshot())
-		}
-		for k, v := range b.group.Metrics().Flatten() {
-			res.Counters[k] = v
-		}
-	}
-	// After the drain, so replica_apply stage stats cover every commit.
-	traceCounters(b.db.Flight(), "trace.", res.Counters)
-	return nil
-}
-
-func (b *storeBackend) Validate() error { return b.sh.Validate() }
-
-// --- cluster backend ---
-
-type clusterBackend struct {
-	c     *cluster.Cluster
-	db    *kv.ClusterDB
-	clock *kv.ManualClock
-	wal   bool
-}
-
-func openClusterBackend(spec sizing, engineName string, cfg RunConfig) (*clusterBackend, error) {
-	keyBytes := len(ycsbKey(0))
-	recordsPerSys := (spec.Records + spec.Systems - 1) / spec.Systems
-	perRecord := store.RecordFootprintWords(keyBytes, spec.ValueBytes)
-	// In-flight intents: every client can hold CrossKeys (or a batch) of
-	// them, plus the same again mid-apply; round up generously — intent
-	// blocks recycle.
-	perIntentKeys := spec.CrossKeys
-	if spec.BatchSize > perIntentKeys {
-		perIntentKeys = spec.BatchSize
-	}
-	intentSlack := (cfg.Threads*perIntentKeys*2 + 64) *
-		store.IntentFootprintWords(keyBytes, spec.ValueBytes)
-	insertSlack := (spec.insertBudget/spec.Systems + 1) * perRecord * 2
-	arenaWords := recordsPerSys*perRecord*2 + intentSlack + insertSlack +
-		spec.leaseWords/spec.Systems + 4096
-	c, err := cluster.New(cluster.Config{
-		Systems:    spec.Systems,
-		ArenaWords: arenaWords,
-		NewEngine: func(s *rhtm.System) (rhtm.Engine, error) {
-			return Build(s, engineName, cfg.InjectPct)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	clock := kv.NewManualClock()
-	b := &clusterBackend{c: c, clock: clock, wal: spec.WAL}
-	dbOpts := []kv.Option{kv.WithClock(clock)}
-	if spec.TraceSample > 0 {
-		dbOpts = append(dbOpts, kv.WithTraceSampling(spec.TraceSample))
-	}
-	if spec.WAL {
-		b.db, err = kv.OpenCluster(c, wal.NewMemStorage(),
-			append(dbOpts, kv.WithSyncEvery(spec.SyncEvery))...)
-		if err != nil {
-			return nil, err
-		}
-		return b, nil
-	}
-	b.db = kv.NewCluster(c, dbOpts...)
-	return b, nil
-}
-
-func (b *clusterBackend) DB() kv.DB { return b.db }
-
-func (b *clusterBackend) Clock() *kv.ManualClock { return b.clock }
-
-func (b *clusterBackend) Load(key, value []byte) error {
-	if b.wal {
-		return b.db.Put(key, value) // see storeBackend.Load
-	}
-	return b.c.Load(key, value)
-}
-
-func (b *clusterBackend) Peek(key []byte) ([]byte, bool) { return b.c.Peek(key) }
-
-func (b *clusterBackend) SystemFor(key []byte) int {
-	if b.c.NumSystems() == 1 {
-		return -1
-	}
-	return b.c.Router().SystemFor(key)
-}
-
-func (b *clusterBackend) Finish(res *Result) error {
-	cs := b.c.Stats()
-	res.Engine = b.c.Node(0).Engine().Name()
-	res.Stats = cs.Engines
-	for _, a := range cs.PerSystemAccesses {
-		res.Accesses += a
-		if a > res.CriticalAccesses {
-			res.CriticalAccesses = a
-		}
-	}
-	res.Counters = b.db.Metrics().Flatten()
-	traceCounters(b.db.Flight(), "trace.", res.Counters)
-	return nil
-}
-
-func (b *clusterBackend) Validate() error { return b.c.Validate() }
-
-// traceCounters folds a flight recorder's dump into a run's counter map:
-// per trace kind the sampled count and error tally, per typed stage the
-// observation count and latency quantiles. A nil flight (tracing
-// disabled) contributes nothing, so untraced runs' JSONL rows are
-// byte-for-byte what they were before tracing existed.
-func traceCounters(f *obs.Flight, prefix string, out map[string]int64) {
-	if f == nil || out == nil {
-		return
-	}
-	for kind, kd := range f.Dump().Kinds {
-		out[prefix+kind+".count"] = int64(kd.Count)
-		out[prefix+kind+".errors"] = int64(kd.Errors)
-		for stage, st := range kd.Stages {
-			base := prefix + kind + "." + stage
-			out[base+".count"] = int64(st.Count)
-			out[base+".p50_ns"] = int64(st.P50NS)
-			out[base+".p99_ns"] = int64(st.P99NS)
-		}
-	}
-}
-
 // kvRun is what one RunKV invocation hands its mix state.
 type kvRun struct {
-	spec      KVSpec
-	mix       *mixDesc
-	be        kvBackend
-	db        kv.DB
-	zipf      *zipfian         // skewed record ranks; nil under DistUniform
-	followers []*repl.Follower // the store backend's replicas
+	spec KVSpec
+	mix  *mixDesc
+	be   *backend
+	db   kv.DB
+	zipf *zipfian // skewed record ranks; nil under DistUniform
 }
 
 // kvWorker is one worker thread's scratch, handed to the mix's step.
@@ -339,7 +54,7 @@ func (r *kvRun) record(w *kvWorker) int { return r.draw(w, r.spec.Records) }
 
 // multiSystem reports whether keys can land on different Systems.
 func (r *kvRun) multiSystem() bool {
-	return r.be.SystemFor(ycsbKey(0)) >= 0 || r.be.SystemFor(ycsbKey(1)) >= 0
+	return r.be.served.Domains() > 1
 }
 
 // load populates the spec's records through the setup path.
@@ -347,7 +62,7 @@ func (r *kvRun) load(fill func(val []byte)) error {
 	val := make([]byte, r.spec.ValueBytes)
 	for i := 0; i < r.spec.Records; i++ {
 		fill(val)
-		if err := r.be.Load(ycsbKey(i), val); err != nil {
+		if err := r.be.load(ycsbKey(i), val); err != nil {
 			return fmt.Errorf("KV load: %w", err)
 		}
 	}
@@ -364,7 +79,7 @@ func (r *kvRun) loadRandom() error {
 // run quantifies steady-state read offload, not cold catch-up (misses
 // during the run still fall back to the primary, counted).
 func (r *kvRun) catchUp() error {
-	for _, f := range r.followers {
+	for _, f := range r.be.followers {
 		if err := f.WaitIdle(); err != nil {
 			return fmt.Errorf("replica catch-up: %w", err)
 		}
@@ -383,30 +98,15 @@ func RunKV(spec KVSpec, engineName string, cfg RunConfig) (Result, error) {
 	}
 	m, _ := lookupMix(spec.Mix) // validate vouched for it
 
-	sz := m.sizing(spec, cfg)
-	var be kvBackend
-	var err error
-	switch {
-	case spec.Net:
-		be, err = openNetBackend(sz, engineName, cfg)
-	case spec.Backend == BackendCluster:
-		be, err = openClusterBackend(sz, engineName, cfg)
-	default:
-		be, err = openStoreBackend(sz, engineName, cfg)
-	}
+	be, err := openBackend(m.sizing(spec, cfg), engineName, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	if c, ok := be.(interface{ Close() }); ok {
-		defer c.Close()
-	}
+	defer be.close()
 
-	run := &kvRun{spec: spec, mix: m, be: be, db: be.DB()}
+	run := &kvRun{spec: spec, mix: m, be: be, db: be.db}
 	if spec.Dist == DistZipfian {
 		run.zipf = newZipfian(spec.Records, spec.Theta)
-	}
-	if sb, ok := be.(*storeBackend); ok {
-		run.followers = sb.followers
 	}
 	st, err := m.open(run)
 	if err != nil {
@@ -443,7 +143,7 @@ func RunKV(spec KVSpec, engineName string, cfg RunConfig) (Result, error) {
 		return Result{}, err
 	}
 	res.Workload = spec.Name()
-	if err := be.Finish(&res); err != nil {
+	if err := be.finish(&res); err != nil {
 		return res, err
 	}
 	res.derive()
@@ -451,7 +151,7 @@ func RunKV(spec KVSpec, engineName string, cfg RunConfig) (Result, error) {
 	if err := st.audit(); err != nil {
 		return res, err
 	}
-	return res, be.Validate()
+	return res, be.validate()
 }
 
 // MustRunKV is RunKV for experiment drivers, where a config error is a bug.
@@ -496,7 +196,7 @@ func openYCSB(run *kvRun) (mixRun, error) {
 func (y *ycsbRun) leadingSum() uint64 {
 	var sum uint64
 	for i := 0; i < y.spec.Records; i++ {
-		if v, ok := y.be.Peek(ycsbKey(i)); ok {
+		if v, ok := y.be.peek(ycsbKey(i)); ok {
 			sum += binary.LittleEndian.Uint64(v)
 		}
 	}
@@ -577,7 +277,7 @@ func (y *ycsbRun) singleOp(w *kvWorker, isRead bool) error {
 	switch {
 	case isRead && batched:
 		return y.enqueue(w, kv.Op{Kind: kv.OpGet, Key: key})
-	case isRead && len(y.followers) > 0:
+	case isRead && len(y.be.followers) > 0:
 		return y.followerRead(w, key)
 	case isRead:
 		return y.get(key)
@@ -599,7 +299,7 @@ func (y *ycsbRun) singleOp(w *kvWorker, isRead bool) error {
 // back; a successful read must never report a revision above its
 // watermark.
 func (y *ycsbRun) followerRead(w *kvWorker, key []byte) error {
-	f := y.followers[w.fi%len(y.followers)]
+	f := y.be.followers[w.fi%len(y.be.followers)]
 	w.fi++
 	var floor kv.Revision
 	if y.spec.Staleness > 0 {
@@ -680,7 +380,7 @@ func (y *ycsbRun) crossKeys(w *kvWorker) [][]byte {
 			seen[rec] = true
 			k := ycsbKey(rec)
 			keys = append(keys, k)
-			systems[y.be.SystemFor(k)] = true
+			systems[y.be.served.Domain(k)] = true
 		}
 		if !multi || len(systems) > 1 {
 			break
@@ -875,7 +575,7 @@ func (b bankRun) counters(map[string]int64) {}
 func (b bankRun) audit() error {
 	var total uint64
 	for i := 0; i < b.spec.Records; i++ {
-		v, ok := b.be.Peek(ycsbKey(i))
+		v, ok := b.be.peek(ycsbKey(i))
 		if !ok {
 			return fmt.Errorf("harness: bank account %d missing after run", i)
 		}
@@ -903,7 +603,7 @@ func (b bankRun) step(w *kvWorker) error {
 		}
 		from, to = x, y
 		if !multi ||
-			(b.be.SystemFor(ycsbKey(from)) != b.be.SystemFor(ycsbKey(to))) == wantCross {
+			(b.be.served.Domain(ycsbKey(from)) != b.be.served.Domain(ycsbKey(to))) == wantCross {
 			break
 		}
 	}

@@ -28,18 +28,35 @@ var mixCounters = map[string][]string{
 // TestMixTable walks every row of the mix table over the three rig shapes
 // — in-process store, 2-System cluster, closed-loop network — at tiny
 // scale: the run must pass the mix's own audit and the backend's
-// validation, execute exactly the budgeted operations, and report exactly
+// validation, execute exactly the budgeted operations, report exactly
 // the counters the mix owns, both in Result.Counters and in the digest
-// PrintThroughputSeries renders from them.
+// PrintThroughputSeries renders from them, and account its accesses by
+// the backend's rule: a lone Local engine has no separate critical path,
+// while a cluster's busiest System carries only part of the run's work.
 func TestMixTable(t *testing.T) {
+	local := func(t *testing.T, r Result) {
+		if r.Accesses == 0 || r.CriticalAccesses != 0 {
+			t.Errorf("accesses %d, critical %d; want > 0 and 0", r.Accesses, r.CriticalAccesses)
+		}
+	}
 	rigs := []struct {
-		name string
-		set  func(*KVSpec)
+		name  string
+		set   func(*KVSpec)
+		check func(*testing.T, Result)
 	}{
-		{"store", func(sp *KVSpec) { sp.Shards = 2 }},
-		{"cluster2", func(sp *KVSpec) { sp.Systems = 2 }},
+		{"store", func(sp *KVSpec) { sp.Shards = 2 }, local},
+		{"cluster2", func(sp *KVSpec) { sp.Systems = 2 }, func(t *testing.T, r Result) {
+			if r.CriticalAccesses == 0 || r.CriticalAccesses >= r.Accesses {
+				t.Errorf("critical %d of %d accesses; want the busier System's share", r.CriticalAccesses, r.Accesses)
+			}
+		}},
 		// Two workers over one connection: the closed-loop slot is contended.
-		{"net-closed", func(sp *KVSpec) { sp.Shards, sp.Net, sp.Conns = 2, true, 1 }},
+		{"net-closed", func(sp *KVSpec) { sp.Shards, sp.Net, sp.Conns = 2, true, 1 }, func(t *testing.T, r Result) {
+			local(t, r)
+			if r.Counters["server.bytes_in"] == 0 {
+				t.Errorf("server.* counters missing: %s", digest(r.Counters))
+			}
+		}},
 	}
 	for _, m := range mixTable {
 		owned, ok := mixCounters[m.name]
@@ -79,6 +96,7 @@ func TestMixTable(t *testing.T) {
 				if fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Errorf("harness.* counters = %v, want %v", got, want)
 				}
+				rig.check(t, r)
 			})
 		}
 	}

@@ -68,15 +68,17 @@ type Result struct {
 	// claims in EXPERIMENTS.md are made against this metric.
 	OpsPerKAccess float64
 
-	// CriticalAccesses is, for cluster runs, the largest per-System access
-	// count: independent Systems progress in parallel, so the busiest one
-	// is the run's simulated critical path. (A 1-System cluster run sets
-	// it to its only System's count.) Zero for non-cluster runs.
+	// CriticalAccesses is the largest access count among the served DB's
+	// data-stream engines: a cluster's Systems, and a replicated Local's
+	// replicas, progress in parallel, so the busiest one is the run's
+	// simulated critical path. (A 1-System cluster run sets it to its only
+	// System's count, a replicated Local to its primary's.) Zero for a
+	// Local run without replicas.
 	CriticalAccesses uint64
 	// OpsPerKInterval is committed operations per thousand critical-path
 	// accesses — the cluster scaling metric: adding Systems raises it when
 	// (and only when) the load actually spreads. It equals OpsPerKAccess
-	// on a 1-System cluster run; zero for non-cluster runs.
+	// on a 1-System cluster run; zero when CriticalAccesses is.
 	OpsPerKInterval float64
 
 	// Counters is the run's one observation channel: the kv.DB's

@@ -280,10 +280,11 @@ func IndexLookup(engineName string, rows, queries int) ([]Result, error) {
 	}
 	spec := KVSpec{Mix: "query", Records: rows}.withDefaults()
 	m, _ := lookupMix(spec.Mix)
-	be, err := openStoreBackend(m.sizing(spec, RunConfig{}), engineName, RunConfig{})
+	be, err := openBackend(m.sizing(spec, RunConfig{}), engineName, RunConfig{})
 	if err != nil {
 		return nil, err
 	}
+	eng := be.served.Layout()[0].Engine
 	indexed, err := openTables(spec, be.db)
 	if err != nil {
 		return nil, err
@@ -307,7 +308,7 @@ func IndexLookup(engineName string, rows, queries int) ([]Result, error) {
 		if _, err := tbl.Select(q); err != nil {
 			return Result{}, err
 		}
-		before := accesses(be.eng.Snapshot())
+		before := accesses(eng.Snapshot())
 		start := time.Now()
 		for i := 0; i < queries; i++ {
 			q.Conds[0] = table.Eq("bucket", table.Int64(int64(i%spec.IdxSel)))
@@ -319,11 +320,11 @@ func IndexLookup(engineName string, rows, queries int) ([]Result, error) {
 		}
 		res := Result{
 			Workload: "index-lookup/" + mode,
-			Engine:   be.eng.Name(),
+			Engine:   eng.Name(),
 			Threads:  1,
 			Ops:      uint64(queries),
 			Elapsed:  time.Since(start),
-			Stats:    be.eng.Snapshot(),
+			Stats:    eng.Snapshot(),
 		}
 		res.Accesses = accesses(res.Stats) - before
 		res.Throughput = float64(res.Ops) / res.Elapsed.Seconds()
@@ -342,5 +343,5 @@ func IndexLookup(engineName string, rows, queries int) ([]Result, error) {
 		r.Counters = map[string]int64{}
 		indexed.counters(r.Counters)
 	}
-	return []Result{idxRes, fullRes}, be.Validate()
+	return []Result{idxRes, fullRes}, be.validate()
 }

@@ -249,6 +249,9 @@ func TestKVReplicatedRun(t *testing.T) {
 	}
 	// The critical path is the primary: offloaded reads must make the run
 	// cheaper per primary access than per fleet access.
+	if r.CriticalAccesses == 0 || r.CriticalAccesses >= r.Accesses {
+		t.Fatalf("critical %d of %d accesses; want the primary's share", r.CriticalAccesses, r.Accesses)
+	}
 	if r.OpsPerKInterval <= r.OpsPerKAccess {
 		t.Fatalf("ops/kinterval %.1f <= ops/kaccess %.1f: reads not offloaded",
 			r.OpsPerKInterval, r.OpsPerKAccess)
@@ -289,7 +292,7 @@ func TestReplicaDrainFailureFailsRun(t *testing.T) {
 	spec := KVSpec{Mix: "b", Records: 16, Shards: 2, WAL: true, Replicas: 1}.withDefaults()
 	m, _ := lookupMix(spec.Mix)
 	cfg := RunConfig{Threads: 1, OpsPerThread: 1}
-	be, err := openStoreBackend(m.sizing(spec, cfg), EngTL2, cfg)
+	be, err := openBackend(m.sizing(spec, cfg), EngTL2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +301,7 @@ func TestReplicaDrainFailureFailsRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	var res Result
-	if err := be.Finish(&res); err == nil {
+	if err := be.finish(&res); err == nil {
 		t.Fatal("Finish reported success over a replica that never drained")
 	}
 }

@@ -49,8 +49,7 @@ type kvMetrics struct {
 	prepare2PC *obs.Histogram // cluster.2pc.prepare_ns
 	finish2PC  *obs.Histogram // cluster.2pc.finish_ns
 
-	walInDoubt  *obs.Counter // cluster.wal.indoubt: decisions found unresolved at recovery or promotion
-	walResolved *obs.Counter // cluster.wal.resolved: decisions resolved forward then
+	walInDoubt *obs.Counter // cluster.wal.indoubt: decisions found unresolved at recovery or promotion, and resolved forward
 }
 
 func newKVMetrics(reg *obs.Registry) kvMetrics {
@@ -65,7 +64,6 @@ func newKVMetrics(reg *obs.Registry) kvMetrics {
 		prepare2PC:      reg.Histogram("cluster.2pc.prepare_ns"),
 		finish2PC:       reg.Histogram("cluster.2pc.finish_ns"),
 		walInDoubt:      reg.Counter("cluster.wal.indoubt"),
-		walResolved:     reg.Counter("cluster.wal.resolved"),
 	}
 }
 

@@ -166,7 +166,6 @@ func (db *core[S]) attachWAL(devs []wal.Device, epoch uint64, membership []byte)
 		return err
 	}
 	db.met.walInDoubt.Add(uint64(len(inDoubt)))
-	db.met.walResolved.Add(uint64(len(inDoubt)))
 	// Every data stream feeds the same pair of histograms: the batch-size
 	// and sync-interval distributions are per DB, like the stats surface.
 	for i, w := range ws.Data {
