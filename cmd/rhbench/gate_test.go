@@ -40,7 +40,8 @@ func parseRowsFile(t *testing.T, path string) []benchdiff.Row {
 // BENCH_smoke.json at drift 0. These are simulated-machine counts, a function
 // of the seed alone: a change to the host implementation of the simulator
 // (memsim, htm, an engine) that moves one of them changed what is simulated,
-// and fails here rather than only in the CI gate's 25% band.
+// and fails here, in the tier-1 tests, as well as in the CI gate, whose
+// benchdiff holds every single-thread point exactly too.
 func TestSmokeRowsExact(t *testing.T) {
 	const exp = "ycsb-a"
 	fresh := filepath.Join(t.TempDir(), "fresh.json")

@@ -6,6 +6,8 @@
 // (operations per thousand simulated accesses), which measure the
 // simulated machine rather than the host, so it is stable across runner
 // hardware — only a real change in the engines' access behavior moves it.
+// At one thread nothing else moves it, so those points must match the
+// baseline exactly, and a gain fails too until the baseline is regenerated.
 package benchdiff
 
 import (
@@ -69,26 +71,37 @@ func ParseRows(r io.Reader) ([]Row, error) {
 	return rows, nil
 }
 
-// Regression is one point whose fresh metric fell below the committed
-// baseline by more than the threshold.
+// Regression is one point that failed the comparison: its fresh metric
+// fell below the committed baseline by more than the threshold, or, at one
+// thread, differs from the baseline at all.
 type Regression struct {
 	Key    string
 	Metric string // which metric compared: ops_per_kinterval or ops_per_kacc
 	Base   float64
 	Fresh  float64
-	Drop   float64 // fractional drop, e.g. 0.31 for -31%
+	Drop   float64 // fractional drop, e.g. 0.31 for -31%; negative for a rise
 }
 
 func (rg Regression) String() string {
-	return fmt.Sprintf("%s: %s %.2f -> %.2f (-%.0f%%)",
+	if rg.Drop < 0 {
+		return fmt.Sprintf("%s: %s %v -> %v (+%.2f%%): baseline stale: regenerate",
+			rg.Key, rg.Metric, rg.Base, rg.Fresh, -100*rg.Drop)
+	}
+	return fmt.Sprintf("%s: %s %v -> %v (-%.2f%%)",
 		rg.Key, rg.Metric, rg.Base, rg.Fresh, 100*rg.Drop)
 }
 
 // Compare evaluates fresh against base: every base point must appear in
-// fresh (a vanished point is a regression to zero) with its metric no more
-// than threshold below the baseline. threshold is fractional (0.25 =
-// tolerate a 25% drop). Points only in fresh are ignored — adding coverage
-// is never a failure. Returned regressions are sorted by severity.
+// fresh (a vanished point is a regression to zero). A single-thread point
+// must reproduce its metric exactly, in either direction: the simulated
+// counts of one thread are functions of the seed, so any difference is a
+// change in the engines' access behavior, and a gain the baseline does not
+// record would hide a later loss inside the threshold. A point at more
+// threads may fall no more than threshold below the baseline, since it also
+// depends on how the host interleaves the workers; threshold is fractional
+// (0.25 = tolerate a 25% drop). Points only in fresh are ignored — adding
+// coverage is never a failure. Returned regressions are sorted by severity,
+// rises last.
 func Compare(base, fresh []Row, threshold float64) []Regression {
 	freshByKey := map[string]Row{}
 	for _, r := range fresh {
@@ -106,7 +119,7 @@ func Compare(base, fresh []Row, threshold float64) []Regression {
 			continue
 		}
 		fm, _ := f.Metric()
-		if fm >= (1-threshold)*bm {
+		if b.Threads == 1 && fm == bm || b.Threads != 1 && fm >= (1-threshold)*bm {
 			continue
 		}
 		out = append(out, Regression{

@@ -53,6 +53,54 @@ func TestCompare(t *testing.T) {
 	}
 }
 
+// TestSingleThreadExact: a one-thread point is a function of the seed, so
+// it must reproduce its gated metric exactly: a drop far inside the
+// threshold fails, and so does a rise, which asks for a regenerated
+// baseline. Points at more threads keep the threshold both ways.
+func TestSingleThreadExact(t *testing.T) {
+	base := []Row{
+		row("ycsb-a", "RH1", 1, 17.01, 0),
+		row("repl", "RH1", 1, 9.5, 30.25), // gated on ops_per_kinterval
+		row("ycsb-a", "RH1", 2, 17.01, 0),
+	}
+	if regs := Compare(base, base, 0.25); len(regs) != 0 {
+		t.Fatalf("self-compare regressed: %v", regs)
+	}
+
+	// Lower at one thread, by far less than the threshold.
+	fresh := []Row{
+		row("ycsb-a", "RH1", 1, 17.0099, 0),
+		row("repl", "RH1", 1, 9.1, 30.25), // ops_per_kacc is not gated here
+		row("ycsb-a", "RH1", 2, 15, 0),    // -12%: within 25% at two threads
+	}
+	regs := Compare(base, fresh, 0.25)
+	if len(regs) != 1 || regs[0].Key != "ycsb-a|ycsb-a/w|RH1|t=1" || regs[0].Drop <= 0 {
+		t.Fatalf("single-thread drop: got %v, want one drop on the t=1 ycsb-a point", regs)
+	}
+	if strings.Contains(regs[0].String(), "stale") {
+		t.Fatalf("a drop reads as a stale baseline: %s", regs[0])
+	}
+
+	// Higher at one thread: the baseline no longer records the point.
+	fresh = []Row{
+		row("ycsb-a", "RH1", 1, 20.36, 0),
+		row("repl", "RH1", 1, 9.5, 30.5),
+		row("ycsb-a", "RH1", 2, 25, 0), // a rise at two threads is fine
+	}
+	regs = Compare(base, fresh, 0.25)
+	if len(regs) != 2 {
+		t.Fatalf("single-thread rise: got %v, want the two t=1 points", regs)
+	}
+	for _, rg := range regs {
+		if rg.Drop >= 0 || !strings.Contains(rg.String(), "baseline stale: regenerate") {
+			t.Fatalf("rise not reported as a stale baseline: %s", rg)
+		}
+	}
+	if got := map[string]bool{regs[0].Metric: true, regs[1].Metric: true}; !got["ops_per_kacc"] || !got["ops_per_kinterval"] {
+		t.Fatalf("wrong metrics compared: %v", regs)
+	}
+}
+
 func TestParseRows(t *testing.T) {
 	rows, err := ParseRows(strings.NewReader(
 		`{"experiment":"e","workload":"w","engine":"x","threads":2,"ops_per_kacc":5}` + "\n\n" +

@@ -2,7 +2,8 @@
 // transactions. One Engine provides the full multi-level protocol stack:
 //
 //	RH1 fast path    — pure hardware transaction; reads uninstrumented,
-//	                   writes add a single stripe-version store (Alg. 1+3).
+//	                   writes add one stripe-version store per written
+//	                   stripe (Alg. 1+3).
 //	RH1 slow path    — "mixed" transaction: body fully in software, commit in
 //	                   one short hardware transaction that revalidates the
 //	                   read set and performs the write-back (Alg. 2).

@@ -87,13 +87,17 @@ func (tx *coreTx) PreCommit() bool {
 
 // rh1FastWrite is the RH1 fast path's minimally instrumented store: update
 // the stripe version to next_ver, then write the value (Alg. 1 lines 6-9).
-// Both stores are speculative and publish atomically at commit.
+// Both stores are speculative and publish atomically at commit, so the
+// version is stored at the attempt's first write to the stripe only: a
+// repeat would store the value the write buffer already holds.
 func (t *Thread) rh1FastWrite(a memsim.Addr, v uint64) {
 	htx := t.Txn
-	if !htx.Write(t.sys.VersionAddr(a), sys.PackVersion(t.nextVer)) {
-		engine.Retry()
+	if va := t.sys.VersionAddr(a); !htx.Wrote(va) {
+		if !htx.Write(va, sys.PackVersion(t.nextVer)) {
+			engine.Retry()
+		}
+		t.Stats.MetadataWrites++
 	}
-	t.Stats.MetadataWrites++
 	if !htx.Write(a, v) {
 		engine.Retry()
 	}
@@ -217,40 +221,44 @@ func (t *Thread) rh1CommitAttempt() (committed, validationFailed bool) {
 			return false, true
 		}
 	}
-	// Write-set stripes must be unlocked — the one documented deviation
-	// from the paper's pseudo-code. In the paper's presentation of RH1 in
-	// isolation no locks exist, so the check is vacuous; once the RH2
-	// fallback is integrated, a concurrent RH2 committer may hold locks, and
-	// an RH1 commit that blindly overwrote a locked stripe version would
-	// corrupt the lock protocol. The check costs one speculative load per
-	// write stripe, already resident in the commit transaction's footprint.
-	writes := t.sw.Writes.Entries
-	for _, w := range writes {
-		ver, ok := htx.Read(t.sys.VersionAddr(w.Addr))
-		if !ok {
-			return false, false
-		}
-		t.Stats.MetadataReads++
-		if sys.IsLocked(ver) {
-			htx.Abort(memsim.AbortExplicit)
-			return false, true
-		}
-	}
 	// next_ver ← GVNext() inside the hardware transaction (Alg. 2 line 37).
 	nextVer, ok := t.speculativeGVNext()
 	if !ok {
 		return false, false
 	}
 	next := sys.PackVersion(nextVer)
-	// Write-back: install the new version and the value for every write.
-	for _, w := range writes {
-		if !htx.Write(t.sys.VersionAddr(w.Addr), next) {
-			return false, false
+	// Write-back: install the new version and the value for every write
+	// (Alg. 2 lines 38-43). As on the fast path, a stripe's version is
+	// stored at its first entry only — the second documented deviation
+	// from the pseudo-code, an equivalent one: the write set publishes
+	// atomically, so a repeat would store what the buffer already holds.
+	for _, w := range t.sw.Writes.Entries {
+		if va := t.sys.VersionAddr(w.Addr); !htx.Wrote(va) {
+			// The stripe must be unlocked — the first documented
+			// deviation from the paper's pseudo-code. In the paper's
+			// presentation of RH1 in isolation no locks exist, so the
+			// check is vacuous; once the RH2 fallback is integrated, a
+			// concurrent RH2 committer may hold locks, and an RH1 commit
+			// that blindly overwrote a locked stripe version would corrupt
+			// the lock protocol. The check costs one speculative load per
+			// write stripe, on the line the version store then claims.
+			ver, ok := htx.Read(va)
+			if !ok {
+				return false, false
+			}
+			t.Stats.MetadataReads++
+			if sys.IsLocked(ver) {
+				htx.Abort(memsim.AbortExplicit)
+				return false, true
+			}
+			if !htx.Write(va, next) {
+				return false, false
+			}
+			t.Stats.MetadataWrites++
 		}
 		if !htx.Write(w.Addr, w.Val) {
 			return false, false
 		}
-		t.Stats.MetadataWrites++
 	}
 	if !htx.Commit() {
 		return false, false

@@ -208,6 +208,16 @@ func (t *Txn) Write(a memsim.Addr, v uint64) (ok bool) {
 	return true
 }
 
+// Wrote reports whether the current attempt holds a buffered store to a.
+// Begin empties the buffer, so the answer never outlives the attempt.
+func (t *Txn) Wrote(a memsim.Addr) bool {
+	if len(t.writes) == 0 {
+		return false
+	}
+	_, hit := t.writeIdx[a]
+	return hit
+}
+
 // Unsupported models executing an instruction hardware transactions cannot
 // run (system call, page fault, protected instruction): the transaction
 // aborts with the persistent AbortUnsupported reason.

@@ -107,26 +107,50 @@ func TestStandardHyTMFallsBackOnUnsupported(t *testing.T) {
 	}
 }
 
+// TestStandardHyTMInstrumentationCounts: every access loads its stripe's
+// metadata, and each attempt stores a written stripe's version once. The
+// body reads word 0 and writes words 0 and 1 of one stripe; with injected
+// aborts each retried attempt pays the same again.
 func TestStandardHyTMInstrumentationCounts(t *testing.T) {
-	s := sys.MustNew(sys.DefaultConfig(1 << 10))
-	e := NewStandard(s, Options{})
-	a := s.Heap.MustAlloc(2)
-	th := e.NewThread()
-	if err := th.Atomic(func(tx engine.Tx) error {
-		_ = tx.Load(a)
-		tx.Store(a+1, 5)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	st := e.Snapshot()
-	// 1 clock sample + 1 per read + 1 per write = 3 metadata reads;
-	// 1 metadata write for the written stripe.
-	if st.MetadataReads != 3 {
-		t.Fatalf("metadata reads = %d, want 3", st.MetadataReads)
-	}
-	if st.MetadataWrites != 1 {
-		t.Fatalf("metadata writes = %d, want 1", st.MetadataWrites)
+	for _, inject := range []int{0, 50} {
+		s := sys.MustNew(sys.DefaultConfig(1 << 10))
+		e := NewStandard(s, Options{InjectAbortPercent: inject})
+		a := s.Heap.MustAlloc(8)
+		if s.StripeOf(a) != s.StripeOf(a+1) {
+			t.Fatal("words 0 and 1 in different stripes")
+		}
+		th := e.NewThread()
+		for i := 0; i < 10; i++ {
+			if err := th.Atomic(func(tx engine.Tx) error {
+				tx.Store(a, tx.Load(a)+1)
+				tx.Store(a+1, 5)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := e.Snapshot()
+		attempts := st.FastCommits + st.FastAborts
+		if st.FastCommits != 10 || st.FastAborts != st.FastAbortsByReason[memsim.AbortInjected] {
+			t.Fatalf("inject %d: stats = %v, want 10 fast commits and injected aborts only", inject, st)
+		}
+		if inject > 0 && st.FastAborts == 0 {
+			t.Fatalf("inject %d: no attempt was retried", inject)
+		}
+		// Per attempt: 1 clock sample + 1 per read + 1 per write = 4
+		// metadata reads; 1 metadata write for the one written stripe.
+		if st.MetadataReads != 4*attempts {
+			t.Fatalf("inject %d: metadata reads = %d over %d attempts, want 4 each", inject, st.MetadataReads, attempts)
+		}
+		if st.MetadataWrites != attempts {
+			t.Fatalf("inject %d: metadata writes = %d over %d attempts, want 1 each", inject, st.MetadataWrites, attempts)
+		}
+		if w := s.Mem.Load(s.VersionAddr(a)); sys.UnpackVersion(w) != s.Clock.Read()+1 {
+			t.Fatalf("inject %d: stripe carries %#x, want version clock+1", inject, w)
+		}
+		if got := s.Mem.Load(a); got != 10 {
+			t.Fatalf("inject %d: counter = %d, want 10", inject, got)
+		}
 	}
 }
 

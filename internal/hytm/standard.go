@@ -109,7 +109,10 @@ func (tx *stdTx) Load(a memsim.Addr) uint64 {
 }
 
 // Store implements engine.Tx: metadata load, branch, metadata update, then
-// the data store.
+// the data store. The load and the branch run on every store, as on every
+// load; the metadata update runs at the attempt's first store to the stripe
+// only, as on the RH1 fast path — a repeat would store the version the
+// write buffer already holds.
 func (tx *stdTx) Store(a memsim.Addr, v uint64) {
 	t := (*stdThread)(tx)
 	t.Stats.Writes++
@@ -124,10 +127,12 @@ func (tx *stdTx) Store(a memsim.Addr, v uint64) {
 		htx.Abort(memsim.AbortExplicit)
 		engine.Retry()
 	}
-	if !htx.Write(va, sys.PackVersion(t.nextVer)) {
-		engine.Retry()
+	if !htx.Wrote(va) {
+		if !htx.Write(va, sys.PackVersion(t.nextVer)) {
+			engine.Retry()
+		}
+		t.Stats.MetadataWrites++
 	}
-	t.Stats.MetadataWrites++
 	if !htx.Write(a, v) {
 		engine.Retry()
 	}

@@ -15,6 +15,8 @@ import (
 // them. Callers own the order of the steps and the loop over the write set —
 // TL2 loads the version word of every entry, RH2 skips duplicate stripes
 // first — so each protocol keeps its exact sequence of simulated accesses.
+// Either way each locked stripe's version is stored once, by Release; the
+// RH1 commit, which locks nothing, stores it at the stripe's first entry.
 type Txn struct {
 	sys      *sys.System
 	stats    *engine.Stats
