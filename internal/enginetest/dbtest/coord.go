@@ -492,20 +492,194 @@ func testDBWatch(t *testing.T, factory DBFactory) {
 				i, counts[string(keyOf(i))], committed[i].Load())
 		}
 	}
-	cancel()
 	rcancel()
 	// The channel must close after cancellation; quiesce the hub before
 	// raw-memory validation.
+	endWatch(t, db, cancel, ch)
+	if err := validate(); err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("ReplayUnwatched", func(t *testing.T) { testDBWatchReplayUnwatched(t, factory) })
+	t.Run("ReopenFromNow", func(t *testing.T) { testDBWatchReopenFromNow(t, factory) })
+	t.Run("OpenWhileWriting", func(t *testing.T) { testDBWatchOpenWhileWriting(t, factory) })
+}
+
+// endWatch cancels a watch, drains its channel until it closes and waits
+// for the DB's watch machinery to go idle. It returns the events drained.
+func endWatch(t *testing.T, db kv.DB, cancel context.CancelFunc, ch <-chan kv.Event) []kv.Event {
+	t.Helper()
+	cancel()
+	var drained []kv.Event
 	deadline := time.After(10 * time.Second)
 	for closed := false; !closed; {
 		select {
-		case _, ok := <-ch:
-			closed = !ok
+		case ev, ok := <-ch:
+			if closed = !ok; !closed {
+				drained = append(drained, ev)
+			}
 		case <-deadline:
 			t.Fatal("watch channel did not close after ctx cancellation")
 		}
 	}
 	db.WaitWatchIdle()
+	return drained
+}
+
+// testDBWatchReplayUnwatched: writes made while no watch is open are
+// logged without their values, so a fromRev replay over them delivers
+// every event with its key, kind and revision — no loss — and a nil
+// Value on each put (the consumer Gets the key on demand).
+func testDBWatchReplayUnwatched(t *testing.T, factory DBFactory) {
+	db, _, validate := factory(t)
+	type want struct {
+		kind kv.EventKind
+		rev  kv.Revision // 0: a delete, whose revision only has to ascend
+	}
+	perKey := map[string][]want{}
+	put := func(k, v string) {
+		t.Helper()
+		if err := db.Put([]byte(k), []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		_, rev, err := db.GetRev([]byte(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		perKey[k] = append(perKey[k], want{kv.EventPut, rev})
+	}
+	put("ru-a", "1")
+	put("ru-b", "2")
+	put("ru-a", "3")
+	if err := db.Delete([]byte("ru-b")); err != nil {
+		t.Fatal(err)
+	}
+	perKey["ru-b"] = append(perKey["ru-b"], want{kind: kv.EventDelete})
+	firstRev := perKey["ru-a"][0].rev
+	if r := perKey["ru-b"][0].rev; r < firstRev {
+		firstRev = r
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ch, err := db.Watch(ctx, []byte("ru-"), firstRev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := collectEvents(t, ch, 4, 10*time.Second)
+	got := map[string][]kv.Event{}
+	for _, ev := range events {
+		if ev.Kind == kv.EventLost {
+			t.Fatalf("replay of an intact, unwatched log reported loss: %+v", events)
+		}
+		got[string(ev.Key)] = append(got[string(ev.Key)], ev)
+	}
+	for k, ws := range perKey {
+		evs := got[k]
+		if len(evs) != len(ws) {
+			t.Fatalf("%s: replayed %+v, want %d events", k, evs, len(ws))
+		}
+		for i, w := range ws {
+			ev := evs[i]
+			if ev.Kind != w.kind || ev.Value != nil || (w.rev != 0 && ev.Rev != w.rev) ||
+				(i > 0 && ev.Rev <= evs[i-1].Rev) {
+				t.Fatalf("%s event %d = %+v, want kind %v, rev %d, nil value", k, i, ev, w.kind, w.rev)
+			}
+		}
+	}
+	endWatch(t, db, cancel, ch)
+	if err := validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// testDBWatchReopenFromNow: a watch opened after every earlier watch has
+// ended streams from the moment it opens — not from where the last one
+// stopped reading, which would deliver writes made while nobody watched.
+// Both writes go to one key, so they share a ring and an order.
+func testDBWatchReopenFromNow(t *testing.T, factory DBFactory) {
+	db, _, validate := factory(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ch, err := db.Watch(ctx, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	endWatch(t, db, cancel, ch)
+
+	key := []byte("reopen")
+	if err := db.Put(key, []byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	ch, err = db.Watch(ctx, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Put(key, []byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	first := collectEvents(t, ch, 1, 10*time.Second)[0]
+	if first.Kind != kv.EventPut || !bytes.Equal(first.Key, key) || string(first.Value) != "after" {
+		t.Fatalf("first event of a reopened watch = %+v, want the put of %q=after", first, key)
+	}
+	endWatch(t, db, cancel, ch)
+	if err := validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// testDBWatchOpenWhileWriting: watches opened and closed while writers
+// hammer non-empty puts must carry a value on every put of their live
+// streams. A write racing the watch's start either lies before the
+// stream's first event or saw the watch and copied its value.
+func testDBWatchOpenWhileWriting(t *testing.T, factory DBFactory) {
+	db, _, validate := factory(t)
+	const writers, keys, rounds, perRound = 3, 8, 8, 24
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var halted sync.Once
+	halt := func() { halted.Do(func() { close(stop); wg.Wait() }) }
+	defer halt() // a failed round must not leave the writers running
+	for w := 0; w < writers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := []byte(fmt.Sprintf("ow-%d-%d", w, i%keys))
+				if err := db.Put(k, enc64(uint64(w<<32|i))); err != nil {
+					t.Errorf("put: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	check := func(round int, evs []kv.Event) {
+		t.Helper()
+		for _, ev := range evs {
+			if ev.Kind == kv.EventPut && len(ev.Value) != 8 {
+				t.Fatalf("round %d: live put %q at rev %d carries value %v", round, ev.Key, ev.Rev, ev.Value)
+			}
+		}
+	}
+	for r := 0; r < rounds && !t.Failed(); r++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		ch, err := db.Watch(ctx, []byte("ow-"), 0)
+		if err != nil {
+			cancel()
+			t.Fatal(err)
+		}
+		check(r, collectEvents(t, ch, perRound, 20*time.Second))
+		check(r, endWatch(t, db, cancel, ch))
+	}
+	halt()
 	if err := validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -588,17 +762,7 @@ func testDBWatchCoalesce(t *testing.T, factory DBFactory) {
 			t.Fatalf("key %d terminal value %#x, want %#x", k, last[string(keyOf(k))], final[k])
 		}
 	}
-	cancel()
-	deadline = time.After(10 * time.Second)
-	for closed := false; !closed; {
-		select {
-		case _, ok := <-ch:
-			closed = !ok
-		case <-deadline:
-			t.Fatal("watch channel did not close after ctx cancellation")
-		}
-	}
-	db.WaitWatchIdle()
+	endWatch(t, db, cancel, ch)
 	if err := validate(); err != nil {
 		t.Fatal(err)
 	}

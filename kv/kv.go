@@ -224,7 +224,10 @@ type Event struct {
 	Kind EventKind
 	Key  []byte
 	// Value is the written value for EventPut — nil when the value was too
-	// large for the bounded commit log (consumers Get the key on demand).
+	// large for the bounded commit log, and on a put that fromRev replay
+	// reports from a span written while no watch was open: the log copies
+	// values only while a watch streams it (consumers Get the key on
+	// demand). A live stream carries every value that fits.
 	Value []byte
 	// Rev is the revision the write was stamped with. Per key, delivered
 	// revisions strictly increase. Zero for EventLost.

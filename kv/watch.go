@@ -20,6 +20,10 @@ import (
 // revision, and fans events out to subscribers over bounded host-side
 // queues. Writers wake the hub after committing; a slow fallback tick
 // catches writes made behind the DB's back (direct store/cluster users).
+// While the poller runs, the hub holds one watch count on every ring, and
+// a put copies its value into a ring only while the ring is counted
+// (store/log.go): with no watch open, writes log kind, key and revision,
+// and a later fromRev replay over them reports puts with a nil Value.
 //
 // Delivery guarantees, and their boundaries, live in exactly two places:
 //
@@ -127,27 +131,17 @@ func (h *watchHub) watch(ctx context.Context, prefix []byte, fromRev Revision) (
 		h.sources = h.newSources()
 	}
 	if h.offsets == nil {
-		// Start streaming at the current head of every ring. Offsets are
-		// published only when every ring was read — a failure leaves them
-		// nil so the next Watch retries instead of streaming stale history
-		// from offset 0.
-		offsets := make([]uint64, len(h.sources))
-		dropped := make([]uint64, len(h.sources))
-		for i, src := range h.sources {
-			err := src.run(func(tx rhtm.Tx) error {
-				offsets[i] = src.log.Head(tx)
-				dropped[i] = src.log.Dropped(tx)
-				return nil
-			})
-			if err != nil {
-				h.mu.Unlock()
-				return nil, err
-			}
+		if err := h.startLocked(); err != nil {
+			h.mu.Unlock()
+			return nil, err
 		}
-		h.offsets, h.dropped = offsets, dropped
 	}
 	if fromRev > 0 {
 		if err := h.replayLocked(sub, fromRev); err != nil {
+			if !h.running {
+				// No poller streams the rings this call counted.
+				h.stopLocked()
+			}
 			h.mu.Unlock()
 			return nil, err
 		}
@@ -160,6 +154,50 @@ func (h *watchHub) watch(ctx context.Context, prefix []byte, fromRev Revision) (
 	h.mu.Unlock()
 	go sub.deliver(ctx, h)
 	return sub.ch, nil
+}
+
+// startLocked begins streaming at the current head of every ring. Each
+// ring's watch count is raised in the transaction that reads its head, so
+// every append past that head carries its value (store/log.go). Offsets
+// are published only when every ring was counted and read; a failure
+// lowers the counts it raised and leaves the offsets nil, so the next
+// Watch retries instead of streaming stale history.
+func (h *watchHub) startLocked() error {
+	offsets := make([]uint64, len(h.sources))
+	dropped := make([]uint64, len(h.sources))
+	for i, src := range h.sources {
+		err := src.run(func(tx rhtm.Tx) error {
+			src.log.AddWatchers(tx, 1)
+			offsets[i] = src.log.Head(tx)
+			dropped[i] = src.log.Dropped(tx)
+			return nil
+		})
+		if err != nil {
+			unwatch(h.sources[:i])
+			return err
+		}
+	}
+	h.offsets, h.dropped = offsets, dropped
+	return nil
+}
+
+// stopLocked ends streaming: it lowers every ring's watch count, so writes
+// stop copying values, and forgets the offsets, so the next Watch starts at
+// the head of that moment rather than replaying what was written between.
+func (h *watchHub) stopLocked() {
+	unwatch(h.sources)
+	h.offsets, h.dropped = nil, nil
+}
+
+// unwatch lowers the watch count of each source's ring. A run fails only
+// when its body does, and this body cannot.
+func unwatch(sources []logSource) {
+	for _, src := range sources {
+		_ = src.run(func(tx rhtm.Tx) error {
+			src.log.AddWatchers(tx, -1)
+			return nil
+		})
+	}
 }
 
 // replayLocked seeds a new subscriber with the retained history at or past
@@ -245,6 +283,7 @@ func (h *watchHub) loop() {
 		}
 		h.mu.Lock()
 		if len(h.subs) == 0 {
+			h.stopLocked()
 			h.running = false
 			h.idle.Broadcast()
 			h.mu.Unlock()

@@ -181,6 +181,7 @@ func TestEventLogOrder(t *testing.T) {
 	st := New(s, Options{ArenaWords: 1 << 13})
 	tx := containers.SetupTx(s)
 	log := st.Events()
+	log.AddWatchers(tx, 1) // a watched ring carries put values
 	from := log.Head(tx)
 
 	if err := st.Put(tx, []byte("a"), []byte("1")); err != nil {
@@ -228,6 +229,58 @@ func TestEventLogOrder(t *testing.T) {
 	}
 }
 
+// TestEventLogElidesUnwatchedValues: while no watch streams the ring, a
+// put logs kind, key and revision with its value elided; a delete logs as
+// it always did; once a watch is counted, puts carry their values again,
+// and when it is lowered they stop.
+func TestEventLogElidesUnwatchedValues(t *testing.T) {
+	s := newSys(1 << 16)
+	st := New(s, Options{ArenaWords: 1 << 13})
+	tx := containers.SetupTx(s)
+	log := st.Events()
+	from := log.Head(tx)
+
+	put := func(k, v string) {
+		t.Helper()
+		if err := st.Put(tx, []byte(k), []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put("a", "unwatched")
+	del(st, tx, []byte("a"))
+	log.AddWatchers(tx, 1)
+	put("b", "watched")
+	log.AddWatchers(tx, -1)
+	put("c", "unwatched again")
+
+	events, _, _ := log.Read(tx, from, 100)
+	if len(events) != 4 {
+		t.Fatalf("Read returned %d events, want 4: %+v", len(events), events)
+	}
+	want := []struct {
+		kind   EvKind
+		key    string
+		value  string
+		elided bool
+	}{
+		{EvPut, "a", "", true},
+		{EvDelete, "a", "", false},
+		{EvPut, "b", "watched", false},
+		{EvPut, "c", "", true},
+	}
+	for i, ev := range events {
+		w := want[i]
+		if ev.Kind != w.kind || string(ev.Key) != w.key || ev.ValueElided != w.elided ||
+			string(ev.Value) != w.value || ev.Rev != uint64(i+1) {
+			t.Fatalf("event %d = %+v, want kind %v key %q value %q elided %v rev %d",
+				i, ev, w.kind, w.key, w.value, w.elided, i+1)
+		}
+		if w.elided && ev.Value != nil {
+			t.Fatalf("event %d: elided value is %q, want nil", i, ev.Value)
+		}
+	}
+}
+
 // TestEventLogWrapAndCompaction: a small ring overwrites old records whole,
 // keeps records decodable across the wrap boundary, and reports the gap to
 // a lagging reader.
@@ -236,6 +289,7 @@ func TestEventLogWrapAndCompaction(t *testing.T) {
 	st := New(s, Options{ArenaWords: 1 << 13, LogWords: minLogWords})
 	tx := containers.SetupTx(s)
 	log := st.Events()
+	log.AddWatchers(tx, 1) // a watched ring carries put values
 
 	for i := 0; i < 100; i++ {
 		if err := st.Put(tx, []byte(fmt.Sprintf("key-%02d", i%7)), []byte{byte(i)}); err != nil {

@@ -109,6 +109,11 @@ func TestHotWordsOwnLines(t *testing.T) {
 		own(fmt.Sprintf("shard %d count", i), st.count)
 		own(fmt.Sprintf("shard %d arena.bump", i), st.arena.bump)
 		own(fmt.Sprintf("shard %d log clock", i), st.log.seq)
+		// Every append reads the watch count: it rides on the clock line
+		// the append already writes, so it adds no line to a footprint.
+		if mem := s.Internal().Mem; mem.LineOf(st.log.watched) != mem.LineOf(st.log.seq) {
+			t.Errorf("shard %d: the log's watch count is off its clock line", i)
+		}
 	}
 }
 
@@ -195,8 +200,10 @@ func TestReplayPutIdempotent(t *testing.T) {
 			t.Errorf("replay at revision %d over a record at 5 left %s, was %s", rev, got, was)
 		}
 	}
+	// Two puts logged, three words each: header, revision and the key word
+	// (no watch is open, so the values are elided).
 	replay(wal.Op{Kind: wal.OpPut, Value: []byte("at-6"), Rev: 6})
-	if got, want := state(), `"at-6" rev 6 lease 0 present true, 1 keys, clock 6, log head 8`; got != want {
+	if got, want := state(), `"at-6" rev 6 lease 0 present true, 1 keys, clock 6, log head 6`; got != want {
 		t.Errorf("a replayed put at revision 6 left %s, want %s", got, want)
 	}
 	if !removed(7) {

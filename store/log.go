@@ -28,7 +28,8 @@ import (
 // Record layout (words, addressed modulo the ring capacity so records may
 // wrap):
 //
-//	word 0  header: kind (bits 0..7) | value-elided flag (bit 8)
+//	word 0  header: kind (bits 0..7) | value-elided flag (bit 8: the
+//	        value was too large, or the ring was unwatched)
 //	        | key bytes (bits 16..39) | value bytes (bits 40..63)
 //	word 1  revision
 //	then    ceil(keyBytes/8) key words, ceil(valueBytes/8) value words,
@@ -37,10 +38,19 @@ import (
 // head counts words ever appended (monotone); tail is the offset of the
 // oldest fully retained record. Appends advance tail past whole records
 // before overwriting them, so a reader positioned at or after tail always
-// sees well-formed records. Values too large for the ring are elided
-// (flagged in the header); keys too large drop the event entirely onto the
-// dropped counter — both bounded-buffer facts the kv layer surfaces as an
-// explicit loss marker rather than hiding.
+// sees well-formed records. A put's value is elided when it would take
+// more than a quarter of the ring, or when no watch streams the ring
+// (watched is 0): only a watcher reads the copy, so an unwatched put logs
+// kind, key and revision alone, and revisions stay dense. Keys too large
+// drop the event entirely onto the dropped counter — a bounded-buffer fact
+// the kv layer surfaces as an explicit loss marker rather than hiding.
+//
+// The watch hub raises watched in the same transaction that reads the head
+// it streams from, so every append either serialized before that read (its
+// record lies before the splice point) or read the raised count and
+// carried its value; a writer in flight that loaded the old count
+// conflicts on the word and re-executes. DESIGN.md §8 records the
+// decision.
 
 // EvKind classifies one logged event.
 type EvKind uint8
@@ -56,9 +66,12 @@ const (
 type Ev struct {
 	Kind EvKind
 	Key  []byte
-	// Value is the written value for EvPut; nil when ValueElided (the value
-	// was too large for the ring) or for EvDelete.
-	Value       []byte
+	// Value is the written value for EvPut; nil when ValueElided or for
+	// EvDelete.
+	Value []byte
+	// ValueElided reports a put whose value the ring does not carry: it was
+	// too large for the ring, or no watch streamed the ring when it was
+	// written.
 	ValueElided bool
 	// Rev is the revision the write was stamped with: the owning Store's
 	// monotonic commit version. Per key, revisions strictly increase in log
@@ -81,6 +94,7 @@ type EventLog struct {
 	tail    rhtm.Addr // one word: offset of the oldest retained record
 	dropped rhtm.Addr // one word: events skipped (key larger than the ring)
 	floor   rhtm.Addr // one word: revision at or below which history is incomplete
+	watched rhtm.Addr // one word: open watches streaming the ring (0 = elide values)
 	buf     rhtm.Addr
 	cap     int
 }
@@ -94,9 +108,10 @@ func NewEventLog(s *rhtm.System, words int) *EventLog {
 	if words < minLogWords {
 		words = minLogWords
 	}
-	// One line for all five: every append writes seq, head and tail together,
-	// so splitting them buys nothing, and the two rare words ride along.
-	clk := s.MustAllocLines(5)
+	// One line for all six: every append writes seq, head and tail together
+	// and reads watched, so splitting them buys nothing, and the two rare
+	// words ride along.
+	clk := s.MustAllocLines(6)
 	return &EventLog{
 		sys:     s,
 		seq:     clk,
@@ -104,6 +119,7 @@ func NewEventLog(s *rhtm.System, words int) *EventLog {
 		tail:    clk + 2,
 		dropped: clk + 3,
 		floor:   clk + 4,
+		watched: clk + 5,
 		buf:     s.MustAlloc(words),
 		cap:     words,
 	}
@@ -168,15 +184,16 @@ func (l *EventLog) recWords(tx rhtm.Tx, pos uint64) uint64 {
 	return uint64(evHeaderWords + (kb+7)/8 + (vb+7)/8)
 }
 
-// Append logs one event under tx. Values that would occupy more than a
-// quarter of the ring are elided; keys that would are counted as dropped
-// (the kv layer's watch hub reports the gap as an explicit loss).
+// Append logs one event under tx. A value is elided when it would occupy
+// more than a quarter of the ring or when no watch streams the ring; a key
+// that would occupy more than half is counted as dropped (the kv layer's
+// watch hub reports the gap as an explicit loss).
 func (l *EventLog) Append(tx rhtm.Tx, kind EvKind, key, value []byte, rev uint64) {
 	kw := (len(key) + 7) / 8
 	vw := (len(value) + 7) / 8
-	elided := false
-	if evHeaderWords+kw+vw > l.cap/4 {
-		value, vw, elided = nil, 0, true
+	elided := len(value) > 0 && (evHeaderWords+kw+vw > l.cap/4 || tx.Load(l.watched) == 0)
+	if elided {
+		value, vw = nil, 0
 	}
 	if evHeaderWords+kw > l.cap/2 {
 		tx.Store(l.dropped, tx.Load(l.dropped)+1)
@@ -184,11 +201,12 @@ func (l *EventLog) Append(tx rhtm.Tx, kind EvKind, key, value []byte, rev uint64
 	}
 	rec := uint64(evHeaderWords + kw + vw)
 	h := tx.Load(l.head)
-	t := tx.Load(l.tail)
+	t0 := tx.Load(l.tail)
+	t := t0
 	for h+rec-t > uint64(l.cap) {
 		t += l.recWords(tx, t)
 	}
-	if t != tx.Load(l.tail) {
+	if t != t0 {
 		tx.Store(l.tail, t)
 	}
 	hdr := uint64(kind) | uint64(len(key))<<evKeyShift | uint64(len(value))<<evValShift
@@ -270,6 +288,14 @@ func (l *EventLog) ReadRange(tx rhtm.Tx, from, to uint64, maxEvents int) (events
 // Head returns the monotone append offset under tx — the position a reader
 // starts from to see only future events.
 func (l *EventLog) Head(tx rhtm.Tx) uint64 { return tx.Load(l.head) }
+
+// AddWatchers adds n (+1 or -1) to the ring's open-watch count under tx.
+// Appends carry put values only while the count is above 0: a watcher
+// raises it in the transaction that reads the Head it streams from, and
+// lowers it when it stops streaming.
+func (l *EventLog) AddWatchers(tx rhtm.Tx, n int) {
+	tx.Store(l.watched, tx.Load(l.watched)+uint64(n))
+}
 
 // Rev returns the last assigned revision under tx.
 func (l *EventLog) Rev(tx rhtm.Tx) uint64 { return tx.Load(l.seq) }
