@@ -154,8 +154,33 @@ type Memory struct {
 	words     []uint64
 	stripes   [nStripes]stripe
 
+	// slab hands a cold stripe its first monitor entry (see addMonitor),
+	// under slabMu, a leaf lock taken inside a stripe's.
+	slabMu sync.Mutex
+	slab   []monEntry
+
 	regionMu sync.Mutex
 	nextFree Addr
+}
+
+// slabEntries is how many first entries one slab allocation serves.
+const slabEntries = 256
+
+// addMonitor appends e to s's monitor entries. A stripe with none yet takes a
+// one-entry slice of the memory's slab instead of allocating its own: a fresh
+// System's first pass touches thousands of cold stripes, and each would
+// otherwise cost an allocation. A stripe that outgrows its entry grows by
+// append. Callers must hold s.mu.
+func (m *Memory) addMonitor(s *stripe, e monEntry) {
+	if cap(s.mons) == 0 {
+		m.slabMu.Lock()
+		if len(m.slab) == 0 {
+			m.slab = make([]monEntry, slabEntries)
+		}
+		s.mons, m.slab = m.slab[:0:1], m.slab[1:]
+		m.slabMu.Unlock()
+	}
+	s.mons = append(s.mons, e)
 }
 
 // New creates a Memory from cfg. It panics if the configuration is invalid;

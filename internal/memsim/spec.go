@@ -54,7 +54,7 @@ func (m *Memory) register(s *stripe, id uint64, h Handle) bool {
 		}
 		e.h.TryAbort(AbortConflict)
 	}
-	s.mons = append(s.mons, monEntry{h: h, line: id})
+	m.addMonitor(s, monEntry{h: h, line: id})
 	return true
 }
 
@@ -105,7 +105,7 @@ func (m *Memory) declareWrite(s *stripe, id uint64, h Handle) bool {
 			return true
 		}
 	}
-	s.mons = append(s.mons, monEntry{h: h, line: id, writer: true})
+	m.addMonitor(s, monEntry{h: h, line: id, writer: true})
 	return true
 }
 

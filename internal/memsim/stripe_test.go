@@ -266,3 +266,28 @@ func TestRereadNeverTornUnderCommits(t *testing.T) {
 		}
 	}
 }
+
+// TestColdStripeFirstMonitorAllocs: a stripe's first monitor entry is cut
+// from the memory's slab, so registering on 1,024 cold stripes of a fresh
+// memory — half as a reader, half as a writer — costs four slab allocations
+// rather than one a stripe.
+func TestColdStripeFirstMonitorAllocs(t *testing.T) {
+	const lines = 1024
+	fresh := []*Memory{newMem(t, lines*8), newMem(t, lines*8)} // warm-up run, measured run
+	h := &fakeTxn{}
+	allocs := testing.AllocsPerRun(1, func() {
+		m := fresh[0]
+		fresh = fresh[1:]
+		for l := 0; l < lines; l += 2 {
+			if _, ok := m.SpecLoad(Addr(l*8), h); !ok {
+				t.Fatalf("SpecLoad on line %d failed", l)
+			}
+			if !m.SpecDeclareWrite(Addr((l+1)*8), h) {
+				t.Fatalf("SpecDeclareWrite on line %d failed", l+1)
+			}
+		}
+	})
+	if allocs > 5 {
+		t.Errorf("registering on %d cold stripes cost %.0f allocations, want <= 5", lines, allocs)
+	}
+}

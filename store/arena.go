@@ -58,6 +58,16 @@ func NewArena(s *rhtm.System, words int) *Arena {
 	return a
 }
 
+// reserve bumps the frontier of a fresh arena past n words and returns their
+// address: a block outside the size classes, never freed. Setup only.
+func (a *Arena) reserve(n int) rhtm.Addr {
+	if n > a.words {
+		panic(fmt.Sprintf("store: arena of %d words cannot reserve %d", a.words, n))
+	}
+	a.sys.Poke(a.bump, uint64(a.base)+uint64(n))
+	return a.base
+}
+
 // classOf returns the size class of an n-word block: the smallest c with
 // 1<<c >= n.
 func classOf(n int) int {

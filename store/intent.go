@@ -49,8 +49,10 @@ import (
 // it cannot fail on arena exhaustion: the only other block the apply can
 // need — the key's data record — is the size of the intent record the
 // teardown itself frees moments earlier in the same transaction, so the
-// free list is guaranteed to serve it. Capacity errors can only
-// happen at prepare, before the commit decision, where aborting is safe.
+// free list is guaranteed to serve it, and the point directory, sized never
+// to fill before the arena does (dir.go), has a slot for it. Capacity errors
+// can only happen at prepare, before the commit decision, where aborting is
+// safe.
 //
 // All mutations run under the caller's transaction, so a prepare that aborts
 // installs nothing and an apply that aborts applies nothing.

@@ -4,11 +4,13 @@
 // are arbitrary []byte, packed into 64-bit words of simulated memory by a
 // varlen codec; a transactional free-list arena allocates the blocks; an
 // intrusive comparator-ordered red-black tree (containers.OrderedTree) links
-// the records for Get/Put/Delete and ordered Scan. A record is one arena
-// block that is its own index node and carries its key, so a descent step
-// reads one child pointer and the key words it compares — usually one, as it
-// skips the prefix its bounds share with the probe — all on the record's first
-// cache line for keys up to 21 bytes.
+// the records in key order for Scan and Snapshot, and a point directory — an
+// open-addressed table of record addresses (dir.go) — finds them for Get,
+// Read, RevOf, Put and Delete in one probe, usually one slot. A record is one
+// arena block that is its own index node and carries its key, so a descent
+// step reads one child pointer and the key words it compares — usually one, as
+// it skips the prefix its bounds share with the probe — all on the record's
+// first cache line for keys up to 21 bytes.
 //
 // Every operation runs inside an rhtm.Tx body, so multi-key read-modify-
 // write sequences compose atomically under whichever engine drives the
@@ -60,11 +62,15 @@ import (
 // bits — a System of 2^40 words would be 8 TiB of host memory — and a key at
 // most 18) so that a key of up to 7 bytes still fits the 8-word class. Only
 // decoding reads it: a compare learns where the key ends from its words.
+// The point directory's slots reuse the argument: a slot is a 24-bit key-hash
+// fragment << 40 | record address, so the directory, not a chain word in each
+// record, is what finds a record by key, and the record layout is unchanged.
 //
-// An index descent reads, per level, the child link and the key words from
-// the first one the probe may not share: every key between the nearest
-// records the descent has passed on either side shares whatever prefix both
-// share with the probe, so a prefix that ties is not loaded again (see
+// Inserts and scans still descend the tree; point operations probe the
+// directory. An index descent reads, per level, the child link and the key
+// words from the first one the probe may not share: every key between the
+// nearest records the descent has passed on either side shares whatever prefix
+// both share with the probe, so a prefix that ties is not loaded again (see
 // containers.OrderedTree). For keys of up to 14 bytes under a common 7-byte
 // prefix, such as "user%08d", that is usually one key word a level.
 const (
@@ -114,7 +120,8 @@ const DefaultArenaWords = 1 << 16
 // Options configures a Store.
 type Options struct {
 	// ArenaWords is the capacity, in simulated words, of the store's block
-	// arena (records, value blocks and intent payloads all come from it).
+	// arena (records, value blocks and intent payloads all come from it, and
+	// the point directory takes about one word in eight at its front).
 	// Zero selects DefaultArenaWords. For NewSharded this is the per-shard
 	// capacity, so the System's heap must hold at least
 	// shards*(ArenaWords+LogWords) words (plus a few lines of allocator
@@ -137,17 +144,27 @@ type Store struct {
 	intents [intentBuckets]*containers.OrderedTree // see intentsOf
 	log     *EventLog
 	count   rhtm.Addr // one word on its own line: live entry count
+	dir     rhtm.Addr // the point directory (dir.go): the arena's first block
+	slots   int       // its size in slots
 
 	// walStats, when set, snapshots the attached write-ahead log's
 	// counters for Stats and Validate (host-side; see SetWALStats).
 	walStats func() wal.Stats
 }
 
-// New allocates a store on s. Call during single-threaded setup.
+// New allocates a store on s. Call during single-threaded setup. The point
+// directory takes the front of the arena: about one word in eight. New panics
+// on an arena too large for a 24-bit fragment to spread its probes over the
+// directory — more than 2^24 slots, about 132 million arena words.
 func New(s *rhtm.System, opts Options) *Store {
 	words := opts.ArenaWords
 	if words <= 0 {
 		words = DefaultArenaWords
+	}
+	slots := dirSlots(words, s.Internal().Mem.Config().WordsPerLine)
+	if slots > 1<<fragBits {
+		panic(fmt.Sprintf("store: an arena of %d words needs %d directory slots, more than a %d-bit fragment spreads over",
+			words, slots, fragBits))
 	}
 	st := &Store{
 		sys:   s,
@@ -155,7 +172,9 @@ func New(s *rhtm.System, opts Options) *Store {
 		log:   NewEventLog(s, opts.LogWords),
 		count: s.MustAllocLines(1),
 		idx:   containers.NewOrderedTree(s, compareKey),
+		slots: slots,
 	}
+	st.dir = st.arena.reserve(slots)
 	for b := range st.intents {
 		st.intents[b] = containers.NewOrderedTree(s, compareKey)
 	}
@@ -189,7 +208,7 @@ func RecordFootprintWords(keyBytes, valueBytes int) int {
 // Get returns the value stored under key. The returned slice is a private
 // copy decoded from simulated memory.
 func (st *Store) Get(tx rhtm.Tx, key []byte) ([]byte, bool) {
-	rec, ok := st.idx.Lookup(tx, key)
+	rec, _, ok := st.find(tx, key)
 	if !ok {
 		return nil, false
 	}
@@ -208,7 +227,7 @@ func (st *Store) Read(tx rhtm.Tx, key []byte) (value []byte, rev, lease uint64, 
 // that wants a record's revision or lease and drops its value: a dst reused
 // from call to call stops allocating once it has grown to the values read.
 func (st *Store) AppendRead(tx rhtm.Tx, key, dst []byte) (value []byte, rev, lease uint64, ok bool) {
-	rec, found := st.idx.Lookup(tx, key)
+	rec, _, found := st.find(tx, key)
 	if !found {
 		return dst, 0, 0, false
 	}
@@ -219,7 +238,7 @@ func (st *Store) AppendRead(tx rhtm.Tx, key, dst []byte) (value []byte, rev, lea
 // RevOf returns key's revision without decoding the value; absent keys
 // report (0, false).
 func (st *Store) RevOf(tx rhtm.Tx, key []byte) (uint64, bool) {
-	rec, ok := st.idx.Lookup(tx, key)
+	rec, _, ok := st.find(tx, key)
 	if !ok {
 		return 0, false
 	}
@@ -311,7 +330,8 @@ func (st *Store) putWith(tx rhtm.Tx, key, value []byte, reserved rhtm.Addr, leas
 		st.log.Append(tx, EvPut, key, value, r)
 		return r
 	}
-	if rec, ok := st.idx.Lookup(tx, key); ok {
+	rec, slot, ok := st.find(tx, key)
+	if ok {
 		if rev != 0 && rev <= tx.Load(revCell(rec, key)) {
 			return rev, nil // re-delivered: the record holds this write or a later one
 		}
@@ -337,12 +357,13 @@ func (st *Store) putWith(tx rhtm.Tx, key, value []byte, reserved rhtm.Addr, leas
 	if err != nil {
 		return 0, err
 	}
-	rec, err := st.newRecord(tx, key, vb)
+	rec, err = st.newRecord(tx, key, vb)
 	if err != nil {
 		return 0, err
 	}
 	writeBytes(tx, vb, value)
 	st.idx.Insert(tx, key, rec)
+	st.link(tx, key, slot, rec)
 	tx.Store(st.count, tx.Load(st.count)+1)
 	return stamp(rec), nil
 }
@@ -352,11 +373,12 @@ func (st *Store) putWith(tx rhtm.Tx, key, value []byte, reserved rhtm.Addr, leas
 // and the removal appends an EvDelete to the event log. rev 0 mints a fresh
 // revision, nonzero replays a logged one.
 func (st *Store) deleteWith(tx rhtm.Tx, key []byte, rev uint64) (uint64, bool) {
-	rec, ok := st.idx.Lookup(tx, key)
+	rec, slot, ok := st.find(tx, key)
 	if !ok || rev != 0 && rev <= tx.Load(revCell(rec, key)) {
 		return 0, false // absent, or a re-delivered removal of an older version
 	}
 	st.idx.Unlink(tx, rec)
+	st.vacate(tx, slot)
 	vb := locBlock(tx.Load(rec + recLocator))
 	st.arena.TxFree(tx, vb, blockWords(int(tx.Load(vb))))
 	st.arena.TxFree(tx, rec, recordWords(len(key)))
@@ -416,9 +438,9 @@ func (st *Store) Len(tx rhtm.Tx) int {
 	return int(tx.Load(st.count))
 }
 
-// Validate checks every index's structural invariants plus the count word
-// against a full traversal, using raw memory access. Only call while no
-// transactions are in flight.
+// Validate checks every index's structural invariants, the count word
+// against a full traversal and the point directory against the tree, using
+// raw memory access. Only call while no transactions are in flight.
 func (st *Store) Validate() error {
 	if err := st.idx.Validate(); err != nil {
 		return err
@@ -431,6 +453,9 @@ func (st *Store) Validate() error {
 	tx := containers.SetupTx(st.sys)
 	if n := st.idx.Len(tx); n != st.Len(tx) {
 		return fmt.Errorf("store: count word %d != %d traversed entries", st.Len(tx), n)
+	}
+	if err := st.validateDir(tx); err != nil {
+		return err
 	}
 	if walked, counted := st.arena.walkFreeWords(tx), st.arena.Stats(tx).FreeListWords; walked != counted {
 		return fmt.Errorf("store: free-list counters say %d free words, walk finds %d",
